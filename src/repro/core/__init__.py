@@ -11,15 +11,21 @@
   basic blocks through the BB address map, building the dynamic CFG
   without disassembly, forming basic-block clusters (function
   splitting) and emitting the ``cc_prof``/``ld_prof`` directives.
-* :mod:`repro.core.pipeline` -- Phases 1-4 end to end on the
-  distributed build system.
+* :mod:`repro.core.phases` -- the pipeline's phases, one definition
+  each: stage function (the body), fallback, artifacts and ``Stage``
+  declaration, plus the stage graph they form.
+* :mod:`repro.core.pipeline` -- configuration, result types and the
+  driver that runs Phases 1-4 end to end on the distributed build
+  system.
+* :mod:`repro.core.stages` -- the typed artifact/stage-graph engine
+  the phases are declared against.
 
 Submodules load lazily (PEP 562): ``import repro.core.exttsp`` pulls in
 only the layout algorithm, not the pipeline's linker/profiling stack.
 """
 
-__all__ = ["bbsections", "exttsp", "funcorder", "pipeline", "prefetch",
-           "stages", "wpa"]
+__all__ = ["bbsections", "exttsp", "funcorder", "phases", "pipeline",
+           "prefetch", "stages", "wpa"]
 
 
 def __getattr__(name):

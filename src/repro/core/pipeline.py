@@ -1,16 +1,10 @@
 """Phases 1-4: the Propeller relinking pipeline (§3, Figure 1).
 
 Ties the substrates together on top of the distributed build system:
-
-* **Phase 1/2** -- compile every module with PGO (the baseline
-  configuration) and again with BB address map metadata; all codegen
-  actions are cached by module content digest.
-* **Phase 3** -- run the workload on the metadata binary, sample LBR,
-  and run whole-program analysis to produce ``cc_prof``/``ld_prof``.
-* **Phase 4** -- re-run codegen *only* for modules containing hot
-  functions (with basic block section clusters); every cold module's
-  object is a cache hit from Phase 2; relink with the global symbol
-  order, dropping metadata sections.
+the configuration, the result types and the driver,
+:class:`PropellerPipeline`, which owns one run's state and the build
+primitive every phase shares.  The phases themselves are defined once
+each in :mod:`repro.core.phases`.
 
 Simulated wall-clock time and modelled peak memory are recorded per
 phase, which is what the paper's Figures 4, 5, 9 and Table 5 report.
@@ -19,7 +13,6 @@ phase, which is what the paper's Figures 4, 5, 9 and Table 5 report.
 from __future__ import annotations
 
 import hashlib
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -27,22 +20,16 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro import ir
 from repro.analysis import MemoryMeter
 from repro.buildsys import BuildSystem, PhaseReport
-from repro.codegen import BBSectionsMode, CodeGenOptions, compile_action
-from repro.core import wpa as wpa_mod
+from repro.codegen import CodeGenOptions, compile_action
 from repro.core.stages import (
-    Artifact,
     ArtifactSet,
-    ExecutionObserver,
-    Fallback,
-    Stage,
     StageContext,
     StageExecution,
-    StageGraph,
     StageGraphError,
 )
-from repro.core.wpa import WPAOptions, WPAResult, WPAStats
+from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
-from repro.faults import FaultPlan, RetriesExhausted
+from repro.faults import FaultPlan
 from repro.ir.digest import module_digest
 from repro.linker import LinkOptions, LinkResult, LinkStats, link
 from repro.obs import (
@@ -53,16 +40,7 @@ from repro.obs import (
     PipelineReport,
     Tracer,
 )
-from repro.profiles import (
-    MATCH_MODES,
-    IRProfile,
-    MatchStats,
-    PerfData,
-    collect_ir_profile,
-    generate_trace,
-    match_profile,
-    sample_lbr,
-)
+from repro.profiles import IRProfile, MatchStats, PerfData
 from repro.runtime import (
     FunctionSolveCache,
     ParallelExecutor,
@@ -70,26 +48,6 @@ from repro.runtime import (
     resolve_cache_dir,
 )
 from repro.runtime.executor import shared_executor
-
-#: Modelled cost of the instrumented (``-fprofile-generate``) build
-#: relative to the optimized baseline build it precedes: slightly
-#: cheaper, because instrumentation replaces the optimization passes
-#: whose time it saves with cheap counter insertion.  Reported as
-#: ``phase_seconds["pgo_instrumented_build"]`` (Fig. 4's PGO column);
-#: purely accounting, never part of any artifact digest.
-INSTRUMENTED_BUILD_FACTOR = 0.9
-
-
-def empty_wpa_result() -> WPAResult:
-    """The no-directives WPA result degraded runs fall back to.
-
-    With empty clusters and an empty symbol order, Phase 4 degenerates
-    to the stale-matching recovery's warm clusters when available, or
-    to the baseline layout -- the honest "ship something" outcome when
-    profile collection or analysis exhausted its retry budget.
-    """
-    return WPAResult(clusters={}, symbol_order=[], hot_functions=[],
-                     dcfg={}, call_edges={}, stats=WPAStats())
 
 
 @dataclass(frozen=True)
@@ -175,11 +133,6 @@ class PipelineConfig:
     wpa_seconds_per_unit: float = 1e-6
     profile_seconds_per_branch: float = 2e-6
 
-
-def _wpa_options_signature(options: WPAOptions) -> str:
-    """Deterministic digest of the WPA knobs (flat dataclasses of
-    scalars, so the auto-generated repr is complete and stable)."""
-    return hashlib.sha256(repr(options).encode("utf-8")).hexdigest()
 
 
 def _link_options_signature(options: LinkOptions) -> str:
@@ -484,46 +437,12 @@ class PipelineResult:
         )
 
     def summary(self) -> str:
-        r = self.report()
-        base, meta, opt = r.build("baseline"), r.build("metadata"), r.build("optimized")
-        lines = [
-            f"program: {r.program}",
-            f"modules: {r.modules}  "
-            f"hot (re-codegen'd): {opt.hot_modules} "
-            f"({100 * r.pct_hot_modules:.0f}%)",
-            f"hot functions: {r.hot_functions}",
-            f"baseline build: {base.wall_seconds:.2f}s "
-            f"(backends {base.backend_seconds:.2f}s, "
-            f"link {base.link_seconds:.2f}s)",
-            f"propeller phase 4: {opt.wall_seconds:.2f}s "
-            f"(backends {opt.backend_seconds:.2f}s, "
-            f"relink {opt.link_seconds:.2f}s, "
-            f"{opt.cold_cache_hits} cold objects from cache)",
-            f"wpa peak memory: {r.phase('wpa_convert').peak_memory_bytes / (1 << 20):.1f} MB",
-            f"binary sizes: base {base.binary_size}, "
-            f"metadata {meta.binary_size}, "
-            f"optimized {opt.binary_size}",
-        ]
-        if r.profile_recovery:
-            rec = r.profile_recovery
-            lines.append(
-                f"stale matching ({rec['mode']}): match-rate "
-                f"{rec['stale_match_rate']:.2f} -> "
-                f"{rec['recovered_match_rate']:.2f} "
-                f"(exact {rec['matched_exact']}, loose {rec['matched_loose']}, "
-                f"inferred {rec['blocks_inferred']}+{rec['edges_inferred']})"
-            )
-        if r.incremental:
-            inc = r.incremental
-            lines.append(
-                f"incremental: {len(inc['dirty'])} dirty, "
-                f"{len(inc['added'])} added, {len(inc['deleted'])} deleted; "
-                f"solve reuse {inc['solve_reuse']:.2f} "
-                f"({inc['solve_hits']} replayed, {inc['solve_misses']} solved)"
-            )
-        if r.degraded:
-            lines.append(f"DEGRADED: {', '.join(r.degraded_reasons)}")
-        return "\n".join(lines)
+        return self.report().summary()
+
+
+# Imported here, not at the top: the phase declarations name the
+# result types defined above (``Artifact("baseline", BuildOutcome)``).
+from repro.core import phases  # noqa: E402
 
 
 class PropellerPipeline:
@@ -572,12 +491,10 @@ class PropellerPipeline:
             solve_root = Path(config.state_dir) / "solves" if config.state_dir else None
             self.solve_cache = FunctionSolveCache(solve_root, counters=self.counters)
         self.jobs = config.jobs if config.jobs is not None else default_jobs(config.workers)
-        self._digests: Dict[str, str] = {}
+        self._digests: Dict[str, Tuple[ir.Module, str]] = {}
         # id -> (options, signature); the options reference keeps the
         # object alive so a recycled id can never alias a stale entry.
         self._option_sigs: Dict[int, Tuple[CodeGenOptions, str]] = {}
-        #: Simulated cost of the most recent instrumented training run.
-        self._pgo_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Build helpers
@@ -594,11 +511,12 @@ class PropellerPipeline:
         return executor
 
     def _digest(self, module: ir.Module) -> str:
-        digest = self._digests.get(module.name)
-        if digest is None:
-            digest = module_digest(module)
-            self._digests[module.name] = digest
-        return digest
+        # Identity-checked, so replacing ``self.program`` (inlining, a
+        # resumed ``prepared_program``) can never serve a stale digest.
+        cached = self._digests.get(module.name)
+        if cached is None or cached[0] is not module:
+            cached = self._digests[module.name] = (module, module_digest(module))
+        return cached[1]
 
     def _program_digest(self) -> str:
         """Digest of the whole program (module digests in order)."""
@@ -676,17 +594,11 @@ class PropellerPipeline:
                 return link_result, seconds, link_result.stats.peak_memory_bytes
 
             # The inputs of the link are exactly the backend outputs (named
-            # by their action keys) and the link options; the final link
-            # runs on the submitting machine (remote=False), outside the
-            # per-action RAM budget (§3.5).
+            # by their action keys) and the link options.
             inputs = hashlib.sha256("\n".join(a.key for a in actions).encode()).hexdigest()
-            with self.tracer.span("link", category="action") as sp:
-                link_action = self.buildsys.run_action(
-                    "link", [inputs, _link_options_signature(link_options)],
-                    _link_compute, remote=False,
-                )
-                sp.advance(link_action.cost_seconds)
-                sp.note(cache_hit=link_action.cache_hit)
+            link_action = phases.run_cached_action(
+                self, "link", "link",
+                [inputs, _link_options_signature(link_options)], _link_compute)
         link_result: LinkResult = link_action.value
         return BuildOutcome(
             tag=tag,
@@ -700,165 +612,23 @@ class PropellerPipeline:
         )
 
     # ------------------------------------------------------------------
-    # Phases
+    # Single phases (what the CLI subcommands, examples and benchmarks
+    # are wired from).  Each runs the same function the stage graph
+    # runs -- see :mod:`repro.core.phases` for the bodies.
 
     def collect_pgo_profile(self) -> IRProfile:
-        """Instrumented training run (the first stage of the PGO baseline).
-
-        The run is deterministic in (program, steps, seed, drift), so it
-        is itself an action: a warm cache replays the profile instead of
-        re-interpreting the program.  Profiling runs on the submitting
-        machine (``remote=False``), outside the per-action RAM budget.
-        """
-        config = self.config
-
-        def _compute():
-            profile = collect_ir_profile(
-                self.program, max_steps=config.pgo_steps, seed=config.seed
-            )
-            profile = profile.apply_drift(config.pgo_drift, seed=config.seed)
-            return profile, config.pgo_steps * config.profile_seconds_per_branch, 0
-
-        with self.tracer.span("pgo-train", category="action") as sp:
-            action = self.buildsys.run_action(
-                "profile-pgo",
-                [self._program_digest(), str(config.pgo_steps), str(config.seed),
-                 float(config.pgo_drift).hex()],
-                _compute,
-                remote=False,
-            )
-            sp.advance(action.cost_seconds)
-            sp.note(cache_hit=action.cache_hit)
-        self._pgo_seconds = action.cost_seconds
-        profile: IRProfile = action.value
-        # getattr: a persistent-store entry written by an older version
-        # may predate the profile-quality fields.
-        self.counters.gauge("pgo.match_rate", profile.match_rate)
-        self.counters.gauge("pgo.source_entries", getattr(profile, "source_entries", 0))
-        self.counters.gauge("pgo.dropped_entries", getattr(profile, "dropped_entries", 0))
-        return profile
-
-    def _collect_lbr(self, metadata_exe: Executable) -> Tuple[PerfData, float, str]:
-        """Phase 3 profiled run: deterministic in (binary, run length, seed).
-
-        Returns ``(perf, cost_seconds, action_key)``; the key doubles as
-        the perf data's content identity for downstream action keys.
-        """
-        config = self.config
-
-        def _compute():
-            trace = generate_trace(
-                metadata_exe,
-                max_branches=config.lbr_branches,
-                seed=config.seed + 1,
-                record_blocks=False,
-            )
-            perf = sample_lbr(trace, period=config.lbr_period, binary_name="metadata.out")
-            cost = config.lbr_branches * config.profile_seconds_per_branch
-            return perf, cost, perf.size_bytes
-
-        with self.tracer.span("lbr-sample", category="action") as sp:
-            action = self.buildsys.run_action(
-                "profile-lbr",
-                [metadata_exe.content_digest(), str(config.lbr_branches),
-                 str(config.lbr_period), str(config.seed + 1)],
-                _compute,
-                remote=False,
-            )
-            sp.advance(action.cost_seconds)
-            sp.note(cache_hit=action.cache_hit)
-        perf: PerfData = action.value
-        self.counters.gauge("lbr.samples", perf.num_samples)
-        self.counters.gauge("lbr.records", perf.num_records)
-        self.counters.gauge("lbr.profile_bytes", perf.size_bytes)
-        return perf, action.cost_seconds, action.key
-
-    def _analyze(
-        self, metadata_exe: Executable, perf: PerfData, perf_key: str
-    ) -> Tuple[WPAResult, float]:
-        """Whole-program analysis as a cached action.
-
-        Keyed by the metadata binary, the perf data's producing action
-        and the WPA options; per-function layout fans out over the
-        pipeline's worker processes on a miss.
-        """
-        config = self.config
-        executor = self.executor
-        tracer = self.tracer
-        solve_cache = self.solve_cache
-
-        def _compute():
-            wpa_result = wpa_mod.analyze(
-                metadata_exe, perf, config.wpa, executor=executor, tracer=tracer,
-                solve_cache=solve_cache,
-            )
-            cost = wpa_result.stats.cost_units * config.wpa_seconds_per_unit
-            return wpa_result, cost, wpa_result.stats.peak_memory_bytes
-
-        with self.tracer.span("wpa-analyze", category="action") as sp:
-            action = self.buildsys.run_action(
-                "wpa",
-                [metadata_exe.content_digest(), perf_key,
-                 _wpa_options_signature(config.wpa)],
-                _compute,
-                remote=False,
-            )
-            sp.advance(action.cost_seconds)
-            sp.note(cache_hit=action.cache_hit)
-        wpa_result: WPAResult = action.value
-        stats = wpa_result.stats
-        self.counters.gauge(
-            "lbr.record_coverage",
-            1.0 - stats.records_dropped / stats.num_records if stats.num_records else 1.0,
-        )
-        self.counters.gauge("wpa.hot_functions", stats.hot_functions)
-        self.counters.gauge("wpa.dcfg_nodes", stats.dcfg_nodes)
-        self.counters.gauge("wpa.dcfg_edges", stats.dcfg_edges)
-        self.counters.gauge("wpa.peak_memory_bytes", stats.peak_memory_bytes)
-        return wpa_result, action.cost_seconds
-
-    def apply_inlining(self, ir_profile: IRProfile):
-        """Phase 1 optimization: profile-guided inlining.
-
-        Replaces the pipeline's program with a transformed copy; every
-        later phase (including the profiled run) sees the inlined code,
-        while ``ir_profile`` still describes the pre-inlining CFG --
-        deliberately, that is the point.
-        """
-        from repro.ir.digest import module_digest  # noqa: F401  (docs pointer)
-        from repro.ir.passes import clone_program, inline_hot_calls
-        from repro.ir.verify import verify_program
-
-        transformed = clone_program(self.program)
-        report = inline_hot_calls(transformed, ir_profile)
-        verify_program(transformed)
-        self.program = transformed
-        self._digests.clear()
-        return report
+        """Instrumented training run (the ``pgo-profile`` phase)."""
+        return phases.run_standalone(phases.PGO_PROFILE, self)["ir_profile"]
 
     def match_stale_profile(
         self, profile: IRProfile, mode: Optional[str] = None
     ) -> Tuple[IRProfile, MatchStats]:
-        """Re-attach ``profile`` to the pipeline's *current* program.
-
-        Runs :func:`repro.profiles.match_profile` in ``mode`` (default:
-        ``config.stale_matching``) and records the ``profile.*`` gauges.
-        Called by :meth:`run` after profile-guided inlining, so the
-        anchors are matched against the CFGs codegen will actually see.
-        """
+        """Re-attach ``profile`` to the pipeline's *current* program
+        in ``mode`` (default: ``config.stale_matching``); see
+        :func:`repro.core.phases.match_stale`."""
         if mode is None:
             mode = self.config.stale_matching
-        if mode not in MATCH_MODES:
-            raise ValueError(
-                f"unknown stale_matching mode {mode!r}; one of {MATCH_MODES}"
-            )
-        with self.tracer.span("stale-match", category="action") as sp:
-            recovered, stats = match_profile(profile, self.program, mode=mode)
-            sp.note(mode=mode, matched_exact=stats.matched_exact,
-                    matched_loose=stats.matched_loose)
-        for name, value in stats.as_gauges().items():
-            self.counters.gauge(name, value)
-        return recovered, stats
+        return phases.match_stale(StageContext(self), profile, mode)
 
     def baseline_options(self, profile: IRProfile) -> CodeGenOptions:
         return CodeGenOptions(ir_profile=profile)
@@ -881,16 +651,10 @@ class PropellerPipeline:
         )
         return replace(base, **overrides)
 
-    # ------------------------------------------------------------------
-    # Public stage helpers (what the CLI subcommands are wired from)
-
     def build_metadata(self, profile: IRProfile) -> BuildOutcome:
         """Phases 1-2: the BB-address-map metadata build (§3.2)."""
-        return self.build(
-            tag="pgo+map",
-            codegen_options=self.metadata_options(profile),
-            link_options=self.link_options("metadata.out", keep_bb_addr_map=True),
-        )
+        return phases.run_standalone(
+            phases.METADATA_BUILD, self, ir_profile=profile)["metadata"]
 
     def collect_perf(self, profile: Optional[IRProfile] = None) -> PerfData:
         """Phase 3 sampling: train, build the metadata binary, profile it.
@@ -902,9 +666,9 @@ class PropellerPipeline:
         """
         if profile is None:
             profile = self.collect_pgo_profile()
-        metadata = self.build_metadata(profile)
-        perf, _seconds, _key = self._collect_lbr(metadata.executable)
-        return perf
+        return phases.run_standalone(
+            phases.LBR_PROFILE, self,
+            metadata=self.build_metadata(profile))["perf"]
 
     def analyze(
         self, perf: PerfData, profile: Optional[IRProfile] = None
@@ -919,17 +683,38 @@ class PropellerPipeline:
         """
         if profile is None:
             profile = self.collect_pgo_profile()
-        metadata = self.build_metadata(profile)
-        result, _seconds = self._analyze(
-            metadata.executable, perf, perf_key=perf.digest()
-        )
-        return result
+        return phases.run_standalone(
+            phases.WPA, self, metadata=self.build_metadata(profile),
+            perf=perf, perf_key=perf.digest())["wpa_result"]
 
-    @staticmethod
-    def _empty_wpa_result() -> WPAResult:
-        """Deprecated alias of :func:`empty_wpa_result` (kept for API
-        compatibility; the fallback now lives on the ``wpa`` stage)."""
-        return empty_wpa_result()
+    def relink(
+        self,
+        ir_profile: IRProfile,
+        wpa_result: WPAResult,
+        hot_profile: Optional[IRProfile] = None,
+    ) -> BuildOutcome:
+        """Phase 4 alone (callable with externally computed directives).
+
+        ``ir_profile`` must be the profile the metadata build consumed;
+        ``hot_profile`` is the stale-matching recovery of it, when
+        enabled (see :func:`repro.core.phases.relink`).
+        """
+        return phases.run_standalone(
+            phases.RELINK, self, ir_profile=ir_profile,
+            wpa_result=wpa_result, recovered_profile=hot_profile)["optimized"]
+
+    def build_bolt_input(self, ir_profile: IRProfile) -> BuildOutcome:
+        """The BOLT metadata binary: same objects, linked with --emit-relocs."""
+        return self.build(
+            tag="pgo+map",
+            codegen_options=self.metadata_options(ir_profile),
+            link_options=self.link_options(
+                "bolt-metadata.out", keep_bb_addr_map=False, emit_relocs=True
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    # The whole pipeline
 
     def run_stages(
         self,
@@ -938,7 +723,6 @@ class PropellerPipeline:
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
         order: Optional[Sequence[str]] = None,
-        observers: Sequence[ExecutionObserver] = (),
     ) -> StageExecution:
         """Execute the pipeline's :class:`~repro.core.stages.StageGraph`.
 
@@ -953,7 +737,8 @@ class PropellerPipeline:
         topological order (artifacts are order-invariant; see
         ``tests/test_stages.py``).
         """
-        graph = pipeline_stage_graph(incremental=incremental_state is not None)
+        graph = phases.pipeline_stage_graph(
+            incremental=incremental_state is not None)
         seeds: Dict[str, Any] = {}
         if incremental_state is not None:
             seeds["incr_state"] = incremental_state
@@ -972,10 +757,9 @@ class PropellerPipeline:
                 # The inline stage already ran in the producing process;
                 # replay its program transform, not just its artifacts.
                 self.program = resume.values["prepared_program"]
-                self._digests.clear()
         execution = graph.execute(
             StageContext(self), seeds, stop_after=stop_after,
-            resume=resume, order=order, observers=observers)
+            resume=resume, order=order)
         execution.artifacts.meta.setdefault("program", program_digest)
         execution.artifacts.meta.setdefault("program_name", self.program.name)
         return execution
@@ -992,7 +776,7 @@ class PropellerPipeline:
                 stage=missing[0])
         value = execution.value
         degraded_reasons = execution.degraded_reasons()
-        result = PipelineResult(
+        return PipelineResult(
             program=self.program,
             config=self.config,
             baseline=value("baseline"),
@@ -1008,16 +792,14 @@ class PropellerPipeline:
             degraded=bool(degraded_reasons),
             degraded_reasons=degraded_reasons,
         )
-        for observer in execution.observers:
-            observer.finalize(result, execution)
-        return result
 
     def run(self) -> PipelineResult:
         """Execute Phases 1-4 and return all artifacts.
 
-        One full pass of :data:`PIPELINE_STAGES` through the stage
-        driver (see :mod:`repro.core.stages`), which applies tracing,
-        fault degradation and phase accounting uniformly.
+        One full pass of :data:`repro.core.phases.PIPELINE_STAGES`
+        through the stage driver (see :mod:`repro.core.stages`), which
+        applies tracing, fault degradation and phase accounting
+        uniformly.
 
         Degradation contract (active only under a ``fault_plan``): an
         exhausted retry budget in profile collection, WPA or the Phase-4
@@ -1057,472 +839,20 @@ class PropellerPipeline:
         ``incr.*`` counters and the report's ``incremental`` section.
 
         On the stage graph this is :meth:`run`'s DAG with a prepended
-        ``plan-dirty`` stage (the dirty-set planner, whose profile
-        pre-collection falls back to an empty profile *silently* --
-        the pipeline's own profile stage will degrade honestly if
-        collection is truly doomed) and the post-run accounting as an
-        :class:`~repro.core.stages.ExecutionObserver` -- no duplicated
-        driver.
+        ``plan-dirty`` stage, whose profile pre-collection falls back
+        to an empty profile *silently* -- the pipeline's own profile
+        stage will degrade honestly if collection is truly doomed.
         """
         from repro import incr as incr_mod
 
         if isinstance(state, (str, Path)):
             state = incr_mod.IncrState.load(state)
         state.check(self.program.name, self.config)
-        execution = self.run_stages(
-            incremental_state=state,
-            observers=(IncrementalAccounting(self, state),))
-        return self.result_from(execution)
-
-    def warm_clusters(
-        self,
-        profile: IRProfile,
-        exclude: Set[str] = frozenset(),
-        min_fraction: float = 1e-4,
-    ) -> Dict[str, List[List[int]]]:
-        """Ext-TSP block clusters for *warm* functions, from IR counts.
-
-        The hardware profile's hot set (``exclude``) already gets WPA
-        clusters; this covers the tier below it -- functions whose
-        recovered instrumented counts carry at least ``min_fraction``
-        of the profile's total weight.  With stale matching on, the
-        inferred counts are complete enough for Ext-TSP to lay the
-        whole warm tier out; with a raw stale profile the dropout
-        zeros starve it (which is the measured difference).
-        """
-        from repro.core.exttsp import ext_tsp_order, solve_signature
-
-        total = sum(sum(c.values()) for c in profile.blocks.values())
-        floor = total * min_fraction
-        clusters: Dict[str, List[List[int]]] = {}
-        for module in self.program.modules:
-            for function in module.functions:
-                name = function.name
-                if name in exclude:
-                    continue
-                counts = profile.block_counts(name)
-                if not counts or sum(counts.values()) < floor:
-                    continue
-                entry_id = function.entry.bb_id
-                hot_ids = [b.bb_id for b in function.blocks
-                           if counts.get(b.bb_id, 0.0) > 0]
-                if entry_id not in hot_ids:
-                    hot_ids.insert(0, entry_id)
-                hot_set = set(hot_ids)
-                nodes = {
-                    b.bb_id: (len(b.instrs) + 1, counts.get(b.bb_id, 0.0))
-                    for b in function.blocks if b.bb_id in hot_set
-                }
-                edges = [(s, d, w)
-                         for (s, d), w in sorted(profile.edge_counts(name).items())
-                         if s in hot_set and d in hot_set]
-                if self.solve_cache is not None:
-                    key = solve_signature(nodes, edges, entry=entry_id)
-                    order = self.solve_cache.get(key)
-                    if order is None:
-                        order = ext_tsp_order(nodes, edges, entry=entry_id)
-                        self.solve_cache.put(key, order)
-                else:
-                    order = ext_tsp_order(nodes, edges, entry=entry_id)
-                if not order or order[0] != entry_id:
-                    continue  # defensive: the section plan needs entry first
-                placed = set(order)
-                order = order + [b.bb_id for b in function.blocks
-                                 if b.bb_id not in placed]
-                clusters[name] = [order]
-        return clusters
-
-    def relink(
-        self,
-        ir_profile: IRProfile,
-        wpa_result: WPAResult,
-        hot_profile: Optional[IRProfile] = None,
-    ) -> BuildOutcome:
-        """Phase 4 alone (callable with externally computed directives).
-
-        ``ir_profile`` must be the profile the metadata build consumed,
-        so that every cold module's Phase-2 object is a cache hit --
-        the economics of the relink (§3.4).  ``hot_profile`` (the
-        stale-matching recovery of ``ir_profile``, when enabled) is
-        consumed only by re-codegen'd modules: it adds
-        :meth:`warm_clusters` for the functions WPA's hot set missed
-        and drives the local layout of unclustered functions there.
-        """
-        hot_funcs = set(wpa_result.clusters)
-        extra_clusters: Dict[str, List[List[int]]] = {}
-        if hot_profile is not None:
-            extra_clusters = self.warm_clusters(hot_profile, exclude=hot_funcs)
-        layout_funcs = hot_funcs | set(extra_clusters)
-        module_profile = hot_profile if hot_profile is not None else ir_profile
-        per_module_options: Dict[str, CodeGenOptions] = {}
-        per_module_tags: Dict[str, str] = {}
-        for module in self.program.modules:
-            module_hot = {f.name for f in module.functions} & layout_funcs
-            if not module_hot:
-                continue
-            clusters = {
-                fn: wpa_result.clusters.get(fn) or extra_clusters[fn]
-                for fn in module_hot
-            }
-            prefetches = {
-                fn: wpa_result.prefetches[fn]
-                for fn in module_hot
-                if fn in wpa_result.prefetches
-            }
-            per_module_options[module.name] = CodeGenOptions(
-                ir_profile=module_profile,
-                bb_sections=BBSectionsMode.LIST,
-                clusters=clusters,
-                prefetches=prefetches or None,
-            )
-            cluster_sig = ";".join(
-                f"{fn}:" + "|".join(",".join(map(str, c)) for c in clusters[fn])
-                for fn in sorted(clusters)
-            ) + "#" + ";".join(
-                f"{fn}:{sorted(prefetches[fn])}" for fn in sorted(prefetches)
-            )
-            sig = zlib.crc32(cluster_sig.encode())
-            per_module_tags[module.name] = f"pgo+clusters:{sig:08x}"
-        return self.build(
-            tag="pgo+map",  # cold modules replay their Phase 2 action
-            codegen_options=self.metadata_options(ir_profile),
-            link_options=self.link_options(
-                "propeller.out",
-                # An empty order (degraded/no-directives runs) means "no
-                # ordering requested", not "order zero symbols".
-                symbol_order=wpa_result.symbol_order or None,
-                keep_bb_addr_map=False,
-            ),
-            per_module_options=per_module_options,
-            per_module_tags=per_module_tags,
-        )
-
-    def build_bolt_input(self, ir_profile: IRProfile) -> BuildOutcome:
-        """The BOLT metadata binary: same objects, linked with --emit-relocs."""
-        return self.build(
-            tag="pgo+map",
-            codegen_options=self.metadata_options(ir_profile),
-            link_options=self.link_options(
-                "bolt-metadata.out", keep_bb_addr_map=False, emit_relocs=True
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# The pipeline as a stage graph (see :mod:`repro.core.stages`)
-#
-# Each stage body is a thin adapter from (StageContext, inputs) onto the
-# pipeline's public phase methods above; all cross-cutting behaviour --
-# the ``phase:*`` spans, degradation on RetriesExhausted, per-stage
-# ``phase_seconds`` accounting -- is applied by the stage driver from
-# the declarations below, not hand-woven into the bodies.
-
-ART_IR_PROFILE = Artifact[IRProfile]("ir_profile")
-ART_PREPARED = Artifact[ir.Program]("prepared_program")
-ART_BASELINE = Artifact[BuildOutcome]("baseline")
-#: ``Optional[IRProfile]`` / ``Optional[MatchStats]`` -- ``object``
-#: (the type escape hatch) because ``None`` is a legal value.
-ART_RECOVERED = Artifact("recovered_profile")
-ART_MATCH_STATS = Artifact("match_stats")
-ART_METADATA = Artifact[BuildOutcome]("metadata")
-ART_PERF = Artifact[PerfData]("perf")
-ART_PERF_KEY = Artifact[str]("perf_key")
-ART_WPA = Artifact[WPAResult]("wpa_result")
-ART_OPTIMIZED = Artifact[BuildOutcome]("optimized")
-#: Seed for the incremental graph: the prior release's ``IncrState``.
-ART_INCR_STATE = Artifact("incr_state")
-#: ``repro.incr.DirtyPlan`` (``object``: :mod:`repro.incr` imports this
-#: module, so the type cannot be named here).
-ART_DIRTY_PLAN = Artifact("dirty_plan")
-
-
-def _stage_pgo_profile(ctx: StageContext, inputs) -> Dict[str, Any]:
-    profile = ctx.pipeline.collect_pgo_profile()
-    ctx.time("pgo_profile_run", ctx.pipeline._pgo_seconds)
-    return {"ir_profile": profile}
-
-
-def _pgo_profile_fallback(ctx: StageContext, inputs) -> Dict[str, Any]:
-    # Instrumented training kept crashing: proceed un-PGO'd.
-    ctx.pipeline._pgo_seconds = 0.0
-    ctx.time("pgo_profile_run", 0.0)
-    return {"ir_profile": IRProfile()}
-
-
-def _stage_inline(ctx: StageContext, inputs) -> Dict[str, Any]:
-    pipeline = ctx.pipeline
-    if pipeline.config.inline_hot:
-        pipeline.apply_inlining(inputs["ir_profile"])
-    return {"prepared_program": pipeline.program}
-
-
-def _stage_baseline_build(ctx: StageContext, inputs) -> Dict[str, Any]:
-    pipeline = ctx.pipeline
-    baseline = pipeline.build(
-        tag="pgo",
-        codegen_options=pipeline.baseline_options(inputs["ir_profile"]),
-        link_options=pipeline.link_options("base.out", keep_bb_addr_map=False),
-    )
-    ctx.time("pgo_instrumented_build",
-             baseline.wall_seconds * INSTRUMENTED_BUILD_FACTOR)
-    ctx.time("opt_build", baseline.wall_seconds)
-    return {"baseline": baseline}
-
-
-def _stage_stale_match(ctx: StageContext, inputs) -> Dict[str, Any]:
-    pipeline = ctx.pipeline
-    if pipeline.config.stale_matching == "off":
-        return {"recovered_profile": None, "match_stats": None}
-    recovered, stats = pipeline.match_stale_profile(inputs["ir_profile"])
-    return {"recovered_profile": recovered, "match_stats": stats}
-
-
-def _stage_metadata_build(ctx: StageContext, inputs) -> Dict[str, Any]:
-    metadata = ctx.pipeline.build_metadata(inputs["ir_profile"])
-    ctx.time("metadata_build", metadata.wall_seconds)
-    return {"metadata": metadata}
-
-
-def _stage_lbr_profile(ctx: StageContext, inputs) -> Dict[str, Any]:
-    perf, seconds, key = ctx.pipeline._collect_lbr(
-        inputs["metadata"].executable)
-    ctx.time("lbr_profile_run", seconds)
-    return {"perf": perf, "perf_key": key}
-
-
-def _lbr_profile_fallback(ctx: StageContext, inputs) -> Dict[str, Any]:
-    ctx.time("lbr_profile_run", 0.0)
-    return {
-        "perf": PerfData(samples=[], period=ctx.config.lbr_period,
-                         binary_name="metadata.out"),
-        "perf_key": "",
-    }
-
-
-def _stage_wpa(ctx: StageContext, inputs) -> Dict[str, Any]:
-    wpa_result, seconds = ctx.pipeline._analyze(
-        inputs["metadata"].executable, inputs["perf"], inputs["perf_key"])
-    ctx.time("wpa_convert", seconds)
-    return {"wpa_result": wpa_result}
-
-
-def _wpa_fallback(ctx: StageContext, inputs) -> Dict[str, Any]:
-    ctx.time("wpa_convert", 0.0)
-    return {"wpa_result": empty_wpa_result()}
-
-
-def _stage_relink(ctx: StageContext, inputs) -> Dict[str, Any]:
-    optimized = ctx.pipeline.relink(
-        inputs["ir_profile"], inputs["wpa_result"],
-        hot_profile=inputs["recovered_profile"])
-    ctx.time("prop_backends", optimized.backends.wall_seconds)
-    ctx.time("prop_link", optimized.link_seconds)
-    return {"optimized": optimized}
-
-
-def _relink_fallback(ctx: StageContext, inputs) -> Dict[str, Any]:
-    # The relink itself exhausted its budget: ship the baseline.
-    baseline = inputs["baseline"]
-    ctx.time("prop_backends", baseline.backends.wall_seconds)
-    ctx.time("prop_link", baseline.link_seconds)
-    return {"optimized": baseline}
-
-
-def _plan_against(ctx: StageContext, state: Any, profile: IRProfile):
-    from repro import incr as incr_mod
-
-    plan = incr_mod.plan_dirty(state, ctx.pipeline.program, profile)
-    ctx.counters.incr("incr.dirty_functions", len(plan.dirty))
-    ctx.counters.incr("incr.added_functions", len(plan.added))
-    ctx.counters.incr("incr.deleted_functions", len(plan.deleted))
-    ctx.counters.incr(
-        "incr.clean_functions",
-        max(0, ctx.pipeline.program.num_functions
-            - len(plan.dirty) - len(plan.added)),
-    )
-    return {"dirty_plan": plan}
-
-
-def _stage_plan_dirty(ctx: StageContext, inputs) -> Dict[str, Any]:
-    # Plan the dirty set against the *new* profile epoch.  The
-    # pre-collection is itself a cached action, so the pgo-profile
-    # stage replays it for free.
-    return _plan_against(ctx, inputs["incr_state"],
-                         ctx.pipeline.collect_pgo_profile())
-
-
-def _plan_dirty_fallback(ctx: StageContext, inputs) -> Dict[str, Any]:
-    # Collection is doomed under the fault plan: plan against an empty
-    # profile.  Silent (degrades=False) -- the pgo-profile stage will
-    # degrade the run honestly, once, with the right reason.
-    return _plan_against(ctx, inputs["incr_state"], IRProfile())
-
-
-#: The Propeller DAG, in canonical (registration) order.  Stage names
-#: double as degradation reasons (``degraded_reasons`` entries and
-#: ``degraded:*`` span names), so they are part of the pinned
-#: observability surface -- do not rename casually.
-PIPELINE_STAGES: Tuple[Stage, ...] = (
-    Stage(
-        name="pgo-profile",
-        run=_stage_pgo_profile,
-        outputs=(ART_IR_PROFILE,),
-        phase="baseline",
-        fallback=Fallback(_pgo_profile_fallback,
-                          doc="empty instrumented profile (un-PGO'd run)"),
-        time_keys=("pgo_profile_run",),
-        doc="Instrumented PGO training run (cached action).",
-    ),
-    Stage(
-        name="inline",
-        run=_stage_inline,
-        inputs=(ART_IR_PROFILE,),
-        outputs=(ART_PREPARED,),
-        phase="baseline",
-        doc="Profile-guided inlining (when configured); fixes the "
-            "program every build stage codegens.",
-    ),
-    Stage(
-        name="baseline-build",
-        run=_stage_baseline_build,
-        inputs=(ART_IR_PROFILE, ART_PREPARED),
-        outputs=(ART_BASELINE,),
-        phase="baseline",
-        time_keys=("pgo_instrumented_build", "opt_build"),
-        doc="The PGO baseline build (status-quo deployment; consumes "
-            "the profile as trained, stale and all).",
-    ),
-    Stage(
-        name="stale-match",
-        run=_stage_stale_match,
-        inputs=(ART_IR_PROFILE, ART_PREPARED),
-        outputs=(ART_RECOVERED, ART_MATCH_STATS),
-        doc="Stale-profile matching: re-attach the drifted profile to "
-            "the current CFGs (no-op when mode is 'off').",
-    ),
-    Stage(
-        name="metadata-build",
-        run=_stage_metadata_build,
-        inputs=(ART_IR_PROFILE, ART_PREPARED),
-        outputs=(ART_METADATA,),
-        phase="metadata-build",
-        time_keys=("metadata_build",),
-        doc="Phases 1-2: the BB-address-map metadata build.",
-    ),
-    Stage(
-        name="lbr-profile",
-        run=_stage_lbr_profile,
-        inputs=(ART_METADATA,),
-        outputs=(ART_PERF, ART_PERF_KEY),
-        phase="profile",
-        fallback=Fallback(_lbr_profile_fallback,
-                          doc="empty perf data (no hardware profile)"),
-        time_keys=("lbr_profile_run",),
-        doc="Phase 3 sampling: run the metadata binary, sample LBR.",
-    ),
-    Stage(
-        name="wpa",
-        run=_stage_wpa,
-        inputs=(ART_METADATA, ART_PERF, ART_PERF_KEY),
-        outputs=(ART_WPA,),
-        phase="wpa",
-        fallback=Fallback(_wpa_fallback,
-                          doc="no layout directives (baseline layout)"),
-        # No hardware profile was collected: nothing to analyze.  The
-        # skip is silent -- the run is already degraded by lbr-profile.
-        skip_if_degraded=("lbr-profile",),
-        time_keys=("wpa_convert",),
-        doc="Phase 3 analysis: whole-program analysis into "
-            "cc_prof/ld_prof layout directives.",
-    ),
-    Stage(
-        name="relink",
-        run=_stage_relink,
-        inputs=(ART_IR_PROFILE, ART_PREPARED, ART_WPA, ART_RECOVERED,
-                ART_BASELINE),
-        outputs=(ART_OPTIMIZED,),
-        phase="relink",
-        fallback=Fallback(_relink_fallback,
-                          doc="ship the baseline binary"),
-        time_keys=("prop_backends", "prop_link"),
-        doc="Phase 4: re-codegen hot modules with clusters, reuse cold "
-            "objects from cache, relink with the global symbol order.",
-    ),
-)
-
-#: The extra stage :meth:`PropellerPipeline.reoptimize` prepends.
-PLAN_DIRTY_STAGE = Stage(
-    name="plan-dirty",
-    run=_stage_plan_dirty,
-    inputs=(ART_INCR_STATE,),
-    outputs=(ART_DIRTY_PLAN,),
-    fallback=Fallback(_plan_dirty_fallback, degrades=False,
-                      doc="plan against an empty profile"),
-    doc="Incremental dirty-set planning against the prior release's "
-        "state snapshot (observability only; correctness rests on the "
-        "content-keyed solve cache).",
-)
-
-_GRAPH_CACHE: Dict[bool, StageGraph] = {}
-
-
-def pipeline_stage_graph(incremental: bool = False) -> StageGraph:
-    """The validated Propeller :class:`~repro.core.stages.StageGraph`.
-
-    One definition serves both entry points: ``incremental=True`` is
-    the same DAG with :data:`PLAN_DIRTY_STAGE` prepended and the prior
-    release's state as a seed artifact.  Stages are stateless (all
-    run state lives on the :class:`~repro.core.stages.StageContext`'s
-    pipeline), so the graphs are built once and shared.
-    """
-    graph = _GRAPH_CACHE.get(incremental)
-    if graph is None:
-        if incremental:
-            graph = StageGraph((PLAN_DIRTY_STAGE,) + PIPELINE_STAGES,
-                               seeds=(ART_INCR_STATE,))
-        else:
-            graph = StageGraph(PIPELINE_STAGES)
-        _GRAPH_CACHE[incremental] = graph
-    return graph
-
-
-class IncrementalAccounting(ExecutionObserver):
-    """Post-run incremental accounting as a driver observer.
-
-    Folds the executed ``plan-dirty`` plan, the WPA hot-set churn and
-    the solve-cache tallies into the ``incr.*`` counters and the
-    result's :class:`IncrementalSummary` -- the half of
-    ``reoptimize()`` that needs the whole run, kept out of the driver.
-    """
-
-    def __init__(self, pipeline: "PropellerPipeline", state: Any):
-        self.pipeline = pipeline
-        self.state = state
-
-    def finalize(self, result: PipelineResult,
-                 execution: StageExecution) -> None:
-        plan = execution.value("dirty_plan")
-        counters = self.pipeline.counters
-        new_hot = set(result.wpa_result.hot_functions)
-        old_hot = {n for n, fs in self.state.functions.items() if fs.hot}
-        hot_flips = sorted(new_hot.symmetric_difference(old_hot))
-        counters.incr("incr.hot_flips", len(hot_flips))
-        cache = self.pipeline.solve_cache
-        hits = cache.hits if cache is not None else 0
-        misses = cache.misses if cache is not None else 0
-        reuse = cache.reuse_rate if cache is not None else 1.0
-        counters.gauge("incr.solve_reuse", reuse)
-        result.incremental = IncrementalSummary(
-            prior_digest=self.state.result_digest,
-            dirty=tuple(sorted(plan.dirty)),
-            added=tuple(sorted(plan.added)),
-            deleted=tuple(sorted(plan.deleted)),
-            reasons={name: reason for name, reason in plan.reasons.items()},
-            hot_flips=tuple(hot_flips),
-            solve_hits=hits,
-            solve_misses=misses,
-            solve_reuse=reuse,
-        )
+        execution = self.run_stages(incremental_state=state)
+        result = self.result_from(execution)
+        result.incremental = phases.incremental_summary(
+            self, state, execution.value("dirty_plan"), result.wpa_result)
+        return result
 
 
 def optimize(

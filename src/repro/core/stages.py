@@ -6,7 +6,7 @@ profile collection, whole-program analysis, relink.  This module makes
 that structure first-class instead of a hard-coded call sequence:
 
 * :class:`Artifact` -- a named, typed value flowing between stages
-  (``Artifact[IRProfile]("ir_profile")``).
+  (``Artifact("ir_profile", IRProfile)``).
 * :class:`Stage` -- one phase, declaring the artifacts it consumes and
   produces, the ``phase:*`` span it runs under, its degradation policy
   (:class:`Fallback` or propagate) and the ``phase_seconds`` keys it
@@ -74,7 +74,6 @@ from repro.faults import RetriesExhausted
 __all__ = [
     "Artifact",
     "ArtifactSet",
-    "ExecutionObserver",
     "Fallback",
     "Stage",
     "StageContext",
@@ -110,21 +109,6 @@ class StageGraphError(Exception):
         self.artifact = artifact
 
 
-class _TypedArtifact:
-    """Partial application of :class:`Artifact` to a payload type.
-
-    Enables the declaration idiom ``Artifact[IRProfile]("ir_profile")``.
-    """
-
-    __slots__ = ("_type",)
-
-    def __init__(self, type_: type):
-        self._type = type_
-
-    def __call__(self, name: str) -> "Artifact":
-        return Artifact(name, self._type)
-
-
 @dataclass(frozen=True)
 class Artifact:
     """A named, typed value produced by one stage and consumed by others.
@@ -138,9 +122,6 @@ class Artifact:
 
     name: str
     type: type = object
-
-    def __class_getitem__(cls, item: type) -> _TypedArtifact:
-        return _TypedArtifact(item)
 
     @property
     def type_name(self) -> str:
@@ -162,7 +143,6 @@ class Fallback:
 
     produce: Callable[["StageContext", Mapping[str, Any]], Mapping[str, Any]]
     degrades: bool = True
-    doc: str = ""
 
 
 @dataclass(frozen=True)
@@ -223,9 +203,11 @@ class StageContext:
     cache of the incremental engine.
     """
 
-    def __init__(self, pipeline: Any):
+    def __init__(self, pipeline: Any, record: Optional[StageRecord] = None):
         self.pipeline = pipeline
-        self._record: Optional[StageRecord] = None
+        #: Where :meth:`time` records; the driver points it at the
+        #: running stage's record.
+        self._record = record
 
     @property
     def config(self) -> Any:
@@ -252,21 +234,6 @@ class StageContext:
         if self._record is None:
             raise RuntimeError("StageContext.time() outside a running stage")
         self._record.times.append((key, float(sim_seconds)))
-
-
-class ExecutionObserver:
-    """Driver observer: per-stage and post-assembly hooks.
-
-    Cross-cutting accounting that must see the whole run -- the
-    incremental engine's dirty-plan/solve-reuse summary -- rides here
-    instead of being woven into a second copy of the driver.
-    """
-
-    def stage_finished(self, stage: Stage, record: StageRecord) -> None:
-        """Called after each stage resolves (computed/fallback/skipped)."""
-
-    def finalize(self, result: Any, execution: "StageExecution") -> None:
-        """Called once the executed artifacts are assembled into a result."""
 
 
 class ArtifactSet:
@@ -343,11 +310,9 @@ class StageExecution:
     """One driver run over a graph: artifacts, records, degradations."""
 
     def __init__(self, graph: "StageGraph", artifacts: ArtifactSet,
-                 observers: Tuple[ExecutionObserver, ...] = (),
                  stop_after: Optional[str] = None):
         self.graph = graph
         self.artifacts = artifacts
-        self.observers = observers
         self.stop_after = stop_after
 
     def value(self, name: str) -> Any:
@@ -403,9 +368,8 @@ class StageGraph:
         self.seeds: Tuple[Artifact, ...] = tuple(seeds)
         self._by_name: Dict[str, Stage] = {}
         self._producer: Dict[str, Stage] = {}
+        self._order: Tuple[str, ...] = ()
         self.validate()
-        self._order: Tuple[str, ...] = tuple(
-            s.name for s in self._topo_sort())
 
     # -- validation ----------------------------------------------------
 
@@ -481,31 +445,25 @@ class StageGraph:
                     "no fallback to skip to", stage=stage.name)
         self._by_name = by_name
         self._producer = producer
-        self._topo_sort(by_name, producer)  # raises on cycle
+        self._order = tuple(s.name for s in self._topo_sort())  # raises on cycle
 
-    def _dependencies(self, stage: Stage,
-                      producer: Optional[Dict[str, Stage]] = None
-                      ) -> List[Stage]:
-        producer = self._producer if producer is None else producer
+    def _dependencies(self, stage: Stage) -> List[Stage]:
         deps = []
         seen = set()
         for artifact in stage.inputs:
-            dep = producer.get(artifact.name)
+            dep = self._producer.get(artifact.name)
             if dep is not None and dep.name not in seen:
                 seen.add(dep.name)
                 deps.append(dep)
         return deps
 
-    def _topo_sort(self, by_name: Optional[Dict[str, Stage]] = None,
-                   producer: Optional[Dict[str, Stage]] = None) -> List[Stage]:
+    def _topo_sort(self) -> List[Stage]:
         """Kahn's algorithm, ties broken by registration order."""
-        by_name = self._by_name if by_name is None else by_name
-        producer = self._producer if producer is None else producer
         index = {s.name: i for i, s in enumerate(self.stages)}
         pending: Dict[str, int] = {}
         dependents: Dict[str, List[Stage]] = {}
         for stage in self.stages:
-            deps = self._dependencies(stage, producer)
+            deps = self._dependencies(stage)
             pending[stage.name] = len(deps)
             for dep in deps:
                 dependents.setdefault(dep.name, []).append(stage)
@@ -547,9 +505,6 @@ class StageGraph:
             raise StageGraphError(
                 "unknown-stage", f"no stage named {name!r}", stage=name
             ) from None
-
-    def producer_of(self, artifact_name: str) -> Optional[Stage]:
-        return self._producer.get(artifact_name)
 
     def describe(self) -> Dict[str, Any]:
         """The DAG as plain data (JSON-able, schema-versioned)."""
@@ -644,7 +599,6 @@ class StageGraph:
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
         order: Optional[Sequence[str]] = None,
-        observers: Sequence[ExecutionObserver] = (),
     ) -> StageExecution:
         """Run the graph (or the prefix up to ``stop_after``).
 
@@ -676,8 +630,7 @@ class StageGraph:
             artifacts.records.update(
                 (name, record) for name, record in resume.records.items()
                 if name in self._by_name)
-        execution = StageExecution(self, artifacts, tuple(observers),
-                                   stop_after=stop_after)
+        execution = StageExecution(self, artifacts, stop_after=stop_after)
 
         open_phase: Optional[str] = None
         open_span = None
@@ -736,8 +689,6 @@ class StageGraph:
                     ctx._record = None
                 self._bind_outputs(stage, outputs, artifacts)
                 artifacts.records[stage.name] = record
-                for observer in execution.observers:
-                    observer.stage_finished(stage, record)
                 if stage.name == stop_after:
                     break
         except BaseException:

@@ -7,7 +7,7 @@ ship to dashboards, and its JSON form is versioned
 (:data:`METRICS_SCHEMA_VERSION`) so downstream consumers can detect
 drift instead of silently misreading renamed fields.
 
-``PipelineResult.summary()`` is reimplemented on top of this report:
+``PipelineResult.summary()`` is :meth:`PipelineReport.summary`:
 anything the human-readable text can say, the typed object says first.
 """
 
@@ -131,6 +131,49 @@ class PipelineReport:
         base = self.frontend_counter("baseline", "cycles")
         opt = self.frontend_counter("optimized", "cycles")
         return base / opt - 1.0 if opt else 0.0
+
+    def summary(self) -> str:
+        """The human-readable run summary (what ``optimize`` prints)."""
+        base, meta, opt = (self.build("baseline"), self.build("metadata"),
+                           self.build("optimized"))
+        lines = [
+            f"program: {self.program}",
+            f"modules: {self.modules}  "
+            f"hot (re-codegen'd): {opt.hot_modules} "
+            f"({100 * self.pct_hot_modules:.0f}%)",
+            f"hot functions: {self.hot_functions}",
+            f"baseline build: {base.wall_seconds:.2f}s "
+            f"(backends {base.backend_seconds:.2f}s, "
+            f"link {base.link_seconds:.2f}s)",
+            f"propeller phase 4: {opt.wall_seconds:.2f}s "
+            f"(backends {opt.backend_seconds:.2f}s, "
+            f"relink {opt.link_seconds:.2f}s, "
+            f"{opt.cold_cache_hits} cold objects from cache)",
+            f"wpa peak memory: {self.phase('wpa_convert').peak_memory_bytes / (1 << 20):.1f} MB",
+            f"binary sizes: base {base.binary_size}, "
+            f"metadata {meta.binary_size}, "
+            f"optimized {opt.binary_size}",
+        ]
+        if self.profile_recovery:
+            rec = self.profile_recovery
+            lines.append(
+                f"stale matching ({rec['mode']}): match-rate "
+                f"{rec['stale_match_rate']:.2f} -> "
+                f"{rec['recovered_match_rate']:.2f} "
+                f"(exact {rec['matched_exact']}, loose {rec['matched_loose']}, "
+                f"inferred {rec['blocks_inferred']}+{rec['edges_inferred']})"
+            )
+        if self.incremental:
+            inc = self.incremental
+            lines.append(
+                f"incremental: {len(inc['dirty'])} dirty, "
+                f"{len(inc['added'])} added, {len(inc['deleted'])} deleted; "
+                f"solve reuse {inc['solve_reuse']:.2f} "
+                f"({inc['solve_hits']} replayed, {inc['solve_misses']} solved)"
+            )
+        if self.degraded:
+            lines.append(f"DEGRADED: {', '.join(self.degraded_reasons)}")
+        return "\n".join(lines)
 
     def to_json(self) -> Dict[str, Any]:
         """Plain-data form (``json.dumps``-able), schema-versioned."""

@@ -33,7 +33,7 @@ from repro.ir import (
     Ret,
     Switch,
 )
-from repro.synth.presets import WorkloadPreset
+from repro.synth.presets import PRESETS, WorkloadPreset
 
 #: Opcode mix for straight-line code: (kind, weight, encoded size).
 _OP_MIX: Sequence[Tuple[OpKind, float]] = (
@@ -330,12 +330,20 @@ def _zipf_weights(count: int, exponent: float = 1.2) -> List[float]:
 
 
 def generate_workload(
-    preset: WorkloadPreset, scale: float = 0.01, seed: int = 0, min_funcs: int = 16
+    preset: "WorkloadPreset | str", scale: float = 0.01, seed: int = 0,
+    min_funcs: int = 16,
 ) -> Program:
     """Generate a whole program matching ``preset``'s shape at ``scale``.
 
-    The result is deterministic in ``(preset, scale, seed)``.
+    ``preset`` is a :class:`WorkloadPreset` or the name of one in
+    :data:`~repro.synth.PRESETS`.  The result is deterministic in
+    ``(preset, scale, seed)``.
     """
+    if isinstance(preset, str):
+        if preset not in PRESETS:
+            raise ValueError(
+                f"unknown preset {preset!r}; one of {sorted(PRESETS)}")
+        preset = PRESETS[preset]
     if scale <= 0:
         raise ValueError("scale must be positive")
     rng = random.Random(f"{preset.name}:{seed}:{scale}")

@@ -135,14 +135,19 @@ def _config(args) -> PipelineConfig:
     )
 
 
-def _export_observability(args, pipe: PropellerPipeline, result) -> None:
-    """Honor ``--trace-out``/``--metrics-out`` when the command has them."""
-    if getattr(args, "trace_out", None):
+def _finish_optimize(args, pipe: PropellerPipeline, result) -> int:
+    """The tail of every completed ``optimize`` run: print the summary
+    and honor ``--report``/``--trace-out``/``--metrics-out``."""
+    summary = result.summary()
+    print(summary)
+    if args.report:
+        Path(args.report).write_text(summary + "\n")
+    if args.trace_out:
         from repro.obs import write_chrome_trace
 
         write_chrome_trace(pipe.tracer, args.trace_out)
         log.info("wrote trace to %s", args.trace_out)
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         from repro.obs import write_metrics
 
         # Attribution rides along so any two --metrics-out files are
@@ -151,6 +156,7 @@ def _export_observability(args, pipe: PropellerPipeline, result) -> None:
             result.report(include_frontend=True, include_attribution=True),
             args.metrics_out)
         log.info("wrote metrics to %s", args.metrics_out)
+    return 0
 
 
 def cmd_presets(_args) -> int:
@@ -208,37 +214,27 @@ def cmd_optimize(args) -> int:
     pipe = PropellerPipeline(program, config)
     if args.stop_after or args.resume_from:
         return _optimize_partial(args, pipe)
-    if config.incremental:
-        from repro.incr import IncrState, state_path
+    if config.incremental and not config.state_dir:
+        log.error("--incremental requires --state-dir")
+        return 2
+    if not config.state_dir:
+        return _finish_optimize(args, pipe, pipe.run())
+    from repro.incr import IncrState, state_path
 
-        if not config.state_dir:
-            log.error("--incremental requires --state-dir")
-            return 2
-        snapshot = state_path(config.state_dir)
-        if snapshot.exists():
-            result = pipe.reoptimize(IncrState.load(snapshot))
-        else:
+    snapshot = state_path(config.state_dir)
+    if config.incremental and snapshot.exists():
+        result = pipe.reoptimize(IncrState.load(snapshot))
+    else:
+        if config.incremental:
             log.info("no prior state at %s; running full (and capturing)",
                      snapshot)
-            result = pipe.run()
-        IncrState.capture(result).save(snapshot)
-        log.info("captured incremental state at %s", snapshot)
-    else:
         result = pipe.run()
-        if config.state_dir:
-            # Capture change evidence even for full runs: two snapshots
-            # are what lets `explain` tag each mover's cause (code
-            # edit vs profile drift vs hot-set churn) from files alone.
-            from repro.incr import IncrState, state_path
-
-            snapshot = state_path(config.state_dir)
-            IncrState.capture(result).save(snapshot)
-            log.info("captured incremental state at %s", snapshot)
-    print(result.summary())
-    if args.report:
-        Path(args.report).write_text(result.summary() + "\n")
-    _export_observability(args, pipe, result)
-    return 0
+    # Captured even for full runs: two snapshots are what lets `explain`
+    # tag each mover's cause (code edit vs profile drift vs hot-set
+    # churn) from files alone.
+    IncrState.capture(result).save(snapshot)
+    log.info("captured incremental state at %s", snapshot)
+    return _finish_optimize(args, pipe, result)
 
 
 def _optimize_partial(args, pipe: PropellerPipeline) -> int:
@@ -281,12 +277,7 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
         for name in produced:
             print(name)
         return 0
-    result = pipe.result_from(execution)
-    print(result.summary())
-    if args.report:
-        Path(args.report).write_text(result.summary() + "\n")
-    _export_observability(args, pipe, result)
-    return 0
+    return _finish_optimize(args, pipe, pipe.result_from(execution))
 
 
 def cmd_stages(args) -> int:
@@ -298,7 +289,7 @@ def cmd_stages(args) -> int:
     """
     import json as _json
 
-    from repro.core.pipeline import pipeline_stage_graph
+    from repro.core.phases import pipeline_stage_graph
 
     graph = pipeline_stage_graph(incremental=args.incremental)
     if args.format == "json":

@@ -1,10 +1,18 @@
 """Tests for the four-phase Propeller pipeline."""
 
+import dataclasses
+
 import pytest
 
 from repro.buildsys import BuildSystem, ResourceLimitExceeded
-from repro.core.pipeline import PipelineConfig, PropellerPipeline, optimize
+from repro.core.pipeline import (
+    PipelineConfig,
+    PropellerPipeline,
+    _link_options_signature,
+    optimize,
+)
 from repro.elf import SectionKind
+from repro.linker import LinkOptions
 from repro.synth import PRESETS, generate_workload
 
 
@@ -88,6 +96,32 @@ class TestDeterminism:
         b = PropellerPipeline(small_program, pipeline_config).run()
         assert a.optimized.executable.section_sizes() == b.optimized.executable.section_sizes()
         assert a.wpa_result.symbol_order == b.wpa_result.symbol_order
+
+
+class TestLinkActionKey:
+    def test_signature_covers_every_link_option(self):
+        """The link action is keyed by ``_link_options_signature``, whose
+        field list is hand-written: a ``LinkOptions`` field missing from
+        it would replay a stale link from the persistent store."""
+        base = LinkOptions()
+
+        def perturb(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, int):
+                return value + 1
+            if isinstance(value, str):
+                return value + "x"
+            if isinstance(value, frozenset):
+                return value | {"perturbed"}
+            assert value is None, f"teach perturb() about {value!r}"
+            return ["sym"]
+
+        for f in dataclasses.fields(LinkOptions):
+            changed = dataclasses.replace(
+                base, **{f.name: perturb(getattr(base, f.name))})
+            assert (_link_options_signature(changed)
+                    != _link_options_signature(base)), f.name
 
 
 class TestBoltInput:

@@ -29,12 +29,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import (
-    INSTRUMENTED_BUILD_FACTOR,
-    PipelineConfig,
-    PropellerPipeline,
-    pipeline_stage_graph,
-)
+from repro.core.phases import INSTRUMENTED_BUILD_FACTOR, pipeline_stage_graph
+from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.core.stages import (
     Artifact,
     ArtifactSet,
@@ -73,8 +69,8 @@ def _produce(**values):
     return run
 
 
-A_INT = Artifact[int]("number")
-A_STR = Artifact[str]("text")
+A_INT = Artifact("number", int)
+A_STR = Artifact("text", str)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +114,7 @@ class TestValidation:
         assert err.value.kind == "duplicate-producer"
 
     def test_type_mismatch_between_declarations(self):
-        as_str = Artifact[str]("number")
+        as_str = Artifact("number", str)
         with pytest.raises(StageGraphError) as err:
             StageGraph([
                 _stage("one", _produce(number=1), outputs=(A_INT,)),
@@ -171,7 +167,7 @@ class TestValidation:
         assert err.value.kind == "unknown-stage"
 
     def test_missing_seed_value(self):
-        seed = Artifact[int]("seeded")
+        seed = Artifact("seeded", int)
         graph = StageGraph(
             [_stage("one", _produce(number=1), inputs=(seed,),
                     outputs=(A_INT,))],
@@ -440,6 +436,16 @@ class TestPipelineGraph:
         with pytest.raises(StageGraphError) as err:
             pipe.result_from(partial)
         assert err.value.kind == "missing-producer"
+
+    def test_recorded_times_match_declared_time_keys(self, stage_program):
+        """``Stage.time_keys`` is golden-pinned introspection; what a real
+        run records through ``ctx.time()`` must be exactly that."""
+        execution = PropellerPipeline(
+            stage_program, _cheap_config()).run_stages()
+        for stage in execution.graph.stages:
+            record = execution.artifacts.records[stage.name]
+            assert tuple(k for k, _ in record.times) == stage.time_keys, (
+                stage.name)
 
     def test_instrumented_build_factor_pinned(self, stage_program):
         """Satellite: the modelled instrumented-build ratio, as a named
