@@ -70,10 +70,10 @@ def _config(preset) -> PipelineConfig:
     # pool serves millions of actions; 128 concurrent slots is the
     # 1/100-scale equivalent of its per-build share).
     #
-    # Real execution: codegen and layout fan out over min(workers, CPU
-    # count) processes, and cache_dir=None defers to $REPRO_CACHE_DIR --
-    # export it to make benchmark reruns replay every unchanged backend
-    # action from disk instead of recompiling (see README "Testing").
+    # Real execution: codegen and layout run inline (jobs defaults to
+    # 1), and cache_dir=None defers to $REPRO_CACHE_DIR -- export it to
+    # make benchmark reruns replay every unchanged backend action from
+    # disk instead of recompiling (see README "Testing").
     workstation = preset.kind != "wsc"
     return PipelineConfig(
         seed=SEED,

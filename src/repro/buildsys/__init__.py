@@ -20,6 +20,7 @@ from repro.buildsys.build import (
     CacheStats,
     ResourceLimitExceeded,
     action_key,
+    digest_parts,
 )
 from repro.buildsys.scheduler import PhaseReport, schedule_phase
 
@@ -32,5 +33,6 @@ __all__ = [
     "PhaseReport",
     "ResourceLimitExceeded",
     "action_key",
+    "digest_parts",
     "schedule_phase",
 ]

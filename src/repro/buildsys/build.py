@@ -25,18 +25,34 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults import FaultClock, FaultPlan, RetriesExhausted
 from repro.obs import Counters
-from repro.runtime import ParallelExecutor, PersistentActionStore, resolve_cache_dir
+from repro.runtime import ParallelExecutor, PersistentActionStore
 
 #: Simulated cost of replaying a cached action: fetching the stored
 #: outputs from the content-addressed store instead of re-executing.
 #: Small relative to any real backend run (compare the pipeline's
-#: ``codegen_fixed_seconds``), which is what makes warm relinks cheap.
+#: ``CODEGEN_FIXED_SECONDS``), which is what makes warm relinks cheap.
 CACHE_HIT_SECONDS = 0.05
+
+
+def digest_parts(parts: Iterable[str]) -> str:
+    """SHA-256 over ``parts``, each length-prefixed before hashing so
+    the digest is injective over part *boundaries*:
+    ``digest_parts(["a", "b"]) != digest_parts(["ab"])``.
+
+    The one hasher behind :func:`action_key` and every option
+    signature that feeds a key.
+    """
+    h = hashlib.sha256()
+    for part in parts:
+        data = str(part).encode("utf-8")
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
 
 
 def action_key(kind: str, *parts: str) -> str:
@@ -44,16 +60,10 @@ def action_key(kind: str, *parts: str) -> str:
 
     The ``kind`` (mnemonic: which tool runs -- ``codegen``, ``link``,
     ``llvm-bolt``) is part of the key, so two tools reading the same
-    inputs never collide.  Parts are length-prefixed before hashing so
-    the key is injective over part *boundaries*:
+    inputs never collide:
     ``action_key("k", "a", "b") != action_key("k", "ab")``.
     """
-    h = hashlib.sha256()
-    for part in (kind, *parts):
-        data = str(part).encode("utf-8")
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    return h.hexdigest()
+    return digest_parts((kind, *parts))
 
 
 class ResourceLimitExceeded(Exception):
@@ -92,15 +102,27 @@ class ActionResult:
     kind: str = ""
 
 
-@dataclass
 class CacheStats:
-    """Running hit/miss counters for one :class:`ActionCache`."""
+    """Hit/miss tallies of one :class:`ActionCache`: a read-through
+    view of the ``cache.*`` names on the cache's :class:`Counters`,
+    which is where each lookup is counted (once)."""
 
-    hits: int = 0
-    misses: int = 0
-    #: Subset of ``hits`` that were replayed from the persistent
-    #: on-disk store rather than process memory.
-    disk_hits: int = 0
+    def __init__(self, counters: Counters) -> None:
+        self._counters = counters
+
+    @property
+    def hits(self) -> int:
+        return self._counters.count("cache.hits")
+
+    @property
+    def misses(self) -> int:
+        return self._counters.count("cache.misses")
+
+    @property
+    def disk_hits(self) -> int:
+        """Subset of ``hits`` that were replayed from the persistent
+        on-disk store rather than process memory."""
+        return self._counters.count("cache.disk_hits")
 
     @property
     def lookups(self) -> int:
@@ -138,10 +160,11 @@ class ActionCache:
     ) -> None:
         self._entries: Dict[str, _CacheEntry] = {}
         self._store = store
-        self.stats = CacheStats()
-        #: Metrics sink; mirrors :attr:`stats` under ``cache.*`` names
-        #: so pipeline reports see cache behaviour without reaching in.
+        #: Metrics sink: every lookup is counted here under ``cache.*``
+        #: names, so pipeline reports see cache behaviour without
+        #: reaching in; :attr:`stats` reads the same numbers back.
         self.counters = counters if counters is not None else Counters()
+        self.stats = CacheStats(self.counters)
 
     @property
     def persistent_store(self) -> Optional[PersistentActionStore]:
@@ -159,15 +182,9 @@ class ActionCache:
             disk = self._store.load(key)
             if isinstance(disk, _CacheEntry):
                 self._entries[key] = disk
-                self.stats.disk_hits += 1
                 self.counters.incr("cache.disk_hits")
                 entry = disk
-        if entry is None:
-            self.stats.misses += 1
-            self.counters.incr("cache.misses")
-        else:
-            self.stats.hits += 1
-            self.counters.incr("cache.hits")
+        self.counters.incr("cache.misses" if entry is None else "cache.hits")
         return entry
 
     def store(self, key: str, entry: _CacheEntry) -> None:
@@ -279,36 +296,9 @@ class BuildSystem:
         step pinned to the submitting machine (e.g. the final link on
         a beefy dedicated host), which bypasses it.
         """
-        key = action_key(kind, *key_parts)
-        entry = self.cache.lookup(key)
-        if entry is not None:
-            return ActionResult(
-                value=entry.value,
-                cost_seconds=CACHE_HIT_SECONDS,
-                peak_memory=entry.peak_memory,
-                cache_hit=True,
-                key=key,
-                kind=kind,
-            )
-        value, cost_seconds, peak_memory = compute()
-        if remote and self.enforce_ram and peak_memory > self.ram_limit:
-            self.counters.incr("ram.rejections")
-            raise ResourceLimitExceeded(kind, needed=peak_memory, limit=self.ram_limit)
-        # Faults inflate the executed cost; the cache stores the clean
-        # cost so a warm replay of a once-faulted action is unaffected.
-        charged_seconds = self._charge_faults(kind, key, cost_seconds)
-        self.cache.store(
-            key, _CacheEntry(value=value, cost_seconds=cost_seconds,
-                             peak_memory=peak_memory)
-        )
-        return ActionResult(
-            value=value,
-            cost_seconds=charged_seconds,
-            peak_memory=peak_memory,
-            cache_hit=False,
-            key=key,
-            kind=kind,
-        )
+        items = [(key_parts, compute, ())]
+        keys, entries = self._lookup(kind, items)
+        return self._run(kind, items, keys, entries, None, remote)[0]
 
     def run_batch(
         self,
@@ -332,50 +322,62 @@ class BuildSystem:
         with any ``executor`` is therefore bit-identical to the same
         batch executed serially, and leaves identical cache state.
         """
-        keys = [action_key(kind, *key_parts) for key_parts, _fn, _args in items]
-        entries = [self.cache.lookup(key) for key in keys]
-        miss_idx = [i for i, entry in enumerate(entries) if entry is None]
+        keys, entries = self._lookup(kind, items)
+        # Counted between lookup and compute, so a batch that goes on
+        # to raise (RAM rejection, exhausted retries) is still counted.
+        misses = entries.count(None)
         self.counters.incr("executor.batches")
         self.counters.incr("executor.batch_tasks", len(items))
-        self.counters.incr("executor.batch_misses", len(miss_idx))
-        self.counters.max_gauge("executor.max_queue_depth", len(miss_idx))
+        self.counters.incr("executor.batch_misses", misses)
+        self.counters.max_gauge("executor.max_queue_depth", misses)
+        return self._run(kind, items, keys, entries, executor, remote)
+
+    def _lookup(self, kind: str, items) -> "Tuple[List[str], List[Optional[_CacheEntry]]]":
+        """Keys and cached entries (``None`` = miss) of ``items``, looked
+        up serially in item order."""
+        keys = [action_key(kind, *key_parts) for key_parts, _fn, _args in items]
+        return keys, [self.cache.lookup(key) for key in keys]
+
+    def _run(self, kind: str, items, keys: List[str],
+             entries: "List[Optional[_CacheEntry]]",
+             executor: Optional[ParallelExecutor], remote: bool) -> List[ActionResult]:
+        """The miss path, written once: compute every looked-up miss
+        (over ``executor`` when given), then in item order check the RAM
+        budget, charge faults and store -- and wrap every item, hit or
+        executed, as an :class:`ActionResult`.
+        """
+        miss_idx = [i for i, entry in enumerate(entries) if entry is None]
+        tasks = [items[i][1:] for i in miss_idx]
+        if executor is not None and tasks:
+            computed = executor.map(_call_compute, tasks)
+        else:
+            computed = [fn(*args) for fn, args in tasks]
         charged: Dict[int, float] = {}
-        if miss_idx:
-            tasks = [(items[i][1], items[i][2]) for i in miss_idx]
-            if executor is not None:
-                computed = executor.map(_call_compute, tasks)
-            else:
-                computed = [fn(*args) for fn, args in tasks]
-            for i, (value, cost_seconds, peak_memory) in zip(miss_idx, computed):
-                if remote and self.enforce_ram and peak_memory > self.ram_limit:
-                    self.counters.incr("ram.rejections")
-                    raise ResourceLimitExceeded(
-                        kind, needed=peak_memory, limit=self.ram_limit
-                    )
-                # Fault charges are drawn per action *digest*, never per
-                # schedule slot, so this serial walk accrues exactly the
-                # faults any parallel execution of the batch would.
-                charged[i] = self._charge_faults(kind, keys[i], cost_seconds)
-                entry = _CacheEntry(
-                    value=value, cost_seconds=cost_seconds, peak_memory=peak_memory
-                )
-                self.cache.store(keys[i], entry)
-                entries[i] = entry
-        miss_set = set(miss_idx)
-        results: List[ActionResult] = []
-        for i, entry in enumerate(entries):
-            hit = i not in miss_set
-            results.append(
-                ActionResult(
-                    value=entry.value,
-                    cost_seconds=CACHE_HIT_SECONDS if hit else charged[i],
-                    peak_memory=entry.peak_memory,
-                    cache_hit=hit,
-                    key=keys[i],
-                    kind=kind,
-                )
+        for i, (value, cost_seconds, peak_memory) in zip(miss_idx, computed):
+            if remote and self.enforce_ram and peak_memory > self.ram_limit:
+                self.counters.incr("ram.rejections")
+                raise ResourceLimitExceeded(kind, needed=peak_memory, limit=self.ram_limit)
+            # Faults inflate the executed cost; the cache stores the
+            # clean cost so a warm replay of a once-faulted action is
+            # unaffected.  Charges are drawn per action *digest*, never
+            # per schedule slot, so this serial walk accrues exactly the
+            # faults any parallel execution would.
+            charged[i] = self._charge_faults(kind, keys[i], cost_seconds)
+            entries[i] = _CacheEntry(
+                value=value, cost_seconds=cost_seconds, peak_memory=peak_memory
             )
-        return results
+            self.cache.store(keys[i], entries[i])
+        return [
+            ActionResult(
+                value=entry.value,
+                cost_seconds=charged.get(i, CACHE_HIT_SECONDS),
+                peak_memory=entry.peak_memory,
+                cache_hit=i not in charged,
+                key=keys[i],
+                kind=kind,
+            )
+            for i, entry in enumerate(entries)
+        ]
 
     def schedule(self, actions: "Iterable[ActionResult]") -> "PhaseReport":
         """Makespan of one build phase over this system's worker pool.

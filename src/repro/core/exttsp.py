@@ -277,16 +277,6 @@ def ext_tsp_order(
     return ExtTSP(nodes, dict_edges_ok(edges), entry=entry, params=params).solve()
 
 
-def _order_task(
-    nodes: Dict[NodeId, Tuple[int, float]],
-    edges: List[Tuple[NodeId, NodeId, float]],
-    entry: Optional[NodeId],
-    params: LayoutParams,
-) -> List[NodeId]:
-    """Module-level (picklable) form of :func:`ext_tsp_order`."""
-    return ext_tsp_order(nodes, edges, entry=entry, params=params)
-
-
 def solve_signature(
     nodes: Dict[NodeId, Tuple[int, float]],
     edges: Iterable[Tuple[NodeId, NodeId, float]],
@@ -342,29 +332,23 @@ def ext_tsp_order_many(
     deterministic and jobs-invariant.
     """
     tasks = [(nodes, list(edges), entry, params) for nodes, edges, entry in problems]
-    if cache is None:
-        if executor is None:
-            return [_order_task(*task) for task in tasks]
-        return executor.map(_order_task, tasks)
-
-    results: List[Optional[List[NodeId]]] = []
-    miss_tasks = []
-    miss_slots: List[Tuple[int, str]] = []
-    for i, task in enumerate(tasks):
-        key = solve_signature(task[0], task[1], task[2], task[3])
-        order = cache.get(key)
-        results.append(order)
-        if order is None:
-            miss_tasks.append(task)
-            miss_slots.append((i, key))
-    if miss_tasks:
-        if executor is None:
-            solved = [_order_task(*task) for task in miss_tasks]
-        else:
-            solved = executor.map(_order_task, miss_tasks)
-        for (i, key), order in zip(miss_slots, solved):
-            cache.put(key, order)
-            results[i] = order
+    # One path: without a cache every problem is a miss and nothing is
+    # stored; without an executor the misses are solved inline.
+    keys: List[str] = []
+    results: List[Optional[List[NodeId]]] = [None] * len(tasks)
+    if cache is not None:
+        keys = [solve_signature(*task) for task in tasks]
+        results = [cache.get(key) for key in keys]
+    misses = [i for i, order in enumerate(results) if order is None]
+    miss_tasks = [tasks[i] for i in misses]
+    if executor is not None and miss_tasks:
+        solved = executor.map(ext_tsp_order, miss_tasks)
+    else:
+        solved = [ext_tsp_order(*task) for task in miss_tasks]
+    for i, order in zip(misses, solved):
+        results[i] = order
+        if cache is not None:
+            cache.put(keys[i], order)
     return results  # type: ignore[return-value]
 
 

@@ -58,6 +58,16 @@ from repro.profiles import (
 #: purely accounting, never part of any artifact digest.
 INSTRUMENTED_BUILD_FACTOR = 0.9
 
+# Cost-model rates (simulated seconds per unit of work).
+CODEGEN_SECONDS_PER_INSTR = 1e-4
+#: Fixed per-compile-action overhead (process spawn, IR read) -- this
+#: is what makes full backend re-runs expensive relative to BOLT's
+#: in-process passes on a workstation (Fig. 9, right).
+CODEGEN_FIXED_SECONDS = 1.5
+LINK_SECONDS_PER_BYTE = 2e-7
+WPA_SECONDS_PER_UNIT = 1e-6
+PROFILE_SECONDS_PER_BRANCH = 2e-6
+
 
 def run_cached_action(host: Any, span: str, kind: str, key_parts, compute):
     """Run one cached action on the submitting machine, under its span.
@@ -105,7 +115,7 @@ def pgo_profile(ctx: StageContext, inputs) -> Dict[str, Any]:
         profile = collect_ir_profile(
             program, max_steps=config.pgo_steps, seed=config.seed)
         profile = profile.apply_drift(config.pgo_drift, seed=config.seed)
-        return profile, config.pgo_steps * config.profile_seconds_per_branch, 0
+        return profile, config.pgo_steps * PROFILE_SECONDS_PER_BRANCH, 0
 
     action = run_cached_action(
         ctx, "pgo-train", "profile-pgo",
@@ -290,7 +300,7 @@ def lbr_profile(ctx: StageContext, inputs) -> Dict[str, Any]:
         )
         perf = sample_lbr(trace, period=config.lbr_period,
                           binary_name="metadata.out")
-        cost = config.lbr_branches * config.profile_seconds_per_branch
+        cost = config.lbr_branches * PROFILE_SECONDS_PER_BRANCH
         return perf, cost, perf.size_bytes
 
     action = run_cached_action(
@@ -354,7 +364,7 @@ def wpa_analysis(ctx: StageContext, inputs) -> Dict[str, Any]:
             metadata_exe, perf, config.wpa, executor=executor,
             tracer=ctx.tracer, solve_cache=ctx.solve_cache,
         )
-        cost = wpa_result.stats.cost_units * config.wpa_seconds_per_unit
+        cost = wpa_result.stats.cost_units * WPA_SECONDS_PER_UNIT
         return wpa_result, cost, wpa_result.stats.peak_memory_bytes
 
     action = run_cached_action(

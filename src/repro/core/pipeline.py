@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import ir
 from repro.analysis import MemoryMeter
-from repro.buildsys import BuildSystem, PhaseReport
+from repro.buildsys import BuildSystem, PhaseReport, digest_parts
 from repro.codegen import CodeGenOptions, compile_action
 from repro.core.stages import (
     ArtifactSet,
@@ -44,7 +44,6 @@ from repro.profiles import IRProfile, MatchStats, PerfData
 from repro.runtime import (
     FunctionSolveCache,
     ParallelExecutor,
-    default_jobs,
     resolve_cache_dir,
 )
 from repro.runtime.executor import shared_executor
@@ -52,7 +51,8 @@ from repro.runtime.executor import shared_executor
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """End-to-end pipeline configuration and cost-model rates."""
+    """End-to-end pipeline configuration.  (The cost-model rates are
+    constants in :mod:`repro.core.phases`.)"""
 
     seed: int = 0
     #: Instrumented-PGO training run length (IR steps).
@@ -81,12 +81,13 @@ class PipelineConfig:
     enforce_ram: bool = True
     ram_limit: int = 12 << 30
     #: Real worker *processes* used to execute backend actions and
-    #: per-function layout on this machine.  ``None`` derives the count
-    #: from the simulated pool: ``min(workers, cpu count)``.  This knob
-    #: never changes any artifact or simulated quantity -- parallel and
-    #: serial runs are bit-identical (see ``PipelineResult.digest``);
-    #: it only changes how fast the simulation itself runs.
-    jobs: Optional[int] = None
+    #: per-function layout on this machine; 1 (the default) runs
+    #: everything inline -- the pool lost to it everywhere it was
+    #: measured (DESIGN.md "One action layer").  This knob never changes
+    #: any artifact or simulated quantity -- parallel and serial runs
+    #: are bit-identical (see ``PipelineResult.digest``); it only
+    #: changes how fast the simulation itself runs.
+    jobs: int = 1
     #: Directory for the persistent action cache.  ``None`` falls back
     #: to the ``REPRO_CACHE_DIR`` environment variable; when neither is
     #: set, caching is in-memory only and runs start cold, as before.
@@ -123,26 +124,16 @@ class PipelineConfig:
     trace: bool = False
     wpa: WPAOptions = WPAOptions()
     hugepages: bool = False
-    # Cost-model rates (simulated seconds per unit of work).
-    codegen_seconds_per_instr: float = 1e-4
-    #: Fixed per-compile-action overhead (process spawn, IR read) --
-    #: this is what makes full backend re-runs expensive relative to
-    #: BOLT's in-process passes on a workstation (Fig. 9, right).
-    codegen_fixed_seconds: float = 1.5
-    link_seconds_per_byte: float = 2e-7
-    wpa_seconds_per_unit: float = 1e-6
-    profile_seconds_per_branch: float = 2e-6
-
 
 
 def _link_options_signature(options: LinkOptions) -> str:
     """Deterministic digest of every :class:`LinkOptions` field.
 
     Sequences keep their order (``symbol_order`` is meaningful order);
-    sets are sorted; parts are length-prefixed like :func:`action_key`.
+    sets are sorted; parts are length-prefixed, by the hasher
+    :func:`~repro.buildsys.action_key` uses.
     """
-    h = hashlib.sha256()
-    parts = [
+    return digest_parts([
         options.output_name,
         options.entry_symbol,
         str(options.text_base),
@@ -153,12 +144,7 @@ def _link_options_signature(options: LinkOptions) -> str:
         str(int(options.hugepages)),
         ",".join(sorted(options.features)),
         "|".join(options.symbol_order) if options.symbol_order is not None else "<none>",
-    ]
-    for part in parts:
-        data = part.encode("utf-8")
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    return h.hexdigest()
+    ])
 
 
 @dataclass
@@ -490,7 +476,6 @@ class PropellerPipeline:
         if config.incremental or config.state_dir:
             solve_root = Path(config.state_dir) / "solves" if config.state_dir else None
             self.solve_cache = FunctionSolveCache(solve_root, counters=self.counters)
-        self.jobs = config.jobs if config.jobs is not None else default_jobs(config.workers)
         self._digests: Dict[str, Tuple[ir.Module, str]] = {}
         # id -> (options, signature); the options reference keeps the
         # object alive so a recycled id can never alias a stale entry.
@@ -502,9 +487,9 @@ class PropellerPipeline:
     @property
     def executor(self) -> Optional[ParallelExecutor]:
         """The process pool backend actions fan out over (None = serial)."""
-        if self.jobs <= 1:
+        if self.config.jobs <= 1:
             return None
-        executor = shared_executor(self.jobs)
+        executor = shared_executor(self.config.jobs)
         # Route the shared pool's real-execution metrics ("pool.*") to
         # this pipeline's sink while it is the active user.
         executor.counters = self.counters
@@ -551,7 +536,6 @@ class PropellerPipeline:
         itself an action keyed by the backend action keys plus the link
         options, so a warm cache replays it too.
         """
-        config = self.config
         items = []
         hot_modules = 0
         hot_names: Set[str] = set()
@@ -567,8 +551,8 @@ class PropellerPipeline:
             items.append((
                 key_parts,
                 compile_action,
-                (module, options, config.codegen_fixed_seconds,
-                 config.codegen_seconds_per_instr),
+                (module, options, phases.CODEGEN_FIXED_SECONDS,
+                 phases.CODEGEN_SECONDS_PER_INSTR),
             ))
         build_span = self.tracer.span(
             f"build:{link_options.output_name}", category="build", tag=tag
@@ -590,7 +574,7 @@ class PropellerPipeline:
 
             def _link_compute():
                 link_result = link(objects, link_options, meter=MemoryMeter())
-                seconds = link_result.stats.cost_units * config.link_seconds_per_byte
+                seconds = link_result.stats.cost_units * phases.LINK_SECONDS_PER_BYTE
                 return link_result, seconds, link_result.stats.peak_memory_bytes
 
             # The inputs of the link are exactly the backend outputs (named

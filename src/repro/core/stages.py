@@ -70,6 +70,7 @@ from typing import (
 )
 
 from repro.faults import RetriesExhausted
+from repro.runtime.cache import read_envelope, write_envelope
 
 __all__ = [
     "Artifact",
@@ -257,8 +258,6 @@ class ArtifactSet:
         self.meta: Dict[str, str] = dict(meta or {})
 
     def save(self, directory: "str | Path") -> Path:
-        from repro.runtime.cache import write_envelope
-
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         for name, value in self.values.items():
@@ -275,8 +274,6 @@ class ArtifactSet:
 
     @classmethod
     def load(cls, directory: "str | Path") -> "ArtifactSet":
-        from repro.runtime.cache import read_envelope
-
         root = Path(directory)
         path = root / MANIFEST_FILENAME
         if not path.exists():

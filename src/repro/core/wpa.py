@@ -179,13 +179,6 @@ class _AddressMapIndex:
         i = self._func_index(func)
         return [e.bb_id for e in self.func_maps[i].entries[lo_pos : hi_pos + 1]]
 
-    def block_size(self, func: str, bb_id: int) -> int:
-        i = self._func_index(func)
-        for entry in self.func_maps[i].entries:
-            if entry.bb_id == bb_id:
-                return entry.size
-        raise KeyError(f"{func}: no block {bb_id}")
-
     def function_map(self, func: str) -> bbaddrmap.FunctionMap:
         return self.func_maps[self._func_index(func)]
 

@@ -130,9 +130,6 @@ class Executable:
     def has_block_at(self, addr: int) -> bool:
         return addr in self._blocks_by_addr
 
-    def function_entry(self, name: str) -> int:
-        return self.symbols[name].addr
-
     def content_digest(self) -> str:
         """SHA-256 over the binary's observable content.
 
@@ -240,9 +237,3 @@ class Executable:
         funcs = [s for s in self.symbols.values() if s.stype == SymbolType.FUNC]
         funcs.sort(key=lambda s: s.addr)
         return funcs
-
-    def symbol_at(self, addr: int) -> Optional[SymbolInfo]:
-        for sym in self.symbols.values():
-            if sym.addr == addr and sym.stype == SymbolType.FUNC:
-                return sym
-        return None

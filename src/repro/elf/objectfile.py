@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.elf.sections import Section, SectionKind, Symbol
 
@@ -56,9 +56,6 @@ class ObjectFile:
 
     def size_of_kind(self, kind: SectionKind) -> int:
         return sum(s.size for s in self.sections if s.kind == kind)
-
-    def defined_symbol_names(self) -> Iterable[str]:
-        return (sym.name for sym in self.symbols)
 
     def content_digest(self) -> str:
         """SHA-256 over a canonical serialization of the object.

@@ -341,16 +341,9 @@ def simulate_frontend(
     counters.taken_branches = trace.num_branches
     counters.dsb_miss = dsb_miss
     counters.l1i_stall_cycles = l1i_miss * params.l1i_miss_cycles
-    counters.cycles = (
-        instructions / params.issue_width
-        + l1i_miss * params.l1i_miss_cycles
-        + l2_miss * params.l2_code_miss_cycles
-        + itlb_miss * params.itlb_miss_cycles
-        + itlb_walk * params.tlb_walk_cycles
-        + baclears * params.baclear_cycles
-        + trace.num_branches * params.taken_branch_cycles
-        + dsb_miss * params.dsb_miss_cycles
-    )
+    counters.cycles = _model_cycles(
+        params, instructions, l1i_miss, l2_miss, itlb_miss, itlb_walk,
+        baclears, trace.num_branches, dsb_miss)
     if per_func is not None:
         for func, acc in per_func.items():
             counters.per_function[func] = FrontendCounters(

@@ -197,12 +197,6 @@ class Program:
             raise ValueError(f"function {func_name!r} defined in multiple modules")
         self._func_to_module[func_name] = module
 
-    def add_module(self, module: Module) -> Module:
-        self.modules.append(module)
-        for function in module.functions:
-            self._register(function.name, module)
-        return module
-
     def module_of(self, func_name: str) -> Module:
         return self._func_to_module[func_name]
 

@@ -26,13 +26,12 @@ from repro.runtime.cache import (
     PersistentActionStore,
     resolve_cache_dir,
 )
-from repro.runtime.executor import ParallelExecutor, default_jobs
+from repro.runtime.executor import ParallelExecutor
 
 __all__ = [
     "CACHE_DIR_ENV",
     "FunctionSolveCache",
     "ParallelExecutor",
     "PersistentActionStore",
-    "default_jobs",
     "resolve_cache_dir",
 ]

@@ -34,7 +34,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 #: Environment variable naming the default persistent cache directory.
 #: When set, pipelines (and the benchmark harness) replay cold actions
@@ -64,12 +64,13 @@ def resolve_cache_dir(explicit: "Optional[str | os.PathLike]" = None) -> Optiona
 
 def write_envelope(path: "str | os.PathLike", value: Any) -> None:
     """Atomically pickle ``value`` to ``path`` in the self-verifying
-    envelope format (magic + SHA-256 header) the store uses.
+    envelope format: magic, SHA-256 of the payload, newline, payload.
 
-    The standalone form of :meth:`PersistentActionStore.store` for
-    callers that manage their own paths -- the serialized stage-graph
-    artifact sets (:mod:`repro.core.stages`) persist through it so a
-    resumed run gets the same tamper/truncation detection as the cache.
+    The one writer of the format.  :meth:`PersistentActionStore.store`
+    seals its entries through it, and callers that manage their own
+    paths -- the serialized stage-graph artifact sets
+    (:mod:`repro.core.stages`) -- call it directly, so a resumed run
+    gets the same tamper/truncation detection as the cache.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -91,26 +92,53 @@ def write_envelope(path: "str | os.PathLike", value: Any) -> None:
         raise
 
 
+def _unseal(data: bytes) -> "Tuple[Any, Optional[str]]":
+    """``(value, None)`` for a verified envelope, else ``(None, reason)``.
+
+    The one reader of the format.  The reason says *why* the bytes are
+    not replayable -- ``format`` (foreign or pre-envelope file),
+    ``truncated`` (header cut short), ``digest`` (payload does not
+    match its header) or ``unpicklable`` (verified, but the pickle does
+    not parse: format drift between versions).  All four are poisoning
+    as far as correctness is concerned; what happens next is the
+    caller's policy.
+    """
+    if not data.startswith(_MAGIC):
+        return None, "format"
+    header_end = len(_MAGIC) + _DIGEST_HEX_LEN
+    if len(data) < header_end + 1 or data[header_end:header_end + 1] != b"\n":
+        return None, "truncated"
+    expected = data[len(_MAGIC):header_end]
+    payload = data[header_end + 1:]
+    if hashlib.sha256(payload).hexdigest().encode("ascii") != expected:
+        return None, "digest"
+    try:
+        return pickle.loads(payload), None
+    except Exception:
+        return None, "unpicklable"
+
+
 def read_envelope(path: "str | os.PathLike") -> Any:
     """Unpickle an envelope written by :func:`write_envelope`.
 
     Unlike the store's forgiving :meth:`~PersistentActionStore.load`
     (where a bad entry is just a cache miss), a bad envelope here is an
-    error: raises ``ValueError`` on format/digest mismatch, ``OSError``
-    when unreadable -- resume-from-artifacts must fail loudly rather
-    than silently recompute against mismatched inputs.
+    error: raises ``ValueError`` naming the reason (see :func:`_unseal`),
+    ``OSError`` when unreadable -- resume-from-artifacts must fail
+    loudly rather than silently recompute against mismatched inputs.
     """
-    data = Path(path).read_bytes()
-    if not data.startswith(_MAGIC):
-        raise ValueError(f"{path}: not a repro envelope")
-    header_end = len(_MAGIC) + _DIGEST_HEX_LEN
-    if len(data) < header_end + 1 or data[header_end:header_end + 1] != b"\n":
-        raise ValueError(f"{path}: truncated envelope header")
-    expected = data[len(_MAGIC):header_end]
-    payload = data[header_end + 1:]
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != expected:
-        raise ValueError(f"{path}: envelope digest mismatch")
-    return pickle.loads(payload)
+    value, reason = _unseal(Path(path).read_bytes())
+    if reason is not None:
+        raise ValueError(f"{path}: bad envelope ({reason})")
+    return value
+
+
+def _bump(owner: Any, tally: str, counter: str) -> None:
+    """Count one event once: on ``owner.<tally>`` and, when the owner
+    was given a metrics sink, on its ``counter``."""
+    setattr(owner, tally, getattr(owner, tally) + 1)
+    if owner.counters is not None:
+        owner.counters.incr(counter)
 
 
 class FunctionSolveCache:
@@ -164,13 +192,9 @@ class FunctionSolveCache:
             if order is not None:
                 self._memory[key] = order
         if order is None:
-            self.misses += 1
-            if self.counters is not None:
-                self.counters.incr("incr.solve_misses")
+            _bump(self, "misses", "incr.solve_misses")
             return None
-        self.hits += 1
-        if self.counters is not None:
-            self.counters.incr("incr.solve_hits")
+        _bump(self, "hits", "incr.solve_hits")
         return list(order)
 
     def put(self, key: str, order: list) -> None:
@@ -219,30 +243,7 @@ class PersistentActionStore:
                 path.unlink()
             except OSError:
                 pass
-        self.quarantined += 1
-        if self.counters is not None:
-            self.counters.incr("store.quarantined")
-
-    def _verified_payload(self, path: Path, data: bytes) -> Optional[bytes]:
-        """The pickled payload iff the envelope's digest verifies.
-
-        Anything else -- truncation, a foreign/legacy format, a payload
-        whose digest does not match its header -- is poisoning as far
-        as correctness is concerned, and is quarantined.
-        """
-        if not data.startswith(_MAGIC):
-            self._quarantine(path, "format")
-            return None
-        header_end = len(_MAGIC) + _DIGEST_HEX_LEN
-        if len(data) < header_end + 1 or data[header_end:header_end + 1] != b"\n":
-            self._quarantine(path, "truncated")
-            return None
-        expected = data[len(_MAGIC):header_end]
-        payload = data[header_end + 1:]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != expected:
-            self._quarantine(path, "digest")
-            return None
-        return payload
+        _bump(self, "quarantined", "store.quarantined")
 
     def load(self, key: str) -> Optional[Any]:
         """The stored entry, or None when absent or not verifiable.
@@ -250,54 +251,27 @@ class PersistentActionStore:
         A corrupt, truncated or half-written entry is indistinguishable
         from a miss to the caller: the action simply re-executes and
         overwrites it.  Unlike a plain miss, though, the bad file is
-        quarantined and counted, because a poisoned shared cache is an
-        operational event someone should be able to see.
+        quarantined (under its :func:`_unseal` reason) and counted,
+        because a poisoned shared cache is an operational event someone
+        should be able to see.
         """
         path = self._path(key)
         try:
             data = path.read_bytes()
         except OSError:
             return None
-        payload = self._verified_payload(path, data)
-        if payload is None:
-            return None
-        try:
-            entry = pickle.loads(payload)
-        except Exception:
-            # The digest verified but the pickle does not parse: format
-            # drift between versions.  Quarantine it like any other
-            # unreplayable entry.
-            self._quarantine(path, "unpicklable")
-            if self.counters is not None:
+        entry, reason = _unseal(data)
+        if reason is not None:
+            self._quarantine(path, reason)
+            if reason == "unpicklable" and self.counters is not None:
                 self.counters.incr("store.load_errors")
             return None
-        self.loads += 1
-        if self.counters is not None:
-            self.counters.incr("store.loads")
+        _bump(self, "loads", "store.loads")
         return entry
 
     def store(self, key: str, entry: Any) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(entry, protocol=_PICKLE_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".pkl")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_MAGIC)
-                handle.write(digest)
-                handle.write(b"\n")
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
-        if self.counters is not None:
-            self.counters.incr("store.stores")
+        write_envelope(self._path(key), entry)
+        _bump(self, "stores", "store.stores")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("??/*.pkl"))

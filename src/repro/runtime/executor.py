@@ -16,7 +16,6 @@ interpreter exit.
 from __future__ import annotations
 
 import atexit
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
@@ -25,17 +24,6 @@ R = TypeVar("R")
 #: Below this many tasks a pool is never engaged: pickling and dispatch
 #: overhead would exceed the win for trivial batches.
 MIN_PARALLEL_TASKS = 2
-
-
-def default_jobs(workers: int) -> int:
-    """Real process count implied by a simulated pool size.
-
-    The simulated pool (``PipelineConfig.workers``) is routinely in the
-    hundreds; the machine running the simulation is not.  Cap at the
-    visible CPU count so ``workers=1000`` on a 4-core runner forks 4
-    processes, and ``workers=1`` always means strictly serial.
-    """
-    return max(1, min(workers, os.cpu_count() or 1))
 
 
 class ParallelExecutor:

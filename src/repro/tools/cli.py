@@ -81,7 +81,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="simulated remote build pool size")
     parser.add_argument("--jobs", type=int, default=_DEFAULTS.jobs,
                         help="real worker processes for codegen/layout "
-                             "(default: min(--workers, CPU count))")
+                             "(default: 1, everything runs inline)")
     parser.add_argument("--cache-dir", default=_DEFAULTS.cache_dir,
                         help="persistent action-cache directory; falls back to "
                              "$REPRO_CACHE_DIR, else in-memory only")

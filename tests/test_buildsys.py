@@ -4,6 +4,7 @@ import pytest
 
 from repro.buildsys import BuildSystem, ResourceLimitExceeded
 from repro.buildsys.build import CACHE_HIT_SECONDS, action_key
+from repro.faults import FaultPlan, RetriesExhausted
 
 
 def _compute(value=1, cost=2.0, peak=100):
@@ -53,6 +54,80 @@ class TestCache:
         bs = BuildSystem()
         result = bs.run_action("a", ["x"], _compute())
         assert result.key in bs
+
+
+    def test_stats_read_the_cache_counters(self, tmp_path):
+        """One tally per event: ``stats`` is the ``cache.*`` counters."""
+        BuildSystem(cache_dir=tmp_path).run_action("a", ["x"], _compute())
+        bs = BuildSystem(cache_dir=tmp_path)
+        bs.run_action("a", ["x"], _compute())   # disk hit
+        bs.run_action("a", ["x"], _compute())   # memory hit
+        bs.run_action("a", ["y"], _compute())   # miss
+        stats, count = bs.stats, bs.counters.count
+        assert (stats.hits, stats.misses, stats.disk_hits) == (2, 1, 1)
+        assert stats.hits == count("cache.hits")
+        assert stats.misses == count("cache.misses")
+        assert stats.disk_hits == count("cache.disk_hits")
+        assert stats.lookups == 3 and stats.hit_rate == pytest.approx(2 / 3)
+
+
+def _triple(value, cost, peak):
+    return value, cost, peak
+
+
+def _counters_without_batch_tally(bs):
+    """Everything ``bs`` counted except the four ``executor.*`` names
+    that say a *batch* was submitted."""
+    snap = bs.counters.snapshot()
+    return {
+        section: {k: v for k, v in values.items() if not k.startswith("executor.")}
+        for section, values in snap.items()
+    }
+
+
+class TestOneMissPath:
+    """``run_action`` is the one-item ``run_batch``: same results, same
+    accounting, same failures -- the miss path exists once."""
+
+    CASES = {
+        "plain": dict(),
+        "local": dict(remote=False, peak=5000, ram_limit=1000),
+        "unenforced": dict(peak=5000, ram_limit=1000, enforce_ram=False),
+        "ram-rejected": dict(peak=5000, ram_limit=1000, raises=ResourceLimitExceeded),
+        "faulted": dict(fault_plan=FaultPlan(seed=3, fail_rate=0.6, max_attempts=12)),
+        "slowed": dict(fault_plan=FaultPlan(seed=5, slow_rate=1.0)),
+        "exhausted": dict(fault_plan=FaultPlan(fail_rate=1.0), raises=RetriesExhausted),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_action_equals_one_item_batch(self, case):
+        spec = dict(self.CASES[case])
+        raises = spec.pop("raises", None)
+        remote = spec.pop("remote", True)
+        peak = spec.pop("peak", 100)
+
+        def drive(submit):
+            bs = BuildSystem(**spec)
+            outcomes = []
+            for _ in range(2):  # second round replays (or re-fails)
+                try:
+                    outcomes.append(submit(bs))
+                except (ResourceLimitExceeded, RetriesExhausted) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            return outcomes, _counters_without_batch_tally(bs), bs
+
+        single, single_counts, _ = drive(lambda bs: bs.run_action(
+            "codegen", ["d", "t"], lambda: _triple("obj", 2.0, peak), remote=remote))
+        batch, batch_counts, bs = drive(lambda bs: bs.run_batch(
+            "codegen", [(["d", "t"], _triple, ("obj", 2.0, peak))], remote=remote)[0])
+
+        assert single == batch
+        assert single_counts == batch_counts
+        if raises is not None:
+            assert [kind for kind, _msg in batch] == [raises, raises]
+            assert bs.counters.count("executor.batches") == 2  # counted, then raised
+        else:
+            assert [r.cache_hit for r in batch] == [False, True]
 
 
 class TestResourceLimits:

@@ -19,7 +19,6 @@ from repro.runtime import (
     CACHE_DIR_ENV,
     ParallelExecutor,
     PersistentActionStore,
-    default_jobs,
     resolve_cache_dir,
 )
 
@@ -31,17 +30,6 @@ def _square(x):
 def _compute_pair(a, b):
     """Batch compute fn: (value, cost_seconds, peak_memory)."""
     return a + b, float(a), b
-
-
-class TestDefaultJobs:
-    def test_caps_at_cpu_count(self):
-        assert default_jobs(10_000) == (os.cpu_count() or 1)
-
-    def test_one_means_serial(self):
-        assert default_jobs(1) == 1
-
-    def test_never_below_one(self):
-        assert default_jobs(0) == 1
 
 
 class TestParallelExecutor:
@@ -285,6 +273,90 @@ class TestStoreQuarantine:
         store._path(self.KEY).write_bytes(b"garbage")
         store.load(self.KEY)
         assert counters.count("store.quarantined") == 1
+
+
+# ----------------------------------------------------------------------
+# One envelope codec: the store and read_envelope judge the same bytes
+# the same way, and the on-disk format is the parent commit's.
+
+def _sealed(payload: bytes) -> bytes:
+    import hashlib
+
+    from repro.runtime.cache import _MAGIC
+
+    return _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload
+
+
+#: corruption kind -> (valid envelope bytes -> bad bytes, quarantine suffix);
+#: the kinds are TestStoreQuarantine's.
+_CORRUPTIONS = {
+    "truncated-payload": (lambda data: data[:-5], "digest"),
+    "header-only": (lambda data: data[:len(b"repro-store-v2\n")], "truncated"),
+    "flipped-payload-bit": (lambda data: data[:-1] + bytes([data[-1] ^ 0x01]), "digest"),
+    "legacy-bare-pickle": (lambda data: pickle.dumps({"old": "format"}), "format"),
+    "garbage": (lambda data: b"garbage", "format"),
+    "verified-but-unpicklable": (lambda data: _sealed(b"this is not a pickle"), "unpicklable"),
+}
+
+
+class TestOneEnvelopeCodec:
+    KEY = "ab" * 32
+
+    @pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+    def test_same_bytes_same_verdict(self, tmp_path, kind):
+        from repro.runtime.cache import read_envelope, write_envelope
+
+        corrupt, reason = _CORRUPTIONS[kind]
+        store = PersistentActionStore(tmp_path / "store")
+        store.store(self.KEY, list(range(100)))
+        path = store._path(self.KEY)
+        bad = corrupt(path.read_bytes())
+
+        path.write_bytes(bad)
+        assert store.load(self.KEY) is None
+        assert store.quarantined == 1
+        moved = [f.name for f in (store.root / "quarantine").iterdir()]
+        assert moved == [f"{path.name}.{reason}"]
+
+        envelope = tmp_path / "value.artifact"
+        write_envelope(envelope, list(range(100)))
+        envelope.write_bytes(bad)
+        with pytest.raises(ValueError, match=reason):
+            read_envelope(envelope)
+
+    def test_store_and_envelope_write_the_same_bytes(self, tmp_path):
+        from repro.runtime.cache import read_envelope, write_envelope
+
+        store = PersistentActionStore(tmp_path / "store")
+        store.store(self.KEY, {"a": 1})
+        write_envelope(tmp_path / "value.artifact", {"a": 1})
+        assert store._path(self.KEY).read_bytes() == \
+            (tmp_path / "value.artifact").read_bytes() == _sealed(pickle.dumps(
+                {"a": 1}, protocol=pickle.HIGHEST_PROTOCOL))
+        assert read_envelope(store._path(self.KEY)) == store.load(self.KEY) == {"a": 1}
+
+    def test_parent_written_entry_still_loads(self, tmp_path):
+        """``tests/golden/store_entry_v2.pkl`` was written by the commit
+        before the codec was unified, by ``run_action("codegen",
+        ["golden-module-digest", "metadata"], ...)``: today's key hasher
+        must name it and today's reader must replay it."""
+        from pathlib import Path
+
+        from repro.buildsys import action_key
+
+        key = action_key("codegen", "golden-module-digest", "metadata")
+        assert key == "9a10c882e479b3afa212391404f55a3de61c22c59e84ce138c3b877f9dfd5895"
+        bs = BuildSystem(cache_dir=tmp_path)
+        store = bs.cache.persistent_store
+        path = store._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(
+            (Path(__file__).parent / "golden" / "store_entry_v2.pkl").read_bytes())
+        result = bs.run_action("codegen", ["golden-module-digest", "metadata"],
+                               lambda: pytest.fail("recomputed a stored action"))
+        assert result.cache_hit and result.value == ("object-bytes", 7)
+        assert result.peak_memory == 4096
+        assert (store.quarantined, bs.stats.disk_hits) == (0, 1)
 
 
 # ----------------------------------------------------------------------
