@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis import MemoryMeter
@@ -13,17 +13,16 @@ from repro.elf import (
     PlacedSection,
     Relocation,
     SectionKind,
+    Symbol,
     SymbolInfo,
     SymbolType,
     TerminatorKind,
+    bbaddrmap,
 )
 from repro.elf.executable import ResolvedCall, ResolvedTerminator
-from repro.linker.relax import RelaxStats, apply_relocations, assign_addresses, relax
-from repro.linker.worksection import WorkSection, WorkSymbol
-
-
-class LinkError(Exception):
-    """Raised on unresolved or duplicate symbols and layout errors."""
+from repro.isa import OPCODE_SIZES
+from repro.linker.relax import apply_relocations, assign_addresses, relax
+from repro.linker.worksection import LinkError, WorkSection
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def link(
         meter.allocate(2 * stats.input_bytes, "link-inputs")
 
     work: List[WorkSection] = []
-    defs: Dict[str, Tuple[WorkSection, WorkSymbol]] = {}
+    defs: Dict[str, Tuple[WorkSection, Symbol]] = {}
     for obj in objects:
         by_name: Dict[str, WorkSection] = {}
         for section in obj.sections:
@@ -99,21 +98,10 @@ def link(
             ws = by_name.get(sym.section)
             if ws is None:
                 raise LinkError(f"{obj.name}: symbol {sym.name} in missing section {sym.section}")
-            wsym = WorkSymbol(
-                name=sym.name, offset=sym.offset, size=sym.size,
-                binding=sym.binding, stype=sym.stype,
-            )
-            ws.symbols.append(wsym)
+            ws.symbols.append(sym)
             if sym.name in defs:
                 raise LinkError(f"duplicate symbol {sym.name!r}")
-            defs[sym.name] = (ws, wsym)
-
-    def resolve(symbol: str) -> int:
-        entry = defs.get(symbol)
-        if entry is None:
-            raise LinkError(f"undefined symbol {symbol!r}")
-        ws, wsym = entry
-        return ws.vaddr + wsym.offset
+            defs[sym.name] = (ws, sym)
 
     # ----- text layout order ------------------------------------------
     text = [ws for ws in work if ws.kind == SectionKind.TEXT]
@@ -124,8 +112,8 @@ def link(
             entry = defs.get(name)
             if entry is None:
                 continue  # stale ordering entries are ignored, like real linkers
-            ws, wsym = entry
-            if wsym.offset != 0 or ws.kind != SectionKind.TEXT or id(ws) in placed:
+            ws, sym = entry
+            if sym.offset != 0 or ws.kind != SectionKind.TEXT or id(ws) in placed:
                 continue
             chosen.append(ws)
             placed.add(id(ws))
@@ -134,79 +122,73 @@ def link(
 
     # ----- relaxation and address assignment ---------------------------
     if options.relax:
-        relax_stats = relax(text, options.text_base, resolve)
-    else:
-        relax_stats = RelaxStats()
-        assign_addresses(text, options.text_base)
-    stats.deleted_jumps = relax_stats.deleted_jumps
-    stats.shrunk_branches = relax_stats.shrunk_branches
-    stats.relax_passes = relax_stats.passes
-    # Relaxation shrank sections; refresh function symbol sizes.
-    for ws in text:
-        for wsym in ws.symbols:
-            if wsym.stype == SymbolType.FUNC:
-                wsym.size = ws.size - wsym.offset
-    text_end = text[-1].vaddr + text[-1].size if text else options.text_base
+        relax(text, options.text_base, defs, stats)
+    text_end = assign_addresses(text, options.text_base)
 
     # ----- non-text placement ------------------------------------------
     page = options.page_size
-    cursor = (text_end + page - 1) & ~(page - 1)
     rodata = [ws for ws in work if ws.kind in (SectionKind.RODATA, SectionKind.DATA)]
-    for ws in rodata:
-        align = max(ws.alignment, 1)
-        cursor = (cursor + align - 1) & ~(align - 1)
-        ws.vaddr = cursor
-        cursor += ws.size
+    cursor = assign_addresses(rodata, (text_end + page - 1) & ~(page - 1))
 
-    text_by_name = {ws.name: ws for ws in text}
+    text_by_name = {ws.section.name: ws for ws in text}
     nonalloc: List[WorkSection] = []
     for ws in work:
         if ws.kind in (SectionKind.TEXT, SectionKind.RODATA, SectionKind.DATA):
             continue
         if ws.kind == SectionKind.BB_ADDR_MAP:
-            linked_text = text_by_name.get(ws.link_name)
+            linked_text = text_by_name.get(ws.section.link_name)
             if not options.keep_bb_addr_map or linked_text is None:
                 continue  # dropped by the linker (§3.4)
             # Relaxation moved block boundaries; re-encode the map from
             # the final section geometry so profile mapping stays exact.
-            ws.data = bytearray(_reencode_bb_addr_map(linked_text))
+            ws.data = _reencode_bb_addr_map(linked_text)
+            ws.size = len(ws.data)
+        else:
+            ws.data = bytes(ws.section.data)
         nonalloc.append(ws)
     cursor = (cursor + page - 1) & ~(page - 1)
     for ws in nonalloc:
         ws.vaddr = cursor
         cursor += ws.size
 
-    # ----- relocations --------------------------------------------------
-    stats.relocations_applied = apply_relocations(text + rodata, resolve)
-    retained: List[Tuple[int, Relocation]] = []
-    if options.emit_relocs:
-        for ws in text:
-            for reloc in ws.relocations:
-                retained.append((ws.vaddr + reloc.offset, replace(reloc)))
+    # ----- final addresses, section bytes, relocations -------------------
+    addresses = _Addresses()
+    for name, (ws, sym) in defs.items():
+        addresses[name] = ws.vaddr + ws.remap(sym.offset)
+    retained: Optional[List[Tuple[int, Relocation]]] = [] if options.emit_relocs else None
+    for ws in text + rodata:
+        data = ws.materialize()
+        stats.relocations_applied += apply_relocations(
+            ws, data, addresses, retained if ws.kind == SectionKind.TEXT else None
+        )
+        ws.data = bytes(data)
 
     # ----- assemble the executable --------------------------------------
     placed_sections = [
-        PlacedSection(name=ws.name, kind=ws.kind, vaddr=ws.vaddr,
-                      data=bytes(ws.data), origin=ws.origin)
+        PlacedSection(name=ws.section.name, kind=ws.kind, vaddr=ws.vaddr,
+                      data=ws.data, origin=ws.origin)
         for ws in text + rodata + nonalloc
     ]
     symbols: Dict[str, SymbolInfo] = {}
-    for name, (ws, wsym) in defs.items():
+    for name, (ws, sym) in defs.items():
         if name.startswith(".L"):
             continue  # assembler temporaries never reach the symbol table
+        addr = addresses[name]
+        size = sym.size
+        if sym.stype == SymbolType.FUNC and ws.kind == SectionKind.TEXT:
+            size = ws.vaddr + ws.size - addr  # relaxation shrank the section
         symbols[name] = SymbolInfo(
-            name=name, addr=ws.vaddr + wsym.offset, size=wsym.size,
-            stype=wsym.stype, binding=wsym.binding,
+            name=name, addr=addr, size=size, stype=sym.stype, binding=sym.binding,
         )
 
-    exec_blocks = _resolve_exec_blocks(text, resolve)
+    exec_blocks = _resolve_exec_blocks(text, addresses)
     executable = Executable(
         name=options.output_name,
-        entry=resolve(options.entry_symbol),
+        entry=addresses[options.entry_symbol],
         sections=placed_sections,
         symbols=symbols,
         exec_blocks=exec_blocks,
-        retained_relocations=retained,
+        retained_relocations=retained or [],
         features=options.features,
         hugepages=options.hugepages,
     )
@@ -219,19 +201,24 @@ def link(
     return LinkResult(executable=executable, stats=stats)
 
 
+class _Addresses(dict):
+    """Final ``name -> address`` table; a missing name is a link error."""
+
+    def __missing__(self, name: str) -> int:
+        raise LinkError(f"undefined symbol {name!r}")
+
+
 def _reencode_bb_addr_map(ws: WorkSection) -> bytes:
     """Serialize a text section's final block geometry as its address map."""
-    from repro.elf import SymbolType, bbaddrmap
-    from repro.elf.metadata import TerminatorKind
-
     leader = next(
         (s.name for s in ws.symbols if s.offset == 0 and s.stype == SymbolType.FUNC),
         None,
     )
     if leader is None:
         return b""
+    remap = ws.remap
     entries = []
-    for meta in ws.blocks:
+    for meta in ws.section.blocks:
         flags = 0
         if meta.is_landing_pad:
             flags |= bbaddrmap.FLAG_LANDING_PAD
@@ -239,47 +226,80 @@ def _reencode_bb_addr_map(ws: WorkSection) -> bytes:
             flags |= bbaddrmap.FLAG_HAS_RETURN
         if meta.term.kind == TerminatorKind.IJMP:
             flags |= bbaddrmap.FLAG_HAS_INDIRECT_JUMP
-        entries.append(
-            bbaddrmap.BBEntry(bb_id=meta.bb_id, offset=meta.offset, size=meta.size, flags=flags)
-        )
+        offset = remap(meta.offset)
+        entries.append(bbaddrmap.BBEntry(
+            bb_id=meta.bb_id, offset=offset,
+            size=remap(meta.offset + meta.size) - offset, flags=flags,
+        ))
     return bbaddrmap.encode_function_map(
         bbaddrmap.FunctionMap(func=leader, entries=tuple(entries))
     )
 
 
-def _resolve_exec_blocks(text: List[WorkSection], resolve) -> List[ExecBlock]:
+_KIND_NAMES = {kind: kind.value for kind in TerminatorKind}
+
+
+def _resolve_exec_blocks(text: List[WorkSection], addresses: Dict[str, int]) -> List[ExecBlock]:
+    """The execution model: every input block at its final address."""
     blocks: List[ExecBlock] = []
     for ws in text:
-        for meta in ws.blocks:
+        base = ws.vaddr
+        remap = ws.remap
+        rewritten = {ws.offsets[i]: opcode for i, opcode in ws.rewritten.items()}
+        for meta in ws.section.blocks:
             term = meta.term
-            resolved_term = ResolvedTerminator(
-                kind=term.kind.value if isinstance(term.kind, TerminatorKind) else str(term.kind),
-                cond_target=resolve(term.cond_target) if term.cond_target else 0,
-                cond_prob=term.cond_prob,
-                cond_br_addr=ws.vaddr + term.cond_br_offset if term.cond_br_offset >= 0 else -1,
-                cond_br_size=term.cond_br_size,
-                uncond_target=resolve(term.uncond_target) if term.uncond_target else None,
-                uncond_br_addr=ws.vaddr + term.uncond_br_offset if term.uncond_br_offset >= 0 else -1,
-                uncond_br_size=term.uncond_br_size,
-                end_instr_addr=ws.vaddr + term.end_instr_offset if term.end_instr_offset >= 0 else -1,
-                end_instr_size=term.end_instr_size,
-                ijmp_targets=tuple((resolve(sym), prob) for sym, prob in term.ijmp_targets),
-            )
-            calls = tuple(
-                ResolvedCall(
-                    addr=ws.vaddr + call.offset,
-                    size=call.size,
-                    target=resolve(call.callee) if call.callee else None,
-                    indirect_targets=tuple(
-                        (resolve(sym), prob) for sym, prob in call.indirect_targets
-                    ),
-                )
-                for call in meta.calls
-            )
+            kind = term.kind
+            cond_at, cond_size = term.cond_br_offset, term.cond_br_size
+            uncond_at, uncond_size = term.uncond_br_offset, term.uncond_br_size
+            uncond_target = term.uncond_target
+            end_at = term.end_instr_offset
+            if rewritten:
+                # A rewritten branch changes the terminator of the block it sits in.
+                if cond_at in rewritten and 0 <= cond_at - meta.offset < meta.size:
+                    opcode = rewritten[cond_at]
+                    if opcode is not None:
+                        cond_size = OPCODE_SIZES[opcode]
+                if uncond_at in rewritten and 0 <= uncond_at - meta.offset < meta.size:
+                    opcode = rewritten[uncond_at]
+                    if opcode is not None:
+                        uncond_size = OPCODE_SIZES[opcode]
+                    else:  # the jump was deleted: the block now falls through
+                        uncond_target, uncond_at, uncond_size = None, -1, 0
+                        if kind == TerminatorKind.JUMP:
+                            kind = TerminatorKind.FALLTHROUGH
+            start = remap(meta.offset)
             blocks.append(ExecBlock(
-                addr=ws.vaddr + meta.offset, size=meta.size, func=meta.func,
-                bb_id=meta.bb_id, term=resolved_term, calls=calls,
-                prefetch_targets=tuple(resolve(p.symbol) for p in meta.prefetches),
+                addr=base + start,
+                size=remap(meta.offset + meta.size) - start,
+                func=meta.func,
+                bb_id=meta.bb_id,
+                term=ResolvedTerminator(
+                    kind=_KIND_NAMES.get(kind) or str(kind),
+                    cond_target=addresses[term.cond_target] if term.cond_target else 0,
+                    cond_prob=term.cond_prob,
+                    cond_br_addr=base + remap(cond_at) if cond_at >= 0 else -1,
+                    cond_br_size=cond_size,
+                    uncond_target=addresses[uncond_target] if uncond_target else None,
+                    uncond_br_addr=base + remap(uncond_at) if uncond_at >= 0 else -1,
+                    uncond_br_size=uncond_size,
+                    end_instr_addr=base + remap(end_at) if end_at >= 0 else -1,
+                    end_instr_size=term.end_instr_size,
+                    ijmp_targets=tuple([(addresses[s], p) for s, p in term.ijmp_targets])
+                    if term.ijmp_targets else (),
+                ),
+                calls=tuple([
+                    ResolvedCall(
+                        addr=base + remap(call.offset),
+                        size=call.size,
+                        target=addresses[call.callee] if call.callee else None,
+                        indirect_targets=tuple(
+                            [(addresses[s], p) for s, p in call.indirect_targets]
+                        ),
+                    )
+                    for call in meta.calls
+                ]) if meta.calls else (),
+                prefetch_targets=tuple([addresses[p.symbol] for p in meta.prefetches])
+                if meta.prefetches else (),
                 is_landing_pad=meta.is_landing_pad,
             ))
     blocks.sort(key=lambda b: b.addr)

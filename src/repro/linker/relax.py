@@ -11,34 +11,43 @@ After global layout, two rewrites run to a fixed point:
   whose displacement fits in a signed byte are rewritten to their short
   (rel8) forms, with the relocation retyped to PC8.
 
-Both rewrites only ever contract the image, so displacement magnitudes
-are monotonically non-increasing and the loop terminates.
+Every rewrite strictly shrinks its section and none is ever undone (a
+fixup is shrunk at most once and deleted at most once), so the loop ends.
+Displacements are *not* monotone: with aligned sections a shrink can
+grow the padding in front of a later section and push a branch that
+already went short back out of rel8 range.  Nothing here re-checks such
+a branch; the PC8 ``OverflowError`` in :func:`apply_relocations` is the
+backstop that refuses to emit a truncated displacement.
+
+One pass is one sweep over the fixups, O(fixups): a section's prefix
+sums are brought up to date as the sweep passes each fixup, positions
+behind the sweep read them directly and positions ahead of it add the
+bytes saved so far in this pass.  Sections other than the one being
+swept are always up to date; addresses are re-assigned once per pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.elf import Relocation, RelocType, TerminatorKind
-from repro.isa import Opcode, encode_instruction, fits_short, instruction_size, short_form
-from repro.linker.worksection import WorkSection
+from repro.elf import Relocation, RelocType, Symbol
+from repro.isa import OPCODE_SIZES, Opcode, fits_short, short_form
+from repro.linker.worksection import LinkError, WorkSection
 
-_SHRINKABLE = {Opcode.JMP_LONG, Opcode.JCC_LONG}
+if TYPE_CHECKING:
+    from repro.linker.linker import LinkStats
 
-
-@dataclass
-class RelaxStats:
-    deleted_jumps: int = 0
-    shrunk_branches: int = 0
-    bytes_saved: int = 0
-    passes: int = 0
+#: The rel8 form of each shrinkable (rel32) branch.
+_SHORT = {op: short_form(op) for op in (Opcode.JMP_LONG, Opcode.JCC_LONG)}
+#: Far more passes than any layout needs; running out is reported, not hidden.
+_MAX_PASSES = 64
 
 
-def assign_addresses(text_sections: List[WorkSection], base: int) -> int:
-    """Pack text sections in order; returns the end address."""
+def assign_addresses(sections: List[WorkSection], base: int) -> int:
+    """Pack sections in order, each at its alignment; returns the end address."""
     cursor = base
-    for ws in text_sections:
+    for ws in sections:
         align = ws.alignment
         cursor = (cursor + align - 1) & ~(align - 1)
         ws.vaddr = cursor
@@ -46,122 +55,89 @@ def assign_addresses(text_sections: List[WorkSection], base: int) -> int:
     return cursor
 
 
-def _delete_jump(ws: WorkSection, fixup) -> None:
-    size = instruction_size(fixup.opcode)
-    block = ws.block_containing(fixup.offset)
-    ws.splice(fixup.offset, size, b"")
-    ws.fixups.remove(fixup)
-    if block is not None and block.term.uncond_br_offset == fixup.offset:
-        term = block.term
-        term.uncond_target = None
-        term.uncond_br_offset = -1
-        term.uncond_br_size = 0
-        if term.kind == TerminatorKind.JUMP:
-            term.kind = TerminatorKind.FALLTHROUGH
+def relax(text_sections: List[WorkSection], base: int,
+          defs: Dict[str, Tuple[WorkSection, Symbol]], stats: "LinkStats") -> None:
+    """Run relaxation to a fixed point over ``text_sections`` (in layout
+    order), counting passes and rewrites into ``stats``.
 
-
-def _shrink_branch(ws: WorkSection, fixup) -> int:
-    old_size = instruction_size(fixup.opcode)
-    new_opcode = short_form(fixup.opcode)
-    new_size = instruction_size(new_opcode)
-    block = ws.block_containing(fixup.offset)
-    ws.splice(fixup.offset, old_size, encode_instruction(new_opcode, displacement=0))
-    ws.relocations.append(
-        Relocation(offset=fixup.offset + 1, rtype=RelocType.PC8, symbol=fixup.symbol)
-    )
-    if block is not None:
-        term = block.term
-        if term.uncond_br_offset == fixup.offset:
-            term.uncond_br_size = new_size
-        if term.cond_br_offset == fixup.offset:
-            term.cond_br_size = new_size
-    fixup.opcode = new_opcode
-    return old_size - new_size
-
-
-def relax(
-    text_sections: List[WorkSection],
-    base: int,
-    resolve: Callable[[str], int],
-    max_passes: int = 64,
-) -> RelaxStats:
-    """Run relaxation to a fixed point over ``text_sections`` (in layout order).
-
-    ``resolve`` maps a symbol name to its current absolute address and
-    must reflect the most recent :func:`assign_addresses` call; the
-    driver re-assigns addresses between passes.
+    ``defs`` maps a symbol name to its defining section and input symbol.
     """
-    stats = RelaxStats()
-    next_section: Dict[int, Optional[WorkSection]] = {}
-    for i, ws in enumerate(text_sections):
-        next_section[id(ws)] = text_sections[i + 1] if i + 1 < len(text_sections) else None
-
-    for _ in range(max_passes):
+    followers = text_sections[1:] + [None]
+    for _ in range(_MAX_PASSES):
         assign_addresses(text_sections, base)
-        changed = False
-        for ws in text_sections:
-            for fixup in list(ws.fixups):
-                size = instruction_size(fixup.opcode)
-                target = resolve(fixup.symbol)
-                branch_end = ws.vaddr + fixup.offset + size
-                disp = target - branch_end
-                if (
-                    fixup.deletable
-                    and disp == 0
-                    and fixup.offset + size == ws.size
-                    and _adjacency_stable(ws, next_section[id(ws)], target)
-                ):
-                    _delete_jump(ws, fixup)
-                    stats.deleted_jumps += 1
-                    stats.bytes_saved += size
-                    changed = True
-                    continue
-                if fixup.opcode in _SHRINKABLE:
-                    short_size = instruction_size(short_form(fixup.opcode))
-                    disp_short = target - (ws.vaddr + fixup.offset + short_size)
-                    if fits_short(disp_short):
-                        saved = _shrink_branch(ws, fixup)
-                        stats.shrunk_branches += 1
-                        stats.bytes_saved += saved
-                        changed = True
-        stats.passes += 1
-        if not changed:
-            break
-    assign_addresses(text_sections, base)
-    return stats
+        stats.relax_passes += 1
+        saved = 0
+        for ws, nxt in zip(text_sections, followers):
+            if ws.offsets:
+                saved += _sweep(ws, nxt, defs, stats)
+        if not saved:
+            return
+    raise LinkError(f"relaxation did not converge in {_MAX_PASSES} passes")
 
 
-def _adjacency_stable(ws: WorkSection, nxt: Optional[WorkSection], target: int) -> bool:
+def _sweep(ws: WorkSection, nxt: Optional[WorkSection],
+           defs: Dict[str, Tuple[WorkSection, Symbol]], stats: "LinkStats") -> int:
+    """One pass over one section's fixups, in offset order; returns bytes saved."""
+    offsets, rewritten, prefix = ws.offsets, ws.rewritten, ws.prefix
+    pending = 0  # bytes saved in this section so far in this pass
+    for i, fixup in enumerate(ws.section.branch_fixups):
+        prefix[i] += pending
+        opcode = rewritten.get(i, fixup.opcode)
+        short = _SHORT.get(opcode)
+        if short is None and (opcode is None or not fixup.deletable):
+            continue  # deleted, or already short and here to stay
+        entry = defs.get(fixup.symbol)
+        if entry is None:
+            raise LinkError(f"undefined symbol {fixup.symbol!r}")
+        tws, sym = entry
+        target = tws.vaddr + tws.remap(sym.offset)
+        if tws is ws and sym.offset > offsets[i]:
+            target -= pending  # ahead of the sweep: prefix not yet refreshed
+        size = OPCODE_SIZES[opcode]
+        start = ws.vaddr + offsets[i] - prefix[i]
+        if (
+            fixup.deletable
+            and target == start + size
+            and start + size == ws.vaddr + ws.size
+            and _adjacency_stable(nxt, target)
+        ):
+            pending += ws.rewrite(i, None)
+            stats.deleted_jumps += 1
+        elif short is not None and fits_short(target - (start + OPCODE_SIZES[short])):
+            pending += ws.rewrite(i, short)
+            stats.shrunk_branches += 1
+    prefix[-1] += pending
+    return pending
+
+
+def _adjacency_stable(nxt: Optional[WorkSection], target: int) -> bool:
     """Deleting a trailing jump is safe only when no alignment padding
     can later reappear between this section's end and the jump target:
     the target must be the start of the immediately-following section
     and that section must be unaligned (alignment 1)."""
-    if nxt is None:
-        return False
-    return nxt.alignment == 1 and target == nxt.vaddr
+    return nxt is not None and nxt.alignment == 1 and target == nxt.vaddr
 
 
-def apply_relocations(
-    sections: List[WorkSection], resolve: Callable[[str], int]
-) -> int:
-    """Patch every relocation into section bytes; returns count applied."""
-    applied = 0
-    for ws in sections:
-        for reloc in ws.relocations:
-            target = resolve(reloc.symbol) + reloc.addend
-            if reloc.rtype == RelocType.ABS32:
-                value = target
-                ws.data[reloc.offset : reloc.offset + 4] = value.to_bytes(4, "little")
-            else:
-                width = 1 if reloc.rtype == RelocType.PC8 else 4
-                pc = ws.vaddr + reloc.offset + width
-                disp = target - pc
-                if reloc.rtype == RelocType.PC8 and not fits_short(disp):
-                    raise OverflowError(
-                        f"PC8 relocation to {reloc.symbol} out of range ({disp})"
-                    )
-                ws.data[reloc.offset : reloc.offset + width] = disp.to_bytes(
-                    width, "little", signed=True
+def apply_relocations(ws: WorkSection, data: bytearray, addresses: Dict[str, int],
+                      retained: Optional[List[Tuple[int, Relocation]]] = None) -> int:
+    """Patch ``ws``'s relocations into ``data``; returns the count applied.
+
+    With ``retained`` given (``--emit-relocs``), each applied relocation
+    is also recorded there at its final address.
+    """
+    relocs = ws.relocations()
+    for offset, reloc in relocs:
+        target = addresses[reloc.symbol] + reloc.addend
+        if reloc.rtype == RelocType.ABS32:
+            data[offset : offset + 4] = target.to_bytes(4, "little")
+        else:
+            width = 1 if reloc.rtype == RelocType.PC8 else 4
+            disp = target - (ws.vaddr + offset + width)
+            if reloc.rtype == RelocType.PC8 and not fits_short(disp):
+                raise OverflowError(
+                    f"PC8 relocation to {reloc.symbol} out of range ({disp})"
                 )
-            applied += 1
-    return applied
+            data[offset : offset + width] = disp.to_bytes(width, "little", signed=True)
+        if retained is not None:
+            retained.append((ws.vaddr + offset, replace(reloc, offset=offset)))
+    return len(relocs)

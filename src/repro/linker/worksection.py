@@ -1,112 +1,131 @@
-"""Mutable per-section working state used during linking.
+"""Per-section link state: a read-only input section plus an offset remap.
 
-The linker never mutates input objects (they live in the build cache
-and must stay byte-stable); it copies each section into a
-:class:`WorkSection` whose bytes, relocations, fixups, symbols and
-block metadata are rewritten together by the relaxation pass.
+The linker never mutates or copies its inputs (they live in the build
+cache and must stay byte-stable).  A :class:`WorkSection` refers to its
+input :class:`~repro.elf.Section` and records only what relaxation
+decided: the new opcode of every rewritten branch fixup and, as prefix
+sums over the sorted fixup offsets, the bytes saved before each one.  Every
+other offset in the section -- symbols, relocations, blocks, terminator,
+call and prefetch offsets -- is derived on demand by :meth:`remap`; the
+section's bytes are built once, after the fixed point, by
+:meth:`materialize`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.elf import (
-    BlockMeta,
-    BranchFixup,
-    CallSite,
-    Relocation,
-    Section,
-    SectionKind,
-    TerminatorMeta,
-)
+from repro.elf import Relocation, RelocType, Section, Symbol
+from repro.isa import BRANCH_OPCODES, OPCODE_SIZES, Opcode, encode_instruction
+
+#: Each branch encoded with displacement 0, as codegen emits it for the
+#: linker to patch through a relocation.
+_UNPATCHED = {op: encode_instruction(op, displacement=0) for op in BRANCH_OPCODES}
 
 
-@dataclass
-class WorkSymbol:
-    """A symbol defined in this section, tracked by mutable offset."""
-
-    name: str
-    offset: int
-    size: int
-    binding: object
-    stype: object
+class LinkError(Exception):
+    """Raised on unresolved or duplicate symbols and layout errors."""
 
 
 class WorkSection:
-    """A deep, mutable copy of one input section."""
+    """One input section during a link.
+
+    ``offsets`` are the input offsets of the section's branch fixups
+    (validated in order and non-overlapping), ``rewritten`` maps a fixup
+    index to the opcode relaxation re-encoded it with (``None`` =
+    deleted), ``prefix[k]`` is the bytes saved by fixups ``0..k-1`` and
+    ``size`` the current size.
+    """
 
     def __init__(self, section: Section, origin: str):
-        self.name = section.name
+        self.section = section
+        self.origin = origin
         self.kind = section.kind
         self.alignment = section.alignment
-        self.link_name = section.link_name
-        self.origin = origin
-        self.data = bytearray(section.data)
-        self.relocations: List[Relocation] = [replace(r) for r in section.relocations]
-        self.fixups: List[BranchFixup] = [replace(f) for f in section.branch_fixups]
-        self.blocks: List[BlockMeta] = [
-            BlockMeta(
-                bb_id=b.bb_id, func=b.func, offset=b.offset, size=b.size,
-                term=replace(b.term), calls=[replace(c) for c in b.calls],
-                prefetches=[replace(p) for p in b.prefetches],
-                is_landing_pad=b.is_landing_pad, freq=b.freq,
-            )
-            for b in section.blocks
-        ]
-        self.symbols: List[WorkSymbol] = []
+        self.symbols: List[Symbol] = []
         self.vaddr = 0
+        self.size = len(section.data)
+        self.offsets: List[int] = []
+        end = 0
+        for fixup in section.branch_fixups:
+            if fixup.offset < end:
+                raise LinkError(
+                    f"{origin}: section {section.name}: branch fixup at offset "
+                    f"{fixup.offset} is out of order or overlaps its predecessor"
+                )
+            end = fixup.offset + OPCODE_SIZES[fixup.opcode]
+            self.offsets.append(fixup.offset)
+        if end > self.size:
+            raise LinkError(f"{origin}: section {section.name}: fixup past the section end")
+        self.prefix = [0] * (len(self.offsets) + 1)
+        #: Insertion order is the order branches were first rewritten,
+        #: which is the order their PC8 relocations are emitted in.
+        self.rewritten: Dict[int, Optional[Opcode]] = {}
+        #: Final bytes, set when the section's content is settled.
+        self.data = b""
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
+    def remap(self, p: int) -> int:
+        """Current offset of input offset ``p`` (negative values pass through).
 
-    def splice(self, offset: int, old_len: int, new_bytes: bytes) -> int:
-        """Replace ``old_len`` bytes at ``offset`` with ``new_bytes``.
-
-        Shifts every offset-bearing record past the splice point and
-        resizes the block containing it.  Relocations *inside* the
-        replaced range are dropped (the caller re-adds any replacement).
-        Returns the byte delta (negative when shrinking).
+        A position moves down by the bytes saved strictly before it, so
+        the start of a rewritten branch stays put and its end moves.
         """
-        if offset < 0 or offset + old_len > len(self.data):
-            raise ValueError("splice range out of bounds")
-        delta = len(new_bytes) - old_len
-        self.data[offset : offset + old_len] = new_bytes
-        end = offset + old_len
+        return p - self.prefix[bisect_left(self.offsets, p)]
 
-        self.relocations = [
-            r for r in self.relocations if not (offset <= r.offset < end)
-        ]
-        for reloc in self.relocations:
-            if reloc.offset >= end:
-                reloc.offset += delta
-        for fixup in self.fixups:
-            if fixup.offset >= end:
-                fixup.offset += delta
-        for sym in self.symbols:
-            if sym.offset > offset:
-                sym.offset += delta
-        for block in self.blocks:
-            term = block.term
-            if block.offset > offset:
-                block.offset += delta
-            elif block.offset <= offset < block.offset + block.size:
-                block.size += delta
-            for attr in ("cond_br_offset", "uncond_br_offset", "end_instr_offset"):
-                value = getattr(term, attr)
-                if value >= end:
-                    setattr(term, attr, value + delta)
-            for call in block.calls:
-                if call.offset >= end:
-                    call.offset += delta
-            for prefetch in block.prefetches:
-                if prefetch.offset >= end:
-                    prefetch.offset += delta
-        return delta
+    def rewrite(self, i: int, opcode: Optional[Opcode]) -> int:
+        """Re-encode fixup ``i`` as ``opcode`` (``None`` deletes the branch).
 
-    def block_containing(self, offset: int) -> Optional[BlockMeta]:
-        for block in self.blocks:
-            if block.offset <= offset < block.offset + block.size:
-                return block
-        return None
+        Returns the bytes saved.  ``prefix`` is not touched: the
+        relaxation sweep that decides rewrites carries the running total
+        forward (see :mod:`repro.linker.relax`).
+        """
+        old = self.rewritten.get(i, self.section.branch_fixups[i].opcode)
+        saved = OPCODE_SIZES[old] - (OPCODE_SIZES[opcode] if opcode else 0)
+        self.rewritten[i] = opcode
+        self.size -= saved
+        return saved
+
+    def materialize(self) -> bytearray:
+        """The section's bytes with every rewritten branch re-encoded
+        (displacement 0, to be patched through :meth:`relocations`)."""
+        data = self.section.data
+        if not self.rewritten:
+            return bytearray(data)
+        pieces = []
+        cursor = 0
+        for i, opcode in sorted(self.rewritten.items()):
+            fixup = self.section.branch_fixups[i]
+            pieces.append(data[cursor : fixup.offset])
+            if opcode is not None:
+                pieces.append(_UNPATCHED[opcode])
+            cursor = fixup.offset + OPCODE_SIZES[fixup.opcode]
+        pieces.append(data[cursor:])
+        out = bytearray(b"".join(pieces))
+        if len(out) != self.size:
+            raise LinkError(f"{self.origin}: section {self.section.name}: relaxed size mismatch")
+        return out
+
+    def relocations(self) -> List[Tuple[int, Relocation]]:
+        """``(current offset, relocation)`` for everything still to apply.
+
+        Input relocations keep their order; one inside a rewritten branch
+        is dropped, and every branch that ended up short gets a PC8
+        relocation on its displacement byte.
+        """
+        offsets, rewritten, remap = self.offsets, self.rewritten, self.remap
+        if not rewritten:
+            return [(r.offset, r) for r in self.section.relocations]
+        fixups = self.section.branch_fixups
+        out = []
+        for r in self.section.relocations:
+            i = bisect_right(offsets, r.offset) - 1  # the fixup at or before it
+            if i in rewritten and r.offset < offsets[i] + OPCODE_SIZES[fixups[i].opcode]:
+                continue
+            out.append((remap(r.offset), r))
+        for i, opcode in rewritten.items():
+            if opcode is not None:
+                at = remap(offsets[i]) + 1
+                out.append((at, Relocation(offset=at, rtype=RelocType.PC8,
+                                           symbol=fixups[i].symbol)))
+        return out

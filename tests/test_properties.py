@@ -106,8 +106,7 @@ def test_relaxation_never_grows_text(seed):
     entry = module.functions[0].name
     compiled = compile_module(module, CodeGenOptions(bb_sections=BBSectionsMode.ALL))
     relaxed = link([compiled.obj], LinkOptions(entry_symbol=entry, relax=True))
-    compiled2 = compile_module(module, CodeGenOptions(bb_sections=BBSectionsMode.ALL))
-    unrelaxed = link([compiled2.obj], LinkOptions(entry_symbol=entry, relax=False))
+    unrelaxed = link([compiled.obj], LinkOptions(entry_symbol=entry, relax=False))
     assert relaxed.executable.text_size <= unrelaxed.executable.text_size
 
 
