@@ -73,7 +73,12 @@ def ext_tsp_score(
     edges: Iterable[Tuple[NodeId, NodeId, float]],
     params: LayoutParams = DEFAULT_PARAMS,
 ) -> float:
-    """Score a complete layout (used by tests and the optimizer itself)."""
+    """Score a complete layout: the definition of the objective.
+
+    The solver never calls this -- it scores merge candidates without
+    laying chains out (:meth:`ExtTSP._placed_score`) -- and the tests
+    pin that scorer to this function, bit for bit.
+    """
     offsets: Dict[NodeId, int] = {}
     cursor = 0
     for node in order:
@@ -100,12 +105,29 @@ class _Chain:
         self.score = 0.0
 
 
+#: One edge of a candidate pair, resolved against the chain being split:
+#: (src in split chain, src end, dst in split chain, dst start,
+#:  weight * fallthrough_weight, weight * forward_weight,
+#:  weight * backward_weight), offsets relative to the node's own chain.
+_ResolvedEdge = Tuple[bool, int, bool, int, float, float, float]
+
+
 class ExtTSP:
     """Greedy chain-merging Ext-TSP solver.
 
     ``nodes`` maps node id to (byte size, execution weight); ``edges``
     are directed ``(src, dst, weight)`` jump frequencies.  ``entry``
     (when given) is pinned to the front of the layout.
+
+    A merge candidate is scored without laying the merged chain out:
+    every placement of one chain relative to the other is "split chain
+    ``outer`` at byte offset ``cut`` and insert ``inner`` there", so a
+    node's placed offset is its offset within its own chain plus
+    ``cut`` (inner) or plus ``inner.size`` when at or past the cut
+    (outer).  :meth:`_placed_score` adds the same ``weight * K(d)``
+    terms as :func:`ext_tsp_score`, in the same edge order, from those
+    integers -- the same doubles, hence the same merge decisions -- and
+    only the winning placement is ever materialised.
     """
 
     def __init__(
@@ -117,17 +139,20 @@ class ExtTSP:
     ):
         self._params = params
         self._sizes = {n: max(1, int(size)) for n, (size, _w) in nodes.items()}
-        self._weights = {n: w for n, (_s, w) in nodes.items()}
         self._entry = entry
         if entry is not None and entry not in nodes:
             raise ValueError("entry node not in node set")
         self._chains: Dict[int, _Chain] = {}
         self._node_chain: Dict[NodeId, int] = {}
+        #: Byte offset of each node within its current chain.
+        self._start: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
         self._pair_edges: Dict[Tuple[int, int], List[Tuple[NodeId, NodeId, float]]] = {}
-        self._heap: List[Tuple[float, int, int, int, int, int, int]] = []
+        #: (-gain, tiebreak, x cid, x version, y cid, y version,
+        #:  x is the split chain, split index, merged score)
+        self._heap: List[Tuple[float, int, int, int, int, int, bool, int, float]] = []
         self._tiebreak = 0
-        for i, (node, (size, weight)) in enumerate(nodes.items()):
-            chain = _Chain(i, node, max(1, int(size)), weight, node == entry)
+        for i, (node, (_size, weight)) in enumerate(nodes.items()):
+            chain = _Chain(i, node, self._sizes[node], weight, node == entry)
             self._chains[i] = chain
             self._node_chain[node] = i
         for src, dst, weight in edges:
@@ -144,11 +169,10 @@ class ExtTSP:
 
     # -- scoring helpers ------------------------------------------------
 
-    def _chain_score(self, order: List[NodeId], edge_list) -> float:
-        return ext_tsp_score(order, self._sizes, edge_list, self._params)
-
-    def _merge_variants(self, x: _Chain, y: _Chain) -> List[List[NodeId]]:
-        """All legal placements of y relative to x.
+    def _placements(self, x: _Chain, y: _Chain) -> List[Tuple[_Chain, _Chain, int, int]]:
+        """All legal placements of y relative to x, in evaluation order,
+        as ``(outer, inner, split, cut)``: ``inner`` goes before
+        ``outer.nodes[split]``, which starts ``cut`` bytes into ``outer``.
 
         Concatenations both ways, plus splicing one chain into the
         other at every split point (bounded by the split threshold).
@@ -156,47 +180,94 @@ class ExtTSP:
         its first node.
         """
         threshold = self._params.chain_split_threshold
-        variants: List[List[NodeId]] = []
+        start = self._start
+        placements: List[Tuple[_Chain, _Chain, int, int]] = []
         if not y.has_entry:
-            variants.append(x.nodes + y.nodes)
+            placements.append((x, y, len(x.nodes), x.size))
         if not x.has_entry:
-            variants.append(y.nodes + x.nodes)
+            placements.append((y, x, len(y.nodes), y.size))
         if not y.has_entry and 2 <= len(x.nodes) <= threshold:
-            for split in range(1, len(x.nodes)):
-                variants.append(x.nodes[:split] + y.nodes + x.nodes[split:])
+            placements.extend(
+                (x, y, split, start[x.nodes[split]]) for split in range(1, len(x.nodes)))
         if not x.has_entry and 2 <= len(y.nodes) <= threshold:
-            for split in range(1, len(y.nodes)):
-                variants.append(y.nodes[:split] + x.nodes + y.nodes[split:])
-        return variants
+            placements.extend(
+                (y, x, split, start[y.nodes[split]]) for split in range(1, len(y.nodes)))
+        return placements
 
-    def _best_merge(self, x: _Chain, y: _Chain) -> Optional[Tuple[float, List[NodeId]]]:
+    def _resolve(self, edge_list, outer: _Chain) -> List[_ResolvedEdge]:
+        """Per-edge operands of :meth:`_placed_score` for splitting ``outer``."""
+        params = self._params
+        start, sizes, chain_of, cid = self._start, self._sizes, self._node_chain, outer.cid
+        return [
+            (chain_of[src] == cid, start[src] + sizes[src], chain_of[dst] == cid, start[dst],
+             weight * params.fallthrough_weight, weight * params.forward_weight,
+             weight * params.backward_weight)
+            for src, dst, weight in edge_list
+        ]
+
+    def _placed_score(self, resolved: List[_ResolvedEdge], cut: int, inserted: int) -> float:
+        """Ext-TSP score of the chain made by inserting ``inserted`` bytes
+        (the other chain) at offset ``cut`` of the split chain.
+
+        Term for term :func:`ext_tsp_score` of the materialised order
+        over the same edge list: same products, same left-to-right sum
+        (zero terms are skipped; adding 0.0 changes no partial sum).
+        """
+        forward_window = self._params.forward_window
+        backward_window = self._params.backward_window
+        total = 0.0
+        for src_outer, src_end, dst_outer, dst_start, fallthrough, forward, backward in resolved:
+            if not src_outer:
+                src_end += cut
+            elif src_end > cut:
+                src_end += inserted
+            if not dst_outer:
+                dst_start += cut
+            elif dst_start >= cut:
+                dst_start += inserted
+            if dst_start == src_end:
+                total += fallthrough
+            elif dst_start > src_end:
+                dist = dst_start - src_end
+                if dist <= forward_window:
+                    total += forward * (1.0 - dist / forward_window)
+            else:
+                dist = src_end - dst_start
+                if dist <= backward_window:
+                    total += backward * (1.0 - dist / backward_window)
+        return total
+
+    def _best_merge(self, x: _Chain, y: _Chain) -> Optional[Tuple[float, bool, int, float]]:
+        """Most profitable placement of y relative to x as ``(gain, x is
+        the split chain, split, merged score)``, or None."""
         key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
         cross = self._pair_edges.get(key)
         if not cross:
             return None
         edge_list = x.intra + y.intra + cross
+        resolved: Dict[int, List[_ResolvedEdge]] = {}  # by split chain
         base = x.score + y.score
         best_gain = 0.0
-        best_order: Optional[List[NodeId]] = None
-        for order in self._merge_variants(x, y):
-            score = self._chain_score(order, edge_list)
-            gain = score - base
+        best: Optional[Tuple[float, bool, int, float]] = None
+        for outer, inner, split, cut in self._placements(x, y):
+            if outer.cid not in resolved:
+                resolved[outer.cid] = self._resolve(edge_list, outer)
+            total = self._placed_score(resolved[outer.cid], cut, inner.size)
+            gain = total - base
             if gain > best_gain + 1e-12:
                 best_gain = gain
-                best_order = order
-        if best_order is None:
-            return None
-        return best_gain, best_order
+                best = (gain, outer is x, split, total)
+        return best
 
     def _push_candidate(self, x: _Chain, y: _Chain) -> None:
-        merged = self._best_merge(x, y)
-        if merged is None:
+        best = self._best_merge(x, y)
+        if best is None:
             return
-        gain, _order = merged
+        gain, split_x, split, total = best
         self._tiebreak += 1
         heapq.heappush(
             self._heap,
-            (-gain, self._tiebreak, x.cid, x.version, y.cid, y.version, 0),
+            (-gain, self._tiebreak, x.cid, x.version, y.cid, y.version, split_x, split, total),
         )
 
     # -- main loop -------------------------------------------------------
@@ -211,21 +282,23 @@ class ExtTSP:
             self._push_candidate(self._chains[a], self._chains[b])
 
         while self._heap:
-            neg_gain, _tb, a_id, a_ver, b_id, b_ver, _ = heapq.heappop(self._heap)
+            _neg_gain, _tb, a_id, a_ver, b_id, b_ver, split_a, split, total = heapq.heappop(self._heap)
             chain_a = self._chains.get(a_id)
             chain_b = self._chains.get(b_id)
             if chain_a is None or chain_b is None:
                 continue
             if chain_a.version != a_ver or chain_b.version != b_ver:
                 continue  # stale candidate (lazy invalidation)
-            merged = self._best_merge(chain_a, chain_b)
-            if merged is None or merged[0] <= 0:
-                continue
-            _gain, order = merged
-            self._merge(chain_a, chain_b, order, neighbours)
+            # Both chains are as they were when the candidate was scored,
+            # so the placement and its score still hold.
+            outer, inner = (chain_a, chain_b) if split_a else (chain_b, chain_a)
+            order = outer.nodes[:split] + inner.nodes + outer.nodes[split:]
+            self._merge(chain_a, chain_b, order, total, neighbours)
         return self._final_order()
 
-    def _merge(self, x: _Chain, y: _Chain, order: List[NodeId], neighbours: Dict[int, set]) -> None:
+    def _merge(
+        self, x: _Chain, y: _Chain, order: List[NodeId], score: float, neighbours: Dict[int, set]
+    ) -> None:
         key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
         cross = self._pair_edges.pop(key, [])
         x.nodes = order
@@ -234,9 +307,12 @@ class ExtTSP:
         x.weight += y.weight
         x.has_entry = x.has_entry or y.has_entry
         x.version += 1
-        x.score = self._chain_score(x.nodes, x.intra)
-        for node in y.nodes:
+        x.score = score
+        cursor = 0
+        for node in order:
             self._node_chain[node] = x.cid
+            self._start[node] = cursor
+            cursor += self._sizes[node]
         del self._chains[y.cid]
         # Re-bucket y's pair edges onto x and refresh candidates.
         y_neigh = neighbours.pop(y.cid, set())
@@ -274,7 +350,7 @@ def ext_tsp_order(
     """Convenience wrapper: build a solver and return the layout order."""
     if not nodes:
         return []
-    return ExtTSP(nodes, dict_edges_ok(edges), entry=entry, params=params).solve()
+    return ExtTSP(nodes, aggregate_edges(edges), entry=entry, params=params).solve()
 
 
 def solve_signature(
@@ -352,7 +428,7 @@ def ext_tsp_order_many(
     return results  # type: ignore[return-value]
 
 
-def dict_edges_ok(edges: Iterable[Tuple[NodeId, NodeId, float]]):
+def aggregate_edges(edges: Iterable[Tuple[NodeId, NodeId, float]]):
     """Aggregate duplicate directed edges by summing weights."""
     agg: Dict[Tuple[NodeId, NodeId], float] = {}
     for src, dst, weight in edges:

@@ -176,23 +176,73 @@ class _AddressMapIndex:
 
     def blocks_between(self, func: str, lo_pos: int, hi_pos: int) -> List[int]:
         """bb ids of layout positions [lo_pos, hi_pos] of ``func``."""
-        i = self._func_index(func)
-        return [e.bb_id for e in self.func_maps[i].entries[lo_pos : hi_pos + 1]]
+        return [e.bb_id for e in self.function_map(func).entries[lo_pos : hi_pos + 1]]
 
     def function_map(self, func: str) -> bbaddrmap.FunctionMap:
-        return self.func_maps[self._func_index(func)]
-
-    def _func_index(self, func: str) -> int:
-        try:
-            return self._name_index[func]
-        except KeyError:
-            raise KeyError(func) from None
+        return self.func_maps[self._name_index[func]]
 
 
 def _build_dcfg(
     index: _AddressMapIndex, perf: PerfData, stats: WPAStats
-) -> Tuple[Dict[str, FunctionDCFG], Dict[Tuple[str, str], float], Dict[Tuple[str, int, str, int], float]]:
-    """Process every LBR record into block counts, CFG edges and call edges."""
+) -> Tuple[
+    Dict[str, FunctionDCFG],
+    Dict[Tuple[str, str], float],
+    Dict[Tuple[str, int, str, int], float],
+    Dict[str, int],
+]:
+    """Turn the LBR records into block counts, CFG edges and call edges.
+
+    Aggregate, then resolve: a profile of hundreds of thousands of
+    records holds a few thousand distinct addresses and transfers, so
+    the records are first only *counted* -- each address resolved once,
+    each distinct taken branch and each distinct fall-through range
+    tallied in order of first appearance -- and every distinct event is
+    then expanded once, weighted by its count.  Counts are sums of 1.0,
+    exact in a double, and replaying the events in first-appearance
+    order first touches every dict key in the order the records did, so
+    the result is what record-by-record processing gives, dict order
+    included.  The fourth value says how much distinct work there was.
+    """
+    # Pass 1: count.  Events are keyed (from address, to address, is
+    # fall-through); a record's fall-through comes before its branch.
+    refs: Dict[int, Optional[_BlockRef]] = {}
+    events: Dict[Tuple[int, int, bool], int] = {}
+    lookup = index.lookup
+    dropped = 0
+    for sample in perf.samples:
+        stats.num_records += len(sample.records)
+        prev_dst: Optional[int] = None
+        for src, dst in sample.records:
+            try:
+                sref = refs[src]
+            except KeyError:
+                sref = refs[src] = lookup(src)
+            try:
+                dref = refs[dst]
+            except KeyError:
+                dref = refs[dst] = lookup(dst)
+            if sref is None or dref is None:
+                dropped += 1
+                prev_dst = None
+                continue
+            # Fall-through inference: control ran sequentially from the
+            # previous record's destination to this record's source.
+            if prev_dst is not None:
+                key = (prev_dst, src, True)
+                try:
+                    events[key] += 1
+                except KeyError:
+                    events[key] = 1
+            # The taken branch itself.
+            key = (src, dst, False)
+            try:
+                events[key] += 1
+            except KeyError:
+                events[key] = 1
+            prev_dst = dst
+    stats.records_dropped += dropped
+
+    # Pass 2: expand each distinct event once.
     dcfg: Dict[str, FunctionDCFG] = {}
     call_edges: Dict[Tuple[str, str], float] = {}
     block_call_edges: Dict[Tuple[str, int, str, int], float] = {}
@@ -204,44 +254,37 @@ def _build_dcfg(
             dcfg[name] = out
         return out
 
-    for sample in perf.samples:
-        prev_dst_ref: Optional[_BlockRef] = None
-        for src, dst in sample.records:
-            stats.num_records += 1
-            sref = index.lookup(src)
-            dref = index.lookup(dst)
-            if sref is None or dref is None:
-                stats.records_dropped += 1
-                prev_dst_ref = None
-                continue
-            # Fall-through inference: control ran sequentially from the
-            # previous record's destination to this record's source.
-            if (
-                prev_dst_ref is not None
-                and prev_dst_ref.func == sref.func
-                and prev_dst_ref.pos <= sref.pos
-            ):
-                func_d = fd(sref.func)
-                ids = index.blocks_between(sref.func, prev_dst_ref.pos, sref.pos)
+    fallthroughs = 0
+    for (from_addr, to_addr, is_fallthrough), count in events.items():
+        weight = float(count)
+        a, b = refs[from_addr], refs[to_addr]
+        if is_fallthrough:
+            fallthroughs += 1
+            if a.func == b.func and a.pos <= b.pos:
+                func_d = fd(a.func)
+                ids = index.blocks_between(a.func, a.pos, b.pos)
                 counts = func_d.block_counts
                 for bb_id in ids:
-                    counts[bb_id] = counts.get(bb_id, 0.0) + 1.0
+                    counts[bb_id] = counts.get(bb_id, 0.0) + weight
                 edges = func_d.edges
-                for a, b in zip(ids, ids[1:]):
-                    edges[(a, b)] = edges.get((a, b), 0.0) + 1.0
-            # The taken branch itself.
-            if sref.func == dref.func:
-                func_d = fd(sref.func)
-                key = (sref.bb_id, dref.bb_id)
-                func_d.edges[key] = func_d.edges.get(key, 0.0) + 1.0
-            elif dref.is_entry:
-                call_key = (sref.func, dref.func)
-                call_edges[call_key] = call_edges.get(call_key, 0.0) + 1.0
-                bkey = (sref.func, sref.bb_id, dref.func, dref.bb_id)
-                block_call_edges[bkey] = block_call_edges.get(bkey, 0.0) + 1.0
-            # Returns / other cross-function transfers: no layout edge.
-            prev_dst_ref = dref
-    return dcfg, call_edges, block_call_edges
+                for edge in zip(ids, ids[1:]):
+                    edges[edge] = edges.get(edge, 0.0) + weight
+        elif a.func == b.func:
+            func_d = fd(a.func)
+            key = (a.bb_id, b.bb_id)
+            func_d.edges[key] = func_d.edges.get(key, 0.0) + weight
+        elif b.is_entry:
+            call_key = (a.func, b.func)
+            call_edges[call_key] = call_edges.get(call_key, 0.0) + weight
+            bkey = (a.func, a.bb_id, b.func, b.bb_id)
+            block_call_edges[bkey] = block_call_edges.get(bkey, 0.0) + weight
+        # Returns / other cross-function transfers: no layout edge.
+    distinct = {
+        "distinct_addresses": len(refs),
+        "distinct_branches": len(events) - fallthroughs,
+        "distinct_fallthroughs": fallthroughs,
+    }
+    return dcfg, call_edges, block_call_edges, distinct
 
 
 def _merge_superblocks(
@@ -283,11 +326,11 @@ def _superblock_problem(
 ) -> Tuple[Dict[int, Tuple[int, float]], List[Tuple[int, int, float]], int, Dict[int, List[int]]]:
     """Project one function's DCFG onto superblock leaders.
 
-    The cheap half of :func:`_superblock_layout`: grouping and edge
-    projection stay in the submitting process; the returned
-    ``(nodes, edges, entry)`` problem is what the (possibly remote)
-    Ext-TSP solve consumes.  Also returns ``by_leader`` for flattening
-    the solved leader order back to block ids.
+    Grouping and edge projection are cheap and stay in the submitting
+    process; the returned ``(nodes, edges, entry)`` problem is what the
+    (possibly remote) Ext-TSP solve consumes (see :func:`_intra_layout`).
+    Also returns ``by_leader`` for flattening the solved leader order
+    back to block ids.
     """
     groups = _merge_superblocks(hot_ids, counts, edges)
     leader_of: Dict[int, int] = {}
@@ -310,22 +353,6 @@ def _superblock_problem(
     projected.extend((a, b, eps) for a, b in zip(leaders, leaders[1:]))
     by_leader = {g[0]: g for g in groups}
     return nodes, projected, leader_of[entry_id], by_leader
-
-
-def _superblock_layout(
-    hot_ids: List[int],
-    sizes: Dict[int, int],
-    counts: Dict[int, float],
-    edges: Dict[Tuple[int, int], float],
-    entry_id: int,
-    params: LayoutParams,
-) -> List[int]:
-    """Ext-TSP over superblocks; returns the flattened block order."""
-    nodes, projected, entry, by_leader = _superblock_problem(
-        hot_ids, sizes, counts, edges, entry_id
-    )
-    order = ext_tsp_order(nodes, projected, entry=entry, params=params)
-    return [bb for leader in order for bb in by_leader[leader]]
 
 
 def _layout_prior_edges(hot_ids, sampled_edges):
@@ -400,7 +427,8 @@ def _intra_layout(
         meter.free_category("wpa-layout")
         if not options.split_cold:
             # Keep the whole function in one section: append cold blocks.
-            order = order + [e.bb_id for e in fmap.entries if e.bb_id not in set(order)]
+            placed = set(order)
+            order = order + [e.bb_id for e in fmap.entries if e.bb_id not in placed]
         clusters[name] = [order]
         hot_funcs.append(name)
         hot_size = sum(sizes[bb] for bb in order)
@@ -549,8 +577,8 @@ def analyze(
     own.allocate(perf.size_bytes, "wpa-profile")
 
     with trace.span("wpa:dcfg", category="wpa") as sp:
-        dcfg, call_edges, block_call_edges = _build_dcfg(index, perf, stats)
-        sp.note(records=stats.num_records, dropped=stats.records_dropped)
+        dcfg, call_edges, block_call_edges, distinct = _build_dcfg(index, perf, stats)
+        sp.note(records=stats.num_records, dropped=stats.records_dropped, **distinct)
     stats.dcfg_nodes = sum(len(fd.block_counts) for fd in dcfg.values())
     stats.dcfg_edges = sum(fd.num_edges for fd in dcfg.values())
     own.allocate(

@@ -32,7 +32,7 @@ def convert_to_ir_profile(metadata_exe, perf) -> IRProfile:
     from repro.core.wpa import WPAStats, _AddressMapIndex, _build_dcfg
 
     index = _AddressMapIndex(metadata_exe)
-    dcfg, call_edges, _block_calls = _build_dcfg(index, perf, WPAStats())
+    dcfg, call_edges, _block_calls, _distinct = _build_dcfg(index, perf, WPAStats())
 
     profile = IRProfile()
     for name, fd in dcfg.items():

@@ -193,6 +193,40 @@ class IRProfile:
         return out
 
 
+def _cumulative(choices):
+    """``[(item, prob), ...]`` -> ``((cumulative prob, item), ...)``,
+    accumulated left to right as the walk's draw loop used to."""
+    acc = 0.0
+    out = []
+    for item, prob in choices:
+        acc += prob
+        out.append((acc, item))
+    return tuple(out)
+
+
+def _compile_block(function: ir.Function, bb_id: int):
+    """What the walk needs of one block, worked out once per visited
+    block (the IR-level analogue of ``trace._compile_nodes``).
+
+    Returns ``(calls, successors)``: one ``(callee, targets)`` per call
+    site that transfers control (``targets`` is the cumulative
+    indirect-target table when ``callee`` is None), and the cumulative
+    successor table, or None when the block returns.
+    """
+    block = function.block(bb_id)
+    calls = []
+    for instr in block.instrs:
+        if not isinstance(instr, ir.Call):
+            continue
+        if instr.callee is not None:
+            calls.append((instr.callee, None))
+        elif instr.indirect_targets:
+            calls.append((None, _cumulative(instr.indirect_targets)))
+    if isinstance(block.term, (ir.Ret, ir.Unreachable)):
+        return tuple(calls), None
+    return tuple(calls), _cumulative(ir_cfg.successor_edges(block))
+
+
 def collect_ir_profile(
     program: ir.Program, max_steps: int = 200_000, seed: int = 0, drift: float = 0.0
 ) -> IRProfile:
@@ -205,76 +239,55 @@ def collect_ir_profile(
     pseudo-probe/BB hashes).
     """
     profile = IRProfile()
-    rng = random.Random(seed)
+    random_draw = random.Random(seed).random
     edges = profile.edges
     blocks = profile.blocks
     calls = profile.call_counts
 
-    func_cache: Dict[str, ir.Function] = {}
-
-    def function(name: str) -> ir.Function:
-        fn = func_cache.get(name)
-        if fn is None:
-            fn = program.function(name)
-            func_cache[name] = fn
-        return fn
+    #: (function name, block id) -> _compile_block(...)
+    compiled: Dict[Tuple[str, int], tuple] = {}
 
     entry_name = program.entry_function
-    # Frames: (function name, block id, index of next call instr to process).
+    # Frames: (function name, block id, index of next call site to process).
     frames: List[Tuple[str, int, int]] = []
     fname, bb_id, call_idx = entry_name, 0, 0
     calls[entry_name] = calls.get(entry_name, 0.0) + 1
-    steps = 0
-    while steps < max_steps:
-        steps += 1
-        fn = function(fname)
-        block = fn.block(bb_id)
+    # One draw per indirect call and one per terminator with successors
+    # (single-successor jumps included): the seeded outputs are pinned
+    # to this draw sequence.
+    for _step in range(max_steps):
+        node = compiled.get((fname, bb_id))
+        if node is None:
+            node = compiled[(fname, bb_id)] = _compile_block(program.function(fname), bb_id)
+        sites, successors = node
         if call_idx == 0:
             fblocks = blocks.setdefault(fname, {})
             fblocks[bb_id] = fblocks.get(bb_id, 0.0) + 1
 
-        transferred = False
-        instrs = block.instrs
-        while call_idx < len(instrs):
-            instr = instrs[call_idx]
-            call_idx += 1
-            if not isinstance(instr, ir.Call):
-                continue
-            if instr.callee is not None:
-                target = instr.callee
-            elif instr.indirect_targets:
-                r = rng.random()
-                acc = 0.0
-                target = instr.indirect_targets[-1][0]
-                for name, prob in instr.indirect_targets:
-                    acc += prob
+        if call_idx < len(sites):
+            target, indirect_targets = sites[call_idx]
+            if target is None:
+                r = random_draw()
+                target = indirect_targets[-1][1]
+                for acc, name in indirect_targets:
                     if r < acc:
                         target = name
                         break
-            else:
-                continue
             calls[target] = calls.get(target, 0.0) + 1
-            frames.append((fname, bb_id, call_idx))
-            fname, bb_id, call_idx = target, function(target).entry.bb_id, 0
-            transferred = True
-            break
-        if transferred:
+            frames.append((fname, bb_id, call_idx + 1))
+            fname, bb_id, call_idx = target, program.function(target).entry.bb_id, 0
             continue
 
-        term = block.term
-        if isinstance(term, ir.Ret) or isinstance(term, ir.Unreachable):
+        if successors is None:
             if frames:
                 fname, bb_id, call_idx = frames.pop()
             else:
                 fname, bb_id, call_idx = entry_name, 0, 0
                 calls[entry_name] += 1
             continue
-        successors = ir_cfg.successor_edges(block)
-        r = rng.random()
-        acc = 0.0
-        nxt = successors[-1][0]
-        for succ, prob in successors:
-            acc += prob
+        r = random_draw()
+        nxt = successors[-1][1]
+        for acc, succ in successors:
             if r < acc:
                 nxt = succ
                 break
@@ -283,5 +296,5 @@ def collect_ir_profile(
         fedges[key] = fedges.get(key, 0.0) + 1
         bb_id, call_idx = nxt, 0
     for fname in profile.blocks:
-        profile.anchors[fname] = function_anchors(function(fname))
+        profile.anchors[fname] = function_anchors(program.function(fname))
     return profile

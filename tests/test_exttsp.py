@@ -1,5 +1,6 @@
 """Tests for the Ext-TSP layout algorithm."""
 
+import heapq
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from repro.core.exttsp import (
     DEFAULT_PARAMS,
     ExtTSP,
     LayoutParams,
+    aggregate_edges,
     edge_score,
     ext_tsp_order,
     ext_tsp_score,
@@ -178,3 +180,171 @@ class TestParams:
         params = LayoutParams(forward_window=64, backward_window=32)
         assert edge_score(10.0, 0, 63, params) > 0
         assert edge_score(10.0, 0, 65, params) == 0
+
+
+# -- the solver's scorer against the definition ---------------------------
+
+
+class _ReferenceExtTSP(ExtTSP):
+    """The solver as it was before placements were scored in place:
+    every variant is laid out, scored whole with ``ext_tsp_score``, and
+    scored again when its candidate is popped.  Kept as the reference.
+    """
+
+    def _merge_variants(self, x, y):
+        threshold = self._params.chain_split_threshold
+        variants = []
+        if not y.has_entry:
+            variants.append(x.nodes + y.nodes)
+        if not x.has_entry:
+            variants.append(y.nodes + x.nodes)
+        if not y.has_entry and 2 <= len(x.nodes) <= threshold:
+            for split in range(1, len(x.nodes)):
+                variants.append(x.nodes[:split] + y.nodes + x.nodes[split:])
+        if not x.has_entry and 2 <= len(y.nodes) <= threshold:
+            for split in range(1, len(y.nodes)):
+                variants.append(y.nodes[:split] + x.nodes + y.nodes[split:])
+        return variants
+
+    def _best_merge(self, x, y):
+        key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
+        cross = self._pair_edges.get(key)
+        if not cross:
+            return None
+        edge_list = x.intra + y.intra + cross
+        base = x.score + y.score
+        best_gain = 0.0
+        best_order = None
+        for order in self._merge_variants(x, y):
+            gain = ext_tsp_score(order, self._sizes, edge_list, self._params) - base
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best_order = order
+        if best_order is None:
+            return None
+        return best_gain, best_order
+
+    def _push_candidate(self, x, y):
+        merged = self._best_merge(x, y)
+        if merged is None:
+            return
+        self._tiebreak += 1
+        heapq.heappush(
+            self._heap, (-merged[0], self._tiebreak, x.cid, x.version, y.cid, y.version))
+
+    def solve(self):
+        neighbours = {cid: set() for cid in self._chains}
+        for a, b in self._pair_edges:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        for a, b in list(self._pair_edges.keys()):
+            self._push_candidate(self._chains[a], self._chains[b])
+        while self._heap:
+            _neg_gain, _tb, a_id, a_ver, b_id, b_ver = heapq.heappop(self._heap)
+            chain_a = self._chains.get(a_id)
+            chain_b = self._chains.get(b_id)
+            if chain_a is None or chain_b is None:
+                continue
+            if chain_a.version != a_ver or chain_b.version != b_ver:
+                continue
+            merged = self._best_merge(chain_a, chain_b)
+            if merged is None or merged[0] <= 0:
+                continue
+            order = merged[1]
+            key = (a_id, b_id) if a_id < b_id else (b_id, a_id)
+            intra = chain_a.intra + chain_b.intra + self._pair_edges.get(key, [])
+            self._merge(chain_a, chain_b, order,
+                        ext_tsp_score(order, self._sizes, intra, self._params), neighbours)
+        return self._final_order()
+
+
+def _neighbours(solver):
+    neighbours = {cid: set() for cid in solver._chains}
+    for a, b in solver._pair_edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    return neighbours
+
+
+def _force_chain(solver, group, neighbours):
+    """Concatenate the singleton chains of ``group`` into one chain."""
+    head = solver._chains[solver._node_chain[group[0]]]
+    for node in group[1:]:
+        tail = solver._chains[solver._node_chain[node]]
+        key = (head.cid, tail.cid) if head.cid < tail.cid else (tail.cid, head.cid)
+        order = head.nodes + tail.nodes
+        edge_list = head.intra + tail.intra + solver._pair_edges.get(key, [])
+        score = ext_tsp_score(order, solver._sizes, edge_list, solver._params)
+        solver._merge(head, tail, order, score, neighbours)
+    return head
+
+
+@st.composite
+def _chain_pairs(draw):
+    """Two disjoint chains over nodes 0..n-1 plus edges of every kind."""
+    len_x = draw(st.integers(min_value=1, max_value=6))
+    len_y = draw(st.integers(min_value=1, max_value=6))
+    n = len_x + len_y
+    nodes = {i: (draw(st.integers(min_value=0, max_value=400)), 1.0) for i in range(n)}
+    permutation = draw(st.permutations(range(n)))
+    node = st.integers(min_value=0, max_value=n - 1)
+    # Zero and negative weights and self edges are dropped by the
+    # solver; duplicates are kept as separate terms.
+    weight = st.one_of(st.sampled_from([0.0, -3.0, 1e-9, 0.1, 7.0]),
+                       st.floats(min_value=0.0, max_value=1e6))
+    edges = draw(st.lists(st.tuples(node, node, weight), max_size=30))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    entry = draw(st.sampled_from([None, permutation[0], permutation[len_x]]))
+    # Chain lengths 1..6 fall on both sides of this threshold.
+    params = LayoutParams(chain_split_threshold=draw(st.sampled_from([3, 128])))
+    return nodes, edges, entry, params, permutation[:len_x], permutation[len_x:]
+
+
+class TestPlacedScore:
+    @settings(max_examples=200, deadline=None)
+    @given(_chain_pairs())
+    def test_every_placement_scores_as_its_materialised_order(self, case):
+        nodes, edges, entry, params, group_x, group_y = case
+        solver = ExtTSP(nodes, edges, entry=entry, params=params)
+        neighbours = _neighbours(solver)
+        x = _force_chain(solver, list(group_x), neighbours)
+        y = _force_chain(solver, list(group_y), neighbours)
+        key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
+        edge_list = x.intra + y.intra + solver._pair_edges.get(key, [])
+        orders = []
+        for outer, inner, split, cut in solver._placements(x, y):
+            order = outer.nodes[:split] + inner.nodes + outer.nodes[split:]
+            orders.append(order)
+            total = solver._placed_score(solver._resolve(edge_list, outer), cut, inner.size)
+            # Equal, not approximately equal: same terms, same order.
+            assert total == ext_tsp_score(order, solver._sizes, edge_list, params)
+        reference = _ReferenceExtTSP(nodes, edges, entry=entry, params=params)
+        assert orders == reference._merge_variants(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_solver_order_equals_reference_solver(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=24))
+        nodes = {
+            i: (data.draw(st.integers(min_value=0, max_value=300)),
+                data.draw(st.floats(min_value=0.0, max_value=100.0)))
+            for i in range(n)
+        }
+        node = st.integers(min_value=0, max_value=n - 1)
+        edges = aggregate_edges(data.draw(st.lists(
+            st.tuples(node, node, st.floats(min_value=-1.0, max_value=1000.0)), max_size=70)))
+        entry = data.draw(st.sampled_from([None, 0, n - 1]))
+        params = LayoutParams(chain_split_threshold=data.draw(st.sampled_from([2, 4, 128])))
+        order = ExtTSP(nodes, edges, entry=entry, params=params).solve()
+        assert order == _ReferenceExtTSP(nodes, edges, entry=entry, params=params).solve()
+
+    def test_merged_chain_score_is_the_whole_chain_score(self):
+        rng = random.Random(5)
+        nodes = {i: (rng.randint(1, 80), rng.random()) for i in range(40)}
+        edges = aggregate_edges(
+            (rng.randrange(40), rng.randrange(40), rng.random() * 50) for _ in range(140))
+        solver = ExtTSP(nodes, edges, entry=0)
+        solver.solve()
+        assert any(len(chain.nodes) > 1 for chain in solver._chains.values())
+        for chain in solver._chains.values():
+            assert chain.score == ext_tsp_score(chain.nodes, solver._sizes, chain.intra)

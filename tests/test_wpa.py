@@ -1,13 +1,28 @@
 """Tests for Phase 3: whole-program analysis."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import MemoryMeter
 from repro.codegen import CodeGenOptions, compile_program
 from repro.core import bbsections
-from repro.core.wpa import WPAOptions, _merge_superblocks, analyze
+from repro.core.exttsp import ExtTSP
+from repro.core.wpa import (
+    FunctionDCFG,
+    WPAOptions,
+    WPAStats,
+    _AddressMapIndex,
+    _build_dcfg,
+    _merge_superblocks,
+    analyze,
+)
+from repro.elf import bbaddrmap
 from repro.linker import LinkOptions, link
-from repro.profiles import collect_lbr_profile
+from repro.obs import Tracer
+from repro.profiles import PerfData, collect_lbr_profile
+from repro.profiles.lbr import LBRSample
 from repro.synth import PRESETS, generate_workload
 
 
@@ -162,3 +177,224 @@ class TestSuperblocks:
 
     def test_empty(self):
         assert _merge_superblocks([], {}, {}) == []
+
+
+# -- LBR inference -----------------------------------------------------
+
+
+class _MapOnlyExe:
+    """Just what ``_AddressMapIndex`` reads: symbols and the map section."""
+
+    name = "hand-built"
+
+    def __init__(self, functions):
+        maps = []
+        self.symbols = {}
+        for func, addr, block_sizes in functions:
+            entries, offset = [], 0
+            for bb_id, size in block_sizes:
+                entries.append(bbaddrmap.BBEntry(bb_id=bb_id, offset=offset, size=size))
+                offset += size
+            maps.append(bbaddrmap.FunctionMap(func=func, entries=tuple(entries)))
+            self.symbols[func] = SimpleNamespace(addr=addr)
+        self._raw = bbaddrmap.encode_section(maps)
+
+    def section_bytes(self, kind):
+        return self._raw
+
+
+#: ``f``: blocks 10, 11, 12, 13 at 0x1000, 0x1010, 0x1020, 0x1030;
+#: ``g``: blocks 0, 1 at 0x2000, 0x2008; ``h``: block 5 at 0x3000.
+#: Everything else (0x1040-0x1fff, 0x2010-0x2fff, below 0x1000, from
+#: 0x3004 up) is unmapped.
+_F, _G, _H = 0x1000, 0x2000, 0x3000
+_UNMAPPED = 0x1800
+
+
+@pytest.fixture(scope="module")
+def index():
+    return _AddressMapIndex(_MapOnlyExe([
+        ("f", _F, [(10, 16), (11, 16), (12, 16), (13, 16)]),
+        ("g", _G, [(0, 8), (1, 8)]),
+        ("h", _H, [(5, 4)]),
+    ]))
+
+
+def _perf(*samples):
+    return PerfData(samples=[LBRSample(records=tuple(records)) for records in samples])
+
+
+def _build(index, perf):
+    stats = WPAStats()
+    dcfg, call_edges, block_call_edges, distinct = _build_dcfg(index, perf, stats)
+    return dcfg, call_edges, block_call_edges, stats, distinct
+
+
+def _reference_build_dcfg(index, perf, stats):
+    """The record-by-record builder ``_build_dcfg`` replaced, kept as
+    the reference: every record resolved and expanded on its own."""
+    dcfg, call_edges, block_call_edges = {}, {}, {}
+
+    def fd(name):
+        if name not in dcfg:
+            dcfg[name] = FunctionDCFG(name=name)
+        return dcfg[name]
+
+    for sample in perf.samples:
+        prev = None
+        for src, dst in sample.records:
+            stats.num_records += 1
+            sref, dref = index.lookup(src), index.lookup(dst)
+            if sref is None or dref is None:
+                stats.records_dropped += 1
+                prev = None
+                continue
+            if prev is not None and prev.func == sref.func and prev.pos <= sref.pos:
+                func_d = fd(sref.func)
+                ids = index.blocks_between(sref.func, prev.pos, sref.pos)
+                for bb_id in ids:
+                    func_d.block_counts[bb_id] = func_d.block_counts.get(bb_id, 0.0) + 1.0
+                for a, b in zip(ids, ids[1:]):
+                    func_d.edges[(a, b)] = func_d.edges.get((a, b), 0.0) + 1.0
+            if sref.func == dref.func:
+                key = (sref.bb_id, dref.bb_id)
+                fd(sref.func).edges[key] = fd(sref.func).edges.get(key, 0.0) + 1.0
+            elif dref.is_entry:
+                call_key = (sref.func, dref.func)
+                call_edges[call_key] = call_edges.get(call_key, 0.0) + 1.0
+                bkey = (sref.func, sref.bb_id, dref.func, dref.bb_id)
+                block_call_edges[bkey] = block_call_edges.get(bkey, 0.0) + 1.0
+            prev = dref
+    return dcfg, call_edges, block_call_edges
+
+
+def _as_items(dcfg, call_edges, block_call_edges):
+    """Everything as item lists, so dict insertion order is compared too."""
+    return (
+        [(name, list(fd.block_counts.items()), list(fd.edges.items()))
+         for name, fd in dcfg.items()],
+        list(call_edges.items()),
+        list(block_call_edges.items()),
+    )
+
+
+class TestBuildDCFG:
+    def test_fallthrough_across_three_blocks(self, index):
+        # Land in block 10, run through 11, branch out of 12 (to 13).
+        dcfg, calls, block_calls, stats, _ = _build(index, _perf(
+            [(_F + 0x38, _F + 0x04), (_F + 0x2c, _F + 0x30)]))
+        f = dcfg["f"]
+        assert f.block_counts == {10: 1.0, 11: 1.0, 12: 1.0}
+        assert f.edges == {(13, 10): 1.0, (10, 11): 1.0, (11, 12): 1.0, (12, 13): 1.0}
+        assert not calls and not block_calls
+        assert (stats.num_records, stats.records_dropped) == (2, 0)
+
+    def test_unmapped_record_is_dropped_and_breaks_the_chain(self, index):
+        dcfg, _, _, stats, _ = _build(index, _perf(
+            [(_F + 0x38, _F), (_UNMAPPED, _F + 0x10), (_F + 0x2c, _F + 0x30)]))
+        # Without the dropped record the last one would infer 10..12.
+        assert dcfg["f"].block_counts == {}
+        assert dcfg["f"].edges == {(13, 10): 1.0, (12, 13): 1.0}
+        assert (stats.num_records, stats.records_dropped) == (3, 1)
+        dropped_dst, _, _, stats, _ = _build(index, _perf([(_F, _UNMAPPED)]))
+        assert not dropped_dst and stats.records_dropped == 1
+
+    def test_sample_boundary_breaks_the_chain(self, index):
+        dcfg, _, _, stats, _ = _build(index, _perf(
+            [(_F + 0x38, _F)], [], [(_F + 0x2c, _F + 0x30)]))
+        assert dcfg["f"].block_counts == {}
+        assert stats.num_records == 2
+
+    def test_call_edge_only_on_function_entry(self, index):
+        dcfg, calls, block_calls, _, _ = _build(index, _perf([
+            (_F + 0x14, _G),       # call f -> g from block 11
+            (_G + 0x0c, _F + 0x18),  # return into the middle of block 11
+            (_F + 0x1c, _G + 0x08),  # cross-function, not an entry: nothing
+        ]))
+        assert calls == {("f", "g"): 1.0}
+        assert block_calls == {("f", 11, "g", 0): 1.0}
+        # Fall-throughs g:0..1 and f:11 still counted; no edge f->g in a DCFG.
+        assert dcfg["g"].block_counts == {0: 1.0, 1: 1.0}
+        assert dcfg["g"].edges == {(0, 1): 1.0}
+        assert dcfg["f"].block_counts == {11: 1.0}
+        assert dcfg["f"].edges == {}
+
+    def test_backwards_range_infers_nothing(self, index):
+        # Lands in block 12, next branch leaves from block 10.
+        dcfg, _, _, _, _ = _build(index, _perf(
+            [(_F + 0x38, _F + 0x20), (_F + 0x04, _F + 0x30)]))
+        assert dcfg["f"].block_counts == {}
+        assert dcfg["f"].edges == {(13, 12): 1.0, (10, 13): 1.0}
+
+    def test_repeats_are_counted_not_replayed(self, index):
+        records = [(_F + 0x38, _F + 0x04), (_F + 0x2c, _F + 0x30)] * 50
+        dcfg, _, _, stats, distinct = _build(index, _perf(records, records))
+        assert dcfg["f"].block_counts[11] == 100.0
+        assert dcfg["f"].edges[(13, 10)] == 100.0
+        assert stats.num_records == 200
+        assert distinct == {"distinct_addresses": 4, "distinct_branches": 2,
+                            "distinct_fallthroughs": 2}
+
+    # Block starts, block interiors, one-past-the-end and unmapped holes.
+    _ADDRESSES = st.sampled_from(
+        [_F, _F + 0x04, _F + 0x10, _F + 0x1c, _F + 0x20, _F + 0x30, _F + 0x3f,
+         _F + 0x40, _G, _G + 0x07, _G + 0x08, _G + 0x10, _H, _H + 0x03, _H + 0x04,
+         _F - 1, _UNMAPPED])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(_ADDRESSES, _ADDRESSES), max_size=12), max_size=6),
+           st.integers(min_value=1, max_value=3))
+    def test_equals_record_by_record_reference(self, index, samples, repeat):
+        perf = _perf(*(samples * repeat))
+        ref_stats = WPAStats()
+        reference = _reference_build_dcfg(index, perf, ref_stats)
+        dcfg, calls, block_calls, stats, _ = _build(index, perf)
+        assert _as_items(dcfg, calls, block_calls) == _as_items(*reference)
+        assert (stats.num_records, stats.records_dropped) == (
+            ref_stats.num_records, ref_stats.records_dropped)
+
+
+class TestDistinctWork:
+    """WPA's work follows the profile's distinct content, exactly."""
+
+    def test_one_lookup_per_distinct_address(self, metadata_exe, perf, monkeypatch):
+        looked_up = []
+        lookup = _AddressMapIndex.lookup
+        monkeypatch.setattr(
+            _AddressMapIndex, "lookup",
+            lambda self, addr: looked_up.append(addr) or lookup(self, addr))
+        analyze(metadata_exe, perf)
+        distinct = {addr for s in perf.samples for record in s.records for addr in record}
+        assert len(looked_up) == len(distinct) < perf.num_records
+        assert set(looked_up) == distinct
+
+    def test_dcfg_span_notes_the_distinct_work(self, metadata_exe, perf):
+        tracer = Tracer()
+        analyze(metadata_exe, perf, tracer=tracer)
+        (span,) = tracer.find("wpa:dcfg")
+        records = [record for s in perf.samples for record in s.records]
+        assert span.args["records"] == len(records)
+        assert span.args["distinct_addresses"] == len({a for r in records for a in r})
+        # No record of this profile is dropped, so every distinct
+        # (src, dst) pair is a branch event.
+        assert span.args["dropped"] == 0
+        assert span.args["distinct_branches"] == len(set(records))
+        assert 0 < span.args["distinct_fallthroughs"] <= len(records) - len(perf.samples)
+
+    def test_each_candidate_pair_scored_once(self, metadata_exe, perf, monkeypatch):
+        scored = []
+        best_merge = ExtTSP._best_merge
+
+        def counting(self, x, y):
+            scored.append((id(self), x.cid, x.version, y.cid, y.version))
+            return best_merge(self, x, y)
+
+        monkeypatch.setattr(ExtTSP, "_best_merge", counting)
+        solvers = []
+        init = ExtTSP.__init__
+        # Keep every solver alive so ids stay distinct.
+        monkeypatch.setattr(
+            ExtTSP, "__init__",
+            lambda self, *a, **kw: solvers.append(self) or init(self, *a, **kw))
+        analyze(metadata_exe, perf)
+        assert scored and len(scored) == len(set(scored))
