@@ -10,9 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import PRESETS, PipelineConfig, generate_workload, optimize
-from repro.hwmodel import simulate_frontend
+from repro.hwmodel import frontend_scorecard
 from repro.hwmodel.frontend import DEFAULT_PARAMS
-from repro.profiles import generate_trace
 
 
 def main() -> None:
@@ -39,16 +38,15 @@ def main() -> None:
 
     # 4. Measure both binaries on the same fixed amount of work.
     params = DEFAULT_PARAMS.scaled(16)  # structures scaled like the workload
-    rows = []
-    for label, exe in (("baseline", result.baseline.executable),
-                       ("propeller", result.optimized.executable)):
-        trace = generate_trace(exe, max_blocks=300_000, seed=42)
-        counters = simulate_frontend(exe, trace, params)
-        rows.append((label, counters))
+    cards = frontend_scorecard(
+        {"baseline": result.baseline.executable,
+         "propeller": result.optimized.executable},
+        max_blocks=300_000, seed=42, params=params)
+    for label, counters in cards.items():
         print(f"\n{label}: {counters.cycles / 1e6:.2f}M cycles, "
               f"{counters.l1i_miss} L1i misses, {counters.itlb_miss} iTLB misses, "
               f"{counters.taken_branches} taken branches")
-    base, prop = rows[0][1], rows[1][1]
+    base, prop = cards["baseline"], cards["propeller"]
     print(f"\npropeller speedup over PGO baseline: "
           f"{100 * (base.cycles / prop.cycles - 1):+.2f}%")
 

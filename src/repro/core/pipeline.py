@@ -279,10 +279,10 @@ class PipelineResult:
     ) -> Dict[str, Dict[str, float]]:
         """Hardware-counter scorecards for the baseline and optimized binaries.
 
-        Replays one layout-invariant trace per binary through the scaled
-        frontend model and returns ``{"baseline": {...}, "optimized":
-        {...}}`` of Table 4 counters plus cycles/instructions/ipc (see
-        :meth:`FrontendCounters.as_dict`).  Fully deterministic in
+        Walks the program once and replays that one walk, projected onto
+        each binary, through the scaled frontend model; returns
+        ``{"baseline": {...}, "optimized": {...}}`` of Table 4 counters
+        plus cycles/instructions/ipc (see :meth:`FrontendCounters.as_dict`).  Fully deterministic in
         (binaries, ``max_blocks``, ``seed``, ``params``) -- which is
         what lets regression gates compare the values exactly.
         """
@@ -312,35 +312,24 @@ class PipelineResult:
         return by_function
 
     def _simulate_frontend(self, max_blocks, seed, params, by_function):
-        """One frontend pass per binary; scorecard + optional attribution."""
-        from repro.hwmodel import simulate_frontend
+        """One walk replayed through both binaries; scorecard + optional attribution."""
+        from repro.hwmodel import frontend_scorecard
         from repro.hwmodel.frontend import SCALED_PARAMS
-        from repro.profiles import generate_trace
 
-        if params is None:
-            params = SCALED_PARAMS
-        scorecard: Dict[str, Dict[str, float]] = {}
-        attribution: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for name, outcome in (("baseline", self.baseline),
-                              ("optimized", self.optimized)):
-            exe = outcome.executable
-            trace = generate_trace(exe, max_blocks=max_blocks, seed=seed)
-            counters = simulate_frontend(exe, trace, params,
-                                         by_function=by_function)
-            scorecard[name] = counters.as_dict()
-            if by_function:
-                attribution[name] = {
-                    func: {
-                        "cycles": fc.cycles,
-                        "instructions": fc.instructions,
-                        "l1i_miss": float(fc.l1i_miss),
-                        "itlb_miss": float(fc.itlb_miss),
-                        "taken_branches": float(fc.taken_branches),
-                        "baclears": float(fc.baclears),
-                        "dsb_miss": float(fc.dsb_miss),
-                    }
-                    for func, fc in counters.per_function.items()
-                }
+        counters = frontend_scorecard(
+            {"baseline": self.baseline.executable,
+             "optimized": self.optimized.executable},
+            max_blocks, seed, SCALED_PARAMS if params is None else params, by_function)
+        scorecard = {name: c.as_dict() for name, c in counters.items()}
+        attribution = {
+            name: {
+                func: {key: float(getattr(fc, key)) for key in (
+                    "cycles", "instructions", "l1i_miss", "itlb_miss",
+                    "taken_branches", "baclears", "dsb_miss")}
+                for func, fc in c.per_function.items()
+            }
+            for name, c in counters.items()
+        } if by_function else {}
         return scorecard, attribution
 
     def report(self, include_frontend: bool = False,

@@ -14,6 +14,7 @@ from repro.hwmodel.frontend import (
     TABLE4_LABELS,
     FrontendCounters,
     SkylakeParams,
+    frontend_scorecard,
     simulate_frontend,
 )
 from repro.hwmodel.heatmap import AccessHeatmap, record_heatmap, render_heatmap
@@ -23,6 +24,7 @@ __all__ = [
     "FrontendCounters",
     "SkylakeParams",
     "TABLE4_LABELS",
+    "frontend_scorecard",
     "simulate_frontend",
     "AccessHeatmap",
     "record_heatmap",

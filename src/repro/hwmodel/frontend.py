@@ -21,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.elf import Executable
 from repro.hwmodel.caches import SetAssociativeCache
-from repro.profiles import Trace
+from repro.profiles import Trace, walk
+from repro.profiles.trace import CHUNK, project_arrays
 
 
 @dataclass(frozen=True)
@@ -178,21 +181,63 @@ class FrontendCounters:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
-def _model_cycles(params: SkylakeParams, instructions: float, l1i_miss: float,
-                  l2_miss: float, itlb_miss: float, itlb_walk: float,
-                  baclears: float, taken_branches: float,
-                  dsb_miss: float) -> float:
-    """The frontend cost model; linear, so per-function shares sum to ~total."""
-    return (
-        instructions / params.issue_width
-        + l1i_miss * params.l1i_miss_cycles
-        + l2_miss * params.l2_code_miss_cycles
-        + itlb_miss * params.itlb_miss_cycles
-        + itlb_walk * params.tlb_walk_cycles
-        + baclears * params.baclear_cycles
-        + taken_branches * params.taken_branch_cycles
-        + dsb_miss * params.dsb_miss_cycles
+def _counters(params: SkylakeParams, instructions: float, blocks: int, l1i_miss: int,
+              l2_miss: int, itlb_miss: int, itlb_walk: int, dsb_miss: int,
+              taken_branches: int, baclears: int) -> FrontendCounters:
+    """Counters plus the cost model; linear, so per-function shares sum to ~total."""
+    return FrontendCounters(
+        instructions=instructions,
+        blocks=blocks,
+        l1i_miss=l1i_miss,
+        l2_code_miss=l2_miss,
+        l1i_stall_cycles=l1i_miss * params.l1i_miss_cycles,
+        itlb_miss=itlb_miss,
+        itlb_walk=itlb_walk,
+        baclears=baclears,
+        taken_branches=taken_branches,
+        dsb_miss=dsb_miss,
+        cycles=(
+            instructions / params.issue_width
+            + l1i_miss * params.l1i_miss_cycles
+            + l2_miss * params.l2_code_miss_cycles
+            + itlb_miss * params.itlb_miss_cycles
+            + itlb_walk * params.tlb_walk_cycles
+            + baclears * params.baclear_cycles
+            + taken_branches * params.taken_branch_cycles
+            + dsb_miss * params.dsb_miss_cycles
+        ),
     )
+
+
+def _expand(first: np.ndarray, count: np.ndarray, step: np.ndarray,
+            seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One structure's key stream for the block sequence ``seq``.
+
+    Block ``b`` contributes ``first[b] + k * step[b]`` for ``k`` below
+    ``count[b]``; the second array is each key's position in ``seq``.
+    """
+    n = count[seq]
+    owner = np.repeat(np.arange(len(seq)), n)
+    keys = np.arange(len(owner))  # in place from here: streams are the peak memory
+    keys -= np.repeat(np.cumsum(n) - n, n)
+    keys *= np.repeat(step[seq], n)
+    keys += np.repeat(first[seq], n)
+    return keys, owner
+
+
+def _drop_repeats(keys: np.ndarray, owner: np.ndarray,
+                  keep: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """``keys`` and ``owner`` minus the positions repeating the key before.
+
+    A touch of the key a structure touched last finds it most recently
+    used in its set: a hit that changes no state, whatever the geometry.
+    ``keep`` marks positions that stay regardless.
+    """
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    if keep is not None:
+        distinct |= keep
+    return keys[distinct], owner[distinct]
 
 
 def simulate_frontend(
@@ -204,17 +249,22 @@ def simulate_frontend(
 ) -> FrontendCounters:
     """Replay ``trace`` (generated from ``exe``) through the frontend.
 
+    Per-block footprints are flat arrays indexed by block; a chunk of
+    visits at a time, each structure's key stream is flattened from
+    them and replayed in bulk, and every counter is the number of
+    positions that missed.
+
     ``by_function=True`` additionally attributes every charged event to
     the function whose block was fetching (branch events to the function
     containing the branch source) and fills
-    :attr:`FrontendCounters.per_function`.  Attribution never perturbs
-    the shared cache/TLB/BTB state or the global accumulators, so the
-    totals are bit-identical with attribution on or off (asserted in
-    tests/test_hwmodel.py).
+    :attr:`FrontendCounters.per_function` by counting those same miss
+    positions per function, so the totals are bit-identical with
+    attribution on or off (asserted in tests/test_hwmodel.py).  Float
+    sums (``instructions``) accumulate left to right in trace order.
     """
-    counters = FrontendCounters()
     line_shift = params.line_bytes.bit_length() - 1
     page_shift = params.page_shift_2m if exe.hugepages else params.page_shift_4k
+    prefetch = params.next_line_prefetch
 
     l1i = SetAssociativeCache(params.l1i_sets, params.l1i_ways)
     l2 = SetAssociativeCache(params.l2_sets, params.l2_ways)
@@ -224,140 +274,156 @@ def simulate_frontend(
         itlb = SetAssociativeCache(params.itlb_4k_sets, params.itlb_4k_ways)
     stlb = SetAssociativeCache(params.stlb_sets, params.stlb_ways)
     btb = SetAssociativeCache(params.btb_sets, params.btb_ways)
-    dsb = SetAssociativeCache(params.dsb_sets, params.dsb_ways) if simulate_dsb else None
+    dsb = SetAssociativeCache(params.dsb_sets, params.dsb_ways)
 
-    # Precompute per-block fetch footprints.
-    block_info: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], float, Tuple[int, ...]]] = {}
-    block_func: Dict[int, str] = {}
-    for block in exe.exec_blocks:
-        block_func[block.addr] = block.func
-        first_line = block.addr >> line_shift
-        last_line = (block.addr + max(0, block.size - 1)) >> line_shift
-        lines = tuple(range(first_line, last_line + 1))
-        pages = tuple(sorted({block.addr >> page_shift, (block.end - 1) >> page_shift}))
-        if dsb is not None:
-            windows = tuple(range(block.addr >> 5, ((block.addr + max(0, block.size - 1)) >> 5) + 1))
-        else:
-            windows = ()
-        instrs = max(1.0, block.size / params.avg_instr_bytes)
-        # Software prefetches (§3.5) stream the target's first two lines
-        # and its page translation in ahead of use.
-        pf_lines = tuple(
-            line
-            for target in block.prefetch_targets
-            for line in ((target >> line_shift), (target >> line_shift) + 1)
-        )
-        block_info[block.addr] = (lines, pages, windows, instrs, pf_lines)
+    # Per-block fetch footprints, indexed by position in address order.
+    blocks = sorted(exe.exec_blocks, key=lambda b: b.addr)
+    starts = [b.addr for b in blocks]
+    sizes = [b.size for b in blocks]
+    # Software prefetches (§3.5) stream the target's first two lines and
+    # their page translations in ahead of use: free fills, replayed as
+    # pseudo-blocks (one per target, ids past the real blocks) that
+    # follow each visit of the prefetching block.
+    fills = [(i, t) for i, b in enumerate(blocks) for t in b.prefetch_targets]
+    num_fills = np.bincount(np.array([i for i, _ in fills], dtype=np.int64),
+                            minlength=len(blocks))
+    starts += [(t >> line_shift) << line_shift for _, t in fills]
+    sizes += [2 * params.line_bytes] * len(fills)
+    start = np.array(starts, dtype=np.int64)
+    size = np.array(sizes, dtype=np.int64)
+    last = start + np.maximum(0, size - 1)
+    one = np.ones(len(start), dtype=np.int64)
+    first_line = start >> line_shift
+    num_lines = (last >> line_shift) - first_line + 1
+    # Real blocks touch their first and last page, a prefetch the page
+    # of each of its two lines.
+    pages = np.sort([start >> page_shift, (start + size - 1) >> page_shift], axis=0)
+    pages[1, len(blocks):] = (start[len(blocks):] + params.line_bytes) >> page_shift
+    num_pages = 1 + (pages[1] != pages[0])
+    first_window = start >> 5
+    num_windows = ((last >> 5) - first_window + 1) * simulate_dsb
+    num_windows[len(blocks):] = 0
+    instrs = np.maximum(1.0, size[:len(blocks)] / params.avg_instr_bytes)
 
-    l1i_access = l1i.access
-    l2_access = l2.access
-    itlb_access = itlb.access
-    stlb_access = stlb.access
-    dsb_access = dsb.access if dsb is not None else None
-    prefetch = params.next_line_prefetch
+    funcs = sorted({b.func for b in blocks})
+    func_ids = {func: i for i, func in enumerate(funcs)}
+    # Fills charge nothing, so a pseudo-block's function is never read.
+    func_of = np.array([func_ids[b.func] for b in blocks] + [0] * len(fills), dtype=np.int64)
 
-    # func -> [instructions, blocks, l1i, l2, itlb, walk, dsb, taken, baclears]
-    per_func: Optional[Dict[str, List[float]]] = {} if by_function else None
-
-    l1i_miss = 0
-    l2_miss = 0
-    itlb_miss = 0
-    itlb_walk = 0
-    dsb_miss = 0
+    # Per structure, the function charged with each miss.  A chunk of
+    # visits at a time: the caches carry their state across chunks, and
+    # float sums carry theirs so they still add left to right.
+    charged: Dict[str, List[np.ndarray]] = {
+        name: [] for name in ("l1i", "l2", "itlb", "walk", "dsb")}
     instructions = 0.0
-    page_shift_local = page_shift
-    for addr in trace.block_addrs:
-        lines, pages, windows, instrs, pf_lines = block_info[addr]
-        instructions += instrs
-        if per_func is not None:
-            before = (l1i_miss, l2_miss, itlb_miss, itlb_walk, dsb_miss)
-        for line in lines:
-            if not l1i_access(line):
-                l1i_miss += 1
-                if not l2_access(line):
-                    l2_miss += 1
-                if prefetch:
-                    # Stream the next line in (free fill, no miss charged).
-                    l1i_access(line + 1)
-                    l2_access(line + 1)
-        for page in pages:
-            if not itlb_access(page):
-                itlb_miss += 1
-                if not stlb_access(page):
-                    itlb_walk += 1
-        for line in pf_lines:  # software prefetch: free fills
-            l1i_access(line)
-            l2_access(line)
-            itlb_access((line << line_shift) >> page_shift_local)
-        if dsb_access is not None:
-            for window in windows:
-                if not dsb_access(window):
-                    dsb_miss += 1
-        if per_func is not None:
-            acc = per_func.get(block_func[addr])
-            if acc is None:
-                acc = per_func[block_func[addr]] = [0.0, 0, 0, 0, 0, 0, 0, 0, 0]
-            acc[0] += instrs
-            acc[1] += 1
-            acc[2] += l1i_miss - before[0]
-            acc[3] += l2_miss - before[1]
-            acc[4] += itlb_miss - before[2]
-            acc[5] += itlb_walk - before[3]
-            acc[6] += dsb_miss - before[4]
+    func_instrs = np.zeros(len(funcs))
+    func_blocks = np.zeros(len(funcs), dtype=np.int64)
+    first_fetch = np.full(len(funcs), len(trace.block_addrs), dtype=np.int64)
+    for lo in range(0, len(trace.block_addrs), CHUNK):
+        block_addrs = np.asarray(trace.block_addrs[lo:lo + CHUNK], dtype=np.int64)
+        seq = np.searchsorted(start[:len(blocks)], block_addrs)
+        seq[seq == len(blocks)] = 0
+        if (start[seq] != block_addrs).any():
+            raise KeyError(f"trace visits addresses {exe.name} has no block at")
+        weights = instrs[seq]
+        instructions = float(np.cumsum(np.append(instructions, weights))[-1])
+        if by_function:
+            fetching = func_of[seq]
+            np.add.at(func_instrs, fetching, weights)
+            func_blocks += np.bincount(fetching, minlength=len(funcs))
+            np.minimum.at(first_fetch, fetching, np.arange(lo, lo + len(seq)))
+        if fills:
+            at = np.flatnonzero(num_fills[seq])
+            ids, owner = _expand(len(blocks) + np.cumsum(num_fills) - num_fills,
+                                 num_fills, one, seq[at])
+            seq = np.insert(seq, at[owner] + 1, ids)
+        is_fill = seq >= len(blocks)
+        seq_funcs = func_of[seq]
 
-    func_at = None
-    if per_func is not None:
+        # L1i, where a demand miss streams the next line in as well (free
+        # fill, no miss charged).  Only when that fill lands in the missing
+        # line's own set (a one-set L1i) can a repeated line find itself no
+        # longer MRU.  Software fills touch L1i alone, so they split the bulk.
+        lines, owner = _expand(first_line, num_lines, one, seq)
+        if not (prefetch and l1i.num_sets == 1):
+            lines, owner = _drop_repeats(lines, owner, is_fill[owner])
+        fill_at = np.flatnonzero(is_fill[owner])
+        missed: List[int] = []
+        done = 0
+        for at in fill_at.tolist() + [len(lines)]:
+            missed += [done + pos for pos in l1i.access_many(lines[done:at].tolist(), prefetch)]
+            l1i.access_many(lines[at:at + 1].tolist())
+            done = at + 1
+        miss_at = np.array(missed, dtype=np.int64)
+        charged["l1i"].append(seq_funcs[owner[miss_at]])
+        # L2 sees each L1i demand miss (then its next line) and each fill.
+        touch_at = np.concatenate([miss_at, fill_at] + [miss_at] * prefetch)
+        touched = np.concatenate(
+            [lines[miss_at], lines[fill_at]] + [lines[miss_at] + 1] * prefetch)
+        order = np.argsort(touch_at, kind="stable")
+        l2_missed = order[l2.access_many(touched[order].tolist())]
+        charged["l2"].append(seq_funcs[owner[touch_at[l2_missed[l2_missed < len(miss_at)]]]])
+
+        # iTLB, then the STLB over the iTLB's demand misses.
+        keys, owner = _drop_repeats(*_expand(pages[0], num_pages, pages[1] - pages[0], seq))
+        miss_at = np.array(itlb.access_many(keys.tolist()), dtype=np.int64)
+        miss_at = miss_at[~is_fill[owner[miss_at]]]
+        charged["itlb"].append(seq_funcs[owner[miss_at]])
+        walked = miss_at[stlb.access_many(keys[miss_at].tolist())]
+        charged["walk"].append(seq_funcs[owner[walked]])
+
+        keys, owner = _drop_repeats(*_expand(first_window, num_windows, one, seq))
+        charged["dsb"].append(seq_funcs[owner[dsb.access_many(keys.tolist())]])
+    l1i_funcs, l2_funcs, itlb_funcs, walk_funcs, dsb_funcs = (
+        np.concatenate(ids + [func_of[:0]]) for ids in charged.values())
+
+    branch_src = np.asarray(trace.branch_src, dtype=np.int64)
+    sources, branches = _drop_repeats(branch_src, np.arange(len(branch_src)))
+    btb_missed = branches[btb.access_many(sources.tolist())]
+
+    counters = _counters(
+        params, instructions, trace.num_blocks_executed, len(l1i_funcs), len(l2_funcs),
+        len(itlb_funcs), len(walk_funcs), len(dsb_funcs), trace.num_branches,
+        len(btb_missed))
+    if by_function:
         # Branch sources are instruction addresses inside blocks; map
         # them to the containing function by interval bisection.
-        from bisect import bisect_right
+        src_funcs = func_of[np.searchsorted(start[:len(blocks)], branch_src, side="right") - 1]
+        first_branch = np.full(len(funcs), len(src_funcs), dtype=np.int64)
+        np.minimum.at(first_branch, src_funcs, np.arange(len(src_funcs)))
 
-        starts = sorted(block_func)
-        start_funcs = [block_func[a] for a in starts]
+        def tally(ids: np.ndarray) -> list:
+            return np.bincount(ids, minlength=len(funcs)).tolist()
 
-        def func_at(addr: int) -> str:
-            return start_funcs[bisect_right(starts, addr) - 1]
-
-    btb_access = btb.access
-    baclears = 0
-    for src in trace.branch_src:
-        hit = btb_access(src)
-        if not hit:
-            baclears += 1
-        if func_at is not None:
-            acc = per_func.get(func_at(src))
-            if acc is None:
-                acc = per_func[func_at(src)] = [0.0, 0, 0, 0, 0, 0, 0, 0, 0]
-            acc[7] += 1
-            if not hit:
-                acc[8] += 1
-
-    counters.blocks = trace.num_blocks_executed
-    counters.instructions = instructions
-    counters.l1i_miss = l1i_miss
-    counters.l2_code_miss = l2_miss
-    counters.itlb_miss = itlb_miss
-    counters.itlb_walk = itlb_walk
-    counters.baclears = baclears
-    counters.taken_branches = trace.num_branches
-    counters.dsb_miss = dsb_miss
-    counters.l1i_stall_cycles = l1i_miss * params.l1i_miss_cycles
-    counters.cycles = _model_cycles(
-        params, instructions, l1i_miss, l2_miss, itlb_miss, itlb_walk,
-        baclears, trace.num_branches, dsb_miss)
-    if per_func is not None:
-        for func, acc in per_func.items():
-            counters.per_function[func] = FrontendCounters(
-                instructions=acc[0],
-                blocks=int(acc[1]),
-                l1i_miss=int(acc[2]),
-                l2_code_miss=int(acc[3]),
-                l1i_stall_cycles=acc[2] * params.l1i_miss_cycles,
-                itlb_miss=int(acc[4]),
-                itlb_walk=int(acc[5]),
-                baclears=int(acc[8]),
-                taken_branches=int(acc[7]),
-                dsb_miss=int(acc[6]),
-                cycles=_model_cycles(params, acc[0], acc[2], acc[3], acc[4],
-                                     acc[5], acc[8], acc[7], acc[6]),
-            )
+        columns = [func_instrs.tolist(), func_blocks.tolist(), tally(l1i_funcs),
+                   tally(l2_funcs), tally(itlb_funcs), tally(walk_funcs), tally(dsb_funcs),
+                   tally(src_funcs), tally(src_funcs[btb_missed])]
+        # Functions in order of first fetch, then of first branch.
+        for fid in np.lexsort((first_branch, first_fetch)).tolist():
+            if columns[1][fid] or columns[7][fid]:
+                counters.per_function[funcs[fid]] = _counters(
+                    params, *[col[fid] for col in columns])
     return counters
+
+
+def frontend_scorecard(
+    binaries: Dict[str, Executable],
+    max_blocks: int,
+    seed: int = 77,
+    params: SkylakeParams = SCALED_PARAMS,
+    by_function: bool = False,
+) -> Dict[str, FrontendCounters]:
+    """Counters of several builds of one program executing the same work.
+
+    The program is walked once -- the walker's tables come from the
+    first binary -- and that walk is projected onto and replayed through
+    each binary, so a binary that cannot execute it raises
+    :class:`repro.profiles.ProjectionError` instead of being scored.
+    """
+    first = next(iter(binaries.values()))
+    shared = walk(first, seed=seed, max_blocks=max_blocks)
+    return {
+        name: simulate_frontend(exe, project_arrays(shared, exe), params,
+                                by_function=by_function)
+        for name, exe in binaries.items()
+    }

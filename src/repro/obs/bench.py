@@ -406,9 +406,7 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
 
     def run(ctx: BenchContext) -> List[Metric]:
         from repro.core.pipeline import PropellerPipeline
-        from repro.hwmodel import TABLE4_LABELS, simulate_frontend
-        from repro.hwmodel.frontend import SCALED_PARAMS
-        from repro.profiles import generate_trace
+        from repro.hwmodel import TABLE4_LABELS, frontend_scorecard
 
         program = _generate(ctx, preset_name, scale)
         pipe = PropellerPipeline(program, _pipeline_config(ctx))
@@ -441,12 +439,10 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
                 gate="exact", direction=direction,
             ))
 
-        counters = {}
-        for which, outcome in (("baseline", result.baseline),
-                               ("optimized", optimized)):
-            exe = outcome.executable
-            trace = generate_trace(exe, max_blocks=ctx.suite.trace_blocks, seed=77)
-            counters[which] = simulate_frontend(exe, trace, SCALED_PARAMS)
+        counters = frontend_scorecard(
+            {"baseline": result.baseline.executable,
+             "optimized": optimized.executable}, ctx.suite.trace_blocks)
+        for which in counters:
             # Baseline counters are a fingerprint of the input side;
             # optimized counters are the quality under protection, so
             # they carry a direction (lower is better).
@@ -489,9 +485,7 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
 
     def run(ctx: BenchContext) -> List[Metric]:
         from repro.core.pipeline import PropellerPipeline
-        from repro.hwmodel import simulate_frontend
-        from repro.hwmodel.frontend import SCALED_PARAMS
-        from repro.profiles import generate_trace
+        from repro.hwmodel import frontend_scorecard
 
         program = _generate(ctx, preset_name, scale)
         metrics: List[Metric] = []
@@ -508,15 +502,12 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
                     rates[mode] = report.gauges["pgo.match_rate"]
                 else:
                     rates[mode] = report.profile_recovery["recovered_match_rate"]
-                cycles = {}
-                for which, outcome in (("baseline", result.baseline),
-                                       ("optimized", result.optimized)):
-                    exe = outcome.executable
-                    trace = generate_trace(
-                        exe, max_blocks=ctx.suite.trace_blocks, seed=77)
-                    cycles[which] = simulate_frontend(
-                        exe, trace, SCALED_PARAMS).cycles
-                improvements[mode] = cycles["baseline"] / cycles["optimized"] - 1.0
+                cards = frontend_scorecard(
+                    {"baseline": result.baseline.executable,
+                     "optimized": result.optimized.executable},
+                    ctx.suite.trace_blocks)
+                improvements[mode] = (
+                    cards["baseline"].cycles / cards["optimized"].cycles - 1.0)
                 metrics.append(Metric(
                     f"{tag}.{mode}.match_rate", rates[mode], "frac",
                     gate="exact", direction="higher",

@@ -3,8 +3,9 @@
 The single public entry point for every profile object in the
 toolchain (§2.2, §3.3):
 
-* **Collection** -- :func:`generate_trace` walks a linked binary's
-  execution model; :func:`sample_lbr` captures Intel-LBR-shaped
+* **Collection** -- :func:`walk` executes a program once, free of any
+  layout, and :func:`project` turns that walk into the :class:`Trace`
+  of one linked binary (:func:`generate_trace` does both); :func:`sample_lbr` captures Intel-LBR-shaped
   samples from it; :func:`collect_ir_profile` runs the instrumented
   IR walker that feeds the PGO baseline.
 * **Conversion** -- :func:`convert_to_ir_profile` lifts LBR samples to
@@ -23,8 +24,12 @@ from repro.profiles.trace import (
     BRANCH_KIND_IJMP,
     BRANCH_KIND_JMP,
     BRANCH_KIND_RET,
+    ProjectionError,
     Trace,
+    Walk,
     generate_trace,
+    project,
+    walk,
 )
 from repro.profiles.lbr import LBRSample, PerfData, collect_lbr_profile, sample_lbr
 from repro.profiles.pgo import IRProfile, collect_ir_profile
@@ -39,8 +44,12 @@ __all__ = [
     "BRANCH_KIND_IJMP",
     "BRANCH_KIND_JMP",
     "BRANCH_KIND_RET",
+    "ProjectionError",
     "Trace",
+    "Walk",
     "generate_trace",
+    "project",
+    "walk",
     "LBRSample",
     "PerfData",
     "collect_lbr_profile",

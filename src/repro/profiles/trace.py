@@ -8,16 +8,28 @@ LBR sampler).  Fall-throughs -- not-taken conditional branches and
 deleted jumps -- produce no branch event, which is exactly why layout
 optimizers try to create them.
 
-**Layout invariance.**  Control-flow decisions are not drawn from a
-shared RNG stream: the decision for the k-th execution of basic block
-(f, b) is a hash of ``(seed, f, b, k)``, and two-way choices are
-resolved against successors in canonical (IR block id) order.  Two
-binaries built from the same program therefore execute the *identical*
-sequence of (function, block) pairs, no matter how blocks were
-reordered, split, or condition-inverted -- the same property a fixed
-benchmark input gives the paper's measurements.  Only the derived
-address stream and taken-branch stream differ between layouts, which is
-precisely what the experiments measure.
+**Layout invariance.**  What a program executes and where a binary put
+it are two objects.  :func:`walk` decides the first, once: the decision
+for the k-th execution of basic block (f, b) is a hash of ``(seed, f, b,
+k)`` resolved against successors in canonical (IR block id) order, over
+tables keyed by ``(func, bb_id)`` that hold no address.  Its
+:class:`Walk` is the blocks visited plus the *transitions* between them
+(a call entering its callee, a terminator continuing at a successor, a
+return resuming a call site), each distinct one interned to a small
+integer.  :func:`project` supplies the second: it resolves every
+distinct transition against one binary once -- to a taken-branch event
+or to "falls through, no event" -- and materialises the address and
+branch streams by array indexing.  Binaries built from one program
+replay the *identical* walk, and exactly so: the tables (with the
+``1 - p`` of a condition-inverted branch) come from the one binary
+:func:`walk` was given, where two separate walks agreed only up to the
+rounding of ``1 - (1 - p)``.  Only the projected address and
+taken-branch streams differ between layouts, which is precisely what
+the experiments measure.  And because a projection has to find every
+walked step in the image -- a successor that is the branch target or
+address-adjacent, a call that reaches its callee's entry, a block that
+exists -- it doubles as a check that the image executes the walked
+program; a step it cannot take raises :class:`ProjectionError`.
 """
 
 from __future__ import annotations
@@ -26,21 +38,15 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.elf import Executable
+import numpy as np
+
+from repro.elf import ExecBlock, Executable
 
 BRANCH_KIND_COND = 0
 BRANCH_KIND_JMP = 1
 BRANCH_KIND_CALL = 2
 BRANCH_KIND_RET = 3
 BRANCH_KIND_IJMP = 4
-
-BRANCH_KIND_NAMES = {
-    BRANCH_KIND_COND: "cond",
-    BRANCH_KIND_JMP: "jmp",
-    BRANCH_KIND_CALL: "call",
-    BRANCH_KIND_RET: "ret",
-    BRANCH_KIND_IJMP: "ijmp",
-}
 
 _MASK64 = (1 << 64) - 1
 _TERM_SLOT = 0xFF
@@ -86,97 +92,286 @@ class Trace:
         return self.num_branches
 
 
-class _Node:
-    """Precompiled per-block execution behaviour."""
+class ProjectionError(ValueError):
+    """An image cannot execute a step of the walk it is projected onto.
 
-    __slots__ = ("addr", "key", "calls", "term_kind", "choices", "ret_addr", "visits")
+    ``func``/``bb_id`` name the block the failing step leaves (or the
+    block the image lacks) and ``addr`` is where that step starts in
+    the image.
+    """
 
-    def __init__(self, addr: int, key: int):
+    def __init__(self, problem: str, func: str, bb_id: int, addr: int):
+        super().__init__(f"{func} bb{bb_id} @ {addr:#x}: {problem}")
+        self.func = func
+        self.bb_id = bb_id
         self.addr = addr
-        self.key = key
-        # calls: list of (cum_targets, src_addr, return_addr);
-        # cum_targets: tuple of (cumulative prob, target addr); a direct
-        # call is a single entry with cum 1.0.
-        self.calls: List[Tuple[Tuple[Tuple[float, int], ...], int, int]] = []
-        self.term_kind = ""
-        # choices: tuple of (cum prob, next addr, event src addr or -1, event kind)
-        self.choices: Tuple[Tuple[float, int, int, int], ...] = ()
-        self.ret_addr = -1
-        self.visits = 0
 
 
-def _compile_nodes(exe: Executable) -> Dict[int, _Node]:
-    by_addr = {b.addr: b for b in exe.exec_blocks}
-    nodes: Dict[int, _Node] = {}
-    func_keys: Dict[str, int] = {}
-    for block in exe.exec_blocks:
-        fkey = func_keys.get(block.func)
-        if fkey is None:
-            fkey = zlib.crc32(block.func.encode())
-            func_keys[block.func] = fkey
-        node = _Node(block.addr, ((fkey << 20) ^ block.bb_id) & _MASK64)
-        for call in block.calls:
-            if call.target is not None:
-                cum = ((1.0, call.target),)
-            elif call.indirect_targets:
-                acc = 0.0
-                entries = []
-                for target, prob in call.indirect_targets:
-                    acc += prob
-                    entries.append((acc, target))
-                entries[-1] = (1.0 + 1e-9, entries[-1][1])
-                cum = tuple(entries)
-            else:
-                continue
-            node.calls.append((cum, call.addr, call.return_addr))
-        term = block.term
-        kind = term.kind
-        node.term_kind = kind
-        if kind == "condbr":
-            if term.uncond_target is not None:
-                ft_next = term.uncond_target
-                ft_evt = (term.uncond_br_addr, BRANCH_KIND_JMP)
-            else:
-                ft_next = block.addr + block.size
-                ft_evt = (-1, 0)
-            arms = [
-                # (successor bb id for canonical order, prob, next, evt)
-                (
-                    by_addr[term.cond_target].bb_id,
-                    term.cond_prob,
-                    term.cond_target,
-                    (term.cond_br_addr, BRANCH_KIND_COND),
-                ),
-                (by_addr[ft_next].bb_id, 1.0 - term.cond_prob, ft_next, ft_evt),
-            ]
-            arms.sort(key=lambda a: a[0])
-            acc = 0.0
-            choices = []
-            for _bb, prob, nxt, (evt_src, evt_kind) in arms:
-                acc += prob
-                choices.append((acc, nxt, evt_src, evt_kind))
-            choices[-1] = (1.0 + 1e-9, *choices[-1][1:])
-            node.choices = tuple(choices)
-        elif kind == "jump":
-            node.choices = (
-                (2.0, term.uncond_target, term.uncond_br_addr, BRANCH_KIND_JMP),
-            )
-        elif kind == "fallthrough":
-            node.choices = ((2.0, block.addr + block.size, -1, 0),)
-        elif kind == "ijmp":
-            acc = 0.0
-            choices = []
-            for target, prob in term.ijmp_targets:
-                acc += prob
-                choices.append((acc, target, term.end_instr_addr, BRANCH_KIND_IJMP))
-            if choices:
-                choices[-1] = (2.0, *choices[-1][1:])
-            node.choices = tuple(choices)
-        elif kind == "ret":
-            node.ret_addr = term.end_instr_addr
-        # trap: handled by kind alone
-        nodes[block.addr] = node
-    return nodes
+# Transition kinds.  A transition is ``(kind, block, slot, other)`` over
+# canonical block ids: the slot-th call of ``block`` enters ``other``; the
+# terminator of ``block`` continues at ``other``; ``block`` returns to the
+# slot-th call of ``other``.
+_CALL, _TERM, _RET = 0, 1, 2
+
+
+@dataclass
+class Walk:
+    """One execution of a program, free of any layout.
+
+    ``blocks[i]`` is the ``(func, bb_id)`` of canonical block ``i`` and
+    ``transitions[t]`` the meaning of transition ``t``; ``visits`` and
+    ``steps`` are the run itself, as indices into those two tables
+    (``visits`` stays empty when blocks were not recorded).
+    """
+
+    blocks: List[Tuple[str, int]]
+    transitions: List[Tuple[int, int, int, int]]
+    entry: int
+    visits: np.ndarray
+    steps: np.ndarray
+    restarts: int = 0
+    executed_count: int = 0
+
+
+def _live_calls(block: ExecBlock) -> list:
+    """Call sites that transfer control (a call with no known target does not)."""
+    return [c for c in block.calls if c.target is not None or c.indirect_targets]
+
+
+def _compile_block(exe: Executable, ids: Dict[int, int], transitions: list, bid: int):
+    """One block's walker tables: ``(hash key, calls, choices, returns)``.
+
+    ``calls`` has an entry per live call site, ``choices`` is the
+    terminator's (empty for ret/trap); each is a tuple of ``(cumulative
+    prob, block, transition, taken)`` rows over canonical ids, interned
+    into ``transitions`` here.  ``taken`` -- does ``exe`` branch there --
+    is the one layout fact kept, so a ``max_branches`` budget can count.
+    """
+    block = exe.exec_blocks[bid]
+
+    def rows(kind: int, slot: int, arms: list, catch_all: float) -> tuple:
+        acc = 0.0
+        out = []
+        for prob, addr, taken in arms:
+            acc += prob
+            out.append((acc, ids[addr], len(transitions), taken))
+            transitions.append((kind, bid, slot, ids[addr]))
+        out[-1] = (catch_all, *out[-1][1:])
+        return tuple(out)
+
+    calls = tuple(
+        rows(_CALL, slot, [(p, t, 1) for t, p in
+                           (call.indirect_targets if call.target is None
+                            else ((call.target, 1.0),))], 1.0 + 1e-9)
+        for slot, call in enumerate(_live_calls(block)))
+    term = block.term
+    kind = term.kind
+    arms = []
+    if kind == "condbr":
+        falls = term.uncond_target is None
+        # Two-way choices resolve in canonical (IR block id) order.
+        arms = sorted(
+            [(term.cond_prob, term.cond_target, 1),
+             (1.0 - term.cond_prob, block.end if falls else term.uncond_target, int(not falls))],
+            key=lambda arm: exe.exec_blocks[ids[arm[1]]].bb_id)
+    elif kind == "jump":
+        arms = [(1.0, term.uncond_target, 1)]
+    elif kind == "fallthrough":
+        arms = [(1.0, block.end, 0)]
+    elif kind == "ijmp":
+        arms = [(p, t, 1) for t, p in term.ijmp_targets]
+    elif kind not in ("ret", "trap"):
+        raise ValueError(f"unknown terminator kind {kind!r}")
+    choices = rows(_TERM, 0, arms, 1.0 + 1e-9 if kind == "condbr" else 2.0) if arms else ()
+    key = ((zlib.crc32(block.func.encode()) << 20) ^ block.bb_id) & _MASK64
+    return key, calls, choices, kind == "ret"
+
+
+def walk(
+    exe: Executable,
+    max_branches: int = 100_000,
+    seed: int = 0,
+    record_blocks: bool = True,
+    max_blocks: Optional[int] = None,
+) -> Walk:
+    """Execute the program ``exe`` was built from, from its entry point.
+
+    The run stops after ``max_branches`` branches taken *in ``exe``*,
+    or -- when ``max_blocks`` is given -- after that many basic blocks
+    have executed.  **Performance comparisons must budget by blocks**:
+    the block-visit sequence is layout-invariant, so a fixed block
+    budget holds work constant while the number of taken branches
+    varies with layout quality.  Budgeting by branches would hold the
+    B2 counter constant by construction.
+
+    When the program returns from its entry function (or hits a trap)
+    the run restarts, modelling a driver invoking the workload in a
+    loop; ``Walk.restarts`` counts these.
+    """
+    ids = {b.addr: i for i, b in enumerate(exe.exec_blocks)}
+    transitions: List[Tuple[int, int, int, int]] = []
+    seed_mixed = (seed * 0x9E3779B97F4A7C15) & _MASK64
+    # Per-block tables, compiled on a block's first visit.
+    calls_of: list = [None] * len(ids)
+    choices_of, returns, bases, counts = (list(calls_of) for _ in range(4))
+    entry = ids[exe.entry]
+    if max_blocks is None:
+        max_blocks = 1 << 62
+    else:
+        max_branches = 1 << 62  # blocks are the binding budget
+    visits: List[int] = []
+    steps: List[int] = []
+    return_ids: Dict[Tuple[int, int], int] = {}
+    # Explicit frame stack of (calling block, resume call idx, call transition).
+    frames: List[Tuple[int, int, int]] = []
+    executed = taken = restarts = 0
+    block, call_idx = entry, 0
+    while taken < max_branches:
+        calls = calls_of[block]
+        if calls is None:
+            key, calls, choices_of[block], returns[block] = _compile_block(
+                exe, ids, transitions, block)
+            calls_of[block] = calls
+            bases[block] = (seed_mixed + key * 0xBF58476D1CE4E5B9) & _MASK64
+            counts[block] = 0
+        if call_idx == 0:
+            if executed >= max_blocks:
+                break
+            executed += 1
+            counts[block] += 1
+            if record_blocks:
+                visits.append(block)
+        if call_idx < len(calls):
+            rows = calls[call_idx]
+            call_idx += 1
+            slot = call_idx
+        else:
+            rows = choices_of[block]
+            slot = _TERM_SLOT
+        if rows:
+            row = rows[0]
+            if len(rows) > 1:
+                v = _mix_to_unit(bases[block] + counts[block] * 0x94D049BB133111EB + slot)
+                for row in rows:
+                    if v < row[0]:
+                        break
+            steps.append(row[2])
+            taken += row[3]
+            if slot != _TERM_SLOT:
+                frames.append((block, call_idx, row[2]))
+            block, call_idx = row[1], 0
+        elif returns[block] and frames:
+            caller, call_idx, site = frames.pop()
+            tid = return_ids.get((block, site))
+            if tid is None:
+                tid = return_ids[block, site] = len(transitions)
+                transitions.append((_RET, block, transitions[site][2], caller))
+            steps.append(tid)
+            taken += 1
+            block = caller
+        else:  # returned from the entry function, or trapped
+            restarts += 1
+            frames.clear()
+            block, call_idx = entry, 0
+    return Walk([(b.func, b.bb_id) for b in exe.exec_blocks], transitions, entry,
+                np.array(visits, dtype=np.int32), np.array(steps, dtype=np.int32),
+                restarts, executed)
+
+
+#: Stream elements handled per pass wherever a whole run is traversed:
+#: working memory stays a few hundred KB however long the run is.
+CHUNK = 1 << 15
+
+
+def _first_use_order(ids: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``ids`` (all below ``size``) by first appearance."""
+    first = np.full(size, len(ids), dtype=np.int64)
+    for lo in range(0, len(ids), CHUNK):
+        chunk = ids[lo:lo + CHUNK]
+        np.minimum.at(first, chunk, np.arange(lo, lo + len(chunk)))
+    used = np.flatnonzero(first < len(ids))
+    return used[np.argsort(first[used])]
+
+
+def _resolve(walk: Walk, image: list, transition: Tuple[int, int, int, int]):
+    """One transition in one image: ``(branch src or -1, dst, kind)``."""
+    kind, bid, slot, other = transition
+    block, target = image[bid], image[other]
+    if target is None:
+        raise ProjectionError("reaches a block the image lacks",
+                              *walk.blocks[other], block.addr)
+    term, to = block.term, target.addr
+    if kind == _RET:
+        site = _live_calls(target)[slot:slot + 1]
+        if term.kind == "ret" and site:
+            return term.end_instr_addr, site[0].return_addr, BRANCH_KIND_RET
+    elif kind == _CALL:
+        for call in _live_calls(block)[slot:slot + 1]:
+            if to == call.target or (
+                    call.target is None and any(to == t for t, _ in call.indirect_targets)):
+                return call.addr, to, BRANCH_KIND_CALL
+    elif term.kind == "ijmp":
+        if any(to == t for t, _ in term.ijmp_targets):
+            return term.end_instr_addr, to, BRANCH_KIND_IJMP
+    elif term.kind == "condbr" and to == term.cond_target:
+        return term.cond_br_addr, to, BRANCH_KIND_COND
+    elif term.uncond_target is not None:
+        if to == term.uncond_target:
+            return term.uncond_br_addr, to, BRANCH_KIND_JMP
+    elif term.kind in ("condbr", "fallthrough") and to == block.end:
+        return -1, to, 0  # falls through: no event
+    step = ("call", "branch or fall-through", "return")[kind]
+    raise ProjectionError(
+        f"no {step} here reaches {target.func} bb{target.bb_id} @ {to:#x}",
+        block.func, block.bb_id, block.addr)
+
+
+def _project(walk: Walk, exe: Executable, gather) -> Trace:
+    """Resolve ``walk``'s transitions against ``exe``, then build each of
+    the trace's four streams as ``gather(table, index)``: the address of
+    every canonical block at ``walk.visits``, the per-transition ``(src,
+    dst, kind)`` columns at the steps that are taken branches."""
+    by_key = {(b.func, b.bb_id): b for b in exe.exec_blocks}
+    image = [by_key.get(key) for key in walk.blocks]
+    entry = image[walk.entry]
+    if entry is None or entry.addr != exe.entry:
+        raise ProjectionError("entry point is not the walk's entry block",
+                              *walk.blocks[walk.entry], exe.entry)
+    events = np.full((3, len(walk.transitions)), -1, dtype=np.int64)
+    for tid in _first_use_order(walk.steps, len(walk.transitions)).tolist():
+        events[:, tid] = _resolve(walk, image, walk.transitions[tid])
+    addr_of = np.array([-1 if b is None else b.addr for b in image], dtype=np.int64)
+    taken = walk.steps[(events[0] >= 0)[walk.steps]]  # src -1: falls through
+    return Trace(gather(addr_of, walk.visits), *(gather(column, taken) for column in events),
+                 restarts=walk.restarts, executed_count=walk.executed_count)
+
+
+def _shared_ints(table: np.ndarray, index: np.ndarray) -> List[int]:
+    """``table[index]`` as a list whose equal values are one int object.
+
+    Gathered from a list of the table's few values, a chunk at a time:
+    that is how a loop appending addresses shared them (a 400 k-branch
+    LBR run is 10 MB of lists; ``ndarray.tolist()`` makes it 40).
+    """
+    values, out = table.tolist(), []
+    for lo in range(0, len(index), CHUNK):
+        out += map(values.__getitem__, index[lo:lo + CHUNK].tolist())
+    return out
+
+
+def project(walk: Walk, exe: Executable) -> Trace:
+    """The trace ``exe`` produces when it executes ``walk``.
+
+    Every distinct transition of the walk is resolved against ``exe``
+    once, in order of first use, so the first step ``exe`` cannot take
+    is the one a :class:`ProjectionError` reports.
+    """
+    return _project(walk, exe, _shared_ints)
+
+
+def project_arrays(walk: Walk, exe: Executable) -> Trace:
+    """:func:`project`, with the trace's four streams left as arrays."""
+    return _project(walk, exe, np.ndarray.__getitem__)
 
 
 def generate_trace(
@@ -186,111 +381,6 @@ def generate_trace(
     record_blocks: bool = True,
     max_blocks: Optional[int] = None,
 ) -> Trace:
-    """Execute ``exe`` from its entry point.
-
-    The run stops after ``max_branches`` taken branches, or -- when
-    ``max_blocks`` is given -- after that many basic blocks have
-    executed.  **Performance comparisons must budget by blocks**: the
-    block-visit sequence is layout-invariant, so a fixed block budget
-    holds work constant while the number of taken branches varies with
-    layout quality.  Budgeting by branches would hold the B2 counter
-    constant by construction.
-
-    When the program returns from its entry function (or hits a trap)
-    the run restarts, modelling a driver invoking the workload in a
-    loop; ``Trace.restarts`` counts these.
-    """
-    trace = Trace()
-    block_addrs = trace.block_addrs
-    src = trace.branch_src
-    dst = trace.branch_dst
-    kinds = trace.branch_kind
-    nodes = _compile_nodes(exe)
-    entry = exe.entry
-    seed_mixed = (seed * 0x9E3779B97F4A7C15) & _MASK64
-    if max_blocks is not None:
-        max_branches = 1 << 62  # blocks are the binding budget
-    blocks_executed = 0
-
-    # Explicit frame stack of (resume block addr, resume call idx, return addr).
-    frames: List[Tuple[int, int, int]] = []
-    addr = entry
-    call_idx = 0
-    while len(src) < max_branches:
-        node = nodes[addr]
-        if call_idx == 0:
-            if max_blocks is not None and blocks_executed >= max_blocks:
-                break
-            blocks_executed += 1
-            node.visits += 1
-            if record_blocks:
-                block_addrs.append(addr)
-        calls = node.calls
-        transferred = False
-        while call_idx < len(calls):
-            cum_targets, site_addr, return_addr = calls[call_idx]
-            call_idx += 1
-            if len(cum_targets) == 1:
-                target = cum_targets[0][1]
-            else:
-                v = _mix_to_unit(
-                    seed_mixed
-                    + node.key * 0xBF58476D1CE4E5B9
-                    + node.visits * 0x94D049BB133111EB
-                    + call_idx
-                )
-                target = cum_targets[-1][1]
-                for cum, t in cum_targets:
-                    if v < cum:
-                        target = t
-                        break
-            src.append(site_addr)
-            dst.append(target)
-            kinds.append(BRANCH_KIND_CALL)
-            frames.append((addr, call_idx, return_addr))
-            addr, call_idx = target, 0
-            transferred = True
-            break
-        if transferred:
-            continue
-
-        kind = node.term_kind
-        if kind in ("condbr", "jump", "fallthrough", "ijmp"):
-            choices = node.choices
-            if len(choices) == 1:
-                _cum, nxt, evt_src, evt_kind = choices[0]
-            else:
-                v = _mix_to_unit(
-                    seed_mixed
-                    + node.key * 0xBF58476D1CE4E5B9
-                    + node.visits * 0x94D049BB133111EB
-                    + _TERM_SLOT
-                )
-                nxt = evt_src = evt_kind = None
-                for cum, c_next, c_src, c_kind in choices:
-                    if v < cum:
-                        nxt, evt_src, evt_kind = c_next, c_src, c_kind
-                        break
-            if evt_src >= 0:
-                src.append(evt_src)
-                dst.append(nxt)
-                kinds.append(evt_kind)
-            addr, call_idx = nxt, 0
-        elif kind == "ret":
-            if frames:
-                ret_block_addr, resume_idx, return_addr = frames.pop()
-                src.append(node.ret_addr)
-                dst.append(return_addr)
-                kinds.append(BRANCH_KIND_RET)
-                addr, call_idx = ret_block_addr, resume_idx
-            else:
-                trace.restarts += 1
-                addr, call_idx = entry, 0
-        elif kind == "trap":
-            trace.restarts += 1
-            frames.clear()
-            addr, call_idx = entry, 0
-        else:
-            raise ValueError(f"unknown terminator kind {kind!r}")
-    trace.executed_count = blocks_executed
-    return trace
+    """Execute ``exe`` from its entry point: :func:`walk` it, then
+    :func:`project` the walk back onto it (same budgets as :func:`walk`)."""
+    return project(walk(exe, max_branches, seed, record_blocks, max_blocks), exe)

@@ -324,9 +324,9 @@ def cmd_stages(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.bolt import BoltError, BoltStartupCrash, check_startup, run_bolt
-    from repro.hwmodel import simulate_frontend
+    from repro.hwmodel import frontend_scorecard
     from repro.hwmodel.frontend import DEFAULT_PARAMS
-    from repro.profiles import generate_trace
+    from repro.profiles import ProjectionError
 
     program = load_program(args.program)
     pipe = PropellerPipeline(program, _config(args))
@@ -344,18 +344,25 @@ def cmd_compare(args) -> int:
         bolt_note = f"startup crash: {exc}"
 
     params = DEFAULT_PARAMS.scaled(args.hw_scale)
-    rows = [("baseline", result.baseline.executable),
-            ("propeller", result.optimized.executable)]
+    rows = {"baseline": result.baseline.executable,
+            "propeller": result.optimized.executable}
     if bolt_exe is not None:
-        rows.append(("bolt", bolt_exe))
+        rows["bolt"] = bolt_exe
+    try:
+        cards = frontend_scorecard(rows, args.blocks, params=params)
+    except ProjectionError as exc:
+        if bolt_exe is None:
+            raise
+        # BOLT may rewrite the block set: score it on a walk of its own.
+        log.warning("bolt binary cannot replay the baseline's walk (%s); "
+                    "walking it separately", exc)
+        del rows["bolt"]
+        cards = frontend_scorecard(rows, args.blocks, params=params)
+        cards.update(frontend_scorecard({"bolt": bolt_exe}, args.blocks, params=params))
     table = Table(["binary", "cycles", "L1i miss", "iTLB miss", "taken branches",
                    "vs baseline"])
-    base_cycles: Optional[float] = None
-    for label, exe in rows:
-        trace = generate_trace(exe, max_blocks=args.blocks, seed=77)
-        c = simulate_frontend(exe, trace, params)
-        if base_cycles is None:
-            base_cycles = c.cycles
+    base_cycles = cards["baseline"].cycles
+    for label, c in cards.items():
         table.add_row(label, f"{c.cycles / 1e6:.2f}M", c.l1i_miss, c.itlb_miss,
                       c.taken_branches, f"{100 * (base_cycles / c.cycles - 1):+.2f}%")
     print(table)

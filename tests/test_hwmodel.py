@@ -1,6 +1,11 @@
 """Tests for the micro-architectural frontend model."""
 
+from bisect import bisect_right
+from collections import defaultdict
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hwmodel import (
     SetAssociativeCache,
@@ -40,10 +45,13 @@ class TestCache:
     def test_probe_does_not_touch(self):
         cache = SetAssociativeCache(1, 2)
         cache.access(0)
+        cache.access(1)      # 0 is now LRU
         assert cache.probe(0)
         assert not cache.probe(5)
-        assert cache.hits == 0 or cache.hits == 0  # probe counted nothing
-        assert cache.misses == 1
+        assert (cache.hits, cache.misses) == (0, 2)  # probe counted nothing
+        cache.access(2)      # ... and left 0 the victim
+        assert not cache.probe(0)
+        assert cache.probe(1)
 
     def test_capacity(self):
         assert SetAssociativeCache(8, 4).capacity == 32
@@ -57,6 +65,46 @@ class TestCache:
         cache.access(0)
         cache.reset_counters()
         assert cache.misses == 0
+
+
+class ReferenceLRU:
+    """Per-access set-associative LRU, written to be obviously right."""
+
+    def __init__(self, num_sets, ways):
+        self.sets = [[] for _ in range(num_sets)]  # each MRU first
+        self.ways = ways
+
+    def access(self, key):
+        ways = self.sets[key % len(self.sets)]
+        hit = key in ways
+        if hit:
+            ways.remove(key)
+        elif len(ways) == self.ways:
+            ways.pop()
+        ways.insert(0, key)
+        return hit
+
+
+_GEOMETRY = st.tuples(st.sampled_from([1, 2, 3, 8]), st.sampled_from([1, 2, 4]))
+
+
+class TestBulkAccess:
+    @settings(max_examples=200, deadline=None)
+    @given(_GEOMETRY, st.lists(st.integers(0, 40), max_size=300), st.booleans())
+    def test_access_many_is_the_per_access_model(self, geometry, keys, next_line):
+        cache, reference = SetAssociativeCache(*geometry), ReferenceLRU(*geometry)
+        expected = []
+        for pos, key in enumerate(keys):
+            if not reference.access(key):
+                expected.append(pos)
+                if next_line:
+                    reference.access(key + 1)
+        assert cache.access_many(keys, next_line) == expected
+        if not next_line:
+            assert (cache.hits, cache.misses) == (len(keys) - len(expected), len(expected))
+        for key in range(42):  # same residents, and the same victims next
+            assert cache.probe(key) == (key in reference.sets[key % geometry[0]])
+        assert [cache.access(k) for k in range(42)] == [reference.access(k) for k in range(42)]
 
 
 class TestScaledParams:
@@ -128,6 +176,99 @@ class TestFrontend:
         huge_exe.rebuild_block_index()
         huge = simulate_frontend(huge_exe, trace, DEFAULT_PARAMS.scaled(8))
         assert huge.itlb_miss < normal.itlb_miss
+
+
+def reference_replay(exe, trace, params, simulate_dsb):
+    """The per-access replay, one block and one structure touch at a
+    time: ``(instructions, {func: {counter: value}})``."""
+    line_shift = params.line_bytes.bit_length() - 1
+    page_shift = params.page_shift_2m if exe.hugepages else params.page_shift_4k
+    l1i = ReferenceLRU(params.l1i_sets, params.l1i_ways)
+    l2 = ReferenceLRU(params.l2_sets, params.l2_ways)
+    itlb = (ReferenceLRU(params.itlb_2m_sets, params.itlb_2m_ways) if exe.hugepages
+            else ReferenceLRU(params.itlb_4k_sets, params.itlb_4k_ways))
+    stlb = ReferenceLRU(params.stlb_sets, params.stlb_ways)
+    btb = ReferenceLRU(params.btb_sets, params.btb_ways)
+    dsb = ReferenceLRU(params.dsb_sets, params.dsb_ways)
+    blocks = {b.addr: b for b in exe.exec_blocks}
+    per = defaultdict(lambda: defaultdict(float))
+    instructions = 0.0
+    for addr in trace.block_addrs:
+        block, charged = blocks[addr], per[blocks[addr].func]
+        last = addr + max(0, block.size - 1)
+        instrs = max(1.0, block.size / params.avg_instr_bytes)
+        instructions += instrs
+        charged["instructions"] += instrs
+        charged["blocks"] += 1
+        for line in range(addr >> line_shift, (last >> line_shift) + 1):
+            if not l1i.access(line):
+                charged["l1i_miss"] += 1
+                if not l2.access(line):
+                    charged["l2_code_miss"] += 1
+                if params.next_line_prefetch:
+                    l1i.access(line + 1)
+                    l2.access(line + 1)
+        for page in sorted({addr >> page_shift, (block.end - 1) >> page_shift}):
+            if not itlb.access(page):
+                charged["itlb_miss"] += 1
+                if not stlb.access(page):
+                    charged["itlb_walk"] += 1
+        for target in block.prefetch_targets:
+            for line in (target >> line_shift, (target >> line_shift) + 1):
+                l1i.access(line)
+                l2.access(line)
+                itlb.access((line << line_shift) >> page_shift)
+        for window in range(addr >> 5, (last >> 5) + 1) if simulate_dsb else ():
+            if not dsb.access(window):
+                charged["dsb_miss"] += 1
+    starts = sorted(blocks)
+    for src in trace.branch_src:
+        charged = per[blocks[starts[bisect_right(starts, src) - 1]].func]
+        charged["taken_branches"] += 1
+        if not btb.access(src):
+            charged["baclears"] += 1
+    return instructions, per
+
+
+_SETS, _WAYS = st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 8])
+_PARAMS = st.builds(
+    SkylakeParams,
+    l1i_sets=_SETS, l1i_ways=_WAYS, l2_sets=_SETS, l2_ways=_WAYS,
+    itlb_4k_sets=_SETS, itlb_4k_ways=_WAYS, itlb_2m_sets=_SETS, itlb_2m_ways=_WAYS,
+    stlb_sets=_SETS, stlb_ways=_WAYS, btb_sets=_SETS, btb_ways=_WAYS,
+    dsb_sets=_SETS, dsb_ways=_WAYS, page_shift_4k=st.sampled_from([6, 8, 12]),
+    page_shift_2m=st.sampled_from([10, 13]), next_line_prefetch=st.booleans(),
+)
+_COUNTERS = ("blocks", "l1i_miss", "l2_code_miss", "itlb_miss", "itlb_walk",
+             "dsb_miss", "taken_branches", "baclears")
+
+
+class TestReplayAgainstReference:
+    """The bulk, de-duplicated replay is the per-access one, exactly --
+    one-set and one-way structures included, where a repeated line can
+    find the next-line fill has pushed it out."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_PARAMS, st.booleans(), st.booleans(), st.booleans(), st.integers(0, 1000))
+    def test_counters_match_per_function(self, pipeline_result, params, hugepages,
+                                         simulate_dsb, prefetching, seed):
+        exe = pipeline_result.optimized.executable
+        entries = [s.addr for s in exe.function_symbols()]
+        exe = replace(exe, hugepages=hugepages, exec_blocks=[
+            replace(b, prefetch_targets=tuple(entries[(i + k) % len(entries)] for k in (0, 5)))
+            if prefetching and i % 7 == 0 else b
+            for i, b in enumerate(exe.exec_blocks)])
+        trace = generate_trace(exe, max_blocks=1500, seed=seed)
+        counters = simulate_frontend(exe, trace, params, simulate_dsb, by_function=True)
+        instructions, per = reference_replay(exe, trace, params, simulate_dsb)
+        assert counters.instructions == instructions
+        assert set(counters.per_function) == set(per)
+        for func, expected in per.items():
+            got = counters.per_function[func]
+            assert got.instructions == expected["instructions"]
+            assert {c: getattr(got, c) for c in _COUNTERS} == {c: expected[c] for c in _COUNTERS}
+        for c in _COUNTERS[1:]:
+            assert getattr(counters, c) == sum(f[c] for f in per.values())
 
 
 class TestPerFunctionAttribution:

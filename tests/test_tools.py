@@ -179,6 +179,57 @@ class TestCLI:
         assert all(p.peak_memory_bytes >= 0 for p in report.phases)
 
 
+class TestCompare:
+    ARGS = ["--lbr-branches", "40000", "--pgo-steps", "20000", "--blocks", "5000"]
+
+    @pytest.fixture
+    def prog(self, tmp_path):
+        path = tmp_path / "p.json"
+        main(["generate", "--preset", "531.deepsjeng", "--scale", "0.3",
+              "--seed", "7", "-o", str(path)])
+        return str(path)
+
+    def test_three_binaries_one_walk(self, prog, capsys, monkeypatch):
+        import repro.hwmodel.frontend as frontend
+
+        walks = []
+        walk = frontend.walk
+        monkeypatch.setattr(frontend, "walk",
+                            lambda *a, **kw: walks.append(1) or walk(*a, **kw))
+        assert main(["compare", prog, *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        assert all(label in out for label in ("baseline", "propeller", "bolt"))
+        assert len(walks) == 1
+
+    def test_rewritten_block_set_is_a_message_not_a_traceback(
+            self, prog, capsys, monkeypatch):
+        """A BOLT binary that cannot replay the baseline's walk is scored
+        on a walk of its own, and the run says so."""
+        import io
+        import logging
+        from dataclasses import replace
+
+        import repro.bolt
+
+        run_bolt = repro.bolt.run_bolt
+
+        def renaming_bolt(exe, perf):
+            result = run_bolt(exe, perf)
+            renamed = [replace(b, bb_id=b.bb_id + 1000) for b in result.executable.exec_blocks]
+            return replace(result, executable=replace(result.executable, exec_blocks=renamed))
+
+        monkeypatch.setattr(repro.bolt, "run_bolt", renaming_bolt)
+        progress = io.StringIO()
+        listener = logging.StreamHandler(progress)
+        logging.getLogger("repro").addHandler(listener)
+        try:
+            assert main(["compare", prog, *self.ARGS]) == 0
+        finally:
+            logging.getLogger("repro").removeHandler(listener)
+        assert "bolt" in capsys.readouterr().out
+        assert "cannot replay the baseline's walk" in progress.getvalue()
+
+
 class TestCLIAPIDiscipline:
     def test_defaults_match_pipeline_config(self):
         """CLI defaults come from PipelineConfig -- provably identical."""
