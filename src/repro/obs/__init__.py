@@ -19,9 +19,10 @@ makes both visible for any pipeline run:
   ``PipelineResult.report()`` and ``--metrics-out``, including the
   hardware-counter ``frontend`` scorecard.
 * :mod:`repro.obs.bench` / :mod:`repro.obs.baseline` -- the continuous
-  benchmark harness behind ``repro-bench``: declarative scenarios,
-  median-of-N timing with MAD noise estimation, schema-versioned
-  ``BENCH_<n>.json`` reports and baseline regression gates.
+  benchmark harness behind ``repro-bench``: declarative scenarios of
+  exact metrics (simulated clock, counters, digests -- real seconds
+  are ``bench/``'s), schema-versioned reports and baseline regression
+  gates.
 * :func:`get_logger` / :func:`configure_logging` -- the ``logging``
   channel CLI progress output goes through (``--quiet``/``--verbose``).
 
@@ -39,11 +40,9 @@ from repro.obs.baseline import (
 )
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
-    SUITES,
     BenchReport,
     Metric,
     ScenarioResult,
-    next_bench_path,
     run_suite,
 )
 from repro.obs.counters import Counters
@@ -106,7 +105,6 @@ __all__ = [
     "PipelineReport",
     "REGEN_BASELINE_ENV",
     "RunSnapshot",
-    "SUITES",
     "ScenarioResult",
     "Span",
     "Tracer",
@@ -125,7 +123,6 @@ __all__ = [
     "get_logger",
     "load_bench_report",
     "metrics_table",
-    "next_bench_path",
     "run_suite",
     "spans_from_chrome",
     "write_bench_report",

@@ -4,22 +4,13 @@ Implements the policy half of the harness: given a current
 :class:`~repro.obs.bench.BenchReport` and a stored baseline, classify
 every metric and decide whether the run passes.
 
-Classification is per-metric, driven by the metric's own ``gate`` and
-``direction`` (declared where the metric is produced, not here):
-
-========== ===========================================================
-``exact``  values must match bit-for-bit.  A mismatch in the *better*
-           direction is ``IMPROVED`` (passes, but the printed scorecard
-           tells you to refresh the baseline); in the worse direction
-           it is ``REGRESSED`` (fails); with no direction (digests,
-           fingerprint counters) any drift is ``CHANGED`` (fails --
-           the change must be reviewed and the baseline refreshed).
-``noise``  compared within a noise band: ``max(min_band, noise_factor
-           * max(current.noise, baseline.noise))`` of relative delta.
-           Inside the band is ``WITHIN_NOISE``; outside, direction
-           decides ``IMPROVED`` / ``REGRESSED`` (fails).
-``info``   classified for display, never gates.
-========== ===========================================================
+Every metric is exact: values must match bit-for-bit.  Classification
+of a mismatch is driven by the metric's own ``direction`` (declared
+where the metric is produced, not here): in the *better* direction it
+is ``IMPROVED`` (passes, but the printed scorecard tells you to refresh
+the baseline); in the worse direction it is ``REGRESSED`` (fails); with
+no direction (digests, fingerprint counters) any drift is ``CHANGED``
+(fails -- the change must be reviewed and the baseline refreshed).
 
 A metric present in the baseline but missing from the current run is
 ``MISSING`` (fails): silently dropping a tracked metric is itself a
@@ -54,7 +45,6 @@ REGEN_BASELINE_ENV = "REPRO_REGEN_BASELINE"
 #: Verdicts a metric comparison can reach.
 IMPROVED = "improved"
 REGRESSED = "regressed"
-WITHIN_NOISE = "within-noise"
 UNCHANGED = "unchanged"
 CHANGED = "changed"
 NEW = "new"
@@ -62,8 +52,20 @@ MISSING = "missing"
 
 
 def load_bench_report(path: Union[str, Path]) -> BenchReport:
-    """Read a schema-checked :class:`BenchReport` from JSON."""
-    return BenchReport.from_json(json.loads(Path(path).read_text()))
+    """Read a schema-checked :class:`BenchReport` from JSON.
+
+    Anything wrong with the file's *content* -- not JSON, a foreign or
+    older schema, a missing key -- is one ``ValueError`` naming the path.
+    """
+    text = Path(path).read_text()
+    try:
+        return BenchReport.from_json(json.loads(text))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"{path}: not a bench report (missing or malformed key: {exc})"
+        ) from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_bench_report(report: BenchReport, path: Union[str, Path]) -> None:
@@ -83,7 +85,7 @@ class MetricComparison:
     failed: bool
     current: Optional[Metric] = None
     baseline: Optional[Metric] = None
-    #: Human-readable one-liner ("+3.2% (band 25%)", "digest drifted").
+    #: Human-readable one-liner ("+3.2% (exact gate)", "digest drifted").
     detail: str = ""
 
     @property
@@ -95,8 +97,6 @@ class MetricComparison:
 class Comparison:
     """Every metric's verdict; the gate result for one bench run."""
 
-    current_suite: str
-    baseline_suite: str
     entries: Tuple[MetricComparison, ...]
 
     @property
@@ -116,8 +116,8 @@ class Comparison:
     def summary(self) -> str:
         counts = self.counts()
         parts = [f"{counts[v]} {v}" for v in
-                 (REGRESSED, CHANGED, MISSING, IMPROVED, WITHIN_NOISE,
-                  UNCHANGED, NEW) if v in counts]
+                 (REGRESSED, CHANGED, MISSING, IMPROVED, UNCHANGED, NEW)
+                 if v in counts]
         status = "PASS" if self.ok else "FAIL"
         return f"{status}: {', '.join(parts) if parts else 'no metrics'}"
 
@@ -139,16 +139,10 @@ def _relative_delta(current: Metric, baseline: Metric) -> Optional[float]:
     return (cur - base) / base
 
 
-def _direction_verdict(delta_is_better: bool) -> str:
-    return IMPROVED if delta_is_better else REGRESSED
-
-
 def _compare_metric(
     scenario: str,
     current: Optional[Metric],
     baseline: Optional[Metric],
-    noise_factor: float,
-    min_band: float,
 ) -> MetricComparison:
     if current is None:
         assert baseline is not None
@@ -169,72 +163,24 @@ def _compare_metric(
     delta = _relative_delta(current, baseline)
     delta_text = f"{100 * delta:+.2f}%" if delta is not None else "n/a"
 
-    if current.gate == "exact":
-        if _values_equal(current.value, baseline.value):
-            return MetricComparison(verdict=UNCHANGED, failed=False, **common)
-        if current.direction == "none" or delta is None:
-            return MetricComparison(
-                verdict=CHANGED, failed=True,
-                detail=f"{baseline.value!r} -> {current.value!r} "
-                       "(exact gate; review and refresh the baseline)",
-                **common)
-        better = (delta < 0) == (current.direction == "lower")
-        verdict = _direction_verdict(better)
+    if _values_equal(current.value, baseline.value):
+        return MetricComparison(verdict=UNCHANGED, failed=False, **common)
+    if current.direction == "none" or delta is None:
         return MetricComparison(
-            verdict=verdict, failed=verdict == REGRESSED,
-            detail=f"{delta_text} (exact gate"
-                   f"{'; refresh baseline to lock in' if better else ''})",
+            verdict=CHANGED, failed=True,
+            detail=f"{baseline.value!r} -> {current.value!r} "
+                   "(exact gate; review and refresh the baseline)",
             **common)
-
-    if current.gate == "noise":
-        band = max(min_band, noise_factor * max(current.noise, baseline.noise))
-        if delta is None:
-            return MetricComparison(
-                verdict=CHANGED, failed=True,
-                detail="non-numeric value under a noise gate", **common)
-        if abs(delta) <= band:
-            return MetricComparison(
-                verdict=WITHIN_NOISE, failed=False,
-                detail=f"{delta_text} (band ±{100 * band:.0f}%)", **common)
-        better = (delta < 0) == (current.direction == "lower")
-        verdict = _direction_verdict(better)
-        return MetricComparison(
-            verdict=verdict, failed=verdict == REGRESSED,
-            detail=f"{delta_text} outside ±{100 * band:.0f}% band", **common)
-
-    # info: classified for display only, never gates.
-    if delta is None or _values_equal(current.value, baseline.value):
-        return MetricComparison(verdict=UNCHANGED, failed=False,
-                                detail="informational", **common)
-    band = max(min_band, noise_factor * max(current.noise, baseline.noise))
-    if abs(delta) <= band or current.direction == "none":
-        return MetricComparison(verdict=WITHIN_NOISE, failed=False,
-                                detail=f"{delta_text} (informational)", **common)
     better = (delta < 0) == (current.direction == "lower")
     return MetricComparison(
-        verdict=_direction_verdict(better), failed=False,
-        detail=f"{delta_text} (informational)", **common)
+        verdict=IMPROVED if better else REGRESSED, failed=not better,
+        detail=f"{delta_text} (exact gate"
+               f"{'; refresh baseline to lock in' if better else ''})",
+        **common)
 
 
-def compare(
-    current: BenchReport,
-    baseline: BenchReport,
-    noise_factor: float = 4.0,
-    min_band: float = 0.25,
-) -> Comparison:
-    """Classify every metric of ``current`` against ``baseline``.
-
-    ``noise_factor`` scales the measured relative MAD into a band;
-    ``min_band`` is the floor (generous by default: real seconds vary
-    across machines far more than within one, and the deterministic
-    metrics -- where the paper's claims live -- don't need bands at
-    all).  Suites must match: comparing smoke numbers against a full
-    baseline would classify everything as changed.
-    """
-    if current.suite != baseline.suite:
-        raise ValueError(
-            f"cannot compare suite {current.suite!r} against baseline "
-            f"suite {baseline.suite!r}")
+def compare(current: BenchReport, baseline: BenchReport) -> Comparison:
+    """Classify every metric of ``current`` against ``baseline``."""
     if baseline.perturb:
         raise ValueError(
             f"baseline was recorded with an injected fault "
@@ -252,11 +198,5 @@ def compare(
                 name,
                 cur_metrics.get(metric_name),
                 base_metrics.get(metric_name),
-                noise_factor=noise_factor,
-                min_band=min_band,
             ))
-    return Comparison(
-        current_suite=current.suite,
-        baseline_suite=baseline.suite,
-        entries=tuple(entries),
-    )
+    return Comparison(entries=tuple(entries))

@@ -9,18 +9,12 @@ schema-versioned :class:`BenchReport` that
 :mod:`repro.obs.baseline` can diff against a committed baseline and
 gate CI on.
 
-Two kinds of metric coexist, with different truth standards:
-
-* **Deterministic** metrics -- simulated wall-clock, build-system
-  counters, hardware-model counters, artifact digests -- are exact
-  functions of (code, seed).  They carry ``gate="exact"`` and any
-  drift is a reviewable event, like a golden-file diff.
-* **Timing** metrics -- real seconds this machine burned -- are noisy
-  and machine-dependent.  Each is measured as median-of-N with a
-  MAD-derived relative noise estimate; absolute timings are
-  informational (``gate="info"``), while machine-portable *ratios*
-  (warm-cache speedup) carry ``gate="noise"`` and are compared within
-  noise bands.
+Every metric here is an exact function of (code, seed): simulated
+wall-clock, build-system counters, hardware-model counters, artifact
+digests.  Any drift is a reviewable event, like a golden-file diff, and
+the report carries no clock -- two runs of the same code serialize to
+the same JSON.  Real seconds are ``bench/``'s question (``python3
+bench/run.py``), not this module's.
 
 Like the rest of :mod:`repro.obs`, this module imports nothing from the
 rest of ``repro`` at module scope; scenario bodies import the pipeline
@@ -31,79 +25,35 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
-import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_REPETITIONS",
     "BenchContext",
     "BenchReport",
     "Metric",
     "ScenarioResult",
     "Scenario",
     "SuiteSpec",
-    "SUITES",
+    "SMOKE",
     "PERTURBATIONS",
-    "mad",
-    "median",
-    "summarize",
-    "next_bench_path",
     "run_suite",
     "suite_scenarios",
 ]
 
-#: Bump on any backwards-incompatible change to the BENCH_*.json layout.
-BENCH_SCHEMA_VERSION = 1
-
-#: Median-of-N repetition policy shared with ``benchmarks/conftest.py``.
-DEFAULT_REPETITIONS = 3
+#: Bump on any backwards-incompatible change to the report's JSON layout
+#: (2 = exact-only: no ``gate``/``noise``/``reps``/``repetitions`` keys).
+BENCH_SCHEMA_VERSION = 2
 
 MetricValue = Union[int, float, str]
 
-#: Supported gate policies (see module docstring).
-GATES = ("exact", "noise", "info")
 #: Which direction is *better*; "none" marks pure fingerprints.
 DIRECTIONS = ("lower", "higher", "none")
 
 #: Named fault injections, used to prove the gates actually fire
 #: (``repro-bench --perturb shuffle-layout`` and tests/test_bench.py).
 PERTURBATIONS = ("shuffle-layout",)
-
-
-# ----------------------------------------------------------------------
-# Noise statistics
-
-def median(values: Sequence[float]) -> float:
-    """Median of a non-empty sequence."""
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation -- a robust spread estimate.
-
-    Unlike the standard deviation, one garbage-collection pause or
-    scheduler hiccup in N repetitions barely moves it, which is exactly
-    the robustness a perf harness needs.
-    """
-    m = median(values)
-    return median([abs(v - m) for v in values])
-
-
-def summarize(values: Sequence[float]) -> Tuple[float, float]:
-    """``(median, relative MAD)`` of repeated measurements."""
-    m = median(values)
-    return m, (mad(values) / m if m else 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -116,37 +66,21 @@ class Metric:
     name: str
     value: MetricValue
     unit: str = ""
-    #: "exact" (bit-identical or fail), "noise" (compare within a noise
-    #: band) or "info" (never gates).
-    gate: str = "exact"
     #: Which direction is better: "lower", "higher" or "none".
     direction: str = "none"
-    #: Relative noise estimate (MAD / median) for timing metrics.
-    noise: float = 0.0
-    #: Raw repetition values behind a timing median (empty otherwise).
-    reps: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.gate not in GATES:
-            raise ValueError(f"metric {self.name!r}: unknown gate {self.gate!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(
                 f"metric {self.name!r}: unknown direction {self.direction!r}"
             )
-
-    @property
-    def deterministic(self) -> bool:
-        return self.gate == "exact"
 
     def to_json(self) -> Dict[str, Any]:
         return {
             "name": self.name,
             "value": self.value,
             "unit": self.unit,
-            "gate": self.gate,
             "direction": self.direction,
-            "noise": self.noise,
-            "reps": list(self.reps),
         }
 
     @classmethod
@@ -155,10 +89,7 @@ class Metric:
             name=data["name"],
             value=data["value"],
             unit=data.get("unit", ""),
-            gate=data.get("gate", "exact"),
             direction=data.get("direction", "none"),
-            noise=data.get("noise", 0.0),
-            reps=tuple(data.get("reps", ())),
         )
 
 
@@ -202,7 +133,6 @@ class BenchReport:
 
     suite: str
     seed: int
-    repetitions: int
     scenarios: Tuple[ScenarioResult, ...]
     #: Name of the injected fault, if any (a perturbed report must never
     #: be mistaken for a clean baseline).
@@ -219,18 +149,16 @@ class BenchReport:
         return self.scenario(scenario).metric(name)
 
     def deterministic_fingerprint(self) -> str:
-        """SHA-256 over every ``gate="exact"`` metric.
+        """SHA-256 over every metric value.
 
         Two runs of the same suite on the same code must produce equal
-        fingerprints (enforced by tests/test_bench.py) -- timing noise
-        lives outside it by construction.
+        fingerprints (enforced by tests/test_bench.py).
         """
         h = hashlib.sha256()
         for scenario in self.scenarios:
             for metric in scenario.metrics:
-                if metric.deterministic:
-                    h.update(f"{scenario.name}|{metric.name}|{metric.value!r}\n"
-                             .encode("utf-8"))
+                h.update(f"{scenario.name}|{metric.name}|{metric.value!r}\n"
+                         .encode("utf-8"))
         return h.hexdigest()
 
     def to_json(self) -> Dict[str, Any]:
@@ -238,7 +166,6 @@ class BenchReport:
             "schema_version": self.schema_version,
             "suite": self.suite,
             "seed": self.seed,
-            "repetitions": self.repetitions,
             "perturb": self.perturb,
             "scenarios": [s.to_json() for s in self.scenarios],
         }
@@ -249,32 +176,16 @@ class BenchReport:
         if version != BENCH_SCHEMA_VERSION:
             raise ValueError(
                 f"bench schema version {version!r} is not the supported "
-                f"{BENCH_SCHEMA_VERSION}"
+                f"{BENCH_SCHEMA_VERSION}; regenerate the file with this "
+                "repro-bench"
             )
         return cls(
             suite=data["suite"],
             seed=data["seed"],
-            repetitions=data["repetitions"],
             perturb=data.get("perturb"),
             scenarios=tuple(ScenarioResult.from_json(s)
                             for s in data["scenarios"]),
         )
-
-
-_BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
-
-
-def next_bench_path(root: Union[str, Path] = ".") -> Path:
-    """The next free ``BENCH_<n>.json`` under ``root`` (repo-root convention).
-
-    Numbers are allocated monotonically past the highest existing file,
-    so a directory of reports reads as a performance trajectory in
-    commit order.
-    """
-    root = Path(root)
-    taken = [int(m.group(1)) for p in root.glob("BENCH_*.json")
-             if (m := _BENCH_NAME.match(p.name))]
-    return root / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
 # ----------------------------------------------------------------------
@@ -286,19 +197,7 @@ class BenchContext:
 
     suite: "SuiteSpec"
     seed: int
-    repetitions: int
-    jobs: Optional[int] = None
     perturb: Optional[str] = None
-
-    def time_repeated(self, fn: Callable[[], Any]) -> Tuple[float, float, Tuple[float, ...]]:
-        """Run ``fn`` ``repetitions`` times; ``(median_s, rel_noise, reps)``."""
-        reps: List[float] = []
-        for _ in range(self.repetitions):
-            start = time.perf_counter()
-            fn()
-            reps.append(time.perf_counter() - start)
-        med, noise = summarize(reps)
-        return med, noise, tuple(reps)
 
 
 @dataclass(frozen=True)
@@ -319,13 +218,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """The declarative description of one suite tier."""
+    """The declarative description of the suite: presets and budgets."""
 
     name: str
     #: (preset name, generation scale) pairs for quality scenarios.
     presets: Tuple[Tuple[str, float], ...]
-    #: (preset name, generation scale) for wall-clock scenarios.
-    timing_preset: Tuple[str, float]
     lbr_branches: int
     pgo_steps: int
     #: Trace budget (executed blocks) for frontend measurement.
@@ -338,43 +235,27 @@ class SuiteSpec:
     drift_levels: Tuple[float, ...] = (0.3, 0.5)
 
 
-SUITES: Dict[str, SuiteSpec] = {
-    # Small enough to run twice in CI; still has hot/cold modules and a
-    # non-trivial layout win to protect.
-    "smoke": SuiteSpec(
-        name="smoke",
-        presets=(("531.deepsjeng", 0.3), ("505.mcf", 1.0)),
-        timing_preset=("531.deepsjeng", 0.3),
-        lbr_branches=40_000,
-        pgo_steps=20_000,
-        trace_blocks=60_000,
-    ),
-    # The benchmark-suite scale (minutes, not seconds).
-    "full": SuiteSpec(
-        name="full",
-        presets=(("clang", 0.01), ("mysql", 0.02),
-                 ("505.mcf", 1.0), ("531.deepsjeng", 1.0)),
-        timing_preset=("531.deepsjeng", 1.0),
-        lbr_branches=600_000,
-        pgo_steps=200_000,
-        trace_blocks=400_000,
-    ),
-}
+#: The one suite.  Small enough to run twice in CI; still has hot/cold
+#: modules and a non-trivial layout win to protect.  (Paper-scale tables
+#: and figures are the slow-tier tests under ``tests/paper/``.)
+SMOKE = SuiteSpec(
+    name="smoke",
+    presets=(("531.deepsjeng", 0.3), ("505.mcf", 1.0)),
+    lbr_branches=40_000,
+    pgo_steps=20_000,
+    trace_blocks=60_000,
+)
 
 
 def _pipeline_config(ctx: BenchContext, **overrides):
     from repro.core.pipeline import PipelineConfig
 
-    # jobs only changes how fast the simulation itself runs (and the
-    # quarantined pool.* counters, which no scenario exports), so the
-    # quality scenarios may honor ctx.jobs without losing determinism.
     base = dict(
         seed=ctx.seed,
         lbr_branches=ctx.suite.lbr_branches,
         pgo_steps=ctx.suite.pgo_steps,
         workers=72,
         enforce_ram=False,
-        jobs=ctx.jobs or 1,
     )
     base.update(overrides)
     return PipelineConfig(**base)
@@ -424,19 +305,19 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
         for build in report.builds:
             metrics.append(Metric(
                 f"sim_wall_seconds.{build.name}", build.wall_seconds, "s",
-                gate="exact", direction="lower",
+                direction="lower",
             ))
         for name in ("cache.hits", "cache.misses", "ram.rejections"):
             metrics.append(Metric(
                 f"counter.{name}", report.counters.get(name, 0),
-                gate="exact", direction="none",
+                direction="none",
             ))
         for name, direction in (("pgo.match_rate", "higher"),
                                 ("lbr.record_coverage", "higher"),
                                 ("wpa.hot_functions", "none")):
             metrics.append(Metric(
                 f"gauge.{name}", report.gauges.get(name, 0),
-                gate="exact", direction=direction,
+                direction=direction,
             ))
 
         counters = frontend_scorecard(
@@ -451,14 +332,14 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
                 metrics.append(Metric(
                     f"{which}.{label}", counters[which].counter(label)
                     if label != "cycles" else counters[which].cycles,
-                    gate="exact", direction=direction,
+                    direction=direction,
                 ))
         improvement = counters["baseline"].cycles / counters["optimized"].cycles - 1.0
         metrics.append(Metric("improvement", improvement, "frac",
-                              gate="exact", direction="higher"))
+                              direction="higher"))
         metrics.append(Metric("optimized.digest",
                               optimized.executable.content_digest(),
-                              gate="exact", direction="none"))
+                              direction="none"))
         return metrics
 
     return Scenario(
@@ -510,26 +391,26 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
                     cards["baseline"].cycles / cards["optimized"].cycles - 1.0)
                 metrics.append(Metric(
                     f"{tag}.{mode}.match_rate", rates[mode], "frac",
-                    gate="exact", direction="higher",
+                    direction="higher",
                 ))
                 metrics.append(Metric(
                     f"{tag}.{mode}.improvement", improvements[mode], "frac",
-                    gate="exact", direction="higher",
+                    direction="higher",
                 ))
             metrics.append(Metric(
                 f"{tag}.match_rate_gain", rates["loose"] - rates["off"], "frac",
-                gate="exact", direction="higher",
+                direction="higher",
             ))
             metrics.append(Metric(
                 f"{tag}.improvement_gain",
                 improvements["loose"] - improvements["off"], "frac",
-                gate="exact", direction="higher",
+                direction="higher",
             ))
             metrics.append(Metric(
                 f"{tag}.loose_wins",
                 int(rates["loose"] > rates["off"]
                     and improvements["loose"] > improvements["off"]),
-                gate="exact", direction="higher",
+                direction="higher",
             ))
         return metrics
 
@@ -538,124 +419,6 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
         title=f"stale-profile matching on {preset_name} "
               f"(scale {scale}, drifts {', '.join(f'{d:g}' for d in drifts)})",
         paper_ref="§2.4 staleness; Stale Profile Matching (Ayupov et al.)",
-        run=run,
-    )
-
-
-def _cold_warm_scenario() -> Scenario:
-    """Wall-clock scenario: cold run vs persistent-cache warm replay.
-
-    The absolute seconds are machine-specific (informational); the
-    *speedup ratio* is what the persistent action cache guarantees
-    (PR 2's >=5x claim) and is gated within a generous noise band -- a
-    broken cache collapses it to ~1x, far outside any band.
-    """
-
-    def run(ctx: BenchContext) -> List[Metric]:
-        import tempfile
-
-        from repro.core.pipeline import PropellerPipeline
-
-        preset_name, scale = ctx.suite.timing_preset
-        program = _generate(ctx, preset_name, scale)
-        metrics: List[Metric] = []
-
-        digests: Dict[str, str] = {}
-
-        def cold_run():
-            result = PropellerPipeline(program, _pipeline_config(ctx)).run()
-            digests["cold"] = result.digest()
-
-        cold_med, cold_noise, cold_reps = ctx.time_repeated(cold_run)
-        metrics.append(Metric("cold.real_seconds", cold_med, "s",
-                              gate="info", direction="lower",
-                              noise=cold_noise, reps=cold_reps))
-
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            config = _pipeline_config(ctx, cache_dir=tmp)
-            PropellerPipeline(program, config).run()  # prime the store
-
-            disk_hits: Dict[str, float] = {}
-
-            def warm_run():
-                pipe = PropellerPipeline(program, config)
-                result = pipe.run()
-                digests["warm"] = result.digest()
-                disk_hits["value"] = result.counters.count("cache.disk_hits")
-
-            warm_med, warm_noise, warm_reps = ctx.time_repeated(warm_run)
-        metrics.append(Metric("warm.real_seconds", warm_med, "s",
-                              gate="info", direction="lower",
-                              noise=warm_noise, reps=warm_reps))
-        metrics.append(Metric("warm.speedup", cold_med / warm_med, "x",
-                              gate="noise", direction="higher",
-                              noise=max(cold_noise, warm_noise)))
-        metrics.append(Metric("warm.digest_match",
-                              int(digests["warm"] == digests["cold"]),
-                              gate="exact", direction="higher"))
-        metrics.append(Metric("warm.disk_replays", disk_hits["value"],
-                              gate="exact", direction="none"))
-        return metrics
-
-    return Scenario(
-        name="runtime:cold-warm",
-        title="cold pipeline vs persistent-cache warm replay",
-        paper_ref="Fig 9 / Table 5 (cache replay)",
-        run=run,
-    )
-
-
-def _jobs_scenario() -> Scenario:
-    """Wall-clock scenario: jobs=1 vs jobs=2 real parallelism.
-
-    Speedup is informational (CI runners have few, busy cores); what is
-    gated is the contract that parallelism never changes artifacts or
-    non-``pool.*`` counters.
-    """
-
-    def run(ctx: BenchContext) -> List[Metric]:
-        from repro.core.pipeline import PropellerPipeline
-
-        preset_name, scale = ctx.suite.timing_preset
-        program = _generate(ctx, preset_name, scale)
-        metrics: List[Metric] = []
-
-        outputs: Dict[int, Tuple[str, Dict[str, Dict[str, float]]]] = {}
-
-        def run_with(jobs: int):
-            result = PropellerPipeline(
-                program, _pipeline_config(ctx, jobs=jobs)).run()
-            snapshot = result.counters.snapshot()
-            non_pool = {kind: {k: v for k, v in values.items()
-                               if not k.startswith("pool.")}
-                        for kind, values in snapshot.items()}
-            outputs[jobs] = (result.digest(), non_pool)
-
-        serial_med, serial_noise, serial_reps = ctx.time_repeated(
-            lambda: run_with(1))
-        metrics.append(Metric("jobs1.real_seconds", serial_med, "s",
-                              gate="info", direction="lower",
-                              noise=serial_noise, reps=serial_reps))
-        parallel_med, parallel_noise, parallel_reps = ctx.time_repeated(
-            lambda: run_with(2))
-        metrics.append(Metric("jobs2.real_seconds", parallel_med, "s",
-                              gate="info", direction="lower",
-                              noise=parallel_noise, reps=parallel_reps))
-        metrics.append(Metric("jobs2.speedup", serial_med / parallel_med, "x",
-                              gate="info", direction="higher",
-                              noise=max(serial_noise, parallel_noise)))
-        metrics.append(Metric("jobs2.digest_match",
-                              int(outputs[1][0] == outputs[2][0]),
-                              gate="exact", direction="higher"))
-        metrics.append(Metric("jobs2.counters_match",
-                              int(outputs[1][1] == outputs[2][1]),
-                              gate="exact", direction="higher"))
-        return metrics
-
-    return Scenario(
-        name="runtime:jobs",
-        title="jobs=1 vs jobs=2 real parallelism",
-        paper_ref="PR 2 determinism contract (Fig 9 machinery)",
         run=run,
     )
 
@@ -697,22 +460,22 @@ def _faults_scenario() -> Scenario:
         metrics = [
             Metric("digest_match",
                    int(faulty.digest() == clean.digest()),
-                   gate="exact", direction="higher"),
+                   direction="higher"),
             Metric("makespan_inflation", inflation, "x",
-                   gate="exact", direction="lower"),
+                   direction="lower"),
             Metric("makespan_bounded", int(inflation <= MAX_INFLATION),
-                   gate="exact", direction="higher"),
+                   direction="higher"),
             Metric("counter.faults.injected",
                    counters.get("faults.injected", 0),
-                   gate="exact", direction="none"),
+                   direction="none"),
             Metric("counter.retry.attempts",
                    counters.get("retry.attempts", 0),
-                   gate="exact", direction="none"),
+                   direction="none"),
             Metric("counter.retry.exhausted",
                    counters.get("retry.exhausted", 0),
-                   gate="exact", direction="lower"),
+                   direction="lower"),
             Metric("faulty.degraded", int(faulty.degraded),
-                   gate="exact", direction="lower"),
+                   direction="lower"),
         ]
 
         # The honesty probe: starve hardware-profile collection outright
@@ -720,12 +483,12 @@ def _faults_scenario() -> Scenario:
         probe = PropellerPipeline(program, _pipeline_config(
             ctx, fault_plan=f"fail=1,only=profile-lbr,seed={ctx.seed}")).run()
         metrics.append(Metric("exhausted.degraded", int(probe.degraded),
-                              gate="exact", direction="higher"))
+                              direction="higher"))
         metrics.append(Metric(
             "exhausted.baseline_digest_match",
             int(probe.baseline.executable.content_digest()
                 == clean.baseline.executable.content_digest()),
-            gate="exact", direction="higher"))
+            direction="higher"))
         return metrics
 
     return Scenario(
@@ -798,14 +561,14 @@ def _incr_scenario() -> Scenario:
             metrics.append(Metric(
                 "replay.digest_match",
                 int(replay.digest() == prior.digest()),
-                gate="exact", direction="higher"))
+                direction="higher"))
             metrics.append(Metric(
                 "replay.dirty_functions", len(inc.dirty),
-                gate="exact", direction="lower"))
+                direction="lower"))
             metrics.append(Metric(
                 "replay.solve_lookups",
                 inc.solve_hits + inc.solve_misses,
-                gate="exact", direction="lower"))
+                direction="lower"))
 
             edits = (
                 ("body", EditScript.generate(program, seed=ctx.seed,
@@ -824,25 +587,25 @@ def _incr_scenario() -> Scenario:
                 metrics.append(Metric(
                     f"{label}.digest_match",
                     int(incr.digest() == full.digest()),
-                    gate="exact", direction="higher"))
+                    direction="higher"))
                 metrics.append(Metric(
                     f"{label}.sim_compute_speedup", speedup, "x",
-                    gate="exact", direction="higher"))
+                    direction="higher"))
                 if label == "body":
                     inc = incr.incremental
                     metrics.append(Metric(
                         "body.dirty_functions", len(inc.dirty),
-                        gate="exact", direction="lower"))
+                        direction="lower"))
                     metrics.append(Metric(
                         "body.solve_reuse", inc.solve_reuse,
-                        gate="exact", direction="higher"))
+                        direction="higher"))
                     metrics.append(Metric(
                         "body.solve_reuse_ok",
                         int(inc.solve_reuse >= MIN_REUSE),
-                        gate="exact", direction="higher"))
+                        direction="higher"))
                     metrics.append(Metric(
                         "body.speedup_ok", int(speedup >= MIN_SPEEDUP),
-                        gate="exact", direction="higher"))
+                        direction="higher"))
         return metrics
 
     return Scenario(
@@ -898,20 +661,20 @@ def _explain_scenario() -> Scenario:
         top = rep.attribution[0] if rep.attribution else None
         return [
             Metric("identical.attributed_functions", len(fixed.attribution),
-                   gate="exact", direction="lower"),
+                   direction="lower"),
             Metric("identical.suspicious_deltas", len(fixed.suspicious),
-                   gate="exact", direction="lower"),
+                   direction="lower"),
             Metric("edited.rank1_is_target",
                    int(top is not None and top.function == target),
-                   gate="exact", direction="higher"),
+                   direction="higher"),
             Metric("edited.rank1_cause_code_edit",
                    int(top is not None and top.cause == "code-edit"),
-                   gate="exact", direction="higher"),
+                   direction="higher"),
             Metric("edited.target_cycle_delta",
                    top.delta if top is not None else 0.0, "cycles",
-                   gate="exact", direction="none"),
+                   direction="none"),
             Metric("edited.attributed_functions", len(rep.attribution),
-                   gate="exact", direction="none"),
+                   direction="none"),
         ]
 
     return Scenario(
@@ -923,12 +686,10 @@ def _explain_scenario() -> Scenario:
     )
 
 
-def suite_scenarios(suite: SuiteSpec) -> List[Scenario]:
-    """The declarative scenario list for one suite tier."""
-    scenarios = [_pipeline_scenario(name, scale) for name, scale in suite.presets]
-    scenarios.append(_drift_sweep_scenario(*suite.drift_preset, suite.drift_levels))
-    scenarios.append(_cold_warm_scenario())
-    scenarios.append(_jobs_scenario())
+def suite_scenarios() -> List[Scenario]:
+    """The declarative scenario list of the :data:`SMOKE` suite."""
+    scenarios = [_pipeline_scenario(name, scale) for name, scale in SMOKE.presets]
+    scenarios.append(_drift_sweep_scenario(*SMOKE.drift_preset, SMOKE.drift_levels))
     scenarios.append(_faults_scenario())
     scenarios.append(_incr_scenario())
     scenarios.append(_explain_scenario())
@@ -936,44 +697,34 @@ def suite_scenarios(suite: SuiteSpec) -> List[Scenario]:
 
 
 def run_suite(
-    suite: str = "smoke",
-    repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 3,
-    jobs: Optional[int] = None,
     perturb: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchReport:
-    """Run a suite tier and return its :class:`BenchReport`.
+    """Run the suite and return its :class:`BenchReport`.
 
     ``only`` filters scenarios by exact name; ``perturb`` injects a
     named fault (see :data:`PERTURBATIONS`) to prove the gates fire;
     ``progress`` receives one line per scenario (the CLI wires it to
     the :mod:`repro.obs.log` logger).
     """
-    try:
-        spec = SUITES[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {suite!r}; available: {sorted(SUITES)}") from None
     if perturb is not None and perturb not in PERTURBATIONS:
         raise ValueError(
             f"unknown perturbation {perturb!r}; available: {PERTURBATIONS}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    ctx = BenchContext(suite=spec, seed=seed, repetitions=repetitions,
-                       jobs=jobs, perturb=perturb)
-    scenarios = suite_scenarios(spec)
+    ctx = BenchContext(suite=SMOKE, seed=seed, perturb=perturb)
+    scenarios = suite_scenarios()
     if only:
         wanted = set(only)
         unknown = wanted - {s.name for s in scenarios}
         if unknown:
-            raise ValueError(f"unknown scenarios: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown scenarios: {sorted(unknown)}; available: "
+                f"{[s.name for s in scenarios]}")
         scenarios = [s for s in scenarios if s.name in wanted]
     # A developer's exported REPRO_CACHE_DIR would warm the "cold"
     # scenarios and shift the exact-gated cache counters, making results
-    # incomparable across machines; the harness always starts cold and
-    # opts into persistence explicitly (the cold-warm scenario).
+    # incomparable across machines; the harness always starts cold.
     saved_cache_env = os.environ.pop("REPRO_CACHE_DIR", None)
     try:
         results: List[ScenarioResult] = []
@@ -985,6 +736,5 @@ def run_suite(
         if saved_cache_env is not None:
             os.environ["REPRO_CACHE_DIR"] = saved_cache_env
     return BenchReport(
-        suite=spec.name, seed=seed, repetitions=repetitions,
-        scenarios=tuple(results), perturb=perturb,
+        suite=SMOKE.name, seed=seed, scenarios=tuple(results), perturb=perturb,
     )

@@ -33,7 +33,7 @@ tests and gated by the ``explain:attribution`` bench scenario.
 
 Inputs are deliberately file-shaped: two ``--metrics-out`` JSON reports
 (plus optional ``--trace-out`` Chrome traces and ``--state-dir``
-snapshots), two ``BENCH_<n>.json`` scorecards, or two state snapshots
+snapshots), two ``repro-bench --out`` scorecards, or two state snapshots
 alone.  :func:`explain_results` wires the same engine to in-process
 :class:`~repro.core.pipeline.PipelineResult` pairs.
 
@@ -337,8 +337,8 @@ class RunSnapshot:
     clusters: Dict[str, str] = field(default_factory=dict)
     #: Tracer spans (live) or reconstructed from a Chrome trace.
     spans: Optional[List[Any]] = None
-    #: Bench mode only: metric name -> gate kind ("exact"/"noise"/"info").
-    gates: Dict[str, str] = field(default_factory=dict)
+    #: Bench mode only: every counter is an exact scorecard metric.
+    scorecard: bool = False
 
     # -- loaders --------------------------------------------------------
 
@@ -391,8 +391,8 @@ class RunSnapshot:
              label: Optional[str] = None) -> "RunSnapshot":
         """Autodetecting file loader (the CLI's entry point).
 
-        ``path`` may be a ``--metrics-out`` report, a ``BENCH_<n>.json``
-        scorecard, or a ``--state-dir`` directory / ``state.json``
+        ``path`` may be a ``--metrics-out`` report, a ``repro-bench
+        --out`` scorecard, or a ``--state-dir`` directory / ``state.json``
         snapshot; ``trace`` and ``state`` optionally enrich a metrics
         report with its Chrome trace and incremental state.
         """
@@ -436,15 +436,15 @@ class RunSnapshot:
 
     @classmethod
     def _load_bench(cls, data, label) -> "RunSnapshot":
-        """A ``BENCH_<n>.json`` scorecard: triage-only evidence.
+        """A ``repro-bench --out`` scorecard: triage-only evidence.
 
         Scenario metrics become pseudo-counters (``scenario.metric``);
-        their gates drive the triage (an exact-gated metric moving at
-        all is suspicious, a noise-gated one is routine).  There is no
-        per-function or span data to attribute, and the engine says so
-        rather than guessing.
+        every one is exact, so any that moved at all is suspicious.
+        There is no per-function or span data to attribute, and the
+        engine says so rather than guessing.
         """
-        snap = cls(label=label, program=data.get("suite", ""))
+        snap = cls(label=label, program=data.get("suite", ""),
+                   scorecard=True)
         for scenario in data.get("scenarios", ()):
             for metric in scenario.get("metrics", ()):
                 value = metric.get("value")
@@ -452,7 +452,6 @@ class RunSnapshot:
                     continue
                 name = f"{scenario['name']}.{metric['name']}"
                 snap.counters[name] = float(value)
-                snap.gates[name] = metric.get("gate", "exact")
         return snap
 
 
@@ -628,13 +627,10 @@ def _triage_one(name: str, b: float, n: float, kind: str,
     delta = n - b
     if delta == 0.0:
         return "expected", "unchanged"
-    gate = new.gates.get(name) or base.gates.get(name)
-    if gate is not None:  # bench-scorecard mode
-        if gate == "exact":
-            return "suspicious", (
-                "exact-gated bench metric moved; deterministic contract "
-                "says it never should")
-        return "expected", f"{gate}-gated bench metric; movement is routine"
+    if base.scorecard or new.scorecard:
+        return "suspicious", (
+            "exact-gated bench metric moved; deterministic contract "
+            "says it never should")
     if name.startswith("pool."):
         return "expected", (
             "scheduler occupancy; exempt from the determinism contract "

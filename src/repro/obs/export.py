@@ -154,22 +154,18 @@ def _fmt_value(value, unit: str = "") -> str:
 def _metric_rows(report: "BenchReport"):
     for scenario in report.scenarios:
         for metric in scenario.metrics:
-            noise = (f"±{100 * metric.noise:.1f}%" if metric.noise else "-")
             yield (scenario.name, metric.name,
-                   _fmt_value(metric.value, metric.unit),
-                   metric.gate, noise, scenario.paper_ref)
+                   _fmt_value(metric.value, metric.unit), scenario.paper_ref)
 
 
 def bench_scorecard(report: "BenchReport") -> "Table":
     """A bench report as a human-readable aligned text table."""
     from repro.analysis import Table
 
-    title = f"bench suite {report.suite!r} (seed {report.seed}, " \
-            f"median of {report.repetitions})"
+    title = f"bench suite {report.suite!r} (seed {report.seed})"
     if report.perturb:
         title += f" [PERTURBED: {report.perturb}]"
-    table = Table(["scenario", "metric", "value", "gate", "noise", "paper"],
-                  title=title)
+    table = Table(["scenario", "metric", "value", "paper"], title=title)
     for row in _metric_rows(report):
         table.add_row(*row)
     return table
@@ -180,12 +176,12 @@ def bench_markdown(report: "BenchReport") -> str:
     lines = [
         f"## Bench scorecard — suite `{report.suite}`",
         "",
-        f"Seed {report.seed}, median of {report.repetitions} repetitions. "
+        f"Seed {report.seed}; every metric is exact. "
         f"Deterministic fingerprint `{report.deterministic_fingerprint()[:12]}`."
         + (f" **Injected fault: `{report.perturb}`.**" if report.perturb else ""),
         "",
-        "| scenario | metric | value | gate | noise | paper |",
-        "|---|---|---|---|---|---|",
+        "| scenario | metric | value | paper |",
+        "|---|---|---|---|",
     ]
     for row in _metric_rows(report):
         lines.append("| " + " | ".join(str(c) for c in row) + " |")

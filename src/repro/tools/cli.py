@@ -11,8 +11,8 @@ Commands mirror the paper's tool flow:
 * ``edit``      -- apply a seeded edit script to a workload (the "next
   release" of incremental/attribution studies);
 * ``bench``     -- the continuous benchmark harness (also installed as
-  the ``repro-bench`` console script): run a scenario suite, write a
-  ``BENCH_<n>.json`` scorecard, and optionally gate against a baseline;
+  the ``repro-bench`` console script): run the exact-metric scenario
+  suite, print its scorecard, and optionally gate against a baseline;
 * ``stages``    -- introspect the pipeline's stage graph (also installed
   as the ``repro-stages`` console script): the validated DAG as JSON
   (schema-versioned, gated in CI against ``tests/golden/stage_graph.json``),
@@ -454,19 +454,17 @@ def cmd_bench(args) -> int:
     """Run the benchmark suite; optionally gate against a baseline.
 
     Exit codes: 0 = ran (and, with ``--compare``, no regression);
-    1 = regression gate failed; 2 = usage error (missing baseline,
-    regenerating from a perturbed run).
+    1 = regression gate failed; 2 = usage error (unknown scenario,
+    missing or unreadable baseline, regenerating from a perturbed run).
     """
     from repro.obs import (
         REGEN_BASELINE_ENV,
-        SUITES,
         bench_markdown,
         bench_scorecard,
         compare,
         comparison_markdown,
         comparison_table,
         load_bench_report,
-        next_bench_path,
         run_suite,
         write_bench_report,
     )
@@ -474,25 +472,25 @@ def cmd_bench(args) -> int:
 
     blog = get_logger("tools.bench")
     if args.list:
-        table = Table(["scenario", "paper refs"],
-                      title=f"suite {args.suite!r} scenarios")
-        for scenario in suite_scenarios(SUITES[args.suite]):
+        table = Table(["scenario", "paper refs"], title="bench scenarios")
+        for scenario in suite_scenarios():
             table.add_row(scenario.name, scenario.paper_ref)
         print(table)
         return 0
 
-    report = run_suite(
-        suite=args.suite,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        jobs=args.jobs,
-        perturb=args.perturb,
-        only=args.scenario or None,
-        progress=lambda msg: blog.info("%s", msg),
-    )
-    out = Path(args.out) if args.out else next_bench_path(Path.cwd())
-    write_bench_report(report, out)
-    blog.info("wrote %s", out)
+    try:
+        report = run_suite(
+            seed=args.seed,
+            perturb=args.perturb,
+            only=args.scenario or None,
+            progress=lambda msg: blog.info("%s", msg),
+        )
+    except ValueError as exc:
+        blog.error("%s", exc)
+        return 2
+    if args.out:
+        write_bench_report(report, args.out)
+        blog.info("wrote %s", args.out)
     print(bench_scorecard(report))
 
     comparison = None
@@ -513,9 +511,11 @@ def cmd_bench(args) -> int:
                 "baseline %s does not exist; run with %s=1 to create it",
                 baseline_path, REGEN_BASELINE_ENV)
             return 2
-        comparison = compare(report, load_bench_report(baseline_path),
-                             noise_factor=args.noise_factor,
-                             min_band=args.min_band)
+        try:
+            comparison = compare(report, load_bench_report(baseline_path))
+        except ValueError as exc:
+            blog.error("%s", exc)
+            return 2
         print(comparison_table(comparison))
 
     if args.markdown:
@@ -627,8 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "explain",
         help="run-to-run attribution (also the repro-explain entry point)")
-    p.add_argument("base", help="base run: metrics JSON, BENCH_<n>.json, "
-                                "or a --state-dir/state.json snapshot")
+    p.add_argument("base", help="base run: metrics JSON, repro-bench --out "
+                                "scorecard, or a --state-dir/state.json "
+                                "snapshot")
     p.add_argument("new", help="new run (same kind as base)")
     p.add_argument("--base-trace", metavar="FILE", default=None,
                    help="base run's --trace-out Chrome trace")
@@ -654,21 +655,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="run the benchmark suite (also the repro-bench entry point)")
-    from repro.obs.bench import DEFAULT_REPETITIONS, PERTURBATIONS, SUITES
+    from repro.obs.bench import PERTURBATIONS
 
-    p.add_argument("--suite", choices=sorted(SUITES), default="smoke",
-                   help="scenario suite to run (default: smoke)")
-    p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS,
-                   help="timing repetitions per scenario (median + MAD)")
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the jobs scenarios")
     p.add_argument("--out", metavar="FILE", default=None,
-                   help="report path (default: next BENCH_<n>.json in cwd)")
+                   help="write the schema-versioned report JSON here "
+                        "(default: print the scorecard, write nothing)")
     p.add_argument("--markdown", metavar="FILE", default=None,
                    help="also write a markdown scorecard")
     p.add_argument("--compare", metavar="BASELINE", default=None,
-                   help="gate against a stored BENCH json; exit 1 on "
+                   help="gate against a stored report; exit 1 on "
                         "regression ($REPRO_REGEN_BASELINE=1 refreshes it)")
     p.add_argument("--perturb", choices=PERTURBATIONS, default=None,
                    help="inject a known fault (harness self-test)")
@@ -676,10 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this scenario (repeatable)")
     p.add_argument("--list", action="store_true",
                    help="list the suite's scenarios and exit")
-    p.add_argument("--noise-factor", type=float, default=4.0,
-                   help="noise-band multiplier over the measured rel. MAD")
-    p.add_argument("--min-band", type=float, default=0.25,
-                   help="noise-band floor (relative)")
     _add_verbosity_args(p)
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -7,13 +7,16 @@ and compares simulated wall time; the warm relink must approach the
 link-only floor.
 """
 
-from conftest import measure
+import pytest
+
 from repro.analysis import Table
 from repro.buildsys import BuildSystem
 from repro.core.pipeline import PropellerPipeline
 
+pytestmark = pytest.mark.slow
 
-def test_ablation_cache_reuse(benchmark, world_factory):
+
+def test_ablation_cache_reuse(world_factory):
     world = world_factory("clang")
     warm = world.result.optimized
 
@@ -23,8 +26,6 @@ def test_ablation_cache_reuse(benchmark, world_factory):
         buildsys=BuildSystem(workers=world.result.config.workers, enforce_ram=False),
     )
     cold = pipe.relink(world.result.ir_profile, world.result.wpa_result)
-    measure(benchmark, lambda: world.pipeline.relink(
-        world.result.ir_profile, world.result.wpa_result))
 
     table = Table(
         ["Cache", "backends wall (s)", "link (s)", "total (s)", "cache hits"],

@@ -8,13 +8,16 @@ quantifies the object-size and link-memory overhead of the naive
 "all blocks" mode against cluster mode and the plain baseline.
 """
 
-from conftest import build_world
+import pytest
+
 from repro.analysis import MemoryMeter, Table, format_bytes
 from repro.codegen import BBSectionsMode, CodeGenOptions, compile_program
 from repro.linker import LinkOptions, link
 
+pytestmark = pytest.mark.slow
 
-def test_ablation_clustering(benchmark, world_factory):
+
+def test_ablation_clustering(world_factory):
     world = world_factory("clang")
     program = world.result.program
     profile = world.result.ir_profile
@@ -34,7 +37,6 @@ def test_ablation_clustering(benchmark, world_factory):
 
     base = build(BBSectionsMode.NONE)
     clustered = build(BBSectionsMode.LIST, clusters=world.result.wpa_result.clusters)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     per_block = build(BBSectionsMode.ALL)
 
     table = Table(

@@ -14,11 +14,15 @@ The bench compares three configurations on the clang workload:
 * section-based splitting (every profiled function, no heuristic).
 """
 
-from conftest import HW_PARAMS, PERF_BLOCKS, build_world
+import pytest
+
 from repro.analysis import Table, format_bytes
 from repro.core.wpa import WPAOptions, analyze
 from repro.hwmodel import simulate_frontend
 from repro.profiles import generate_trace
+from tests.paper.world import HW_PARAMS, PERF_BLOCKS
+
+pytestmark = pytest.mark.slow
 
 
 def _relink_with(world, wpa_result):
@@ -67,14 +71,13 @@ def _split_bytes(exe):
     return sum(s.size for s in exe.sections if s.name.endswith(".cold"))
 
 
-def test_ablation_function_splitting(benchmark, world_factory):
+def test_ablation_function_splitting(world_factory):
     world = world_factory("clang")
     program = world.result.program
     full = world.result.wpa_result
 
     nosplit_wpa = analyze(world.result.metadata.executable, world.result.perf,
                           WPAOptions(split_cold=False))
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     heuristic_wpa, heuristic_funcs = _limit_split(full, program)
 

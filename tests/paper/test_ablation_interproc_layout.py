@@ -9,14 +9,18 @@ layout, which is why the paper's evaluation ships intra-function mode.
 
 import time
 
-from conftest import HW_PARAMS, PERF_BLOCKS, measure
+import pytest
+
 from repro.analysis import Table
 from repro.core.wpa import WPAOptions, analyze
 from repro.hwmodel import simulate_frontend
 from repro.profiles import generate_trace
+from tests.paper.world import HW_PARAMS, PERF_BLOCKS
+
+pytestmark = pytest.mark.slow
 
 
-def test_ablation_interproc_layout(benchmark, world_factory):
+def test_ablation_interproc_layout(world_factory):
     world = world_factory("clang")
     exe = world.result.metadata.executable
     perf = world.result.perf
@@ -28,8 +32,6 @@ def test_ablation_interproc_layout(benchmark, world_factory):
     t0 = time.perf_counter()
     inter = analyze(exe, perf, WPAOptions(interproc=True))
     inter_seconds = time.perf_counter() - t0
-
-    measure(benchmark, lambda: analyze(exe, perf, WPAOptions(interproc=False)))
 
     rows = []
     base = world.counters("base")

@@ -7,17 +7,20 @@ instructions).  The bench measures Propeller code layout with and
 without prefetch directives on the clang workload.
 """
 
-from conftest import HW_PARAMS, PERF_BLOCKS, build_world
+import pytest
+
 from repro.analysis import Table
 from repro.core.wpa import WPAOptions, analyze
 from repro.hwmodel import simulate_frontend
 from repro.profiles import generate_trace
+from tests.paper.world import HW_PARAMS, PERF_BLOCKS
+
+pytestmark = pytest.mark.slow
 
 
-def test_ablation_prefetch(benchmark, world_factory):
+def test_ablation_prefetch(world_factory):
     world = world_factory("clang")
     base = world.counters("base")
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     wpa_pf = analyze(
         world.result.metadata.executable, world.result.perf,

@@ -8,22 +8,21 @@ Propeller by a large factor on big binaries, while being comparable on
 the smallest SPEC binaries.
 """
 
-from conftest import BIG_NAMES, SPEC_NAMES, measure
+import pytest
+
 from repro.analysis import Table, format_bytes
-from repro.core.wpa import analyze
+from tests.paper.world import BIG_NAMES, SPEC_NAMES
+
+pytestmark = pytest.mark.slow
 
 
-def test_fig4_phase3_memory(benchmark, world_factory):
+def test_fig4_phase3_memory(world_factory):
     rows = []
     for name in BIG_NAMES + SPEC_NAMES:
         world = world_factory(name)
         prop = world.result.wpa_result.stats.peak_memory_bytes
         bolt = world.perf2bolt_result.peak_memory_bytes
         rows.append((name, prop, bolt))
-
-    clang = world_factory("clang")
-    measure(benchmark,
-            lambda: analyze(clang.result.metadata.executable, clang.result.perf))
 
     table = Table(
         ["Benchmark", "Propeller (Phase 3)", "BOLT (perf2bolt)", "BOLT / Propeller"],

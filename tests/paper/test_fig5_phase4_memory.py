@@ -5,12 +5,15 @@ The paper's shape: Propeller's relink stays at baseline-link levels
 multiple of the baseline link on large binaries.
 """
 
-from conftest import BIG_NAMES, SPEC_NAMES, measure
+import pytest
+
 from repro.analysis import Table, format_bytes
-from repro.linker import LinkOptions, link
+from tests.paper.world import BIG_NAMES, SPEC_NAMES
+
+pytestmark = pytest.mark.slow
 
 
-def test_fig5_phase4_memory(benchmark, world_factory):
+def test_fig5_phase4_memory(world_factory):
     rows = []
     for name in BIG_NAMES + SPEC_NAMES:
         world = world_factory(name)
@@ -18,13 +21,6 @@ def test_fig5_phase4_memory(benchmark, world_factory):
         prop = world.result.optimized.link_stats.peak_memory_bytes
         bolt = world.bolt.stats.peak_memory_bytes if world.bolt else None
         rows.append((name, base, prop, bolt))
-
-    clang = world_factory("clang")
-    measure(benchmark, lambda: link(
-        clang.result.optimized.objects,
-        LinkOptions(symbol_order=clang.result.wpa_result.symbol_order,
-                    keep_bb_addr_map=False),
-    ))
 
     table = Table(
         ["Benchmark", "Baseline link", "Propeller relink", "llvm-bolt", "BOLT / link"],

@@ -5,17 +5,19 @@ optimized ~+1%; BOLT metadata +20-60% (static relocations), BOLT
 optimized +30-150% (keeps the original .text).
 """
 
-from conftest import BIG_NAMES, SPEC_NAMES, measure
+import pytest
+
 from repro.analysis import Table, format_bytes
+from tests.paper.world import BIG_NAMES, SPEC_NAMES
+
+pytestmark = pytest.mark.slow
 
 
 def _breakdown(exe):
     return exe.section_sizes()
 
 
-def test_fig6_binary_size(benchmark, world_factory):
-    measure(benchmark,
-            lambda: _breakdown(world_factory("clang").result.baseline.executable))
+def test_fig6_binary_size(world_factory):
     table = Table(
         ["Benchmark", "Variant", "text", "eh_frame", "bb_addr_map", "relocs",
          "other", "total", "vs base"],

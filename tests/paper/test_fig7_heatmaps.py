@@ -7,15 +7,16 @@ segment).  The bench renders the ASCII heat maps and asserts the band
 statistics.
 """
 
-from conftest import measure
+import pytest
+
 from repro.analysis import Table, format_bytes
 from repro.hwmodel import record_heatmap, render_heatmap
 
+pytestmark = pytest.mark.slow
 
-def test_fig7_heatmaps(benchmark, world_factory):
+
+def test_fig7_heatmaps(world_factory):
     world = world_factory("clang")
-    measure(benchmark, lambda: record_heatmap(
-        world.result.baseline.executable, world.trace("base")))
 
     maps = {}
     for variant in ("base", "prop", "bolt"):

@@ -8,15 +8,16 @@ ones, up to ~85% on Search with hugepages), branch resteers and taken
 branches.
 """
 
-from conftest import measure
+import pytest
+
 from repro.analysis import Table
+
+pytestmark = pytest.mark.slow
 
 LABELS = ["I1", "I2", "I3", "T1", "T2", "B1", "B2"]
 
 
-def test_fig8_perf_counters(benchmark, world_factory):
-    measure(benchmark, lambda: world_factory("clang").counters("prop"))
-
+def test_fig8_perf_counters(world_factory):
     checks = {}
     table = Table(
         ["Workload", "Variant"] + LABELS,

@@ -8,14 +8,15 @@ relink.  Workstation side (SPEC/clang/mysql): BOLT is faster than
 Propeller, whose full compiler backends dominate.
 """
 
-from conftest import BIG_NAMES, SPEC_NAMES, WSC_NAMES, measure
+import pytest
+
 from repro.analysis import Table
+from tests.paper.world import BIG_NAMES, SPEC_NAMES, WSC_NAMES
+
+pytestmark = pytest.mark.slow
 
 
-def test_fig9_opt_runtime(benchmark, world_factory):
-    measure(benchmark,
-            lambda: world_factory("clang").result.optimized.wall_seconds)
-
+def test_fig9_opt_runtime(world_factory):
     table = Table(
         ["Benchmark", "Base backends", "Base link", "Prop backends", "Prop link",
          "BOLT", "cold hit %"],

@@ -8,9 +8,11 @@ paper's values.
 
 import pytest
 
-from conftest import BIG_NAMES, SPEC_NAMES, measure
 from repro.analysis import Table, format_bytes
-from repro.synth import PRESETS, generate_workload
+from repro.synth import PRESETS
+from tests.paper.world import BIG_NAMES, SPEC_NAMES
+
+pytestmark = pytest.mark.slow
 
 
 def _characteristics(world):
@@ -42,14 +44,11 @@ def _characteristics(world):
     }
 
 
-def test_table2_characteristics(benchmark, world_factory):
+def test_table2_characteristics(world_factory):
     rows = []
     for name in BIG_NAMES + SPEC_NAMES:
         world = world_factory(name)
         rows.append((name, _characteristics(world)))
-
-    measure(benchmark,
-            lambda: generate_workload(PRESETS["505.mcf"], scale=1.0, seed=3))
 
     table = Table(
         ["Benchmark", "Text", "#Funcs", "#BBs", "% Cold", "paper % Cold",

@@ -6,17 +6,16 @@ the four warehouse-scale applications (rseq, FIPS integrity, and an
 eh_frame rewrite failure).
 """
 
-from conftest import BIG_NAMES, HW_PARAMS, measure
+import pytest
+
 from repro.analysis import Table
-from repro.hwmodel import simulate_frontend
 from repro.synth import PRESETS
+from tests.paper.world import BIG_NAMES
+
+pytestmark = pytest.mark.slow
 
 
-def test_table3_performance(benchmark, world_factory):
-    clang = world_factory("clang")
-    measure(benchmark, lambda: simulate_frontend(
-        clang.result.baseline.executable, clang.trace("base"), HW_PARAMS))
-
+def test_table3_performance(world_factory):
     table = Table(
         ["Benchmark", "Metric", "Propeller", "BOLT (lite=0)"],
         title="Table 3: improvement over PGO + ThinLTO baseline",

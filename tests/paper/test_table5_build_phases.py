@@ -7,13 +7,15 @@ the Propeller-specific work (convert + phase 4) is a small fraction of
 the end-to-end release time; profiling runs dominate.
 """
 
-from conftest import WSC_NAMES, measure
+import pytest
+
 from repro.analysis import Table
+from tests.paper.world import WSC_NAMES
+
+pytestmark = pytest.mark.slow
 
 
-def test_table5_build_phases(benchmark, world_factory):
-    measure(benchmark, lambda: world_factory("spanner").result.phase_seconds)
-
+def test_table5_build_phases(world_factory):
     table = Table(
         ["Benchmark", "Instr.", "Profile", "Opt.", "Profile", "Convert", "Opt."],
         title="Table 5: simulated phase times (s) - PGO phases 1&2 | Propeller phases 3&4",

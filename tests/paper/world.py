@@ -1,15 +1,16 @@
-"""Shared benchmark harness.
+"""The Propeller-vs-BOLT world every paper table and figure draws from.
 
-Every figure/table benchmark draws from the same per-workload "world":
-the generated program, the four pipeline phases, the BOLT metadata
-binary and the BOLT-optimized binary (or its failure), plus hardware
-measurements.  Worlds are built lazily and cached for the session, so
-the full benchmark suite builds each workload exactly once.
+Every experiment under ``tests/paper/`` (and ``tests/test_integration.py``)
+draws from the same per-workload "world": the generated program, the
+four pipeline phases, the BOLT metadata binary and the BOLT-optimized
+binary (or its failure), plus hardware measurements.  Worlds are built
+lazily and cached for the session, so the paper suite builds each
+workload exactly once.
 
 Workloads are generated at each preset's ``bench_scale`` (roughly 1/100
 of paper size); the hardware model's structures are scaled to match
 (see ``SkylakeParams.scaled``).  Absolute numbers therefore differ from
-the paper by construction -- the benches reproduce the *shape*: who
+the paper by construction -- the tests reproduce the *shape*: who
 wins, by roughly what factor, and where the crossovers fall.
 """
 
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-import pytest
 
 from repro.bolt import (
     BoltError,
@@ -49,21 +48,6 @@ PERF_BLOCKS = 400_000
 SEED = 3
 
 
-def measure(benchmark, fn, rounds: int = None):
-    """Time ``fn`` under the suite-wide repetition policy.
-
-    One place owns how benches repeat their timed section (median of
-    :data:`repro.obs.bench.DEFAULT_REPETITIONS` rounds, one iteration
-    each -- the same policy ``repro-bench`` uses), instead of each file
-    hard-coding its own ``rounds=``/``iterations=``.
-    """
-    from repro.obs.bench import DEFAULT_REPETITIONS
-
-    return benchmark.pedantic(
-        fn, rounds=DEFAULT_REPETITIONS if rounds is None else rounds,
-        iterations=1)
-
-
 def _config(preset) -> PipelineConfig:
     # Workstation builds (clang/MySQL/SPEC) use the paper's 72-core box;
     # warehouse builds get a pool scaled like everything else (the real
@@ -71,9 +55,8 @@ def _config(preset) -> PipelineConfig:
     # 1/100-scale equivalent of its per-build share).
     #
     # Real execution: codegen and layout run inline (jobs defaults to
-    # 1), and cache_dir=None defers to $REPRO_CACHE_DIR -- export it to
-    # make benchmark reruns replay every unchanged backend action from
-    # disk instead of recompiling (see README "Testing").
+    # 1), and cache_dir=None defers to $REPRO_CACHE_DIR, which the test
+    # session shields (tests/conftest.py), so every world builds cold.
     workstation = preset.kind != "wsc"
     return PipelineConfig(
         seed=SEED,
@@ -84,7 +67,7 @@ def _config(preset) -> PipelineConfig:
         workers=72 if workstation else 128,
         enforce_ram=not workstation,
         hugepages=preset.hugepages,
-        cache_dir=None,  # opt in via REPRO_CACHE_DIR
+        cache_dir=None,
     )
 
 
@@ -99,6 +82,8 @@ class World:
     perf2bolt_result: Perf2BoltResult
     bolt: Optional[BoltResult]
     bolt_error: Optional[Exception]
+    #: Trace budget (executed blocks) behind :meth:`trace`/:meth:`counters`.
+    perf_blocks: int
     _counters: Dict[str, FrontendCounters] = field(default_factory=dict)
     _traces: Dict[str, Trace] = field(default_factory=dict)
 
@@ -106,7 +91,7 @@ class World:
         trace = self._traces.get(which)
         if trace is None:
             exe = self.executable(which)
-            trace = generate_trace(exe, max_blocks=PERF_BLOCKS, seed=77)
+            trace = generate_trace(exe, max_blocks=self.perf_blocks, seed=77)
             self._traces[which] = trace
         return trace
 
@@ -145,16 +130,11 @@ class World:
         return "ok"
 
 
-_WORLDS: Dict[str, World] = {}
-
-
-def build_world(name: str) -> World:
-    world = _WORLDS.get(name)
-    if world is not None:
-        return world
-    preset = PRESETS[name]
-    program = generate_workload(preset, scale=preset.bench_scale, seed=SEED)
-    pipeline = PropellerPipeline(program, _config(preset))
+def make_world(preset, scale: float, config: PipelineConfig,
+               perf_blocks: int = PERF_BLOCKS) -> World:
+    """Run the pipeline and BOLT on one generated workload."""
+    program = generate_workload(preset, scale=scale, seed=SEED)
+    pipeline = PropellerPipeline(program, config)
     result = pipeline.run()
     bolt_metadata = pipeline.build_bolt_input(result.ir_profile)
     p2b = perf2bolt(bolt_metadata.executable, result.perf)
@@ -164,7 +144,7 @@ def build_world(name: str) -> World:
         bolt = run_bolt(bolt_metadata.executable, result.perf, precomputed=p2b)
     except BoltError as exc:
         bolt_error = exc
-    world = World(
+    return World(
         preset=preset,
         pipeline=pipeline,
         result=result,
@@ -172,17 +152,24 @@ def build_world(name: str) -> World:
         perf2bolt_result=p2b,
         bolt=bolt,
         bolt_error=bolt_error,
+        perf_blocks=perf_blocks,
     )
-    _WORLDS[name] = world
+
+
+_WORLDS: Dict[str, World] = {}
+
+
+def build_world(name: str) -> World:
+    """The session-cached world of preset ``name`` at its bench scale."""
+    world = _WORLDS.get(name)
+    if world is None:
+        preset = PRESETS[name]
+        world = _WORLDS[name] = make_world(
+            preset, preset.bench_scale, _config(preset))
     return world
 
 
-@pytest.fixture(scope="session")
-def world_factory():
-    return build_world
-
-
-#: Workload groups used by the benches.
+#: Workload groups used by the paper tests.
 WSC_NAMES = ["spanner", "search", "superroot", "bigtable"]
 OPEN_SOURCE_NAMES = ["clang", "mysql"]
 SPEC_NAMES = ["505.mcf", "531.deepsjeng", "557.xz", "541.leela"]

@@ -216,8 +216,7 @@ class TestExhaustionHonesty:
 class TestResilienceScenario:
     @pytest.fixture(scope="class")
     def scenario(self):
-        report = run_suite(suite="smoke", repetitions=1, seed=3,
-                           only=["faults:resilience"])
+        report = run_suite(seed=3, only=["faults:resilience"])
         return report.scenario("faults:resilience")
 
     def test_digest_identical_under_standard_plan(self, scenario):
@@ -238,9 +237,7 @@ class TestResilienceScenario:
         assert scenario.metric("exhausted.baseline_digest_match").value == 1
 
     def test_scenario_fingerprint_reproducible(self):
-        first = run_suite(suite="smoke", repetitions=1, seed=3,
-                          only=["faults:resilience"])
-        second = run_suite(suite="smoke", repetitions=1, seed=3,
-                           only=["faults:resilience"])
+        first = run_suite(seed=3, only=["faults:resilience"])
+        second = run_suite(seed=3, only=["faults:resilience"])
         assert (first.deterministic_fingerprint()
                 == second.deterministic_fingerprint())

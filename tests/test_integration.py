@@ -7,44 +7,31 @@ the *relative* results the paper reports, not absolute numbers.
 
 import pytest
 
-from repro.bolt import BoltOptions, perf2bolt, run_bolt
-from repro.core.pipeline import PipelineConfig, PropellerPipeline
+from repro.core.pipeline import PipelineConfig
 from repro.core.wpa import WPAOptions, analyze
-from repro.hwmodel import simulate_frontend
-from repro.hwmodel.frontend import DEFAULT_PARAMS
 from repro.profiles import generate_trace
-from repro.synth import PRESETS, generate_workload
+from repro.synth import PRESETS
+from tests.paper.world import make_world
 
 pytestmark = [pytest.mark.slow, pytest.mark.integration]
 
 
 @pytest.fixture(scope="module")
 def world():
-    program = generate_workload(PRESETS["clang"], scale=0.004, seed=3)
+    """The paper suite's world builder on a smaller clang (same
+    binaries and trace budget this module has always asserted on)."""
     config = PipelineConfig(
         lbr_branches=300_000, lbr_period=31, pgo_steps=120_000,
         workers=72, enforce_ram=False,
     )
-    pipe = PropellerPipeline(program, config)
-    result = pipe.run()
-    bm = pipe.build_bolt_input(result.ir_profile)
-    bolt = run_bolt(bm.executable, result.perf)
-    return pipe, result, bm, bolt
+    built = make_world(PRESETS["clang"], 0.004, config, perf_blocks=250_000)
+    assert built.bolt is not None, built.bolt_error
+    return built
 
 
 @pytest.fixture(scope="module")
 def counters(world):
-    _pipe, result, _bm, bolt = world
-    params = DEFAULT_PARAMS.scaled(16)
-    out = {}
-    for name, exe in (
-        ("base", result.baseline.executable),
-        ("prop", result.optimized.executable),
-        ("bolt", bolt.executable),
-    ):
-        trace = generate_trace(exe, max_blocks=250_000, seed=77)
-        out[name] = simulate_frontend(exe, trace, params)
-    return out
+    return {name: world.counters(name) for name in ("base", "prop", "bolt")}
 
 
 class TestPerformanceShape:
@@ -73,26 +60,24 @@ class TestPerformanceShape:
 class TestMemoryShape:
     def test_wpa_memory_far_below_perf2bolt(self, world):
         """Fig 4: Propeller's profile conversion is several times cheaper."""
-        _pipe, result, bm, _bolt = world
-        p2b = perf2bolt(bm.executable, result.perf)
-        assert result.wpa_result.stats.peak_memory_bytes * 3 < p2b.peak_memory_bytes
+        wpa_peak = world.result.wpa_result.stats.peak_memory_bytes
+        assert wpa_peak * 3 < world.perf2bolt_result.peak_memory_bytes
 
     def test_relink_memory_close_to_baseline_link(self, world):
         """Fig 5: relink memory ~ baseline link memory."""
-        _pipe, result, _bm, _bolt = world
-        base_mem = result.baseline.link_stats.peak_memory_bytes
-        prop_mem = result.optimized.link_stats.peak_memory_bytes
+        base_mem = world.result.baseline.link_stats.peak_memory_bytes
+        prop_mem = world.result.optimized.link_stats.peak_memory_bytes
         assert prop_mem < 1.25 * base_mem
 
     def test_bolt_memory_exceeds_link(self, world):
-        _pipe, result, _bm, bolt = world
-        assert bolt.stats.peak_memory_bytes > result.baseline.link_stats.peak_memory_bytes
+        assert (world.bolt.stats.peak_memory_bytes
+                > world.result.baseline.link_stats.peak_memory_bytes)
 
 
 class TestSizeShape:
     def test_size_bands(self, world):
         """Fig 6: PM +7-9%, PO ~+1%, BM +20-60%, BO +30%+."""
-        _pipe, result, bm, bolt = world
+        result, bm, bolt = world.result, world.bolt_metadata, world.bolt
         base = result.baseline.executable.total_size
         assert 1.03 < result.metadata.executable.total_size / base < 1.15
         assert result.optimized.executable.total_size / base < 1.05
@@ -104,21 +89,19 @@ class TestBuildTimeShape:
     def test_relink_faster_than_full_build(self, world):
         """Fig 9 (warehouse side): Phase 4 reuses cached cold objects, so
         backend time is below the full build's."""
-        _pipe, result, _bm, _bolt = world
         assert (
-            result.optimized.backends.cpu_seconds
-            < result.baseline.backends.cpu_seconds
+            world.result.optimized.backends.cpu_seconds
+            < world.result.baseline.backends.cpu_seconds
         )
 
     def test_cache_hit_dominates_cold_modules(self, world):
-        _pipe, result, _bm, _bolt = world
-        assert result.optimized.cold_cache_hits > 0
+        assert world.result.optimized.cold_cache_hits > 0
 
 
 class TestInterprocedural:
     def test_interproc_layout_links_and_runs(self, world):
         """§4.7: inter-procedural layout produces a working binary."""
-        pipe, result, _bm, _bolt = world
+        pipe, result = world.pipeline, world.result
         wpa = analyze(
             result.metadata.executable, result.perf, WPAOptions(interproc=True)
         )

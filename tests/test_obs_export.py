@@ -150,13 +150,12 @@ class TestBenchRendering:
         from repro.obs import BenchReport, Metric, ScenarioResult
 
         return BenchReport(
-            suite="smoke", seed=3, repetitions=1,
+            suite="smoke", seed=3,
             scenarios=(ScenarioResult(
                 name="s", title="t", paper_ref="Table 3",
-                metrics=(Metric("improvement", 0.09, "frac", gate="exact",
+                metrics=(Metric("improvement", 0.09, "frac",
                                 direction="higher"),
-                         Metric("wall", 1.25, "s", gate="info",
-                                direction="lower", noise=0.03)),
+                         Metric("sim_wall", 1.25, "s", direction="lower")),
             ),))
 
     def test_scorecard_and_markdown(self):
@@ -165,8 +164,10 @@ class TestBenchRendering:
         report = self._report()
         text = str(bench_scorecard(report))
         assert "improvement" in text and "Table 3" in text
+        assert "noise" not in text and "gate" not in text
         md = bench_markdown(report)
         assert md.startswith("## Bench scorecard")
+        assert "| scenario | metric | value | paper |" in md
         assert report.deterministic_fingerprint()[:12] in md
 
     def test_comparison_rendering_surfaces_failures(self):

@@ -171,6 +171,12 @@ class TestPipelineDeterminism:
         assert sum(warm.phase_seconds.values()) < sum(cold.phase_seconds.values())
         # Every artifact of the warm run was replayed from disk.
         assert warm.optimized.backends.cache_hits > 0
+        # Exactly: each action the cold run executed is one disk replay,
+        # and the warm run executes none.
+        assert cold.counters.count("cache.misses") > 0
+        assert (warm.counters.count("cache.disk_hits")
+                == cold.counters.count("cache.misses"))
+        assert warm.counters.count("cache.misses") == 0
 
     def test_cache_dir_env_var(self, micro_program, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
