@@ -6,6 +6,10 @@ emitted in long form with a static relocation and a
 to the linker (§4.2).  Basic-block label symbols use the assembler-
 temporary ``.L`` prefix; the linker resolves them but does not export
 them to the executable's symbol table.
+
+Relocations, fixups, block descriptors and symbols are appended to the
+object's tables as *rows* (:meth:`repro.elf.table.Table.append_row`):
+no record is built per instruction or per block.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from repro.codegen.options import BBSectionsMode, CodeGenOptions
 from repro.elf import (
     BlockMeta,
     BranchFixup,
-    CallSite,
-    PrefetchSite,
     ObjectFile,
     Relocation,
     RelocType,
@@ -30,9 +32,9 @@ from repro.elf import (
     SymbolBinding,
     SymbolType,
     TerminatorKind,
-    TerminatorMeta,
     bbaddrmap,
 )
+from repro.elf.table import Strings, Table
 from repro.ir import cfg as ir_cfg
 from repro.isa import Opcode, encode_instruction, instruction_size
 
@@ -105,13 +107,13 @@ class _SectionPlan:
 class _SectionEmitter:
     """Accumulates bytes, relocations, fixups and metadata for a section."""
 
-    def __init__(self, plan: _SectionPlan, func: str):
+    def __init__(self, plan: _SectionPlan, func: str, strings: Strings):
         self.plan = plan
         self.func = func
         self.data = bytearray()
-        self.relocations: List[Relocation] = []
-        self.fixups: List[BranchFixup] = []
-        self.blocks: List[BlockMeta] = []
+        self.relocations = Table(Relocation, strings=strings)
+        self.fixups = Table(BranchFixup, strings=strings)
+        self.blocks = Table(BlockMeta, strings=strings)
         self.local_symbols: List[Tuple[str, int]] = []
         self.num_instrs = 0
 
@@ -130,11 +132,9 @@ class _SectionEmitter:
         off = self.offset
         self.data += encode_instruction(opcode, displacement=0)
         field_off = off + (2 if opcode == Opcode.JCC_LONG else 1)
-        self.relocations.append(Relocation(offset=field_off, rtype=RelocType.PC32, symbol=symbol))
+        self.relocations.append_row((field_off, RelocType.PC32, symbol, 0))
         if opcode != Opcode.CALL:
-            self.fixups.append(
-                BranchFixup(offset=off, opcode=opcode, symbol=symbol, deletable=deletable)
-            )
+            self.fixups.append_row((off, opcode, symbol, deletable))
         self.num_instrs += 1
         return off
 
@@ -142,9 +142,7 @@ class _SectionEmitter:
         """Embed a jump table (data in code!) at the current offset."""
         off = self.offset
         for symbol in targets:
-            self.relocations.append(
-                Relocation(offset=self.offset, rtype=RelocType.ABS32, symbol=symbol)
-            )
+            self.relocations.append_row((self.offset, RelocType.ABS32, symbol, 0))
             self.data += b"\x00" * _JUMP_TABLE_ENTRY_BYTES
         return off
 
@@ -265,6 +263,14 @@ def _section_plan(function: ir.Function, options: CodeGenOptions) -> List[_Secti
                          options.align_function, True)]
 
 
+def _term_row(kind: TerminatorKind, cond=(None, 0.0, -1, 0), uncond=(None, -1, 0),
+              end=(-1, 0), ijmp=()) -> tuple:
+    """A :class:`~repro.elf.TerminatorMeta` row: ``cond`` is ``(target,
+    prob, offset, size)`` of the Jcc, ``uncond`` ``(target, offset,
+    size)`` of the jump, ``end`` ``(offset, size)`` of a RET/IJMP/TRAP."""
+    return (kind, *cond, *uncond, *end, ijmp)
+
+
 def _lower_block(
     emitter: _SectionEmitter,
     function: ir.Function,
@@ -273,78 +279,60 @@ def _lower_block(
     inline_jumptables: bool,
     rodata: Optional[_SectionEmitter],
     prefetch_symbols: Sequence[str] = (),
-) -> BlockMeta:
+) -> None:
+    """Lower ``block`` at the emitter's cursor and append its
+    :class:`~repro.elf.BlockMeta` row to the emitter's block table."""
     fn = function.name
     start = emitter.offset
-    calls: List[CallSite] = []
-    prefetches: List[PrefetchSite] = []
+    calls: List[tuple] = []  # CallSite rows
+    prefetches: List[tuple] = []  # PrefetchSite rows
     for symbol in prefetch_symbols:
         off = emitter.offset
         emitter.data += encode_instruction(Opcode.PREFETCH, payload=b"\x00" * 4)
-        emitter.relocations.append(
-            Relocation(offset=off + 1, rtype=RelocType.PC32, symbol=symbol)
-        )
+        emitter.relocations.append_row((off + 1, RelocType.PC32, symbol, 0))
         emitter.num_instrs += 1
-        prefetches.append(PrefetchSite(offset=off, symbol=symbol))
+        prefetches.append((off, symbol))
     for idx, instr in enumerate(block.instrs):
         if isinstance(instr, ir.Call):
             if instr.is_indirect:
                 off = emitter.emit(Opcode.ICALL, payload=_payload(fn, block.bb_id, idx, 1))
-                calls.append(
-                    CallSite(offset=off, size=instruction_size(Opcode.ICALL), callee=None,
-                             indirect_targets=tuple(instr.indirect_targets))
-                )
+                calls.append((off, instruction_size(Opcode.ICALL), None,
+                              tuple(instr.indirect_targets)))
             else:
                 off = emitter.emit_branch(Opcode.CALL, instr.callee)
-                calls.append(
-                    CallSite(offset=off, size=instruction_size(Opcode.CALL), callee=instr.callee)
-                )
+                calls.append((off, instruction_size(Opcode.CALL), instr.callee, ()))
             continue
         opcode = _OP_LOWERING[instr.kind]
         emitter.emit(opcode, payload=_payload(fn, block.bb_id, idx, instruction_size(opcode) - 1))
 
     term = block.term
-    meta_term: TerminatorMeta
     if isinstance(term, ir.CondBr):
         taken, fallthrough, prob = term.taken, term.fallthrough, term.prob
         if taken == next_bb:
             # Invert the condition so the likely-next block falls through.
             taken, fallthrough, prob = fallthrough, taken, 1.0 - prob
         jcc_off = emitter.emit_branch(Opcode.JCC_LONG, bb_label(fn, taken))
-        jcc_size = instruction_size(Opcode.JCC_LONG)
+        cond = (bb_label(fn, taken), prob, jcc_off, instruction_size(Opcode.JCC_LONG))
         if fallthrough == next_bb:
-            meta_term = TerminatorMeta(
-                kind=TerminatorKind.CONDBR,
-                cond_target=bb_label(fn, taken), cond_prob=prob,
-                cond_br_offset=jcc_off, cond_br_size=jcc_size,
-            )
+            term_row = _term_row(TerminatorKind.CONDBR, cond)
         else:
             jmp_off = emitter.emit_branch(
                 Opcode.JMP_LONG, bb_label(fn, fallthrough), deletable=True
             )
-            meta_term = TerminatorMeta(
-                kind=TerminatorKind.CONDBR,
-                cond_target=bb_label(fn, taken), cond_prob=prob,
-                cond_br_offset=jcc_off, cond_br_size=jcc_size,
-                uncond_target=bb_label(fn, fallthrough),
-                uncond_br_offset=jmp_off, uncond_br_size=instruction_size(Opcode.JMP_LONG),
-            )
+            term_row = _term_row(
+                TerminatorKind.CONDBR, cond,
+                (bb_label(fn, fallthrough), jmp_off, instruction_size(Opcode.JMP_LONG)))
     elif isinstance(term, ir.Jump):
         if term.target == next_bb:
-            meta_term = TerminatorMeta(kind=TerminatorKind.FALLTHROUGH)
+            term_row = _term_row(TerminatorKind.FALLTHROUGH)
         else:
             jmp_off = emitter.emit_branch(Opcode.JMP_LONG, bb_label(fn, term.target), deletable=True)
-            meta_term = TerminatorMeta(
-                kind=TerminatorKind.JUMP,
-                uncond_target=bb_label(fn, term.target),
-                uncond_br_offset=jmp_off, uncond_br_size=instruction_size(Opcode.JMP_LONG),
-            )
+            term_row = _term_row(
+                TerminatorKind.JUMP,
+                uncond=(bb_label(fn, term.target), jmp_off, instruction_size(Opcode.JMP_LONG)))
     elif isinstance(term, ir.Ret):
         off = emitter.emit(Opcode.RET)
-        meta_term = TerminatorMeta(
-            kind=TerminatorKind.RET, end_instr_offset=off,
-            end_instr_size=instruction_size(Opcode.RET),
-        )
+        term_row = _term_row(TerminatorKind.RET, end=(off, instruction_size(Opcode.RET)))
     elif isinstance(term, ir.Switch):
         off = emitter.emit(Opcode.IJMP, payload=_payload(fn, block.bb_id, -1, 1))
         labels = [bb_label(fn, t) for t in term.targets]
@@ -352,29 +340,19 @@ def _lower_block(
             emitter.emit_jump_table(labels)
         elif rodata is not None:
             rodata.emit_jump_table(labels)
-        meta_term = TerminatorMeta(
-            kind=TerminatorKind.IJMP, end_instr_offset=off,
-            end_instr_size=instruction_size(Opcode.IJMP),
-            ijmp_targets=tuple(
-                (bb_label(fn, t), p) for t, p in zip(term.targets, term.probs)
-            ),
-        )
+        term_row = _term_row(
+            TerminatorKind.IJMP, end=(off, instruction_size(Opcode.IJMP)),
+            ijmp=list(zip(labels, term.probs)))
     elif isinstance(term, ir.Unreachable):
         off = emitter.emit(Opcode.TRAP, payload=_payload(fn, block.bb_id, -1, 1))
-        meta_term = TerminatorMeta(
-            kind=TerminatorKind.TRAP, end_instr_offset=off,
-            end_instr_size=instruction_size(Opcode.TRAP),
-        )
+        term_row = _term_row(TerminatorKind.TRAP, end=(off, instruction_size(Opcode.TRAP)))
     else:
         raise TypeError(f"unknown terminator {term!r}")
 
-    meta = BlockMeta(
-        bb_id=block.bb_id, func=fn, offset=start, size=emitter.offset - start,
-        term=meta_term, calls=calls, prefetches=prefetches,
-        is_landing_pad=block.is_landing_pad,
-    )
-    emitter.blocks.append(meta)
-    return meta
+    emitter.blocks.append_row((
+        block.bb_id, fn, start, emitter.offset - start, term_row, calls, prefetches,
+        block.is_landing_pad, 0.0,
+    ))
 
 
 @dataclass
@@ -394,7 +372,8 @@ class CompiledObject:
 
 def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject:
     """Lower one IR module to an object file."""
-    obj = ObjectFile(name=f"{module.name}.o")
+    strings = Strings()  # one pool for all of the object's tables
+    obj = ObjectFile(name=f"{module.name}.o", symbols=Table(Symbol, strings=strings))
     result = CompiledObject(obj=obj, module_name=module.name)
     eh_frame_bytes = _CIE_BYTES
     addr_maps: List[Tuple[str, bytes]] = []  # (text section name, encoded map)
@@ -410,12 +389,12 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
         if needs_rodata:
             rodata = _SectionEmitter(
                 _SectionPlan(f".rodata.{function.name}", "", SymbolBinding.LOCAL, [], 4, False),
-                function.name,
+                function.name, strings,
             )
         lsda_bytes = 0
         fn_instrs = 0
         for plan in plans:
-            emitter = _SectionEmitter(plan, function.name)
+            emitter = _SectionEmitter(plan, function.name, strings)
             # §4.5: a landing-pad block at the very start of a section
             # would have offset zero relative to @LPStart; pad with a nop.
             first = function.block(plan.bb_ids[0])
@@ -436,15 +415,11 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
                 )
             section = emitter.to_section()
             obj.add_section(section)
-            obj.add_symbol(Symbol(
-                name=plan.leader, section=plan.section_name, offset=0, size=section.size,
-                binding=plan.leader_binding, stype=SymbolType.FUNC,
-            ))
+            obj.symbols.append_row((plan.leader, plan.section_name, 0, section.size,
+                                    plan.leader_binding, SymbolType.FUNC))
             for name, offset in emitter.local_symbols:
-                obj.add_symbol(Symbol(
-                    name=name, section=plan.section_name, offset=offset,
-                    binding=SymbolBinding.LOCAL, stype=SymbolType.NOTYPE,
-                ))
+                obj.symbols.append_row((name, plan.section_name, offset, 0,
+                                        SymbolBinding.LOCAL, SymbolType.NOTYPE))
             result.num_instrs += emitter.num_instrs
             fn_instrs += emitter.num_instrs
             result.text_bytes += section.size
@@ -454,26 +429,13 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
             if not plan.is_primary:
                 eh_frame_bytes += _CSR_CFI_BYTES * options.callee_saved_regs
             if function.has_landing_pads():
-                ncalls = sum(len(b.calls) for b in emitter.blocks)
+                ncalls = emitter.blocks.col("calls")[-1]  # the offsets column ends at the total
                 if ncalls:
                     lsda_bytes += _LSDA_HEADER_BYTES + _LSDA_CALLSITE_BYTES * ncalls
             if options.bb_addr_map:
-                entries = tuple(
-                    bbaddrmap.BBEntry(
-                        bb_id=b.bb_id, offset=b.offset, size=b.size,
-                        flags=(bbaddrmap.FLAG_LANDING_PAD if b.is_landing_pad else 0)
-                        | (bbaddrmap.FLAG_HAS_RETURN if b.term.kind == TerminatorKind.RET else 0)
-                        | (
-                            bbaddrmap.FLAG_HAS_INDIRECT_JUMP
-                            if b.term.kind == TerminatorKind.IJMP
-                            else 0
-                        ),
-                    )
-                    for b in emitter.blocks
-                )
-                encoded = bbaddrmap.encode_function_map(
-                    bbaddrmap.FunctionMap(func=plan.leader, entries=entries)
-                )
+                blocks = emitter.blocks
+                encoded = bbaddrmap.encode_blocks(
+                    plan.leader, blocks, blocks.col("offset"), blocks.col("size"))
                 addr_maps.append((plan.section_name, encoded))
         if rodata is not None and rodata.data:
             obj.add_section(Section(

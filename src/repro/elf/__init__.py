@@ -6,11 +6,20 @@ with placed sections and a symbol table.  Section kinds mirror the ones
 the paper's Figure 6 breaks binary size into (``.text``, ``.eh_frame``,
 ``.llvm_bb_addr_map``, ``.rela``, other).
 
+The per-record lists those containers hold -- a section's ``blocks``,
+``branch_fixups`` and ``relocations``, an object file's ``symbols``, an
+executable's ``exec_blocks`` -- are :class:`~repro.elf.table.Table` s:
+sequences of the record dataclasses below, stored one flat column per
+field.  Build them from plain lists of records and read them as such;
+the code generator, the linker and the trace replay read and write the
+columns and build no record (see :mod:`repro.elf.table`).
+
 The ``bbaddrmap`` module implements the SHT_LLVM_BB_ADDR_MAP-style
 metadata encoding (§3.2): per-function basic block offsets, sizes and
 flags, varint-encoded, resolved against the symbol table.
 """
 
+from repro.elf.table import Strings, Table
 from repro.elf.sections import (
     Relocation,
     RelocType,
@@ -33,6 +42,8 @@ from repro.elf.executable import ExecBlock, Executable, PlacedSection, SymbolInf
 from repro.elf import bbaddrmap
 
 __all__ = [
+    "Strings",
+    "Table",
     "Relocation",
     "RelocType",
     "Section",

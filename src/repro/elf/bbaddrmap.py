@@ -14,12 +14,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.elf.metadata import TerminatorKind
+
 #: Flag bit: the block can land exceptions.
 FLAG_LANDING_PAD = 0x01
 #: Flag bit: the block ends in a return.
 FLAG_HAS_RETURN = 0x02
 #: Flag bit: the block ends in an indirect jump.
 FLAG_HAS_INDIRECT_JUMP = 0x04
+
+
+#: The terminator's share of the flags byte, by ``TerminatorKind`` column code.
+_KIND_FLAGS = [
+    {TerminatorKind.RET: FLAG_HAS_RETURN, TerminatorKind.IJMP: FLAG_HAS_INDIRECT_JUMP}.get(kind, 0)
+    for kind in TerminatorKind
+]
+
+
+def encode_blocks(func: str, blocks, offsets, sizes) -> bytes:
+    """The map of function ``func`` whose blocks are the rows of the
+    :class:`~repro.elf.BlockMeta` table ``blocks``, placed at ``offsets``
+    with ``sizes`` (the table's own columns, or what a link made of them)."""
+    flags = [(FLAG_LANDING_PAD if landing_pad else 0) | _KIND_FLAGS[kind] for landing_pad, kind
+             in zip(blocks.col("is_landing_pad"), blocks.col("term.kind"))]
+    return encode_function_map(FunctionMap(func=func, entries=tuple(
+        map(BBEntry, blocks.col("bb_id"), offsets, sizes, flags))))
 
 
 def encode_uleb128(value: int) -> bytes:

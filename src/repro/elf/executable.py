@@ -3,9 +3,10 @@
 An :class:`Executable` is the linker's output: placed sections with
 assigned virtual addresses, a symbol table, optionally retained static
 relocations (``--emit-relocs``, which the BOLT baseline requires), and
-the resolved *execution model* -- one :class:`ExecBlock` per machine
-basic block with absolute addresses -- that the trace generator walks
-in place of real hardware.
+the resolved *execution model* -- ``exec_blocks``, a
+:class:`~repro.elf.table.Table` of one :class:`ExecBlock` per machine
+basic block with absolute addresses, in address order -- that the trace
+generator walks in place of real hardware.
 
 ``features`` carries workload traits that matter to binary rewriting
 (restartable sequences, FIPS startup integrity checks, hand-written
@@ -15,10 +16,23 @@ assembly); see §5.8 of the paper and :mod:`repro.bolt.failures`.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import pairwise
+from typing import Annotated, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.elf.sections import RELA_ENTRY_SIZE, Relocation, SectionKind, SymbolBinding, SymbolType
+from repro.elf.sections import (
+    RELA_ENTRY_SIZE,
+    Relocation,
+    Restorable,
+    SectionKind,
+    SymbolBinding,
+    SymbolType,
+)
+from repro.elf.table import Table
+
+#: An absolute address: a 64-bit table column (sizes and ids are 32-bit).
+Addr = Annotated[int, "q"]
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,10 @@ class PlacedSection:
 class ResolvedCall:
     """A call site with absolute addresses."""
 
-    addr: int
+    addr: Addr
     size: int
-    target: Optional[int] = None
-    indirect_targets: Tuple[Tuple[int, float], ...] = ()
+    target: Optional[Addr] = None
+    indirect_targets: Tuple[Tuple[Addr, float], ...] = ()
 
     @property
     def return_addr(self) -> int:
@@ -73,30 +87,30 @@ class ResolvedTerminator:
     """
 
     kind: str
-    cond_target: int = 0
+    cond_target: Addr = 0
     cond_prob: float = 0.0
-    cond_br_addr: int = -1
+    cond_br_addr: Addr = -1
     cond_br_size: int = 0
-    uncond_target: Optional[int] = None
-    uncond_br_addr: int = -1
+    uncond_target: Optional[Addr] = None
+    uncond_br_addr: Addr = -1
     uncond_br_size: int = 0
-    end_instr_addr: int = -1
+    end_instr_addr: Addr = -1
     end_instr_size: int = 0
-    ijmp_targets: Tuple[Tuple[int, float], ...] = ()
+    ijmp_targets: Tuple[Tuple[Addr, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class ExecBlock:
     """One machine basic block at its final address."""
 
-    addr: int
+    addr: Addr
     size: int
     func: str
     bb_id: int
     term: ResolvedTerminator
     calls: Tuple[ResolvedCall, ...] = ()
     #: Absolute addresses this block software-prefetches (§3.5).
-    prefetch_targets: Tuple[int, ...] = ()
+    prefetch_targets: Tuple[Addr, ...] = ()
     is_landing_pad: bool = False
 
     @property
@@ -105,30 +119,44 @@ class ExecBlock:
 
 
 @dataclass
-class Executable:
-    """A linked binary."""
+class Executable(Restorable):
+    """A linked binary.
+
+    ``exec_blocks`` takes any iterable of :class:`ExecBlock` and holds a
+    table of them in address order (:meth:`block_at` bisects it).
+    """
 
     name: str
     entry: int
     sections: List[PlacedSection] = field(default_factory=list)
     symbols: Dict[str, SymbolInfo] = field(default_factory=dict)
-    exec_blocks: List[ExecBlock] = field(default_factory=list)
+    exec_blocks: Table = field(default_factory=list)  # of ExecBlock
     retained_relocations: List[Tuple[int, Relocation]] = field(default_factory=list)
     features: FrozenSet[str] = frozenset()
     #: Whether text pages are backed by 2M hugepages at run time.
     hugepages: bool = False
 
     def __post_init__(self) -> None:
-        self._blocks_by_addr: Dict[int, ExecBlock] = {b.addr: b for b in self.exec_blocks}
+        blocks = Table.of(ExecBlock, self.exec_blocks)
+        if any(a > b for a, b in pairwise(blocks.col("addr"))):
+            blocks = Table(ExecBlock, sorted(blocks, key=lambda b: b.addr))
+        self.exec_blocks = blocks
 
-    def rebuild_block_index(self) -> None:
-        self._blocks_by_addr = {b.addr: b for b in self.exec_blocks}
+    def _block_index(self, addr: int) -> int:
+        """Row of the block starting at ``addr`` (the last one, should
+        empty blocks share it), or -1."""
+        addrs = self.exec_blocks.col("addr")
+        i = bisect_right(addrs, addr) - 1
+        return i if i >= 0 and addrs[i] == addr else -1
 
     def block_at(self, addr: int) -> ExecBlock:
-        return self._blocks_by_addr[addr]
+        i = self._block_index(addr)
+        if i < 0:
+            raise KeyError(addr)
+        return self.exec_blocks[i]
 
     def has_block_at(self, addr: int) -> bool:
-        return addr in self._blocks_by_addr
+        return self._block_index(addr) >= 0
 
     def content_digest(self) -> str:
         """SHA-256 over the binary's observable content.

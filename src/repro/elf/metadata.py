@@ -1,6 +1,8 @@
 """Structured text-section metadata: block descriptors and branch fixups.
 
-The code generator attaches two kinds of records to every text section:
+The code generator attaches two kinds of records to every text section
+(each kind held as a :class:`~repro.elf.table.Table`, one column per
+field below, so these classes are what a row *reads as*):
 
 * :class:`BlockMeta` -- one per machine basic block placed in the
   section, carrying the block's offset, size, call sites and terminator

@@ -11,18 +11,21 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.elf.sections import Section, SectionKind, Symbol
+from repro.elf.sections import Restorable, Section, SectionKind, Symbol
+from repro.elf.table import Table
 
 
 @dataclass
-class ObjectFile:
-    """One native object file: named sections plus a symbol table."""
+class ObjectFile(Restorable):
+    """One native object file: named sections plus a symbol table
+    (``symbols``: any iterable of :class:`Symbol`, held as a table)."""
 
     name: str
     sections: List[Section] = field(default_factory=list)
-    symbols: List[Symbol] = field(default_factory=list)
+    symbols: Table = field(default_factory=list)  # of Symbol
 
     def __post_init__(self) -> None:
+        self.symbols = Table.of(Symbol, self.symbols)
         self._by_name: Dict[str, Section] = {}
         for section in self.sections:
             self._register(section)

@@ -4,17 +4,34 @@ A section is "a contiguous range of bytes ... that the linker operates
 on as a single unit" (§4).  Text sections additionally carry structured
 metadata (block descriptors and branch fixups) that the code generator
 attaches and the linker's relaxation pass rewrites; see
-:mod:`repro.elf.metadata`.
+:mod:`repro.elf.metadata`.  A section's ``relocations``, ``blocks`` and
+``branch_fixups`` are :class:`~repro.elf.table.Table` s of those records.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional
 
-if TYPE_CHECKING:
-    from repro.elf.metadata import BlockMeta, BranchFixup
+from repro.elf.metadata import BlockMeta, BranchFixup
+from repro.elf.table import Table
+
+
+class Restorable:
+    """Pickling for the containers that hold tables: the state is the
+    dataclass fields alone (derived indexes are rebuilt, never stored),
+    and a load goes through ``__post_init__`` like a construction does --
+    so an entry written when the fields were lists of records comes back
+    as tables."""
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __setstate__(self, state: dict) -> None:
+        for name in self.__dataclass_fields__:
+            setattr(self, name, state[name])
+        self.__post_init__()
 
 
 class SectionKind(enum.Enum):
@@ -84,23 +101,25 @@ class Symbol:
 
 
 @dataclass
-class Section:
+class Section(Restorable):
     """One named section of an object file.
 
     ``link_name`` ties a metadata section to the text section it
     describes (like ``sh_link``); the linker uses it to drop BB address
     maps whose text went away and to keep maps adjacent to their code.
+    The three record fields take any iterable of records and hold a
+    :class:`~repro.elf.table.Table` of them.
     """
 
     name: str
     kind: SectionKind
     data: bytearray = field(default_factory=bytearray)
     alignment: int = 1
-    relocations: List[Relocation] = field(default_factory=list)
+    relocations: Table = field(default_factory=list)  # of Relocation
     link_name: Optional[str] = None
     # Structured metadata, populated for TEXT sections by the code generator.
-    blocks: List["BlockMeta"] = field(default_factory=list)
-    branch_fixups: List["BranchFixup"] = field(default_factory=list)
+    blocks: Table = field(default_factory=list)  # of BlockMeta
+    branch_fixups: Table = field(default_factory=list)  # of BranchFixup
 
     @property
     def size(self) -> int:
@@ -111,3 +130,6 @@ class Section:
             self.data = bytearray(self.data)
         if self.alignment < 1 or self.alignment & (self.alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {self.alignment}")
+        self.relocations = Table.of(Relocation, self.relocations)
+        self.blocks = Table.of(BlockMeta, self.blocks)
+        self.branch_fixups = Table.of(BranchFixup, self.branch_fixups)

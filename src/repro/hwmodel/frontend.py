@@ -276,18 +276,18 @@ def simulate_frontend(
     btb = SetAssociativeCache(params.btb_sets, params.btb_ways)
     dsb = SetAssociativeCache(params.dsb_sets, params.dsb_ways)
 
-    # Per-block fetch footprints, indexed by position in address order.
-    blocks = sorted(exe.exec_blocks, key=lambda b: b.addr)
-    starts = [b.addr for b in blocks]
-    sizes = [b.size for b in blocks]
+    # Per-block fetch footprints, straight from the block table's
+    # columns (which are in address order), indexed by row.
+    table = exe.exec_blocks
+    num_blocks = len(table)
+    starts, sizes = table.col("addr").tolist(), table.col("size").tolist()
     # Software prefetches (§3.5) stream the target's first two lines and
     # their page translations in ahead of use: free fills, replayed as
     # pseudo-blocks (one per target, ids past the real blocks) that
     # follow each visit of the prefetching block.
-    fills = [(i, t) for i, b in enumerate(blocks) for t in b.prefetch_targets]
-    num_fills = np.bincount(np.array([i for i, _ in fills], dtype=np.int64),
-                            minlength=len(blocks))
-    starts += [(t >> line_shift) << line_shift for _, t in fills]
+    fills = table.col("prefetch_targets.0")
+    num_fills = np.diff(np.array(table.col("prefetch_targets"), dtype=np.int64))
+    starts += [(t >> line_shift) << line_shift for t in fills]
     sizes += [2 * params.line_bytes] * len(fills)
     start = np.array(starts, dtype=np.int64)
     size = np.array(sizes, dtype=np.int64)
@@ -298,17 +298,18 @@ def simulate_frontend(
     # Real blocks touch their first and last page, a prefetch the page
     # of each of its two lines.
     pages = np.sort([start >> page_shift, (start + size - 1) >> page_shift], axis=0)
-    pages[1, len(blocks):] = (start[len(blocks):] + params.line_bytes) >> page_shift
+    pages[1, num_blocks:] = (start[num_blocks:] + params.line_bytes) >> page_shift
     num_pages = 1 + (pages[1] != pages[0])
     first_window = start >> 5
     num_windows = ((last >> 5) - first_window + 1) * simulate_dsb
-    num_windows[len(blocks):] = 0
-    instrs = np.maximum(1.0, size[:len(blocks)] / params.avg_instr_bytes)
+    num_windows[num_blocks:] = 0
+    instrs = np.maximum(1.0, size[:num_blocks] / params.avg_instr_bytes)
 
-    funcs = sorted({b.func for b in blocks})
+    names = table.values("func")
+    funcs = sorted(set(names))
     func_ids = {func: i for i, func in enumerate(funcs)}
     # Fills charge nothing, so a pseudo-block's function is never read.
-    func_of = np.array([func_ids[b.func] for b in blocks] + [0] * len(fills), dtype=np.int64)
+    func_of = np.array([func_ids[name] for name in names] + [0] * len(fills), dtype=np.int64)
 
     # Per structure, the function charged with each miss.  A chunk of
     # visits at a time: the caches carry their state across chunks, and
@@ -321,8 +322,8 @@ def simulate_frontend(
     first_fetch = np.full(len(funcs), len(trace.block_addrs), dtype=np.int64)
     for lo in range(0, len(trace.block_addrs), CHUNK):
         block_addrs = np.asarray(trace.block_addrs[lo:lo + CHUNK], dtype=np.int64)
-        seq = np.searchsorted(start[:len(blocks)], block_addrs)
-        seq[seq == len(blocks)] = 0
+        seq = np.searchsorted(start[:num_blocks], block_addrs)
+        seq[seq == num_blocks] = 0
         if (start[seq] != block_addrs).any():
             raise KeyError(f"trace visits addresses {exe.name} has no block at")
         weights = instrs[seq]
@@ -332,12 +333,12 @@ def simulate_frontend(
             np.add.at(func_instrs, fetching, weights)
             func_blocks += np.bincount(fetching, minlength=len(funcs))
             np.minimum.at(first_fetch, fetching, np.arange(lo, lo + len(seq)))
-        if fills:
+        if len(fills):
             at = np.flatnonzero(num_fills[seq])
-            ids, owner = _expand(len(blocks) + np.cumsum(num_fills) - num_fills,
+            ids, owner = _expand(num_blocks + np.cumsum(num_fills) - num_fills,
                                  num_fills, one, seq[at])
             seq = np.insert(seq, at[owner] + 1, ids)
-        is_fill = seq >= len(blocks)
+        is_fill = seq >= num_blocks
         seq_funcs = func_of[seq]
 
         # L1i, where a demand miss streams the next line in as well (free
@@ -388,7 +389,7 @@ def simulate_frontend(
     if by_function:
         # Branch sources are instruction addresses inside blocks; map
         # them to the containing function by interval bisection.
-        src_funcs = func_of[np.searchsorted(start[:len(blocks)], branch_src, side="right") - 1]
+        src_funcs = func_of[np.searchsorted(start[:num_blocks], branch_src, side="right") - 1]
         first_branch = np.full(len(funcs), len(src_funcs), dtype=np.int64)
         np.minimum.at(first_branch, src_funcs, np.arange(len(src_funcs)))
 

@@ -5,21 +5,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis import MemoryMeter
 from repro.elf import (
+    BlockMeta,
     ExecBlock,
     Executable,
     ObjectFile,
     PlacedSection,
     Relocation,
     SectionKind,
-    Symbol,
     SymbolInfo,
     SymbolType,
     TerminatorKind,
     bbaddrmap,
 )
-from repro.elf.executable import ResolvedCall, ResolvedTerminator
+from repro.elf.table import NONE, Strings, Table
 from repro.isa import OPCODE_SIZES
 from repro.linker.relax import apply_relocations, assign_addresses, relax
 from repro.linker.worksection import LinkError, WorkSection
@@ -87,21 +89,28 @@ def link(
         meter.allocate(2 * stats.input_bytes, "link-inputs")
 
     work: List[WorkSection] = []
-    defs: Dict[str, Tuple[WorkSection, Symbol]] = {}
+    defs: Dict[str, Tuple[WorkSection, int]] = {}  # name -> (section, input offset)
+    exported = []  # (name, section, size, type, binding) of what reaches the symbol table
     for obj in objects:
         by_name: Dict[str, WorkSection] = {}
         for section in obj.sections:
             ws = WorkSection(section, origin=obj.name)
             by_name[section.name] = ws
             work.append(ws)
-        for sym in obj.symbols:
-            ws = by_name.get(sym.section)
+        table = obj.symbols
+        for name, section, offset, size, stype, binding in zip(
+                table.values("name"), table.values("section"), table.col("offset"),
+                table.col("size"), table.values("stype"), table.values("binding")):
+            ws = by_name.get(section)
             if ws is None:
-                raise LinkError(f"{obj.name}: symbol {sym.name} in missing section {sym.section}")
-            ws.symbols.append(sym)
-            if sym.name in defs:
-                raise LinkError(f"duplicate symbol {sym.name!r}")
-            defs[sym.name] = (ws, sym)
+                raise LinkError(f"{obj.name}: symbol {name} in missing section {section}")
+            if name in defs:
+                raise LinkError(f"duplicate symbol {name!r}")
+            defs[name] = (ws, offset)
+            if ws.leader is None and offset == 0 and stype == SymbolType.FUNC:
+                ws.leader = name
+            if not name.startswith(".L"):  # assembler temporaries stay out of the symbol table
+                exported.append((name, ws, size, stype, binding))
 
     # ----- text layout order ------------------------------------------
     text = [ws for ws in work if ws.kind == SectionKind.TEXT]
@@ -112,8 +121,8 @@ def link(
             entry = defs.get(name)
             if entry is None:
                 continue  # stale ordering entries are ignored, like real linkers
-            ws, sym = entry
-            if sym.offset != 0 or ws.kind != SectionKind.TEXT or id(ws) in placed:
+            ws, offset = entry
+            if offset != 0 or ws.kind != SectionKind.TEXT or id(ws) in placed:
                 continue
             chosen.append(ws)
             placed.add(id(ws))
@@ -153,8 +162,8 @@ def link(
 
     # ----- final addresses, section bytes, relocations -------------------
     addresses = _Addresses()
-    for name, (ws, sym) in defs.items():
-        addresses[name] = ws.vaddr + ws.remap(sym.offset)
+    for name, (ws, offset) in defs.items():
+        addresses[name] = ws.vaddr + ws.remap(offset)
     retained: Optional[List[Tuple[int, Relocation]]] = [] if options.emit_relocs else None
     for ws in text + rodata:
         data = ws.materialize()
@@ -170,16 +179,11 @@ def link(
         for ws in text + rodata + nonalloc
     ]
     symbols: Dict[str, SymbolInfo] = {}
-    for name, (ws, sym) in defs.items():
-        if name.startswith(".L"):
-            continue  # assembler temporaries never reach the symbol table
+    for name, ws, size, stype, binding in exported:
         addr = addresses[name]
-        size = sym.size
-        if sym.stype == SymbolType.FUNC and ws.kind == SectionKind.TEXT:
+        if stype == SymbolType.FUNC and ws.kind == SectionKind.TEXT:
             size = ws.vaddr + ws.size - addr  # relaxation shrank the section
-        symbols[name] = SymbolInfo(
-            name=name, addr=addr, size=size, stype=sym.stype, binding=sym.binding,
-        )
+        symbols[name] = SymbolInfo(name=name, addr=addr, size=size, stype=stype, binding=binding)
 
     exec_blocks = _resolve_exec_blocks(text, addresses)
     executable = Executable(
@@ -210,97 +214,130 @@ class _Addresses(dict):
 
 def _reencode_bb_addr_map(ws: WorkSection) -> bytes:
     """Serialize a text section's final block geometry as its address map."""
-    leader = next(
-        (s.name for s in ws.symbols if s.offset == 0 and s.stype == SymbolType.FUNC),
-        None,
-    )
-    if leader is None:
+    if ws.leader is None:
         return b""
-    remap = ws.remap
-    entries = []
-    for meta in ws.section.blocks:
-        flags = 0
-        if meta.is_landing_pad:
-            flags |= bbaddrmap.FLAG_LANDING_PAD
-        if meta.term.kind == TerminatorKind.RET:
-            flags |= bbaddrmap.FLAG_HAS_RETURN
-        if meta.term.kind == TerminatorKind.IJMP:
-            flags |= bbaddrmap.FLAG_HAS_INDIRECT_JUMP
-        offset = remap(meta.offset)
-        entries.append(bbaddrmap.BBEntry(
-            bb_id=meta.bb_id, offset=offset,
-            size=remap(meta.offset + meta.size) - offset, flags=flags,
-        ))
-    return bbaddrmap.encode_function_map(
-        bbaddrmap.FunctionMap(func=leader, entries=tuple(entries))
-    )
+    remap, blocks = ws.remap, ws.section.blocks
+    starts = [remap(at) for at in blocks.col("offset")]
+    sizes = [remap(at + size) - start for at, size, start in
+             zip(blocks.col("offset"), blocks.col("size"), starts)]
+    return bbaddrmap.encode_blocks(ws.leader, blocks, starts, sizes)
 
 
-_KIND_NAMES = {kind: kind.value for kind in TerminatorKind}
+def _ints(column) -> np.ndarray:
+    """An ``array`` column as an ndarray over the same memory."""
+    return np.frombuffer(column, dtype=column.typecode)
 
 
-def _resolve_exec_blocks(text: List[WorkSection], addresses: Dict[str, int]) -> List[ExecBlock]:
-    """The execution model: every input block at its final address."""
-    blocks: List[ExecBlock] = []
-    for ws in text:
-        base = ws.vaddr
-        remap = ws.remap
-        rewritten = {ws.offsets[i]: opcode for i, opcode in ws.rewritten.items()}
-        for meta in ws.section.blocks:
-            term = meta.term
-            kind = term.kind
-            cond_at, cond_size = term.cond_br_offset, term.cond_br_size
-            uncond_at, uncond_size = term.uncond_br_offset, term.uncond_br_size
-            uncond_target = term.uncond_target
-            end_at = term.end_instr_offset
-            if rewritten:
-                # A rewritten branch changes the terminator of the block it sits in.
-                if cond_at in rewritten and 0 <= cond_at - meta.offset < meta.size:
-                    opcode = rewritten[cond_at]
-                    if opcode is not None:
-                        cond_size = OPCODE_SIZES[opcode]
-                if uncond_at in rewritten and 0 <= uncond_at - meta.offset < meta.size:
-                    opcode = rewritten[uncond_at]
-                    if opcode is not None:
-                        uncond_size = OPCODE_SIZES[opcode]
-                    else:  # the jump was deleted: the block now falls through
-                        uncond_target, uncond_at, uncond_size = None, -1, 0
-                        if kind == TerminatorKind.JUMP:
-                            kind = TerminatorKind.FALLTHROUGH
-            start = remap(meta.offset)
-            blocks.append(ExecBlock(
-                addr=base + start,
-                size=remap(meta.offset + meta.size) - start,
-                func=meta.func,
-                bb_id=meta.bb_id,
-                term=ResolvedTerminator(
-                    kind=_KIND_NAMES.get(kind) or str(kind),
-                    cond_target=addresses[term.cond_target] if term.cond_target else 0,
-                    cond_prob=term.cond_prob,
-                    cond_br_addr=base + remap(cond_at) if cond_at >= 0 else -1,
-                    cond_br_size=cond_size,
-                    uncond_target=addresses[uncond_target] if uncond_target else None,
-                    uncond_br_addr=base + remap(uncond_at) if uncond_at >= 0 else -1,
-                    uncond_br_size=uncond_size,
-                    end_instr_addr=base + remap(end_at) if end_at >= 0 else -1,
-                    end_instr_size=term.end_instr_size,
-                    ijmp_targets=tuple([(addresses[s], p) for s, p in term.ijmp_targets])
-                    if term.ijmp_targets else (),
-                ),
-                calls=tuple([
-                    ResolvedCall(
-                        addr=base + remap(call.offset),
-                        size=call.size,
-                        target=addresses[call.callee] if call.callee else None,
-                        indirect_targets=tuple(
-                            [(addresses[s], p) for s, p in call.indirect_targets]
-                        ),
-                    )
-                    for call in meta.calls
-                ]) if meta.calls else (),
-                prefetch_targets=tuple([addresses[p.symbol] for p in meta.prefetches])
-                if meta.prefetches else (),
-                is_landing_pad=meta.is_landing_pad,
-            ))
-    blocks.sort(key=lambda b: b.addr)
-    return blocks
+_KINDS = tuple(TerminatorKind)  # an enum column stores positions in this order
+
+
+def _resolve_exec_blocks(text: List[WorkSection], addresses: Dict[str, int]) -> Table:
+    """The execution model: every input block at its final address.
+
+    Array arithmetic over the block columns of all of ``text`` at once.
+    Input offset ``p`` of the ``s``-th section is position ``base[s] + p``
+    of the concatenated inputs, where the sections' fixups are one sorted
+    array and their prefix sums one array, so :meth:`WorkSection.remap`
+    of any number of offsets is one ``searchsorted``.
+    """
+    text = [ws for ws in text if len(ws.section.blocks)]
+    blocks = Table.concat(BlockMeta, [ws.section.blocks for ws in text])
+    if not len(blocks):
+        return Table(ExecBlock)
+    names = blocks.strings.names
+    sec = np.repeat(np.arange(len(text)), [len(ws.section.blocks) for ws in text])
+    vaddr = np.array([ws.vaddr for ws in text], dtype=np.int64)
+    base = np.cumsum([0] + [len(ws.section.data) for ws in text])
+    fixups = [len(ws.offsets) for ws in text]
+    fix_end = np.cumsum(fixups)
+    fixup_at = np.concatenate([b + np.asarray(ws.offsets, dtype=np.int64)
+                               for b, ws in zip(base, text)])
+    saved = np.concatenate([np.asarray(ws.prefix, dtype=np.int64) for ws in text])
+    # Per fixup: was it rewritten, and its size now (0: deleted).
+    rewritten = np.zeros(len(fixup_at), dtype=bool)
+    size_now = np.zeros(len(fixup_at), dtype=np.int64)
+    for first, ws in zip(fix_end - fixups, text):
+        for i, opcode in ws.rewritten.items():
+            rewritten[first + i] = True
+            size_now[first + i] = OPCODE_SIZES[opcode] if opcode else 0
+
+    def final(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Final address of input offset ``p`` of section ``s`` (-1 stays -1)."""
+        k = np.minimum(np.searchsorted(fixup_at, base[s] + p), fix_end[s])
+        return np.where(p >= 0, vaddr[s] + p - saved[k + s], -1)
+
+    symbol_addr = np.fromiter((addresses.get(name, -1) for name in names), np.int64, len(names))
+
+    def resolve(ids, missing: int = 0) -> np.ndarray:
+        """Addresses of the symbols ``ids`` name (``missing`` where none is named)."""
+        ids = _ints(ids)
+        named = ids >= 0
+        out = np.full(len(ids), missing, dtype=np.int64)
+        out[named] = symbol_addr[ids[named]]
+        if (out[named] < 0).any():
+            raise LinkError(f"undefined symbol {names[ids[named][out[named] < 0][0]]!r}")
+        return out
+
+    offset, size = _ints(blocks.col("offset")), _ints(blocks.col("size"))
+    kind = _ints(blocks.col("term.kind")).copy()
+    cond_at = _ints(blocks.col("term.cond_br_offset"))
+    uncond_at = _ints(blocks.col("term.uncond_br_offset"))
+    cond_size = _ints(blocks.col("term.cond_br_size"))
+    uncond_size = _ints(blocks.col("term.uncond_br_size"))
+    uncond_target = resolve(blocks.col("term.uncond_target"), NONE["q"])
+
+    def rewrite_of(p: np.ndarray):
+        """``(mask, fixup)``: blocks whose branch at offset ``p`` (inside
+        the block) was rewritten, and which fixup that is."""
+        k = np.minimum(np.searchsorted(fixup_at, base[sec] + p), len(fixup_at) - 1)
+        hit = (p >= offset) & (p - offset < size) & (p >= 0) & rewritten[k] & (
+            fixup_at[k] == base[sec] + p)
+        return hit, k
+
+    if len(fixup_at):
+        # A rewritten branch changes the terminator of the block it sits in.
+        hit, k = rewrite_of(cond_at)
+        cond_size = np.where(hit & (size_now[k] > 0), size_now[k], cond_size)
+        hit, k = rewrite_of(uncond_at)
+        uncond_size = np.where(hit, size_now[k], uncond_size)
+        gone = hit & (size_now[k] == 0)  # the jump was deleted: the block now falls through
+        uncond_target[gone] = NONE["q"]
+        uncond_at = np.where(gone, -1, uncond_at)
+        kind[gone & (kind == _KINDS.index(TerminatorKind.JUMP))] = _KINDS.index(
+            TerminatorKind.FALLTHROUGH)
+
+    # The executable's pool: the function names in use, then the kind names.
+    used, func = np.unique(_ints(blocks.col("func")), return_inverse=True)
+    strings = Strings([names[i] for i in used.tolist()])
+    kind_ids = np.array([strings.intern(k.value) for k in _KINDS])
+    call_sec = np.repeat(sec, np.diff(_ints(blocks.col("calls"))))
+    start = final(sec, offset)
+    return Table.from_columns(ExecBlock, strings, {
+        "addr": start,
+        "size": final(sec, offset + size) - start,
+        "func": func,
+        "bb_id": blocks.col("bb_id"),
+        "term.kind": kind_ids[kind],
+        "term.cond_target": resolve(blocks.col("term.cond_target")),
+        "term.cond_prob": blocks.col("term.cond_prob"),
+        "term.cond_br_addr": final(sec, cond_at),
+        "term.cond_br_size": cond_size,
+        "term.uncond_target": uncond_target,
+        "term.uncond_br_addr": final(sec, uncond_at),
+        "term.uncond_br_size": uncond_size,
+        "term.end_instr_addr": final(sec, _ints(blocks.col("term.end_instr_offset"))),
+        "term.end_instr_size": blocks.col("term.end_instr_size"),
+        "term.ijmp_targets": blocks.col("term.ijmp_targets"),
+        "term.ijmp_targets.0": resolve(blocks.col("term.ijmp_targets.0")),
+        "term.ijmp_targets.1": blocks.col("term.ijmp_targets.1"),
+        "calls": blocks.col("calls"),
+        "calls.addr": final(call_sec, _ints(blocks.col("calls.offset"))),
+        "calls.size": blocks.col("calls.size"),
+        "calls.target": resolve(blocks.col("calls.callee"), NONE["q"]),
+        "calls.indirect_targets": blocks.col("calls.indirect_targets"),
+        "calls.indirect_targets.0": resolve(blocks.col("calls.indirect_targets.0")),
+        "calls.indirect_targets.1": blocks.col("calls.indirect_targets.1"),
+        "prefetch_targets": blocks.col("prefetches"),
+        "prefetch_targets.0": resolve(blocks.col("prefetches.symbol")),
+        "is_landing_pad": blocks.col("is_landing_pad"),
+    })

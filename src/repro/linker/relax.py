@@ -28,10 +28,9 @@ swept are always up to date; addresses are re-assigned once per pass.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.elf import Relocation, RelocType, Symbol
+from repro.elf import Relocation, RelocType
 from repro.isa import OPCODE_SIZES, Opcode, fits_short, short_form
 from repro.linker.worksection import LinkError, WorkSection
 
@@ -56,11 +55,11 @@ def assign_addresses(sections: List[WorkSection], base: int) -> int:
 
 
 def relax(text_sections: List[WorkSection], base: int,
-          defs: Dict[str, Tuple[WorkSection, Symbol]], stats: "LinkStats") -> None:
+          defs: Dict[str, Tuple[WorkSection, int]], stats: "LinkStats") -> None:
     """Run relaxation to a fixed point over ``text_sections`` (in layout
     order), counting passes and rewrites into ``stats``.
 
-    ``defs`` maps a symbol name to its defining section and input symbol.
+    ``defs`` maps a symbol name to its defining section and input offset.
     """
     followers = text_sections[1:] + [None]
     for _ in range(_MAX_PASSES):
@@ -68,7 +67,7 @@ def relax(text_sections: List[WorkSection], base: int,
         stats.relax_passes += 1
         saved = 0
         for ws, nxt in zip(text_sections, followers):
-            if ws.offsets:
+            if len(ws.offsets):
                 saved += _sweep(ws, nxt, defs, stats)
         if not saved:
             return
@@ -76,27 +75,27 @@ def relax(text_sections: List[WorkSection], base: int,
 
 
 def _sweep(ws: WorkSection, nxt: Optional[WorkSection],
-           defs: Dict[str, Tuple[WorkSection, Symbol]], stats: "LinkStats") -> int:
+           defs: Dict[str, Tuple[WorkSection, int]], stats: "LinkStats") -> int:
     """One pass over one section's fixups, in offset order; returns bytes saved."""
-    offsets, rewritten, prefix = ws.offsets, ws.rewritten, ws.prefix
+    offsets, rewritten, prefix, opcodes = ws.offsets, ws.rewritten, ws.prefix, ws.opcodes
     pending = 0  # bytes saved in this section so far in this pass
-    for i, fixup in enumerate(ws.section.branch_fixups):
+    for i, (symbol, deletable) in enumerate(zip(ws.targets, ws.deletable)):
         prefix[i] += pending
-        opcode = rewritten.get(i, fixup.opcode)
+        opcode = rewritten.get(i, opcodes[i])
         short = _SHORT.get(opcode)
-        if short is None and (opcode is None or not fixup.deletable):
+        if short is None and (opcode is None or not deletable):
             continue  # deleted, or already short and here to stay
-        entry = defs.get(fixup.symbol)
+        entry = defs.get(symbol)
         if entry is None:
-            raise LinkError(f"undefined symbol {fixup.symbol!r}")
-        tws, sym = entry
-        target = tws.vaddr + tws.remap(sym.offset)
-        if tws is ws and sym.offset > offsets[i]:
+            raise LinkError(f"undefined symbol {symbol!r}")
+        tws, at = entry
+        target = tws.vaddr + tws.remap(at)
+        if tws is ws and at > offsets[i]:
             target -= pending  # ahead of the sweep: prefix not yet refreshed
         size = OPCODE_SIZES[opcode]
         start = ws.vaddr + offsets[i] - prefix[i]
         if (
-            fixup.deletable
+            deletable
             and target == start + size
             and start + size == ws.vaddr + ws.size
             and _adjacency_stable(nxt, target)
@@ -125,19 +124,27 @@ def apply_relocations(ws: WorkSection, data: bytearray, addresses: Dict[str, int
     With ``retained`` given (``--emit-relocs``), each applied relocation
     is also recorded there at its final address.
     """
-    relocs = ws.relocations()
-    for offset, reloc in relocs:
-        target = addresses[reloc.symbol] + reloc.addend
-        if reloc.rtype == RelocType.ABS32:
+    relocs = ws.section.relocations
+    if not len(relocs) and not ws.rewritten:
+        return 0
+    rtypes, symbols, addends = relocs.values("rtype"), relocs.values("symbol"), relocs.col("addend")
+    pending = ws.pending()
+    for offset, k in pending:
+        if k >= 0:
+            rtype, symbol, addend = rtypes[k], symbols[k], addends[k]
+        else:
+            rtype, symbol, addend = RelocType.PC8, ws.targets[~k], 0
+        target = addresses[symbol] + addend
+        if rtype == RelocType.ABS32:
             data[offset : offset + 4] = target.to_bytes(4, "little")
         else:
-            width = 1 if reloc.rtype == RelocType.PC8 else 4
+            width = 1 if rtype == RelocType.PC8 else 4
             disp = target - (ws.vaddr + offset + width)
-            if reloc.rtype == RelocType.PC8 and not fits_short(disp):
+            if rtype == RelocType.PC8 and not fits_short(disp):
                 raise OverflowError(
-                    f"PC8 relocation to {reloc.symbol} out of range ({disp})"
+                    f"PC8 relocation to {symbol} out of range ({disp})"
                 )
             data[offset : offset + width] = disp.to_bytes(width, "little", signed=True)
         if retained is not None:
-            retained.append((ws.vaddr + offset, replace(reloc, offset=offset)))
-    return len(relocs)
+            retained.append((ws.vaddr + offset, Relocation(offset, rtype, symbol, addend)))
+    return len(pending)

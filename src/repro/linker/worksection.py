@@ -8,15 +8,16 @@ sums over the sorted fixup offsets, the bytes saved before each one.  Every
 other offset in the section -- symbols, relocations, blocks, terminator,
 call and prefetch offsets -- is derived on demand by :meth:`remap`; the
 section's bytes are built once, after the fixed point, by
-:meth:`materialize`.
+:meth:`materialize`.  The input's fixups and relocations are read as
+table columns; no record is built for them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.elf import Relocation, RelocType, Section, Symbol
+from repro.elf import Relocation, RelocType, Section
 from repro.isa import BRANCH_OPCODES, OPCODE_SIZES, Opcode, encode_instruction
 
 #: Each branch encoded with displacement 0, as codegen emits it for the
@@ -31,11 +32,12 @@ class LinkError(Exception):
 class WorkSection:
     """One input section during a link.
 
-    ``offsets`` are the input offsets of the section's branch fixups
-    (validated in order and non-overlapping), ``rewritten`` maps a fixup
-    index to the opcode relaxation re-encoded it with (``None`` =
-    deleted), ``prefix[k]`` is the bytes saved by fixups ``0..k-1`` and
-    ``size`` the current size.
+    ``offsets``, ``opcodes``, ``targets`` and ``deletable`` are the
+    columns of the section's branch fixups (offsets validated in order
+    and non-overlapping), ``rewritten`` maps a fixup index to the opcode
+    relaxation re-encoded it with (``None`` = deleted), ``prefix[k]`` is
+    the bytes saved by fixups ``0..k-1`` and ``size`` the current size.
+    ``leader`` is the function symbol at offset 0, if any.
     """
 
     def __init__(self, section: Section, origin: str):
@@ -43,19 +45,22 @@ class WorkSection:
         self.origin = origin
         self.kind = section.kind
         self.alignment = section.alignment
-        self.symbols: List[Symbol] = []
+        self.leader: Optional[str] = None
         self.vaddr = 0
         self.size = len(section.data)
-        self.offsets: List[int] = []
+        fixups = section.branch_fixups
+        self.offsets: Sequence[int] = fixups.col("offset")
+        self.opcodes: List[Opcode] = fixups.values("opcode")
+        self.targets: List[str] = fixups.values("symbol")
+        self.deletable: Sequence[int] = fixups.col("deletable")
         end = 0
-        for fixup in section.branch_fixups:
-            if fixup.offset < end:
+        for offset, opcode in zip(self.offsets, self.opcodes):
+            if offset < end:
                 raise LinkError(
                     f"{origin}: section {section.name}: branch fixup at offset "
-                    f"{fixup.offset} is out of order or overlaps its predecessor"
+                    f"{offset} is out of order or overlaps its predecessor"
                 )
-            end = fixup.offset + OPCODE_SIZES[fixup.opcode]
-            self.offsets.append(fixup.offset)
+            end = offset + OPCODE_SIZES[opcode]
         if end > self.size:
             raise LinkError(f"{origin}: section {section.name}: fixup past the section end")
         self.prefix = [0] * (len(self.offsets) + 1)
@@ -80,7 +85,7 @@ class WorkSection:
         relaxation sweep that decides rewrites carries the running total
         forward (see :mod:`repro.linker.relax`).
         """
-        old = self.rewritten.get(i, self.section.branch_fixups[i].opcode)
+        old = self.rewritten.get(i, self.opcodes[i])
         saved = OPCODE_SIZES[old] - (OPCODE_SIZES[opcode] if opcode else 0)
         self.rewritten[i] = opcode
         self.size -= saved
@@ -95,37 +100,43 @@ class WorkSection:
         pieces = []
         cursor = 0
         for i, opcode in sorted(self.rewritten.items()):
-            fixup = self.section.branch_fixups[i]
-            pieces.append(data[cursor : fixup.offset])
+            pieces.append(data[cursor : self.offsets[i]])
             if opcode is not None:
                 pieces.append(_UNPATCHED[opcode])
-            cursor = fixup.offset + OPCODE_SIZES[fixup.opcode]
+            cursor = self.offsets[i] + OPCODE_SIZES[self.opcodes[i]]
         pieces.append(data[cursor:])
         out = bytearray(b"".join(pieces))
         if len(out) != self.size:
             raise LinkError(f"{self.origin}: section {self.section.name}: relaxed size mismatch")
         return out
 
-    def relocations(self) -> List[Tuple[int, Relocation]]:
-        """``(current offset, relocation)`` for everything still to apply.
+    def pending(self) -> List[Tuple[int, int]]:
+        """``(current offset, k)`` for everything still to apply: ``k >= 0``
+        is the section's ``k``-th relocation, ``k < 0`` the PC8 relocation
+        on the displacement byte of fixup ``~k``.
 
         Input relocations keep their order; one inside a rewritten branch
-        is dropped, and every branch that ended up short gets a PC8
-        relocation on its displacement byte.
+        is dropped, and every branch that ended up short gets its PC8.
         """
-        offsets, rewritten, remap = self.offsets, self.rewritten, self.remap
+        offsets, rewritten, remap, opcodes = self.offsets, self.rewritten, self.remap, self.opcodes
+        ats = self.section.relocations.col("offset")
         if not rewritten:
-            return [(r.offset, r) for r in self.section.relocations]
-        fixups = self.section.branch_fixups
+            return list(zip(ats, range(len(ats))))
         out = []
-        for r in self.section.relocations:
-            i = bisect_right(offsets, r.offset) - 1  # the fixup at or before it
-            if i in rewritten and r.offset < offsets[i] + OPCODE_SIZES[fixups[i].opcode]:
+        for k, at in enumerate(ats):
+            i = bisect_right(offsets, at) - 1  # the fixup at or before it
+            if i in rewritten and at < offsets[i] + OPCODE_SIZES[opcodes[i]]:
                 continue
-            out.append((remap(r.offset), r))
-        for i, opcode in rewritten.items():
-            if opcode is not None:
-                at = remap(offsets[i]) + 1
-                out.append((at, Relocation(offset=at, rtype=RelocType.PC8,
-                                           symbol=fixups[i].symbol)))
+            out.append((remap(at), k))
+        out += [(remap(offsets[i]) + 1, ~i)
+                for i, opcode in rewritten.items() if opcode is not None]
         return out
+
+    def relocations(self) -> List[Tuple[int, Relocation]]:
+        """:meth:`pending` as ``(current offset, relocation)`` records."""
+        relocs = self.section.relocations
+        return [
+            (at, relocs[k] if k >= 0 else
+             Relocation(offset=at, rtype=RelocType.PC8, symbol=self.targets[~k]))
+            for at, k in self.pending()
+        ]

@@ -34,6 +34,7 @@ program; a step it cannot take raises :class:`ProjectionError`.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -138,16 +139,18 @@ def _live_calls(block: ExecBlock) -> list:
     return [c for c in block.calls if c.target is not None or c.indirect_targets]
 
 
-def _compile_block(exe: Executable, ids: Dict[int, int], transitions: list, bid: int):
+def _compile_block(blocks, ids: Dict[int, int], transitions: list, bid: int):
     """One block's walker tables: ``(hash key, calls, choices, returns)``.
 
     ``calls`` has an entry per live call site, ``choices`` is the
     terminator's (empty for ret/trap); each is a tuple of ``(cumulative
     prob, block, transition, taken)`` rows over canonical ids, interned
-    into ``transitions`` here.  ``taken`` -- does ``exe`` branch there --
-    is the one layout fact kept, so a ``max_branches`` budget can count.
+    into ``transitions`` here.  ``taken`` -- does the walked binary branch
+    there -- is the one layout fact kept, so a ``max_branches`` budget can
+    count.  ``blocks`` is that binary's block table: only the blocks a
+    walk visits are ever built as records.
     """
-    block = exe.exec_blocks[bid]
+    block = blocks[bid]
 
     def rows(kind: int, slot: int, arms: list, catch_all: float) -> tuple:
         acc = 0.0
@@ -173,7 +176,7 @@ def _compile_block(exe: Executable, ids: Dict[int, int], transitions: list, bid:
         arms = sorted(
             [(term.cond_prob, term.cond_target, 1),
              (1.0 - term.cond_prob, block.end if falls else term.uncond_target, int(not falls))],
-            key=lambda arm: exe.exec_blocks[ids[arm[1]]].bb_id)
+            key=lambda arm: blocks.col("bb_id")[ids[arm[1]]])
     elif kind == "jump":
         arms = [(1.0, term.uncond_target, 1)]
     elif kind == "fallthrough":
@@ -208,7 +211,8 @@ def walk(
     the run restarts, modelling a driver invoking the workload in a
     loop; ``Walk.restarts`` counts these.
     """
-    ids = {b.addr: i for i, b in enumerate(exe.exec_blocks)}
+    blocks = exe.exec_blocks
+    ids = {addr: i for i, addr in enumerate(blocks.col("addr"))}
     transitions: List[Tuple[int, int, int, int]] = []
     seed_mixed = (seed * 0x9E3779B97F4A7C15) & _MASK64
     # Per-block tables, compiled on a block's first visit.
@@ -230,7 +234,7 @@ def walk(
         calls = calls_of[block]
         if calls is None:
             key, calls, choices_of[block], returns[block] = _compile_block(
-                exe, ids, transitions, block)
+                blocks, ids, transitions, block)
             calls_of[block] = calls
             bases[block] = (seed_mixed + key * 0xBF58476D1CE4E5B9) & _MASK64
             counts[block] = 0
@@ -273,7 +277,7 @@ def walk(
             restarts += 1
             frames.clear()
             block, call_idx = entry, 0
-    return Walk([(b.func, b.bb_id) for b in exe.exec_blocks], transitions, entry,
+    return Walk(list(zip(blocks.values("func"), blocks.col("bb_id"))), transitions, entry,
                 np.array(visits, dtype=np.int32), np.array(steps, dtype=np.int32),
                 restarts, executed)
 
@@ -293,10 +297,14 @@ def _first_use_order(ids: np.ndarray, size: int) -> np.ndarray:
     return used[np.argsort(first[used])]
 
 
-def _resolve(walk: Walk, image: list, transition: Tuple[int, int, int, int]):
-    """One transition in one image: ``(branch src or -1, dst, kind)``."""
+def _resolve(walk: Walk, image, transition: Tuple[int, int, int, int]):
+    """One transition in one image: ``(branch src or -1, dst, kind)``.
+
+    ``image(b)`` is canonical block ``b`` as the image placed it (a
+    record built for this call), ``None`` when the image lacks it.
+    """
     kind, bid, slot, other = transition
-    block, target = image[bid], image[other]
+    block, target = image(bid), image(other)
     if target is None:
         raise ProjectionError("reaches a block the image lacks",
                               *walk.blocks[other], block.addr)
@@ -331,16 +339,22 @@ def _project(walk: Walk, exe: Executable, gather) -> Trace:
     the trace's four streams as ``gather(table, index)``: the address of
     every canonical block at ``walk.visits``, the per-transition ``(src,
     dst, kind)`` columns at the steps that are taken branches."""
-    by_key = {(b.func, b.bb_id): b for b in exe.exec_blocks}
-    image = [by_key.get(key) for key in walk.blocks]
-    entry = image[walk.entry]
-    if entry is None or entry.addr != exe.entry:
+    blocks = exe.exec_blocks
+    addrs = blocks.col("addr")
+    by_key = {key: i for i, key in enumerate(zip(blocks.values("func"), blocks.col("bb_id")))}
+    rows = [by_key.get(key) for key in walk.blocks]  # canonical block -> row here
+    addr_of = np.array([-1 if i is None else addrs[i] for i in rows], dtype=np.int64)
+    if addr_of[walk.entry] != exe.entry:
         raise ProjectionError("entry point is not the walk's entry block",
                               *walk.blocks[walk.entry], exe.entry)
+
+    @functools.lru_cache(maxsize=None)  # a block is an end of several transitions
+    def image(bid: int) -> Optional[ExecBlock]:
+        return None if rows[bid] is None else blocks[rows[bid]]
+
     events = np.full((3, len(walk.transitions)), -1, dtype=np.int64)
     for tid in _first_use_order(walk.steps, len(walk.transitions)).tolist():
         events[:, tid] = _resolve(walk, image, walk.transitions[tid])
-    addr_of = np.array([-1 if b is None else b.addr for b in image], dtype=np.int64)
     taken = walk.steps[(events[0] >= 0)[walk.steps]]  # src -1: falls through
     return Trace(gather(addr_of, walk.visits), *(gather(column, taken) for column in events),
                  restarts=walk.restarts, executed_count=walk.executed_count)

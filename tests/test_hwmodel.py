@@ -173,7 +173,6 @@ class TestFrontend:
         trace = generate_trace(exe, max_blocks=30_000, seed=1)
         normal = simulate_frontend(exe, trace, DEFAULT_PARAMS.scaled(8))
         huge_exe = dc_replace(exe, hugepages=True)
-        huge_exe.rebuild_block_index()
         huge = simulate_frontend(huge_exe, trace, DEFAULT_PARAMS.scaled(8))
         assert huge.itlb_miss < normal.itlb_miss
 

@@ -365,6 +365,145 @@ class TestOneEnvelopeCodec:
         assert (store.quarantined, bs.stats.disk_hits) == (0, 1)
 
 
+def _golden_module():
+    """The two-function module ``tests/golden/store_object_v2.pkl`` was
+    compiled from: every terminator kind but trap, a direct and an
+    indirect call, a jump table, a prefetch."""
+    from repro import ir
+
+    f = ir.Function(name="f", blocks=[
+        ir.BasicBlock(bb_id=0, instrs=[ir.Instr(ir.OpKind.ALU8), ir.Call(callee="g")],
+                      term=ir.CondBr(taken=2, fallthrough=1, prob=0.2)),
+        ir.BasicBlock(bb_id=1, instrs=[ir.Instr(ir.OpKind.LOAD),
+                                       ir.Call(indirect_targets=(("g", 0.75), ("f", 0.25)))],
+                      term=ir.Jump(3)),
+        ir.BasicBlock(bb_id=2, instrs=[ir.Instr(ir.OpKind.MOV)],
+                      term=ir.Switch(targets=(1, 3), probs=(0.4, 0.6))),
+        ir.BasicBlock(bb_id=3, instrs=[ir.Instr(ir.OpKind.CMP)], term=ir.Ret()),
+    ])
+    g = ir.Function(name="g", blocks=[
+        ir.BasicBlock(bb_id=0, instrs=[ir.Instr(ir.OpKind.ALU32)],
+                      term=ir.CondBr(taken=1, fallthrough=2, prob=0.5)),
+        ir.BasicBlock(bb_id=1, instrs=[ir.Instr(ir.OpKind.NOP)], term=ir.Jump(2)),
+        ir.BasicBlock(bb_id=2, instrs=[ir.Instr(ir.OpKind.STORE)], term=ir.Ret()),
+    ])
+    return ir.Module(name="golden", functions=[f, g])
+
+
+class TestRecordTablesInTheStore:
+    """A store entry holds tables, costs its bytes to load, and one
+    written when the same fields were lists of records still replays."""
+
+    def test_parent_written_object_and_link_entries_replay_as_tables(self, tmp_path):
+        """``tests/golden/store_object_v2.pkl`` holds the two store
+        entries -- ``run_action("codegen", ...)`` of :func:`_golden_module`
+        and the ``link`` of its object -- as the commit before the record
+        tables wrote them: lists of records, ``_by_name`` and
+        ``_blocks_by_addr`` pickled along."""
+        from pathlib import Path
+
+        from repro.codegen import CodeGenOptions, compile_module
+        from repro.elf.table import Table
+        from repro.linker import LinkOptions, link
+
+        entries = pickle.loads(
+            (Path(__file__).parent / "golden" / "store_object_v2.pkl").read_bytes())
+        assert all(b"_blocks_by_addr" in e or b"_by_name" in e for e in entries.values())
+        bs = BuildSystem(cache_dir=tmp_path)
+        store = bs.cache.persistent_store
+        for key, sealed in entries.items():
+            store._path(key).parent.mkdir(parents=True, exist_ok=True)
+            store._path(key).write_bytes(sealed)
+
+        def recompute():
+            pytest.fail("recomputed a stored action")
+
+        compiled = bs.run_action("codegen", ["golden-object-digest", "metadata"], recompute)
+        linked = bs.run_action("link", ["golden-link-inputs", "emit-relocs"], recompute)
+        assert {compiled.key, linked.key} == set(entries)
+        assert (store.quarantined, bs.stats.disk_hits) == (0, 2)
+
+        fresh = compile_module(_golden_module(), CodeGenOptions(
+            bb_addr_map=True, prefetches={"f": [(1, "g")]})).obj
+        relinked = link([fresh], LinkOptions(entry_symbol="f", emit_relocs=True)).executable
+        obj, exe = compiled.value.obj, linked.value.executable
+        assert obj.content_digest() == fresh.content_digest() == (
+            "49d5fcc2f642f6d5e7ef8abcc10914f0308cc844c849b796db77fec53a3edad0")
+        assert exe.content_digest() == relinked.content_digest() == (
+            "b506bd2695942a34bff3b32b87af0144f9c393912294ed779b032bb84c8ff32a")
+        # Tables in every field, holding the records a fresh build holds.
+        assert type(obj.symbols) is type(exe.exec_blocks) is Table
+        assert obj.symbols == fresh.symbols and exe.exec_blocks == relinked.exec_blocks
+        for section, twin in zip(obj.sections, fresh.sections):
+            for field in ("blocks", "branch_fixups", "relocations"):
+                assert type(getattr(section, field)) is Table
+                assert getattr(section, field) == getattr(twin, field)
+        assert any(len(s.blocks) and len(s.branch_fixups) for s in obj.sections)
+        # The derived indexes the entry carried are rebuilt or gone, not adopted.
+        assert "_blocks_by_addr" not in vars(exe) and obj.section(".text.f") is obj.sections[0]
+        assert link([obj], LinkOptions(entry_symbol="f", emit_relocs=True)
+                    ).executable.content_digest() == exe.content_digest()
+
+    def test_loading_an_entry_creates_objects_per_section_not_per_block(self):
+        import gc
+
+        from repro import ir
+        from repro.codegen import CodeGenOptions, compile_module
+        from repro.linker import LinkOptions, link
+        from repro.runtime.cache import _unseal
+        from tests.test_linker import _chain_module
+
+        def entries(nblocks):
+            functions = [_chain_module(fname=f"f{i}", nblocks=nblocks).functions[0]
+                         for i in range(8)]
+            compiled = compile_module(ir.Module(name="m", functions=functions),
+                                      CodeGenOptions(bb_addr_map=True))
+            linked = link([compiled.obj], LinkOptions(entry_symbol="f0"))
+            return [_CacheEntry(compiled, 1.0, 1), _CacheEntry(linked, 1.0, 1)]
+
+        def objects_created_by_loading(entry):
+            sealed = _sealed(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                value, reason = _unseal(sealed)
+                created = len(gc.get_objects()) - before
+            finally:
+                gc.enable()
+            assert reason is None
+            return created, value
+
+        small = [objects_created_by_loading(e) for e in entries(nblocks=4)]
+        large = [objects_created_by_loading(e) for e in entries(nblocks=80)]
+        assert large[0][1].value.num_blocks == 8 * 80 >= 500
+        assert len(large[1][1].value.executable.exec_blocks) == 8 * 80
+        sections = len(large[0][1].value.obj.sections)
+        for (few, _), (many, _) in zip(small, large):
+            # Twenty times the blocks, the same objects: columns, not records.
+            assert many == few
+            assert many < 60 * sections
+
+    def test_a_warm_run_materialises_no_block_record(self, tiny_program, tmp_path, monkeypatch):
+        from repro.elf import BlockMeta
+
+        cfg = PipelineConfig(lbr_branches=20_000, pgo_steps=10_000, enforce_ram=False,
+                             cache_dir=str(tmp_path / "cache"))
+        cold = PropellerPipeline(tiny_program, cfg)
+        first = cold.run()
+        built = []
+        init = BlockMeta.__init__
+        monkeypatch.setattr(BlockMeta, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        warm = PropellerPipeline(tiny_program, cfg)
+        second = warm.run()
+        assert second.digest() == first.digest()
+        assert built == []
+        assert warm.buildsys.stats.disk_hits == cold.buildsys.stats.misses > 0
+        assert warm.buildsys.stats.misses == 0
+        assert warm.buildsys.cache.persistent_store.quarantined == 0
+
+
 # ----------------------------------------------------------------------
 # Executor bounded retry (real-failure resilience, distinct from the
 # simulated fault plans in repro.faults).

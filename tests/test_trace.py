@@ -86,7 +86,9 @@ def used_transitions(shared, exe):
 
 
 def with_blocks(exe, edit):
-    """``exe`` with ``edit(block)`` (a block, or None to drop it) applied."""
+    """``exe`` with ``edit(block)`` (a block, or None to drop it) applied.
+    The block table builds a fresh record per read, so edits pick their
+    block by value, not by identity."""
     edited = [edit(b) for b in exe.exec_blocks]
     return replace(exe, exec_blocks=[b for b in edited if b is not None])
 
@@ -116,7 +118,7 @@ class TestDifferentialExecutor:
             if kind == trace_module._TERM and src.term.kind == "fallthrough")
         assert source.end == successor.addr
         moved = with_blocks(
-            exe, lambda b: replace(b, addr=b.addr + (1 << 20)) if b is successor else b)
+            exe, lambda b: replace(b, addr=b.addr + (1 << 20)) if b == successor else b)
         with pytest.raises(ProjectionError, match="no branch or fall-through here reaches") as err:
             project(shared, moved)
         assert failure_site(err) == (source.func, source.bb_id, source.addr)
@@ -129,7 +131,7 @@ class TestDifferentialExecutor:
             and src.term.cond_target == dst.addr)
         retargeted = with_blocks(
             exe, lambda b: replace(b, term=replace(b.term, cond_target=b.addr))
-            if b is source else b)
+            if b == source else b)
         with pytest.raises(ProjectionError, match="no branch or fall-through here reaches") as err:
             project(shared, retargeted)
         assert failure_site(err) == (source.func, source.bb_id, source.addr)
@@ -138,9 +140,9 @@ class TestDifferentialExecutor:
         *_, victim = (dst for _, _, _, dst in used_transitions(shared, exe)
                       if dst.addr != exe.entry)
         first_in = next(src for _, src, _, dst in used_transitions(shared, exe)
-                        if dst is victim)
+                        if dst == victim)
         with pytest.raises(ProjectionError, match="lacks") as err:
-            project(shared, with_blocks(exe, lambda b: None if b is victim else b))
+            project(shared, with_blocks(exe, lambda b: None if b == victim else b))
         assert failure_site(err) == (victim.func, victim.bb_id, first_in.addr)
 
     def test_misdirected_direct_call(self, exe, shared):
@@ -150,7 +152,7 @@ class TestDifferentialExecutor:
         misdirected = with_blocks(
             exe, lambda b: replace(b, calls=tuple(
                 replace(c, target=c.target + 1) if i == slot else c
-                for i, c in enumerate(b.calls))) if b is source else b)
+                for i, c in enumerate(b.calls))) if b == source else b)
         with pytest.raises(ProjectionError, match="no call here reaches") as err:
             project(shared, misdirected)
         assert failure_site(err) == (source.func, source.bb_id, source.addr)

@@ -2,6 +2,7 @@
 (the relaxation substrate)."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -113,7 +114,9 @@ class TestSplice:
 
     def test_out_of_bounds_rejected(self):
         section = _section()
-        section.branch_fixups[1].offset = 18  # a 5-byte jump, 3 bytes from the end
+        # A table hands out a fresh record each time: edit it, assign it back.
+        section.branch_fixups[1] = replace(
+            section.branch_fixups[1], offset=18)  # a 5-byte jump, 3 bytes from the end
         with pytest.raises(LinkError, match=r"t\.o: section \.text\.f: .*past the section end"):
             WorkSection(section, origin="t.o")
 
@@ -153,8 +156,8 @@ class TestFixupOrder:
                              ids=["unsorted", "duplicate", "overlapping"])
     def test_bad_order_is_a_link_error(self, offsets):
         section = _section()
-        for fixup, offset in zip(section.branch_fixups, offsets):
-            fixup.offset = offset
+        section.branch_fixups[:] = [replace(fixup, offset=offset)
+                                    for fixup, offset in zip(section.branch_fixups, offsets)]
         with pytest.raises(LinkError, match=r"bad\.o: section \.text\.f: branch fixup at offset"):
             WorkSection(section, origin="bad.o")
         obj = ObjectFile(name="bad.o", sections=[section])
