@@ -35,7 +35,6 @@ _FACADE = {
     "generate_workload": ("repro.synth", "generate_workload"),
     "PRESETS": ("repro.synth", "PRESETS"),
     "BuildSystem": ("repro.buildsys", "BuildSystem"),
-    "ParallelExecutor": ("repro.runtime", "ParallelExecutor"),
     "PersistentActionStore": ("repro.runtime", "PersistentActionStore"),
     "Tracer": ("repro.obs", "Tracer"),
     "Counters": ("repro.obs", "Counters"),

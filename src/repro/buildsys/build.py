@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.faults import FaultClock, FaultPlan, RetriesExhausted
 from repro.obs import Counters
-from repro.runtime import ParallelExecutor, PersistentActionStore
+from repro.runtime import PersistentActionStore
 
 #: Simulated cost of replaying a cached action: fetching the stored
 #: outputs from the content-addressed store instead of re-executing.
@@ -298,29 +298,24 @@ class BuildSystem:
         """
         items = [(key_parts, compute, ())]
         keys, entries = self._lookup(kind, items)
-        return self._run(kind, items, keys, entries, None, remote)[0]
+        return self._run(kind, items, keys, entries, remote)[0]
 
     def run_batch(
         self,
         kind: str,
         items: "Sequence[Tuple[Sequence[str], Callable[..., Tuple[Any, float, int]], tuple]]",
-        executor: Optional[ParallelExecutor] = None,
         remote: bool = True,
     ) -> List[ActionResult]:
         """Execute a batch of independent same-kind actions through the
-        cache, fanning cache misses across ``executor``'s processes.
+        cache.
 
         Each item is ``(key_parts, fn, args)`` where ``fn(*args)``
         returns the usual ``(value, cost_seconds, peak_memory)`` triple
-        and must be a pure, module-level (picklable) callable -- unlike
-        :meth:`run_action`'s closure, a batch compute function crosses
-        process boundaries.
-
-        Determinism contract: results are returned in item order, cache
-        lookups and stores happen serially in the submitting process in
-        item order, and workers only ever run ``fn``.  A batch executed
-        with any ``executor`` is therefore bit-identical to the same
-        batch executed serially, and leaves identical cache state.
+        and must be pure.  Every key is looked up before any miss is
+        computed, and results are returned in item order: a batch of
+        distinct keys equals the same items through :meth:`run_action`
+        one by one (values, costs, keys, cache state), plus the
+        ``executor.*`` batch counters.
         """
         keys, entries = self._lookup(kind, items)
         # Counted between lookup and compute, so a batch that goes on
@@ -330,7 +325,7 @@ class BuildSystem:
         self.counters.incr("executor.batch_tasks", len(items))
         self.counters.incr("executor.batch_misses", misses)
         self.counters.max_gauge("executor.max_queue_depth", misses)
-        return self._run(kind, items, keys, entries, executor, remote)
+        return self._run(kind, items, keys, entries, remote)
 
     def _lookup(self, kind: str, items) -> "Tuple[List[str], List[Optional[_CacheEntry]]]":
         """Keys and cached entries (``None`` = miss) of ``items``, looked
@@ -340,18 +335,15 @@ class BuildSystem:
 
     def _run(self, kind: str, items, keys: List[str],
              entries: "List[Optional[_CacheEntry]]",
-             executor: Optional[ParallelExecutor], remote: bool) -> List[ActionResult]:
-        """The miss path, written once: compute every looked-up miss
-        (over ``executor`` when given), then in item order check the RAM
-        budget, charge faults and store -- and wrap every item, hit or
-        executed, as an :class:`ActionResult`.
+             remote: bool) -> List[ActionResult]:
+        """The miss path, written once: compute every looked-up miss,
+        then in item order check the RAM budget, charge faults and
+        store -- and wrap every item, hit or executed, as an
+        :class:`ActionResult`.
         """
         miss_idx = [i for i, entry in enumerate(entries) if entry is None]
-        tasks = [items[i][1:] for i in miss_idx]
-        if executor is not None and tasks:
-            computed = executor.map(_call_compute, tasks)
-        else:
-            computed = [fn(*args) for fn, args in tasks]
+        computed = [fn(*args) for (_key_parts, fn, args), entry in zip(items, entries)
+                    if entry is None]
         charged: Dict[int, float] = {}
         for i, (value, cost_seconds, peak_memory) in zip(miss_idx, computed):
             if remote and self.enforce_ram and peak_memory > self.ram_limit:
@@ -360,8 +352,7 @@ class BuildSystem:
             # Faults inflate the executed cost; the cache stores the
             # clean cost so a warm replay of a once-faulted action is
             # unaffected.  Charges are drawn per action *digest*, never
-            # per schedule slot, so this serial walk accrues exactly the
-            # faults any parallel execution would.
+            # per schedule slot.
             charged[i] = self._charge_faults(kind, keys[i], cost_seconds)
             entries[i] = _CacheEntry(
                 value=value, cost_seconds=cost_seconds, peak_memory=peak_memory
@@ -387,8 +378,3 @@ class BuildSystem:
         from repro.buildsys.scheduler import schedule_phase
 
         return schedule_phase(actions, workers=self.workers, counters=self.counters)
-
-
-def _call_compute(fn: Callable[..., Tuple[Any, float, int]], args: tuple):
-    """Module-level trampoline so batch tasks pickle into worker processes."""
-    return fn(*args)

@@ -387,44 +387,33 @@ def ext_tsp_order_many(
         Tuple[Dict[NodeId, Tuple[int, float]], Iterable[Tuple[NodeId, NodeId, float]], Optional[NodeId]]
     ],
     params: LayoutParams = DEFAULT_PARAMS,
-    executor: Optional[object] = None,
     cache: Optional[object] = None,
 ) -> List[List[NodeId]]:
     """Solve many independent layout problems, orders in input order.
 
-    Each problem is ``(nodes, edges, entry)``.  WPA's per-function
-    layout is embarrassingly parallel -- every hot function is its own
-    problem -- so when an ``executor`` (anything with the
-    :meth:`repro.runtime.ParallelExecutor.map` contract) is given, the
-    solves fan out across worker processes; the solver itself is fully
-    deterministic, so the executor cannot change any order returned.
+    Each problem is ``(nodes, edges, entry)`` -- WPA's per-function
+    layout makes every hot function its own problem.
 
     ``cache`` (the :class:`repro.runtime.FunctionSolveCache` contract:
     ``get(key) -> order | None`` / ``put(key, order)``) memoizes solves
     by :func:`solve_signature`: problems whose signature is cached are
-    replayed without solving, only the misses run (still fanned over
-    ``executor``), and fresh solutions are stored.  Lookups happen in
-    the submitting process, in input order, so hit/miss accounting is
-    deterministic and jobs-invariant.
+    replayed without solving, only the misses run, and fresh solutions
+    are stored.  Every lookup happens before any solve, in input order,
+    so hit/miss accounting is deterministic.
     """
     tasks = [(nodes, list(edges), entry, params) for nodes, edges, entry in problems]
     # One path: without a cache every problem is a miss and nothing is
-    # stored; without an executor the misses are solved inline.
+    # stored.
     keys: List[str] = []
     results: List[Optional[List[NodeId]]] = [None] * len(tasks)
     if cache is not None:
         keys = [solve_signature(*task) for task in tasks]
         results = [cache.get(key) for key in keys]
     misses = [i for i, order in enumerate(results) if order is None]
-    miss_tasks = [tasks[i] for i in misses]
-    if executor is not None and miss_tasks:
-        solved = executor.map(ext_tsp_order, miss_tasks)
-    else:
-        solved = [ext_tsp_order(*task) for task in miss_tasks]
-    for i, order in zip(misses, solved):
-        results[i] = order
+    for i in misses:
+        results[i] = ext_tsp_order(*tasks[i])
         if cache is not None:
-            cache.put(keys[i], order)
+            cache.put(keys[i], results[i])
     return results  # type: ignore[return-value]
 
 

@@ -40,7 +40,6 @@ from repro.core.wpa import WPAOptions, WPAResult, WPAStats
 from repro.ir.passes import clone_program, inline_hot_calls
 from repro.ir.verify import verify_program
 from repro.profiles import (
-    MATCH_MODES,
     IRProfile,
     MatchStats,
     PerfData,
@@ -219,10 +218,6 @@ def match_stale(ctx: StageContext, profile: IRProfile,
     inlining, so the anchors are matched against the CFGs codegen will
     actually see.
     """
-    if mode not in MATCH_MODES:
-        raise ValueError(
-            f"unknown stale_matching mode {mode!r}; one of {MATCH_MODES}"
-        )
     with ctx.tracer.span("stale-match", category="action") as sp:
         recovered, stats = match_profile(profile, ctx.pipeline.program,
                                          mode=mode)
@@ -351,17 +346,15 @@ def wpa_analysis(ctx: StageContext, inputs) -> Dict[str, Any]:
     """Whole-program analysis as a cached action.
 
     Keyed by the metadata binary, the perf data's producing action
-    and the WPA options; per-function layout fans out over the
-    pipeline's worker processes on a miss.
+    and the WPA options.
     """
     config = ctx.config
     metadata_exe = inputs["metadata"].executable
     perf = inputs["perf"]
-    executor = ctx.pipeline.executor
 
     def compute():
         wpa_result = wpa_mod.analyze(
-            metadata_exe, perf, config.wpa, executor=executor,
+            metadata_exe, perf, config.wpa,
             tracer=ctx.tracer, solve_cache=ctx.solve_cache,
         )
         cost = wpa_result.stats.cost_units * WPA_SECONDS_PER_UNIT
@@ -651,7 +644,7 @@ def incremental_summary(pipeline: Any, state: Any, plan: Any,
 # ----------------------------------------------------------------------
 # The graph
 
-#: The Propeller DAG, in canonical (registration) order.  Stage names
+#: The Propeller stages, in the order they run.  Stage names
 #: double as degradation reasons (``degraded_reasons`` entries and
 #: ``degraded:*`` span names), so they are part of the pinned
 #: observability surface -- do not rename casually.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import ir
 from repro.analysis import MemoryMeter
@@ -40,13 +40,8 @@ from repro.obs import (
     PipelineReport,
     Tracer,
 )
-from repro.profiles import IRProfile, MatchStats, PerfData
-from repro.runtime import (
-    FunctionSolveCache,
-    ParallelExecutor,
-    resolve_cache_dir,
-)
-from repro.runtime.executor import shared_executor
+from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
+from repro.runtime import FunctionSolveCache, resolve_cache_dir
 
 
 @dataclass(frozen=True)
@@ -80,13 +75,11 @@ class PipelineConfig:
     workers: int = 1000
     enforce_ram: bool = True
     ram_limit: int = 12 << 30
-    #: Real worker *processes* used to execute backend actions and
-    #: per-function layout on this machine; 1 (the default) runs
-    #: everything inline -- the pool lost to it everywhere it was
-    #: measured (DESIGN.md "One action layer").  This knob never changes
-    #: any artifact or simulated quantity -- parallel and serial runs
-    #: are bit-identical (see ``PipelineResult.digest``); it only
-    #: changes how fast the simulation itself runs.
+    #: Not an option: the process pool it selected is deleted (DESIGN.md
+    #: "One action layer") and every action runs inline.  The field
+    #: survives, accepting only 1, because the frozen ``bench/worker.py``
+    #: passes ``jobs=1``; the next benchmark PR drops that argument and
+    #: then this field.
     jobs: int = 1
     #: Directory for the persistent action cache.  ``None`` falls back
     #: to the ``REPRO_CACHE_DIR`` environment variable; when neither is
@@ -124,6 +117,24 @@ class PipelineConfig:
     trace: bool = False
     wpa: WPAOptions = WPAOptions()
     hugepages: bool = False
+
+    def __post_init__(self) -> None:
+        """Reject out-of-range values here, at the edge, with a
+        ``ValueError`` naming the field -- not as a traceback out of
+        whichever cached action first reads them."""
+        if self.jobs != 1:
+            raise ValueError(
+                f"jobs must be 1 (every action runs inline), got {self.jobs!r}")
+        for name, minimum in (("lbr_period", 1), ("lbr_branches", 0),
+                              ("pgo_steps", 0), ("workers", 1),
+                              ("ram_limit", 1)):
+            if getattr(self, name) < minimum:
+                raise ValueError(
+                    f"{name} must be >= {minimum}, got {getattr(self, name)!r}")
+        if self.stale_matching not in MATCH_MODES:
+            raise ValueError(
+                f"stale_matching must be one of {MATCH_MODES}, "
+                f"got {self.stale_matching!r}")
 
 
 def _link_options_signature(options: LinkOptions) -> str:
@@ -255,11 +266,11 @@ class PipelineResult:
 
         Deliberately covers *content only* -- the three binaries and
         the WPA directives -- and excludes all timing and cache-hit
-        accounting: ``jobs``, the simulated ``workers`` pool and a warm
+        accounting: the simulated ``workers`` pool and a warm
         persistent cache are allowed to change how fast a result is
         produced (real and simulated), never what is produced.  Equal
-        digests therefore mean a parallel, serial, cold or warm run of
-        the same configuration built the same binaries.
+        digests therefore mean a cold or warm run of the same
+        configuration built the same binaries.
         """
         h = hashlib.sha256()
         for outcome in (self.baseline, self.metadata, self.optimized):
@@ -473,17 +484,6 @@ class PropellerPipeline:
     # ------------------------------------------------------------------
     # Build helpers
 
-    @property
-    def executor(self) -> Optional[ParallelExecutor]:
-        """The process pool backend actions fan out over (None = serial)."""
-        if self.config.jobs <= 1:
-            return None
-        executor = shared_executor(self.config.jobs)
-        # Route the shared pool's real-execution metrics ("pool.*") to
-        # this pipeline's sink while it is the active user.
-        executor.counters = self.counters
-        return executor
-
     def _digest(self, module: ir.Module) -> str:
         # Identity-checked, so replacing ``self.program`` (inlining, a
         # resumed ``prepared_program``) can never serve a stale digest.
@@ -517,11 +517,10 @@ class PropellerPipeline:
         per_module_options: Optional[Dict[str, CodeGenOptions]] = None,
         per_module_tags: Optional[Dict[str, str]] = None,
     ) -> BuildOutcome:
-        """Compile every module (through the cache, in parallel) and link.
+        """Compile every module (through the cache) and link.
 
         All backend actions of one build are independent, so they run
-        as a single batch: cache misses fan out across the pipeline's
-        worker processes, in deterministic (module) order.  The link is
+        as a single batch, in deterministic (module) order.  The link is
         itself an action keyed by the backend action keys plus the link
         options, so a warm cache replays it too.
         """
@@ -548,7 +547,7 @@ class PropellerPipeline:
         )
         with build_span:
             with self.tracer.span("codegen-batch", category="batch") as sp:
-                actions = self.buildsys.run_batch("codegen", items, executor=self.executor)
+                actions = self.buildsys.run_batch("codegen", items)
                 backends = self.buildsys.schedule(actions)
                 sp.advance(backends.wall_seconds)
                 sp.note(actions=backends.actions, cache_hits=backends.cache_hits,
@@ -695,7 +694,6 @@ class PropellerPipeline:
         incremental_state: Any = None,
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
-        order: Optional[Sequence[str]] = None,
     ) -> StageExecution:
         """Execute the pipeline's :class:`~repro.core.stages.StageGraph`.
 
@@ -706,9 +704,7 @@ class PropellerPipeline:
         serializes its artifacts, and a later call with ``resume``
         (an :class:`~repro.core.stages.ArtifactSet`) replays them and
         runs only the remaining stages -- bit-identical to one full
-        run.  ``order`` overrides the execution order with any valid
-        topological order (artifacts are order-invariant; see
-        ``tests/test_stages.py``).
+        run.
         """
         graph = phases.pipeline_stage_graph(
             incremental=incremental_state is not None)
@@ -731,8 +727,7 @@ class PropellerPipeline:
                 # replay its program transform, not just its artifacts.
                 self.program = resume.values["prepared_program"]
         execution = graph.execute(
-            StageContext(self), seeds, stop_after=stop_after,
-            resume=resume, order=order)
+            StageContext(self), seeds, stop_after=stop_after, resume=resume)
         execution.artifacts.meta.setdefault("program", program_digest)
         execution.artifacts.meta.setdefault("program_name", self.program.name)
         return execution

@@ -1,4 +1,4 @@
-"""Typed artifact/stage-graph engine: the pipeline as a declarative DAG.
+"""Typed artifact/stage engine: the pipeline as a validated sequence.
 
 Propeller's defining property (PAPER.md §3-§4) is a *relinking pipeline
 of distinct, cacheable phases* -- baseline build, metadata build,
@@ -11,10 +11,11 @@ that structure first-class instead of a hard-coded call sequence:
   produces, the ``phase:*`` span it runs under, its degradation policy
   (:class:`Fallback` or propagate) and the ``phase_seconds`` keys it
   accounts.
-* :class:`StageGraph` -- registers stages, validates the wiring
-  (missing producer, duplicate producer, type mismatch, cycle -- each a
-  structured :class:`StageGraphError`), topologically sorts, and
-  executes through one driver.
+* :class:`StageGraph` -- takes the stages in declaration order, which
+  is the execution order, validates the wiring in one pass (an input
+  must come from a seed or an *earlier* stage; duplicate producer, type
+  mismatch -- each a structured :class:`StageGraphError`), and executes
+  through one driver.
 
 The driver applies every cross-cutting layer *uniformly*, where the
 imperative ``PropellerPipeline.run()`` used to hand-weave them into
@@ -33,9 +34,8 @@ each phase:
   degraded, use my fallback silently" -- how WPA is skipped when the
   hardware profile never materialized.
 * **Accounting** -- per-stage ``phase_seconds`` entries are recorded
-  through :meth:`StageContext.time` and assembled in canonical stage
-  order, so any valid execution order (or a resumed run) reports the
-  same mapping.
+  through :meth:`StageContext.time` and assembled in declaration
+  order, so a resumed run reports the same mapping.
 * **Stores** -- the persistent action store, the
   :class:`~repro.runtime.FunctionSolveCache` and the counters sink all
   ride on the :class:`StageContext`; stages reach them through one
@@ -95,9 +95,9 @@ MANIFEST_FILENAME = "manifest.json"
 class StageGraphError(Exception):
     """A structural problem with a stage graph (or its execution).
 
-    ``kind`` is machine-readable: ``"cycle"``, ``"missing-producer"``,
+    ``kind`` is machine-readable: ``"missing-producer"``,
     ``"duplicate-producer"``, ``"type-mismatch"``, ``"unknown-stage"``,
-    ``"invalid-order"``, ``"resume-mismatch"`` or ``"bad-output"``.
+    ``"resume-mismatch"`` or ``"bad-output"``.
     ``stage`` / ``artifact`` carry the offending names when known.
     """
 
@@ -328,7 +328,7 @@ class StageExecution:
         return all(s.name in self.artifacts.records for s in self.graph.stages)
 
     def degraded_reasons(self) -> Tuple[str, ...]:
-        """Degraded stage names, in canonical stage order."""
+        """Degraded stage names, in declaration order."""
         return tuple(
             s.name for s in self.graph.stages
             if self.artifacts.records.get(s.name) is not None
@@ -336,12 +336,9 @@ class StageExecution:
         )
 
     def phase_seconds(self) -> Dict[str, float]:
-        """All recorded time entries, assembled in canonical stage order.
-
-        Canonical order (graph registration order refined by
-        dependencies) rather than execution order, so a permuted or
-        resumed execution reports the identical mapping.
-        """
+        """All recorded time entries, assembled in declaration order
+        (not completion order, so a resumed execution reports the
+        identical mapping)."""
         times: Dict[str, float] = {}
         for stage in self.graph.stages:
             record = self.artifacts.records.get(stage.name)
@@ -356,7 +353,8 @@ class StageExecution:
 
 
 class StageGraph:
-    """A validated, topologically sorted set of stages."""
+    """A validated sequence of stages: declaration order is execution
+    order."""
 
     def __init__(self, stages: Sequence[Stage],
                  seeds: Sequence[Artifact] = ()):
@@ -365,7 +363,6 @@ class StageGraph:
         self.seeds: Tuple[Artifact, ...] = tuple(seeds)
         self._by_name: Dict[str, Stage] = {}
         self._producer: Dict[str, Stage] = {}
-        self._order: Tuple[str, ...] = ()
         self.validate()
 
     # -- validation ----------------------------------------------------
@@ -397,7 +394,14 @@ class StageGraph:
                 raise StageGraphError(
                     "duplicate-producer",
                     f"two stages named {stage.name!r}", stage=stage.name)
-            by_name[stage.name] = stage
+            for artifact in stage.inputs:
+                check_type(artifact, f"stage {stage.name!r}")
+                if artifact.name not in producer and artifact.name not in seed_names:
+                    raise StageGraphError(
+                        "missing-producer",
+                        f"stage {stage.name!r} consumes {artifact.name!r}, "
+                        "which no earlier stage produces and no seed provides",
+                        stage=stage.name, artifact=artifact.name)
             for artifact in stage.outputs:
                 check_type(artifact, f"stage {stage.name!r}")
                 if artifact.name in seed_names:
@@ -414,21 +418,12 @@ class StageGraph:
                         f"{other.name!r} and {stage.name!r}",
                         stage=stage.name, artifact=artifact.name)
                 producer[artifact.name] = stage
-        for stage in self.stages:
-            for artifact in stage.inputs:
-                check_type(artifact, f"stage {stage.name!r}")
-                if artifact.name not in producer and artifact.name not in seed_names:
-                    raise StageGraphError(
-                        "missing-producer",
-                        f"stage {stage.name!r} consumes {artifact.name!r}, "
-                        "which no stage produces and no seed provides",
-                        stage=stage.name, artifact=artifact.name)
             for upstream in stage.skip_if_degraded:
                 if upstream not in by_name:
                     raise StageGraphError(
                         "unknown-stage",
-                        f"stage {stage.name!r} skips on unknown stage "
-                        f"{upstream!r}", stage=stage.name)
+                        f"stage {stage.name!r} skips on {upstream!r}, "
+                        "which is not an earlier stage", stage=stage.name)
                 if by_name[upstream].fallback is None:
                     raise StageGraphError(
                         "unknown-stage",
@@ -440,60 +435,16 @@ class StageGraph:
                     "unknown-stage",
                     f"stage {stage.name!r} declares skip_if_degraded but "
                     "no fallback to skip to", stage=stage.name)
+            by_name[stage.name] = stage
         self._by_name = by_name
         self._producer = producer
-        self._order = tuple(s.name for s in self._topo_sort())  # raises on cycle
-
-    def _dependencies(self, stage: Stage) -> List[Stage]:
-        deps = []
-        seen = set()
-        for artifact in stage.inputs:
-            dep = self._producer.get(artifact.name)
-            if dep is not None and dep.name not in seen:
-                seen.add(dep.name)
-                deps.append(dep)
-        return deps
-
-    def _topo_sort(self) -> List[Stage]:
-        """Kahn's algorithm, ties broken by registration order."""
-        index = {s.name: i for i, s in enumerate(self.stages)}
-        pending: Dict[str, int] = {}
-        dependents: Dict[str, List[Stage]] = {}
-        for stage in self.stages:
-            deps = self._dependencies(stage)
-            pending[stage.name] = len(deps)
-            for dep in deps:
-                dependents.setdefault(dep.name, []).append(stage)
-        ready = sorted(
-            (s for s in self.stages if pending[s.name] == 0),
-            key=lambda s: index[s.name])
-        order: List[Stage] = []
-        while ready:
-            stage = ready.pop(0)
-            order.append(stage)
-            for dependent in dependents.get(stage.name, ()):
-                pending[dependent.name] -= 1
-                if pending[dependent.name] == 0:
-                    # Insert keeping registration order among ready stages.
-                    pos = 0
-                    while (pos < len(ready)
-                           and index[ready[pos].name] < index[dependent.name]):
-                        pos += 1
-                    ready.insert(pos, dependent)
-        if len(order) != len(self.stages):
-            stuck = sorted(n for n, c in pending.items() if c > 0)
-            raise StageGraphError(
-                "cycle",
-                f"stage graph has a cycle through {', '.join(stuck)}",
-                stage=stuck[0] if stuck else None)
-        return order
 
     # -- introspection -------------------------------------------------
 
     @property
     def order(self) -> Tuple[str, ...]:
-        """The canonical topological order (deterministic)."""
-        return self._order
+        """Stage names in declaration order, the order they run in."""
+        return tuple(s.name for s in self.stages)
 
     def stage(self, name: str) -> Stage:
         try:
@@ -535,7 +486,7 @@ class StageGraph:
                 }
                 for s in self.stages
             ],
-            "order": list(self._order),
+            "order": list(self.order),
             "edges": edges,
         }
 
@@ -570,24 +521,6 @@ class StageGraph:
 
     # -- execution -----------------------------------------------------
 
-    def _validate_order(self, order: Sequence[str]) -> List[Stage]:
-        """A caller-supplied execution order must be a valid topo order."""
-        names = list(order)
-        if sorted(names) != sorted(s.name for s in self.stages):
-            raise StageGraphError(
-                "invalid-order",
-                f"execution order {names} does not name every stage "
-                "exactly once")
-        position = {name: i for i, name in enumerate(names)}
-        for stage in self.stages:
-            for dep in self._dependencies(stage):
-                if position[dep.name] > position[stage.name]:
-                    raise StageGraphError(
-                        "invalid-order",
-                        f"stage {stage.name!r} runs before its dependency "
-                        f"{dep.name!r}", stage=stage.name)
-        return [self._by_name[name] for name in names]
-
     def execute(
         self,
         ctx: StageContext,
@@ -595,15 +528,12 @@ class StageGraph:
         *,
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
-        order: Optional[Sequence[str]] = None,
     ) -> StageExecution:
         """Run the graph (or the prefix up to ``stop_after``).
 
         ``resume`` replays an earlier partial execution: stages whose
         records it carries are not re-run, their artifacts and
-        accounting are taken as-is.  ``order``, when given, must be a
-        valid topological order of the whole graph (validated); the
-        default is the canonical order.
+        accounting are taken as-is.
         """
         missing = [a.name for a in self.seeds if a.name not in seeds]
         if missing:
@@ -613,9 +543,6 @@ class StageGraph:
                 artifact=missing[0])
         if stop_after is not None:
             self.stage(stop_after)  # raises unknown-stage
-
-        plan = (self._validate_order(order) if order is not None
-                else [self._by_name[name] for name in self._order])
 
         artifacts = ArtifactSet()
         artifacts.values.update(seeds)
@@ -640,7 +567,7 @@ class StageGraph:
             open_span = None
 
         try:
-            for stage in plan:
+            for stage in self.stages:
                 prior = artifacts.records.get(stage.name)
                 if prior is not None:
                     # Replayed from a resumed artifact set: keep its

@@ -326,11 +326,10 @@ def _superblock_problem(
 ) -> Tuple[Dict[int, Tuple[int, float]], List[Tuple[int, int, float]], int, Dict[int, List[int]]]:
     """Project one function's DCFG onto superblock leaders.
 
-    Grouping and edge projection are cheap and stay in the submitting
-    process; the returned ``(nodes, edges, entry)`` problem is what the
-    (possibly remote) Ext-TSP solve consumes (see :func:`_intra_layout`).
-    Also returns ``by_leader`` for flattening the solved leader order
-    back to block ids.
+    The returned ``(nodes, edges, entry)`` problem is what the Ext-TSP
+    solve consumes (see :func:`_intra_layout`).  Also returns
+    ``by_leader`` for flattening the solved leader order back to block
+    ids.
     """
     groups = _merge_superblocks(hot_ids, counts, edges)
     leader_of: Dict[int, int] = {}
@@ -377,7 +376,6 @@ def _intra_layout(
     options: WPAOptions,
     meter: MemoryMeter,
     min_count: float = 0.0,
-    executor: Optional[object] = None,
     solve_cache: Optional[object] = None,
 ) -> Tuple[Dict[str, List[List[int]]], List[str], List[str]]:
     clusters: Dict[str, List[List[int]]] = {}
@@ -385,7 +383,7 @@ def _intra_layout(
     func_heat: Dict[str, Tuple[int, float]] = {}
     has_cold: Dict[str, bool] = {}
 
-    # Pass 1 (cheap, serial): project every hot function's DCFG onto a
+    # Pass 1 (cheap): project every hot function's DCFG onto a
     # superblock layout problem, in deterministic dcfg order.
     pending: List[Tuple[str, List[int], Dict[int, int], Dict[int, List[int]]]] = []
     problems = []
@@ -409,16 +407,15 @@ def _intra_layout(
         pending.append((name, hot_ids, sizes, by_leader))
         problems.append((nodes, projected, entry_leader))
 
-    # Pass 2 (the Ext-TSP solves): embarrassingly parallel, one problem
-    # per hot function, results in submission order.  A solve cache
-    # replays functions whose problem content is unchanged since a
-    # prior release (see repro.incr); only dirty functions solve.
+    # Pass 2 (the Ext-TSP solves): one problem per hot function,
+    # results in submission order.  A solve cache replays functions
+    # whose problem content is unchanged since a prior release (see
+    # repro.incr); only dirty functions solve.
     orders = ext_tsp_order_many(problems, params=options.layout_params,
-                                executor=executor, cache=solve_cache)
+                                cache=solve_cache)
 
-    # Pass 3: flatten and account, in the same order.  The modelled
-    # memory sequence (allocate/solve/free per function) is replayed
-    # here identically, so parallel execution cannot move the peak.
+    # Pass 3: flatten and account, in the same order: the modelled
+    # memory sequence is allocate/solve/free per function.
     for (name, hot_ids, sizes, by_leader), leader_order in zip(pending, orders):
         fd = dcfg[name]
         fmap = index.function_map(name)
@@ -541,17 +538,10 @@ def analyze(
     perf: PerfData,
     options: WPAOptions = WPAOptions(),
     meter: Optional[MemoryMeter] = None,
-    executor: Optional[object] = None,
     tracer: Optional[object] = None,
     solve_cache: Optional[object] = None,
 ) -> WPAResult:
     """Run profile conversion and whole-program analysis.
-
-    ``executor`` (the :meth:`repro.runtime.ParallelExecutor.map`
-    contract) fans the per-function Ext-TSP solves across worker
-    processes; it never changes the result, only how fast the analysis
-    runs.  Inter-procedural layout is one whole-program solve and
-    always runs in-process.
 
     ``solve_cache`` (the :class:`repro.runtime.FunctionSolveCache`
     contract) memoizes per-function Ext-TSP solves by content
@@ -597,7 +587,7 @@ def analyze(
         else:
             clusters, symbol_order, hot_funcs = _intra_layout(
                 index, dcfg, call_edges, options, own, min_count=min_count,
-                executor=executor, solve_cache=solve_cache,
+                solve_cache=solve_cache,
             )
         sp.note(hot_functions=len(hot_funcs))
     prefetches: Dict[str, List[Tuple[int, str]]] = {}

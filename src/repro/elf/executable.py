@@ -166,8 +166,7 @@ class Executable(Restorable):
         model, strippers) read; the execution model is derived from
         these, so it does not hash separately.  Equal digests mean
         interchangeable binaries, which is how the pipeline's
-        parallel-equals-serial and warm-cache-equals-cold invariants
-        are asserted.
+        warm-cache-equals-cold invariant is asserted.
         """
         h = hashlib.sha256()
         h.update(f"{self.name}:{self.entry}:{int(self.hugepages)}".encode())

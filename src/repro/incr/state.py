@@ -49,7 +49,7 @@ def state_path(state_dir: "str | os.PathLike") -> Path:
 
 
 #: :class:`~repro.core.pipeline.PipelineConfig` fields that determine
-#: artifact *content*.  Execution knobs (``jobs``, ``workers``,
+#: artifact *content*.  Execution knobs (``workers``,
 #: ``cache_dir``, ``state_dir``, ``trace``, ``fault_plan``, the
 #: cost-model rates) are deliberately excluded: they change how fast a
 #: result is produced, never what is produced (the contract

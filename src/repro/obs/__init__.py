@@ -10,8 +10,8 @@ makes both visible for any pipeline run:
   on both the simulated and the real clock; :data:`NULL_TRACER` is the
   free-when-disabled default.
 * :class:`Counters` -- cache hit/miss, RAM rejections, queue depth,
-  and profile-quality gauges, written only from the submitting process
-  so ``jobs=N`` runs count identically to serial ones.
+  and profile-quality gauges; deterministic, so two runs of one
+  configuration count identically.
 * Exporters -- Chrome ``trace_event`` JSON (open in ``chrome://tracing``
   or https://ui.perfetto.dev), schema-versioned metrics JSON, and an
   aligned text table.

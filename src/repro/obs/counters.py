@@ -7,9 +7,9 @@ profile-quality gauges (PGO match rate, LBR coverage, WPA hot-function
 count).  Counters are *monotonic* accumulators (``incr``); gauges are
 last-written or high-watermark values (``gauge`` / ``max_gauge``).
 
-Determinism contract: every mutation happens in the submitting process
-(worker processes never see the instance), so a pipeline run with
-``jobs=N`` produces exactly the counter values of ``jobs=1``.
+Determinism contract: every mutation happens in program order in the
+one process that runs the pipeline, so two runs of the same
+configuration produce exactly the same counter values.
 """
 
 from __future__ import annotations

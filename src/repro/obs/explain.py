@@ -23,9 +23,9 @@ relink loop the paper deploys (§2, §5).  Three analyses, one report:
    critical path, per-phase slack, and how the binding phase shifted.
 3. **Counter delta triage** -- classify every ``Counters``/gauge delta
    as ``expected`` or ``suspicious`` with a one-line reason, encoding
-   the determinism contracts the counters already obey (``pool.*`` may
-   move with ``jobs``; ``cache.*``/``incr.*`` may move only when code
-   or profile changed; degradation markers never move silently).
+   the determinism contracts the counters already obey
+   (``cache.*``/``incr.*`` may move only when code or profile changed;
+   degradation markers never move silently).
 
 Two identical runs produce the fixed point: an empty attribution list,
 zero phase shift and every counter delta ``expected`` -- asserted in
@@ -631,10 +631,6 @@ def _triage_one(name: str, b: float, n: float, kind: str,
         return "suspicious", (
             "exact-gated bench metric moved; deterministic contract "
             "says it never should")
-    if name.startswith("pool."):
-        return "expected", (
-            "scheduler occupancy; exempt from the determinism contract "
-            "(moves with jobs/workers)")
     if name in _ALWAYS_SUSPICIOUS and delta > 0:
         return "suspicious", _ALWAYS_SUSPICIOUS[name]
     if name.startswith(("faults.", "retry.")):

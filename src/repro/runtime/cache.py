@@ -159,8 +159,8 @@ class FunctionSolveCache:
     on-disk :class:`PersistentActionStore` beside the action store, so
     a later release's run replays the previous release's solves.
     Hit/miss accounting lands on the optional ``counters`` sink as
-    ``incr.solve_hits`` / ``incr.solve_misses`` -- always from the
-    submitting process, so the numbers are jobs-invariant.
+    ``incr.solve_hits`` / ``incr.solve_misses``, in lookup order, so
+    the numbers are deterministic.
     """
 
     def __init__(self, root: "Optional[str | os.PathLike]" = None,

@@ -59,7 +59,6 @@ PIPELINE_FLAG_FIELDS = {
     "lbr_period": "lbr_period",
     "pgo_steps": "pgo_steps",
     "workers": "workers",
-    "jobs": "jobs",
     "cache_dir": "cache_dir",
     "enforce_ram": "enforce_ram",
     "stale_matching": "stale_matching",
@@ -79,9 +78,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="instrumented-PGO training run length (IR steps)")
     parser.add_argument("--workers", type=int, default=_DEFAULTS.workers,
                         help="simulated remote build pool size")
-    parser.add_argument("--jobs", type=int, default=_DEFAULTS.jobs,
-                        help="real worker processes for codegen/layout "
-                             "(default: 1, everything runs inline)")
     parser.add_argument("--cache-dir", default=_DEFAULTS.cache_dir,
                         help="persistent action-cache directory; falls back to "
                              "$REPRO_CACHE_DIR, else in-memory only")
@@ -128,11 +124,19 @@ def _add_verbosity_args(parser: argparse.ArgumentParser) -> None:
                        help="debug-level progress output")
 
 
+class _BadConfig(Exception):
+    """A pipeline flag value :class:`PipelineConfig` rejected; ``main``
+    reports it and exits 2."""
+
+
 def _config(args) -> PipelineConfig:
-    return PipelineConfig(
-        trace=bool(getattr(args, "trace_out", None)),
-        **{field: getattr(args, dest) for dest, field in PIPELINE_FLAG_FIELDS.items()},
-    )
+    try:
+        return PipelineConfig(
+            trace=bool(getattr(args, "trace_out", None)),
+            **{field: getattr(args, dest) for dest, field in PIPELINE_FLAG_FIELDS.items()},
+        )
+    except ValueError as exc:
+        raise _BadConfig(str(exc)) from None
 
 
 def _finish_optimize(args, pipe: PropellerPipeline, result) -> int:
@@ -681,7 +685,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(
         -1 if getattr(args, "quiet", False) else getattr(args, "verbose", 0))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadConfig as exc:
+        log.error("%s", exc)
+        return 2
 
 
 def bench_main(argv: Optional[List[str]] = None) -> int:

@@ -54,8 +54,7 @@ def _config(preset) -> PipelineConfig:
     # pool serves millions of actions; 128 concurrent slots is the
     # 1/100-scale equivalent of its per-build share).
     #
-    # Real execution: codegen and layout run inline (jobs defaults to
-    # 1), and cache_dir=None defers to $REPRO_CACHE_DIR, which the test
+    # cache_dir=None defers to $REPRO_CACHE_DIR, which the test
     # session shields (tests/conftest.py), so every world builds cold.
     workstation = preset.kind != "wsc"
     return PipelineConfig(

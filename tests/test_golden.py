@@ -85,15 +85,11 @@ class TestGolden:
 
 @pytest.fixture(scope="module")
 def degraded_pipeline():
-    """The golden workload with hardware-profile collection starved.
-
-    ``jobs=1`` keeps the machine-dependent ``pool.*`` gauge out of the
-    counters so the serialized report is identical on every machine.
-    """
+    """The golden workload with hardware-profile collection starved."""
     program = generate_workload(PRESETS[PRESET], scale=SCALE, seed=SEED)
     config = PipelineConfig(
         seed=SEED, lbr_branches=60_000, lbr_period=31, pgo_steps=30_000,
-        workers=72, enforce_ram=False, jobs=1,
+        workers=72, enforce_ram=False,
         fault_plan="fail=1,only=profile-lbr,seed=7",
     )
     return PropellerPipeline(program, config).run()

@@ -88,6 +88,22 @@ class TestImportIsolation:
             "assert result.summary()\n"
         )
 
+    def test_a_release_starts_no_process_pool(self):
+        """Every action runs inline: a whole ``optimize()`` plus its
+        scorecard never imports the pool machinery."""
+        _run(
+            "import repro, sys\n"
+            "program = repro.generate_workload(\n"
+            "    repro.PRESETS['531.deepsjeng'], scale=0.2, seed=3)\n"
+            "result = repro.optimize(\n"
+            "    program,\n"
+            "    repro.PipelineConfig(lbr_branches=20_000, pgo_steps=10_000,\n"
+            "                         enforce_ram=False))\n"
+            "assert result.frontend_counters(max_blocks=5_000)\n"
+            "for bad in ('concurrent.futures', 'multiprocessing'):\n"
+            "    assert bad not in sys.modules, bad\n"
+        )
+
 
 class TestFacade:
     def test_all_is_explicit_and_resolvable(self):
@@ -125,6 +141,10 @@ class TestFacade:
 
         with pytest.raises(AttributeError):
             repro.no_such_symbol
+        with pytest.raises(AttributeError):
+            repro.ParallelExecutor
+        with pytest.raises(ImportError):
+            from repro.runtime import ParallelExecutor  # noqa: F401
 
     def test_dir_lists_facade(self):
         import repro

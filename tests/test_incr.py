@@ -30,7 +30,7 @@ from repro.synth import EditScript, PRESETS, generate_workload
 
 def _config(**overrides) -> PipelineConfig:
     base = dict(seed=3, lbr_branches=40_000, pgo_steps=20_000,
-                workers=72, enforce_ram=False, jobs=1)
+                workers=72, enforce_ram=False)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -207,11 +207,11 @@ class TestIncrState:
                         dataclasses.replace(prior.config, seed=99))
 
     def test_execution_knobs_do_not_invalidate(self, prior):
-        """jobs/workers/state_dir change speed, never artifacts, so the
-        state must stay valid across them."""
+        """workers/state_dir/cache_dir change speed, never artifacts, so
+        the state must stay valid across them."""
         state = IncrState.capture(prior)
         changed = dataclasses.replace(
-            prior.config, jobs=2, workers=9999, state_dir="/elsewhere",
+            prior.config, workers=9999, state_dir="/elsewhere",
             cache_dir="/also/elsewhere", trace=True)
         state.check(prior.program.name, changed)  # does not raise
         assert config_signature(changed) == config_signature(prior.config)
@@ -289,25 +289,6 @@ class TestReoptimize:
         assert report.incremental == inc.as_dict()
         roundtrip = type(report).from_json(report.to_json())
         assert roundtrip.incremental == dict(report.incremental)
-
-    def test_jobs_invariance(self, prior, program, state_dir):
-        """Parallel and serial reoptimize are bit-identical, including
-        the solve-reuse accounting (lookups happen in the submitting
-        process)."""
-        script = EditScript.generate(program, seed=7, kinds=("body",))
-        edited = script.apply(program)
-        results = []
-        for jobs in (1, 2):
-            config = _config(incremental=True, state_dir=str(state_dir),
-                             jobs=jobs)
-            results.append(
-                PropellerPipeline(edited, config).reoptimize(
-                    state_path(state_dir)))
-        one, two = results
-        assert one.digest() == two.digest()
-        assert one.incremental.dirty == two.incremental.dirty
-        # the second run replays the first's freshly stored solve, so
-        # compare only the jobs-invariant plan, not hit counts
 
     def test_degrades_honestly_under_faults(self, prior, program, state_dir):
         """A starved LBR collection degrades the incremental run with an

@@ -161,3 +161,38 @@ class TestOptimizeAPI:
         )
         assert result.config.seed == 5
         assert result.optimized.executable.name == "propeller.out"
+
+
+class TestConfigValidation:
+    """Bad values are refused where the config is made, naming the field
+    -- not as a traceback out of the first cached action that reads it."""
+
+    BAD = {
+        "lbr_period": 0,
+        "lbr_branches": -5,
+        "pgo_steps": -1,
+        "workers": 0,
+        "ram_limit": 0,
+        "stale_matching": "fuzzy",
+        "jobs": 2,
+    }
+
+    @pytest.mark.parametrize("field", sorted(BAD))
+    def test_out_of_range_field_is_a_value_error(self, field):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: self.BAD[field]})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(PipelineConfig(), **{field: self.BAD[field]})
+
+    def test_boundary_values_are_accepted(self):
+        PipelineConfig(lbr_period=1, lbr_branches=0, pgo_steps=0, workers=1,
+                       ram_limit=1, stale_matching="loose", jobs=1)
+
+    def test_jobs_accepts_only_one(self):
+        """The pool is gone; the field outlives it only because the
+        frozen ``bench/worker.py`` passes ``jobs=1``."""
+        assert PipelineConfig().jobs == PipelineConfig(jobs=1).jobs == 1
+        for bad in (0, 2, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                dataclasses.replace(PipelineConfig(), jobs=bad)
+        assert len(dataclasses.fields(PipelineConfig)) == 18

@@ -1,13 +1,12 @@
-"""Tests for the execution layer: process pool + persistent action cache.
+"""Tests for the execution layer: batches + the persistent action cache.
 
-The invariant under test throughout is the determinism contract:
-``jobs`` and a warm persistent cache may change how fast a result is
-produced, never what is produced.
+The invariant under test throughout is the determinism contract: a
+warm persistent cache may change how fast a result is produced, never
+what is produced.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import pytest
@@ -17,43 +16,14 @@ from repro.buildsys.build import ActionCache, ResourceLimitExceeded, _CacheEntry
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.runtime import (
     CACHE_DIR_ENV,
-    ParallelExecutor,
     PersistentActionStore,
     resolve_cache_dir,
 )
 
 
-def _square(x):
-    return x * x
-
-
 def _compute_pair(a, b):
     """Batch compute fn: (value, cost_seconds, peak_memory)."""
     return a + b, float(a), b
-
-
-class TestParallelExecutor:
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(0)
-
-    def test_serial_runs_inline(self):
-        ex = ParallelExecutor(1)
-        assert not ex.parallel
-        assert ex.map(_square, [(i,) for i in range(5)]) == [0, 1, 4, 9, 16]
-        assert ex._pool is None  # no pool was ever created
-
-    def test_parallel_preserves_order(self):
-        with ParallelExecutor(2) as ex:
-            assert ex.map(_square, [(i,) for i in range(20)]) == [
-                i * i for i in range(20)
-            ]
-
-    def test_tiny_batch_stays_inline(self):
-        ex = ParallelExecutor(2)
-        assert ex.map(_square, [(3,)]) == [9]
-        assert ex._pool is None
-        ex.close()
 
 
 class TestPersistentStore:
@@ -116,17 +86,27 @@ class TestRunBatch:
     def _items(self, n):
         return [([f"k{i}"], _compute_pair, (i, i + 1)) for i in range(n)]
 
-    def test_serial_and_parallel_agree(self):
-        serial = BuildSystem(workers=4, enforce_ram=False)
-        parallel = BuildSystem(workers=4, enforce_ram=False)
-        with ParallelExecutor(2) as ex:
-            got_p = parallel.run_batch("t", self._items(8), executor=ex)
-        got_s = serial.run_batch("t", self._items(8))
-        assert [r.value for r in got_p] == [r.value for r in got_s] == [
-            2 * i + 1 for i in range(8)
-        ]
-        assert [r.key for r in got_p] == [r.key for r in got_s]
-        assert not any(r.cache_hit for r in got_s)
+    def test_batch_equals_run_action_one_by_one(self):
+        batched = BuildSystem(workers=4, enforce_ram=False)
+        single = BuildSystem(workers=4, enforce_ram=False)
+        # Half the keys are already cached on both sides.
+        for bs in (batched, single):
+            bs.run_batch("t", self._items(8)[::2])
+        got_b = batched.run_batch("t", self._items(8))
+        got_s = [single.run_action("t", key_parts, lambda fn=fn, args=args: fn(*args))
+                 for key_parts, fn, args in self._items(8)]
+        assert got_b == got_s
+        assert [r.value for r in got_b] == [2 * i + 1 for i in range(8)]
+        assert [r.cache_hit for r in got_b] == [True, False] * 4
+        assert [r.cost_seconds for r in got_b[1::2]] == [1.0, 3.0, 5.0, 7.0]
+        assert batched.cache._entries == single.cache._entries
+        assert (batched.stats.hits, batched.stats.misses) == (
+            single.stats.hits, single.stats.misses) == (4, 8)
+
+    def test_run_batch_takes_no_executor(self):
+        bs = BuildSystem(workers=4, enforce_ram=False)
+        with pytest.raises(TypeError):
+            bs.run_batch("t", self._items(2), executor=None)
 
     def test_second_batch_hits(self):
         bs = BuildSystem(workers=4, enforce_ram=False)
@@ -157,13 +137,8 @@ class TestPipelineDeterminism:
             workers=72, enforce_ram=False, **kw,
         )
 
-    def test_parallel_matches_serial_digest(self, micro_program):
-        serial = PropellerPipeline(micro_program, self._config(jobs=1)).run()
-        parallel = PropellerPipeline(micro_program, self._config(jobs=2)).run()
-        assert serial.digest() == parallel.digest()
-
     def test_warm_cache_same_digest_less_simulated_time(self, micro_program, tmp_path):
-        cfg = self._config(jobs=1, cache_dir=str(tmp_path))
+        cfg = self._config(cache_dir=str(tmp_path))
         cold = PropellerPipeline(micro_program, cfg).run()
         warm = PropellerPipeline(micro_program, cfg).run()
         assert cold.digest() == warm.digest()
@@ -180,7 +155,7 @@ class TestPipelineDeterminism:
 
     def test_cache_dir_env_var(self, micro_program, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        pipe = PropellerPipeline(micro_program, self._config(jobs=1))
+        pipe = PropellerPipeline(micro_program, self._config())
         store = pipe.buildsys.cache.persistent_store
         assert store is not None and store.root == tmp_path
 
@@ -502,75 +477,3 @@ class TestRecordTablesInTheStore:
         assert warm.buildsys.stats.disk_hits == cold.buildsys.stats.misses > 0
         assert warm.buildsys.stats.misses == 0
         assert warm.buildsys.cache.persistent_store.quarantined == 0
-
-
-# ----------------------------------------------------------------------
-# Executor bounded retry (real-failure resilience, distinct from the
-# simulated fault plans in repro.faults).
-
-def _fail_outside_pid(parent_pid, value):
-    """Raises in any process other than ``parent_pid`` (i.e. in workers)."""
-    if os.getpid() != parent_pid:
-        raise RuntimeError("simulated worker crash")
-    return value * 10
-
-
-class TestExecutorRetry:
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(1, max_retries=-1)
-
-    def test_inline_retry_recovers_transient_failure(self):
-        from repro.obs import Counters
-
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return x + 1
-
-        ex = ParallelExecutor(1, max_retries=2)
-        ex.counters = Counters()
-        assert ex.map(flaky, [(41,)]) == [42]
-        assert calls["n"] == 3
-        assert ex.counters.count("pool.retries") == 2
-
-    def test_budget_exhaustion_propagates_last_error(self):
-        def always_fails(x):
-            raise KeyError("deterministic bug")
-
-        ex = ParallelExecutor(1, max_retries=1)
-        with pytest.raises(KeyError):
-            ex.map(always_fails, [(1,)])
-
-    def test_zero_budget_fails_immediately(self):
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            raise RuntimeError("boom")
-
-        ex = ParallelExecutor(1, max_retries=0)
-        with pytest.raises(RuntimeError):
-            ex.map(flaky, [(1,)])
-        assert calls["n"] == 1
-
-    def test_broken_pool_batch_falls_back_inline(self):
-        from repro.obs import Counters
-
-        ex = ParallelExecutor(2, max_retries=2)
-        ex.counters = Counters()
-        items = [(os.getpid(), i) for i in range(6)]
-        # Every task crashes in a worker process but succeeds inline.
-        assert ex.map(_fail_outside_pid, items) == [i * 10 for i in range(6)]
-        assert ex.counters.count("pool.batch_fallbacks") == 1
-        ex.close()
-
-    def test_pool_failure_without_budget_propagates(self):
-        ex = ParallelExecutor(2, max_retries=0)
-        items = [(os.getpid(), i) for i in range(6)]
-        with pytest.raises(RuntimeError):
-            ex.map(_fail_outside_pid, items)
-        ex.close()

@@ -1,10 +1,9 @@
 """Property tests for the execution-layer determinism contract.
 
-Over generated workloads and seeds: a parallel run is bit-identical to
-a serial run, and a warm persistent cache changes nothing except the
-recorded phase wall-clock.  These run full pipelines, so the whole
-module lives in the slow tier; the fixed-seed smoke versions in
-``test_runtime.py`` cover tier 1.
+Over generated workloads and seeds: a warm persistent cache changes
+nothing except the recorded phase wall-clock.  These run full
+pipelines, so the whole module lives in the slow tier; the fixed-seed
+smoke version in ``test_runtime.py`` covers tier 1.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ _presets = st.sampled_from(["531.deepsjeng", "505.mcf", "557.xz"])
 _seeds = st.integers(min_value=0, max_value=2**16)
 
 
-def _run(program, seed, jobs, cache_dir=None):
+def _run(program, seed, cache_dir=None):
     config = PipelineConfig(
         seed=seed, lbr_branches=30_000, lbr_period=31, pgo_steps=15_000,
-        workers=72, enforce_ram=False, jobs=jobs,
+        workers=72, enforce_ram=False,
         cache_dir=str(cache_dir) if cache_dir else None,
     )
     return PropellerPipeline(program, config).run()
@@ -33,19 +32,11 @@ def _run(program, seed, jobs, cache_dir=None):
 class TestDeterminismProperties:
     @settings(max_examples=5, deadline=None)
     @given(preset=_presets, seed=_seeds)
-    def test_parallel_equals_serial(self, preset, seed):
-        program = generate_workload(PRESETS[preset], scale=0.2, seed=seed)
-        serial = _run(program, seed, jobs=1)
-        parallel = _run(program, seed, jobs=2)
-        assert serial.digest() == parallel.digest()
-
-    @settings(max_examples=5, deadline=None)
-    @given(preset=_presets, seed=_seeds)
     def test_warm_cache_only_changes_wall_clock(self, preset, seed, tmp_path_factory):
         cache = tmp_path_factory.mktemp("action-cache")
         program = generate_workload(PRESETS[preset], scale=0.2, seed=seed)
-        cold = _run(program, seed, jobs=1, cache_dir=cache)
-        warm = _run(program, seed, jobs=1, cache_dir=cache)
+        cold = _run(program, seed, cache_dir=cache)
+        warm = _run(program, seed, cache_dir=cache)
         assert cold.digest() == warm.digest()
         assert warm.wpa_result.symbol_order == cold.wpa_result.symbol_order
         assert sum(warm.phase_seconds.values()) < sum(cold.phase_seconds.values())

@@ -230,7 +230,55 @@ class TestCompare:
         assert "cannot replay the baseline's walk" in progress.getvalue()
 
 
+class TestBadConfigFlags:
+    """A flag value ``PipelineConfig`` rejects is a one-line error naming
+    the field and exit status 2 -- from every subcommand that builds a
+    config, before any work starts."""
+
+    BAD = [("--lbr-period", "0", "lbr_period"),
+           ("--workers", "0", "workers"),
+           ("--lbr-branches", "-5", "lbr_branches")]
+
+    @pytest.fixture(scope="class")
+    def prog(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("badcfg") / "w.json"
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize("flag,value,field", BAD)
+    def test_optimize_exits_2_without_a_traceback(self, prog, flag, value, field):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "optimize", prog, flag, value],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and field in done.stderr
+        assert done.stdout == ""
+
+    def test_every_config_building_subcommand(self, prog, tmp_path):
+        lbr = str(tmp_path / "p.lbr")
+        for argv in (["profile", prog, "-o", lbr],
+                     ["wpa", prog, lbr],
+                     ["optimize", prog],
+                     ["compare", prog]):
+            assert main([*argv, "--pgo-steps", "-1"]) == 2, argv[0]
+
+
 class TestCLIAPIDiscipline:
+    def test_jobs_flag_is_gone(self, capsys):
+        assert len(PIPELINE_FLAG_FIELDS) == 11
+        assert "jobs" not in PIPELINE_FLAG_FIELDS
+        with pytest.raises(SystemExit):
+            main(["optimize", "--help"])
+        assert "--jobs" not in capsys.readouterr().out
+
     def test_defaults_match_pipeline_config(self):
         """CLI defaults come from PipelineConfig -- provably identical."""
         from repro.core.pipeline import PipelineConfig
