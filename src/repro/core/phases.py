@@ -15,6 +15,11 @@ its function here.
   functions (with basic block section clusters); every cold module's
   object is a cache hit from Phase 2; relink with the global symbol
   order, dropping metadata sections.
+
+The stages are wired into one graph, the module constant
+:data:`PIPELINE`.  The incremental engine adds no stage to it:
+:func:`plan_dirty` and :func:`incremental_summary` are plain functions
+``reoptimize()`` calls before and after the same ``run()``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from repro.core.exttsp import ext_tsp_order_many
 from repro.core.pipeline import BuildOutcome, IncrementalSummary
 from repro.core.stages import (
     Artifact,
-    Fallback,
     Stage,
     StageContext,
     StageGraph,
     StageRecord,
 )
 from repro.core.wpa import WPAOptions, WPAResult, WPAStats
+from repro.faults import RetriesExhausted
 from repro.ir.passes import clone_program, inline_hot_calls
 from repro.ir.verify import verify_program
 from repro.profiles import (
@@ -146,7 +151,7 @@ PGO_PROFILE = Stage(
     run=pgo_profile,
     outputs=(ART_IR_PROFILE,),
     phase="baseline",
-    fallback=Fallback(_pgo_profile_fallback),
+    fallback=_pgo_profile_fallback,
     time_keys=("pgo_profile_run",),
     doc="Instrumented PGO training run (cached action).",
 )
@@ -330,7 +335,7 @@ LBR_PROFILE = Stage(
     inputs=(ART_METADATA,),
     outputs=(ART_PERF, ART_PERF_KEY),
     phase="profile",
-    fallback=Fallback(_lbr_profile_fallback),
+    fallback=_lbr_profile_fallback,
     time_keys=("lbr_profile_run",),
     doc="Phase 3 sampling: run the metadata binary, sample LBR.",
 )
@@ -405,7 +410,7 @@ WPA = Stage(
     inputs=(ART_METADATA, ART_PERF, ART_PERF_KEY),
     outputs=(ART_WPA,),
     phase="wpa",
-    fallback=Fallback(_wpa_fallback),
+    fallback=_wpa_fallback,
     # No hardware profile was collected: nothing to analyze.  The
     # skip is silent -- the run is already degraded by lbr-profile.
     skip_if_degraded=("lbr-profile",),
@@ -554,66 +559,48 @@ RELINK = Stage(
             ART_BASELINE),
     outputs=(ART_OPTIMIZED,),
     phase="relink",
-    fallback=Fallback(_relink_fallback),
+    fallback=_relink_fallback,
     time_keys=("prop_backends", "prop_link"),
     doc="Phase 4: re-codegen hot modules with clusters, reuse cold "
         "objects from cache, relink with the global symbol order.",
 )
 
 
-def _plan_against(ctx: StageContext, state: Any, profile: IRProfile):
+def plan_dirty(pipeline: Any, state: Any) -> Any:
+    """Pre-run incremental accounting of one ``reoptimize()``.
+
+    Plans the dirty set (a :class:`repro.incr.DirtyPlan`) against the
+    *new* profile epoch and records the ``incr.*`` function counters.
+    The pre-collection is itself a cached action, so the pgo-profile
+    stage replays it for free.
+    """
     from repro import incr as incr_mod
 
-    program = ctx.pipeline.program
+    try:
+        profile = pipeline.collect_pgo_profile()
+    except RetriesExhausted:
+        # Collection is doomed under the fault plan: plan against an
+        # empty profile, silently -- the pgo-profile stage will degrade
+        # the run honestly, once, with the right reason.
+        profile = IRProfile()
+    program = pipeline.program
     plan = incr_mod.plan_dirty(state, program, profile)
-    ctx.counters.incr("incr.dirty_functions", len(plan.dirty))
-    ctx.counters.incr("incr.added_functions", len(plan.added))
-    ctx.counters.incr("incr.deleted_functions", len(plan.deleted))
-    ctx.counters.incr(
+    counters = pipeline.counters
+    counters.incr("incr.dirty_functions", len(plan.dirty))
+    counters.incr("incr.added_functions", len(plan.added))
+    counters.incr("incr.deleted_functions", len(plan.deleted))
+    counters.incr(
         "incr.clean_functions",
         max(0, program.num_functions - len(plan.dirty) - len(plan.added)),
     )
-    return {"dirty_plan": plan}
-
-
-def plan_dirty(ctx: StageContext, inputs) -> Dict[str, Any]:
-    # Plan the dirty set against the *new* profile epoch.  The
-    # pre-collection is itself a cached action, so the pgo-profile
-    # stage replays it for free.
-    return _plan_against(ctx, inputs["incr_state"],
-                         ctx.pipeline.collect_pgo_profile())
-
-
-def _plan_dirty_fallback(ctx: StageContext, inputs) -> Dict[str, Any]:
-    # Collection is doomed under the fault plan: plan against an empty
-    # profile.  Silent (degrades=False) -- the pgo-profile stage will
-    # degrade the run honestly, once, with the right reason.
-    return _plan_against(ctx, inputs["incr_state"], IRProfile())
-
-
-#: Seed for the incremental graph: the prior release's ``IncrState``.
-ART_INCR_STATE = Artifact("incr_state")
-#: ``repro.incr.DirtyPlan`` (``object``: :mod:`repro.incr` imports the
-#: pipeline, so the type cannot be named here).
-ART_DIRTY_PLAN = Artifact("dirty_plan")
-
-PLAN_DIRTY = Stage(
-    name="plan-dirty",
-    run=plan_dirty,
-    inputs=(ART_INCR_STATE,),
-    outputs=(ART_DIRTY_PLAN,),
-    fallback=Fallback(_plan_dirty_fallback, degrades=False),
-    doc="Incremental dirty-set planning against the prior release's "
-        "state snapshot (observability only; correctness rests on the "
-        "content-keyed solve cache).",
-)
+    return plan
 
 
 def incremental_summary(pipeline: Any, state: Any, plan: Any,
                         wpa_result: WPAResult) -> IncrementalSummary:
     """Post-run incremental accounting of one ``reoptimize()``.
 
-    Folds the executed ``plan-dirty`` plan, the WPA hot-set churn
+    Folds the :func:`plan_dirty` plan, the WPA hot-set churn
     against the prior release's ``state`` and the solve-cache tallies
     into the ``incr.*`` counters and an :class:`IncrementalSummary` --
     the half of the incremental engine that needs the whole run.
@@ -644,24 +631,11 @@ def incremental_summary(pipeline: Any, state: Any, plan: Any,
 # ----------------------------------------------------------------------
 # The graph
 
-#: The Propeller stages, in the order they run.  Stage names
-#: double as degradation reasons (``degraded_reasons`` entries and
-#: ``degraded:*`` span names), so they are part of the pinned
-#: observability surface -- do not rename casually.
-PIPELINE_STAGES: Tuple[Stage, ...] = (
+#: The Propeller stages, in the order they run, validated at import.
+#: Stage names double as degradation reasons (``degraded_reasons``
+#: entries and ``degraded:*`` span names), so they are part of the
+#: pinned observability surface -- do not rename casually.
+PIPELINE = StageGraph((
     PGO_PROFILE, INLINE, BASELINE_BUILD, STALE_MATCH, METADATA_BUILD,
     LBR_PROFILE, WPA, RELINK,
-)
-
-
-def pipeline_stage_graph(incremental: bool = False) -> StageGraph:
-    """The validated Propeller :class:`~repro.core.stages.StageGraph`.
-
-    One definition serves both entry points: ``incremental=True`` is
-    the same DAG with :data:`PLAN_DIRTY` prepended and the prior
-    release's state as a seed artifact.
-    """
-    if incremental:
-        return StageGraph((PLAN_DIRTY,) + PIPELINE_STAGES,
-                          seeds=(ART_INCR_STATE,))
-    return StageGraph(PIPELINE_STAGES)
+))

@@ -21,12 +21,7 @@ from repro import ir
 from repro.analysis import MemoryMeter
 from repro.buildsys import BuildSystem, PhaseReport, digest_parts
 from repro.codegen import CodeGenOptions, compile_action
-from repro.core.stages import (
-    ArtifactSet,
-    StageContext,
-    StageExecution,
-    StageGraphError,
-)
+from repro.core.stages import ArtifactSet, StageContext, StageGraphError
 from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
 from repro.faults import FaultPlan
@@ -691,26 +686,19 @@ class PropellerPipeline:
     def run_stages(
         self,
         *,
-        incremental_state: Any = None,
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
-    ) -> StageExecution:
-        """Execute the pipeline's :class:`~repro.core.stages.StageGraph`.
+    ) -> ArtifactSet:
+        """Execute :data:`repro.core.phases.PIPELINE`.
 
-        The engine underneath :meth:`run` and :meth:`reoptimize`,
-        exposed for partial execution: ``stop_after`` runs the graph
-        only through the named stage (``"wpa"``, ...), the returned
-        execution's :meth:`~repro.core.stages.StageExecution.save`
-        serializes its artifacts, and a later call with ``resume``
-        (an :class:`~repro.core.stages.ArtifactSet`) replays them and
-        runs only the remaining stages -- bit-identical to one full
-        run.
+        The engine underneath :meth:`run`, exposed for partial
+        execution: ``stop_after`` runs the graph only through the named
+        stage (``"wpa"``, ...), the returned
+        :class:`~repro.core.stages.ArtifactSet` serializes with
+        :meth:`~repro.core.stages.ArtifactSet.save`, and a later call
+        with ``resume`` (the loaded set) replays it and runs only the
+        remaining stages -- bit-identical to one full run.
         """
-        graph = phases.pipeline_stage_graph(
-            incremental=incremental_state is not None)
-        seeds: Dict[str, Any] = {}
-        if incremental_state is not None:
-            seeds["incr_state"] = incremental_state
         # Digest of the program *as constructed* (pre-inlining), the
         # identity a resumed process can recompute before any stage ran.
         program_digest = self._program_digest()
@@ -726,36 +714,35 @@ class PropellerPipeline:
                 # The inline stage already ran in the producing process;
                 # replay its program transform, not just its artifacts.
                 self.program = resume.values["prepared_program"]
-        execution = graph.execute(
-            StageContext(self), seeds, stop_after=stop_after, resume=resume)
-        execution.artifacts.meta.setdefault("program", program_digest)
-        execution.artifacts.meta.setdefault("program_name", self.program.name)
-        return execution
+        artifacts = phases.PIPELINE.execute(
+            StageContext(self), stop_after=stop_after, resume=resume)
+        artifacts.meta.setdefault("program", program_digest)
+        artifacts.meta.setdefault("program_name", self.program.name)
+        return artifacts
 
-    def result_from(self, execution: StageExecution) -> PipelineResult:
+    def result_from(self, artifacts: ArtifactSet) -> PipelineResult:
         """Assemble the :class:`PipelineResult` of a complete execution."""
-        if not execution.complete:
-            missing = [s.name for s in execution.graph.stages
-                       if s.name not in execution.artifacts.records]
+        pending = phases.PIPELINE.pending(artifacts)
+        if pending:
             raise StageGraphError(
                 "missing-producer",
-                f"execution is partial (stages not run: {missing}); "
+                f"execution is partial (stages not run: {pending}); "
                 "resume it to completion before assembling a result",
-                stage=missing[0])
-        value = execution.value
-        degraded_reasons = execution.degraded_reasons()
+                stage=pending[0])
+        values = artifacts.values
+        degraded_reasons = artifacts.degraded_reasons()
         return PipelineResult(
             program=self.program,
             config=self.config,
-            baseline=value("baseline"),
-            metadata=value("metadata"),
-            optimized=value("optimized"),
-            ir_profile=value("ir_profile"),
-            perf=value("perf"),
-            wpa_result=value("wpa_result"),
-            phase_seconds=execution.phase_seconds(),
-            match_stats=value("match_stats"),
-            recovered_profile=value("recovered_profile"),
+            baseline=values["baseline"],
+            metadata=values["metadata"],
+            optimized=values["optimized"],
+            ir_profile=values["ir_profile"],
+            perf=values["perf"],
+            wpa_result=values["wpa_result"],
+            phase_seconds=artifacts.phase_seconds(),
+            match_stats=values["match_stats"],
+            recovered_profile=values["recovered_profile"],
             counters=self.counters,
             degraded=bool(degraded_reasons),
             degraded_reasons=degraded_reasons,
@@ -764,7 +751,7 @@ class PropellerPipeline:
     def run(self) -> PipelineResult:
         """Execute Phases 1-4 and return all artifacts.
 
-        One full pass of :data:`repro.core.phases.PIPELINE_STAGES`
+        One full pass of :data:`repro.core.phases.PIPELINE`
         through the stage driver (see :mod:`repro.core.stages`), which
         applies tracing, fault degradation and phase accounting
         uniformly.
@@ -806,20 +793,22 @@ class PropellerPipeline:
         on ``result.incremental`` (an :class:`IncrementalSummary`), the
         ``incr.*`` counters and the report's ``incremental`` section.
 
-        On the stage graph this is :meth:`run`'s DAG with a prepended
-        ``plan-dirty`` stage, whose profile pre-collection falls back
-        to an empty profile *silently* -- the pipeline's own profile
-        stage will degrade honestly if collection is truly doomed.
+        There is no second graph: this is :meth:`run` between two plain
+        functions, :func:`repro.core.phases.plan_dirty` before it and
+        :func:`repro.core.phases.incremental_summary` after.  The
+        plan's profile pre-collection falls back to an empty profile
+        *silently* -- the pipeline's own profile stage will degrade
+        honestly if collection is truly doomed.
         """
         from repro import incr as incr_mod
 
         if isinstance(state, (str, Path)):
             state = incr_mod.IncrState.load(state)
         state.check(self.program.name, self.config)
-        execution = self.run_stages(incremental_state=state)
-        result = self.result_from(execution)
+        plan = phases.plan_dirty(self, state)
+        result = self.run()
         result.incremental = phases.incremental_summary(
-            self, state, execution.value("dirty_plan"), result.wpa_result)
+            self, state, plan, result.wpa_result)
         return result
 
 

@@ -9,13 +9,13 @@ that structure first-class instead of a hard-coded call sequence:
   (``Artifact("ir_profile", IRProfile)``).
 * :class:`Stage` -- one phase, declaring the artifacts it consumes and
   produces, the ``phase:*`` span it runs under, its degradation policy
-  (:class:`Fallback` or propagate) and the ``phase_seconds`` keys it
-  accounts.
+  (a ``fallback`` callable or propagate) and the ``phase_seconds`` keys
+  it accounts.
 * :class:`StageGraph` -- takes the stages in declaration order, which
   is the execution order, validates the wiring in one pass (an input
-  must come from a seed or an *earlier* stage; duplicate producer, type
-  mismatch -- each a structured :class:`StageGraphError`), and executes
-  through one driver.
+  must come from an *earlier* stage; duplicate producer, type mismatch
+  -- each a structured :class:`StageGraphError`), and executes through
+  one driver.
 
 The driver applies every cross-cutting layer *uniformly*, where the
 imperative ``PropellerPipeline.run()`` used to hand-weave them into
@@ -27,15 +27,16 @@ each phase:
   through the shared tracer.
 * **Fault degradation** -- a stage whose body exhausts its retry budget
   (:class:`~repro.faults.RetriesExhausted`) falls back to its declared
-  :class:`Fallback` and the run is marked degraded, with the
+  ``fallback`` and the run is marked degraded, with the
   ``degraded:*`` span and ``faults.degraded`` counter emitted by the
   driver; a stage with no fallback (the product builds) propagates.
   ``skip_if_degraded`` lets a stage declare "when that upstream stage
   degraded, use my fallback silently" -- how WPA is skipped when the
   hardware profile never materialized.
 * **Accounting** -- per-stage ``phase_seconds`` entries are recorded
-  through :meth:`StageContext.time` and assembled in declaration
-  order, so a resumed run reports the same mapping.
+  through :meth:`StageContext.time` and read back off the
+  :class:`ArtifactSet`'s records, so a resumed run reports the same
+  mapping.
 * **Stores** -- the persistent action store, the
   :class:`~repro.runtime.FunctionSolveCache` and the counters sink all
   ride on the :class:`StageContext`; stages reach them through one
@@ -75,10 +76,8 @@ from repro.runtime.cache import read_envelope, write_envelope
 __all__ = [
     "Artifact",
     "ArtifactSet",
-    "Fallback",
     "Stage",
     "StageContext",
-    "StageExecution",
     "StageGraph",
     "StageGraphError",
     "StageRecord",
@@ -130,23 +129,6 @@ class Artifact:
 
 
 @dataclass(frozen=True)
-class Fallback:
-    """A stage's declared degradation: what to produce when its retry
-    budget exhausts (or a ``skip_if_degraded`` upstream degraded).
-
-    ``produce(ctx, inputs)`` must return the same output mapping the
-    stage body would, including its :meth:`StageContext.time` entries.
-    ``degrades=False`` makes the fallback *silent*: the value is used
-    but the run is not marked degraded (the incremental pre-collection
-    wants this -- the pipeline's own profile stage will degrade later,
-    once, with the right reason).
-    """
-
-    produce: Callable[["StageContext", Mapping[str, Any]], Mapping[str, Any]]
-    degrades: bool = True
-
-
-@dataclass(frozen=True)
 class Stage:
     """One pipeline phase: typed inputs/outputs plus cross-cutting policy."""
 
@@ -157,9 +139,13 @@ class Stage:
     #: ``phase:<phase>`` span group; contiguous stages sharing it run
     #: inside one span.  ``None`` = no phase span (e.g. stale matching).
     phase: Optional[str] = None
-    #: Degradation policy: ``None`` propagates
+    #: Degradation policy: ``fallback(ctx, inputs)`` returns the output
+    #: mapping the body would (including its :meth:`StageContext.time`
+    #: entries) when the retry budget exhausts, and the run is marked
+    #: degraded.  ``None`` propagates
     #: :class:`~repro.faults.RetriesExhausted` (product builds).
-    fallback: Optional[Fallback] = None
+    fallback: Optional[
+        Callable[["StageContext", Mapping[str, Any]], Mapping[str, Any]]] = None
     #: Upstream stage names whose degradation silently short-circuits
     #: this stage to its fallback (no span, no degradation mark).
     skip_if_degraded: Tuple[str, ...] = ()
@@ -174,10 +160,10 @@ class StageRecord:
     """How one stage resolved during an execution."""
 
     name: str
-    #: ``computed`` | ``fallback`` | ``skipped`` | ``replayed``
+    #: ``computed`` | ``fallback`` | ``skipped``
     status: str = "computed"
     #: Degradation reason (== stage name) when the stage fell back
-    #: on an exhausted retry budget with a degrading fallback.
+    #: on an exhausted retry budget.
     degraded: bool = False
     #: ``phase_seconds`` entries recorded by the stage, in record order.
     times: List[Tuple[str, float]] = field(default_factory=list)
@@ -252,10 +238,20 @@ class ArtifactSet:
                  records: Optional[Dict[str, StageRecord]] = None,
                  meta: Optional[Dict[str, str]] = None):
         self.values: Dict[str, Any] = dict(values or {})
-        #: Stage name -> record, in stage-completion order.
+        #: Stage name -> record, in the order the stages ran (which is
+        #: declaration order; a resumed set is always a prefix of it).
         self.records: Dict[str, StageRecord] = dict(records or {})
         #: Caller metadata validated on resume (program/config digests).
         self.meta: Dict[str, str] = dict(meta or {})
+
+    def degraded_reasons(self) -> Tuple[str, ...]:
+        """Names of the stages that degraded, in the order they ran."""
+        return tuple(r.name for r in self.records.values() if r.degraded)
+
+    def phase_seconds(self) -> Dict[str, float]:
+        """Every recorded time entry, in the order the stages ran."""
+        return {key: value for record in self.records.values()
+                for key, value in record.times}
 
     def save(self, directory: "str | Path") -> Path:
         root = Path(directory)
@@ -279,15 +275,28 @@ class ArtifactSet:
         if not path.exists():
             raise StageGraphError(
                 "resume-mismatch", f"no artifact manifest at {path}")
-        manifest = json.loads(path.read_text())
-        version = manifest.get("schema_version")
-        if version != STAGE_GRAPH_SCHEMA_VERSION:
+        try:
+            manifest = json.loads(path.read_text())
+            version = manifest.get("schema_version")
+            if version != STAGE_GRAPH_SCHEMA_VERSION:
+                raise StageGraphError(
+                    "resume-mismatch",
+                    f"artifact-set schema v{version!r} is not the supported "
+                    f"v{STAGE_GRAPH_SCHEMA_VERSION}")
+            names = list(manifest.get("artifacts", []))
+            records = {
+                r["name"]: StageRecord.from_dict(r)
+                for r in manifest.get("records", [])
+            }
+            meta = dict(manifest.get("meta", {}))
+        except (OSError, ValueError, LookupError, TypeError,
+                AttributeError) as exc:
             raise StageGraphError(
                 "resume-mismatch",
-                f"artifact-set schema v{version!r} is not the supported "
-                f"v{STAGE_GRAPH_SCHEMA_VERSION}")
+                f"artifact manifest {path} is unreadable or mis-shaped: "
+                f"{exc!r}") from exc
         values = {}
-        for name in manifest.get("artifacts", []):
+        for name in names:
             try:
                 values[name] = read_envelope(root / f"{name}.artifact")
             except (OSError, ValueError) as exc:
@@ -295,72 +304,15 @@ class ArtifactSet:
                     "resume-mismatch",
                     f"artifact {name!r} in {root} is unreadable: {exc}",
                     artifact=name) from exc
-        records = {
-            r["name"]: StageRecord.from_dict(r)
-            for r in manifest.get("records", [])
-        }
-        return cls(values=values, records=records,
-                   meta=dict(manifest.get("meta", {})))
-
-
-class StageExecution:
-    """One driver run over a graph: artifacts, records, degradations."""
-
-    def __init__(self, graph: "StageGraph", artifacts: ArtifactSet,
-                 stop_after: Optional[str] = None):
-        self.graph = graph
-        self.artifacts = artifacts
-        self.stop_after = stop_after
-
-    def value(self, name: str) -> Any:
-        try:
-            return self.artifacts.values[name]
-        except KeyError:
-            raise StageGraphError(
-                "missing-producer",
-                f"artifact {name!r} was not produced by this execution "
-                f"(stopped after {self.stop_after!r})", artifact=name
-            ) from None
-
-    @property
-    def complete(self) -> bool:
-        """True when every stage of the graph has a resolution."""
-        return all(s.name in self.artifacts.records for s in self.graph.stages)
-
-    def degraded_reasons(self) -> Tuple[str, ...]:
-        """Degraded stage names, in declaration order."""
-        return tuple(
-            s.name for s in self.graph.stages
-            if self.artifacts.records.get(s.name) is not None
-            and self.artifacts.records[s.name].degraded
-        )
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """All recorded time entries, assembled in declaration order
-        (not completion order, so a resumed execution reports the
-        identical mapping)."""
-        times: Dict[str, float] = {}
-        for stage in self.graph.stages:
-            record = self.artifacts.records.get(stage.name)
-            if record is None:
-                continue
-            for key, value in record.times:
-                times[key] = value
-        return times
-
-    def save(self, directory: "str | Path") -> Path:
-        return self.artifacts.save(directory)
+        return cls(values=values, records=records, meta=meta)
 
 
 class StageGraph:
     """A validated sequence of stages: declaration order is execution
     order."""
 
-    def __init__(self, stages: Sequence[Stage],
-                 seeds: Sequence[Artifact] = ()):
+    def __init__(self, stages: Sequence[Stage]):
         self.stages: Tuple[Stage, ...] = tuple(stages)
-        #: Artifacts injected by the caller at execute() time.
-        self.seeds: Tuple[Artifact, ...] = tuple(seeds)
         self._by_name: Dict[str, Stage] = {}
         self._producer: Dict[str, Stage] = {}
         self.validate()
@@ -385,10 +337,6 @@ class StageGraph:
                     artifact=artifact.name)
 
         producer: Dict[str, Stage] = {}
-        seed_names = set()
-        for artifact in self.seeds:
-            check_type(artifact, "the seed set")
-            seed_names.add(artifact.name)
         for stage in self.stages:
             if stage.name in by_name:
                 raise StageGraphError(
@@ -396,20 +344,14 @@ class StageGraph:
                     f"two stages named {stage.name!r}", stage=stage.name)
             for artifact in stage.inputs:
                 check_type(artifact, f"stage {stage.name!r}")
-                if artifact.name not in producer and artifact.name not in seed_names:
+                if artifact.name not in producer:
                     raise StageGraphError(
                         "missing-producer",
                         f"stage {stage.name!r} consumes {artifact.name!r}, "
-                        "which no earlier stage produces and no seed provides",
+                        "which no earlier stage produces",
                         stage=stage.name, artifact=artifact.name)
             for artifact in stage.outputs:
                 check_type(artifact, f"stage {stage.name!r}")
-                if artifact.name in seed_names:
-                    raise StageGraphError(
-                        "duplicate-producer",
-                        f"artifact {artifact.name!r} is both a seed and an "
-                        f"output of stage {stage.name!r}",
-                        stage=stage.name, artifact=artifact.name)
                 other = producer.get(artifact.name)
                 if other is not None:
                     raise StageGraphError(
@@ -454,22 +396,27 @@ class StageGraph:
                 "unknown-stage", f"no stage named {name!r}", stage=name
             ) from None
 
+    def pending(self, artifacts: ArtifactSet) -> List[str]:
+        """Names of the stages ``artifacts`` carries no record of, in
+        order -- empty once an execution is complete."""
+        return [s.name for s in self.stages if s.name not in artifacts.records]
+
     def describe(self) -> Dict[str, Any]:
         """The DAG as plain data (JSON-able, schema-versioned)."""
         edges = []
         for stage in self.stages:
             for artifact in stage.inputs:
-                dep = self._producer.get(artifact.name)
                 edges.append({
-                    "from": dep.name if dep is not None else "<seed>",
+                    "from": self._producer[artifact.name].name,
                     "to": stage.name,
                     "artifact": artifact.name,
                 })
         return {
             "schema_version": STAGE_GRAPH_SCHEMA_VERSION,
-            "seeds": [
-                {"name": a.name, "type": a.type_name} for a in self.seeds
-            ],
+            # Constants of schema v1: there are no seed artifacts and a
+            # fallback always degrades; both keys go at the next reviewed
+            # golden regeneration.
+            "seeds": [],
             "stages": [
                 {
                     "name": s.name,
@@ -479,7 +426,7 @@ class StageGraph:
                     "outputs": [{"name": a.name, "type": a.type_name}
                                 for a in s.outputs],
                     "fallback": s.fallback is not None,
-                    "degrades": bool(s.fallback and s.fallback.degrades),
+                    "degrades": s.fallback is not None,
                     "skip_if_degraded": list(s.skip_if_degraded),
                     "time_keys": list(s.time_keys),
                     "doc": s.doc,
@@ -498,10 +445,6 @@ class StageGraph:
             '  node [shape=box, fontname="Helvetica"];',
             '  edge [fontname="Helvetica", fontsize=10];',
         ]
-        for artifact in self.seeds:
-            lines.append(
-                f'  "seed:{artifact.name}" [label="{artifact.name}\\n'
-                f'({artifact.type_name})", shape=ellipse, style=dashed];')
         for stage in self.stages:
             label = stage.name
             if stage.phase:
@@ -511,11 +454,9 @@ class StageGraph:
             lines.append(f'  "{stage.name}" [label="{label}"];')
         for stage in self.stages:
             for artifact in stage.inputs:
-                dep = self._producer.get(artifact.name)
-                src = dep.name if dep is not None else f"seed:{artifact.name}"
                 lines.append(
-                    f'  "{src}" -> "{stage.name}" '
-                    f'[label="{artifact.name}"];')
+                    f'  "{self._producer[artifact.name].name}" -> '
+                    f'"{stage.name}" [label="{artifact.name}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -524,37 +465,41 @@ class StageGraph:
     def execute(
         self,
         ctx: StageContext,
-        seeds: Mapping[str, Any],
         *,
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
-    ) -> StageExecution:
+    ) -> ArtifactSet:
         """Run the graph (or the prefix up to ``stop_after``).
 
         ``resume`` replays an earlier partial execution: stages whose
         records it carries are not re-run, their artifacts and
-        accounting are taken as-is.
+        accounting (status, degradations, recorded times) are taken
+        as-is.  It must be a prefix of the graph carrying every output
+        its stages declare -- checked here, before any stage runs.
         """
-        missing = [a.name for a in self.seeds if a.name not in seeds]
-        if missing:
-            raise StageGraphError(
-                "missing-producer",
-                f"execute() was not given seed artifact(s) {missing}",
-                artifact=missing[0])
         if stop_after is not None:
             self.stage(stop_after)  # raises unknown-stage
 
         artifacts = ArtifactSet()
-        artifacts.values.update(seeds)
         if resume is not None:
             artifacts.values.update(resume.values)
-            # Replayed stages keep their original accounting (status,
-            # degradations, recorded times); only stages the resumed
-            # set does not carry will run below.
-            artifacts.records.update(
-                (name, record) for name, record in resume.records.items()
-                if name in self._by_name)
-        execution = StageExecution(self, artifacts, stop_after=stop_after)
+            for stage in self.stages:
+                if stage.name not in resume.records:
+                    continue
+                for artifact in stage.outputs:
+                    if artifact.name not in resume.values:
+                        raise StageGraphError(
+                            "resume-mismatch",
+                            f"resumed artifact set says stage {stage.name!r} "
+                            f"ran but carries no {artifact.name!r} artifact",
+                            stage=stage.name, artifact=artifact.name)
+                artifacts.records[stage.name] = resume.records[stage.name]
+            pending = self.pending(artifacts)
+            if pending != list(self.order[len(artifacts.records):]):
+                raise StageGraphError(
+                    "resume-mismatch",
+                    f"resumed artifact set skips stage {pending[0]!r} but "
+                    "carries a later one", stage=pending[0])
 
         open_phase: Optional[str] = None
         open_span = None
@@ -568,8 +513,7 @@ class StageGraph:
 
         try:
             for stage in self.stages:
-                prior = artifacts.records.get(stage.name)
-                if prior is not None:
+                if stage.name in artifacts.records:
                     # Replayed from a resumed artifact set: keep its
                     # accounting, run nothing, open no span.
                     continue
@@ -578,15 +522,13 @@ class StageGraph:
                 record = StageRecord(name=stage.name)
                 inputs = {a.name: artifacts.values[a.name]
                           for a in stage.inputs}
-                degraded_now = {
-                    name for name, r in artifacts.records.items() if r.degraded
-                }
+                degraded_now = set(artifacts.degraded_reasons())
                 ctx._record = record
                 try:
                     if stage.skip_if_degraded and degraded_now.intersection(
                             stage.skip_if_degraded):
                         record.status = "skipped"
-                        outputs = stage.fallback.produce(ctx, inputs)
+                        outputs = stage.fallback(ctx, inputs)
                     else:
                         if stage.phase is not None and open_span is None:
                             open_span = ctx.tracer.span(
@@ -599,16 +541,14 @@ class StageGraph:
                             if stage.fallback is None:
                                 raise
                             record.status = "fallback"
-                            outputs = stage.fallback.produce(ctx, inputs)
-                            if stage.fallback.degrades:
-                                record.degraded = True
-                                ctx.counters.incr("faults.degraded")
-                                with ctx.tracer.span(
-                                        f"degraded:{stage.name}",
-                                        category="fault") as sp:
-                                    sp.note(kind=exc.kind,
-                                            attempts=exc.attempts,
-                                            events=",".join(exc.events))
+                            outputs = stage.fallback(ctx, inputs)
+                            record.degraded = True
+                            ctx.counters.incr("faults.degraded")
+                            with ctx.tracer.span(
+                                    f"degraded:{stage.name}",
+                                    category="fault") as sp:
+                                sp.note(kind=exc.kind, attempts=exc.attempts,
+                                        events=",".join(exc.events))
                 finally:
                     ctx._record = None
                 self._bind_outputs(stage, outputs, artifacts)
@@ -619,7 +559,7 @@ class StageGraph:
             close_phase()
             raise
         close_phase()
-        return execution
+        return artifacts
 
     def _bind_outputs(self, stage: Stage, outputs: Mapping[str, Any],
                       artifacts: ArtifactSet) -> None:

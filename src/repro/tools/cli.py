@@ -265,37 +265,37 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
         try:
             resume = ArtifactSet.load(args.resume_from)
         except StageGraphError as exc:
-            log.error("cannot resume from %s: %s", args.resume_from, exc)
+            log.error("cannot resume from %s: %s: %s",
+                      args.resume_from, exc.kind, exc)
             return 2
     try:
-        execution = pipe.run_stages(stop_after=args.stop_after or None,
+        artifacts = pipe.run_stages(stop_after=args.stop_after or None,
                                     resume=resume)
+        result = None if args.stop_after else pipe.result_from(artifacts)
     except StageGraphError as exc:
-        log.error("%s", exc)
+        log.error("%s: %s", exc.kind, exc)
         return 2
     if args.stop_after:
-        out = execution.save(args.artifacts_out)
-        produced = sorted(execution.artifacts.values)
+        out = artifacts.save(args.artifacts_out)
+        produced = sorted(artifacts.values)
         log.info("stopped after %r; %d artifact(s) saved to %s",
                  args.stop_after, len(produced), out)
         for name in produced:
             print(name)
         return 0
-    return _finish_optimize(args, pipe, pipe.result_from(execution))
+    return _finish_optimize(args, pipe, result)
 
 
 def cmd_stages(args) -> int:
     """Describe the pipeline stage graph (JSON, DOT, or a table).
 
-    ``--incremental`` shows the reoptimize graph (the same DAG with the
-    ``plan-dirty`` stage prepended).  Exit code 0 -- the graph is
-    validated at import, so an invalid wiring fails long before here.
+    Exit code 0 -- the graph is validated at import, so an invalid
+    wiring fails long before here.
     """
     import json as _json
 
-    from repro.core.phases import pipeline_stage_graph
+    from repro.core.phases import PIPELINE as graph
 
-    graph = pipeline_stage_graph(incremental=args.incremental)
     if args.format == "json":
         text = _json.dumps(graph.describe(), indent=2, sort_keys=True) + "\n"
     elif args.format == "dot":
@@ -304,18 +304,12 @@ def cmd_stages(args) -> int:
         table = Table(["stage", "phase", "consumes", "produces", "on exhaustion"])
         described = graph.describe()
         for stage in described["stages"]:
-            if stage["fallback"] and stage["degrades"]:
-                policy = "degrade"
-            elif stage["fallback"]:
-                policy = "silent fallback"
-            else:
-                policy = "propagate"
             table.add_row(
                 stage["name"],
                 stage["phase"] or "-",
                 ", ".join(a["name"] for a in stage["inputs"]) or "-",
                 ", ".join(a["name"] for a in stage["outputs"]) or "-",
-                policy,
+                "degrade" if stage["fallback"] else "propagate",
             )
         text = str(table) + "\n" + "order: " + " -> ".join(described["order"]) + "\n"
     if args.output:
@@ -596,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text",
                    help="JSON (schema-versioned describe()), Graphviz "
                         "DOT, or a human-readable table (default)")
-    p.add_argument("--incremental", action="store_true",
-                   help="show the reoptimize graph (plan-dirty prepended)")
     p.add_argument("-o", "--output", metavar="FILE", default=None,
                    help="write to FILE instead of stdout")
     _add_verbosity_args(p)

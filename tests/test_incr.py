@@ -303,6 +303,30 @@ class TestReoptimize:
         assert "lbr-profile" in result.degraded_reasons
         assert result.incremental  # accounting still attached
 
+    def test_doomed_pgo_collection_degrades_once(
+            self, prior, program, state_dir):
+        """The dirty plan's own pre-collection fails silently (it plans
+        against an empty profile); the run's ``pgo-profile`` stage is
+        what degrades -- once, and to the bytes a plain ``run()`` under
+        the same plan produces."""
+        # An edit no other test here makes: a profile-pgo action the
+        # shared store already holds would replay, and a replay cannot
+        # fault.
+        script = EditScript.generate(program, seed=5, kinds=("body",))
+        edited = script.apply(program)
+        plan = "fail=1,only=profile-pgo,seed=3"
+        pipeline = PropellerPipeline(edited, _config(
+            incremental=True, state_dir=str(state_dir), fault_plan=plan,
+            trace=True))
+        result = pipeline.reoptimize(state_path(state_dir))
+        assert result.degraded_reasons == ("pgo-profile",)
+        assert result.counters.count("faults.degraded") == 1
+        assert [s.name for s in pipeline.tracer.spans
+                if s.name.startswith("degraded:")] == ["degraded:pgo-profile"]
+        assert result.incremental is not None and result.incremental.reasons
+        full = PropellerPipeline(edited, _config(fault_plan=plan)).run()
+        assert result.digest() == full.digest()
+
     def test_convenience_wrapper_forces_incremental(
             self, prior, program, state_dir):
         result = reoptimize(program, state_path(state_dir),

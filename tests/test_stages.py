@@ -26,12 +26,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.phases import INSTRUMENTED_BUILD_FACTOR, pipeline_stage_graph
+from repro.core.phases import INSTRUMENTED_BUILD_FACTOR, PIPELINE
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.core.stages import (
     Artifact,
     ArtifactSet,
-    Fallback,
     Stage,
     StageContext,
     StageGraph,
@@ -128,7 +127,7 @@ class TestValidation:
             _stage("one", _produce(number="not an int"), outputs=(A_INT,)),
         ])
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), {})
+            graph.execute(_ctx())
         assert err.value.kind == "type-mismatch"
 
     def test_undeclared_output_rejected(self):
@@ -136,14 +135,14 @@ class TestValidation:
             _stage("one", _produce(number=1, extra=2), outputs=(A_INT,)),
         ])
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), {})
+            graph.execute(_ctx())
         assert err.value.kind == "bad-output"
 
     def test_skip_on_unknown_stage(self):
         with pytest.raises(StageGraphError) as err:
             StageGraph([
                 _stage("one", _produce(number=1), outputs=(A_INT,),
-                       fallback=Fallback(_produce(number=0)),
+                       fallback=_produce(number=0),
                        skip_if_degraded=("ghost",)),
             ])
         assert err.value.kind == "unknown-stage"
@@ -154,7 +153,7 @@ class TestValidation:
                 _stage("one", _produce(number=1), outputs=(A_INT,)),
                 _stage("two", _produce(text="x"), inputs=(A_INT,),
                        outputs=(A_STR,),
-                       fallback=Fallback(_produce(text="")),
+                       fallback=_produce(text=""),
                        skip_if_degraded=("one",)),
             ])
         assert err.value.kind == "unknown-stage"
@@ -163,28 +162,24 @@ class TestValidation:
         graph = StageGraph([_stage("one", _produce(number=1),
                                    outputs=(A_INT,))])
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), {}, stop_after="ghost")
+            graph.execute(_ctx(), stop_after="ghost")
         assert err.value.kind == "unknown-stage"
 
-    def test_missing_seed_value(self):
-        seed = Artifact("seeded", int)
-        graph = StageGraph(
-            [_stage("one", _produce(number=1), inputs=(seed,),
-                    outputs=(A_INT,))],
-            seeds=(seed,))
-        with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), {})
-        assert err.value.kind == "missing-producer"
-        assert err.value.artifact == "seeded"
+    def test_seeds_are_not_a_parameter(self):
+        stage = _stage("one", _produce(number=1), outputs=(A_INT,))
+        with pytest.raises(TypeError):
+            StageGraph([stage], seeds=(Artifact("seeded", int),))
+        with pytest.raises(TypeError):
+            StageGraph([stage]).execute(_ctx(), {})
 
     def test_skip_on_later_stage(self):
         with pytest.raises(StageGraphError) as err:
             StageGraph([
                 _stage("one", _produce(number=1), outputs=(A_INT,),
-                       fallback=Fallback(_produce(number=0)),
+                       fallback=_produce(number=0),
                        skip_if_degraded=("two",)),
                 _stage("two", _produce(text="x"), outputs=(A_STR,),
-                       fallback=Fallback(_produce(text=""))),
+                       fallback=_produce(text="")),
             ])
         assert err.value.kind == "unknown-stage"
         assert err.value.stage == "one"
@@ -196,7 +191,7 @@ class TestValidation:
                    outputs=(A_STR,)),
         ])
         with pytest.raises(TypeError):
-            graph.execute(_ctx(), {}, order=["one", "two"])
+            graph.execute(_ctx(), order=["one", "two"])
 
 
 # ----------------------------------------------------------------------
@@ -244,30 +239,17 @@ class TestExecution:
     def test_fallback_degrades_with_span_and_counter(self):
         graph = StageGraph([
             _stage("flaky", self._boom, outputs=(A_INT,), phase="p",
-                   fallback=Fallback(_produce(number=0))),
+                   fallback=_produce(number=0)),
         ])
         ctx = _ctx()
-        execution = graph.execute(ctx, {})
-        assert execution.value("number") == 0
-        assert execution.degraded_reasons() == ("flaky",)
-        assert execution.artifacts.records["flaky"].status == "fallback"
+        artifacts = graph.execute(ctx)
+        assert artifacts.values["number"] == 0
+        assert artifacts.degraded_reasons() == ("flaky",)
+        assert artifacts.records["flaky"].status == "fallback"
         assert ctx.counters.count("faults.degraded") == 1
         names = [s.name for s in ctx.tracer.spans]
         assert "degraded:flaky" in names
         assert "phase:p" in names
-
-    def test_silent_fallback_does_not_degrade(self):
-        graph = StageGraph([
-            _stage("flaky", self._boom, outputs=(A_INT,),
-                   fallback=Fallback(_produce(number=0), degrades=False)),
-        ])
-        ctx = _ctx()
-        execution = graph.execute(ctx, {})
-        assert execution.value("number") == 0
-        assert execution.degraded_reasons() == ()
-        assert ctx.counters.count("faults.degraded") == 0
-        assert not [s for s in ctx.tracer.spans
-                    if s.name.startswith("degraded:")]
 
     def test_no_fallback_propagates(self):
         graph = StageGraph([
@@ -275,26 +257,26 @@ class TestExecution:
         ])
         ctx = _ctx()
         with pytest.raises(RetriesExhausted):
-            graph.execute(ctx, {})
+            graph.execute(ctx)
         # The phase span is still closed and recorded on the way out.
         assert [s.name for s in ctx.tracer.spans] == ["phase:p"]
 
     def test_skip_if_degraded_is_silent_and_spanless(self):
         graph = StageGraph([
             _stage("flaky", self._boom, outputs=(A_INT,),
-                   fallback=Fallback(_produce(number=0))),
+                   fallback=_produce(number=0)),
             _stage("downstream", _produce(text="computed"),
                    inputs=(A_INT,), outputs=(A_STR,), phase="down",
-                   fallback=Fallback(_produce(text="skipped")),
+                   fallback=_produce(text="skipped"),
                    skip_if_degraded=("flaky",)),
         ])
         ctx = _ctx()
-        execution = graph.execute(ctx, {})
-        assert execution.value("text") == "skipped"
+        artifacts = graph.execute(ctx)
+        assert artifacts.values["text"] == "skipped"
         # Only the upstream degradation counts; the skip is silent.
-        assert execution.degraded_reasons() == ("flaky",)
+        assert artifacts.degraded_reasons() == ("flaky",)
         assert ctx.counters.count("faults.degraded") == 1
-        assert execution.artifacts.records["downstream"].status == "skipped"
+        assert artifacts.records["downstream"].status == "skipped"
         assert "phase:down" not in [s.name for s in ctx.tracer.spans]
 
     def test_contiguous_stages_share_one_phase_span(self):
@@ -305,7 +287,7 @@ class TestExecution:
                    phase="joint"),
         ])
         ctx = _ctx()
-        graph.execute(ctx, {})
+        graph.execute(ctx)
         assert [s.name for s in ctx.tracer.spans] == ["phase:joint"]
 
     def test_stop_after_runs_a_prefix(self):
@@ -314,12 +296,9 @@ class TestExecution:
             _stage("one", _produce(a=1), outputs=(a,)),
             _stage("two", _produce(b=1), inputs=(a,), outputs=(b,)),
         ])
-        execution = graph.execute(_ctx(), {}, stop_after="one")
-        assert not execution.complete
-        assert execution.value("a") == 1
-        with pytest.raises(StageGraphError) as err:
-            execution.value("b")
-        assert err.value.kind == "missing-producer"
+        artifacts = graph.execute(_ctx(), stop_after="one")
+        assert graph.pending(artifacts) == ["two"]
+        assert artifacts.values == {"a": 1}
 
 
 # ----------------------------------------------------------------------
@@ -333,27 +312,27 @@ class TestArtifactSet:
             _stage("one", _produce(a={"payload": 7}), outputs=(a,)),
             _stage("two", _produce(b=2), inputs=(a,), outputs=(b,)),
         ])
-        return graph, graph.execute(_ctx(), {}, stop_after="one")
+        return graph, graph.execute(_ctx(), stop_after="one")
 
     def test_save_load_resume_round_trip(self, tmp_path):
-        graph, execution = self._run_partial()
-        execution.artifacts.meta["program"] = "digest"
-        execution.save(tmp_path / "arts")
+        graph, partial = self._run_partial()
+        partial.meta["program"] = "digest"
+        partial.save(tmp_path / "arts")
 
         loaded = ArtifactSet.load(tmp_path / "arts")
         assert loaded.values["a"] == {"payload": 7}
         assert loaded.meta["program"] == "digest"
         assert loaded.records["one"].status == "computed"
 
-        resumed = graph.execute(_ctx(), {}, resume=loaded)
-        assert resumed.complete
-        assert resumed.value("b") == 2
+        resumed = graph.execute(_ctx(), resume=loaded)
+        assert graph.pending(resumed) == []
+        assert resumed.values["b"] == 2
         # The replayed stage kept its original record.
-        assert resumed.artifacts.records["one"].status == "computed"
+        assert resumed.records["one"].status == "computed"
 
     def test_corrupt_artifact_fails_loudly(self, tmp_path):
-        _, execution = self._run_partial()
-        root = execution.save(tmp_path / "arts")
+        _, partial = self._run_partial()
+        root = partial.save(tmp_path / "arts")
         payload = root / "a.artifact"
         payload.write_bytes(payload.read_bytes()[:-3] + b"zzz")
         with pytest.raises(StageGraphError) as err:
@@ -365,6 +344,51 @@ class TestArtifactSet:
         with pytest.raises(StageGraphError) as err:
             ArtifactSet.load(tmp_path / "nothing-here")
         assert err.value.kind == "resume-mismatch"
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],                    # truncated
+        lambda text: text.replace('"name"', '"nom"'),          # record sans name
+        lambda text: "[1, 2]",                                 # not an object
+        lambda text: text.replace('"records": [', '"records": [7, '),
+    ], ids=["truncated", "nameless-record", "list", "scalar-record"])
+    def test_bad_manifest_is_resume_mismatch(self, tmp_path, damage):
+        _, partial = self._run_partial()
+        root = partial.save(tmp_path / "arts")
+        manifest = root / "manifest.json"
+        manifest.write_text(damage(manifest.read_text()))
+        with pytest.raises(StageGraphError) as err:
+            ArtifactSet.load(root)
+        assert err.value.kind == "resume-mismatch"
+        assert str(manifest) in str(err.value)
+
+    def test_resume_missing_a_replayed_output_fails_before_running(self):
+        a, b = Artifact("a"), Artifact("b")
+        ran = []
+
+        def two(ctx, inputs):
+            ran.append("two")
+            return {"b": 2}
+
+        graph = StageGraph([
+            _stage("one", _produce(a=1), outputs=(a,)),
+            _stage("two", two, outputs=(b,)),  # does not read "a"
+        ])
+        partial = graph.execute(_ctx(), stop_after="one")
+        del partial.values["a"]  # the record still says "one" ran
+        with pytest.raises(StageGraphError) as err:
+            graph.execute(_ctx(), resume=partial)
+        assert err.value.kind == "resume-mismatch"
+        assert (err.value.stage, err.value.artifact) == ("one", "a")
+        assert ran == []
+
+    def test_resume_must_be_a_prefix(self):
+        graph, _ = self._run_partial()
+        full = graph.execute(_ctx())
+        del full.records["one"]
+        with pytest.raises(StageGraphError) as err:
+            graph.execute(_ctx(), resume=full)
+        assert err.value.kind == "resume-mismatch"
+        assert err.value.stage == "one"
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +415,7 @@ def full_digest(stage_program):
 class TestPipelineGraph:
     def test_golden_topology(self):
         """The DAG shape is a frozen public surface (CI gates on it)."""
-        described = pipeline_stage_graph().describe()
+        described = PIPELINE.describe()
         text = json.dumps(described, indent=2, sort_keys=True) + "\n"
         path = GOLDEN_DIR / "stage_graph.json"
         if REGEN:
@@ -402,26 +426,23 @@ class TestPipelineGraph:
             "to create it")
         assert text == path.read_text()
 
-    def test_incremental_graph_prepends_plan_dirty(self):
-        base = pipeline_stage_graph()
-        incr = pipeline_stage_graph(incremental=True)
-        assert incr.order == ("plan-dirty",) + base.order
-        assert [a.name for a in incr.seeds] == ["incr_state"]
-
     def test_describe_order_is_declaration_order(self):
-        for graph in (pipeline_stage_graph(),
-                      pipeline_stage_graph(incremental=True)):
-            names = [s.name for s in graph.stages]
-            assert graph.describe()["order"] == names
-            assert list(graph.order) == names
+        names = [s.name for s in PIPELINE.stages]
+        assert PIPELINE.describe()["order"] == names
+        assert list(PIPELINE.order) == names
 
     def test_run_stages_takes_no_order(self, stage_program):
         pipe = PropellerPipeline(stage_program, _cheap_config())
         with pytest.raises(TypeError):
-            pipe.run_stages(order=list(pipeline_stage_graph().order))
+            pipe.run_stages(order=list(PIPELINE.order))
+
+    def test_run_stages_takes_no_incremental_state(self, stage_program):
+        pipe = PropellerPipeline(stage_program, _cheap_config())
+        with pytest.raises(TypeError):
+            pipe.run_stages(incremental_state=object())
 
     def test_canonical_order_is_the_run_order(self):
-        assert pipeline_stage_graph().order == (
+        assert PIPELINE.order == (
             "pgo-profile", "inline", "baseline-build", "stale-match",
             "metadata-build", "lbr-profile", "wpa", "relink")
 
@@ -430,7 +451,7 @@ class TestPipelineGraph:
         config = _cheap_config()
         first = PropellerPipeline(stage_program, config)
         partial = first.run_stages(stop_after="wpa")
-        assert not partial.complete
+        assert PIPELINE.pending(partial) == ["relink"]
         partial.save(tmp_path / "arts")
 
         second = PropellerPipeline(stage_program, config)
@@ -465,10 +486,10 @@ class TestPipelineGraph:
     def test_recorded_times_match_declared_time_keys(self, stage_program):
         """``Stage.time_keys`` is golden-pinned introspection; what a real
         run records through ``ctx.time()`` must be exactly that."""
-        execution = PropellerPipeline(
+        artifacts = PropellerPipeline(
             stage_program, _cheap_config()).run_stages()
-        for stage in execution.graph.stages:
-            record = execution.artifacts.records[stage.name]
+        for stage in PIPELINE.stages:
+            record = artifacts.records[stage.name]
             assert tuple(k for k, _ in record.times) == stage.time_keys, (
                 stage.name)
 

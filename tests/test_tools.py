@@ -271,7 +271,67 @@ class TestBadConfigFlags:
             assert main([*argv, "--pgo-steps", "-1"]) == 2, argv[0]
 
 
+def _drop_metadata_artifact(manifest_text):
+    """The records still say ``metadata-build`` ran."""
+    manifest = json.loads(manifest_text)
+    manifest["artifacts"].remove("metadata")
+    return json.dumps(manifest)
+
+
+class TestBadResumeDirectory:
+    """A ``--resume-from`` directory that cannot be resumed is one
+    ``resume-mismatch`` line and exit status 2 -- before any stage runs,
+    never a traceback."""
+
+    ARGS = ["--lbr-branches", "20000", "--pgo-steps", "10000"]
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("badresume")
+        prog = str(root / "w.json")
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", prog])
+        assert main(["optimize", prog, *self.ARGS, "--stop-after", "wpa",
+                     "--artifacts-out", str(root / "arts")]) == 0
+        return prog, root / "arts"
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],
+        lambda text: text.replace('"name"', '"nom"'),
+        lambda text: "[1,2]",
+        _drop_metadata_artifact,
+    ], ids=["truncated", "nameless-record", "list", "missing-output"])
+    def test_exits_2_without_a_traceback(self, saved, tmp_path, damage):
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        prog, arts = saved
+        bad = tmp_path / "arts"
+        shutil.copytree(arts, bad)
+        manifest = bad / "manifest.json"
+        manifest.write_text(damage(manifest.read_text()))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "optimize", prog,
+             *self.ARGS, "--resume-from", str(bad)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and "resume-mismatch" in done.stderr
+        assert done.stdout == ""
+
+
 class TestCLIAPIDiscipline:
+    def test_stages_has_no_incremental_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stages", "--help"])
+        assert "--incremental" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["stages", "--incremental"])
+
     def test_jobs_flag_is_gone(self, capsys):
         assert len(PIPELINE_FLAG_FIELDS) == 11
         assert "jobs" not in PIPELINE_FLAG_FIELDS
