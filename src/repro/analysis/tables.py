@@ -30,7 +30,7 @@ def format_ratio(value: float, baseline: float) -> str:
 
 
 class Table:
-    """A simple aligned text table."""
+    """One set of headers and rows; aligned text or markdown at the edge."""
 
     def __init__(self, headers: Sequence[str], title: str = ""):
         self.title = title
@@ -59,6 +59,13 @@ class Table:
         lines.append(fmt(self.headers))
         lines.append("-+-".join("-" * w for w in widths))
         lines.extend(fmt(row) for row in self.rows)
+        return "\n".join(lines)
+
+    def markdown(self) -> str:
+        """The same headers and rows in GitHub table syntax (no title)."""
+        lines = ["| " + " | ".join(self.headers) + " |",
+                 "|" + "---|" * len(self.headers)]
+        lines.extend("| " + " | ".join(row) + " |" for row in self.rows)
         return "\n".join(lines)
 
     def __str__(self) -> str:

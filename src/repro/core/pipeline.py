@@ -27,14 +27,8 @@ from repro.elf import Executable, ObjectFile
 from repro.faults import FaultPlan
 from repro.ir.digest import module_digest
 from repro.linker import LinkOptions, LinkResult, LinkStats, link
-from repro.obs import (
-    NULL_TRACER,
-    BuildStat,
-    Counters,
-    PhaseStat,
-    PipelineReport,
-    Tracer,
-)
+from repro.obs import NULL_TRACER, Counters, PipelineReport, Tracer
+from repro.obs.report import plain
 from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
 from repro.runtime import FunctionSolveCache, resolve_cache_dir
 
@@ -80,18 +74,15 @@ class PipelineConfig:
     #: to the ``REPRO_CACHE_DIR`` environment variable; when neither is
     #: set, caching is in-memory only and runs start cold, as before.
     cache_dir: Optional[str] = None
-    #: Enable the incremental re-optimization engine (:mod:`repro.incr`):
-    #: per-function Ext-TSP solves are memoized in a
-    #: :class:`~repro.runtime.FunctionSolveCache` and
+    #: Directory holding incremental state across releases (see
+    #: :mod:`repro.incr`) -- the one spelling of "keep state": the
+    #: ``IncrState`` snapshot, the per-function Ext-TSP solve cache
+    #: (``solves/``, a :class:`~repro.runtime.FunctionSolveCache` that
     #: :meth:`PropellerPipeline.reoptimize` replays clean functions'
-    #: solutions.  Never changes any artifact --
-    #: ``PipelineResult.digest()`` is bit-identical with the engine on
-    #: or off.
-    incremental: bool = False
-    #: Directory holding incremental state across releases: the
-    #: ``IncrState`` snapshot, the solve cache (``solves/``) and -- when
-    #: ``cache_dir`` is not set otherwise -- the persistent action store
-    #: (``actions/``).  Setting it implies solve memoization.
+    #: solutions from) and -- when ``cache_dir`` is not set otherwise --
+    #: the persistent action store (``actions/``).  Never changes any
+    #: artifact: ``PipelineResult.digest()`` is bit-identical with or
+    #: without it.
     state_dir: Optional[str] = None
     #: Deterministic fault-injection plan (see :mod:`repro.faults`):
     #: a compact spec string (``"fail=0.02,timeout=0.01,seed=7"``), the
@@ -202,17 +193,7 @@ class IncrementalSummary:
 
     def as_dict(self) -> Dict[str, Any]:
         """The report-layer layout (JSON-able, key order preserved)."""
-        return {
-            "prior_digest": self.prior_digest,
-            "dirty": list(self.dirty),
-            "added": list(self.added),
-            "deleted": list(self.deleted),
-            "reasons": dict(self.reasons),
-            "hot_flips": list(self.hot_flips),
-            "solve_hits": self.solve_hits,
-            "solve_misses": self.solve_misses,
-            "solve_reuse": self.solve_reuse,
-        }
+        return plain(self)
 
 
 @dataclass
@@ -340,82 +321,13 @@ class PipelineResult:
 
     def report(self, include_frontend: bool = False,
                include_attribution: bool = False) -> PipelineReport:
-        """The run as a typed, JSON-able :class:`~repro.obs.PipelineReport`.
-
-        This is the supported programmatic surface: :meth:`summary` is
-        rendered from it, ``--metrics-out`` serializes it, and its JSON
-        layout is schema-versioned.  Everything in it is accounting --
-        the artifacts themselves stay on this result object.
-
-        ``include_frontend=True`` additionally simulates the frontend
-        model on the baseline and optimized binaries (a real
-        measurement, not free) and attaches the hardware-counter
-        scorecard as the report's ``frontend`` section.
-        ``include_attribution=True`` also fills the report's
-        ``frontend_by_function`` section with per-function attribution
-        (the input to ``repro-explain``); when both are requested the
-        simulation runs once and feeds both sections.
-        """
-        def build_stat(name: str, outcome: BuildOutcome) -> BuildStat:
-            return BuildStat(
-                name=name,
-                wall_seconds=outcome.wall_seconds,
-                backend_seconds=outcome.backends.wall_seconds,
-                link_seconds=outcome.link_seconds,
-                actions=outcome.backends.actions,
-                cache_hits=outcome.backends.cache_hits,
-                cold_cache_hits=outcome.cold_cache_hits,
-                hot_modules=outcome.hot_modules,
-                peak_memory_bytes=max(
-                    outcome.backends.peak_action_memory,
-                    outcome.link_stats.peak_memory_bytes,
-                ),
-                binary_size=outcome.executable.total_size,
-            )
-
-        phase_peaks = {
-            "wpa_convert": self.wpa_result.stats.peak_memory_bytes,
-            "lbr_profile_run": self.perf.size_bytes,
-            "prop_backends": self.optimized.backends.peak_action_memory,
-            "prop_link": self.optimized.link_stats.peak_memory_bytes,
-            "opt_build": max(self.baseline.backends.peak_action_memory,
-                             self.baseline.link_stats.peak_memory_bytes),
-            "metadata_build": max(self.metadata.backends.peak_action_memory,
-                                  self.metadata.link_stats.peak_memory_bytes),
-        }
-        snapshot = self.counters.snapshot()
-        frontend: Dict[str, Dict[str, float]] = {}
-        frontend_by_function: Dict[str, Dict[str, Dict[str, float]]] = {}
-        if include_frontend or include_attribution:
-            scorecard, attribution = self._simulate_frontend(
-                200_000, 77, None, by_function=include_attribution)
-            if include_frontend:
-                frontend = scorecard
-            frontend_by_function = attribution
-        return PipelineReport(
-            program=self.program.name,
-            modules=len(self.program.modules),
-            hot_functions=len(self.wpa_result.hot_functions),
-            builds=(
-                build_stat("baseline", self.baseline),
-                build_stat("metadata", self.metadata),
-                build_stat("optimized", self.optimized),
-            ),
-            phases=tuple(
-                PhaseStat(name=name, sim_seconds=seconds,
-                          peak_memory_bytes=phase_peaks.get(name, 0))
-                for name, seconds in self.phase_seconds.items()
-            ),
-            counters=snapshot["counters"],
-            gauges=snapshot["gauges"],
-            frontend=frontend,
-            frontend_by_function=frontend_by_function,
-            profile_recovery=self.match_stats.as_dict() if self.match_stats else {},
-            degraded=self.degraded,
-            degraded_reasons=self.degraded_reasons,
-            incremental=(self.incremental.as_dict()
-                         if self.incremental is not None else {}),
-        )
+        """The run as a typed, JSON-able :class:`~repro.obs.PipelineReport`:
+        the supported programmatic surface (:meth:`summary` is rendered
+        from it, ``--metrics-out`` serializes it).  Built by
+        :meth:`repro.obs.PipelineReport.from_result`, which documents
+        ``include_frontend`` and ``include_attribution``."""
+        return PipelineReport.from_result(self, include_frontend,
+                                          include_attribution)
 
     def summary(self) -> str:
         return self.report().summary()
@@ -463,14 +375,13 @@ class PropellerPipeline:
             fault_plan=FaultPlan.resolve(config.fault_plan),
         )
         self.counters: Counters = self.buildsys.counters
-        #: Per-function Ext-TSP solve memoization (see :mod:`repro.incr`).
-        #: Persisted under ``state_dir/solves`` when a state directory is
-        #: configured, in-memory otherwise; ``None`` when the incremental
-        #: engine is off.
+        #: Per-function Ext-TSP solve memoization (see :mod:`repro.incr`),
+        #: persisted under ``state_dir/solves``; ``None`` without a
+        #: state directory.
         self.solve_cache: "Optional[FunctionSolveCache]" = None
-        if config.incremental or config.state_dir:
-            solve_root = Path(config.state_dir) / "solves" if config.state_dir else None
-            self.solve_cache = FunctionSolveCache(solve_root, counters=self.counters)
+        if config.state_dir:
+            self.solve_cache = FunctionSolveCache(
+                Path(config.state_dir) / "solves", counters=self.counters)
         self._digests: Dict[str, Tuple[ir.Module, str]] = {}
         # id -> (options, signature); the options reference keeps the
         # object alive so a recycled id can never alias a stale entry.

@@ -63,13 +63,11 @@ def reoptimize(
 ) -> PipelineResult:
     """One-call incremental Propeller: re-optimize ``program`` against
     a prior release's ``state`` (an :class:`IncrState` or a path to
-    one).  The incremental engine is forced on; everything else follows
-    :meth:`repro.core.pipeline.PropellerPipeline.reoptimize`.
+    one).  Everything follows
+    :meth:`repro.core.pipeline.PropellerPipeline.reoptimize`; solves
+    replay only when ``config.state_dir`` names the prior release's
+    state directory.
     """
-    if isinstance(state, (str,)) or hasattr(state, "__fspath__"):
-        state = IncrState.load(state)
-    overrides = {"incremental": True}
     if seed is not None:
-        overrides["seed"] = seed
-    config = replace(config, **overrides)
+        config = replace(config, seed=seed)
     return PropellerPipeline(program, config).reoptimize(state)

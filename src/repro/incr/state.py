@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, Mapping
 
 from repro.ir.digest import function_digest
+from repro.obs.report import plain, record
 
 #: Schema version of the serialized state.  A loaded snapshot with a
 #: different version is incompatible and rejected (the next release
@@ -154,39 +155,12 @@ class IncrState:
     # -- persistence --------------------------------------------------
 
     def to_json(self) -> Dict:
-        return {
-            "schema_version": self.schema_version,
-            "program": self.program,
-            "config_signature": self.config_signature,
-            "result_digest": self.result_digest,
-            "functions": {
-                name: {
-                    "cfg_digest": fs.cfg_digest,
-                    "profile_digest": fs.profile_digest,
-                    "total_count": fs.total_count,
-                    "hot": fs.hot,
-                }
-                for name, fs in sorted(self.functions.items())
-            },
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "IncrState":
-        return cls(
-            program=data["program"],
-            config_signature=data["config_signature"],
-            result_digest=data["result_digest"],
-            functions={
-                name: FunctionState(
-                    cfg_digest=fs["cfg_digest"],
-                    profile_digest=fs["profile_digest"],
-                    total_count=float(fs["total_count"]),
-                    hot=bool(fs["hot"]),
-                )
-                for name, fs in data.get("functions", {}).items()
-            },
-            schema_version=int(data.get("schema_version", 0)),
-        )
+        # A snapshot without a version reads as v0, which check() rejects.
+        return record(cls, {"schema_version": 0, **data})
 
     def save(self, path: "str | os.PathLike") -> Path:
         """Write the snapshot as JSON; ``path`` may be a state directory."""
@@ -201,8 +175,16 @@ class IncrState:
 
     @classmethod
     def load(cls, path: "str | os.PathLike") -> "IncrState":
-        """Read a snapshot; ``path`` may be a state directory."""
+        """Read a snapshot; ``path`` may be a state directory.
+
+        A file that is not JSON, or not shaped like a snapshot, is an
+        :class:`IncrStateError` naming it.
+        """
         target = Path(path)
         if target.is_dir():
             target = state_path(target)
-        return cls.from_json(json.loads(target.read_text()))
+        try:
+            return cls.from_json(json.loads(target.read_text()))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise IncrStateError(
+                f"{target}: not a state snapshot ({exc})") from exc

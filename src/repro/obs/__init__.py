@@ -17,7 +17,10 @@ makes both visible for any pipeline run:
   aligned text table.
 * :class:`PipelineReport` -- the typed result object behind
   ``PipelineResult.report()`` and ``--metrics-out``, including the
-  hardware-counter ``frontend`` scorecard.
+  hardware-counter ``frontend`` scorecard.  Its module,
+  :mod:`repro.obs.report`, also holds ``plain``/``record``: the one
+  writer and the one reader of every record this package publishes
+  (the dataclass is the schema).
 * :mod:`repro.obs.bench` / :mod:`repro.obs.baseline` -- the continuous
   benchmark harness behind ``repro-bench``: declarative scenarios of
   exact metrics (simulated clock, counters, digests -- real seconds

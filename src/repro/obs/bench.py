@@ -4,10 +4,10 @@ The paper's whole argument is quantitative -- Table 3 speedups, Figure 8
 frontend counters, Figure 9 optimization time -- and layout gains are
 small percentages easily lost to noise (BOLT's CGO'19 evaluation makes
 the same point).  This module is the machinery that keeps those numbers
-*tracked* instead of printed: a suite of scenarios produces a
-schema-versioned :class:`BenchReport` that
-:mod:`repro.obs.baseline` can diff against a committed baseline and
-gate CI on.
+*tracked* instead of printed: the suite's scenarios (there is one
+suite; its presets and budgets are the module constants below) produce
+a schema-versioned :class:`BenchReport` that :mod:`repro.obs.baseline`
+can diff against a committed baseline and gate CI on.
 
 Every metric here is an exact function of (code, seed): simulated
 wall-clock, build-system counters, hardware-model counters, artifact
@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.obs.report import plain, record
+
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchContext",
@@ -35,8 +37,6 @@ __all__ = [
     "Metric",
     "ScenarioResult",
     "Scenario",
-    "SuiteSpec",
-    "SMOKE",
     "PERTURBATIONS",
     "run_suite",
     "suite_scenarios",
@@ -76,21 +76,11 @@ class Metric:
             )
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "unit": self.unit,
-            "direction": self.direction,
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Metric":
-        return cls(
-            name=data["name"],
-            value=data["value"],
-            unit=data.get("unit", ""),
-            direction=data.get("direction", "none"),
-        )
+        return record(cls, data)
 
 
 @dataclass(frozen=True)
@@ -108,23 +98,6 @@ class ScenarioResult:
             if metric.name == name:
                 return metric
         raise KeyError(f"scenario {self.name!r} has no metric {name!r}")
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "title": self.title,
-            "paper_ref": self.paper_ref,
-            "metrics": [m.to_json() for m in self.metrics],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        return cls(
-            name=data["name"],
-            title=data["title"],
-            paper_ref=data.get("paper_ref", ""),
-            metrics=tuple(Metric.from_json(m) for m in data["metrics"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -162,13 +135,7 @@ class BenchReport:
         return h.hexdigest()
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "suite": self.suite,
-            "seed": self.seed,
-            "perturb": self.perturb,
-            "scenarios": [s.to_json() for s in self.scenarios],
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "BenchReport":
@@ -179,23 +146,34 @@ class BenchReport:
                 f"{BENCH_SCHEMA_VERSION}; regenerate the file with this "
                 "repro-bench"
             )
-        return cls(
-            suite=data["suite"],
-            seed=data["seed"],
-            perturb=data.get("perturb"),
-            scenarios=tuple(ScenarioResult.from_json(s)
-                            for s in data["scenarios"]),
-        )
+        return record(cls, data)
 
 
 # ----------------------------------------------------------------------
 # Scenario framework
 
+#: The suite.  Small enough to run twice in CI; still has hot/cold
+#: modules and a non-trivial layout win to protect.  (Paper-scale tables
+#: and figures are the slow-tier tests under ``tests/paper/``.)
+SUITE_NAME = "smoke"
+#: (preset name, generation scale) pairs for quality scenarios.
+SUITE_PRESETS = (("531.deepsjeng", 0.3), ("505.mcf", 1.0))
+LBR_BRANCHES = 40_000
+PGO_STEPS = 20_000
+#: Trace budget (executed blocks) for frontend measurement.
+TRACE_BLOCKS = 60_000
+#: (preset name, generation scale) for the stale-profile drift sweep;
+#: needs a warm tier below WPA's hot set (``search`` has one, the small
+#: SPEC presets do not).
+DRIFT_PRESET = ("search", 0.006)
+#: Staleness levels swept by the drift scenario.
+DRIFT_LEVELS = (0.3, 0.5)
+
+
 @dataclass(frozen=True)
 class BenchContext:
     """Everything a scenario body may depend on (and nothing else)."""
 
-    suite: "SuiteSpec"
     seed: int
     perturb: Optional[str] = None
 
@@ -216,44 +194,13 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    """The declarative description of the suite: presets and budgets."""
-
-    name: str
-    #: (preset name, generation scale) pairs for quality scenarios.
-    presets: Tuple[Tuple[str, float], ...]
-    lbr_branches: int
-    pgo_steps: int
-    #: Trace budget (executed blocks) for frontend measurement.
-    trace_blocks: int
-    #: (preset name, generation scale) for the stale-profile drift
-    #: sweep; needs a warm tier below WPA's hot set (``search`` has
-    #: one, the small SPEC presets do not).
-    drift_preset: Tuple[str, float] = ("search", 0.006)
-    #: Staleness levels swept by the drift scenario.
-    drift_levels: Tuple[float, ...] = (0.3, 0.5)
-
-
-#: The one suite.  Small enough to run twice in CI; still has hot/cold
-#: modules and a non-trivial layout win to protect.  (Paper-scale tables
-#: and figures are the slow-tier tests under ``tests/paper/``.)
-SMOKE = SuiteSpec(
-    name="smoke",
-    presets=(("531.deepsjeng", 0.3), ("505.mcf", 1.0)),
-    lbr_branches=40_000,
-    pgo_steps=20_000,
-    trace_blocks=60_000,
-)
-
-
 def _pipeline_config(ctx: BenchContext, **overrides):
     from repro.core.pipeline import PipelineConfig
 
     base = dict(
         seed=ctx.seed,
-        lbr_branches=ctx.suite.lbr_branches,
-        pgo_steps=ctx.suite.pgo_steps,
+        lbr_branches=LBR_BRANCHES,
+        pgo_steps=PGO_STEPS,
         workers=72,
         enforce_ram=False,
     )
@@ -322,7 +269,7 @@ def _pipeline_scenario(preset_name: str, scale: float) -> Scenario:
 
         counters = frontend_scorecard(
             {"baseline": result.baseline.executable,
-             "optimized": optimized.executable}, ctx.suite.trace_blocks)
+             "optimized": optimized.executable}, TRACE_BLOCKS)
         for which in counters:
             # Baseline counters are a fingerprint of the input side;
             # optimized counters are the quality under protection, so
@@ -386,7 +333,7 @@ def _drift_sweep_scenario(preset_name: str, scale: float,
                 cards = frontend_scorecard(
                     {"baseline": result.baseline.executable,
                      "optimized": result.optimized.executable},
-                    ctx.suite.trace_blocks)
+                    TRACE_BLOCKS)
                 improvements[mode] = (
                     cards["baseline"].cycles / cards["optimized"].cycles - 1.0)
                 metrics.append(Metric(
@@ -444,7 +391,7 @@ def _faults_scenario() -> Scenario:
     def run(ctx: BenchContext) -> List[Metric]:
         from repro.core.pipeline import PropellerPipeline
 
-        preset_name, scale = ctx.suite.presets[0]
+        preset_name, scale = SUITE_PRESETS[0]
         program = _generate(ctx, preset_name, scale)
         plan = f"fail=0.02,timeout=0.01,seed={ctx.seed}"
 
@@ -531,7 +478,7 @@ def _incr_scenario() -> Scenario:
         from repro.incr import IncrState
         from repro.synth import EditScript
 
-        preset_name, scale = ctx.suite.presets[0]
+        preset_name, scale = SUITE_PRESETS[0]
         program = _generate(ctx, preset_name, scale)
 
         def sim_compute(result) -> float:
@@ -549,8 +496,7 @@ def _incr_scenario() -> Scenario:
 
         metrics: List[Metric] = []
         with tempfile.TemporaryDirectory(prefix="repro-incr-bench-") as tmp:
-            incr_config = _pipeline_config(
-                ctx, incremental=True, state_dir=tmp)
+            incr_config = _pipeline_config(ctx, state_dir=tmp)
             prior = PropellerPipeline(program, incr_config).run()
             state_file = IncrState.capture(prior).save(tmp)
 
@@ -639,24 +585,23 @@ def _explain_scenario() -> Scenario:
         from repro.synth import EditScript
         from repro.synth.edits import Edit, _body_candidates
 
-        preset_name, scale = ctx.suite.presets[0]
+        preset_name, scale = SUITE_PRESETS[0]
         program = _generate(ctx, preset_name, scale)
         config = _pipeline_config(ctx)
-        blocks = ctx.suite.trace_blocks
 
         base = PropellerPipeline(program, config).run()
         rerun = PropellerPipeline(program, config).run()
-        fixed = explain_results(base, rerun, max_blocks=blocks,
+        fixed = explain_results(base, rerun, max_blocks=TRACE_BLOCKS,
                                 labels=("base", "rerun"))
 
         per = base.frontend_counters_by_function(
-            max_blocks=blocks)["optimized"]
+            max_blocks=TRACE_BLOCKS)["optimized"]
         target = max(_body_candidates(program),
                      key=lambda f: (per.get(f, {}).get("cycles", 0.0), f))
         script = EditScript(edits=(
             Edit("body", target, program.module_of(target).name, ctx.seed),))
         edited = PropellerPipeline(script.apply(program), config).run()
-        rep = explain_results(base, edited, max_blocks=blocks,
+        rep = explain_results(base, edited, max_blocks=TRACE_BLOCKS,
                               labels=("base", "edited"))
         top = rep.attribution[0] if rep.attribution else None
         return [
@@ -687,9 +632,9 @@ def _explain_scenario() -> Scenario:
 
 
 def suite_scenarios() -> List[Scenario]:
-    """The declarative scenario list of the :data:`SMOKE` suite."""
-    scenarios = [_pipeline_scenario(name, scale) for name, scale in SMOKE.presets]
-    scenarios.append(_drift_sweep_scenario(*SMOKE.drift_preset, SMOKE.drift_levels))
+    """The declarative scenario list of the suite."""
+    scenarios = [_pipeline_scenario(name, scale) for name, scale in SUITE_PRESETS]
+    scenarios.append(_drift_sweep_scenario(*DRIFT_PRESET, DRIFT_LEVELS))
     scenarios.append(_faults_scenario())
     scenarios.append(_incr_scenario())
     scenarios.append(_explain_scenario())
@@ -712,7 +657,7 @@ def run_suite(
     if perturb is not None and perturb not in PERTURBATIONS:
         raise ValueError(
             f"unknown perturbation {perturb!r}; available: {PERTURBATIONS}")
-    ctx = BenchContext(suite=SMOKE, seed=seed, perturb=perturb)
+    ctx = BenchContext(seed=seed, perturb=perturb)
     scenarios = suite_scenarios()
     if only:
         wanted = set(only)
@@ -736,5 +681,5 @@ def run_suite(
         if saved_cache_env is not None:
             os.environ["REPRO_CACHE_DIR"] = saved_cache_env
     return BenchReport(
-        suite=SMOKE.name, seed=seed, scenarios=tuple(results), perturb=perturb,
+        suite=SUITE_NAME, seed=seed, scenarios=tuple(results), perturb=perturb,
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.report import plain, record
 from repro.obs.tracer import Span
 
 __all__ = ["CriticalPath", "PathStep", "critical_path", "spans_from_chrome"]
@@ -41,15 +42,6 @@ class PathStep:
     category: str
     sim_seconds: float
     depth: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "category": self.category,
-                "sim_seconds": self.sim_seconds, "depth": self.depth}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PathStep":
-        return cls(name=data["name"], category=data["category"],
-                   sim_seconds=data["sim_seconds"], depth=data["depth"])
 
 
 @dataclass(frozen=True)
@@ -69,23 +61,11 @@ class CriticalPath:
     binding_phase: str
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "total_seconds": self.total_seconds,
-            "steps": [s.as_dict() for s in self.steps],
-            "phase_seconds": dict(self.phase_seconds),
-            "phase_slack": dict(self.phase_slack),
-            "binding_phase": self.binding_phase,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CriticalPath":
-        return cls(
-            total_seconds=data["total_seconds"],
-            steps=tuple(PathStep.from_dict(s) for s in data["steps"]),
-            phase_seconds=dict(data["phase_seconds"]),
-            phase_slack=dict(data["phase_slack"]),
-            binding_phase=data["binding_phase"],
-        )
+        return record(cls, data)
 
 
 def critical_path(spans: Sequence[Span]) -> CriticalPath:

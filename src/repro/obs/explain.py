@@ -33,9 +33,11 @@ tests and gated by the ``explain:attribution`` bench scenario.
 
 Inputs are deliberately file-shaped: two ``--metrics-out`` JSON reports
 (plus optional ``--trace-out`` Chrome traces and ``--state-dir``
-snapshots), two ``repro-bench --out`` scorecards, or two state snapshots
-alone.  :func:`explain_results` wires the same engine to in-process
-:class:`~repro.core.pipeline.PipelineResult` pairs.
+snapshots) or two state snapshots alone.  :func:`explain_results` wires
+the same engine to in-process
+:class:`~repro.core.pipeline.PipelineResult` pairs.  Two ``repro-bench
+--out`` scorecards are not an input: ``repro-bench --compare`` is the
+one engine that diffs those.
 
 Like the rest of :mod:`repro.obs`, module scope imports nothing from
 the wider package (the tracer must stay importable everywhere);
@@ -48,6 +50,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.report import PipelineReport, plain, record
 
 __all__ = [
     "EXPLAIN_SCHEMA_VERSION",
@@ -109,18 +113,6 @@ class FunctionDelta:
     def delta(self) -> float:
         return self.new_cycles - self.base_cycles
 
-    def to_json(self) -> Dict[str, Any]:
-        return {"rank": self.rank, "function": self.function,
-                "base_cycles": self.base_cycles, "new_cycles": self.new_cycles,
-                "cause": self.cause, "evidence": self.evidence}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "FunctionDelta":
-        return cls(rank=data["rank"], function=data["function"],
-                   base_cycles=data["base_cycles"],
-                   new_cycles=data["new_cycles"],
-                   cause=data["cause"], evidence=data["evidence"])
-
 
 @dataclass(frozen=True)
 class PhaseDelta:
@@ -133,15 +125,6 @@ class PhaseDelta:
     @property
     def delta(self) -> float:
         return self.new_seconds - self.base_seconds
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"phase": self.phase, "base_seconds": self.base_seconds,
-                "new_seconds": self.new_seconds}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "PhaseDelta":
-        return cls(phase=data["phase"], base_seconds=data["base_seconds"],
-                   new_seconds=data["new_seconds"])
 
 
 @dataclass(frozen=True)
@@ -158,15 +141,6 @@ class CounterDelta:
     @property
     def delta(self) -> float:
         return self.new - self.base
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"name": self.name, "base": self.base, "new": self.new,
-                "verdict": self.verdict, "reason": self.reason}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "CounterDelta":
-        return cls(name=data["name"], base=data["base"], new=data["new"],
-                   verdict=data["verdict"], reason=data["reason"])
 
 
 @dataclass(frozen=True)
@@ -203,17 +177,7 @@ class ExplainReport:
         return self.critical_path.get("new", {}).get("binding_phase", "")
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "base_label": self.base_label,
-            "new_label": self.new_label,
-            "program": self.program,
-            "attribution": [f.to_json() for f in self.attribution],
-            "phases": [p.to_json() for p in self.phases],
-            "critical_path": {k: dict(v)
-                              for k, v in self.critical_path.items()},
-            "counters": [c.to_json() for c in self.counters],
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ExplainReport":
@@ -223,24 +187,14 @@ class ExplainReport:
                 f"explain schema version {version!r} is not the supported "
                 f"{EXPLAIN_SCHEMA_VERSION}"
             )
-        return cls(
-            base_label=data["base_label"],
-            new_label=data["new_label"],
-            program=data["program"],
-            attribution=tuple(FunctionDelta.from_json(f)
-                              for f in data.get("attribution", ())),
-            phases=tuple(PhaseDelta.from_json(p)
-                         for p in data.get("phases", ())),
-            critical_path={k: dict(v)
-                           for k, v in data.get("critical_path", {}).items()},
-            counters=tuple(CounterDelta.from_json(c)
-                           for c in data.get("counters", ())),
-        )
+        return record(cls, data)
 
     # -- rendering ------------------------------------------------------
 
     def markdown(self) -> str:
         """The report as a GitHub-flavored markdown scorecard."""
+        from repro.analysis import Table
+
         lines = [
             f"## Explain — `{self.base_label}` → `{self.new_label}`",
             "",
@@ -252,15 +206,13 @@ class ExplainReport:
             "",
         ]
         if self.attribution:
-            lines += [
-                "| rank | function | Δ cycles | base | new | cause | evidence |",
-                "|---|---|---|---|---|---|---|",
-            ]
+            table = Table(["rank", "function", "Δ cycles", "base", "new",
+                           "cause", "evidence"])
             for f in self.attribution:
-                lines.append(
-                    f"| {f.rank} | `{f.function}` | {f.delta:+.1f} "
-                    f"| {f.base_cycles:.1f} | {f.new_cycles:.1f} "
-                    f"| {f.cause} | {f.evidence} |")
+                table.add_row(f.rank, f"`{f.function}`", f"{f.delta:+.1f}",
+                              f"{f.base_cycles:.1f}", f"{f.new_cycles:.1f}",
+                              f.cause, f.evidence)
+            lines.append(table.markdown())
         else:
             lines.append("No function-level movement: the runs are "
                          "indistinguishable to the frontend model.")
@@ -277,10 +229,11 @@ class ExplainReport:
                 f"{base_cp.get('total_seconds', 0.0):.2f}s → "
                 f"{new_cp.get('total_seconds', 0.0):.2f}s.")
             if self.phases:
-                lines += ["", "| phase | base s | new s | Δ s |", "|---|---|---|---|"]
+                table = Table(["phase", "base s", "new s", "Δ s"])
                 for p in self.phases:
-                    lines.append(f"| {p.phase} | {p.base_seconds:.2f} "
-                                 f"| {p.new_seconds:.2f} | {p.delta:+.2f} |")
+                    table.add_row(p.phase, f"{p.base_seconds:.2f}",
+                                  f"{p.new_seconds:.2f}", f"{p.delta:+.2f}")
+                lines += ["", table.markdown()]
         else:
             lines.append("No traces supplied; critical path not computed.")
         lines += ["", "### Counter triage", ""]
@@ -288,12 +241,12 @@ class ExplainReport:
         if not moved:
             lines.append(f"All {len(self.counters)} counter(s) unchanged.")
         else:
-            lines += ["| counter | base | new | Δ | verdict | why |",
-                      "|---|---|---|---|---|---|"]
+            table = Table(["counter", "base", "new", "Δ", "verdict", "why"])
             for c in sorted(moved, key=lambda c: (c.verdict != "suspicious",
                                                   c.name)):
-                lines.append(f"| `{c.name}` | {c.base:g} | {c.new:g} "
-                             f"| {c.delta:+g} | **{c.verdict}** | {c.reason} |")
+                table.add_row(f"`{c.name}`", f"{c.base:g}", f"{c.new:g}",
+                              f"{c.delta:+g}", f"**{c.verdict}**", c.reason)
+            lines.append(table.markdown())
             unchanged = len(self.counters) - len(moved)
             if unchanged:
                 lines.append("")
@@ -337,8 +290,6 @@ class RunSnapshot:
     clusters: Dict[str, str] = field(default_factory=dict)
     #: Tracer spans (live) or reconstructed from a Chrome trace.
     spans: Optional[List[Any]] = None
-    #: Bench mode only: every counter is an exact scorecard metric.
-    scorecard: bool = False
 
     # -- loaders --------------------------------------------------------
 
@@ -391,10 +342,10 @@ class RunSnapshot:
              label: Optional[str] = None) -> "RunSnapshot":
         """Autodetecting file loader (the CLI's entry point).
 
-        ``path`` may be a ``--metrics-out`` report, a ``repro-bench
-        --out`` scorecard, or a ``--state-dir`` directory / ``state.json``
-        snapshot; ``trace`` and ``state`` optionally enrich a metrics
-        report with its Chrome trace and incremental state.
+        ``path`` may be a ``--metrics-out`` report or a ``--state-dir``
+        directory / ``state.json`` snapshot; ``trace`` and ``state``
+        optionally enrich a metrics report with its Chrome trace and
+        incremental state.
         """
         path = Path(path)
         label = label or path.name
@@ -402,17 +353,17 @@ class RunSnapshot:
             return cls._load_state(path, label)
         data = json.loads(path.read_text())
         if "scenarios" in data and "suite" in data:
-            return cls._load_bench(data, label)
+            raise ValueError(
+                f"{path}: a bench scorecard; diff two of those with "
+                "`repro-bench --compare`")
         if "builds" in data and "schema_version" in data:
             return cls._load_metrics(data, trace, state, label)
         raise ValueError(
-            f"{path}: not a metrics report, bench scorecard or state "
-            "snapshot (nothing here to explain)")
+            f"{path}: not a metrics report or state snapshot (nothing "
+            "here to explain)")
 
     @classmethod
     def _load_metrics(cls, data, trace, state, label) -> "RunSnapshot":
-        from repro.obs.report import PipelineReport
-
         spans = None
         if trace is not None:
             from repro.obs.critical_path import spans_from_chrome
@@ -433,26 +384,6 @@ class RunSnapshot:
         state = IncrState.load(path)
         return cls(label=label, program=state.program,
                    functions=_evidence_from_state(state))
-
-    @classmethod
-    def _load_bench(cls, data, label) -> "RunSnapshot":
-        """A ``repro-bench --out`` scorecard: triage-only evidence.
-
-        Scenario metrics become pseudo-counters (``scenario.metric``);
-        every one is exact, so any that moved at all is suspicious.
-        There is no per-function or span data to attribute, and the
-        engine says so rather than guessing.
-        """
-        snap = cls(label=label, program=data.get("suite", ""),
-                   scorecard=True)
-        for scenario in data.get("scenarios", ()):
-            for metric in scenario.get("metrics", ()):
-                value = metric.get("value")
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    continue
-                name = f"{scenario['name']}.{metric['name']}"
-                snap.counters[name] = float(value)
-        return snap
 
 
 def _evidence_from_state(state) -> Dict[str, Dict[str, Any]]:
@@ -613,24 +544,18 @@ def _triage(base: RunSnapshot, new: RunSnapshot,
         for name in names:
             b = float(b_map.get(name, 0.0))
             n = float(n_map.get(name, 0.0))
-            verdict, reason = _triage_one(name, b, n, kind, base, new,
-                                          content_changed)
+            verdict, reason = _triage_one(name, b, n, kind, content_changed)
             out.append(CounterDelta(name=name, base=b, new=n,
                                     verdict=verdict, reason=reason))
     return tuple(out)
 
 
 def _triage_one(name: str, b: float, n: float, kind: str,
-                base: RunSnapshot, new: RunSnapshot,
                 content_changed: bool) -> Tuple[str, str]:
     """First matching rule wins; identical values are always expected."""
     delta = n - b
     if delta == 0.0:
         return "expected", "unchanged"
-    if base.scorecard or new.scorecard:
-        return "suspicious", (
-            "exact-gated bench metric moved; deterministic contract "
-            "says it never should")
     if name in _ALWAYS_SUSPICIOUS and delta > 0:
         return "suspicious", _ALWAYS_SUSPICIOUS[name]
     if name.startswith(("faults.", "retry.")):

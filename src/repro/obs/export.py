@@ -151,23 +151,19 @@ def _fmt_value(value, unit: str = "") -> str:
     return f"{text}{unit}" if unit and unit != "frac" else text
 
 
-def _metric_rows(report: "BenchReport"):
-    for scenario in report.scenarios:
-        for metric in scenario.metrics:
-            yield (scenario.name, metric.name,
-                   _fmt_value(metric.value, metric.unit), scenario.paper_ref)
-
-
 def bench_scorecard(report: "BenchReport") -> "Table":
-    """A bench report as a human-readable aligned text table."""
+    """A bench report's rows: ``print`` it aligned, or take ``.markdown()``."""
     from repro.analysis import Table
 
     title = f"bench suite {report.suite!r} (seed {report.seed})"
     if report.perturb:
         title += f" [PERTURBED: {report.perturb}]"
     table = Table(["scenario", "metric", "value", "paper"], title=title)
-    for row in _metric_rows(report):
-        table.add_row(*row)
+    for scenario in report.scenarios:
+        for metric in scenario.metrics:
+            table.add_row(scenario.name, metric.name,
+                          _fmt_value(metric.value, metric.unit),
+                          scenario.paper_ref)
     return table
 
 
@@ -180,16 +176,13 @@ def bench_markdown(report: "BenchReport") -> str:
         f"Deterministic fingerprint `{report.deterministic_fingerprint()[:12]}`."
         + (f" **Injected fault: `{report.perturb}`.**" if report.perturb else ""),
         "",
-        "| scenario | metric | value | paper |",
-        "|---|---|---|---|",
+        bench_scorecard(report).markdown(),
     ]
-    for row in _metric_rows(report):
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
     return "\n".join(lines) + "\n"
 
 
 def comparison_table(comparison: "Comparison") -> "Table":
-    """A baseline comparison as an aligned text table (failures first)."""
+    """A baseline comparison's rows, failures first and upper-cased."""
     from repro.analysis import Table
 
     table = Table(["scenario", "metric", "verdict", "current", "baseline",
@@ -218,15 +211,5 @@ def comparison_markdown(comparison: "Comparison") -> str:
         for entry in failures:
             lines.append(f"- **{entry.label}**: {entry.verdict} — {entry.detail}")
         lines.append("")
-    lines += [
-        "| scenario | metric | verdict | current | baseline | detail |",
-        "|---|---|---|---|---|---|",
-    ]
-    for entry in comparison.entries:
-        lines.append("| " + " | ".join([
-            entry.scenario, entry.metric, entry.verdict,
-            _fmt_value(entry.current.value) if entry.current else "-",
-            _fmt_value(entry.baseline.value) if entry.baseline else "-",
-            entry.detail,
-        ]) + " |")
+    lines.append(comparison_table(comparison).markdown())
     return "\n".join(lines) + "\n"

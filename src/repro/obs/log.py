@@ -50,7 +50,10 @@ def configure_logging(
     ``verbosity``: negative = quiet (warnings and errors only), 0 =
     progress (info), positive = debug.  Returns the root ``repro``
     logger.  Safe to call repeatedly (e.g. once per CLI invocation, or
-    from tests with a capture stream).
+    from tests with a capture stream): every call re-binds the handler
+    to ``stream``, or to whatever ``sys.stderr`` is *now* -- never to
+    the stream of the first call, which a ``redirect_stderr`` or a test
+    harness has since replaced.
     """
     if verbosity < 0:
         level = logging.WARNING
@@ -62,14 +65,18 @@ def configure_logging(
     logger.setLevel(level)
     handler = next(
         (h for h in logger.handlers if getattr(h, _HANDLER_FLAG, False)), None)
+    if stream is None:
+        stream = sys.stderr
     if handler is None:
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+        handler = logging.StreamHandler(stream)
         setattr(handler, _HANDLER_FLAG, True)
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
         # The one handler is the channel; don't echo into the root logger.
         logger.propagate = False
-    elif stream is not None:
-        handler.setStream(stream)
+    else:
+        # Not setStream(): it flushes the old stream first, which may be
+        # a capture buffer closed since (every emit already flushed it).
+        handler.stream = stream
     handler.setLevel(level)
     return logger

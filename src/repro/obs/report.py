@@ -1,27 +1,82 @@
-"""Typed pipeline reports: the supported programmatic result surface.
+"""Typed pipeline reports, and the one codec every report shares.
 
 :class:`PipelineReport` is what ``PipelineResult.report()`` returns and
 what ``--metrics-out`` serializes.  It is a plain frozen dataclass of
 scalars -- no IR, no executables -- so it is cheap to keep, diff and
 ship to dashboards, and its JSON form is versioned
 (:data:`METRICS_SCHEMA_VERSION`) so downstream consumers can detect
-drift instead of silently misreading renamed fields.
-
+drift instead of silently misreading renamed fields.  It is built in
+one place, :meth:`PipelineReport.from_result`, and
 ``PipelineResult.summary()`` is :meth:`PipelineReport.summary`:
 anything the human-readable text can say, the typed object says first.
+
+**The dataclass is the schema.**  Every record :mod:`repro.obs`
+publishes (this report, the bench report, the explain report, the
+critical path) is written by :func:`plain` and read back by
+:func:`record`, both driven by the dataclass's own fields.  To add a
+field, declare it -- once, with a default so files written before it
+existed still load ("additive in schema v1"); there is no ``to_json``
+body to extend and no ``from_json`` body to keep in step.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from collections import abc
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from typing import Any, Dict, Mapping, Tuple, get_args, get_origin, get_type_hints
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
     "BuildStat",
     "PhaseStat",
     "PipelineReport",
+    "plain",
+    "record",
 ]
+
+
+def plain(value: Any) -> Any:
+    """A record as ``json.dumps``-able data: a dataclass becomes the
+    dict of its fields, a tuple a list, recursively."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, abc.Mapping):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def record(cls, data: Mapping[str, Any]):
+    """The inverse of :func:`plain`, driven by ``cls``'s field types.
+
+    Nested records, ``Tuple[X, ...]`` and mappings are rebuilt from
+    their hints; everything else is taken as is.  Unknown keys are
+    ignored and absent keys keep the field's default; a missing
+    *required* key is the constructor's ``TypeError``.
+    """
+    return cls(**{name: _rebuild(hint, data[name])
+                  for name, hint in _field_hints(cls) if name in data})
+
+
+@lru_cache(maxsize=None)
+def _field_hints(cls) -> Tuple[Tuple[str, Any], ...]:
+    # Resolved once per class: a state snapshot is one record per function.
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _rebuild(hint: Any, value: Any) -> Any:
+    if is_dataclass(hint):
+        return record(hint, value)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        return tuple(_rebuild(args[0], item) for item in value)
+    if origin in (dict, abc.Mapping):
+        return {key: _rebuild(args[1], item) for key, item in value.items()}
+    return value
+
 
 #: Bump on any backwards-incompatible change to the JSON layout.
 METRICS_SCHEMA_VERSION = 1
@@ -177,25 +232,7 @@ class PipelineReport:
 
     def to_json(self) -> Dict[str, Any]:
         """Plain-data form (``json.dumps``-able), schema-versioned."""
-        return {
-            "schema_version": self.schema_version,
-            "program": self.program,
-            "modules": self.modules,
-            "hot_functions": self.hot_functions,
-            "builds": [asdict(b) for b in self.builds],
-            "phases": [asdict(p) for p in self.phases],
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "frontend": {k: dict(v) for k, v in self.frontend.items()},
-            "frontend_by_function": {
-                binary: {fn: dict(c) for fn, c in funcs.items()}
-                for binary, funcs in self.frontend_by_function.items()
-            },
-            "profile_recovery": dict(self.profile_recovery),
-            "degraded": self.degraded,
-            "degraded_reasons": list(self.degraded_reasons),
-            "incremental": dict(self.incremental),
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "PipelineReport":
@@ -205,31 +242,74 @@ class PipelineReport:
                 f"metrics schema version {version!r} is not the supported "
                 f"{METRICS_SCHEMA_VERSION}"
             )
+        return record(cls, data)
+
+    @classmethod
+    def from_result(cls, result, include_frontend: bool = False,
+                    include_attribution: bool = False) -> "PipelineReport":
+        """The report of one :class:`~repro.core.pipeline.PipelineResult`
+        (what ``PipelineResult.report()`` delegates to).
+
+        Everything in it is accounting -- the artifacts themselves stay
+        on the result object.  ``include_frontend=True`` additionally
+        simulates the frontend model on the baseline and optimized
+        binaries (a real measurement, not free) and attaches the
+        hardware-counter scorecard as the ``frontend`` section;
+        ``include_attribution=True`` also fills ``frontend_by_function``
+        with per-function attribution (the input to ``repro-explain``).
+        When both are requested the simulation runs once and feeds both
+        sections.
+        """
+        builds = tuple(
+            BuildStat(
+                name=name,
+                wall_seconds=outcome.wall_seconds,
+                backend_seconds=outcome.backends.wall_seconds,
+                link_seconds=outcome.link_seconds,
+                actions=outcome.backends.actions,
+                cache_hits=outcome.backends.cache_hits,
+                cold_cache_hits=outcome.cold_cache_hits,
+                hot_modules=outcome.hot_modules,
+                peak_memory_bytes=max(
+                    outcome.backends.peak_action_memory,
+                    outcome.link_stats.peak_memory_bytes,
+                ),
+                binary_size=outcome.executable.total_size,
+            )
+            for name, outcome in (("baseline", result.baseline),
+                                  ("metadata", result.metadata),
+                                  ("optimized", result.optimized)))
+        baseline, metadata, _ = builds
+        phase_peaks = {
+            "wpa_convert": result.wpa_result.stats.peak_memory_bytes,
+            "lbr_profile_run": result.perf.size_bytes,
+            "prop_backends": result.optimized.backends.peak_action_memory,
+            "prop_link": result.optimized.link_stats.peak_memory_bytes,
+            "opt_build": baseline.peak_memory_bytes,
+            "metadata_build": metadata.peak_memory_bytes,
+        }
+        snapshot = result.counters.snapshot()
+        scorecard, by_function = {}, {}
+        if include_frontend or include_attribution:
+            scorecard, by_function = result._simulate_frontend(
+                200_000, 77, None, by_function=include_attribution)
         return cls(
-            program=data["program"],
-            modules=data["modules"],
-            hot_functions=data["hot_functions"],
-            builds=tuple(BuildStat(**b) for b in data["builds"]),
-            phases=tuple(PhaseStat(**p) for p in data["phases"]),
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            # Additive in schema version 1: absent in payloads written
-            # before the frontend scorecard existed.
-            frontend={k: dict(v) for k, v in data.get("frontend", {}).items()},
-            # Additive in schema version 1: absent before the explain
-            # engine's per-function attribution existed.
-            frontend_by_function={
-                binary: {fn: dict(c) for fn, c in funcs.items()}
-                for binary, funcs in data.get("frontend_by_function", {}).items()
-            },
-            # Additive in schema version 1: absent before stale-profile
-            # matching existed.
-            profile_recovery=dict(data.get("profile_recovery", {})),
-            # Additive in schema version 1: absent before fault
-            # injection existed.
-            degraded=bool(data.get("degraded", False)),
-            degraded_reasons=tuple(data.get("degraded_reasons", ())),
-            # Additive in schema version 1: absent before incremental
-            # re-optimization existed.
-            incremental=dict(data.get("incremental", {})),
+            program=result.program.name,
+            modules=len(result.program.modules),
+            hot_functions=len(result.wpa_result.hot_functions),
+            builds=builds,
+            phases=tuple(
+                PhaseStat(name=name, sim_seconds=seconds,
+                          peak_memory_bytes=phase_peaks.get(name, 0))
+                for name, seconds in result.phase_seconds.items()
+            ),
+            counters=snapshot["counters"],
+            gauges=snapshot["gauges"],
+            frontend=scorecard if include_frontend else {},
+            frontend_by_function=by_function,
+            profile_recovery=(result.match_stats.as_dict()
+                              if result.match_stats else {}),
+            degraded=result.degraded,
+            degraded_reasons=result.degraded_reasons,
+            incremental=plain(result.incremental) or {},
         )

@@ -63,7 +63,6 @@ PIPELINE_FLAG_FIELDS = {
     "enforce_ram": "enforce_ram",
     "stale_matching": "stale_matching",
     "fault_plan": "fault_plan",
-    "incremental": "incremental",
     "state_dir": "state_dir",
 }
 
@@ -95,16 +94,14 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                              "string like 'fail=0.02,timeout=0.01,seed=7' or "
                              "the path of a plan JSON file (see repro.faults); "
                              "changes simulated durations, never artifacts")
-    parser.add_argument("--incremental", action=argparse.BooleanOptionalAction,
-                        default=_DEFAULTS.incremental,
-                        help="incremental re-optimization (see repro.incr): "
-                             "replay per-function layout solves and prior "
-                             "build actions from --state-dir; bit-identical "
-                             "to a full run by construction")
     parser.add_argument("--state-dir", default=_DEFAULTS.state_dir,
                         help="directory holding incremental state across "
                              "runs (IncrState snapshot, solve cache, action "
-                             "store); required by --incremental")
+                             "store; see repro.incr): a run that finds a "
+                             "snapshot there re-optimizes against it, "
+                             "replaying per-function layout solves and prior "
+                             "build actions -- bit-identical to a full run "
+                             "by construction")
 
 
 def _add_observability_args(parser: argparse.ArgumentParser) -> None:
@@ -218,20 +215,20 @@ def cmd_optimize(args) -> int:
     pipe = PropellerPipeline(program, config)
     if args.stop_after or args.resume_from:
         return _optimize_partial(args, pipe)
-    if config.incremental and not config.state_dir:
-        log.error("--incremental requires --state-dir")
-        return 2
     if not config.state_dir:
         return _finish_optimize(args, pipe, pipe.run())
-    from repro.incr import IncrState, state_path
+    from repro.incr import IncrState, IncrStateError, state_path
 
     snapshot = state_path(config.state_dir)
-    if config.incremental and snapshot.exists():
-        result = pipe.reoptimize(IncrState.load(snapshot))
+    if snapshot.exists():
+        try:
+            result = pipe.reoptimize(snapshot)
+        except IncrStateError as exc:
+            log.error("%s", exc)
+            return 2
     else:
-        if config.incremental:
-            log.info("no prior state at %s; running full (and capturing)",
-                     snapshot)
+        log.info("no prior state at %s; running full (and capturing)",
+                 snapshot)
         result = pipe.run()
     # Captured even for full runs: two snapshots are what lets `explain`
     # tag each mover's cause (code edit vs profile drift vs hot-set
@@ -249,14 +246,12 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
     it).  ``--resume-from DIR`` loads such a set and runs only the
     remaining stages; a completed resume prints the normal summary --
     bit-identical to one uninterrupted run.  Both compose: a resumed
-    run may itself stop after a later stage.
+    run may itself stop after a later stage.  A partial run neither
+    reads nor writes a ``--state-dir`` snapshot (re-optimizing needs
+    the whole run).
     """
     from repro.core.stages import ArtifactSet, StageGraphError
 
-    if pipe.config.incremental:
-        log.error("--stop-after/--resume-from do not compose with "
-                  "--incremental (reoptimize needs the whole run)")
-        return 2
     if args.stop_after and not args.artifacts_out:
         log.error("--stop-after requires --artifacts-out DIR")
         return 2
@@ -623,9 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "explain",
         help="run-to-run attribution (also the repro-explain entry point)")
-    p.add_argument("base", help="base run: metrics JSON, repro-bench --out "
-                                "scorecard, or a --state-dir/state.json "
-                                "snapshot")
+    p.add_argument("base", help="base run: metrics JSON or a "
+                                "--state-dir/state.json snapshot")
     p.add_argument("new", help="new run (same kind as base)")
     p.add_argument("--base-trace", metavar="FILE", default=None,
                    help="base run's --trace-out Chrome trace")

@@ -226,35 +226,6 @@ class TestFileModes:
         assert main(["explain", str(bogus), str(bogus), "--quiet"]) == 2
 
 
-class TestBenchMode:
-    @staticmethod
-    def _scorecard(value: float, **extra) -> dict:
-        return {"suite": "smoke", "scenarios": [
-            {"name": "pipeline", "metrics": [
-                {"name": "digest_ok", "value": value, **extra},
-                {"name": "label", "value": "abc"},
-            ]},
-        ]}
-
-    def test_exact_gated_movement_is_suspicious(self):
-        base = RunSnapshot._load_bench(self._scorecard(1.0), "a")
-        new = RunSnapshot._load_bench(self._scorecard(2.0), "b")
-        report = explain(base, new)
-        (delta,) = report.counters
-        assert delta.name == "pipeline.digest_ok"
-        assert delta.verdict == "suspicious"
-
-    def test_every_scorecard_metric_is_exact(self):
-        # A schema-1 file's "gate": "noise" buys no leniency: there is
-        # one gate now, and an unmoved metric is the only expected one.
-        base = RunSnapshot._load_bench(self._scorecard(1.0, gate="noise"), "a")
-        new = RunSnapshot._load_bench(self._scorecard(1.3, gate="noise"), "b")
-        assert explain(base, new).counters[0].verdict == "suspicious"
-        report = explain(base, base)
-        assert report.counters[0].verdict == "expected"
-        assert report.attribution == ()  # nothing to attribute from
-
-
 class TestCounterTriage:
     @staticmethod
     def _explain_counters(base_counters, new_counters, content_changed=False):

@@ -48,7 +48,7 @@ def state_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def prior(program, state_dir):
     """The prior release: run with the incremental engine active."""
-    config = _config(incremental=True, state_dir=str(state_dir))
+    config = _config(state_dir=str(state_dir))
     result = PropellerPipeline(program, config).run()
     IncrState.capture(result).save(state_dir)
     return result
@@ -221,6 +221,26 @@ class TestIncrState:
         with pytest.raises(IncrStateError, match="schema"):
             state.check(prior.program.name, prior.config)
 
+    def test_snapshot_without_a_version_is_rejected(self, prior):
+        data = IncrState.capture(prior).to_json()
+        del data["schema_version"]
+        with pytest.raises(IncrStateError, match="schema"):
+            IncrState.from_json(data).check(prior.program.name, prior.config)
+
+    @pytest.mark.parametrize("payload", [
+        '{"program": "p", "config_sig',
+        "[1,2]",
+        '{"program": "p", "config_signature": "c", "result_digest": "d", '
+        '"schema_version": 1, "functions": {"f": {}}}',
+        "{}",
+    ], ids=["truncated", "list", "empty-function", "empty-object"])
+    def test_mis_shaped_snapshot_is_a_state_error_naming_the_file(
+            self, tmp_path, payload):
+        path = tmp_path / "state.json"
+        path.write_text(payload)
+        with pytest.raises(IncrStateError, match="state.json"):
+            IncrState.load(tmp_path)
+
 
 # ----------------------------------------------------------------------
 # Dirty planning
@@ -271,7 +291,7 @@ class TestReoptimize:
             self, prior, program, state_dir):
         script = EditScript.generate(program, seed=3, kinds=("body",))
         edited = script.apply(program)
-        config = _config(incremental=True, state_dir=str(state_dir))
+        config = _config(state_dir=str(state_dir))
         incr = PropellerPipeline(edited, config).reoptimize(
             state_path(state_dir))
 
@@ -295,7 +315,7 @@ class TestReoptimize:
         explicit reason -- it must never silently replay stale state."""
         script = EditScript.generate(program, seed=11, kinds=("body",))
         edited = script.apply(program)
-        config = _config(incremental=True, state_dir=str(state_dir),
+        config = _config(state_dir=str(state_dir),
                          fault_plan="fail=1,only=profile-lbr,seed=3")
         result = PropellerPipeline(edited, config).reoptimize(
             state_path(state_dir))
@@ -316,7 +336,7 @@ class TestReoptimize:
         edited = script.apply(program)
         plan = "fail=1,only=profile-pgo,seed=3"
         pipeline = PropellerPipeline(edited, _config(
-            incremental=True, state_dir=str(state_dir), fault_plan=plan,
+            state_dir=str(state_dir), fault_plan=plan,
             trace=True))
         result = pipeline.reoptimize(state_path(state_dir))
         assert result.degraded_reasons == ("pgo-profile",)
@@ -331,11 +351,11 @@ class TestReoptimize:
             self, prior, program, state_dir):
         result = reoptimize(program, state_path(state_dir),
                             config=_config(state_dir=str(state_dir)))
-        assert result.config.incremental
+        assert result.incremental is not None
         assert result.digest() == prior.digest()
 
     def test_state_mismatch_raises(self, prior, program, state_dir):
-        config = _config(incremental=True, state_dir=str(state_dir), seed=99)
+        config = _config(state_dir=str(state_dir), seed=99)
         with pytest.raises(IncrStateError):
             PropellerPipeline(program, config).reoptimize(
                 state_path(state_dir))
@@ -358,7 +378,7 @@ class TestEmptyScriptIsPureReplay:
         program = generate_workload(PRESETS["505.mcf"], scale=1.0, seed=seed)
         tmp = tmp_path_factory.mktemp(f"replay-{seed}")
         config = _config(pgo_steps=5_000, lbr_branches=10_000,
-                         incremental=True, state_dir=str(tmp))
+                         state_dir=str(tmp))
         prior = PropellerPipeline(program, config).run()
         path = IncrState.capture(prior).save(tmp)
 

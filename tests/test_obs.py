@@ -12,26 +12,44 @@ Regenerate with ``REPRO_REGEN_GOLDEN=1`` as for tests/test_golden.py.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis import Table
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
+    BenchReport,
     BuildStat,
+    CounterDelta,
     Counters,
+    CriticalPath,
+    ExplainReport,
+    FunctionDelta,
+    Metric,
     NullTracer,
+    PathStep,
+    PhaseDelta,
     PhaseStat,
     PipelineReport,
+    ScenarioResult,
     Tracer,
     chrome_trace,
     metrics_table,
+    write_bench_report,
 )
+from repro.obs.bench import DIRECTIONS
 from repro.obs.export import REAL_PID, SIM_PID
+from repro.obs.report import plain, record
 from repro.obs.tracer import _NULL_SPAN
+from repro.tools.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN", "").strip())
@@ -192,6 +210,136 @@ class TestReport:
             report.build("nope")
         with pytest.raises(KeyError):
             report.phase("nope")
+
+
+# One strategy per published record class; values are JSON-native so
+# ``==`` after a ``json`` round trip is exact.
+_text = st.text(max_size=6)
+_int = st.integers(-2**40, 2**40)
+_num = st.floats(allow_nan=False, allow_infinity=False)
+_json = st.recursive(
+    st.none() | st.booleans() | _int | _num | _text,
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(_text, inner, max_size=2), max_leaves=4)
+
+
+def _tuples(items):
+    return st.lists(items, max_size=2).map(tuple)
+
+
+def _maps(values):
+    return st.dictionaries(_text, values, max_size=2)
+
+
+_metric = st.builds(Metric, name=_text, value=_int | _num | _text, unit=_text,
+                    direction=st.sampled_from(DIRECTIONS))
+_scenario = st.builds(ScenarioResult, name=_text, title=_text,
+                      paper_ref=_text, metrics=_tuples(_metric))
+_function_delta = st.builds(FunctionDelta, rank=_int, function=_text,
+                            base_cycles=_num, new_cycles=_num, cause=_text,
+                            evidence=_text)
+_phase_delta = st.builds(PhaseDelta, phase=_text, base_seconds=_num,
+                         new_seconds=_num)
+_counter_delta = st.builds(CounterDelta, name=_text, base=_num, new=_num,
+                           verdict=_text, reason=_text)
+_path_step = st.builds(PathStep, name=_text, category=_text,
+                       sim_seconds=_num, depth=_int)
+_build_stat = st.builds(
+    BuildStat, name=_text, wall_seconds=_num, backend_seconds=_num,
+    link_seconds=_num, actions=_int, cache_hits=_int, cold_cache_hits=_int,
+    hot_modules=_int, peak_memory_bytes=_int, binary_size=_int)
+RECORDS = {
+    "Metric": _metric,
+    "ScenarioResult": _scenario,
+    "BenchReport": st.builds(
+        BenchReport, suite=_text, seed=_int, scenarios=_tuples(_scenario),
+        perturb=st.none() | _text),
+    "FunctionDelta": _function_delta,
+    "PhaseDelta": _phase_delta,
+    "CounterDelta": _counter_delta,
+    "ExplainReport": st.builds(
+        ExplainReport, base_label=_text, new_label=_text, program=_text,
+        attribution=_tuples(_function_delta), phases=_tuples(_phase_delta),
+        critical_path=_maps(_maps(_json)), counters=_tuples(_counter_delta)),
+    "PathStep": _path_step,
+    "CriticalPath": st.builds(
+        CriticalPath, total_seconds=_num, steps=_tuples(_path_step),
+        phase_seconds=_maps(_num), phase_slack=_maps(_num),
+        binding_phase=_text),
+    "PipelineReport": st.builds(
+        PipelineReport, program=_text, modules=_int, hot_functions=_int,
+        builds=_tuples(_build_stat),
+        phases=_tuples(st.builds(PhaseStat, name=_text, sim_seconds=_num,
+                                 peak_memory_bytes=_int)),
+        counters=_maps(_num), gauges=_maps(_num),
+        frontend=_maps(_maps(_num)),
+        frontend_by_function=_maps(_maps(_maps(_num))),
+        profile_recovery=_maps(_json), degraded=st.booleans(),
+        degraded_reasons=_tuples(_text), incremental=_maps(_json)),
+}
+
+
+class TestRecordCodec:
+    """``plain``/``record`` are the one writer and the one reader: the
+    dataclass is the schema, for every record class ``repro.obs``
+    publishes."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_and_schema_rules(self, name, data):
+        x = data.draw(RECORDS[name])
+        cls = type(x)
+        assert cls.__name__ == name
+        payload = json.loads(json.dumps(plain(x)))
+        assert record(cls, payload) == x
+        assert record(cls, {**payload, "not-a-field": [1]}) == x
+        for f in dataclasses.fields(cls):
+            partial = {k: v for k, v in payload.items() if k != f.name}
+            if f.default is not dataclasses.MISSING:
+                assert getattr(record(cls, partial), f.name) == f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                assert getattr(record(cls, partial), f.name) == f.default_factory()
+            else:
+                with pytest.raises(TypeError):
+                    record(cls, partial)
+
+
+class TestOneRenderer:
+    def test_markdown_and_render_carry_the_same_cells(self):
+        table = Table(["metric", "value"], title="t")
+        table.add_row("a.b", 1.5)
+        table.add_row("digest", "abc")
+
+        def cells(text, skip):
+            lines = text.splitlines()
+            return [[c.strip() for c in line.strip("|").split("|")]
+                    for i, line in enumerate(lines) if i not in skip]
+
+        # render(): title, header, rule, rows; markdown(): header, rule, rows.
+        assert (cells(table.markdown(), skip={1})
+                == cells(table.render(), skip={0, 2})
+                == [["metric", "value"], ["a.b", "1.5"], ["digest", "abc"]])
+
+
+class TestCLIEdges:
+    def test_errors_follow_the_current_stderr(self):
+        """The log handler is not pinned to the stream of the first CLI
+        call in the process."""
+        main(["presets", "-q"])
+        buf = io.StringIO()
+        with contextlib.redirect_stderr(buf):
+            assert main(["bench", "--scenario", "bogus"]) == 2
+        assert "unknown scenarios" in buf.getvalue()
+
+    def test_explain_refuses_a_bench_scorecard(self, tmp_path, capsys):
+        """Two scorecards are diffed by one engine, ``repro-bench
+        --compare``; ``repro-explain`` says so and exits 2."""
+        scorecard = tmp_path / "scorecard.json"
+        write_bench_report(BenchReport(suite="smoke", seed=3, scenarios=()),
+                           scorecard)
+        assert main(["explain", str(scorecard), str(scorecard)]) == 2
+        assert "repro-bench --compare" in capsys.readouterr().err
 
 
 class TestChromeTrace:

@@ -195,4 +195,4 @@ class TestConfigValidation:
         for bad in (0, 2, -1):
             with pytest.raises(ValueError, match="jobs"):
                 dataclasses.replace(PipelineConfig(), jobs=bad)
-        assert len(dataclasses.fields(PipelineConfig)) == 18
+        assert len(dataclasses.fields(PipelineConfig)) == 17

@@ -324,6 +324,52 @@ class TestBadResumeDirectory:
         assert done.stdout == ""
 
 
+class TestBadStateDirectory:
+    """A ``--state-dir`` whose snapshot cannot seed this run is one
+    stderr line and exit status 2, never a traceback."""
+
+    ARGS = ["--lbr-branches", "20000", "--pgo-steps", "10000"]
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("badstate")
+        prog = str(root / "w.json")
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", prog])
+        assert main(["optimize", prog, *self.ARGS,
+                     "--state-dir", str(root / "st")]) == 0
+        return prog, root / "st"
+
+    @pytest.mark.parametrize("damage, extra", [
+        (lambda text: text[:len(text) // 2], []),
+        (lambda text: "[1,2]", []),
+        (lambda text: text.replace('"cfg_digest"', '"cfg"'), []),
+        (lambda text: "{}", []),
+        (lambda text: text, ["--seed", "9"]),
+    ], ids=["truncated", "list", "bad-function", "empty-object", "other-seed"])
+    def test_exits_2_without_a_traceback(self, saved, tmp_path, damage, extra):
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        prog, state_dir = saved
+        bad = tmp_path / "st"
+        shutil.copytree(state_dir, bad)
+        snapshot = bad / "state.json"
+        snapshot.write_text(damage(snapshot.read_text()))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "optimize", prog,
+             *self.ARGS, *extra, "--state-dir", str(bad)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == ""
+
+
 class TestCLIAPIDiscipline:
     def test_stages_has_no_incremental_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -333,7 +379,7 @@ class TestCLIAPIDiscipline:
             main(["stages", "--incremental"])
 
     def test_jobs_flag_is_gone(self, capsys):
-        assert len(PIPELINE_FLAG_FIELDS) == 11
+        assert len(PIPELINE_FLAG_FIELDS) == 10
         assert "jobs" not in PIPELINE_FLAG_FIELDS
         with pytest.raises(SystemExit):
             main(["optimize", "--help"])
