@@ -15,20 +15,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import ir
 from repro.analysis import MemoryMeter
 from repro.buildsys import BuildSystem, PhaseReport, digest_parts
 from repro.codegen import CodeGenOptions, compile_action
-from repro.core.stages import ArtifactSet, StageContext, StageGraphError
+from repro.core.stages import ArtifactSet, StageGraphError
 from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
 from repro.faults import FaultPlan
 from repro.ir.digest import module_digest
 from repro.linker import LinkOptions, LinkResult, LinkStats, link
 from repro.obs import NULL_TRACER, Counters, PipelineReport, Tracer
-from repro.obs.report import plain
 from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
 from repro.runtime import FunctionSolveCache, resolve_cache_dir
 
@@ -169,8 +168,8 @@ class IncrementalSummary:
     The dirty plan (what changed since the prior release's snapshot and
     why), the hot-set churn, and the solve-cache reuse tallies.  Pure
     accounting -- never part of :meth:`PipelineResult.digest` -- and
-    serialized onto the report additively via :meth:`as_dict`, whose
-    layout is byte-compatible with the raw dict it replaced.
+    serialized onto the report additively by
+    :func:`repro.obs.report.plain`.
     """
 
     #: ``result.digest()`` of the prior release the plan was made against.
@@ -190,10 +189,6 @@ class IncrementalSummary:
     solve_misses: int
     #: ``hits / lookups`` (1.0 when nothing was looked up).
     solve_reuse: float
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The report-layer layout (JSON-able, key order preserved)."""
-        return plain(self)
 
 
 @dataclass
@@ -491,12 +486,14 @@ class PropellerPipeline:
 
     # ------------------------------------------------------------------
     # Single phases (what the CLI subcommands, examples and benchmarks
-    # are wired from).  Each runs the same function the stage graph
-    # runs -- see :mod:`repro.core.phases` for the bodies.
+    # are wired from).  Each calls the same function the stage graph
+    # runs -- see :mod:`repro.core.phases` for the bodies -- given only
+    # the inputs it reads; its times are dropped and no fallback
+    # applies (:class:`~repro.faults.RetriesExhausted` propagates).
 
     def collect_pgo_profile(self) -> IRProfile:
         """Instrumented training run (the ``pgo-profile`` phase)."""
-        return phases.run_standalone(phases.PGO_PROFILE, self)["ir_profile"]
+        return phases.PGO_PROFILE.run(self, {})["ir_profile"]
 
     def match_stale_profile(
         self, profile: IRProfile, mode: Optional[str] = None
@@ -506,7 +503,7 @@ class PropellerPipeline:
         :func:`repro.core.phases.match_stale`."""
         if mode is None:
             mode = self.config.stale_matching
-        return phases.match_stale(StageContext(self), profile, mode)
+        return phases.match_stale(self, profile, mode)
 
     def baseline_options(self, profile: IRProfile) -> CodeGenOptions:
         return CodeGenOptions(ir_profile=profile)
@@ -531,8 +528,8 @@ class PropellerPipeline:
 
     def build_metadata(self, profile: IRProfile) -> BuildOutcome:
         """Phases 1-2: the BB-address-map metadata build (§3.2)."""
-        return phases.run_standalone(
-            phases.METADATA_BUILD, self, ir_profile=profile)["metadata"]
+        return phases.METADATA_BUILD.run(
+            self, {"ir_profile": profile})["metadata"]
 
     def collect_perf(self, profile: Optional[IRProfile] = None) -> PerfData:
         """Phase 3 sampling: train, build the metadata binary, profile it.
@@ -544,9 +541,8 @@ class PropellerPipeline:
         """
         if profile is None:
             profile = self.collect_pgo_profile()
-        return phases.run_standalone(
-            phases.LBR_PROFILE, self,
-            metadata=self.build_metadata(profile))["perf"]
+        return phases.LBR_PROFILE.run(
+            self, {"metadata": self.build_metadata(profile)})["perf"]
 
     def analyze(
         self, perf: PerfData, profile: Optional[IRProfile] = None
@@ -561,9 +557,9 @@ class PropellerPipeline:
         """
         if profile is None:
             profile = self.collect_pgo_profile()
-        return phases.run_standalone(
-            phases.WPA, self, metadata=self.build_metadata(profile),
-            perf=perf, perf_key=perf.digest())["wpa_result"]
+        return phases.WPA.run(
+            self, {"metadata": self.build_metadata(profile), "perf": perf,
+                   "perf_key": perf.digest()})["wpa_result"]
 
     def relink(
         self,
@@ -577,9 +573,9 @@ class PropellerPipeline:
         ``hot_profile`` is the stale-matching recovery of it, when
         enabled (see :func:`repro.core.phases.relink`).
         """
-        return phases.run_standalone(
-            phases.RELINK, self, ir_profile=ir_profile,
-            wpa_result=wpa_result, recovered_profile=hot_profile)["optimized"]
+        return phases.RELINK.run(
+            self, {"ir_profile": ir_profile, "wpa_result": wpa_result,
+                   "recovered_profile": hot_profile})["optimized"]
 
     def build_bolt_input(self, ir_profile: IRProfile) -> BuildOutcome:
         """The BOLT metadata binary: same objects, linked with --emit-relocs."""
@@ -626,7 +622,7 @@ class PropellerPipeline:
                 # replay its program transform, not just its artifacts.
                 self.program = resume.values["prepared_program"]
         artifacts = phases.PIPELINE.execute(
-            StageContext(self), stop_after=stop_after, resume=resume)
+            self, stop_after=stop_after, resume=resume)
         artifacts.meta.setdefault("program", program_digest)
         artifacts.meta.setdefault("program_name", self.program.name)
         return artifacts

@@ -1,4 +1,4 @@
-"""Typed artifact/stage engine: the pipeline as a validated sequence.
+"""Typed artifact/stage engine: the pipeline as a declared sequence.
 
 Propeller's defining property (PAPER.md §3-§4) is a *relinking pipeline
 of distinct, cacheable phases* -- baseline build, metadata build,
@@ -7,24 +7,23 @@ that structure first-class instead of a hard-coded call sequence:
 
 * :class:`Artifact` -- a named, typed value flowing between stages
   (``Artifact("ir_profile", IRProfile)``).
-* :class:`Stage` -- one phase, declaring the artifacts it consumes and
-  produces, the ``phase:*`` span it runs under, its degradation policy
-  (a ``fallback`` callable or propagate) and the ``phase_seconds`` keys
-  it accounts.
-* :class:`StageGraph` -- takes the stages in declaration order, which
-  is the execution order, validates the wiring in one pass (an input
-  must come from an *earlier* stage; duplicate producer, type mismatch
-  -- each a structured :class:`StageGraphError`), and executes through
-  one driver.
+* :class:`Stage` -- one phase: a function ``run(pipeline, inputs)``
+  returning *everything it produced* in one mapping -- its declared
+  output artifacts and its declared ``phase_seconds`` keys -- plus the
+  ``phase:*`` span it runs under and its degradation policy (a
+  ``fallback`` of the same shape, or propagate).
+* :class:`StageGraph` -- the stages in declaration order, which is the
+  execution order, run through one driver.  There is one graph, the
+  constant :data:`repro.core.phases.PIPELINE`; its wiring is not
+  re-checked at import but pinned in tier 1 by the committed golden
+  (``tests/golden/stage_graph.json``) and a test over its inputs.
 
-The driver applies every cross-cutting layer *uniformly*, where the
-imperative ``PropellerPipeline.run()`` used to hand-weave them into
-each phase:
+The driver applies every cross-cutting layer *uniformly*:
 
 * **Tracing** -- contiguous stages sharing a ``phase`` name run inside
   one ``phase:<name>`` span (the golden-pinned span names are produced
   here, nowhere else).  Stage bodies still emit their own inner spans
-  through the shared tracer.
+  through the pipeline's tracer.
 * **Fault degradation** -- a stage whose body exhausts its retry budget
   (:class:`~repro.faults.RetriesExhausted`) falls back to its declared
   ``fallback`` and the run is marked degraded, with the
@@ -33,14 +32,12 @@ each phase:
   ``skip_if_degraded`` lets a stage declare "when that upstream stage
   degraded, use my fallback silently" -- how WPA is skipped when the
   hardware profile never materialized.
-* **Accounting** -- per-stage ``phase_seconds`` entries are recorded
-  through :meth:`StageContext.time` and read back off the
-  :class:`ArtifactSet`'s records, so a resumed run reports the same
-  mapping.
-* **Stores** -- the persistent action store, the
-  :class:`~repro.runtime.FunctionSolveCache` and the counters sink all
-  ride on the :class:`StageContext`; stages reach them through one
-  object instead of importing pipeline internals.
+* **Accounting and outputs** -- the driver splits what a body returned:
+  the artifacts go into the :class:`ArtifactSet` (each checked against
+  its declared type), the times into the stage's :class:`StageRecord`
+  in ``time_keys`` order.  A missing or undeclared key is
+  ``bad-output``, so declared and recorded times cannot diverge, and a
+  resumed run reports the same ``phase_seconds`` mapping.
 
 Partial execution is built in: ``execute(stop_after=...)`` runs a
 prefix of the graph, the produced :class:`ArtifactSet` serializes to a
@@ -51,18 +48,19 @@ because artifacts are content, not accounting.
 
 ``StageGraph.describe()`` returns the DAG as plain data (and
 :meth:`StageGraph.to_dot` as Graphviz) -- what the ``repro-stages``
-CLI prints and CI validates against the committed golden topology.
+CLI prints and CI diffs against the committed golden topology.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -71,20 +69,23 @@ from typing import (
 )
 
 from repro.faults import RetriesExhausted
+from repro.obs.report import plain, record
 from repro.runtime.cache import read_envelope, write_envelope
 
 __all__ = [
     "Artifact",
     "ArtifactSet",
     "Stage",
-    "StageContext",
     "StageGraph",
     "StageGraphError",
     "StageRecord",
 ]
 
 #: Schema version of ``describe()``'s JSON layout and the serialized
-#: :class:`ArtifactSet` manifest.  Bump on incompatible change.
+#: :class:`ArtifactSet` manifest.  Still 1 although ``describe()``
+#: dropped its constant ``seeds`` / ``degrades`` keys: the manifest
+#: shares this number and its layout did not change, so a bump would
+#: refuse every artifact directory an earlier version wrote.
 STAGE_GRAPH_SCHEMA_VERSION = 1
 
 #: Manifest file name inside a serialized artifact directory.
@@ -92,12 +93,12 @@ MANIFEST_FILENAME = "manifest.json"
 
 
 class StageGraphError(Exception):
-    """A structural problem with a stage graph (or its execution).
+    """A structural problem with a stage graph's execution.
 
     ``kind`` is machine-readable: ``"missing-producer"``,
-    ``"duplicate-producer"``, ``"type-mismatch"``, ``"unknown-stage"``,
-    ``"resume-mismatch"`` or ``"bad-output"``.
-    ``stage`` / ``artifact`` carry the offending names when known.
+    ``"type-mismatch"``, ``"unknown-stage"``, ``"resume-mismatch"`` or
+    ``"bad-output"``.  ``stage`` / ``artifact`` carry the offending
+    names when known.
     """
 
     def __init__(self, kind: str, message: str, *,
@@ -113,11 +114,10 @@ class StageGraphError(Exception):
 class Artifact:
     """A named, typed value produced by one stage and consumed by others.
 
-    ``type`` is enforced twice: statically at graph validation (the
-    producer's declared type must match every consumer's), and at
-    runtime on the produced value (``isinstance``, skipped for the
-    escape hatch ``object`` which also admits ``None`` -- optional
-    artifacts like the stale-matching recovery declare ``object``).
+    ``type`` is enforced on the produced value (``isinstance``, skipped
+    for the escape hatch ``object`` which also admits ``None`` --
+    optional artifacts like the stale-matching recovery declare
+    ``object``).
     """
 
     name: str
@@ -130,27 +130,30 @@ class Artifact:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline phase: typed inputs/outputs plus cross-cutting policy."""
+    """One pipeline phase: typed inputs/outputs plus cross-cutting policy.
+
+    ``run(pipeline, inputs)`` returns one mapping holding exactly the
+    declared ``outputs`` (by artifact name) and ``time_keys`` (simulated
+    seconds).
+    """
 
     name: str
-    run: Callable[["StageContext", Mapping[str, Any]], Mapping[str, Any]]
+    run: Callable[[Any, Mapping[str, Any]], Mapping[str, Any]]
     inputs: Tuple[Artifact, ...] = ()
     outputs: Tuple[Artifact, ...] = ()
     #: ``phase:<phase>`` span group; contiguous stages sharing it run
     #: inside one span.  ``None`` = no phase span (e.g. stale matching).
     phase: Optional[str] = None
-    #: Degradation policy: ``fallback(ctx, inputs)`` returns the output
-    #: mapping the body would (including its :meth:`StageContext.time`
-    #: entries) when the retry budget exhausts, and the run is marked
-    #: degraded.  ``None`` propagates
+    #: Degradation policy: ``fallback(pipeline, inputs)`` returns the
+    #: mapping the body would when the retry budget exhausts, and the
+    #: run is marked degraded.  ``None`` propagates
     #: :class:`~repro.faults.RetriesExhausted` (product builds).
     fallback: Optional[
-        Callable[["StageContext", Mapping[str, Any]], Mapping[str, Any]]] = None
+        Callable[[Any, Mapping[str, Any]], Mapping[str, Any]]] = None
     #: Upstream stage names whose degradation silently short-circuits
     #: this stage to its fallback (no span, no degradation mark).
     skip_if_degraded: Tuple[str, ...] = ()
-    #: ``phase_seconds`` keys this stage accounts (declared for
-    #: introspection; recorded via :meth:`StageContext.time`).
+    #: ``phase_seconds`` keys this stage returns, in record order.
     time_keys: Tuple[str, ...] = ()
     doc: str = ""
 
@@ -165,62 +168,9 @@ class StageRecord:
     #: Degradation reason (== stage name) when the stage fell back
     #: on an exhausted retry budget.
     degraded: bool = False
-    #: ``phase_seconds`` entries recorded by the stage, in record order.
-    times: List[Tuple[str, float]] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "status": self.status,
-                "degraded": self.degraded,
-                "times": [[k, v] for k, v in self.times]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StageRecord":
-        return cls(name=data["name"], status=data["status"],
-                   degraded=bool(data.get("degraded", False)),
-                   times=[(k, float(v)) for k, v in data.get("times", [])])
-
-
-class StageContext:
-    """What a stage body sees: the pipeline and every cross-cutting service.
-
-    One object, handed to every ``run``/``fallback`` callable, so the
-    stages depend on a single seam instead of reaching into pipeline
-    internals: the tracer (inner spans), the counters sink, the build
-    system with its persistent action store, and the function-solve
-    cache of the incremental engine.
-    """
-
-    def __init__(self, pipeline: Any, record: Optional[StageRecord] = None):
-        self.pipeline = pipeline
-        #: Where :meth:`time` records; the driver points it at the
-        #: running stage's record.
-        self._record = record
-
-    @property
-    def config(self) -> Any:
-        return self.pipeline.config
-
-    @property
-    def tracer(self) -> Any:
-        return self.pipeline.tracer
-
-    @property
-    def counters(self) -> Any:
-        return self.pipeline.counters
-
-    @property
-    def buildsys(self) -> Any:
-        return self.pipeline.buildsys
-
-    @property
-    def solve_cache(self) -> Any:
-        return self.pipeline.solve_cache
-
-    def time(self, key: str, sim_seconds: float) -> None:
-        """Record one ``phase_seconds`` entry for the current stage."""
-        if self._record is None:
-            raise RuntimeError("StageContext.time() outside a running stage")
-        self._record.times.append((key, float(sim_seconds)))
+    #: ``phase_seconds`` entries returned by the stage, in
+    #: ``time_keys`` order.
+    times: Tuple[Tuple[str, float], ...] = ()
 
 
 class ArtifactSet:
@@ -261,7 +211,7 @@ class ArtifactSet:
         manifest = {
             "schema_version": STAGE_GRAPH_SCHEMA_VERSION,
             "artifacts": sorted(self.values),
-            "records": [r.as_dict() for r in self.records.values()],
+            "records": [plain(r) for r in self.records.values()],
             "meta": dict(self.meta),
         }
         (root / MANIFEST_FILENAME).write_text(
@@ -285,7 +235,7 @@ class ArtifactSet:
                     f"v{STAGE_GRAPH_SCHEMA_VERSION}")
             names = list(manifest.get("artifacts", []))
             records = {
-                r["name"]: StageRecord.from_dict(r)
+                r["name"]: record(StageRecord, r)
                 for r in manifest.get("records", [])
             }
             meta = dict(manifest.get("meta", {}))
@@ -308,78 +258,11 @@ class ArtifactSet:
 
 
 class StageGraph:
-    """A validated sequence of stages: declaration order is execution
-    order."""
+    """A sequence of stages: declaration order is execution order."""
 
     def __init__(self, stages: Sequence[Stage]):
         self.stages: Tuple[Stage, ...] = tuple(stages)
-        self._by_name: Dict[str, Stage] = {}
-        self._producer: Dict[str, Stage] = {}
-        self.validate()
-
-    # -- validation ----------------------------------------------------
-
-    def validate(self) -> None:
-        """Raise a structured :class:`StageGraphError` on bad wiring."""
-        by_name: Dict[str, Stage] = {}
-        types: Dict[str, Tuple[str, str]] = {}  # artifact -> (type, where)
-
-        def check_type(artifact: Artifact, where: str) -> None:
-            seen = types.get(artifact.name)
-            if seen is None:
-                types[artifact.name] = (artifact.type_name, where)
-            elif seen[0] != artifact.type_name:
-                raise StageGraphError(
-                    "type-mismatch",
-                    f"artifact {artifact.name!r} is declared as "
-                    f"{seen[0]} by {seen[1]} but as "
-                    f"{artifact.type_name} by {where}",
-                    artifact=artifact.name)
-
-        producer: Dict[str, Stage] = {}
-        for stage in self.stages:
-            if stage.name in by_name:
-                raise StageGraphError(
-                    "duplicate-producer",
-                    f"two stages named {stage.name!r}", stage=stage.name)
-            for artifact in stage.inputs:
-                check_type(artifact, f"stage {stage.name!r}")
-                if artifact.name not in producer:
-                    raise StageGraphError(
-                        "missing-producer",
-                        f"stage {stage.name!r} consumes {artifact.name!r}, "
-                        "which no earlier stage produces",
-                        stage=stage.name, artifact=artifact.name)
-            for artifact in stage.outputs:
-                check_type(artifact, f"stage {stage.name!r}")
-                other = producer.get(artifact.name)
-                if other is not None:
-                    raise StageGraphError(
-                        "duplicate-producer",
-                        f"artifact {artifact.name!r} is produced by both "
-                        f"{other.name!r} and {stage.name!r}",
-                        stage=stage.name, artifact=artifact.name)
-                producer[artifact.name] = stage
-            for upstream in stage.skip_if_degraded:
-                if upstream not in by_name:
-                    raise StageGraphError(
-                        "unknown-stage",
-                        f"stage {stage.name!r} skips on {upstream!r}, "
-                        "which is not an earlier stage", stage=stage.name)
-                if by_name[upstream].fallback is None:
-                    raise StageGraphError(
-                        "unknown-stage",
-                        f"stage {stage.name!r} skips on {upstream!r}, "
-                        "which has no fallback and can never degrade",
-                        stage=stage.name)
-            if stage.skip_if_degraded and stage.fallback is None:
-                raise StageGraphError(
-                    "unknown-stage",
-                    f"stage {stage.name!r} declares skip_if_degraded but "
-                    "no fallback to skip to", stage=stage.name)
-            by_name[stage.name] = stage
-        self._by_name = by_name
-        self._producer = producer
+        self._by_name: Dict[str, Stage] = {s.name: s for s in self.stages}
 
     # -- introspection -------------------------------------------------
 
@@ -401,22 +284,21 @@ class StageGraph:
         order -- empty once an execution is complete."""
         return [s.name for s in self.stages if s.name not in artifacts.records]
 
-    def describe(self) -> Dict[str, Any]:
-        """The DAG as plain data (JSON-able, schema-versioned)."""
-        edges = []
+    def _edges(self) -> Iterator[Tuple[str, str, str]]:
+        """``(producer, consumer, artifact)`` per declared input, in
+        declaration order; the producer is the latest earlier stage
+        declaring the artifact as an output."""
+        producer: Dict[str, str] = {}
         for stage in self.stages:
             for artifact in stage.inputs:
-                edges.append({
-                    "from": self._producer[artifact.name].name,
-                    "to": stage.name,
-                    "artifact": artifact.name,
-                })
+                yield producer[artifact.name], stage.name, artifact.name
+            for artifact in stage.outputs:
+                producer[artifact.name] = stage.name
+
+    def describe(self) -> Dict[str, Any]:
+        """The DAG as plain data (JSON-able, schema-versioned)."""
         return {
             "schema_version": STAGE_GRAPH_SCHEMA_VERSION,
-            # Constants of schema v1: there are no seed artifacts and a
-            # fallback always degrades; both keys go at the next reviewed
-            # golden regeneration.
-            "seeds": [],
             "stages": [
                 {
                     "name": s.name,
@@ -426,7 +308,6 @@ class StageGraph:
                     "outputs": [{"name": a.name, "type": a.type_name}
                                 for a in s.outputs],
                     "fallback": s.fallback is not None,
-                    "degrades": s.fallback is not None,
                     "skip_if_degraded": list(s.skip_if_degraded),
                     "time_keys": list(s.time_keys),
                     "doc": s.doc,
@@ -434,7 +315,8 @@ class StageGraph:
                 for s in self.stages
             ],
             "order": list(self.order),
-            "edges": edges,
+            "edges": [{"from": src, "to": dst, "artifact": name}
+                      for src, dst, name in self._edges()],
         }
 
     def to_dot(self) -> str:
@@ -452,11 +334,8 @@ class StageGraph:
             if stage.fallback is not None:
                 label += "\\n[fallback]"
             lines.append(f'  "{stage.name}" [label="{label}"];')
-        for stage in self.stages:
-            for artifact in stage.inputs:
-                lines.append(
-                    f'  "{self._producer[artifact.name].name}" -> '
-                    f'"{stage.name}" [label="{artifact.name}"];')
+        for src, dst, name in self._edges():
+            lines.append(f'  "{src}" -> "{dst}" [label="{name}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -464,18 +343,21 @@ class StageGraph:
 
     def execute(
         self,
-        ctx: StageContext,
+        pipeline: Any,
         *,
         stop_after: Optional[str] = None,
         resume: Optional[ArtifactSet] = None,
     ) -> ArtifactSet:
         """Run the graph (or the prefix up to ``stop_after``).
 
-        ``resume`` replays an earlier partial execution: stages whose
-        records it carries are not re-run, their artifacts and
-        accounting (status, degradations, recorded times) are taken
-        as-is.  It must be a prefix of the graph carrying every output
-        its stages declare -- checked here, before any stage runs.
+        ``pipeline`` is handed to every stage body and fallback; the
+        driver itself uses its ``tracer`` and ``counters``.  ``resume``
+        replays an earlier partial execution: stages whose records it
+        carries are not re-run, their artifacts and accounting (status,
+        degradations, recorded times) are taken as-is.  It must be a
+        prefix of the graph carrying every output its stages declare --
+        checked here, before any stage runs.  ``stop_after`` stops once
+        the named stage has been replayed or run.
         """
         if stop_after is not None:
             self.stage(stop_after)  # raises unknown-stage
@@ -513,46 +395,40 @@ class StageGraph:
 
         try:
             for stage in self.stages:
-                if stage.name in artifacts.records:
-                    # Replayed from a resumed artifact set: keep its
-                    # accounting, run nothing, open no span.
-                    continue
-                if stage.phase != open_phase:
-                    close_phase()
-                record = StageRecord(name=stage.name)
-                inputs = {a.name: artifacts.values[a.name]
-                          for a in stage.inputs}
-                degraded_now = set(artifacts.degraded_reasons())
-                ctx._record = record
-                try:
-                    if stage.skip_if_degraded and degraded_now.intersection(
-                            stage.skip_if_degraded):
+                # A stage a resumed set carries is replayed: its
+                # accounting is kept, nothing runs, no span opens.
+                if stage.name not in artifacts.records:
+                    if stage.phase != open_phase:
+                        close_phase()
+                    record = StageRecord(name=stage.name)
+                    inputs = {a.name: artifacts.values[a.name]
+                              for a in stage.inputs}
+                    if set(stage.skip_if_degraded).intersection(
+                            artifacts.degraded_reasons()):
                         record.status = "skipped"
-                        outputs = stage.fallback(ctx, inputs)
+                        produced = stage.fallback(pipeline, inputs)
                     else:
                         if stage.phase is not None and open_span is None:
-                            open_span = ctx.tracer.span(
+                            open_span = pipeline.tracer.span(
                                 f"phase:{stage.phase}", category="phase")
                             open_span.__enter__()
                             open_phase = stage.phase
                         try:
-                            outputs = stage.run(ctx, inputs)
+                            produced = stage.run(pipeline, inputs)
                         except RetriesExhausted as exc:
                             if stage.fallback is None:
                                 raise
                             record.status = "fallback"
-                            outputs = stage.fallback(ctx, inputs)
+                            produced = stage.fallback(pipeline, inputs)
                             record.degraded = True
-                            ctx.counters.incr("faults.degraded")
-                            with ctx.tracer.span(
+                            pipeline.counters.incr("faults.degraded")
+                            with pipeline.tracer.span(
                                     f"degraded:{stage.name}",
                                     category="fault") as sp:
                                 sp.note(kind=exc.kind, attempts=exc.attempts,
                                         events=",".join(exc.events))
-                finally:
-                    ctx._record = None
-                self._bind_outputs(stage, outputs, artifacts)
-                artifacts.records[stage.name] = record
+                    self._bind(stage, produced, artifacts, record)
+                    artifacts.records[stage.name] = record
                 if stage.name == stop_after:
                     break
         except BaseException:
@@ -561,21 +437,25 @@ class StageGraph:
         close_phase()
         return artifacts
 
-    def _bind_outputs(self, stage: Stage, outputs: Mapping[str, Any],
-                      artifacts: ArtifactSet) -> None:
-        declared = {a.name: a for a in stage.outputs}
-        if set(outputs) != set(declared):
+    def _bind(self, stage: Stage, produced: Mapping[str, Any],
+              artifacts: ArtifactSet, record: StageRecord) -> None:
+        """Split what ``stage`` returned into artifacts and times."""
+        declared = [a.name for a in stage.outputs] + list(stage.time_keys)
+        if set(produced) != set(declared):
             raise StageGraphError(
                 "bad-output",
-                f"stage {stage.name!r} returned {sorted(outputs)}, "
+                f"stage {stage.name!r} returned {sorted(produced)}, "
                 f"declared {sorted(declared)}", stage=stage.name)
-        for name, value in outputs.items():
-            artifact = declared[name]
+        for artifact in stage.outputs:
+            value = produced[artifact.name]
             if artifact.type is not object and not isinstance(
                     value, artifact.type):
                 raise StageGraphError(
                     "type-mismatch",
                     f"stage {stage.name!r} produced {type(value).__name__} "
-                    f"for artifact {name!r} declared {artifact.type_name}",
-                    stage=stage.name, artifact=name)
-            artifacts.values[name] = value
+                    f"for artifact {artifact.name!r} declared "
+                    f"{artifact.type_name}",
+                    stage=stage.name, artifact=artifact.name)
+            artifacts.values[artifact.name] = value
+        record.times = tuple((key, float(produced[key]))
+                             for key in stage.time_keys)

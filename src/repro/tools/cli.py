@@ -213,7 +213,7 @@ def cmd_optimize(args) -> int:
     program = load_program(args.program)
     config = _config(args)
     pipe = PropellerPipeline(program, config)
-    if args.stop_after or args.resume_from:
+    if args.stop_after or args.resume_from or args.artifacts_out:
         return _optimize_partial(args, pipe)
     if not config.state_dir:
         return _finish_optimize(args, pipe, pipe.run())
@@ -242,8 +242,8 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
     """``optimize --stop-after`` / ``--resume-from``: partial execution.
 
     ``--stop-after STAGE`` runs the graph through STAGE and serializes
-    the produced artifact set to ``--artifacts-out`` (required with
-    it).  ``--resume-from DIR`` loads such a set and runs only the
+    the produced artifact set to ``--artifacts-out`` (each requires the
+    other).  ``--resume-from DIR`` loads such a set and runs only the
     remaining stages; a completed resume prints the normal summary --
     bit-identical to one uninterrupted run.  Both compose: a resumed
     run may itself stop after a later stage.  A partial run neither
@@ -254,6 +254,9 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
 
     if args.stop_after and not args.artifacts_out:
         log.error("--stop-after requires --artifacts-out DIR")
+        return 2
+    if args.artifacts_out and not args.stop_after:
+        log.error("--artifacts-out requires --stop-after STAGE")
         return 2
     resume = None
     if args.resume_from:
@@ -284,8 +287,8 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
 def cmd_stages(args) -> int:
     """Describe the pipeline stage graph (JSON, DOT, or a table).
 
-    Exit code 0 -- the graph is validated at import, so an invalid
-    wiring fails long before here.
+    Exit code 0 -- the graph is one constant whose wiring the tier-1
+    golden and wiring test pin.
     """
     import json as _json
 
@@ -568,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "artifact set to --artifacts-out")
     p.add_argument("--artifacts-out", metavar="DIR", default=None,
                    help="directory for the serialized artifact set "
-                        "(required with --stop-after)")
+                        "(requires --stop-after)")
     p.add_argument("--resume-from", metavar="DIR", default=None,
                    help="resume from an artifact set saved by "
                         "--stop-after: replay its stages, run the rest")

@@ -2,14 +2,14 @@
 
 Three layers:
 
-* the engine itself, on toy graphs: structured validation errors
-  (missing producer -- which is also what a cycle reports -- duplicate
-  producer, type mismatch), declaration order as the execution order,
-  uniform degradation (fallback/skip_if_degraded) and phase-span
-  grouping;
+* the engine itself, on toy graphs: structured execution errors (bad
+  output, produced-value type mismatch, unknown ``stop_after``),
+  declaration order as the execution order, uniform degradation
+  (fallback/skip_if_degraded), phase-span grouping and ``stop_after``
+  over a resumed set;
 * serialization: the artifact-set save/load round trip and its
   fail-loudly corruption contract;
-* the Propeller graph: the committed golden topology
+* the Propeller graph: its wiring, the committed golden topology
   (``tests/golden/stage_graph.json``), partial execution + resume
   bit-identity and the pinned instrumented-build ratio.
 
@@ -32,7 +32,6 @@ from repro.core.stages import (
     Artifact,
     ArtifactSet,
     Stage,
-    StageContext,
     StageGraph,
     StageGraphError,
 )
@@ -48,11 +47,9 @@ REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 # Toy-graph helpers
 
 
-def _ctx() -> StageContext:
-    """A StageContext over a stub pipeline (tracer + counters only)."""
-    return StageContext(SimpleNamespace(
-        config=None, tracer=Tracer(), counters=Counters(),
-        buildsys=None, solve_cache=None))
+def _pipe() -> SimpleNamespace:
+    """A stub pipeline: the tracer and counters the driver uses."""
+    return SimpleNamespace(tracer=Tracer(), counters=Counters())
 
 
 def _stage(name, run, **kwargs) -> Stage:
@@ -60,7 +57,7 @@ def _stage(name, run, **kwargs) -> Stage:
 
 
 def _produce(**values):
-    def run(ctx, inputs):
+    def run(pipe, inputs):
         return dict(values)
     return run
 
@@ -70,64 +67,16 @@ A_STR = Artifact("text", str)
 
 
 # ----------------------------------------------------------------------
-# Validation
+# Execution errors
 
 
 class TestValidation:
-    def test_missing_producer(self):
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([_stage("a", _produce(), inputs=(A_INT,))])
-        assert err.value.kind == "missing-producer"
-        assert err.value.artifact == "number"
-        assert err.value.stage == "a"
-
-    def test_cycle(self):
-        a = Artifact("a")
-        b = Artifact("b")
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(a=1), inputs=(b,), outputs=(a,)),
-                _stage("two", _produce(b=2), inputs=(a,), outputs=(b,)),
-            ])
-        # A cycle has no declaration order that satisfies it: the first
-        # stage of it consumes what only a later stage produces.
-        assert err.value.kind == "missing-producer"
-        assert err.value.stage == "one"
-        assert err.value.artifact == "b"
-
-    def test_duplicate_producer(self):
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(number=1), outputs=(A_INT,)),
-                _stage("two", _produce(number=2), outputs=(A_INT,)),
-            ])
-        assert err.value.kind == "duplicate-producer"
-        assert err.value.artifact == "number"
-
-    def test_duplicate_stage_name(self):
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(number=1), outputs=(A_INT,)),
-                _stage("one", _produce(text="x"), outputs=(A_STR,)),
-            ])
-        assert err.value.kind == "duplicate-producer"
-
-    def test_type_mismatch_between_declarations(self):
-        as_str = Artifact("number", str)
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(number=1), outputs=(A_INT,)),
-                _stage("two", _produce(), inputs=(as_str,)),
-            ])
-        assert err.value.kind == "type-mismatch"
-        assert err.value.artifact == "number"
-
     def test_runtime_type_mismatch(self):
         graph = StageGraph([
             _stage("one", _produce(number="not an int"), outputs=(A_INT,)),
         ])
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx())
+            graph.execute(_pipe())
         assert err.value.kind == "type-mismatch"
 
     def test_undeclared_output_rejected(self):
@@ -135,34 +84,34 @@ class TestValidation:
             _stage("one", _produce(number=1, extra=2), outputs=(A_INT,)),
         ])
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx())
+            graph.execute(_pipe())
         assert err.value.kind == "bad-output"
 
-    def test_skip_on_unknown_stage(self):
+    def test_missing_time_key_rejected(self):
+        graph = StageGraph([
+            _stage("one", _produce(number=1), outputs=(A_INT,),
+                   time_keys=("one_s",)),
+        ])
         with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(number=1), outputs=(A_INT,),
-                       fallback=_produce(number=0),
-                       skip_if_degraded=("ghost",)),
-            ])
-        assert err.value.kind == "unknown-stage"
+            graph.execute(_pipe())
+        assert (err.value.kind, err.value.stage) == ("bad-output", "one")
 
-    def test_skip_on_stage_that_cannot_degrade(self):
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(number=1), outputs=(A_INT,)),
-                _stage("two", _produce(text="x"), inputs=(A_INT,),
-                       outputs=(A_STR,),
-                       fallback=_produce(text=""),
-                       skip_if_degraded=("one",)),
-            ])
-        assert err.value.kind == "unknown-stage"
+    def test_times_recorded_in_time_keys_order(self):
+        graph = StageGraph([
+            _stage("one", _produce(number=1, late_s=2, early_s=1),
+                   outputs=(A_INT,), time_keys=("early_s", "late_s")),
+        ])
+        artifacts = graph.execute(_pipe())
+        assert artifacts.values == {"number": 1}
+        assert artifacts.records["one"].times == (("early_s", 1.0),
+                                                  ("late_s", 2.0))
+        assert list(artifacts.phase_seconds()) == ["early_s", "late_s"]
 
     def test_unknown_stop_after(self):
         graph = StageGraph([_stage("one", _produce(number=1),
                                    outputs=(A_INT,))])
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), stop_after="ghost")
+            graph.execute(_pipe(), stop_after="ghost")
         assert err.value.kind == "unknown-stage"
 
     def test_seeds_are_not_a_parameter(self):
@@ -170,19 +119,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             StageGraph([stage], seeds=(Artifact("seeded", int),))
         with pytest.raises(TypeError):
-            StageGraph([stage]).execute(_ctx(), {})
-
-    def test_skip_on_later_stage(self):
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("one", _produce(number=1), outputs=(A_INT,),
-                       fallback=_produce(number=0),
-                       skip_if_degraded=("two",)),
-                _stage("two", _produce(text="x"), outputs=(A_STR,),
-                       fallback=_produce(text="")),
-            ])
-        assert err.value.kind == "unknown-stage"
-        assert err.value.stage == "one"
+            StageGraph([stage]).execute(_pipe(), {})
 
     def test_execution_order_is_not_a_parameter(self):
         graph = StageGraph([
@@ -191,7 +128,7 @@ class TestValidation:
                    outputs=(A_STR,)),
         ])
         with pytest.raises(TypeError):
-            graph.execute(_ctx(), order=["one", "two"])
+            graph.execute(_pipe(), order=["one", "two"])
 
 
 # ----------------------------------------------------------------------
@@ -214,26 +151,13 @@ class TestTopoOrder:
         ])
         assert flipped.order == ("root", "right", "left")
 
-    def test_dependencies_override_registration(self):
-        """They no longer do: a stage declared before its producer is a
-        wiring error, not something the engine sorts out."""
-        a, b = Artifact("a"), Artifact("b")
-        with pytest.raises(StageGraphError) as err:
-            StageGraph([
-                _stage("consumer", _produce(b=1), inputs=(a,), outputs=(b,)),
-                _stage("producer", _produce(a=1), outputs=(a,)),
-            ])
-        assert err.value.kind == "missing-producer"
-        assert err.value.stage == "consumer"
-        assert err.value.artifact == "a"
-
 
 # ----------------------------------------------------------------------
 # Execution: degradation, skipping, spans
 
 
 class TestExecution:
-    def _boom(self, ctx, inputs):
+    def _boom(self, pipe, inputs):
         raise RetriesExhausted("unit", "key", 3, ("crash", "crash", "crash"))
 
     def test_fallback_degrades_with_span_and_counter(self):
@@ -241,13 +165,13 @@ class TestExecution:
             _stage("flaky", self._boom, outputs=(A_INT,), phase="p",
                    fallback=_produce(number=0)),
         ])
-        ctx = _ctx()
-        artifacts = graph.execute(ctx)
+        pipe = _pipe()
+        artifacts = graph.execute(pipe)
         assert artifacts.values["number"] == 0
         assert artifacts.degraded_reasons() == ("flaky",)
         assert artifacts.records["flaky"].status == "fallback"
-        assert ctx.counters.count("faults.degraded") == 1
-        names = [s.name for s in ctx.tracer.spans]
+        assert pipe.counters.count("faults.degraded") == 1
+        names = [s.name for s in pipe.tracer.spans]
         assert "degraded:flaky" in names
         assert "phase:p" in names
 
@@ -255,11 +179,11 @@ class TestExecution:
         graph = StageGraph([
             _stage("hard", self._boom, outputs=(A_INT,), phase="p"),
         ])
-        ctx = _ctx()
+        pipe = _pipe()
         with pytest.raises(RetriesExhausted):
-            graph.execute(ctx)
+            graph.execute(pipe)
         # The phase span is still closed and recorded on the way out.
-        assert [s.name for s in ctx.tracer.spans] == ["phase:p"]
+        assert [s.name for s in pipe.tracer.spans] == ["phase:p"]
 
     def test_skip_if_degraded_is_silent_and_spanless(self):
         graph = StageGraph([
@@ -270,14 +194,14 @@ class TestExecution:
                    fallback=_produce(text="skipped"),
                    skip_if_degraded=("flaky",)),
         ])
-        ctx = _ctx()
-        artifacts = graph.execute(ctx)
+        pipe = _pipe()
+        artifacts = graph.execute(pipe)
         assert artifacts.values["text"] == "skipped"
         # Only the upstream degradation counts; the skip is silent.
         assert artifacts.degraded_reasons() == ("flaky",)
-        assert ctx.counters.count("faults.degraded") == 1
+        assert pipe.counters.count("faults.degraded") == 1
         assert artifacts.records["downstream"].status == "skipped"
-        assert "phase:down" not in [s.name for s in ctx.tracer.spans]
+        assert "phase:down" not in [s.name for s in pipe.tracer.spans]
 
     def test_contiguous_stages_share_one_phase_span(self):
         a, b = Artifact("a"), Artifact("b")
@@ -286,9 +210,9 @@ class TestExecution:
             _stage("two", _produce(b=1), inputs=(a,), outputs=(b,),
                    phase="joint"),
         ])
-        ctx = _ctx()
-        graph.execute(ctx)
-        assert [s.name for s in ctx.tracer.spans] == ["phase:joint"]
+        pipe = _pipe()
+        graph.execute(pipe)
+        assert [s.name for s in pipe.tracer.spans] == ["phase:joint"]
 
     def test_stop_after_runs_a_prefix(self):
         a, b = Artifact("a"), Artifact("b")
@@ -296,9 +220,30 @@ class TestExecution:
             _stage("one", _produce(a=1), outputs=(a,)),
             _stage("two", _produce(b=1), inputs=(a,), outputs=(b,)),
         ])
-        artifacts = graph.execute(_ctx(), stop_after="one")
+        artifacts = graph.execute(_pipe(), stop_after="one")
         assert graph.pending(artifacts) == ["two"]
         assert artifacts.values == {"a": 1}
+
+    def test_stop_after_a_replayed_stage_runs_nothing(self):
+        """``stop_after`` naming a stage the resumed set already carries
+        stops there: nothing after it runs."""
+        a, b, c = Artifact("a"), Artifact("b"), Artifact("c")
+        ran = []
+
+        def three(pipe, inputs):
+            ran.append("three")
+            return {"c": 3}
+
+        graph = StageGraph([
+            _stage("one", _produce(a=1), outputs=(a,)),
+            _stage("two", _produce(b=2), inputs=(a,), outputs=(b,)),
+            _stage("three", three, inputs=(b,), outputs=(c,)),
+        ])
+        partial = graph.execute(_pipe(), stop_after="two")
+        resumed = graph.execute(_pipe(), stop_after="one", resume=partial)
+        assert ran == []
+        assert graph.pending(resumed) == ["three"]
+        assert resumed.values == {"a": 1, "b": 2}
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +257,7 @@ class TestArtifactSet:
             _stage("one", _produce(a={"payload": 7}), outputs=(a,)),
             _stage("two", _produce(b=2), inputs=(a,), outputs=(b,)),
         ])
-        return graph, graph.execute(_ctx(), stop_after="one")
+        return graph, graph.execute(_pipe(), stop_after="one")
 
     def test_save_load_resume_round_trip(self, tmp_path):
         graph, partial = self._run_partial()
@@ -324,7 +269,7 @@ class TestArtifactSet:
         assert loaded.meta["program"] == "digest"
         assert loaded.records["one"].status == "computed"
 
-        resumed = graph.execute(_ctx(), resume=loaded)
+        resumed = graph.execute(_pipe(), resume=loaded)
         assert graph.pending(resumed) == []
         assert resumed.values["b"] == 2
         # The replayed stage kept its original record.
@@ -365,7 +310,7 @@ class TestArtifactSet:
         a, b = Artifact("a"), Artifact("b")
         ran = []
 
-        def two(ctx, inputs):
+        def two(pipe, inputs):
             ran.append("two")
             return {"b": 2}
 
@@ -373,20 +318,20 @@ class TestArtifactSet:
             _stage("one", _produce(a=1), outputs=(a,)),
             _stage("two", two, outputs=(b,)),  # does not read "a"
         ])
-        partial = graph.execute(_ctx(), stop_after="one")
+        partial = graph.execute(_pipe(), stop_after="one")
         del partial.values["a"]  # the record still says "one" ran
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), resume=partial)
+            graph.execute(_pipe(), resume=partial)
         assert err.value.kind == "resume-mismatch"
         assert (err.value.stage, err.value.artifact) == ("one", "a")
         assert ran == []
 
     def test_resume_must_be_a_prefix(self):
         graph, _ = self._run_partial()
-        full = graph.execute(_ctx())
+        full = graph.execute(_pipe())
         del full.records["one"]
         with pytest.raises(StageGraphError) as err:
-            graph.execute(_ctx(), resume=full)
+            graph.execute(_pipe(), resume=full)
         assert err.value.kind == "resume-mismatch"
         assert err.value.stage == "one"
 
@@ -413,6 +358,27 @@ def full_digest(stage_program):
 
 
 class TestPipelineGraph:
+    def test_wiring(self):
+        """Every input comes from an earlier stage that declares it with
+        the same type, and every ``skip_if_degraded`` entry names an
+        earlier stage that has a fallback (so can degrade) -- as does
+        the skipping stage.  Nothing checks this at import."""
+        produced = {}
+        earlier = {}
+        for stage in PIPELINE.stages:
+            for artifact in stage.inputs:
+                assert produced.get(artifact.name) is artifact.type, (
+                    stage.name, artifact.name)
+            for upstream in stage.skip_if_degraded:
+                assert upstream in earlier, (stage.name, upstream)
+                assert earlier[upstream].fallback is not None, upstream
+                assert stage.fallback is not None, stage.name
+            for artifact in stage.outputs:
+                assert artifact.name not in produced, artifact.name
+                produced[artifact.name] = artifact.type
+            assert stage.name not in earlier, stage.name
+            earlier[stage.name] = stage
+
     def test_golden_topology(self):
         """The DAG shape is a frozen public surface (CI gates on it)."""
         described = PIPELINE.describe()
@@ -485,7 +451,7 @@ class TestPipelineGraph:
 
     def test_recorded_times_match_declared_time_keys(self, stage_program):
         """``Stage.time_keys`` is golden-pinned introspection; what a real
-        run records through ``ctx.time()`` must be exactly that."""
+        run records must be exactly that."""
         artifacts = PropellerPipeline(
             stage_program, _cheap_config()).run_stages()
         for stage in PIPELINE.stages:

@@ -323,6 +323,30 @@ class TestBadResumeDirectory:
         assert done.stderr.count("\n") == 1 and "resume-mismatch" in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["full", "resumed"])
+    def test_artifacts_out_without_stop_after_exits_2(self, saved, tmp_path,
+                                                      resume):
+        """Nothing would be written: an error, not a silently ignored flag."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        prog, arts = saved
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "repro.tools", "optimize", prog,
+                *self.ARGS, "--artifacts-out", str(out)]
+        if resume:
+            argv += ["--resume-from", str(arts)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and "--stop-after" in done.stderr
+        assert done.stdout == ""
+        assert not out.exists()
+
 
 class TestBadStateDirectory:
     """A ``--state-dir`` whose snapshot cannot seed this run is one
