@@ -80,9 +80,9 @@ def perf2bolt(
     profile = BoltProfile()
     counts = profile.block_counts
     edges = profile.edges
-    for sample in perf.samples:
+    for srcs, dsts in perf.windows():
         prev_dst: Optional[int] = None
-        for src, dst in sample.records:
+        for src, dst in zip(srcs.tolist(), dsts.tolist()):
             s = index.lookup(src)
             d = index.lookup(dst)
             if s is None or d is None:

@@ -44,9 +44,8 @@ from repro.profiles import (
     MatchStats,
     PerfData,
     collect_ir_profile,
-    generate_trace,
+    collect_lbr_profile,
     match_profile,
-    sample_lbr,
 )
 
 #: Modelled cost of the instrumented (``-fprofile-generate``) build
@@ -264,14 +263,8 @@ def lbr_profile(pipe: Any, inputs) -> Dict[str, Any]:
     metadata_exe = inputs["metadata"].executable
 
     def compute():
-        trace = generate_trace(
-            metadata_exe,
-            max_branches=config.lbr_branches,
-            seed=config.seed + 1,
-            record_blocks=False,
-        )
-        perf = sample_lbr(trace, period=config.lbr_period,
-                          binary_name="metadata.out")
+        perf = collect_lbr_profile(metadata_exe, max_branches=config.lbr_branches,
+                                   period=config.lbr_period, seed=config.seed + 1)
         cost = config.lbr_branches * PROFILE_SECONDS_PER_BRANCH
         return perf, cost, perf.size_bytes
 
@@ -291,8 +284,7 @@ def lbr_profile(pipe: Any, inputs) -> Dict[str, Any]:
 def _lbr_profile_fallback(pipe: Any, inputs) -> Dict[str, Any]:
     # No hardware profile: empty perf data.
     return {
-        "perf": PerfData(samples=[], period=pipe.config.lbr_period,
-                         binary_name="metadata.out"),
+        "perf": PerfData(period=pipe.config.lbr_period, binary_name="metadata.out"),
         "perf_key": "",
         "lbr_profile_run": 0.0,
     }

@@ -27,6 +27,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis import MemoryMeter
 from repro.core import bbsections
 from repro.core.exttsp import (
@@ -39,6 +41,7 @@ from repro.core.funcorder import hfsort_order
 from repro.elf import Executable, SectionKind, bbaddrmap
 from repro.obs import NULL_TRACER
 from repro.profiles import PerfData
+from repro.profiles.trace import CHUNK
 
 #: Modelled bytes per in-memory structure (for peak-memory accounting).
 _BBMAP_INDEX_ENTRY_BYTES = 16
@@ -182,6 +185,53 @@ class _AddressMapIndex:
         return self.func_maps[self._name_index[func]]
 
 
+def _count_events(
+    index: _AddressMapIndex, perf: PerfData, stats: WPAStats
+) -> Tuple[Dict[int, Optional[_BlockRef]], Dict[Tuple[int, int, bool], int]]:
+    """Pass 1 of :func:`_build_dcfg`: each distinct address resolved once,
+    each distinct event counted in order of first appearance.
+
+    Events are keyed (from address, to address, is fall-through).  A
+    record whose ends both resolve is a taken branch, preceded by the
+    fall-through from the previous record's destination when that record
+    is in the same sample and resolved too.  Per ``CHUNK`` of records
+    (plus the one before), addresses become small ids, an event one
+    int64, and ``np.unique`` counts them and finds each first use."""
+    refs: Dict[int, Optional[_BlockRef]] = {}
+    events: Dict[Tuple[int, int, bool], int] = {}
+    offsets = perf.offsets
+    for lo in range(0, perf.num_records, CHUNK):
+        at, hi = max(lo - 1, 0), min(lo + CHUNK, perf.num_records)
+        n = hi - at
+        addrs, ids = np.unique(np.concatenate((perf.src[at:hi], perf.dst[at:hi])),
+                               return_inverse=True)
+        addrs = addrs.tolist()
+        for addr in addrs:
+            if addr not in refs:
+                refs[addr] = index.lookup(addr)
+        resolved = np.array([refs[addr] is not None for addr in addrs], dtype=bool)[ids]
+        src_ids, dst_ids = ids[:n], ids[n:]
+        ok = resolved[:n] & resolved[n:]
+        follows = ok & np.roll(ok, 1)  # a resolved record, in the same sample:
+        follows[offsets[np.searchsorted(offsets, at):np.searchsorted(offsets, hi)] - at] = False
+        size = len(addrs)
+        keys = np.stack(((np.roll(dst_ids, 1) * size + src_ids) * 2 + 1,
+                         (src_ids * size + dst_ids) * 2), axis=1)
+        own = slice(lo - at, n)
+        keys = keys[own][np.stack((follows, ok), axis=1)[own]]
+        stats.num_records += hi - lo
+        stats.records_dropped += int(np.count_nonzero(~ok[own]))
+        keys, where, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(where)
+        for key, count in zip(keys[order].tolist(), counts[order].tolist()):
+            event = (addrs[key // 2 // size], addrs[key // 2 % size], key % 2 == 1)
+            if event in events:
+                events[event] += count
+            else:
+                events[event] = count
+    return refs, events
+
+
 def _build_dcfg(
     index: _AddressMapIndex, perf: PerfData, stats: WPAStats
 ) -> Tuple[
@@ -194,54 +244,15 @@ def _build_dcfg(
 
     Aggregate, then resolve: a profile of hundreds of thousands of
     records holds a few thousand distinct addresses and transfers, so
-    the records are first only *counted* -- each address resolved once,
-    each distinct taken branch and each distinct fall-through range
-    tallied in order of first appearance -- and every distinct event is
-    then expanded once, weighted by its count.  Counts are sums of 1.0,
-    exact in a double, and replaying the events in first-appearance
-    order first touches every dict key in the order the records did, so
-    the result is what record-by-record processing gives, dict order
-    included.  The fourth value says how much distinct work there was.
+    the records are first only *counted* (:func:`_count_events`) and
+    every distinct event is then expanded once, weighted by its count.
+    Counts are sums of 1.0, exact in a double, and replaying the events
+    in first-appearance order first touches every dict key in the order
+    the records did, so the result is what record-by-record processing
+    gives, dict order included.  The fourth value says how much distinct
+    work there was.
     """
-    # Pass 1: count.  Events are keyed (from address, to address, is
-    # fall-through); a record's fall-through comes before its branch.
-    refs: Dict[int, Optional[_BlockRef]] = {}
-    events: Dict[Tuple[int, int, bool], int] = {}
-    lookup = index.lookup
-    dropped = 0
-    for sample in perf.samples:
-        stats.num_records += len(sample.records)
-        prev_dst: Optional[int] = None
-        for src, dst in sample.records:
-            try:
-                sref = refs[src]
-            except KeyError:
-                sref = refs[src] = lookup(src)
-            try:
-                dref = refs[dst]
-            except KeyError:
-                dref = refs[dst] = lookup(dst)
-            if sref is None or dref is None:
-                dropped += 1
-                prev_dst = None
-                continue
-            # Fall-through inference: control ran sequentially from the
-            # previous record's destination to this record's source.
-            if prev_dst is not None:
-                key = (prev_dst, src, True)
-                try:
-                    events[key] += 1
-                except KeyError:
-                    events[key] = 1
-            # The taken branch itself.
-            key = (src, dst, False)
-            try:
-                events[key] += 1
-            except KeyError:
-                events[key] = 1
-            prev_dst = dst
-    stats.records_dropped += dropped
-
+    refs, events = _count_events(index, perf, stats)
     # Pass 2: expand each distinct event once.
     dcfg: Dict[str, FunctionDCFG] = {}
     call_edges: Dict[Tuple[str, str], float] = {}

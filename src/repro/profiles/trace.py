@@ -51,16 +51,22 @@ BRANCH_KIND_IJMP = 4
 
 _MASK64 = (1 << 64) - 1
 _TERM_SLOT = 0xFF
+#: Hash-input step between two executions of one block.
+_DRAW_STEP = 0x94D049BB133111EB
+#: Most draws one (block, slot) holds at a time.
+_DRAWS_MAX = 256
 
 
-def _mix_to_unit(x: int) -> float:
-    """SplitMix64-style finalizer mapped to [0, 1)."""
-    x &= _MASK64
-    x ^= x >> 33
-    x = (x * 0xFF51AFD7ED558CCD) & _MASK64
-    x ^= x >> 33
-    x = (x * 0xC4CEB9FE1A85EC53) & _MASK64
-    x ^= x >> 33
+def _units(start: int, n: int) -> np.ndarray:
+    """SplitMix64-style finalizer of ``start + i * _DRAW_STEP`` mapped to
+    [0, 1), for ``i < n``; bit-identical to scalar integer arithmetic, as
+    uint64 wraps mod 2**64, converts to float64 correctly rounded and
+    dividing by 2**64 is exact."""
+    x = np.arange(n, dtype=np.uint64) * np.uint64(_DRAW_STEP) + np.uint64(start & _MASK64)
+    for factor in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        x ^= x >> np.uint64(33)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(33)
     return x / 18446744073709551616.0
 
 
@@ -215,9 +221,12 @@ def walk(
     ids = {addr: i for i, addr in enumerate(blocks.col("addr"))}
     transitions: List[Tuple[int, int, int, int]] = []
     seed_mixed = (seed * 0x9E3779B97F4A7C15) & _MASK64
-    # Per-block tables, compiled on a block's first visit.
+    # Per-block tables, compiled on a block's first visit.  A (block,
+    # slot) holds a window of its draws, ``[k0 - 1, draw k0, draw k0 + 1,
+    # ...]`` (slot: term 0, call i); execution k of the block reads index
+    # ``k - (k0 - 1)``, and a window used up is replaced by one from k on.
     calls_of: list = [None] * len(ids)
-    choices_of, returns, bases, counts = (list(calls_of) for _ in range(4))
+    choices_of, returns, bases, counts, draws_of = (list(calls_of) for _ in range(5))
     entry = ids[exe.entry]
     if max_blocks is None:
         max_blocks = 1 << 62
@@ -238,6 +247,7 @@ def walk(
             calls_of[block] = calls
             bases[block] = (seed_mixed + key * 0xBF58476D1CE4E5B9) & _MASK64
             counts[block] = 0
+            draws_of[block] = [[0]] * (len(calls) + 1)
         if call_idx == 0:
             if executed >= max_blocks:
                 break
@@ -251,17 +261,24 @@ def walk(
             slot = call_idx
         else:
             rows = choices_of[block]
-            slot = _TERM_SLOT
+            slot = 0
         if rows:
             row = rows[0]
             if len(rows) > 1:
-                v = _mix_to_unit(bases[block] + counts[block] * 0x94D049BB133111EB + slot)
+                window, k = draws_of[block][slot], counts[block]
+                i = k - window[0]
+                if i >= len(window):  # used up: up to twice as many, from k on
+                    window = draws_of[block][slot] = [k - 1, *_units(
+                        bases[block] + (slot or _TERM_SLOT) + k * _DRAW_STEP,
+                        min(max(16, k), _DRAWS_MAX)).tolist()]
+                    i = 1
+                v = window[i]
                 for row in rows:
                     if v < row[0]:
                         break
             steps.append(row[2])
             taken += row[3]
-            if slot != _TERM_SLOT:
+            if slot:
                 frames.append((block, call_idx, row[2]))
             block, call_idx = row[1], 0
         elif returns[block] and frames:

@@ -198,7 +198,11 @@ def cmd_profile(args) -> int:
 def cmd_wpa(args) -> int:
     program = load_program(args.program)
     pipe = PropellerPipeline(program, _config(args))
-    perf = load_perf_data(args.perf)
+    try:
+        perf = load_perf_data(args.perf)
+    except (OSError, ValueError) as exc:
+        log.error("cannot read profile: %s", exc)
+        return 2
     result = pipe.analyze(perf)
     Path(args.cc_prof).write_text(result.cc_prof_text)
     Path(args.ld_prof).write_text(result.ld_prof_text)

@@ -20,11 +20,14 @@ import struct
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+import numpy as np
+
 from repro import ir
-from repro.profiles import LBRSample, PerfData
+from repro.profiles import PerfData
 
 _MAGIC = b"RLBR"
 _VERSION = 1
+_HEADER_BYTES = 4 + 10
 
 PathLike = Union[str, Path]
 
@@ -161,35 +164,37 @@ def load_program(path: PathLike) -> ir.Program:
 
 def save_perf_data(perf: PerfData, path: PathLike) -> None:
     """Write a profile in the ``.lbr`` binary format."""
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<HII", _VERSION, perf.period, len(perf.samples))
-    for sample in perf.samples:
-        out += struct.pack("<H", len(sample.records))
-        for src, dst in sample.records:
-            out += struct.pack("<QQ", src, dst)
-    Path(path).write_bytes(bytes(out))
+    out = [_MAGIC, struct.pack("<HII", _VERSION, perf.period, perf.num_samples)]
+    for src, dst in perf.windows():
+        out.append(struct.pack("<H", len(src)))
+        out.append(np.stack((src, dst), axis=1).astype("<u8").tobytes())
+    Path(path).write_bytes(b"".join(out))
 
 
 def load_perf_data(path: PathLike) -> PerfData:
-    """Read a ``.lbr`` profile."""
+    """Read a ``.lbr`` profile; a malformed one is a ``ValueError`` naming the problem."""
     data = Path(path).read_bytes()
+    if len(data) < _HEADER_BYTES:
+        raise ValueError(f"{path}: truncated header ({len(data)} of {_HEADER_BYTES} bytes)")
     if data[:4] != _MAGIC:
         raise ValueError(f"{path}: not an LBR profile (bad magic)")
     version, period, count = struct.unpack_from("<HII", data, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported profile version {version}")
-    offset = 4 + 10
-    samples: List[LBRSample] = []
-    for _ in range(count):
+    offset = _HEADER_BYTES
+    sizes, records = [], []
+    for i in range(count):
+        if offset + 2 > len(data):
+            raise ValueError(f"{path}: the header counts {count} samples, the file holds {i}")
         (nrec,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        records = []
-        for _ in range(nrec):
-            src, dst = struct.unpack_from("<QQ", data, offset)
-            offset += 16
-            records.append((src, dst))
-        samples.append(LBRSample(records=tuple(records)))
+        end = offset + 2 + 16 * nrec
+        if end > len(data):
+            raise ValueError(f"{path}: sample {i} is cut short ({nrec} records, "
+                             f"{len(data) - offset - 2} bytes)")
+        sizes.append(nrec)
+        records.append(data[offset + 2:end])
+        offset = end
     if offset != len(data):
         raise ValueError(f"{path}: trailing bytes in profile")
-    return PerfData(samples=samples, period=period)
+    pairs = np.frombuffer(b"".join(records), dtype="<u8").reshape(-1, 2)
+    return PerfData(pairs[:, 0], pairs[:, 1], np.cumsum([0] + sizes), period)

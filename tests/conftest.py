@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.codegen import CodeGenOptions, compile_program
@@ -92,3 +93,24 @@ def pipeline_config():
 @pytest.fixture(scope="session")
 def pipeline_result(small_program, pipeline_config):
     return PropellerPipeline(small_program, pipeline_config).run()
+
+
+def perf_from_samples(samples, period=0):
+    """A ``PerfData`` of ``samples``, each a list of (src, dst) records."""
+    from repro.profiles import PerfData
+
+    records = [r for s in samples for r in s]
+    return PerfData([s for s, _ in records], [d for _, d in records],
+                    np.cumsum([0] + [len(s) for s in samples]), period)
+
+
+@pytest.fixture
+def parent_layout_perf():
+    """A ``PerfData`` whose pickled state is the tuple-per-record layout
+    (one ``LBRSample`` per sample) the class had before it held columns."""
+    from repro.profiles import LBRSample, PerfData
+
+    old = PerfData.__new__(PerfData)
+    old.__dict__.update(samples=[LBRSample(((0x401000, 0x401020),))],
+                        period=31, binary_name="metadata.out")
+    return old

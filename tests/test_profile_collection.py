@@ -1,17 +1,23 @@
 """Tests for trace generation, LBR sampling and PGO profiles."""
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codegen import BBSectionsMode, CodeGenOptions, compile_program
 from repro.linker import LinkOptions, link
 from repro.profiles import (
     IRProfile,
+    Trace,
     collect_ir_profile,
     generate_trace,
     sample_lbr,
 )
 from repro.profiles.lbr import LBR_DEPTH
 from repro.synth import PRESETS, generate_workload
+from tests.conftest import perf_from_samples
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +121,58 @@ class TestLBR:
         trace = generate_trace(exe, max_branches=100, seed=1, record_blocks=False)
         with pytest.raises(ValueError):
             sample_lbr(trace, period=0)
+
+
+def _reference_windows(src, dst, period):
+    """The tuple-per-record sampler ``sample_lbr`` replaced."""
+    out = []
+    for at in range(period, len(src) + 1, period):
+        lo = max(0, at - LBR_DEPTH)
+        out.append(tuple(zip(src[lo:at], dst[lo:at])))
+    return out
+
+
+def _reference_digest(period, samples):
+    """The tuple-by-tuple hash ``PerfData.digest`` replaced."""
+    h = hashlib.sha256()
+    h.update(str(period).encode())
+    for records in samples:
+        h.update(b"\x00S")
+        for src, dst in records:
+            h.update(src.to_bytes(16, "little", signed=True))
+            h.update(dst.to_bytes(16, "little", signed=True))
+    return h.hexdigest()
+
+
+_ADDR = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+class TestLBRColumns:
+    """The columnar profile equals the tuple-per-record one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_ADDR, _ADDR), max_size=200),
+           st.sampled_from([1, 2, 7, 31, 32, 33, 64, 101, 250]))
+    def test_sample_lbr_equals_reference_windows(self, branches, period):
+        """Periods below, at and above LBR_DEPTH; traces shorter than one period."""
+        src = [s for s, _ in branches]
+        dst = [d for _, d in branches]
+        expected = _reference_windows(src, dst, period)
+        for stream in (list, lambda xs: np.array(xs, dtype=np.int64)):
+            perf = sample_lbr(Trace(branch_src=stream(src), branch_dst=stream(dst)), period)
+            assert [s.records for s in perf.samples] == expected
+            assert perf.num_records == sum(map(len, expected))
+            assert perf.size_bytes == sum(48 + 16 * len(s) for s in expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 2**64 - 1), _ADDR), max_size=40),
+                    max_size=12),
+           st.integers(min_value=0, max_value=1000))
+    def test_digest_equals_the_tuple_by_tuple_hash(self, samples, period):
+        """Addresses past 2**63 and empty samples included."""
+        perf = perf_from_samples(samples, period=period)
+        assert perf.digest() == _reference_digest(period, samples)
+        assert [list(s.records) for s in perf.samples] == samples
 
 
 class TestIRProfile:

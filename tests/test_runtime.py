@@ -153,6 +153,27 @@ class TestPipelineDeterminism:
                 == cold.counters.count("cache.misses"))
         assert warm.counters.count("cache.misses") == 0
 
+    def test_parent_layout_perf_entry_is_quarantined_and_recomputed(
+            self, micro_program, tmp_path, parent_layout_perf):
+        """A stored profile in the tuple-per-record layout is refused when
+        it unpickles -- quarantined as ``unpicklable`` and recomputed --
+        never replayed half-loaded."""
+        from dataclasses import replace
+
+        from repro.profiles import PerfData
+        from repro.runtime.cache import read_envelope, write_envelope
+
+        cfg = self._config(cache_dir=str(tmp_path))
+        cold = PropellerPipeline(micro_program, cfg).run()
+        (path,) = [p for p in tmp_path.glob("??/*.pkl")
+                   if isinstance(getattr(read_envelope(p), "value", None), PerfData)]
+        write_envelope(path, replace(read_envelope(path), value=parent_layout_perf))
+        warm = PropellerPipeline(micro_program, cfg).run()
+        assert warm.counters.count("store.quarantined") == 1
+        assert [p.suffix for p in (tmp_path / "quarantine").iterdir()] == [".unpicklable"]
+        assert warm.perf.digest() == cold.perf.digest()
+        assert warm.digest() == cold.digest()
+
     def test_cache_dir_env_var(self, micro_program, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         pipe = PropellerPipeline(micro_program, self._config())

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import verify_program
 from repro.ir.digest import module_digest
-from repro.profiles import LBRSample, PerfData
 from repro.synth import PRESETS, generate_workload
 from repro.tools import (
     load_perf_data,
@@ -19,6 +20,7 @@ from repro.tools import (
     save_program,
 )
 from repro.tools.cli import PIPELINE_FLAG_FIELDS, build_parser, main
+from tests.conftest import perf_from_samples
 
 
 class TestProgramJSON:
@@ -49,11 +51,30 @@ class TestProgramJSON:
             program_from_json({"format": "repro-program", "version": 99})
 
 
+_GOLDEN_LBR = Path(__file__).parent / "golden" / "perf_v1.lbr"
+_GOLDEN_LBR_DIGEST = "b1d2fc12ef0114ef7db8029831098a72a76e198e1498fdac6cca0973df2f5695"
+
+
+def _lbr_bytes(count, body=b""):
+    """A version-1 ``.lbr`` header declaring ``count`` samples, then ``body``."""
+    return b"RLBR" + struct.pack("<HII", 1, 31, count) + body
+
+
+#: name -> (file content, what the error says); each was a traceback out
+#: of ``repro.tools wpa`` while the reader trusted its input.
+_MALFORMED_LBR = {
+    "short-header": (b"RLBR\x01\x00\x1f", "truncated header"),
+    "not-an-lbr-file": (b'{"format": "repro-program"}', "bad magic"),
+    "record-cut-short": (_lbr_bytes(1, struct.pack("<HQ", 2, 0x401000)), "cut short"),
+    "samples-past-the-end": (_lbr_bytes(3, struct.pack("<HQQ", 1, 0x401000, 0x401020)),
+                             "counts 3 samples"),
+    "trailing-bytes": (_lbr_bytes(0, b"\x00"), "trailing bytes"),
+}
+
+
 class TestPerfFormat:
     def _perf(self, samples):
-        return PerfData(
-            samples=[LBRSample(records=tuple(s)) for s in samples], period=31
-        )
+        return perf_from_samples(samples, period=31)
 
     def test_roundtrip(self, tmp_path):
         perf = self._perf([[(0x400000, 0x400010)], [(0x400020, 0x400000), (1, 2)]])
@@ -82,12 +103,32 @@ class TestPerfFormat:
         with pytest.raises(ValueError, match="trailing"):
             load_perf_data(path)
 
+    def test_golden_file_loads_and_rewrites_byte_for_byte(self, tmp_path):
+        """``tests/golden/perf_v1.lbr`` was written by the one-tuple-per-record
+        ``PerfData``: 600 taken branches sampled with period 13, so its first
+        two samples hold 13 and 26 records."""
+        perf = load_perf_data(_GOLDEN_LBR)
+        assert (perf.period, perf.num_samples, perf.num_records) == (13, 46, 1447)
+        assert perf.digest() == _GOLDEN_LBR_DIGEST
+        path = tmp_path / "again.lbr"
+        save_perf_data(perf, path)
+        assert path.read_bytes() == _GOLDEN_LBR.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_LBR))
+    def test_malformed_file_is_a_value_error_naming_it(self, tmp_path, name):
+        data, problem = _MALFORMED_LBR[name]
+        path = tmp_path / f"{name}.lbr"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=problem) as info:
+            load_perf_data(path)
+        assert str(path) in str(info.value)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
             st.lists(
-                st.tuples(st.integers(min_value=0, max_value=2**63),
-                          st.integers(min_value=0, max_value=2**63)),
+                st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                          st.integers(min_value=0, max_value=2**64 - 1)),
                 max_size=32,
             ),
             max_size=10,
@@ -102,6 +143,8 @@ class TestPerfFormat:
             path = Path(tmp) / "p.lbr"
             save_perf_data(perf, path)
             loaded = load_perf_data(path)
+            save_perf_data(loaded, Path(tmp) / "again.lbr")
+            assert (Path(tmp) / "again.lbr").read_bytes() == path.read_bytes()
         assert [list(s.records) for s in loaded.samples] == [list(s) for s in samples]
 
 
@@ -271,6 +314,38 @@ class TestBadConfigFlags:
             assert main([*argv, "--pgo-steps", "-1"]) == 2, argv[0]
 
 
+class TestBadProfileFile:
+    """``wpa PROGRAM PERF`` with a profile it cannot read is one stderr
+    line naming the file and exit status 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def prog(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("badlbr") / "w.json"
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize("name", ["missing", *sorted(_MALFORMED_LBR)])
+    def test_exits_2_without_a_traceback(self, prog, tmp_path, name):
+        import os
+        import subprocess
+        import sys
+
+        perf = tmp_path / f"{name}.lbr"
+        if name != "missing":
+            perf.write_bytes(_MALFORMED_LBR[name][0])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "wpa", prog, str(perf),
+             "--cc-prof", str(tmp_path / "cc.txt"), "--ld-prof", str(tmp_path / "ld.txt")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and str(perf) in done.stderr
+        assert done.stdout == ""
+        assert not (tmp_path / "cc.txt").exists()
+
+
 def _drop_metadata_artifact(manifest_text):
     """The records still say ``metadata-build`` ran."""
     manifest = json.loads(manifest_text)
@@ -321,6 +396,33 @@ class TestBadResumeDirectory:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.count("\n") == 1 and "resume-mismatch" in done.stderr
+        assert done.stdout == ""
+
+    def test_parent_layout_perf_artifact_exits_2(self, saved, tmp_path,
+                                                 parent_layout_perf):
+        """A ``perf`` artifact in the tuple-per-record layout is refused,
+        not resumed half-loaded."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.runtime.cache import write_envelope
+
+        prog, arts = saved
+        bad = tmp_path / "arts"
+        shutil.copytree(arts, bad)
+        write_envelope(bad / "perf.artifact", parent_layout_perf)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "optimize", prog,
+             *self.ARGS, "--resume-from", str(bad)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and "'perf'" in done.stderr
         assert done.stdout == ""
 
     @pytest.mark.parametrize("resume", [False, True], ids=["full", "resumed"])

@@ -9,6 +9,7 @@ does when it executes that -- and refuses, with a structured
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -188,3 +189,44 @@ class TestExactWork:
         distinct = {shared.transitions[t] for t in shared.steps.tolist()}
         assert len(resolved) == len(distinct) < len(shared.steps)
         assert set(resolved) == distinct
+
+
+_MASK64 = (1 << 64) - 1
+_TWO_64 = 18446744073709551616.0
+
+
+def _mix_to_unit(x: int) -> float:
+    """The scalar finalizer the walker called once per multi-way decision,
+    kept as the oracle of its precomputed draws."""
+    x &= _MASK64
+    x ^= x >> 33
+    x = (x * 0xFF51AFD7ED558CCD) & _MASK64
+    x ^= x >> 33
+    x = (x * 0xC4CEB9FE1A85EC53) & _MASK64
+    x ^= x >> 33
+    return x / _TWO_64
+
+
+class TestDraws:
+    """The walker's NumPy draws are the scalar ones, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(min_value=0, max_value=_MASK64),
+                     st.integers(min_value=2**64 - 64, max_value=2**64 + 64),
+                     st.integers(min_value=0, max_value=2**72)),
+           st.integers(min_value=0, max_value=80))
+    def test_units_equal_the_scalar_mix(self, start, n):
+        """Including starts near and past the 2**64 wrap."""
+        draws = trace_module._units(start, n)
+        expected = [_mix_to_unit(start + i * trace_module._DRAW_STEP) for i in range(n)]
+        assert [v.hex() for v in draws.tolist()] == [v.hex() for v in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(min_value=0, max_value=_MASK64),
+                     st.builds(lambda m, low: (m << 11) | low,
+                               st.integers(min_value=0, max_value=2**53 - 1),
+                               st.sampled_from([0x3FF, 0x400, 0x401, 0x7FF]))))
+    def test_uint64_to_double_rounds_like_python(self, x):
+        """Halfway cases too: the one step where the two could differ."""
+        got = (np.array([x], dtype=np.uint64) / _TWO_64).tolist()[0]
+        assert got.hex() == (x / _TWO_64).hex()

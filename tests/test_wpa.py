@@ -1,13 +1,14 @@
 """Tests for Phase 3: whole-program analysis."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import MemoryMeter
 from repro.codegen import CodeGenOptions, compile_program
-from repro.core import bbsections
+from repro.core import bbsections, wpa
 from repro.core.exttsp import ExtTSP
 from repro.core.wpa import (
     FunctionDCFG,
@@ -15,15 +16,16 @@ from repro.core.wpa import (
     WPAStats,
     _AddressMapIndex,
     _build_dcfg,
+    _count_events,
     _merge_superblocks,
     analyze,
 )
 from repro.elf import bbaddrmap
 from repro.linker import LinkOptions, link
 from repro.obs import Tracer
-from repro.profiles import PerfData, collect_lbr_profile
-from repro.profiles.lbr import LBRSample
+from repro.profiles import collect_lbr_profile
 from repro.synth import PRESETS, generate_workload
+from tests.conftest import perf_from_samples
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +223,7 @@ def index():
 
 
 def _perf(*samples):
-    return PerfData(samples=[LBRSample(records=tuple(records)) for records in samples])
+    return perf_from_samples(samples)
 
 
 def _build(index, perf):
@@ -266,6 +268,28 @@ def _reference_build_dcfg(index, perf, stats):
                 block_call_edges[bkey] = block_call_edges.get(bkey, 0.0) + 1.0
             prev = dref
     return dcfg, call_edges, block_call_edges
+
+
+def _reference_count_events(index, perf, stats):
+    """The record-at-a-time pass 1 :func:`_count_events` replaced, kept as
+    the reference for its dict order and accounting."""
+    refs, events = {}, {}
+    for sample in perf.samples:
+        stats.num_records += len(sample.records)
+        prev_dst = None
+        for src, dst in sample.records:
+            for addr in (src, dst):
+                if addr not in refs:
+                    refs[addr] = index.lookup(addr)
+            if refs[src] is None or refs[dst] is None:
+                stats.records_dropped += 1
+                prev_dst = None
+                continue
+            if prev_dst is not None:
+                events[prev_dst, src, True] = events.get((prev_dst, src, True), 0) + 1
+            events[src, dst, False] = events.get((src, dst, False), 0) + 1
+            prev_dst = dst
+    return refs, events
 
 
 def _as_items(dcfg, call_edges, block_call_edges):
@@ -335,11 +359,12 @@ class TestBuildDCFG:
         assert distinct == {"distinct_addresses": 4, "distinct_branches": 2,
                             "distinct_fallthroughs": 2}
 
-    # Block starts, block interiors, one-past-the-end and unmapped holes.
+    # Block starts, block interiors, one-past-the-end and unmapped holes,
+    # up to the top of the u64 range.
     _ADDRESSES = st.sampled_from(
         [_F, _F + 0x04, _F + 0x10, _F + 0x1c, _F + 0x20, _F + 0x30, _F + 0x3f,
          _F + 0x40, _G, _G + 0x07, _G + 0x08, _G + 0x10, _H, _H + 0x03, _H + 0x04,
-         _F - 1, _UNMAPPED])
+         _F - 1, _UNMAPPED, 2**63, 2**64 - 1])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.tuples(_ADDRESSES, _ADDRESSES), max_size=12), max_size=6),
@@ -352,6 +377,33 @@ class TestBuildDCFG:
         assert _as_items(dcfg, calls, block_calls) == _as_items(*reference)
         assert (stats.num_records, stats.records_dropped) == (
             ref_stats.num_records, ref_stats.records_dropped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(_ADDRESSES, _ADDRESSES), max_size=12), max_size=6),
+           st.integers(min_value=1, max_value=5))
+    def test_chunked_pass_1_equals_record_at_a_time(self, index, samples, chunk):
+        """At any chunk size -- samples, fall-throughs and dropped records
+        straddling chunk edges -- pass 1 counts what one record at a time
+        does, in the same first-appearance order."""
+        perf = _perf(*samples)
+        ref_stats, stats = WPAStats(), WPAStats()
+        ref_refs, ref_events = _reference_count_events(index, perf, ref_stats)
+        with mock.patch.object(wpa, "CHUNK", chunk):
+            refs, events = _count_events(index, perf, stats)
+            distinct = _build(index, perf)[-1]
+        assert list(events.items()) == list(ref_events.items())
+
+        def resolved(ref):
+            return None if ref is None else (ref.func, ref.pos, ref.bb_id, ref.is_entry)
+
+        assert {a: resolved(r) for a, r in refs.items()} == {
+            a: resolved(r) for a, r in ref_refs.items()}
+        assert (stats.num_records, stats.records_dropped) == (
+            ref_stats.num_records, ref_stats.records_dropped)
+        falls = sum(fall for _, _, fall in ref_events)
+        assert distinct == {"distinct_addresses": len(ref_refs),
+                            "distinct_branches": len(ref_events) - falls,
+                            "distinct_fallthroughs": falls}
 
 
 class TestDistinctWork:
