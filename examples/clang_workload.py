@@ -23,15 +23,13 @@ def main() -> None:
                             workers=72, enforce_ram=False)
     pipe = PropellerPipeline(program, config)
 
-    # Phase 1+2: PGO baseline, then the same build with BB address maps.
-    profile = pipe.collect_pgo_profile()
-    baseline = pipe.build(
-        "pgo", pipe.baseline_options(profile),
-        pipe.link_options("base.out", keep_bb_addr_map=False),
-    )
-    metadata = pipe.build_metadata(profile)
+    # Phase 1+2: one PGO compile with BB address maps, linked twice --
+    # the metadata binary keeps the maps, the baseline strips them.
+    built = pipe.run_stages(stop_after="metadata-build").values
+    profile, baseline, metadata = (built["ir_profile"], built["baseline"],
+                                   built["metadata"])
     map_bytes = metadata.executable.section_sizes()["bb_addr_map"]
-    print(f"phase 1+2: {len(baseline.objects)} objects compiled; "
+    print(f"phase 1+2: {len(metadata.objects)} objects compiled once; "
           f"metadata binary carries {format_bytes(map_bytes)} of BB address maps "
           f"(+{100 * (metadata.executable.total_size / baseline.executable.total_size - 1):.1f}%)")
 

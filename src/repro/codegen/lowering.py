@@ -492,8 +492,12 @@ def compile_action(
     """
     compiled = compile_module(module, options)
     cost = fixed_seconds + compiled.num_instrs * seconds_per_instr
-    peak = compiled.obj.total_size * 3
-    return compiled, cost, peak
+    return compiled, cost, compile_peak_memory(compiled.obj)
+
+
+def compile_peak_memory(obj: ObjectFile) -> int:
+    """Modelled peak RAM of the backend action that emits ``obj``."""
+    return obj.total_size * 3
 
 
 def compile_program(program: ir.Program, options: CodeGenOptions) -> List[CompiledObject]:

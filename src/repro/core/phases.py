@@ -7,9 +7,10 @@ followed by its fallback, its artifacts and its
 :class:`~repro.core.stages.Stage` declaration.  To change a phase, edit
 its function here.
 
-* **Phase 1/2** -- compile every module with PGO (the baseline
-  configuration) and again with BB address map metadata; all codegen
-  actions are cached by module content digest.
+* **Phase 1/2** -- compile every module once, with PGO and BB address
+  map metadata (actions cached by module content digest), and link the
+  objects twice: the metadata binary keeps the map, the baseline is
+  the same objects with the map stripped (§3.2).
 * **Phase 3** -- run the workload on the metadata binary, sample LBR,
   and run whole-program analysis to produce ``cc_prof``/``ld_prof``.
 * **Phase 4** -- re-run codegen *only* for modules containing hot
@@ -26,7 +27,6 @@ The stages are wired into one graph, the module constant
 from __future__ import annotations
 
 import hashlib
-import zlib
 from typing import Any, Dict, List, Set, Tuple
 
 from repro import ir
@@ -163,32 +163,6 @@ INLINE = Stage(
 )
 
 
-def baseline_build(pipe: Any, inputs) -> Dict[str, Any]:
-    baseline = pipe.build(
-        tag="pgo",
-        codegen_options=pipe.baseline_options(inputs["ir_profile"]),
-        link_options=pipe.link_options("base.out", keep_bb_addr_map=False),
-    )
-    return {"baseline": baseline,
-            "pgo_instrumented_build":
-                baseline.wall_seconds * INSTRUMENTED_BUILD_FACTOR,
-            "opt_build": baseline.wall_seconds}
-
-
-ART_BASELINE = Artifact("baseline", BuildOutcome)
-
-BASELINE_BUILD = Stage(
-    name="baseline-build",
-    run=baseline_build,
-    inputs=(ART_IR_PROFILE, ART_PREPARED),
-    outputs=(ART_BASELINE,),
-    phase="baseline",
-    time_keys=("pgo_instrumented_build", "opt_build"),
-    doc="The PGO baseline build (status-quo deployment; consumes "
-        "the profile as trained, stale and all).",
-)
-
-
 def match_stale(pipe: Any, profile: IRProfile,
                 mode: str) -> Tuple[IRProfile, MatchStats]:
     """Re-attach ``profile`` to the pipeline's *current* program.
@@ -231,25 +205,42 @@ STALE_MATCH = Stage(
 
 
 def metadata_build(pipe: Any, inputs) -> Dict[str, Any]:
-    """Phases 1-2: the BB-address-map metadata build (§3.2)."""
-    metadata = pipe.build(
-        tag="pgo+map",
-        codegen_options=pipe.metadata_options(inputs["ir_profile"]),
-        link_options=pipe.link_options("metadata.out", keep_bb_addr_map=True),
-    )
-    return {"metadata": metadata, "metadata_build": metadata.wall_seconds}
+    """Phases 1-2: one compile of every module, linked twice (§3.2).
+
+    ``metadata.out`` keeps the BB address map: the binary Phase 3
+    profiles.  ``base.out`` links the same objects without it -- the
+    PGO baseline the paper deploys and measures against, which differs
+    from the profiled binary only by that non-allocated section.  Both
+    consume the profile as trained, stale and all.
+    """
+    with pipe.tracer.span("build:metadata.out", category="build"):
+        batch = pipe.codegen_batch(pipe.metadata_options(inputs["ir_profile"]))
+        metadata = pipe.link_batch(
+            batch, pipe.link_options("metadata.out", keep_bb_addr_map=True))
+    with pipe.tracer.span("build:base.out", category="build"):
+        baseline = pipe.link_batch(
+            batch, pipe.link_options("base.out", keep_bb_addr_map=False),
+            strip_map=True)
+    return {"metadata": metadata, "baseline": baseline,
+            "pgo_instrumented_build":
+                baseline.wall_seconds * INSTRUMENTED_BUILD_FACTOR,
+            "opt_build": baseline.wall_seconds,
+            "metadata_build": metadata.wall_seconds}
 
 
 ART_METADATA = Artifact("metadata", BuildOutcome)
+ART_BASELINE = Artifact("baseline", BuildOutcome)
 
 METADATA_BUILD = Stage(
     name="metadata-build",
     run=metadata_build,
     inputs=(ART_IR_PROFILE, ART_PREPARED),
-    outputs=(ART_METADATA,),
+    outputs=(ART_METADATA, ART_BASELINE),
     phase="metadata-build",
-    time_keys=("metadata_build",),
-    doc="Phases 1-2: the BB-address-map metadata build.",
+    time_keys=("pgo_instrumented_build", "opt_build", "metadata_build"),
+    doc="Phases 1-2: compile every module once with the BB address map; "
+        "link the metadata binary, and the baseline from the same "
+        "objects without the map.",
 )
 
 
@@ -457,7 +448,6 @@ def relink(pipe: Any, inputs) -> Dict[str, Any]:
     layout_funcs = hot_funcs | set(extra_clusters)
     module_profile = hot_profile if hot_profile is not None else ir_profile
     per_module_options: Dict[str, CodeGenOptions] = {}
-    per_module_tags: Dict[str, str] = {}
     for module in pipe.program.modules:
         module_hot = {f.name for f in module.functions} & layout_funcs
         if not module_hot:
@@ -477,27 +467,17 @@ def relink(pipe: Any, inputs) -> Dict[str, Any]:
             clusters=clusters,
             prefetches=prefetches or None,
         )
-        cluster_sig = ";".join(
-            f"{fn}:" + "|".join(",".join(map(str, c)) for c in clusters[fn])
-            for fn in sorted(clusters)
-        ) + "#" + ";".join(
-            f"{fn}:{sorted(prefetches[fn])}" for fn in sorted(prefetches)
-        )
-        sig = zlib.crc32(cluster_sig.encode())
-        per_module_tags[module.name] = f"pgo+clusters:{sig:08x}"
-    optimized = pipe.build(
-        tag="pgo+map",  # cold modules replay their Phase 2 action
-        codegen_options=pipe.metadata_options(ir_profile),
-        link_options=pipe.link_options(
+    with pipe.tracer.span("build:propeller.out", category="build"):
+        # Cold modules replay their Phase 2 action: same module, same options.
+        batch = pipe.codegen_batch(pipe.metadata_options(ir_profile),
+                                   per_module_options)
+        optimized = pipe.link_batch(batch, pipe.link_options(
             "propeller.out",
             # An empty order (degraded/no-directives runs) means "no
             # ordering requested", not "order zero symbols".
             symbol_order=wpa_result.symbol_order or None,
             keep_bb_addr_map=False,
-        ),
-        per_module_options=per_module_options,
-        per_module_tags=per_module_tags,
-    )
+        ))
     return {"optimized": optimized,
             "prop_backends": optimized.backends.wall_seconds,
             "prop_link": optimized.link_seconds}
@@ -599,6 +579,5 @@ def incremental_summary(pipeline: Any, state: Any, plan: Any,
 #: entries and ``degraded:*`` span names), so they are part of the
 #: pinned observability surface -- do not rename casually.
 PIPELINE = StageGraph((
-    PGO_PROFILE, INLINE, BASELINE_BUILD, STALE_MATCH, METADATA_BUILD,
-    LBR_PROFILE, WPA, RELINK,
+    PGO_PROFILE, INLINE, STALE_MATCH, METADATA_BUILD, LBR_PROFILE, WPA, RELINK,
 ))

@@ -21,9 +21,11 @@ from repro import ir
 from repro.analysis import MemoryMeter
 from repro.buildsys import BuildSystem, PhaseReport, digest_parts
 from repro.codegen import CodeGenOptions, compile_action
+from repro.codegen.lowering import compile_peak_memory
 from repro.core.stages import ArtifactSet, StageGraphError
 from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
+from repro.elf.strip import strip_bb_addr_map
 from repro.faults import FaultPlan
 from repro.ir.digest import module_digest
 from repro.linker import LinkOptions, LinkResult, LinkStats, link
@@ -50,9 +52,10 @@ class PipelineConfig:
     #: :mod:`repro.profiles.matching`).  When enabled, the drifted
     #: instrumented profile is re-attached to the current CFGs (fuzzy
     #: block matching + flow-conservation count inference) and the
-    #: *recovered* profile feeds the metadata and Propeller builds;
-    #: the baseline build deliberately keeps the stale profile -- it
-    #: models the status-quo PGO deployment the paper measures against.
+    #: *recovered* profile feeds only the modules Phase 4 re-compiles;
+    #: the metadata build (and so the baseline, its objects without the
+    #: map) deliberately keeps the stale profile -- it models the
+    #: status-quo PGO deployment the paper measures against.
     stale_matching: str = "off"
     #: Hardware-profiling run length (taken branches).
     lbr_branches: int = 400_000
@@ -144,10 +147,21 @@ def _link_options_signature(options: LinkOptions) -> str:
 
 
 @dataclass
+class CodegenBatch:
+    """The compile half of a build: one object per module, in order."""
+
+    #: The batch's action keys, which name its objects' content.
+    keys: List[str]
+    objects: List[ObjectFile]
+    backends: PhaseReport
+    hot_modules: int
+    cold_cache_hits: int
+
+
+@dataclass
 class BuildOutcome:
     """One full (re)build: backend actions plus the final link."""
 
-    tag: str
     executable: Executable
     objects: List[ObjectFile]
     backends: PhaseReport
@@ -207,9 +221,10 @@ class PipelineResult:
     #: Stale-profile matching accounting (``None`` when
     #: ``config.stale_matching == "off"``).
     match_stats: Optional[MatchStats] = None
-    #: The re-attached profile the metadata/optimized builds consumed
+    #: The re-attached profile the modules Phase 4 re-compiled consumed
     #: (``None`` when matching was off; ``ir_profile`` always holds the
-    #: profile as trained, i.e. the stale one the baseline used).
+    #: profile as trained, i.e. the stale one the metadata build, and so
+    #: the baseline, used).
     recovered_profile: Optional[IRProfile] = None
     #: Metrics accumulated by the run (cache, scheduler, profile
     #: quality); excluded from :meth:`digest` like all accounting.
@@ -410,78 +425,80 @@ class PropellerPipeline:
         self._option_sigs[id(options)] = (options, sig)
         return sig
 
-    def build(
+    def codegen_batch(
         self,
-        tag: str,
         codegen_options: CodeGenOptions,
-        link_options: LinkOptions,
         per_module_options: Optional[Dict[str, CodeGenOptions]] = None,
-        per_module_tags: Optional[Dict[str, str]] = None,
-    ) -> BuildOutcome:
-        """Compile every module (through the cache) and link.
-
-        All backend actions of one build are independent, so they run
-        as a single batch, in deterministic (module) order.  The link is
-        itself an action keyed by the backend action keys plus the link
-        options, so a warm cache replays it too.
-        """
+    ) -> CodegenBatch:
+        """The first half of a build: compile every module through the
+        cache, as one batch in module order, with its
+        ``per_module_options`` entry if it has one.  A compile's key is
+        the module's digest and its options' full signature."""
         items = []
-        hot_modules = 0
         hot_names: Set[str] = set()
         for module in self.program.modules:
             options = codegen_options
-            module_tag = tag
             if per_module_options is not None and module.name in per_module_options:
                 options = per_module_options[module.name]
-                module_tag = (per_module_tags or {}).get(module.name, tag)
-                hot_modules += 1
                 hot_names.add(module.name)
-            key_parts = [self._digest(module), module_tag, self._options_signature(options)]
             items.append((
-                key_parts,
+                [self._digest(module), self._options_signature(options)],
                 compile_action,
                 (module, options, phases.CODEGEN_FIXED_SECONDS,
                  phases.CODEGEN_SECONDS_PER_INSTR),
             ))
-        build_span = self.tracer.span(
-            f"build:{link_options.output_name}", category="build", tag=tag
+        with self.tracer.span("codegen-batch", category="batch") as sp:
+            actions = self.buildsys.run_batch("codegen", items)
+            backends = self.buildsys.schedule(actions)
+            sp.advance(backends.wall_seconds)
+            sp.note(actions=backends.actions, cache_hits=backends.cache_hits,
+                    hot_modules=len(hot_names))
+        cold_hits = 0
+        if per_module_options is not None:
+            cold_hits = sum(
+                1 for module, result in zip(self.program.modules, actions)
+                if result.cache_hit and module.name not in hot_names
+            )
+        return CodegenBatch(
+            keys=[a.key for a in actions],
+            objects=[a.value.obj for a in actions],
+            backends=backends,
+            hot_modules=len(hot_names),
+            cold_cache_hits=cold_hits,
         )
-        with build_span:
-            with self.tracer.span("codegen-batch", category="batch") as sp:
-                actions = self.buildsys.run_batch("codegen", items)
-                backends = self.buildsys.schedule(actions)
-                sp.advance(backends.wall_seconds)
-                sp.note(actions=backends.actions, cache_hits=backends.cache_hits,
-                        hot_modules=hot_modules)
-            objects: List[ObjectFile] = [result.value.obj for result in actions]
-            cold_hits = 0
-            if per_module_options is not None:
-                cold_hits = sum(
-                    1 for module, result in zip(self.program.modules, actions)
-                    if result.cache_hit and module.name not in hot_names
-                )
 
-            def _link_compute():
-                link_result = link(objects, link_options, meter=MemoryMeter())
-                seconds = link_result.stats.cost_units * phases.LINK_SECONDS_PER_BYTE
-                return link_result, seconds, link_result.stats.peak_memory_bytes
+    def link_batch(self, batch: CodegenBatch, link_options: LinkOptions,
+                   strip_map: bool = False) -> BuildOutcome:
+        """The second half: link a batch's objects as one cached action,
+        keyed by the batch's action keys and the link options.
+        ``strip_map`` links them without their BB address map and keeps
+        the batch's schedule (a compile's cost does not depend on the
+        map), re-deriving only its peak memory from the stripped objects."""
+        objects, backends, inputs = batch.objects, batch.backends, batch.keys
+        if strip_map:
+            objects = [strip_bb_addr_map(obj) for obj in objects]
+            backends = replace(backends, peak_action_memory=max(
+                map(compile_peak_memory, objects), default=0))
+            inputs = [*inputs, "strip:bb_addr_map"]
 
-            # The inputs of the link are exactly the backend outputs (named
-            # by their action keys) and the link options.
-            inputs = hashlib.sha256("\n".join(a.key for a in actions).encode()).hexdigest()
-            link_action = phases.run_cached_action(
-                self, "link", "link",
-                [inputs, _link_options_signature(link_options)], _link_compute)
+        def _link_compute():
+            link_result = link(objects, link_options, meter=MemoryMeter())
+            seconds = link_result.stats.cost_units * phases.LINK_SECONDS_PER_BYTE
+            return link_result, seconds, link_result.stats.peak_memory_bytes
+
+        link_action = phases.run_cached_action(
+            self, "link", "link",
+            [hashlib.sha256("\n".join(inputs).encode()).hexdigest(),
+             _link_options_signature(link_options)], _link_compute)
         link_result: LinkResult = link_action.value
         return BuildOutcome(
-            tag=tag,
             executable=link_result.executable,
             objects=objects,
             backends=backends,
             link_stats=link_result.stats,
             link_seconds=link_action.cost_seconds,
-            hot_modules=hot_modules,
-            cold_cache_hits=cold_hits,
+            hot_modules=batch.hot_modules,
+            cold_cache_hits=batch.cold_cache_hits,
         )
 
     # ------------------------------------------------------------------
@@ -495,20 +512,8 @@ class PropellerPipeline:
         """Instrumented training run (the ``pgo-profile`` phase)."""
         return phases.PGO_PROFILE.run(self, {})["ir_profile"]
 
-    def match_stale_profile(
-        self, profile: IRProfile, mode: Optional[str] = None
-    ) -> Tuple[IRProfile, MatchStats]:
-        """Re-attach ``profile`` to the pipeline's *current* program
-        in ``mode`` (default: ``config.stale_matching``); see
-        :func:`repro.core.phases.match_stale`."""
-        if mode is None:
-            mode = self.config.stale_matching
-        return phases.match_stale(self, profile, mode)
-
-    def baseline_options(self, profile: IRProfile) -> CodeGenOptions:
-        return CodeGenOptions(ir_profile=profile)
-
     def metadata_options(self, profile: IRProfile) -> CodeGenOptions:
+        """Phases 1-2's one codegen configuration: PGO plus the BB address map."""
         return CodeGenOptions(ir_profile=profile, bb_addr_map=True)
 
     def link_options(self, name: str, **overrides) -> LinkOptions:
@@ -516,7 +521,7 @@ class PropellerPipeline:
 
         The public way to derive link options consistent with the
         pipeline's configuration (entry symbol, features, hugepages) --
-        what the CLI and examples use to drive :meth:`build` directly.
+        what every stage's :meth:`link_batch` call is given.
         """
         base = LinkOptions(
             output_name=name,
@@ -527,7 +532,8 @@ class PropellerPipeline:
         return replace(base, **overrides)
 
     def build_metadata(self, profile: IRProfile) -> BuildOutcome:
-        """Phases 1-2: the BB-address-map metadata build (§3.2)."""
+        """Phases 1-2: the BB-address-map metadata build (§3.2), from
+        the ``metadata-build`` stage (its baseline is not returned)."""
         return phases.METADATA_BUILD.run(
             self, {"ir_profile": profile})["metadata"]
 
@@ -579,13 +585,10 @@ class PropellerPipeline:
 
     def build_bolt_input(self, ir_profile: IRProfile) -> BuildOutcome:
         """The BOLT metadata binary: same objects, linked with --emit-relocs."""
-        return self.build(
-            tag="pgo+map",
-            codegen_options=self.metadata_options(ir_profile),
-            link_options=self.link_options(
-                "bolt-metadata.out", keep_bb_addr_map=False, emit_relocs=True
-            ),
-        )
+        with self.tracer.span("build:bolt-metadata.out", category="build"):
+            batch = self.codegen_batch(self.metadata_options(ir_profile))
+            return self.link_batch(batch, self.link_options(
+                "bolt-metadata.out", keep_bb_addr_map=False, emit_relocs=True))
 
     # ------------------------------------------------------------------
     # The whole pipeline
@@ -668,8 +671,9 @@ class PropellerPipeline:
         relink falls back -- empty instrumented profile, baseline
         layout, baseline binary respectively, per the stages' declared
         ``fallback=`` -- and marks the result ``degraded`` with an
-        explicit reason.  The product builds (baseline, metadata) have
-        nothing to fall back to, so their exhaustion propagates as
+        explicit reason.  The product build (``metadata-build``, which
+        links the metadata and baseline binaries) has nothing to fall
+        back to, so its exhaustion propagates as
         :class:`~repro.faults.RetriesExhausted`.
         """
         return self.result_from(self.run_stages())
@@ -679,33 +683,17 @@ class PropellerPipeline:
 
         ``state`` is the :class:`repro.incr.IncrState` snapshot captured
         from the previous release's :class:`PipelineResult` (or the
-        path such a snapshot was saved to).  The method first plans the
-        *dirty set* -- functions whose CFG content digest or per-anchor
-        profile slice changed since the snapshot -- purely for
-        observability, then executes :meth:`run` with the pipeline's
-        :class:`~repro.runtime.FunctionSolveCache` active: unchanged
-        functions' Ext-TSP solves replay from the cache, dirty ones
-        solve fresh.  Correctness never rests on the plan: the solve
-        cache is keyed by the exact solver inputs, so the result is
-        **bit-identical** to a full rebuild
-        (``result.digest() == optimize(edited_program).digest()``) by
-        construction, whatever the plan predicted.
-
-        Degradations keep their :meth:`run` semantics: a failed
-        profile collection or analysis under a fault plan degrades the
-        result honestly (``degraded_reasons``) rather than silently
-        replaying stale state.
-
-        The dirty plan, hot-set flips and solve-reuse accounting land
-        on ``result.incremental`` (an :class:`IncrementalSummary`), the
-        ``incr.*`` counters and the report's ``incremental`` section.
-
-        There is no second graph: this is :meth:`run` between two plain
-        functions, :func:`repro.core.phases.plan_dirty` before it and
-        :func:`repro.core.phases.incremental_summary` after.  The
-        plan's profile pre-collection falls back to an empty profile
-        *silently* -- the pipeline's own profile stage will degrade
-        honestly if collection is truly doomed.
+        path such a snapshot was saved to).  This is :meth:`run`, with
+        the pipeline's :class:`~repro.runtime.FunctionSolveCache`
+        replaying unchanged functions' Ext-TSP solves, between two
+        plain functions: :func:`repro.core.phases.plan_dirty` (the
+        *dirty set*, functions whose CFG or profile slice changed, for
+        observability only) and
+        :func:`repro.core.phases.incremental_summary`, which lands the
+        plan, hot-set flips and solve reuse on ``result.incremental``.
+        The solve cache is keyed by the exact solver inputs, so the
+        result is **bit-identical** to a full rebuild whatever the plan
+        predicted, and degradations keep their :meth:`run` semantics.
         """
         from repro import incr as incr_mod
 

@@ -355,8 +355,9 @@ class StageGraph:
         replays an earlier partial execution: stages whose records it
         carries are not re-run, their artifacts and accounting (status,
         degradations, recorded times) are taken as-is.  It must be a
-        prefix of the graph carrying every output its stages declare --
-        checked here, before any stage runs.  ``stop_after`` stops once
+        prefix of the graph carrying every output its stages declare,
+        and record no stage the graph lacks -- checked here, before any
+        stage runs.  ``stop_after`` stops once
         the named stage has been replayed or run.
         """
         if stop_after is not None:
@@ -365,6 +366,12 @@ class StageGraph:
         artifacts = ArtifactSet()
         if resume is not None:
             artifacts.values.update(resume.values)
+            unknown = [n for n in resume.records if n not in self._by_name]
+            if unknown:
+                raise StageGraphError(
+                    "resume-mismatch", f"resumed artifact set records stage "
+                    f"{unknown[0]!r}, which this graph does not have",
+                    stage=unknown[0])
             for stage in self.stages:
                 if stage.name not in resume.records:
                     continue

@@ -10,10 +10,10 @@ PT_LOAD"), which §5.8 cites as a deployment blocker.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Tuple
 
 from repro.elf.executable import Executable
+from repro.elf.objectfile import ObjectFile
 from repro.elf.sections import SectionKind, SymbolBinding
 
 
@@ -50,3 +50,14 @@ def strip_executable(exe: Executable) -> Tuple[Executable, int]:
         hugepages=exe.hugepages,
     )
     return stripped, before - stripped.total_size
+
+
+def strip_bb_addr_map(obj: ObjectFile) -> ObjectFile:
+    """``obj`` without its BB address map: the object codegen emits
+    without ``bb_addr_map`` (same ``content_digest()``).  Sections and
+    symbols are shared, not copied; the linker never mutates inputs."""
+    return ObjectFile(
+        name=obj.name,
+        sections=[s for s in obj.sections if s.kind != SectionKind.BB_ADDR_MAP],
+        symbols=obj.symbols,
+    )

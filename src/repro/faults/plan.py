@@ -231,10 +231,8 @@ class FaultPlan:
             raw = raw.strip()
             if field == "only_kinds":
                 values[field] = tuple(k for k in raw.split("|") if k)
-            elif field in _INT_FIELDS:
-                values[field] = int(raw)
             else:
-                values[field] = float(raw)
+                values[field] = (int if field in _INT_FIELDS else float)(raw)
         return cls(**values)
 
     def to_spec(self) -> str:
@@ -261,10 +259,23 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "FaultPlan":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+        """The inverse of :meth:`to_json`; anything else is a ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a fault plan is a JSON object, not {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown fault-plan fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if name == "only_kinds":
+                ok = (isinstance(value, (list, tuple))
+                      and all(isinstance(k, str) for k in value))
+            else:
+                ok = (isinstance(value, int if name in _INT_FIELDS else (int, float))
+                      and not isinstance(value, bool))
+            if not ok:
+                raise ValueError(
+                    f"fault-plan field {name!r} has the wrong type: {value!r}")
         payload = dict(data)
         if "only_kinds" in payload:
             payload["only_kinds"] = tuple(payload["only_kinds"])
@@ -279,14 +290,18 @@ class FaultPlan:
         ``None`` passes through (no injection); a :class:`FaultPlan` is
         returned as-is; a string naming an existing ``.json`` file is
         loaded via :meth:`from_json`; any other string is parsed as a
-        spec.  This is what ``--fault-plan`` feeds.
+        spec.  This is what ``--fault-plan`` feeds; a malformed spec or
+        file is a ``ValueError``.
         """
         if source is None or isinstance(source, cls):
             return source
         text = os.fspath(source)
         path = Path(text)
         if text.endswith(".json") and path.is_file():
-            return cls.from_json(json.loads(path.read_text()))
+            try:
+                return cls.from_json(json.loads(path.read_text()))
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"fault plan {text}: {exc}") from None
         return cls.parse(text)
 
     def with_seed(self, seed: int) -> "FaultPlan":

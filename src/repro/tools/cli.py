@@ -121,19 +121,32 @@ def _add_verbosity_args(parser: argparse.ArgumentParser) -> None:
                        help="debug-level progress output")
 
 
-class _BadConfig(Exception):
-    """A pipeline flag value :class:`PipelineConfig` rejected; ``main``
-    reports it and exits 2."""
+class _UsageError(Exception):
+    """A flag value or input file the command cannot use; ``main``
+    reports it in one line and exits 2."""
 
 
-def _config(args) -> PipelineConfig:
+def _read(load, path, what: str):
+    """``load(path)``; an unreadable or malformed file is a usage error."""
     try:
-        return PipelineConfig(
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {what}: {exc}") from None
+
+
+def _pipeline(args) -> PropellerPipeline:
+    """The pipeline of ``args.program`` under the pipeline flags, built
+    inside the guard: a value :class:`PipelineConfig` refuses, or a
+    fault plan that does not resolve, is a usage error before any work
+    starts."""
+    program = _read(load_program, args.program, "program")
+    try:
+        return PropellerPipeline(program, PipelineConfig(
             trace=bool(getattr(args, "trace_out", None)),
             **{field: getattr(args, dest) for dest, field in PIPELINE_FLAG_FIELDS.items()},
-        )
+        ))
     except ValueError as exc:
-        raise _BadConfig(str(exc)) from None
+        raise _UsageError(str(exc)) from None
 
 
 def _finish_optimize(args, pipe: PropellerPipeline, result) -> int:
@@ -174,8 +187,7 @@ def cmd_presets(_args) -> int:
 def cmd_generate(args) -> int:
     preset = PRESETS.get(args.preset)
     if preset is None:
-        log.error("unknown preset %r; see `presets`", args.preset)
-        return 2
+        raise _UsageError(f"unknown preset {args.preset!r}; see `presets`")
     program = generate_workload(preset, scale=args.scale, seed=args.seed)
     save_program(program, args.output)
     log.info("%s: %d functions, %d basic blocks, %d modules",
@@ -185,8 +197,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    program = load_program(args.program)
-    pipe = PropellerPipeline(program, _config(args))
+    pipe = _pipeline(args)
     perf = pipe.collect_perf()
     save_perf_data(perf, args.output)
     log.info("%s: %d samples, %d records (%s)",
@@ -196,14 +207,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_wpa(args) -> int:
-    program = load_program(args.program)
-    pipe = PropellerPipeline(program, _config(args))
-    try:
-        perf = load_perf_data(args.perf)
-    except (OSError, ValueError) as exc:
-        log.error("cannot read profile: %s", exc)
-        return 2
-    result = pipe.analyze(perf)
+    pipe = _pipeline(args)
+    result = pipe.analyze(_read(load_perf_data, args.perf, "profile"))
     Path(args.cc_prof).write_text(result.cc_prof_text)
     Path(args.ld_prof).write_text(result.ld_prof_text)
     log.info("%d hot functions; peak memory %s",
@@ -214,22 +219,19 @@ def cmd_wpa(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    program = load_program(args.program)
-    config = _config(args)
-    pipe = PropellerPipeline(program, config)
+    pipe = _pipeline(args)
     if args.stop_after or args.resume_from or args.artifacts_out:
         return _optimize_partial(args, pipe)
-    if not config.state_dir:
+    if not pipe.config.state_dir:
         return _finish_optimize(args, pipe, pipe.run())
     from repro.incr import IncrState, IncrStateError, state_path
 
-    snapshot = state_path(config.state_dir)
+    snapshot = state_path(pipe.config.state_dir)
     if snapshot.exists():
         try:
             result = pipe.reoptimize(snapshot)
         except IncrStateError as exc:
-            log.error("%s", exc)
-            return 2
+            raise _UsageError(str(exc)) from None
     else:
         log.info("no prior state at %s; running full (and capturing)",
                  snapshot)
@@ -257,26 +259,22 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
     from repro.core.stages import ArtifactSet, StageGraphError
 
     if args.stop_after and not args.artifacts_out:
-        log.error("--stop-after requires --artifacts-out DIR")
-        return 2
+        raise _UsageError("--stop-after requires --artifacts-out DIR")
     if args.artifacts_out and not args.stop_after:
-        log.error("--artifacts-out requires --stop-after STAGE")
-        return 2
+        raise _UsageError("--artifacts-out requires --stop-after STAGE")
     resume = None
     if args.resume_from:
         try:
             resume = ArtifactSet.load(args.resume_from)
         except StageGraphError as exc:
-            log.error("cannot resume from %s: %s: %s",
-                      args.resume_from, exc.kind, exc)
-            return 2
+            raise _UsageError(f"cannot resume from {args.resume_from}: "
+                              f"{exc.kind}: {exc}") from None
     try:
         artifacts = pipe.run_stages(stop_after=args.stop_after or None,
                                     resume=resume)
         result = None if args.stop_after else pipe.result_from(artifacts)
     except StageGraphError as exc:
-        log.error("%s: %s", exc.kind, exc)
-        return 2
+        raise _UsageError(f"{exc.kind}: {exc}") from None
     if args.stop_after:
         out = artifacts.save(args.artifacts_out)
         produced = sorted(artifacts.values)
@@ -328,8 +326,7 @@ def cmd_compare(args) -> int:
     from repro.hwmodel.frontend import DEFAULT_PARAMS
     from repro.profiles import ProjectionError
 
-    program = load_program(args.program)
-    pipe = PropellerPipeline(program, _config(args))
+    pipe = _pipeline(args)
     result = pipe.run()
     bm = pipe.build_bolt_input(result.ir_profile)
     bolt_exe = None
@@ -385,7 +382,7 @@ def cmd_edit(args) -> int:
     from repro.synth import EditScript
     from repro.synth.edits import Edit, _body_candidates
 
-    program = load_program(args.program)
+    program = _read(load_program, args.program, "program")
     if args.pick == "hottest":
         from repro.profiles import collect_ir_profile
 
@@ -393,8 +390,7 @@ def cmd_edit(args) -> int:
                                      seed=args.seed)
         candidates = _body_candidates(program)
         if not candidates:
-            log.error("no body-editable function in %s", args.program)
-            return 2
+            raise _UsageError(f"no body-editable function in {args.program}")
         target = max(candidates,
                      key=lambda f: (sum(profile.block_counts(f).values()), f))
         script = EditScript(edits=(
@@ -428,8 +424,7 @@ def cmd_explain(args) -> int:
                                state=args.new_state,
                                label=args.label_new)
     except (OSError, ValueError) as exc:
-        log.error("%s", exc)
-        return 2
+        raise _UsageError(str(exc)) from None
     report = explain(base, new, top_k=args.top_k)
     print(report.table())
     suspicious = report.suspicious
@@ -486,8 +481,7 @@ def cmd_bench(args) -> int:
             progress=lambda msg: blog.info("%s", msg),
         )
     except ValueError as exc:
-        blog.error("%s", exc)
-        return 2
+        raise _UsageError(str(exc)) from None
     if args.out:
         write_bench_report(report, args.out)
         blog.info("wrote %s", args.out)
@@ -498,24 +492,20 @@ def cmd_bench(args) -> int:
         baseline_path = Path(args.compare)
         if os.environ.get(REGEN_BASELINE_ENV):
             if report.perturb:
-                blog.error(
-                    "refusing to regenerate %s from a perturbed run "
-                    "(--perturb %s)", baseline_path, report.perturb)
-                return 2
+                raise _UsageError(
+                    f"refusing to regenerate {baseline_path} from a perturbed "
+                    f"run (--perturb {report.perturb})")
             write_bench_report(report, baseline_path)
             blog.info("regenerated baseline %s ($%s set)",
                       baseline_path, REGEN_BASELINE_ENV)
             return 0
         if not baseline_path.exists():
-            blog.error(
-                "baseline %s does not exist; run with %s=1 to create it",
-                baseline_path, REGEN_BASELINE_ENV)
-            return 2
+            raise _UsageError(f"baseline {baseline_path} does not exist; run "
+                              f"with {REGEN_BASELINE_ENV}=1 to create it")
         try:
             comparison = compare(report, load_bench_report(baseline_path))
         except ValueError as exc:
-            blog.error("%s", exc)
-            return 2
+            raise _UsageError(str(exc)) from None
         print(comparison_table(comparison))
 
     if args.markdown:
@@ -680,7 +670,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         -1 if getattr(args, "quiet", False) else getattr(args, "verbose", 0))
     try:
         return args.fn(args)
-    except _BadConfig as exc:
+    except _UsageError as exc:
         log.error("%s", exc)
         return 2
 

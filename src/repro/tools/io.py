@@ -156,7 +156,11 @@ def save_program(program: ir.Program, path: PathLike) -> None:
 
 
 def load_program(path: PathLike) -> ir.Program:
-    return program_from_json(json.loads(Path(path).read_text()))
+    """Read a workload; one that is not a program's JSON is a ``ValueError`` naming it."""
+    try:
+        return program_from_json(json.loads(Path(path).read_text()))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a repro program ({exc!r})") from None
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,67 @@ class TestLinkActionKey:
                     != _link_options_signature(base)), f.name
 
 
+class TestBaselineIsMetadataWithoutMap:
+    """Independent oracle for Phases 1-2 (§3.2): the baseline the
+    pipeline links from the metadata build's objects is the plain PGO
+    build -- every module compiled from the profile as trained without
+    the BB address map, linked without the map -- object for object,
+    byte for byte, and charged the same simulated seconds."""
+
+    CASES = {
+        "deepsjeng": (("531.deepsjeng", 0.3, 7), {}),
+        "mcf-inline-loose": (("505.mcf", 1.0, 11),
+                             {"inline_hot": True, "stale_matching": "loose"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_baseline_is_the_plain_pgo_build(self, case):
+        from repro.codegen import CodeGenOptions, compile_action
+        from repro.core.phases import (CODEGEN_FIXED_SECONDS,
+                                       CODEGEN_SECONDS_PER_INSTR)
+        from repro.linker import link
+
+        (preset, scale, seed), extra = self.CASES[case]
+        program = generate_workload(PRESETS[preset], scale=scale, seed=seed)
+        config = PipelineConfig(lbr_branches=20_000, pgo_steps=10_000,
+                                workers=72, enforce_ram=False, **extra)
+        result = PropellerPipeline(program, config).run()
+
+        # The program codegen saw (post-inlining) and the stale profile.
+        options = CodeGenOptions(ir_profile=result.ir_profile)
+        compiled = [compile_action(m, options, CODEGEN_FIXED_SECONDS,
+                                   CODEGEN_SECONDS_PER_INSTR)
+                    for m in result.program.modules]
+        objects = [c.obj for c, _cost, _peak in compiled]
+        expected = link(objects, LinkOptions(
+            output_name="base.out", keep_bb_addr_map=False,
+            entry_symbol=result.program.entry_function,
+            features=result.program.features))
+
+        baseline = result.baseline
+        assert ([o.content_digest() for o in baseline.objects]
+                == [o.content_digest() for o in objects])
+        assert (baseline.executable.content_digest()
+                == expected.executable.content_digest())
+        assert (dataclasses.asdict(baseline.link_stats)
+                == dataclasses.asdict(expected.stats))
+        costs = [cost for _c, cost, _peak in compiled]
+        backends = baseline.backends
+        assert backends.cpu_seconds == sum(costs)
+        assert backends.wall_seconds == max(max(costs), sum(costs) / 72)
+        assert backends.peak_action_memory == max(p for _c, _cost, p in compiled)
+        assert (backends.actions, backends.cache_hits) == (len(objects), 0)
+
+    def test_one_codegen_batch_per_build(self, tiny_program):
+        """A cold run submits every module in two codegen batches --
+        Phases 1-2, and Phase 4, whose cold modules replay -- not three."""
+        result = PropellerPipeline(tiny_program, PipelineConfig(
+            lbr_branches=20_000, pgo_steps=10_000, enforce_ram=False)).run()
+        modules = len(tiny_program.modules)
+        assert result.counters.count("executor.batches") == 2
+        assert result.counters.count("executor.batch_tasks") == 2 * modules
+
+
 class TestBoltInput:
     def test_bolt_metadata_has_relocations(self, small_program, pipeline_config):
         pipe = PropellerPipeline(small_program, pipeline_config)

@@ -445,12 +445,13 @@ class TestPipelineWiring:
                 == loose.metadata.executable.content_digest())
 
     def test_invalid_mode_rejected(self, tiny_program):
+        from repro.core.phases import match_stale
         from repro.core.pipeline import PipelineConfig, PropellerPipeline
         with pytest.raises(ValueError, match="stale_matching"):
             PipelineConfig(stale_matching="fuzzy")
         with pytest.raises(ValueError, match="unknown matching mode"):
-            PropellerPipeline(tiny_program, PipelineConfig()).match_stale_profile(
-                IRProfile(), mode="fuzzy")
+            match_stale(PropellerPipeline(tiny_program, PipelineConfig()),
+                        IRProfile(), "fuzzy")
 
     def test_cli_flag_wired(self):
         from repro.tools.cli import PIPELINE_FLAG_FIELDS, build_parser

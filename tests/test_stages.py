@@ -34,6 +34,7 @@ from repro.core.stages import (
     Stage,
     StageGraph,
     StageGraphError,
+    StageRecord,
 )
 from repro.faults import RetriesExhausted
 from repro.obs import Counters, Tracer
@@ -326,6 +327,16 @@ class TestArtifactSet:
         assert (err.value.stage, err.value.artifact) == ("one", "a")
         assert ran == []
 
+    def test_resume_of_a_stage_the_graph_lacks_fails(self):
+        """A set written by a graph with another stage list -- e.g. one
+        that still had a ``baseline-build`` stage -- is refused, not
+        resumed without that stage's recorded times."""
+        graph, partial = self._run_partial()
+        partial.records["gone"] = StageRecord(name="gone")
+        with pytest.raises(StageGraphError) as err:
+            graph.execute(_pipe(), resume=partial)
+        assert (err.value.kind, err.value.stage) == ("resume-mismatch", "gone")
+
     def test_resume_must_be_a_prefix(self):
         graph, _ = self._run_partial()
         full = graph.execute(_pipe())
@@ -409,8 +420,8 @@ class TestPipelineGraph:
 
     def test_canonical_order_is_the_run_order(self):
         assert PIPELINE.order == (
-            "pgo-profile", "inline", "baseline-build", "stale-match",
-            "metadata-build", "lbr-profile", "wpa", "relink")
+            "pgo-profile", "inline", "stale-match", "metadata-build",
+            "lbr-profile", "wpa", "relink")
 
     def test_stop_after_resume_bit_identical(self, stage_program,
                                              full_digest, tmp_path):
@@ -444,7 +455,7 @@ class TestPipelineGraph:
 
     def test_partial_result_assembly_refuses(self, stage_program):
         pipe = PropellerPipeline(stage_program, _cheap_config())
-        partial = pipe.run_stages(stop_after="baseline-build")
+        partial = pipe.run_stages(stop_after="metadata-build")
         with pytest.raises(StageGraphError) as err:
             pipe.result_from(partial)
         assert err.value.kind == "missing-producer"

@@ -346,6 +346,85 @@ class TestBadProfileFile:
         assert not (tmp_path / "cc.txt").exists()
 
 
+def _run_cli(*argv):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "repro.tools", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestBadProgramFile:
+    """Every subcommand that reads a ``PROGRAM`` file turns a missing or
+    malformed one into one stderr line naming it and exit status 2."""
+
+    @pytest.mark.parametrize("content", [None, "not json"],
+                             ids=["missing", "not-json"])
+    @pytest.mark.parametrize("command", [
+        ["profile", "{prog}", "-o", "{out}.lbr"],
+        ["wpa", "{prog}", "{out}.lbr"],
+        ["optimize", "{prog}"],
+        ["compare", "{prog}"],
+        ["edit", "{prog}", "-o", "{out}.json"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_without_a_traceback(self, tmp_path, command, content):
+        prog = tmp_path / "w.json"
+        if content is not None:
+            prog.write_text(content)
+        done = _run_cli(*(arg.format(prog=prog, out=tmp_path / "out")
+                          for arg in command))
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and str(prog) in done.stderr
+        assert done.stdout == ""
+        assert list(tmp_path.iterdir()) == ([] if content is None else [prog])
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]", "{}", '{"format": "repro-program", "version": 1}'])
+    def test_wrong_shape_is_a_value_error_naming_the_file(self, tmp_path,
+                                                          content):
+        prog = tmp_path / "w.json"
+        prog.write_text(content)
+        with pytest.raises(ValueError) as info:
+            load_program(prog)
+        assert str(prog) in str(info.value)
+
+
+class TestBadFaultPlan:
+    """A ``--fault-plan`` that does not resolve -- a bad spec, or a plan
+    file that is not JSON, not an object or carries a mistyped field --
+    is one stderr line and exit status 2, before any work starts."""
+
+    @pytest.fixture(scope="class")
+    def prog(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("badplan") / "w.json"
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize("spec, file_content", [
+        ("fail=2", None),
+        ("bogus=1", None),
+        ("fail=x", None),
+        (None, '{"fail_rate": "x"}'),
+        (None, "[1, 2]"),
+        (None, "{not json"),
+    ], ids=["rate-out-of-range", "unknown-key", "not-a-number",
+            "mistyped-field", "not-an-object", "not-json"])
+    def test_exits_2_without_a_traceback(self, prog, tmp_path, spec,
+                                         file_content):
+        if file_content is not None:
+            spec = str(tmp_path / "plan.json")
+            Path(spec).write_text(file_content)
+        done = _run_cli("optimize", prog, "--fault-plan", spec)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == ""
+
+
 def _drop_metadata_artifact(manifest_text):
     """The records still say ``metadata-build`` ran."""
     manifest = json.loads(manifest_text)
