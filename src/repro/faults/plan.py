@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -87,6 +88,16 @@ _SPEC_KEYS: Dict[str, str] = {
 }
 _FIELD_TO_SPEC = {field: key for key, field in _SPEC_KEYS.items()}
 _INT_FIELDS = {"seed", "max_attempts"}
+_FLOAT_FIELDS = tuple(f for f in _SPEC_KEYS.values() if f not in _INT_FIELDS | {"only_kinds"})
+
+
+def _finite(value: float) -> bool:
+    """Whether ``value`` is a float other than NaN or +-inf (an int too
+    large for a float is not one)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,9 @@ class FaultPlan:
     only_kinds: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("fail_rate", "timeout_rate", "corrupt_rate", "slow_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -288,7 +302,7 @@ class FaultPlan:
         """A plan from whatever the configuration carried.
 
         ``None`` passes through (no injection); a :class:`FaultPlan` is
-        returned as-is; a string naming an existing ``.json`` file is
+        returned as-is; a string ending in ``.json`` names a file that is
         loaded via :meth:`from_json`; any other string is parsed as a
         spec.  This is what ``--fault-plan`` feeds; a malformed spec or
         file is a ``ValueError``.
@@ -297,7 +311,9 @@ class FaultPlan:
             return source
         text = os.fspath(source)
         path = Path(text)
-        if text.endswith(".json") and path.is_file():
+        if text.endswith(".json"):
+            if not path.is_file():
+                raise ValueError(f"fault plan {text}: no such file")
             try:
                 return cls.from_json(json.loads(path.read_text()))
             except (OSError, ValueError) as exc:

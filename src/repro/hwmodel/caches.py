@@ -23,8 +23,6 @@ class SetAssociativeCache:
         self.num_sets = num_sets
         self.ways = ways
         self._sets: List[List[int]] = [[-1] * ways for _ in range(num_sets)]
-        self.hits = 0
-        self.misses = 0
 
     def access(self, key: int) -> bool:
         """Touch ``key``; returns True on hit.  Misses fill (LRU evict)."""
@@ -39,7 +37,6 @@ class SetAssociativeCache:
         sets = self._sets
         num_sets = self.num_sets
         missed: List[int] = []
-        pos = -1
         for pos, key in enumerate(keys):
             ways = sets[key % num_sets]
             if ways[0] != key:
@@ -51,19 +48,19 @@ class SetAssociativeCache:
                     ways.pop()
                     ways.insert(0, key)
                     if next_line:
-                        self.access_many((key + 1,))
-        self.misses += len(missed)
-        self.hits += pos + 1 - len(missed)
+                        key += 1
+                        ways = sets[key % num_sets]
+                        if key in ways:
+                            ways.remove(key)
+                        else:
+                            ways.pop()
+                        ways.insert(0, key)
         return missed
 
     def probe(self, key: int) -> bool:
-        """Check residency without updating recency or counters."""
+        """Check residency without updating recency."""
         return key in self._sets[key % self.num_sets]
 
     @property
     def capacity(self) -> int:
         return self.num_sets * self.ways
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0

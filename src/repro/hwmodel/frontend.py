@@ -19,14 +19,18 @@ DSB    (§5.4 discussion)                    decoded-stream-buffer misses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.elf import Executable
 from repro.hwmodel.caches import SetAssociativeCache
 from repro.profiles import Trace, walk
-from repro.profiles.trace import CHUNK, project_arrays
+from repro.profiles.trace import project_arrays
+
+#: Visits (or taken branches) replayed per pass: what a pass expands and
+#: hands the caches as Python ints stays ~1 MB however long the run is.
+REPLAY_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,9 @@ class FrontendCounters:
     #: :func:`simulate_frontend` was called with ``by_function=True``
     #: (the hook behind ``repro.obs.explain``'s cycle attribution).
     #: Each value's counters cover the events charged while that
-    #: function's blocks were fetching; the totals above are always
-    #: accumulated globally, so they are bit-identical whether
-    #: attribution ran or not.
+    #: function's blocks were fetching; the totals above are counted
+    #: the same way whether attribution runs or not, so they are
+    #: bit-identical either way.
     per_function: Dict[str, "FrontendCounters"] = field(default_factory=dict)
 
     def counter(self, label: str) -> float:
@@ -240,6 +244,12 @@ def _drop_repeats(keys: np.ndarray, owner: np.ndarray,
     return keys[distinct], owner[distinct]
 
 
+def _chunks(stream) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(lo, stream[lo:lo + REPLAY_CHUNK])`` over ``stream``, as int64."""
+    for lo in range(0, len(stream), REPLAY_CHUNK):
+        yield lo, np.asarray(stream[lo:lo + REPLAY_CHUNK], dtype=np.int64)
+
+
 def simulate_frontend(
     exe: Executable,
     trace: Trace,
@@ -250,17 +260,19 @@ def simulate_frontend(
     """Replay ``trace`` (generated from ``exe``) through the frontend.
 
     Per-block footprints are flat arrays indexed by block; a chunk of
-    visits at a time, each structure's key stream is flattened from
-    them and replayed in bulk, and every counter is the number of
-    positions that missed.
+    :data:`REPLAY_CHUNK` visits at a time, each structure's key stream
+    is flattened from them and replayed in bulk, then the taken branches
+    through the BTB the same way.  Every miss is charged to the function
+    whose block was fetching (a branch to the function containing its
+    source), and every counter is the sum of those charges.  Only
+    ``trace[lo:hi]`` slices are read, so a
+    :class:`repro.profiles.trace.Projected` stream is never materialised.
 
-    ``by_function=True`` additionally attributes every charged event to
-    the function whose block was fetching (branch events to the function
-    containing the branch source) and fills
-    :attr:`FrontendCounters.per_function` by counting those same miss
-    positions per function, so the totals are bit-identical with
-    attribution on or off (asserted in tests/test_hwmodel.py).  Float
-    sums (``instructions``) accumulate left to right in trace order.
+    ``by_function=True`` additionally fills
+    :attr:`FrontendCounters.per_function` from those same charges, so
+    the totals are bit-identical with attribution on or off (asserted in
+    tests/test_hwmodel.py).  Float sums (``instructions``) accumulate
+    left to right in trace order.
     """
     line_shift = params.line_bytes.bit_length() - 1
     page_shift = params.page_shift_2m if exe.hugepages else params.page_shift_4k
@@ -311,17 +323,20 @@ def simulate_frontend(
     # Fills charge nothing, so a pseudo-block's function is never read.
     func_of = np.array([func_ids[name] for name in names] + [0] * len(fills), dtype=np.int64)
 
-    # Per structure, the function charged with each miss.  A chunk of
-    # visits at a time: the caches carry their state across chunks, and
-    # float sums carry theirs so they still add left to right.
-    charged: Dict[str, List[np.ndarray]] = {
-        name: [] for name in ("l1i", "l2", "itlb", "walk", "dsb")}
+    # Per function, the events charged to it (rows: L1i, L2, iTLB, walk
+    # and DSB misses, taken branches, BTB misses).  A chunk of visits or
+    # branches at a time: the caches carry their state across chunks,
+    # and float sums carry theirs so they still add left to right.
+    charged = np.zeros((7, len(funcs)), dtype=np.int64)
+
+    def charge(row: int, ids: np.ndarray) -> None:
+        charged[row] += np.bincount(ids, minlength=len(funcs))
+
     instructions = 0.0
     func_instrs = np.zeros(len(funcs))
     func_blocks = np.zeros(len(funcs), dtype=np.int64)
     first_fetch = np.full(len(funcs), len(trace.block_addrs), dtype=np.int64)
-    for lo in range(0, len(trace.block_addrs), CHUNK):
-        block_addrs = np.asarray(trace.block_addrs[lo:lo + CHUNK], dtype=np.int64)
+    for lo, block_addrs in _chunks(trace.block_addrs):
         seq = np.searchsorted(start[:num_blocks], block_addrs)
         seq[seq == num_blocks] = 0
         if (start[seq] != block_addrs).any():
@@ -356,49 +371,40 @@ def simulate_frontend(
             l1i.access_many(lines[at:at + 1].tolist())
             done = at + 1
         miss_at = np.array(missed, dtype=np.int64)
-        charged["l1i"].append(seq_funcs[owner[miss_at]])
+        charge(0, seq_funcs[owner[miss_at]])
         # L2 sees each L1i demand miss (then its next line) and each fill.
         touch_at = np.concatenate([miss_at, fill_at] + [miss_at] * prefetch)
         touched = np.concatenate(
             [lines[miss_at], lines[fill_at]] + [lines[miss_at] + 1] * prefetch)
         order = np.argsort(touch_at, kind="stable")
         l2_missed = order[l2.access_many(touched[order].tolist())]
-        charged["l2"].append(seq_funcs[owner[touch_at[l2_missed[l2_missed < len(miss_at)]]]])
+        charge(1, seq_funcs[owner[touch_at[l2_missed[l2_missed < len(miss_at)]]]])
 
         # iTLB, then the STLB over the iTLB's demand misses.
         keys, owner = _drop_repeats(*_expand(pages[0], num_pages, pages[1] - pages[0], seq))
         miss_at = np.array(itlb.access_many(keys.tolist()), dtype=np.int64)
         miss_at = miss_at[~is_fill[owner[miss_at]]]
-        charged["itlb"].append(seq_funcs[owner[miss_at]])
-        walked = miss_at[stlb.access_many(keys[miss_at].tolist())]
-        charged["walk"].append(seq_funcs[owner[walked]])
+        charge(2, seq_funcs[owner[miss_at]])
+        charge(3, seq_funcs[owner[miss_at[stlb.access_many(keys[miss_at].tolist())]]])
 
         keys, owner = _drop_repeats(*_expand(first_window, num_windows, one, seq))
-        charged["dsb"].append(seq_funcs[owner[dsb.access_many(keys.tolist())]])
-    l1i_funcs, l2_funcs, itlb_funcs, walk_funcs, dsb_funcs = (
-        np.concatenate(ids + [func_of[:0]]) for ids in charged.values())
+        charge(4, seq_funcs[owner[dsb.access_many(keys.tolist())]])
 
-    branch_src = np.asarray(trace.branch_src, dtype=np.int64)
-    sources, branches = _drop_repeats(branch_src, np.arange(len(branch_src)))
-    btb_missed = branches[btb.access_many(sources.tolist())]
-
-    counters = _counters(
-        params, instructions, trace.num_blocks_executed, len(l1i_funcs), len(l2_funcs),
-        len(itlb_funcs), len(walk_funcs), len(dsb_funcs), trace.num_branches,
-        len(btb_missed))
-    if by_function:
-        # Branch sources are instruction addresses inside blocks; map
-        # them to the containing function by interval bisection.
+    # Branch sources are instruction addresses inside blocks; map them
+    # to the containing function by interval bisection.
+    first_branch = np.full(len(funcs), trace.num_branches, dtype=np.int64)
+    for lo, branch_src in _chunks(trace.branch_src):
         src_funcs = func_of[np.searchsorted(start[:num_blocks], branch_src, side="right") - 1]
-        first_branch = np.full(len(funcs), len(src_funcs), dtype=np.int64)
-        np.minimum.at(first_branch, src_funcs, np.arange(len(src_funcs)))
+        sources, branches = _drop_repeats(branch_src, np.arange(len(branch_src)))
+        charge(5, src_funcs)
+        charge(6, src_funcs[branches[btb.access_many(sources.tolist())]])
+        if by_function:
+            np.minimum.at(first_branch, src_funcs, np.arange(lo, lo + len(src_funcs)))
 
-        def tally(ids: np.ndarray) -> list:
-            return np.bincount(ids, minlength=len(funcs)).tolist()
-
-        columns = [func_instrs.tolist(), func_blocks.tolist(), tally(l1i_funcs),
-                   tally(l2_funcs), tally(itlb_funcs), tally(walk_funcs), tally(dsb_funcs),
-                   tally(src_funcs), tally(src_funcs[btb_missed])]
+    counters = _counters(params, instructions, trace.num_blocks_executed,
+                         *charged.sum(axis=1).tolist())
+    if by_function:
+        columns = [func_instrs.tolist(), func_blocks.tolist(), *charged.tolist()]
         # Functions in order of first fetch, then of first branch.
         for fid in np.lexsort((first_branch, first_fetch)).tolist():
             if columns[1][fid] or columns[7][fid]:

@@ -15,7 +15,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.profiles.trace import Trace, project_arrays, walk
+from repro.profiles.trace import Projected, Trace, project_arrays, walk
 
 LBR_DEPTH = 32
 #: Modelled bytes of one (from, to) record in the perf.data stream.
@@ -96,7 +96,8 @@ def sample_lbr(trace: Trace, period: int = 101, binary_name: str = "") -> PerfDa
     A period coprime with small loop lengths (the default is prime)
     avoids systematic aliasing with loop structure, the same reason
     perf's default periods are odd.  Every window ``[at - LBR_DEPTH, at)``
-    of the branch stream is gathered in one indexing pass.
+    of the branch stream is gathered in one indexing pass; from a
+    :class:`Projected` stream, nothing outside the windows is.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -104,9 +105,10 @@ def sample_lbr(trace: Trace, period: int = 101, binary_name: str = "") -> PerfDa
     starts = np.maximum(ends - LBR_DEPTH, 0)
     offsets = np.concatenate(([0], np.cumsum(ends - starts)))
     index = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], ends - starts)
-    return PerfData(np.asarray(trace.branch_src, dtype=np.int64)[index].view(np.uint64),
-                    np.asarray(trace.branch_dst, dtype=np.int64)[index].view(np.uint64),
-                    offsets, period, binary_name)
+    src, dst = (stream[index] if isinstance(stream, Projected)
+                else np.asarray(stream, dtype=np.int64)[index]
+                for stream in (trace.branch_src, trace.branch_dst))
+    return PerfData(src.view(np.uint64), dst.view(np.uint64), offsets, period, binary_name)
 
 
 def collect_lbr_profile(

@@ -16,10 +16,13 @@ tables keyed by ``(func, bb_id)`` that hold no address.  Its
 :class:`Walk` is the blocks visited plus the *transitions* between them
 (a call entering its callee, a terminator continuing at a successor, a
 return resuming a call site), each distinct one interned to a small
-integer.  :func:`project` supplies the second: it resolves every
+integer.  :func:`project_arrays` supplies the second: it resolves every
 distinct transition against one binary once -- to a taken-branch event
-or to "falls through, no event" -- and materialises the address and
-branch streams by array indexing.  Binaries built from one program
+or to "falls through, no event" -- and leaves the address and branch
+streams as views (:class:`Projected`) that gather a slice or an index
+array of them on demand, so a projection costs an index of the taken
+steps, not a copy of the run (:func:`project` materialises the same
+view as lists).  Binaries built from one program
 replay the *identical* walk, and exactly so: the tables (with the
 ``1 - p`` of a condition-inverted branch) come from the one binary
 :func:`walk` was given, where two separate walks agreed only up to the
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 import functools
 import zlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +80,9 @@ class Trace:
 
     ``block_addrs`` is every basic block executed, in order (the fetch
     stream).  ``branch_src``/``branch_dst``/``branch_kind`` are the
-    taken control transfers, parallel arrays.
+    taken control transfers, parallel arrays.  Each stream is a list of
+    ints (:func:`project`) or a :class:`Projected` view
+    (:func:`project_arrays`); read a view a slice at a time.
     """
 
     block_addrs: List[int] = field(default_factory=list)
@@ -127,8 +133,9 @@ class Walk:
 
     ``blocks[i]`` is the ``(func, bb_id)`` of canonical block ``i`` and
     ``transitions[t]`` the meaning of transition ``t``; ``visits`` and
-    ``steps`` are the run itself, as indices into those two tables
-    (``visits`` stays empty when blocks were not recorded).
+    ``steps`` are the run itself, as int32 indices into those two tables
+    (``visits`` stays empty when blocks were not recorded), viewing the
+    buffers the walker appended to.
     """
 
     blocks: List[Tuple[str, int]]
@@ -232,8 +239,8 @@ def walk(
         max_blocks = 1 << 62
     else:
         max_branches = 1 << 62  # blocks are the binding budget
-    visits: List[int] = []
-    steps: List[int] = []
+    visits, steps = array("i"), array("i")
+    visit, step = visits.append, steps.append  # bound once: the loop's hottest calls
     return_ids: Dict[Tuple[int, int], int] = {}
     # Explicit frame stack of (calling block, resume call idx, call transition).
     frames: List[Tuple[int, int, int]] = []
@@ -254,7 +261,7 @@ def walk(
             executed += 1
             counts[block] += 1
             if record_blocks:
-                visits.append(block)
+                visit(block)
         if call_idx < len(calls):
             rows = calls[call_idx]
             call_idx += 1
@@ -276,7 +283,7 @@ def walk(
                 for row in rows:
                     if v < row[0]:
                         break
-            steps.append(row[2])
+            step(row[2])
             taken += row[3]
             if slot:
                 frames.append((block, call_idx, row[2]))
@@ -287,7 +294,7 @@ def walk(
             if tid is None:
                 tid = return_ids[block, site] = len(transitions)
                 transitions.append((_RET, block, transitions[site][2], caller))
-            steps.append(tid)
+            step(tid)
             taken += 1
             block = caller
         else:  # returned from the entry function, or trapped
@@ -295,7 +302,7 @@ def walk(
             frames.clear()
             block, call_idx = entry, 0
     return Walk(list(zip(blocks.values("func"), blocks.col("bb_id"))), transitions, entry,
-                np.array(visits, dtype=np.int32), np.array(steps, dtype=np.int32),
+                np.frombuffer(visits, dtype=np.int32), np.frombuffer(steps, dtype=np.int32),
                 restarts, executed)
 
 
@@ -351,11 +358,33 @@ def _resolve(walk: Walk, image, transition: Tuple[int, int, int, int]):
         block.func, block.bb_id, block.addr)
 
 
-def _project(walk: Walk, exe: Executable, gather) -> Trace:
-    """Resolve ``walk``'s transitions against ``exe``, then build each of
-    the trace's four streams as ``gather(table, index)``: the address of
-    every canonical block at ``walk.visits``, the per-transition ``(src,
-    dst, kind)`` columns at the steps that are taken branches."""
+class Projected:
+    """One stream of a projected run, gathered where it is read: item
+    ``s`` (a slice or an index array) is ``table[index[s]]``, an int64
+    array."""
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table: np.ndarray, index: np.ndarray):
+        self.table, self.index = table, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, s) -> np.ndarray:
+        return self.table[self.index[s]]
+
+
+def project_arrays(walk: Walk, exe: Executable) -> Trace:
+    """The trace ``exe`` produces when it executes ``walk``, as views.
+
+    Every distinct transition of the walk is resolved against ``exe``
+    once, in order of first use, so the first step ``exe`` cannot take
+    is the one a :class:`ProjectionError` reports.  The streams are
+    :class:`Projected` over ``walk``'s own arrays: the address of every
+    canonical block at ``walk.visits``, the per-transition ``(src, dst,
+    kind)`` columns at the steps that are taken branches.
+    """
     blocks = exe.exec_blocks
     addrs = blocks.col("addr")
     by_key = {key: i for i, key in enumerate(zip(blocks.values("func"), blocks.col("bb_id")))}
@@ -373,36 +402,29 @@ def _project(walk: Walk, exe: Executable, gather) -> Trace:
     for tid in _first_use_order(walk.steps, len(walk.transitions)).tolist():
         events[:, tid] = _resolve(walk, image, walk.transitions[tid])
     taken = walk.steps[(events[0] >= 0)[walk.steps]]  # src -1: falls through
-    return Trace(gather(addr_of, walk.visits), *(gather(column, taken) for column in events),
+    return Trace(Projected(addr_of, walk.visits), *(Projected(column, taken) for column in events),
                  restarts=walk.restarts, executed_count=walk.executed_count)
 
 
-def _shared_ints(table: np.ndarray, index: np.ndarray) -> List[int]:
-    """``table[index]`` as a list whose equal values are one int object.
+def _shared_ints(stream: Projected) -> List[int]:
+    """``stream`` as a list whose equal values are one int object.
 
     Gathered from a list of the table's few values, a chunk at a time:
     that is how a loop appending addresses shared them (a 400 k-branch
     LBR run is 10 MB of lists; ``ndarray.tolist()`` makes it 40).
     """
-    values, out = table.tolist(), []
-    for lo in range(0, len(index), CHUNK):
-        out += map(values.__getitem__, index[lo:lo + CHUNK].tolist())
+    values, out = stream.table.tolist(), []
+    for lo in range(0, len(stream), CHUNK):
+        out += map(values.__getitem__, stream.index[lo:lo + CHUNK].tolist())
     return out
 
 
 def project(walk: Walk, exe: Executable) -> Trace:
-    """The trace ``exe`` produces when it executes ``walk``.
-
-    Every distinct transition of the walk is resolved against ``exe``
-    once, in order of first use, so the first step ``exe`` cannot take
-    is the one a :class:`ProjectionError` reports.
-    """
-    return _project(walk, exe, _shared_ints)
-
-
-def project_arrays(walk: Walk, exe: Executable) -> Trace:
-    """:func:`project`, with the trace's four streams left as arrays."""
-    return _project(walk, exe, np.ndarray.__getitem__)
+    """:func:`project_arrays`, with the trace's four streams materialised
+    as lists of ints."""
+    view = project_arrays(walk, exe)
+    return replace(view, **{name: _shared_ints(getattr(view, name)) for name in (
+        "block_addrs", "branch_src", "branch_dst", "branch_kind")})
 
 
 def generate_trace(

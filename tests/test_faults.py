@@ -10,8 +10,10 @@ the opt-in chaos tier (tests/test_chaos.py, ``-m chaos``).
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buildsys import BuildSystem
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
@@ -22,6 +24,7 @@ from repro.faults import (
     FaultPlan,
     RetriesExhausted,
 )
+from repro.faults.plan import _SPEC_KEYS
 from repro.obs import Counters, PipelineReport
 from repro.synth import PRESETS, generate_workload
 
@@ -79,8 +82,57 @@ class TestPlanSpecs:
         path.write_text(json.dumps(plan.to_json()))
         assert FaultPlan.resolve(str(path)) == plan
 
+    def test_resolve_missing_json_names_the_file(self, tmp_path):
+        with pytest.raises(ValueError, match="no such file"):
+            FaultPlan.resolve(str(tmp_path / "missing.json"))
+
     def test_with_seed(self):
         assert FaultPlan(fail_rate=0.1).with_seed(9).seed == 9
+
+
+_SPEC_VALUE = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0.5", "1", "2", "-1", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10**30).map(str))
+_SPEC_ITEM = st.one_of(
+    st.tuples(st.sampled_from(sorted(_SPEC_KEYS)), _SPEC_VALUE).map("=".join),
+    st.text(max_size=12))
+
+
+def _in_range(plan: FaultPlan) -> bool:
+    rates = (plan.fail_rate, plan.timeout_rate, plan.corrupt_rate, plan.slow_rate)
+    numbers = rates + (plan.slow_factor, plan.backoff_base, plan.backoff_multiplier,
+                       plan.backoff_jitter, plan.timeout_seconds)
+    return (all(math.isfinite(x) for x in numbers)
+            and all(0.0 <= r <= 1.0 for r in rates) and sum(rates) <= 1.0
+            and plan.max_attempts >= 1 and plan.slow_factor >= 1.0
+            and 0.0 <= plan.backoff_jitter < 1.0
+            and min(plan.backoff_base, plan.backoff_multiplier, plan.timeout_seconds) >= 0)
+
+
+class TestResolveFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_SPEC_ITEM, max_size=5).map(",".join), st.text()))
+    def test_any_text_is_a_sane_plan_or_a_value_error(self, text):
+        try:
+            plan = FaultPlan.resolve(text)
+        except ValueError:
+            return
+        assert _in_range(plan), plan
+
+    @pytest.mark.parametrize("spec", [
+        "slow=0.5,slow_factor=nan", "fail=0.5,backoff=nan", "backoff_mult=nan",
+        "timeout=0.5,timeout_s=nan", "slow_factor=inf", "backoff=1e400"])
+    def test_non_finite_values_are_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan.resolve(spec)
+
+    def test_non_finite_json_values_are_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        for value in ("NaN", "Infinity", "1" + "0" * 400):
+            path.write_text(f'{{"backoff_multiplier": {value}}}')
+            with pytest.raises(ValueError, match="finite"):
+                FaultPlan.resolve(str(path))
 
 
 class TestPlanValidation:

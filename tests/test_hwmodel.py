@@ -1,8 +1,10 @@
 """Tests for the micro-architectural frontend model."""
 
+import tracemalloc
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,10 @@ from repro.hwmodel import (
     render_heatmap,
     simulate_frontend,
 )
+from repro.hwmodel import frontend
 from repro.hwmodel.frontend import DEFAULT_PARAMS
-from repro.profiles import generate_trace
+from repro.profiles import generate_trace, walk
+from repro.profiles.trace import project_arrays
 
 
 class TestCache:
@@ -23,8 +27,7 @@ class TestCache:
         cache = SetAssociativeCache(4, 2)
         assert not cache.access(0)
         assert cache.access(0)
-        assert cache.misses == 1
-        assert cache.hits == 1
+        assert cache.access_many([4, 0, 4, 8]) == [0, 3]
 
     def test_lru_eviction(self):
         cache = SetAssociativeCache(1, 2)
@@ -48,8 +51,7 @@ class TestCache:
         cache.access(1)      # 0 is now LRU
         assert cache.probe(0)
         assert not cache.probe(5)
-        assert (cache.hits, cache.misses) == (0, 2)  # probe counted nothing
-        cache.access(2)      # ... and left 0 the victim
+        assert cache.access_many([2]) == [0]  # ... and left 0 the victim
         assert not cache.probe(0)
         assert cache.probe(1)
 
@@ -60,11 +62,10 @@ class TestCache:
         with pytest.raises(ValueError):
             SetAssociativeCache(0, 1)
 
-    def test_reset_counters(self):
-        cache = SetAssociativeCache(2, 2)
-        cache.access(0)
-        cache.reset_counters()
-        assert cache.misses == 0
+    def test_next_line_fill_is_not_reported(self):
+        cache = SetAssociativeCache(1, 2)
+        assert cache.access_many([3, 4, 3], next_line=True) == [0]
+        assert cache.access_many([4, 5, 3], next_line=True) == [1, 2]  # 5 evicted 3
 
 
 class ReferenceLRU:
@@ -100,8 +101,6 @@ class TestBulkAccess:
                 if next_line:
                     reference.access(key + 1)
         assert cache.access_many(keys, next_line) == expected
-        if not next_line:
-            assert (cache.hits, cache.misses) == (len(keys) - len(expected), len(expected))
         for key in range(42):  # same residents, and the same victims next
             assert cache.probe(key) == (key in reference.sets[key % geometry[0]])
         assert [cache.access(k) for k in range(42)] == [reference.access(k) for k in range(42)]
@@ -245,7 +244,10 @@ _COUNTERS = ("blocks", "l1i_miss", "l2_code_miss", "itlb_miss", "itlb_walk",
 class TestReplayAgainstReference:
     """The bulk, de-duplicated replay is the per-access one, exactly --
     one-set and one-way structures included, where a repeated line can
-    find the next-line fill has pushed it out."""
+    find the next-line fill has pushed it out.  The projected view is
+    replayed again in chunks of 7 visits and branches, so L1i state,
+    software-prefetch fills, the BTB pass and the per-function tallies
+    all cross chunk boundaries."""
 
     @settings(max_examples=40, deadline=None)
     @given(_PARAMS, st.booleans(), st.booleans(), st.booleans(), st.integers(0, 1000))
@@ -258,8 +260,12 @@ class TestReplayAgainstReference:
             if prefetching and i % 7 == 0 else b
             for i, b in enumerate(exe.exec_blocks)])
         trace = generate_trace(exe, max_blocks=1500, seed=seed)
-        counters = simulate_frontend(exe, trace, params, simulate_dsb, by_function=True)
         instructions, per = reference_replay(exe, trace, params, simulate_dsb)
+        counters = simulate_frontend(exe, trace, params, simulate_dsb, by_function=True)
+        view = project_arrays(walk(exe, max_blocks=1500, seed=seed), exe)
+        with mock.patch.object(frontend, "REPLAY_CHUNK", 7):
+            chunked = simulate_frontend(exe, view, params, simulate_dsb, by_function=True)
+        assert chunked == counters and list(chunked.per_function) == list(counters.per_function)
         assert counters.instructions == instructions
         assert set(counters.per_function) == set(per)
         for func, expected in per.items():
@@ -308,6 +314,22 @@ class TestPerFunctionAttribution:
         c = simulate_frontend(exe, trace, by_function=True)
         visited = {exe.block_at(addr).func for addr in trace.block_addrs}
         assert set(c.per_function) == visited
+
+
+class TestBoundedMemory:
+    def test_scorecard_memory_grows_with_the_walk_alone(self, pipeline_result):
+        """A longer scorecard costs its walk's int32 buffers and one index
+        of each binary's taken steps, never a copy of the run: at most
+        16 B of ``tracemalloc`` peak per extra block."""
+        peaks = []
+        for max_blocks in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                pipeline_result.frontend_counters(max_blocks=max_blocks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 150_000 <= 16
 
 
 class TestHeatmap:

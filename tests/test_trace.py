@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codegen import BBSectionsMode, CodeGenOptions, compile_program
 from repro.linker import LinkOptions, link
-from repro.profiles import ProjectionError, generate_trace, project, walk
+from repro.profiles import ProjectionError, generate_trace, project, sample_lbr, walk
 from repro.profiles import trace as trace_module
+from repro.profiles.trace import project_arrays
 from repro.synth import PRESETS, generate_workload
 from tests.test_relaxation_oracle import _random_clusters, section_leaders
 
@@ -69,6 +70,33 @@ class TestProjection:
         assert ours.block_addrs == full.block_addrs
         assert (ours.branch_src, ours.branch_dst, ours.branch_kind) == (
             full.branch_src[:taken], full.branch_dst[:taken], full.branch_kind[:taken])
+
+    @settings(max_examples=40, deadline=None)
+    @given(_LAYOUT, _LAYOUT, st.integers(0, 10**6), st.integers(0, 4000),
+           st.integers(-5000, 5000), st.integers(-5000, 5000), st.sampled_from([1, 2, 3, 7]),
+           st.lists(st.integers(0, 10**6), max_size=50))
+    def test_view_gathers_what_project_materialises(
+            self, walked, projected, seed, blocks, lo, hi, step, picks):
+        """Element for element, under slices and under index arrays."""
+        shared, exe = walk(layouts()[walked], seed=seed, max_blocks=blocks), layouts()[projected]
+        view, full = project_arrays(shared, exe), project(shared, exe)
+        for name in ("block_addrs", "branch_src", "branch_dst", "branch_kind"):
+            stream, expected = getattr(view, name), getattr(full, name)
+            assert len(stream) == len(expected)
+            assert stream[lo:hi:step].tolist() == expected[lo:hi:step]
+            index = [i % len(expected) for i in picks] if expected else []
+            assert stream[np.array(index, dtype=np.int64)].tolist() == [
+                expected[i] for i in index]
+
+    @settings(max_examples=25, deadline=None)
+    @given(_LAYOUT, _LAYOUT, st.integers(0, 10**6), st.integers(0, 3000),
+           st.sampled_from([1, 7, 31, 32, 33, 101]))
+    def test_lbr_from_the_view_equals_lbr_from_lists(self, walked, projected, seed, branches,
+                                                     period):
+        shared = walk(layouts()[walked], max_branches=branches, seed=seed, record_blocks=False)
+        exe = layouts()[projected]
+        assert (sample_lbr(project_arrays(shared, exe), period).digest()
+                == sample_lbr(project(shared, exe), period).digest())
 
     def test_streams_are_plain_ints(self):
         trace = generate_trace(layouts()[0], max_branches=50, seed=1)
