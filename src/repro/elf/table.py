@@ -268,15 +268,47 @@ class _Layout:
             del column[n:]
 
     def adopt(self, leaf: _Leaf, values) -> array:
-        """``values`` (an ``array`` or an ndarray) as ``leaf``'s column, range-checked."""
+        """``values`` (a flat sequence of numbers: an ``array``, an ndarray,
+        a list) as ``leaf``'s column, range-checked."""
         if isinstance(values, array) and values.typecode == leaf.code:
             return values
+        import numpy as np
+
+        name = f"{self.record.__name__}.{leaf.path}"
+        values = np.asarray(values)
+        kinds = "biuf" if leaf.code == "d" else "biu"
+        if values.ndim != 1 or (len(values) and values.dtype.kind not in kinds):
+            raise ValueError(f"{name}: expected a flat column of "
+                             f"{'numbers' if leaf.code == 'd' else 'integers'}, "
+                             f"got {values.dtype} of shape {values.shape}")
         if leaf.code != "d" and len(values):
             bits = 8 * array(leaf.code).itemsize - 1
             if int(values.min()) < -(1 << bits) or int(values.max()) >= 1 << bits:
-                raise ValueError(f"{self.record.__name__}.{leaf.path}: "
-                                 f"value does not fit its {bits + 1}-bit column")
+                raise ValueError(f"{name}: value does not fit its {bits + 1}-bit column")
         return array(leaf.code, values.astype(leaf.code).tobytes())
+
+    def check(self, data: list, strings: Strings) -> None:
+        """Raise ``ValueError`` unless every row of ``data`` reads back:
+        enum positions and string ids name a member or pool entry (or
+        ``None``), offsets start at 0 and never decrease."""
+        import numpy as np
+
+        for leaf, column in zip(self.leaves, data):
+            if leaf.kind not in ("enum", "str", "offsets") or not len(column):
+                continue
+            values = np.frombuffer(column, dtype=column.typecode)
+            if leaf.delimits:
+                ok = values[0] == 0 and bool((np.diff(values) >= 0).all())
+            else:
+                limit = len(leaf.members) if leaf.kind == "enum" else len(strings.names)
+                valid = (values >= 0) & (values < limit)
+                if leaf.optional:
+                    valid |= values == NONE[leaf.code]
+                ok = bool(valid.all())
+            if not ok:
+                what = "offsets must start at 0 and never decrease" if leaf.delimits \
+                    else f"{leaf.kind} id out of range"
+                raise ValueError(f"{self.record.__name__}.{leaf.path}: {what}")
 
     def concat(self, datas: Sequence[list], remaps: Sequence[List[int]]) -> list:
         out = self.empty()
@@ -335,7 +367,9 @@ class Table(MutableSequence):
     @classmethod
     def from_columns(cls, record: type, strings: Strings, columns: Dict[str, Any]) -> "Table":
         """A table over ready-made columns, ``{path: array or ndarray}``.
-        Integer columns are range-checked, never wrapped."""
+        Integer columns are range-checked, never wrapped, and the table
+        is one every row of which reads back; anything else is a
+        ``ValueError``."""
         layout = layout_of(record)
         if set(columns) != set(layout.index):
             raise ValueError(f"{record.__name__}: columns {sorted(set(columns) ^ set(layout.index))} "
@@ -345,6 +379,7 @@ class Table(MutableSequence):
         layout.cut(data, sizes[layout.tail] - layout.tail_extra)
         if sizes != [len(column) for column in data]:
             raise ValueError(f"{record.__name__}: columns of different lengths {sizes}")
+        layout.check(data, strings)
         return cls(record, strings=strings, data=data)
 
     @classmethod

@@ -20,8 +20,9 @@ the machinery that proves the reproduction's robustness claims:
 
 The invariant everything here protects: a fault plan changes *when*
 work finishes, never *what* is built.  ``PipelineResult.digest()`` is
-bit-identical with any non-exhausting plan on or off -- asserted by the
-``-m chaos`` test tier and the ``faults:resilience`` bench scenario.
+bit-identical with any non-exhausting plan on or off -- asserted by
+tier-1 (``tests/test_faults.py``) and the ``-m chaos`` test tier, and
+tracked by the ``faults:*`` bench rows.
 
 Stdlib-only; imports nothing from the rest of ``repro``.
 """

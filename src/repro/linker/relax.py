@@ -11,13 +11,15 @@ After global layout, two rewrites run to a fixed point:
   whose displacement fits in a signed byte are rewritten to their short
   (rel8) forms, with the relocation retyped to PC8.
 
-Every rewrite strictly shrinks its section and none is ever undone (a
-fixup is shrunk at most once and deleted at most once), so the loop ends.
 Displacements are *not* monotone: with aligned sections a shrink can
 grow the padding in front of a later section and push a branch that
-already went short back out of rel8 range.  Nothing here re-checks such
-a branch; the PC8 ``OverflowError`` in :func:`apply_relocations` is the
-backstop that refuses to emit a truncated displacement.
+already went short back out of rel8 range.  Every pass re-checks each
+short branch, and one out of range **grows back** to its rel32 form and
+is pinned there (LLD does the same).  A fixup shrinks at most once,
+grows back at most once and is deleted at most once, so the loop ends;
+it stops at the first pass that rewrites nothing, when every short
+branch has been checked against the final addresses.  The PC8 ``OverflowError`` in :func:`apply_relocations`
+guards the invariant, never a layout.
 
 One pass is one sweep over the fixups, O(fixups): a section's prefix
 sums are brought up to date as the sweep passes each fixup, positions
@@ -65,26 +67,31 @@ def relax(text_sections: List[WorkSection], base: int,
     for _ in range(_MAX_PASSES):
         assign_addresses(text_sections, base)
         stats.relax_passes += 1
-        saved = 0
+        changed = 0
         for ws, nxt in zip(text_sections, followers):
             if len(ws.offsets):
-                saved += _sweep(ws, nxt, defs, stats)
-        if not saved:
+                changed += _sweep(ws, nxt, defs, stats)
+        if not changed:
             return
     raise LinkError(f"relaxation did not converge in {_MAX_PASSES} passes")
 
 
 def _sweep(ws: WorkSection, nxt: Optional[WorkSection],
            defs: Dict[str, Tuple[WorkSection, int]], stats: "LinkStats") -> int:
-    """One pass over one section's fixups, in offset order; returns bytes saved."""
+    """One pass over one section's fixups, in offset order; returns the
+    number of rewrites."""
     offsets, rewritten, prefix, opcodes = ws.offsets, ws.rewritten, ws.prefix, ws.opcodes
     pending = 0  # bytes saved in this section so far in this pass
+    changed = 0
     for i, (symbol, deletable) in enumerate(zip(ws.targets, ws.deletable)):
         prefix[i] += pending
         opcode = rewritten.get(i, opcodes[i])
-        short = _SHORT.get(opcode)
-        if short is None and (opcode is None or not deletable):
-            continue  # deleted, or already short and here to stay
+        if opcode is None:
+            continue  # deleted
+        is_short = i in rewritten
+        short = None if i in ws.pinned else _SHORT.get(opcode)
+        if short is None and not is_short and not deletable:
+            continue  # long for good
         entry = defs.get(symbol)
         if entry is None:
             raise LinkError(f"undefined symbol {symbol!r}")
@@ -105,8 +112,15 @@ def _sweep(ws: WorkSection, nxt: Optional[WorkSection],
         elif short is not None and fits_short(target - (start + OPCODE_SIZES[short])):
             pending += ws.rewrite(i, short)
             stats.shrunk_branches += 1
+        elif is_short and not fits_short(target - (start + size)):
+            pending += ws.rewrite(i, opcodes[i])  # negative: it grows
+            ws.pinned.add(i)
+            stats.shrunk_branches -= 1
+        else:
+            continue
+        changed += 1
     prefix[-1] += pending
-    return pending
+    return changed
 
 
 def _adjacency_stable(nxt: Optional[WorkSection], target: int) -> bool:

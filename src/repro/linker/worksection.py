@@ -15,7 +15,7 @@ table columns; no record is built for them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.elf import Relocation, RelocType, Section
 from repro.isa import BRANCH_OPCODES, OPCODE_SIZES, Opcode, encode_instruction
@@ -65,8 +65,11 @@ class WorkSection:
             raise LinkError(f"{origin}: section {section.name}: fixup past the section end")
         self.prefix = [0] * (len(self.offsets) + 1)
         #: Insertion order is the order branches were first rewritten,
-        #: which is the order their PC8 relocations are emitted in.
+        #: which is the order their PC8 relocations are emitted in.  A
+        #: branch grown back to its input form has no entry.
         self.rewritten: Dict[int, Optional[Opcode]] = {}
+        #: Fixups grown back out of rel8 range: long for the rest of the link.
+        self.pinned: Set[int] = set()
         #: Final bytes, set when the section's content is settled.
         self.data = b""
 
@@ -79,15 +82,19 @@ class WorkSection:
         return p - self.prefix[bisect_left(self.offsets, p)]
 
     def rewrite(self, i: int, opcode: Optional[Opcode]) -> int:
-        """Re-encode fixup ``i`` as ``opcode`` (``None`` deletes the branch).
+        """Re-encode fixup ``i`` as ``opcode`` (``None`` deletes the branch,
+        its input opcode restores the input encoding and relocation).
 
-        Returns the bytes saved.  ``prefix`` is not touched: the
-        relaxation sweep that decides rewrites carries the running total
-        forward (see :mod:`repro.linker.relax`).
+        Returns the bytes saved (negative for a grow-back).  ``prefix`` is
+        not touched: the relaxation sweep that decides rewrites carries
+        the running total forward (see :mod:`repro.linker.relax`).
         """
         old = self.rewritten.get(i, self.opcodes[i])
         saved = OPCODE_SIZES[old] - (OPCODE_SIZES[opcode] if opcode else 0)
-        self.rewritten[i] = opcode
+        if opcode == self.opcodes[i]:
+            del self.rewritten[i]
+        else:
+            self.rewritten[i] = opcode
         self.size -= saved
         return saved
 

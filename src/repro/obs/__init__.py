@@ -22,10 +22,9 @@ makes both visible for any pipeline run:
   writer and the one reader of every record this package publishes
   (the dataclass is the schema).
 * :mod:`repro.obs.bench` / :mod:`repro.obs.baseline` -- the continuous
-  benchmark harness behind ``repro-bench``: declarative scenarios of
-  exact metrics (simulated clock, counters, digests -- real seconds
-  are ``bench/``'s), schema-versioned reports and baseline regression
-  gates.
+  benchmark harness behind ``repro-bench``: a table of pipeline runs,
+  each flattened to exact metrics (real seconds are ``bench/``'s), and
+  the baseline regression gate.
 * :func:`get_logger` / :func:`configure_logging` -- the ``logging``
   channel CLI progress output goes through (``--quiet``/``--verbose``).
 

@@ -28,8 +28,8 @@ relink loop the paper deploys (§2, §5).  Three analyses, one report:
    degradation markers never move silently).
 
 Two identical runs produce the fixed point: an empty attribution list,
-zero phase shift and every counter delta ``expected`` -- asserted in
-tests and gated by the ``explain:attribution`` bench scenario.
+zero phase shift and every counter delta ``expected`` -- asserted by
+``tests/test_explain.py``.
 
 Inputs are deliberately file-shaped: two ``--metrics-out`` JSON reports
 (plus optional ``--trace-out`` Chrome traces and ``--state-dir``

@@ -11,8 +11,9 @@ Commands mirror the paper's tool flow:
 * ``edit``      -- apply a seeded edit script to a workload (the "next
   release" of incremental/attribution studies);
 * ``bench``     -- the continuous benchmark harness (also installed as
-  the ``repro-bench`` console script): run the exact-metric scenario
-  suite, print its scorecard, and optionally gate against a baseline;
+  the ``repro-bench`` console script): run the suite's rows (each one
+  pipeline run, flattened to exact metrics), print the scorecard, and
+  optionally gate against a baseline;
 * ``stages``    -- introspect the pipeline's stage graph (also installed
   as the ``repro-stages`` console script): the validated DAG as JSON
   (schema-versioned, gated in CI against ``tests/golden/stage_graph.json``),
@@ -463,13 +464,13 @@ def cmd_bench(args) -> int:
         run_suite,
         write_bench_report,
     )
-    from repro.obs.bench import suite_scenarios
+    from repro.obs.bench import ROWS
 
     blog = get_logger("tools.bench")
     if args.list:
-        table = Table(["scenario", "paper refs"], title="bench scenarios")
-        for scenario in suite_scenarios():
-            table.add_row(scenario.name, scenario.paper_ref)
+        table = Table(["row", "paper refs"], title="bench rows")
+        for row in ROWS:
+            table.add_row(row.name, row.paper_ref)
         print(table)
         return 0
 
@@ -656,9 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", choices=PERTURBATIONS, default=None,
                    help="inject a known fault (harness self-test)")
     p.add_argument("--scenario", action="append", metavar="NAME",
-                   help="run only this scenario (repeatable)")
+                   help="run only this row (repeatable)")
     p.add_argument("--list", action="store_true",
-                   help="list the suite's scenarios and exit")
+                   help="list the suite's rows and exit")
     _add_verbosity_args(p)
     p.set_defaults(fn=cmd_bench)
     return parser

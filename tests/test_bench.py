@@ -1,6 +1,9 @@
 """Tests for the benchmark harness (repro.obs.bench / baseline / CLI).
 
-Proves the three load-bearing properties:
+Proves the load-bearing properties:
+
+* a row's metrics are its flattened ``PipelineReport``, named and
+  directed by one table;
 
 * the report carries no clock -- two runs of the same suite on the same
   code serialize to the same JSON, not just the same fingerprint;
@@ -28,10 +31,12 @@ from repro.obs import (
     write_bench_report,
 )
 from repro.obs.baseline import REGEN_BASELINE_ENV
+from repro.obs.bench import ROWS
 from repro.tools.cli import main
 
-#: The one scenario the tier-1 tests exercise end to end (the rest of
-#: the suite runs in CI's bench-smoke job and the slow tier).
+#: The one row the tier-1 tests exercise end to end (the rest of the
+#: suite runs in CI's bench-smoke job; the invariants its row pairs
+#: show are tier-1 tests of their own subsystems).
 SCENARIO = "pipeline:531.deepsjeng"
 FAST = ["--scenario", SCENARIO]
 
@@ -54,8 +59,7 @@ class TestMetric:
             Metric("m", 1, gate="noise")  # every metric is exact
 
     def test_roundtrip(self):
-        metric = Metric("body.sim_compute_speedup", 5.5, "x",
-                        direction="higher")
+        metric = Metric("incremental.solve_reuse", 0.975, direction="higher")
         assert Metric.from_json(metric.to_json()) == metric
         assert sorted(metric.to_json()) == ["direction", "name", "unit", "value"]
 
@@ -70,6 +74,37 @@ def _tiny_report(**overrides) -> BenchReport:
     base = dict(suite="smoke", seed=3, scenarios=(scenario,))
     base.update(overrides)
     return BenchReport(**base)
+
+
+class TestRows:
+    def test_report_is_flattened_by_name(self, smoke_run):
+        metrics = {m.name: m for m in smoke_run.scenario(SCENARIO).metrics}
+        for name in ("builds.optimized.wall_seconds",
+                     "phases.wpa_convert.sim_seconds", "counters.cache.misses",
+                     "gauges.pgo.match_rate", "frontend.optimized.I1",
+                     "degraded", "digest", "optimized.digest"):
+            assert name in metrics, name
+        assert "builds.optimized.name" not in metrics
+        assert metrics["degraded"].value == 0
+
+    def test_directions_come_from_the_table(self, smoke_run):
+        direction = {m.name: m.direction
+                     for m in smoke_run.scenario(SCENARIO).metrics}
+        assert direction["builds.optimized.wall_seconds"] == "lower"
+        assert direction["frontend.optimized.cycles"] == "lower"
+        assert direction["frontend.optimized.ipc"] == "higher"
+        assert direction["gauges.pgo.match_rate"] == "higher"
+        # The input side and the digests are fingerprints.
+        assert direction["frontend.baseline.cycles"] == "none"
+        assert direction["builds.optimized.cache_hits"] == "none"
+        assert direction["optimized.digest"] == "none"
+
+    def test_every_prior_is_an_earlier_row(self):
+        seen = set()
+        for row in ROWS:
+            assert row.prior is None or row.prior in seen, row.name
+            seen.add(row.name)
+        assert len(seen) == len(ROWS)
 
 
 class TestBenchReport:
@@ -149,8 +184,10 @@ class TestRunSuiteValidation:
         # "cold" runs (it would shift the exact-gated cache counters).
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
         report = run_suite(only=[SCENARIO])
-        assert report.metric(SCENARIO, "counter.cache.hits").value == \
-            smoke_run.metric(SCENARIO, "counter.cache.hits").value
+        assert report.metric(SCENARIO, "counters.cache.misses").value == \
+            smoke_run.metric(SCENARIO, "counters.cache.misses").value
+        assert "counters.cache.disk_hits" not in {
+            m.name for m in report.scenario(SCENARIO).metrics}
         assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "warm")
 
 
@@ -172,7 +209,9 @@ class TestDeterminism:
         assert "perf_counter" not in Path(bench.__file__).read_text()
 
     def test_improvement_positive(self, smoke_run):
-        assert smoke_run.metric(SCENARIO, "improvement").value > 0
+        cycles = {which: smoke_run.metric(SCENARIO, f"frontend.{which}.cycles")
+                  for which in ("baseline", "optimized")}
+        assert cycles["optimized"].value < cycles["baseline"].value
 
     def test_self_compare_passes(self, smoke_run):
         comparison = compare(smoke_run, smoke_run)
@@ -188,17 +227,13 @@ class TestRegressionGate:
     def test_shuffled_layout_fails_the_gate(self, smoke_run, perturbed_run):
         comparison = compare(perturbed_run, smoke_run)
         assert not comparison.ok
-        failed = {e.label for e in comparison.failures}
-        assert f"{SCENARIO}:improvement" in failed
-        assert f"{SCENARIO}:optimized.digest" in failed
-        digest = next(e for e in comparison.failures
-                      if e.metric == "optimized.digest")
-        assert digest.verdict == "changed"
-        improvement = next(e for e in comparison.failures
-                           if e.metric == "improvement")
-        assert improvement.verdict == "regressed"
-        # The input side is untouched: baseline counters stay identical.
-        assert not any(e.metric.startswith("baseline.")
+        verdicts = {e.metric: e.verdict for e in comparison.failures}
+        assert verdicts["optimized.digest"] == "changed"
+        assert verdicts["digest"] == "changed"
+        assert verdicts["frontend.optimized.cycles"] == "regressed"
+        # The input side is untouched: the baseline binary stays identical.
+        assert not any(e.metric.startswith(("frontend.baseline.",
+                                            "builds.baseline."))
                        for e in comparison.failures)
 
     def test_refuses_perturbed_baseline(self, smoke_run, perturbed_run):
@@ -274,7 +309,7 @@ class TestBenchCLI:
     def test_list_scenarios(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "pipeline:505.mcf" in out and "incr:edit-sweep" in out
+        assert "pipeline:505.mcf" in out and "incr:body" in out
         assert "runtime:" not in out  # real seconds are bench/'s question
 
     def test_no_out_writes_nothing(self, tmp_path, monkeypatch, capsys):

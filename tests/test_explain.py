@@ -1,7 +1,7 @@
 """Tests for the run-to-run attribution engine (repro.obs.explain).
 
-The acceptance contract, asserted here and gated by the
-``explain:attribution`` bench scenario:
+The acceptance contract, asserted here (the bench suite tracks runs,
+not pairs of runs):
 
 * two identical runs explain to an **empty** attribution list with
   every counter delta classified ``expected``;
@@ -103,6 +103,7 @@ class TestEditedRun:
         assert top.function == target
         assert top.cause == "code-edit"
         assert "CFG digest" in top.evidence
+        assert top.delta != 0.0
 
     def test_ripples_rank_after_the_cause(self, edited_report):
         _, report = edited_report

@@ -353,8 +353,17 @@ def _config(**kw):
                           **kw)
 
 
+@pytest.fixture(scope="module")
+def clean_run(nano_program):
+    return PropellerPipeline(nano_program, _config()).run()
+
+
+def _makespan(result) -> float:
+    return sum(b.wall_seconds for b in result.report().builds)
+
+
 class TestPipelineDegradation:
-    def test_exhausted_lbr_degrades_not_crashes(self, nano_program):
+    def test_exhausted_lbr_degrades_not_crashes(self, nano_program, clean_run):
         result = PropellerPipeline(
             nano_program,
             _config(fault_plan="fail=1,only=profile-lbr,seed=7"),
@@ -362,9 +371,26 @@ class TestPipelineDegradation:
         assert result.degraded
         assert result.degraded_reasons == ("lbr-profile",)
         assert result.counters.count("faults.degraded") == 1
-        # The fallback still ships a real optimized binary.
+        # The fallback still ships a real optimized binary, and the
+        # builds that never read the hardware profile are untouched.
         assert result.optimized.executable.content_digest()
         assert result.wpa_result.symbol_order == []
+        assert (result.baseline.executable.content_digest()
+                == clean_run.baseline.executable.content_digest())
+
+    def test_standard_plan_changes_when_not_what(self, nano_program,
+                                                 clean_run):
+        """2 % failures and 1 % timeouts: same bytes, bounded makespan,
+        no retry budget exhausted -- and the plan did inject."""
+        result = PropellerPipeline(
+            nano_program,
+            _config(fault_plan="fail=0.02,timeout=0.01,seed=6"),
+        ).run()
+        assert result.digest() == clean_run.digest()
+        assert not result.degraded
+        assert result.counters.count("faults.injected") > 0
+        assert result.counters.count("retry.exhausted") == 0
+        assert 1.0 <= _makespan(result) / _makespan(clean_run) <= 3.0
 
     def test_degraded_flag_rides_the_report(self, nano_program):
         result = PropellerPipeline(

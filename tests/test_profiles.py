@@ -465,3 +465,38 @@ class TestPipelineWiring:
 
     def test_match_modes_exported(self):
         assert MATCH_MODES == ("off", "strict", "loose")
+
+
+@pytest.mark.integration
+class TestLooseBeatsOff:
+    """Stale matching's claim, on the ``drift*:off`` / ``drift*:loose``
+    bench rows' configuration: at every swept drift, ``loose`` recovers
+    a strictly higher match rate *and* a strictly better layout.
+    (``search`` has a warm tier below WPA's hot set; the small SPEC
+    presets do not, so matching has nothing to win there.)"""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, tmp_path_factory):
+        from repro.core.pipeline import PipelineConfig, PropellerPipeline
+        program = generate_workload(PRESETS["search"], scale=0.006, seed=3)
+        # One store for all four runs: a mode only changes Phase 4, and
+        # a store changes how fast a result comes, never what it is.
+        store = str(tmp_path_factory.mktemp("drift-store"))
+        out = {}
+        for drift in (0.3, 0.5):
+            for mode in ("off", "loose"):
+                report = PropellerPipeline(program, PipelineConfig(
+                    seed=3, lbr_branches=40_000, pgo_steps=20_000, workers=72,
+                    enforce_ram=False, pgo_drift=drift, stale_matching=mode,
+                    cache_dir=store)).run().report(include_frontend=True)
+                rate = (report.profile_recovery["recovered_match_rate"]
+                        if mode == "loose" else report.gauges["pgo.match_rate"])
+                out[drift, mode] = rate, report.frontend_improvement
+        return out
+
+    @pytest.mark.parametrize("drift", (0.3, 0.5))
+    def test_on_match_rate_and_cycles(self, sweep, drift):
+        (off_rate, off_gain), (loose_rate, loose_gain) = (
+            sweep[drift, "off"], sweep[drift, "loose"])
+        assert loose_rate > off_rate
+        assert loose_gain > off_gain

@@ -155,14 +155,8 @@ def test_random_modules_decode_consistently(seed, mode):
     leaders = section_leaders([compiled.obj])
     rng.shuffle(leaders)
     for order in (None, leaders):
-        try:
-            result = link([compiled.obj], LinkOptions(
-                entry_symbol=module.functions[0].name, symbol_order=order))
-        except OverflowError:
-            # Alignment padding grew after a branch went short (about 1 in
-            # 30 shuffled layouts): the PC8 backstop refuses the link
-            # rather than emit a wrong displacement.  See repro.linker.relax.
-            continue
+        result = link([compiled.obj], LinkOptions(
+            entry_symbol=module.functions[0].name, symbol_order=order))
         assert_relaxation_consistent(result.executable)
 
 
@@ -255,6 +249,77 @@ class TestFallthroughDeletion:
         assert result.stats.relax_passes == 0
         assert_relaxation_consistent(result.executable)
         assert result.executable.symbols["f"].size == 24
+
+
+def grow_back_object():
+    """``f``'s jcc goes short in pass 1, then padding pushes it out of range.
+
+    ``pad`` (60 bytes) puts ``f`` (alignment 4) at base+60 and ``g``
+    (alignment 64) at base+192.  ``f`` = bb0 ``jmp .Lf.h`` (offset 130:
+    one byte out of rel8 range), bb1 ``jcc g``, 119 bytes of nops, and
+    ``.Lf.h``: ``nop; ret``.  Pass 1 shrinks the jcc (displacement 125),
+    which brings the jmp in range; pass 2 shrinks the jmp, which moves
+    the jcc 3 bytes down while ``g``'s padding absorbs the 3 bytes: the
+    jcc now needs 128.  It must grow back to rel32 and stay there.
+    """
+    nop, ret = encode_instruction(Opcode.NOP), encode_instruction(Opcode.RET)
+    jmp = encode_instruction(Opcode.JMP_LONG, displacement=0)
+    jcc = encode_instruction(Opcode.JCC_LONG, displacement=0, payload=b"\x04")
+
+    def block(bb_id, func, offset, size, **term):
+        term.setdefault("kind", TerminatorKind.FALLTHROUGH)
+        return BlockMeta(bb_id=bb_id, func=func, offset=offset, size=size,
+                         term=TerminatorMeta(**term))
+
+    f = Section(
+        name=".text.f", kind=SectionKind.TEXT, alignment=4,
+        data=bytearray(jmp + jcc + nop * 119 + nop + ret),
+        relocations=[Relocation(1, RelocType.PC32, ".Lf.h"),
+                     Relocation(7, RelocType.PC32, "g")],
+        branch_fixups=[BranchFixup(0, Opcode.JMP_LONG, ".Lf.h"),
+                       BranchFixup(5, Opcode.JCC_LONG, "g")],
+        blocks=[
+            block(0, "f", 0, 5, kind=TerminatorKind.JUMP, uncond_target=".Lf.h",
+                  uncond_br_offset=0, uncond_br_size=5),
+            block(1, "f", 5, 6, kind=TerminatorKind.CONDBR, cond_target="g",
+                  cond_prob=0.5, cond_br_offset=5, cond_br_size=6),
+            block(2, "f", 11, 119),
+            block(3, "f", 130, 2, kind=TerminatorKind.RET, end_instr_offset=1,
+                  end_instr_size=1),
+        ],
+    )
+    sections = [
+        Section(name=".text.pad", kind=SectionKind.TEXT, data=bytearray(nop * 60),
+                blocks=[block(0, "pad", 0, 60)]),
+        f,
+        Section(name=".text.g", kind=SectionKind.TEXT, alignment=64,
+                data=bytearray(ret),
+                blocks=[block(0, "g", 0, 1, kind=TerminatorKind.RET,
+                              end_instr_offset=0, end_instr_size=1)]),
+    ]
+    symbols = [Symbol("pad", ".text.pad", 0, 60, SymbolBinding.GLOBAL, SymbolType.FUNC),
+               Symbol("f", ".text.f", 0, 132, SymbolBinding.GLOBAL, SymbolType.FUNC),
+               Symbol(".Lf.h", ".text.f", 130),
+               Symbol("g", ".text.g", 0, 1, SymbolBinding.GLOBAL, SymbolType.FUNC)]
+    return ObjectFile(name="grow.o", sections=sections, symbols=symbols)
+
+
+class TestGrowBack:
+    def test_out_of_range_short_branch_goes_back_to_rel32(self):
+        result = link([grow_back_object()], LinkOptions(entry_symbol="f"))
+        exe = result.executable
+        assert_relaxation_consistent(exe)
+        bb0, bb1 = [b for b in exe.exec_blocks if b.func == "f"][:2]
+        assert bb0.term.uncond_br_size == 2  # the jmp stays short
+        assert bb1.term.cond_br_size == 6    # the jcc grew back and stays long
+        assert exe.symbols["g"].addr - exe.symbols["f"].addr == 132
+        # Both went short once; the grow-back takes the jcc's shrink back.
+        assert result.stats.shrunk_branches == 1
+        # The jcc is patched through its input PC32 relocation again.
+        relocs = link([grow_back_object()], LinkOptions(
+            entry_symbol="f", emit_relocs=True)).executable.retained_relocations
+        assert sorted((r.symbol, r.rtype) for _, r in relocs) == [
+            (".Lf.h", RelocType.PC8), ("g", RelocType.PC32)]
 
 
 class TestConvergence:

@@ -8,8 +8,11 @@ what is produced.
 from __future__ import annotations
 
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buildsys import BuildSystem
 from repro.buildsys.build import ActionCache, ResourceLimitExceeded, _CacheEntry
@@ -384,6 +387,55 @@ def _golden_module():
         ir.BasicBlock(bb_id=2, instrs=[ir.Instr(ir.OpKind.STORE)], term=ir.Ret()),
     ])
     return ir.Module(name="golden", functions=[f, g])
+
+
+def _read(data: bytes):
+    """``read_envelope`` of ``data``, written to a fresh file."""
+    from repro.runtime.cache import read_envelope
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "value.artifact"
+        path.write_bytes(data)
+        return read_envelope(path)
+
+
+_VALUES = st.recursive(st.none() | st.integers() | st.text(max_size=8),
+                       lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+
+class TestReadEnvelopeFuzz:
+    """Whatever the bytes, ``read_envelope`` returns the sealed value or
+    raises ``ValueError`` (``OSError`` for a path it cannot read)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=120) | _VALUES.map(lambda v: _sealed(
+        pickle.dumps(v))[:-1]) | st.binary(max_size=60).map(_sealed))
+    def test_arbitrary_bytes(self, data):
+        try:
+            _read(data)
+        except ValueError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VALUES, st.data())
+    def test_truncations_and_single_byte_flips(self, value, data):
+        sealed = _sealed(pickle.dumps(value))
+        assert _read(sealed) == value
+        cut = data.draw(st.integers(0, len(sealed) - 1))
+        with pytest.raises(ValueError, match="bad envelope"):
+            _read(sealed[:cut])
+        at = data.draw(st.integers(0, len(sealed) - 1))
+        flip = data.draw(st.integers(1, 255))
+        flipped = sealed[:at] + bytes([sealed[at] ^ flip]) + sealed[at + 1:]
+        with pytest.raises(ValueError, match="bad envelope"):
+            _read(flipped)
+
+    def test_unreadable_paths_are_os_errors(self, tmp_path):
+        from repro.runtime.cache import read_envelope
+
+        for path in (tmp_path / "absent", tmp_path):
+            with pytest.raises(OSError):
+                read_envelope(path)
 
 
 class TestRecordTablesInTheStore:

@@ -81,6 +81,55 @@ def tables():
         lambda record: st.tuples(st.just(record), st.lists(RECORDS[record], max_size=6)))
 
 
+@st.composite
+def column_dicts(draw, record):
+    """``(strings, {path: column})`` for ``record``: a well-formed table
+    (offsets, ids and enum positions in range) with, now and then, one
+    column missing, of the wrong length, type or shape, or holding
+    values that are wide, negative or not finite."""
+    np = pytest.importorskip("numpy")
+    layout = layout_of(record)
+    lengths = {0: draw(st.integers(0, 3))}
+    columns = {}
+    for leaf in layout.leaves:
+        n = lengths[leaf.level]
+        if leaf.delimits:
+            values = np.cumsum([0] + draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+            lengths[leaf.delimits] = int(values[-1])
+        elif leaf.kind == "float":
+            values = draw(st.lists(st.floats(), min_size=n, max_size=n))
+        else:
+            top = {"enum": len(leaf.members) - 1, "str": 1, "bool": 1}.get(leaf.kind, 9)
+            values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        column = np.array(values, dtype="float64" if leaf.kind == "float" else "int64")
+        defect = draw(st.sampled_from([None] * 60 + [
+            "missing", "short", "long", "wide", "negative", "nan", "inf", "2d", "list",
+            "array", "uint64"]))
+        if defect == "missing":
+            continue
+        if defect in ("short", "long"):
+            column = column[:-1] if defect == "short" else np.append(column, column[-1:])
+        elif defect in ("wide", "negative", "nan", "inf") and len(column):
+            bad = {"wide": 2 ** 62, "negative": -1, "nan": float("nan"),
+                   "inf": float("inf")}[defect]
+            if isinstance(bad, float):
+                column = column.astype("float64")
+            column[draw(st.integers(0, len(column) - 1))] = bad
+        elif defect == "2d":
+            column = np.stack([column, column], axis=-1)
+        elif defect == "list":
+            column = column.tolist()
+        elif defect == "array":
+            code = "d" if leaf.kind == "float" else draw(st.sampled_from("bihqd"))
+            column = array(code, column.astype(code).tobytes())
+        elif defect == "uint64":
+            column = column.astype("uint64")
+        columns[leaf.path] = column
+    return Strings(["f", "g"]), columns
+
+
+# ----------------------------------------------------------------------
+# A table is a list of records.
 # ----------------------------------------------------------------------
 # A table is a list of records.
 
@@ -233,6 +282,24 @@ class TestColumns:
         with pytest.raises(ValueError, match="addend"):
             Table.from_columns(Relocation, Strings(["f"]),
                                {k: v for k, v in columns.items() if k != "addend"})
+
+    @pytest.mark.parametrize("record", [Relocation, BlockMeta], ids=lambda r: r.__name__)
+    def test_from_columns_accepts_only_readable_tables(self, record):
+        """Any column dict is a table every row of which reads back, or
+        one ``ValueError`` -- never another exception, never a table
+        that fails later."""
+        @settings(max_examples=150, deadline=None)
+        @given(column_dicts(record))
+        def check(drawn):
+            strings, columns = drawn
+            try:
+                table = Table.from_columns(record, strings, columns)
+            except ValueError:
+                return
+            # Every row reads back and stores again (NaN != NaN: no ==).
+            assert len(Table(record, list(table))) == len(table)
+
+        check()
 
     def test_a_table_written_under_another_layout_does_not_load(self, monkeypatch):
         payload = pickle.dumps(Table(PrefetchSite, [PrefetchSite(4, "g")]))
