@@ -4,8 +4,10 @@
 Run it from two checkouts and compare the outputs byte for byte: a
 change that must not move the pipeline's results or its simulated
 clock keeps every line.  Per case it records each executable's
-``content_digest()``, ``PipelineResult.digest()``, ``phase_seconds``
-(keys, values and order) and the report's ``builds`` and ``phases``.
+``content_digest()``, every object's ``content_digest()`` per codegen
+batch (the metadata build's and Phase 4's), ``PipelineResult.digest()``,
+``phase_seconds`` (keys, values and order) and the report's ``builds``
+and ``phases``.
 
     PYTHONPATH=src python scripts/release_identity.py > before.json
     (switch checkouts)
@@ -45,6 +47,8 @@ def release(preset, scale, lbr_branches, pgo_steps, extra, seed):
         "case": f"{preset}@{scale} seed={seed} {extra}",
         "executables": {name: getattr(result, name).executable.content_digest()
                         for name in ("baseline", "metadata", "optimized")},
+        "objects": {batch: [obj.content_digest() for obj in getattr(result, batch).objects]
+                    for batch in ("metadata", "optimized")},
         "digest": result.digest(),
         "phase_seconds": list(result.phase_seconds.items()),
         "builds": plain(report.builds),

@@ -1,22 +1,39 @@
 """IR-to-machine lowering.
 
-One :class:`_SectionEmitter` per output text section.  Every branch is
-emitted in long form with a static relocation and a
-:class:`~repro.elf.metadata.BranchFixup`, deferring target resolution
-to the linker (§4.2).  Basic-block label symbols use the assembler-
-temporary ``.L`` prefix; the linker resolves them but does not export
-them to the executable's symbol table.
+A module lowers in two passes:
 
-Relocations, fixups, block descriptors and symbols are appended to the
-object's tables as *rows* (:meth:`repro.elf.table.Table.append_row`):
-no record is built per instruction or per block.
+* the **plan** pass walks the IR in Python, one block at a time.  It
+  picks every instruction's opcode -- and so, from the opcode sizes,
+  every offset -- and appends the object's tables as *rows*
+  (:meth:`repro.elf.table.Table.append_row`): relocations, fixups,
+  block descriptors and symbols, with no record built per instruction
+  or per block.  Every branch is emitted in long form with a static
+  relocation and a :class:`~repro.elf.metadata.BranchFixup`, deferring
+  target resolution to the linker (§4.2).  Basic-block label symbols
+  use the assembler-temporary ``.L`` prefix; the linker resolves them
+  but does not export them to the executable's symbol table.
+* the **bytes** pass (:meth:`_Code.image`) builds the module's text in
+  one go with NumPy: the opcode bytes and every operand byte are
+  scattered into one buffer that the text sections are slices of.
+
+Operand bytes are a deterministic pseudo-random stream, derived from
+stable identifiers so recompiling identical IR yields byte-identical
+objects (a requirement for content-addressed caching); their values
+intentionally collide with opcode bytes, keeping disassembly honest.
+Instruction ``idx`` of block ``bb_id`` carries the first ``size - 1``
+bytes of the stream seeded with ``crc32(f"{func}:{bb_id}:{idx}")``
+(:func:`_stream`).  Branches carry zeros (the linker patches them), and
+so does a prefetch.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import ir
 from repro.codegen.options import BBSectionsMode, CodeGenOptions
@@ -34,21 +51,26 @@ from repro.elf import (
     TerminatorKind,
     bbaddrmap,
 )
-from repro.elf.table import Strings, Table
+from repro.elf.table import Strings, Table, run_index
 from repro.ir import cfg as ir_cfg
-from repro.isa import Opcode, encode_instruction, instruction_size
+from repro.isa import OPCODE_SIZES, Opcode
 
-_OP_LOWERING: Dict[ir.OpKind, Opcode] = {
-    ir.OpKind.NOP: Opcode.NOP,
-    ir.OpKind.ALU8: Opcode.ALU8,
-    ir.OpKind.ALU16: Opcode.ALU16,
-    ir.OpKind.ALU32: Opcode.ALU32,
-    ir.OpKind.LOAD: Opcode.LOAD,
-    ir.OpKind.STORE: Opcode.STORE,
-    ir.OpKind.LEA: Opcode.LEA,
-    ir.OpKind.MOV: Opcode.MOVRR,
-    ir.OpKind.CMP: Opcode.CMP,
+#: Keyed by the kind's value: hashing an Enum member runs Python code.
+_OP_LOWERING: Dict[str, Opcode] = {
+    ir.OpKind.NOP.value: Opcode.NOP,
+    ir.OpKind.ALU8.value: Opcode.ALU8,
+    ir.OpKind.ALU16.value: Opcode.ALU16,
+    ir.OpKind.ALU32.value: Opcode.ALU32,
+    ir.OpKind.LOAD.value: Opcode.LOAD,
+    ir.OpKind.STORE.value: Opcode.STORE,
+    ir.OpKind.LEA.value: Opcode.LEA,
+    ir.OpKind.MOV.value: Opcode.MOVRR,
+    ir.OpKind.CMP.value: Opcode.CMP,
 }
+
+#: Instruction size by opcode byte.
+_SIZE = np.zeros(256, dtype=np.int64)
+_SIZE[list(OPCODE_SIZES)] = list(OPCODE_SIZES.values())
 
 #: Modelled eh_frame sizes (§4.4): one CIE per object, one FDE per
 #: contiguous function fragment, plus re-emitted callee-saved-register
@@ -76,20 +98,96 @@ def bb_label(func: str, bb_id: int) -> str:
     return f".L{func}.__bb{bb_id}"
 
 
-def _payload(func: str, bb_id: int, idx: int, nbytes: int) -> bytes:
-    """Deterministic pseudo-random operand bytes.
+_MASK = np.uint64(0xFFFFFFFF)
+#: ``k`` steps of the operand LCG, ``s -> s * 1103515245 + 12345 (mod
+#: 2**32)``, are one affine map ``s -> A[k] * s + C[k]``: grown by
+#: doubling (``f^(m+j) = f^j . f^m``) to the longest stream asked for.
+_LCG_A = np.ones(1, dtype=np.uint64)
+_LCG_C = np.zeros(1, dtype=np.uint64)
 
-    Derived from stable identifiers so recompiling identical IR yields
-    byte-identical objects (a requirement for content-addressed
-    caching).  The byte values intentionally collide with opcode bytes,
-    keeping disassembly honest.
+
+def _stream(seeds: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The first ``lengths[i]`` bytes of the stream seeded with
+    ``seeds[i]``, for every ``i``, laid end to end.
+
+    Byte ``k`` of a stream is bits 16-23 of the LCG state ``k + 1``
+    steps from its seed.  As every step count is one multiply-add of the
+    seed, the bytes of all streams are computed at once.
     """
-    out = bytearray()
-    state = zlib.crc32(f"{func}:{bb_id}:{idx}".encode())
-    while len(out) < nbytes:
-        state = (state * 1103515245 + 12345) & 0xFFFFFFFF
-        out.append((state >> 16) & 0xFF)
-    return bytes(out[:nbytes])
+    global _LCG_A, _LCG_C
+    while len(_LCG_A) <= int(lengths.max(initial=0)):
+        a = _LCG_A[-1] * np.uint64(1103515245) & _MASK
+        c = (_LCG_C[-1] * np.uint64(1103515245) + np.uint64(12345)) & _MASK
+        _LCG_A, _LCG_C = (np.concatenate([_LCG_A, _LCG_A * a & _MASK]),
+                          np.concatenate([_LCG_C, (_LCG_A * c + _LCG_C) & _MASK]))
+    steps = run_index(lengths) + 1
+    seeds = np.repeat(seeds.astype(np.uint64), lengths)
+    return ((_LCG_A[steps] * seeds + _LCG_C[steps]) >> np.uint64(16)).astype(np.uint8)
+
+
+def _filler(name: str, tag: int, nbytes: int) -> bytearray:
+    """Modelled metadata bytes (LSDA, DWARF, eh_frame): the operand stream
+    of instruction 0 of pseudo-block ``tag``."""
+    seed = zlib.crc32(f"{name}:{tag}:0".encode())
+    return bytearray(_stream(np.array([seed]), np.array([nbytes])))
+
+
+#: The CRC-32 (zlib's) of one byte, as a lookup table.
+_CRC = np.arange(256, dtype=np.int64)
+for _ in range(8):
+    _CRC = np.where(_CRC & 1, (_CRC >> 1) ^ 0xEDB88320, _CRC >> 1)
+
+
+def _crc_decimal(crcs: np.ndarray, numbers: np.ndarray) -> np.ndarray:
+    """``zlib.crc32(b"%d" % n, crc)`` of every ``(crc, n)``: a prefix's
+    CRC carried on over each number's digits, one digit column at a time
+    (``crc32(a + b) == crc32(b, crc32(a))``)."""
+    state, value = crcs ^ 0xFFFFFFFF, np.abs(numbers)
+    digits = np.ones(len(value), dtype=np.int64)
+    while (value >= 10 ** digits).any():
+        digits += value >= 10 ** digits
+    text = [np.where(numbers < 0, ord("-"), -1)]  # -1: no character in this column
+    text += [np.where(digits > j, ord("0") + value // 10 ** np.maximum(digits - 1 - j, 0) % 10, -1)
+             for j in range(int(digits.max(initial=0)))]
+    for char in text:
+        state = np.where(char >= 0, _CRC[(state ^ char) & 0xFF] ^ (state >> 8), state)
+    return state ^ 0xFFFFFFFF
+
+
+class _Code:
+    """A module's text sections, laid end to end, as the plan pass leaves
+    them.  A block's body is a *run*: the opcodes of its IR instructions
+    from ``at`` on, the ``i``-th keyed ``(crc, i)`` by its block's
+    ``"{func}:{bb_id}:"`` prefix CRC.  Any other instruction is a single
+    ``(at, opcode, crc)``, keyed ``(crc, -1)`` when ``crc >= 0``.  A
+    keyed instruction's operands are its key's stream; the rest are 0."""
+
+    def __init__(self):
+        self.size = 0
+        self.runs: List[int] = []  # (at, crc, length) of every run, flat
+        self.run_ops: List[Opcode] = []
+        self.singles: List[int] = []  # (at, opcode, crc) of every single, flat
+
+    def image(self) -> np.ndarray:
+        """The bytes pass: one buffer of the module's text."""
+        runs = np.array(self.runs, dtype=np.int64).reshape(-1, 3)
+        singles = np.array(self.singles, dtype=np.int64).reshape(-1, 3)
+        run_ops, counts = np.array(self.run_ops, dtype=np.int64), runs[:, 2]
+        ends = np.cumsum(_SIZE[run_ops])  # a run's instructions sit back to back
+        starts = np.concatenate([[0], ends])[np.cumsum(counts) - counts]
+        at = np.concatenate([np.repeat(runs[:, 0] - starts, counts) + ends - _SIZE[run_ops],
+                             singles[:, 0]])
+        ops = np.concatenate([run_ops, singles[:, 1]])
+        crcs = np.concatenate([np.where(run_ops == Opcode.CALL, -1, np.repeat(runs[:, 1], counts)),
+                               singles[:, 2]])
+        keyed = crcs >= 0
+        idxs = np.concatenate([run_index(counts), np.full(len(singles), -1)])[keyed]
+        out = np.zeros(self.size, dtype=np.uint8)
+        out[at] = ops
+        lengths = _SIZE[ops[keyed]] - 1
+        out[np.repeat(at[keyed] + 1, lengths) + run_index(lengths)] = _stream(
+            _crc_decimal(crcs[keyed], idxs), lengths)
+        return out
 
 
 @dataclass
@@ -105,57 +203,60 @@ class _SectionPlan:
 
 
 class _SectionEmitter:
-    """Accumulates bytes, relocations, fixups and metadata for a section."""
+    """Plans one section: its size, relocations, fixups and block rows.
+    Its instructions go to the module's :class:`_Code` from ``base``."""
 
-    def __init__(self, plan: _SectionPlan, func: str, strings: Strings):
-        self.plan = plan
-        self.func = func
-        self.data = bytearray()
+    def __init__(self, code: _Code, strings: Strings):
+        self.code = code
+        self.base = code.size
+        self.size = 0
         self.relocations = Table(Relocation, strings=strings)
         self.fixups = Table(BranchFixup, strings=strings)
         self.blocks = Table(BlockMeta, strings=strings)
-        self.local_symbols: List[Tuple[str, int]] = []
         self.num_instrs = 0
 
-    @property
-    def offset(self) -> int:
-        return len(self.data)
-
-    def emit(self, opcode: Opcode, payload: bytes = b"") -> int:
-        off = self.offset
-        self.data += encode_instruction(opcode, payload=payload)
+    def emit(self, opcode: Opcode, crc: int = -1) -> int:
+        """Plan one single instruction at the cursor (see :class:`_Code`)."""
+        off = self.size
+        self.code.singles += (self.base + off, opcode, crc)
+        self.size = off + OPCODE_SIZES[opcode]
         self.num_instrs += 1
         return off
 
+    def emit_run(self, block: ir.BasicBlock, crc: int, calls: List[tuple]) -> None:
+        """Plan ``block``'s IR instructions as a run at the cursor, a call's
+        relocation and :class:`~repro.elf.CallSite` row with it."""
+        instrs, lowering = block.instrs, _OP_LOWERING
+        run = [lowering[i.kind._value_] if i.__class__ is not ir.Call else
+               Opcode.ICALL if i.callee is None else Opcode.CALL for i in instrs]
+        self.code.runs += (self.base + self.size, crc, len(run))
+        self.code.run_ops += run
+        sizes = [OPCODE_SIZES[opcode] for opcode in run]
+        if Opcode.CALL in run or Opcode.ICALL in run:
+            for instr, opcode, off in zip(instrs, run, accumulate(sizes, initial=self.size)):
+                if opcode == Opcode.CALL:
+                    self.relocations.append_row((off + 1, RelocType.PC32, instr.callee, 0))
+                    calls.append((off, OPCODE_SIZES[opcode], instr.callee, ()))
+                elif opcode == Opcode.ICALL:
+                    calls.append((off, OPCODE_SIZES[opcode], None, tuple(instr.indirect_targets)))
+        self.size += sum(sizes)
+        self.num_instrs += len(run)
+
     def emit_branch(self, opcode: Opcode, symbol: str, deletable: bool = False) -> int:
-        """Emit a long-form branch with a relocation and a fixup."""
-        off = self.offset
-        self.data += encode_instruction(opcode, displacement=0)
+        """Emit a long-form jump or Jcc with a relocation and a fixup."""
+        off = self.emit(opcode)
         field_off = off + (2 if opcode == Opcode.JCC_LONG else 1)
         self.relocations.append_row((field_off, RelocType.PC32, symbol, 0))
-        if opcode != Opcode.CALL:
-            self.fixups.append_row((off, opcode, symbol, deletable))
-        self.num_instrs += 1
+        self.fixups.append_row((off, opcode, symbol, deletable))
         return off
 
     def emit_jump_table(self, targets: Sequence[str]) -> int:
         """Embed a jump table (data in code!) at the current offset."""
-        off = self.offset
+        off = self.size
         for symbol in targets:
-            self.relocations.append_row((self.offset, RelocType.ABS32, symbol, 0))
-            self.data += b"\x00" * _JUMP_TABLE_ENTRY_BYTES
+            self.relocations.append_row((self.size, RelocType.ABS32, symbol, 0))
+            self.size += _JUMP_TABLE_ENTRY_BYTES
         return off
-
-    def to_section(self) -> Section:
-        return Section(
-            name=self.plan.section_name,
-            kind=SectionKind.TEXT,
-            data=self.data,
-            alignment=self.plan.alignment,
-            relocations=self.relocations,
-            blocks=self.blocks,
-            branch_fixups=self.fixups,
-        )
 
 
 def _pgo_block_order(function: ir.Function, profile) -> List[int]:
@@ -280,30 +381,19 @@ def _lower_block(
     rodata: Optional[_SectionEmitter],
     prefetch_symbols: Sequence[str] = (),
 ) -> None:
-    """Lower ``block`` at the emitter's cursor and append its
+    """Plan ``block`` at the emitter's cursor and append its
     :class:`~repro.elf.BlockMeta` row to the emitter's block table."""
     fn = function.name
-    start = emitter.offset
+    start = emitter.size
+    crc = zlib.crc32(f"{fn}:{block.bb_id}:".encode())
     calls: List[tuple] = []  # CallSite rows
     prefetches: List[tuple] = []  # PrefetchSite rows
     for symbol in prefetch_symbols:
-        off = emitter.offset
-        emitter.data += encode_instruction(Opcode.PREFETCH, payload=b"\x00" * 4)
+        off = emitter.emit(Opcode.PREFETCH)
         emitter.relocations.append_row((off + 1, RelocType.PC32, symbol, 0))
-        emitter.num_instrs += 1
         prefetches.append((off, symbol))
-    for idx, instr in enumerate(block.instrs):
-        if isinstance(instr, ir.Call):
-            if instr.is_indirect:
-                off = emitter.emit(Opcode.ICALL, payload=_payload(fn, block.bb_id, idx, 1))
-                calls.append((off, instruction_size(Opcode.ICALL), None,
-                              tuple(instr.indirect_targets)))
-            else:
-                off = emitter.emit_branch(Opcode.CALL, instr.callee)
-                calls.append((off, instruction_size(Opcode.CALL), instr.callee, ()))
-            continue
-        opcode = _OP_LOWERING[instr.kind]
-        emitter.emit(opcode, payload=_payload(fn, block.bb_id, idx, instruction_size(opcode) - 1))
+    emitter.emit_run(block, crc, calls)
+    emit = emitter.emit
 
     term = block.term
     if isinstance(term, ir.CondBr):
@@ -312,7 +402,7 @@ def _lower_block(
             # Invert the condition so the likely-next block falls through.
             taken, fallthrough, prob = fallthrough, taken, 1.0 - prob
         jcc_off = emitter.emit_branch(Opcode.JCC_LONG, bb_label(fn, taken))
-        cond = (bb_label(fn, taken), prob, jcc_off, instruction_size(Opcode.JCC_LONG))
+        cond = (bb_label(fn, taken), prob, jcc_off, OPCODE_SIZES[Opcode.JCC_LONG])
         if fallthrough == next_bb:
             term_row = _term_row(TerminatorKind.CONDBR, cond)
         else:
@@ -321,7 +411,7 @@ def _lower_block(
             )
             term_row = _term_row(
                 TerminatorKind.CONDBR, cond,
-                (bb_label(fn, fallthrough), jmp_off, instruction_size(Opcode.JMP_LONG)))
+                (bb_label(fn, fallthrough), jmp_off, OPCODE_SIZES[Opcode.JMP_LONG]))
     elif isinstance(term, ir.Jump):
         if term.target == next_bb:
             term_row = _term_row(TerminatorKind.FALLTHROUGH)
@@ -329,28 +419,28 @@ def _lower_block(
             jmp_off = emitter.emit_branch(Opcode.JMP_LONG, bb_label(fn, term.target), deletable=True)
             term_row = _term_row(
                 TerminatorKind.JUMP,
-                uncond=(bb_label(fn, term.target), jmp_off, instruction_size(Opcode.JMP_LONG)))
+                uncond=(bb_label(fn, term.target), jmp_off, OPCODE_SIZES[Opcode.JMP_LONG]))
     elif isinstance(term, ir.Ret):
-        off = emitter.emit(Opcode.RET)
-        term_row = _term_row(TerminatorKind.RET, end=(off, instruction_size(Opcode.RET)))
+        off = emit(Opcode.RET)
+        term_row = _term_row(TerminatorKind.RET, end=(off, OPCODE_SIZES[Opcode.RET]))
     elif isinstance(term, ir.Switch):
-        off = emitter.emit(Opcode.IJMP, payload=_payload(fn, block.bb_id, -1, 1))
+        off = emit(Opcode.IJMP, crc)
         labels = [bb_label(fn, t) for t in term.targets]
         if inline_jumptables:
             emitter.emit_jump_table(labels)
         elif rodata is not None:
             rodata.emit_jump_table(labels)
         term_row = _term_row(
-            TerminatorKind.IJMP, end=(off, instruction_size(Opcode.IJMP)),
+            TerminatorKind.IJMP, end=(off, OPCODE_SIZES[Opcode.IJMP]),
             ijmp=list(zip(labels, term.probs)))
     elif isinstance(term, ir.Unreachable):
-        off = emitter.emit(Opcode.TRAP, payload=_payload(fn, block.bb_id, -1, 1))
-        term_row = _term_row(TerminatorKind.TRAP, end=(off, instruction_size(Opcode.TRAP)))
+        off = emit(Opcode.TRAP, crc)
+        term_row = _term_row(TerminatorKind.TRAP, end=(off, OPCODE_SIZES[Opcode.TRAP]))
     else:
         raise TypeError(f"unknown terminator {term!r}")
 
     emitter.blocks.append_row((
-        block.bb_id, fn, start, emitter.offset - start, term_row, calls, prefetches,
+        block.bb_id, fn, start, emitter.size - start, term_row, calls, prefetches,
         block.is_landing_pad, 0.0,
     ))
 
@@ -375,8 +465,10 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
     strings = Strings()  # one pool for all of the object's tables
     obj = ObjectFile(name=f"{module.name}.o", symbols=Table(Symbol, strings=strings))
     result = CompiledObject(obj=obj, module_name=module.name)
+    code = _Code()
+    texts: List[Tuple[Section, int, int]] = []  # every text section and its span of code
     eh_frame_bytes = _CIE_BYTES
-    addr_maps: List[Tuple[str, bytes]] = []  # (text section name, encoded map)
+    addr_maps: List[Tuple[str, str, Table]] = []  # (text section, leader, blocks)
 
     for function in module.functions:
         result.num_functions += 1
@@ -387,65 +479,62 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
             isinstance(b.term, ir.Switch) for b in function.blocks
         ) and not function.hand_written
         if needs_rodata:
-            rodata = _SectionEmitter(
-                _SectionPlan(f".rodata.{function.name}", "", SymbolBinding.LOCAL, [], 4, False),
-                function.name, strings,
-            )
+            rodata = _SectionEmitter(code, strings)
+        prefetch_plan: Dict[int, List[str]] = {}
+        for bb_id, symbol in options.prefetches_for(function.name):
+            prefetch_plan.setdefault(bb_id, []).append(symbol)
         lsda_bytes = 0
         fn_instrs = 0
         for plan in plans:
-            emitter = _SectionEmitter(plan, function.name, strings)
+            emitter = _SectionEmitter(code, strings)
             # §4.5: a landing-pad block at the very start of a section
             # would have offset zero relative to @LPStart; pad with a nop.
-            first = function.block(plan.bb_ids[0])
-            if first.is_landing_pad:
+            if function.block(plan.bb_ids[0]).is_landing_pad:
                 emitter.emit(Opcode.NOP)
-            prefetch_plan: Dict[int, List[str]] = {}
-            for directive in options.prefetches_for(function.name):
-                bb_id, symbol = directive
-                prefetch_plan.setdefault(bb_id, []).append(symbol)
+            labels = []
             for pos, bb_id in enumerate(plan.bb_ids):
-                block = function.block(bb_id)
                 next_bb = plan.bb_ids[pos + 1] if pos + 1 < len(plan.bb_ids) else None
-                emitter.local_symbols.append((bb_label(function.name, bb_id), emitter.offset))
+                labels.append((bb_label(function.name, bb_id), emitter.size))
                 _lower_block(
-                    emitter, function, block, next_bb,
+                    emitter, function, function.block(bb_id), next_bb,
                     inline_jumptables=function.hand_written, rodata=rodata,
                     prefetch_symbols=prefetch_plan.get(bb_id, ()),
                 )
-            section = emitter.to_section()
-            obj.add_section(section)
-            obj.symbols.append_row((plan.leader, plan.section_name, 0, section.size,
+            code.size += emitter.size
+            blocks = emitter.blocks
+            section = obj.add_section(Section(
+                name=plan.section_name, kind=SectionKind.TEXT, alignment=plan.alignment,
+                relocations=emitter.relocations, blocks=blocks, branch_fixups=emitter.fixups,
+            ))
+            texts.append((section, emitter.base, code.size))
+            obj.symbols.append_row((plan.leader, plan.section_name, 0, emitter.size,
                                     plan.leader_binding, SymbolType.FUNC))
-            for name, offset in emitter.local_symbols:
+            for name, offset in labels:
                 obj.symbols.append_row((name, plan.section_name, offset, 0,
                                         SymbolBinding.LOCAL, SymbolType.NOTYPE))
             result.num_instrs += emitter.num_instrs
             fn_instrs += emitter.num_instrs
-            result.text_bytes += section.size
+            result.text_bytes += emitter.size
             # §4.4: one FDE per fragment; non-primary fragments re-emit
             # callee-saved-register CFI and redefine the CFA.
             eh_frame_bytes += _FDE_BYTES
             if not plan.is_primary:
                 eh_frame_bytes += _CSR_CFI_BYTES * options.callee_saved_regs
             if function.has_landing_pads():
-                ncalls = emitter.blocks.col("calls")[-1]  # the offsets column ends at the total
+                ncalls = blocks.col("calls")[-1]  # the offsets column ends at the total
                 if ncalls:
                     lsda_bytes += _LSDA_HEADER_BYTES + _LSDA_CALLSITE_BYTES * ncalls
             if options.bb_addr_map:
-                blocks = emitter.blocks
-                encoded = bbaddrmap.encode_blocks(
-                    plan.leader, blocks, blocks.col("offset"), blocks.col("size"))
-                addr_maps.append((plan.section_name, encoded))
-        if rodata is not None and rodata.data:
+                addr_maps.append((plan.section_name, plan.leader, blocks))
+        if rodata is not None and rodata.size:
             obj.add_section(Section(
                 name=f".rodata.{function.name}", kind=SectionKind.RODATA,
-                data=rodata.data, alignment=4, relocations=rodata.relocations,
+                data=bytearray(rodata.size), alignment=4, relocations=rodata.relocations,
             ))
         if lsda_bytes:
             obj.add_section(Section(
                 name=f".gcc_except_table.{function.name}", kind=SectionKind.OTHER,
-                data=bytearray(_payload(function.name, -2, 0, lsda_bytes)),
+                data=_filler(function.name, -2, lsda_bytes),
             ))
         if options.debug_info:
             # §4.3: ranges are per fragment; the two boundary
@@ -458,21 +547,26 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
             )
             obj.add_section(Section(
                 name=f".debug_info.{function.name}", kind=SectionKind.DEBUG,
-                data=bytearray(_payload(function.name, -4, 0, debug_bytes)),
+                data=_filler(function.name, -4, debug_bytes),
             ))
 
-    for text_name, encoded in addr_maps:
+    image = code.image()
+    for section, start, end in texts:
+        section.data = bytearray(image[start:end])
+    encoded = bbaddrmap.encode_tables([leader for _, leader, _ in addr_maps],
+                                      [blocks for _, _, blocks in addr_maps])
+    for (text_name, _, _), data in zip(addr_maps, encoded):
         obj.add_section(Section(
             name=f".llvm_bb_addr_map{text_name[len('.text'):]}" if text_name.startswith(".text")
             else f".llvm_bb_addr_map.{text_name}",
             kind=SectionKind.BB_ADDR_MAP,
-            data=bytearray(encoded),
+            data=bytearray(data),
             link_name=text_name,
         ))
     if eh_frame_bytes > _CIE_BYTES:
         obj.add_section(Section(
             name=".eh_frame", kind=SectionKind.EH_FRAME,
-            data=bytearray(_payload(module.name, -3, 0, eh_frame_bytes)),
+            data=_filler(module.name, -3, eh_frame_bytes),
         ))
     return result
 

@@ -208,10 +208,11 @@ def metadata_build(pipe: Any, inputs) -> Dict[str, Any]:
     """Phases 1-2: one compile of every module, linked twice (§3.2).
 
     ``metadata.out`` keeps the BB address map: the binary Phase 3
-    profiles.  ``base.out`` links the same objects without it -- the
-    PGO baseline the paper deploys and measures against, which differs
-    from the profiled binary only by that non-allocated section.  Both
-    consume the profile as trained, stale and all.
+    profiles.  ``base.out`` is the same objects without it -- the PGO
+    baseline the paper deploys and measures against, which differs from
+    the profiled binary only by that non-allocated section, and so is
+    derived from ``metadata.out`` rather than relinked.  Both consume
+    the profile as trained, stale and all.
     """
     with pipe.tracer.span("build:metadata.out", category="build"):
         batch = pipe.codegen_batch(pipe.metadata_options(inputs["ir_profile"]))
@@ -219,8 +220,7 @@ def metadata_build(pipe: Any, inputs) -> Dict[str, Any]:
             batch, pipe.link_options("metadata.out", keep_bb_addr_map=True))
     with pipe.tracer.span("build:base.out", category="build"):
         baseline = pipe.link_batch(
-            batch, pipe.link_options("base.out", keep_bb_addr_map=False),
-            strip_map=True)
+            batch, pipe.link_options("base.out", keep_bb_addr_map=False), metadata)
     return {"metadata": metadata, "baseline": baseline,
             "pgo_instrumented_build":
                 baseline.wall_seconds * INSTRUMENTED_BUILD_FACTOR,

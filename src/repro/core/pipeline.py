@@ -28,7 +28,7 @@ from repro.elf import Executable, ObjectFile
 from repro.elf.strip import strip_bb_addr_map
 from repro.faults import FaultPlan
 from repro.ir.digest import module_digest
-from repro.linker import LinkOptions, LinkResult, LinkStats, link
+from repro.linker import LinkOptions, LinkResult, LinkStats, link, without_bb_addr_map
 from repro.obs import NULL_TRACER, Counters, PipelineReport, Tracer
 from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
 from repro.runtime import FunctionSolveCache, resolve_cache_dir
@@ -468,21 +468,28 @@ class PropellerPipeline:
         )
 
     def link_batch(self, batch: CodegenBatch, link_options: LinkOptions,
-                   strip_map: bool = False) -> BuildOutcome:
+                   metadata: Optional[BuildOutcome] = None) -> BuildOutcome:
         """The second half: link a batch's objects as one cached action,
-        keyed by the batch's action keys and the link options.
-        ``strip_map`` links them without their BB address map and keeps
-        the batch's schedule (a compile's cost does not depend on the
-        map), re-deriving only its peak memory from the stripped objects."""
+        keyed by the batch's action keys and the link options.  Given
+        ``metadata``, the batch's link with its BB address map, the
+        objects are linked without their map: the action derives its
+        executable from ``metadata``'s (:func:`without_bb_addr_map`) and
+        keeps the batch's schedule (a compile's cost does not depend on
+        the map), re-deriving only its peak memory from the stripped
+        objects."""
         objects, backends, inputs = batch.objects, batch.backends, batch.keys
-        if strip_map:
+        if metadata is not None:
             objects = [strip_bb_addr_map(obj) for obj in objects]
             backends = replace(backends, peak_action_memory=max(
                 map(compile_peak_memory, objects), default=0))
             inputs = [*inputs, "strip:bb_addr_map"]
 
         def _link_compute():
-            link_result = link(objects, link_options, meter=MemoryMeter())
+            if metadata is None:
+                link_result = link(objects, link_options, meter=MemoryMeter())
+            else:
+                link_result = without_bb_addr_map(
+                    LinkResult(metadata.executable, metadata.link_stats), objects, link_options)
             seconds = link_result.stats.cost_units * phases.LINK_SECONDS_PER_BYTE
             return link_result, seconds, link_result.stats.peak_memory_bytes
 

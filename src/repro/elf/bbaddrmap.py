@@ -12,9 +12,12 @@ disassembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.elf.metadata import TerminatorKind
+from repro.elf.table import run_index, stacked
 
 #: Flag bit: the block can land exceptions.
 FLAG_LANDING_PAD = 0x01
@@ -25,20 +28,22 @@ FLAG_HAS_INDIRECT_JUMP = 0x04
 
 
 #: The terminator's share of the flags byte, by ``TerminatorKind`` column code.
-_KIND_FLAGS = [
+_KIND_FLAGS = np.array([
     {TerminatorKind.RET: FLAG_HAS_RETURN, TerminatorKind.IJMP: FLAG_HAS_INDIRECT_JUMP}.get(kind, 0)
     for kind in TerminatorKind
-]
+])
 
 
-def encode_blocks(func: str, blocks, offsets, sizes) -> bytes:
-    """The map of function ``func`` whose blocks are the rows of the
-    :class:`~repro.elf.BlockMeta` table ``blocks``, placed at ``offsets``
-    with ``sizes`` (the table's own columns, or what a link made of them)."""
-    flags = [(FLAG_LANDING_PAD if landing_pad else 0) | _KIND_FLAGS[kind] for landing_pad, kind
-             in zip(blocks.col("is_landing_pad"), blocks.col("term.kind"))]
-    return encode_function_map(FunctionMap(func=func, entries=tuple(
-        map(BBEntry, blocks.col("bb_id"), offsets, sizes, flags))))
+def encode_tables(funcs: Sequence[str], tables: Sequence, offsets=None, sizes=None) -> List[bytes]:
+    """The map of each function ``funcs[i]`` whose blocks are the rows of
+    the :class:`~repro.elf.BlockMeta` table ``tables[i]``, placed at
+    ``offsets`` with ``sizes``: the tables' own columns laid end to end
+    when not given, else what a link made of them."""
+    flags = np.where(stacked(tables, "is_landing_pad") != 0, FLAG_LANDING_PAD, 0) | _KIND_FLAGS[
+        stacked(tables, "term.kind")]
+    return encode_maps(funcs, [len(table) for table in tables], stacked(tables, "bb_id"),
+                       stacked(tables, "offset") if offsets is None else offsets,
+                       stacked(tables, "size") if sizes is None else sizes, flags)
 
 
 def encode_uleb128(value: int) -> bytes:
@@ -100,7 +105,16 @@ class FunctionMap:
 
 
 def encode_function_map(fmap: FunctionMap) -> bytes:
-    """Serialize one function's map.
+    """Serialize one function's map (see :func:`encode_maps`)."""
+    columns = np.array([(e.bb_id, e.offset, e.size, e.flags) for e in fmap.entries],
+                       dtype=np.int64).reshape(-1, 4).T
+    return encode_maps([fmap.func], [len(fmap.entries)], *columns)[0]
+
+
+def encode_maps(funcs: Sequence[str], counts: Sequence[int], bb_ids, offsets, sizes,
+                flags) -> List[bytes]:
+    """Serialize the maps of ``funcs``, function ``i`` owning the next
+    ``counts[i]`` entries of the block columns, in one ULEB128 pass.
 
     Blocks are contiguous within their section, so per-block offsets
     are not stored: like the real SHT_LLVM_BB_ADDR_MAP, the encoding
@@ -108,25 +122,40 @@ def encode_function_map(fmap: FunctionMap) -> bytes:
     the sizes, keeping the section small (§4.1's overhead concern).
     Per block it stores the (id, size, flags) triple.
     """
-    name = fmap.func.encode()
-    out = bytearray()
-    out += encode_uleb128(len(name))
-    out += name
-    out += encode_uleb128(len(fmap.entries))
-    if fmap.entries:
-        out += encode_uleb128(fmap.entries[0].offset)
-        expected = fmap.entries[0].offset
-        for entry in fmap.entries:
-            if entry.offset != expected:
-                raise ValueError(
-                    f"{fmap.func}: non-contiguous block at offset {entry.offset} "
-                    f"(expected {expected})"
-                )
-            out += encode_uleb128(entry.bb_id)
-            out += encode_uleb128(entry.size)
-            out += encode_uleb128(entry.flags)
-            expected += entry.size
-    return bytes(out)
+    bounds = np.cumsum([0, *counts])
+    offsets, sizes = np.asarray(offsets, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    gaps = np.flatnonzero(offsets[1:] != offsets[:-1] + sizes[:-1]) + 1
+    gaps = gaps[~np.isin(gaps, bounds)]  # a function's first block starts where it likes
+    if len(gaps):
+        i = int(gaps[0])
+        raise ValueError(f"{funcs[np.searchsorted(bounds, i, 'right') - 1]}: non-contiguous "
+                         f"block at offset {offsets[i]} (expected {offsets[i - 1] + sizes[i - 1]})")
+    stream, ends = _uleb128s(np.stack([np.asarray(bb_ids, dtype=np.int64), sizes,
+                                       np.asarray(flags, dtype=np.int64)], axis=1).ravel())
+    data, at = stream.tobytes(), [0, *ends[2::3].tolist()]  # where each block's triple ends
+    out = []
+    for func, lo, hi in zip(funcs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        name = func.encode()
+        head = encode_uleb128(len(name)) + name + encode_uleb128(hi - lo)
+        if hi > lo:
+            head += encode_uleb128(int(offsets[lo]))
+        out.append(head + data[at[lo]:at[hi]])
+    return out
+
+
+def _uleb128s(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ULEB128 encodings of ``values`` laid end to end, and where each ends."""
+    if len(values) and values.min() < 0:
+        raise ValueError("uleb128 encodes non-negative integers")
+    nbytes = np.ones(len(values), dtype=np.int64)
+    rest = values >> 7
+    while rest.any():
+        nbytes += rest > 0
+        rest >>= 7
+    nth = run_index(nbytes)
+    more = nth < np.repeat(nbytes - 1, nbytes)  # a continuation bit on all but the last byte
+    return ((np.repeat(values, nbytes) >> 7 * nth) & 0x7F | more * 0x80).astype(np.uint8), \
+        np.cumsum(nbytes)
 
 
 def decode_function_map(data: bytes, offset: int = 0) -> Tuple[FunctionMap, int]:

@@ -115,6 +115,8 @@ class _Layout:
         #: with (columns pickle as native-order bytes: the order is part of it).
         self.stamp = zlib.crc32(f"{sys.byteorder}:{signature}".encode())
         self._compile(tree)
+        #: What :meth:`Table.col` reads of an empty table: shared, never written.
+        self.empties = [array(leaf.code, [0] if leaf.delimits else []) for leaf in self.leaves]
 
     # -- the walk over the record's type hints --------------------------
 
@@ -249,11 +251,21 @@ class _Layout:
 
     # -- whole-column operations ----------------------------------------
 
-    def empty_column(self, k: int) -> array:
-        return array(self.leaves[k].code, [0] if self.leaves[k].delimits else [])
-
     def empty(self) -> list:
-        return [self.empty_column(k) for k in range(len(self.leaves))]
+        return [column[:] for column in self.empties]
+
+    def check_lengths(self, data: list) -> None:
+        """Raise ``ValueError`` unless each column of ``data`` is as long as
+        the row count and the offsets columns say.  Lengths only: no value
+        is scanned but the last of each offsets column."""
+        lengths = [len(data[self.tail]) - self.tail_extra]  # values per level
+        for leaf, column in zip(self.leaves, data):
+            n = lengths[leaf.level] + bool(leaf.delimits)
+            if len(column) != n:
+                raise ValueError(f"{self.record.__name__}.{leaf.path}: {len(column)} values, "
+                                 f"expected {n}")
+            if leaf.delimits:
+                lengths.append(column[-1])
 
     def cut(self, data: list, rows: int) -> None:
         """Truncate every column to what ``rows`` rows own."""
@@ -327,6 +339,23 @@ class _Layout:
 
 layout_of = functools.lru_cache(maxsize=None)(_Layout)
 
+
+def stacked(tables: Sequence["Table"], path: str):
+    """Column ``path`` of ``tables`` laid end to end, as an int64 ndarray."""
+    import numpy as np
+
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(t.col(path) for t in tables)]
+                          ).astype(np.int64)
+
+
+def run_index(counts):
+    """Each item's index within its run, for runs of ``counts`` laid end to end."""
+    import numpy as np
+
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
 #: What a bad value raises inside a generated row function.
 _ROW_ERRORS = (OverflowError, TypeError, KeyError, ValueError, AttributeError)
 
@@ -375,10 +404,7 @@ class Table(MutableSequence):
             raise ValueError(f"{record.__name__}: columns {sorted(set(columns) ^ set(layout.index))} "
                              "missing or unknown")
         data = [layout.adopt(leaf, columns[leaf.path]) for leaf in layout.leaves]
-        sizes = [len(column) for column in data]
-        layout.cut(data, sizes[layout.tail] - layout.tail_extra)
-        if sizes != [len(column) for column in data]:
-            raise ValueError(f"{record.__name__}: columns of different lengths {sizes}")
+        layout.check_lengths(data)
         layout.check(data, strings)
         return cls(record, strings=strings, data=data)
 
@@ -402,8 +428,7 @@ class Table(MutableSequence):
         ``"calls"`` for that field's offsets, ``"calls.size"`` ...): enums
         as their position in definition order, strings as pool ids."""
         layout = layout_of(self.record)
-        k = layout.index[path]
-        return layout.empty_column(k) if self.data is None else self.data[k]
+        return (layout.empties if self.data is None else self.data)[layout.index[path]]
 
     def values(self, path: str) -> list:
         """Column ``path`` decoded: what the records' fields would hold."""
@@ -510,8 +535,17 @@ class Table(MutableSequence):
 
 
 def _restore(record: type, strings: Strings, stamp: int, packed) -> Table:
+    """Unpickle a table: a ``ValueError`` unless it is columns of the right
+    number and lengths (a loaded store is thousands of tables, so no
+    value is scanned)."""
     layout = layout_of(record)
     if stamp != layout.stamp:
         raise ValueError(f"{record.__name__} table written under another column layout")
-    data = packed and [array(leaf.code, raw) for leaf, raw in zip(layout.leaves, packed)]
+    data = None
+    if packed:
+        if len(packed) != len(layout.leaves):
+            raise ValueError(f"{record.__name__}: {len(packed)} columns, "
+                             f"expected {len(layout.leaves)}")
+        data = [array(leaf.code, raw) for leaf, raw in zip(layout.leaves, packed)]
+        layout.check_lengths(data)
     return Table(record, strings=strings, data=data)

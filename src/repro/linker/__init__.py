@@ -6,13 +6,17 @@ bespoke relaxation pass that removes explicit fall-through jumps and
 shrinks long branches after basic-block-section reordering (§4.2),
 applies relocations and produces an :class:`repro.elf.Executable`.
 Inputs are read-only and never copied: relaxation records which branches
-it re-encoded, every other offset is derived by one remap function, and
-each section's bytes are built once, after the fixed point.
+it re-encoded, every other offset is derived by one remap over all
+sections' columns, and each section's bytes are built once, after the
+fixed point.  :func:`without_bb_addr_map` derives the link of the same
+objects without their BB address map from the link with it.
 
 Peak link memory is modelled as roughly twice the input size plus the
 output, the rule of thumb the paper cites ("~2X size of inputs", §5.2).
 """
 
-from repro.linker.linker import LinkError, LinkOptions, LinkResult, LinkStats, link
+from repro.linker.linker import (LinkError, LinkOptions, LinkResult, LinkStats, link,
+                                 without_bb_addr_map)
 
-__all__ = ["LinkError", "LinkOptions", "LinkResult", "LinkStats", "link"]
+__all__ = ["LinkError", "LinkOptions", "LinkResult", "LinkStats", "link",
+           "without_bb_addr_map"]

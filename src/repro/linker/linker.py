@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,10 +21,9 @@ from repro.elf import (
     TerminatorKind,
     bbaddrmap,
 )
-from repro.elf.table import NONE, Strings, Table
-from repro.isa import OPCODE_SIZES
+from repro.elf.table import NONE, Strings, Table, stacked
 from repro.linker.relax import apply_relocations, assign_addresses, relax
-from repro.linker.worksection import LinkError, WorkSection
+from repro.linker.worksection import LinkError, Remap, WorkSection
 
 
 @dataclass(frozen=True)
@@ -90,27 +89,33 @@ def link(
 
     work: List[WorkSection] = []
     defs: Dict[str, Tuple[WorkSection, int]] = {}  # name -> (section, input offset)
+    def_sections: List[int] = []  # the same, by position in ``work``, for the remap
     exported = []  # (name, section, size, type, binding) of what reaches the symbol table
     for obj in objects:
-        by_name: Dict[str, WorkSection] = {}
+        by_name: Dict[str, Tuple[WorkSection, int]] = {}
         for section in obj.sections:
             ws = WorkSection(section, origin=obj.name)
-            by_name[section.name] = ws
+            by_name[section.name] = (ws, len(work))
             work.append(ws)
         table = obj.symbols
-        for name, section, offset, size, stype, binding in zip(
-                table.values("name"), table.values("section"), table.col("offset"),
-                table.col("size"), table.values("stype"), table.values("binding")):
-            ws = by_name.get(section)
-            if ws is None:
-                raise LinkError(f"{obj.name}: symbol {name} in missing section {section}")
-            if name in defs:
-                raise LinkError(f"duplicate symbol {name!r}")
-            defs[name] = (ws, offset)
-            if ws.leader is None and offset == 0 and stype == SymbolType.FUNC:
-                ws.leader = name
-            if not name.startswith(".L"):  # assembler temporaries stay out of the symbol table
-                exported.append((name, ws, size, stype, binding))
+        names, sections, offsets = table.values("name"), table.values("section"), table.col("offset")
+        homes = [by_name.get(section) for section in sections]
+        if None in homes:
+            j = homes.index(None)
+            raise LinkError(f"{obj.name}: symbol {names[j]} in missing section {sections[j]}")
+        if len(set(names)) < len(names) or not defs.keys().isdisjoint(names):
+            seen = set(defs)
+            name = next(n for n in names if n in seen or seen.add(n))
+            raise LinkError(f"duplicate symbol {name!r}")
+        defs.update(zip(names, [(ws, offset) for (ws, _), offset in zip(homes, offsets)]))
+        def_sections += [s for _, s in homes]
+        stypes, sizes, bindings = table.values("stype"), table.col("size"), table.values("binding")
+        for j, stype in enumerate(stypes):  # the first function symbol at 0 leads its section
+            if stype is SymbolType.FUNC and not offsets[j] and homes[j][0].leader is None:
+                homes[j][0].leader = names[j]
+        # Assembler temporaries stay out of the symbol table.
+        exported += [(name, homes[j][0], sizes[j], stypes[j], bindings[j])
+                     for j, name in enumerate(names) if not name.startswith(".L")]
 
     # ----- text layout order ------------------------------------------
     text = [ws for ws in work if ws.kind == SectionKind.TEXT]
@@ -139,38 +144,43 @@ def link(
     rodata = [ws for ws in work if ws.kind in (SectionKind.RODATA, SectionKind.DATA)]
     cursor = assign_addresses(rodata, (text_end + page - 1) & ~(page - 1))
 
+    remap = Remap(work)
+    index = {id(ws): s for s, ws in enumerate(work)}
     text_by_name = {ws.section.name: ws for ws in text}
     nonalloc: List[WorkSection] = []
+    maps: List[Tuple[WorkSection, WorkSection]] = []  # (map section, its text section)
     for ws in work:
-        if ws.kind in (SectionKind.TEXT, SectionKind.RODATA, SectionKind.DATA):
+        if ws.kind in _ALLOCATED:
             continue
         if ws.kind == SectionKind.BB_ADDR_MAP:
             linked_text = text_by_name.get(ws.section.link_name)
             if not options.keep_bb_addr_map or linked_text is None:
                 continue  # dropped by the linker (§3.4)
-            # Relaxation moved block boundaries; re-encode the map from
-            # the final section geometry so profile mapping stays exact.
-            ws.data = _reencode_bb_addr_map(linked_text)
-            ws.size = len(ws.data)
+            maps.append((ws, linked_text))
         else:
             ws.data = bytes(ws.section.data)
         nonalloc.append(ws)
+    # Relaxation moved block boundaries; re-encode the maps from the
+    # final section geometry so profile mapping stays exact.
+    for (ws, _), data in zip(maps, _reencode_bb_addr_maps([t for _, t in maps], remap, index)):
+        ws.data, ws.size = data, len(data)
     cursor = (cursor + page - 1) & ~(page - 1)
     for ws in nonalloc:
         ws.vaddr = cursor
         cursor += ws.size
 
     # ----- final addresses, section bytes, relocations -------------------
-    addresses = _Addresses()
-    for name, (ws, offset) in defs.items():
-        addresses[name] = ws.vaddr + ws.remap(offset)
+    addresses = _Addresses(zip(defs, remap.address(
+        np.array(def_sections, dtype=np.int64),
+        np.fromiter((offset for _, offset in defs.values()), np.int64, len(defs))).tolist()))
     retained: Optional[List[Tuple[int, Relocation]]] = [] if options.emit_relocs else None
+    image = bytearray(b"".join(ws.materialize() for ws in text + rodata))
+    stats.relocations_applied = apply_relocations(
+        remap, [index[id(ws)] for ws in text + rodata], image, addresses, retained)
+    image, cursor = memoryview(image), 0
     for ws in text + rodata:
-        data = ws.materialize()
-        stats.relocations_applied += apply_relocations(
-            ws, data, addresses, retained if ws.kind == SectionKind.TEXT else None
-        )
-        ws.data = bytes(data)
+        ws.data = bytes(image[cursor:cursor + ws.size])
+        cursor += ws.size
 
     # ----- assemble the executable --------------------------------------
     placed_sections = [
@@ -185,7 +195,7 @@ def link(
             size = ws.vaddr + ws.size - addr  # relaxation shrank the section
         symbols[name] = SymbolInfo(name=name, addr=addr, size=size, stype=stype, binding=binding)
 
-    exec_blocks = _resolve_exec_blocks(text, addresses)
+    exec_blocks = _resolve_exec_blocks(text, remap, index, addresses)
     executable = Executable(
         name=options.output_name,
         entry=addresses[options.entry_symbol],
@@ -205,6 +215,43 @@ def link(
     return LinkResult(executable=executable, stats=stats)
 
 
+_ALLOCATED = (SectionKind.TEXT, SectionKind.RODATA, SectionKind.DATA)
+
+
+def without_bb_addr_map(linked: LinkResult, objects: Sequence[ObjectFile],
+                        options: LinkOptions) -> LinkResult:
+    """What :func:`link` makes of ``objects`` under ``options``, given
+    ``linked``, the link of the same objects with their BB address maps
+    under the same options but the output name and ``keep_bb_addr_map``.
+
+    The map is non-allocated and nothing refers to it (§3.2), so the
+    text, data, symbols and execution model are ``linked``'s: the map
+    sections are dropped and the other non-allocated sections re-packed
+    from the page-aligned cursor, as :func:`link` places them.  The
+    byte counts (and so the peak) are re-derived from ``objects`` and
+    the output; the relaxation and relocation counts are ``linked``'s.
+    """
+    exe = linked.executable
+    sections: List[PlacedSection] = []
+    cursor = None
+    for placed in exe.sections:  # text, data, then non-allocated
+        if placed.kind not in _ALLOCATED:
+            cursor = placed.vaddr if cursor is None else cursor
+            if placed.kind == SectionKind.BB_ADDR_MAP:
+                continue
+            placed, cursor = replace(placed, vaddr=cursor), cursor + placed.size
+        sections.append(placed)
+    executable = Executable(
+        name=options.output_name, entry=exe.entry, sections=sections,
+        symbols=dict(exe.symbols), exec_blocks=exe.exec_blocks,
+        retained_relocations=list(exe.retained_relocations),
+        features=options.features, hugepages=options.hugepages)
+    stats = replace(linked.stats, input_bytes=sum(obj.total_size for obj in objects),
+                    output_bytes=executable.total_size)
+    stats.peak_memory_bytes = 2 * stats.input_bytes + stats.output_bytes
+    return LinkResult(executable=executable, stats=stats)
+
+
 class _Addresses(dict):
     """Final ``name -> address`` table; a missing name is a link error."""
 
@@ -212,15 +259,18 @@ class _Addresses(dict):
         raise LinkError(f"undefined symbol {name!r}")
 
 
-def _reencode_bb_addr_map(ws: WorkSection) -> bytes:
-    """Serialize a text section's final block geometry as its address map."""
-    if ws.leader is None:
-        return b""
-    remap, blocks = ws.remap, ws.section.blocks
-    starts = [remap(at) for at in blocks.col("offset")]
-    sizes = [remap(at + size) - start for at, size, start in
-             zip(blocks.col("offset"), blocks.col("size"), starts)]
-    return bbaddrmap.encode_blocks(ws.leader, blocks, starts, sizes)
+def _reencode_bb_addr_maps(texts: List[WorkSection], remap: Remap,
+                           index: Dict[int, int]) -> List[bytes]:
+    """Serialize each text section's final block geometry as its address map."""
+    led = [ws for ws in texts if ws.leader is not None]
+    tables = [ws.section.blocks for ws in led]
+    s = np.repeat(np.array([index[id(ws)] for ws in led], dtype=np.int64),
+                  [len(table) for table in tables])
+    offset, size = stacked(tables, "offset"), stacked(tables, "size")
+    starts = remap(s, offset)
+    encoded = iter(bbaddrmap.encode_tables([ws.leader for ws in led], tables, starts,
+                                           remap(s, offset + size) - starts))
+    return [b"" if ws.leader is None else next(encoded) for ws in texts]
 
 
 def _ints(column) -> np.ndarray:
@@ -231,40 +281,19 @@ def _ints(column) -> np.ndarray:
 _KINDS = tuple(TerminatorKind)  # an enum column stores positions in this order
 
 
-def _resolve_exec_blocks(text: List[WorkSection], addresses: Dict[str, int]) -> Table:
-    """The execution model: every input block at its final address.
-
-    Array arithmetic over the block columns of all of ``text`` at once.
-    Input offset ``p`` of the ``s``-th section is position ``base[s] + p``
-    of the concatenated inputs, where the sections' fixups are one sorted
-    array and their prefix sums one array, so :meth:`WorkSection.remap`
-    of any number of offsets is one ``searchsorted``.
-    """
+def _resolve_exec_blocks(text: List[WorkSection], remap: Remap, index: Dict[int, int],
+                         addresses: Dict[str, int]) -> Table:
+    """The execution model: every input block of ``text`` at its final
+    address, as array arithmetic over their block columns at once."""
     text = [ws for ws in text if len(ws.section.blocks)]
     blocks = Table.concat(BlockMeta, [ws.section.blocks for ws in text])
     if not len(blocks):
         return Table(ExecBlock)
     names = blocks.strings.names
-    sec = np.repeat(np.arange(len(text)), [len(ws.section.blocks) for ws in text])
-    vaddr = np.array([ws.vaddr for ws in text], dtype=np.int64)
-    base = np.cumsum([0] + [len(ws.section.data) for ws in text])
-    fixups = [len(ws.offsets) for ws in text]
-    fix_end = np.cumsum(fixups)
-    fixup_at = np.concatenate([b + np.asarray(ws.offsets, dtype=np.int64)
-                               for b, ws in zip(base, text)])
-    saved = np.concatenate([np.asarray(ws.prefix, dtype=np.int64) for ws in text])
-    # Per fixup: was it rewritten, and its size now (0: deleted).
-    rewritten = np.zeros(len(fixup_at), dtype=bool)
-    size_now = np.zeros(len(fixup_at), dtype=np.int64)
-    for first, ws in zip(fix_end - fixups, text):
-        for i, opcode in ws.rewritten.items():
-            rewritten[first + i] = True
-            size_now[first + i] = OPCODE_SIZES[opcode] if opcode else 0
-
-    def final(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Final address of input offset ``p`` of section ``s`` (-1 stays -1)."""
-        k = np.minimum(np.searchsorted(fixup_at, base[s] + p), fix_end[s])
-        return np.where(p >= 0, vaddr[s] + p - saved[k + s], -1)
+    sec = np.repeat(np.array([index[id(ws)] for ws in text], dtype=np.int64),
+                    [len(ws.section.blocks) for ws in text])
+    final, base, fixup_at = remap.address, remap.base, remap.fixup_at
+    rewritten, size_now = remap.rewritten, remap.size_now
 
     symbol_addr = np.fromiter((addresses.get(name, -1) for name in names), np.int64, len(names))
 

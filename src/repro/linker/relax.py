@@ -30,11 +30,14 @@ swept are always up to date; addresses are re-assigned once per pass.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.elf import Relocation, RelocType
+import numpy as np
+
+from repro.elf import Relocation, RelocType, SectionKind
+from repro.elf.table import stacked
 from repro.isa import OPCODE_SIZES, Opcode, fits_short, short_form
-from repro.linker.worksection import LinkError, WorkSection
+from repro.linker.worksection import LinkError, Remap, WorkSection
 
 if TYPE_CHECKING:
     from repro.linker.linker import LinkStats
@@ -96,7 +99,7 @@ def _sweep(ws: WorkSection, nxt: Optional[WorkSection],
         if entry is None:
             raise LinkError(f"undefined symbol {symbol!r}")
         tws, at = entry
-        target = tws.vaddr + tws.remap(at)
+        target = tws.address(at)
         if tws is ws and at > offsets[i]:
             target -= pending  # ahead of the sweep: prefix not yet refreshed
         size = OPCODE_SIZES[opcode]
@@ -131,34 +134,83 @@ def _adjacency_stable(nxt: Optional[WorkSection], target: int) -> bool:
     return nxt is not None and nxt.alignment == 1 and target == nxt.vaddr
 
 
-def apply_relocations(ws: WorkSection, data: bytearray, addresses: Dict[str, int],
-                      retained: Optional[List[Tuple[int, Relocation]]] = None) -> int:
-    """Patch ``ws``'s relocations into ``data``; returns the count applied.
+_RTYPES = tuple(RelocType)  # an enum column stores positions in this order
+_PC8, _ABS32 = _RTYPES.index(RelocType.PC8), _RTYPES.index(RelocType.ABS32)
+#: Per relocation type (by position): field width and the range of the value it holds.
+_WIDTH = np.array([1 if t == RelocType.PC8 else 4 for t in _RTYPES])
+_LOW, _HIGH = np.array([{RelocType.PC8: (-(1 << 7), (1 << 7) - 1),
+                         RelocType.PC32: (-(1 << 31), (1 << 31) - 1),
+                         RelocType.ABS32: (0, (1 << 32) - 1)}[t] for t in _RTYPES]).T
 
-    With ``retained`` given (``--emit-relocs``), each applied relocation
-    is also recorded there at its final address.
+
+def apply_relocations(remap: Remap, which: Sequence[int], image: bytearray,
+                      addresses: Dict[str, int],
+                      retained: Optional[List[Tuple[int, Relocation]]] = None) -> int:
+    """Patch the relocations of sections ``which`` of ``remap`` into
+    ``image``, their current bytes laid end to end, as column arithmetic;
+    returns the count applied.
+
+    With ``retained`` given (``--emit-relocs``), each one applied to a
+    text section is also recorded there at its final address.
     """
-    relocs = ws.section.relocations
-    if not len(relocs) and not ws.rewritten:
-        return 0
-    rtypes, symbols, addends = relocs.values("rtype"), relocs.values("symbol"), relocs.col("addend")
-    pending = ws.pending()
-    for offset, k in pending:
-        if k >= 0:
-            rtype, symbol, addend = rtypes[k], symbols[k], addends[k]
-        else:
-            rtype, symbol, addend = RelocType.PC8, ws.targets[~k], 0
-        target = addresses[symbol] + addend
-        if rtype == RelocType.ABS32:
-            data[offset : offset + 4] = target.to_bytes(4, "little")
-        else:
-            width = 1 if rtype == RelocType.PC8 else 4
-            disp = target - (ws.vaddr + offset + width)
-            if rtype == RelocType.PC8 and not fits_short(disp):
-                raise OverflowError(
-                    f"PC8 relocation to {symbol} out of range ({disp})"
-                )
-            data[offset : offset + width] = disp.to_bytes(width, "little", signed=True)
-        if retained is not None:
-            retained.append((ws.vaddr + offset, Relocation(offset, rtype, symbol, addend)))
-    return len(pending)
+    sections = remap.sections
+    s, at, k = remap.pending(which)
+    relocs = [sections[w].section.relocations for w in which]
+    counts = np.array([len(table) for table in relocs], dtype=np.int64)
+    rank = np.zeros(len(sections), dtype=np.int64)
+    rank[which] = np.arange(len(which))
+    # Input relocation k of a section is row ``rows[section] + k`` of the columns laid end to end.
+    inputs = k >= 0
+    row = (np.cumsum(counts) - counts)[rank[s[inputs]]] + k[inputs]
+    rtype = np.full(len(k), _PC8)
+    rtype[inputs] = stacked(relocs, "rtype")[row]
+    addend = np.zeros(len(k), dtype=np.int64)
+    addend[inputs] = stacked(relocs, "addend")[row]
+    resolved = _symbol_addresses(relocs + [ws.section.branch_fixups for ws in sections],
+                                 addresses)
+    target = np.empty(len(k), dtype=np.int64)
+    target[inputs] = resolved[row]
+    target[~inputs] = resolved[int(counts.sum()) + remap.first[s[~inputs]] + ~k[~inputs]]
+
+    def symbol(j: int) -> str:
+        ws = sections[s[j]]
+        return ws.section.relocations[k[j]].symbol if k[j] >= 0 else ws.targets[~k[j]]
+
+    if (target < 0).any():
+        raise LinkError(f"undefined symbol {symbol(int(np.argmax(target < 0)))!r}")
+    width, field = _WIDTH[rtype], remap.vaddr[s] + at
+    value = np.where(rtype == _ABS32, target + addend, target + addend - (field + width))
+    bad = (value < _LOW[rtype]) | (value > _HIGH[rtype])
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise OverflowError(f"{_RTYPES[rtype[j]].name} relocation to {symbol(j)} "
+                            f"out of range ({value[j]})")
+    start = np.zeros(len(sections), dtype=np.int64)
+    sizes = np.array([sections[w].size for w in which], dtype=np.int64)
+    start[which] = np.cumsum(sizes) - sizes
+    view, pos, one = np.frombuffer(image, dtype=np.uint8), start[s] + at, width == 1
+    view[pos[one]] = value[one] & 0xFF
+    view[pos[~one, None] + np.arange(4)] = (value[~one] & 0xFFFFFFFF).astype("<u4").view(
+        np.uint8).reshape(-1, 4)
+    if retained is not None:
+        retained += [(int(field[j]), Relocation(int(at[j]), _RTYPES[rtype[j]], symbol(j),
+                                                int(addend[j])))
+                     for j in range(len(k)) if sections[s[j]].kind == SectionKind.TEXT]
+    return len(k)
+
+
+def _symbol_addresses(tables: Sequence, addresses: Dict[str, int]) -> np.ndarray:
+    """The address of the symbol each row of ``tables``, laid end to end,
+    names in its ``symbol`` column (-1 where none is defined)."""
+    tables = [table for table in tables if len(table)]
+    starts: Dict[int, int] = {}  # a pool -> where its names' addresses start
+    known = [np.zeros(0, dtype=np.int64)]
+    for table in tables:
+        names = table.strings.names
+        if id(table.strings) not in starts:
+            starts[id(table.strings)] = sum(map(len, known))
+            known.append(np.fromiter((addresses.get(n, -1) for n in names), np.int64, len(names)))
+    ids = stacked(tables, "symbol") + np.repeat(
+        np.array([starts[id(table.strings)] for table in tables], dtype=np.int64),
+        [len(table) for table in tables])
+    return np.concatenate(known)[ids]

@@ -1,12 +1,18 @@
 """Tests for IR-to-machine lowering: sections, clusters, metadata."""
 
+import random
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ir
 from repro.codegen import BBSectionsMode, CodeGenOptions, compile_module
 from repro.codegen.lowering import _pgo_block_order, bb_label
 from repro.elf import SectionKind, SymbolBinding, TerminatorKind, bbaddrmap
-from repro.isa import Opcode, decode_range
+from repro.isa import OPCODE_SIZES, Opcode, decode_range
+from repro.synth import PRESETS, generate_workload
 
 
 def _func(name="f", lp=False):
@@ -290,3 +296,114 @@ class TestPGOOrder:
         profile = self._profile({(0, 1): 5.0}, {0: 5, 1: 5})
         order = _pgo_block_order(fn, profile)
         assert sorted(order) == [0, 1, 2, 3, 4]
+
+
+def _payload(func, bb_id, idx, nbytes):
+    """The operand-byte spec: the scalar formula lowering evaluated one
+    instruction at a time before it built a module's bytes in one go."""
+    out = bytearray()
+    state = zlib.crc32(f"{func}:{bb_id}:{idx}".encode())
+    while len(out) < nbytes:
+        state = (state * 1103515245 + 12345) & 0xFFFFFFFF
+        out.append((state >> 16) & 0xFF)
+    return bytes(out)
+
+
+_LOWERED = {ir.OpKind.NOP: Opcode.NOP, ir.OpKind.ALU8: Opcode.ALU8, ir.OpKind.ALU16: Opcode.ALU16,
+            ir.OpKind.ALU32: Opcode.ALU32, ir.OpKind.LOAD: Opcode.LOAD,
+            ir.OpKind.STORE: Opcode.STORE, ir.OpKind.LEA: Opcode.LEA,
+            ir.OpKind.MOV: Opcode.MOVRR, ir.OpKind.CMP: Opcode.CMP}
+
+
+def _expected_block(fn, block, next_bb, prefetches, hand_written):
+    """``[(opcode, operand bytes)]`` of what ``block`` lowers to, followed
+    in the section by that many bytes of jump table."""
+    out = [(Opcode.PREFETCH, bytes(4)) for _ in prefetches]
+    for idx, instr in enumerate(block.instrs):
+        if isinstance(instr, ir.Call):
+            out.append((Opcode.ICALL, _payload(fn, block.bb_id, idx, 1)) if instr.is_indirect
+                       else (Opcode.CALL, bytes(4)))
+        else:
+            opcode = _LOWERED[instr.kind]
+            out.append((opcode, _payload(fn, block.bb_id, idx, OPCODE_SIZES[opcode] - 1)))
+    term, table = block.term, 0
+    if isinstance(term, ir.CondBr):
+        out.append((Opcode.JCC_LONG, bytes(5)))  # condition byte and rel32, all zero
+        if next_bb not in (term.taken, term.fallthrough):
+            out.append((Opcode.JMP_LONG, bytes(4)))
+    elif isinstance(term, ir.Jump):
+        if term.target != next_bb:
+            out.append((Opcode.JMP_LONG, bytes(4)))
+    elif isinstance(term, ir.Ret):
+        out.append((Opcode.RET, b""))
+    elif isinstance(term, ir.Switch):
+        out.append((Opcode.IJMP, _payload(fn, block.bb_id, -1, 1)))
+        table = 4 * len(term.targets) if hand_written else 0
+    else:
+        out.append((Opcode.TRAP, _payload(fn, block.bb_id, -1, 1)))
+    return out, table
+
+
+class TestLoweringOracle:
+    """Decoded, every instruction of every text section is what its IR
+    lowers to, operand byte for operand byte; the blocks tile their
+    section; the modelled metadata is the same stream."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), mode=st.sampled_from(list(BBSectionsMode)),
+           bb_addr_map=st.booleans(), debug_info=st.booleans(), prefetch=st.booleans(),
+           hand_written=st.booleans())
+    def test_sections_decode_to_their_ir(self, seed, mode, bb_addr_map, debug_info, prefetch,
+                                         hand_written):
+        program = generate_workload(PRESETS["505.mcf"], scale=0.5, seed=seed)
+        module = program.modules[seed % len(program.modules)]
+        rng = random.Random(seed)
+        callees = [f.name for f in program.all_functions()]
+        clusters, prefetches = {}, {}
+        for function in module.functions:
+            function.hand_written = hand_written and rng.random() < 0.5
+            ids = [b.bb_id for b in function.blocks]
+            rest = ids[1:]
+            rng.shuffle(rest)
+            lo, hi = sorted(rng.randint(0, len(rest)) for _ in range(2))
+            # A primary cluster, maybe a second, and what neither lists goes cold.
+            clusters[function.name] = [[ids[0], *rest[:lo]]] + ([rest[lo:hi]] if hi > lo else [])
+            if prefetch:
+                prefetches[function.name] = [(rng.choice(ids), rng.choice(callees))
+                                             for _ in range(3)]
+        options = CodeGenOptions(
+            bb_sections=mode, clusters=clusters if mode == BBSectionsMode.LIST else None,
+            bb_addr_map=bb_addr_map, debug_info=debug_info, prefetches=prefetches or None)
+        obj = compile_module(module, options).obj
+
+        functions = {f.name: f for f in module.functions}
+        for section in obj.sections_of_kind(SectionKind.TEXT):
+            data, blocks = bytes(section.data), list(section.blocks)
+            fn = functions[blocks[0].func]
+            # A landing pad first in its section sits behind one nop (§4.5).
+            pad = int(fn.block(blocks[0].bb_id).is_landing_pad)
+            assert blocks[0].offset == pad and data[:pad] == bytes([Opcode.NOP]) * pad
+            for meta, nxt in zip(blocks, blocks[1:] + [None]):
+                assert meta.offset + meta.size == (len(data) if nxt is None else nxt.offset)
+                block = fn.block(meta.bb_id)
+                expected, table = _expected_block(
+                    fn.name, block, nxt and nxt.bb_id,
+                    [s for bb, s in prefetches.get(fn.name, ()) if bb == block.bb_id],
+                    fn.hand_written)
+                end = meta.offset + meta.size - table
+                decoded = decode_range(data, meta.offset, end)
+                assert [(i.opcode, data[i.offset + 1:i.end]) for i in decoded] == expected
+                assert data[end:meta.offset + meta.size] == bytes(table)
+            if bb_addr_map:
+                (fmap,) = bbaddrmap.decode_section(bytes(
+                    obj.section(".llvm_bb_addr_map" + section.name[len(".text"):]).data))
+                assert [(e.bb_id, e.offset, e.size) for e in fmap.entries] == [
+                    (b.bb_id, b.offset, b.size) for b in blocks]
+        for fn in functions:
+            debug = obj.find_section(f".debug_info.{fn}")
+            assert (debug is not None) == debug_info
+            for section, tag in ((debug, -4), (obj.find_section(f".gcc_except_table.{fn}"), -2)):
+                if section is not None:
+                    assert bytes(section.data) == _payload(fn, tag, 0, section.size)
+        eh_frame = obj.section(".eh_frame")
+        assert bytes(eh_frame.data) == _payload(module.name, -3, 0, eh_frame.size)

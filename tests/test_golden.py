@@ -83,6 +83,26 @@ class TestGolden:
         _check("bbaddrmap.hex", "\n".join(textwrap.wrap(raw.hex(), 64)) + "\n")
 
 
+#: The benchmark's programs, small: ``(preset, scale)`` at shape and profile seed 1.
+OBJECT_CASES = (("mysql", 0.003), ("clang", 0.002), ("505.mcf", 0.2))
+
+
+class TestObjectDigests:
+    def test_every_object_of_both_codegen_batches(self):
+        """``content_digest()`` of every object the metadata build and
+        Phase 4 compile: a lowering change that moves one byte,
+        relocation, block row or symbol of any object shows up here."""
+        digests = {}
+        for preset, scale in OBJECT_CASES:
+            program = generate_workload(PRESETS[preset], scale=scale, seed=1)
+            result = PropellerPipeline(program, PipelineConfig(
+                seed=1, lbr_branches=20_000, pgo_steps=10_000, enforce_ram=False)).run()
+            digests[f"{preset}@{scale}"] = {
+                batch: {obj.name: obj.content_digest() for obj in getattr(result, batch).objects}
+                for batch in ("metadata", "optimized")}
+        _check("object_digests.json", json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+
 @pytest.fixture(scope="module")
 def degraded_pipeline():
     """The golden workload with hardware-profile collection starved."""

@@ -1,12 +1,19 @@
 """Tests for the linker: resolution, ordering, relaxation, relocation."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ir
 from repro.codegen import BBSectionsMode, CodeGenOptions, compile_module
 from repro.elf import ObjectFile, Section, SectionKind, Symbol, SymbolBinding, SymbolType
+from repro.elf.strip import strip_bb_addr_map
 from repro.isa import DecodedInstruction, Opcode, decode_instruction
-from repro.linker import LinkError, LinkOptions, link
+from repro.linker import LinkError, LinkOptions, link, without_bb_addr_map
+from repro.synth import PRESETS, generate_workload
 
 
 def _chain_module(name="mod", fname="f", nblocks=4):
@@ -189,3 +196,34 @@ class TestStats:
         link([obj], LinkOptions(entry_symbol="f"), meter=meter)
         assert meter.peak_bytes >= 2 * obj.total_size
         assert meter.live_bytes == 0
+
+
+class TestBaselineDerivation:
+    """The link of the metadata build's objects without their map is the
+    metadata link without its map sections (§3.2): same digest, same
+    execution model, every ``LinkStats`` field equal."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), mode=st.sampled_from(list(BBSectionsMode)),
+           hugepages=st.booleans(), debug_info=st.booleans(), emit_relocs=st.booleans(),
+           features=st.sampled_from([frozenset(), frozenset({"rseq"}),
+                                     frozenset({"rseq", "fips_integrity"})]))
+    def test_metadata_without_its_map_is_the_stripped_link(
+            self, seed, mode, hugepages, debug_info, emit_relocs, features):
+        program = generate_workload(PRESETS["505.mcf"], scale=0.5, seed=seed)
+        objects = [compile_module(m, CodeGenOptions(bb_sections=mode, bb_addr_map=True,
+                                                    debug_info=debug_info)).obj
+                   for m in program.modules]
+        order = [f.name for f in program.all_functions()]
+        random.Random(seed).shuffle(order)
+        common = dict(entry_symbol=program.entry_function, symbol_order=order,
+                      emit_relocs=emit_relocs, features=features, hugepages=hugepages)
+        metadata = link(objects, LinkOptions(output_name="metadata.out", **common))
+        stripped = [strip_bb_addr_map(obj) for obj in objects]
+        options = LinkOptions(output_name="base.out", keep_bb_addr_map=False, **common)
+        expected = link(stripped, options)
+        derived = without_bb_addr_map(metadata, stripped, options)
+        assert derived.executable.content_digest() == expected.executable.content_digest()
+        assert list(derived.executable.exec_blocks) == list(expected.executable.exec_blocks)
+        assert dataclasses.asdict(derived.stats) == dataclasses.asdict(expected.stats)
+        assert metadata.executable.section_sizes()["bb_addr_map"] > 0

@@ -301,6 +301,33 @@ class TestColumns:
 
         check()
 
+    @pytest.mark.parametrize("record", [Relocation, BlockMeta, ExecBlock],
+                             ids=lambda r: r.__name__)
+    def test_a_pickle_with_a_column_missing_extra_or_resized_does_not_load(self, record):
+        """Loading checks a table's column count and lengths: a column
+        dropped, added, cut short or grown is one ``ValueError`` when it
+        is unpickled -- never another exception, never a table that
+        fails on first read."""
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(RECORDS[record], min_size=1, max_size=4), st.data())
+        def check(records, data):
+            restore, (rec, strings, stamp, packed) = Table(record, records).__reduce__()
+            packed = list(packed)
+            k = data.draw(st.integers(0, len(packed) - 1))
+            change = data.draw(st.sampled_from(["drop", "add", "cut", "grow"]))
+            if change == "drop":
+                del packed[k]
+            elif change == "add":
+                packed.insert(k, packed[k])
+            else:
+                n = data.draw(st.integers(1, 9))
+                cut = change == "cut" and len(packed[k]) > 0
+                packed[k] = packed[k][:-n] if cut else packed[k] + bytes(n)
+            with pytest.raises(ValueError):
+                restore(rec, strings, stamp, tuple(packed))
+
+        check()
+
     def test_a_table_written_under_another_layout_does_not_load(self, monkeypatch):
         payload = pickle.dumps(Table(PrefetchSite, [PrefetchSite(4, "g")]))
         monkeypatch.setattr(layout_of(PrefetchSite), "stamp", 12345)

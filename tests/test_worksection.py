@@ -174,3 +174,15 @@ class TestTerminators:
         term = bb2.term
         assert term.kind == "fallthrough"
         assert (term.uncond_target, term.uncond_br_addr, term.uncond_br_size) == (None, -1, 0)
+
+
+class TestPendingRelocations:
+    def test_a_relocation_before_the_first_rewritten_fixup_is_kept(self):
+        """Only a relocation inside a rewritten branch is dropped: one
+        ahead of every fixup of its section stays, at its own offset."""
+        section = _section()
+        section.relocations.insert(0, Relocation(offset=1, rtype=RelocType.PC32, symbol="z"))
+        ws = WorkSection(section, origin="o")
+        _rewrite(ws, 0, Opcode.JCC_SHORT)
+        assert [(at, r.symbol) for at, r in ws.relocations()] == [
+            (1, "z"), (13, "x"), (6, "y")]
