@@ -57,23 +57,9 @@ class MemoryMeter:
         held = self._by_category.pop(category, 0)
         self._live -= held
 
-    def category_bytes(self, category: str) -> int:
-        return self._by_category.get(category, 0)
-
     def scope(self, nbytes: int, category: str = "general") -> "MemoryScope":
         """Context manager that allocates on entry and frees on exit."""
         return MemoryScope(self, nbytes, category)
-
-    def merge_peak(self, other: "MemoryMeter") -> None:
-        """Fold another meter's peak in, as if it ran inside this one's lifetime."""
-        candidate = self._live + other.peak_bytes
-        if candidate > self._peak:
-            self._peak = candidate
-
-    def reset(self) -> None:
-        self._live = 0
-        self._peak = 0
-        self._by_category.clear()
 
 
 class MemoryScope:

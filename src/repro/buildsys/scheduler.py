@@ -43,11 +43,6 @@ class PhaseReport:
     #: Pool size the makespan was computed against.
     workers: int = 1
 
-    @property
-    def parallel_speedup(self) -> float:
-        """CPU seconds per wall second actually achieved."""
-        return self.cpu_seconds / self.wall_seconds if self.wall_seconds else 0.0
-
 
 def schedule_phase(
     actions: Iterable[ActionResult],

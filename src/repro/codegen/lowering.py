@@ -36,7 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import ir
-from repro.codegen.options import BBSectionsMode, CodeGenOptions
+from repro.codegen.options import (
+    ALIGN_FUNCTION,
+    CALLEE_SAVED_REGS,
+    BBSectionsMode,
+    CodeGenOptions,
+)
 from repro.elf import (
     BlockMeta,
     BranchFixup,
@@ -326,7 +331,7 @@ def _section_plan(function: ir.Function, options: CodeGenOptions) -> List[_Secti
                     raise ValueError(f"{fn}: cluster names unknown block {bb}")
             plans = [
                 _SectionPlan(f".text.{fn}", fn, SymbolBinding.GLOBAL, list(clusters[0]),
-                             options.align_function, True)
+                             ALIGN_FUNCTION, True)
             ]
             for i, cluster in enumerate(clusters[1:], start=1):
                 plans.append(
@@ -343,7 +348,7 @@ def _section_plan(function: ir.Function, options: CodeGenOptions) -> List[_Secti
     if mode == BBSectionsMode.ALL:
         plans = [
             _SectionPlan(f".text.{fn}", fn, SymbolBinding.GLOBAL, [entry_id],
-                         options.align_function, True)
+                         ALIGN_FUNCTION, True)
         ]
         for block in function.blocks:
             if block.bb_id == entry_id:
@@ -361,7 +366,7 @@ def _section_plan(function: ir.Function, options: CodeGenOptions) -> List[_Secti
     if order[0] != entry_id:
         raise AssertionError(f"{fn}: entry block not first in layout")
     return [_SectionPlan(f".text.{fn}", fn, SymbolBinding.GLOBAL, order,
-                         options.align_function, True)]
+                         ALIGN_FUNCTION, True)]
 
 
 def _term_row(kind: TerminatorKind, cond=(None, 0.0, -1, 0), uncond=(None, -1, 0),
@@ -519,7 +524,7 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
             # callee-saved-register CFI and redefine the CFA.
             eh_frame_bytes += _FDE_BYTES
             if not plan.is_primary:
-                eh_frame_bytes += _CSR_CFI_BYTES * options.callee_saved_regs
+                eh_frame_bytes += _CSR_CFI_BYTES * CALLEE_SAVED_REGS
             if function.has_landing_pads():
                 ncalls = blocks.col("calls")[-1]  # the offsets column ends at the total
                 if ncalls:

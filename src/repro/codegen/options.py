@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
+
+
+#: Alignment of every function's primary text section, and the
+#: callee-saved registers whose CFI each non-primary fragment re-emits
+#: (§4.4).  Every compile uses them; :meth:`CodeGenOptions.cache_signature`
+#: covers them.
+ALIGN_FUNCTION = 16
+CALLEE_SAVED_REGS = 3
 
 
 class BBSectionsMode(enum.Enum):
@@ -39,9 +47,6 @@ class CodeGenOptions:
     clusters: Optional[Mapping[str, Sequence[Sequence[int]]]] = None
     bb_addr_map: bool = False
     ir_profile: Optional[object] = None  # repro.profiles.IRProfile (duck-typed)
-    align_function: int = 16
-    #: Callee-saved registers whose CFI must be re-emitted per fragment (§4.4).
-    callee_saved_regs: int = 3
     #: Software-prefetch directives (§3.5): function -> list of
     #: (bb_id, target symbol); a PREFETCH of the symbol is emitted at
     #: the start of the named block.
@@ -74,8 +79,8 @@ class CodeGenOptions:
         """
         h = hashlib.sha256()
         h.update(
-            f"{self.bb_sections.value}:{int(self.bb_addr_map)}:{self.align_function}:"
-            f"{self.callee_saved_regs}:{int(self.debug_info)}".encode()
+            f"{self.bb_sections.value}:{int(self.bb_addr_map)}:{ALIGN_FUNCTION}:"
+            f"{CALLEE_SAVED_REGS}:{int(self.debug_info)}".encode()
         )
         if self.clusters is not None:
             for fn in sorted(self.clusters):

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Set, Tuple
 from repro import ir
 from repro.codegen import BBSectionsMode, CodeGenOptions
 from repro.core import wpa as wpa_mod
-from repro.core.exttsp import ext_tsp_order_many
+from repro.core.exttsp import DEFAULT_PARAMS, ext_tsp_order_many
 from repro.core.pipeline import BuildOutcome, IncrementalSummary
 from repro.core.stages import Artifact, Stage, StageGraph
 from repro.core.wpa import WPAOptions, WPAResult, WPAStats
@@ -297,9 +297,10 @@ LBR_PROFILE = Stage(
 
 
 def _wpa_options_signature(options: WPAOptions) -> str:
-    """Deterministic digest of the WPA knobs (flat dataclasses of
-    scalars, so the auto-generated repr is complete and stable)."""
-    return hashlib.sha256(repr(options).encode("utf-8")).hexdigest()
+    """Digest of the WPA knobs and the constants WPA reads beside them
+    (flat values, so the auto-generated reprs are complete and stable)."""
+    signed = (options, wpa_mod.HOT_FUNCTION_MIN_FRACTION, DEFAULT_PARAMS)
+    return hashlib.sha256(repr(signed).encode("utf-8")).hexdigest()
 
 
 def wpa_analysis(pipe: Any, inputs) -> Dict[str, Any]:

@@ -29,6 +29,7 @@ from repro.elf.strip import strip_bb_addr_map
 from repro.faults import FaultPlan
 from repro.ir.digest import module_digest
 from repro.linker import LinkOptions, LinkResult, LinkStats, link, without_bb_addr_map
+from repro.linker.linker import PAGE_SIZE, TEXT_BASE
 from repro.obs import NULL_TRACER, Counters, PipelineReport, Tracer
 from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
 from repro.runtime import FunctionSolveCache, resolve_cache_dir
@@ -126,17 +127,16 @@ class PipelineConfig:
 
 
 def _link_options_signature(options: LinkOptions) -> str:
-    """Deterministic digest of every :class:`LinkOptions` field.
-
-    Sequences keep their order (``symbol_order`` is meaningful order);
-    sets are sorted; parts are length-prefixed, by the hasher
-    :func:`~repro.buildsys.action_key` uses.
+    """Deterministic digest of every :class:`LinkOptions` field and the
+    linker's address constants.  Sequences keep their order
+    (``symbol_order`` is meaningful order); sets are sorted; parts are
+    length-prefixed, by the hasher :func:`~repro.buildsys.action_key` uses.
     """
     return digest_parts([
         options.output_name,
         options.entry_symbol,
-        str(options.text_base),
-        str(options.page_size),
+        str(TEXT_BASE),
+        str(PAGE_SIZE),
         str(int(options.emit_relocs)),
         str(int(options.keep_bb_addr_map)),
         str(int(options.relax)),
@@ -242,10 +242,6 @@ class PipelineResult:
     #: hit/miss tallies.  Accounting, never content -- excluded from
     #: :meth:`digest` like every other non-artifact field.
     incremental: Optional[IncrementalSummary] = None
-
-    @property
-    def pct_hot_objects(self) -> float:
-        return self.optimized.hot_modules / max(1, len(self.program.modules))
 
     def digest(self) -> str:
         """SHA-256 over every artifact the four phases produced.

@@ -46,9 +46,9 @@ and a later ``execute(resume=...)`` replays the loaded artifacts and
 runs only the remaining stages -- bit-identical to one full run,
 because artifacts are content, not accounting.
 
-``StageGraph.describe()`` returns the DAG as plain data (and
-:meth:`StageGraph.to_dot` as Graphviz) -- what the ``repro-stages``
-CLI prints and CI diffs against the committed golden topology.
+``StageGraph.describe()`` returns the DAG as plain data -- what
+``python -m repro.tools stages`` prints and CI diffs against the
+committed golden topology.
 """
 
 from __future__ import annotations
@@ -318,26 +318,6 @@ class StageGraph:
             "edges": [{"from": src, "to": dst, "artifact": name}
                       for src, dst, name in self._edges()],
         }
-
-    def to_dot(self) -> str:
-        """The DAG as Graphviz DOT (stages as boxes, artifacts as edges)."""
-        lines = [
-            "digraph stages {",
-            "  rankdir=LR;",
-            '  node [shape=box, fontname="Helvetica"];',
-            '  edge [fontname="Helvetica", fontsize=10];',
-        ]
-        for stage in self.stages:
-            label = stage.name
-            if stage.phase:
-                label += f"\\nphase:{stage.phase}"
-            if stage.fallback is not None:
-                label += "\\n[fallback]"
-            lines.append(f'  "{stage.name}" [label="{label}"];')
-        for src, dst, name in self._edges():
-            lines.append(f'  "{src}" -> "{dst}" [label="{name}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
     # -- execution -----------------------------------------------------
 

@@ -31,12 +31,7 @@ import numpy as np
 
 from repro.analysis import MemoryMeter
 from repro.core import bbsections
-from repro.core.exttsp import (
-    DEFAULT_PARAMS,
-    LayoutParams,
-    ext_tsp_order,
-    ext_tsp_order_many,
-)
+from repro.core.exttsp import ext_tsp_order, ext_tsp_order_many
 from repro.core.funcorder import hfsort_order
 from repro.elf import Executable, SectionKind, bbaddrmap
 from repro.obs import NULL_TRACER
@@ -49,6 +44,12 @@ _DCFG_NODE_BYTES = 56
 _DCFG_EDGE_BYTES = 40
 _LAYOUT_NODE_BYTES = 96
 
+#: Functions whose sample mass is below this fraction of the total are
+#: left alone: one stray sample is not worth re-compiling an object for.
+#: (This is what keeps the paper's "~10% of object files updated"
+#: property.)
+HOT_FUNCTION_MIN_FRACTION = 5e-5
+
 
 @dataclass(frozen=True)
 class WPAOptions:
@@ -59,14 +60,8 @@ class WPAOptions:
     interproc: bool = False
     #: Extract unprofiled blocks into a separate .cold section (§4.6).
     split_cold: bool = True
-    layout_params: LayoutParams = DEFAULT_PARAMS
     #: Safety valve for the inter-procedural graph size.
     max_interproc_nodes: int = 200_000
-    #: Functions whose sample mass is below this fraction of the total
-    #: are left alone: one stray sample is not worth re-compiling an
-    #: object for.  (This is what keeps the paper's "~10% of object
-    #: files updated" property.)
-    hot_function_min_fraction: float = 5e-5
     #: Also plan §3.5 software-prefetch directives for hot call edges.
     insert_prefetches: bool = False
 
@@ -422,8 +417,7 @@ def _intra_layout(
     # results in submission order.  A solve cache replays functions
     # whose problem content is unchanged since a prior release (see
     # repro.incr); only dirty functions solve.
-    orders = ext_tsp_order_many(problems, params=options.layout_params,
-                                cache=solve_cache)
+    orders = ext_tsp_order_many(problems, cache=solve_cache)
 
     # Pass 3: flatten and account, in the same order: the modelled
     # memory sequence is allocate/solve/free per function.
@@ -495,7 +489,7 @@ def _interproc_layout(
             f"raise max_interproc_nodes or use intra-function layout"
         )
     meter.allocate(len(nodes) * _LAYOUT_NODE_BYTES, "wpa-layout")
-    order = ext_tsp_order(nodes, edges, entry=None, params=options.layout_params)
+    order = ext_tsp_order(nodes, edges, entry=None)
     meter.free_category("wpa-layout")
 
     # Partition the global order into per-function section runs.
@@ -588,7 +582,7 @@ def analyze(
     own.free_category("wpa-profile")
 
     total_mass = sum(fd.total_count for fd in dcfg.values())
-    min_count = options.hot_function_min_fraction * total_mass
+    min_count = HOT_FUNCTION_MIN_FRACTION * total_mass
     with trace.span("wpa:layout", category="wpa",
                     interproc=options.interproc) as sp:
         if options.interproc:

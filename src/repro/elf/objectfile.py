@@ -57,9 +57,6 @@ class ObjectFile(Restorable):
     def total_size(self) -> int:
         return sum(s.size for s in self.sections)
 
-    def size_of_kind(self, kind: SectionKind) -> int:
-        return sum(s.size for s in self.sections if s.kind == kind)
-
     def content_digest(self) -> str:
         """SHA-256 over a canonical serialization of the object.
 

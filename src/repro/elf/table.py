@@ -23,8 +23,9 @@ a dataclass ``term``            its fields' columns, ``term.kind`` ...
                                 of a ragged field is its ``.0``)
 ==============================  ======================================
 
-The record types stay what callers see: a table is a mutable sequence
-of them that builds a record only when asked for one (and keeps none).
+The record types stay what callers see: a table is a sequence of them,
+grown only by appending, that builds a record only when asked for one
+(and keeps none).
 Code on a measured path reads :meth:`Table.col` and appends *rows* --
 a record's field values as a tuple, nested the way the record nests --
 and never builds a record at all.  Appending and reading rows run as
@@ -36,6 +37,7 @@ row count.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import enum
 import functools
@@ -43,7 +45,6 @@ import sys
 import typing
 import zlib
 from array import array
-from collections.abc import MutableSequence
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: What an ``Optional`` column of each integer typecode stores for ``None``.
@@ -360,7 +361,7 @@ def run_index(counts):
 _ROW_ERRORS = (OverflowError, TypeError, KeyError, ValueError, AttributeError)
 
 
-class Table(MutableSequence):
+class Table(collections.abc.Sequence):
     """A sequence of ``record`` instances, stored as columns.
 
     ``strings`` is the pool its ``str`` fields are interned in; tables
@@ -501,23 +502,6 @@ class Table(MutableSequence):
         if not 0 <= index < n:
             raise IndexError("table index out of range")
         return (self._get or self._reader())(index)
-
-    def _edited(self, edit) -> None:
-        # Rows are not addressable in a ragged layout: edit a list, re-encode.
-        records = list(self)
-        edit(records)
-        self.data = self._put = self._get = None
-        for item in records:
-            self.append(item)
-
-    def __setitem__(self, index, value) -> None:
-        self._edited(lambda records: records.__setitem__(index, value))
-
-    def __delitem__(self, index) -> None:
-        self._edited(lambda records: records.__delitem__(index))
-
-    def insert(self, index: int, value) -> None:
-        self._edited(lambda records: records.insert(index, value))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Table, list, tuple)):

@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -319,6 +319,3 @@ class FaultPlan:
             except (OSError, ValueError) as exc:
                 raise ValueError(f"fault plan {text}: {exc}") from None
         return cls.parse(text)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)

@@ -34,10 +34,6 @@ class DirtyPlan:
     #: or ``"profile"`` (profile slice changed past the threshold).
     reasons: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def num_invalidated(self) -> int:
-        return len(self.dirty) + len(self.added) + len(self.deleted)
-
 
 def plan_dirty(
     state: IncrState,

@@ -25,6 +25,11 @@ from repro.elf.table import NONE, Strings, Table, stacked
 from repro.linker.relax import apply_relocations, assign_addresses, relax
 from repro.linker.worksection import LinkError, Remap, WorkSection
 
+#: Address of the first text section, and the page every later segment
+#: starts on (x86-64 ``ld`` defaults).
+TEXT_BASE = 0x400000
+PAGE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class LinkOptions:
@@ -43,8 +48,6 @@ class LinkOptions:
     symbol_order: Optional[Sequence[str]] = None
     emit_relocs: bool = False
     keep_bb_addr_map: bool = True
-    text_base: int = 0x400000
-    page_size: int = 4096
     entry_symbol: str = "main"
     relax: bool = True
     output_name: str = "a.out"
@@ -136,13 +139,12 @@ def link(
 
     # ----- relaxation and address assignment ---------------------------
     if options.relax:
-        relax(text, options.text_base, defs, stats)
-    text_end = assign_addresses(text, options.text_base)
+        relax(text, TEXT_BASE, defs, stats)
+    text_end = assign_addresses(text, TEXT_BASE)
 
     # ----- non-text placement ------------------------------------------
-    page = options.page_size
     rodata = [ws for ws in work if ws.kind in (SectionKind.RODATA, SectionKind.DATA)]
-    cursor = assign_addresses(rodata, (text_end + page - 1) & ~(page - 1))
+    cursor = assign_addresses(rodata, (text_end + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1))
 
     remap = Remap(work)
     index = {id(ws): s for s, ws in enumerate(work)}
@@ -164,7 +166,7 @@ def link(
     # final section geometry so profile mapping stays exact.
     for (ws, _), data in zip(maps, _reencode_bb_addr_maps([t for _, t in maps], remap, index)):
         ws.data, ws.size = data, len(data)
-    cursor = (cursor + page - 1) & ~(page - 1)
+    cursor = (cursor + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
     for ws in nonalloc:
         ws.vaddr = cursor
         cursor += ws.size

@@ -13,8 +13,8 @@ makes both visible for any pipeline run:
   and profile-quality gauges; deterministic, so two runs of one
   configuration count identically.
 * Exporters -- Chrome ``trace_event`` JSON (open in ``chrome://tracing``
-  or https://ui.perfetto.dev), schema-versioned metrics JSON, and an
-  aligned text table.
+  or https://ui.perfetto.dev), schema-versioned metrics JSON, and the
+  bench scorecard and comparison tables.
 * :class:`PipelineReport` -- the typed result object behind
   ``PipelineResult.report()`` and ``--metrics-out``, including the
   hardware-counter ``frontend`` scorecard.  Its module,
@@ -22,7 +22,7 @@ makes both visible for any pipeline run:
   writer and the one reader of every record this package publishes
   (the dataclass is the schema).
 * :mod:`repro.obs.bench` / :mod:`repro.obs.baseline` -- the continuous
-  benchmark harness behind ``repro-bench``: a table of pipeline runs,
+  benchmark harness behind ``python -m repro.tools bench``: a table of pipeline runs,
   each flattened to exact metrics (real seconds are ``bench/``'s), and
   the baseline regression gate.
 * :func:`get_logger` / :func:`configure_logging` -- the ``logging``
@@ -70,9 +70,6 @@ from repro.obs.export import (
     chrome_trace,
     comparison_markdown,
     comparison_table,
-    counters_table,
-    frontend_table,
-    metrics_table,
     write_chrome_trace,
     write_metrics,
 )
@@ -117,14 +114,11 @@ __all__ = [
     "comparison_markdown",
     "comparison_table",
     "configure_logging",
-    "counters_table",
     "critical_path",
     "explain",
     "explain_results",
-    "frontend_table",
     "get_logger",
     "load_bench_report",
-    "metrics_table",
     "run_suite",
     "spans_from_chrome",
     "write_bench_report",

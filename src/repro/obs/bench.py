@@ -57,7 +57,8 @@ MetricValue = Union[int, float, str]
 DIRECTIONS = ("lower", "higher", "none")
 
 #: Named fault injections, used to prove the gates actually fire
-#: (``repro-bench --perturb shuffle-layout`` and tests/test_bench.py).
+#: (``python -m repro.tools bench --perturb shuffle-layout`` and
+#: tests/test_bench.py).
 PERTURBATIONS = ("shuffle-layout",)
 
 
@@ -149,7 +150,7 @@ class BenchReport:
             raise ValueError(
                 f"bench schema version {version!r} is not the supported "
                 f"{BENCH_SCHEMA_VERSION}; regenerate the file with this "
-                "repro-bench"
+                "version's `python -m repro.tools bench`"
             )
         return record(cls, data)
 

@@ -35,9 +35,9 @@ Inputs are deliberately file-shaped: two ``--metrics-out`` JSON reports
 (plus optional ``--trace-out`` Chrome traces and ``--state-dir``
 snapshots) or two state snapshots alone.  :func:`explain_results` wires
 the same engine to in-process
-:class:`~repro.core.pipeline.PipelineResult` pairs.  Two ``repro-bench
---out`` scorecards are not an input: ``repro-bench --compare`` is the
-one engine that diffs those.
+:class:`~repro.core.pipeline.PipelineResult` pairs.  Two ``bench
+--out`` scorecards are not an input: ``bench --compare`` is the one
+engine that diffs those.
 
 Like the rest of :mod:`repro.obs`, module scope imports nothing from
 the wider package (the tracer must stay importable everywhere);
@@ -355,7 +355,7 @@ class RunSnapshot:
         if "scenarios" in data and "suite" in data:
             raise ValueError(
                 f"{path}: a bench scorecard; diff two of those with "
-                "`repro-bench --compare`")
+                "`python -m repro.tools bench --compare`")
         if "builds" in data and "schema_version" in data:
             return cls._load_metrics(data, trace, state, label)
         raise ValueError(

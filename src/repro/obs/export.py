@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON, metrics JSON, human tables.
+"""Exporters: Chrome ``trace_event`` JSON, metrics JSON, bench tables.
 
 The Chrome format is the ``chrome://tracing`` / Perfetto "JSON object
 format": a top-level object whose ``traceEvents`` array holds complete
@@ -35,10 +35,8 @@ __all__ = [
     "chrome_trace",
     "comparison_markdown",
     "comparison_table",
-    "counters_table",
     "write_chrome_trace",
     "write_metrics",
-    "metrics_table",
 ]
 
 #: Synthetic process ids of the two clock timelines.
@@ -78,64 +76,6 @@ def write_chrome_trace(tracer: "Tracer", path) -> None:
 def write_metrics(report: PipelineReport, path) -> None:
     """Serialize a :class:`PipelineReport` to schema-versioned JSON."""
     Path(path).write_text(json.dumps(report.to_json(), indent=2, sort_keys=True))
-
-
-def metrics_table(report: PipelineReport) -> "Table":
-    """The report's phase/build accounting as an aligned text table."""
-    from repro.analysis import Table, format_bytes
-
-    table = Table(
-        ["stage", "sim seconds", "peak memory", "actions", "cache hits"],
-        title=f"{report.program}: pipeline stages",
-    )
-    for build in report.builds:
-        table.add_row(
-            f"build:{build.name}", f"{build.wall_seconds:.2f}",
-            format_bytes(build.peak_memory_bytes), build.actions, build.cache_hits,
-        )
-    for phase in report.phases:
-        table.add_row(
-            phase.name, f"{phase.sim_seconds:.2f}",
-            format_bytes(phase.peak_memory_bytes), "-", "-",
-        )
-    return table
-
-
-def counters_table(report: PipelineReport) -> "Table":
-    """The report's counters and gauges as an aligned text table.
-
-    Every metric the run accumulated -- cache, scheduler, profile
-    quality, ``incr.*`` reuse, ``faults.*``/``retry.*`` resilience --
-    in one sorted table, so the counter surface the README glossary
-    documents is inspectable without poking at JSON.
-    """
-    from repro.analysis import Table
-
-    table = Table(["metric", "kind", "value"],
-                  title=f"{report.program}: counters and gauges")
-    for name in sorted(report.counters):
-        table.add_row(name, "counter", _fmt_value(report.counters[name]))
-    for name in sorted(report.gauges):
-        table.add_row(name, "gauge", _fmt_value(report.gauges[name]))
-    return table
-
-
-def frontend_table(report: PipelineReport) -> "Table":
-    """The report's hardware-counter scorecard (Table 4 labels) as a table."""
-    from repro.analysis import Table
-
-    binaries = list(report.frontend)
-    table = Table(["counter"] + binaries,
-                  title=f"{report.program}: frontend counters")
-    labels: list = []
-    for counters in report.frontend.values():
-        for label in counters:
-            if label not in labels:
-                labels.append(label)
-    for label in labels:
-        table.add_row(label, *(_fmt_value(report.frontend[b].get(label, "-"))
-                               for b in binaries))
-    return table
 
 
 # ----------------------------------------------------------------------

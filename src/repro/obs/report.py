@@ -132,7 +132,7 @@ class PipelineReport:
     #: -> function -> counter -> value), as produced by
     #: ``PipelineResult.frontend_counters_by_function()``.  Empty unless
     #: the report was built with ``include_attribution=True``; this is
-    #: the input ``repro-explain`` ranks cycle deltas from.
+    #: the input ``explain`` ranks cycle deltas from.
     frontend_by_function: Mapping[str, Mapping[str, Mapping[str, float]]] = (
         field(default_factory=dict))
     #: Stale-profile matching accounting (mode, match tiers, inferred
@@ -256,7 +256,7 @@ class PipelineReport:
         binaries (a real measurement, not free) and attaches the
         hardware-counter scorecard as the ``frontend`` section;
         ``include_attribution=True`` also fills ``frontend_by_function``
-        with per-function attribution (the input to ``repro-explain``).
+        with per-function attribution (the input to ``explain``).
         When both are requested the simulation runs once and feeds both
         sections.
         """

@@ -100,10 +100,6 @@ class Trace:
     def num_blocks_executed(self) -> int:
         return self.executed_count or len(self.block_addrs)
 
-    def taken_branch_count(self) -> int:
-        """Taken branches, the B2 counter of Table 4."""
-        return self.num_branches
-
 
 class ProjectionError(ValueError):
     """An image cannot execute a step of the walk it is projected onto.

@@ -10,18 +10,14 @@ Commands mirror the paper's tool flow:
 * ``compare``   -- Propeller vs BOLT on one workload;
 * ``edit``      -- apply a seeded edit script to a workload (the "next
   release" of incremental/attribution studies);
-* ``bench``     -- the continuous benchmark harness (also installed as
-  the ``repro-bench`` console script): run the suite's rows (each one
-  pipeline run, flattened to exact metrics), print the scorecard, and
-  optionally gate against a baseline;
-* ``stages``    -- introspect the pipeline's stage graph (also installed
-  as the ``repro-stages`` console script): the validated DAG as JSON
-  (schema-versioned, gated in CI against ``tests/golden/stage_graph.json``),
-  Graphviz DOT, or a human-readable table;
-* ``explain``   -- the run-to-run attribution engine (also installed as
-  the ``repro-explain`` console script): diff two runs' metrics/trace/
-  state artifacts and say which functions, layout decisions and phases
-  moved, and why (see :mod:`repro.obs.explain`).
+* ``bench``     -- the continuous benchmark harness: run the suite's
+  rows (each one pipeline run, flattened to exact metrics), print the
+  scorecard, and optionally gate against a baseline;
+* ``stages``    -- the pipeline's stage graph as schema-versioned JSON
+  (the committed golden ``tests/golden/stage_graph.json``);
+* ``explain``   -- the run-to-run attribution engine: diff two runs'
+  metrics/trace/state artifacts and say which functions, layout
+  decisions and phases moved, and why (see :mod:`repro.obs.explain`).
 
 Output discipline: *results* (tables, summaries, scorecards) go to
 stdout via ``print``; *progress* goes through the :mod:`repro.obs.log`
@@ -32,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -166,7 +161,7 @@ def _finish_optimize(args, pipe: PropellerPipeline, result) -> int:
         from repro.obs import write_metrics
 
         # Attribution rides along so any two --metrics-out files are
-        # explainable (repro-explain) without re-running the pipeline.
+        # explainable (`explain`) without re-running the pipeline.
         write_metrics(
             result.report(include_frontend=True, include_attribution=True),
             args.metrics_out)
@@ -189,7 +184,10 @@ def cmd_generate(args) -> int:
     preset = PRESETS.get(args.preset)
     if preset is None:
         raise _UsageError(f"unknown preset {args.preset!r}; see `presets`")
-    program = generate_workload(preset, scale=args.scale, seed=args.seed)
+    try:
+        program = generate_workload(preset, scale=args.scale, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"--scale {args.scale}: {exc}") from None
     save_program(program, args.output)
     log.info("%s: %d functions, %d basic blocks, %d modules",
              args.output, program.num_functions, program.num_blocks,
@@ -288,34 +286,16 @@ def _optimize_partial(args, pipe: PropellerPipeline) -> int:
 
 
 def cmd_stages(args) -> int:
-    """Describe the pipeline stage graph (JSON, DOT, or a table).
-
-    Exit code 0 -- the graph is one constant whose wiring the tier-1
-    golden and wiring test pin.
-    """
+    """Print (or write) the pipeline stage graph as JSON: the one
+    constant whose wiring the tier-1 golden and wiring test pin."""
     import json as _json
 
-    from repro.core.phases import PIPELINE as graph
+    from repro.core.phases import PIPELINE
 
-    if args.format == "json":
-        text = _json.dumps(graph.describe(), indent=2, sort_keys=True) + "\n"
-    elif args.format == "dot":
-        text = graph.to_dot()
-    else:
-        table = Table(["stage", "phase", "consumes", "produces", "on exhaustion"])
-        described = graph.describe()
-        for stage in described["stages"]:
-            table.add_row(
-                stage["name"],
-                stage["phase"] or "-",
-                ", ".join(a["name"] for a in stage["inputs"]) or "-",
-                ", ".join(a["name"] for a in stage["outputs"]) or "-",
-                "degrade" if stage["fallback"] else "propagate",
-            )
-        text = str(table) + "\n" + "order: " + " -> ".join(described["order"]) + "\n"
+    text = _json.dumps(PIPELINE.describe(), indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(text)
-        log.info("wrote %s render to %s", args.format, args.output)
+        log.info("wrote the stage graph to %s", args.output)
     else:
         print(text, end="")
     return 0
@@ -327,6 +307,12 @@ def cmd_compare(args) -> int:
     from repro.hwmodel.frontend import DEFAULT_PARAMS
     from repro.profiles import ProjectionError
 
+    if args.blocks < 1:
+        raise _UsageError(f"--blocks must be >= 1, got {args.blocks}")
+    try:
+        params = DEFAULT_PARAMS.scaled(args.hw_scale)
+    except ValueError as exc:
+        raise _UsageError(f"--hw-scale {args.hw_scale}: {exc}") from None
     pipe = _pipeline(args)
     result = pipe.run()
     bm = pipe.build_bolt_input(result.ir_profile)
@@ -341,7 +327,6 @@ def cmd_compare(args) -> int:
     except BoltStartupCrash as exc:
         bolt_note = f"startup crash: {exc}"
 
-    params = DEFAULT_PARAMS.scaled(args.hw_scale)
     rows = {"baseline": result.baseline.executable,
             "propeller": result.optimized.executable}
     if bolt_exe is not None:
@@ -383,6 +368,8 @@ def cmd_edit(args) -> int:
     from repro.synth import EditScript
     from repro.synth.edits import Edit, _body_candidates
 
+    if args.edits < 1:
+        raise _UsageError(f"--edits must be >= 1, got {args.edits}")
     program = _read(load_program, args.program, "program")
     if args.pick == "hottest":
         from repro.profiles import collect_ir_profile
@@ -397,9 +384,12 @@ def cmd_edit(args) -> int:
         script = EditScript(edits=(
             Edit("body", target, program.module_of(target).name, args.seed),))
     else:
-        script = EditScript.generate(program, seed=args.seed,
-                                     edits=args.edits,
-                                     kinds=tuple(args.kinds.split(",")))
+        try:
+            script = EditScript.generate(program, seed=args.seed,
+                                         edits=args.edits,
+                                         kinds=tuple(args.kinds.split(",")))
+        except ValueError as exc:
+            raise _UsageError(f"--edits {args.edits} --kinds {args.kinds}: {exc}") from None
     edited = script.apply(program)
     save_program(edited, args.output)
     log.info("%s: applied %d edit(s)", args.output, len(script.edits))
@@ -575,14 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbosity_args(p)
     p.set_defaults(fn=cmd_optimize)
 
-    p = sub.add_parser(
-        "stages",
-        help="describe the pipeline stage graph "
-             "(also the repro-stages entry point)")
-    p.add_argument("--format", choices=("json", "dot", "text"),
-                   default="text",
-                   help="JSON (schema-versioned describe()), Graphviz "
-                        "DOT, or a human-readable table (default)")
+    p = sub.add_parser("stages",
+                       help="the pipeline stage graph as JSON")
     p.add_argument("-o", "--output", metavar="FILE", default=None,
                    help="write to FILE instead of stdout")
     _add_verbosity_args(p)
@@ -613,9 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbosity_args(p)
     p.set_defaults(fn=cmd_edit)
 
-    p = sub.add_parser(
-        "explain",
-        help="run-to-run attribution (also the repro-explain entry point)")
+    p = sub.add_parser("explain", help="run-to-run attribution")
     p.add_argument("base", help="base run: metrics JSON or a "
                                 "--state-dir/state.json snapshot")
     p.add_argument("new", help="new run (same kind as base)")
@@ -640,9 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbosity_args(p)
     p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser(
-        "bench",
-        help="run the benchmark suite (also the repro-bench entry point)")
+    p = sub.add_parser("bench", help="run the benchmark suite")
     from repro.obs.bench import PERTURBATIONS
 
     p.add_argument("--seed", type=int, default=3)
@@ -674,27 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         log.error("%s", exc)
         return 2
-
-
-def bench_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro-bench`` console script."""
-    if argv is None:
-        argv = sys.argv[1:]
-    return main(["bench", *argv])
-
-
-def explain_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro-explain`` console script."""
-    if argv is None:
-        argv = sys.argv[1:]
-    return main(["explain", *argv])
-
-
-def stages_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro-stages`` console script."""
-    if argv is None:
-        argv = sys.argv[1:]
-    return main(["stages", *argv])
 
 
 if __name__ == "__main__":

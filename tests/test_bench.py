@@ -314,7 +314,7 @@ class TestBenchCLI:
 
     def test_no_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # BENCH_<pr>.json at the repo root is bench/run.py's ledger; a
-        # repro-bench run beside one must neither number itself after
+        # `bench` run beside one must neither number itself after
         # it nor write anything it was not asked to.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "BENCH_16.json").write_text("{}")

@@ -55,8 +55,8 @@ class TestObjectFile:
         obj = ObjectFile(name="a.o")
         obj.add_section(_text_section(data=b"\x90" * 10))
         obj.add_section(Section(name=".eh_frame", kind=SectionKind.EH_FRAME, data=bytearray(24)))
-        assert obj.size_of_kind(SectionKind.TEXT) == 10
-        assert obj.size_of_kind(SectionKind.EH_FRAME) == 24
+        assert [s.size for s in obj.sections_of_kind(SectionKind.TEXT)] == [10]
+        assert [s.size for s in obj.sections_of_kind(SectionKind.EH_FRAME)] == [24]
         assert obj.total_size == 34
 
     def test_digest_stable(self):

@@ -10,8 +10,9 @@ not pairs of runs):
 
 Plus the satellites that ride with the engine: critical-path analysis
 (live spans and Chrome-trace reconstruction), the file-shaped loaders
-behind ``repro-explain``, report round-trip/schema rejection, and the
-``Tracer.find`` index the critical-path pass depends on.
+behind ``python -m repro.tools explain``, report round-trip/schema
+rejection, and the ``Tracer.find`` index the critical-path pass depends
+on.
 """
 
 from __future__ import annotations

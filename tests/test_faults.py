@@ -86,9 +86,6 @@ class TestPlanSpecs:
         with pytest.raises(ValueError, match="no such file"):
             FaultPlan.resolve(str(tmp_path / "missing.json"))
 
-    def test_with_seed(self):
-        assert FaultPlan(fail_rate=0.1).with_seed(9).seed == 9
-
 
 _SPEC_VALUE = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0.5", "1", "2", "-1", "x", ""]),

@@ -263,7 +263,7 @@ class TestPlanDirty:
     def test_clean_release_has_empty_plan(self, prior, program):
         state = IncrState.capture(prior)
         plan = plan_dirty(state, program, prior.ir_profile)
-        assert plan.num_invalidated == 0
+        assert (plan.dirty, plan.added, plan.deleted) == ((), (), ())
 
     def test_body_edit_is_exactly_one_cfg_dirty(self, prior, program):
         state = IncrState.capture(prior)

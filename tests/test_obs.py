@@ -42,7 +42,6 @@ from repro.obs import (
     ScenarioResult,
     Tracer,
     chrome_trace,
-    metrics_table,
     write_bench_report,
 )
 from repro.obs.bench import DIRECTIONS
@@ -333,13 +332,13 @@ class TestCLIEdges:
         assert "unknown scenarios" in buf.getvalue()
 
     def test_explain_refuses_a_bench_scorecard(self, tmp_path, capsys):
-        """Two scorecards are diffed by one engine, ``repro-bench
-        --compare``; ``repro-explain`` says so and exits 2."""
+        """Two scorecards are diffed by one engine, ``bench --compare``;
+        ``explain`` says so, naming the one spelling, and exits 2."""
         scorecard = tmp_path / "scorecard.json"
         write_bench_report(BenchReport(suite="smoke", seed=3, scenarios=()),
                            scorecard)
         assert main(["explain", str(scorecard), str(scorecard)]) == 2
-        assert "repro-bench --compare" in capsys.readouterr().err
+        assert "`python -m repro.tools bench --compare`" in capsys.readouterr().err
 
 
 class TestChromeTrace:
@@ -404,10 +403,6 @@ class TestPipelineObservability:
         text = result.summary()
         assert "propeller phase 4" in text
         assert result.program.name in text
-
-    def test_metrics_table_renders(self, traced_run):
-        _, result = traced_run
-        assert "build:optimized" in str(metrics_table(result.report()))
 
     def test_digest_identical_with_tracing_off(self, tiny_program, traced_run):
         _, traced_result = traced_run

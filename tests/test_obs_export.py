@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
-from repro.obs import PipelineReport, chrome_trace, frontend_table, write_metrics
+from repro.obs import PipelineReport, chrome_trace, write_metrics
 from repro.obs.export import REAL_PID, SIM_PID
 
 
@@ -116,10 +116,6 @@ class TestReportRoundTrip:
         payload = json.loads(path.read_text())
         assert payload["frontend"]["baseline"]["cycles"] > 0
 
-    def test_frontend_table_renders(self, frontend_report):
-        text = str(frontend_table(frontend_report))
-        assert "baseline" in text and "optimized" in text and "I1" in text
-
     def test_attribution_section_roundtrips(self, traced):
         _, result = traced
         report = result.report(include_frontend=True,
@@ -132,17 +128,6 @@ class TestReportRoundTrip:
         # Pre-attribution payloads lack the key entirely.
         del payload["frontend_by_function"]
         assert PipelineReport.from_json(payload).frontend_by_function == {}
-
-    def test_counters_table_covers_counters_and_gauges(self, traced):
-        from repro.obs import counters_table
-
-        _, result = traced
-        report = result.report()
-        text = str(counters_table(report))
-        for name in list(report.counters)[:3]:
-            assert name in text
-        for name in list(report.gauges)[:3]:
-            assert name in text
 
 
 class TestBenchRendering:

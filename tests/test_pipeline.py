@@ -86,7 +86,7 @@ class TestRun:
         assert "cold objects from cache" in text
 
     def test_pct_hot_objects(self, pipeline_result):
-        assert 0 < pipeline_result.pct_hot_objects <= 1
+        assert 0 < pipeline_result.report().pct_hot_modules <= 1
 
 
 class TestDeterminism:

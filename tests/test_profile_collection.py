@@ -87,10 +87,6 @@ class TestTraceGeneration:
         # Same work at different addresses; branch counts are free to differ.
         assert t1.block_addrs != t2.block_addrs
 
-    def test_taken_branch_count_alias(self, exe):
-        trace = generate_trace(exe, max_branches=100, seed=0)
-        assert trace.taken_branch_count() == trace.num_branches
-
 
 class TestLBR:
     def test_sample_count(self, exe):

@@ -425,6 +425,54 @@ class TestBadFaultPlan:
         assert done.stdout == ""
 
 
+class TestBadFlagValues:
+    """A flag value a command cannot use is one stderr line and exit
+    status 2, before any work starts -- never a traceback, and never a
+    silent no-op."""
+
+    @pytest.fixture(scope="class")
+    def prog(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("badflag") / "w.json"
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--preset", "505.mcf", "--scale", "0", "-o", "{out}"],
+        ["generate", "--preset", "505.mcf", "--scale", "-1", "-o", "{out}"],
+        ["compare", "{prog}", "--hw-scale", "0", "--lbr-branches", "20000",
+         "--pgo-steps", "10000"],
+        ["compare", "{prog}", "--blocks", "-5", "--lbr-branches", "20000",
+         "--pgo-steps", "10000"],
+        ["edit", "{prog}", "-o", "{out}", "--kinds", "bogus"],
+        ["edit", "{prog}", "-o", "{out}", "--edits", "100000"],
+        ["edit", "{prog}", "-o", "{out}", "--edits", "-1"],
+    ], ids=["scale-0", "scale-negative", "hw-scale-0", "blocks-negative",
+            "unknown-edit-kind", "too-many-edits", "negative-edits"])
+    def test_exits_2_with_one_line(self, prog, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        argv = [arg.format(prog=prog, out=out) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestStagesCommand:
+    GOLDEN = Path(__file__).parent / "golden" / "stage_graph.json"
+
+    def test_stdout_and_file_are_the_golden(self, tmp_path, capsys):
+        assert main(["stages"]) == 0
+        assert capsys.readouterr().out == self.GOLDEN.read_text()
+        out = tmp_path / "stage_graph.json"
+        assert main(["stages", "-o", str(out)]) == 0
+        assert out.read_bytes() == self.GOLDEN.read_bytes()
+
+    def test_json_is_the_only_format(self):
+        with pytest.raises(SystemExit):
+            main(["stages", "--format", "json"])
+
+
 def _drop_metadata_artifact(manifest_text):
     """The records still say ``metadata-build`` ran."""
     manifest = json.loads(manifest_text)

@@ -23,26 +23,25 @@ from repro.linker.worksection import WorkSection
 from tests.test_relaxation_oracle import fallthrough_object
 
 
-def _section():
+_RELOCATIONS = (Relocation(offset=7, rtype=RelocType.PC32, symbol="y"),
+                Relocation(offset=17, rtype=RelocType.PC32, symbol="x"))
+_FIXUPS = (BranchFixup(offset=5, opcode=Opcode.JCC_LONG, symbol="y"),
+           BranchFixup(offset=16, opcode=Opcode.JMP_LONG, symbol="x", deletable=True))
+
+
+def _section(relocations=_RELOCATIONS, fixups=_FIXUPS):
     """21 bytes: bb0 [0,11) ends in a jcc at 5, bb1 [11,21) in a jmp at 16."""
-    section = Section(name=".text.f", kind=SectionKind.TEXT, data=bytearray(range(21)))
-    section.relocations += [Relocation(offset=7, rtype=RelocType.PC32, symbol="y"),
-                            Relocation(offset=17, rtype=RelocType.PC32, symbol="x")]
-    section.branch_fixups += [
-        BranchFixup(offset=5, opcode=Opcode.JCC_LONG, symbol="y"),
-        BranchFixup(offset=16, opcode=Opcode.JMP_LONG, symbol="x", deletable=True),
-    ]
-    section.blocks.append(BlockMeta(
-        bb_id=0, func="f", offset=0, size=11,
-        term=TerminatorMeta(kind=TerminatorKind.CONDBR, cond_target="y",
-                            cond_br_offset=5, cond_br_size=6),
-    ))
-    section.blocks.append(BlockMeta(
-        bb_id=1, func="f", offset=11, size=10,
-        term=TerminatorMeta(kind=TerminatorKind.JUMP, uncond_target="x",
-                            uncond_br_offset=16, uncond_br_size=5),
-    ))
-    return section
+    return Section(
+        name=".text.f", kind=SectionKind.TEXT, data=bytearray(range(21)),
+        relocations=list(relocations), branch_fixups=list(fixups),
+        blocks=[
+            BlockMeta(bb_id=0, func="f", offset=0, size=11,
+                      term=TerminatorMeta(kind=TerminatorKind.CONDBR, cond_target="y",
+                                          cond_br_offset=5, cond_br_size=6)),
+            BlockMeta(bb_id=1, func="f", offset=11, size=10,
+                      term=TerminatorMeta(kind=TerminatorKind.JUMP, uncond_target="x",
+                                          uncond_br_offset=16, uncond_br_size=5)),
+        ])
 
 
 def _rewrite(ws, i, opcode):
@@ -113,10 +112,8 @@ class TestSplice:
         ]
 
     def test_out_of_bounds_rejected(self):
-        section = _section()
-        # A table hands out a fresh record each time: edit it, assign it back.
-        section.branch_fixups[1] = replace(
-            section.branch_fixups[1], offset=18)  # a 5-byte jump, 3 bytes from the end
+        # A 5-byte jump 3 bytes from the end.
+        section = _section(fixups=(_FIXUPS[0], replace(_FIXUPS[1], offset=18)))
         with pytest.raises(LinkError, match=r"t\.o: section \.text\.f: .*past the section end"):
             WorkSection(section, origin="t.o")
 
@@ -155,9 +152,8 @@ class TestFixupOrder:
     @pytest.mark.parametrize("offsets", [(16, 5), (5, 5), (5, 8)],
                              ids=["unsorted", "duplicate", "overlapping"])
     def test_bad_order_is_a_link_error(self, offsets):
-        section = _section()
-        section.branch_fixups[:] = [replace(fixup, offset=offset)
-                                    for fixup, offset in zip(section.branch_fixups, offsets)]
+        section = _section(fixups=[replace(fixup, offset=offset)
+                                   for fixup, offset in zip(_FIXUPS, offsets)])
         with pytest.raises(LinkError, match=r"bad\.o: section \.text\.f: branch fixup at offset"):
             WorkSection(section, origin="bad.o")
         obj = ObjectFile(name="bad.o", sections=[section])
@@ -180,8 +176,8 @@ class TestPendingRelocations:
     def test_a_relocation_before_the_first_rewritten_fixup_is_kept(self):
         """Only a relocation inside a rewritten branch is dropped: one
         ahead of every fixup of its section stays, at its own offset."""
-        section = _section()
-        section.relocations.insert(0, Relocation(offset=1, rtype=RelocType.PC32, symbol="z"))
+        section = _section(relocations=(
+            Relocation(offset=1, rtype=RelocType.PC32, symbol="z"), *_RELOCATIONS))
         ws = WorkSection(section, origin="o")
         _rewrite(ws, 0, Opcode.JCC_SHORT)
         assert [(at, r.symbol) for at, r in ws.relocations()] == [
