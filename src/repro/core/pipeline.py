@@ -22,7 +22,6 @@ from repro.analysis import MemoryMeter
 from repro.buildsys import BuildSystem, PhaseReport, digest_parts
 from repro.codegen import CodeGenOptions, compile_action
 from repro.codegen.lowering import compile_peak_memory
-from repro.core.stages import ArtifactSet, StageGraphError
 from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
 from repro.elf.strip import strip_bb_addr_map
@@ -397,8 +396,8 @@ class PropellerPipeline:
     # Build helpers
 
     def _digest(self, module: ir.Module) -> str:
-        # Identity-checked, so replacing ``self.program`` (inlining, a
-        # resumed ``prepared_program``) can never serve a stale digest.
+        # Identity-checked, so replacing ``self.program`` (inlining) can
+        # never serve a stale digest.
         cached = self._digests.get(module.name)
         if cached is None or cached[0] is not module:
             cached = self._digests[module.name] = (module, module_digest(module))
@@ -596,52 +595,28 @@ class PropellerPipeline:
     # ------------------------------------------------------------------
     # The whole pipeline
 
-    def run_stages(
-        self,
-        *,
-        stop_after: Optional[str] = None,
-        resume: Optional[ArtifactSet] = None,
-    ) -> ArtifactSet:
-        """Execute :data:`repro.core.phases.PIPELINE`.
+    def run(self) -> PipelineResult:
+        """Execute Phases 1-4 and return all artifacts.
 
-        The engine underneath :meth:`run`, exposed for partial
-        execution: ``stop_after`` runs the graph only through the named
-        stage (``"wpa"``, ...), the returned
-        :class:`~repro.core.stages.ArtifactSet` serializes with
-        :meth:`~repro.core.stages.ArtifactSet.save`, and a later call
-        with ``resume`` (the loaded set) replays it and runs only the
-        remaining stages -- bit-identical to one full run.
+        One full pass of :data:`repro.core.phases.PIPELINE`
+        through the stage driver (see :mod:`repro.core.stages`), which
+        applies tracing, fault degradation and phase accounting
+        uniformly.  Over a ``cache_dir`` an earlier run (or
+        :meth:`collect_perf`) populated, every cached action replays and
+        only what is missing is computed: the artifacts are a cold run's,
+        bit for bit; only replayed actions' simulated seconds shrink.
+
+        Degradation contract (active only under a ``fault_plan``): an
+        exhausted retry budget in profile collection, WPA or the Phase-4
+        relink falls back -- empty instrumented profile, baseline
+        layout, baseline binary respectively, per the stages' declared
+        ``fallback=`` -- and marks the result ``degraded`` with an
+        explicit reason.  The product build (``metadata-build``, which
+        links the metadata and baseline binaries) has nothing to fall
+        back to, so its exhaustion propagates as
+        :class:`~repro.faults.RetriesExhausted`.
         """
-        # Digest of the program *as constructed* (pre-inlining), the
-        # identity a resumed process can recompute before any stage ran.
-        program_digest = self._program_digest()
-        if resume is not None:
-            expected = resume.meta.get("program")
-            if expected is not None and expected != program_digest:
-                raise StageGraphError(
-                    "resume-mismatch",
-                    "resumed artifact set was produced from a different "
-                    f"program (digest {expected[:12]}.. != "
-                    f"{program_digest[:12]}..)")
-            if "prepared_program" in resume.values:
-                # The inline stage already ran in the producing process;
-                # replay its program transform, not just its artifacts.
-                self.program = resume.values["prepared_program"]
-        artifacts = phases.PIPELINE.execute(
-            self, stop_after=stop_after, resume=resume)
-        artifacts.meta.setdefault("program", program_digest)
-        artifacts.meta.setdefault("program_name", self.program.name)
-        return artifacts
-
-    def result_from(self, artifacts: ArtifactSet) -> PipelineResult:
-        """Assemble the :class:`PipelineResult` of a complete execution."""
-        pending = phases.PIPELINE.pending(artifacts)
-        if pending:
-            raise StageGraphError(
-                "missing-producer",
-                f"execution is partial (stages not run: {pending}); "
-                "resume it to completion before assembling a result",
-                stage=pending[0])
+        artifacts = phases.PIPELINE.execute(self)
         values = artifacts.values
         degraded_reasons = artifacts.degraded_reasons()
         return PipelineResult(
@@ -660,26 +635,6 @@ class PropellerPipeline:
             degraded=bool(degraded_reasons),
             degraded_reasons=degraded_reasons,
         )
-
-    def run(self) -> PipelineResult:
-        """Execute Phases 1-4 and return all artifacts.
-
-        One full pass of :data:`repro.core.phases.PIPELINE`
-        through the stage driver (see :mod:`repro.core.stages`), which
-        applies tracing, fault degradation and phase accounting
-        uniformly.
-
-        Degradation contract (active only under a ``fault_plan``): an
-        exhausted retry budget in profile collection, WPA or the Phase-4
-        relink falls back -- empty instrumented profile, baseline
-        layout, baseline binary respectively, per the stages' declared
-        ``fallback=`` -- and marks the result ``degraded`` with an
-        explicit reason.  The product build (``metadata-build``, which
-        links the metadata and baseline binaries) has nothing to fall
-        back to, so its exhaustion propagates as
-        :class:`~repro.faults.RetriesExhausted`.
-        """
-        return self.result_from(self.run_stages())
 
     def reoptimize(self, state) -> PipelineResult:
         """Re-run the four phases against a prior release's state.

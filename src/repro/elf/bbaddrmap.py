@@ -104,13 +104,6 @@ class FunctionMap:
         return len(self.entries)
 
 
-def encode_function_map(fmap: FunctionMap) -> bytes:
-    """Serialize one function's map (see :func:`encode_maps`)."""
-    columns = np.array([(e.bb_id, e.offset, e.size, e.flags) for e in fmap.entries],
-                       dtype=np.int64).reshape(-1, 4).T
-    return encode_maps([fmap.func], [len(fmap.entries)], *columns)[0]
-
-
 def encode_maps(funcs: Sequence[str], counts: Sequence[int], bb_ids, offsets, sizes,
                 flags) -> List[bytes]:
     """Serialize the maps of ``funcs``, function ``i`` owning the next
@@ -176,14 +169,6 @@ def decode_function_map(data: bytes, offset: int = 0) -> Tuple[FunctionMap, int]
             entries.append(BBEntry(bb_id=bb_id, offset=cursor, size=size, flags=flags))
             cursor += size
     return FunctionMap(func=name, entries=tuple(entries)), offset
-
-
-def encode_section(maps: List[FunctionMap]) -> bytes:
-    """Serialize a whole ``.llvm_bb_addr_map`` section."""
-    out = bytearray()
-    for fmap in maps:
-        out += encode_function_map(fmap)
-    return bytes(out)
 
 
 def decode_section(data: bytes) -> List[FunctionMap]:

@@ -31,26 +31,18 @@ class DirtyPlan:
     #: Snapshot functions the current release no longer defines.
     deleted: Tuple[str, ...] = ()
     #: Why each dirty function is dirty: ``"cfg"`` (IR content changed)
-    #: or ``"profile"`` (profile slice changed past the threshold).
+    #: or ``"profile"`` (profile slice changed).
     reasons: Dict[str, str] = field(default_factory=dict)
 
 
-def plan_dirty(
-    state: IncrState,
-    program: Program,
-    profile,
-    threshold: float = 0.0,
-) -> DirtyPlan:
+def plan_dirty(state: IncrState, program: Program, profile) -> DirtyPlan:
     """Compare ``program``/``profile`` against ``state``.
 
     A function is dirty when its CFG content digest changed (reason
     ``"cfg"``), or -- with an unchanged CFG -- when its profile-slice
-    digest changed *and* the relative change of its total block count
-    reaches ``threshold`` (reason ``"profile"``).  The default
-    threshold 0.0 marks any profile-content change dirty; a positive
-    threshold tolerates epoch-to-epoch sampling jitter below it, which
-    is how a daily-release loop avoids re-solving the world because
-    every counter moved by 0.1%.
+    digest changed at all (reason ``"profile"``): the solve cache
+    replays only bit-identical problems, so any profile-content change
+    is a fresh solve and the plan says so.
     """
     dirty = []
     added = []
@@ -68,11 +60,8 @@ def plan_dirty(
             reasons[name] = "cfg"
             continue
         if profile.function_digest(name) != prior.profile_digest:
-            new_total = sum(profile.block_counts(name).values())
-            base = max(prior.total_count, 1.0)
-            if abs(new_total - prior.total_count) / base >= threshold:
-                dirty.append(name)
-                reasons[name] = "profile"
+            dirty.append(name)
+            reasons[name] = "profile"
     deleted = [name for name in state.functions if name not in current]
     return DirtyPlan(
         dirty=tuple(sorted(dirty)),

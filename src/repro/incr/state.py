@@ -89,8 +89,8 @@ class FunctionState:
     #: Digest of the function's slice of the instrumented profile --
     #: :meth:`repro.profiles.IRProfile.function_digest`.
     profile_digest: str
-    #: Total instrumented block count (the anchor-level mass the dirty
-    #: threshold compares against).
+    #: Total instrumented block count.  Part of the snapshot format;
+    #: the planner compares ``profile_digest`` only.
     total_count: float
     #: Whether WPA's hardware-profile hot set contained the function.
     hot: bool

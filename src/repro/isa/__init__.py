@@ -18,7 +18,6 @@ from repro.isa.encoding import (
     DecodeError,
     decode_instruction,
     decode_range,
-    encode_instruction,
     instruction_size,
     is_branch,
     is_call,
@@ -39,7 +38,6 @@ __all__ = [
     "DecodeError",
     "decode_instruction",
     "decode_range",
-    "encode_instruction",
     "instruction_size",
     "is_branch",
     "is_call",

@@ -178,40 +178,6 @@ def _displacement_slot(opcode: Opcode) -> Optional[Tuple[int, int]]:
     return None
 
 
-def encode_instruction(opcode: Opcode, displacement: Optional[int] = None, payload: bytes = b"") -> bytes:
-    """Encode one instruction to bytes.
-
-    ``payload`` fills non-displacement operand bytes; it is truncated or
-    zero-padded to the instruction's operand width.  Branch opcodes take
-    ``displacement`` instead (defaulting to 0, to be patched later by
-    the linker through a relocation).
-    """
-    size = OPCODE_SIZES[opcode]
-    buf = bytearray([int(opcode)])
-    slot = _displacement_slot(opcode)
-    if slot is not None:
-        disp = displacement or 0
-        start, width = slot
-        # JCC_LONG has a condition-code byte between opcode and displacement.
-        while len(buf) < start:
-            buf.append(payload[len(buf) - 1] if len(buf) - 1 < len(payload) else 0)
-        if width == 1:
-            if not fits_short(disp):
-                raise ValueError(f"displacement {disp} does not fit in rel8")
-            buf += struct.pack("<b", disp)
-        else:
-            buf += struct.pack("<i", disp)
-    else:
-        if displacement is not None:
-            raise ValueError(f"{opcode.name} takes no displacement")
-        operand_width = size - 1
-        padded = (payload + b"\x00" * operand_width)[:operand_width]
-        buf += padded
-    if len(buf) != size:
-        raise AssertionError(f"encoded {opcode.name} to {len(buf)} bytes, expected {size}")
-    return bytes(buf)
-
-
 def decode_instruction(data: bytes, offset: int = 0) -> DecodedInstruction:
     """Decode the instruction at ``offset``.
 

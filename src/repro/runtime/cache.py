@@ -66,11 +66,8 @@ def write_envelope(path: "str | os.PathLike", value: Any) -> None:
     """Atomically pickle ``value`` to ``path`` in the self-verifying
     envelope format: magic, SHA-256 of the payload, newline, payload.
 
-    The one writer of the format.  :meth:`PersistentActionStore.store`
-    seals its entries through it, and callers that manage their own
-    paths -- the serialized stage-graph artifact sets
-    (:mod:`repro.core.stages`) -- call it directly, so a resumed run
-    gets the same tamper/truncation detection as the cache.
+    The one writer of the format: :meth:`PersistentActionStore.store`
+    seals its entries through it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -116,21 +113,6 @@ def _unseal(data: bytes) -> "Tuple[Any, Optional[str]]":
         return pickle.loads(payload), None
     except Exception:
         return None, "unpicklable"
-
-
-def read_envelope(path: "str | os.PathLike") -> Any:
-    """Unpickle an envelope written by :func:`write_envelope`.
-
-    Unlike the store's forgiving :meth:`~PersistentActionStore.load`
-    (where a bad entry is just a cache miss), a bad envelope here is an
-    error: raises ``ValueError`` naming the reason (see :func:`_unseal`),
-    ``OSError`` when unreadable -- resume-from-artifacts must fail
-    loudly rather than silently recompute against mismatched inputs.
-    """
-    value, reason = _unseal(Path(path).read_bytes())
-    if reason is not None:
-        raise ValueError(f"{path}: bad envelope ({reason})")
-    return value
 
 
 def _bump(owner: Any, tally: str, counter: str) -> None:

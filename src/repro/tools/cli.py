@@ -33,6 +33,7 @@ from typing import List, Optional
 
 from repro.analysis import Table, format_bytes
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
+from repro.faults import RetriesExhausted
 from repro.obs.log import configure_logging, get_logger
 from repro.profiles import MATCH_MODES
 from repro.synth import ALL_PRESETS, PRESETS, generate_workload
@@ -219,8 +220,6 @@ def cmd_wpa(args) -> int:
 
 def cmd_optimize(args) -> int:
     pipe = _pipeline(args)
-    if args.stop_after or args.resume_from or args.artifacts_out:
-        return _optimize_partial(args, pipe)
     if not pipe.config.state_dir:
         return _finish_optimize(args, pipe, pipe.run())
     from repro.incr import IncrState, IncrStateError, state_path
@@ -240,48 +239,6 @@ def cmd_optimize(args) -> int:
     # churn) from files alone.
     IncrState.capture(result).save(snapshot)
     log.info("captured incremental state at %s", snapshot)
-    return _finish_optimize(args, pipe, result)
-
-
-def _optimize_partial(args, pipe: PropellerPipeline) -> int:
-    """``optimize --stop-after`` / ``--resume-from``: partial execution.
-
-    ``--stop-after STAGE`` runs the graph through STAGE and serializes
-    the produced artifact set to ``--artifacts-out`` (each requires the
-    other).  ``--resume-from DIR`` loads such a set and runs only the
-    remaining stages; a completed resume prints the normal summary --
-    bit-identical to one uninterrupted run.  Both compose: a resumed
-    run may itself stop after a later stage.  A partial run neither
-    reads nor writes a ``--state-dir`` snapshot (re-optimizing needs
-    the whole run).
-    """
-    from repro.core.stages import ArtifactSet, StageGraphError
-
-    if args.stop_after and not args.artifacts_out:
-        raise _UsageError("--stop-after requires --artifacts-out DIR")
-    if args.artifacts_out and not args.stop_after:
-        raise _UsageError("--artifacts-out requires --stop-after STAGE")
-    resume = None
-    if args.resume_from:
-        try:
-            resume = ArtifactSet.load(args.resume_from)
-        except StageGraphError as exc:
-            raise _UsageError(f"cannot resume from {args.resume_from}: "
-                              f"{exc.kind}: {exc}") from None
-    try:
-        artifacts = pipe.run_stages(stop_after=args.stop_after or None,
-                                    resume=resume)
-        result = None if args.stop_after else pipe.result_from(artifacts)
-    except StageGraphError as exc:
-        raise _UsageError(f"{exc.kind}: {exc}") from None
-    if args.stop_after:
-        out = artifacts.save(args.artifacts_out)
-        produced = sorted(artifacts.values)
-        log.info("stopped after %r; %d artifact(s) saved to %s",
-                 args.stop_after, len(produced), out)
-        for name in produced:
-            print(name)
-        return 0
     return _finish_optimize(args, pipe, result)
 
 
@@ -550,16 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="run all four phases")
     p.add_argument("program")
     p.add_argument("--report")
-    p.add_argument("--stop-after", metavar="STAGE", default=None,
-                   help="run the stage graph only through STAGE (e.g. "
-                        "'wpa'; see `stages` for names) and save the "
-                        "artifact set to --artifacts-out")
-    p.add_argument("--artifacts-out", metavar="DIR", default=None,
-                   help="directory for the serialized artifact set "
-                        "(requires --stop-after)")
-    p.add_argument("--resume-from", metavar="DIR", default=None,
-                   help="resume from an artifact set saved by "
-                        "--stop-after: replay its stages, run the rest")
     _add_pipeline_args(p)
     _add_observability_args(p)
     _add_verbosity_args(p)
@@ -654,6 +601,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         log.error("%s", exc)
         return 2
+    except RetriesExhausted as exc:
+        # A run that could not finish, not a usage error: one line, no
+        # traceback, and nothing written.
+        log.error("run failed: %s", exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -95,6 +95,19 @@ def pipeline_result(small_program, pipeline_config):
     return PropellerPipeline(small_program, pipeline_config).run()
 
 
+def encode_bb_addr_maps(maps) -> bytes:
+    """The ``.llvm_bb_addr_map`` section bytes of ``maps`` (a sequence
+    of :class:`repro.elf.bbaddrmap.FunctionMap`), in order, built with
+    the product's one encoder, ``encode_maps``."""
+    from repro.elf.bbaddrmap import encode_maps
+
+    entries = [e for fmap in maps for e in fmap.entries]
+    return b"".join(encode_maps(
+        [fmap.func for fmap in maps], [len(fmap.entries) for fmap in maps],
+        *([getattr(e, name) for e in entries]
+          for name in ("bb_id", "offset", "size", "flags"))))
+
+
 def perf_from_samples(samples, period=0):
     """A ``PerfData`` of ``samples``, each a list of (src, dst) records."""
     from repro.profiles import PerfData

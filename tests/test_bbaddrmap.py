@@ -10,10 +10,9 @@ from repro.elf.bbaddrmap import (
     decode_function_map,
     decode_section,
     decode_uleb128,
-    encode_function_map,
-    encode_section,
     encode_uleb128,
 )
+from tests.conftest import encode_bb_addr_maps
 
 
 class TestULEB128:
@@ -55,6 +54,10 @@ class TestULEB128:
         assert offset == len(data)
 
 
+def _encode(fmap):
+    return encode_bb_addr_maps([fmap])
+
+
 def _contiguous_map(name, sizes, base=0, ids=None, flags=None):
     entries = []
     offset = base
@@ -74,13 +77,13 @@ def _contiguous_map(name, sizes, base=0, ids=None, flags=None):
 class TestFunctionMap:
     def test_roundtrip_simple(self):
         fmap = _contiguous_map("foo", [10, 20, 5])
-        decoded, end = decode_function_map(encode_function_map(fmap))
+        decoded, end = decode_function_map(_encode(fmap))
         assert decoded == fmap
 
     def test_roundtrip_with_base_offset(self):
         # A landing-pad nop shifts the first block to offset 1 (§4.5).
         fmap = _contiguous_map("f", [4, 8], base=1)
-        decoded, _ = decode_function_map(encode_function_map(fmap))
+        decoded, _ = decode_function_map(_encode(fmap))
         assert decoded.entries[0].offset == 1
         assert decoded.entries[1].offset == 5
 
@@ -90,27 +93,27 @@ class TestFunctionMap:
             flags=[bbaddrmap.FLAG_HAS_RETURN, bbaddrmap.FLAG_LANDING_PAD,
                    bbaddrmap.FLAG_HAS_INDIRECT_JUMP],
         )
-        decoded, _ = decode_function_map(encode_function_map(fmap))
+        decoded, _ = decode_function_map(_encode(fmap))
         assert decoded.entries[0].flags == bbaddrmap.FLAG_HAS_RETURN
         assert decoded.entries[1].is_landing_pad
 
     def test_non_contiguous_rejected(self):
         entries = (BBEntry(0, 0, 10), BBEntry(1, 15, 5))
         with pytest.raises(ValueError, match="non-contiguous"):
-            encode_function_map(FunctionMap(func="bad", entries=entries))
+            _encode(FunctionMap(func="bad", entries=entries))
 
     def test_empty_function(self):
         fmap = FunctionMap(func="empty", entries=())
-        decoded, _ = decode_function_map(encode_function_map(fmap))
+        decoded, _ = decode_function_map(_encode(fmap))
         assert decoded.entries == ()
 
     def test_unicode_names(self):
         fmap = _contiguous_map("fünc", [3])
-        decoded, _ = decode_function_map(encode_function_map(fmap))
+        decoded, _ = decode_function_map(_encode(fmap))
         assert decoded.func == "fünc"
 
     def test_truncated_name_raises(self):
-        data = encode_function_map(_contiguous_map("longname", [4]))
+        data = _encode(_contiguous_map("longname", [4]))
         with pytest.raises(ValueError):
             decode_function_map(data[:3])
 
@@ -129,9 +132,9 @@ class TestFunctionMap:
         ids = [r[0] for r in raw]
         flags = [r[2] for r in raw]
         fmap = _contiguous_map("p", sizes, ids=ids, flags=flags)
-        decoded, consumed = decode_function_map(encode_function_map(fmap))
+        decoded, consumed = decode_function_map(_encode(fmap))
         assert decoded == fmap
-        assert consumed == len(encode_function_map(fmap))
+        assert consumed == len(_encode(fmap))
 
 
 class TestSection:
@@ -141,7 +144,7 @@ class TestSection:
             _contiguous_map("b", [16]),
             FunctionMap(func="c", entries=()),
         ]
-        decoded = decode_section(encode_section(maps))
+        decoded = decode_section(encode_bb_addr_maps(maps))
         assert decoded == maps
 
     def test_empty_section(self):

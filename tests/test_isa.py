@@ -1,5 +1,8 @@
 """Unit tests for the synthetic ISA encoder/decoder."""
 
+import struct
+from typing import Optional
+
 import pytest
 
 from repro.isa import (
@@ -9,7 +12,6 @@ from repro.isa import (
     Opcode,
     decode_instruction,
     decode_range,
-    encode_instruction,
     fits_short,
     instruction_size,
     is_branch,
@@ -20,6 +22,42 @@ from repro.isa import (
     long_form,
     short_form,
 )
+from repro.isa.encoding import _displacement_slot
+
+
+def encode_instruction(opcode: Opcode, displacement: Optional[int] = None, payload: bytes = b"") -> bytes:
+    """Encode one instruction to bytes: the scalar spec of the ISA's
+    encoding, which the product emits as byte templates.
+
+    ``payload`` fills non-displacement operand bytes; it is truncated or
+    zero-padded to the instruction's operand width.  Branch opcodes take
+    ``displacement`` instead (defaulting to 0, to be patched later by
+    the linker through a relocation).
+    """
+    size = OPCODE_SIZES[opcode]
+    buf = bytearray([int(opcode)])
+    slot = _displacement_slot(opcode)
+    if slot is not None:
+        disp = displacement or 0
+        start, width = slot
+        # JCC_LONG has a condition-code byte between opcode and displacement.
+        while len(buf) < start:
+            buf.append(payload[len(buf) - 1] if len(buf) - 1 < len(payload) else 0)
+        if width == 1:
+            if not fits_short(disp):
+                raise ValueError(f"displacement {disp} does not fit in rel8")
+            buf += struct.pack("<b", disp)
+        else:
+            buf += struct.pack("<i", disp)
+    else:
+        if displacement is not None:
+            raise ValueError(f"{opcode.name} takes no displacement")
+        operand_width = size - 1
+        padded = (payload + b"\x00" * operand_width)[:operand_width]
+        buf += padded
+    if len(buf) != size:
+        raise AssertionError(f"encoded {opcode.name} to {len(buf)} bytes, expected {size}")
+    return bytes(buf)
 
 
 class TestEncoding:

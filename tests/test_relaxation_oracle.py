@@ -36,8 +36,10 @@ from repro.elf import (
     TerminatorMeta,
     bbaddrmap,
 )
-from repro.isa import Opcode, decode_instruction, encode_instruction
+from repro.isa import Opcode, decode_instruction
 from repro.linker import LinkError, LinkOptions, link
+from tests.conftest import encode_bb_addr_maps
+from tests.test_isa import encode_instruction
 from tests.test_properties import _random_module
 
 
@@ -205,7 +207,7 @@ def fallthrough_object():
         bbaddrmap.BBEntry(b.bb_id, b.offset, b.size) for b in f.blocks))
     sections = [f, Section(name=".llvm_bb_addr_map.f", kind=SectionKind.BB_ADDR_MAP,
                            link_name=".text.f",
-                           data=bytearray(bbaddrmap.encode_function_map(fmap)))]
+                           data=bytearray(encode_bb_addr_maps([fmap])))]
     symbols = [Symbol("f", ".text.f", 0, 24, SymbolBinding.GLOBAL, SymbolType.FUNC),
                Symbol(".Lf.bb2", ".text.f", 16)]
     for name, body, term in (

@@ -164,13 +164,14 @@ class TestPipelineDeterminism:
         from dataclasses import replace
 
         from repro.profiles import PerfData
-        from repro.runtime.cache import read_envelope, write_envelope
+        from repro.runtime.cache import write_envelope
 
         cfg = self._config(cache_dir=str(tmp_path))
         cold = PropellerPipeline(micro_program, cfg).run()
-        (path,) = [p for p in tmp_path.glob("??/*.pkl")
-                   if isinstance(getattr(read_envelope(p), "value", None), PerfData)]
-        write_envelope(path, replace(read_envelope(path), value=parent_layout_perf))
+        store = PersistentActionStore(tmp_path)
+        (key,) = [p.stem for p in tmp_path.glob("??/*.pkl")
+                  if isinstance(getattr(store.load(p.stem), "value", None), PerfData)]
+        write_envelope(store._path(key), replace(store.load(key), value=parent_layout_perf))
         warm = PropellerPipeline(micro_program, cfg).run()
         assert warm.counters.count("store.quarantined") == 1
         assert [p.suffix for p in (tmp_path / "quarantine").iterdir()] == [".unpicklable"]
@@ -281,8 +282,8 @@ class TestStoreQuarantine:
 
 
 # ----------------------------------------------------------------------
-# One envelope codec: the store and read_envelope judge the same bytes
-# the same way, and the on-disk format is the parent commit's.
+# One envelope codec: the store names why bytes are not replayable, and
+# the on-disk format is the parent commit's.
 
 def _sealed(payload: bytes) -> bytes:
     import hashlib
@@ -309,8 +310,6 @@ class TestOneEnvelopeCodec:
 
     @pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
     def test_same_bytes_same_verdict(self, tmp_path, kind):
-        from repro.runtime.cache import read_envelope, write_envelope
-
         corrupt, reason = _CORRUPTIONS[kind]
         store = PersistentActionStore(tmp_path / "store")
         store.store(self.KEY, list(range(100)))
@@ -323,14 +322,8 @@ class TestOneEnvelopeCodec:
         moved = [f.name for f in (store.root / "quarantine").iterdir()]
         assert moved == [f"{path.name}.{reason}"]
 
-        envelope = tmp_path / "value.artifact"
-        write_envelope(envelope, list(range(100)))
-        envelope.write_bytes(bad)
-        with pytest.raises(ValueError, match=reason):
-            read_envelope(envelope)
-
     def test_store_and_envelope_write_the_same_bytes(self, tmp_path):
-        from repro.runtime.cache import read_envelope, write_envelope
+        from repro.runtime.cache import write_envelope
 
         store = PersistentActionStore(tmp_path / "store")
         store.store(self.KEY, {"a": 1})
@@ -338,7 +331,7 @@ class TestOneEnvelopeCodec:
         assert store._path(self.KEY).read_bytes() == \
             (tmp_path / "value.artifact").read_bytes() == _sealed(pickle.dumps(
                 {"a": 1}, protocol=pickle.HIGHEST_PROTOCOL))
-        assert read_envelope(store._path(self.KEY)) == store.load(self.KEY) == {"a": 1}
+        assert store.load(self.KEY) == {"a": 1}
 
     def test_parent_written_entry_still_loads(self, tmp_path):
         """``tests/golden/store_entry_v2.pkl`` was written by the commit
@@ -389,14 +382,20 @@ def _golden_module():
     return ir.Module(name="golden", functions=[f, g])
 
 
-def _read(data: bytes):
-    """``read_envelope`` of ``data``, written to a fresh file."""
-    from repro.runtime.cache import read_envelope
+_KEY = "cd" * 32
 
+
+def _read(data: bytes):
+    """``PersistentActionStore.load`` of ``data`` stored as one entry of
+    a fresh store: ``(value, quarantined)``."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "value.artifact"
+        store = PersistentActionStore(tmp)
+        path = store._path(_KEY)
+        path.parent.mkdir(parents=True)
         path.write_bytes(data)
-        return read_envelope(path)
+        value = store.load(_KEY)
+        assert path.exists() == (store.quarantined == 0)
+        return value, store.quarantined
 
 
 _VALUES = st.recursive(st.none() | st.integers() | st.text(max_size=8),
@@ -404,38 +403,34 @@ _VALUES = st.recursive(st.none() | st.integers() | st.text(max_size=8),
 
 
 class TestReadEnvelopeFuzz:
-    """Whatever the bytes, ``read_envelope`` returns the sealed value or
-    raises ``ValueError`` (``OSError`` for a path it cannot read)."""
+    """Whatever the bytes, the store's ``load`` returns the sealed value,
+    or quarantines the entry and reports a miss -- it never raises."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.binary(max_size=120) | _VALUES.map(lambda v: _sealed(
         pickle.dumps(v))[:-1]) | st.binary(max_size=60).map(_sealed))
     def test_arbitrary_bytes(self, data):
-        try:
-            _read(data)
-        except ValueError:
-            pass
+        value, quarantined = _read(data)
+        assert value is None or not quarantined
 
     @settings(max_examples=100, deadline=None)
     @given(_VALUES, st.data())
     def test_truncations_and_single_byte_flips(self, value, data):
         sealed = _sealed(pickle.dumps(value))
-        assert _read(sealed) == value
+        assert _read(sealed) == (value, 0)
         cut = data.draw(st.integers(0, len(sealed) - 1))
-        with pytest.raises(ValueError, match="bad envelope"):
-            _read(sealed[:cut])
+        assert _read(sealed[:cut]) == (None, 1)
         at = data.draw(st.integers(0, len(sealed) - 1))
         flip = data.draw(st.integers(1, 255))
         flipped = sealed[:at] + bytes([sealed[at] ^ flip]) + sealed[at + 1:]
-        with pytest.raises(ValueError, match="bad envelope"):
-            _read(flipped)
+        assert _read(flipped) == (None, 1)
 
-    def test_unreadable_paths_are_os_errors(self, tmp_path):
-        from repro.runtime.cache import read_envelope
-
-        for path in (tmp_path / "absent", tmp_path):
-            with pytest.raises(OSError):
-                read_envelope(path)
+    def test_unreadable_paths_are_misses(self, tmp_path):
+        store = PersistentActionStore(tmp_path)
+        assert store.load(_KEY) is None
+        store._path(_KEY).mkdir(parents=True)
+        assert store.load(_KEY) is None
+        assert (store.loads, store.quarantined) == (0, 0)
 
 
 class TestRecordTablesInTheStore:

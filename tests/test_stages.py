@@ -1,17 +1,14 @@
 """Tests for the typed stage-graph engine (:mod:`repro.core.stages`).
 
-Three layers:
+Two layers:
 
 * the engine itself, on toy graphs: structured execution errors (bad
-  output, produced-value type mismatch, unknown ``stop_after``),
-  declaration order as the execution order, uniform degradation
-  (fallback/skip_if_degraded), phase-span grouping and ``stop_after``
-  over a resumed set;
-* serialization: the artifact-set save/load round trip and its
-  fail-loudly corruption contract;
+  output, produced-value type mismatch), ``execute`` taking only the
+  pipeline, declaration order as the execution order, uniform
+  degradation (fallback/skip_if_degraded) and phase-span grouping;
 * the Propeller graph: its wiring, the committed golden topology
-  (``tests/golden/stage_graph.json``), partial execution + resume
-  bit-identity and the pinned instrumented-build ratio.
+  (``tests/golden/stage_graph.json``), resuming a stopped run from the
+  action store bit-identically and the pinned instrumented-build ratio.
 
 Golden regeneration: ``REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m
 pytest tests/test_stages.py`` (same contract as tests/test_golden.py).
@@ -21,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,14 +26,7 @@ import pytest
 
 from repro.core.phases import INSTRUMENTED_BUILD_FACTOR, PIPELINE
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
-from repro.core.stages import (
-    Artifact,
-    ArtifactSet,
-    Stage,
-    StageGraph,
-    StageGraphError,
-    StageRecord,
-)
+from repro.core.stages import Artifact, Stage, StageGraph, StageGraphError
 from repro.faults import RetriesExhausted
 from repro.obs import Counters, Tracer
 from repro.synth import PRESETS, generate_workload
@@ -109,11 +100,15 @@ class TestValidation:
         assert list(artifacts.phase_seconds()) == ["early_s", "late_s"]
 
     def test_unknown_stop_after(self):
+        """``execute`` takes only the pipeline: ``stop_after`` and
+        ``resume`` are unknown keywords (a stopped run resumes through
+        the action store, see :class:`TestResumeFromStore`)."""
         graph = StageGraph([_stage("one", _produce(number=1),
                                    outputs=(A_INT,))])
-        with pytest.raises(StageGraphError) as err:
-            graph.execute(_pipe(), stop_after="ghost")
-        assert err.value.kind == "unknown-stage"
+        with pytest.raises(TypeError):
+            graph.execute(_pipe(), stop_after="one")
+        with pytest.raises(TypeError):
+            graph.execute(_pipe(), resume=None)
 
     def test_seeds_are_not_a_parameter(self):
         stage = _stage("one", _produce(number=1), outputs=(A_INT,))
@@ -215,137 +210,6 @@ class TestExecution:
         graph.execute(pipe)
         assert [s.name for s in pipe.tracer.spans] == ["phase:joint"]
 
-    def test_stop_after_runs_a_prefix(self):
-        a, b = Artifact("a"), Artifact("b")
-        graph = StageGraph([
-            _stage("one", _produce(a=1), outputs=(a,)),
-            _stage("two", _produce(b=1), inputs=(a,), outputs=(b,)),
-        ])
-        artifacts = graph.execute(_pipe(), stop_after="one")
-        assert graph.pending(artifacts) == ["two"]
-        assert artifacts.values == {"a": 1}
-
-    def test_stop_after_a_replayed_stage_runs_nothing(self):
-        """``stop_after`` naming a stage the resumed set already carries
-        stops there: nothing after it runs."""
-        a, b, c = Artifact("a"), Artifact("b"), Artifact("c")
-        ran = []
-
-        def three(pipe, inputs):
-            ran.append("three")
-            return {"c": 3}
-
-        graph = StageGraph([
-            _stage("one", _produce(a=1), outputs=(a,)),
-            _stage("two", _produce(b=2), inputs=(a,), outputs=(b,)),
-            _stage("three", three, inputs=(b,), outputs=(c,)),
-        ])
-        partial = graph.execute(_pipe(), stop_after="two")
-        resumed = graph.execute(_pipe(), stop_after="one", resume=partial)
-        assert ran == []
-        assert graph.pending(resumed) == ["three"]
-        assert resumed.values == {"a": 1, "b": 2}
-
-
-# ----------------------------------------------------------------------
-# ArtifactSet serialization
-
-
-class TestArtifactSet:
-    def _run_partial(self):
-        a, b = Artifact("a"), Artifact("b")
-        graph = StageGraph([
-            _stage("one", _produce(a={"payload": 7}), outputs=(a,)),
-            _stage("two", _produce(b=2), inputs=(a,), outputs=(b,)),
-        ])
-        return graph, graph.execute(_pipe(), stop_after="one")
-
-    def test_save_load_resume_round_trip(self, tmp_path):
-        graph, partial = self._run_partial()
-        partial.meta["program"] = "digest"
-        partial.save(tmp_path / "arts")
-
-        loaded = ArtifactSet.load(tmp_path / "arts")
-        assert loaded.values["a"] == {"payload": 7}
-        assert loaded.meta["program"] == "digest"
-        assert loaded.records["one"].status == "computed"
-
-        resumed = graph.execute(_pipe(), resume=loaded)
-        assert graph.pending(resumed) == []
-        assert resumed.values["b"] == 2
-        # The replayed stage kept its original record.
-        assert resumed.records["one"].status == "computed"
-
-    def test_corrupt_artifact_fails_loudly(self, tmp_path):
-        _, partial = self._run_partial()
-        root = partial.save(tmp_path / "arts")
-        payload = root / "a.artifact"
-        payload.write_bytes(payload.read_bytes()[:-3] + b"zzz")
-        with pytest.raises(StageGraphError) as err:
-            ArtifactSet.load(root)
-        assert err.value.kind == "resume-mismatch"
-        assert err.value.artifact == "a"
-
-    def test_missing_manifest_fails(self, tmp_path):
-        with pytest.raises(StageGraphError) as err:
-            ArtifactSet.load(tmp_path / "nothing-here")
-        assert err.value.kind == "resume-mismatch"
-
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:len(text) // 2],                    # truncated
-        lambda text: text.replace('"name"', '"nom"'),          # record sans name
-        lambda text: "[1, 2]",                                 # not an object
-        lambda text: text.replace('"records": [', '"records": [7, '),
-    ], ids=["truncated", "nameless-record", "list", "scalar-record"])
-    def test_bad_manifest_is_resume_mismatch(self, tmp_path, damage):
-        _, partial = self._run_partial()
-        root = partial.save(tmp_path / "arts")
-        manifest = root / "manifest.json"
-        manifest.write_text(damage(manifest.read_text()))
-        with pytest.raises(StageGraphError) as err:
-            ArtifactSet.load(root)
-        assert err.value.kind == "resume-mismatch"
-        assert str(manifest) in str(err.value)
-
-    def test_resume_missing_a_replayed_output_fails_before_running(self):
-        a, b = Artifact("a"), Artifact("b")
-        ran = []
-
-        def two(pipe, inputs):
-            ran.append("two")
-            return {"b": 2}
-
-        graph = StageGraph([
-            _stage("one", _produce(a=1), outputs=(a,)),
-            _stage("two", two, outputs=(b,)),  # does not read "a"
-        ])
-        partial = graph.execute(_pipe(), stop_after="one")
-        del partial.values["a"]  # the record still says "one" ran
-        with pytest.raises(StageGraphError) as err:
-            graph.execute(_pipe(), resume=partial)
-        assert err.value.kind == "resume-mismatch"
-        assert (err.value.stage, err.value.artifact) == ("one", "a")
-        assert ran == []
-
-    def test_resume_of_a_stage_the_graph_lacks_fails(self):
-        """A set written by a graph with another stage list -- e.g. one
-        that still had a ``baseline-build`` stage -- is refused, not
-        resumed without that stage's recorded times."""
-        graph, partial = self._run_partial()
-        partial.records["gone"] = StageRecord(name="gone")
-        with pytest.raises(StageGraphError) as err:
-            graph.execute(_pipe(), resume=partial)
-        assert (err.value.kind, err.value.stage) == ("resume-mismatch", "gone")
-
-    def test_resume_must_be_a_prefix(self):
-        graph, _ = self._run_partial()
-        full = graph.execute(_pipe())
-        del full.records["one"]
-        with pytest.raises(StageGraphError) as err:
-            graph.execute(_pipe(), resume=full)
-        assert err.value.kind == "resume-mismatch"
-        assert err.value.stage == "one"
-
 
 # ----------------------------------------------------------------------
 # The Propeller graph
@@ -408,63 +272,16 @@ class TestPipelineGraph:
         assert PIPELINE.describe()["order"] == names
         assert list(PIPELINE.order) == names
 
-    def test_run_stages_takes_no_order(self, stage_program):
-        pipe = PropellerPipeline(stage_program, _cheap_config())
-        with pytest.raises(TypeError):
-            pipe.run_stages(order=list(PIPELINE.order))
-
-    def test_run_stages_takes_no_incremental_state(self, stage_program):
-        pipe = PropellerPipeline(stage_program, _cheap_config())
-        with pytest.raises(TypeError):
-            pipe.run_stages(incremental_state=object())
-
     def test_canonical_order_is_the_run_order(self):
         assert PIPELINE.order == (
             "pgo-profile", "inline", "stale-match", "metadata-build",
             "lbr-profile", "wpa", "relink")
 
-    def test_stop_after_resume_bit_identical(self, stage_program,
-                                             full_digest, tmp_path):
-        config = _cheap_config()
-        first = PropellerPipeline(stage_program, config)
-        partial = first.run_stages(stop_after="wpa")
-        assert PIPELINE.pending(partial) == ["relink"]
-        partial.save(tmp_path / "arts")
-
-        second = PropellerPipeline(stage_program, config)
-        resumed = second.run_stages(resume=ArtifactSet.load(tmp_path / "arts"))
-        result = second.result_from(resumed)
-        assert result.digest() == full_digest
-        # Accounting survives the round trip too.
-        assert result.phase_seconds["wpa_convert"] >= 0.0
-        assert list(result.phase_seconds) == [
-            "pgo_profile_run", "pgo_instrumented_build", "opt_build",
-            "metadata_build", "lbr_profile_run", "wpa_convert",
-            "prop_backends", "prop_link"]
-
-    def test_resume_rejects_different_program(self, stage_program, tmp_path):
-        config = _cheap_config()
-        partial = PropellerPipeline(stage_program, config).run_stages(
-            stop_after="pgo-profile")
-        partial.save(tmp_path / "arts")
-        other = generate_workload(PRESETS["505.mcf"], scale=1.0, seed=11)
-        with pytest.raises(StageGraphError) as err:
-            PropellerPipeline(other, config).run_stages(
-                resume=ArtifactSet.load(tmp_path / "arts"))
-        assert err.value.kind == "resume-mismatch"
-
-    def test_partial_result_assembly_refuses(self, stage_program):
-        pipe = PropellerPipeline(stage_program, _cheap_config())
-        partial = pipe.run_stages(stop_after="metadata-build")
-        with pytest.raises(StageGraphError) as err:
-            pipe.result_from(partial)
-        assert err.value.kind == "missing-producer"
-
     def test_recorded_times_match_declared_time_keys(self, stage_program):
         """``Stage.time_keys`` is golden-pinned introspection; what a real
         run records must be exactly that."""
-        artifacts = PropellerPipeline(
-            stage_program, _cheap_config()).run_stages()
+        artifacts = PIPELINE.execute(
+            PropellerPipeline(stage_program, _cheap_config()))
         for stage in PIPELINE.stages:
             record = artifacts.records[stage.name]
             assert tuple(k for k, _ in record.times) == stage.time_keys, (
@@ -478,3 +295,36 @@ class TestPipelineGraph:
         assert result.phase_seconds["pgo_instrumented_build"] == (
             pytest.approx(result.phase_seconds["opt_build"]
                           * INSTRUMENTED_BUILD_FACTOR))
+
+
+class TestResumeFromStore:
+    """A run stopped after profiling resumes through the action store:
+    ``collect_perf()`` over a ``cache_dir``, then ``run()`` of a fresh
+    pipeline over the same directory, replays every action the first
+    run stored and computes only what is missing."""
+
+    def test_resumed_run_is_the_cold_run(self, stage_program, full_digest,
+                                         tmp_path):
+        config = _cheap_config(cache_dir=str(tmp_path))
+        PropellerPipeline(stage_program, config).collect_perf()
+
+        pipe = PropellerPipeline(stage_program, replace(config, trace=True))
+        result = pipe.run()
+        assert result.digest() == full_digest
+        assert list(result.phase_seconds) == [
+            "pgo_profile_run", "pgo_instrumented_build", "opt_build",
+            "metadata_build", "lbr_profile_run", "wpa_convert",
+            "prop_backends", "prop_link"]
+
+        spans = pipe.tracer.spans
+        by_id = {s.span_id: s for s in spans}
+
+        def hits(name, parent=None):
+            return [s.args["cache_hit"] for s in spans if s.name == name
+                    and (parent is None or by_id[s.parent_id].name == parent)]
+
+        assert hits("pgo-train") == [True]
+        assert hits("lbr-sample") == [True]
+        assert hits("link", "build:metadata.out") == [True]
+        assert hits("link", "build:base.out") == [True]
+        assert hits("wpa-analyze") == [False]

@@ -473,108 +473,31 @@ class TestStagesCommand:
             main(["stages", "--format", "json"])
 
 
-def _drop_metadata_artifact(manifest_text):
-    """The records still say ``metadata-build`` ran."""
-    manifest = json.loads(manifest_text)
-    manifest["artifacts"].remove("metadata")
-    return json.dumps(manifest)
-
-
-class TestBadResumeDirectory:
-    """A ``--resume-from`` directory that cannot be resumed is one
-    ``resume-mismatch`` line and exit status 2 -- before any stage runs,
-    never a traceback."""
-
-    ARGS = ["--lbr-branches", "20000", "--pgo-steps", "10000"]
+class TestRetriesExhausted:
+    """A fault plan that exhausts a product build's retry budget is a
+    run that could not finish: one stderr line, exit status 1, no
+    traceback and no output file."""
 
     @pytest.fixture(scope="class")
-    def saved(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("badresume")
-        prog = str(root / "w.json")
-        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", prog])
-        assert main(["optimize", prog, *self.ARGS, "--stop-after", "wpa",
-                     "--artifacts-out", str(root / "arts")]) == 0
-        return prog, root / "arts"
+    def prog(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("exhausted") / "w.json"
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", str(path)])
+        return str(path)
 
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:len(text) // 2],
-        lambda text: text.replace('"name"', '"nom"'),
-        lambda text: "[1,2]",
-        _drop_metadata_artifact,
-    ], ids=["truncated", "nameless-record", "list", "missing-output"])
-    def test_exits_2_without_a_traceback(self, saved, tmp_path, damage):
-        import os
-        import shutil
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        prog, arts = saved
-        bad = tmp_path / "arts"
-        shutil.copytree(arts, bad)
-        manifest = bad / "manifest.json"
-        manifest.write_text(damage(manifest.read_text()))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.tools", "optimize", prog,
-             *self.ARGS, "--resume-from", str(bad)],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        assert done.stderr.count("\n") == 1 and "resume-mismatch" in done.stderr
-        assert done.stdout == ""
-
-    def test_parent_layout_perf_artifact_exits_2(self, saved, tmp_path,
-                                                 parent_layout_perf):
-        """A ``perf`` artifact in the tuple-per-record layout is refused,
-        not resumed half-loaded."""
-        import os
-        import shutil
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        from repro.runtime.cache import write_envelope
-
-        prog, arts = saved
-        bad = tmp_path / "arts"
-        shutil.copytree(arts, bad)
-        write_envelope(bad / "perf.artifact", parent_layout_perf)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.tools", "optimize", prog,
-             *self.ARGS, "--resume-from", str(bad)],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        assert done.stderr.count("\n") == 1 and "'perf'" in done.stderr
-        assert done.stdout == ""
-
-    @pytest.mark.parametrize("resume", [False, True], ids=["full", "resumed"])
-    def test_artifacts_out_without_stop_after_exits_2(self, saved, tmp_path,
-                                                      resume):
-        """Nothing would be written: an error, not a silently ignored flag."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        prog, arts = saved
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "{prog}", "--report", "{out}", "--metrics-out", "{out}.json"],
+        ["profile", "{prog}", "-o", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_1_with_one_line(self, prog, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        argv = [sys.executable, "-m", "repro.tools", "optimize", prog,
-                *self.ARGS, "--artifacts-out", str(out)]
-        if resume:
-            argv += ["--resume-from", str(arts)]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        assert done.stderr.count("\n") == 1 and "--stop-after" in done.stderr
-        assert done.stdout == ""
-        assert not out.exists()
+        argv = [arg.format(prog=prog, out=out) for arg in argv]
+        assert main([*argv, "--fault-plan", "fail=1.0", "--lbr-branches",
+                     "20000", "--pgo-steps", "10000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "faulted on all" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBadStateDirectory:
@@ -630,6 +553,16 @@ class TestCLIAPIDiscipline:
         assert "--incremental" not in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["stages", "--incremental"])
+
+    @pytest.mark.parametrize("flag", [
+        "--resume-from", "--stop-after", "--artifacts-out"])
+    def test_partial_execution_flags_are_gone(self, flag, capsys):
+        """A stopped run resumes through ``--cache-dir``; the flags of
+        the deleted partial execution are argparse errors."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["optimize", "w.json", flag, "wpa"])
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_jobs_flag_is_gone(self, capsys):
         assert len(PIPELINE_FLAG_FIELDS) == 10

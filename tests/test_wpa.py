@@ -25,7 +25,7 @@ from repro.linker import LinkOptions, link
 from repro.obs import Tracer
 from repro.profiles import collect_lbr_profile
 from repro.synth import PRESETS, generate_workload
-from tests.conftest import perf_from_samples
+from tests.conftest import encode_bb_addr_maps, perf_from_samples
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ class _MapOnlyExe:
                 offset += size
             maps.append(bbaddrmap.FunctionMap(func=func, entries=tuple(entries)))
             self.symbols[func] = SimpleNamespace(addr=addr)
-        self._raw = bbaddrmap.encode_section(maps)
+        self._raw = encode_bb_addr_maps(maps)
 
     def section_bytes(self, kind):
         return self._raw
