@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import ir
-from repro.analysis import MemoryMeter
 from repro.buildsys import BuildSystem, PhaseReport, digest_parts
 from repro.codegen import CodeGenOptions, compile_action
 from repro.codegen.lowering import compile_peak_memory
@@ -481,7 +480,7 @@ class PropellerPipeline:
 
         def _link_compute():
             if metadata is None:
-                link_result = link(objects, link_options, meter=MemoryMeter())
+                link_result = link(objects, link_options)
             else:
                 link_result = without_bb_addr_map(
                     LinkResult(metadata.executable, metadata.link_stats), objects, link_options)

@@ -7,23 +7,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import MemoryMeter
-from repro.elf import (
-    BlockMeta,
-    ExecBlock,
-    Executable,
-    ObjectFile,
-    PlacedSection,
-    Relocation,
-    SectionKind,
-    SymbolInfo,
-    SymbolType,
-    TerminatorKind,
-    bbaddrmap,
-)
+from repro.elf import (BlockMeta, ExecBlock, Executable, ObjectFile, PlacedSection, Relocation,
+                       SectionKind, SymbolInfo, SymbolType, TerminatorKind, bbaddrmap)
 from repro.elf.table import NONE, Strings, Table, stacked
 from repro.linker.relax import apply_relocations, assign_addresses, relax
-from repro.linker.worksection import LinkError, Remap, WorkSection
+from repro.linker.state import ALLOCATED, LinkError, LinkState
 
 #: Address of the first text section, and the page every later segment
 #: starts on (x86-64 ``ld`` defaults).
@@ -79,125 +67,85 @@ class LinkResult:
     stats: LinkStats
 
 
-def link(
-    objects: Sequence[ObjectFile],
-    options: LinkOptions = LinkOptions(),
-    meter: Optional[MemoryMeter] = None,
-) -> LinkResult:
+def link(objects: Sequence[ObjectFile], options: LinkOptions = LinkOptions()) -> LinkResult:
     """Link ``objects`` into an executable."""
+    state = LinkState(objects)
     stats = LinkStats(input_bytes=sum(obj.total_size for obj in objects))
-    if meter is not None:
-        # The linker holds all inputs plus working copies (~2x), then the output.
-        meter.allocate(2 * stats.input_bytes, "link-inputs")
-
-    work: List[WorkSection] = []
-    defs: Dict[str, Tuple[WorkSection, int]] = {}  # name -> (section, input offset)
-    def_sections: List[int] = []  # the same, by position in ``work``, for the remap
-    exported = []  # (name, section, size, type, binding) of what reaches the symbol table
-    for obj in objects:
-        by_name: Dict[str, Tuple[WorkSection, int]] = {}
-        for section in obj.sections:
-            ws = WorkSection(section, origin=obj.name)
-            by_name[section.name] = (ws, len(work))
-            work.append(ws)
-        table = obj.symbols
-        names, sections, offsets = table.values("name"), table.values("section"), table.col("offset")
-        homes = [by_name.get(section) for section in sections]
-        if None in homes:
-            j = homes.index(None)
-            raise LinkError(f"{obj.name}: symbol {names[j]} in missing section {sections[j]}")
-        if len(set(names)) < len(names) or not defs.keys().isdisjoint(names):
-            seen = set(defs)
-            name = next(n for n in names if n in seen or seen.add(n))
-            raise LinkError(f"duplicate symbol {name!r}")
-        defs.update(zip(names, [(ws, offset) for (ws, _), offset in zip(homes, offsets)]))
-        def_sections += [s for _, s in homes]
-        stypes, sizes, bindings = table.values("stype"), table.col("size"), table.values("binding")
-        for j, stype in enumerate(stypes):  # the first function symbol at 0 leads its section
-            if stype is SymbolType.FUNC and not offsets[j] and homes[j][0].leader is None:
-                homes[j][0].leader = names[j]
-        # Assembler temporaries stay out of the symbol table.
-        exported += [(name, homes[j][0], sizes[j], stypes[j], bindings[j])
-                     for j, name in enumerate(names) if not name.startswith(".L")]
+    every, kind = range(len(state.section)), state.kind
 
     # ----- text layout order ------------------------------------------
-    text = [ws for ws in work if ws.kind == SectionKind.TEXT]
+    text = [s for s in every if kind[s] == SectionKind.TEXT]
     if options.symbol_order:
-        chosen: List[WorkSection] = []
-        placed = set()
+        chosen: Dict[int, None] = {}  # ordered, each section once
         for name in options.symbol_order:
-            entry = defs.get(name)
-            if entry is None:
-                continue  # stale ordering entries are ignored, like real linkers
-            ws, offset = entry
-            if offset != 0 or ws.kind != SectionKind.TEXT or id(ws) in placed:
-                continue
-            chosen.append(ws)
-            placed.add(id(ws))
-        chosen.extend(ws for ws in text if id(ws) not in placed)
-        text = chosen
+            s, offset = state.defs.get(name, (0, None))
+            # Stale ordering entries are ignored, like real linkers.
+            if offset == 0 and kind[s] == SectionKind.TEXT:
+                chosen.setdefault(s)
+        text = [*chosen, *(s for s in text if s not in chosen)]
 
     # ----- relaxation and address assignment ---------------------------
     if options.relax:
-        relax(text, TEXT_BASE, defs, stats)
-    text_end = assign_addresses(text, TEXT_BASE)
+        relax(state, text, TEXT_BASE, stats)
+    text_end = assign_addresses(state, text, TEXT_BASE)
 
     # ----- non-text placement ------------------------------------------
-    rodata = [ws for ws in work if ws.kind in (SectionKind.RODATA, SectionKind.DATA)]
-    cursor = assign_addresses(rodata, (text_end + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1))
+    rodata = [s for s in every if kind[s] in (SectionKind.RODATA, SectionKind.DATA)]
+    cursor = assign_addresses(state, rodata, (text_end + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1))
+    loaded = text + rodata
+    image = state.image(loaded)
+    state.settle()
 
-    remap = Remap(work)
-    index = {id(ws): s for s, ws in enumerate(work)}
-    text_by_name = {ws.section.name: ws for ws in text}
-    nonalloc: List[WorkSection] = []
-    maps: List[Tuple[WorkSection, WorkSection]] = []  # (map section, its text section)
-    for ws in work:
-        if ws.kind in _ALLOCATED:
+    text_by_name = {state.section[s].name: s for s in text}
+    nonalloc: List[int] = []
+    maps: List[Tuple[int, int]] = []  # (map section, its text section)
+    for s in every:
+        if kind[s] in ALLOCATED:
             continue
-        if ws.kind == SectionKind.BB_ADDR_MAP:
-            linked_text = text_by_name.get(ws.section.link_name)
+        if kind[s] == SectionKind.BB_ADDR_MAP:
+            linked_text = text_by_name.get(state.section[s].link_name)
             if not options.keep_bb_addr_map or linked_text is None:
                 continue  # dropped by the linker (§3.4)
-            maps.append((ws, linked_text))
+            maps.append((s, linked_text))
         else:
-            ws.data = bytes(ws.section.data)
-        nonalloc.append(ws)
+            state.data[s] = bytes(state.section[s].data)
+        nonalloc.append(s)
     # Relaxation moved block boundaries; re-encode the maps from the
     # final section geometry so profile mapping stays exact.
-    for (ws, _), data in zip(maps, _reencode_bb_addr_maps([t for _, t in maps], remap, index)):
-        ws.data, ws.size = data, len(data)
+    for (s, _), data in zip(maps, _reencode_bb_addr_maps(state, [t for _, t in maps])):
+        state.data[s], state.size[s] = data, len(data)
     cursor = (cursor + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
-    for ws in nonalloc:
-        ws.vaddr = cursor
-        cursor += ws.size
+    for s in nonalloc:
+        state.vaddr[s] = cursor
+        cursor += state.size[s]
 
     # ----- final addresses, section bytes, relocations -------------------
-    addresses = _Addresses(zip(defs, remap.address(
-        np.array(def_sections, dtype=np.int64),
-        np.fromiter((offset for _, offset in defs.values()), np.int64, len(defs))).tolist()))
+    home, offset = np.array([*state.defs.values()], dtype=np.int64).reshape(-1, 2).T
+    addresses = dict(zip(state.defs, state.address(home, offset).tolist()))
     retained: Optional[List[Tuple[int, Relocation]]] = [] if options.emit_relocs else None
-    image = bytearray(b"".join(ws.materialize() for ws in text + rodata))
-    stats.relocations_applied = apply_relocations(
-        remap, [index[id(ws)] for ws in text + rodata], image, addresses, retained)
+    stats.relocations_applied = apply_relocations(state, loaded, image, addresses, retained)
     image, cursor = memoryview(image), 0
-    for ws in text + rodata:
-        ws.data = bytes(image[cursor:cursor + ws.size])
-        cursor += ws.size
+    for s in loaded:
+        state.data[s] = bytes(image[cursor:cursor + state.size[s]])
+        cursor += state.size[s]
 
     # ----- assemble the executable --------------------------------------
+    vaddr = state.vaddr.tolist()
     placed_sections = [
-        PlacedSection(name=ws.section.name, kind=ws.kind, vaddr=ws.vaddr,
-                      data=ws.data, origin=ws.origin)
-        for ws in text + rodata + nonalloc
+        PlacedSection(name=state.section[s].name, kind=kind[s], vaddr=vaddr[s],
+                      data=state.data[s], origin=state.origin[s])
+        for s in loaded + nonalloc
     ]
     symbols: Dict[str, SymbolInfo] = {}
-    for name, ws, size, stype, binding in exported:
+    for name, s, size, stype, binding in state.exported:
         addr = addresses[name]
-        if stype == SymbolType.FUNC and ws.kind == SectionKind.TEXT:
-            size = ws.vaddr + ws.size - addr  # relaxation shrank the section
+        if stype == SymbolType.FUNC and kind[s] == SectionKind.TEXT:
+            size = vaddr[s] + state.size[s] - addr  # relaxation shrank the section
         symbols[name] = SymbolInfo(name=name, addr=addr, size=size, stype=stype, binding=binding)
 
-    exec_blocks = _resolve_exec_blocks(text, remap, index, addresses)
+    exec_blocks = _resolve_exec_blocks(state, text, addresses)
+    if options.entry_symbol not in addresses:
+        raise LinkError(f"undefined symbol {options.entry_symbol!r}")
     executable = Executable(
         name=options.output_name,
         entry=addresses[options.entry_symbol],
@@ -210,14 +158,7 @@ def link(
     )
     stats.output_bytes = executable.total_size
     stats.peak_memory_bytes = 2 * stats.input_bytes + stats.output_bytes
-    if meter is not None:
-        meter.allocate(stats.output_bytes, "link-output")
-        meter.free(2 * stats.input_bytes, "link-inputs")
-        meter.free(stats.output_bytes, "link-output")
     return LinkResult(executable=executable, stats=stats)
-
-
-_ALLOCATED = (SectionKind.TEXT, SectionKind.RODATA, SectionKind.DATA)
 
 
 def without_bb_addr_map(linked: LinkResult, objects: Sequence[ObjectFile],
@@ -237,7 +178,7 @@ def without_bb_addr_map(linked: LinkResult, objects: Sequence[ObjectFile],
     sections: List[PlacedSection] = []
     cursor = None
     for placed in exe.sections:  # text, data, then non-allocated
-        if placed.kind not in _ALLOCATED:
+        if placed.kind not in ALLOCATED:
             cursor = placed.vaddr if cursor is None else cursor
             if placed.kind == SectionKind.BB_ADDR_MAP:
                 continue
@@ -254,25 +195,16 @@ def without_bb_addr_map(linked: LinkResult, objects: Sequence[ObjectFile],
     return LinkResult(executable=executable, stats=stats)
 
 
-class _Addresses(dict):
-    """Final ``name -> address`` table; a missing name is a link error."""
-
-    def __missing__(self, name: str) -> int:
-        raise LinkError(f"undefined symbol {name!r}")
-
-
-def _reencode_bb_addr_maps(texts: List[WorkSection], remap: Remap,
-                           index: Dict[int, int]) -> List[bytes]:
-    """Serialize each text section's final block geometry as its address map."""
-    led = [ws for ws in texts if ws.leader is not None]
-    tables = [ws.section.blocks for ws in led]
-    s = np.repeat(np.array([index[id(ws)] for ws in led], dtype=np.int64),
-                  [len(table) for table in tables])
+def _reencode_bb_addr_maps(state: LinkState, texts: List[int]) -> List[bytes]:
+    """Serialize the final block geometry of each of sections ``texts`` as its address map."""
+    led = [s for s in texts if state.leader[s] is not None]
+    tables = [state.section[s].blocks for s in led]
+    s = np.repeat(np.array(led, dtype=np.int64), [len(table) for table in tables])
     offset, size = stacked(tables, "offset"), stacked(tables, "size")
-    starts = remap(s, offset)
-    encoded = iter(bbaddrmap.encode_tables([ws.leader for ws in led], tables, starts,
-                                           remap(s, offset + size) - starts))
-    return [b"" if ws.leader is None else next(encoded) for ws in texts]
+    starts = state(s, offset)
+    encoded = iter(bbaddrmap.encode_tables([state.leader[s] for s in led], tables, starts,
+                                           state(s, offset + size) - starts))
+    return [b"" if state.leader[s] is None else next(encoded) for s in texts]
 
 
 def _ints(column) -> np.ndarray:
@@ -283,19 +215,19 @@ def _ints(column) -> np.ndarray:
 _KINDS = tuple(TerminatorKind)  # an enum column stores positions in this order
 
 
-def _resolve_exec_blocks(text: List[WorkSection], remap: Remap, index: Dict[int, int],
+def _resolve_exec_blocks(state: LinkState, text: List[int],
                          addresses: Dict[str, int]) -> Table:
-    """The execution model: every input block of ``text`` at its final
-    address, as array arithmetic over their block columns at once."""
-    text = [ws for ws in text if len(ws.section.blocks)]
-    blocks = Table.concat(BlockMeta, [ws.section.blocks for ws in text])
+    """The execution model: every input block of sections ``text`` at its
+    final address, as array arithmetic over their block columns at once."""
+    text = [s for s in text if len(state.section[s].blocks)]
+    tables = [state.section[s].blocks for s in text]
+    blocks = Table.concat(BlockMeta, tables)
     if not len(blocks):
         return Table(ExecBlock)
     names = blocks.strings.names
-    sec = np.repeat(np.array([index[id(ws)] for ws in text], dtype=np.int64),
-                    [len(ws.section.blocks) for ws in text])
-    final, base, fixup_at = remap.address, remap.base, remap.fixup_at
-    rewritten, size_now = remap.rewritten, remap.size_now
+    sec = np.repeat(np.array(text, dtype=np.int64), [len(table) for table in tables])
+    final, base, fixup_at, size_now = state.address, state.base, state.fixup_at, state.size_now
+    rewritten = size_now != state.input_size
 
     symbol_addr = np.fromiter((addresses.get(name, -1) for name in names), np.int64, len(names))
 

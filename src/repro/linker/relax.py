@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.elf import Relocation, RelocType, SectionKind
-from repro.elf.table import stacked
+from repro.elf.table import Strings, stacked
 from repro.isa import OPCODE_SIZES, Opcode, fits_short, short_form
-from repro.linker.worksection import LinkError, Remap, WorkSection
+from repro.linker.state import WIDTH, LinkError, LinkState
 
 if TYPE_CHECKING:
     from repro.linker.linker import LinkStats
@@ -48,116 +48,113 @@ _SHORT = {op: short_form(op) for op in (Opcode.JMP_LONG, Opcode.JCC_LONG)}
 _MAX_PASSES = 64
 
 
-def assign_addresses(sections: List[WorkSection], base: int) -> int:
-    """Pack sections in order, each at its alignment; returns the end address."""
+def assign_addresses(state: LinkState, which: Sequence[int], base: int) -> int:
+    """Pack sections ``which`` in order, each at its alignment; returns the end address."""
     cursor = base
-    for ws in sections:
-        align = ws.alignment
+    vaddr, size, alignment = state.vaddr, state.size, state.alignment
+    for s in which:
+        align = alignment[s]
         cursor = (cursor + align - 1) & ~(align - 1)
-        ws.vaddr = cursor
-        cursor += ws.size
+        vaddr[s] = cursor
+        cursor += size[s]
     return cursor
 
 
-def relax(text_sections: List[WorkSection], base: int,
-          defs: Dict[str, Tuple[WorkSection, int]], stats: "LinkStats") -> None:
-    """Run relaxation to a fixed point over ``text_sections`` (in layout
-    order), counting passes and rewrites into ``stats``.
-
-    ``defs`` maps a symbol name to its defining section and input offset.
-    """
-    followers = text_sections[1:] + [None]
+def relax(state: LinkState, text: List[int], base: int, stats: "LinkStats") -> None:
+    """Run relaxation to a fixed point over sections ``text`` (in layout
+    order), counting passes and rewrites into ``stats``."""
+    followers = text[1:] + [None]
     for _ in range(_MAX_PASSES):
-        assign_addresses(text_sections, base)
+        assign_addresses(state, text, base)
         stats.relax_passes += 1
         changed = 0
-        for ws, nxt in zip(text_sections, followers):
-            if len(ws.offsets):
-                changed += _sweep(ws, nxt, defs, stats)
+        for s, nxt in zip(text, followers):
+            changed += _sweep(state, s, nxt, stats)
         if not changed:
             return
     raise LinkError(f"relaxation did not converge in {_MAX_PASSES} passes")
 
 
-def _sweep(ws: WorkSection, nxt: Optional[WorkSection],
-           defs: Dict[str, Tuple[WorkSection, int]], stats: "LinkStats") -> int:
-    """One pass over one section's fixups, in offset order; returns the
-    number of rewrites."""
-    offsets, rewritten, prefix, opcodes = ws.offsets, ws.rewritten, ws.prefix, ws.opcodes
+def _sweep(state: LinkState, s: int, nxt: Optional[int], stats: "LinkStats") -> int:
+    """One pass over the fixups of section ``s``, in offset order; returns
+    the number of rewrites."""
+    rewritten, saved, opcodes, pinned = state.rewritten, state.saved, state.opcode, state.pinned
+    fixup_at, defs, vaddr, remap = state.fixup_at, state.defs, state.vaddr, state.remap
+    base, addr, end = state.base[s], vaddr[s], state.end[s]
     pending = 0  # bytes saved in this section so far in this pass
     changed = 0
-    for i, (symbol, deletable) in enumerate(zip(ws.targets, ws.deletable)):
-        prefix[i] += pending
-        opcode = rewritten.get(i, opcodes[i])
+    for f in range(state.first[s], end):
+        saved[f + s] += pending
+        opcode = rewritten.get(f, opcodes[f])
         if opcode is None:
             continue  # deleted
-        is_short = i in rewritten
-        short = None if i in ws.pinned else _SHORT.get(opcode)
+        is_short = f in rewritten
+        short = None if f in pinned else _SHORT.get(opcode)
+        deletable = state.deletable[f]
         if short is None and not is_short and not deletable:
             continue  # long for good
-        entry = defs.get(symbol)
+        entry = defs.get(state.target[f])
         if entry is None:
-            raise LinkError(f"undefined symbol {symbol!r}")
-        tws, at = entry
-        target = tws.address(at)
-        if tws is ws and at > offsets[i]:
-            target -= pending  # ahead of the sweep: prefix not yet refreshed
+            raise LinkError(f"undefined symbol {state.target[f]!r}")
+        t, at = entry
+        target = vaddr[t] + remap(t, at)
+        offset = fixup_at[f] - base
+        if t == s and at > offset:
+            target -= pending  # ahead of the sweep: its sum not yet refreshed
         size = OPCODE_SIZES[opcode]
-        start = ws.vaddr + offsets[i] - prefix[i]
+        start = addr + offset - saved[f + s]
         if (
             deletable
             and target == start + size
-            and start + size == ws.vaddr + ws.size
-            and _adjacency_stable(nxt, target)
+            and start + size == addr + state.size[s]
+            and _adjacency_stable(state, nxt, target)
         ):
-            pending += ws.rewrite(i, None)
+            pending += state.rewrite(s, f, None)
             stats.deleted_jumps += 1
         elif short is not None and fits_short(target - (start + OPCODE_SIZES[short])):
-            pending += ws.rewrite(i, short)
+            pending += state.rewrite(s, f, short)
             stats.shrunk_branches += 1
         elif is_short and not fits_short(target - (start + size)):
-            pending += ws.rewrite(i, opcodes[i])  # negative: it grows
-            ws.pinned.add(i)
+            pending += state.rewrite(s, f, opcodes[f])  # negative: it grows
+            pinned.add(f)
             stats.shrunk_branches -= 1
         else:
             continue
         changed += 1
-    prefix[-1] += pending
+    saved[end + s] += pending
     return changed
 
 
-def _adjacency_stable(nxt: Optional[WorkSection], target: int) -> bool:
+def _adjacency_stable(state: LinkState, nxt: Optional[int], target: int) -> bool:
     """Deleting a trailing jump is safe only when no alignment padding
     can later reappear between this section's end and the jump target:
     the target must be the start of the immediately-following section
     and that section must be unaligned (alignment 1)."""
-    return nxt is not None and nxt.alignment == 1 and target == nxt.vaddr
+    return nxt is not None and state.alignment[nxt] == 1 and target == state.vaddr[nxt]
 
 
 _RTYPES = tuple(RelocType)  # an enum column stores positions in this order
 _PC8, _ABS32 = _RTYPES.index(RelocType.PC8), _RTYPES.index(RelocType.ABS32)
-#: Per relocation type (by position): field width and the range of the value it holds.
-_WIDTH = np.array([1 if t == RelocType.PC8 else 4 for t in _RTYPES])
+#: Per relocation type (by position): the range of the value it holds.
 _LOW, _HIGH = np.array([{RelocType.PC8: (-(1 << 7), (1 << 7) - 1),
                          RelocType.PC32: (-(1 << 31), (1 << 31) - 1),
                          RelocType.ABS32: (0, (1 << 32) - 1)}[t] for t in _RTYPES]).T
 
 
-def apply_relocations(remap: Remap, which: Sequence[int], image: bytearray,
+def apply_relocations(state: LinkState, which: Sequence[int], image: bytearray,
                       addresses: Dict[str, int],
                       retained: Optional[List[Tuple[int, Relocation]]] = None) -> int:
-    """Patch the relocations of sections ``which`` of ``remap`` into
-    ``image``, their current bytes laid end to end, as column arithmetic;
-    returns the count applied.
+    """Patch the relocations of sections ``which`` into ``image``, their
+    current bytes laid end to end, as column arithmetic; returns the
+    count applied.
 
     With ``retained`` given (``--emit-relocs``), each one applied to a
     text section is also recorded there at its final address.
     """
-    sections = remap.sections
-    s, at, k = remap.pending(which)
-    relocs = [sections[w].section.relocations for w in which]
+    s, at, k = state.pending(which)
+    relocs = [state.section[w].relocations for w in which]
     counts = np.array([len(table) for table in relocs], dtype=np.int64)
-    rank = np.zeros(len(sections), dtype=np.int64)
+    rank = np.zeros(len(state.section), dtype=np.int64)
     rank[which] = np.arange(len(which))
     # Input relocation k of a section is row ``rows[section] + k`` of the columns laid end to end.
     inputs = k >= 0
@@ -166,36 +163,34 @@ def apply_relocations(remap: Remap, which: Sequence[int], image: bytearray,
     rtype[inputs] = stacked(relocs, "rtype")[row]
     addend = np.zeros(len(k), dtype=np.int64)
     addend[inputs] = stacked(relocs, "addend")[row]
-    resolved = _symbol_addresses(relocs + [ws.section.branch_fixups for ws in sections],
+    resolved = _symbol_addresses(relocs + [section.branch_fixups for section in state.section],
                                  addresses)
     target = np.empty(len(k), dtype=np.int64)
     target[inputs] = resolved[row]
-    target[~inputs] = resolved[int(counts.sum()) + remap.first[s[~inputs]] + ~k[~inputs]]
+    target[~inputs] = resolved[int(counts.sum()) + ~k[~inputs]]
 
     def symbol(j: int) -> str:
-        ws = sections[s[j]]
-        return ws.section.relocations[k[j]].symbol if k[j] >= 0 else ws.targets[~k[j]]
+        return state.section[s[j]].relocations[k[j]].symbol if k[j] >= 0 else state.target[~k[j]]
 
     if (target < 0).any():
         raise LinkError(f"undefined symbol {symbol(int(np.argmax(target < 0)))!r}")
-    width, field = _WIDTH[rtype], remap.vaddr[s] + at
+    width, field = WIDTH[rtype], state.vaddr[s] + at
     value = np.where(rtype == _ABS32, target + addend, target + addend - (field + width))
     bad = (value < _LOW[rtype]) | (value > _HIGH[rtype])
     if bad.any():
         j = int(np.argmax(bad))
         raise OverflowError(f"{_RTYPES[rtype[j]].name} relocation to {symbol(j)} "
                             f"out of range ({value[j]})")
-    start = np.zeros(len(sections), dtype=np.int64)
-    sizes = np.array([sections[w].size for w in which], dtype=np.int64)
-    start[which] = np.cumsum(sizes) - sizes
-    view, pos, one = np.frombuffer(image, dtype=np.uint8), start[s] + at, width == 1
+    sizes = np.array([state.size[w] for w in which], dtype=np.int64)
+    pos = (np.cumsum(sizes) - sizes)[rank[s]] + at  # where each field sits in ``image``
+    view, one = np.frombuffer(image, dtype=np.uint8), width == 1
     view[pos[one]] = value[one] & 0xFF
     view[pos[~one, None] + np.arange(4)] = (value[~one] & 0xFFFFFFFF).astype("<u4").view(
         np.uint8).reshape(-1, 4)
     if retained is not None:
         retained += [(int(field[j]), Relocation(int(at[j]), _RTYPES[rtype[j]], symbol(j),
                                                 int(addend[j])))
-                     for j in range(len(k)) if sections[s[j]].kind == SectionKind.TEXT]
+                     for j in range(len(k)) if state.kind[s[j]] == SectionKind.TEXT]
     return len(k)
 
 
@@ -203,14 +198,14 @@ def _symbol_addresses(tables: Sequence, addresses: Dict[str, int]) -> np.ndarray
     """The address of the symbol each row of ``tables``, laid end to end,
     names in its ``symbol`` column (-1 where none is defined)."""
     tables = [table for table in tables if len(table)]
-    starts: Dict[int, int] = {}  # a pool -> where its names' addresses start
+    starts: Dict[Strings, int] = {}  # a pool -> where its names' addresses start
     known = [np.zeros(0, dtype=np.int64)]
     for table in tables:
         names = table.strings.names
-        if id(table.strings) not in starts:
-            starts[id(table.strings)] = sum(map(len, known))
+        if table.strings not in starts:
+            starts[table.strings] = sum(map(len, known))
             known.append(np.fromiter((addresses.get(n, -1) for n in names), np.int64, len(names)))
     ids = stacked(tables, "symbol") + np.repeat(
-        np.array([starts[id(table.strings)] for table in tables], dtype=np.int64),
+        np.array([starts[table.strings] for table in tables], dtype=np.int64),
         [len(table) for table in tables])
     return np.concatenate(known)[ids]

@@ -31,7 +31,7 @@ from repro.profiles.trace import (
     project,
     walk,
 )
-from repro.profiles.lbr import LBRSample, PerfData, collect_lbr_profile, sample_lbr
+from repro.profiles.lbr import PerfData, collect_lbr_profile, sample_lbr
 from repro.profiles.pgo import IRProfile, collect_ir_profile
 from repro.profiles.autofdo import convert_to_ir_profile
 from repro.profiles.hashing import BlockAnchor, function_anchors, program_anchors
@@ -50,7 +50,6 @@ __all__ = [
     "generate_trace",
     "project",
     "walk",
-    "LBRSample",
     "PerfData",
     "collect_lbr_profile",
     "sample_lbr",

@@ -10,8 +10,7 @@ branches, the previous 32 records become one sample.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -21,13 +20,6 @@ LBR_DEPTH = 32
 #: Modelled bytes of one (from, to) record in the perf.data stream.
 _RECORD_BYTES = 16
 _SAMPLE_HEADER_BYTES = 48
-
-
-@dataclass(frozen=True)
-class LBRSample:
-    """One perf sample: up to 32 (src, dst) pairs, oldest first (a view)."""
-
-    records: Tuple[Tuple[int, int], ...]
 
 
 class PerfData:
@@ -69,10 +61,6 @@ class PerfData:
         """Each sample's ``(src, dst)`` column slices, oldest first."""
         for lo, hi in zip(self.offsets[:-1], self.offsets[1:]):
             yield self.src[lo:hi], self.dst[lo:hi]
-
-    @property
-    def samples(self) -> List[LBRSample]:
-        return [LBRSample(tuple(zip(s.tolist(), d.tolist()))) for s, d in self.windows()]
 
     def digest(self) -> str:
         """SHA-256 over the sample content (period + every record).

@@ -108,6 +108,12 @@ def encode_bb_addr_maps(maps) -> bytes:
           for name in ("bb_id", "offset", "size", "flags"))))
 
 
+def sample_records(perf):
+    """Each sample of ``perf`` as a tuple of ``(src, dst)`` records,
+    oldest first: the inverse of :func:`perf_from_samples`."""
+    return [tuple(zip(src.tolist(), dst.tolist())) for src, dst in perf.windows()]
+
+
 def perf_from_samples(samples, period=0):
     """A ``PerfData`` of ``samples``, each a list of (src, dst) records."""
     from repro.profiles import PerfData
@@ -120,10 +126,10 @@ def perf_from_samples(samples, period=0):
 @pytest.fixture
 def parent_layout_perf():
     """A ``PerfData`` whose pickled state is the tuple-per-record layout
-    (one ``LBRSample`` per sample) the class had before it held columns."""
-    from repro.profiles import LBRSample, PerfData
+    (a tuple of records per sample) the class had before it held columns."""
+    from repro.profiles import PerfData
 
     old = PerfData.__new__(PerfData)
-    old.__dict__.update(samples=[LBRSample(((0x401000, 0x401020),))],
+    old.__dict__.update(samples=[((0x401000, 0x401020),)],
                         period=31, binary_name="metadata.out")
     return old

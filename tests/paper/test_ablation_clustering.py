@@ -10,7 +10,7 @@ quantifies the object-size and link-memory overhead of the naive
 
 import pytest
 
-from repro.analysis import MemoryMeter, Table, format_bytes
+from repro.analysis import Table, format_bytes
 from repro.codegen import BBSectionsMode, CodeGenOptions, compile_program
 from repro.linker import LinkOptions, link
 
@@ -26,8 +26,7 @@ def test_ablation_clustering(world_factory):
         options = CodeGenOptions(ir_profile=profile, bb_sections=mode, clusters=clusters)
         compiled = compile_program(program, options)
         objects = [c.obj for c in compiled]
-        meter = MemoryMeter()
-        result = link(objects, LinkOptions(), meter=meter)
+        result = link(objects, LinkOptions())
         return (
             sum(o.total_size for o in objects),
             result.stats.peak_memory_bytes,

@@ -188,15 +188,6 @@ class TestStats:
         assert stats.peak_memory_bytes == 2 * stats.input_bytes + stats.output_bytes
         assert stats.cost_units == stats.input_bytes + stats.output_bytes
 
-    def test_meter_peak(self):
-        from repro.analysis import MemoryMeter
-
-        meter = MemoryMeter()
-        obj = _compile(_chain_module())
-        link([obj], LinkOptions(entry_symbol="f"), meter=meter)
-        assert meter.peak_bytes >= 2 * obj.total_size
-        assert meter.live_bytes == 0
-
 
 class TestBaselineDerivation:
     """The link of the metadata build's objects without their map is the

@@ -17,7 +17,7 @@ from repro.profiles import (
 )
 from repro.profiles.lbr import LBR_DEPTH
 from repro.synth import PRESETS, generate_workload
-from tests.conftest import perf_from_samples
+from tests.conftest import perf_from_samples, sample_records
 
 
 @pytest.fixture(scope="module")
@@ -97,15 +97,15 @@ class TestLBR:
     def test_records_capped_at_depth(self, exe):
         trace = generate_trace(exe, max_branches=5000, seed=1, record_blocks=False)
         perf = sample_lbr(trace, period=97)
-        assert all(len(s.records) <= LBR_DEPTH for s in perf.samples)
-        assert perf.samples[-1].records  # non-empty
+        assert all(len(s) <= LBR_DEPTH for s in sample_records(perf))
+        assert sample_records(perf)[-1]  # non-empty
 
     def test_records_match_trace(self, exe):
         trace = generate_trace(exe, max_branches=500, seed=1, record_blocks=False)
         perf = sample_lbr(trace, period=100)
-        sample = perf.samples[0]
-        lo = 100 - len(sample.records)
-        assert list(sample.records) == list(zip(trace.branch_src[lo:100],
+        sample = sample_records(perf)[0]
+        lo = 100 - len(sample)
+        assert list(sample) == list(zip(trace.branch_src[lo:100],
                                                 trace.branch_dst[lo:100]))
 
     def test_size_accounting(self, exe):
@@ -156,7 +156,7 @@ class TestLBRColumns:
         expected = _reference_windows(src, dst, period)
         for stream in (list, lambda xs: np.array(xs, dtype=np.int64)):
             perf = sample_lbr(Trace(branch_src=stream(src), branch_dst=stream(dst)), period)
-            assert [s.records for s in perf.samples] == expected
+            assert sample_records(perf) == expected
             assert perf.num_records == sum(map(len, expected))
             assert perf.size_bytes == sum(48 + 16 * len(s) for s in expected)
 
@@ -168,7 +168,7 @@ class TestLBRColumns:
         """Addresses past 2**63 and empty samples included."""
         perf = perf_from_samples(samples, period=period)
         assert perf.digest() == _reference_digest(period, samples)
-        assert [list(s.records) for s in perf.samples] == samples
+        assert [list(s) for s in sample_records(perf)] == samples
 
 
 class TestIRProfile:

@@ -20,7 +20,7 @@ from repro.tools import (
     save_program,
 )
 from repro.tools.cli import PIPELINE_FLAG_FIELDS, build_parser, main
-from tests.conftest import perf_from_samples
+from tests.conftest import perf_from_samples, sample_records
 
 
 class TestProgramJSON:
@@ -82,7 +82,7 @@ class TestPerfFormat:
         save_perf_data(perf, path)
         loaded = load_perf_data(path)
         assert loaded.period == 31
-        assert [s.records for s in loaded.samples] == [s.records for s in perf.samples]
+        assert sample_records(loaded) == sample_records(perf)
 
     def test_empty_profile(self, tmp_path):
         path = tmp_path / "e.lbr"
@@ -145,7 +145,7 @@ class TestPerfFormat:
             loaded = load_perf_data(path)
             save_perf_data(loaded, Path(tmp) / "again.lbr")
             assert (Path(tmp) / "again.lbr").read_bytes() == path.read_bytes()
-        assert [list(s.records) for s in loaded.samples] == [list(s) for s in samples]
+        assert [list(s) for s in sample_records(loaded)] == [list(s) for s in samples]
 
 
 class TestCLI:

@@ -25,7 +25,7 @@ from repro.linker import LinkOptions, link
 from repro.obs import Tracer
 from repro.profiles import collect_lbr_profile
 from repro.synth import PRESETS, generate_workload
-from tests.conftest import encode_bb_addr_maps, perf_from_samples
+from tests.conftest import encode_bb_addr_maps, perf_from_samples, sample_records
 
 
 @pytest.fixture(scope="module")
@@ -242,9 +242,9 @@ def _reference_build_dcfg(index, perf, stats):
             dcfg[name] = FunctionDCFG(name=name)
         return dcfg[name]
 
-    for sample in perf.samples:
+    for records in sample_records(perf):
         prev = None
-        for src, dst in sample.records:
+        for src, dst in records:
             stats.num_records += 1
             sref, dref = index.lookup(src), index.lookup(dst)
             if sref is None or dref is None:
@@ -274,10 +274,10 @@ def _reference_count_events(index, perf, stats):
     """The record-at-a-time pass 1 :func:`_count_events` replaced, kept as
     the reference for its dict order and accounting."""
     refs, events = {}, {}
-    for sample in perf.samples:
-        stats.num_records += len(sample.records)
+    for records in sample_records(perf):
+        stats.num_records += len(records)
         prev_dst = None
-        for src, dst in sample.records:
+        for src, dst in records:
             for addr in (src, dst):
                 if addr not in refs:
                     refs[addr] = index.lookup(addr)
@@ -416,7 +416,7 @@ class TestDistinctWork:
             _AddressMapIndex, "lookup",
             lambda self, addr: looked_up.append(addr) or lookup(self, addr))
         analyze(metadata_exe, perf)
-        distinct = {addr for s in perf.samples for record in s.records for addr in record}
+        distinct = {addr for s in sample_records(perf) for record in s for addr in record}
         assert len(looked_up) == len(distinct) < perf.num_records
         assert set(looked_up) == distinct
 
@@ -424,14 +424,14 @@ class TestDistinctWork:
         tracer = Tracer()
         analyze(metadata_exe, perf, tracer=tracer)
         (span,) = tracer.find("wpa:dcfg")
-        records = [record for s in perf.samples for record in s.records]
+        records = [record for s in sample_records(perf) for record in s]
         assert span.args["records"] == len(records)
         assert span.args["distinct_addresses"] == len({a for r in records for a in r})
         # No record of this profile is dropped, so every distinct
         # (src, dst) pair is a branch event.
         assert span.args["dropped"] == 0
         assert span.args["distinct_branches"] == len(set(records))
-        assert 0 < span.args["distinct_fallthroughs"] <= len(records) - len(perf.samples)
+        assert 0 < span.args["distinct_fallthroughs"] <= len(records) - perf.num_samples
 
     def test_each_candidate_pair_scored_once(self, metadata_exe, perf, monkeypatch):
         scored = []
