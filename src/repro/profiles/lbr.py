@@ -68,13 +68,18 @@ class PerfData:
         The content identity of a profile loaded from disk: downstream
         cached actions (WPA) key on it, so two different profiles never
         share an analysis cache entry.  An address is 16 little-endian
-        bytes: its uint64 word, then a zero word."""
-        h = hashlib.sha256()
-        h.update(str(self.period).encode())
-        for src, dst in self.windows():
-            h.update(b"\x00S")
-            zero = np.zeros_like(src)
-            h.update(np.stack((src, zero, dst, zero), axis=1).astype("<u8").tobytes())
+        bytes: its uint64 word, then a zero word.  Each sample is a
+        ``b"\x00S"`` marker and its 32-byte records, laid into one buffer."""
+        records = np.zeros((self.num_records, 4), dtype="<u8")
+        records[:, 0], records[:, 2] = self.src, self.dst
+        markers = 2 * np.arange(self.num_samples) + 32 * self.offsets[:-1]
+        buf = np.zeros(2 * self.num_samples + 32 * self.num_records, dtype=np.uint8)
+        buf[markers + 1] = ord("S")
+        is_record = np.ones(len(buf), dtype=bool)
+        is_record[markers] = is_record[markers + 1] = False
+        buf[is_record] = records.view(np.uint8).ravel()
+        h = hashlib.sha256(str(self.period).encode())
+        h.update(buf)
         return h.hexdigest()
 
 

@@ -204,29 +204,6 @@ def _cumulative(choices):
     return tuple(out)
 
 
-def _compile_block(function: ir.Function, bb_id: int):
-    """What the walk needs of one block, worked out once per visited
-    block (the IR-level analogue of ``trace._compile_nodes``).
-
-    Returns ``(calls, successors)``: one ``(callee, targets)`` per call
-    site that transfers control (``targets`` is the cumulative
-    indirect-target table when ``callee`` is None), and the cumulative
-    successor table, or None when the block returns.
-    """
-    block = function.block(bb_id)
-    calls = []
-    for instr in block.instrs:
-        if not isinstance(instr, ir.Call):
-            continue
-        if instr.callee is not None:
-            calls.append((instr.callee, None))
-        elif instr.indirect_targets:
-            calls.append((None, _cumulative(instr.indirect_targets)))
-    if isinstance(block.term, (ir.Ret, ir.Unreachable)):
-        return tuple(calls), None
-    return tuple(calls), _cumulative(ir_cfg.successor_edges(block))
-
-
 def collect_ir_profile(
     program: ir.Program, max_steps: int = 200_000, seed: int = 0, drift: float = 0.0
 ) -> IRProfile:
@@ -238,63 +215,122 @@ def collect_ir_profile(
     changed CFG (real instrumented profiles carry the same thing as
     pseudo-probe/BB hashes).
     """
-    profile = IRProfile()
     random_draw = random.Random(seed).random
-    edges = profile.edges
-    blocks = profile.blocks
-    calls = profile.call_counts
+    # The loop steps over interned ints: node ``n`` is block ``keys[n]``,
+    # edge ``e`` is ``(src node, dst node)`` and function ``f`` the f-th
+    # key of ``callees``, each counted in an int list.  A node is compiled
+    # on its first visit, so ``visited`` is first-visit order; ``taken``
+    # and ``called`` record first touch.  The dicts are built in those
+    # orders at the end.
+    node_ids: Dict[Tuple[str, int], int] = {}
+    edge_ids: Dict[Tuple[int, int], int] = {}
+    callees: Dict[str, Tuple[int, int]] = {}  # name -> (entry node, function id)
+    keys, visits, tables, visited = [], [], [], []
+    takes, taken, calls, called = [], [], [], []
 
-    #: (function name, block id) -> _compile_block(...)
-    compiled: Dict[Tuple[str, int], tuple] = {}
+    def node_id(fname: str, bb_id: int) -> int:
+        n = node_ids.get((fname, bb_id))
+        if n is None:
+            n = node_ids[fname, bb_id] = len(keys)
+            keys.append((fname, bb_id))
+            visits.append(0)
+            tables.append(None)
+        return n
+
+    def callee(fname: str) -> Tuple[int, int]:
+        if fname not in callees:
+            callees[fname] = (node_id(fname, program.function(fname).entry.bb_id), len(callees))
+            calls.append(0)
+        return callees[fname]
+
+    def edge_id(src: int, dst: int) -> int:
+        e = edge_ids.setdefault((src, dst), len(edge_ids))
+        if e == len(takes):
+            takes.append(0)
+        return e
+
+    def compile_node(n: int) -> tuple:
+        """``(sites, rows)``: one ``(entry node, function id)`` per call
+        site that transfers control, or ``(None, cumulative rows of
+        those)`` for an indirect one; the cumulative successor rows
+        ``(prob, node, edge)``, None when the block returns."""
+        fname, bb_id = keys[n]
+        block = program.function(fname).block(bb_id)
+        sites = []
+        for instr in block.instrs:
+            if isinstance(instr, ir.Call) and instr.callee is not None:
+                sites.append(callee(instr.callee))
+            elif isinstance(instr, ir.Call) and instr.indirect_targets:
+                sites.append((None, _cumulative((callee(t), p) for t, p in instr.indirect_targets)))
+        rows = None
+        if not isinstance(block.term, (ir.Ret, ir.Unreachable)):
+            rows = tuple((acc, m, edge_id(n, m)) for acc, m in _cumulative(
+                (node_id(fname, b), p) for b, p in ir_cfg.successor_edges(block)))
+            if not rows:
+                raise ir.IRVerificationError(f"{fname}: bb{bb_id} has no successor")
+        tables[n] = tuple(sites), rows
+        visited.append(n)
+        return tables[n]
 
     entry_name = program.entry_function
-    # Frames: (function name, block id, index of next call site to process).
-    frames: List[Tuple[str, int, int]] = []
-    fname, bb_id, call_idx = entry_name, 0, 0
-    calls[entry_name] = calls.get(entry_name, 0.0) + 1
+    start = node_id(entry_name, 0)
+    entry_fid = callee(entry_name)[1]
+    called.append(entry_fid)
+    calls[entry_fid] = 1
+    # Frames: (node, index of next call site to process).
+    frames: List[Tuple[int, int]] = []
+    node, call_idx = start, 0
     # One draw per indirect call and one per terminator with successors
     # (single-successor jumps included): the seeded outputs are pinned
     # to this draw sequence.
     for _step in range(max_steps):
-        node = compiled.get((fname, bb_id))
-        if node is None:
-            node = compiled[(fname, bb_id)] = _compile_block(program.function(fname), bb_id)
-        sites, successors = node
+        sites, rows = tables[node] or compile_node(node)
         if call_idx == 0:
-            fblocks = blocks.setdefault(fname, {})
-            fblocks[bb_id] = fblocks.get(bb_id, 0.0) + 1
-
+            visits[node] += 1
         if call_idx < len(sites):
-            target, indirect_targets = sites[call_idx]
-            if target is None:
+            site = sites[call_idx]
+            if site[0] is None:
                 r = random_draw()
-                target = indirect_targets[-1][1]
-                for acc, name in indirect_targets:
-                    if r < acc:
-                        target = name
+                for row in site[1]:
+                    if r < row[0]:
                         break
-            calls[target] = calls.get(target, 0.0) + 1
-            frames.append((fname, bb_id, call_idx + 1))
-            fname, bb_id, call_idx = target, program.function(target).entry.bb_id, 0
-            continue
-
-        if successors is None:
+                site = row[1]
+            if not calls[site[1]]:
+                called.append(site[1])
+            calls[site[1]] += 1
+            frames.append((node, call_idx + 1))
+            node, call_idx = site[0], 0
+        elif rows is None:
             if frames:
-                fname, bb_id, call_idx = frames.pop()
+                node, call_idx = frames.pop()
             else:
-                fname, bb_id, call_idx = entry_name, 0, 0
-                calls[entry_name] += 1
-            continue
-        r = random_draw()
-        nxt = successors[-1][1]
-        for acc, succ in successors:
-            if r < acc:
-                nxt = succ
-                break
-        fedges = edges.setdefault(fname, {})
-        key = (bb_id, nxt)
-        fedges[key] = fedges.get(key, 0.0) + 1
-        bb_id, call_idx = nxt, 0
+                node, call_idx = start, 0
+                calls[entry_fid] += 1
+        else:
+            r = random_draw()
+            for row in rows:
+                if r < row[0]:
+                    break
+            e = row[2]
+            if not takes[e]:
+                taken.append(e)
+            takes[e] += 1
+            node, call_idx = row[1], 0
+
+    # Every count is below 2**53, so float(count) equals the float sum
+    # of ``+ 1``s from 0.0 that the profile's counts always were.
+    profile = IRProfile()
+    for n in visited:
+        fname, bb_id = keys[n]
+        profile.blocks.setdefault(fname, {})[bb_id] = float(visits[n])
+    edge_keys = list(edge_ids)
+    for e in taken:
+        src, dst = edge_keys[e]
+        fname, bb_id = keys[src]
+        profile.edges.setdefault(fname, {})[bb_id, keys[dst][1]] = float(takes[e])
+    names = list(callees)
+    for fid in called:
+        profile.call_counts[names[fid]] = float(calls[fid])
     for fname in profile.blocks:
         profile.anchors[fname] = function_anchors(program.function(fname))
     return profile

@@ -41,6 +41,7 @@ import functools
 import zlib
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,7 +58,7 @@ _MASK64 = (1 << 64) - 1
 _TERM_SLOT = 0xFF
 #: Hash-input step between two executions of one block.
 _DRAW_STEP = 0x94D049BB133111EB
-#: Most draws one (block, slot) holds at a time.
+#: Most draws (or tape rows) one (block, slot) holds at a time.
 _DRAWS_MAX = 256
 
 
@@ -199,6 +200,20 @@ def _compile_block(blocks, ids: Dict[int, int], transitions: list, bid: int):
     return key, calls, choices, kind == "ret"
 
 
+def _tape(base: int, rows: tuple):
+    """The rows a call-free block's terminator takes on executions 1, 2,
+    ...: lists of references into ``rows``, one per window of draws.
+    Execution k takes the first row whose cumulative bound exceeds draw k
+    (the last bound always does), as the scalar scan over ``rows``."""
+    bounds = np.array([row[0] for row in rows])
+    k = 1
+    while True:  # (no array outlives its window: the generator holds none)
+        n = min(max(16, k), _DRAWS_MAX)
+        yield list(map(rows.__getitem__, (_units(base + _TERM_SLOT + k * _DRAW_STEP, n)[:, None]
+                                          < bounds).argmax(axis=1).tolist()))
+        k += n
+
+
 def walk(
     exe: Executable,
     max_branches: int = 100_000,
@@ -224,12 +239,16 @@ def walk(
     ids = {addr: i for i, addr in enumerate(blocks.col("addr"))}
     transitions: List[Tuple[int, int, int, int]] = []
     seed_mixed = (seed * 0x9E3779B97F4A7C15) & _MASK64
-    # Per-block tables, compiled on a block's first visit.  A (block,
-    # slot) holds a window of its draws, ``[k0 - 1, draw k0, draw k0 + 1,
-    # ...]`` (slot: term 0, call i); execution k of the block reads index
-    # ``k - (k0 - 1)``, and a window used up is replaced by one from k on.
-    calls_of: list = [None] * len(ids)
-    choices_of, returns, bases, counts, draws_of = (list(calls_of) for _ in range(5))
+    # Per-block tables, compiled on a block's first visit (``tapes`` is
+    # None until then).  A block with no live call reads the row its
+    # terminator takes off its tape: the k-th read is execution k's.  Any
+    # other block (tape False) may run a slot after a recursive visit
+    # raised its count, so it reads draws at the count when the slot runs,
+    # from a window per (block, slot), ``[k0 - 1, draw k0, draw k0 + 1,
+    # ...]`` (slot: term 0, call i): index ``k - (k0 - 1)``, a window used
+    # up replaced by one from k on.
+    tapes: list = [None] * len(ids)
+    calls_of, choices_of, returns, bases, counts, draws_of = (list(tapes) for _ in range(6))
     entry = ids[exe.entry]
     if max_blocks is None:
         max_blocks = 1 << 62
@@ -243,21 +262,33 @@ def walk(
     executed = taken = restarts = 0
     block, call_idx = entry, 0
     while taken < max_branches:
-        calls = calls_of[block]
-        if calls is None:
-            key, calls, choices_of[block], returns[block] = _compile_block(
-                blocks, ids, transitions, block)
-            calls_of[block] = calls
-            bases[block] = (seed_mixed + key * 0xBF58476D1CE4E5B9) & _MASK64
-            counts[block] = 0
-            draws_of[block] = [[0]] * (len(calls) + 1)
+        tape = tapes[block]
+        if tape is None:
+            key, calls, choices, returns[block] = _compile_block(blocks, ids, transitions, block)
+            base = (seed_mixed + key * 0xBF58476D1CE4E5B9) & _MASK64
+            if calls or not choices:
+                tape = False
+                calls_of[block], choices_of[block], bases[block] = calls, choices, base
+                counts[block] = 0
+                draws_of[block] = [[0]] * (len(calls) + 1)
+            elif len(choices) == 1:
+                tape = repeat(choices[0]).__next__
+            else:
+                tape = chain.from_iterable(_tape(base, choices)).__next__
+            tapes[block] = tape
         if call_idx == 0:
             if executed >= max_blocks:
                 break
             executed += 1
-            counts[block] += 1
             if record_blocks:
                 visit(block)
+            if tape:
+                _, block, tid, jumps = tape()
+                step(tid)
+                taken += jumps
+                continue
+            counts[block] += 1
+        calls = calls_of[block]
         if call_idx < len(calls):
             rows = calls[call_idx]
             call_idx += 1

@@ -156,9 +156,12 @@ def save_program(program: ir.Program, path: PathLike) -> None:
 
 
 def load_program(path: PathLike) -> ir.Program:
-    """Read a workload; one that is not a program's JSON is a ``ValueError`` naming it."""
+    """Read a workload; one that is not a program's JSON, or not a valid
+    program (:func:`repro.ir.verify_program`), is a ``ValueError`` naming it."""
     try:
-        return program_from_json(json.loads(Path(path).read_text()))
+        program = program_from_json(json.loads(Path(path).read_text()))
+        ir.verify_program(program)
+        return program
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a repro program ({exc!r})") from None
 

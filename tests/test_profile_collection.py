@@ -10,6 +10,7 @@ from repro.codegen import BBSectionsMode, CodeGenOptions, compile_program
 from repro.linker import LinkOptions, link
 from repro.profiles import (
     IRProfile,
+    PerfData,
     Trace,
     collect_ir_profile,
     generate_trace,
@@ -140,6 +141,17 @@ def _reference_digest(period, samples):
     return h.hexdigest()
 
 
+def _window_digest(perf):
+    """The one-update-per-sample hash ``PerfData.digest`` replaced."""
+    h = hashlib.sha256()
+    h.update(str(perf.period).encode())
+    for src, dst in perf.windows():
+        h.update(b"\x00S")
+        zero = np.zeros_like(src)
+        h.update(np.stack((src, zero, dst, zero), axis=1).astype("<u8").tobytes())
+    return h.hexdigest()
+
+
 _ADDR = st.integers(min_value=0, max_value=2**63 - 1)
 
 
@@ -169,6 +181,18 @@ class TestLBRColumns:
         perf = perf_from_samples(samples, period=period)
         assert perf.digest() == _reference_digest(period, samples)
         assert [list(s) for s in sample_records(perf)] == samples
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0, 0, 1, 2, 31, 32]), max_size=300),
+           st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=10**6))
+    def test_one_buffer_digest_equals_the_per_window_loop(self, sizes, seed, period):
+        """Random CSR profiles, runs of empty samples and the full uint64
+        range included."""
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        src, dst = rng.integers(0, 2**64, size=(2, offsets[-1]), dtype=np.uint64)
+        perf = PerfData(src, dst, offsets, period)
+        assert perf.digest() == _window_digest(perf)
 
 
 class TestIRProfile:

@@ -357,12 +357,39 @@ def _run_cli(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-class TestBadProgramFile:
-    """Every subcommand that reads a ``PROGRAM`` file turns a missing or
-    malformed one into one stderr line naming it and exit status 2."""
+def _entry_block(data):
+    """The first block of ``data``'s entry function: the PGO run's first step."""
+    return next(fn["blocks"][0] for module in data["modules"] for fn in module["functions"]
+                if fn["name"] == data["entry"])
 
-    @pytest.mark.parametrize("content", [None, "not json"],
-                             ids=["missing", "not-json"])
+
+#: Edits that leave a program's JSON well-formed but the program invalid.
+_INVALID_PROGRAMS = {
+    "undefined-callee": lambda data: _entry_block(data)["instrs"].append(
+        {"call": "no_such_function", "indirect": []}),
+    "undefined-indirect-target": lambda data: _entry_block(data)["instrs"].append(
+        {"call": None, "indirect": [["no_such_function", 1.0]]}),
+    "missing-block": lambda data: _entry_block(data).update(
+        term={"kind": "jump", "target": 99999}),
+    "undefined-entry": lambda data: data.update(entry="no_such_function"),
+    "zero-target-switch": lambda data: _entry_block(data).update(
+        term={"kind": "switch", "targets": [], "probs": []}),
+}
+
+
+class TestBadProgramFile:
+    """Every subcommand that reads a ``PROGRAM`` file turns a missing,
+    malformed or invalid one into one stderr line naming it and exit
+    status 2."""
+
+    @pytest.fixture(scope="class")
+    def program_json(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("valid") / "w.json"
+        main(["generate", "--preset", "505.mcf", "--scale", "0.2", "-o", str(path)])
+        return path.read_text()
+
+    @pytest.mark.parametrize("content", [None, "not json", *_INVALID_PROGRAMS],
+                             ids=["missing", "not-json", *_INVALID_PROGRAMS])
     @pytest.mark.parametrize("command", [
         ["profile", "{prog}", "-o", "{out}.lbr"],
         ["wpa", "{prog}", "{out}.lbr"],
@@ -370,9 +397,13 @@ class TestBadProgramFile:
         ["compare", "{prog}"],
         ["edit", "{prog}", "-o", "{out}.json"],
     ], ids=lambda argv: argv[0])
-    def test_exits_2_without_a_traceback(self, tmp_path, command, content):
+    def test_exits_2_without_a_traceback(self, tmp_path, command, content, program_json):
         prog = tmp_path / "w.json"
-        if content is not None:
+        if content in _INVALID_PROGRAMS:
+            data = json.loads(program_json)
+            _INVALID_PROGRAMS[content](data)
+            prog.write_text(json.dumps(data))
+        elif content is not None:
             prog.write_text(content)
         done = _run_cli(*(arg.format(prog=prog, out=tmp_path / "out")
                           for arg in command))
