@@ -14,9 +14,10 @@ forward and backward jumps that stay within cache-line/page reach:
 The optimizer greedily merges node chains by the most profitable merge.
 The paper notes the stock algorithm "does not scale with the size of
 whole program CFGs" and adds *logarithmic time retrieval of the most
-profitable action* (§4.7); this implementation uses the same structure:
-a lazy binary heap of merge candidates invalidated by chain versions,
-so retrieval is O(log n) instead of a linear scan.
+profitable action* (§4.7).  Here a binary heap retrieves it, and a merge
+candidate is *scored* only when it can win: pushed with a sound upper
+bound on its gain, scored -- all placements at once -- when that bound
+tops the heap, and pushed back with its exact gain.
 
 Chains containing the entry node are pinned to keep the entry first.
 Leftover chains are concatenated in decreasing execution density, so
@@ -27,8 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 NodeId = Hashable
 
@@ -76,8 +80,8 @@ def ext_tsp_score(
     """Score a complete layout: the definition of the objective.
 
     The solver never calls this -- it scores merge candidates without
-    laying chains out (:meth:`ExtTSP._placed_score`) -- and the tests
-    pin that scorer to this function, bit for bit.
+    laying chains out (:meth:`ExtTSP._totals`) -- and the tests pin
+    that scorer to this function, bit for bit.
     """
     offsets: Dict[NodeId, int] = {}
     cursor = 0
@@ -92,24 +96,19 @@ def ext_tsp_score(
 
 
 class _Chain:
-    __slots__ = ("cid", "nodes", "size", "weight", "version", "has_entry", "intra", "score")
+    __slots__ = ("cid", "nodes", "size", "weight", "version", "has_entry", "intra",
+                 "edge_weight", "score")
 
-    def __init__(self, cid: int, node: NodeId, size: int, weight: float, has_entry: bool):
+    def __init__(self, cid: int, nodes: np.ndarray, size: int, weight: float, has_entry: bool):
         self.cid = cid
-        self.nodes: List[NodeId] = [node]
+        self.nodes = nodes  # node indices, in layout order
         self.size = size
         self.weight = weight
         self.version = 0
         self.has_entry = has_entry
-        self.intra: List[Tuple[NodeId, NodeId, float]] = []
+        self.intra = np.zeros(0, dtype=np.intp)  # its edges' indices, in merge order
+        self.edge_weight = 0.0  # their summed weight
         self.score = 0.0
-
-
-#: One edge of a candidate pair, resolved against the chain being split:
-#: (src in split chain, src end, dst in split chain, dst start,
-#:  weight * fallthrough_weight, weight * forward_weight,
-#:  weight * backward_weight), offsets relative to the node's own chain.
-_ResolvedEdge = Tuple[bool, int, bool, int, float, float, float]
 
 
 class ExtTSP:
@@ -117,17 +116,11 @@ class ExtTSP:
 
     ``nodes`` maps node id to (byte size, execution weight); ``edges``
     are directed ``(src, dst, weight)`` jump frequencies.  ``entry``
-    (when given) is pinned to the front of the layout.
-
-    A merge candidate is scored without laying the merged chain out:
-    every placement of one chain relative to the other is "split chain
-    ``outer`` at byte offset ``cut`` and insert ``inner`` there", so a
-    node's placed offset is its offset within its own chain plus
-    ``cut`` (inner) or plus ``inner.size`` when at or past the cut
-    (outer).  :meth:`_placed_score` adds the same ``weight * K(d)``
-    terms as :func:`ext_tsp_score`, in the same edge order, from those
-    integers -- the same doubles, hence the same merge decisions -- and
-    only the winning placement is ever materialised.
+    (when given) is pinned to the front of the layout.  Node ``i`` (in
+    ``nodes`` order) starts as chain ``i``.  :meth:`_totals` scores a
+    candidate's placements with the terms of :func:`ext_tsp_score`,
+    summed in the same order -- the same doubles, hence the same merge
+    decisions -- and only the winning placement is materialised.
     """
 
     def __init__(
@@ -137,138 +130,141 @@ class ExtTSP:
         entry: Optional[NodeId] = None,
         params: LayoutParams = DEFAULT_PARAMS,
     ):
-        self._params = params
-        self._sizes = {n: max(1, int(size)) for n, (size, _w) in nodes.items()}
-        self._entry = entry
         if entry is not None and entry not in nodes:
             raise ValueError("entry node not in node set")
-        self._chains: Dict[int, _Chain] = {}
-        self._node_chain: Dict[NodeId, int] = {}
-        #: Byte offset of each node within its current chain.
-        self._start: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
-        self._pair_edges: Dict[Tuple[int, int], List[Tuple[NodeId, NodeId, float]]] = {}
-        #: (-gain, tiebreak, x cid, x version, y cid, y version,
-        #:  x is the split chain, split index, merged score)
+        self._params = params
+        self._ids: List[NodeId] = list(nodes)
+        index = {node: i for i, node in enumerate(self._ids)}
+        sizes = [max(1, int(size)) for size, _w in nodes.values()]
+        n = len(sizes)
+        self._size = np.array(sizes, dtype=np.int64)
+        #: Node ``i``'s start in its chain at ``i``, last byte at ``n + i``; its chain at both.
+        self._at = np.concatenate((np.zeros_like(self._size), self._size - 1))
+        self._chain_of = np.concatenate((np.arange(n), np.arange(n)))
+        self._chains: Dict[int, _Chain] = {
+            i: _Chain(i, self._chain_of[i:i + 1].copy(), sizes[i], weight, node == entry)
+            for i, (node, (_size, weight)) in enumerate(nodes.items())
+        }
+        self._pair_edges: Dict[Tuple[int, int], List[int]] = {}
+        # Per edge: its dst and src node, and its weight.
+        dst, src, self._weight = [], [], []
+        for s, d, weight in edges:
+            if weight <= 0 or s == d or s not in index or d not in index:
+                continue
+            a, b = index[s], index[d]
+            self._pair_edges.setdefault((a, b) if a < b else (b, a), []).append(len(self._weight))
+            dst.append(b)
+            src.append(a)
+            self._weight.append(weight)
+        #: Per edge, into ``_at``: row 0 its dst's start, row 1 its src's last byte.
+        self._endpoints = np.array([dst, src], dtype=np.intp).reshape(2, -1)
+        self._endpoints[1] += n
+        kernel = (params.fallthrough_weight, params.forward_weight, params.backward_weight)
+        #: ``weight * kernel weight`` per edge, rows indexed by the sign
+        #: of the jump: 0 fall-through, 1 forward, -1 backward.
+        self._kernel = np.array(self._weight, dtype=np.float64) * np.array(kernel)[:, None]
+        # Signed so that a backward distance divides as its magnitude;
+        # a window that admits no jump divides nothing, 1 keeps it finite.
+        fw, bw = params.forward_window, params.backward_window
+        self._divisors = np.array([1, fw if fw > 0 else 1, -bw if bw > 0 else -1])
+        self._kmax, self._kabs = max(*kernel, 0.0), max(map(abs, kernel))
+        #: No merge can raise an intra-chain term (see :meth:`_gain_bound`).
+        self._tight = min(kernel[1:]) >= 0 and max(kernel[1:]) <= kernel[0]
+        #: (-gain or -bound, tiebreak, x cid, x version, y cid, y version,
+        #:  x is the split chain, split index or -1 for a bound, merged score)
         self._heap: List[Tuple[float, int, int, int, int, int, bool, int, float]] = []
         self._tiebreak = 0
-        for i, (node, (_size, weight)) in enumerate(nodes.items()):
-            chain = _Chain(i, node, self._sizes[node], weight, node == entry)
-            self._chains[i] = chain
-            self._node_chain[node] = i
-        for src, dst, weight in edges:
-            if weight <= 0 or src == dst:
-                continue
-            if src not in self._sizes or dst not in self._sizes:
-                continue
-            a, b = self._node_chain[src], self._node_chain[dst]
-            if a == b:
-                self._chains[a].intra.append((src, dst, weight))
-                continue
-            key = (a, b) if a < b else (b, a)
-            self._pair_edges.setdefault(key, []).append((src, dst, weight))
+        #: Exact counts of this solve's work: candidates pushed (with a
+        #: gain bound), candidates scored, placements scored.
+        self.work: Counter = Counter()
 
-    # -- scoring helpers ------------------------------------------------
+    def _gain_bound(self, x: _Chain, y: _Chain, key: Tuple[int, int]) -> float:
+        """An upper bound on :meth:`_best_merge`'s gain for ``(x, y)``; the
+        proof is in DESIGN.md, "Ext-TSP scores a merge only when it can win"."""
+        cross = 0.0
+        for e in self._pair_edges[key]:
+            cross += self._weight[e]
+        total = x.edge_weight + y.edge_weight + cross
+        slack = 1e-9 * self._kabs * total  # for rounding
+        if self._tight:
+            return self._kmax * cross + slack
+        return self._kmax * total - (x.score + y.score) + slack
 
-    def _placements(self, x: _Chain, y: _Chain) -> List[Tuple[_Chain, _Chain, int, int]]:
-        """All legal placements of y relative to x, in evaluation order,
-        as ``(outer, inner, split, cut)``: ``inner`` goes before
-        ``outer.nodes[split]``, which starts ``cut`` bytes into ``outer``.
+    def _push_candidate(self, x: _Chain, y: _Chain) -> None:
+        key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
+        self.work["candidates_pushed"] += 1
+        self._tiebreak += 1
+        heapq.heappush(self._heap, (-self._gain_bound(x, y, key), self._tiebreak,
+                                    x.cid, x.version, y.cid, y.version, False, -1, 0.0))
 
-        Concatenations both ways, plus splicing one chain into the
-        other at every split point (bounded by the split threshold).
-        A chain holding the entry node may only gain material *after*
-        its first node.
-        """
+    def _placements(self, x: _Chain, y: _Chain) -> Tuple[List[int], List[bool], List[int]]:
+        """Every legal placement of y relative to x, in evaluation order,
+        as ``(cuts, x is the split chain, splits)``: concatenations both
+        ways, then splicing one chain into the other before each node
+        but the first (bounded by the split threshold).  A chain holding
+        the entry node may only gain material *after* its first node."""
         threshold = self._params.chain_split_threshold
-        start = self._start
-        placements: List[Tuple[_Chain, _Chain, int, int]] = []
-        if not y.has_entry:
-            placements.append((x, y, len(x.nodes), x.size))
-        if not x.has_entry:
-            placements.append((y, x, len(y.nodes), y.size))
-        if not y.has_entry and 2 <= len(x.nodes) <= threshold:
-            placements.extend(
-                (x, y, split, start[x.nodes[split]]) for split in range(1, len(x.nodes)))
-        if not x.has_entry and 2 <= len(y.nodes) <= threshold:
-            placements.extend(
-                (y, x, split, start[y.nodes[split]]) for split in range(1, len(y.nodes)))
-        return placements
+        cuts: List[int] = []
+        split_x: List[bool] = []
+        splits: List[int] = []
+        for outer, inner in ((x, y), (y, x)):
+            if not inner.has_entry:
+                cuts.append(outer.size)
+                split_x.append(outer is x)
+                splits.append(len(outer.nodes))
+        for outer, inner in ((x, y), (y, x)):
+            if not inner.has_entry and 2 <= len(outer.nodes) <= threshold:
+                cuts.extend(self._at[outer.nodes[1:]].tolist())
+                split_x.extend([outer is x] * (len(outer.nodes) - 1))
+                splits.extend(range(1, len(outer.nodes)))
+        return cuts, split_x, splits
 
-    def _resolve(self, edge_list, outer: _Chain) -> List[_ResolvedEdge]:
-        """Per-edge operands of :meth:`_placed_score` for splitting ``outer``."""
-        params = self._params
-        start, sizes, chain_of, cid = self._start, self._sizes, self._node_chain, outer.cid
-        return [
-            (chain_of[src] == cid, start[src] + sizes[src], chain_of[dst] == cid, start[dst],
-             weight * params.fallthrough_weight, weight * params.forward_weight,
-             weight * params.backward_weight)
-            for src, dst, weight in edge_list
-        ]
-
-    def _placed_score(self, resolved: List[_ResolvedEdge], cut: int, inserted: int) -> float:
-        """Ext-TSP score of the chain made by inserting ``inserted`` bytes
-        (the other chain) at offset ``cut`` of the split chain.
-
-        Term for term :func:`ext_tsp_score` of the materialised order
-        over the same edge list: same products, same left-to-right sum
-        (zero terms are skipped; adding 0.0 changes no partial sum).
-        """
-        forward_window = self._params.forward_window
-        backward_window = self._params.backward_window
-        total = 0.0
-        for src_outer, src_end, dst_outer, dst_start, fallthrough, forward, backward in resolved:
-            if not src_outer:
-                src_end += cut
-            elif src_end > cut:
-                src_end += inserted
-            if not dst_outer:
-                dst_start += cut
-            elif dst_start >= cut:
-                dst_start += inserted
-            if dst_start == src_end:
-                total += fallthrough
-            elif dst_start > src_end:
-                dist = dst_start - src_end
-                if dist <= forward_window:
-                    total += forward * (1.0 - dist / forward_window)
-            else:
-                dist = src_end - dst_start
-                if dist <= backward_window:
-                    total += backward * (1.0 - dist / backward_window)
-        return total
+    def _totals(self, x: _Chain, y: _Chain, cuts: List[int], split_x: List[bool]) -> List[float]:
+        """The merged chain's score under each placement: the same
+        ``weight * K(d)`` terms as :func:`ext_tsp_score` over ``x.intra +
+        y.intra + cross``, summed left to right."""
+        self.work["candidates_scored"] += 1
+        self.work["placements_scored"] += len(cuts)
+        key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
+        cross = np.array(self._pair_edges[key], dtype=np.intp)
+        edges = np.concatenate((x.intra, y.intra, cross))
+        if not len(edges):
+            return [0.0] * len(cuts)  # the empty sum, as in ext_tsp_score
+        # Column e is edge e; row 0 is its dst's start, row 1 its src's last
+        # byte.  A placement moves an outer node's byte iff it is at or past
+        # the cut.
+        ends = self._endpoints[:, edges]
+        at = self._at[ends]
+        in_x = self._chain_of[ends] == x.cid
+        # Row p of every array below is placement p.
+        cut = np.array(cuts)[:, None]
+        outer_x = np.array(split_x)[:, None]
+        inserted = np.where(outer_x, y.size, x.size)
+        shift = np.where(in_x.reshape(-1) == outer_x, (at.reshape(-1) >= cut) * inserted, cut)
+        n = len(edges)
+        diff = (at[0] - at[1] - 1) + (shift[:, :n] - shift[:, n:])
+        kind = np.sign(diff)
+        terms = self._kernel[kind, edges] * np.maximum(1.0 - diff / self._divisors[kind], 0.0)
+        # accumulate is a left-to-right sum; np.sum would be pairwise.
+        return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
     def _best_merge(self, x: _Chain, y: _Chain) -> Optional[Tuple[float, bool, int, float]]:
         """Most profitable placement of y relative to x as ``(gain, x is
-        the split chain, split, merged score)``, or None."""
-        key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
-        cross = self._pair_edges.get(key)
-        if not cross:
-            return None
-        edge_list = x.intra + y.intra + cross
-        resolved: Dict[int, List[_ResolvedEdge]] = {}  # by split chain
+        the split chain, split, merged score)``, or None: the first
+        placement to beat every earlier one by more than 1e-12."""
+        cuts, split_x, splits = self._placements(x, y)
+        totals = self._totals(x, y, cuts, split_x)
         base = x.score + y.score
         best_gain = 0.0
-        best: Optional[Tuple[float, bool, int, float]] = None
-        for outer, inner, split, cut in self._placements(x, y):
-            if outer.cid not in resolved:
-                resolved[outer.cid] = self._resolve(edge_list, outer)
-            total = self._placed_score(resolved[outer.cid], cut, inner.size)
+        best = -1
+        for p, total in enumerate(totals):
             gain = total - base
             if gain > best_gain + 1e-12:
                 best_gain = gain
-                best = (gain, outer is x, split, total)
-        return best
-
-    def _push_candidate(self, x: _Chain, y: _Chain) -> None:
-        best = self._best_merge(x, y)
-        if best is None:
-            return
-        gain, split_x, split, total = best
-        self._tiebreak += 1
-        heapq.heappush(
-            self._heap,
-            (-gain, self._tiebreak, x.cid, x.version, y.cid, y.version, split_x, split, total),
-        )
+                best = p
+        if best < 0:
+            return None
+        return best_gain, split_x[best], splits[best], totals[best]
 
     # -- main loop -------------------------------------------------------
 
@@ -281,38 +277,49 @@ class ExtTSP:
         for a, b in list(self._pair_edges.keys()):
             self._push_candidate(self._chains[a], self._chains[b])
 
-        while self._heap:
-            _neg_gain, _tb, a_id, a_ver, b_id, b_ver, split_a, split, total = heapq.heappop(self._heap)
-            chain_a = self._chains.get(a_id)
-            chain_b = self._chains.get(b_id)
-            if chain_a is None or chain_b is None:
-                continue
-            if chain_a.version != a_ver or chain_b.version != b_ver:
+        heap = self._heap
+        while heap:
+            _neg, tiebreak, a_id, a_ver, b_id, b_ver, split_a, split, total = heapq.heappop(heap)
+            chain_a, chain_b = self._chains.get(a_id), self._chains.get(b_id)
+            if (chain_a is None or chain_b is None
+                    or chain_a.version != a_ver or chain_b.version != b_ver):
                 continue  # stale candidate (lazy invalidation)
-            # Both chains are as they were when the candidate was scored,
-            # so the placement and its score still hold.
-            outer, inner = (chain_a, chain_b) if split_a else (chain_b, chain_a)
-            order = outer.nodes[:split] + inner.nodes + outer.nodes[split:]
-            self._merge(chain_a, chain_b, order, total, neighbours)
+            if split < 0:
+                # A bound reached the top: the exact gain competes with
+                # the tiebreak it was pushed with.  Both chains stay as
+                # they are until a version changes, and so does the score.
+                best = self._best_merge(chain_a, chain_b)
+                if best is not None:
+                    gain, split_a, split, total = best
+                    heapq.heappush(heap, (-gain, tiebreak, a_id, a_ver, b_id, b_ver,
+                                          split_a, split, total))
+                continue
+            self._merge(chain_a, chain_b, split_a, split, total, neighbours)
         return self._final_order()
 
-    def _merge(
-        self, x: _Chain, y: _Chain, order: List[NodeId], score: float, neighbours: Dict[int, set]
-    ) -> None:
+    def _merge(self, x: _Chain, y: _Chain, split_x: bool, split: int, score: float,
+               neighbours: Dict[int, set]) -> None:
+        outer, inner = (x, y) if split_x else (y, x)
+        order = np.concatenate((outer.nodes[:split], inner.nodes, outer.nodes[split:]))
         key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
         cross = self._pair_edges.pop(key, [])
+        weight = 0.0
+        for e in cross:
+            weight += self._weight[e]
         x.nodes = order
-        x.intra = x.intra + y.intra + cross
+        x.intra = np.concatenate((x.intra, y.intra, np.array(cross, dtype=np.intp)))
+        x.edge_weight = x.edge_weight + y.edge_weight + weight
         x.size += y.size
         x.weight += y.weight
         x.has_entry = x.has_entry or y.has_entry
         x.version += 1
         x.score = score
-        cursor = 0
-        for node in order:
-            self._node_chain[node] = x.cid
-            self._start[node] = cursor
-            cursor += self._sizes[node]
+        sizes = self._size[order]
+        ends = np.cumsum(sizes)
+        last = order + len(self._size)
+        self._at[order] = ends - sizes
+        self._at[last] = ends - 1
+        self._chain_of[order] = self._chain_of[last] = x.cid
         del self._chains[y.cid]
         # Re-bucket y's pair edges onto x and refresh candidates.
         y_neigh = neighbours.pop(y.cid, set())
@@ -322,9 +329,8 @@ class ExtTSP:
             if other == x.cid or other not in self._chains:
                 continue
             old_key = (y.cid, other) if y.cid < other else (other, y.cid)
-            moved = self._pair_edges.pop(old_key, [])
             new_key = (x.cid, other) if x.cid < other else (other, x.cid)
-            self._pair_edges.setdefault(new_key, []).extend(moved)
+            self._pair_edges.setdefault(new_key, []).extend(self._pair_edges.pop(old_key, []))
             x_neigh.add(other)
             neighbours[other].discard(y.cid)
             neighbours[other].add(x.cid)
@@ -333,12 +339,10 @@ class ExtTSP:
                 self._push_candidate(x, self._chains[other])
 
     def _final_order(self) -> List[NodeId]:
-        chains = list(self._chains.values())
-        entry_chains = [c for c in chains if c.has_entry]
-        rest = [c for c in chains if not c.has_entry]
-        rest.sort(key=lambda c: (-(c.weight / max(1, c.size)), c.cid))
-        ordered = entry_chains + rest
-        return [node for chain in ordered for node in chain.nodes]
+        # The entry's chain (one at most), then the rest by density.
+        ordered = sorted(self._chains.values(), key=lambda c: (
+            not c.has_entry, -(c.weight / max(1, c.size)), c.cid))
+        return [self._ids[i] for chain in ordered for i in chain.nodes.tolist()]
 
 
 def ext_tsp_order(
@@ -346,11 +350,17 @@ def ext_tsp_order(
     edges: Iterable[Tuple[NodeId, NodeId, float]],
     entry: Optional[NodeId] = None,
     params: LayoutParams = DEFAULT_PARAMS,
+    work: Optional[Counter] = None,
 ) -> List[NodeId]:
-    """Convenience wrapper: build a solver and return the layout order."""
+    """Convenience wrapper: build a solver and return the layout order;
+    the solver's :attr:`ExtTSP.work` is added to ``work``."""
     if not nodes:
         return []
-    return ExtTSP(nodes, aggregate_edges(edges), entry=entry, params=params).solve()
+    solver = ExtTSP(nodes, aggregate_edges(edges), entry=entry, params=params)
+    order = solver.solve()
+    if work is not None:
+        work.update(solver.work)
+    return order
 
 
 def solve_signature(
@@ -388,6 +398,7 @@ def ext_tsp_order_many(
     ],
     params: LayoutParams = DEFAULT_PARAMS,
     cache: Optional[object] = None,
+    work: Optional[Counter] = None,
 ) -> List[List[NodeId]]:
     """Solve many independent layout problems, orders in input order.
 
@@ -399,7 +410,8 @@ def ext_tsp_order_many(
     by :func:`solve_signature`: problems whose signature is cached are
     replayed without solving, only the misses run, and fresh solutions
     are stored.  Every lookup happens before any solve, in input order,
-    so hit/miss accounting is deterministic.
+    so hit/miss accounting is deterministic.  ``work`` counts the solves'
+    work (see :func:`ext_tsp_order`).
     """
     tasks = [(nodes, list(edges), entry, params) for nodes, edges, entry in problems]
     # One path: without a cache every problem is a miss and nothing is
@@ -411,7 +423,7 @@ def ext_tsp_order_many(
         results = [cache.get(key) for key in keys]
     misses = [i for i, order in enumerate(results) if order is None]
     for i in misses:
-        results[i] = ext_tsp_order(*tasks[i])
+        results[i] = ext_tsp_order(*tasks[i], work=work)
         if cache is not None:
             cache.put(keys[i], results[i])
     return results  # type: ignore[return-value]

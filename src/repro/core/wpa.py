@@ -24,6 +24,7 @@ the profile buffer plus the in-memory DCFG, plus a cheap
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -383,6 +384,7 @@ def _intra_layout(
     meter: MemoryMeter,
     min_count: float = 0.0,
     solve_cache: Optional[object] = None,
+    work: Optional[Counter] = None,
 ) -> Tuple[Dict[str, List[List[int]]], List[str], List[str]]:
     clusters: Dict[str, List[List[int]]] = {}
     hot_funcs: List[str] = []
@@ -417,7 +419,7 @@ def _intra_layout(
     # results in submission order.  A solve cache replays functions
     # whose problem content is unchanged since a prior release (see
     # repro.incr); only dirty functions solve.
-    orders = ext_tsp_order_many(problems, cache=solve_cache)
+    orders = ext_tsp_order_many(problems, cache=solve_cache, work=work)
 
     # Pass 3: flatten and account, in the same order: the modelled
     # memory sequence is allocate/solve/free per function.
@@ -451,6 +453,7 @@ def _interproc_layout(
     options: WPAOptions,
     meter: MemoryMeter,
     min_count: float = 0.0,
+    work: Optional[Counter] = None,
 ) -> Tuple[Dict[str, List[List[int]]], List[str], List[str]]:
     """Whole-program Ext-TSP over all hot blocks (§4.7)."""
     nodes: Dict[Tuple[str, int], Tuple[int, float]] = {}
@@ -489,7 +492,7 @@ def _interproc_layout(
             f"raise max_interproc_nodes or use intra-function layout"
         )
     meter.allocate(len(nodes) * _LAYOUT_NODE_BYTES, "wpa-layout")
-    order = ext_tsp_order(nodes, edges, entry=None)
+    order = ext_tsp_order(nodes, edges, entry=None, work=work)
     meter.free_category("wpa-layout")
 
     # Partition the global order into per-function section runs.
@@ -585,16 +588,18 @@ def analyze(
     min_count = HOT_FUNCTION_MIN_FRACTION * total_mass
     with trace.span("wpa:layout", category="wpa",
                     interproc=options.interproc) as sp:
+        work: Counter = Counter()
         if options.interproc:
             clusters, symbol_order, hot_funcs = _interproc_layout(
-                index, dcfg, block_call_edges, options, own, min_count=min_count
+                index, dcfg, block_call_edges, options, own, min_count=min_count, work=work
             )
         else:
             clusters, symbol_order, hot_funcs = _intra_layout(
                 index, dcfg, call_edges, options, own, min_count=min_count,
-                solve_cache=solve_cache,
+                solve_cache=solve_cache, work=work,
             )
-        sp.note(hot_functions=len(hot_funcs))
+        # The solves' exact work (none when every solve was replayed).
+        sp.note(hot_functions=len(hot_funcs), **work)
     prefetches: Dict[str, List[Tuple[int, str]]] = {}
     if options.insert_prefetches:
         from repro.core.prefetch import plan_prefetches

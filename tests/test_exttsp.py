@@ -3,6 +3,7 @@
 import heapq
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,77 +186,147 @@ class TestParams:
 # -- the solver's scorer against the definition ---------------------------
 
 
-class _ReferenceExtTSP(ExtTSP):
-    """The solver as it was before placements were scored in place:
-    every variant is laid out, scored whole with ``ext_tsp_score``, and
-    scored again when its candidate is popped.  Kept as the reference.
+class _ReferenceExtTSP:
+    """The greedy merge spelled out, sharing nothing with ``ExtTSP``:
+    chains are node lists, every variant of a candidate is laid out and
+    scored whole with ``ext_tsp_score``, every candidate is scored when
+    it is pushed, and a popped candidate is scored again.
     """
 
-    def _merge_variants(self, x, y):
-        threshold = self._params.chain_split_threshold
+    def __init__(self, nodes, edges, entry=None, params=DEFAULT_PARAMS):
+        self.params = params
+        self.sizes = {node: max(1, int(size)) for node, (size, _w) in nodes.items()}
+        self.nodes = {cid: [node] for cid, node in enumerate(nodes)}
+        self.weight = {cid: weight for cid, (_size, weight) in enumerate(nodes.values())}
+        self.has_entry = {cid: node == entry for cid, node in enumerate(nodes)}
+        self.version = dict.fromkeys(self.nodes, 0)
+        self.intra = {cid: [] for cid in self.nodes}
+        chain_of = {node: cid for cid, node in enumerate(nodes)}
+        self.pair_edges = {}
+        for src, dst, weight in edges:
+            if weight <= 0 or src == dst or src not in chain_of or dst not in chain_of:
+                continue
+            a, b = chain_of[src], chain_of[dst]
+            self.pair_edges.setdefault((min(a, b), max(a, b)), []).append((src, dst, weight))
+        self.heap = []
+        self.tiebreak = 0
+
+    def score(self, cid):
+        return ext_tsp_score(self.nodes[cid], self.sizes, self.intra[cid], self.params)
+
+    def variants(self, x, y):
+        threshold = self.params.chain_split_threshold
+        xs, ys = self.nodes[x], self.nodes[y]
         variants = []
-        if not y.has_entry:
-            variants.append(x.nodes + y.nodes)
-        if not x.has_entry:
-            variants.append(y.nodes + x.nodes)
-        if not y.has_entry and 2 <= len(x.nodes) <= threshold:
-            for split in range(1, len(x.nodes)):
-                variants.append(x.nodes[:split] + y.nodes + x.nodes[split:])
-        if not x.has_entry and 2 <= len(y.nodes) <= threshold:
-            for split in range(1, len(y.nodes)):
-                variants.append(y.nodes[:split] + x.nodes + y.nodes[split:])
+        if not self.has_entry[y]:
+            variants.append(xs + ys)
+        if not self.has_entry[x]:
+            variants.append(ys + xs)
+        if not self.has_entry[y] and 2 <= len(xs) <= threshold:
+            variants.extend(xs[:split] + ys + xs[split:] for split in range(1, len(xs)))
+        if not self.has_entry[x] and 2 <= len(ys) <= threshold:
+            variants.extend(ys[:split] + xs + ys[split:] for split in range(1, len(ys)))
         return variants
 
-    def _best_merge(self, x, y):
-        key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
-        cross = self._pair_edges.get(key)
-        if not cross:
-            return None
-        edge_list = x.intra + y.intra + cross
-        base = x.score + y.score
-        best_gain = 0.0
-        best_order = None
-        for order in self._merge_variants(x, y):
-            gain = ext_tsp_score(order, self._sizes, edge_list, self._params) - base
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_order = order
-        if best_order is None:
-            return None
-        return best_gain, best_order
+    def edge_list(self, x, y):
+        return self.intra[x] + self.intra[y] + self.pair_edges.get((min(x, y), max(x, y)), [])
 
-    def _push_candidate(self, x, y):
-        merged = self._best_merge(x, y)
-        if merged is None:
-            return
-        self._tiebreak += 1
-        heapq.heappush(
-            self._heap, (-merged[0], self._tiebreak, x.cid, x.version, y.cid, y.version))
+    def best_merge(self, x, y):
+        """``(gain, merged order)`` of the first variant to beat every
+        earlier one by more than 1e-12, or None."""
+        edge_list = self.edge_list(x, y)
+        base = self.score(x) + self.score(y)
+        best = None
+        best_gain = 0.0
+        for order in self.variants(x, y):
+            gain = ext_tsp_score(order, self.sizes, edge_list, self.params) - base
+            if gain > best_gain + 1e-12:
+                best_gain, best = gain, (gain, order)
+        return best
+
+    def push(self, x, y):
+        best = self.best_merge(x, y) if self.pair_edges.get((min(x, y), max(x, y))) else None
+        if best is not None:
+            self.tiebreak += 1
+            heapq.heappush(self.heap, (-best[0], self.tiebreak,
+                                       x, self.version[x], y, self.version[y]))
 
     def solve(self):
-        neighbours = {cid: set() for cid in self._chains}
-        for a, b in self._pair_edges:
+        neighbours = {cid: set() for cid in self.nodes}
+        for a, b in self.pair_edges:
             neighbours[a].add(b)
             neighbours[b].add(a)
-        for a, b in list(self._pair_edges.keys()):
-            self._push_candidate(self._chains[a], self._chains[b])
-        while self._heap:
-            _neg_gain, _tb, a_id, a_ver, b_id, b_ver = heapq.heappop(self._heap)
-            chain_a = self._chains.get(a_id)
-            chain_b = self._chains.get(b_id)
-            if chain_a is None or chain_b is None:
+        for a, b in list(self.pair_edges):
+            self.push(a, b)
+        while self.heap:
+            _gain, _tb, x, x_ver, y, y_ver = heapq.heappop(self.heap)
+            if x not in self.nodes or y not in self.nodes:
                 continue
-            if chain_a.version != a_ver or chain_b.version != b_ver:
+            if self.version[x] != x_ver or self.version[y] != y_ver:
                 continue
-            merged = self._best_merge(chain_a, chain_b)
-            if merged is None or merged[0] <= 0:
+            merged = self.best_merge(x, y)
+            self.merge(x, y, merged[1], neighbours)
+
+        def density(cid):
+            return self.weight[cid] / sum(self.sizes[node] for node in self.nodes[cid])
+
+        chains = sorted(self.nodes, key=lambda c: (not self.has_entry[c], -density(c), c))
+        return [node for cid in chains for node in self.nodes[cid]]
+
+    def merge(self, x, y, order, neighbours):
+        """Chain ``y`` joins ``x`` as ``order``; candidates of ``x`` are
+        pushed again, in the order its neighbour set yields them."""
+        self.intra[x] = self.edge_list(x, y)
+        self.pair_edges.pop((min(x, y), max(x, y)), None)
+        self.nodes[x] = order
+        self.weight[x] += self.weight[y]
+        self.has_entry[x] = self.has_entry[x] or self.has_entry[y]
+        self.version[x] += 1
+        del self.nodes[y]
+        x_neigh = neighbours[x]
+        x_neigh.discard(y)
+        for other in neighbours.pop(y):
+            if other == x or other not in self.nodes:
                 continue
-            order = merged[1]
-            key = (a_id, b_id) if a_id < b_id else (b_id, a_id)
-            intra = chain_a.intra + chain_b.intra + self._pair_edges.get(key, [])
-            self._merge(chain_a, chain_b, order,
-                        ext_tsp_score(order, self._sizes, intra, self._params), neighbours)
-        return self._final_order()
+            moved = self.pair_edges.pop((min(y, other), max(y, other)), [])
+            self.pair_edges.setdefault((min(x, other), max(x, other)), []).extend(moved)
+            x_neigh.add(other)
+            neighbours[other].discard(y)
+            neighbours[other].add(x)
+        for other in list(x_neigh):
+            if other in self.nodes:
+                self.push(x, other)
+
+
+def _kept_edges(nodes, edges):
+    """The edges the solver keeps, in input order: its edge ``e`` is ``[e]``."""
+    return [(s, d, w) for s, d, w in edges if w > 0 and s != d and s in nodes and d in nodes]
+
+
+def _chain_of(solver, node):
+    return solver._chains[int(solver._chain_of[list(solver._ids).index(node)])]
+
+
+def _chain_edges(solver, kept, indices):
+    return [kept[e] for e in np.asarray(indices, dtype=int).tolist()]
+
+
+def _force_chain(solver, kept, group, neighbours):
+    """Concatenate the singleton chains of ``group`` into one chain."""
+    head = _chain_of(solver, group[0])
+    for node in group[1:]:
+        tail = _chain_of(solver, node)
+        key = (head.cid, tail.cid) if head.cid < tail.cid else (tail.cid, head.cid)
+        order = [solver._ids[i] for i in head.nodes.tolist() + tail.nodes.tolist()]
+        edge_list = _chain_edges(solver, kept, list(head.intra) + list(tail.intra)
+                                 + solver._pair_edges.get(key, []))
+        score = ext_tsp_score(order, _sizes(solver), edge_list, solver._params)
+        solver._merge(head, tail, True, len(head.nodes), score, neighbours)
+    return head
+
+
+def _sizes(solver):
+    return dict(zip(solver._ids, solver._size.tolist()))
 
 
 def _neighbours(solver):
@@ -266,17 +337,21 @@ def _neighbours(solver):
     return neighbours
 
 
-def _force_chain(solver, group, neighbours):
-    """Concatenate the singleton chains of ``group`` into one chain."""
-    head = solver._chains[solver._node_chain[group[0]]]
-    for node in group[1:]:
-        tail = solver._chains[solver._node_chain[node]]
-        key = (head.cid, tail.cid) if head.cid < tail.cid else (tail.cid, head.cid)
-        order = head.nodes + tail.nodes
-        edge_list = head.intra + tail.intra + solver._pair_edges.get(key, [])
-        score = ext_tsp_score(order, solver._sizes, edge_list, solver._params)
-        solver._merge(head, tail, order, score, neighbours)
-    return head
+@st.composite
+def _layout_params(draw):
+    """Default kernel weights and windows, or drawn ones: a fall-through
+    weight below a jump weight, where no intra term is safe from
+    growing, and windows that admit no jump at all."""
+    threshold = draw(st.sampled_from([2, 3, 4, 128]))
+    if draw(st.booleans()):
+        return LayoutParams(chain_split_threshold=threshold)
+    weight = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 1.0]),
+                       st.floats(min_value=0.0, max_value=2.0))
+    window = st.one_of(st.sampled_from([0, 1, 64, 640, 1024]),
+                       st.integers(min_value=-2, max_value=3000))
+    return LayoutParams(fallthrough_weight=draw(weight), forward_weight=draw(weight),
+                        backward_weight=draw(weight), forward_window=draw(window),
+                        backward_window=draw(window), chain_split_threshold=threshold)
 
 
 @st.composite
@@ -295,9 +370,8 @@ def _chain_pairs(draw):
     edges = draw(st.lists(st.tuples(node, node, weight), max_size=30))
     edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
     entry = draw(st.sampled_from([None, permutation[0], permutation[len_x]]))
-    # Chain lengths 1..6 fall on both sides of this threshold.
-    params = LayoutParams(chain_split_threshold=draw(st.sampled_from([3, 128])))
-    return nodes, edges, entry, params, permutation[:len_x], permutation[len_x:]
+    # Chain lengths 1..6 fall on both sides of the split thresholds.
+    return nodes, edges, entry, draw(_layout_params()), permutation[:len_x], permutation[len_x:]
 
 
 class TestPlacedScore:
@@ -306,20 +380,34 @@ class TestPlacedScore:
     def test_every_placement_scores_as_its_materialised_order(self, case):
         nodes, edges, entry, params, group_x, group_y = case
         solver = ExtTSP(nodes, edges, entry=entry, params=params)
+        kept = _kept_edges(nodes, edges)
         neighbours = _neighbours(solver)
-        x = _force_chain(solver, list(group_x), neighbours)
-        y = _force_chain(solver, list(group_y), neighbours)
+        x = _force_chain(solver, kept, list(group_x), neighbours)
+        y = _force_chain(solver, kept, list(group_y), neighbours)
         key = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
-        edge_list = x.intra + y.intra + solver._pair_edges.get(key, [])
+        # The solver never scores a pair without a cross edge; the
+        # scorer and the bound must hold for it all the same.
+        solver._pair_edges.setdefault(key, [])
+        edge_list = _chain_edges(solver, kept, list(x.intra) + list(y.intra)
+                                 + solver._pair_edges[key])
         orders = []
-        for outer, inner, split, cut in solver._placements(x, y):
-            order = outer.nodes[:split] + inner.nodes + outer.nodes[split:]
-            orders.append(order)
-            total = solver._placed_score(solver._resolve(edge_list, outer), cut, inner.size)
-            # Equal, not approximately equal: same terms, same order.
-            assert total == ext_tsp_score(order, solver._sizes, edge_list, params)
+        cuts, split_x, splits = solver._placements(x, y)
+        for sx, split in zip(split_x, splits):
+            outer, inner = (x, y) if sx else (y, x)
+            order = np.concatenate((outer.nodes[:split], inner.nodes, outer.nodes[split:]))
+            orders.append([solver._ids[i] for i in order.tolist()])
         reference = _ReferenceExtTSP(nodes, edges, entry=entry, params=params)
-        assert orders == reference._merge_variants(x, y)
+        reference.nodes = {cid: [solver._ids[i] for i in chain.nodes.tolist()]
+                           for cid, chain in solver._chains.items()}
+        reference.has_entry = {cid: chain.has_entry for cid, chain in solver._chains.items()}
+        assert orders == reference.variants(x.cid, y.cid)
+        totals = solver._totals(x, y, cuts, split_x)
+        for total, order in zip(totals, orders):
+            # Equal, not approximately equal: same terms, same order.
+            assert total == ext_tsp_score(order, _sizes(solver), edge_list, params)
+        best = solver._best_merge(x, y)
+        if best is not None:
+            assert best[0] <= solver._gain_bound(x, y, key)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -334,7 +422,7 @@ class TestPlacedScore:
         edges = aggregate_edges(data.draw(st.lists(
             st.tuples(node, node, st.floats(min_value=-1.0, max_value=1000.0)), max_size=70)))
         entry = data.draw(st.sampled_from([None, 0, n - 1]))
-        params = LayoutParams(chain_split_threshold=data.draw(st.sampled_from([2, 4, 128])))
+        params = data.draw(_layout_params())
         order = ExtTSP(nodes, edges, entry=entry, params=params).solve()
         assert order == _ReferenceExtTSP(nodes, edges, entry=entry, params=params).solve()
 
@@ -345,6 +433,9 @@ class TestPlacedScore:
             (rng.randrange(40), rng.randrange(40), rng.random() * 50) for _ in range(140))
         solver = ExtTSP(nodes, edges, entry=0)
         solver.solve()
+        kept = _kept_edges(nodes, edges)
         assert any(len(chain.nodes) > 1 for chain in solver._chains.values())
         for chain in solver._chains.values():
-            assert chain.score == ext_tsp_score(chain.nodes, solver._sizes, chain.intra)
+            order = [solver._ids[i] for i in chain.nodes.tolist()]
+            assert chain.score == ext_tsp_score(order, _sizes(solver),
+                                                _chain_edges(solver, kept, chain.intra))

@@ -435,18 +435,29 @@ class TestDistinctWork:
 
     def test_each_candidate_pair_scored_once(self, metadata_exe, perf, monkeypatch):
         scored = []
+        placements = []
         best_merge = ExtTSP._best_merge
+        totals = ExtTSP._totals
 
         def counting(self, x, y):
             scored.append((id(self), x.cid, x.version, y.cid, y.version))
             return best_merge(self, x, y)
 
         monkeypatch.setattr(ExtTSP, "_best_merge", counting)
+        monkeypatch.setattr(ExtTSP, "_totals", lambda self, x, y, cuts, split_x: (
+            placements.append(len(cuts)) or totals(self, x, y, cuts, split_x)))
         solvers = []
         init = ExtTSP.__init__
         # Keep every solver alive so ids stay distinct.
         monkeypatch.setattr(
             ExtTSP, "__init__",
             lambda self, *a, **kw: solvers.append(self) or init(self, *a, **kw))
-        analyze(metadata_exe, perf)
+        tracer = Tracer()
+        analyze(metadata_exe, perf, tracer=tracer)
         assert scored and len(scored) == len(set(scored))
+        # The layout span counts the solver's work exactly; a candidate
+        # is scored only once its bound tops the heap, so some never are.
+        (span,) = tracer.find("wpa:layout")
+        assert span.args["candidates_scored"] == len(scored)
+        assert span.args["placements_scored"] == sum(placements)
+        assert len(scored) < span.args["candidates_pushed"]
