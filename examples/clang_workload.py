@@ -10,7 +10,7 @@ Run:  python examples/clang_workload.py
 """
 
 from repro.analysis import format_bytes
-from repro.core.phases import METADATA_BUILD
+from repro.core.phases import metadata_build
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.elf import SectionKind
 from repro.hwmodel import record_heatmap, render_heatmap
@@ -27,8 +27,7 @@ def main() -> None:
     # Phase 1+2: one PGO compile with BB address maps, linked twice --
     # the metadata binary keeps the maps, the baseline strips them.
     profile = pipe.collect_pgo_profile()
-    built = METADATA_BUILD.run(pipe, {"ir_profile": profile})
-    baseline, metadata = built["baseline"], built["metadata"]
+    metadata, baseline = metadata_build(pipe, profile)
     map_bytes = metadata.executable.section_sizes()["bb_addr_map"]
     print(f"phase 1+2: {len(metadata.objects)} objects compiled once; "
           f"metadata binary carries {format_bytes(map_bytes)} of BB address maps "

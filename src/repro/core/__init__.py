@@ -11,21 +11,18 @@
   basic blocks through the BB address map, building the dynamic CFG
   without disassembly, forming basic-block clusters (function
   splitting) and emitting the ``cc_prof``/``ld_prof`` directives.
-* :mod:`repro.core.phases` -- the pipeline's phases, one definition
-  each: stage function (the body), fallback, artifacts and ``Stage``
-  declaration, plus the stage graph they form.
+* :mod:`repro.core.phases` -- the pipeline's phases, one function
+  each: the phase body, taking the pipeline and the values it reads.
 * :mod:`repro.core.pipeline` -- configuration, result types and the
-  driver that runs Phases 1-4 end to end on the distributed build
-  system.
-* :mod:`repro.core.stages` -- the typed artifact/stage-graph engine
-  the phases are declared against.
+  driver whose ``run()`` calls the phases in order, end to end on the
+  distributed build system, and handles a phase that degrades.
 
 Submodules load lazily (PEP 562): ``import repro.core.exttsp`` pulls in
 only the layout algorithm, not the pipeline's linker/profiling stack.
 """
 
 __all__ = ["bbsections", "exttsp", "funcorder", "phases", "pipeline",
-           "prefetch", "stages", "wpa"]
+           "prefetch", "wpa"]
 
 
 def __getattr__(name):

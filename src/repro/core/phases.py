@@ -1,11 +1,14 @@
 """The Propeller phases, one definition each (§3, Figure 1).
 
-The only place a phase is written down: each stage function below *is*
-the phase body -- ``(pipeline, inputs) -> {artifact or phase_seconds
-key: value}``: the cached action, its gauges, its outputs and times --
-followed by its fallback, its artifacts and its
-:class:`~repro.core.stages.Stage` declaration.  To change a phase, edit
-its function here.
+The only place a phase is written down: each function below *is* the
+phase body -- it takes the pipeline and the values it reads, runs the
+cached action, records its gauges and returns what it produced (and,
+where it has one, its ``phase_seconds`` entry).  To change a phase,
+edit its function here.  :meth:`PropellerPipeline.run
+<repro.core.pipeline.PropellerPipeline.run>` calls them in order, under
+their ``phase:*`` spans, and applies the fallbacks of the degradable
+ones; the step methods (``collect_pgo_profile``, ``build_metadata``,
+``collect_perf``, ``analyze``, ``relink``) call the same functions.
 
 * **Phase 1/2** -- compile every module once, with PGO and BB address
   map metadata (actions cached by module content digest), and link the
@@ -18,23 +21,20 @@ its function here.
   object is a cache hit from Phase 2; relink with the global symbol
   order, dropping metadata sections.
 
-The stages are wired into one graph, the module constant
-:data:`PIPELINE`.  The incremental engine adds no stage to it:
-:func:`plan_dirty` and :func:`incremental_summary` are plain functions
-``reoptimize()`` calls before and after the same ``run()``.
+The incremental engine adds no phase: :func:`plan_dirty` and
+:func:`incremental_summary` are plain functions ``reoptimize()`` calls
+before and after the same ``run()``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro import ir
 from repro.codegen import BBSectionsMode, CodeGenOptions
 from repro.core import wpa as wpa_mod
 from repro.core.exttsp import DEFAULT_PARAMS, ext_tsp_order_many
 from repro.core.pipeline import BuildOutcome, IncrementalSummary
-from repro.core.stages import Artifact, Stage, StageGraph
 from repro.core.wpa import WPAOptions, WPAResult, WPAStats
 from repro.faults import RetriesExhausted
 from repro.ir.passes import clone_program, inline_hot_calls
@@ -84,8 +84,8 @@ def run_cached_action(pipe: Any, span: str, kind: str, key_parts, compute):
     return action
 
 
-def pgo_profile(pipe: Any, inputs) -> Dict[str, Any]:
-    """Instrumented training run (the first stage of the PGO baseline).
+def pgo_profile(pipe: Any) -> Tuple[IRProfile, float]:
+    """Instrumented training run (the first step of the PGO baseline).
 
     The run is deterministic in (program, steps, seed, drift), so it
     is itself an action: a warm cache replays the profile instead of
@@ -113,28 +113,10 @@ def pgo_profile(pipe: Any, inputs) -> Dict[str, Any]:
                         getattr(profile, "source_entries", 0))
     pipe.counters.gauge("pgo.dropped_entries",
                         getattr(profile, "dropped_entries", 0))
-    return {"ir_profile": profile, "pgo_profile_run": action.cost_seconds}
+    return profile, action.cost_seconds
 
 
-def _pgo_profile_fallback(pipe: Any, inputs) -> Dict[str, Any]:
-    # Instrumented training kept crashing: proceed un-PGO'd.
-    return {"ir_profile": IRProfile(), "pgo_profile_run": 0.0}
-
-
-ART_IR_PROFILE = Artifact("ir_profile", IRProfile)
-
-PGO_PROFILE = Stage(
-    name="pgo-profile",
-    run=pgo_profile,
-    outputs=(ART_IR_PROFILE,),
-    phase="baseline",
-    fallback=_pgo_profile_fallback,
-    time_keys=("pgo_profile_run",),
-    doc="Instrumented PGO training run (cached action).",
-)
-
-
-def inline(pipe: Any, inputs) -> Dict[str, Any]:
+def inline(pipe: Any, ir_profile: IRProfile) -> None:
     """Phase 1 optimization: profile-guided inlining (when configured).
 
     Replaces the pipeline's program with a transformed copy; every
@@ -144,34 +126,22 @@ def inline(pipe: Any, inputs) -> Dict[str, Any]:
     """
     if pipe.config.inline_hot:
         transformed = clone_program(pipe.program)
-        inline_hot_calls(transformed, inputs["ir_profile"])
+        inline_hot_calls(transformed, ir_profile)
         verify_program(transformed)
         pipe.program = transformed
-    return {"prepared_program": pipe.program}
 
 
-ART_PREPARED = Artifact("prepared_program", ir.Program)
-
-INLINE = Stage(
-    name="inline",
-    run=inline,
-    inputs=(ART_IR_PROFILE,),
-    outputs=(ART_PREPARED,),
-    phase="baseline",
-    doc="Profile-guided inlining (when configured); fixes the "
-        "program every build stage codegens.",
-)
-
-
-def match_stale(pipe: Any, profile: IRProfile,
-                mode: str) -> Tuple[IRProfile, MatchStats]:
+def match_stale(pipe: Any, profile: IRProfile, mode: str
+                ) -> Tuple[Optional[IRProfile], Optional[MatchStats]]:
     """Re-attach ``profile`` to the pipeline's *current* program.
 
     Runs :func:`repro.profiles.match_profile` in ``mode`` and records
-    the ``profile.*`` gauges.  The stage runs after profile-guided
-    inlining, so the anchors are matched against the CFGs codegen will
-    actually see.
+    the ``profile.*`` gauges; ``(None, None)`` when ``mode`` is
+    ``off``.  It runs after profile-guided inlining, so the anchors are
+    matched against the CFGs codegen will actually see.
     """
+    if mode == "off":
+        return None, None
     with pipe.tracer.span("stale-match", category="action") as sp:
         recovered, stats = match_profile(profile, pipe.program, mode=mode)
         sp.note(mode=mode, matched_exact=stats.matched_exact,
@@ -181,30 +151,8 @@ def match_stale(pipe: Any, profile: IRProfile,
     return recovered, stats
 
 
-def stale_match(pipe: Any, inputs) -> Dict[str, Any]:
-    mode = pipe.config.stale_matching
-    if mode == "off":
-        return {"recovered_profile": None, "match_stats": None}
-    recovered, stats = match_stale(pipe, inputs["ir_profile"], mode)
-    return {"recovered_profile": recovered, "match_stats": stats}
-
-
-#: ``Optional[IRProfile]`` / ``Optional[MatchStats]`` -- ``object``
-#: (the type escape hatch) because ``None`` is a legal value.
-ART_RECOVERED = Artifact("recovered_profile")
-ART_MATCH_STATS = Artifact("match_stats")
-
-STALE_MATCH = Stage(
-    name="stale-match",
-    run=stale_match,
-    inputs=(ART_IR_PROFILE, ART_PREPARED),
-    outputs=(ART_RECOVERED, ART_MATCH_STATS),
-    doc="Stale-profile matching: re-attach the drifted profile to "
-        "the current CFGs (no-op when mode is 'off').",
-)
-
-
-def metadata_build(pipe: Any, inputs) -> Dict[str, Any]:
+def metadata_build(pipe: Any, ir_profile: IRProfile
+                   ) -> Tuple[BuildOutcome, BuildOutcome]:
     """Phases 1-2: one compile of every module, linked twice (§3.2).
 
     ``metadata.out`` keeps the BB address map: the binary Phase 3
@@ -212,46 +160,29 @@ def metadata_build(pipe: Any, inputs) -> Dict[str, Any]:
     baseline the paper deploys and measures against, which differs from
     the profiled binary only by that non-allocated section, and so is
     derived from ``metadata.out`` rather than relinked.  Both consume
-    the profile as trained, stale and all.
+    the profile as trained, stale and all.  Returns ``(metadata,
+    baseline)``; the phase's seconds are read off the two outcomes.
     """
     with pipe.tracer.span("build:metadata.out", category="build"):
-        batch = pipe.codegen_batch(pipe.metadata_options(inputs["ir_profile"]))
+        batch = pipe.codegen_batch(pipe.metadata_options(ir_profile))
         metadata = pipe.link_batch(
             batch, pipe.link_options("metadata.out", keep_bb_addr_map=True))
     with pipe.tracer.span("build:base.out", category="build"):
         baseline = pipe.link_batch(
             batch, pipe.link_options("base.out", keep_bb_addr_map=False), metadata)
-    return {"metadata": metadata, "baseline": baseline,
-            "pgo_instrumented_build":
-                baseline.wall_seconds * INSTRUMENTED_BUILD_FACTOR,
-            "opt_build": baseline.wall_seconds,
-            "metadata_build": metadata.wall_seconds}
+    return metadata, baseline
 
 
-ART_METADATA = Artifact("metadata", BuildOutcome)
-ART_BASELINE = Artifact("baseline", BuildOutcome)
-
-METADATA_BUILD = Stage(
-    name="metadata-build",
-    run=metadata_build,
-    inputs=(ART_IR_PROFILE, ART_PREPARED),
-    outputs=(ART_METADATA, ART_BASELINE),
-    phase="metadata-build",
-    time_keys=("pgo_instrumented_build", "opt_build", "metadata_build"),
-    doc="Phases 1-2: compile every module once with the BB address map; "
-        "link the metadata binary, and the baseline from the same "
-        "objects without the map.",
-)
-
-
-def lbr_profile(pipe: Any, inputs) -> Dict[str, Any]:
+def lbr_profile(pipe: Any, metadata: BuildOutcome
+                ) -> Tuple[PerfData, str, float]:
     """Phase 3 profiled run: deterministic in (binary, run length, seed).
 
-    The producing action's key rides along as ``perf_key``: it doubles
-    as the perf data's content identity for downstream action keys.
+    Returns ``(perf, perf_key, seconds)``: the producing action's key
+    doubles as the perf data's content identity for downstream action
+    keys.
     """
     config = pipe.config
-    metadata_exe = inputs["metadata"].executable
+    metadata_exe = metadata.executable
 
     def compute():
         perf = collect_lbr_profile(metadata_exe, max_branches=config.lbr_branches,
@@ -268,32 +199,7 @@ def lbr_profile(pipe: Any, inputs) -> Dict[str, Any]:
     pipe.counters.gauge("lbr.samples", perf.num_samples)
     pipe.counters.gauge("lbr.records", perf.num_records)
     pipe.counters.gauge("lbr.profile_bytes", perf.size_bytes)
-    return {"perf": perf, "perf_key": action.key,
-            "lbr_profile_run": action.cost_seconds}
-
-
-def _lbr_profile_fallback(pipe: Any, inputs) -> Dict[str, Any]:
-    # No hardware profile: empty perf data.
-    return {
-        "perf": PerfData(period=pipe.config.lbr_period, binary_name="metadata.out"),
-        "perf_key": "",
-        "lbr_profile_run": 0.0,
-    }
-
-
-ART_PERF = Artifact("perf", PerfData)
-ART_PERF_KEY = Artifact("perf_key", str)
-
-LBR_PROFILE = Stage(
-    name="lbr-profile",
-    run=lbr_profile,
-    inputs=(ART_METADATA,),
-    outputs=(ART_PERF, ART_PERF_KEY),
-    phase="profile",
-    fallback=_lbr_profile_fallback,
-    time_keys=("lbr_profile_run",),
-    doc="Phase 3 sampling: run the metadata binary, sample LBR.",
-)
+    return perf, action.key, action.cost_seconds
 
 
 def _wpa_options_signature(options: WPAOptions) -> str:
@@ -303,15 +209,15 @@ def _wpa_options_signature(options: WPAOptions) -> str:
     return hashlib.sha256(repr(signed).encode("utf-8")).hexdigest()
 
 
-def wpa_analysis(pipe: Any, inputs) -> Dict[str, Any]:
+def wpa_analysis(pipe: Any, metadata: BuildOutcome, perf: PerfData,
+                 perf_key: str) -> Tuple[WPAResult, float]:
     """Whole-program analysis as a cached action.
 
     Keyed by the metadata binary, the perf data's producing action
-    and the WPA options.
+    (``perf_key``) and the WPA options.
     """
     config = pipe.config
-    metadata_exe = inputs["metadata"].executable
-    perf = inputs["perf"]
+    metadata_exe = metadata.executable
 
     def compute():
         wpa_result = wpa_mod.analyze(
@@ -323,7 +229,7 @@ def wpa_analysis(pipe: Any, inputs) -> Dict[str, Any]:
 
     action = run_cached_action(
         pipe, "wpa-analyze", "wpa",
-        [metadata_exe.content_digest(), inputs["perf_key"],
+        [metadata_exe.content_digest(), perf_key,
          _wpa_options_signature(config.wpa)],
         compute)
     wpa_result: WPAResult = action.value
@@ -336,7 +242,7 @@ def wpa_analysis(pipe: Any, inputs) -> Dict[str, Any]:
     pipe.counters.gauge("wpa.dcfg_nodes", stats.dcfg_nodes)
     pipe.counters.gauge("wpa.dcfg_edges", stats.dcfg_edges)
     pipe.counters.gauge("wpa.peak_memory_bytes", stats.peak_memory_bytes)
-    return {"wpa_result": wpa_result, "wpa_convert": action.cost_seconds}
+    return wpa_result, action.cost_seconds
 
 
 def empty_wpa_result() -> WPAResult:
@@ -349,29 +255,6 @@ def empty_wpa_result() -> WPAResult:
     """
     return WPAResult(clusters={}, symbol_order=[], hot_functions=[],
                      dcfg={}, call_edges={}, stats=WPAStats())
-
-
-def _wpa_fallback(pipe: Any, inputs) -> Dict[str, Any]:
-    # No layout directives: Phase 4 keeps the baseline layout.
-    return {"wpa_result": empty_wpa_result(), "wpa_convert": 0.0}
-
-
-ART_WPA = Artifact("wpa_result", WPAResult)
-
-WPA = Stage(
-    name="wpa",
-    run=wpa_analysis,
-    inputs=(ART_METADATA, ART_PERF, ART_PERF_KEY),
-    outputs=(ART_WPA,),
-    phase="wpa",
-    fallback=_wpa_fallback,
-    # No hardware profile was collected: nothing to analyze.  The
-    # skip is silent -- the run is already degraded by lbr-profile.
-    skip_if_degraded=("lbr-profile",),
-    time_keys=("wpa_convert",),
-    doc="Phase 3 analysis: whole-program analysis into "
-        "cc_prof/ld_prof layout directives.",
-)
 
 
 def _warm_clusters(
@@ -428,20 +311,19 @@ def _warm_clusters(
     return clusters
 
 
-def relink(pipe: Any, inputs) -> Dict[str, Any]:
+def relink(pipe: Any, ir_profile: IRProfile, wpa_result: WPAResult,
+           hot_profile: Optional[IRProfile]) -> BuildOutcome:
     """Phase 4: re-codegen hot modules with clusters and relink.
 
     ``ir_profile`` must be the profile the metadata build consumed,
     so that every cold module's Phase-2 object is a cache hit --
-    the economics of the relink (§3.4).  ``recovered_profile`` (the
+    the economics of the relink (§3.4).  ``hot_profile`` (the
     stale-matching recovery of ``ir_profile``, when enabled) is
     consumed only by re-codegen'd modules: it adds
     :func:`_warm_clusters` for the functions WPA's hot set missed
-    and drives the local layout of unclustered functions there.
+    and drives the local layout of unclustered functions there.  The
+    phase's seconds are read off the returned outcome.
     """
-    ir_profile = inputs["ir_profile"]
-    wpa_result = inputs["wpa_result"]
-    hot_profile = inputs["recovered_profile"]
     hot_funcs = set(wpa_result.clusters)
     extra_clusters: Dict[str, List[List[int]]] = {}
     if hot_profile is not None:
@@ -479,33 +361,7 @@ def relink(pipe: Any, inputs) -> Dict[str, Any]:
             symbol_order=wpa_result.symbol_order or None,
             keep_bb_addr_map=False,
         ))
-    return {"optimized": optimized,
-            "prop_backends": optimized.backends.wall_seconds,
-            "prop_link": optimized.link_seconds}
-
-
-def _relink_fallback(pipe: Any, inputs) -> Dict[str, Any]:
-    # The relink itself exhausted its budget: ship the baseline.
-    baseline = inputs["baseline"]
-    return {"optimized": baseline,
-            "prop_backends": baseline.backends.wall_seconds,
-            "prop_link": baseline.link_seconds}
-
-
-ART_OPTIMIZED = Artifact("optimized", BuildOutcome)
-
-RELINK = Stage(
-    name="relink",
-    run=relink,
-    inputs=(ART_IR_PROFILE, ART_PREPARED, ART_WPA, ART_RECOVERED,
-            ART_BASELINE),
-    outputs=(ART_OPTIMIZED,),
-    phase="relink",
-    fallback=_relink_fallback,
-    time_keys=("prop_backends", "prop_link"),
-    doc="Phase 4: re-codegen hot modules with clusters, reuse cold "
-        "objects from cache, relink with the global symbol order.",
-)
+    return optimized
 
 
 def plan_dirty(pipeline: Any, state: Any) -> Any:
@@ -513,8 +369,8 @@ def plan_dirty(pipeline: Any, state: Any) -> Any:
 
     Plans the dirty set (a :class:`repro.incr.DirtyPlan`) against the
     *new* profile epoch and records the ``incr.*`` function counters.
-    The pre-collection is itself a cached action, so the pgo-profile
-    stage replays it for free.
+    The pre-collection is itself a cached action, so the run's
+    ``pgo-profile`` step replays it for free.
     """
     from repro import incr as incr_mod
 
@@ -522,7 +378,7 @@ def plan_dirty(pipeline: Any, state: Any) -> Any:
         profile = pipeline.collect_pgo_profile()
     except RetriesExhausted:
         # Collection is doomed under the fault plan: plan against an
-        # empty profile, silently -- the pgo-profile stage will degrade
+        # empty profile, silently -- the run's pgo-profile step will degrade
         # the run honestly, once, with the right reason.
         profile = IRProfile()
     program = pipeline.program
@@ -569,16 +425,3 @@ def incremental_summary(pipeline: Any, state: Any, plan: Any,
         solve_reuse=reuse,
     )
 
-
-# ----------------------------------------------------------------------
-# The graph
-
-#: The Propeller stages, in the order they run.  Their wiring is pinned
-#: by ``tests/golden/stage_graph.json`` and checked by the tier-1 test
-#: over ``PIPELINE``'s inputs, not at import.
-#: Stage names double as degradation reasons (``degraded_reasons``
-#: entries and ``degraded:*`` span names), so they are part of the
-#: pinned observability surface -- do not rename casually.
-PIPELINE = StageGraph((
-    PGO_PROFILE, INLINE, STALE_MATCH, METADATA_BUILD, LBR_PROFILE, WPA, RELINK,
-))

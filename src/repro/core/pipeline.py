@@ -24,7 +24,7 @@ from repro.codegen.lowering import compile_peak_memory
 from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
 from repro.elf.strip import strip_bb_addr_map
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetriesExhausted
 from repro.ir.digest import module_digest
 from repro.linker import LinkOptions, LinkResult, LinkStats, link, without_bb_addr_map
 from repro.linker.linker import PAGE_SIZE, TEXT_BASE
@@ -118,6 +118,11 @@ class PipelineConfig:
             if getattr(self, name) < minimum:
                 raise ValueError(
                     f"{name} must be >= {minimum}, got {getattr(self, name)!r}")
+        if not (isinstance(self.pgo_drift, (int, float))
+                and 0.0 <= self.pgo_drift <= 1.0):
+            raise ValueError(
+                f"pgo_drift must be a finite number in [0, 1], "
+                f"got {self.pgo_drift!r}")
         if self.stale_matching not in MATCH_MODES:
             raise ValueError(
                 f"stale_matching must be one of {MATCH_MODES}, "
@@ -227,12 +232,13 @@ class PipelineResult:
     #: Metrics accumulated by the run (cache, scheduler, profile
     #: quality); excluded from :meth:`digest` like all accounting.
     counters: Counters = field(default_factory=Counters)
-    #: True when some stage exhausted its fault-retry budget and the
+    #: True when some phase exhausted its fault-retry budget and the
     #: pipeline fell back (empty profile, baseline layout, ...) instead
     #: of failing.  Degradation is honest: the flag and its reasons ride
     #: on the report, and the ``faults.degraded`` counter matches.
     degraded: bool = False
-    #: One entry per degraded stage, e.g. ``("lbr-profile",)``.
+    #: One entry per degraded phase, in the order they ran, e.g.
+    #: ``("lbr-profile",)``.
     degraded_reasons: Tuple[str, ...] = ()
     #: Incremental re-optimization accounting, filled only by
     #: :meth:`PropellerPipeline.reoptimize`: the dirty/added/deleted
@@ -337,8 +343,8 @@ class PipelineResult:
         return self.report().summary()
 
 
-# Imported here, not at the top: the phase declarations name the
-# result types defined above (``Artifact("baseline", BuildOutcome)``).
+# Imported here, not at the top: the phases build the result types
+# defined above (``IncrementalSummary``).
 from repro.core import phases  # noqa: E402
 
 
@@ -504,14 +510,14 @@ class PropellerPipeline:
 
     # ------------------------------------------------------------------
     # Single phases (what the CLI subcommands, examples and benchmarks
-    # are wired from).  Each calls the same function the stage graph
-    # runs -- see :mod:`repro.core.phases` for the bodies -- given only
-    # the inputs it reads; its times are dropped and no fallback
-    # applies (:class:`~repro.faults.RetriesExhausted` propagates).
+    # are wired from).  Each calls the same function :meth:`run` does
+    # -- see :mod:`repro.core.phases` for the bodies -- given only the
+    # values it reads; its seconds are dropped and no fallback applies
+    # (:class:`~repro.faults.RetriesExhausted` propagates).
 
     def collect_pgo_profile(self) -> IRProfile:
         """Instrumented training run (the ``pgo-profile`` phase)."""
-        return phases.PGO_PROFILE.run(self, {})["ir_profile"]
+        return phases.pgo_profile(self)[0]
 
     def metadata_options(self, profile: IRProfile) -> CodeGenOptions:
         """Phases 1-2's one codegen configuration: PGO plus the BB address map."""
@@ -522,7 +528,7 @@ class PropellerPipeline:
 
         The public way to derive link options consistent with the
         pipeline's configuration (entry symbol, features, hugepages) --
-        what every stage's :meth:`link_batch` call is given.
+        what every phase's :meth:`link_batch` call is given.
         """
         base = LinkOptions(
             output_name=name,
@@ -534,9 +540,8 @@ class PropellerPipeline:
 
     def build_metadata(self, profile: IRProfile) -> BuildOutcome:
         """Phases 1-2: the BB-address-map metadata build (§3.2), from
-        the ``metadata-build`` stage (its baseline is not returned)."""
-        return phases.METADATA_BUILD.run(
-            self, {"ir_profile": profile})["metadata"]
+        the ``metadata-build`` phase (its baseline is not returned)."""
+        return phases.metadata_build(self, profile)[0]
 
     def collect_perf(self, profile: Optional[IRProfile] = None) -> PerfData:
         """Phase 3 sampling: train, build the metadata binary, profile it.
@@ -548,8 +553,7 @@ class PropellerPipeline:
         """
         if profile is None:
             profile = self.collect_pgo_profile()
-        return phases.LBR_PROFILE.run(
-            self, {"metadata": self.build_metadata(profile)})["perf"]
+        return phases.lbr_profile(self, self.build_metadata(profile))[0]
 
     def analyze(
         self, perf: PerfData, profile: Optional[IRProfile] = None
@@ -564,9 +568,8 @@ class PropellerPipeline:
         """
         if profile is None:
             profile = self.collect_pgo_profile()
-        return phases.WPA.run(
-            self, {"metadata": self.build_metadata(profile), "perf": perf,
-                   "perf_key": perf.digest()})["wpa_result"]
+        return phases.wpa_analysis(self, self.build_metadata(profile), perf,
+                                   perf.digest())[0]
 
     def relink(
         self,
@@ -580,9 +583,7 @@ class PropellerPipeline:
         ``hot_profile`` is the stale-matching recovery of it, when
         enabled (see :func:`repro.core.phases.relink`).
         """
-        return phases.RELINK.run(
-            self, {"ir_profile": ir_profile, "wpa_result": wpa_result,
-                   "recovered_profile": hot_profile})["optimized"]
+        return phases.relink(self, ir_profile, wpa_result, hot_profile)
 
     def build_bolt_input(self, ir_profile: IRProfile) -> BuildOutcome:
         """The BOLT metadata binary: same objects, linked with --emit-relocs."""
@@ -597,10 +598,10 @@ class PropellerPipeline:
     def run(self) -> PipelineResult:
         """Execute Phases 1-4 and return all artifacts.
 
-        One full pass of :data:`repro.core.phases.PIPELINE`
-        through the stage driver (see :mod:`repro.core.stages`), which
-        applies tracing, fault degradation and phase accounting
-        uniformly.  Over a ``cache_dir`` an earlier run (or
+        The phases of :mod:`repro.core.phases`, called in order, each
+        under its ``phase:*`` span: ``pgo-profile`` and ``inline``
+        share ``phase:baseline``, stale matching runs outside any phase
+        span.  Over a ``cache_dir`` an earlier run (or
         :meth:`collect_perf`) populated, every cached action replays and
         only what is missing is computed: the artifacts are a cold run's,
         bit for bit; only replayed actions' simulated seconds shrink.
@@ -608,31 +609,85 @@ class PropellerPipeline:
         Degradation contract (active only under a ``fault_plan``): an
         exhausted retry budget in profile collection, WPA or the Phase-4
         relink falls back -- empty instrumented profile, baseline
-        layout, baseline binary respectively, per the stages' declared
-        ``fallback=`` -- and marks the result ``degraded`` with an
-        explicit reason.  The product build (``metadata-build``, which
-        links the metadata and baseline binaries) has nothing to fall
-        back to, so its exhaustion propagates as
-        :class:`~repro.faults.RetriesExhausted`.
+        layout, baseline binary respectively -- and marks the result
+        ``degraded`` with the phase's name as the reason, a
+        ``degraded:<name>`` span and one ``faults.degraded`` count.  A
+        run whose hardware profile degraded skips WPA silently (no
+        span, no second reason).  The product build
+        (``metadata-build``, which links the metadata and baseline
+        binaries) has nothing to fall back to, so its exhaustion
+        propagates as :class:`~repro.faults.RetriesExhausted`.
         """
-        artifacts = phases.PIPELINE.execute(self)
-        values = artifacts.values
-        degraded_reasons = artifacts.degraded_reasons()
+        tracer = self.tracer
+        degraded: List[str] = []
+
+        def degradable(name, body, fallback):
+            try:
+                return body()
+            except RetriesExhausted as exc:
+                value = fallback()
+                degraded.append(name)
+                self.counters.incr("faults.degraded")
+                with tracer.span(f"degraded:{name}", category="fault") as sp:
+                    sp.note(kind=exc.kind, attempts=exc.attempts,
+                            events=",".join(exc.events))
+                return value
+
+        with tracer.span("phase:baseline", category="phase"):
+            # Instrumented training kept crashing: proceed un-PGO'd.
+            ir_profile, pgo_seconds = degradable(
+                "pgo-profile", lambda: phases.pgo_profile(self),
+                lambda: (IRProfile(), 0.0))
+            phases.inline(self, ir_profile)
+        recovered, match_stats = phases.match_stale(
+            self, ir_profile, self.config.stale_matching)
+        with tracer.span("phase:metadata-build", category="phase"):
+            metadata, baseline = phases.metadata_build(self, ir_profile)
+        with tracer.span("phase:profile", category="phase"):
+            # No hardware profile: empty perf data.
+            perf, perf_key, lbr_seconds = degradable(
+                "lbr-profile", lambda: phases.lbr_profile(self, metadata),
+                lambda: (PerfData(period=self.config.lbr_period,
+                                  binary_name="metadata.out"), "", 0.0))
+        if "lbr-profile" in degraded:
+            # Nothing to analyze; the run is already degraded.
+            wpa_result, wpa_seconds = phases.empty_wpa_result(), 0.0
+        else:
+            with tracer.span("phase:wpa", category="phase"):
+                # No layout directives: Phase 4 keeps the baseline layout.
+                wpa_result, wpa_seconds = degradable(
+                    "wpa",
+                    lambda: phases.wpa_analysis(self, metadata, perf, perf_key),
+                    lambda: (phases.empty_wpa_result(), 0.0))
+        with tracer.span("phase:relink", category="phase"):
+            # The relink itself exhausted its budget: ship the baseline.
+            optimized = degradable("relink", lambda: phases.relink(
+                self, ir_profile, wpa_result, recovered), lambda: baseline)
+        phase_seconds = {key: float(value) for key, value in (
+            ("pgo_profile_run", pgo_seconds),
+            ("pgo_instrumented_build",
+             baseline.wall_seconds * phases.INSTRUMENTED_BUILD_FACTOR),
+            ("opt_build", baseline.wall_seconds),
+            ("metadata_build", metadata.wall_seconds),
+            ("lbr_profile_run", lbr_seconds),
+            ("wpa_convert", wpa_seconds),
+            ("prop_backends", optimized.backends.wall_seconds),
+            ("prop_link", optimized.link_seconds))}
         return PipelineResult(
             program=self.program,
             config=self.config,
-            baseline=values["baseline"],
-            metadata=values["metadata"],
-            optimized=values["optimized"],
-            ir_profile=values["ir_profile"],
-            perf=values["perf"],
-            wpa_result=values["wpa_result"],
-            phase_seconds=artifacts.phase_seconds(),
-            match_stats=values["match_stats"],
-            recovered_profile=values["recovered_profile"],
+            baseline=baseline,
+            metadata=metadata,
+            optimized=optimized,
+            ir_profile=ir_profile,
+            perf=perf,
+            wpa_result=wpa_result,
+            phase_seconds=phase_seconds,
+            match_stats=match_stats,
+            recovered_profile=recovered,
             counters=self.counters,
-            degraded=bool(degraded_reasons),
-            degraded_reasons=degraded_reasons,
+            degraded=bool(degraded),
+            degraded_reasons=tuple(degraded),
         )
 
     def reoptimize(self, state) -> PipelineResult:

@@ -13,8 +13,6 @@ Commands mirror the paper's tool flow:
 * ``bench``     -- the continuous benchmark harness: run the suite's
   rows (each one pipeline run, flattened to exact metrics), print the
   scorecard, and optionally gate against a baseline;
-* ``stages``    -- the pipeline's stage graph as schema-versioned JSON
-  (the committed golden ``tests/golden/stage_graph.json``);
 * ``explain``   -- the run-to-run attribution engine: diff two runs'
   metrics/trace/state artifacts and say which functions, layout
   decisions and phases moved, and why (see :mod:`repro.obs.explain`).
@@ -240,22 +238,6 @@ def cmd_optimize(args) -> int:
     IncrState.capture(result).save(snapshot)
     log.info("captured incremental state at %s", snapshot)
     return _finish_optimize(args, pipe, result)
-
-
-def cmd_stages(args) -> int:
-    """Print (or write) the pipeline stage graph as JSON: the one
-    constant whose wiring the tier-1 golden and wiring test pin."""
-    import json as _json
-
-    from repro.core.phases import PIPELINE
-
-    text = _json.dumps(PIPELINE.describe(), indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-        log.info("wrote the stage graph to %s", args.output)
-    else:
-        print(text, end="")
-    return 0
 
 
 def cmd_compare(args) -> int:
@@ -511,13 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_args(p)
     _add_verbosity_args(p)
     p.set_defaults(fn=cmd_optimize)
-
-    p = sub.add_parser("stages",
-                       help="the pipeline stage graph as JSON")
-    p.add_argument("-o", "--output", metavar="FILE", default=None,
-                   help="write to FILE instead of stdout")
-    _add_verbosity_args(p)
-    p.set_defaults(fn=cmd_stages)
 
     p = sub.add_parser("compare", help="Propeller vs BOLT")
     p.add_argument("program")

@@ -359,12 +359,28 @@ def _makespan(result) -> float:
     return sum(b.wall_seconds for b in result.report().builds)
 
 
+def _parents(tracer):
+    """Span name -> names of the spans enclosing each of its instances."""
+    by_id = {s.span_id: s for s in tracer.spans}
+    parents = {}
+    for span in tracer.spans:
+        parent = by_id[span.parent_id].name if span.parent_id is not None else None
+        parents.setdefault(span.name, []).append(parent)
+    return parents
+
+
+@pytest.fixture(scope="module")
+def lbr_exhausted(nano_program):
+    """A traced run whose hardware profile exhausts its retry budget."""
+    pipe = PropellerPipeline(
+        nano_program,
+        _config(fault_plan="fail=1,only=profile-lbr,seed=7", trace=True))
+    return pipe, pipe.run()
+
+
 class TestPipelineDegradation:
-    def test_exhausted_lbr_degrades_not_crashes(self, nano_program, clean_run):
-        result = PropellerPipeline(
-            nano_program,
-            _config(fault_plan="fail=1,only=profile-lbr,seed=7"),
-        ).run()
+    def test_exhausted_lbr_degrades_not_crashes(self, lbr_exhausted, clean_run):
+        _, result = lbr_exhausted
         assert result.degraded
         assert result.degraded_reasons == ("lbr-profile",)
         assert result.counters.count("faults.degraded") == 1
@@ -374,6 +390,47 @@ class TestPipelineDegradation:
         assert result.wpa_result.symbol_order == []
         assert (result.baseline.executable.content_digest()
                 == clean_run.baseline.executable.content_digest())
+
+    def test_fallback_degrades_with_span_and_counter(self, lbr_exhausted):
+        pipe, result = lbr_exhausted
+        assert result.counters.count("faults.degraded") == 1
+        assert _parents(pipe.tracer)["degraded:lbr-profile"] == ["phase:profile"]
+        (span,) = pipe.tracer.find("degraded:lbr-profile")
+        assert span.category == "fault"
+        assert span.args["attempts"] >= 1 and span.args["events"]
+
+    def test_skipped_wpa_is_silent_and_spanless(self, lbr_exhausted):
+        """With no hardware profile WPA is skipped: no ``phase:wpa``
+        span, no seconds and no second degradation reason."""
+        pipe, result = lbr_exhausted
+        assert "phase:wpa" not in _parents(pipe.tracer)
+        assert result.phase_seconds["wpa_convert"] == 0.0
+        assert result.degraded_reasons == ("lbr-profile",)
+
+    def test_no_fallback_propagates(self, nano_program):
+        """The product build has no fallback: its exhaustion propagates,
+        and the phase span it ran in is still closed and recorded."""
+        pipe = PropellerPipeline(
+            nano_program, _config(fault_plan="fail=1,only=codegen", trace=True))
+        with pytest.raises(RetriesExhausted):
+            pipe.run()
+        parents = _parents(pipe.tracer)
+        assert parents["phase:metadata-build"] == [None]
+        assert "phase:profile" not in parents
+
+    def test_exhausted_relink_ships_the_baseline(self, nano_program, tmp_path):
+        """Over a store :meth:`collect_perf` warmed, the metadata and
+        base links replay (faults never apply to cache hits), so only
+        the Phase-4 link executes -- and exhausts."""
+        PropellerPipeline(nano_program, _config(cache_dir=str(tmp_path))).collect_perf()
+        pipe = PropellerPipeline(nano_program, _config(
+            cache_dir=str(tmp_path), fault_plan="fail=1,only=link", trace=True))
+        result = pipe.run()
+        assert result.degraded_reasons == ("relink",)
+        assert result.counters.count("faults.degraded") == 1
+        assert (result.optimized.executable.content_digest()
+                == result.baseline.executable.content_digest())
+        assert _parents(pipe.tracer)["degraded:relink"] == ["phase:relink"]
 
     def test_standard_plan_changes_when_not_what(self, nano_program,
                                                  clean_run):
@@ -389,11 +446,8 @@ class TestPipelineDegradation:
         assert result.counters.count("retry.exhausted") == 0
         assert 1.0 <= _makespan(result) / _makespan(clean_run) <= 3.0
 
-    def test_degraded_flag_rides_the_report(self, nano_program):
-        result = PropellerPipeline(
-            nano_program,
-            _config(fault_plan="fail=1,only=profile-lbr,seed=7"),
-        ).run()
+    def test_degraded_flag_rides_the_report(self, lbr_exhausted):
+        _, result = lbr_exhausted
         report = result.report()
         assert report.degraded and report.degraded_reasons == ("lbr-profile",)
         assert "DEGRADED: lbr-profile" in result.summary()

@@ -1,10 +1,13 @@
 """Tests for the four-phase Propeller pipeline."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.buildsys import BuildSystem, ResourceLimitExceeded
+from repro.core import phases
+from repro.core.phases import INSTRUMENTED_BUILD_FACTOR
 from repro.core.pipeline import (
     PipelineConfig,
     PropellerPipeline,
@@ -237,17 +240,26 @@ class TestConfigValidation:
         "stale_matching": "fuzzy",
         "jobs": 2,
     }
+    #: A NaN drift trained a profile whose counts summed to NaN, and one
+    #: above 1 silently dropped every count.
+    BAD_DRIFTS = {"nan": math.nan, "negative": -0.1, "above-one": 1.5,
+                  "inf": math.inf}
 
-    @pytest.mark.parametrize("field", sorted(BAD))
-    def test_out_of_range_field_is_a_value_error(self, field):
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param(f, v, id=f) for f, v in sorted(BAD.items())),
+        *(pytest.param("pgo_drift", v, id=f"pgo_drift-{name}")
+          for name, v in BAD_DRIFTS.items())])
+    def test_out_of_range_field_is_a_value_error(self, field, value):
         with pytest.raises(ValueError, match=field):
-            PipelineConfig(**{field: self.BAD[field]})
+            PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
-            dataclasses.replace(PipelineConfig(), **{field: self.BAD[field]})
+            dataclasses.replace(PipelineConfig(), **{field: value})
 
     def test_boundary_values_are_accepted(self):
         PipelineConfig(lbr_period=1, lbr_branches=0, pgo_steps=0, workers=1,
-                       ram_limit=1, stale_matching="loose", jobs=1)
+                       ram_limit=1, stale_matching="loose", jobs=1,
+                       pgo_drift=0.0)
+        PipelineConfig(pgo_drift=1.0)
 
     def test_jobs_accepts_only_one(self):
         """The pool is gone; the field outlives it only because the
@@ -257,3 +269,90 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="jobs"):
                 dataclasses.replace(PipelineConfig(), jobs=bad)
         assert len(dataclasses.fields(PipelineConfig)) == 17
+
+
+def _cheap_config(**overrides) -> PipelineConfig:
+    defaults = dict(pgo_steps=5_000, lbr_branches=10_000, workers=72,
+                    enforce_ram=False)
+    defaults.update(overrides)
+    return PipelineConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def full_digest(tiny_program):
+    return PropellerPipeline(tiny_program, _cheap_config()).run().digest()
+
+
+class TestRunPhases:
+    def test_pgo_and_inline_share_one_baseline_span(self, tiny_program,
+                                                    monkeypatch):
+        """``pgo-profile`` and ``inline`` run inside one
+        ``phase:baseline`` span; stale matching runs outside it."""
+        def probed(name, body):
+            def run(pipe, *args):
+                with pipe.tracer.span(f"probe:{name}"):
+                    return body(pipe, *args)
+            return run
+
+        monkeypatch.setattr(phases, "inline", probed("inline", phases.inline))
+        monkeypatch.setattr(phases, "match_stale",
+                            probed("stale-match", phases.match_stale))
+        pipe = PropellerPipeline(tiny_program, _cheap_config(
+            trace=True, inline_hot=True, stale_matching="loose"))
+        pipe.run()
+        spans = pipe.tracer.spans
+        by_id = {s.span_id: s for s in spans}
+
+        def parent(name):
+            (span,) = [s for s in spans if s.name == name]
+            return (None if span.parent_id is None
+                    else by_id[span.parent_id].name)
+
+        assert [s.name for s in spans].count("phase:baseline") == 1
+        assert parent("pgo-train") == "phase:baseline"
+        assert parent("probe:inline") == "phase:baseline"
+        assert parent("probe:stale-match") is None
+        assert parent("stale-match") == "probe:stale-match"
+
+    def test_instrumented_build_factor_pinned(self, tiny_program):
+        """The modelled instrumented-build ratio, as a named constant,
+        pinned where the magic number used to live."""
+        assert INSTRUMENTED_BUILD_FACTOR == 0.9
+        result = PropellerPipeline(tiny_program, _cheap_config()).run()
+        assert result.phase_seconds["pgo_instrumented_build"] == (
+            pytest.approx(result.phase_seconds["opt_build"]
+                          * INSTRUMENTED_BUILD_FACTOR))
+
+
+class TestResumeFromStore:
+    """A run stopped after profiling resumes through the action store:
+    ``collect_perf()`` over a ``cache_dir``, then ``run()`` of a fresh
+    pipeline over the same directory, replays every action the first
+    run stored and computes only what is missing."""
+
+    def test_resumed_run_is_the_cold_run(self, tiny_program, full_digest,
+                                         tmp_path):
+        config = _cheap_config(cache_dir=str(tmp_path))
+        PropellerPipeline(tiny_program, config).collect_perf()
+
+        pipe = PropellerPipeline(tiny_program,
+                                 dataclasses.replace(config, trace=True))
+        result = pipe.run()
+        assert result.digest() == full_digest
+        assert list(result.phase_seconds) == [
+            "pgo_profile_run", "pgo_instrumented_build", "opt_build",
+            "metadata_build", "lbr_profile_run", "wpa_convert",
+            "prop_backends", "prop_link"]
+
+        spans = pipe.tracer.spans
+        by_id = {s.span_id: s for s in spans}
+
+        def hits(name, parent=None):
+            return [s.args["cache_hit"] for s in spans if s.name == name
+                    and (parent is None or by_id[s.parent_id].name == parent)]
+
+        assert hits("pgo-train") == [True]
+        assert hits("lbr-sample") == [True]
+        assert hits("link", "build:metadata.out") == [True]
+        assert hits("link", "build:base.out") == [True]
+        assert hits("wpa-analyze") == [False]
