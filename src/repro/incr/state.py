@@ -34,7 +34,7 @@ from repro.obs.report import plain, record
 #: Schema version of the serialized state.  A loaded snapshot with a
 #: different version is incompatible and rejected (the next release
 #: then simply runs full).
-INCR_STATE_VERSION = 1
+INCR_STATE_VERSION = 2
 
 #: File name of the snapshot inside a ``--state-dir``.
 STATE_FILENAME = "state.json"
@@ -89,9 +89,6 @@ class FunctionState:
     #: Digest of the function's slice of the instrumented profile --
     #: :meth:`repro.profiles.IRProfile.function_digest`.
     profile_digest: str
-    #: Total instrumented block count.  Part of the snapshot format;
-    #: the planner compares ``profile_digest`` only.
-    total_count: float
     #: Whether WPA's hardware-profile hot set contained the function.
     hot: bool
 
@@ -119,7 +116,6 @@ class IncrState:
             functions[name] = FunctionState(
                 cfg_digest=function_digest(function),
                 profile_digest=profile.function_digest(name),
-                total_count=sum(profile.block_counts(name).values()),
                 hot=name in hot,
             )
         return cls(

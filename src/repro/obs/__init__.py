@@ -14,17 +14,18 @@ makes both visible for any pipeline run:
   configuration count identically.
 * Exporters -- Chrome ``trace_event`` JSON (open in ``chrome://tracing``
   or https://ui.perfetto.dev), schema-versioned metrics JSON, and the
-  bench scorecard and comparison tables.
+  bench scorecard table.
 * :class:`PipelineReport` -- the typed result object behind
   ``PipelineResult.report()`` and ``--metrics-out``, including the
   hardware-counter ``frontend`` scorecard.  Its module,
   :mod:`repro.obs.report`, also holds ``plain``/``record``: the one
   writer and the one reader of every record this package publishes
   (the dataclass is the schema).
-* :mod:`repro.obs.bench` / :mod:`repro.obs.baseline` -- the continuous
-  benchmark harness behind ``python -m repro.tools bench``: a table of pipeline runs,
-  each flattened to exact metrics (real seconds are ``bench/``'s), and
-  the baseline regression gate.
+* :mod:`repro.obs.bench` -- the continuous benchmark harness behind
+  ``python -m repro.tools bench``: a table of pipeline runs, each
+  flattened to exact metrics (real seconds are ``bench/``'s).  Its JSON
+  is one more golden file, ``tests/golden/bench_smoke.json``, gated with
+  ``==`` and regenerated with ``REPRO_REGEN_GOLDEN=1``.
 * :func:`get_logger` / :func:`configure_logging` -- the ``logging``
   channel CLI progress output goes through (``--quiet``/``--verbose``).
 
@@ -32,19 +33,12 @@ Stdlib-only and imports nothing from the rest of ``repro`` at module
 scope, so any layer may depend on it without dragging in the toolchain.
 """
 
-from repro.obs.baseline import (
-    REGEN_BASELINE_ENV,
-    Comparison,
-    MetricComparison,
-    compare,
-    load_bench_report,
-    write_bench_report,
-)
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     BenchReport,
     Metric,
     ScenarioResult,
+    bench_json,
     run_suite,
 )
 from repro.obs.counters import Counters
@@ -65,11 +59,8 @@ from repro.obs.explain import (
     explain_results,
 )
 from repro.obs.export import (
-    bench_markdown,
     bench_scorecard,
     chrome_trace,
-    comparison_markdown,
-    comparison_table,
     write_chrome_trace,
     write_metrics,
 )
@@ -86,7 +77,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchReport",
     "BuildStat",
-    "Comparison",
     "CounterDelta",
     "Counters",
     "CriticalPath",
@@ -95,33 +85,26 @@ __all__ = [
     "FunctionDelta",
     "METRICS_SCHEMA_VERSION",
     "Metric",
-    "MetricComparison",
     "NULL_TRACER",
     "NullTracer",
     "PathStep",
     "PhaseDelta",
     "PhaseStat",
     "PipelineReport",
-    "REGEN_BASELINE_ENV",
     "RunSnapshot",
     "ScenarioResult",
     "Span",
     "Tracer",
-    "bench_markdown",
+    "bench_json",
     "bench_scorecard",
     "chrome_trace",
-    "compare",
-    "comparison_markdown",
-    "comparison_table",
     "configure_logging",
     "critical_path",
     "explain",
     "explain_results",
     "get_logger",
-    "load_bench_report",
     "run_suite",
     "spans_from_chrome",
-    "write_bench_report",
     "write_chrome_trace",
     "write_metrics",
 ]

@@ -10,56 +10,47 @@ flattens its ``plain(PipelineReport.from_result(result,
 include_frontend=True))`` into :class:`Metric` s -- builds and phases
 keyed by name (``builds.optimized.wall_seconds``), everything else by
 its keys (``frontend.optimized.I1``) -- plus ``digest`` and
-``optimized.digest`` (the optimized executable's ``content_digest()``);
-:data:`BETTER` gives a metric its direction, anything else is a
-fingerprint.  A comparison is a pair of rows (``drift0.3:off`` /
-``drift0.3:loose``, ``incr:body`` / ``full:body``); the invariants of
-those pairs are tier-1 tests.  Every metric is an exact function of
-(code, seed) and the report carries no clock, so
-:mod:`repro.obs.baseline` gates on bit-for-bit equality.  Real seconds
-are ``bench/run.py``'s question.  Nothing from the rest of ``repro`` is
-imported at module scope.
+``optimized.digest`` (the optimized executable's ``content_digest()``).
+A comparison is a pair of rows (``drift0.3:off`` / ``drift0.3:loose``,
+``incr:body`` / ``full:body``); the invariants of those pairs are
+tier-1 tests.  Every metric is an exact function of (code, seed) and
+the report carries no clock, so the whole suite's :func:`bench_json` is
+a golden file (``tests/golden/bench_smoke.json``, checked with ``==``
+like every other golden and regenerated with ``REPRO_REGEN_GOLDEN=1``).
+Real seconds are ``bench/run.py``'s question.  Nothing from the rest of
+``repro`` is imported at module scope.
 """
 
 from __future__ import annotations
 
-import hashlib
+import json
 import os
-import random
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
-from fnmatch import fnmatchcase
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from repro.obs.report import PipelineReport, plain, record
+from repro.obs.report import PipelineReport, plain
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchReport",
     "Metric",
-    "PERTURBATIONS",
     "ROWS",
     "Row",
     "ScenarioResult",
+    "bench_json",
     "run_row",
     "run_suite",
 ]
 
 #: Bump on any backwards-incompatible change to the report's JSON layout
-#: (2 = exact-only: no ``gate``/``noise``/``reps``/``repetitions`` keys).
-BENCH_SCHEMA_VERSION = 2
+#: (2 = exact-only: no ``gate``/``noise``/``reps``/``repetitions`` keys;
+#: 3 = no ``perturb``, ``direction`` or ``unit`` keys).
+BENCH_SCHEMA_VERSION = 3
 
 MetricValue = Union[int, float, str]
-
-#: Which direction is *better*; "none" marks pure fingerprints.
-DIRECTIONS = ("lower", "higher", "none")
-
-#: Named fault injections, used to prove the gates actually fire
-#: (``python -m repro.tools bench --perturb shuffle-layout`` and
-#: tests/test_bench.py).
-PERTURBATIONS = ("shuffle-layout",)
 
 
 # ----------------------------------------------------------------------
@@ -71,22 +62,6 @@ class Metric:
 
     name: str
     value: MetricValue
-    unit: str = ""
-    #: Which direction is better: "lower", "higher" or "none".
-    direction: str = "none"
-
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise ValueError(
-                f"metric {self.name!r}: unknown direction {self.direction!r}"
-            )
-
-    def to_json(self) -> Dict[str, Any]:
-        return plain(self)
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "Metric":
-        return record(cls, data)
 
 
 @dataclass(frozen=True)
@@ -113,9 +88,6 @@ class BenchReport:
     suite: str
     seed: int
     scenarios: Tuple[ScenarioResult, ...]
-    #: Name of the injected fault, if any (a perturbed report must never
-    #: be mistaken for a clean baseline).
-    perturb: Optional[str] = None
     schema_version: int = BENCH_SCHEMA_VERSION
 
     def scenario(self, name: str) -> ScenarioResult:
@@ -127,32 +99,14 @@ class BenchReport:
     def metric(self, scenario: str, name: str) -> Metric:
         return self.scenario(scenario).metric(name)
 
-    def deterministic_fingerprint(self) -> str:
-        """SHA-256 over every metric value.
-
-        Two runs of the same suite on the same code must produce equal
-        fingerprints (enforced by tests/test_bench.py).
-        """
-        h = hashlib.sha256()
-        for scenario in self.scenarios:
-            for metric in scenario.metrics:
-                h.update(f"{scenario.name}|{metric.name}|{metric.value!r}\n"
-                         .encode("utf-8"))
-        return h.hexdigest()
-
     def to_json(self) -> Dict[str, Any]:
         return plain(self)
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "BenchReport":
-        version = data.get("schema_version")
-        if version != BENCH_SCHEMA_VERSION:
-            raise ValueError(
-                f"bench schema version {version!r} is not the supported "
-                f"{BENCH_SCHEMA_VERSION}; regenerate the file with this "
-                "version's `python -m repro.tools bench`"
-            )
-        return record(cls, data)
+
+def bench_json(report: BenchReport) -> str:
+    """The one text of a report: what ``bench --out`` writes and what
+    ``tests/golden/bench_smoke.json`` holds."""
+    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -198,17 +152,6 @@ ROWS: Tuple[Row, ...] = (
 )
 _PRIORS = {row.prior for row in ROWS}
 
-#: Which way is better, by metric-name pattern (first match wins).  Any
-#: other metric is a fingerprint: every change to it fails the gate.
-BETTER = (
-    ("builds.*_seconds", "lower"), ("phases.*", "lower"),
-    ("frontend.optimized.ipc", "higher"), ("frontend.optimized.*", "lower"),
-    ("gauges.*match_rate", "higher"), ("gauges.lbr.record_coverage", "higher"),
-    ("profile_recovery.*match_rate", "higher"), ("*solve_reuse", "higher"),
-    ("counters.retry.exhausted", "lower"),
-)
-
-
 def _flatten(value: Any, name: str, out: Dict[str, MetricValue]) -> None:
     """``plain`` data as dotted names: mappings by key, lists of records
     by their ``name``, lists of scalars joined, booleans as 0/1."""
@@ -231,12 +174,10 @@ def _title(row: Row) -> str:
                       *(f"{key}={value}" for key, value in extra.items() if value)])
 
 
-def run_row(row: Row, seed: int, workdir: str,
-            perturb: Optional[str] = None) -> ScenarioResult:
+def run_row(row: Row, seed: int, workdir: str) -> ScenarioResult:
     """Run ``row`` and flatten its report.  A prior keeps its state in
     ``workdir/<name>``; a row re-optimizes against its own copy of it,
-    so no row sees another's store writes.  ``"shuffle-layout"``
-    relinks the optimized binary with a shuffled symbol order first."""
+    so no row sees another's store writes."""
     from repro.core.pipeline import PipelineConfig, PropellerPipeline
     from repro.incr import IncrState, state_path
     from repro.synth import PRESETS, EditScript, generate_workload
@@ -259,12 +200,6 @@ def run_row(row: Row, seed: int, workdir: str,
         result = pipe.run()
         if state_dir:
             IncrState.capture(result).save(state_dir)
-    if perturb == "shuffle-layout":
-        order = list(result.wpa_result.symbol_order)
-        random.Random(seed).shuffle(order)
-        result = replace(result, optimized=pipe.relink(
-            result.ir_profile, replace(result.wpa_result, symbol_order=order),
-            result.recovered_profile))
 
     values: Dict[str, MetricValue] = {}
     _flatten(plain(PipelineReport.from_result(result, include_frontend=True)),
@@ -272,23 +207,16 @@ def run_row(row: Row, seed: int, workdir: str,
     values["digest"] = result.digest()
     values["optimized.digest"] = result.optimized.executable.content_digest()
     return ScenarioResult(row.name, _title(row), row.paper_ref, tuple(
-        Metric(name, value, direction=next((better for pattern, better in BETTER
-                                            if fnmatchcase(name, pattern)), "none"))
-        for name, value in values.items()))
+        Metric(name, value) for name, value in values.items()))
 
 
 def run_suite(
     seed: int = 3,
-    perturb: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchReport:
     """The suite's :class:`BenchReport`: ``only`` names the rows to report
-    (their priors still run), ``perturb`` one of :data:`PERTURBATIONS`,
-    and ``progress`` receives one line per row."""
-    if perturb is not None and perturb not in PERTURBATIONS:
-        raise ValueError(
-            f"unknown perturbation {perturb!r}; available: {PERTURBATIONS}")
+    (their priors still run) and ``progress`` receives one line per row."""
     by_name = {row.name: row for row in ROWS}
     unknown = set(only or ()) - set(by_name)
     if unknown:
@@ -307,10 +235,8 @@ def run_suite(
                     run_row(by_name[row.prior], seed, workdir)
                 if progress is not None:
                     progress(f"running {row.name} ({_title(row)})")
-                results.append(run_row(row, seed, workdir, perturb))
+                results.append(run_row(row, seed, workdir))
     finally:
         if saved_cache_env is not None:
             os.environ["REPRO_CACHE_DIR"] = saved_cache_env
-    return BenchReport(
-        suite="smoke", seed=seed, scenarios=tuple(results), perturb=perturb,
-    )
+    return BenchReport(suite="smoke", seed=seed, scenarios=tuple(results))

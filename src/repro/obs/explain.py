@@ -1,6 +1,6 @@
 """Run-to-run attribution: *why* did this release regress?
 
-``baseline.compare`` and the bench gates say *that* a metric moved;
+The golden bench scorecard says *that* a metric moved;
 this module says *which functions, which layout decisions and which
 pipeline phase* moved it -- the first operational question of the daily
 relink loop the paper deploys (§2, §5).  Three analyses, one report:
@@ -36,8 +36,9 @@ Inputs are deliberately file-shaped: two ``--metrics-out`` JSON reports
 snapshots) or two state snapshots alone.  :func:`explain_results` wires
 the same engine to in-process
 :class:`~repro.core.pipeline.PipelineResult` pairs.  Two ``bench
---out`` scorecards are not an input: ``bench --compare`` is the one
-engine that diffs those.
+--out`` scorecards are not an input: a scorecard is checked with ``==``
+against its golden file by ``python -m pytest -m slow
+tests/test_golden.py -k bench_smoke``.
 
 Like the rest of :mod:`repro.obs`, module scope imports nothing from
 the wider package (the tracer must stay importable everywhere);
@@ -354,8 +355,8 @@ class RunSnapshot:
         data = json.loads(path.read_text())
         if "scenarios" in data and "suite" in data:
             raise ValueError(
-                f"{path}: a bench scorecard; diff two of those with "
-                "`python -m repro.tools bench --compare`")
+                f"{path}: a bench scorecard; it is checked against its golden "
+                "by `python -m pytest -m slow tests/test_golden.py -k bench_smoke`")
         if "builds" in data and "schema_version" in data:
             return cls._load_metrics(data, trace, state, label)
         raise ValueError(

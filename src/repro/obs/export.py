@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON, metrics JSON, bench tables.
+"""Exporters: Chrome ``trace_event`` JSON, metrics JSON, the bench scorecard.
 
 The Chrome format is the ``chrome://tracing`` / Perfetto "JSON object
 format": a top-level object whose ``traceEvents`` array holds complete
@@ -23,18 +23,14 @@ from repro.obs.report import PipelineReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis import Table
-    from repro.obs.baseline import Comparison
     from repro.obs.bench import BenchReport
     from repro.obs.tracer import Tracer
 
 __all__ = [
     "SIM_PID",
     "REAL_PID",
-    "bench_markdown",
     "bench_scorecard",
     "chrome_trace",
-    "comparison_markdown",
-    "comparison_table",
     "write_chrome_trace",
     "write_metrics",
 ]
@@ -79,77 +75,24 @@ def write_metrics(report: PipelineReport, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# Bench scorecards
+# Bench scorecard
 
-def _fmt_value(value, unit: str = "") -> str:
+def _fmt_value(value) -> str:
     if isinstance(value, str):
         return value[:16]
     if isinstance(value, float) and not value.is_integer():
-        text = f"{value:.4g}"
-    else:
-        text = f"{int(value)}"
-    return f"{text}{unit}" if unit and unit != "frac" else text
+        return f"{value:.4g}"
+    return f"{int(value)}"
 
 
 def bench_scorecard(report: "BenchReport") -> "Table":
     """A bench report's rows: ``print`` it aligned, or take ``.markdown()``."""
     from repro.analysis import Table
 
-    title = f"bench suite {report.suite!r} (seed {report.seed})"
-    if report.perturb:
-        title += f" [PERTURBED: {report.perturb}]"
-    table = Table(["scenario", "metric", "value", "paper"], title=title)
+    table = Table(["scenario", "metric", "value", "paper"],
+                  title=f"bench suite {report.suite!r} (seed {report.seed})")
     for scenario in report.scenarios:
         for metric in scenario.metrics:
-            table.add_row(scenario.name, metric.name,
-                          _fmt_value(metric.value, metric.unit),
+            table.add_row(scenario.name, metric.name, _fmt_value(metric.value),
                           scenario.paper_ref)
     return table
-
-
-def bench_markdown(report: "BenchReport") -> str:
-    """A bench report as a GitHub-flavored markdown scorecard."""
-    lines = [
-        f"## Bench scorecard — suite `{report.suite}`",
-        "",
-        f"Seed {report.seed}; every metric is exact. "
-        f"Deterministic fingerprint `{report.deterministic_fingerprint()[:12]}`."
-        + (f" **Injected fault: `{report.perturb}`.**" if report.perturb else ""),
-        "",
-        bench_scorecard(report).markdown(),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def comparison_table(comparison: "Comparison") -> "Table":
-    """A baseline comparison's rows, failures first and upper-cased."""
-    from repro.analysis import Table
-
-    table = Table(["scenario", "metric", "verdict", "current", "baseline",
-                   "detail"],
-                  title=f"vs baseline: {comparison.summary()}")
-    entries = sorted(comparison.entries,
-                     key=lambda e: (not e.failed, e.scenario, e.metric))
-    for entry in entries:
-        table.add_row(
-            entry.scenario, entry.metric,
-            entry.verdict.upper() if entry.failed else entry.verdict,
-            _fmt_value(entry.current.value) if entry.current else "-",
-            _fmt_value(entry.baseline.value) if entry.baseline else "-",
-            entry.detail,
-        )
-    return table
-
-
-def comparison_markdown(comparison: "Comparison") -> str:
-    """A baseline comparison as markdown (regressions surfaced on top)."""
-    lines = [f"## Regression gate — {comparison.summary()}", ""]
-    failures = comparison.failures
-    if failures:
-        lines.append("### Failures")
-        lines.append("")
-        for entry in failures:
-            lines.append(f"- **{entry.label}**: {entry.verdict} — {entry.detail}")
-        lines.append("")
-    lines.append(comparison_table(comparison).markdown())
-    return "\n".join(lines) + "\n"

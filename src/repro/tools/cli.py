@@ -12,7 +12,8 @@ Commands mirror the paper's tool flow:
   release" of incremental/attribution studies);
 * ``bench``     -- the continuous benchmark harness: run the suite's
   rows (each one pipeline run, flattened to exact metrics), print the
-  scorecard, and optionally gate against a baseline;
+  scorecard, and optionally write its JSON (the golden
+  ``tests/golden/bench_smoke.json`` is that JSON for the whole suite);
 * ``explain``   -- the run-to-run attribution engine: diff two runs'
   metrics/trace/state artifacts and say which functions, layout
   decisions and phases moved, and why (see :mod:`repro.obs.explain`).
@@ -119,6 +120,36 @@ def _add_verbosity_args(parser: argparse.ArgumentParser) -> None:
 class _UsageError(Exception):
     """A flag value or input file the command cannot use; ``main``
     reports it in one line and exits 2."""
+
+
+#: argparse dest -> flag, for every option that names a file a command
+#: writes; :func:`main` checks them all before the command runs.
+_OUTPUT_FLAGS = {
+    "output": "-o", "report": "--report", "trace_out": "--trace-out",
+    "metrics_out": "--metrics-out", "cc_prof": "--cc-prof",
+    "ld_prof": "--ld-prof", "out": "--out", "json": "--json",
+    "markdown": "--markdown",
+}
+
+
+def _check_outputs(args) -> None:
+    """Every output file can be written: a path whose directory is
+    missing or read-only, or that is itself a directory, is a usage
+    error before any work runs (and before anything is written)."""
+    for dest, flag in _OUTPUT_FLAGS.items():
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            problem = "is a directory"
+        elif not target.parent.is_dir():
+            problem = f"no such directory {str(target.parent)!r}"
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            problem = "permission denied"
+        else:
+            continue
+        raise _UsageError(f"cannot write {flag} {path}: {problem}")
 
 
 def _read(load, path, what: str):
@@ -342,7 +373,8 @@ def cmd_explain(args) -> int:
 
     Exit codes: 0 = explained; 2 = unusable inputs.  A report full of
     suspicious deltas still exits 0 -- the report is the answer, and
-    gating belongs to ``bench --compare``.
+    gating belongs to the golden bench scorecard
+    (``python -m pytest -m slow tests/test_golden.py -k bench_smoke``).
     """
     from repro.obs import RunSnapshot, explain
 
@@ -376,23 +408,12 @@ def cmd_explain(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Run the benchmark suite; optionally gate against a baseline.
+    """Run the benchmark suite, print its scorecard and, with ``--out``,
+    write its JSON.
 
-    Exit codes: 0 = ran (and, with ``--compare``, no regression);
-    1 = regression gate failed; 2 = usage error (unknown scenario,
-    missing or unreadable baseline, regenerating from a perturbed run).
+    Exit codes: 0 = ran; 2 = usage error (unknown scenario).
     """
-    from repro.obs import (
-        REGEN_BASELINE_ENV,
-        bench_markdown,
-        bench_scorecard,
-        compare,
-        comparison_markdown,
-        comparison_table,
-        load_bench_report,
-        run_suite,
-        write_bench_report,
-    )
+    from repro.obs import bench_json, bench_scorecard, run_suite
     from repro.obs.bench import ROWS
 
     blog = get_logger("tools.bench")
@@ -406,49 +427,15 @@ def cmd_bench(args) -> int:
     try:
         report = run_suite(
             seed=args.seed,
-            perturb=args.perturb,
             only=args.scenario or None,
             progress=lambda msg: blog.info("%s", msg),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.out:
-        write_bench_report(report, args.out)
+        Path(args.out).write_text(bench_json(report))
         blog.info("wrote %s", args.out)
     print(bench_scorecard(report))
-
-    comparison = None
-    if args.compare:
-        baseline_path = Path(args.compare)
-        if os.environ.get(REGEN_BASELINE_ENV):
-            if report.perturb:
-                raise _UsageError(
-                    f"refusing to regenerate {baseline_path} from a perturbed "
-                    f"run (--perturb {report.perturb})")
-            write_bench_report(report, baseline_path)
-            blog.info("regenerated baseline %s ($%s set)",
-                      baseline_path, REGEN_BASELINE_ENV)
-            return 0
-        if not baseline_path.exists():
-            raise _UsageError(f"baseline {baseline_path} does not exist; run "
-                              f"with {REGEN_BASELINE_ENV}=1 to create it")
-        try:
-            comparison = compare(report, load_bench_report(baseline_path))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        print(comparison_table(comparison))
-
-    if args.markdown:
-        text = bench_markdown(report)
-        if comparison is not None:
-            text += "\n" + comparison_markdown(comparison)
-        Path(args.markdown).write_text(text)
-        blog.info("wrote markdown scorecard to %s", args.markdown)
-
-    if comparison is not None and not comparison.ok:
-        blog.error("regression gate failed: %d failing metric(s)",
-                   len(comparison.failures))
-        return 1
     return 0
 
 
@@ -545,19 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("bench", help="run the benchmark suite")
-    from repro.obs.bench import PERTURBATIONS
-
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the schema-versioned report JSON here "
                         "(default: print the scorecard, write nothing)")
-    p.add_argument("--markdown", metavar="FILE", default=None,
-                   help="also write a markdown scorecard")
-    p.add_argument("--compare", metavar="BASELINE", default=None,
-                   help="gate against a stored report; exit 1 on "
-                        "regression ($REPRO_REGEN_BASELINE=1 refreshes it)")
-    p.add_argument("--perturb", choices=PERTURBATIONS, default=None,
-                   help="inject a known fault (harness self-test)")
     p.add_argument("--scenario", action="append", metavar="NAME",
                    help="run only this row (repeatable)")
     p.add_argument("--list", action="store_true",
@@ -572,6 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(
         -1 if getattr(args, "quiet", False) else getattr(args, "verbose", 0))
     try:
+        _check_outputs(args)
         return args.fn(args)
     except _UsageError as exc:
         log.error("%s", exc)

@@ -1,13 +1,15 @@
 """Golden-file regression tests for the layout-critical encodings.
 
 These pin the exact ExtTSP cluster order and the exact BB-address-map
-byte encoding produced for one fixed-seed synthetic program.  Unlike
-the shape tests, any change to the layout algorithm or the metadata
-encoding -- intended or not -- shows up here as a reviewable diff.
+byte encoding produced for one fixed-seed synthetic program, every
+object of both codegen batches, a degraded run's report and the bench
+suite's scorecard.  Unlike the shape tests, any change to the layout
+algorithm, the metadata encoding or a tracked metric -- intended or
+not, better or worse -- shows up here as a reviewable diff.
 
 To regenerate after an intended change::
 
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest -m "" tests/test_golden.py
 
 and commit the updated files under ``tests/golden/``.
 """
@@ -23,6 +25,7 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.elf import SectionKind
+from repro.obs import bench_json, run_suite
 from repro.synth import PRESETS, generate_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -130,3 +133,12 @@ class TestDegradedReportGolden:
         assert report.degraded, "fixture no longer degrades; golden is stale"
         _check("degraded_report.json",
                json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.slow
+class TestBenchGolden:
+    """The bench suite's 16 rows, every metric exact: the scorecard is
+    the text ``python -m repro.tools bench --out`` writes (~100 s)."""
+
+    def test_bench_smoke(self):
+        _check("bench_smoke.json", bench_json(run_suite()))

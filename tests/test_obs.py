@@ -41,10 +41,9 @@ from repro.obs import (
     PipelineReport,
     ScenarioResult,
     Tracer,
+    bench_json,
     chrome_trace,
-    write_bench_report,
 )
-from repro.obs.bench import DIRECTIONS
 from repro.obs.export import REAL_PID, SIM_PID
 from repro.obs.report import plain, record
 from repro.obs.tracer import _NULL_SPAN
@@ -230,8 +229,7 @@ def _maps(values):
     return st.dictionaries(_text, values, max_size=2)
 
 
-_metric = st.builds(Metric, name=_text, value=_int | _num | _text, unit=_text,
-                    direction=st.sampled_from(DIRECTIONS))
+_metric = st.builds(Metric, name=_text, value=_int | _num | _text)
 _scenario = st.builds(ScenarioResult, name=_text, title=_text,
                       paper_ref=_text, metrics=_tuples(_metric))
 _function_delta = st.builds(FunctionDelta, rank=_int, function=_text,
@@ -251,8 +249,7 @@ RECORDS = {
     "Metric": _metric,
     "ScenarioResult": _scenario,
     "BenchReport": st.builds(
-        BenchReport, suite=_text, seed=_int, scenarios=_tuples(_scenario),
-        perturb=st.none() | _text),
+        BenchReport, suite=_text, seed=_int, scenarios=_tuples(_scenario)),
     "FunctionDelta": _function_delta,
     "PhaseDelta": _phase_delta,
     "CounterDelta": _counter_delta,
@@ -332,13 +329,14 @@ class TestCLIEdges:
         assert "unknown scenarios" in buf.getvalue()
 
     def test_explain_refuses_a_bench_scorecard(self, tmp_path, capsys):
-        """Two scorecards are diffed by one engine, ``bench --compare``;
-        ``explain`` says so, naming the one spelling, and exits 2."""
+        """A scorecard is checked against its golden by one test;
+        ``explain`` says so, naming that test, and exits 2."""
         scorecard = tmp_path / "scorecard.json"
-        write_bench_report(BenchReport(suite="smoke", seed=3, scenarios=()),
-                           scorecard)
+        scorecard.write_text(bench_json(BenchReport(suite="smoke", seed=3,
+                                                    scenarios=())))
         assert main(["explain", str(scorecard), str(scorecard)]) == 2
-        assert "`python -m repro.tools bench --compare`" in capsys.readouterr().err
+        assert ("`python -m pytest -m slow tests/test_golden.py -k bench_smoke`"
+                in capsys.readouterr().err)
 
 
 class TestChromeTrace:

@@ -138,37 +138,14 @@ class TestBenchRendering:
             suite="smoke", seed=3,
             scenarios=(ScenarioResult(
                 name="s", title="t", paper_ref="Table 3",
-                metrics=(Metric("improvement", 0.09, "frac",
-                                direction="higher"),
-                         Metric("sim_wall", 1.25, "s", direction="lower")),
-            ),))
+                metrics=(Metric("improvement", 0.09),
+                         Metric("sim_wall", 1.25))),))
 
     def test_scorecard_and_markdown(self):
-        from repro.obs import bench_markdown, bench_scorecard
+        from repro.obs import bench_scorecard
 
-        report = self._report()
-        text = str(bench_scorecard(report))
+        table = bench_scorecard(self._report())
+        text = str(table)
         assert "improvement" in text and "Table 3" in text
         assert "noise" not in text and "gate" not in text
-        md = bench_markdown(report)
-        assert md.startswith("## Bench scorecard")
-        assert "| scenario | metric | value | paper |" in md
-        assert report.deterministic_fingerprint()[:12] in md
-
-    def test_comparison_rendering_surfaces_failures(self):
-        from dataclasses import replace
-
-        from repro.obs import compare, comparison_markdown, comparison_table
-
-        baseline = self._report()
-        scenario = baseline.scenarios[0]
-        worse = tuple(replace(m, value=0.01) if m.name == "improvement" else m
-                      for m in scenario.metrics)
-        current = replace(baseline,
-                          scenarios=(replace(scenario, metrics=worse),))
-        comparison = compare(current, baseline)
-        assert not comparison.ok
-        table = str(comparison_table(comparison))
-        assert "REGRESSED" in table and "FAIL" in table
-        md = comparison_markdown(comparison)
-        assert "### Failures" in md and "s:improvement" in md
+        assert "| scenario | metric | value | paper |" in table.markdown()

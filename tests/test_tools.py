@@ -489,6 +489,42 @@ class TestBadFlagValues:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    """An output path the command could not write -- its directory is
+    missing, or it is a directory -- is one stderr line and exit status
+    2, checked before the command does any work or writes anything."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--preset", "505.mcf", "-o", "{bad}"],
+        ["profile", "w.json", "-o", "{bad}"],
+        ["edit", "w.json", "-o", "{bad}"],
+        ["optimize", "w.json", "--metrics-out", "{bad}"],
+        ["optimize", "w.json", "--trace-out", "{bad}"],
+        ["bench", "--out", "{bad}"],
+        ["explain", "a.json", "b.json", "--json", "{bad}"],
+        ["explain", "a.json", "b.json", "--markdown", "{bad}"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    @pytest.mark.parametrize("bad", ["missing/dir/x.json", "."],
+                             ids=["missing-dir", "a-directory"])
+    def test_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                     argv, bad):
+        import repro.tools.cli as cli
+
+        def no_work(args):
+            raise AssertionError(f"{args.command} ran")
+
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(bad=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("cannot write ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRetriesExhausted:
     """A fault plan that exhausts a product build's retry budget is a
     run that could not finish: one stderr line, exit status 1, no
@@ -516,6 +552,16 @@ class TestRetriesExhausted:
         assert list(tmp_path.iterdir()) == []
 
 
+def _as_v1(text: str) -> str:
+    """A snapshot in the schema-1 layout: every function also carried
+    its total instrumented block count."""
+    data = json.loads(text)
+    data["schema_version"] = 1
+    for entry in data["functions"].values():
+        entry["total_count"] = 1.0
+    return json.dumps(data)
+
+
 class TestBadStateDirectory:
     """A ``--state-dir`` whose snapshot cannot seed this run is one
     stderr line and exit status 2, never a traceback."""
@@ -537,7 +583,9 @@ class TestBadStateDirectory:
         (lambda text: text.replace('"cfg_digest"', '"cfg"'), []),
         (lambda text: "{}", []),
         (lambda text: text, ["--seed", "9"]),
-    ], ids=["truncated", "list", "bad-function", "empty-object", "other-seed"])
+        (lambda text: _as_v1(text), []),
+    ], ids=["truncated", "list", "bad-function", "empty-object", "other-seed",
+            "schema-v1"])
     def test_exits_2_without_a_traceback(self, saved, tmp_path, damage, extra):
         import os
         import shutil
