@@ -4,10 +4,11 @@ A module lowers in two passes:
 
 * the **plan** pass walks the IR in Python, one block at a time.  It
   picks every instruction's opcode -- and so, from the opcode sizes,
-  every offset -- and appends the object's tables as *rows*
+  every offset -- and appends *rows* to the object's tables
   (:meth:`repro.elf.table.Table.append_row`): relocations, fixups,
   block descriptors and symbols, with no record built per instruction
-  or per block.  Every branch is emitted in long form with a static
+  or per block.  A section owns the rows appended since the section
+  before it was added.  Every branch is emitted in long form with a static
   relocation and a :class:`~repro.elf.metadata.BranchFixup`, deferring
   target resolution to the linker (§4.2).  Basic-block label symbols
   use the assembler-temporary ``.L`` prefix; the linker resolves them
@@ -43,20 +44,16 @@ from repro.codegen.options import (
     CodeGenOptions,
 )
 from repro.elf import (
-    BlockMeta,
-    BranchFixup,
     ObjectFile,
-    Relocation,
     RelocType,
     Section,
     SectionKind,
-    Symbol,
     SymbolBinding,
     SymbolType,
     TerminatorKind,
     bbaddrmap,
 )
-from repro.elf.table import Strings, Table, run_index
+from repro.elf.table import run_index
 from repro.ir import cfg as ir_cfg
 from repro.isa import OPCODE_SIZES, Opcode
 
@@ -195,29 +192,18 @@ class _Code:
         return out
 
 
-@dataclass
-class _SectionPlan:
-    """One planned output text section of a function."""
-
-    section_name: str
-    leader: str
-    leader_binding: SymbolBinding
-    bb_ids: List[int]
-    alignment: int
-    is_primary: bool
-
-
 class _SectionEmitter:
-    """Plans one section: its size, relocations, fixups and block rows.
-    Its instructions go to the module's :class:`_Code` from ``base``."""
+    """Plans one text section: its size, and its relocation, fixup and
+    block rows, appended to ``obj``'s tables.  Its instructions go to
+    the module's :class:`_Code` from ``base``."""
 
-    def __init__(self, code: _Code, strings: Strings):
+    def __init__(self, code: _Code, obj: ObjectFile):
         self.code = code
         self.base = code.size
         self.size = 0
-        self.relocations = Table(Relocation, strings=strings)
-        self.fixups = Table(BranchFixup, strings=strings)
-        self.blocks = Table(BlockMeta, strings=strings)
+        self.relocate = obj.relocations.append_row
+        self.fixup = obj.fixups.append_row
+        self.block = obj.blocks.append_row
         self.num_instrs = 0
 
     def emit(self, opcode: Opcode, crc: int = -1) -> int:
@@ -240,28 +226,27 @@ class _SectionEmitter:
         if Opcode.CALL in run or Opcode.ICALL in run:
             for instr, opcode, off in zip(instrs, run, accumulate(sizes, initial=self.size)):
                 if opcode == Opcode.CALL:
-                    self.relocations.append_row((off + 1, RelocType.PC32, instr.callee, 0))
+                    self.relocate((off + 1, RelocType.PC32, instr.callee, 0))
                     calls.append((off, OPCODE_SIZES[opcode], instr.callee, ()))
                 elif opcode == Opcode.ICALL:
                     calls.append((off, OPCODE_SIZES[opcode], None, tuple(instr.indirect_targets)))
         self.size += sum(sizes)
         self.num_instrs += len(run)
 
-    def emit_branch(self, opcode: Opcode, symbol: str, deletable: bool = False) -> int:
-        """Emit a long-form jump or Jcc with a relocation and a fixup."""
+    def emit_branch(self, opcode: Opcode, symbol: str, deletable: bool = False) -> tuple:
+        """Emit a long-form jump or Jcc with a relocation and a fixup;
+        returns its ``(symbol, offset, size)``."""
         off = self.emit(opcode)
         field_off = off + (2 if opcode == Opcode.JCC_LONG else 1)
-        self.relocations.append_row((field_off, RelocType.PC32, symbol, 0))
-        self.fixups.append_row((off, opcode, symbol, deletable))
-        return off
+        self.relocate((field_off, RelocType.PC32, symbol, 0))
+        self.fixup((off, opcode, symbol, deletable))
+        return symbol, off, OPCODE_SIZES[opcode]
 
-    def emit_jump_table(self, targets: Sequence[str]) -> int:
+    def emit_jump_table(self, targets: Sequence[str]) -> None:
         """Embed a jump table (data in code!) at the current offset."""
-        off = self.size
         for symbol in targets:
-            self.relocations.append_row((self.size, RelocType.ABS32, symbol, 0))
+            self.relocate((self.size, RelocType.ABS32, symbol, 0))
             self.size += _JUMP_TABLE_ENTRY_BYTES
-        return off
 
 
 def _pgo_block_order(function: ir.Function, profile) -> List[int]:
@@ -275,89 +260,55 @@ def _pgo_block_order(function: ir.Function, profile) -> List[int]:
     counts = profile.block_counts(function.name)
     if not counts:
         return [b.bb_id for b in function.blocks]
-    placed: List[int] = []
-    placed_set = set()
+    placed: Dict[int, None] = {}  # an ordered set
     current: Optional[int] = function.entry.bb_id
     hot_ids = [b.bb_id for b in function.blocks if counts.get(b.bb_id, 0) > 0]
     while current is not None:
-        placed.append(current)
-        placed_set.add(current)
-        successors = ir_cfg.successor_edges(function.block(current))
-        best = None
-        best_count = -1.0
-        for succ, _prob in successors:
-            if succ in placed_set:
-                continue
+        placed[current] = None
+        best, best_count = None, -1.0
+        for succ, _prob in ir_cfg.successor_edges(function.block(current)):
             count = edges.get((current, succ), 0.0)
-            if count > best_count:
+            if succ not in placed and count > best_count:
                 best, best_count = succ, count
         if best is not None and best_count > 0:
             current = best
             continue
-        # Detached: continue from the hottest unplaced profiled block.
-        current = None
-        best_count = 0.0
-        for bb_id in hot_ids:
-            if bb_id in placed_set:
-                continue
-            count = counts.get(bb_id, 0.0)
-            if count >= best_count:
-                current, best_count = bb_id, count
-        if current is None and best is not None:
-            current = best  # cold but reachable; keep structural order going
-    for block in function.blocks:  # cold sinking: zero-count blocks last
-        if block.bb_id not in placed_set:
-            placed.append(block.bb_id)
-            placed_set.add(block.bb_id)
-    return placed
+        # Detached: continue from the hottest unplaced profiled block (the
+        # last of equals), else a cold but reachable successor, keeping
+        # structural order going.
+        current = max((bb_id for bb_id in reversed(hot_ids) if bb_id not in placed),
+                      key=counts.__getitem__, default=best)
+    # Cold sinking: zero-count blocks last.
+    return [*placed, *(b.bb_id for b in function.blocks if b.bb_id not in placed)]
 
 
-def _section_plan(function: ir.Function, options: CodeGenOptions) -> List[_SectionPlan]:
+def _section_plan(function: ir.Function,
+                  options: CodeGenOptions) -> List[Tuple[str, str, List[int]]]:
+    """``(section, leader symbol, block ids)`` of each text section of
+    ``function``.  The first is its primary section: named and led by
+    the function (global, function-aligned); the rest are local and
+    byte-aligned."""
     fn = function.name
     entry_id = function.entry.bb_id
-    mode = options.bb_sections
-    if mode == BBSectionsMode.LIST:
-        clusters = options.clusters_for(fn)
-        if clusters is None:
-            mode = BBSectionsMode.NONE
-        else:
-            if not clusters or not clusters[0] or clusters[0][0] != entry_id:
-                raise ValueError(f"{fn}: first cluster must start with the entry block")
-            listed = [bb for cluster in clusters for bb in cluster]
-            if len(listed) != len(set(listed)):
-                raise ValueError(f"{fn}: block listed in multiple clusters")
-            for bb in listed:
-                if not function.has_block(bb):
-                    raise ValueError(f"{fn}: cluster names unknown block {bb}")
-            plans = [
-                _SectionPlan(f".text.{fn}", fn, SymbolBinding.GLOBAL, list(clusters[0]),
-                             ALIGN_FUNCTION, True)
-            ]
-            for i, cluster in enumerate(clusters[1:], start=1):
-                plans.append(
-                    _SectionPlan(f".text.{fn}.{i}", f"{fn}.{i}", SymbolBinding.LOCAL,
-                                 list(cluster), 1, False)
-                )
-            leftover = [b.bb_id for b in function.blocks if b.bb_id not in set(listed)]
-            if leftover:
-                plans.append(
-                    _SectionPlan(f".text.{fn}.cold", f"{fn}.cold", SymbolBinding.LOCAL,
-                                 leftover, 1, False)
-                )
-            return plans
-    if mode == BBSectionsMode.ALL:
-        plans = [
-            _SectionPlan(f".text.{fn}", fn, SymbolBinding.GLOBAL, [entry_id],
-                         ALIGN_FUNCTION, True)
-        ]
-        for block in function.blocks:
-            if block.bb_id == entry_id:
-                continue
-            plans.append(
-                _SectionPlan(f".text.{fn}.__sec{block.bb_id}", f"{fn}.__bbsec{block.bb_id}",
-                             SymbolBinding.LOCAL, [block.bb_id], 1, False)
-            )
-        return plans
+    clusters = options.clusters_for(fn) if options.bb_sections == BBSectionsMode.LIST else None
+    if clusters is not None:
+        if not clusters or not clusters[0] or clusters[0][0] != entry_id:
+            raise ValueError(f"{fn}: first cluster must start with the entry block")
+        listed = [bb for cluster in clusters for bb in cluster]
+        if len(listed) != len(set(listed)):
+            raise ValueError(f"{fn}: block listed in multiple clusters")
+        for bb in listed:
+            if not function.has_block(bb):
+                raise ValueError(f"{fn}: cluster names unknown block {bb}")
+        plans = [(f".text.{fn}", fn, list(clusters[0]))] + [
+            (f".text.{fn}.{i}", f"{fn}.{i}", list(cluster))
+            for i, cluster in enumerate(clusters[1:], start=1)]
+        leftover = [b.bb_id for b in function.blocks if b.bb_id not in set(listed)]
+        return plans + [(f".text.{fn}.cold", f"{fn}.cold", leftover)] if leftover else plans
+    if options.bb_sections == BBSectionsMode.ALL:
+        return [(f".text.{fn}", fn, [entry_id])] + [
+            (f".text.{fn}.__sec{b.bb_id}", f"{fn}.__bbsec{b.bb_id}", [b.bb_id])
+            for b in function.blocks if b.bb_id != entry_id]
     # NONE: a single function section, PGO-ordered when a profile exists.
     if options.ir_profile is not None:
         order = _pgo_block_order(function, options.ir_profile)
@@ -365,8 +316,7 @@ def _section_plan(function: ir.Function, options: CodeGenOptions) -> List[_Secti
         order = [b.bb_id for b in function.blocks]
     if order[0] != entry_id:
         raise AssertionError(f"{fn}: entry block not first in layout")
-    return [_SectionPlan(f".text.{fn}", fn, SymbolBinding.GLOBAL, order,
-                         ALIGN_FUNCTION, True)]
+    return [(f".text.{fn}", fn, order)]
 
 
 def _term_row(kind: TerminatorKind, cond=(None, 0.0, -1, 0), uncond=(None, -1, 0),
@@ -382,12 +332,13 @@ def _lower_block(
     function: ir.Function,
     block: ir.BasicBlock,
     next_bb: Optional[int],
-    inline_jumptables: bool,
-    rodata: Optional[_SectionEmitter],
+    rodata: Optional[List[tuple]],
     prefetch_symbols: Sequence[str] = (),
 ) -> None:
     """Plan ``block`` at the emitter's cursor and append its
-    :class:`~repro.elf.BlockMeta` row to the emitter's block table."""
+    :class:`~repro.elf.BlockMeta` row to the object's block table.  A
+    jump table goes to ``rodata``'s relocation rows or, when it is
+    ``None`` (hand-written code), into the text."""
     fn = function.name
     start = emitter.size
     crc = zlib.crc32(f"{fn}:{block.bb_id}:".encode())
@@ -395,10 +346,9 @@ def _lower_block(
     prefetches: List[tuple] = []  # PrefetchSite rows
     for symbol in prefetch_symbols:
         off = emitter.emit(Opcode.PREFETCH)
-        emitter.relocations.append_row((off + 1, RelocType.PC32, symbol, 0))
+        emitter.relocate((off + 1, RelocType.PC32, symbol, 0))
         prefetches.append((off, symbol))
     emitter.emit_run(block, crc, calls)
-    emit = emitter.emit
 
     term = block.term
     if isinstance(term, ir.CondBr):
@@ -406,48 +356,36 @@ def _lower_block(
         if taken == next_bb:
             # Invert the condition so the likely-next block falls through.
             taken, fallthrough, prob = fallthrough, taken, 1.0 - prob
-        jcc_off = emitter.emit_branch(Opcode.JCC_LONG, bb_label(fn, taken))
-        cond = (bb_label(fn, taken), prob, jcc_off, OPCODE_SIZES[Opcode.JCC_LONG])
-        if fallthrough == next_bb:
-            term_row = _term_row(TerminatorKind.CONDBR, cond)
-        else:
-            jmp_off = emitter.emit_branch(
-                Opcode.JMP_LONG, bb_label(fn, fallthrough), deletable=True
-            )
-            term_row = _term_row(
-                TerminatorKind.CONDBR, cond,
-                (bb_label(fn, fallthrough), jmp_off, OPCODE_SIZES[Opcode.JMP_LONG]))
+        target, off, size = emitter.emit_branch(Opcode.JCC_LONG, bb_label(fn, taken))
+        uncond = (None, -1, 0) if fallthrough == next_bb else emitter.emit_branch(
+            Opcode.JMP_LONG, bb_label(fn, fallthrough), deletable=True)
+        term_row = _term_row(TerminatorKind.CONDBR, (target, prob, off, size), uncond)
+    elif isinstance(term, ir.Jump) and term.target == next_bb:
+        term_row = _term_row(TerminatorKind.FALLTHROUGH)
     elif isinstance(term, ir.Jump):
-        if term.target == next_bb:
-            term_row = _term_row(TerminatorKind.FALLTHROUGH)
-        else:
-            jmp_off = emitter.emit_branch(Opcode.JMP_LONG, bb_label(fn, term.target), deletable=True)
-            term_row = _term_row(
-                TerminatorKind.JUMP,
-                uncond=(bb_label(fn, term.target), jmp_off, OPCODE_SIZES[Opcode.JMP_LONG]))
+        term_row = _term_row(TerminatorKind.JUMP, uncond=emitter.emit_branch(
+            Opcode.JMP_LONG, bb_label(fn, term.target), deletable=True))
     elif isinstance(term, ir.Ret):
-        off = emit(Opcode.RET)
+        off = emitter.emit(Opcode.RET)
         term_row = _term_row(TerminatorKind.RET, end=(off, OPCODE_SIZES[Opcode.RET]))
     elif isinstance(term, ir.Switch):
-        off = emit(Opcode.IJMP, crc)
+        off = emitter.emit(Opcode.IJMP, crc)
         labels = [bb_label(fn, t) for t in term.targets]
-        if inline_jumptables:
+        if rodata is None:
             emitter.emit_jump_table(labels)
-        elif rodata is not None:
-            rodata.emit_jump_table(labels)
-        term_row = _term_row(
-            TerminatorKind.IJMP, end=(off, OPCODE_SIZES[Opcode.IJMP]),
-            ijmp=list(zip(labels, term.probs)))
+        else:  # its entries follow the function's tables before
+            rodata += [(_JUMP_TABLE_ENTRY_BYTES * k, RelocType.ABS32, label, 0)
+                       for k, label in enumerate(labels, len(rodata))]
+        term_row = _term_row(TerminatorKind.IJMP, end=(off, OPCODE_SIZES[Opcode.IJMP]),
+                             ijmp=list(zip(labels, term.probs)))
     elif isinstance(term, ir.Unreachable):
-        off = emit(Opcode.TRAP, crc)
+        off = emitter.emit(Opcode.TRAP, crc)
         term_row = _term_row(TerminatorKind.TRAP, end=(off, OPCODE_SIZES[Opcode.TRAP]))
     else:
         raise TypeError(f"unknown terminator {term!r}")
 
-    emitter.blocks.append_row((
-        block.bb_id, fn, start, emitter.size - start, term_row, calls, prefetches,
-        block.is_landing_pad, 0.0,
-    ))
+    emitter.block((block.bb_id, fn, start, emitter.size - start, term_row, calls, prefetches,
+                   block.is_landing_pad, 0.0))
 
 
 @dataclass
@@ -461,61 +399,49 @@ class CompiledObject:
     num_instrs: int = 0
     text_bytes: int = 0
 
-    def digest(self) -> str:
-        return self.obj.content_digest()
-
 
 def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject:
     """Lower one IR module to an object file."""
-    strings = Strings()  # one pool for all of the object's tables
-    obj = ObjectFile(name=f"{module.name}.o", symbols=Table(Symbol, strings=strings))
+    obj = ObjectFile(name=f"{module.name}.o")
     result = CompiledObject(obj=obj, module_name=module.name)
     code = _Code()
     texts: List[Tuple[Section, int, int]] = []  # every text section and its span of code
     eh_frame_bytes = _CIE_BYTES
-    addr_maps: List[Tuple[str, str, Table]] = []  # (text section, leader, blocks)
+    addr_maps: List[Tuple[str, Section]] = []  # (leader, text section)
 
     for function in module.functions:
         result.num_functions += 1
         result.num_blocks += function.num_blocks
         plans = _section_plan(function, options)
-        rodata: Optional[_SectionEmitter] = None
-        needs_rodata = any(
-            isinstance(b.term, ir.Switch) for b in function.blocks
-        ) and not function.hand_written
-        if needs_rodata:
-            rodata = _SectionEmitter(code, strings)
+        # The function's jump tables: relocation rows held until its rodata
+        # section is added after its text.
+        rodata: Optional[List[tuple]] = None if function.hand_written else []
         prefetch_plan: Dict[int, List[str]] = {}
         for bb_id, symbol in options.prefetches_for(function.name):
             prefetch_plan.setdefault(bb_id, []).append(symbol)
         lsda_bytes = 0
         fn_instrs = 0
-        for plan in plans:
-            emitter = _SectionEmitter(code, strings)
+        for i, (section_name, leader, bb_ids) in enumerate(plans):
+            primary = i == 0
+            emitter = _SectionEmitter(code, obj)
             # §4.5: a landing-pad block at the very start of a section
             # would have offset zero relative to @LPStart; pad with a nop.
-            if function.block(plan.bb_ids[0]).is_landing_pad:
+            if function.block(bb_ids[0]).is_landing_pad:
                 emitter.emit(Opcode.NOP)
             labels = []
-            for pos, bb_id in enumerate(plan.bb_ids):
-                next_bb = plan.bb_ids[pos + 1] if pos + 1 < len(plan.bb_ids) else None
+            for pos, bb_id in enumerate(bb_ids):
+                next_bb = bb_ids[pos + 1] if pos + 1 < len(bb_ids) else None
                 labels.append((bb_label(function.name, bb_id), emitter.size))
-                _lower_block(
-                    emitter, function, function.block(bb_id), next_bb,
-                    inline_jumptables=function.hand_written, rodata=rodata,
-                    prefetch_symbols=prefetch_plan.get(bb_id, ()),
-                )
+                _lower_block(emitter, function, function.block(bb_id), next_bb, rodata,
+                             prefetch_plan.get(bb_id, ()))
             code.size += emitter.size
-            blocks = emitter.blocks
-            section = obj.add_section(Section(
-                name=plan.section_name, kind=SectionKind.TEXT, alignment=plan.alignment,
-                relocations=emitter.relocations, blocks=blocks, branch_fixups=emitter.fixups,
-            ))
+            section = obj.add_section(Section(name=section_name, kind=SectionKind.TEXT,
+                                              alignment=ALIGN_FUNCTION if primary else 1))
             texts.append((section, emitter.base, code.size))
-            obj.symbols.append_row((plan.leader, plan.section_name, 0, emitter.size,
-                                    plan.leader_binding, SymbolType.FUNC))
+            obj.symbols.append_row((leader, section_name, 0, emitter.size, SymbolBinding.GLOBAL
+                                    if primary else SymbolBinding.LOCAL, SymbolType.FUNC))
             for name, offset in labels:
-                obj.symbols.append_row((name, plan.section_name, offset, 0,
+                obj.symbols.append_row((name, section_name, offset, 0,
                                         SymbolBinding.LOCAL, SymbolType.NOTYPE))
             result.num_instrs += emitter.num_instrs
             fn_instrs += emitter.num_instrs
@@ -523,18 +449,21 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
             # §4.4: one FDE per fragment; non-primary fragments re-emit
             # callee-saved-register CFI and redefine the CFA.
             eh_frame_bytes += _FDE_BYTES
-            if not plan.is_primary:
+            if not primary:
                 eh_frame_bytes += _CSR_CFI_BYTES * CALLEE_SAVED_REGS
             if function.has_landing_pads():
-                ncalls = blocks.col("calls")[-1]  # the offsets column ends at the total
+                calls = obj.blocks.col("calls")  # the offsets column ends at the total
+                ncalls = calls[-1] - calls[section.blocks.start]
                 if ncalls:
                     lsda_bytes += _LSDA_HEADER_BYTES + _LSDA_CALLSITE_BYTES * ncalls
             if options.bb_addr_map:
-                addr_maps.append((plan.section_name, plan.leader, blocks))
-        if rodata is not None and rodata.size:
+                addr_maps.append((leader, section))
+        if rodata:
+            for row in rodata:
+                obj.relocations.append_row(row)
             obj.add_section(Section(
                 name=f".rodata.{function.name}", kind=SectionKind.RODATA,
-                data=bytearray(rodata.size), alignment=4, relocations=rodata.relocations,
+                data=bytearray(_JUMP_TABLE_ENTRY_BYTES * len(rodata)), alignment=4,
             ))
         if lsda_bytes:
             obj.add_section(Section(
@@ -558,21 +487,23 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
     image = code.image()
     for section, start, end in texts:
         section.data = bytearray(image[start:end])
-    encoded = bbaddrmap.encode_tables([leader for _, leader, _ in addr_maps],
-                                      [blocks for _, _, blocks in addr_maps])
-    for (text_name, _, _), data in zip(addr_maps, encoded):
+    encoded = bbaddrmap.encode_blocks([leader for leader, _ in addr_maps], obj.blocks,
+                                      [text.blocks for _, text in addr_maps])
+    for (_, text), data in zip(addr_maps, encoded):
         obj.add_section(Section(
-            name=f".llvm_bb_addr_map{text_name[len('.text'):]}" if text_name.startswith(".text")
-            else f".llvm_bb_addr_map.{text_name}",
+            name=f".llvm_bb_addr_map{text.name[len('.text'):]}" if text.name.startswith(".text")
+            else f".llvm_bb_addr_map.{text.name}",
             kind=SectionKind.BB_ADDR_MAP,
             data=bytearray(data),
-            link_name=text_name,
+            link_name=text.name,
         ))
     if eh_frame_bytes > _CIE_BYTES:
         obj.add_section(Section(
             name=".eh_frame", kind=SectionKind.EH_FRAME,
             data=_filler(module.name, -3, eh_frame_bytes),
         ))
+    for table in (obj.symbols, obj.relocations, obj.blocks, obj.fixups):
+        table.release()
     return result
 
 

@@ -6,13 +6,12 @@ with placed sections and a symbol table.  Section kinds mirror the ones
 the paper's Figure 6 breaks binary size into (``.text``, ``.eh_frame``,
 ``.llvm_bb_addr_map``, ``.rela``, other).
 
-The per-record lists those containers hold -- a section's ``blocks``,
-``branch_fixups`` and ``relocations``, an object file's ``symbols``, an
-executable's ``exec_blocks`` -- are :class:`~repro.elf.table.Table` s:
-sequences of the record dataclasses below, stored one flat column per
-field.  Build them from plain lists of records and read them as such;
-the code generator, the linker and the trace replay read and write the
-columns and build no record (see :mod:`repro.elf.table`).
+An object file's ``symbols``, ``relocations``, ``blocks`` and ``fixups``
+and an executable's ``exec_blocks`` are :class:`~repro.elf.table.Table` s
+of the record dataclasses below, one flat column per field; a section
+owns a range of rows of each (``obj.blocks[section.blocks]``).  Build
+them from lists of records and read them as such; codegen, the linker
+and the trace replay use the columns and build no record.
 
 The ``bbaddrmap`` module implements the SHT_LLVM_BB_ADDR_MAP-style
 metadata encoding (§3.2): per-function basic block offsets, sizes and

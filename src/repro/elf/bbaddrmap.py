@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.elf.metadata import TerminatorKind
-from repro.elf.table import run_index, stacked
+from repro.elf.table import rows_of, run_index
 
 #: Flag bit: the block can land exceptions.
 FLAG_LANDING_PAD = 0x01
@@ -34,16 +34,22 @@ _KIND_FLAGS = np.array([
 ])
 
 
-def encode_tables(funcs: Sequence[str], tables: Sequence, offsets=None, sizes=None) -> List[bytes]:
-    """The map of each function ``funcs[i]`` whose blocks are the rows of
-    the :class:`~repro.elf.BlockMeta` table ``tables[i]``, placed at
-    ``offsets`` with ``sizes``: the tables' own columns laid end to end
-    when not given, else what a link made of them."""
-    flags = np.where(stacked(tables, "is_landing_pad") != 0, FLAG_LANDING_PAD, 0) | _KIND_FLAGS[
-        stacked(tables, "term.kind")]
-    return encode_maps(funcs, [len(table) for table in tables], stacked(tables, "bb_id"),
-                       stacked(tables, "offset") if offsets is None else offsets,
-                       stacked(tables, "size") if sizes is None else sizes, flags)
+def encode_blocks(funcs: Sequence[str], blocks, rows: Sequence[range], offsets=None,
+                  sizes=None) -> List[bytes]:
+    """The map of each function ``funcs[i]`` whose blocks are rows
+    ``rows[i]`` of the :class:`~repro.elf.BlockMeta` table ``blocks``,
+    placed at ``offsets`` with ``sizes``: the rows' own columns when not
+    given, else what a link made of them (a value per row, laid end to end)."""
+    index = rows_of(rows)
+
+    def column(path: str) -> np.ndarray:
+        return blocks.ints(path)[index]
+
+    flags = np.where(column("is_landing_pad") != 0, FLAG_LANDING_PAD, 0) | _KIND_FLAGS[
+        column("term.kind")]
+    return encode_maps(funcs, [len(r) for r in rows], column("bb_id"),
+                       column("offset") if offsets is None else offsets,
+                       column("size") if sizes is None else sizes, flags)
 
 
 def encode_uleb128(value: int) -> bytes:

@@ -58,10 +58,6 @@ class CallSite:
     callee: Optional[str] = None
     indirect_targets: Tuple[Tuple[str, float], ...] = ()
 
-    @property
-    def is_indirect(self) -> bool:
-        return self.callee is None
-
 
 @dataclass
 class PrefetchSite:
@@ -117,10 +113,6 @@ class BlockMeta:
     #: Ground-truth entry frequency relative to function entry (for reports).
     freq: float = 0.0
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.size
-
 
 @dataclass
 class BranchFixup:
@@ -137,9 +129,3 @@ class BranchFixup:
     opcode: Opcode
     symbol: str
     deletable: bool = False
-
-    @property
-    def size(self) -> int:
-        from repro.isa import instruction_size
-
-        return instruction_size(self.opcode)

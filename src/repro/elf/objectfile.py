@@ -1,42 +1,76 @@
 """Relocatable object files with content digests.
 
-Objects are the unit the distributed build cache stores; the digest is
-computed over a canonical serialization of everything that affects the
-link, so identical compilations hit the cache (§3.1).
+An object file keeps one table per record kind -- ``symbols``,
+``relocations``, ``blocks`` and ``fixups`` -- over one string pool.
+The rows of ``relocations``, ``blocks`` and ``fixups`` are grouped by
+section in section order: each section owns one contiguous range of
+rows in each (see :class:`~repro.elf.Section`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro.elf.sections import Restorable, Section, SectionKind, Symbol
-from repro.elf.table import Table
+from repro.elf.metadata import BlockMeta, BranchFixup
+from repro.elf.sections import Relocation, Restorable, Section, SectionKind, Symbol
+from repro.elf.table import Strings, Table
+
+#: The tables whose rows are grouped by section: (field, record).
+SECTION_TABLES = (("relocations", Relocation), ("blocks", BlockMeta), ("fixups", BranchFixup))
 
 
 @dataclass
 class ObjectFile(Restorable):
-    """One native object file: named sections plus a symbol table
-    (``symbols``: any iterable of :class:`Symbol`, held as a table)."""
+    """One native object file: named sections plus its record tables
+    (each takes any iterable of its records and holds a table)."""
 
     name: str
     sections: List[Section] = field(default_factory=list)
     symbols: Table = field(default_factory=list)  # of Symbol
+    relocations: Table = field(default_factory=list)  # of Relocation
+    blocks: Table = field(default_factory=list)  # of BlockMeta
+    fixups: Table = field(default_factory=list)  # of BranchFixup
 
     def __post_init__(self) -> None:
         self.symbols = Table.of(Symbol, self.symbols)
+        for name, record in SECTION_TABLES:
+            table = Table.of(record, getattr(self, name), self.strings)
+            setattr(self, name, table)
+            rows = [getattr(section, name) for section in self.sections]
+            bounds = [0, *(r.stop for r in rows)]  # each section's rows follow the last's
+            if [(r.start, r.step) for r in rows] != [(a, 1) for a in bounds[:-1]] or \
+                    bounds != sorted(bounds) or bounds[-1] != len(table):
+                raise ValueError(f"{self.name}: its sections' {name} rows {rows} "
+                                 f"do not tile its {len(table)}")
         self._by_name: Dict[str, Section] = {}
         for section in self.sections:
             self._register(section)
+
+    @property
+    def strings(self) -> Strings:
+        """The pool every table of the object interns its strings in."""
+        return self.symbols.strings
 
     def _register(self, section: Section) -> None:
         if section.name in self._by_name:
             raise ValueError(f"duplicate section {section.name!r} in {self.name}")
         self._by_name[section.name] = section
 
-    def add_section(self, section: Section) -> Section:
+    def add_section(self, section: Section, relocations: Iterable[Relocation] = (),
+                    blocks: Iterable[BlockMeta] = (),
+                    fixups: Iterable[BranchFixup] = ()) -> Section:
+        """Append ``section`` and the given records; it owns them and every
+        row appended to the tables since the section before it was added
+        (its row ranges are set here)."""
         self._register(section)
+        for (name, _), records in zip(SECTION_TABLES, (relocations, blocks, fixups)):
+            table = getattr(self, name)
+            for record in records:
+                table.append(record)
+            start = getattr(self.sections[-1], name).stop if self.sections else 0
+            setattr(section, name, range(start, len(table)))
         self.sections.append(section)
         return section
 
@@ -58,12 +92,12 @@ class ObjectFile(Restorable):
         return sum(s.size for s in self.sections)
 
     def content_digest(self) -> str:
-        """SHA-256 over a canonical serialization of the object.
-
-        Includes section bytes, relocations and symbols -- everything
-        the linker consumes -- so equal digests mean interchangeable
-        objects.  This is the key the build cache stores objects under.
-        """
+        """SHA-256 over the name, each section's name, kind, bytes and
+        relocations, and the symbols: what pins codegen's output
+        (``tests/golden/object_digests.json``).  It omits alignment,
+        ``link_name``, blocks and fixups, so equal digests do not make
+        objects interchangeable, and no cache is keyed by it (a compile
+        is keyed by its module's digest and the codegen options)."""
         h = hashlib.sha256()
         h.update(self.name.encode())
         for section in sorted(self.sections, key=lambda s: s.name):
@@ -71,7 +105,7 @@ class ObjectFile(Restorable):
             h.update(section.name.encode())
             h.update(section.kind.value.encode())
             h.update(bytes(section.data))
-            for reloc in section.relocations:
+            for reloc in self.relocations[section.relocations]:
                 h.update(
                     f"R{reloc.offset}:{reloc.rtype.value}:{reloc.symbol}:{reloc.addend}".encode()
                 )

@@ -1,11 +1,11 @@
 """Sections, symbols and relocations.
 
 A section is "a contiguous range of bytes ... that the linker operates
-on as a single unit" (§4).  Text sections additionally carry structured
-metadata (block descriptors and branch fixups) that the code generator
-attaches and the linker's relaxation pass rewrites; see
-:mod:`repro.elf.metadata`.  A section's ``relocations``, ``blocks`` and
-``branch_fixups`` are :class:`~repro.elf.table.Table` s of those records.
+on as a single unit" (§4).  Its records -- relocations, and for text
+sections the structured metadata (block descriptors and branch fixups)
+that the code generator attaches and the linker's relaxation pass
+rewrites, see :mod:`repro.elf.metadata` -- are rows of its object
+file's tables; a :class:`Section` holds only its range of rows in each.
 """
 
 from __future__ import annotations
@@ -14,16 +14,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.elf.metadata import BlockMeta, BranchFixup
-from repro.elf.table import Table
-
 
 class Restorable:
     """Pickling for the containers that hold tables: the state is the
     dataclass fields alone (derived indexes are rebuilt, never stored),
-    and a load goes through ``__post_init__`` like a construction does --
-    so an entry written when the fields were lists of records comes back
-    as tables."""
+    and a load goes through ``__post_init__`` like a construction does."""
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -101,25 +96,25 @@ class Symbol:
 
 
 @dataclass
-class Section(Restorable):
+class Section:
     """One named section of an object file.
 
     ``link_name`` ties a metadata section to the text section it
     describes (like ``sh_link``); the linker uses it to drop BB address
     maps whose text went away and to keep maps adjacent to their code.
-    The three record fields take any iterable of records and hold a
-    :class:`~repro.elf.table.Table` of them.
+    ``relocations``, ``blocks`` and ``fixups`` are the section's rows in
+    its object's tables of the same names, set by
+    :meth:`~repro.elf.ObjectFile.add_section`.
     """
 
     name: str
     kind: SectionKind
     data: bytearray = field(default_factory=bytearray)
     alignment: int = 1
-    relocations: Table = field(default_factory=list)  # of Relocation
     link_name: Optional[str] = None
-    # Structured metadata, populated for TEXT sections by the code generator.
-    blocks: Table = field(default_factory=list)  # of BlockMeta
-    branch_fixups: Table = field(default_factory=list)  # of BranchFixup
+    relocations: range = range(0)
+    blocks: range = range(0)
+    fixups: range = range(0)
 
     @property
     def size(self) -> int:
@@ -130,6 +125,3 @@ class Section(Restorable):
             self.data = bytearray(self.data)
         if self.alignment < 1 or self.alignment & (self.alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {self.alignment}")
-        self.relocations = Table.of(Relocation, self.relocations)
-        self.blocks = Table.of(BlockMeta, self.blocks)
-        self.branch_fixups = Table.of(BranchFixup, self.branch_fixups)

@@ -55,9 +55,10 @@ def strip_executable(exe: Executable) -> Tuple[Executable, int]:
 def strip_bb_addr_map(obj: ObjectFile) -> ObjectFile:
     """``obj`` without its BB address map: the object codegen emits
     without ``bb_addr_map`` (same ``content_digest()``).  Sections and
-    symbols are shared, not copied; the linker never mutates inputs."""
+    tables are shared, not copied (a map section owns no rows); the
+    linker never mutates inputs."""
     return ObjectFile(
         name=obj.name,
         sections=[s for s in obj.sections if s.kind != SectionKind.BB_ADDR_MAP],
-        symbols=obj.symbols,
+        symbols=obj.symbols, relocations=obj.relocations, blocks=obj.blocks, fixups=obj.fixups,
     )

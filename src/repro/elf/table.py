@@ -1,8 +1,8 @@
 """Columnar tables of records.
 
-The toolchain passes five families of small records around -- a
-section's blocks, branch fixups and relocations, an object file's
-symbols, an executable's resolved blocks -- by the tens of thousands.
+The toolchain passes five families of small records around -- an
+object file's symbols, relocations, blocks and branch fixups, an
+executable's resolved blocks -- by the tens of thousands.
 A :class:`Table` holds one family as columns: one flat ``array`` per
 field, laid out from the record dataclass's own type hints and named
 by the field's dotted path.
@@ -32,7 +32,8 @@ and never builds a record at all.  Appending and reading rows run as
 functions generated once per record type (the way ``dataclasses``
 generates ``__init__``), so neither walks the layout per row.  A table
 pickles as its columns' bytes: loading one costs its size, not its
-row count.
+row count.  Tables stack (:meth:`Table.concat`) and give up rows
+(:meth:`Table.take`, which a slice is) a column at a time too.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import collections.abc
 import dataclasses
 import enum
 import functools
+import itertools
 import sys
 import typing
 import zlib
@@ -252,9 +254,6 @@ class _Layout:
 
     # -- whole-column operations ----------------------------------------
 
-    def empty(self) -> list:
-        return [column[:] for column in self.empties]
-
     def check_lengths(self, data: list) -> None:
         """Raise ``ValueError`` unless each column of ``data`` is as long as
         the row count and the offsets columns say.  Lengths only: no value
@@ -323,30 +322,58 @@ class _Layout:
                     else f"{leaf.kind} id out of range"
                 raise ValueError(f"{self.record.__name__}.{leaf.path}: {what}")
 
-    def concat(self, datas: Sequence[list], remaps: Sequence[List[int]]) -> list:
-        out = self.empty()
+    def concat(self, datas: Sequence[list], remaps: Sequence[Any]) -> list:
+        """The columns of ``datas`` laid end to end: offsets rebased, string
+        ids mapped through each one's ``remaps`` array (``None`` stays)."""
+        import numpy as np
+
+        out = []
         for k, leaf in enumerate(self.leaves):
-            column = out[k]
-            for data, remap in zip(datas, remaps):
-                if leaf.delimits:
-                    base = column[-1]
-                    column.extend([base + o for o in data[k][1:]])
-                elif leaf.kind == "str":  # ids of the merged pool; None stays None
-                    column.extend([remap[i] if i >= 0 else i for i in data[k]])
-                else:
-                    column.extend(data[k])
+            parts = [np.frombuffer(data[k], dtype=leaf.code) for data in datas]
+            if leaf.delimits:  # each part's items follow the items before it
+                bases = np.cumsum([0, *(part[-1] for part in parts)])
+                parts = [np.zeros(1, dtype=np.int64),
+                         *(part[1:] + base for part, base in zip(parts, bases))]
+            elif leaf.kind == "str":
+                parts = [np.where(part >= 0, remap[np.maximum(part, 0)], part) if len(remap)
+                         else part for part, remap in zip(parts, remaps)]
+            out.append(array(leaf.code, np.concatenate([np.zeros(0, dtype=leaf.code), *parts]
+                                                       ).astype(leaf.code).tobytes()))
+        return out
+
+    def take(self, data: list, rows) -> list:
+        """The columns of rows ``rows`` (an index array) of ``data``, in that
+        order: a ragged field's items go with their row."""
+        import numpy as np
+
+        index = {0: np.asarray(rows, dtype=np.int64)}  # level -> values taken, in order
+        out = []
+        for leaf, column in zip(self.leaves, data):
+            values, i = np.frombuffer(column, dtype=leaf.code), index[leaf.level]
+            if leaf.delimits:
+                start, count = values[i], values[i + 1] - values[i]
+                index[leaf.delimits] = np.repeat(start, count) + run_index(count)
+                values = np.concatenate([[0], np.cumsum(count)])
+            else:
+                values = values[i]
+            out.append(array(leaf.code, values.astype(leaf.code).tobytes()))
         return out
 
 
 layout_of = functools.lru_cache(maxsize=None)(_Layout)
 
 
-def stacked(tables: Sequence["Table"], path: str):
-    """Column ``path`` of ``tables`` laid end to end, as an int64 ndarray."""
+def merged(pools: Sequence[Strings]) -> Tuple[Strings, list]:
+    """One pool of every name in ``pools``, and each pool's ids in it (an
+    int64 array per pool, computed once per distinct pool)."""
     import numpy as np
 
-    return np.concatenate([np.zeros(0, dtype=np.int64), *(t.col(path) for t in tables)]
-                          ).astype(np.int64)
+    strings, remaps = Strings(), {}
+    for pool in pools:
+        if id(pool) not in remaps:
+            remaps[id(pool)] = np.array([strings.intern(name) for name in pool.names],
+                                        dtype=np.int64)
+    return strings, [remaps[id(pool)] for pool in pools]
 
 
 def run_index(counts):
@@ -355,6 +382,13 @@ def run_index(counts):
 
     ends = np.cumsum(counts)
     return np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
+def rows_of(ranges: Sequence[range]):
+    """The rows of ``ranges`` laid end to end, as an int64 index array."""
+    import numpy as np
+
+    return np.fromiter(itertools.chain.from_iterable(ranges), np.int64)
 
 
 #: What a bad value raises inside a generated row function.
@@ -381,17 +415,17 @@ class Table(collections.abc.Sequence):
             self.append(item)
 
     @classmethod
-    def of(cls, record: type, value: Any) -> "Table":
-        """``value`` itself when it is already a table of ``record``,
-        else a new table of its records."""
+    def of(cls, record: type, value: Any, strings: Optional[Strings] = None) -> "Table":
+        """``value`` itself when it is already a table of ``record`` (over
+        ``strings``, when given), else a new table of its records."""
         if not isinstance(value, Table):
-            return cls(record, value)
+            return cls(record, value, strings)
         if value.record is not record:
             raise ValueError(f"expected a table of {record.__name__}, "
                              f"got one of {value.record.__name__}")
-        # Whoever filled it is done: the bound writers (a few KB of closures
-        # per table) are rebuilt if anyone appends again.
-        value._put = None
+        if strings is not None and value.strings is not strings:
+            raise ValueError(f"a table of {record.__name__} over another string pool")
+        value.release()
         return value
 
     @classmethod
@@ -410,17 +444,14 @@ class Table(collections.abc.Sequence):
         return cls(record, strings=strings, data=data)
 
     @classmethod
-    def concat(cls, record: type, tables: Sequence["Table"]) -> "Table":
-        """The rows of ``tables``, in order, in one table with one pool."""
-        strings = Strings()
-        full = [t for t in tables if len(t)]
-        if not full:
-            return cls(record, strings=strings)
-        remaps = {id(t.strings): t.strings for t in full}  # pool -> its ids in the merged pool
-        remaps = {key: [strings.intern(name) for name in pool.names]
-                  for key, pool in remaps.items()}
-        return cls(record, strings=strings, data=layout_of(record).concat(
-            [t.data for t in full], [remaps[id(t.strings)] for t in full]))
+    def concat(cls, record: type, tables: Sequence["Table"], strings: Strings,
+               remaps: list) -> "Table":
+        """The rows of ``tables``, in order, in one table over ``strings``,
+        where ``remaps[i]`` holds the ids of ``tables[i]``'s pool there
+        (see :func:`merged`)."""
+        layout = layout_of(record)
+        return cls(record, strings=strings, data=layout.concat(
+            [layout.empties if t.data is None else t.data for t in tables], remaps))
 
     # -- columns and rows ----------------------------------------------
 
@@ -430,6 +461,13 @@ class Table(collections.abc.Sequence):
         as their position in definition order, strings as pool ids."""
         layout = layout_of(self.record)
         return (layout.empties if self.data is None else self.data)[layout.index[path]]
+
+    def ints(self, path: str):
+        """Column ``path`` as an int64 ndarray (a copy)."""
+        import numpy as np
+
+        column = self.col(path)
+        return np.frombuffer(column, dtype=column.typecode).astype(np.int64)
 
     def values(self, path: str) -> list:
         """Column ``path`` decoded: what the records' fields would hold."""
@@ -442,11 +480,23 @@ class Table(collections.abc.Sequence):
             return [None if v == none else decode(v) if decode else v for v in column]
         return list(map(decode, column)) if decode else column.tolist()
 
+    def release(self) -> None:
+        """Whoever filled the table is done: drop the bound writers (a few
+        KB of closures), rebuilt should anyone append again."""
+        self._put = None
+
+    def take(self, rows) -> "Table":
+        """Rows ``rows`` (an index array) of this table, in that order, over
+        the same pool."""
+        layout = layout_of(self.record)
+        return Table(self.record, strings=self.strings, data=layout.take(
+            layout.empties if self.data is None else self.data, rows))
+
     def _writers(self):
         """``(put_row, put_record)`` bound to this table's columns."""
         layout = layout_of(self.record)
         if self.data is None:
-            self.data = layout.empty()
+            self.data = [column[:] for column in layout.empties]
         self._put = layout.writers(self.data, self.strings)
         return self._put
 
@@ -493,9 +543,10 @@ class Table(collections.abc.Sequence):
         return map(self._get or self._reader(), range(len(self))) if self.data else iter(())
 
     def __getitem__(self, index):
+        if isinstance(index, range):  # a section's rows
+            index = slice(index.start, index.stop, index.step)
         if isinstance(index, slice):
-            return Table(self.record, [self[i] for i in range(*index.indices(len(self)))],
-                         self.strings)
+            return self.take(range(*index.indices(len(self))))
         n = len(self)
         if index < 0:
             index += n

@@ -7,9 +7,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.elf import (BlockMeta, ExecBlock, Executable, ObjectFile, PlacedSection, Relocation,
-                       SectionKind, SymbolInfo, SymbolType, TerminatorKind, bbaddrmap)
-from repro.elf.table import NONE, Strings, Table, stacked
+from repro.elf import (ExecBlock, Executable, ObjectFile, PlacedSection, Relocation, SectionKind,
+                       SymbolInfo, SymbolType, TerminatorKind, bbaddrmap)
+from repro.elf.table import NONE, Strings, Table, rows_of
 from repro.linker.relax import apply_relocations, assign_addresses, relax
 from repro.linker.state import ALLOCATED, LinkError, LinkState
 
@@ -122,8 +122,10 @@ def link(objects: Sequence[ObjectFile], options: LinkOptions = LinkOptions()) ->
     # ----- final addresses, section bytes, relocations -------------------
     home, offset = np.array([*state.defs.values()], dtype=np.int64).reshape(-1, 2).T
     addresses = dict(zip(state.defs, state.address(home, offset).tolist()))
+    names = state.strings.names
+    symbol_addr = np.fromiter((addresses.get(name, -1) for name in names), np.int64, len(names))
     retained: Optional[List[Tuple[int, Relocation]]] = [] if options.emit_relocs else None
-    stats.relocations_applied = apply_relocations(state, loaded, image, addresses, retained)
+    stats.relocations_applied = apply_relocations(state, loaded, image, symbol_addr, retained)
     image, cursor = memoryview(image), 0
     for s in loaded:
         state.data[s] = bytes(image[cursor:cursor + state.size[s]])
@@ -143,7 +145,7 @@ def link(objects: Sequence[ObjectFile], options: LinkOptions = LinkOptions()) ->
             size = vaddr[s] + state.size[s] - addr  # relaxation shrank the section
         symbols[name] = SymbolInfo(name=name, addr=addr, size=size, stype=stype, binding=binding)
 
-    exec_blocks = _resolve_exec_blocks(state, text, addresses)
+    exec_blocks = _resolve_exec_blocks(state, text, symbol_addr)
     if options.entry_symbol not in addresses:
         raise LinkError(f"undefined symbol {options.entry_symbol!r}")
     executable = Executable(
@@ -198,42 +200,37 @@ def without_bb_addr_map(linked: LinkResult, objects: Sequence[ObjectFile],
 def _reencode_bb_addr_maps(state: LinkState, texts: List[int]) -> List[bytes]:
     """Serialize the final block geometry of each of sections ``texts`` as its address map."""
     led = [s for s in texts if state.leader[s] is not None]
-    tables = [state.section[s].blocks for s in led]
-    s = np.repeat(np.array(led, dtype=np.int64), [len(table) for table in tables])
-    offset, size = stacked(tables, "offset"), stacked(tables, "size")
+    rows = [state.rows("blocks", s) for s in led]
+    index, s = rows_of(rows), np.repeat(np.array(led, dtype=np.int64), [len(r) for r in rows])
+    offset, size = state.blocks.ints("offset")[index], state.blocks.ints("size")[index]
     starts = state(s, offset)
-    encoded = iter(bbaddrmap.encode_tables([state.leader[s] for s in led], tables, starts,
-                                           state(s, offset + size) - starts))
+    encoded = iter(bbaddrmap.encode_blocks([state.leader[s] for s in led], state.blocks, rows,
+                                           starts, state(s, offset + size) - starts))
     return [b"" if state.leader[s] is None else next(encoded) for s in texts]
 
 
-def _ints(column) -> np.ndarray:
-    """An ``array`` column as an ndarray over the same memory."""
-    return np.frombuffer(column, dtype=column.typecode)
-
-
 _KINDS = tuple(TerminatorKind)  # an enum column stores positions in this order
+#: The columns an execution-model block copies from its input block as they are.
+_KEPT = ("bb_id", "term.cond_prob", "term.end_instr_size", "term.ijmp_targets",
+         "term.ijmp_targets.1", "calls", "calls.size", "calls.indirect_targets",
+         "calls.indirect_targets.1", "is_landing_pad")
 
 
-def _resolve_exec_blocks(state: LinkState, text: List[int],
-                         addresses: Dict[str, int]) -> Table:
+def _resolve_exec_blocks(state: LinkState, text: List[int], symbol_addr: np.ndarray) -> Table:
     """The execution model: every input block of sections ``text`` at its
-    final address, as array arithmetic over their block columns at once."""
-    text = [s for s in text if len(state.section[s].blocks)]
-    tables = [state.section[s].blocks for s in text]
-    blocks = Table.concat(BlockMeta, tables)
+    final address, as array arithmetic over their block rows at once."""
+    rows = [state.rows("blocks", s) for s in text]
+    blocks = state.blocks.take(rows_of(rows))
     if not len(blocks):
         return Table(ExecBlock)
     names = blocks.strings.names
-    sec = np.repeat(np.array(text, dtype=np.int64), [len(table) for table in tables])
+    sec = np.repeat(np.array(text, dtype=np.int64), [len(r) for r in rows])
     final, base, fixup_at, size_now = state.address, state.base, state.fixup_at, state.size_now
     rewritten = size_now != state.input_size
 
-    symbol_addr = np.fromiter((addresses.get(name, -1) for name in names), np.int64, len(names))
-
-    def resolve(ids, missing: int = 0) -> np.ndarray:
-        """Addresses of the symbols ``ids`` name (``missing`` where none is named)."""
-        ids = _ints(ids)
+    def resolve(path: str, missing: int = 0) -> np.ndarray:
+        """Addresses of the symbols column ``path`` names (``missing`` where none is named)."""
+        ids = blocks.ints(path)
         named = ids >= 0
         out = np.full(len(ids), missing, dtype=np.int64)
         out[named] = symbol_addr[ids[named]]
@@ -241,13 +238,13 @@ def _resolve_exec_blocks(state: LinkState, text: List[int],
             raise LinkError(f"undefined symbol {names[ids[named][out[named] < 0][0]]!r}")
         return out
 
-    offset, size = _ints(blocks.col("offset")), _ints(blocks.col("size"))
-    kind = _ints(blocks.col("term.kind")).copy()
-    cond_at = _ints(blocks.col("term.cond_br_offset"))
-    uncond_at = _ints(blocks.col("term.uncond_br_offset"))
-    cond_size = _ints(blocks.col("term.cond_br_size"))
-    uncond_size = _ints(blocks.col("term.uncond_br_size"))
-    uncond_target = resolve(blocks.col("term.uncond_target"), NONE["q"])
+    offset, size = blocks.ints("offset"), blocks.ints("size")
+    kind = blocks.ints("term.kind")
+    cond_at = blocks.ints("term.cond_br_offset")
+    uncond_at = blocks.ints("term.uncond_br_offset")
+    cond_size = blocks.ints("term.cond_br_size")
+    uncond_size = blocks.ints("term.uncond_br_size")
+    uncond_target = resolve("term.uncond_target", NONE["q"])
 
     def rewrite_of(p: np.ndarray):
         """``(mask, fixup)``: blocks whose branch at offset ``p`` (inside
@@ -270,37 +267,28 @@ def _resolve_exec_blocks(state: LinkState, text: List[int],
             TerminatorKind.FALLTHROUGH)
 
     # The executable's pool: the function names in use, then the kind names.
-    used, func = np.unique(_ints(blocks.col("func")), return_inverse=True)
+    used, func = np.unique(blocks.ints("func"), return_inverse=True)
     strings = Strings([names[i] for i in used.tolist()])
     kind_ids = np.array([strings.intern(k.value) for k in _KINDS])
-    call_sec = np.repeat(sec, np.diff(_ints(blocks.col("calls"))))
+    call_sec = np.repeat(sec, np.diff(blocks.ints("calls")))
     start = final(sec, offset)
     return Table.from_columns(ExecBlock, strings, {
+        **{path: blocks.col(path) for path in _KEPT},
         "addr": start,
         "size": final(sec, offset + size) - start,
         "func": func,
-        "bb_id": blocks.col("bb_id"),
         "term.kind": kind_ids[kind],
-        "term.cond_target": resolve(blocks.col("term.cond_target")),
-        "term.cond_prob": blocks.col("term.cond_prob"),
+        "term.cond_target": resolve("term.cond_target"),
         "term.cond_br_addr": final(sec, cond_at),
         "term.cond_br_size": cond_size,
         "term.uncond_target": uncond_target,
         "term.uncond_br_addr": final(sec, uncond_at),
         "term.uncond_br_size": uncond_size,
-        "term.end_instr_addr": final(sec, _ints(blocks.col("term.end_instr_offset"))),
-        "term.end_instr_size": blocks.col("term.end_instr_size"),
-        "term.ijmp_targets": blocks.col("term.ijmp_targets"),
-        "term.ijmp_targets.0": resolve(blocks.col("term.ijmp_targets.0")),
-        "term.ijmp_targets.1": blocks.col("term.ijmp_targets.1"),
-        "calls": blocks.col("calls"),
-        "calls.addr": final(call_sec, _ints(blocks.col("calls.offset"))),
-        "calls.size": blocks.col("calls.size"),
-        "calls.target": resolve(blocks.col("calls.callee"), NONE["q"]),
-        "calls.indirect_targets": blocks.col("calls.indirect_targets"),
-        "calls.indirect_targets.0": resolve(blocks.col("calls.indirect_targets.0")),
-        "calls.indirect_targets.1": blocks.col("calls.indirect_targets.1"),
+        "term.end_instr_addr": final(sec, blocks.ints("term.end_instr_offset")),
+        "term.ijmp_targets.0": resolve("term.ijmp_targets.0"),
+        "calls.addr": final(call_sec, blocks.ints("calls.offset")),
+        "calls.target": resolve("calls.callee", NONE["q"]),
+        "calls.indirect_targets.0": resolve("calls.indirect_targets.0"),
         "prefetch_targets": blocks.col("prefetches"),
-        "prefetch_targets.0": resolve(blocks.col("prefetches.symbol")),
-        "is_landing_pad": blocks.col("is_landing_pad"),
+        "prefetch_targets.0": resolve("prefetches.symbol"),
     })

@@ -30,12 +30,11 @@ swept are always up to date; addresses are re-assigned once per pass.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.elf import Relocation, RelocType, SectionKind
-from repro.elf.table import Strings, stacked
 from repro.isa import OPCODE_SIZES, Opcode, fits_short, short_form
 from repro.linker.state import WIDTH, LinkError, LinkState
 
@@ -142,35 +141,29 @@ _LOW, _HIGH = np.array([{RelocType.PC8: (-(1 << 7), (1 << 7) - 1),
 
 
 def apply_relocations(state: LinkState, which: Sequence[int], image: bytearray,
-                      addresses: Dict[str, int],
+                      symbol_addr: np.ndarray,
                       retained: Optional[List[Tuple[int, Relocation]]] = None) -> int:
     """Patch the relocations of sections ``which`` into ``image``, their
     current bytes laid end to end, as column arithmetic; returns the
-    count applied.
+    count applied.  ``symbol_addr`` is the address of each name of
+    ``state.strings`` (-1 where no symbol is defined).
 
     With ``retained`` given (``--emit-relocs``), each one applied to a
     text section is also recorded there at its final address.
     """
     s, at, k = state.pending(which)
-    relocs = [state.section[w].relocations for w in which]
-    counts = np.array([len(table) for table in relocs], dtype=np.int64)
-    rank = np.zeros(len(state.section), dtype=np.int64)
-    rank[which] = np.arange(len(which))
-    # Input relocation k of a section is row ``rows[section] + k`` of the columns laid end to end.
-    inputs = k >= 0
-    row = (np.cumsum(counts) - counts)[rank[s[inputs]]] + k[inputs]
+    relocs, inputs = state.relocations, k >= 0
     rtype = np.full(len(k), _PC8)
-    rtype[inputs] = stacked(relocs, "rtype")[row]
+    rtype[inputs] = relocs.ints("rtype")[k[inputs]]
     addend = np.zeros(len(k), dtype=np.int64)
-    addend[inputs] = stacked(relocs, "addend")[row]
-    resolved = _symbol_addresses(relocs + [section.branch_fixups for section in state.section],
-                                 addresses)
-    target = np.empty(len(k), dtype=np.int64)
-    target[inputs] = resolved[row]
-    target[~inputs] = resolved[int(counts.sum()) + ~k[~inputs]]
+    addend[inputs] = relocs.ints("addend")[k[inputs]]
+    name = np.empty(len(k), dtype=np.int64)  # the id of the symbol each one names
+    name[inputs] = relocs.ints("symbol")[k[inputs]]
+    name[~inputs] = state.fixups.ints("symbol")[~k[~inputs]]
+    target = symbol_addr[name]
 
     def symbol(j: int) -> str:
-        return state.section[s[j]].relocations[k[j]].symbol if k[j] >= 0 else state.target[~k[j]]
+        return state.strings.names[name[j]]
 
     if (target < 0).any():
         raise LinkError(f"undefined symbol {symbol(int(np.argmax(target < 0)))!r}")
@@ -182,6 +175,8 @@ def apply_relocations(state: LinkState, which: Sequence[int], image: bytearray,
         raise OverflowError(f"{_RTYPES[rtype[j]].name} relocation to {symbol(j)} "
                             f"out of range ({value[j]})")
     sizes = np.array([state.size[w] for w in which], dtype=np.int64)
+    rank = np.zeros(len(state.section), dtype=np.int64)
+    rank[which] = np.arange(len(which))
     pos = (np.cumsum(sizes) - sizes)[rank[s]] + at  # where each field sits in ``image``
     view, one = np.frombuffer(image, dtype=np.uint8), width == 1
     view[pos[one]] = value[one] & 0xFF
@@ -192,20 +187,3 @@ def apply_relocations(state: LinkState, which: Sequence[int], image: bytearray,
                                                 int(addend[j])))
                      for j in range(len(k)) if state.kind[s[j]] == SectionKind.TEXT]
     return len(k)
-
-
-def _symbol_addresses(tables: Sequence, addresses: Dict[str, int]) -> np.ndarray:
-    """The address of the symbol each row of ``tables``, laid end to end,
-    names in its ``symbol`` column (-1 where none is defined)."""
-    tables = [table for table in tables if len(table)]
-    starts: Dict[Strings, int] = {}  # a pool -> where its names' addresses start
-    known = [np.zeros(0, dtype=np.int64)]
-    for table in tables:
-        names = table.strings.names
-        if table.strings not in starts:
-            starts[table.strings] = sum(map(len, known))
-            known.append(np.fromiter((addresses.get(n, -1) for n in names), np.int64, len(names)))
-    ids = stacked(tables, "symbol") + np.repeat(
-        np.array([starts[table.strings] for table in tables], dtype=np.int64),
-        [len(table) for table in tables])
-    return np.concatenate(known)[ids]

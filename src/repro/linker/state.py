@@ -1,26 +1,27 @@
-"""The link state: a link's sections and branch fixups as columns.
+"""The link state: a link's sections and records as columns.
 
 The linker never mutates or copies its inputs (they live in the build
 cache and must stay byte-stable): :class:`LinkState` refers to each
-input section by number and records only what the link decides.  The
-fixups of the whole link are one sorted column of positions in the
-inputs laid end to end, so one offset map has two readers: the
-relaxation sweep asks it one offset at a time (:meth:`LinkState.remap`,
-a ``bisect``), everything after the fixed point a column at a time
-(:meth:`LinkState.__call__`, a ``searchsorted``).  Every offset the link
-reads is checked against its section once, as a column.
+input section by number, stacks each record table of its inputs once
+and records only what the link decides.  The fixups of the whole link
+are one sorted column of positions in the inputs laid end to end, so
+one offset map has two readers: the relaxation sweep asks it one
+offset at a time (:meth:`LinkState.remap`, a ``bisect``), everything
+after the fixed point a column at a time (:meth:`LinkState.__call__`,
+a ``searchsorted``).  Every offset the link reads is checked against
+its section or block once, as a column.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.elf import ObjectFile, RelocType, Section, SectionKind, SymbolBinding, SymbolType
-from repro.elf.table import run_index, stacked
+from repro.elf.objectfile import SECTION_TABLES
+from repro.elf.table import Table, merged, rows_of
 from repro.isa import BRANCH_OPCODES, OPCODE_SIZES, Opcode
 
 #: Each branch encoded with displacement 0, as codegen emits it for the
@@ -42,15 +43,17 @@ class LinkError(Exception):
 class LinkState:
     """Every section ``s`` and branch fixup ``f`` of a link, as columns.
 
-    Per section: its input ``section``, the ``origin`` object's name,
-    ``kind``, ``alignment``, ``leader`` (the function symbol at offset 0,
-    if any), ``vaddr``, current ``size`` and final ``data``; ``base``,
-    its position in the inputs laid end to end, and ``first``/``end``,
-    the range of its fixups.  Per fixup: its position ``fixup_at``, input
-    ``opcode`` and its ``input_size``, ``target`` symbol and ``deletable``
-    flag.  ``saved`` holds
-    section ``s``'s prefix sums from ``first[s] + s``: ``saved[f + s]`` is
-    the bytes saved by the fixups of ``s`` before ``f``.
+    ``relocations``, ``blocks`` and ``fixups`` are the inputs' tables
+    stacked, over one pool ``strings``; :meth:`rows` is section ``s``'s
+    range of each.  Per section: its input ``section``, the ``origin``
+    object's name, ``kind``, ``alignment``, ``leader`` (the function
+    symbol at offset 0, if any), ``vaddr``, current ``size`` and final
+    ``data``; ``base``, its position in the inputs laid end to end, and
+    ``first``/``end``, the range of its fixups.  Per fixup: its position
+    ``fixup_at``, input ``opcode`` and its ``input_size``, ``target``
+    symbol and ``deletable`` flag.  ``saved`` holds section ``s``'s
+    prefix sums from ``first[s] + s``: ``saved[f + s]`` is the bytes
+    saved by the fixups of ``s`` before ``f``.
 
     Relaxation decides ``rewritten`` (fixup -> the opcode it was
     re-encoded with, ``None`` = deleted) and ``pinned`` (fixups grown
@@ -91,48 +94,77 @@ class LinkState:
             # Assembler temporaries stay out of the symbol table.
             self.exported += [(name, homes[j], sizes[j], stypes[j], bindings[j])
                               for j, name in enumerate(names) if not name.startswith(".L")]
+        self.strings, remaps = merged([obj.strings for obj in objects])
+        self.relocations, self.blocks, self.fixups = (
+            Table.concat(record, [getattr(obj, name) for obj in objects], self.strings, remaps)
+            for name, record in SECTION_TABLES)
+        #: Per table: where each section's rows start in it, then its length.
+        self.row_start = {name: np.cumsum([0, *(len(getattr(section, name))
+                                                for section in self.section)])
+                          for name, _ in SECTION_TABLES}
 
         n = len(self.section)
         self.kind = [section.kind for section in self.section]
         self.alignment = [section.alignment for section in self.section]
         self.size = [len(section.data) for section in self.section]
         self.vaddr, self.data = [0] * n, [b""] * n
-        fixups = [section.branch_fixups for section in self.section]
-        counts = np.array([len(table) for table in fixups], dtype=np.int64)
-        end = np.cumsum(counts)
+        start = self.row_start["fixups"]
         base = np.cumsum([0, *self.size])
-        offset, opcode = stacked(fixups, "offset"), stacked(fixups, "opcode")
+        offset, opcode = self.fixups.ints("offset"), self.fixups.ints("opcode")
         self.input_size = _SIZE_AT[opcode]
-        self._check_offsets(np.repeat(np.arange(n), counts), offset, end - counts)
-        self.base, self.first, self.end = base.tolist(), (end - counts).tolist(), end.tolist()
-        self.fixup_at = (offset + np.repeat(base[:-1], counts)).tolist()
+        self._check_offsets(offset, start[:-1])
+        self.base, self.first, self.end = base.tolist(), start[:-1].tolist(), start[1:].tolist()
+        self.fixup_at = (offset + base[self.owner("fixups")]).tolist()
         self.opcode = [_OPCODES[i] for i in opcode.tolist()]
-        self.target = list(chain.from_iterable(table.values("symbol") for table in fixups))
-        self.deletable = stacked(fixups, "deletable").tolist()
+        self.target = self.fixups.values("symbol")
+        self.deletable = self.fixups.col("deletable").tolist()
         self.saved = [0] * (len(self.fixup_at) + n)
         self.rewritten: Dict[int, Optional[Opcode]] = {}
         self.pinned: Set[int] = set()
 
-    def _check_offsets(self, fixup_s: np.ndarray, offset: np.ndarray, first: np.ndarray) -> None:
+    def rows(self, name: str, s: int) -> range:
+        """Section ``s``'s rows of the link's table ``name``."""
+        return range(*self.row_start[name][s:s + 2])
+
+    def owner(self, name: str) -> np.ndarray:
+        """The section of each row of the link's table ``name``."""
+        return np.repeat(np.arange(len(self.section)), np.diff(self.row_start[name]))
+
+    def _check_offsets(self, offset: np.ndarray, first: np.ndarray) -> None:
         """Every offset the link reads lies inside its section: fixups in
-        order and non-overlapping, each relocation it applies and each
-        symbol (which may sit at the section's end)."""
+        order and non-overlapping, each relocation it applies, each symbol
+        (which may sit at the section's end) and each block; and every
+        call, branch and end instruction a block names lies inside it."""
         size = np.array(self.size, dtype=np.int64)
+        fixup_s = self.owner("fixups")
         end = offset + self.input_size
         after = np.concatenate(([0], end[:-1]))  # the end of the fixup before, 0 for a first
         after[first[first < len(offset)]] = 0
         self._refuse(offset < after, fixup_s, lambda j: (
             f"branch fixup at offset {offset[j]} is out of order or overlaps its predecessor"))
         self._refuse(end > size[fixup_s], fixup_s, lambda j: "fixup past the section end")
-        applied = [s for s, kind in enumerate(self.kind) if kind in ALLOCATED]
-        relocs = [self.section[s].relocations for s in applied]
-        reloc_s = np.repeat(np.array(applied, dtype=np.int64), [len(table) for table in relocs])
-        at = stacked(relocs, "offset")
-        self._refuse((at < 0) | (at + WIDTH[stacked(relocs, "rtype")] > size[reloc_s]), reloc_s,
+        reloc_s, at = self.owner("relocations"), self.relocations.ints("offset")
+        applied = np.array([kind in ALLOCATED for kind in self.kind], dtype=bool)
+        self._refuse(applied[reloc_s] & ((at < 0) | (at + WIDTH[self.relocations.ints("rtype")]
+                                                     > size[reloc_s])), reloc_s,
                      lambda j: f"relocation at offset {at[j]} lies outside the section")
         home, where = np.array([*self.defs.values()], dtype=np.int64).reshape(-1, 2).T
         self._refuse((where < 0) | (where > size[home]), home, lambda j: (
             f"symbol {list(self.defs)[j]} at offset {where[j]} lies outside the section"))
+        block_s, lo = self.owner("blocks"), self.blocks.ints("offset")
+        hi = lo + self.blocks.ints("size")
+        self._refuse((lo < 0) | (hi < lo) | (hi > size[block_s]), block_s, lambda j: (
+            f"block {self.blocks[j].bb_id} at offset {lo[j]} lies outside the section"))
+        every = np.arange(len(lo))
+        call_b = np.repeat(every, np.diff(self.blocks.ints("calls")))  # each call's block
+        for at, width, b, what in (
+                ("term.cond_br_offset", "term.cond_br_size", every, "branch"),
+                ("term.uncond_br_offset", "term.uncond_br_size", every, "branch"),
+                ("term.end_instr_offset", "term.end_instr_size", every, "end instruction"),
+                ("calls.offset", "calls.size", call_b, "call")):
+            at, width = self.blocks.ints(at), self.blocks.ints(width)
+            self._refuse((at != -1) & ((at < lo[b]) | (at + width > hi[b])), block_s[b], lambda j: (
+                f"{what} at offset {at[j]} lies outside block {self.blocks[b[j]].bb_id}"))
 
     def _refuse(self, bad: np.ndarray, s: np.ndarray, what: Callable[[int], str]) -> None:
         if bad.any():
@@ -214,18 +246,17 @@ class LinkState:
     def pending(self, which: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Everything still to apply in sections ``which``, as arrays ``(s,
         at, k)`` in application order: section, current offset and ``k
-        >= 0`` for its ``k``-th relocation, ``k < 0`` for the PC8
-        relocation on the displacement byte of fixup ``~k``.
+        >= 0`` for row ``k`` of :attr:`relocations`, ``k < 0`` for the
+        PC8 relocation on the displacement byte of fixup ``~k``.
 
         Sections go in ``which`` order.  Input relocations keep their
         order; one inside a rewritten branch is dropped, and every branch
         that ended up short gets its PC8, in the order it was rewritten.
         """
-        relocs = [self.section[w].relocations for w in which]
-        counts = [len(table) for table in relocs]
-        s = np.repeat(np.array(which, dtype=np.int64), counts)
-        k = run_index(np.array(counts, dtype=np.int64))
-        at = stacked(relocs, "offset")
+        rows = [self.rows("relocations", w) for w in which]
+        s = np.repeat(np.array(which, dtype=np.int64), [len(r) for r in rows])
+        k = rows_of(rows)
+        at = self.relocations.ints("offset")[k]
         if self.rewritten:
             # The fixup at or before each relocation: was it rewritten over it?
             i = np.searchsorted(self.fixup_at, self.base[s] + at, "right") - 1

@@ -34,6 +34,11 @@ def _module(*funcs):
     return ir.Module(name="mod", functions=list(funcs))
 
 
+
+def _rows(obj, section, table):
+    """The rows of ``obj``'s ``table`` that section ``section`` owns."""
+    return getattr(obj, table)[getattr(obj.section(section), table)]
+
 class TestFunctionSections:
     def test_one_text_section_per_function(self):
         compiled = compile_module(_module(_func("a"), _func("b")), CodeGenOptions())
@@ -56,9 +61,9 @@ class TestFunctionSections:
     def test_block_metadata_covers_section(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
         section = compiled.obj.section(".text.a")
-        assert [b.bb_id for b in section.blocks] == [0, 1, 2, 3]
+        assert [b.bb_id for b in _rows(compiled.obj, ".text.a", "blocks")] == [0, 1, 2, 3]
         end = 0
-        for meta in section.blocks:
+        for meta in _rows(compiled.obj, ".text.a", "blocks"):
             assert meta.offset == end
             end = meta.offset + meta.size
         assert end == section.size
@@ -84,7 +89,7 @@ class TestTerminatorLowering:
         # Layout order 0,1,...: block 0's fallthrough (1) is next, so a
         # single JCC to the taken side is emitted.
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
-        meta = compiled.obj.section(".text.a").blocks[0]
+        meta = _rows(compiled.obj, ".text.a", "blocks")[0]
         assert meta.term.kind == TerminatorKind.CONDBR
         assert meta.term.cond_target == bb_label("a", 2)
         assert meta.term.cond_prob == pytest.approx(0.2)
@@ -97,7 +102,7 @@ class TestTerminatorLowering:
             ir.BasicBlock(bb_id=2, term=ir.Ret()),
         ])
         compiled = compile_module(_module(fn), CodeGenOptions())
-        meta = compiled.obj.section(".text.a").blocks[0]
+        meta = _rows(compiled.obj, ".text.a", "blocks")[0]
         # Inverted: branch now targets block 2 with probability 0.2.
         assert meta.term.cond_target == bb_label("a", 2)
         assert meta.term.cond_prob == pytest.approx(0.2)
@@ -111,7 +116,7 @@ class TestTerminatorLowering:
             ir.BasicBlock(bb_id=3, term=ir.Ret()),
         ])
         compiled = compile_module(_module(fn), CodeGenOptions())
-        meta = compiled.obj.section(".text.a").blocks[0]
+        meta = _rows(compiled.obj, ".text.a", "blocks")[0]
         assert meta.term.uncond_target == bb_label("a", 3)
         assert meta.term.uncond_br_offset >= 0
 
@@ -121,7 +126,7 @@ class TestTerminatorLowering:
             ir.BasicBlock(bb_id=1, term=ir.Ret()),
         ])
         compiled = compile_module(_module(fn), CodeGenOptions())
-        meta = compiled.obj.section(".text.a").blocks[0]
+        meta = _rows(compiled.obj, ".text.a", "blocks")[0]
         assert meta.term.kind == TerminatorKind.FALLTHROUGH
 
     def test_explicit_fallthrough_jump_is_deletable(self):
@@ -130,10 +135,10 @@ class TestTerminatorLowering:
         fn = _func("a")
         options = CodeGenOptions(bb_sections=BBSectionsMode.ALL)
         compiled = compile_module(_module(fn), options)
-        section = compiled.obj.section(".text.a")  # entry block section
-        assert section.blocks[0].term.kind == TerminatorKind.CONDBR
-        assert section.blocks[0].term.uncond_target is not None
-        deletables = [f for f in section.branch_fixups if f.deletable]
+        entry = _rows(compiled.obj, ".text.a", "blocks")[0]  # entry block section
+        assert entry.term.kind == TerminatorKind.CONDBR
+        assert entry.term.uncond_target is not None
+        deletables = [f for f in _rows(compiled.obj, ".text.a", "fixups") if f.deletable]
         assert deletables
 
     def test_switch_emits_rodata_jump_table(self):
@@ -146,7 +151,7 @@ class TestTerminatorLowering:
         rodata = compiled.obj.find_section(".rodata.a")
         assert rodata is not None
         assert rodata.size == 8  # two 4-byte entries
-        assert len(rodata.relocations) == 2
+        assert len(_rows(compiled.obj, ".rodata.a", "relocations")) == 2
 
     def test_hand_written_embeds_jump_table_in_text(self):
         fn = ir.Function(name="a", blocks=[
@@ -157,14 +162,14 @@ class TestTerminatorLowering:
         fn.hand_written = True
         compiled = compile_module(_module(fn), CodeGenOptions())
         assert compiled.obj.find_section(".rodata.a") is None
-        text = compiled.obj.section(".text.a")
-        abs_relocs = [r for r in text.relocations if r.rtype.value == "abs32"]
+        abs_relocs = [r for r in _rows(compiled.obj, ".text.a", "relocations")
+                      if r.rtype.value == "abs32"]
         assert len(abs_relocs) == 2  # data in code!
 
     def test_unreachable_lowers_to_trap(self):
         fn = ir.Function(name="a", blocks=[ir.BasicBlock(bb_id=0, term=ir.Unreachable())])
         compiled = compile_module(_module(fn), CodeGenOptions())
-        assert compiled.obj.section(".text.a").blocks[0].term.kind == TerminatorKind.TRAP
+        assert _rows(compiled.obj, ".text.a", "blocks")[0].term.kind == TerminatorKind.TRAP
 
 
 class TestClusters:
@@ -182,9 +187,9 @@ class TestClusters:
     def test_cluster_block_assignment(self):
         options = self._cluster_options({"a": [[0, 2], [1]]})
         compiled = compile_module(_module(_func("a")), options)
-        assert [b.bb_id for b in compiled.obj.section(".text.a").blocks] == [0, 2]
-        assert [b.bb_id for b in compiled.obj.section(".text.a.1").blocks] == [1]
-        assert [b.bb_id for b in compiled.obj.section(".text.a.cold").blocks] == [3]
+        assert [b.bb_id for b in _rows(compiled.obj, ".text.a", "blocks")] == [0, 2]
+        assert [b.bb_id for b in _rows(compiled.obj, ".text.a.1", "blocks")] == [1]
+        assert [b.bb_id for b in _rows(compiled.obj, ".text.a.cold", "blocks")] == [3]
 
     def test_cluster_must_start_with_entry(self):
         options = self._cluster_options({"a": [[1, 0]]})
@@ -221,9 +226,9 @@ class TestMetadata:
         assert section.link_name == ".text.a"
         maps = bbaddrmap.decode_section(bytes(section.data))
         assert maps[0].func == "a"
-        text = compiled.obj.section(".text.a")
-        assert [e.bb_id for e in maps[0].entries] == [b.bb_id for b in text.blocks]
-        assert [e.offset for e in maps[0].entries] == [b.offset for b in text.blocks]
+        blocks = _rows(compiled.obj, ".text.a", "blocks")
+        assert [e.bb_id for e in maps[0].entries] == [b.bb_id for b in blocks]
+        assert [e.offset for e in maps[0].entries] == [b.offset for b in blocks]
 
     def test_bb_addr_map_flags(self):
         compiled = compile_module(_module(_func("a", lp=True)),
@@ -257,10 +262,10 @@ class TestMetadata:
         options = CodeGenOptions(bb_sections=BBSectionsMode.LIST,
                                  clusters={"a": [[0, 1, 2, 3]]})
         compiled = compile_module(_module(_func("a", lp=True)), options)
-        cold = compiled.obj.section(".text.a.cold")  # holds the landing pad
-        assert cold.blocks[0].is_landing_pad
-        assert cold.blocks[0].offset == 1
-        assert cold.data[0] == Opcode.NOP
+        cold = _rows(compiled.obj, ".text.a.cold", "blocks")[0]  # the landing pad
+        assert cold.is_landing_pad
+        assert cold.offset == 1
+        assert compiled.obj.section(".text.a.cold").data[0] == Opcode.NOP
 
 
 class TestPGOOrder:
@@ -378,7 +383,7 @@ class TestLoweringOracle:
 
         functions = {f.name: f for f in module.functions}
         for section in obj.sections_of_kind(SectionKind.TEXT):
-            data, blocks = bytes(section.data), list(section.blocks)
+            data, blocks = bytes(section.data), list(obj.blocks[section.blocks])
             fn = functions[blocks[0].func]
             # A landing pad first in its section sits behind one nop (§4.5).
             pad = int(fn.block(blocks[0].bb_id).is_landing_pad)

@@ -74,12 +74,31 @@ class TestObjectFile:
         assert a.content_digest() != b.content_digest()
 
     def test_digest_changes_with_relocation(self):
-        s1 = _text_section()
-        s2 = _text_section()
-        s2.relocations.append(Relocation(offset=1, rtype=RelocType.PC32, symbol="g"))
-        a = ObjectFile(name="a.o", sections=[s1])
-        b = ObjectFile(name="a.o", sections=[s2])
+        a = ObjectFile(name="a.o", sections=[_text_section()])
+        b = ObjectFile(name="a.o")
+        b.add_section(_text_section(),
+                      relocations=[Relocation(offset=1, rtype=RelocType.PC32, symbol="g")])
         assert a.content_digest() != b.content_digest()
+
+    def test_each_section_owns_the_rows_added_with_it(self):
+        obj = ObjectFile(name="a.o")
+        f = obj.add_section(_text_section(".text.f"),
+                            relocations=[Relocation(1, RelocType.PC32, "g")])
+        obj.relocations.append(Relocation(2, RelocType.PC32, "f"))  # appended before .text.g
+        g = obj.add_section(_text_section(".text.g"),
+                            relocations=[Relocation(3, RelocType.PC32, "f")])
+        assert (f.relocations, g.relocations, g.blocks) == (range(0, 1), range(1, 3), range(0))
+        assert [r.offset for r in obj.relocations[g.relocations]] == [2, 3]
+
+    def test_rows_of_no_section_or_out_of_order_are_rejected(self):
+        with pytest.raises(ValueError, match="relocations rows .* do not tile its 1"):
+            ObjectFile(name="a.o", sections=[_text_section()],
+                       relocations=[Relocation(1, RelocType.PC32, "g")])
+        with pytest.raises(ValueError, match="do not tile"):
+            ObjectFile(name="a.o", sections=[
+                Section(".text.f", SectionKind.TEXT, relocations=range(1, 2)),
+                Section(".text.g", SectionKind.TEXT, relocations=range(0, 1))],
+                relocations=[Relocation(1, RelocType.PC32, "g")] * 2)
 
     def test_digest_changes_with_symbol(self):
         a = ObjectFile(name="a.o", sections=[_text_section()])

@@ -33,11 +33,13 @@ _FIXUPS = (BranchFixup(offset=5, opcode=Opcode.JCC_LONG, symbol="y"),
            BranchFixup(offset=16, opcode=Opcode.JMP_LONG, symbol="x", deletable=True))
 
 
-def _section(relocations=_RELOCATIONS, fixups=_FIXUPS):
-    """21 bytes: bb0 [0,11) ends in a jcc at 5, bb1 [11,21) in a jmp at 16."""
-    return Section(
-        name=".text.f", kind=SectionKind.TEXT, data=bytearray(range(21)),
-        relocations=list(relocations), branch_fixups=list(fixups),
+def _object(relocations=_RELOCATIONS, fixups=_FIXUPS, origin="o"):
+    """One 21-byte ``.text.f``: bb0 [0,11) ends in a jcc at 5, bb1 [11,21)
+    in a jmp at 16."""
+    obj = ObjectFile(name=origin)
+    obj.add_section(
+        Section(name=".text.f", kind=SectionKind.TEXT, data=bytearray(range(21))),
+        relocations=relocations, fixups=fixups,
         blocks=[
             BlockMeta(bb_id=0, func="f", offset=0, size=11,
                       term=TerminatorMeta(kind=TerminatorKind.CONDBR, cond_target="y",
@@ -46,10 +48,7 @@ def _section(relocations=_RELOCATIONS, fixups=_FIXUPS):
                       term=TerminatorMeta(kind=TerminatorKind.JUMP, uncond_target="x",
                                           uncond_br_offset=16, uncond_br_size=5)),
         ])
-
-
-def _state(*sections, origin="o"):
-    return LinkState([ObjectFile(name=origin, sections=list(sections))])
+    return obj
 
 
 def _rewrite(state, f, opcode, s=0):
@@ -65,9 +64,8 @@ def _pending(state):
     """Everything still to apply in section 0, as ``(current offset,
     relocation)`` in application order."""
     state.settle()
-    relocs = state.section[0].relocations
     _, at, k = state.pending([0])
-    return [(a, relocs[i] if i >= 0 else
+    return [(a, state.relocations[i] if i >= 0 else
              Relocation(offset=a, rtype=RelocType.PC8, symbol=state.target[~i]))
             for a, i in zip(at.tolist(), k.tolist())]
 
@@ -81,84 +79,84 @@ class TestSplice:
     """What re-encoding a branch does to every other offset in its section."""
 
     def test_inputs_not_mutated(self):
-        section = _section()
-        before = pickle.dumps(section)
-        state = _state(section)
+        obj = _object()
+        before = pickle.dumps(obj)
+        state = LinkState([obj])
         _rewrite(state, 0, Opcode.JCC_SHORT)
         _rewrite(state, 1, None)
         assert len(state.image([0])) == state.size[0] == 12
         _pending(state)
-        assert pickle.dumps(section) == before
+        assert pickle.dumps(obj) == before
 
     def test_delete_shifts_following_records(self):
-        section = _section()
-        state = _state(section, origin="t.o")
+        obj = _object()
+        state = LinkState([obj])
         assert _rewrite(state, 1, None) == 5
         assert state.size[0] == 16
         assert bytes(state.image([0])) == bytes(range(16))
         # The containing block shrank; the earlier block is untouched.
-        assert _span(state, section.blocks[0]) == (0, 11)
-        assert _span(state, section.blocks[1]) == (11, 5)
+        assert _span(state, obj.blocks[0]) == (0, 11)
+        assert _span(state, obj.blocks[1]) == (11, 5)
         # The start of the deleted instruction stays put (the terminator
         # that names it is rewritten by its owner); its end moves.
         assert state.remap(0, 16) == 16
         assert state.remap(0, 21) == 16
         # The relocation inside the deleted jump is dropped, the other kept.
-        assert _pending(state) == [(7, section.relocations[0])]
+        assert _pending(state) == [(7, obj.relocations[0])]
 
     def test_delete_in_first_block_shifts_second(self):
-        section = _section()
-        state = _state(section, origin="t.o")
+        obj = _object()
+        state = LinkState([obj])
         _rewrite(state, 0, None)
-        assert _span(state, section.blocks[0]) == (0, 5)
-        assert _span(state, section.blocks[1]) == (5, 10)
-        assert state.remap(0, section.blocks[1].term.uncond_br_offset) == 10
-        assert state.remap(0, section.branch_fixups[1].offset) == 10
+        assert _span(state, obj.blocks[0]) == (0, 5)
+        assert _span(state, obj.blocks[1]) == (5, 10)
+        assert state.remap(0, obj.blocks[1].term.uncond_br_offset) == 10
+        assert state.remap(0, obj.fixups[1].offset) == 10
         assert state.remap(0, 11) == 5  # the .Lf.__bb1 label
-        assert _pending(state) == [(11, section.relocations[1])]
+        assert _pending(state) == [(11, obj.relocations[1])]
 
     def test_replace_keeps_total_accounting(self):
-        section = _section()
-        state = _state(section, origin="t.o")
+        obj = _object()
+        state = LinkState([obj])
         assert _rewrite(state, 1, Opcode.JMP_SHORT) == 3
         assert state.size[0] == 18
-        assert _span(state, section.blocks[1]) == (11, 7)
+        assert _span(state, obj.blocks[1]) == (11, 7)
         assert bytes(state.image([0])[16:18]) == b"\xeb\x00"
         # PC32 on the old displacement dropped, PC8 added on the new byte.
         assert _pending(state) == [
-            (7, section.relocations[0]),
+            (7, obj.relocations[0]),
             (17, Relocation(offset=17, rtype=RelocType.PC8, symbol="x")),
         ]
 
     def test_out_of_bounds_rejected(self):
         # A 5-byte jump 3 bytes from the end.
-        section = _section(fixups=(_FIXUPS[0], replace(_FIXUPS[1], offset=18)))
+        obj = _object(fixups=(_FIXUPS[0], replace(_FIXUPS[1], offset=18)), origin="t.o")
         with pytest.raises(LinkError, match=r"t\.o: section \.text\.f: .*past the section end"):
-            _state(section, origin="t.o")
+            LinkState([obj])
 
 
 class TestRemap:
     def test_identity_until_something_is_rewritten(self):
-        state = _state(_section())
+        state = LinkState([_object()])
         assert [state.remap(0, p) for p in (0, 5, 16, 21)] == [0, 5, 16, 21]
         assert bytes(state.image([0])) == bytes(range(21))
-        assert _pending(state) == [(r.offset, r) for r in state.section[0].relocations]
+        assert _pending(state) == [(r.offset, r) for r in state.relocations]
 
     def test_before_stays_after_shifts(self):
-        state = _state(_section())
+        state = LinkState([_object()])
         _rewrite(state, 0, Opcode.JCC_SHORT)  # 6 -> 2 bytes at offset 5
         assert [state.remap(0, p) for p in (0, 4, 5)] == [0, 4, 5]
         assert [state.remap(0, p) for p in (11, 16, 21)] == [7, 12, 17]
 
     def test_negative_offsets_pass_through(self):
-        state = _state(_section())
+        state = LinkState([_object()])
         _rewrite(state, 0, None)
         assert state.remap(0, -1) == -1
         state.settle()
         assert state(np.array([0]), np.array([-1])).tolist() == [-1]
 
     def test_pc8_relocations_follow_shrink_order_and_skip_deleted(self):
-        state = _state(_section())
+        state = LinkState([_object()])
         _rewrite(state, 1, Opcode.JMP_SHORT)
         _rewrite(state, 0, Opcode.JCC_SHORT)
         assert [(at, r.symbol) for at, r in _pending(state)] == [(13, "x"), (6, "y")]
@@ -173,11 +171,10 @@ class TestFixupOrder:
     @pytest.mark.parametrize("offsets", [(16, 5), (5, 5), (5, 8)],
                              ids=["unsorted", "duplicate", "overlapping"])
     def test_bad_order_is_a_link_error(self, offsets):
-        section = _section(fixups=[replace(fixup, offset=offset)
-                                   for fixup, offset in zip(_FIXUPS, offsets)])
+        obj = _object(fixups=[replace(fixup, offset=offset)
+                              for fixup, offset in zip(_FIXUPS, offsets)], origin="bad.o")
         with pytest.raises(LinkError, match=r"bad\.o: section \.text\.f: branch fixup at offset"):
-            _state(section, origin="bad.o")
-        obj = ObjectFile(name="bad.o", sections=[section])
+            LinkState([obj])
         with pytest.raises(LinkError, match=r"bad\.o: section \.text\.f"):
             link([obj], LinkOptions(entry_symbol="f"))
 
@@ -189,15 +186,16 @@ class TestOffsetsInsideTheirSection:
     @staticmethod
     def _object(relocation=None, symbol=None):
         """An 8-byte ``.text.f`` followed by an 8-byte ``.text.g``."""
-        text = [Section(name=f".text.{name}", kind=SectionKind.TEXT, data=bytearray(8))
-                for name in "fg"]
-        if relocation is not None:
-            text[0].relocations.append(
-                Relocation(offset=relocation, rtype=RelocType.PC32, symbol="g"))
         symbols = [Symbol(name, f".text.{name}", 0, stype=SymbolType.FUNC) for name in "fg"]
         if symbol is not None:
             symbols.append(Symbol("h", ".text.f", symbol))
-        return ObjectFile(name="t.o", sections=text, symbols=symbols)
+        obj = ObjectFile(name="t.o", symbols=symbols)
+        for name in "fg":
+            obj.add_section(
+                Section(name=f".text.{name}", kind=SectionKind.TEXT, data=bytearray(8)),
+                relocations=[Relocation(offset=relocation, rtype=RelocType.PC32, symbol="g")]
+                if relocation is not None and name == "f" else ())
+        return obj
 
     @pytest.mark.parametrize("relocation, symbol, message", [
         (6, None, "relocation at offset 6"),    # two bytes into .text.g
@@ -219,6 +217,53 @@ class TestOffsetsInsideTheirSection:
         assert exe.symbols["h"].addr == exe.symbols["f"].addr + 8
 
 
+class TestBlocksInsideTheirSection:
+    """A block outside its section, or a call, branch or end instruction
+    outside its block, is a link error naming the object and section --
+    with the address map kept or dropped -- never a wrong execution model."""
+
+    @staticmethod
+    def _object(path):
+        """The golden module's object with column ``path`` of ``.text.f``'s
+        last block that sets it pushed past the section's end."""
+        from repro.codegen import CodeGenOptions, compile_module
+        from tests.test_runtime import _golden_module
+
+        obj = pickle.loads(pickle.dumps(
+            compile_module(_golden_module(), CodeGenOptions(bb_addr_map=True)).obj))
+        text = obj.section(".text.f")
+        column = obj.blocks.col(path)
+        if path.startswith("calls."):  # the items of the section's blocks
+            offsets = obj.blocks.col("calls")
+            rows = range(offsets[text.blocks.start], offsets[text.blocks.stop])
+        else:
+            rows = text.blocks
+        row = max(j for j in rows if column[j] != -1)
+        column[row] += len(text.data)
+        return obj
+
+    @pytest.mark.parametrize("keep_map", [True, False], ids=["map-kept", "map-dropped"])
+    @pytest.mark.parametrize("path, message", [
+        ("offset", "block 3 at offset"),
+        ("size", "block 3 at offset"),
+        ("calls.offset", "call at offset"),
+        ("term.cond_br_offset", "branch at offset"),
+        ("term.uncond_br_offset", "branch at offset"),
+        ("term.end_instr_offset", "end instruction at offset"),
+    ], ids=["offset", "size", "call", "cond-branch", "uncond-branch", "end-instr"])
+    def test_outside_is_a_link_error(self, path, message, keep_map):
+        obj = self._object(path)
+        with pytest.raises(LinkError, match=rf"^golden\.o: section \.text\.f: {message} "):
+            link([obj], LinkOptions(entry_symbol="f", keep_bb_addr_map=keep_map))
+
+    def test_the_unmutated_object_links(self):
+        from repro.codegen import CodeGenOptions, compile_module
+        from tests.test_runtime import _golden_module
+
+        obj = compile_module(_golden_module(), CodeGenOptions(bb_addr_map=True)).obj
+        assert len(link([obj], LinkOptions(entry_symbol="f")).executable.exec_blocks) == 7
+
+
 class TestTerminators:
     def test_deleted_jump_turns_its_block_into_a_fallthrough(self):
         exe = link([fallthrough_object()], LinkOptions(entry_symbol="f")).executable
@@ -234,9 +279,8 @@ class TestPendingRelocations:
     def test_a_relocation_before_the_first_rewritten_fixup_is_kept(self):
         """Only a relocation inside a rewritten branch is dropped: one
         ahead of every fixup of its section stays, at its own offset."""
-        section = _section(relocations=(
-            Relocation(offset=1, rtype=RelocType.PC32, symbol="z"), *_RELOCATIONS))
-        state = _state(section)
+        state = LinkState([_object(relocations=(
+            Relocation(offset=1, rtype=RelocType.PC32, symbol="z"), *_RELOCATIONS))])
         _rewrite(state, 0, Opcode.JCC_SHORT)
         assert [(at, r.symbol) for at, r in _pending(state)] == [
             (1, "z"), (13, "x"), (6, "y")]
@@ -246,7 +290,7 @@ class TestPendingRelocations:
 def _rewritten_state(draw):
     """Sections with random fixups, then a random sequence of rewrites:
     shrinks, deletions and grow-backs to the input form."""
-    sections = []
+    obj = ObjectFile(name="o")
     for n in range(draw(st.integers(1, 4))):
         fixups, cursor = [], 0
         for _ in range(draw(st.integers(0, 5))):
@@ -255,10 +299,10 @@ def _rewritten_state(draw):
             fixups.append(BranchFixup(offset=cursor, opcode=opcode, symbol="x"))
             cursor += OPCODE_SIZES[opcode]
         size = cursor + draw(st.integers(0, 6))
-        sections.append(Section(name=f".text.{n}", kind=SectionKind.TEXT,
-                                data=bytearray(size), branch_fixups=fixups))
-    state = _state(*sections)
-    for s, f in draw(st.lists(st.tuples(st.integers(0, len(sections) - 1), st.integers(0, 5)),
+        obj.add_section(Section(name=f".text.{n}", kind=SectionKind.TEXT, data=bytearray(size)),
+                        fixups=fixups)
+    state = LinkState([obj])
+    for s, f in draw(st.lists(st.tuples(st.integers(0, len(obj.sections) - 1), st.integers(0, 5)),
                               max_size=12)):
         f += state.first[s]
         if f >= state.end[s] or state.rewritten.get(f, 0) is None:

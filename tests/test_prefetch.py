@@ -33,14 +33,14 @@ class TestCodegen:
         options = CodeGenOptions(prefetches={"caller": [(0, "callee")]})
         compiled = compile_module(_module(), options)
         section = compiled.obj.section(".text.caller")
-        assert section.blocks[0].prefetches
+        assert compiled.obj.blocks[section.blocks][0].prefetches
         instrs = decode_range(bytes(section.data), 0, section.size)
         assert instrs[0].opcode == Opcode.PREFETCH
 
     def test_no_directives_no_prefetch(self):
         compiled = compile_module(_module(), CodeGenOptions())
         section = compiled.obj.section(".text.caller")
-        assert not section.blocks[0].prefetches
+        assert not compiled.obj.blocks[section.blocks][0].prefetches
         instrs = decode_range(bytes(section.data), 0, section.size)
         assert all(i.opcode != Opcode.PREFETCH for i in instrs)
 

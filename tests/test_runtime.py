@@ -333,11 +333,12 @@ class TestOneEnvelopeCodec:
                 {"a": 1}, protocol=pickle.HIGHEST_PROTOCOL))
         assert store.load(self.KEY) == {"a": 1}
 
-    def test_parent_written_entry_still_loads(self, tmp_path):
-        """``tests/golden/store_entry_v2.pkl`` was written by the commit
-        before the codec was unified, by ``run_action("codegen",
+    def test_parent_written_entry_is_quarantined_and_recomputed(self, tmp_path):
+        """``tests/golden/store_entry_v2.pkl`` was written under the
+        ``repro-store-v2`` envelope by ``run_action("codegen",
         ["golden-module-digest", "metadata"], ...)``: today's key hasher
-        must name it and today's reader must replay it."""
+        still names it, and today's reader refuses it as another format --
+        a quarantined miss, recomputed, never adopted."""
         from pathlib import Path
 
         from repro.buildsys import action_key
@@ -351,10 +352,12 @@ class TestOneEnvelopeCodec:
         path.write_bytes(
             (Path(__file__).parent / "golden" / "store_entry_v2.pkl").read_bytes())
         result = bs.run_action("codegen", ["golden-module-digest", "metadata"],
-                               lambda: pytest.fail("recomputed a stored action"))
-        assert result.cache_hit and result.value == ("object-bytes", 7)
-        assert result.peak_memory == 4096
-        assert (store.quarantined, bs.stats.disk_hits) == (0, 1)
+                               lambda: (("recomputed", 8), 1.0, 2048))
+        assert not result.cache_hit and result.value == ("recomputed", 8)
+        assert result.peak_memory == 2048
+        assert (store.quarantined, bs.stats.disk_hits) == (1, 0)
+        assert [f.name for f in (store.root / "quarantine").iterdir()] == [f"{path.name}.format"]
+        assert store.load(key).value == ("recomputed", 8)
 
 
 def _golden_module():
@@ -434,15 +437,17 @@ class TestReadEnvelopeFuzz:
 
 
 class TestRecordTablesInTheStore:
-    """A store entry holds tables, costs its bytes to load, and one
-    written when the same fields were lists of records still replays."""
+    """A store entry holds one table per record kind per object, costs
+    its bytes to load, and one written in an older layout is refused."""
 
-    def test_parent_written_object_and_link_entries_replay_as_tables(self, tmp_path):
+    def test_parent_object_and_link_entries_are_recomputed(self, tmp_path):
         """``tests/golden/store_object_v2.pkl`` holds the two store
         entries -- ``run_action("codegen", ...)`` of :func:`_golden_module`
-        and the ``link`` of its object -- as the commit before the record
-        tables wrote them: lists of records, ``_by_name`` and
-        ``_blocks_by_addr`` pickled along."""
+        and the ``link`` of its object -- as an older layout wrote them:
+        lists of records per section, under the ``repro-store-v2``
+        envelope.  Both are quarantined misses, recomputed and never
+        adopted, and what is recomputed is the object and executable
+        pinned here."""
         from pathlib import Path
 
         from repro.codegen import CodeGenOptions, compile_module
@@ -451,58 +456,81 @@ class TestRecordTablesInTheStore:
 
         entries = pickle.loads(
             (Path(__file__).parent / "golden" / "store_object_v2.pkl").read_bytes())
-        assert all(b"_blocks_by_addr" in e or b"_by_name" in e for e in entries.values())
+        assert all(e.startswith(b"repro-store-v2\n") for e in entries.values())
         bs = BuildSystem(cache_dir=tmp_path)
         store = bs.cache.persistent_store
         for key, sealed in entries.items():
             store._path(key).parent.mkdir(parents=True, exist_ok=True)
             store._path(key).write_bytes(sealed)
 
+        options = CodeGenOptions(bb_addr_map=True, prefetches={"f": [(1, "g")]})
+        compiled = bs.run_action("codegen", ["golden-object-digest", "metadata"],
+                                 lambda: (compile_module(_golden_module(), options), 1.0, 1))
+        linked = bs.run_action("link", ["golden-link-inputs", "emit-relocs"], lambda: (
+            link([compiled.value.obj], LinkOptions(entry_symbol="f", emit_relocs=True)), 1.0, 1))
+        assert {compiled.key, linked.key} == set(entries)
+        assert not compiled.cache_hit and not linked.cache_hit
+        assert (store.quarantined, bs.stats.disk_hits) == (2, 0)
+        assert sorted(f.suffix for f in (store.root / "quarantine").iterdir()) == [".format"] * 2
+
+        obj, exe = compiled.value.obj, linked.value.executable
+        assert obj.content_digest() == (
+            "49d5fcc2f642f6d5e7ef8abcc10914f0308cc844c849b796db77fec53a3edad0")
+        assert exe.content_digest() == (
+            "b506bd2695942a34bff3b32b87af0144f9c393912294ed779b032bb84c8ff32a")
+        # The recomputed entries replay: tables per record kind, rows by section.
+        again = BuildSystem(cache_dir=tmp_path)
+
         def recompute():
             pytest.fail("recomputed a stored action")
 
-        compiled = bs.run_action("codegen", ["golden-object-digest", "metadata"], recompute)
-        linked = bs.run_action("link", ["golden-link-inputs", "emit-relocs"], recompute)
-        assert {compiled.key, linked.key} == set(entries)
-        assert (store.quarantined, bs.stats.disk_hits) == (0, 2)
-
-        fresh = compile_module(_golden_module(), CodeGenOptions(
-            bb_addr_map=True, prefetches={"f": [(1, "g")]})).obj
-        relinked = link([fresh], LinkOptions(entry_symbol="f", emit_relocs=True)).executable
-        obj, exe = compiled.value.obj, linked.value.executable
-        assert obj.content_digest() == fresh.content_digest() == (
-            "49d5fcc2f642f6d5e7ef8abcc10914f0308cc844c849b796db77fec53a3edad0")
-        assert exe.content_digest() == relinked.content_digest() == (
-            "b506bd2695942a34bff3b32b87af0144f9c393912294ed779b032bb84c8ff32a")
-        # Tables in every field, holding the records a fresh build holds.
-        assert type(obj.symbols) is type(exe.exec_blocks) is Table
-        assert obj.symbols == fresh.symbols and exe.exec_blocks == relinked.exec_blocks
-        for section, twin in zip(obj.sections, fresh.sections):
-            for field in ("blocks", "branch_fixups", "relocations"):
-                assert type(getattr(section, field)) is Table
-                assert getattr(section, field) == getattr(twin, field)
-        assert any(len(s.blocks) and len(s.branch_fixups) for s in obj.sections)
-        # The derived indexes the entry carried are rebuilt or gone, not adopted.
-        assert "_blocks_by_addr" not in vars(exe) and obj.section(".text.f") is obj.sections[0]
-        assert link([obj], LinkOptions(entry_symbol="f", emit_relocs=True)
-                    ).executable.content_digest() == exe.content_digest()
+        replayed = again.run_action("codegen", ["golden-object-digest", "metadata"], recompute)
+        relinked = again.run_action("link", ["golden-link-inputs", "emit-relocs"], recompute)
+        copy = replayed.value.obj
+        assert type(copy.blocks) is type(relinked.value.executable.exec_blocks) is Table
+        assert copy.content_digest() == obj.content_digest()
+        assert [copy.blocks[s.blocks] for s in copy.sections] == [
+            obj.blocks[s.blocks] for s in obj.sections]
+        assert relinked.value.executable.exec_blocks == exe.exec_blocks
 
     def test_loading_an_entry_creates_objects_per_section_not_per_block(self):
+        """Per object one table per record kind over one pool, whatever
+        the sections: loading an entry creates a constant number of
+        objects, plus two per section (the section and its attributes; an
+        executable's symbols likewise) -- not per block, nor per table of
+        a section."""
+        import enum
         import gc
+        import types
+        from collections import Counter
 
         from repro import ir
-        from repro.codegen import CodeGenOptions, compile_module
+        from repro.codegen import BBSectionsMode, CodeGenOptions, compile_module
         from repro.linker import LinkOptions, link
         from repro.runtime.cache import _unseal
         from tests.test_linker import _chain_module
 
-        def entries(nblocks):
+        def entries(nblocks, mode):
             functions = [_chain_module(fname=f"f{i}", nblocks=nblocks).functions[0]
                          for i in range(8)]
             compiled = compile_module(ir.Module(name="m", functions=functions),
-                                      CodeGenOptions(bb_addr_map=True))
+                                      CodeGenOptions(bb_addr_map=True, bb_sections=mode))
             linked = link([compiled.obj], LinkOptions(entry_symbol="f0"))
             return [_CacheEntry(compiled, 1.0, 1), _CacheEntry(linked, 1.0, 1)]
+
+        def held(root) -> Counter:
+            """What ``root`` reaches, by type name (not through classes,
+            functions or enum members)."""
+            seen, todo, out = {id(root)}, [root], Counter()
+            while todo:
+                value = todo.pop()
+                out[type(value).__name__] += 1
+                for ref in gc.get_referents(value):
+                    if id(ref) not in seen and not isinstance(
+                            ref, (type, types.ModuleType, types.FunctionType, enum.Enum)):
+                        seen.add(id(ref))
+                        todo.append(ref)
+            return out
 
         def objects_created_by_loading(entry):
             sealed = _sealed(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
@@ -517,16 +545,20 @@ class TestRecordTablesInTheStore:
             assert reason is None
             return created, value
 
-        small = [objects_created_by_loading(e) for e in entries(nblocks=4)]
-        large = [objects_created_by_loading(e) for e in entries(nblocks=80)]
-        assert large[0][1].value.num_blocks == 8 * 80 >= 500
-        assert len(large[1][1].value.executable.exec_blocks) == 8 * 80
-        sections = len(large[0][1].value.obj.sections)
-        for (few, _), (many, _) in zip(small, large):
-            # Twenty times the blocks, the same objects: columns, not records.
-            assert many == few
-            assert many < 60 * sections
-
+        for mode in (BBSectionsMode.NONE, BBSectionsMode.ALL):
+            beyond = set()  # objects created less two per section (and symbol), per entry
+            for nblocks in (4, 80):
+                compiled, linked = (objects_created_by_loading(e) for e in entries(nblocks, mode))
+                obj, exe = compiled[1].value.obj, linked[1].value.executable
+                assert len(exe.exec_blocks) == compiled[1].value.num_blocks == 8 * nblocks
+                kinds = held(obj)
+                assert (kinds["Table"], kinds["Strings"]) == (4, 1)
+                beyond.add((compiled[0] - 2 * len(obj.sections),
+                            linked[0] - 2 * (len(exe.sections) + len(exe.symbols))))
+            # Twenty times the blocks -- and under ALL the sections -- and
+            # the same objects beside the sections.
+            ((codegen, linking),) = beyond
+            assert codegen < 64 and linking < 64
     def test_a_warm_run_materialises_no_block_record(self, tiny_program, tmp_path, monkeypatch):
         from repro.elf import BlockMeta
 

@@ -30,7 +30,7 @@ from repro.elf import (
     TerminatorMeta,
 )
 from repro.elf.executable import ResolvedCall, ResolvedTerminator
-from repro.elf.table import Strings, Table, layout_of
+from repro.elf.table import Strings, Table, layout_of, merged
 from repro.isa import Opcode
 
 # ----------------------------------------------------------------------
@@ -213,8 +213,9 @@ def test_block_at_agrees_with_a_dict(blocks_):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(blocks, max_size=4), max_size=4))
 def test_concat_is_the_concatenation(groups):
-    merged = Table.concat(BlockMeta, [Table(BlockMeta, group) for group in groups])
-    assert merged == [block for group in groups for block in group]
+    tables = [Table(BlockMeta, group) for group in groups]
+    joined = Table.concat(BlockMeta, tables, *merged([t.strings for t in tables]))
+    assert joined == [block for group in groups for block in group]
 
 
 # ----------------------------------------------------------------------
@@ -340,37 +341,43 @@ class TestColumns:
         module = ir.Module(name="m", functions=[ir.Function(name="f", blocks=[
             ir.BasicBlock(bb_id=0, instrs=[ir.Call(callee="f")], term=ir.Ret())])])
         obj = compile_module(module, CodeGenOptions()).obj
-        pools = {id(t.strings) for s in obj.sections
-                 for t in (s.blocks, s.relocations, s.branch_fixups) if len(t)}
-        assert pools == {id(obj.symbols.strings)}
+        tables = (obj.symbols, obj.relocations, obj.blocks, obj.fixups)
+        assert {id(t.strings) for t in tables} == {id(obj.strings)}
+        assert all(len(t) for t in tables[:3])
 
 
 class TestContainers:
-    """Sections, object files and executables hold tables, whatever they
-    were given -- a list, a table, a pickle of either."""
+    """Object files and executables hold tables, whatever they were
+    given -- a list, a table, a pickle of either."""
 
     def _fields(self, container):
-        names = {Section: ("relocations", "blocks", "branch_fixups"), ObjectFile: ("symbols",),
+        names = {ObjectFile: ("symbols", "relocations", "blocks", "fixups"),
                  Executable: ("exec_blocks",)}[type(container)]
         return [getattr(container, name) for name in names]
 
     def test_constructed_from_lists(self):
-        section = Section(".text.f", SectionKind.TEXT, relocations=[
-            Relocation(1, RelocType.PC32, "g")])
-        obj = ObjectFile("a.o", [section], symbols=[Symbol("f", ".text.f", 0)])
+        section = Section(".text.f", SectionKind.TEXT, relocations=range(1))
+        obj = ObjectFile("a.o", [section], symbols=[Symbol("f", ".text.f", 0)],
+                         relocations=[Relocation(1, RelocType.PC32, "g")])
         exe = Executable("a.out", 0, exec_blocks=[
             ExecBlock(16, 1, "f", 1, ResolvedTerminator("ret")),
             ExecBlock(0, 16, "f", 0, ResolvedTerminator("fallthrough"))])
-        for container in (section, obj, exe, *pickle.loads(pickle.dumps((section, obj, exe)))):
+        for container in (obj, exe, *pickle.loads(pickle.dumps((obj, exe)))):
             assert all(type(field) is Table for field in self._fields(container))
         assert [b.addr for b in exe.exec_blocks] == [0, 16]  # kept in address order
-        assert pickle.loads(pickle.dumps(obj)).section(".text.f") == section
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy.section(".text.f") == section
+        assert copy.relocations.strings is copy.symbols.strings  # one pool, pickled once
 
     def test_a_table_is_kept_not_copied(self):
         table = Table(Relocation, [Relocation(1, RelocType.PC32, "g")])
-        assert Section(".text.f", SectionKind.TEXT, relocations=table).relocations is table
+        symbols = Table(Symbol, strings=table.strings)
+        section = Section(".text.f", SectionKind.TEXT, relocations=range(1))
+        assert ObjectFile("a.o", [section], symbols, relocations=table).relocations is table
         with pytest.raises(ValueError, match="expected a table of BlockMeta"):
-            Section(".text.f", SectionKind.TEXT, blocks=table)
+            ObjectFile("a.o", [section], symbols, relocations=table, blocks=table)
+        with pytest.raises(ValueError, match="over another string pool"):
+            ObjectFile("a.o", [section], relocations=table)
 
     def test_derived_indexes_are_not_pickled(self):
         obj = ObjectFile("a.o", [Section(".text.f", SectionKind.TEXT)])
