@@ -38,6 +38,7 @@ from repro.isa import (
 INSTR_OBJECT_BYTES = 320
 BLOCK_OBJECT_BYTES = 96
 FUNCTION_OBJECT_BYTES = 160
+_ABS32 = list(RelocType).index(RelocType.ABS32)  # as a table's enum column stores it
 
 
 @dataclass
@@ -96,16 +97,13 @@ def disassemble(
     functions are still *scanned* (discovery requires decoding) but
     their instruction objects are released immediately.
     """
-    if not exe.retained_relocations:
+    relocs = exe.retained_relocations
+    if not relocs:
         raise ValueError(
-            f"{exe.name}: no relocations; BOLT requires a binary linked with --emit-relocs"
-        )
+            f"{exe.name}: no relocations; BOLT requires a binary linked with --emit-relocs")
     base, image = exe.text_image()
     end_of_text = base + len(image)
-
-    abs_reloc_addrs = sorted(
-        addr for addr, reloc in exe.retained_relocations if reloc.rtype == RelocType.ABS32
-    )
+    abs_reloc_addrs = sorted(relocs.ints("addr")[relocs.ints("rtype") == _ABS32].tolist())
 
     func_syms = exe.function_symbols()
     functions: List[BoltFunction] = []

@@ -27,6 +27,7 @@ from repro.bolt.perf2bolt import BoltProfile, Perf2BoltResult, perf2bolt
 from repro.core.exttsp import ext_tsp_order
 from repro.core.funcorder import hfsort_order
 from repro.elf import Executable, PlacedSection, SectionKind, SymbolInfo
+from repro.elf.table import Table, merged
 from repro.elf.executable import ExecBlock, ResolvedCall, ResolvedTerminator
 from repro.isa import Opcode, instruction_size
 from repro.profiles import PerfData
@@ -116,9 +117,7 @@ def run_bolt(
     stats.moved_text_bytes = moved_bytes
     stats.output_size = executable.total_size
     stats.peak_memory_bytes = meter.peak_bytes
-    processed_instrs = sum(
-        f.num_instrs for f in disassembly.functions if f.name in hot_layouts
-    )
+    processed_instrs = sum(f.num_instrs for f in disassembly.functions if f.name in hot_layouts)
     stats.runtime_seconds = (
         disassembly.total_instrs * DISASM_SECONDS_PER_INSTR
         + processed_instrs * OPT_SECONDS_PER_INSTR / max(1, options.threads)
@@ -184,9 +183,8 @@ def _rewrite(
     else:
         func_order = list(hot_layouts)
 
-    # Group each block with the exec blocks it contains.
-    exec_sorted = sorted(exe.exec_blocks, key=lambda b: b.addr)
-    exec_addrs = [b.addr for b in exec_sorted]
+    # Group each block with the exec blocks it contains (in address order).
+    exec_sorted, exec_addrs = list(exe.exec_blocks), exe.exec_blocks.col("addr")
 
     def execs_in(block: BoltBlock) -> List[ExecBlock]:
         lo = bisect.bisect_left(exec_addrs, block.addr)
@@ -195,16 +193,12 @@ def _rewrite(
 
     # ----- place blocks -------------------------------------------------
     align = options.new_segment_align
-    old_end = max((s.end for s in exe.sections), default=exe.entry)
+    ends = exe.sections.ints("vaddr") + exe.sections.ints("size")
+    old_end = int(ends.max()) if len(ends) else exe.entry
     new_base = (old_end + align - 1) & ~(align - 1)
-    layout: List[_Placement] = []
-    for name in func_order:
-        for i, block in enumerate(hot_layouts[name]):
-            layout.append(_Placement(block=block))
-    cold_placements: List[_Placement] = []
-    for name in func_order:
-        for block in cold_layouts.get(name, ()):
-            cold_placements.append(_Placement(block=block))
+    layout = [_Placement(block=block) for name in func_order for block in hot_layouts[name]]
+    cold_placements = [_Placement(block=block) for name in func_order
+                       for block in cold_layouts.get(name, ())]
 
     hot_end = _assign(layout, new_base, execs_in)
     cold_base = (hot_end + 15) & ~15
@@ -225,23 +219,16 @@ def _rewrite(
                 return new + (addr - lo)
         return addr
 
-    moved_addr_set: Set[int] = set()
-    for placement in layout:
-        for eb in execs_in(placement.block):
-            moved_addr_set.add(eb.addr)
-
+    moved: Set[int] = set()
     new_exec: List[ExecBlock] = []
     for placement in layout:
         members = execs_in(placement.block)
+        delta = placement.new_addr - placement.block.addr
         for j, eb in enumerate(members):
-            is_last = j == len(members) - 1
-            new_exec.append(
-                _remap_exec_block(eb, placement, is_last, remap)
-            )
-    for eb in exec_sorted:
-        if eb.addr in moved_addr_set:
-            continue
-        new_exec.append(_remap_targets_only(eb, remap))
+            moved.add(eb.addr)
+            last = placement if j == len(members) - 1 else None
+            new_exec.append(_remap_exec_block(eb, remap, delta, last))
+    new_exec += [_remap_exec_block(eb, remap) for eb in exec_sorted if eb.addr not in moved]
     new_exec.sort(key=lambda b: b.addr)
     # Defensive geometry pass: superblock boundaries reconstructed from
     # disassembly occasionally disagree with block metadata by one
@@ -253,48 +240,39 @@ def _rewrite(
             new_exec[i] = replace(cur, size=max(1, nxt.addr - cur.addr))
 
     # ----- sections and symbols ------------------------------------------
-    sections = list(exe.sections)
-    hot_size = hot_end - new_base
-    cold_size = cold_end - cold_base
-    if hot_size:
-        sections.append(PlacedSection(
-            name=".text.bolt", kind=SectionKind.TEXT, vaddr=new_base,
-            data=b"\x90" * hot_size, origin="llvm-bolt",
-        ))
-    if cold_size:
-        sections.append(PlacedSection(
-            name=".text.bolt.cold", kind=SectionKind.TEXT, vaddr=cold_base,
-            data=b"\x90" * cold_size, origin="llvm-bolt",
-        ))
+    # The input's tables over a copy of its pool (the same ids), so the
+    # new rows can intern their names without touching the input.
+    strings, remaps = merged([exe.strings])
+    sections = Table.concat(PlacedSection, [exe.sections], strings, remaps)
+    data = [exe.data]
     # New unwind info for every rewritten fragment (§4.4 applies to BOLT too).
     eh_bytes = sum(
         32 + (56 if cold_layouts.get(name) else 0) for name in hot_layouts
     )
-    if eh_bytes:
-        sections.append(PlacedSection(
-            name=".eh_frame.bolt", kind=SectionKind.EH_FRAME,
-            vaddr=cold_end + 4096, data=b"\x00" * eh_bytes, origin="llvm-bolt",
-        ))
-
-    symbols: Dict[str, SymbolInfo] = {}
-    for name, sym in exe.symbols.items():
-        symbols[name] = replace(sym, addr=remap(sym.addr))
+    for name, kind, vaddr, size, fill in (
+            (".text.bolt", SectionKind.TEXT, new_base, hot_end - new_base, b"\x90"),
+            (".text.bolt.cold", SectionKind.TEXT, cold_base, cold_end - cold_base, b"\x90"),
+            (".eh_frame.bolt", SectionKind.EH_FRAME, cold_end + 4096, eh_bytes, b"\x00")):
+        if size:
+            sections.append_row((name, kind, vaddr, size, "llvm-bolt"))
+            data.append(fill * size)
+    symbols = Table.from_columns(SymbolInfo, strings, {
+        **{path: exe.symbols.col(path) for path in ("name", "size", "stype", "binding")},
+        "addr": [remap(addr) for addr in exe.symbols.col("addr")]})
 
     code_moved = bool(layout)
     out = Executable(
         name=exe.name + ".bolt",
         entry=remap(exe.entry),
         sections=sections,
+        data=b"".join(data),
         symbols=symbols,
-        exec_blocks=new_exec,
-        retained_relocations=[],  # BOLT output drops .rela
+        exec_blocks=Table(ExecBlock, new_exec, strings),  # and no relocations: BOLT drops .rela
         features=startup_features(exe, code_moved),
         hugepages=exe.hugepages,
     )
-    meter.free_category("bolt-output-text")
-    meter.free_category("bolt-input")
-    meter.free_category("bolt-disasm")
-    meter.free_category("bolt-p2b")
+    for category in ("bolt-output-text", "bolt-input", "bolt-disasm", "bolt-p2b"):
+        meter.free_category(category)
     return out, moved_bytes
 
 
@@ -309,25 +287,16 @@ def _assign(placements: List[_Placement], base: int, execs_in) -> int:
         members = execs_in(block)
         last = members[-1] if members else None
         succ_old, has_jump, jump_size = _fallthrough_info(last, block)
-        new_size = block.size
+        next_old = placements[i + 1].block.addr if i + 1 < len(placements) else None
         if succ_old is None:
-            placement.jump_action = "none"
-        else:
-            next_old = placements[i + 1].block.addr if i + 1 < len(placements) else None
-            if next_old == succ_old:
-                if has_jump:
-                    placement.jump_action = "drop"
-                    new_size -= jump_size
-                else:
-                    placement.jump_action = "none"
-            else:
-                if has_jump:
-                    placement.jump_action = "keep"
-                else:
-                    placement.jump_action = "add"
-                    new_size += _JMP_SIZE
-        placement.new_size = new_size
-        cursor += new_size
+            action = "none"
+        elif next_old == succ_old:  # still adjacent: an explicit jump goes
+            action = "drop" if has_jump else "none"
+        else:  # moved apart: a fall-through needs a jump
+            action = "keep" if has_jump else "add"
+        placement.jump_action = action
+        placement.new_size = block.size + {"drop": -jump_size, "add": _JMP_SIZE}.get(action, 0)
+        cursor += placement.new_size
     return cursor
 
 
@@ -347,34 +316,28 @@ def _fallthrough_info(last: Optional[ExecBlock], block: BoltBlock):
     return None, False, 0
 
 
-def _remap_exec_block(
-    eb: ExecBlock, placement: _Placement, is_last: bool, remap
-) -> ExecBlock:
-    delta = placement.new_addr - placement.block.addr
-    term = eb.term
-    new_size = eb.size
-    uncond_target = term.uncond_target
-    uncond_br_addr = term.uncond_br_addr
-    uncond_br_size = term.uncond_br_size
-    kind = term.kind
-    if is_last:
-        size_delta = placement.new_size - placement.block.size
-        new_size = eb.size + size_delta
-        if placement.jump_action == "drop":
-            uncond_target = None
-            uncond_br_addr = -1
-            uncond_br_size = 0
+def _remap_exec_block(eb: ExecBlock, remap, delta: int = 0,
+                      last: Optional[_Placement] = None) -> ExecBlock:
+    """``eb`` moved by ``delta``, every target remapped; ``last`` is its
+    placement when ``eb`` ends it (its trailing jump is adjusted)."""
+    term, new_size, kind = eb.term, eb.size, eb.term.kind
+    uncond_target, uncond_br_addr, uncond_br_size = (
+        term.uncond_target, term.uncond_br_addr, term.uncond_br_size)
+    if last is not None:
+        new_size = eb.size + last.new_size - last.block.size
+        if last.jump_action == "drop":
+            uncond_target, uncond_br_addr, uncond_br_size = None, -1, 0
             if kind == "jump":
                 kind = "fallthrough"
-        elif placement.jump_action == "add":
+        elif last.jump_action == "add":
             # An explicit jump materializes at the (new) end of the block.
-            succ_old, _has, _size = _fallthrough_info(eb, placement.block)
+            succ_old, _has, _size = _fallthrough_info(eb, last.block)
             uncond_target = remap(succ_old)
             uncond_br_addr = eb.addr + delta + new_size - _JMP_SIZE
             uncond_br_size = _JMP_SIZE
             if kind == "fallthrough":
                 kind = "jump"
-        elif placement.jump_action == "keep" and uncond_target is not None:
+        elif last.jump_action == "keep" and uncond_target is not None:
             uncond_target = remap(uncond_target)
             uncond_br_addr = uncond_br_addr + delta if uncond_br_addr >= 0 else -1
     else:
@@ -410,23 +373,3 @@ def _remap_exec_block(
         prefetch_targets=tuple(remap(t) for t in eb.prefetch_targets),
         is_landing_pad=eb.is_landing_pad,
     )
-
-
-def _remap_targets_only(eb: ExecBlock, remap) -> ExecBlock:
-    term = eb.term
-    new_term = replace(
-        term,
-        cond_target=remap(term.cond_target) if term.cond_target else 0,
-        uncond_target=remap(term.uncond_target) if term.uncond_target is not None else None,
-        ijmp_targets=tuple((remap(a), p) for a, p in term.ijmp_targets),
-    )
-    calls = tuple(
-        replace(
-            c,
-            target=remap(c.target) if c.target is not None else None,
-            indirect_targets=tuple((remap(a), p) for a, p in c.indirect_targets),
-        )
-        for c in eb.calls
-    )
-    return replace(eb, term=new_term, calls=calls,
-                   prefetch_targets=tuple(remap(t) for t in eb.prefetch_targets))

@@ -149,7 +149,7 @@ class _AddressMapIndex:
         indexed: List[Tuple[int, int, bbaddrmap.FunctionMap]] = []
         self.num_entries = 0
         for fmap in maps:
-            sym = exe.symbols.get(fmap.func)
+            sym = exe.symbol(fmap.func)
             if sym is None or not fmap.entries:
                 continue
             last = fmap.entries[-1]

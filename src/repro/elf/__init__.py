@@ -7,9 +7,11 @@ the paper's Figure 6 breaks binary size into (``.text``, ``.eh_frame``,
 ``.llvm_bb_addr_map``, ``.rela``, other).
 
 An object file's ``symbols``, ``relocations``, ``blocks`` and ``fixups``
-and an executable's ``exec_blocks`` are :class:`~repro.elf.table.Table` s
-of the record dataclasses below, one flat column per field; a section
-owns a range of rows of each (``obj.blocks[section.blocks]``).  Build
+and an executable's ``sections``, ``symbols``, ``exec_blocks`` and
+``retained_relocations`` are :class:`~repro.elf.table.Table` s of the
+record dataclasses below, one flat column per field; an object's section
+owns a range of rows of each (``obj.blocks[section.blocks]``), and an
+executable's section bytes are one buffer (``exe.data``).  Build
 them from lists of records and read them as such; codegen, the linker
 and the trace replay use the columns and build no record.
 
@@ -37,7 +39,8 @@ from repro.elf.metadata import (
     TerminatorMeta,
 )
 from repro.elf.objectfile import ObjectFile
-from repro.elf.executable import ExecBlock, Executable, PlacedSection, SymbolInfo
+from repro.elf.executable import (ExecBlock, Executable, PlacedSection, RetainedRelocation,
+                                  SymbolInfo)
 from repro.elf import bbaddrmap
 
 __all__ = [
@@ -60,6 +63,7 @@ __all__ = [
     "ExecBlock",
     "Executable",
     "PlacedSection",
+    "RetainedRelocation",
     "SymbolInfo",
     "bbaddrmap",
 ]

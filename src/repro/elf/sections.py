@@ -95,7 +95,7 @@ class Symbol:
     stype: SymbolType = SymbolType.NOTYPE
 
 
-@dataclass
+@dataclass(slots=True)
 class Section:
     """One named section of an object file.
 

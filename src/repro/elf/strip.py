@@ -10,7 +10,10 @@ PT_LOAD"), which §5.8 cites as a deployment blocker.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Tuple
+
+import numpy as np
 
 from repro.elf.executable import Executable
 from repro.elf.objectfile import ObjectFile
@@ -27,29 +30,17 @@ def strip_executable(exe: Executable) -> Tuple[Executable, int]:
     Raises :class:`StripError` for rewritten binaries whose extra
     segments strip would misalign.
     """
-    if any(s.origin == "llvm-bolt" for s in exe.sections):
+    if "llvm-bolt" in exe.sections.values("origin"):
         raise StripError(
             f"{exe.name}: rewritten text segments would be misaligned by strip "
             "(cf. llvm-project#56738); binary must ship unstripped"
         )
-    before = exe.total_size
-    kept_symbols = {
-        name: sym
-        for name, sym in exe.symbols.items()
-        if sym.binding == SymbolBinding.GLOBAL
-    }
-    kept_sections = [s for s in exe.sections if s.kind != SectionKind.DEBUG]
-    stripped = Executable(
-        name=exe.name,
-        entry=exe.entry,
-        sections=kept_sections,
-        symbols=kept_symbols,
-        exec_blocks=exe.exec_blocks,
-        retained_relocations=[],
-        features=exe.features,
-        hugepages=exe.hugepages,
-    )
-    return stripped, before - stripped.total_size
+    sections, data = exe.sections_at(np.flatnonzero(
+        exe.sections.ints("kind") != list(SectionKind).index(SectionKind.DEBUG)))
+    global_ = exe.symbols.ints("binding") == list(SymbolBinding).index(SymbolBinding.GLOBAL)
+    stripped = replace(exe, sections=sections, data=data, retained_relocations=(),
+                       symbols=exe.symbols.take(np.flatnonzero(global_)))
+    return stripped, exe.total_size - stripped.total_size
 
 
 def strip_bb_addr_map(obj: ObjectFile) -> ObjectFile:

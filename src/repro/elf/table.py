@@ -1,8 +1,9 @@
 """Columnar tables of records.
 
-The toolchain passes five families of small records around -- an
+The toolchain passes eight families of small records around -- an
 object file's symbols, relocations, blocks and branch fixups, an
-executable's resolved blocks -- by the tens of thousands.
+executable's placed sections, symbols, resolved blocks and retained
+relocations -- by the tens of thousands.
 A :class:`Table` holds one family as columns: one flat ``array`` per
 field, laid out from the record dataclass's own type hints and named
 by the field's dotted path.

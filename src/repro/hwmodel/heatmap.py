@@ -53,8 +53,8 @@ def record_heatmap(
     addrs = np.asarray(trace.block_addrs, dtype=np.int64)
     if addrs.size == 0:
         raise ValueError("empty trace")
-    base = min(s.vaddr for s in exe.sections)
-    top = max(s.end for s in exe.sections)
+    start = exe.sections.ints("vaddr")
+    base, top = int(start.min()), int((start + exe.sections.ints("size")).max())
     num_addr_buckets = max(1, (top - base + addr_bucket_bytes - 1) // addr_bucket_bytes)
     time_idx = np.minimum(
         (np.arange(addrs.size) * time_buckets) // max(1, addrs.size), time_buckets - 1

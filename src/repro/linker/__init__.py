@@ -7,9 +7,10 @@ shrinks long branches after basic-block-section reordering (§4.2),
 applies relocations and produces an :class:`repro.elf.Executable`.
 Inputs are read-only and never copied: relaxation records which branches
 it re-encoded, every other offset is derived by one remap over all
-sections' columns, and each section's bytes are built once, after the
-fixed point.  :func:`without_bb_addr_map` derives the link of the same
-objects without their BB address map from the link with it.
+sections' columns, and the output's bytes are built once, after the
+fixed point.  The executable's tables are built from the link's
+columns, each once.  :func:`without_bb_addr_map` derives the link of
+the same objects without their BB address map from the link with it.
 
 Peak link memory is modelled as roughly twice the input size plus the
 output, the rule of thumb the paper cites ("~2X size of inputs", §5.2).

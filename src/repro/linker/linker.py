@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.elf import (ExecBlock, Executable, ObjectFile, PlacedSection, Relocation, SectionKind,
-                       SymbolInfo, SymbolType, TerminatorKind, bbaddrmap)
+from repro.elf import (ExecBlock, Executable, ObjectFile, PlacedSection, RetainedRelocation,
+                       SectionKind, SymbolInfo, SymbolType, TerminatorKind, bbaddrmap)
 from repro.elf.table import NONE, Strings, Table, rows_of
 from repro.linker.relax import apply_relocations, assign_addresses, relax
 from repro.linker.state import ALLOCATED, LinkError, LinkState
 
+_SECTION_KINDS = tuple(SectionKind)  # an enum column stores positions in this order
+_FUNC = tuple(SymbolType).index(SymbolType.FUNC)
 #: Address of the first text section, and the page every later segment
 #: starts on (x86-64 ``ld`` defaults).
 TEXT_BASE = 0x400000
@@ -107,54 +109,65 @@ def link(objects: Sequence[ObjectFile], options: LinkOptions = LinkOptions()) ->
             if not options.keep_bb_addr_map or linked_text is None:
                 continue  # dropped by the linker (§3.4)
             maps.append((s, linked_text))
-        else:
-            state.data[s] = bytes(state.section[s].data)
         nonalloc.append(s)
+    contents = {s: state.section[s].data for s in nonalloc}
     # Relaxation moved block boundaries; re-encode the maps from the
     # final section geometry so profile mapping stays exact.
     for (s, _), data in zip(maps, _reencode_bb_addr_maps(state, [t for _, t in maps])):
-        state.data[s], state.size[s] = data, len(data)
+        contents[s], state.size[s] = data, len(data)
     cursor = (cursor + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
     for s in nonalloc:
         state.vaddr[s] = cursor
         cursor += state.size[s]
 
-    # ----- final addresses, section bytes, relocations -------------------
-    home, offset = np.array([*state.defs.values()], dtype=np.int64).reshape(-1, 2).T
-    addresses = dict(zip(state.defs, state.address(home, offset).tolist()))
-    names = state.strings.names
-    symbol_addr = np.fromiter((addresses.get(name, -1) for name in names), np.int64, len(names))
-    retained: Optional[List[Tuple[int, Relocation]]] = [] if options.emit_relocs else None
-    stats.relocations_applied = apply_relocations(state, loaded, image, symbol_addr, retained)
-    image, cursor = memoryview(image), 0
-    for s in loaded:
-        state.data[s] = bytes(image[cursor:cursor + state.size[s]])
-        cursor += state.size[s]
+    # ----- final addresses, relocations ----------------------------------
+    names, symbols = state.strings.names, state.symbols
+    addr = state.address(state.home, symbols.ints("offset"))
+    symbol_addr = np.full(len(names), -1, dtype=np.int64)
+    symbol_addr[symbols.ints("name")] = addr
+    applied = apply_relocations(state, loaded, image, symbol_addr)
+    stats.relocations_applied = len(applied["s"])
 
-    # ----- assemble the executable --------------------------------------
-    vaddr = state.vaddr.tolist()
-    placed_sections = [
-        PlacedSection(name=state.section[s].name, kind=kind[s], vaddr=vaddr[s],
-                      data=state.data[s], origin=state.origin[s])
-        for s in loaded + nonalloc
-    ]
-    symbols: Dict[str, SymbolInfo] = {}
-    for name, s, size, stype, binding in state.exported:
-        addr = addresses[name]
-        if stype == SymbolType.FUNC and kind[s] == SectionKind.TEXT:
-            size = vaddr[s] + state.size[s] - addr  # relaxation shrank the section
-        symbols[name] = SymbolInfo(name=name, addr=addr, size=size, stype=stype, binding=binding)
-
+    # ----- the executable: each table once, from the link's columns ------
     exec_blocks = _resolve_exec_blocks(state, text, symbol_addr)
-    if options.entry_symbol not in addresses:
+    entry = state.strings.ids().get(options.entry_symbol, -1)
+    if entry < 0 or symbol_addr[entry] < 0:
         raise LinkError(f"undefined symbol {options.entry_symbol!r}")
+    strings = exec_blocks.strings
+
+    def interned(named: Iterable[str]) -> List[int]:
+        return [strings.intern(name) for name in named]
+
+    placed, size = loaded + nonalloc, np.array(state.size, dtype=np.int64)
+    sections = Table.from_columns(PlacedSection, strings, {
+        "name": interned(state.section[s].name for s in placed), "vaddr": state.vaddr[placed],
+        "kind": [_SECTION_KINDS.index(kind[s]) for s in placed], "size": size[placed],
+        "origin": interned(state.origin[s] for s in placed)})
+    # Assembler temporaries stay out of the symbol table.
+    temporary = np.array([name.startswith(".L") for name in names], dtype=bool)
+    kept = np.flatnonzero(~temporary[symbols.ints("name")])
+    home, addr, stype = state.home[kept], addr[kept], symbols.ints("stype")[kept]
+    is_text = np.array([k == SectionKind.TEXT for k in kind], dtype=bool)
+    symbol_table = Table.from_columns(SymbolInfo, strings, {
+        "name": interned(names[i] for i in symbols.ints("name")[kept].tolist()), "addr": addr,
+        # Relaxation shrank the section: a function in text runs to its end.
+        "size": np.where((stype == _FUNC) & is_text[home], state.vaddr[home] + size[home] - addr,
+                         symbols.ints("size")[kept]),
+        "stype": stype, "binding": symbols.ints("binding")[kept]})
+    retained: Sequence = ()
+    if options.emit_relocs:  # those applied to text
+        rows = np.flatnonzero(is_text[applied.pop("s")])
+        retained = Table.from_columns(RetainedRelocation, strings, {
+            **{path: column[rows] for path, column in applied.items()},
+            "symbol": interned(names[i] for i in applied["symbol"][rows].tolist())})
     executable = Executable(
         name=options.output_name,
-        entry=addresses[options.entry_symbol],
-        sections=placed_sections,
-        symbols=symbols,
+        entry=int(symbol_addr[entry]),
+        sections=sections,
+        data=b"".join([image, *(contents[s] for s in nonalloc)]),
+        symbols=symbol_table,
         exec_blocks=exec_blocks,
-        retained_relocations=retained or [],
+        retained_relocations=retained,
         features=options.features,
         hugepages=options.hugepages,
     )
@@ -177,19 +190,17 @@ def without_bb_addr_map(linked: LinkResult, objects: Sequence[ObjectFile],
     the output; the relaxation and relocation counts are ``linked``'s.
     """
     exe = linked.executable
-    sections: List[PlacedSection] = []
-    cursor = None
-    for placed in exe.sections:  # text, data, then non-allocated
-        if placed.kind not in ALLOCATED:
-            cursor = placed.vaddr if cursor is None else cursor
-            if placed.kind == SectionKind.BB_ADDR_MAP:
-                continue
-            placed, cursor = replace(placed, vaddr=cursor), cursor + placed.size
-        sections.append(placed)
-    executable = Executable(
-        name=options.output_name, entry=exe.entry, sections=sections,
-        symbols=dict(exe.symbols), exec_blocks=exe.exec_blocks,
-        retained_relocations=list(exe.retained_relocations),
+    kind, vaddr, size = (exe.sections.ints(path) for path in ("kind", "vaddr", "size"))
+    kept = kind != _SECTION_KINDS.index(SectionKind.BB_ADDR_MAP)
+    nonalloc = ~np.isin(kind, [_SECTION_KINDS.index(k) for k in ALLOCATED])
+    if nonalloc.any():  # they follow text and data: re-pack them from where the first is
+        packed = nonalloc & kept
+        vaddr = np.where(packed, vaddr[nonalloc][0] + np.cumsum(size * packed) - size, vaddr)
+    rows = np.flatnonzero(kept)
+    sections, data = exe.sections_at(rows)
+    executable = replace(exe, name=options.output_name, data=data, sections=Table.from_columns(
+        PlacedSection, exe.strings, {**{path: sections.col(path) for path in (
+            "name", "kind", "size", "origin")}, "vaddr": vaddr[rows]}),
         features=options.features, hugepages=options.hugepages)
     stats = replace(linked.stats, input_bytes=sum(obj.total_size for obj in objects),
                     output_bytes=executable.total_size)

@@ -30,11 +30,11 @@ swept are always up to date; addresses are re-assigned once per pass.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.elf import Relocation, RelocType, SectionKind
+from repro.elf import RelocType
 from repro.isa import OPCODE_SIZES, Opcode, fits_short, short_form
 from repro.linker.state import WIDTH, LinkError, LinkState
 
@@ -141,15 +141,16 @@ _LOW, _HIGH = np.array([{RelocType.PC8: (-(1 << 7), (1 << 7) - 1),
 
 
 def apply_relocations(state: LinkState, which: Sequence[int], image: bytearray,
-                      symbol_addr: np.ndarray,
-                      retained: Optional[List[Tuple[int, Relocation]]] = None) -> int:
+                      symbol_addr: np.ndarray) -> Dict[str, np.ndarray]:
     """Patch the relocations of sections ``which`` into ``image``, their
-    current bytes laid end to end, as column arithmetic; returns the
-    count applied.  ``symbol_addr`` is the address of each name of
-    ``state.strings`` (-1 where no symbol is defined).
+    current bytes laid end to end, as column arithmetic.  ``symbol_addr``
+    is the address of each name of ``state.strings`` (-1 where no symbol
+    is defined).
 
-    With ``retained`` given (``--emit-relocs``), each one applied to a
-    text section is also recorded there at its final address.
+    Returns what was applied, in order, as columns: ``s`` the section,
+    ``addr`` the field's final address, ``offset`` its offset in the
+    section, ``rtype`` (a position in :class:`RelocType`), ``symbol`` (an
+    id in ``state.strings``) and ``addend``.
     """
     s, at, k = state.pending(which)
     relocs, inputs = state.relocations, k >= 0
@@ -182,8 +183,4 @@ def apply_relocations(state: LinkState, which: Sequence[int], image: bytearray,
     view[pos[one]] = value[one] & 0xFF
     view[pos[~one, None] + np.arange(4)] = (value[~one] & 0xFFFFFFFF).astype("<u4").view(
         np.uint8).reshape(-1, 4)
-    if retained is not None:
-        retained += [(int(field[j]), Relocation(int(at[j]), _RTYPES[rtype[j]], symbol(j),
-                                                int(addend[j])))
-                     for j in range(len(k)) if state.kind[s[j]] == SectionKind.TEXT]
-    return len(k)
+    return {"s": s, "addr": field, "offset": at, "rtype": rtype, "symbol": name, "addend": addend}

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.elf import ObjectFile, RelocType, Section, SectionKind, SymbolBinding, SymbolType
+from repro.elf import ObjectFile, RelocType, Section, SectionKind, Symbol, SymbolType
 from repro.elf.objectfile import SECTION_TABLES
 from repro.elf.table import Table, merged, rows_of
 from repro.isa import BRANCH_OPCODES, OPCODE_SIZES, Opcode
@@ -43,12 +43,13 @@ class LinkError(Exception):
 class LinkState:
     """Every section ``s`` and branch fixup ``f`` of a link, as columns.
 
-    ``relocations``, ``blocks`` and ``fixups`` are the inputs' tables
-    stacked, over one pool ``strings``; :meth:`rows` is section ``s``'s
-    range of each.  Per section: its input ``section``, the ``origin``
-    object's name, ``kind``, ``alignment``, ``leader`` (the function
-    symbol at offset 0, if any), ``vaddr``, current ``size`` and final
-    ``data``; ``base``, its position in the inputs laid end to end, and
+    ``symbols``, ``relocations``, ``blocks`` and ``fixups`` are the
+    inputs' tables stacked, over one pool ``strings``; :meth:`rows` is
+    section ``s``'s range of each of the last three, ``home`` the
+    section of each symbol.  Per section: its input ``section``, the
+    ``origin`` object's name, ``kind``, ``alignment``, ``leader`` (the
+    function symbol at offset 0, if any), ``vaddr`` and current
+    ``size``; ``base``, its position in the inputs laid end to end, and
     ``first``/``end``, the range of its fixups.  Per fixup: its position
     ``fixup_at``, input ``opcode`` and its ``input_size``, ``target``
     symbol and ``deletable`` flag.  ``saved`` holds section ``s``'s
@@ -58,8 +59,7 @@ class LinkState:
     Relaxation decides ``rewritten`` (fixup -> the opcode it was
     re-encoded with, ``None`` = deleted) and ``pinned`` (fixups grown
     back out of rel8 range, long for the rest of the link).  ``defs``
-    maps a symbol name to ``(s, input offset)``; ``exported`` lists
-    ``(name, s, size, type, binding)`` of what reaches the symbol table.
+    maps a symbol name to ``(s, input offset)``.
 
     The sweep indexes the columns one at a time, as lists;
     :meth:`settle` makes arrays of them for the column readers.
@@ -70,7 +70,7 @@ class LinkState:
         self.origin: List[str] = []
         self.leader: List[Optional[str]] = []
         self.defs: Dict[str, Tuple[int, int]] = {}
-        self.exported: List[Tuple[str, int, int, SymbolType, SymbolBinding]] = []
+        symbol_home: List[int] = []
         for obj in objects:
             by_name = {section.name: s for s, section in enumerate(obj.sections, len(self.section))}
             self.section += obj.sections
@@ -87,17 +87,16 @@ class LinkState:
                 name = next(n for n in names if n in seen or seen.add(n))
                 raise LinkError(f"duplicate symbol {name!r}")
             self.defs.update(zip(names, zip(homes, offsets)))
-            stypes, sizes, bindings = table.values("stype"), table.col("size"), table.values("binding")
-            for j, stype in enumerate(stypes):  # the first function symbol at 0 leads its section
+            # The first function symbol at offset 0 leads its section.
+            for j, stype in enumerate(table.values("stype")):
                 if stype is SymbolType.FUNC and not offsets[j] and self.leader[homes[j]] is None:
                     self.leader[homes[j]] = names[j]
-            # Assembler temporaries stay out of the symbol table.
-            self.exported += [(name, homes[j], sizes[j], stypes[j], bindings[j])
-                              for j, name in enumerate(names) if not name.startswith(".L")]
+            symbol_home += homes
+        self.home = np.array(symbol_home, dtype=np.int64)
         self.strings, remaps = merged([obj.strings for obj in objects])
-        self.relocations, self.blocks, self.fixups = (
+        self.symbols, self.relocations, self.blocks, self.fixups = (
             Table.concat(record, [getattr(obj, name) for obj in objects], self.strings, remaps)
-            for name, record in SECTION_TABLES)
+            for name, record in (("symbols", Symbol), *SECTION_TABLES))
         #: Per table: where each section's rows start in it, then its length.
         self.row_start = {name: np.cumsum([0, *(len(getattr(section, name))
                                                 for section in self.section)])
@@ -107,7 +106,7 @@ class LinkState:
         self.kind = [section.kind for section in self.section]
         self.alignment = [section.alignment for section in self.section]
         self.size = [len(section.data) for section in self.section]
-        self.vaddr, self.data = [0] * n, [b""] * n
+        self.vaddr = [0] * n
         start = self.row_start["fixups"]
         base = np.cumsum([0, *self.size])
         offset, opcode = self.fixups.ints("offset"), self.fixups.ints("opcode")
@@ -148,9 +147,9 @@ class LinkState:
         self._refuse(applied[reloc_s] & ((at < 0) | (at + WIDTH[self.relocations.ints("rtype")]
                                                      > size[reloc_s])), reloc_s,
                      lambda j: f"relocation at offset {at[j]} lies outside the section")
-        home, where = np.array([*self.defs.values()], dtype=np.int64).reshape(-1, 2).T
+        home, where = self.home, self.symbols.ints("offset")
         self._refuse((where < 0) | (where > size[home]), home, lambda j: (
-            f"symbol {list(self.defs)[j]} at offset {where[j]} lies outside the section"))
+            f"symbol {self.symbols[j].name} at offset {where[j]} lies outside the section"))
         block_s, lo = self.owner("blocks"), self.blocks.ints("offset")
         hi = lo + self.blocks.ints("size")
         self._refuse((lo < 0) | (hi < lo) | (hi > size[block_s]), block_s, lambda j: (

@@ -46,7 +46,7 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: On-disk envelope magic.  Bumping it invalidates (quarantines) every
 #: existing entry -- which is the correct behaviour for format drift.
-_MAGIC = b"repro-store-v3\n"
+_MAGIC = b"repro-store-v4\n"
 _DIGEST_HEX_LEN = 64
 
 #: Subdirectory (outside the ``??/`` shard namespace) where entries

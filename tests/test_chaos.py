@@ -46,16 +46,20 @@ SEEDS = _chaos_seeds()
 
 #: The acceptance plan: 2% failures, 1% timeouts.
 STANDARD_PLAN = "fail=0.02,timeout=0.01,seed={seed}"
+#: The invariance plan: rates that inject on every seed of the default
+#: matrix (the standard plan charges about 36 actions here, so about a
+#: third of seeds would draw no fault) yet exhaust no action's retries.
+INVARIANCE_PLAN = "fail=0.1,timeout=0.05,seed={seed}"
 
 
 @pytest.fixture(scope="module")
 def chaos_program():
     from repro.synth import PRESETS, generate_workload
 
-    # Scale chosen so the standard 2%/1% plan visibly injects (>=1
-    # event) for every seed in the default matrix -- smaller workloads
-    # have so few actions that a 3% total rate often draws nothing,
-    # which would make the invariance tests vacuous.
+    # Scale chosen for a release of a few dozen charged actions: enough
+    # for INVARIANCE_PLAN to inject on every seed of the default matrix
+    # without exhausting one, and for the makespan tests to see the
+    # standard plan's cost.
     return generate_workload(PRESETS["531.deepsjeng"], scale=0.4, seed=7)
 
 
@@ -79,7 +83,7 @@ class TestDigestInvariance:
         clean = PropellerPipeline(chaos_program, _config()).run()
         faulty = PropellerPipeline(
             chaos_program,
-            _config(fault_plan=STANDARD_PLAN.format(seed=plan_seed)),
+            _config(fault_plan=INVARIANCE_PLAN.format(seed=plan_seed)),
         ).run()
         assert faulty.digest() == clean.digest()
         assert not faulty.degraded
@@ -90,7 +94,7 @@ class TestDigestInvariance:
 
     @pytest.mark.parametrize("plan_seed", SEEDS)
     def test_replaying_a_plan_is_bit_identical(self, chaos_program, plan_seed):
-        plan = STANDARD_PLAN.format(seed=plan_seed)
+        plan = INVARIANCE_PLAN.format(seed=plan_seed)
         first = PropellerPipeline(chaos_program, _config(fault_plan=plan)).run()
         second = PropellerPipeline(chaos_program, _config(fault_plan=plan)).run()
         assert first.digest() == second.digest()

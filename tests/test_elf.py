@@ -14,6 +14,7 @@ from repro.elf import (
     SymbolBinding,
     SymbolInfo,
     SymbolType,
+    Table,
 )
 
 
@@ -109,18 +110,19 @@ class TestObjectFile:
 
 def _exe_with_sections():
     sections = [
-        PlacedSection(name=".text.a", kind=SectionKind.TEXT, vaddr=0x400000, data=b"\x90" * 32),
-        PlacedSection(name=".text.b", kind=SectionKind.TEXT, vaddr=0x400040, data=b"\x90" * 16),
-        PlacedSection(name=".eh_frame", kind=SectionKind.EH_FRAME, vaddr=0x500000, data=b"\x00" * 24),
+        PlacedSection(name=".text.a", kind=SectionKind.TEXT, vaddr=0x400000, size=32),
+        PlacedSection(name=".text.b", kind=SectionKind.TEXT, vaddr=0x400040, size=16),
+        PlacedSection(name=".eh_frame", kind=SectionKind.EH_FRAME, vaddr=0x500000, size=24),
         PlacedSection(name=".llvm_bb_addr_map.a", kind=SectionKind.BB_ADDR_MAP,
-                      vaddr=0x501000, data=b"\x01" * 10),
+                      vaddr=0x501000, size=10),
     ]
-    symbols = {
-        "a": SymbolInfo(name="a", addr=0x400000, size=32, stype=SymbolType.FUNC),
-        "b": SymbolInfo(name="b", addr=0x400040, size=16, stype=SymbolType.FUNC),
-        "datum": SymbolInfo(name="datum", addr=0x500000, size=8, stype=SymbolType.OBJECT),
-    }
-    return Executable(name="t", entry=0x400000, sections=sections, symbols=symbols)
+    symbols = [
+        SymbolInfo(name="a", addr=0x400000, size=32, stype=SymbolType.FUNC),
+        SymbolInfo(name="b", addr=0x400040, size=16, stype=SymbolType.FUNC),
+        SymbolInfo(name="datum", addr=0x500000, size=8, stype=SymbolType.OBJECT),
+    ]
+    return Executable(name="t", entry=0x400000, sections=sections,
+                      data=b"\x90" * 48 + b"\x00" * 24 + b"\x01" * 10, symbols=symbols)
 
 
 class TestExecutable:
@@ -156,3 +158,49 @@ class TestExecutable:
     def test_total_size_counts_symtab(self):
         exe = _exe_with_sections()
         assert exe.total_size > 48 + 24 + 10
+
+    def test_tables_share_one_pool(self):
+        exe = _exe_with_sections()
+        assert all(type(t) is Table and t.strings is exe.strings for t in (
+            exe.sections, exe.symbols, exe.exec_blocks, exe.retained_relocations))
+
+    def test_symbol_lookup_by_name(self):
+        exe = _exe_with_sections()
+        assert exe.symbol("datum") == SymbolInfo(name="datum", addr=0x500000, size=8,
+                                                 stype=SymbolType.OBJECT)
+        assert exe.symbol("missing") is None
+
+    def test_section_bytes_are_one_buffer_in_row_order(self):
+        exe = _exe_with_sections()
+        assert exe.sections_at([1])[1] == b"\x90" * 16
+        assert exe.sections_at([2])[1] == b"\x00" * 24
+        sections, data = exe.sections_at([3, 0])
+        assert [s.name for s in sections] == [".llvm_bb_addr_map.a", ".text.a"]
+        assert data == b"\x01" * 10 + b"\x90" * 32
+
+    def test_data_must_cover_the_sections(self):
+        with pytest.raises(ValueError, match="81 bytes of data for sections of 82"):
+            Executable(name="t", entry=0, sections=list(_exe_with_sections().sections),
+                       data=b"\x00" * 81)
+
+
+class TestExecutableDigest:
+    """``content_digest()`` serialises an executable byte for byte as the
+    executable of per-section objects did: these literals were computed
+    before its sections, symbols and retained relocations became tables."""
+
+    def test_hand_built_executable(self):
+        assert _exe_with_sections().content_digest() == (
+            "9b2f77601962f5c5d20f6e5f980f8614cead6af83241c0dc181418c7cfebaa61")
+
+    def test_link_with_retained_relocations_and_features(self):
+        from repro.codegen import CodeGenOptions, compile_module
+        from repro.linker import LinkOptions, link
+        from tests.test_runtime import _golden_module
+
+        obj = compile_module(_golden_module(), CodeGenOptions(bb_addr_map=True)).obj
+        exe = link([obj], LinkOptions(entry_symbol="f", emit_relocs=True,
+                                      features=frozenset({"rseq"}))).executable
+        assert len(exe.retained_relocations) == 4
+        assert exe.content_digest() == (
+            "7108d9fc75b2e0ba56ed3c8c9493a2a2d6bbc0499de63b55251b873d5a1b9ec5")

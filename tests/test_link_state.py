@@ -214,7 +214,7 @@ class TestOffsetsInsideTheirSection:
     def test_a_symbol_may_sit_at_the_end(self):
         exe = link([self._object(relocation=4, symbol=8)],
                    LinkOptions(entry_symbol="f")).executable
-        assert exe.symbols["h"].addr == exe.symbols["f"].addr + 8
+        assert exe.symbol("h").addr == exe.symbol("f").addr + 8
 
 
 class TestBlocksInsideTheirSection:
@@ -269,7 +269,7 @@ class TestTerminators:
         exe = link([fallthrough_object()], LinkOptions(entry_symbol="f")).executable
         bb1, bb2 = [b for b in exe.exec_blocks if b.func == "f"][1:]
         assert (bb1.term.kind, bb1.term.cond_br_size) == ("condbr", 2)
-        assert bb1.term.cond_target == exe.symbols["g"].addr
+        assert bb1.term.cond_target == exe.symbol("g").addr
         term = bb2.term
         assert term.kind == "fallthrough"
         assert (term.uncond_target, term.uncond_br_addr, term.uncond_br_size) == (None, -1, 0)

@@ -47,11 +47,11 @@ class TestResolution:
 
     def test_entry_resolution(self):
         exe = link([_compile(_chain_module())], LinkOptions(entry_symbol="f")).executable
-        assert exe.entry == exe.symbols["f"].addr
+        assert exe.entry == exe.symbol("f").addr
 
     def test_temporary_labels_not_exported(self):
         exe = link([_compile(_chain_module())], LinkOptions(entry_symbol="f")).executable
-        assert not any(name.startswith(".L") for name in exe.symbols)
+        assert not any(s.name.startswith(".L") for s in exe.symbols)
 
     def test_cross_module_call_resolves(self):
         caller = ir.Module(name="c", functions=[ir.Function(name="main", blocks=[
@@ -60,7 +60,7 @@ class TestResolution:
         objs = [_compile(caller), _compile(_chain_module())]
         exe = link(objs, LinkOptions(entry_symbol="main")).executable
         main_block = next(b for b in exe.exec_blocks if b.func == "main")
-        assert main_block.calls[0].target == exe.symbols["f"].addr
+        assert main_block.calls[0].target == exe.symbol("f").addr
 
 
 class TestSymbolOrdering:
@@ -70,20 +70,20 @@ class TestSymbolOrdering:
     def test_order_honored(self):
         objs = self._two_function_objs()
         exe = link(objs, LinkOptions(entry_symbol="f", symbol_order=["g", "f"])).executable
-        assert exe.symbols["g"].addr < exe.symbols["f"].addr
+        assert exe.symbol("g").addr < exe.symbol("f").addr
         exe2 = link(objs, LinkOptions(entry_symbol="f", symbol_order=["f", "g"])).executable
-        assert exe2.symbols["f"].addr < exe2.symbols["g"].addr
+        assert exe2.symbol("f").addr < exe2.symbol("g").addr
 
     def test_stale_entries_ignored(self):
         objs = self._two_function_objs()
         exe = link(objs, LinkOptions(entry_symbol="f",
                                      symbol_order=["nothere", "g"])).executable
-        assert exe.symbols["g"].addr < exe.symbols["f"].addr
+        assert exe.symbol("g").addr < exe.symbol("f").addr
 
     def test_unlisted_sections_follow_in_input_order(self):
         objs = self._two_function_objs()
         exe = link(objs, LinkOptions(entry_symbol="f", symbol_order=["g"])).executable
-        assert exe.symbols["g"].addr < exe.symbols["f"].addr
+        assert exe.symbol("g").addr < exe.symbol("f").addr
 
 
 class TestRelaxation:
@@ -111,7 +111,7 @@ class TestRelaxation:
         assert result.stats.deleted_jumps == 0
         # Branches still resolve: follow the exec model chain.
         exe = result.executable
-        b0 = exe.block_at(exe.symbols["f"].addr)
+        b0 = exe.block_at(exe.symbol("f").addr)
         assert b0.term.kind == "jump"
 
     def test_relaxed_bytes_decode_consistently(self):

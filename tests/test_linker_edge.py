@@ -24,10 +24,10 @@ class TestJumpTables:
     def test_rodata_entries_hold_block_addresses(self):
         compiled = compile_module(_switch_module(), CodeGenOptions())
         exe = link([compiled.obj], LinkOptions(entry_symbol="sw")).executable
-        rodata = exe.sections_of_kind(SectionKind.RODATA)[0]
+        rodata = exe.section_bytes(SectionKind.RODATA)
         block_addrs = {b.addr for b in exe.exec_blocks}
-        for i in range(0, len(rodata.data), 4):
-            entry = int.from_bytes(rodata.data[i : i + 4], "little")
+        for i in range(0, len(rodata), 4):
+            entry = int.from_bytes(rodata[i : i + 4], "little")
             assert entry in block_addrs
 
     def test_inline_table_entries_resolve(self):

@@ -48,8 +48,7 @@ def test_output_does_not_alias_input_buffers(objects):
     exe = link(objects, LinkOptions(relax=False)).executable  # no byte needs rewriting
     digest = exe.content_digest()
     inputs = {id(s.data) for obj in objects for s in obj.sections}
-    for placed in exe.sections:
-        assert type(placed.data) is bytes and id(placed.data) not in inputs
+    assert type(exe.data) is bytes and id(exe.data) not in inputs
     for obj in objects:
         for section in obj.sections:
             section.data[:] = b"\xcc" * len(section.data)

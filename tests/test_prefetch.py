@@ -48,8 +48,8 @@ class TestCodegen:
         options = CodeGenOptions(prefetches={"caller": [(0, "callee")]})
         compiled = compile_module(_module(), options)
         exe = link([compiled.obj], LinkOptions(entry_symbol="caller")).executable
-        block0 = exe.block_at(exe.symbols["caller"].addr)
-        assert block0.prefetch_targets == (exe.symbols["callee"].addr,)
+        block0 = exe.block_at(exe.symbol("caller").addr)
+        assert block0.prefetch_targets == (exe.symbol("callee").addr,)
 
     def test_trace_unaffected_by_prefetch(self):
         from repro.profiles import generate_trace

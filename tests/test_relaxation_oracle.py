@@ -47,6 +47,7 @@ def assert_relaxation_consistent(exe):
     """Check ``exe``'s execution model against its bytes (see module docstring)."""
     texts = sorted((s for s in exe.sections_of_kind(SectionKind.TEXT) if s.size),
                    key=lambda s: s.vaddr)
+    data = {s.name: exe.sections_at([i])[1] for i, s in enumerate(exe.sections)}
     starts = [s.vaddr for s in texts]
     for before, after in zip(texts, texts[1:]):
         assert before.end <= after.vaddr, f"{before.name} overlaps {after.name}"
@@ -72,7 +73,7 @@ def assert_relaxation_consistent(exe):
                 continue
             assert block.addr <= addr and addr + size <= block.end
             section = section_at(addr)
-            instr = decode_instruction(section.data, addr - section.vaddr)
+            instr = decode_instruction(data[section.name], addr - section.vaddr)
             assert instr.size == size, (block.func, block.bb_id, instr)
             assert instr.target(section.vaddr) == target, (block.func, block.bb_id, instr)
         if term.kind == "fallthrough":
@@ -84,7 +85,7 @@ def assert_relaxation_consistent(exe):
         if blocks and blocks[0].is_landing_pad:
             # §4.5: codegen keeps a landing pad off section offset 0 with a nop.
             cursor = blocks[0].addr
-            assert set(section.data[: cursor - section.vaddr]) == {int(Opcode.NOP)}
+            assert set(data[section.name][: cursor - section.vaddr]) == {int(Opcode.NOP)}
         for block in blocks:
             assert block.addr == cursor, f"{section.name}: gap or overlap at {block.addr:#x}"
             cursor = block.end
@@ -92,8 +93,8 @@ def assert_relaxation_consistent(exe):
 
     placed = {(b.addr, b.bb_id, b.size) for b in exe.exec_blocks}
     for section in exe.sections_of_kind(SectionKind.BB_ADDR_MAP):
-        for fmap in bbaddrmap.decode_section(section.data):
-            base = exe.symbols[fmap.func].addr
+        for fmap in bbaddrmap.decode_section(data[section.name]):
+            base = exe.symbol(fmap.func).addr
             assert len({e.bb_id for e in fmap.entries}) == len(fmap.entries)
             for entry in fmap.entries:
                 assert (base + entry.offset, entry.bb_id, entry.size) in placed, (fmap.func, entry)
@@ -236,8 +237,8 @@ class TestFallthroughDeletion:
         assert (bb1.size, bb1.term.cond_br_size) == (4, 2)
         # The deleted jump leaves a block that falls through into g.
         assert bb2.size == 3 and bb2.term.kind == "fallthrough"
-        assert bb2.end == exe.symbols["g"].addr
-        assert exe.symbols["f"].size == 15
+        assert bb2.end == exe.symbol("g").addr
+        assert exe.symbol("f").size == 15
 
     def test_aligned_follower_keeps_the_jump(self):
         obj = fallthrough_object()
@@ -250,7 +251,7 @@ class TestFallthroughDeletion:
         result = link([fallthrough_object()], LinkOptions(entry_symbol="f", relax=False))
         assert result.stats.relax_passes == 0
         assert_relaxation_consistent(result.executable)
-        assert result.executable.symbols["f"].size == 24
+        assert result.executable.symbol("f").size == 24
 
 
 def grow_back_object():
@@ -312,13 +313,13 @@ class TestGrowBack:
         bb0, bb1 = [b for b in exe.exec_blocks if b.func == "f"][:2]
         assert bb0.term.uncond_br_size == 2  # the jmp stays short
         assert bb1.term.cond_br_size == 6    # the jcc grew back and stays long
-        assert exe.symbols["g"].addr - exe.symbols["f"].addr == 132
+        assert exe.symbol("g").addr - exe.symbol("f").addr == 132
         # Both went short once; the grow-back takes the jcc's shrink back.
         assert result.stats.shrunk_branches == 1
         # The jcc is patched through its input PC32 relocation again.
         relocs = link([grow_back_object()], LinkOptions(
             entry_symbol="f", emit_relocs=True)).executable.retained_relocations
-        assert sorted((r.symbol, r.rtype) for _, r in relocs) == [
+        assert sorted((r.symbol, r.rtype) for r in relocs) == [
             (".Lf.h", RelocType.PC8), ("g", RelocType.PC32)]
 
 

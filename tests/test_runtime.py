@@ -494,11 +494,11 @@ class TestRecordTablesInTheStore:
         assert relinked.value.executable.exec_blocks == exe.exec_blocks
 
     def test_loading_an_entry_creates_objects_per_section_not_per_block(self):
-        """Per object one table per record kind over one pool, whatever
-        the sections: loading an entry creates a constant number of
-        objects, plus two per section (the section and its attributes; an
-        executable's symbols likewise) -- not per block, nor per table of
-        a section."""
+        """One table per record kind over one pool, for an object file and
+        an executable alike: loading a linked entry creates a constant
+        number of objects, whatever its sections, symbols and blocks;
+        loading a compiled one adds one per section (the slotted
+        section) -- nothing per block, nor per table of a section."""
         import enum
         import gc
         import types
@@ -546,15 +546,14 @@ class TestRecordTablesInTheStore:
             return created, value
 
         for mode in (BBSectionsMode.NONE, BBSectionsMode.ALL):
-            beyond = set()  # objects created less two per section (and symbol), per entry
+            beyond = set()  # objects created less one per object section, per entry
             for nblocks in (4, 80):
                 compiled, linked = (objects_created_by_loading(e) for e in entries(nblocks, mode))
                 obj, exe = compiled[1].value.obj, linked[1].value.executable
                 assert len(exe.exec_blocks) == compiled[1].value.num_blocks == 8 * nblocks
                 kinds = held(obj)
                 assert (kinds["Table"], kinds["Strings"]) == (4, 1)
-                beyond.add((compiled[0] - 2 * len(obj.sections),
-                            linked[0] - 2 * (len(exe.sections) + len(exe.symbols))))
+                beyond.add((compiled[0] - len(obj.sections), linked[0]))
             # Twenty times the blocks -- and under ALL the sections -- and
             # the same objects beside the sections.
             ((codegen, linking),) = beyond

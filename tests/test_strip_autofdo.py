@@ -35,10 +35,10 @@ class TestStrip:
 
     def test_local_cold_symbols_removed(self, pipeline_result):
         exe = pipeline_result.optimized.executable
-        cold = [n for n in exe.symbols if n.endswith(".cold")]
+        cold = [s.name for s in exe.symbols if s.name.endswith(".cold")]
         stripped, _ = strip_executable(exe)
         assert cold  # propeller created cold-part symbols...
-        assert not any(n.endswith(".cold") for n in stripped.symbols)  # ...all local
+        assert not any(s.name.endswith(".cold") for s in stripped.symbols)  # ...all local
 
 
 class TestAutoFDO:

@@ -18,13 +18,16 @@ from repro.elf import (
     ExecBlock,
     Executable,
     ObjectFile,
+    PlacedSection,
     PrefetchSite,
     Relocation,
     RelocType,
+    RetainedRelocation,
     Section,
     SectionKind,
     Symbol,
     SymbolBinding,
+    SymbolInfo,
     SymbolType,
     TerminatorKind,
     TerminatorMeta,
@@ -66,17 +69,23 @@ resolved_terminators = st.builds(
 exec_blocks = st.builds(ExecBlock, addr, i32, names, i32, resolved_terminators,
                         st.lists(resolved_calls, max_size=3).map(tuple),
                         st.lists(addr, max_size=3).map(tuple), flags)
+placed_sections = st.builds(PlacedSection, names, st.sampled_from(SectionKind), addr, i32, names)
+symbol_infos = st.builds(SymbolInfo, names, addr, i32, st.sampled_from(SymbolType),
+                         st.sampled_from(SymbolBinding))
+retained_relocations = st.builds(RetainedRelocation, addr, i32, st.sampled_from(RelocType),
+                                 names, i32)
 
 RECORDS = {
     Relocation: relocations, Symbol: symbols, BranchFixup: fixups, CallSite: call_sites,
     PrefetchSite: prefetch_sites, TerminatorMeta: terminators, BlockMeta: blocks,
     ResolvedCall: resolved_calls, ResolvedTerminator: resolved_terminators,
-    ExecBlock: exec_blocks,
+    ExecBlock: exec_blocks, PlacedSection: placed_sections, SymbolInfo: symbol_infos,
+    RetainedRelocation: retained_relocations,
 }
 
 
 def tables():
-    """``(record type, records)`` for any of the ten types."""
+    """``(record type, records)`` for any of the thirteen types."""
     return st.sampled_from(list(RECORDS)).flatmap(
         lambda record: st.tuples(st.just(record), st.lists(RECORDS[record], max_size=6)))
 
@@ -352,7 +361,8 @@ class TestContainers:
 
     def _fields(self, container):
         names = {ObjectFile: ("symbols", "relocations", "blocks", "fixups"),
-                 Executable: ("exec_blocks",)}[type(container)]
+                 Executable: ("sections", "symbols", "exec_blocks",
+                              "retained_relocations")}[type(container)]
         return [getattr(container, name) for name in names]
 
     def test_constructed_from_lists(self):

@@ -204,6 +204,9 @@ class _MapOnlyExe:
     def section_bytes(self, kind):
         return self._raw
 
+    def symbol(self, name):
+        return self.symbols.get(name)
+
 
 #: ``f``: blocks 10, 11, 12, 13 at 0x1000, 0x1010, 0x1020, 0x1030;
 #: ``g``: blocks 0, 1 at 0x2000, 0x2008; ``h``: block 5 at 0x3000.
