@@ -43,7 +43,6 @@ _FACADE = {
     "ProfileStore": ("repro.profiles", "ProfileStore"),
     "match_profile": ("repro.profiles", "match_profile"),
     "FaultPlan": ("repro.faults", "FaultPlan"),
-    "FaultClock": ("repro.faults", "FaultClock"),
     "reoptimize": ("repro.incr", "reoptimize"),
     "IncrState": ("repro.incr", "IncrState"),
     "EditScript": ("repro.synth", "EditScript"),

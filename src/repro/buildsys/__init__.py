@@ -1,9 +1,12 @@
 """Distributed build simulator (§2.1, §3.5).
 
-Content-addressed action cache, per-action resource limits and a
-simulated-clock makespan scheduler -- the substrate the four-phase
-pipeline executes on, and the mechanism behind the paper's cheap
-Phase-4 relinks (cold objects replay their cached Phase-2 action).
+One :class:`BuildSystem` holds the content-addressed action cache (in
+memory, optionally over a persistent store), the per-action resource
+limits and the fault plan; a simulated-clock makespan scheduler prices
+each phase.  It is the substrate the four-phase pipeline executes on,
+and the mechanism behind the paper's cheap Phase-4 relinks (cold
+objects replay their cached Phase-2 action).  Every tally lands on the
+build system's ``counters``.
 
 Public surface::
 
@@ -14,10 +17,8 @@ Public surface::
 
 from repro.buildsys.build import (
     CACHE_HIT_SECONDS,
-    ActionCache,
     ActionResult,
     BuildSystem,
-    CacheStats,
     ResourceLimitExceeded,
     action_key,
     digest_parts,
@@ -26,10 +27,8 @@ from repro.buildsys.scheduler import PhaseReport, schedule_phase
 
 __all__ = [
     "CACHE_HIT_SECONDS",
-    "ActionCache",
     "ActionResult",
     "BuildSystem",
-    "CacheStats",
     "PhaseReport",
     "ResourceLimitExceeded",
     "action_key",

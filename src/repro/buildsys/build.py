@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.faults import FaultClock, FaultPlan, RetriesExhausted
+from repro.faults import FaultPlan, RetriesExhausted
 from repro.obs import Counters
 from repro.runtime import PersistentActionStore
 
@@ -98,39 +98,6 @@ class ActionResult:
     cache_hit: bool
     #: The content-addressed key (see :func:`action_key`).
     key: str
-    #: Action kind, kept for reporting.
-    kind: str = ""
-
-
-class CacheStats:
-    """Hit/miss tallies of one :class:`ActionCache`: a read-through
-    view of the ``cache.*`` names on the cache's :class:`Counters`,
-    which is where each lookup is counted (once)."""
-
-    def __init__(self, counters: Counters) -> None:
-        self._counters = counters
-
-    @property
-    def hits(self) -> int:
-        return self._counters.count("cache.hits")
-
-    @property
-    def misses(self) -> int:
-        return self._counters.count("cache.misses")
-
-    @property
-    def disk_hits(self) -> int:
-        """Subset of ``hits`` that were replayed from the persistent
-        on-disk store rather than process memory."""
-        return self._counters.count("cache.disk_hits")
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 @dataclass(frozen=True)
@@ -140,68 +107,20 @@ class _CacheEntry:
     peak_memory: int
 
 
-class ActionCache:
-    """Content-addressed store of completed action outputs.
-
-    Optionally backed by a :class:`~repro.runtime.PersistentActionStore`:
-    a key missing from process memory is then looked up on disk, and
-    every stored entry is also written through to disk, so later
-    *processes* replay this run's actions the way later *phases* replay
-    earlier ones.  Disk hits are digest-verified by the store: an
-    unreadable, truncated or poisoned entry is quarantined and degrades
-    to a miss, so cache poisoning can cost a recompute but never
-    changes an artifact.
-    """
-
-    def __init__(
-        self,
-        store: Optional[PersistentActionStore] = None,
-        counters: Optional[Counters] = None,
-    ) -> None:
-        self._entries: Dict[str, _CacheEntry] = {}
-        self._store = store
-        #: Metrics sink: every lookup is counted here under ``cache.*``
-        #: names, so pipeline reports see cache behaviour without
-        #: reaching in; :attr:`stats` reads the same numbers back.
-        self.counters = counters if counters is not None else Counters()
-        self.stats = CacheStats(self.counters)
-
-    @property
-    def persistent_store(self) -> Optional[PersistentActionStore]:
-        return self._store
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries or (self._store is not None and key in self._store)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: str) -> "_CacheEntry | None":
-        entry = self._entries.get(key)
-        if entry is None and self._store is not None:
-            disk = self._store.load(key)
-            if isinstance(disk, _CacheEntry):
-                self._entries[key] = disk
-                self.counters.incr("cache.disk_hits")
-                entry = disk
-        self.counters.incr("cache.misses" if entry is None else "cache.hits")
-        return entry
-
-    def store(self, key: str, entry: _CacheEntry) -> None:
-        self._entries[key] = entry
-        if self._store is not None:
-            self._store.store(key, entry)
-
-    def evict_all(self) -> None:
-        """Drop every artifact stored in memory *and* on disk
-        (counters are preserved)."""
-        self._entries.clear()
-        if self._store is not None:
-            self._store.clear()
-
-
 class BuildSystem:
-    """The distributed build: cache + worker pool + resource policy.
+    """The distributed build: action cache + worker pool + resource policy.
+
+    Completed actions are kept in a content-addressed cache: a dict in
+    process memory and, with ``cache_dir``, a
+    :class:`~repro.runtime.PersistentActionStore` beneath it.  A key
+    missing from memory is then looked up on disk, and every stored
+    entry is also written through to disk, so later *processes* replay
+    this run's actions the way later *phases* replay earlier ones.
+    Disk hits are digest-verified by the store: an unreadable,
+    truncated or poisoned entry is quarantined and degrades to a miss,
+    so cache poisoning can cost a recompute but never changes an
+    artifact.  Every lookup is counted once, on :attr:`counters`
+    (``cache.hits`` / ``cache.misses`` / ``cache.disk_hits``).
 
     :param workers: size of the remote worker pool the makespan model
         divides work across.  72 models the paper's workstation
@@ -215,8 +134,9 @@ class BuildSystem:
         persistent on-disk store rooted there, so a later process with
         identical action inputs replays this run's outputs.  ``None``
         (the default) keeps the cache in-memory only.
-    :param counters: metrics sink shared with the cache, the store and
-        the scheduler; a fresh :class:`~repro.obs.Counters` by default.
+    :param counters: metrics sink shared with the store, the fault plan
+        and the scheduler; a fresh :class:`~repro.obs.Counters` by
+        default.
     :param fault_plan: when given, executed actions are subject to the
         plan's deterministic failure/timeout/corruption/slowdown
         schedule (see :mod:`repro.faults`): faulted attempts are
@@ -244,42 +164,11 @@ class BuildSystem:
         self.enforce_ram = enforce_ram
         self.counters = counters if counters is not None else Counters()
         self.fault_plan = fault_plan
-        #: Simulated-time ledger of injected faults and retries (free
-        #: pass-through when no plan is set).
-        self.faults = FaultClock(fault_plan, counters=self.counters)
-        store = (
-            PersistentActionStore(cache_dir, counters=self.counters)
+        self._entries: Dict[str, _CacheEntry] = {}
+        self.store = (
+            PersistentActionStore(cache_dir, self.counters)
             if cache_dir is not None else None
         )
-        self.cache = ActionCache(store=store, counters=self.counters)
-
-    # -- cache passthroughs -------------------------------------------
-
-    @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.cache
-
-    def evict_all(self) -> None:
-        self.cache.evict_all()
-
-    # -- execution ----------------------------------------------------
-
-    def _charge_faults(self, kind: str, key: str, cost_seconds: float) -> float:
-        """The fault-adjusted simulated cost of one executed action.
-
-        Cache hits never come here: faults model remote *execution*,
-        and the disk store's own digest verification covers the
-        fetch-integrity side (see :mod:`repro.runtime.cache`).
-        """
-        ledger = self.faults.charge(kind, key, cost_seconds)
-        if not ledger.ok:
-            raise RetriesExhausted(kind=kind, key=key,
-                                   attempts=ledger.attempts,
-                                   events=ledger.events)
-        return ledger.seconds
 
     def run_action(
         self,
@@ -329,9 +218,20 @@ class BuildSystem:
 
     def _lookup(self, kind: str, items) -> "Tuple[List[str], List[Optional[_CacheEntry]]]":
         """Keys and cached entries (``None`` = miss) of ``items``, looked
-        up serially in item order."""
+        up serially in item order: memory first, then the disk store."""
         keys = [action_key(kind, *key_parts) for key_parts, _fn, _args in items]
-        return keys, [self.cache.lookup(key) for key in keys]
+        entries: List[Optional[_CacheEntry]] = []
+        for key in keys:
+            entry = self._entries.get(key)
+            if entry is None and self.store is not None:
+                disk = self.store.load(key)
+                if isinstance(disk, _CacheEntry):
+                    self._entries[key] = disk
+                    self.counters.incr("cache.disk_hits")
+                    entry = disk
+            self.counters.incr("cache.misses" if entry is None else "cache.hits")
+            entries.append(entry)
+        return keys, entries
 
     def _run(self, kind: str, items, keys: List[str],
              entries: "List[Optional[_CacheEntry]]",
@@ -352,12 +252,23 @@ class BuildSystem:
             # Faults inflate the executed cost; the cache stores the
             # clean cost so a warm replay of a once-faulted action is
             # unaffected.  Charges are drawn per action *digest*, never
-            # per schedule slot.
-            charged[i] = self._charge_faults(kind, keys[i], cost_seconds)
+            # per schedule slot.  Cache hits never come here: faults
+            # model remote *execution*, and the disk store's own digest
+            # verification covers the fetch-integrity side.
+            charged[i] = cost_seconds
+            if self.fault_plan is not None:
+                ledger = self.fault_plan.charge(kind, keys[i], cost_seconds, self.counters)
+                if not ledger.ok:
+                    raise RetriesExhausted(kind=kind, key=keys[i],
+                                           attempts=ledger.attempts,
+                                           events=ledger.events)
+                charged[i] = ledger.seconds
             entries[i] = _CacheEntry(
                 value=value, cost_seconds=cost_seconds, peak_memory=peak_memory
             )
-            self.cache.store(keys[i], entries[i])
+            self._entries[keys[i]] = entries[i]
+            if self.store is not None:
+                self.store.store(keys[i], entries[i])
         return [
             ActionResult(
                 value=entry.value,
@@ -365,7 +276,6 @@ class BuildSystem:
                 peak_memory=entry.peak_memory,
                 cache_hit=i not in charged,
                 key=keys[i],
-                kind=kind,
             )
             for i, entry in enumerate(entries)
         ]

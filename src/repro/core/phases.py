@@ -106,13 +106,9 @@ def pgo_profile(pipe: Any) -> Tuple[IRProfile, float]:
          str(config.seed), float(config.pgo_drift).hex()],
         compute)
     profile: IRProfile = action.value
-    # getattr: a persistent-store entry written by an older version
-    # may predate the profile-quality fields.
     pipe.counters.gauge("pgo.match_rate", profile.match_rate)
-    pipe.counters.gauge("pgo.source_entries",
-                        getattr(profile, "source_entries", 0))
-    pipe.counters.gauge("pgo.dropped_entries",
-                        getattr(profile, "dropped_entries", 0))
+    pipe.counters.gauge("pgo.source_entries", profile.source_entries)
+    pipe.counters.gauge("pgo.dropped_entries", profile.dropped_entries)
     return profile, action.cost_seconds
 
 
@@ -408,10 +404,11 @@ def incremental_summary(pipeline: Any, state: Any, plan: Any,
     old_hot = {n for n, fs in state.functions.items() if fs.hot}
     hot_flips = sorted(new_hot.symmetric_difference(old_hot))
     counters.incr("incr.hot_flips", len(hot_flips))
-    cache = pipeline.solve_cache
-    hits = cache.hits if cache is not None else 0
-    misses = cache.misses if cache is not None else 0
-    reuse = cache.reuse_rate if cache is not None else 1.0
+    hits = counters.count("incr.solve_hits")
+    misses = counters.count("incr.solve_misses")
+    # 1.0 when nothing was looked up: a full action-cache replay never
+    # reaches the solver at all.
+    reuse = hits / (hits + misses) if hits + misses else 1.0
     counters.gauge("incr.solve_reuse", reuse)
     return IncrementalSummary(
         prior_digest=state.result_digest,

@@ -86,15 +86,15 @@ class PipelineConfig:
     #: without it.
     state_dir: Optional[str] = None
     #: Deterministic fault-injection plan (see :mod:`repro.faults`):
-    #: a compact spec string (``"fail=0.02,timeout=0.01,seed=7"``), the
-    #: path of a plan JSON file, or ``None`` for no injection.  A plan
-    #: changes simulated durations and the ``faults.*``/``retry.*``
-    #: counters, never any artifact: ``PipelineResult.digest()`` is
-    #: bit-identical with any non-exhausting plan on or off.  When a
-    #: whole retry budget is exhausted for profile collection, WPA or
-    #: the relink, the run degrades instead of failing
-    #: (``PipelineResult.degraded``); a product build that exhausts
-    #: raises :class:`repro.faults.RetriesExhausted`.
+    #: a compact spec string (``"fail=0.02,timeout=0.01,seed=7"``) or
+    #: ``None`` for no injection.  A plan changes simulated durations
+    #: and the ``faults.*``/``retry.*`` counters, never any artifact:
+    #: ``PipelineResult.digest()`` is bit-identical with any
+    #: non-exhausting plan on or off.  When a whole retry budget is
+    #: exhausted for profile collection, WPA or the relink, the run
+    #: degrades instead of failing (``PipelineResult.degraded``); a
+    #: product build that exhausts raises
+    #: :class:`repro.faults.RetriesExhausted`.
     fault_plan: Optional[str] = None
     #: Record phase/batch/action spans (see :mod:`repro.obs`).  Off by
     #: default: the pipeline then runs against the shared no-op tracer

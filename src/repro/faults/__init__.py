@@ -8,12 +8,12 @@ the machinery that proves the reproduction's robustness claims:
 
 * :class:`FaultPlan` -- a seeded schedule of per-action
   failure/timeout/corruption/slowdown events, keyed by action digest so
-  plans are replayable and deterministic.  Parse compact specs
-  (``"fail=0.02,timeout=0.01,seed=7"``), JSON files, or construct
-  directly; the CLI's ``--fault-plan`` accepts all three.
-* :class:`FaultClock` -- the simulated-time ledger: bounded retries
-  with exponential backoff + deterministic jitter, per-action timeouts,
-  and the ``faults.*`` / ``retry.*`` counters.
+  plans are replayable and deterministic.  It has one text form, the
+  compact spec (``"fail=0.02,timeout=0.01,seed=7"``) that the CLI's
+  ``--fault-plan`` takes.  :meth:`FaultPlan.charge` is the
+  simulated-time ledger of one action (an :class:`AttemptLedger`):
+  bounded retries with exponential backoff + deterministic jitter,
+  per-action timeouts, and the ``faults.*`` / ``retry.*`` counters.
 * :class:`RetriesExhausted` -- what the build system raises when an
   action's whole retry budget faults; the pipeline degrades gracefully
   for profile collection and the relink (``PipelineReport.degraded``).
@@ -27,13 +27,11 @@ tracked by the ``faults:*`` bench rows.
 Stdlib-only; imports nothing from the rest of ``repro``.
 """
 
-from repro.faults.clock import AttemptLedger, FaultClock
-from repro.faults.plan import FAULT_KINDS, FaultPlan, RetriesExhausted
+from repro.faults.plan import FAULT_KINDS, AttemptLedger, FaultPlan, RetriesExhausted
 
 __all__ = [
     "FAULT_KINDS",
     "AttemptLedger",
-    "FaultClock",
     "FaultPlan",
     "RetriesExhausted",
 ]

@@ -23,6 +23,22 @@ contract is that every decision is a pure function of
   never the reverse.  This is what makes simulated makespan *monotone*
   in the injected failure rate (property-tested in the chaos tier).
 
+:meth:`FaultPlan.charge` turns the schedule into one action's time
+ledger: how many attempts were burned, what each one hit, and the
+simulated seconds the action really took (wasted attempts + exponential
+backoff + the final successful run).  Time and value are split on
+purpose:
+
+* the **value** of an action is computed exactly once, by the build
+  system, on the final (successful) attempt -- injected faults can
+  never change an artifact, only its cost;
+* the **time** of an action is what its ledger says, and it feeds the
+  makespan scheduler, so fault plans inflate simulated build times the
+  way real worker churn inflates real ones;
+* the **cache** stores the clean cost, so a warm replay of a previously
+  faulted action costs a plain cache hit -- retries are an execution
+  phenomenon, not a property of the artifact.
+
 Like :mod:`repro.runtime`, this module is stdlib-only and imports
 nothing from the rest of ``repro``; metric sinks are duck-typed against
 the :class:`repro.obs.Counters` contract.
@@ -31,15 +47,13 @@ the :class:`repro.obs.Counters` contract.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
-from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple, Union
 
 __all__ = [
     "FAULT_KINDS",
+    "AttemptLedger",
     "FaultPlan",
     "RetriesExhausted",
 ]
@@ -86,9 +100,23 @@ _SPEC_KEYS: Dict[str, str] = {
     "timeout_s": "timeout_seconds",
     "only": "only_kinds",
 }
-_FIELD_TO_SPEC = {field: key for key, field in _SPEC_KEYS.items()}
 _INT_FIELDS = {"seed", "max_attempts"}
 _FLOAT_FIELDS = tuple(f for f in _SPEC_KEYS.values() if f not in _INT_FIELDS | {"only_kinds"})
+
+
+@dataclass(frozen=True)
+class AttemptLedger:
+    """One action's fault/retry timeline under a plan."""
+
+    #: False when every allowed attempt faulted (the caller raises
+    #: :class:`RetriesExhausted`).
+    ok: bool
+    #: Attempts burned, the successful one included when ``ok``.
+    attempts: int
+    #: Total simulated seconds: wasted attempts + backoff + final run.
+    seconds: float
+    #: One entry per injected event, e.g. ``("fail@1", "timeout@2")``.
+    events: Tuple[str, ...] = ()
 
 
 def _finite(value: float) -> bool:
@@ -218,7 +246,65 @@ class FaultPlan:
         u = self._uniform(key, attempt, "backoff")
         return base * (1.0 + self.backoff_jitter * (2.0 * u - 1.0))
 
-    # -- specs and serialization --------------------------------------
+    def charge(self, kind: str, key: str, clean_seconds: float,
+               counters: Any) -> AttemptLedger:
+        """The time ledger of one executed action, counted on ``counters``.
+
+        Walks attempts ``1..max_attempts``: a clean draw (or a slowdown)
+        ends the walk as a success; fail/timeout/corrupt events waste
+        that attempt's simulated time, add the deterministic backoff,
+        and retry.  Never raises -- exhaustion is reported through
+        ``ledger.ok`` so the caller decides whether it is fatal.  The
+        ``faults.*`` / ``retry.*`` counters are a pure function of
+        (plan, action key), like the ledger.
+        """
+        if not self.applies_to(kind) or not self.active:
+            return AttemptLedger(ok=True, attempts=1, seconds=clean_seconds)
+        total = 0.0
+        events = []
+        attempts = 0
+        ok = False
+        for attempt in range(1, self.max_attempts + 1):
+            attempts = attempt
+            event = self.draw(kind, key, attempt)
+            if event is None:
+                total += clean_seconds
+                ok = True
+                break
+            counters.incr("faults.injected")
+            counters.incr(f"faults.{event}s" if event != "timeout"
+                          else "faults.timeouts")
+            events.append(f"{event}@{attempt}")
+            if event == "slow":
+                # A degraded worker: slower, but it finishes.
+                total += clean_seconds * self.slow_factor
+                ok = True
+                break
+            if event == "fail":
+                # Preempted partway through the run.
+                total += clean_seconds * self.fail_fraction(key, attempt)
+            elif event == "timeout":
+                # Hung until the per-action timeout killed it.
+                total += self.timeout_seconds
+            else:  # corrupt
+                # Ran fully; the fetched output failed digest
+                # verification and must be recomputed.
+                total += clean_seconds
+            if attempt < self.max_attempts:
+                backoff = self.backoff_seconds(key, attempt)
+                total += backoff
+                counters.incr("retry.attempts")
+                counters.incr("retry.backoff_seconds", backoff)
+        if not ok:
+            counters.incr("retry.exhausted")
+        if events:
+            # Seconds lost to faults and backoff alone.
+            counters.incr("faults.wasted_seconds",
+                          total - (clean_seconds if ok else 0.0))
+        return AttemptLedger(ok=ok, attempts=attempts, seconds=total,
+                             events=tuple(events))
+
+    # -- specs ---------------------------------------------------------
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -226,8 +312,7 @@ class FaultPlan:
 
         ``"fail=0.02,timeout=0.01,seed=7"`` -- keys are the short names
         in the table below; unknown keys raise.  ``only`` takes a
-        ``|``-separated action-kind list.  Round-trips via
-        :meth:`to_spec`.
+        ``|``-separated action-kind list.
         """
         values: Dict[str, object] = {}
         for part in spec.split(","):
@@ -249,73 +334,14 @@ class FaultPlan:
                 values[field] = (int if field in _INT_FIELDS else float)(raw)
         return cls(**values)
 
-    def to_spec(self) -> str:
-        """The compact spec string (only non-default entries)."""
-        default = FaultPlan()
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value == getattr(default, f.name):
-                continue
-            key = _FIELD_TO_SPEC[f.name]
-            if f.name == "only_kinds":
-                parts.append(f"{key}={'|'.join(value)}")
-            elif f.name in _INT_FIELDS:
-                parts.append(f"{key}={value}")
-            else:
-                parts.append(f"{key}={value:g}")
-        return ",".join(parts)
-
-    def to_json(self) -> Dict[str, object]:
-        return {f.name: (list(v) if isinstance(v := getattr(self, f.name), tuple)
-                         else v)
-                for f in fields(self)}
-
     @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "FaultPlan":
-        """The inverse of :meth:`to_json`; anything else is a ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"a fault plan is a JSON object, not {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown fault-plan fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if name == "only_kinds":
-                ok = (isinstance(value, (list, tuple))
-                      and all(isinstance(k, str) for k in value))
-            else:
-                ok = (isinstance(value, int if name in _INT_FIELDS else (int, float))
-                      and not isinstance(value, bool))
-            if not ok:
-                raise ValueError(
-                    f"fault-plan field {name!r} has the wrong type: {value!r}")
-        payload = dict(data)
-        if "only_kinds" in payload:
-            payload["only_kinds"] = tuple(payload["only_kinds"])
-        return cls(**payload)  # type: ignore[arg-type]
-
-    @classmethod
-    def resolve(
-        cls, source: "Union[FaultPlan, str, os.PathLike, None]"
-    ) -> "Optional[FaultPlan]":
+    def resolve(cls, source: "Union[FaultPlan, str, None]") -> "Optional[FaultPlan]":
         """A plan from whatever the configuration carried.
 
         ``None`` passes through (no injection); a :class:`FaultPlan` is
-        returned as-is; a string ending in ``.json`` names a file that is
-        loaded via :meth:`from_json`; any other string is parsed as a
-        spec.  This is what ``--fault-plan`` feeds; a malformed spec or
-        file is a ``ValueError``.
+        returned as-is; anything else is parsed as a spec.  This is what
+        ``--fault-plan`` feeds; a malformed spec is a ``ValueError``.
         """
         if source is None or isinstance(source, cls):
             return source
-        text = os.fspath(source)
-        path = Path(text)
-        if text.endswith(".json"):
-            if not path.is_file():
-                raise ValueError(f"fault plan {text}: no such file")
-            try:
-                return cls.from_json(json.loads(path.read_text()))
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"fault plan {text}: {exc}") from None
-        return cls.parse(text)
+        return cls.parse(source)

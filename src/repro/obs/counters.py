@@ -1,10 +1,12 @@
 """Named counters and gauges for the metrics report.
 
-A :class:`Counters` instance is the single sink every layer writes to:
-the action cache counts hits/misses, the build system counts RAM
-rejections, the scheduler records queue depth, the pipeline records
-profile-quality gauges (PGO match rate, LBR coverage, WPA hot-function
-count).  Counters are *monotonic* accumulators (``incr``); gauges are
+A :class:`Counters` instance is the single sink every layer writes to,
+and the only place a tally is kept: the build system counts action
+cache hits/misses and RAM rejections, the persistent store its loads
+and quarantines, a fault plan its injected faults and retries, the
+scheduler records queue depth, the pipeline records profile-quality
+gauges (PGO match rate, LBR coverage, WPA hot-function count).
+Counters are *monotonic* accumulators (``incr``); gauges are
 last-written or high-watermark values (``gauge`` / ``max_gauge``).
 
 Determinism contract: every mutation happens in program order in the
@@ -64,10 +66,6 @@ class Counters:
             "counters": {k: self._counts[k] for k in sorted(self._counts)},
             "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
         }
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._gauges.clear()
 
     def __repr__(self) -> str:
         return f"Counters(counters={len(self._counts)}, gauges={len(self._gauges)})"

@@ -255,8 +255,8 @@ def match_profile(
         return profile, stats
 
     out = IRProfile(call_counts=dict(profile.call_counts))
-    out.source_entries = getattr(profile, "source_entries", 0)
-    anchors = getattr(profile, "anchors", {}) or {}
+    out.source_entries = profile.source_entries
+    anchors = profile.anchors
     still_dropped = 0
 
     names = sorted(set(profile.blocks) | set(profile.edges))

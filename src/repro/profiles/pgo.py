@@ -59,10 +59,9 @@ class IRProfile:
         drift/dropout -- the "profile match rate" practitioners use as
         the first staleness indicator.  1.0 for an unperturbed profile.
         """
-        source = getattr(self, "source_entries", 0)
-        if not source:
+        if not self.source_entries:
             return 1.0
-        return 1.0 - getattr(self, "dropped_entries", 0) / source
+        return 1.0 - self.dropped_entries / self.source_entries
 
     def hot_functions(self, threshold: float = 0.0) -> List[str]:
         return sorted(
@@ -127,10 +126,9 @@ class IRProfile:
             edges={fn: dict(v) for fn, v in self.edges.items()},
             blocks={fn: dict(v) for fn, v in self.blocks.items()},
             call_counts=dict(self.call_counts),
-            source_entries=getattr(self, "source_entries", 0),
-            dropped_entries=getattr(self, "dropped_entries", 0),
-            anchors={fn: dict(v)
-                     for fn, v in getattr(self, "anchors", {}).items()},
+            source_entries=self.source_entries,
+            dropped_entries=self.dropped_entries,
+            anchors={fn: dict(v) for fn, v in self.anchors.items()},
         )
 
     def apply_drift(
@@ -161,8 +159,7 @@ class IRProfile:
         rng = random.Random(seed)
         out = IRProfile(
             call_counts=dict(self.call_counts),
-            anchors={fn: dict(v)
-                     for fn, v in getattr(self, "anchors", {}).items()},
+            anchors={fn: dict(v) for fn, v in self.anchors.items()},
         )
         source = 0
         dropped = 0

@@ -39,7 +39,7 @@ def _merge_weighted(pairs: Sequence[Tuple[float, IRProfile]]) -> IRProfile:
         for fn, count in profile.call_counts.items():
             out.call_counts[fn] = out.call_counts.get(fn, 0.0) + weight * count
     for _weight, profile in reversed(pairs):
-        anchors = getattr(profile, "anchors", {})
+        anchors = profile.anchors
         if anchors:
             # Anchors describe CFG content, which merging cannot
             # average: the newest profile's CFG wins.

@@ -15,8 +15,10 @@ on real hardware:
   by the exact solver inputs, so a later release replays the layouts
   of functions that did not change.
 
-Both are deliberately dependency-free (stdlib only) and import nothing
-from the rest of ``repro``, so any layer may use them.
+Both count on the ``Counters`` they are given and keep no tally of
+their own.  They are deliberately dependency-free (stdlib only; the
+counters are duck-typed) and import nothing from the rest of ``repro``,
+so any layer may use them.
 """
 
 from repro.runtime.cache import (

@@ -1,6 +1,6 @@
 """Digest-keyed on-disk store of action outputs.
 
-The simulator's :class:`repro.buildsys.ActionCache` models the paper's
+The simulator's :class:`repro.buildsys.BuildSystem` models the paper's
 remote content-addressed store, but only in memory: every new process
 starts cold and pays full (real) compute for every backend action.
 This store is the persistence layer beneath it.  Entries are pickles
@@ -25,6 +25,10 @@ that fails verification (or predates the envelope format) is
 counted (``store.quarantined``), and reported as a miss so the action
 simply recomputes and overwrites it.  A poisoned cache can cost time;
 it can never change what gets built.
+
+Every tally -- loads, stores, quarantines, solve hits and misses -- is
+kept once, on the ``Counters`` each store is given (duck-typed, so this
+module imports nothing from the rest of ``repro``).
 """
 
 from __future__ import annotations
@@ -115,14 +119,6 @@ def _unseal(data: bytes) -> "Tuple[Any, Optional[str]]":
         return None, "unpicklable"
 
 
-def _bump(owner: Any, tally: str, counter: str) -> None:
-    """Count one event once: on ``owner.<tally>`` and, when the owner
-    was given a metrics sink, on its ``counter``."""
-    setattr(owner, tally, getattr(owner, tally) + 1)
-    if owner.counters is not None:
-        owner.counters.incr(counter)
-
-
 class FunctionSolveCache:
     """Memoized per-function layout solves, keyed by content signature.
 
@@ -140,31 +136,17 @@ class FunctionSolveCache:
     Two tiers: a per-process dict, and (when ``root`` is given) an
     on-disk :class:`PersistentActionStore` beside the action store, so
     a later release's run replays the previous release's solves.
-    Hit/miss accounting lands on the optional ``counters`` sink as
-    ``incr.solve_hits`` / ``incr.solve_misses``, in lookup order, so
-    the numbers are deterministic.
+    Every lookup is counted on ``counters`` as ``incr.solve_hits`` /
+    ``incr.solve_misses``, in lookup order, so the numbers are
+    deterministic.
     """
 
-    def __init__(self, root: "Optional[str | os.PathLike]" = None,
-                 counters: Any = None):
+    def __init__(self, root: "Optional[str | os.PathLike]", counters: Any):
         self._memory: dict = {}
         self._store = (
-            PersistentActionStore(root, counters=counters)
-            if root is not None else None
+            PersistentActionStore(root, counters) if root is not None else None
         )
         self.counters = counters
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of lookups replayed; 1.0 when nothing was looked up
-        (a full action-cache replay never reaches the solver at all)."""
-        return self.hits / self.lookups if self.lookups else 1.0
 
     def get(self, key: str) -> Optional[list]:
         """The memoized node order for ``key``, or None (a counted miss)."""
@@ -174,9 +156,9 @@ class FunctionSolveCache:
             if order is not None:
                 self._memory[key] = order
         if order is None:
-            _bump(self, "misses", "incr.solve_misses")
+            self.counters.incr("incr.solve_misses")
             return None
-        _bump(self, "hits", "incr.solve_hits")
+        self.counters.incr("incr.solve_hits")
         return list(order)
 
     def put(self, key: str, order: list) -> None:
@@ -185,32 +167,24 @@ class FunctionSolveCache:
         if self._store is not None:
             self._store.store(key, order)
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
 
 class PersistentActionStore:
-    """Content-addressed pickle store under one root directory."""
+    """Content-addressed pickle store under one root directory.
 
-    def __init__(self, root: "str | os.PathLike", counters: Any = None):
+    ``counters`` (the :class:`repro.obs.Counters` contract, duck-typed)
+    counts ``store.loads``, ``store.stores``, ``store.quarantined`` and
+    ``store.load_errors``.
+    """
+
+    def __init__(self, root: "str | os.PathLike", counters: Any):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.loads = 0
-        self.stores = 0
-        #: Entries that failed digest verification and were moved aside.
-        self.quarantined = 0
-        # Optional metrics sink (the repro.obs.Counters contract); held
-        # duck-typed so this module stays importable without any other
-        # part of the package.
         self.counters = counters
 
     def _path(self, key: str) -> Path:
         if len(key) < 3 or not all(c in "0123456789abcdef" for c in key):
             raise ValueError(f"not a content digest key: {key!r}")
         return self.root / key[:2] / f"{key}.pkl"
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a bad entry aside (never replayed again) and count it."""
@@ -225,7 +199,7 @@ class PersistentActionStore:
                 path.unlink()
             except OSError:
                 pass
-        _bump(self, "quarantined", "store.quarantined")
+        self.counters.incr("store.quarantined")
 
     def load(self, key: str) -> Optional[Any]:
         """The stored entry, or None when absent or not verifiable.
@@ -245,22 +219,12 @@ class PersistentActionStore:
         entry, reason = _unseal(data)
         if reason is not None:
             self._quarantine(path, reason)
-            if reason == "unpicklable" and self.counters is not None:
+            if reason == "unpicklable":
                 self.counters.incr("store.load_errors")
             return None
-        _bump(self, "loads", "store.loads")
+        self.counters.incr("store.loads")
         return entry
 
     def store(self, key: str, entry: Any) -> None:
         write_envelope(self._path(key), entry)
-        _bump(self, "stores", "store.stores")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("??/*.pkl"))
-
-    def clear(self) -> None:
-        for path in self.root.glob("??/*.pkl"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        self.counters.incr("store.stores")

@@ -86,10 +86,10 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                              "fuzzy block matching + count inference before "
                              "the metadata/Propeller builds")
     parser.add_argument("--fault-plan", default=_DEFAULTS.fault_plan,
-                        help="deterministic fault-injection plan: a spec "
-                             "string like 'fail=0.02,timeout=0.01,seed=7' or "
-                             "the path of a plan JSON file (see repro.faults); "
-                             "changes simulated durations, never artifacts")
+                        help="deterministic fault-injection plan, a spec "
+                             "string like 'fail=0.02,timeout=0.01,seed=7' "
+                             "(see repro.faults); changes simulated "
+                             "durations, never artifacts")
     parser.add_argument("--state-dir", default=_DEFAULTS.state_dir,
                         help="directory holding incremental state across "
                              "runs (IncrState snapshot, solve cache, action "

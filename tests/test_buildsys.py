@@ -26,7 +26,7 @@ class TestCache:
         bs.run_action("codegen", ["d1", "t1"], _compute())
         other = bs.run_action("codegen", ["d1", "t2"], _compute())
         assert not other.cache_hit
-        assert bs.stats.misses == 2
+        assert bs.counters.count("cache.misses") == 2
 
     def test_kind_part_of_key(self):
         bs = BuildSystem()
@@ -38,37 +38,24 @@ class TestCache:
         bs.run_action("a", ["x"], _compute())
         bs.run_action("a", ["x"], _compute())
         bs.run_action("a", ["y"], _compute())
-        assert bs.stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_evict_all(self):
-        bs = BuildSystem()
-        bs.run_action("a", ["x"], _compute())
-        bs.evict_all()
-        assert not bs.run_action("a", ["x"], _compute()).cache_hit
+        hits, misses = bs.counters.count("cache.hits"), bs.counters.count("cache.misses")
+        assert hits / (hits + misses) == pytest.approx(1 / 3)
 
     def test_action_key_stable(self):
         assert action_key("k", "a", "b") == action_key("k", "a", "b")
         assert action_key("k", "a", "b") != action_key("k", "ab")
 
-    def test_contains(self):
-        bs = BuildSystem()
-        result = bs.run_action("a", ["x"], _compute())
-        assert result.key in bs
-
-
     def test_stats_read_the_cache_counters(self, tmp_path):
-        """One tally per event: ``stats`` is the ``cache.*`` counters."""
+        """One tally per event, kept once: the cache's statistics are
+        the ``cache.*`` counters (and the store's the ``store.*`` ones)."""
         BuildSystem(cache_dir=tmp_path).run_action("a", ["x"], _compute())
         bs = BuildSystem(cache_dir=tmp_path)
         bs.run_action("a", ["x"], _compute())   # disk hit
         bs.run_action("a", ["x"], _compute())   # memory hit
         bs.run_action("a", ["y"], _compute())   # miss
-        stats, count = bs.stats, bs.counters.count
-        assert (stats.hits, stats.misses, stats.disk_hits) == (2, 1, 1)
-        assert stats.hits == count("cache.hits")
-        assert stats.misses == count("cache.misses")
-        assert stats.disk_hits == count("cache.disk_hits")
-        assert stats.lookups == 3 and stats.hit_rate == pytest.approx(2 / 3)
+        assert bs.counters.snapshot()["counters"] == {
+            "cache.disk_hits": 1, "cache.hits": 2, "cache.misses": 1,
+            "store.loads": 1, "store.stores": 1}
 
 
 def _triple(value, cost, peak):

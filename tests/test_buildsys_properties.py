@@ -107,4 +107,4 @@ class TestMakespanModel:
         assert warm.wall_seconds == pytest.approx(
             max(CACHE_HIT_SECONDS, 8 * CACHE_HIT_SECONDS / 4)
         )
-        assert bs.stats.hit_rate == pytest.approx(0.5)
+        assert bs.counters.count("cache.hits") == bs.counters.count("cache.misses") == 8

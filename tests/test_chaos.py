@@ -29,7 +29,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
-from repro.faults import FaultClock, FaultPlan
+from repro.faults import FaultPlan
+from repro.obs import Counters
 from repro.obs.bench import run_suite
 
 pytestmark = pytest.mark.chaos
@@ -125,8 +126,8 @@ class TestMakespanMonotonicity:
                               max_attempts=10)
         keys = [f"{seed:04x}{i:04x}" * 8 for i in range(n_keys)]
         for key in keys:
-            a = FaultClock(low_plan).charge("t", key, clean)
-            b = FaultClock(high_plan).charge("t", key, clean)
+            a = low_plan.charge("t", key, clean, Counters())
+            b = high_plan.charge("t", key, clean, Counters())
             if a.ok and b.ok:
                 assert b.seconds >= a.seconds - 1e-9
 

@@ -1,4 +1,4 @@
-"""Tier-1 tests for repro.faults: plans, the clock, build-system wiring.
+"""Tier-1 tests for repro.faults: plans, their ledgers, build-system wiring.
 
 The invariant every test here circles back to is the same one the
 package docstring states: a fault plan changes *when* work finishes,
@@ -17,13 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.buildsys import BuildSystem
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
-from repro.faults import (
-    FAULT_KINDS,
-    AttemptLedger,
-    FaultClock,
-    FaultPlan,
-    RetriesExhausted,
-)
+from repro.faults import FAULT_KINDS, AttemptLedger, FaultPlan, RetriesExhausted
 from repro.faults.plan import _SPEC_KEYS
 from repro.obs import Counters, PipelineReport
 from repro.synth import PRESETS, generate_workload
@@ -33,16 +27,21 @@ OTHER = "cd" * 32
 
 
 # ----------------------------------------------------------------------
-# FaultPlan: specs, serialization, validation
+# FaultPlan: specs, validation
 
 class TestPlanSpecs:
-    def test_parse_round_trips_through_to_spec(self):
+    def test_parse_builds_the_plan(self):
         plan = FaultPlan.parse("fail=0.02,timeout=0.01,seed=7,attempts=6")
-        assert plan.fail_rate == 0.02
-        assert plan.timeout_rate == 0.01
-        assert plan.seed == 7
-        assert plan.max_attempts == 6
-        assert FaultPlan.parse(plan.to_spec()) == plan
+        assert plan == FaultPlan(fail_rate=0.02, timeout_rate=0.01, seed=7,
+                                 max_attempts=6)
+        assert FaultPlan.parse(
+            "seed=3,fail=0.1,timeout=0.2,corrupt=0.05,slow=0.25,slow_factor=2,"
+            "attempts=5,backoff=0.5,backoff_mult=3,jitter=0.1,timeout_s=4,"
+            "only=codegen") == FaultPlan(
+                seed=3, fail_rate=0.1, timeout_rate=0.2, corrupt_rate=0.05,
+                slow_rate=0.25, slow_factor=2.0, max_attempts=5, backoff_base=0.5,
+                backoff_multiplier=3.0, backoff_jitter=0.1, timeout_seconds=4.0,
+                only_kinds=("codegen",))
 
     def test_only_kinds_spec(self):
         plan = FaultPlan.parse("fail=1,only=profile-lbr|wpa")
@@ -50,22 +49,11 @@ class TestPlanSpecs:
         assert plan.applies_to("profile-lbr")
         assert plan.applies_to("wpa")
         assert not plan.applies_to("codegen")
-        assert FaultPlan.parse(plan.to_spec()) == plan
+        assert plan == FaultPlan(fail_rate=1.0, only_kinds=("profile-lbr", "wpa"))
 
     def test_default_plan_spec_is_empty(self):
-        assert FaultPlan().to_spec() == ""
+        assert FaultPlan.parse("") == FaultPlan()
         assert not FaultPlan().active
-
-    def test_json_round_trip(self):
-        plan = FaultPlan(seed=3, fail_rate=0.1, slow_rate=0.05,
-                         only_kinds=("codegen",))
-        assert FaultPlan.from_json(plan.to_json()) == plan
-        # And through an actual JSON encoder (tuples become lists).
-        assert FaultPlan.from_json(json.loads(json.dumps(plan.to_json()))) == plan
-
-    def test_from_json_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown fault-plan fields"):
-            FaultPlan.from_json({"fail_rate": 0.1, "surprise": 1})
 
     def test_parse_rejects_unknown_keys_and_bad_items(self):
         with pytest.raises(ValueError, match="unknown fault-plan key"):
@@ -78,12 +66,14 @@ class TestPlanSpecs:
         plan = FaultPlan(fail_rate=0.5)
         assert FaultPlan.resolve(plan) is plan
         assert FaultPlan.resolve("fail=0.5") == plan
+        # A plan file is not a form: its path is a malformed spec.
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_json()))
-        assert FaultPlan.resolve(str(path)) == plan
+        path.write_text('{"fail_rate": 0.5}')
+        with pytest.raises(ValueError, match="not key=value"):
+            FaultPlan.resolve(str(path))
 
     def test_resolve_missing_json_names_the_file(self, tmp_path):
-        with pytest.raises(ValueError, match="no such file"):
+        with pytest.raises(ValueError, match="missing.json"):
             FaultPlan.resolve(str(tmp_path / "missing.json"))
 
 
@@ -124,12 +114,12 @@ class TestResolveFuzz:
         with pytest.raises(ValueError, match="finite"):
             FaultPlan.resolve(spec)
 
-    def test_non_finite_json_values_are_rejected(self, tmp_path):
-        path = tmp_path / "plan.json"
+    def test_non_finite_json_values_are_rejected(self):
+        """The spellings JSON encoders use for non-finite numbers parse
+        as floats, and a spec rejects them like any NaN or inf."""
         for value in ("NaN", "Infinity", "1" + "0" * 400):
-            path.write_text(f'{{"backoff_multiplier": {value}}}')
             with pytest.raises(ValueError, match="finite"):
-                FaultPlan.resolve(str(path))
+                FaultPlan.resolve(f"backoff_mult={value}")
 
 
 class TestPlanValidation:
@@ -145,6 +135,12 @@ class TestPlanValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             FaultPlan(**kwargs)
+
+    def test_non_finite_fields_are_rejected(self):
+        # An int too large for a float is not finite either.
+        for value in (math.nan, math.inf, 10 ** 400):
+            with pytest.raises(ValueError, match="finite"):
+                FaultPlan(backoff_multiplier=value)
 
 
 # ----------------------------------------------------------------------
@@ -209,40 +205,49 @@ class TestDraws:
 
 
 # ----------------------------------------------------------------------
-# FaultClock ledgers
+# FaultPlan.charge ledgers
+
+def _charge(plan, kind, key, clean):
+    """``plan.charge`` on a throwaway sink: ``(ledger, counters)``."""
+    counters = Counters()
+    return plan.charge(kind, key, clean, counters), counters
+
 
 class TestFaultClock:
+    """The simulated-time ledger of one action, :meth:`FaultPlan.charge`."""
+
     def test_no_plan_is_free_passthrough(self):
-        ledger = FaultClock(None).charge("codegen", KEY, 2.0)
-        assert ledger == AttemptLedger(key=KEY, kind="codegen", ok=True,
-                                       attempts=1, seconds=2.0,
-                                       clean_seconds=2.0)
-        assert not ledger.faulted and ledger.wasted_seconds == 0.0
+        ledger, counters = _charge(FaultPlan(), "codegen", KEY, 2.0)
+        assert ledger == AttemptLedger(ok=True, attempts=1, seconds=2.0)
+        assert counters.snapshot() == {"counters": {}, "gauges": {}}
+        result = BuildSystem().run_action("codegen", ["k"], lambda: ("v", 2.0, 0))
+        assert result.cost_seconds == 2.0
 
     def test_excluded_kind_is_free_passthrough(self):
-        clock = FaultClock(FaultPlan(fail_rate=1.0, only_kinds=("wpa",)))
-        ledger = clock.charge("codegen", KEY, 2.0)
-        assert ledger.ok and ledger.seconds == 2.0 and not ledger.faulted
+        plan = FaultPlan(fail_rate=1.0, only_kinds=("wpa",))
+        ledger, _ = _charge(plan, "codegen", KEY, 2.0)
+        assert ledger.ok and ledger.seconds == 2.0 and not ledger.events
 
     def test_ledgers_identical_across_clock_instances(self):
         plan = FaultPlan(seed=7, fail_rate=0.3, timeout_rate=0.1,
                          corrupt_rate=0.1, slow_rate=0.1)
         keys = [f"{i:02x}" * 32 for i in range(32)]
-        first = [FaultClock(plan).charge("t", k, 1.5) for k in keys]
-        second = [FaultClock(plan).charge("t", k, 1.5) for k in keys]
-        assert first == second
+        first = [_charge(plan, "t", k, 1.5) for k in keys]
+        second = [_charge(FaultPlan.parse("seed=7,fail=0.3,timeout=0.1,corrupt=0.1,slow=0.1"),
+                          "t", k, 1.5) for k in keys]
+        assert [(l, c.snapshot()) for l, c in first] == \
+            [(l, c.snapshot()) for l, c in second]
 
     def test_slow_event_succeeds_at_inflated_cost(self):
         plan = FaultPlan(seed=7, slow_rate=1.0, slow_factor=4.0)
-        ledger = FaultClock(plan).charge("t", KEY, 2.0)
+        ledger, _ = _charge(plan, "t", KEY, 2.0)
         assert ledger.ok and ledger.attempts == 1
         assert ledger.seconds == pytest.approx(8.0)
         assert ledger.events == ("slow@1",)
 
     def test_exhaustion_reported_not_raised(self):
         plan = FaultPlan(seed=7, fail_rate=1.0, max_attempts=3)
-        clock = FaultClock(plan, counters=(counters := Counters()))
-        ledger = clock.charge("t", KEY, 2.0)
+        ledger, counters = _charge(plan, "t", KEY, 2.0)
         assert not ledger.ok
         assert ledger.attempts == 3
         assert ledger.events == ("fail@1", "fail@2", "fail@3")
@@ -254,21 +259,22 @@ class TestFaultClock:
     def test_timeout_burns_the_timeout_budget(self):
         plan = FaultPlan(seed=7, timeout_rate=1.0, timeout_seconds=5.0,
                          max_attempts=2, backoff_jitter=0.0)
-        ledger = FaultClock(plan).charge("t", KEY, 1.0)
+        ledger, _ = _charge(plan, "t", KEY, 1.0)
         assert not ledger.ok
         # Two timed-out attempts plus one backoff between them.
         assert ledger.seconds == pytest.approx(5.0 + 0.25 + 5.0)
 
     def test_wasted_seconds_accumulate(self):
         plan = FaultPlan(seed=7, corrupt_rate=0.5)
-        clock = FaultClock(plan)
+        counters = Counters()
         keys = [f"{i:02x}" * 32 for i in range(64)]
-        ledgers = [clock.charge("t", k, 1.0) for k in keys]
-        faulted = [l for l in ledgers if l.faulted]
+        ledgers = [plan.charge("t", k, 1.0, counters) for k in keys]
+        faulted = [l for l in ledgers if l.events]
         assert faulted  # at 50% some keys must fault
-        assert clock.faulted_actions == len(faulted)
-        assert clock.wasted_seconds == pytest.approx(
-            sum(l.wasted_seconds for l in faulted))
+        assert counters.count("faults.injected") == sum(len(l.events) for l in faulted)
+        # A faulted ledger wasted all but its final clean run, if any.
+        assert counters.count("faults.wasted_seconds") == pytest.approx(
+            sum(l.seconds - (1.0 if l.ok else 0.0) for l in faulted))
 
 
 # ----------------------------------------------------------------------
@@ -305,15 +311,15 @@ class TestBuildSystemFaults:
         faulty = self._bs("slow=1,seed=7")
         result = faulty.run_action("t", ["k"], lambda: _compute(2.0))
         assert result.cost_seconds == pytest.approx(8.0)
-        entry = faulty.cache.lookup(result.key)
-        assert entry is not None and entry.cost_seconds == pytest.approx(2.0)
+        entry = faulty._entries[result.key]
+        assert entry.cost_seconds == pytest.approx(2.0)
 
-    def test_cache_hits_skip_injection(self):
-        faulty = self._bs("fail=1,seed=7,only=t")
-        # Pre-warm the cache through a clean build system sharing it.
-        clean = BuildSystem(workers=4, enforce_ram=False)
-        warm = clean.run_action("t", ["k"], lambda: _compute(2.0))
-        faulty.cache.store(warm.key, clean.cache.lookup(warm.key))
+    def test_cache_hits_skip_injection(self, tmp_path):
+        faulty = BuildSystem(workers=4, enforce_ram=False, cache_dir=tmp_path,
+                             fault_plan=FaultPlan.parse("fail=1,seed=7,only=t"))
+        # Pre-warm the cache through a clean build system sharing its store.
+        clean = BuildSystem(workers=4, enforce_ram=False, cache_dir=tmp_path)
+        clean.run_action("t", ["k"], lambda: _compute(2.0))
         replay = faulty.run_action("t", ["k"], lambda: _compute(2.0))
         assert replay.cache_hit
         assert faulty.counters.count("faults.injected") == 0
@@ -480,10 +486,9 @@ class TestConfigAndCli:
     def test_config_default_is_no_plan(self, nano_program):
         pipe = PropellerPipeline(nano_program, _config())
         assert pipe.buildsys.fault_plan is None
-        assert pipe.buildsys.faults.plan is None
 
     def test_facade_exports(self):
         import repro
 
         assert repro.FaultPlan is FaultPlan
-        assert repro.FaultClock is FaultClock
+        assert "FaultClock" not in repro.__all__

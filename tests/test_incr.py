@@ -8,10 +8,12 @@ ever change *speed*, never *bytes*.
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import phases
 from repro.core.exttsp import ext_tsp_order, solve_signature
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.incr import (
@@ -24,6 +26,7 @@ from repro.incr import (
 )
 from repro.ir import Call, Instr
 from repro.ir.digest import function_digest
+from repro.obs import Counters
 from repro.obs.report import plain
 from repro.runtime import FunctionSolveCache
 from repro.synth import EditScript, PRESETS, generate_workload
@@ -73,27 +76,35 @@ def prior(program, state_dir):
 
 class TestFunctionSolveCache:
     def test_memory_tier_roundtrip(self):
-        cache = FunctionSolveCache()
+        cache = FunctionSolveCache(None, Counters())
         assert cache.get("a" * 64) is None
         cache.put("a" * 64, [1, 2, 3])
         assert cache.get("a" * 64) == [1, 2, 3]
-        assert (cache.hits, cache.misses, cache.lookups) == (1, 1, 2)
-        assert cache.reuse_rate == 0.5
+        assert cache.counters.snapshot()["counters"] == {
+            "incr.solve_hits": 1, "incr.solve_misses": 1}
 
     def test_reuse_rate_is_one_without_lookups(self):
-        assert FunctionSolveCache().reuse_rate == 1.0
+        """A run whose solver was never asked (a full action-cache
+        replay) reused everything: ``incr.solve_reuse`` is 1.0."""
+        pipeline = SimpleNamespace(counters=Counters())
+        state = SimpleNamespace(functions={}, result_digest="d")
+        plan = SimpleNamespace(dirty=(), added=(), deleted=(), reasons={})
+        summary = phases.incremental_summary(
+            pipeline, state, plan, SimpleNamespace(hot_functions=()))
+        assert (summary.solve_hits, summary.solve_misses, summary.solve_reuse) == (0, 0, 1.0)
+        assert pipeline.counters.gauge_value("incr.solve_reuse") == 1.0
 
     def test_disk_tier_survives_processes(self, tmp_path):
         key = solve_signature({0: (4, 10.0), 1: (4, 5.0)},
                               [(0, 1, 5.0)], entry=0)
-        first = FunctionSolveCache(tmp_path)
+        first = FunctionSolveCache(tmp_path, Counters())
         first.put(key, [0, 1])
-        second = FunctionSolveCache(tmp_path)
+        second = FunctionSolveCache(tmp_path, Counters())
         assert second.get(key) == [0, 1]
-        assert second.hits == 1
+        assert second.counters.count("incr.solve_hits") == 1
 
     def test_returns_copies(self):
-        cache = FunctionSolveCache()
+        cache = FunctionSolveCache(None, Counters())
         cache.put("b" * 64, [1, 2])
         cache.get("b" * 64).append(99)
         assert cache.get("b" * 64) == [1, 2]
@@ -117,7 +128,7 @@ class TestSolveSignature:
     def test_cached_solve_equals_fresh_solve(self):
         nodes = {0: (8, 100.0), 1: (6, 60.0), 2: (6, 40.0), 3: (4, 0.0)}
         edges = [(0, 1, 60.0), (0, 2, 40.0), (1, 3, 1.0), (2, 3, 1.0)]
-        cache = FunctionSolveCache()
+        cache = FunctionSolveCache(None, Counters())
         key = solve_signature(nodes, edges, entry=0)
         fresh = ext_tsp_order(nodes, edges, entry=0)
         cache.put(key, fresh)

@@ -167,8 +167,6 @@ class TestCounters:
         assert list(snap["counters"]) == ["a", "b"]
         snap["counters"]["a"] = 99
         assert c.count("a") == 1
-        c.clear()
-        assert c.snapshot() == {"counters": {}, "gauges": {}}
 
 
 class TestReport:

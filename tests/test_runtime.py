@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.buildsys import BuildSystem
-from repro.buildsys.build import ActionCache, ResourceLimitExceeded, _CacheEntry
+from repro.buildsys.build import ResourceLimitExceeded, _CacheEntry
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
+from repro.obs import Counters
 from repro.runtime import (
     CACHE_DIR_ENV,
     PersistentActionStore,
@@ -29,34 +30,34 @@ def _compute_pair(a, b):
     return a + b, float(a), b
 
 
+def _quarantined(store: PersistentActionStore) -> int:
+    return store.counters.count("store.quarantined")
+
+
 class TestPersistentStore:
     def test_roundtrip(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         key = "ab" * 32
         assert store.load(key) is None
         store.store(key, {"answer": 42})
-        assert key in store
+        assert store._path(key).exists()
         assert store.load(key) == {"answer": 42}
-        assert len(store) == 1
+        assert list(tmp_path.glob("??/*.pkl")) == [store._path(key)]
+        assert (store.counters.count("store.stores"),
+                store.counters.count("store.loads")) == (1, 1)
 
     def test_rejects_non_digest_keys(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         with pytest.raises(ValueError):
             store.store("../escape", 1)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         key = "cd" * 32
         store.store(key, [1, 2, 3])
         path = store._path(key)
         path.write_bytes(b"not a pickle")
         assert store.load(key) is None
-
-    def test_clear(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
-        store.store("ef" * 32, 1)
-        store.clear()
-        assert len(store) == 0
 
     def test_resolve_cache_dir_precedence(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
@@ -68,21 +69,15 @@ class TestPersistentStore:
 
 class TestActionCacheWithDisk:
     def test_disk_hit_survives_new_cache(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
-        first = ActionCache(store=store)
-        first.store("11" * 32, _CacheEntry(value="artifact", cost_seconds=2.0, peak_memory=10))
-        # A brand-new in-memory cache over the same store sees the entry.
-        second = ActionCache(store=store)
-        entry = second.lookup("11" * 32)
-        assert entry is not None and entry.value == "artifact"
-        assert second.stats.hits == 1 and second.stats.disk_hits == 1
-
-    def test_evict_all_clears_disk(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
-        cache = ActionCache(store=store)
-        cache.store("22" * 32, _CacheEntry(value=1, cost_seconds=1.0, peak_memory=0))
-        cache.evict_all()
-        assert ActionCache(store=store).lookup("22" * 32) is None
+        BuildSystem(cache_dir=tmp_path).run_action(
+            "t", ["k"], lambda: ("artifact", 2.0, 10))
+        # A brand-new build system over the same store sees the entry.
+        second = BuildSystem(cache_dir=tmp_path)
+        result = second.run_action("t", ["k"], lambda: pytest.fail("recomputed"))
+        assert result.cache_hit and result.value == "artifact"
+        assert second._entries[result.key] == _CacheEntry("artifact", 2.0, 10)
+        count = second.counters.count
+        assert count("cache.hits") == 1 and count("cache.disk_hits") == 1
 
 
 class TestRunBatch:
@@ -102,9 +97,9 @@ class TestRunBatch:
         assert [r.value for r in got_b] == [2 * i + 1 for i in range(8)]
         assert [r.cache_hit for r in got_b] == [True, False] * 4
         assert [r.cost_seconds for r in got_b[1::2]] == [1.0, 3.0, 5.0, 7.0]
-        assert batched.cache._entries == single.cache._entries
-        assert (batched.stats.hits, batched.stats.misses) == (
-            single.stats.hits, single.stats.misses) == (4, 8)
+        assert batched._entries == single._entries
+        assert [(bs.counters.count("cache.hits"), bs.counters.count("cache.misses"))
+                for bs in (batched, single)] == [(4, 8), (4, 8)]
 
     def test_run_batch_takes_no_executor(self):
         bs = BuildSystem(workers=4, enforce_ram=False)
@@ -168,7 +163,7 @@ class TestPipelineDeterminism:
 
         cfg = self._config(cache_dir=str(tmp_path))
         cold = PropellerPipeline(micro_program, cfg).run()
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         (key,) = [p.stem for p in tmp_path.glob("??/*.pkl")
                   if isinstance(getattr(store.load(p.stem), "value", None), PerfData)]
         write_envelope(store._path(key), replace(store.load(key), value=parent_layout_perf))
@@ -181,7 +176,7 @@ class TestPipelineDeterminism:
     def test_cache_dir_env_var(self, micro_program, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         pipe = PropellerPipeline(micro_program, self._config())
-        store = pipe.buildsys.cache.persistent_store
+        store = pipe.buildsys.store
         assert store is not None and store.root == tmp_path
 
 
@@ -198,7 +193,7 @@ class TestStoreQuarantine:
     KEY = "ab" * 32
 
     def _store_with(self, tmp_path, value):
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         store.store(self.KEY, value)
         return store, store._path(self.KEY)
 
@@ -207,8 +202,8 @@ class TestStoreQuarantine:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 5])
         assert store.load(self.KEY) is None
-        assert store.quarantined == 1
-        assert self.KEY not in store  # moved aside, not replayable
+        assert _quarantined(store) == 1
+        assert not path.exists()  # moved aside, not replayable
 
     def test_header_only_entry_is_quarantined_miss(self, tmp_path):
         store, path = self._store_with(tmp_path, "x")
@@ -216,7 +211,7 @@ class TestStoreQuarantine:
 
         path.write_bytes(_MAGIC)  # magic with no digest/payload
         assert store.load(self.KEY) is None
-        assert store.quarantined == 1
+        assert _quarantined(store) == 1
 
     def test_flipped_payload_bit_is_quarantined_miss(self, tmp_path):
         store, path = self._store_with(tmp_path, b"artifact bytes")
@@ -224,28 +219,28 @@ class TestStoreQuarantine:
         data[-1] ^= 0x01
         path.write_bytes(bytes(data))
         assert store.load(self.KEY) is None
-        assert store.quarantined == 1
+        assert _quarantined(store) == 1
 
     def test_legacy_format_is_quarantined_miss(self, tmp_path):
         store, path = self._store_with(tmp_path, 1)
         # A pre-envelope (v1-era) entry: a bare pickle.
         path.write_bytes(pickle.dumps({"old": "format"}))
         assert store.load(self.KEY) is None
-        assert store.quarantined == 1
+        assert _quarantined(store) == 1
 
     def test_verified_but_unpicklable_is_quarantined_miss(self, tmp_path):
         import hashlib
 
         from repro.runtime.cache import _MAGIC
 
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         path = store._path(self.KEY)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = b"this is not a pickle"
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         path.write_bytes(_MAGIC + digest + b"\n" + payload)
         assert store.load(self.KEY) is None
-        assert store.quarantined == 1
+        assert _quarantined(store) == 1
 
     def test_quarantined_file_is_kept_for_inspection(self, tmp_path):
         store, path = self._store_with(tmp_path, 42)
@@ -254,14 +249,6 @@ class TestStoreQuarantine:
         moved = list((store.root / "quarantine").iterdir())
         assert len(moved) == 1
         assert moved[0].name.startswith(path.name)
-
-    def test_quarantine_excluded_from_len_and_clear(self, tmp_path):
-        store, path = self._store_with(tmp_path, 42)
-        path.write_bytes(b"garbage")
-        store.load(self.KEY)
-        assert len(store) == 0
-        store.clear()  # must not touch the quarantine directory
-        assert list((store.root / "quarantine").iterdir())
 
     def test_recompute_overwrites_after_quarantine(self, tmp_path):
         store, path = self._store_with(tmp_path, "old")
@@ -274,7 +261,7 @@ class TestStoreQuarantine:
         from repro.obs import Counters
 
         counters = Counters()
-        store = PersistentActionStore(tmp_path, counters=counters)
+        store = PersistentActionStore(tmp_path, counters)
         store.store(self.KEY, 1)
         store._path(self.KEY).write_bytes(b"garbage")
         store.load(self.KEY)
@@ -311,21 +298,21 @@ class TestOneEnvelopeCodec:
     @pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
     def test_same_bytes_same_verdict(self, tmp_path, kind):
         corrupt, reason = _CORRUPTIONS[kind]
-        store = PersistentActionStore(tmp_path / "store")
+        store = PersistentActionStore(tmp_path / "store", Counters())
         store.store(self.KEY, list(range(100)))
         path = store._path(self.KEY)
         bad = corrupt(path.read_bytes())
 
         path.write_bytes(bad)
         assert store.load(self.KEY) is None
-        assert store.quarantined == 1
+        assert _quarantined(store) == 1
         moved = [f.name for f in (store.root / "quarantine").iterdir()]
         assert moved == [f"{path.name}.{reason}"]
 
     def test_store_and_envelope_write_the_same_bytes(self, tmp_path):
         from repro.runtime.cache import write_envelope
 
-        store = PersistentActionStore(tmp_path / "store")
+        store = PersistentActionStore(tmp_path / "store", Counters())
         store.store(self.KEY, {"a": 1})
         write_envelope(tmp_path / "value.artifact", {"a": 1})
         assert store._path(self.KEY).read_bytes() == \
@@ -346,7 +333,7 @@ class TestOneEnvelopeCodec:
         key = action_key("codegen", "golden-module-digest", "metadata")
         assert key == "9a10c882e479b3afa212391404f55a3de61c22c59e84ce138c3b877f9dfd5895"
         bs = BuildSystem(cache_dir=tmp_path)
-        store = bs.cache.persistent_store
+        store = bs.store
         path = store._path(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(
@@ -355,7 +342,7 @@ class TestOneEnvelopeCodec:
                                lambda: (("recomputed", 8), 1.0, 2048))
         assert not result.cache_hit and result.value == ("recomputed", 8)
         assert result.peak_memory == 2048
-        assert (store.quarantined, bs.stats.disk_hits) == (1, 0)
+        assert (_quarantined(store), bs.counters.count("cache.disk_hits")) == (1, 0)
         assert [f.name for f in (store.root / "quarantine").iterdir()] == [f"{path.name}.format"]
         assert store.load(key).value == ("recomputed", 8)
 
@@ -392,13 +379,13 @@ def _read(data: bytes):
     """``PersistentActionStore.load`` of ``data`` stored as one entry of
     a fresh store: ``(value, quarantined)``."""
     with tempfile.TemporaryDirectory() as tmp:
-        store = PersistentActionStore(tmp)
+        store = PersistentActionStore(tmp, Counters())
         path = store._path(_KEY)
         path.parent.mkdir(parents=True)
         path.write_bytes(data)
         value = store.load(_KEY)
-        assert path.exists() == (store.quarantined == 0)
-        return value, store.quarantined
+        assert path.exists() == (_quarantined(store) == 0)
+        return value, _quarantined(store)
 
 
 _VALUES = st.recursive(st.none() | st.integers() | st.text(max_size=8),
@@ -429,11 +416,11 @@ class TestReadEnvelopeFuzz:
         assert _read(flipped) == (None, 1)
 
     def test_unreadable_paths_are_misses(self, tmp_path):
-        store = PersistentActionStore(tmp_path)
+        store = PersistentActionStore(tmp_path, Counters())
         assert store.load(_KEY) is None
         store._path(_KEY).mkdir(parents=True)
         assert store.load(_KEY) is None
-        assert (store.loads, store.quarantined) == (0, 0)
+        assert store.counters.snapshot()["counters"] == {}
 
 
 class TestRecordTablesInTheStore:
@@ -458,7 +445,7 @@ class TestRecordTablesInTheStore:
             (Path(__file__).parent / "golden" / "store_object_v2.pkl").read_bytes())
         assert all(e.startswith(b"repro-store-v2\n") for e in entries.values())
         bs = BuildSystem(cache_dir=tmp_path)
-        store = bs.cache.persistent_store
+        store = bs.store
         for key, sealed in entries.items():
             store._path(key).parent.mkdir(parents=True, exist_ok=True)
             store._path(key).write_bytes(sealed)
@@ -470,7 +457,7 @@ class TestRecordTablesInTheStore:
             link([compiled.value.obj], LinkOptions(entry_symbol="f", emit_relocs=True)), 1.0, 1))
         assert {compiled.key, linked.key} == set(entries)
         assert not compiled.cache_hit and not linked.cache_hit
-        assert (store.quarantined, bs.stats.disk_hits) == (2, 0)
+        assert (_quarantined(store), bs.counters.count("cache.disk_hits")) == (2, 0)
         assert sorted(f.suffix for f in (store.root / "quarantine").iterdir()) == [".format"] * 2
 
         obj, exe = compiled.value.obj, linked.value.executable
@@ -573,6 +560,7 @@ class TestRecordTablesInTheStore:
         second = warm.run()
         assert second.digest() == first.digest()
         assert built == []
-        assert warm.buildsys.stats.disk_hits == cold.buildsys.stats.misses > 0
-        assert warm.buildsys.stats.misses == 0
-        assert warm.buildsys.cache.persistent_store.quarantined == 0
+        assert (warm.counters.count("cache.disk_hits")
+                == cold.counters.count("cache.misses") > 0)
+        assert warm.counters.count("cache.misses") == 0
+        assert warm.counters.count("store.quarantined") == 0
