@@ -7,8 +7,7 @@ where it has one, its ``phase_seconds`` entry).  To change a phase,
 edit its function here.  :meth:`PropellerPipeline.run
 <repro.core.pipeline.PropellerPipeline.run>` calls them in order, under
 their ``phase:*`` spans, and applies the fallbacks of the degradable
-ones; the step methods (``collect_pgo_profile``, ``build_metadata``,
-``collect_perf``, ``analyze``, ``relink``) call the same functions.
+ones; the pipeline's single-phase step methods call the same functions.
 
 * **Phase 1/2** -- compile every module once, with PGO and BB address
   map metadata (actions cached by module content digest), and link the
@@ -21,9 +20,8 @@ ones; the step methods (``collect_pgo_profile``, ``build_metadata``,
   object is a cache hit from Phase 2; relink with the global symbol
   order, dropping metadata sections.
 
-The incremental engine adds no phase: :func:`plan_dirty` and
-:func:`incremental_summary` are plain functions ``reoptimize()`` calls
-before and after the same ``run()``.
+The incremental engine adds no phase: :func:`incremental_summary` is a
+plain function ``reoptimize()`` calls after the same ``run()``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.core import wpa as wpa_mod
 from repro.core.exttsp import DEFAULT_PARAMS, ext_tsp_order_many
 from repro.core.pipeline import BuildOutcome, IncrementalSummary
 from repro.core.wpa import WPAOptions, WPAResult, WPAStats
-from repro.faults import RetriesExhausted
 from repro.ir.passes import clone_program, inline_hot_calls
 from repro.ir.verify import verify_program
 from repro.profiles import (
@@ -360,50 +357,29 @@ def relink(pipe: Any, ir_profile: IRProfile, wpa_result: WPAResult,
     return optimized
 
 
-def plan_dirty(pipeline: Any, state: Any) -> Any:
-    """Pre-run incremental accounting of one ``reoptimize()``.
+def incremental_summary(pipeline: Any, state: Any,
+                        result: Any) -> IncrementalSummary:
+    """The incremental accounting of one ``reoptimize()``, after its run.
 
-    Plans the dirty set (a :class:`repro.incr.DirtyPlan`) against the
-    *new* profile epoch and records the ``incr.*`` function counters.
-    The pre-collection is itself a cached action, so the run's
-    ``pgo-profile`` step replays it for free.
+    Diffs the prior release's ``state`` against the finished run's own
+    evidence (its post-inlining program, its profile and its WPA hot
+    set) with :func:`repro.incr.state.diff_functions`, the diff
+    ``explain`` reads too, and folds that diff and the solve-cache
+    tallies into the ``incr.*`` counters and an
+    :class:`IncrementalSummary`.
     """
-    from repro import incr as incr_mod
+    from repro.incr.state import diff_functions, function_states
 
-    try:
-        profile = pipeline.collect_pgo_profile()
-    except RetriesExhausted:
-        # Collection is doomed under the fault plan: plan against an
-        # empty profile, silently -- the run's pgo-profile step will degrade
-        # the run honestly, once, with the right reason.
-        profile = IRProfile()
-    program = pipeline.program
-    plan = incr_mod.plan_dirty(state, program, profile)
+    current = function_states(result.program, result.ir_profile,
+                              result.wpa_result.hot_functions)
+    diff = diff_functions(state.functions, current)
     counters = pipeline.counters
-    counters.incr("incr.dirty_functions", len(plan.dirty))
-    counters.incr("incr.added_functions", len(plan.added))
-    counters.incr("incr.deleted_functions", len(plan.deleted))
-    counters.incr(
-        "incr.clean_functions",
-        max(0, program.num_functions - len(plan.dirty) - len(plan.added)),
-    )
-    return plan
-
-
-def incremental_summary(pipeline: Any, state: Any, plan: Any,
-                        wpa_result: WPAResult) -> IncrementalSummary:
-    """Post-run incremental accounting of one ``reoptimize()``.
-
-    Folds the :func:`plan_dirty` plan, the WPA hot-set churn
-    against the prior release's ``state`` and the solve-cache tallies
-    into the ``incr.*`` counters and an :class:`IncrementalSummary` --
-    the half of the incremental engine that needs the whole run.
-    """
-    counters = pipeline.counters
-    new_hot = set(wpa_result.hot_functions)
-    old_hot = {n for n, fs in state.functions.items() if fs.hot}
-    hot_flips = sorted(new_hot.symmetric_difference(old_hot))
-    counters.incr("incr.hot_flips", len(hot_flips))
+    counters.incr("incr.dirty_functions", len(diff.dirty))
+    counters.incr("incr.added_functions", len(diff.added))
+    counters.incr("incr.deleted_functions", len(diff.deleted))
+    counters.incr("incr.clean_functions",
+                  len(current) - len(diff.dirty) - len(diff.added))
+    counters.incr("incr.hot_flips", len(diff.hot_flips))
     hits = counters.count("incr.solve_hits")
     misses = counters.count("incr.solve_misses")
     # 1.0 when nothing was looked up: a full action-cache replay never
@@ -412,13 +388,12 @@ def incremental_summary(pipeline: Any, state: Any, plan: Any,
     counters.gauge("incr.solve_reuse", reuse)
     return IncrementalSummary(
         prior_digest=state.result_digest,
-        dirty=tuple(sorted(plan.dirty)),
-        added=tuple(sorted(plan.added)),
-        deleted=tuple(sorted(plan.deleted)),
-        reasons=dict(plan.reasons),
-        hot_flips=tuple(hot_flips),
+        dirty=diff.dirty,
+        added=diff.added,
+        deleted=diff.deleted,
+        reasons=diff.reasons,
+        hot_flips=diff.hot_flips,
         solve_hits=hits,
         solve_misses=misses,
         solve_reuse=reuse,
     )
-

@@ -33,6 +33,12 @@ from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
 from repro.runtime import FunctionSolveCache, resolve_cache_dir
 
 
+#: Every action kind :meth:`PropellerPipeline.run` and
+#: :meth:`PropellerPipeline.build_bolt_input` submit to the build
+#: system: what a ``fault_plan``'s ``only=`` may name.
+ACTION_KINDS = ("codegen", "link", "profile-pgo", "profile-lbr", "wpa")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end pipeline configuration.  (The cost-model rates are
@@ -127,6 +133,12 @@ class PipelineConfig:
             raise ValueError(
                 f"stale_matching must be one of {MATCH_MODES}, "
                 f"got {self.stale_matching!r}")
+        plan = FaultPlan.resolve(self.fault_plan)
+        for kind in plan.only_kinds if plan is not None else ():
+            if kind not in ACTION_KINDS:
+                raise ValueError(
+                    f"fault_plan only= kinds must be among {ACTION_KINDS}, "
+                    f"got {kind!r}")
 
 
 def _link_options_signature(options: LinkOptions) -> str:
@@ -182,14 +194,14 @@ class BuildOutcome:
 class IncrementalSummary:
     """Typed accounting of one :meth:`PropellerPipeline.reoptimize` run.
 
-    The dirty plan (what changed since the prior release's snapshot and
-    why), the hot-set churn, and the solve-cache reuse tallies.  Pure
-    accounting -- never part of :meth:`PipelineResult.digest` -- and
-    serialized onto the report additively by
-    :func:`repro.obs.report.plain`.
+    The diff of the finished run against the prior release's snapshot
+    (what changed and why, hot-set churn) and the solve-cache reuse
+    tallies.  Pure accounting -- never part of
+    :meth:`PipelineResult.digest` -- and serialized onto the report
+    additively by :func:`repro.obs.report.plain`.
     """
 
-    #: ``result.digest()`` of the prior release the plan was made against.
+    #: ``result.digest()`` of the prior release the run was diffed against.
     prior_digest: str
     #: Functions whose CFG or profile slice changed (sorted).
     dirty: Tuple[str, ...]
@@ -197,7 +209,7 @@ class IncrementalSummary:
     added: Tuple[str, ...]
     #: Prior functions no longer present (sorted).
     deleted: Tuple[str, ...]
-    #: Function -> why it was planned dirty (``code``/``profile``/...).
+    #: Function -> why it is dirty (``cfg`` or ``profile``).
     reasons: Dict[str, str]
     #: Functions entering or leaving the WPA hot set (sorted).
     hot_flips: Tuple[str, ...]
@@ -691,31 +703,28 @@ class PropellerPipeline:
         )
 
     def reoptimize(self, state) -> PipelineResult:
-        """Re-run the four phases against a prior release's state.
+        """:meth:`run` against a prior release's state, plus accounting.
 
         ``state`` is the :class:`repro.incr.IncrState` snapshot captured
         from the previous release's :class:`PipelineResult` (or the
-        path such a snapshot was saved to).  This is :meth:`run`, with
-        the pipeline's :class:`~repro.runtime.FunctionSolveCache`
-        replaying unchanged functions' Ext-TSP solves, between two
-        plain functions: :func:`repro.core.phases.plan_dirty` (the
-        *dirty set*, functions whose CFG or profile slice changed, for
-        observability only) and
-        :func:`repro.core.phases.incremental_summary`, which lands the
-        plan, hot-set flips and solve reuse on ``result.incremental``.
-        The solve cache is keyed by the exact solver inputs, so the
-        result is **bit-identical** to a full rebuild whatever the plan
-        predicted, and degradations keep their :meth:`run` semantics.
+        path such a snapshot was saved to).  The run is :meth:`run`
+        itself, with the pipeline's
+        :class:`~repro.runtime.FunctionSolveCache` replaying unchanged
+        functions' Ext-TSP solves; afterwards
+        :func:`repro.core.phases.incremental_summary` diffs the snapshot
+        against the finished run's evidence and lands the dirty set,
+        hot-set flips and solve reuse on ``result.incremental``.  The
+        solve cache is keyed by the exact solver inputs, so the result
+        is **bit-identical** to a full rebuild, and every artifact,
+        phase second, fault and degradation is :meth:`run`'s.
         """
         from repro import incr as incr_mod
 
         if isinstance(state, (str, Path)):
             state = incr_mod.IncrState.load(state)
         state.check(self.program.name, self.config)
-        plan = phases.plan_dirty(self, state)
         result = self.run()
-        result.incremental = phases.incremental_summary(
-            self, state, plan, result.wpa_result)
+        result.incremental = phases.incremental_summary(self, state, result)
         return result
 
 

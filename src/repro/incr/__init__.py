@@ -1,55 +1,45 @@
 """Incremental re-optimization across releases (the daily-build loop).
 
-Propeller's deployment story (§3.6) is a *relinking* optimizer inside a
-release pipeline that ships daily: between two releases most functions
-are byte-identical, most profile slices barely move, and re-running the
-whole optimization pipeline from scratch wastes almost all of its
-compute.  This package closes that loop:
+Propeller (§3.6) is a *relinking* optimizer inside a release pipeline
+that ships daily: between two releases most functions are
+byte-identical and most profile slices barely move, so a from-scratch
+re-run wastes almost all of its compute.  This package closes that loop:
 
 * :class:`IncrState` -- the tiny per-release snapshot (per-function CFG
   and profile digests, hot-set membership, config signature) one run
   leaves for the next, persisted under ``--state-dir``.
-* :func:`plan_dirty` -- the advisory semantic diff: which functions a
-  new release actually changed, and why.
+* :func:`diff_functions` -- the semantic diff of two releases'
+  :func:`function_states`: which functions changed, and why.
 * :func:`reoptimize` -- re-run the pipeline for an edited program,
   replaying per-function Ext-TSP solves from the
   :class:`~repro.runtime.FunctionSolveCache` and every unchanged build
-  action from the persistent action store.
+  action from the persistent action store, then diff the finished run
+  against the snapshot.
 
 The invariant everything here is built around: an incremental result is
 **bit-identical** to a full rebuild of the edited program
 (``PipelineResult.digest()`` equal), because reuse is keyed by exact
-content -- never by the dirty plan, timestamps, or anything advisory.
+content -- never by the diff, timestamps, or anything advisory.
 """
 
 from dataclasses import replace
 from typing import Optional
 
 from repro.core.pipeline import (
-    IncrementalSummary,
-    PipelineConfig,
-    PipelineResult,
-    PropellerPipeline,
-)
-from repro.incr.planner import DirtyPlan, plan_dirty
+    IncrementalSummary, PipelineConfig, PipelineResult, PropellerPipeline)
 from repro.incr.state import (
-    INCR_STATE_VERSION,
-    FunctionState,
-    IncrState,
-    IncrStateError,
-    config_signature,
-    state_path,
-)
+    INCR_STATE_VERSION, FunctionState, IncrState, IncrStateError,
+    config_signature, diff_functions, function_states, state_path)
 
 __all__ = [
-    "DirtyPlan",
     "FunctionState",
     "INCR_STATE_VERSION",
     "IncrState",
     "IncrStateError",
     "IncrementalSummary",
     "config_signature",
-    "plan_dirty",
+    "diff_functions",
+    "function_states",
     "reoptimize",
     "state_path",
 ]

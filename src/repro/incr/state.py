@@ -1,32 +1,28 @@
 """Persisted per-release state for incremental re-optimization.
 
 An :class:`IncrState` is the snapshot one release leaves behind for the
-next: per-function content digests (CFG and profile slice), the hot-set
-membership WPA computed, the configuration signature the artifacts
-depend on, and the full-result digest the next release can compare
-itself against.  It is deliberately tiny -- digests and booleans, no
-IR, no profiles -- because the heavy reuse lives in the content-keyed
-stores beside it (:class:`~repro.runtime.PersistentActionStore` for
-build actions, :class:`~repro.runtime.FunctionSolveCache` for layout
-solves).  The state answers "*what changed?*"; the stores answer
-"*what can be replayed?*" -- and only the stores are trusted for
-correctness.
+next: per-function content digests (CFG and profile slice), WPA hot-set
+membership, the configuration signature the artifacts depend on, and
+the full-result digest.  It is deliberately tiny -- digests and
+booleans, no IR, no profiles -- because the heavy reuse lives in the
+content-keyed stores beside it (:class:`~repro.runtime.PersistentActionStore`,
+:class:`~repro.runtime.FunctionSolveCache`).  The state answers "*what
+changed?*"; the stores answer "*what can be replayed?*" -- and only the
+stores are trusted for correctness.  :func:`function_states` builds one
+release's evidence and :func:`diff_functions` is the one diff of two
+releases, read by ``reoptimize()``'s accounting and by ``explain``.
 
 Digest-keyed, not timestamp-keyed, on purpose: a timestamp says a file
-was *touched*, a content digest says a function *changed*.  Build
-systems that invalidate on timestamps rebuild the world after a
-``git checkout``; digests make the dirty set exactly the semantic
-delta, which is what lets a daily release re-solve only what its CL
-actually edited (see DESIGN.md).
+was *touched*, a content digest says a function *changed*, so the dirty
+set is exactly the semantic delta (see DESIGN.md).
 """
-
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from repro.ir.digest import function_digest
 from repro.obs.report import plain, record
@@ -56,16 +52,8 @@ def state_path(state_dir: "str | os.PathLike") -> Path:
 #: result is produced, never what is produced (the contract
 #: ``PipelineResult.digest()`` documents), so state captured in one
 #: execution environment stays valid in any other.
-_CONTENT_FIELDS = (
-    "seed",
-    "pgo_steps",
-    "pgo_drift",
-    "inline_hot",
-    "stale_matching",
-    "lbr_branches",
-    "lbr_period",
-    "hugepages",
-)
+_CONTENT_FIELDS = ("seed", "pgo_steps", "pgo_drift", "inline_hot",
+                   "stale_matching", "lbr_branches", "lbr_period", "hugepages")
 
 
 def config_signature(config) -> str:
@@ -93,9 +81,60 @@ class FunctionState:
     hot: bool
 
 
+def function_states(program, profile,
+                    hot: Iterable[str]) -> Dict[str, FunctionState]:
+    """Every function's evidence in one release: its CFG digest in
+    ``program``, its slice digest in ``profile`` and whether the WPA
+    hot set ``hot`` holds it."""
+    hot = set(hot)
+    return {f.name: FunctionState(function_digest(f),
+                                  profile.function_digest(f.name), f.name in hot)
+            for f in program.all_functions()}
+
+
+class FunctionDiff(NamedTuple):
+    """What changed between two releases' :func:`function_states`."""
+
+    #: Sorted: functions in both releases whose digests changed, and
+    #: functions only the current / only the prior release has.
+    dirty: Tuple[str, ...]
+    added: Tuple[str, ...]
+    deleted: Tuple[str, ...]
+    #: Why each dirty function is dirty: ``"cfg"`` (IR content changed)
+    #: or, with an unchanged CFG, ``"profile"`` (profile slice changed).
+    reasons: Dict[str, str]
+    #: Functions entering or leaving the hot set, added and deleted
+    #: ones included (sorted).
+    hot_flips: Tuple[str, ...]
+
+
+def diff_functions(prior: Mapping[str, FunctionState],
+                   current: Mapping[str, FunctionState]) -> FunctionDiff:
+    """The one per-function diff of two releases.  Any digest change
+    counts: the solve cache replays only bit-identical problems."""
+    reasons: Dict[str, str] = {}
+    for name, now in current.items():
+        before = prior.get(name)
+        if before is None:
+            continue
+        if now.cfg_digest != before.cfg_digest:
+            reasons[name] = "cfg"
+        elif now.profile_digest != before.profile_digest:
+            reasons[name] = "profile"
+    flips = ({n for n, fs in prior.items() if fs.hot}
+             ^ {n for n, fs in current.items() if fs.hot})
+    return FunctionDiff(
+        dirty=tuple(sorted(reasons)),
+        added=tuple(sorted(current.keys() - prior.keys())),
+        deleted=tuple(sorted(prior.keys() - current.keys())),
+        reasons=reasons,
+        hot_flips=tuple(sorted(flips)),
+    )
+
+
 @dataclass(frozen=True)
 class IncrState:
-    """Everything the next release needs to plan its dirty set."""
+    """Everything the next release needs to diff itself against."""
 
     program: str
     config_signature: str
@@ -108,21 +147,12 @@ class IncrState:
     @classmethod
     def capture(cls, result) -> "IncrState":
         """Snapshot a completed :class:`~repro.core.pipeline.PipelineResult`."""
-        profile = result.ir_profile
-        hot = set(result.wpa_result.hot_functions)
-        functions: Dict[str, FunctionState] = {}
-        for function in result.program.all_functions():
-            name = function.name
-            functions[name] = FunctionState(
-                cfg_digest=function_digest(function),
-                profile_digest=profile.function_digest(name),
-                hot=name in hot,
-            )
         return cls(
             program=result.program.name,
             config_signature=config_signature(result.config),
             result_digest=result.digest(),
-            functions=functions,
+            functions=function_states(result.program, result.ir_profile,
+                                      result.wpa_result.hot_functions),
         )
 
     def check(self, program_name: str, config) -> None:
@@ -131,7 +161,7 @@ class IncrState:
         Usable means: same schema, same program, and a configuration
         whose artifact-relevant fields match -- state captured under a
         different seed or profile length describes different artifacts
-        and must not seed a dirty plan.
+        and must not be diffed against.
         """
         if self.schema_version != INCR_STATE_VERSION:
             raise IncrStateError(

@@ -9,12 +9,13 @@ relink loop the paper deploys (§2, §5).  Three analyses, one report:
    per-function counters (``PipelineResult.frontend_counters_by_function``)
    between two runs, rank the movers (first-order causes before their
    ripple effects, |cycle delta| within each class), and tag each with
-   its *cause* by diffing the change evidence the pipeline already
-   records: CFG digests and WPA hot-set membership from
-   :class:`~repro.incr.IncrState`, profile-slice digests from
-   :mod:`repro.profiles`, and Ext-TSP cluster signatures from the
-   layout plan.  Causes form a causality chain and the first differing
-   link wins: ``added``/``deleted`` > ``code-edit`` > ``hot-set`` >
+   its *cause* from the change evidence the pipeline already records:
+   the per-function CFG digests, profile-slice digests and WPA hot-set
+   membership of :class:`~repro.incr.IncrState`, compared by
+   :func:`repro.incr.state.diff_functions` -- the diff ``reoptimize()``
+   reports -- and Ext-TSP cluster signatures from the layout plan.
+   Causes form a causality chain and the first differing link wins:
+   ``added``/``deleted`` > ``code-edit`` > ``hot-set`` >
    ``profile-drift`` > ``layout`` > ``address-shift`` (cycles moved
    with no content change -- someone else's edit shifted this
    function's addresses) > ``unknown`` (no evidence captured).
@@ -92,7 +93,7 @@ _ALWAYS_SUSPICIOUS = {
 
 #: Reuse/occupancy counter prefixes: legitimate movers when (and only
 #: when) the code or profile actually changed between the runs.
-_REUSE_PREFIXES = ("cache.", "incr.", "executor.", "store.", "solve.")
+_REUSE_PREFIXES = ("cache.", "incr.", "executor.", "store.")
 
 
 # ----------------------------------------------------------------------
@@ -284,9 +285,10 @@ class RunSnapshot:
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Change evidence per function: ``{"cfg": ..., "profile": ...,
-    #: "hot": ...}`` (from an :class:`~repro.incr.IncrState` snapshot).
-    functions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Change evidence: function -> its
+    #: :class:`~repro.incr.FunctionState` (as an
+    #: :class:`~repro.incr.IncrState` snapshot holds it).
+    functions: Dict[str, Any] = field(default_factory=dict)
     #: Ext-TSP cluster signature per laid-out function (result mode).
     clusters: Dict[str, str] = field(default_factory=dict)
     #: Tracer spans (live) or reconstructed from a Chrome trace.
@@ -310,7 +312,7 @@ class RunSnapshot:
             spans=list(spans) if spans is not None else None,
         )
         if state is not None:
-            snap.functions = _evidence_from_state(state)
+            snap.functions = dict(state.functions)
         return snap
 
     @classmethod
@@ -319,17 +321,18 @@ class RunSnapshot:
         """From an in-process :class:`~repro.core.pipeline.PipelineResult`.
 
         The richest mode: per-function counters are simulated on the
-        spot, change evidence is captured exactly as ``--state-dir``
+        spot, change evidence is built exactly as ``--state-dir``
         would persist it, and the Ext-TSP cluster plans are
         fingerprinted so pure layout changes are nameable.
         """
-        from repro.incr import IncrState
+        from repro.incr import function_states
 
         report = result.report()
         snap = cls.from_report(report, label=label,
                                spans=list(tracer.spans) if tracer is not None
-                               and getattr(tracer, "spans", None) else None,
-                               state=IncrState.capture(result))
+                               and getattr(tracer, "spans", None) else None)
+        snap.functions = function_states(result.program, result.ir_profile,
+                                         result.wpa_result.hot_functions)
         snap.per_function = result.frontend_counters_by_function(
             max_blocks=max_blocks, seed=seed)["optimized"]
         snap.clusters = {
@@ -384,15 +387,7 @@ class RunSnapshot:
 
         state = IncrState.load(path)
         return cls(label=label, program=state.program,
-                   functions=_evidence_from_state(state))
-
-
-def _evidence_from_state(state) -> Dict[str, Dict[str, Any]]:
-    return {
-        name: {"cfg": fs.cfg_digest, "profile": fs.profile_digest,
-               "hot": fs.hot}
-        for name, fs in state.functions.items()
-    }
+                   functions=dict(state.functions))
 
 
 def _cluster_signature(clusters: Sequence[Sequence[int]]) -> str:
@@ -449,15 +444,17 @@ def _attribute(base: RunSnapshot, new: RunSnapshot,
     # Functions whose evidence changed are movers even at zero cycle
     # delta (a cold function's edit still deserves a row); in pure
     # state-snapshot mode they are the *only* candidates.
+    diff = None
     if base.functions and new.functions:
-        for name in set(base.functions) | set(new.functions):
-            if base.functions.get(name) != new.functions.get(name):
-                names.add(name)
+        from repro.incr.state import diff_functions
+
+        diff = diff_functions(base.functions, new.functions)
+        names.update(diff.dirty, diff.added, diff.deleted, diff.hot_flips)
     entries: List[Tuple[float, float, str, str, str]] = []
     for name in names:
         b = base.per_function.get(name, {}).get("cycles", 0.0)
         n = new.per_function.get(name, {}).get("cycles", 0.0)
-        cause, evidence = _cause(name, base, new, n - b)
+        cause, evidence = _cause(name, base, new, diff, n - b)
         if cause is None:
             continue
         entries.append((b, n, name, cause, evidence))
@@ -476,28 +473,28 @@ def _attribute(base: RunSnapshot, new: RunSnapshot,
     )
 
 
-def _cause(name: str, base: RunSnapshot, new: RunSnapshot,
+def _cause(name: str, base: RunSnapshot, new: RunSnapshot, diff: Any,
            delta: float) -> Tuple[Optional[str], str]:
-    """(cause, evidence) for one function; ``(None, "")`` = not a mover."""
-    have_evidence = bool(base.functions and new.functions)
-    if have_evidence:
-        b_ev = base.functions.get(name)
-        n_ev = new.functions.get(name)
-        if b_ev is None and n_ev is not None:
+    """(cause, evidence) for one function; ``(None, "")`` = not a mover.
+
+    ``diff`` is the :func:`~repro.incr.state.diff_functions` of the two
+    runs' evidence (``None`` when either run has none)."""
+    if diff is not None:
+        if name in diff.added:
             return "added", "function exists only in the new run"
-        if b_ev is not None and n_ev is None:
+        if name in diff.deleted:
             return "deleted", "function exists only in the base run"
-        if b_ev is not None and n_ev is not None:
-            if b_ev["cfg"] != n_ev["cfg"]:
-                return "code-edit", (
-                    f"CFG digest changed ({b_ev['cfg'][:12]} → "
-                    f"{n_ev['cfg'][:12]})")
-            if b_ev["hot"] != n_ev["hot"]:
-                flip = "cold → hot" if n_ev["hot"] else "hot → cold"
-                return "hot-set", f"WPA hot-set membership flipped ({flip})"
-            if b_ev["profile"] != n_ev["profile"]:
-                return "profile-drift", (
-                    "profile slice digest changed with an unchanged CFG")
+        reason = diff.reasons.get(name)
+        if reason == "cfg":
+            return "code-edit", (
+                f"CFG digest changed ({base.functions[name].cfg_digest[:12]}"
+                f" → {new.functions[name].cfg_digest[:12]})")
+        if name in diff.hot_flips:
+            flip = "cold → hot" if new.functions[name].hot else "hot → cold"
+            return "hot-set", f"WPA hot-set membership flipped ({flip})"
+        if reason == "profile":
+            return "profile-drift", (
+                "profile slice digest changed with an unchanged CFG")
     if base.clusters and new.clusters:
         b_sig = base.clusters.get(name)
         n_sig = new.clusters.get(name)
@@ -509,7 +506,7 @@ def _cause(name: str, base: RunSnapshot, new: RunSnapshot,
                 f"Ext-TSP cluster plan changed ({b_sig[:8]} → {n_sig[:8]})")
     if delta == 0.0:
         return None, ""
-    if have_evidence:
+    if diff is not None:
         return "address-shift", (
             "no content/profile/layout change of its own; cycles moved "
             "with the surrounding layout")

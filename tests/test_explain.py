@@ -22,6 +22,7 @@ import json
 import pytest
 
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
+from repro.incr import FunctionState
 from repro.obs import (
     ExplainReport,
     RunSnapshot,
@@ -234,8 +235,8 @@ class TestCounterTriage:
         base = RunSnapshot(label="a", counters=dict(base_counters))
         new = RunSnapshot(label="b", counters=dict(new_counters))
         if content_changed:
-            base.functions = {"f": {"cfg": "x", "profile": "p", "hot": True}}
-            new.functions = {"f": {"cfg": "y", "profile": "p", "hot": True}}
+            base.functions = {"f": FunctionState("x", "p", hot=True)}
+            new.functions = {"f": FunctionState("y", "p", hot=True)}
         return {c.name: c for c in explain(base, new).counters}
 
     def test_degradation_markers_are_always_suspicious(self):

@@ -2,12 +2,13 @@
 
 The load-bearing invariant everything here circles: an incremental
 re-optimization is **bit-identical** to a full rebuild of the edited
-program -- reuse is keyed by exact content, so the dirty plan can only
+program -- reuse is keyed by exact content, so the dirty set can only
 ever change *speed*, never *bytes*.
 """
 
 import dataclasses
 import json
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -20,14 +21,16 @@ from repro.incr import (
     IncrState,
     IncrStateError,
     config_signature,
-    plan_dirty,
+    diff_functions,
+    function_states,
     reoptimize,
     state_path,
 )
-from repro.ir import Call, Instr
+from repro.ir import Call, Instr, Program
 from repro.ir.digest import function_digest
 from repro.obs import Counters
 from repro.obs.report import plain
+from repro.profiles import IRProfile
 from repro.runtime import FunctionSolveCache
 from repro.synth import EditScript, PRESETS, generate_workload
 
@@ -88,9 +91,10 @@ class TestFunctionSolveCache:
         replay) reused everything: ``incr.solve_reuse`` is 1.0."""
         pipeline = SimpleNamespace(counters=Counters())
         state = SimpleNamespace(functions={}, result_digest="d")
-        plan = SimpleNamespace(dirty=(), added=(), deleted=(), reasons={})
-        summary = phases.incremental_summary(
-            pipeline, state, plan, SimpleNamespace(hot_functions=()))
+        result = SimpleNamespace(program=Program(name="empty"),
+                                 ir_profile=IRProfile(),
+                                 wpa_result=SimpleNamespace(hot_functions=()))
+        summary = phases.incremental_summary(pipeline, state, result)
         assert (summary.solve_hits, summary.solve_misses, summary.solve_reuse) == (0, 0, 1.0)
         assert pipeline.counters.gauge_value("incr.solve_reuse") == 1.0
 
@@ -267,42 +271,52 @@ class TestIncrState:
 
 
 # ----------------------------------------------------------------------
-# Dirty planning
+# The one diff
+
+
+def _states(result, program=None, profile=None):
+    """One release's evidence: ``result``'s, with ``program`` and
+    ``profile`` swapped in when given."""
+    return function_states(
+        result.program if program is None else program,
+        result.ir_profile if profile is None else profile,
+        result.wpa_result.hot_functions)
 
 
 class TestPlanDirty:
+    """:func:`diff_functions`, the one per-function diff that both
+    ``reoptimize()``'s accounting and ``explain`` read."""
+
     def test_clean_release_has_empty_plan(self, prior, program):
-        state = IncrState.capture(prior)
-        plan = plan_dirty(state, program, prior.ir_profile)
-        assert (plan.dirty, plan.added, plan.deleted) == ((), (), ())
+        diff = diff_functions(_states(prior), _states(prior, program))
+        assert (diff.dirty, diff.added, diff.deleted, diff.hot_flips) == \
+            ((), (), (), ())
 
     def test_body_edit_is_exactly_one_cfg_dirty(self, prior, program):
-        state = IncrState.capture(prior)
         script = EditScript.generate(program, seed=3, kinds=("body",))
         edited = script.apply(program)
-        plan = plan_dirty(state, edited, prior.ir_profile)
-        assert plan.dirty == (script.edits[0].function,)
-        assert plan.reasons[script.edits[0].function] == "cfg"
-        assert plan.added == () and plan.deleted == ()
+        diff = diff_functions(_states(prior), _states(prior, edited))
+        assert diff.dirty == (script.edits[0].function,)
+        assert diff.reasons == {script.edits[0].function: "cfg"}
+        assert diff.added == () and diff.deleted == ()
 
     def test_add_and_delete_are_planned(self, prior, program):
-        state = IncrState.capture(prior)
         script = EditScript.generate(program, seed=4, edits=2,
                                      kinds=("add", "delete"))
         edited = script.apply(program)
-        plan = plan_dirty(state, edited, prior.ir_profile)
+        diff = diff_functions(_states(prior), _states(prior, edited))
         kinds = {e.kind: e.function for e in script.edits}
-        assert plan.added == (kinds["add"],)
-        assert plan.deleted == (kinds["delete"],)
+        assert diff.added == (kinds["add"],)
+        assert diff.deleted == (kinds["delete"],)
 
     def test_profile_delta_dirty_with_threshold(self, prior, program):
         """The threshold is zero: any profile-content change is dirty."""
-        state = IncrState.capture(prior)
         shifted = prior.ir_profile.apply_drift(0.5, seed=123)
-        plan = plan_dirty(state, program, shifted)
-        assert any(r == "profile" for r in plan.reasons.values())
+        before, after = _states(prior), _states(prior, program, shifted)
+        diff = diff_functions(before, after)
+        assert any(r == "profile" for r in diff.reasons.values())
         with pytest.raises(TypeError):
-            plan_dirty(state, program, shifted, threshold=1e9)
+            diff_functions(before, after, threshold=1e9)
 
 
 # ----------------------------------------------------------------------
@@ -364,10 +378,8 @@ class TestReoptimize:
 
     def test_doomed_pgo_collection_degrades_once(
             self, prior, program, state_dir):
-        """The dirty plan's own pre-collection fails silently (it plans
-        against an empty profile); the run's ``pgo-profile`` stage is
-        what degrades -- once, and to the bytes a plain ``run()`` under
-        the same plan produces."""
+        """The run's ``pgo-profile`` stage degrades -- once, and to the
+        bytes a plain ``run()`` under the same plan produces."""
         # An edit no other test here makes: a profile-pgo action the
         # shared store already holds would replay, and a replay cannot
         # fault.
@@ -385,6 +397,51 @@ class TestReoptimize:
         assert result.incremental is not None and result.incremental.reasons
         full = PropellerPipeline(edited, _config(fault_plan=plan)).run()
         assert result.digest() == full.digest()
+
+    @pytest.mark.parametrize("fault_plan, seed", [
+        (None, 7), ("fail=1,only=profile-pgo,seed=3", 8)],
+        ids=["clean", "pgo-exhausted"])
+    def test_reoptimize_is_run_plus_accounting(
+            self, prior, program, state_dir, tmp_path, fault_plan, seed):
+        """Over two copies of one prior state directory, ``run()`` and
+        ``reoptimize()`` of the same edit spend the same simulated
+        seconds and count the same actions, faults and retries: only
+        the ``incr.*`` accounting differs.  (Each case's edit is one no
+        other test makes, so its ``profile-pgo`` action is not stored.)"""
+        edited = EditScript.generate(program, seed=seed,
+                                     kinds=("body",)).apply(program)
+        dirs = [tmp_path / "run", tmp_path / "reopt"]
+        for copy in dirs:
+            shutil.copytree(state_dir, copy)
+
+        def pipeline(copy):
+            return PropellerPipeline(edited, _config(
+                state_dir=str(copy), fault_plan=fault_plan))
+
+        full = pipeline(dirs[0]).run()
+        incr = pipeline(dirs[1]).reoptimize(state_path(dirs[1]))
+
+        def accounting(result):
+            return {kind: {k: v for k, v in values.items()
+                           if not k.startswith("incr.")}
+                    for kind, values in result.counters.snapshot().items()}
+
+        assert incr.phase_seconds == full.phase_seconds
+        assert accounting(incr) == accounting(full)
+        assert incr.degraded_reasons == full.degraded_reasons
+        if fault_plan is not None:
+            assert incr.counters.count("faults.degraded") == 1
+            assert incr.counters.count("retry.exhausted") == 1
+
+    def test_identical_rerun_under_inlining_is_clean(self, program, tmp_path):
+        """The diff reads the run's own post-inlining program, the one
+        the snapshot was captured from: re-running an unchanged program
+        with ``inline_hot`` reports nothing dirty."""
+        config = _config(state_dir=str(tmp_path), inline_hot=True)
+        IncrState.capture(PropellerPipeline(program, config).run()).save(tmp_path)
+        inc = PropellerPipeline(program, config).reoptimize(
+            state_path(tmp_path)).incremental
+        assert (inc.dirty, inc.added, inc.deleted) == ((), (), ())
 
     def test_convenience_wrapper_forces_incremental(
             self, prior, program, state_dir):

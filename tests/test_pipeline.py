@@ -9,6 +9,7 @@ from repro.buildsys import BuildSystem, ResourceLimitExceeded
 from repro.core import phases
 from repro.core.phases import INSTRUMENTED_BUILD_FACTOR
 from repro.core.pipeline import (
+    ACTION_KINDS,
     PipelineConfig,
     PropellerPipeline,
     _link_options_signature,
@@ -239,6 +240,8 @@ class TestConfigValidation:
         "ram_limit": 0,
         "stale_matching": "fuzzy",
         "jobs": 2,
+        # A mistyped kind would fault nothing and degrade nothing.
+        "fault_plan": "fail=1,only=profile-pgx",
     }
     #: A NaN drift trained a profile whose counts summed to NaN, and one
     #: above 1 silently dropped every count.
@@ -276,6 +279,24 @@ def _cheap_config(**overrides) -> PipelineConfig:
                     enforce_ram=False)
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+class TestActionKinds:
+    def test_action_kinds_are_what_a_release_submits(self, tiny_program,
+                                                     monkeypatch):
+        """``ACTION_KINDS``, the kinds a fault plan's ``only=`` may
+        name, is exactly what ``run()`` and ``build_bolt_input()``
+        submit to the build system."""
+        kinds = set()
+        for name in ("run_action", "run_batch"):
+            def spy(self, kind, *args, _real=getattr(BuildSystem, name),
+                    **kwargs):
+                kinds.add(kind)
+                return _real(self, kind, *args, **kwargs)
+            monkeypatch.setattr(BuildSystem, name, spy)
+        pipe = PropellerPipeline(tiny_program, _cheap_config())
+        pipe.build_bolt_input(pipe.run().ir_profile)
+        assert kinds == set(ACTION_KINDS)
 
 
 @pytest.fixture(scope="module")

@@ -425,9 +425,11 @@ class TestBadProgramFile:
 
 
 class TestBadFaultPlan:
-    """A ``--fault-plan`` that does not resolve -- a bad spec, or a plan
-    file that is not JSON, not an object or carries a mistyped field --
-    is one stderr line and exit status 2, before any work starts."""
+    """A ``--fault-plan`` that does not resolve -- an out-of-range or
+    non-numeric value, an unknown key, an ``only=`` kind no action has,
+    or the path of a file (whatever it holds: a plan has one format, the
+    spec string, and a path is not ``key=value``) -- is one stderr line
+    and exit status 2, before any work starts."""
 
     @pytest.fixture(scope="class")
     def prog(self, tmp_path_factory):
@@ -439,11 +441,12 @@ class TestBadFaultPlan:
         ("fail=2", None),
         ("bogus=1", None),
         ("fail=x", None),
+        ("fail=1,only=profile-pgx", None),
         (None, '{"fail_rate": "x"}'),
         (None, "[1, 2]"),
         (None, "{not json"),
     ], ids=["rate-out-of-range", "unknown-key", "not-a-number",
-            "mistyped-field", "not-an-object", "not-json"])
+            "unknown-only-kind", "mistyped-field", "not-an-object", "not-json"])
     def test_exits_2_without_a_traceback(self, prog, tmp_path, spec,
                                          file_content):
         if file_content is not None:
