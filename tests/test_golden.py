@@ -2,8 +2,8 @@
 
 These pin the exact ExtTSP cluster order and the exact BB-address-map
 byte encoding produced for one fixed-seed synthetic program, every
-object of both codegen batches, a degraded run's report and the bench
-suite's scorecard.  Unlike the shape tests, any change to the layout
+object of both codegen batches and each of its tables, a degraded run's
+report and the bench suite's scorecard.  Unlike the shape tests, any change to the layout
 algorithm, the metadata encoding or a tracked metric -- intended or
 not, better or worse -- shows up here as a reviewable diff.
 
@@ -16,15 +16,19 @@ and commit the updated files under ``tests/golden/``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import sys
 import textwrap
+from array import array
 from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.elf import SectionKind
+from repro.elf.table import layout_of
 from repro.obs import bench_json, run_suite
 from repro.synth import PRESETS, generate_workload
 
@@ -90,20 +94,55 @@ class TestGolden:
 OBJECT_CASES = (("mysql", 0.003), ("clang", 0.002), ("505.mcf", 0.2))
 
 
+@pytest.fixture(scope="module")
+def object_batches():
+    """``{"preset@scale": {batch: objects}}``: every object the metadata
+    build and Phase 4 compile, for each of ``OBJECT_CASES``."""
+    batches = {}
+    for preset, scale in OBJECT_CASES:
+        program = generate_workload(PRESETS[preset], scale=scale, seed=1)
+        result = PropellerPipeline(program, PipelineConfig(
+            seed=1, lbr_branches=20_000, pgo_steps=10_000, enforce_ram=False)).run()
+        batches[f"{preset}@{scale}"] = {
+            batch: getattr(result, batch).objects for batch in ("metadata", "optimized")}
+    return batches
+
+
+def _table_digest(table) -> str:
+    """SHA-256 over a table's pool names, in order, and every column's
+    bytes (little-endian), in layout order."""
+    h = hashlib.sha256(json.dumps(table.strings.names).encode())
+    for leaf in layout_of(table.record).leaves:
+        column = array(leaf.code, table.col(leaf.path))
+        if sys.byteorder == "big":
+            column.byteswap()
+        h.update(f"\0{leaf.path}:{len(column)}:".encode())
+        h.update(column.tobytes())
+    return h.hexdigest()
+
+
 class TestObjectDigests:
-    def test_every_object_of_both_codegen_batches(self):
-        """``content_digest()`` of every object the metadata build and
-        Phase 4 compile: a lowering change that moves one byte,
-        relocation, block row or symbol of any object shows up here."""
-        digests = {}
-        for preset, scale in OBJECT_CASES:
-            program = generate_workload(PRESETS[preset], scale=scale, seed=1)
-            result = PropellerPipeline(program, PipelineConfig(
-                seed=1, lbr_branches=20_000, pgo_steps=10_000, enforce_ram=False)).run()
-            digests[f"{preset}@{scale}"] = {
-                batch: {obj.name: obj.content_digest() for obj in getattr(result, batch).objects}
-                for batch in ("metadata", "optimized")}
+    def test_every_object_of_both_codegen_batches(self, object_batches):
+        """``content_digest()`` of every object of both codegen batches: a
+        lowering change that moves one byte, relocation or symbol of any
+        object shows up here.  It omits blocks and fixups (see its
+        docstring); :meth:`test_every_table_of_every_object` pins those."""
+        digests = {case: {batch: {obj.name: obj.content_digest() for obj in objects}
+                          for batch, objects in batches.items()}
+                   for case, batches in object_batches.items()}
         _check("object_digests.json", json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+    def test_every_table_of_every_object(self, object_batches):
+        """One digest per table of every object of both codegen batches:
+        a moved row, a changed column or a name interned in another order
+        in any of ``symbols``, ``relocations``, ``blocks`` or ``fixups``
+        shows up here."""
+        digests = {case: {batch: {obj.name: {name: _table_digest(getattr(obj, name)) for name in
+                                             ("symbols", "relocations", "blocks", "fixups")}
+                                  for obj in objects}
+                          for batch, objects in batches.items()}
+                   for case, batches in object_batches.items()}
+        _check("object_tables.json", json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
