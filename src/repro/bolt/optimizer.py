@@ -27,7 +27,7 @@ from repro.bolt.perf2bolt import BoltProfile, Perf2BoltResult, perf2bolt
 from repro.core.exttsp import ext_tsp_order
 from repro.core.funcorder import hfsort_order
 from repro.elf import Executable, PlacedSection, SectionKind, SymbolInfo
-from repro.elf.table import Table, merged
+from repro.elf.table import Strings, Table, merged
 from repro.elf.executable import ExecBlock, ResolvedCall, ResolvedTerminator
 from repro.isa import Opcode, instruction_size
 from repro.profiles import PerfData
@@ -240,22 +240,26 @@ def _rewrite(
             new_exec[i] = replace(cur, size=max(1, nxt.addr - cur.addr))
 
     # ----- sections and symbols ------------------------------------------
-    # The input's tables over a copy of its pool (the same ids), so the
-    # new rows can intern their names without touching the input.
-    strings, remaps = merged([exe.strings])
-    sections = Table.concat(PlacedSection, [exe.sections], strings, remaps)
-    data = [exe.data]
     # New unwind info for every rewritten fragment (§4.4 applies to BOLT too).
     eh_bytes = sum(
         32 + (56 if cold_layouts.get(name) else 0) for name in hot_layouts
     )
-    for name, kind, vaddr, size, fill in (
-            (".text.bolt", SectionKind.TEXT, new_base, hot_end - new_base, b"\x90"),
-            (".text.bolt.cold", SectionKind.TEXT, cold_base, cold_end - cold_base, b"\x90"),
-            (".eh_frame.bolt", SectionKind.EH_FRAME, cold_end + 4096, eh_bytes, b"\x00")):
-        if size:
-            sections.append_row((name, kind, vaddr, size, "llvm-bolt"))
-            data.append(fill * size)
+    added = [section for section in (
+        (".text.bolt", SectionKind.TEXT, new_base, hot_end - new_base, b"\x90"),
+        (".text.bolt.cold", SectionKind.TEXT, cold_base, cold_end - cold_base, b"\x90"),
+        (".eh_frame.bolt", SectionKind.EH_FRAME, cold_end + 4096, eh_bytes, b"\x00")) if section[3]]
+    # The new sections' rows over a pool of their own, stacked after the
+    # input's in one new pool (the input's ids first, so the input's
+    # tables keep theirs).
+    pool = Strings()
+    rows = [(pool.intern(name), list(SectionKind).index(kind), vaddr, size,
+             pool.intern("llvm-bolt")) for name, kind, vaddr, size, _ in added]
+    paths = ("name", "kind", "vaddr", "size", "origin")
+    new = Table.from_columns(PlacedSection, pool, {path: [row[j] for row in rows]
+                                                   for j, path in enumerate(paths)})
+    strings, remaps = merged([exe.strings, pool])
+    sections = Table.concat(PlacedSection, [exe.sections, new], strings, remaps)
+    data = [exe.data, *(fill * size for *_, size, fill in added)]
     symbols = Table.from_columns(SymbolInfo, strings, {
         **{path: exe.symbols.col(path) for path in ("name", "size", "stype", "binding")},
         "addr": [remap(addr) for addr in exe.symbols.col("addr")]})

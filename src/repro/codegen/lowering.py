@@ -4,16 +4,15 @@ A module lowers in two passes:
 
 * the **plan** pass walks the IR in Python, one block at a time.  It
   picks every instruction's opcode -- and so, from the opcode sizes,
-  every offset -- and appends *rows* to the object's tables
-  (:meth:`repro.elf.table.Table.append_row`): relocations, fixups,
-  block descriptors and symbols, with no record built per instruction
-  or per block.  A section owns the rows appended since the section
-  before it was added.  Every branch is emitted in long form with a static
+  every offset -- and gathers the object's relocations, fixups, block
+  descriptors and symbols as plain tuples (:class:`_Plan`), building
+  no record; each table is then built once from its columns.  Every
+  branch is emitted in long form with a static
   relocation and a :class:`~repro.elf.metadata.BranchFixup`, deferring
   target resolution to the linker (§4.2).  Basic-block label symbols
   use the assembler-temporary ``.L`` prefix; the linker resolves them
   but does not export them to the executable's symbol table.
-* the **bytes** pass (:meth:`_Code.image`) builds the module's text in
+* the **bytes** pass (:meth:`_Plan.image`) builds the module's text in
   one go with NumPy: the opcode bytes and every operand byte are
   scattered into one buffer that the text sections are slices of.
 
@@ -48,12 +47,14 @@ from repro.elf import (
     RelocType,
     Section,
     SectionKind,
+    Symbol,
     SymbolBinding,
     SymbolType,
     TerminatorKind,
     bbaddrmap,
 )
-from repro.elf.table import run_index
+from repro.elf.objectfile import SECTION_TABLES
+from repro.elf.table import NONE, Strings, Table, layout_of, run_index
 from repro.ir import cfg as ir_cfg
 from repro.isa import OPCODE_SIZES, Opcode
 
@@ -69,6 +70,15 @@ _OP_LOWERING: Dict[str, Opcode] = {
     ir.OpKind.MOV.value: Opcode.MOVRR,
     ir.OpKind.CMP.value: Opcode.CMP,
 }
+
+#: Enum members as a table's enum columns store them: positions in
+#: definition order (a terminator kind keyed by its value, as above).
+_OPCODE_AT = {opcode: i for i, opcode in enumerate(Opcode)}
+_KIND_AT = {kind._value_: i for i, kind in enumerate(TerminatorKind)}
+_PC32, _ABS32 = map(list(RelocType).index, (RelocType.PC32, RelocType.ABS32))
+_GLOBAL, _LOCAL = map(list(SymbolBinding).index, (SymbolBinding.GLOBAL, SymbolBinding.LOCAL))
+_FUNC, _NOTYPE = map(list(SymbolType).index, (SymbolType.FUNC, SymbolType.NOTYPE))
+_NONE = NONE["i"]  # an Optional[str] column's None
 
 #: Instruction size by opcode byte.
 _SIZE = np.zeros(256, dtype=np.int64)
@@ -156,19 +166,79 @@ def _crc_decimal(crcs: np.ndarray, numbers: np.ndarray) -> np.ndarray:
     return state ^ 0xFFFFFFFF
 
 
-class _Code:
-    """A module's text sections, laid end to end, as the plan pass leaves
-    them.  A block's body is a *run*: the opcodes of its IR instructions
-    from ``at`` on, the ``i``-th keyed ``(crc, i)`` by its block's
+class _Plan:
+    """One module as the plan pass leaves it: its text sections, laid end
+    to end, and its object's records as rows.
+
+    A block's body is a *run*: the opcodes of its IR instructions from
+    ``at`` on, the ``i``-th keyed ``(crc, i)`` by its block's
     ``"{func}:{bb_id}:"`` prefix CRC.  Any other instruction is a single
-    ``(at, opcode, crc)``, keyed ``(crc, -1)`` when ``crc >= 0``.  A
-    keyed instruction's operands are its key's stream; the rest are 0."""
+    ``(at, opcode, crc)``, keyed ``(crc, -1)`` when ``crc >= 0``.  A keyed
+    instruction's operands are its key's stream; the rest are 0.
+    A row is a flat tuple per record, in table order: names are ids in
+    ``strings`` (interned in that order), enums positions, and a block's
+    ragged fields item counts, their items rows of their own (``ijmp``,
+    ``calls``, ``indirect``, ``prefetches``).
+    """
 
     def __init__(self):
-        self.size = 0
+        self.base = self.offset = self.instrs = 0  # text before the section, cursor in it
         self.runs: List[int] = []  # (at, crc, length) of every run, flat
         self.run_ops: List[Opcode] = []
         self.singles: List[int] = []  # (at, opcode, crc) of every single, flat
+        self.strings = Strings()
+        self.intern = self.strings.intern
+        self.symbols, self.relocations, self.fixups, self.blocks = [], [], [], []
+        self.ijmp, self.calls, self.indirect, self.prefetches = [], [], [], []
+        self.sections: List[Section] = []
+
+    def emit(self, opcode: Opcode, crc: int = -1) -> int:
+        """Plan one single instruction at the cursor; returns its offset."""
+        off = self.offset
+        self.singles += (self.base + off, opcode, crc)
+        self.offset = off + OPCODE_SIZES[opcode]
+        self.instrs += 1
+        return off
+
+    def emit_run(self, block: ir.BasicBlock, crc: int, calls: List[tuple]) -> None:
+        """Plan ``block``'s IR instructions as a run at the cursor, a call's
+        relocation row and ``(offset, size, callee, indirect targets)`` with it."""
+        instrs, lowering = block.instrs, _OP_LOWERING
+        run = [lowering[i.kind._value_] if i.__class__ is not ir.Call else
+               Opcode.ICALL if i.callee is None else Opcode.CALL for i in instrs]
+        self.runs += (self.base + self.offset, crc, len(run))
+        self.run_ops += run
+        sizes = [OPCODE_SIZES[opcode] for opcode in run]
+        if Opcode.CALL in run or Opcode.ICALL in run:
+            for instr, opcode, off in zip(instrs, run, accumulate(sizes, initial=self.offset)):
+                if opcode == Opcode.CALL:
+                    callee = self.relocate(off + 1, _PC32, instr.callee)  # interned here
+                    calls.append((off, OPCODE_SIZES[opcode], callee, ()))
+                elif opcode == Opcode.ICALL:
+                    calls.append((off, OPCODE_SIZES[opcode], _NONE, tuple(instr.indirect_targets)))
+        self.offset += sum(sizes)
+        self.instrs += len(run)
+
+    def emit_branch(self, opcode: Opcode, symbol: str, deletable: bool = False) -> tuple:
+        """Emit a long-form jump or Jcc with a relocation and a fixup;
+        returns its ``(symbol id, offset, size)``."""
+        off = self.emit(opcode)
+        target = self.relocate(off + (2 if opcode == Opcode.JCC_LONG else 1), _PC32, symbol)
+        self.fixups.append((off, _OPCODE_AT[opcode], target, deletable))
+        return target, off, OPCODE_SIZES[opcode]
+
+    def relocate(self, offset: int, rtype: int, symbol: str) -> int:
+        """Gather a relocation row; returns ``symbol``'s id."""
+        self.relocations.append((offset, rtype, self.intern(symbol), 0))
+        return self.relocations[-1][2]
+
+    def section(self, name: str, kind: SectionKind, data: bytes = b"", **fields) -> Section:
+        """Add a section that owns every row gathered since the section before it."""
+        last = self.sections[-1] if self.sections else Section("", kind)
+        self.sections.append(Section(name, kind, bytearray(data), **fields, **{
+            table: range(getattr(last, table).stop, len(getattr(self, table)))
+            for table in ("relocations", "blocks", "fixups")}))
+        return self.sections[-1]
 
     def image(self) -> np.ndarray:
         """The bytes pass: one buffer of the module's text."""
@@ -184,69 +254,28 @@ class _Code:
                                singles[:, 2]])
         keyed = crcs >= 0
         idxs = np.concatenate([run_index(counts), np.full(len(singles), -1)])[keyed]
-        out = np.zeros(self.size, dtype=np.uint8)
+        out = np.zeros(self.base + self.offset, dtype=np.uint8)
         out[at] = ops
         lengths = _SIZE[ops[keyed]] - 1
         out[np.repeat(at[keyed] + 1, lengths) + run_index(lengths)] = _stream(
             _crc_decimal(crcs[keyed], idxs), lengths)
         return out
 
-
-class _SectionEmitter:
-    """Plans one text section: its size, and its relocation, fixup and
-    block rows, appended to ``obj``'s tables.  Its instructions go to
-    the module's :class:`_Code` from ``base``."""
-
-    def __init__(self, code: _Code, obj: ObjectFile):
-        self.code = code
-        self.base = code.size
-        self.size = 0
-        self.relocate = obj.relocations.append_row
-        self.fixup = obj.fixups.append_row
-        self.block = obj.blocks.append_row
-        self.num_instrs = 0
-
-    def emit(self, opcode: Opcode, crc: int = -1) -> int:
-        """Plan one single instruction at the cursor (see :class:`_Code`)."""
-        off = self.size
-        self.code.singles += (self.base + off, opcode, crc)
-        self.size = off + OPCODE_SIZES[opcode]
-        self.num_instrs += 1
-        return off
-
-    def emit_run(self, block: ir.BasicBlock, crc: int, calls: List[tuple]) -> None:
-        """Plan ``block``'s IR instructions as a run at the cursor, a call's
-        relocation and :class:`~repro.elf.CallSite` row with it."""
-        instrs, lowering = block.instrs, _OP_LOWERING
-        run = [lowering[i.kind._value_] if i.__class__ is not ir.Call else
-               Opcode.ICALL if i.callee is None else Opcode.CALL for i in instrs]
-        self.code.runs += (self.base + self.size, crc, len(run))
-        self.code.run_ops += run
-        sizes = [OPCODE_SIZES[opcode] for opcode in run]
-        if Opcode.CALL in run or Opcode.ICALL in run:
-            for instr, opcode, off in zip(instrs, run, accumulate(sizes, initial=self.size)):
-                if opcode == Opcode.CALL:
-                    self.relocate((off + 1, RelocType.PC32, instr.callee, 0))
-                    calls.append((off, OPCODE_SIZES[opcode], instr.callee, ()))
-                elif opcode == Opcode.ICALL:
-                    calls.append((off, OPCODE_SIZES[opcode], None, tuple(instr.indirect_targets)))
-        self.size += sum(sizes)
-        self.num_instrs += len(run)
-
-    def emit_branch(self, opcode: Opcode, symbol: str, deletable: bool = False) -> tuple:
-        """Emit a long-form jump or Jcc with a relocation and a fixup;
-        returns its ``(symbol, offset, size)``."""
-        off = self.emit(opcode)
-        field_off = off + (2 if opcode == Opcode.JCC_LONG else 1)
-        self.relocate((field_off, RelocType.PC32, symbol, 0))
-        self.fixup((off, opcode, symbol, deletable))
-        return symbol, off, OPCODE_SIZES[opcode]
-
-    def emit_jump_table(self, targets: Sequence[str]) -> None:
-        """Embed a jump table (data in code!) at the current offset."""
-        for symbol in targets:
-            self.relocate((self.size, RelocType.ABS32, symbol, 0))
-            self.size += _JUMP_TABLE_ENTRY_BYTES
+    def tables(self) -> Dict[str, Table]:
+        """The object's four tables, each built once from its rows, a column
+        level at a time (an offsets column's rows hold item counts)."""
+        levels = {"symbols": [self.symbols], "relocations": [self.relocations],
+                  "blocks": [self.blocks, self.ijmp, self.calls, self.indirect, self.prefetches],
+                  "fixups": [self.fixups]}
+        tables = {}
+        for name, record in (("symbols", Symbol), *SECTION_TABLES):
+            leaves, columns = layout_of(record).leaves, {}
+            for level, rows in enumerate(levels[name]):
+                paths = [leaf for leaf in leaves if leaf.level == level]
+                for leaf, values in zip(paths, zip(*rows) if rows else [()] * len(paths)):
+                    columns[leaf.path] = [0, *accumulate(values)] if leaf.delimits else values
+            tables[name] = Table.from_columns(record, self.strings, columns)
+        return tables
 
 
 def _pgo_block_order(function: ir.Function, profile) -> List[int]:
@@ -319,36 +348,28 @@ def _section_plan(function: ir.Function,
     return [(f".text.{fn}", fn, order)]
 
 
-def _term_row(kind: TerminatorKind, cond=(None, 0.0, -1, 0), uncond=(None, -1, 0),
-              end=(-1, 0), ijmp=()) -> tuple:
-    """A :class:`~repro.elf.TerminatorMeta` row: ``cond`` is ``(target,
-    prob, offset, size)`` of the Jcc, ``uncond`` ``(target, offset,
-    size)`` of the jump, ``end`` ``(offset, size)`` of a RET/IJMP/TRAP."""
-    return (kind, *cond, *uncond, *end, ijmp)
+def _term(kind: TerminatorKind, cond=(_NONE, 0.0, -1, 0), uncond=(_NONE, -1, 0),
+          end=(-1, 0)) -> tuple:
+    """A :class:`~repro.elf.TerminatorMeta` row but its jump table: ``cond``
+    is the Jcc's ``(target id, prob, offset, size)``, ``uncond`` the jump's
+    ``(target id, offset, size)``, ``end`` a RET/IJMP/TRAP's ``(offset, size)``."""
+    return (_KIND_AT[kind._value_], *cond, *uncond, *end)
 
 
-def _lower_block(
-    emitter: _SectionEmitter,
-    function: ir.Function,
-    block: ir.BasicBlock,
-    next_bb: Optional[int],
-    rodata: Optional[List[tuple]],
-    prefetch_symbols: Sequence[str] = (),
-) -> None:
-    """Plan ``block`` at the emitter's cursor and append its
-    :class:`~repro.elf.BlockMeta` row to the object's block table.  A
-    jump table goes to ``rodata``'s relocation rows or, when it is
-    ``None`` (hand-written code), into the text."""
+def _lower_block(plan: _Plan, function: ir.Function, block: ir.BasicBlock, next_bb: Optional[int],
+                 rodata: Optional[List[tuple]], prefetch_symbols: Sequence[str] = ()) -> None:
+    """Plan ``block`` at the cursor and gather its
+    :class:`~repro.elf.BlockMeta` row.  A jump table goes to ``rodata``'s
+    ``(offset, target)`` entries or, when it is ``None`` (hand-written
+    code), into the text."""
     fn = function.name
-    start = emitter.size
+    start = plan.offset
     crc = zlib.crc32(f"{fn}:{block.bb_id}:".encode())
-    calls: List[tuple] = []  # CallSite rows
-    prefetches: List[tuple] = []  # PrefetchSite rows
+    calls, ijmp = [], []  # CallSite rows (indirect targets by name), jump table entries
     for symbol in prefetch_symbols:
-        off = emitter.emit(Opcode.PREFETCH)
-        emitter.relocate((off + 1, RelocType.PC32, symbol, 0))
-        prefetches.append((off, symbol))
-    emitter.emit_run(block, crc, calls)
+        off = plan.emit(Opcode.PREFETCH)
+        plan.prefetches.append((off, plan.relocate(off + 1, _PC32, symbol)))
+    plan.emit_run(block, crc, calls)
 
     term = block.term
     if isinstance(term, ir.CondBr):
@@ -356,36 +377,44 @@ def _lower_block(
         if taken == next_bb:
             # Invert the condition so the likely-next block falls through.
             taken, fallthrough, prob = fallthrough, taken, 1.0 - prob
-        target, off, size = emitter.emit_branch(Opcode.JCC_LONG, bb_label(fn, taken))
-        uncond = (None, -1, 0) if fallthrough == next_bb else emitter.emit_branch(
+        target, off, size = plan.emit_branch(Opcode.JCC_LONG, bb_label(fn, taken))
+        uncond = (_NONE, -1, 0) if fallthrough == next_bb else plan.emit_branch(
             Opcode.JMP_LONG, bb_label(fn, fallthrough), deletable=True)
-        term_row = _term_row(TerminatorKind.CONDBR, (target, prob, off, size), uncond)
+        term_row = _term(TerminatorKind.CONDBR, (target, prob, off, size), uncond)
     elif isinstance(term, ir.Jump) and term.target == next_bb:
-        term_row = _term_row(TerminatorKind.FALLTHROUGH)
+        term_row = _term(TerminatorKind.FALLTHROUGH)
     elif isinstance(term, ir.Jump):
-        term_row = _term_row(TerminatorKind.JUMP, uncond=emitter.emit_branch(
+        term_row = _term(TerminatorKind.JUMP, uncond=plan.emit_branch(
             Opcode.JMP_LONG, bb_label(fn, term.target), deletable=True))
     elif isinstance(term, ir.Ret):
-        off = emitter.emit(Opcode.RET)
-        term_row = _term_row(TerminatorKind.RET, end=(off, OPCODE_SIZES[Opcode.RET]))
+        off = plan.emit(Opcode.RET)
+        term_row = _term(TerminatorKind.RET, end=(off, OPCODE_SIZES[Opcode.RET]))
     elif isinstance(term, ir.Switch):
-        off = emitter.emit(Opcode.IJMP, crc)
+        off = plan.emit(Opcode.IJMP, crc)
         labels = [bb_label(fn, t) for t in term.targets]
-        if rodata is None:
-            emitter.emit_jump_table(labels)
-        else:  # its entries follow the function's tables before
-            rodata += [(_JUMP_TABLE_ENTRY_BYTES * k, RelocType.ABS32, label, 0)
-                       for k, label in enumerate(labels, len(rodata))]
-        term_row = _term_row(TerminatorKind.IJMP, end=(off, OPCODE_SIZES[Opcode.IJMP]),
-                             ijmp=list(zip(labels, term.probs)))
+        for k, label in enumerate(labels, len(rodata or ())):
+            if rodata is None:  # the table is data in code
+                plan.relocate(plan.offset, _ABS32, label)
+                plan.offset += _JUMP_TABLE_ENTRY_BYTES
+            else:  # its entries follow the function's tables before
+                rodata.append((_JUMP_TABLE_ENTRY_BYTES * k, label))
+        term_row = _term(TerminatorKind.IJMP, end=(off, OPCODE_SIZES[Opcode.IJMP]))
+        ijmp = list(zip(labels, term.probs))
     elif isinstance(term, ir.Unreachable):
-        off = emitter.emit(Opcode.TRAP, crc)
-        term_row = _term_row(TerminatorKind.TRAP, end=(off, OPCODE_SIZES[Opcode.TRAP]))
+        off = plan.emit(Opcode.TRAP, crc)
+        term_row = _term(TerminatorKind.TRAP, end=(off, OPCODE_SIZES[Opcode.TRAP]))
     else:
         raise TypeError(f"unknown terminator {term!r}")
 
-    emitter.block((block.bb_id, fn, start, emitter.size - start, term_row, calls, prefetches,
-                   block.is_landing_pad, 0.0))
+    # A row interns its names in field order: the function's, then the
+    # jump table's and indirect calls' targets (the rest came with relocations).
+    intern = plan.intern
+    plan.blocks.append((block.bb_id, intern(fn), start, plan.offset - start, *term_row, len(ijmp),
+                        len(calls), len(prefetch_symbols), block.is_landing_pad, 0.0))
+    plan.ijmp += [(intern(label), p) for label, p in ijmp]
+    for off, size, callee, targets in calls:
+        plan.calls.append((off, size, callee, len(targets)))
+        plan.indirect += [(intern(target), p) for target, p in targets]
 
 
 @dataclass
@@ -402,16 +431,11 @@ class CompiledObject:
 
 def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject:
     """Lower one IR module to an object file."""
-    obj = ObjectFile(name=f"{module.name}.o")
-    result = CompiledObject(obj=obj, module_name=module.name)
-    code = _Code()
-    texts: List[Tuple[Section, int, int]] = []  # every text section and its span of code
+    plan = _Plan()
+    texts: List[Tuple[Section, str, int, int]] = []  # every text section, leader, span of code
     eh_frame_bytes = _CIE_BYTES
-    addr_maps: List[Tuple[str, Section]] = []  # (leader, text section)
 
     for function in module.functions:
-        result.num_functions += 1
-        result.num_blocks += function.num_blocks
         plans = _section_plan(function, options)
         # The function's jump tables: relocation rows held until its rodata
         # section is added after its text.
@@ -420,91 +444,67 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
         for bb_id, symbol in options.prefetches_for(function.name):
             prefetch_plan.setdefault(bb_id, []).append(symbol)
         lsda_bytes = 0
-        fn_instrs = 0
+        instrs = plan.instrs  # before the function
         for i, (section_name, leader, bb_ids) in enumerate(plans):
             primary = i == 0
-            emitter = _SectionEmitter(code, obj)
+            calls = len(plan.calls)
             # §4.5: a landing-pad block at the very start of a section
             # would have offset zero relative to @LPStart; pad with a nop.
             if function.block(bb_ids[0]).is_landing_pad:
-                emitter.emit(Opcode.NOP)
+                plan.emit(Opcode.NOP)
             labels = []
-            for pos, bb_id in enumerate(bb_ids):
-                next_bb = bb_ids[pos + 1] if pos + 1 < len(bb_ids) else None
-                labels.append((bb_label(function.name, bb_id), emitter.size))
-                _lower_block(emitter, function, function.block(bb_id), next_bb, rodata,
+            for bb_id, next_bb in zip(bb_ids, [*bb_ids[1:], None]):
+                labels.append((bb_label(function.name, bb_id), plan.offset))
+                _lower_block(plan, function, function.block(bb_id), next_bb, rodata,
                              prefetch_plan.get(bb_id, ()))
-            code.size += emitter.size
-            section = obj.add_section(Section(name=section_name, kind=SectionKind.TEXT,
-                                              alignment=ALIGN_FUNCTION if primary else 1))
-            texts.append((section, emitter.base, code.size))
-            obj.symbols.append_row((leader, section_name, 0, emitter.size, SymbolBinding.GLOBAL
-                                    if primary else SymbolBinding.LOCAL, SymbolType.FUNC))
-            for name, offset in labels:
-                obj.symbols.append_row((name, section_name, offset, 0,
-                                        SymbolBinding.LOCAL, SymbolType.NOTYPE))
-            result.num_instrs += emitter.num_instrs
-            fn_instrs += emitter.num_instrs
-            result.text_bytes += emitter.size
+            section = plan.section(section_name, SectionKind.TEXT,
+                                   alignment=ALIGN_FUNCTION if primary else 1)
+            texts.append((section, leader, plan.base, plan.base + plan.offset))
+            intern = plan.intern
+            plan.symbols.append((intern(leader), intern(section_name), 0, plan.offset,
+                                 _GLOBAL if primary else _LOCAL, _FUNC))
+            plan.symbols += [(intern(name), intern(section_name), offset, 0, _LOCAL, _NOTYPE)
+                             for name, offset in labels]
+            plan.base, plan.offset = plan.base + plan.offset, 0
             # §4.4: one FDE per fragment; non-primary fragments re-emit
             # callee-saved-register CFI and redefine the CFA.
             eh_frame_bytes += _FDE_BYTES
             if not primary:
                 eh_frame_bytes += _CSR_CFI_BYTES * CALLEE_SAVED_REGS
-            if function.has_landing_pads():
-                calls = obj.blocks.col("calls")  # the offsets column ends at the total
-                ncalls = calls[-1] - calls[section.blocks.start]
-                if ncalls:
-                    lsda_bytes += _LSDA_HEADER_BYTES + _LSDA_CALLSITE_BYTES * ncalls
-            if options.bb_addr_map:
-                addr_maps.append((leader, section))
+            calls = len(plan.calls) - calls
+            if function.has_landing_pads() and calls:
+                lsda_bytes += _LSDA_HEADER_BYTES + _LSDA_CALLSITE_BYTES * calls
         if rodata:
-            for row in rodata:
-                obj.relocations.append_row(row)
-            obj.add_section(Section(
-                name=f".rodata.{function.name}", kind=SectionKind.RODATA,
-                data=bytearray(_JUMP_TABLE_ENTRY_BYTES * len(rodata)), alignment=4,
-            ))
+            for offset, label in rodata:
+                plan.relocate(offset, _ABS32, label)
+            plan.section(f".rodata.{function.name}", SectionKind.RODATA,
+                         bytes(_JUMP_TABLE_ENTRY_BYTES * len(rodata)), alignment=4)
         if lsda_bytes:
-            obj.add_section(Section(
-                name=f".gcc_except_table.{function.name}", kind=SectionKind.OTHER,
-                data=_filler(function.name, -2, lsda_bytes),
-            ))
+            plan.section(f".gcc_except_table.{function.name}", SectionKind.OTHER,
+                         _filler(function.name, -2, lsda_bytes))
         if options.debug_info:
-            # §4.3: ranges are per fragment; the two boundary
-            # relocations per descriptor are modelled as bytes here
-            # (they are resolved at link time, not retained).
-            debug_bytes = (
-                _DEBUG_DIE_BYTES
-                + len(plans) * (_DEBUG_RANGE_DESCRIPTOR_BYTES + _DEBUG_RANGE_RELOCS * 8)
-                + fn_instrs * _DEBUG_LINE_BYTES_PER_INSTR
-            )
-            obj.add_section(Section(
-                name=f".debug_info.{function.name}", kind=SectionKind.DEBUG,
-                data=_filler(function.name, -4, debug_bytes),
-            ))
+            # §4.3: ranges are per fragment; a descriptor's two boundary
+            # relocations are modelled as bytes (resolved at link time).
+            debug_bytes = (_DEBUG_DIE_BYTES + (plan.instrs - instrs) * _DEBUG_LINE_BYTES_PER_INSTR
+                           + len(plans) * (_DEBUG_RANGE_DESCRIPTOR_BYTES + _DEBUG_RANGE_RELOCS * 8))
+            plan.section(f".debug_info.{function.name}", SectionKind.DEBUG,
+                         _filler(function.name, -4, debug_bytes))
 
-    image = code.image()
-    for section, start, end in texts:
+    image = plan.image()
+    for section, _, start, end in texts:
         section.data = bytearray(image[start:end])
-    encoded = bbaddrmap.encode_blocks([leader for leader, _ in addr_maps], obj.blocks,
-                                      [text.blocks for _, text in addr_maps])
-    for (_, text), data in zip(addr_maps, encoded):
-        obj.add_section(Section(
-            name=f".llvm_bb_addr_map{text.name[len('.text'):]}" if text.name.startswith(".text")
-            else f".llvm_bb_addr_map.{text.name}",
-            kind=SectionKind.BB_ADDR_MAP,
-            data=bytearray(data),
-            link_name=text.name,
-        ))
+    tables = plan.tables()
+    if options.bb_addr_map:
+        encoded = bbaddrmap.encode_blocks([leader for _, leader, *_ in texts], tables["blocks"],
+                                          [text.blocks for text, *_ in texts])
+        for (text, *_), data in zip(texts, encoded):  # .text.<name> -> .llvm_bb_addr_map.<name>
+            plan.section(f".llvm_bb_addr_map{text.name[len('.text'):]}", SectionKind.BB_ADDR_MAP,
+                         data, link_name=text.name)
     if eh_frame_bytes > _CIE_BYTES:
-        obj.add_section(Section(
-            name=".eh_frame", kind=SectionKind.EH_FRAME,
-            data=_filler(module.name, -3, eh_frame_bytes),
-        ))
-    for table in (obj.symbols, obj.relocations, obj.blocks, obj.fixups):
-        table.release()
-    return result
+        plan.section(".eh_frame", SectionKind.EH_FRAME, _filler(module.name, -3, eh_frame_bytes))
+    return CompiledObject(ObjectFile(f"{module.name}.o", plan.sections, **tables), module.name,
+                          len(module.functions), sum(f.num_blocks for f in module.functions),
+                          plan.instrs, plan.base)
 
 
 def compile_action(

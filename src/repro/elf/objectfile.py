@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import List
 
 from repro.elf.metadata import BlockMeta, BranchFixup
 from repro.elf.sections import Relocation, Restorable, Section, SectionKind, Symbol
@@ -44,45 +44,16 @@ class ObjectFile(Restorable):
                     bounds != sorted(bounds) or bounds[-1] != len(table):
                 raise ValueError(f"{self.name}: its sections' {name} rows {rows} "
                                  f"do not tile its {len(table)}")
-        self._by_name: Dict[str, Section] = {}
+        names = set()
         for section in self.sections:
-            self._register(section)
+            if section.name in names:
+                raise ValueError(f"duplicate section {section.name!r} in {self.name}")
+            names.add(section.name)
 
     @property
     def strings(self) -> Strings:
         """The pool every table of the object interns its strings in."""
         return self.symbols.strings
-
-    def _register(self, section: Section) -> None:
-        if section.name in self._by_name:
-            raise ValueError(f"duplicate section {section.name!r} in {self.name}")
-        self._by_name[section.name] = section
-
-    def add_section(self, section: Section, relocations: Iterable[Relocation] = (),
-                    blocks: Iterable[BlockMeta] = (),
-                    fixups: Iterable[BranchFixup] = ()) -> Section:
-        """Append ``section`` and the given records; it owns them and every
-        row appended to the tables since the section before it was added
-        (its row ranges are set here)."""
-        self._register(section)
-        for (name, _), records in zip(SECTION_TABLES, (relocations, blocks, fixups)):
-            table = getattr(self, name)
-            for record in records:
-                table.append(record)
-            start = getattr(self.sections[-1], name).stop if self.sections else 0
-            setattr(section, name, range(start, len(table)))
-        self.sections.append(section)
-        return section
-
-    def add_symbol(self, symbol: Symbol) -> Symbol:
-        self.symbols.append(symbol)
-        return symbol
-
-    def section(self, name: str) -> Section:
-        return self._by_name[name]
-
-    def find_section(self, name: str) -> Optional[Section]:
-        return self._by_name.get(name)
 
     def sections_of_kind(self, kind: SectionKind) -> List[Section]:
         return [s for s in self.sections if s.kind == kind]

@@ -103,8 +103,8 @@ class Section:
     describes (like ``sh_link``); the linker uses it to drop BB address
     maps whose text went away and to keep maps adjacent to their code.
     ``relocations``, ``blocks`` and ``fixups`` are the section's rows in
-    its object's tables of the same names, set by
-    :meth:`~repro.elf.ObjectFile.add_section`.
+    its object's tables of the same names: each section's ranges follow
+    the section's before it (:class:`~repro.elf.ObjectFile` checks).
     """
 
     name: str

@@ -25,16 +25,15 @@ a dataclass ``term``            its fields' columns, ``term.kind`` ...
 ==============================  ======================================
 
 The record types stay what callers see: a table is a sequence of them,
-grown only by appending, that builds a record only when asked for one
-(and keeps none).
-Code on a measured path reads :meth:`Table.col` and appends *rows* --
-a record's field values as a tuple, nested the way the record nests --
-and never builds a record at all.  Appending and reading rows run as
-functions generated once per record type (the way ``dataclasses``
-generates ``__init__``), so neither walks the layout per row.  A table
-pickles as its columns' bytes: loading one costs its size, not its
-row count.  Tables stack (:meth:`Table.concat`) and give up rows
-(:meth:`Table.take`, which a slice is) a column at a time too.
+built once and never grown, that builds a record only when asked for
+one (and keeps none).  Code on a measured path gathers columns itself
+for :meth:`Table.from_columns`, reads :meth:`Table.col`, and never
+builds a record at all; ``Table(record, records)`` walks the records'
+fields once into the same columns and checks.  Reading a row runs as a
+function generated once per record type (the way ``dataclasses``
+generates ``__init__``).  A table pickles as its columns' bytes: loading
+one costs its size, not its row count.  Tables stack (:meth:`Table.concat`)
+and give up rows (:meth:`Table.take`, which a slice is) a column at a time.
 """
 
 from __future__ import annotations
@@ -97,19 +96,18 @@ class _Leaf:
 
 
 class _Layout:
-    """The columns of one record type, and the functions that append
-    and read its rows, generated from the same walk of its fields."""
+    """The columns of one record type, the walk that fills them from
+    records, and the generated function that reads a row back."""
 
     def __init__(self, record: type):
         self.record = record
         self.leaves: List[_Leaf] = []
         self._consts: Dict[str, Any] = {}
         self._vars = self._levels = 0
-        tree = self._node(record, "", 0)
+        #: The fields as a tree (see :meth:`_node`), walked by :meth:`gather`.
+        self.tree = self._node(record, "", 0)
         self.index = {leaf.path: k for k, leaf in enumerate(self.leaves)}
-        #: The level-0 column a row reaches last: its length (less the leading
-        #: 0 of an offsets column) is the row count even after an append
-        #: failed part-way.
+        #: A level-0 column: as long as the row count (plus an offsets column's 0).
         self.tail = max(k for k, leaf in enumerate(self.leaves) if leaf.level == 0)
         self.tail_extra = bool(self.leaves[self.tail].delimits)
         signature = ",".join(
@@ -118,7 +116,10 @@ class _Layout:
         #: What a pickled table carries to name the layout it was written
         #: with (columns pickle as native-order bytes: the order is part of it).
         self.stamp = zlib.crc32(f"{sys.byteorder}:{signature}".encode())
-        self._compile(tree)
+        self._compile()
+        #: An enum column's positions, keyed by value: hashing a member runs Python code.
+        self.positions = [{m._value_: i for i, m in enumerate(leaf.members)}
+                          for leaf in self.leaves]
         #: What :meth:`Table.col` reads of an empty table: shared, never written.
         self.empties = [array(leaf.code, [0] if leaf.delimits else []) for leaf in self.leaves]
 
@@ -163,44 +164,48 @@ class _Layout:
         kind, code = kinds[hint]
         return "leaf", self._leaf(path, code, level, kind, optional=optional)
 
-    # -- generated row functions ----------------------------------------
+    # -- records in, a record out ---------------------------------------
 
-    def _var(self) -> str:
-        self._vars += 1
-        return f"v{self._vars}"
+    def gather(self, records: Iterable[Any], strings: Strings) -> Optional[Dict[str, list]]:
+        """``{path: list}`` of ``records`` (``None`` for none), from one walk
+        over each record's fields in field order: names are interned in
+        ``strings`` row by row.  A value no column can hold is a
+        ``ValueError`` naming its field (a number out of range is
+        :meth:`adopt`'s to find)."""
+        columns = [[0] if leaf.delimits else [] for leaf in self.leaves]
+        n = 0
+        for n, record in enumerate(records, 1):
+            self._put(self.tree, record, columns, strings.intern)
+        return dict(zip(self.index, columns)) if n else None
 
-    def _put(self, node, src: str, lines: List[Tuple[str, str]], pad: str, attrs: bool) -> None:
-        """Statements storing ``src`` (a row, or with ``attrs`` a record),
-        each paired with the path to blame should it raise."""
-        if node[0] == "leaf":
-            k = node[1]
-            leaf = self.leaves[k]
-            value = src
-            if leaf.kind == "enum":
-                # Keyed by value: hashing an Enum member runs Python code.
-                self._consts[f"E{k}"] = {member._value_: i for i, member in enumerate(leaf.members)}
-                value = f"E{k}[{src}._value_]"
-            elif leaf.kind == "str":
-                value = f"(ids[{src}] if {src} in ids else intern({src}))"
-            if leaf.optional:
-                value = f"({NONE[leaf.code]} if {src} is None else {value})"
-            lines.append((f"{pad}a{k}({value})", leaf.path))
-        elif node[0] == "struct":
-            _, make, fields, path = node
-            names = [self._var() for _ in fields]
-            if attrs and make is not None:
-                lines += [(f"{pad}{var} = {src}.{name}", path)
-                          for var, (name, _) in zip(names, fields)]
+    def _put(self, node, value, columns: list, intern) -> None:
+        try:
+            if node[0] == "leaf":
+                k = node[1]
+                leaf = self.leaves[k]
+                if value is None and leaf.optional:
+                    value = NONE[leaf.code]
+                elif leaf.kind == "enum":
+                    value = self.positions[k][value._value_]
+                elif leaf.kind == "str":
+                    value = intern(value)
+                columns[k].append(value)
+            elif node[0] == "struct":
+                fields = node[2]
+                parts = [getattr(value, f) for f, _ in fields] if node[1] else tuple(value)
+                if len(parts) != len(fields):
+                    raise TypeError(f"{len(parts)} values for {len(fields)} fields")
+                for (_, child), part in zip(fields, parts):
+                    self._put(child, part, columns, intern)
             else:
-                lines.append((f"{pad}({', '.join(names)},) = {src}", path))
-            for var, (_, child) in zip(names, fields):
-                self._put(child, var, lines, pad, attrs)
-        else:
-            _, k, item, _ = node
-            var = self._var()
-            lines.append((f"{pad}for {var} in {src}:", self.leaves[k].path))
-            self._put(item, var, lines, pad + "    ", attrs)
-            lines.append((f"{pad}a{k}(c{k}[-1] + len({src}))", self.leaves[k].path))
+                parts = list(value)
+                for part in parts:
+                    self._put(node[2], part, columns, intern)
+                columns[node[1]].append(columns[node[1]][-1] + len(parts))
+        except (AttributeError, KeyError, TypeError) as exc:  # a ValueError is named
+            path = node[3] if node[0] == "struct" else self.leaves[node[1]].path
+            raise ValueError(f"{self.record.__name__}{'.' * bool(path)}{path}: "
+                             f"cannot store {value!r} ({exc})") from exc
 
     def _get(self, node, i: str) -> str:
         """The expression that rebuilds what ``node`` stored at index ``i``."""
@@ -226,32 +231,19 @@ class _Layout:
             self._consts[f"R_{make.__name__}"] = make
             return f"R_{make.__name__}({inner})"
         _, k, item, wrap = node
-        j = self._var()
+        self._vars += 1
+        j = f"v{self._vars}"
         items = f"[{self._get(item, j)} for {j} in range(c{k}[{i}], c{k}[{i} + 1])]"
         return items if wrap is list else f"(tuple({items}) if c{k}[{i}] != c{k}[{i} + 1] else ())"
 
-    def _compile(self, tree) -> None:
+    def _compile(self) -> None:
         columns = [f"    c{k} = data[{k}]" for k in range(len(self.leaves))]
-        source = ["def writers(data, strings):",
-                  "    ids, intern = strings.ids(), strings.intern", *columns,
-                  *[f"    a{k} = c{k}.append" for k in range(len(self.leaves))]]
-        #: Line of the generated source -> the column path stored there.
-        self.blame: Dict[int, str] = {}
-        for name, attrs in (("put_row", False), ("put_record", True)):
-            lines: List[Tuple[str, str]] = []
-            self._put(tree, "row", lines, "        ", attrs)
-            source.append(f"    def {name}(row):")
-            for text, path in lines:
-                source.append(text)
-                self.blame[len(source)] = path
-        source += ["    return put_row, put_record",
-                   "def reader(data, strings):", "    names = strings.names", *columns,
-                   f"    return lambda i: {self._get(tree, 'i')}"]
+        source = ["def reader(data, strings):", "    names = strings.names", *columns,
+                  f"    return lambda i: {self._get(self.tree, 'i')}"]
         namespace = dict(self._consts)
         exec(compile("\n".join(source), f"<table of {self.record.__name__}>", "exec"), namespace)
-        #: ``writers(data, strings) -> (put_row, put_record)`` and ``reader(data,
-        #: strings) -> get``, each bound to one table's columns.
-        self.writers, self.reader = namespace["writers"], namespace["reader"]
+        #: ``reader(data, strings) -> get``, bound to one table's columns.
+        self.reader = namespace["reader"]
 
     # -- whole-column operations ----------------------------------------
 
@@ -267,18 +259,6 @@ class _Layout:
                                  f"expected {n}")
             if leaf.delimits:
                 lengths.append(column[-1])
-
-    def cut(self, data: list, rows: int) -> None:
-        """Truncate every column to what ``rows`` rows own."""
-        lengths = [rows]  # values per level
-        for leaf, column in zip(self.leaves, data):
-            n = lengths[leaf.level] + bool(leaf.delimits)
-            if len(column) < n:
-                raise ValueError(f"{self.record.__name__}.{leaf.path}: {len(column)} "
-                                 f"values, expected {n}")
-            if leaf.delimits:
-                lengths.append(column[n - 1])
-            del column[n:]
 
     def adopt(self, leaf: _Leaf, values) -> array:
         """``values`` (a flat sequence of numbers: an ``array``, an ndarray,
@@ -392,28 +372,26 @@ def rows_of(ranges: Sequence[range]):
     return np.fromiter(itertools.chain.from_iterable(ranges), np.int64)
 
 
-#: What a bad value raises inside a generated row function.
-_ROW_ERRORS = (OverflowError, TypeError, KeyError, ValueError, AttributeError)
-
-
 class Table(collections.abc.Sequence):
     """A sequence of ``record`` instances, stored as columns.
 
     ``strings`` is the pool its ``str`` fields are interned in; tables
     given the same pool (all of one object file's) share ids.  ``data``
-    is ``None`` while the table is empty, else one ``array`` per column.
+    is ``None`` for a table built empty, else one ``array`` per column.
+    ``records`` are walked into columns that :meth:`from_columns` stores.
     """
 
-    __slots__ = ("record", "strings", "data", "_put", "_get")
+    __slots__ = ("record", "strings", "data", "_get")
 
     def __init__(self, record: type, records: Iterable[Any] = (),
                  strings: Optional[Strings] = None, data: Optional[list] = None):
         self.record = record
         self.strings = strings if strings is not None else Strings()
         self.data = data
-        self._put = self._get = None
-        for item in records:
-            self.append(item)
+        self._get = None
+        columns = None if data is not None else layout_of(record).gather(records, self.strings)
+        if columns is not None:
+            self.data = self.from_columns(record, self.strings, columns).data
 
     @classmethod
     def of(cls, record: type, value: Any, strings: Optional[Strings] = None) -> "Table":
@@ -426,7 +404,6 @@ class Table(collections.abc.Sequence):
                              f"got one of {value.record.__name__}")
         if strings is not None and value.strings is not strings:
             raise ValueError(f"a table of {record.__name__} over another string pool")
-        value.release()
         return value
 
     @classmethod
@@ -481,51 +458,12 @@ class Table(collections.abc.Sequence):
             return [None if v == none else decode(v) if decode else v for v in column]
         return list(map(decode, column)) if decode else column.tolist()
 
-    def release(self) -> None:
-        """Whoever filled the table is done: drop the bound writers (a few
-        KB of closures), rebuilt should anyone append again."""
-        self._put = None
-
     def take(self, rows) -> "Table":
         """Rows ``rows`` (an index array) of this table, in that order, over
         the same pool."""
         layout = layout_of(self.record)
         return Table(self.record, strings=self.strings, data=layout.take(
             layout.empties if self.data is None else self.data, rows))
-
-    def _writers(self):
-        """``(put_row, put_record)`` bound to this table's columns."""
-        layout = layout_of(self.record)
-        if self.data is None:
-            self.data = [column[:] for column in layout.empties]
-        self._put = layout.writers(self.data, self.strings)
-        return self._put
-
-    def _fail(self, exc: Exception, put, item) -> None:
-        """Undo the part of a row that was stored and name the field that was not."""
-        layout = layout_of(self.record)
-        layout.cut(self.data, len(self))
-        tb = exc.__traceback__
-        while tb.tb_next is not None and tb.tb_frame.f_code is not put.__code__:
-            tb = tb.tb_next
-        raise ValueError(f"{self.record.__name__}.{layout.blame.get(tb.tb_lineno) or 'row'}: "
-                         f"cannot store a field of {item!r} ({exc})") from exc
-
-    def append_row(self, row: tuple) -> None:
-        """Append one record given as its field values, in field order
-        (a nested record as its own row, a ragged field as a sequence)."""
-        put = (self._put or self._writers())[0]
-        try:
-            put(row)
-        except _ROW_ERRORS as exc:
-            self._fail(exc, put, row)
-
-    def append(self, item: Any) -> None:
-        put = (self._put or self._writers())[1]
-        try:
-            put(item)
-        except _ROW_ERRORS as exc:
-            self._fail(exc, put, item)
 
     def _reader(self):
         """``get(i)``: row ``i`` as a record, bound to this table's columns."""

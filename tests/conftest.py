@@ -108,6 +108,12 @@ def encode_bb_addr_maps(maps) -> bytes:
           for name in ("bb_id", "offset", "size", "flags"))))
 
 
+def section_named(obj, name):
+    """The section of ``obj`` called ``name``, or ``None`` (an object file
+    keeps its sections as a list, and no index of them by name)."""
+    return next((section for section in obj.sections if section.name == name), None)
+
+
 def sample_records(perf):
     """Each sample of ``perf`` as a tuple of ``(src, dst)`` records,
     oldest first: the inverse of :func:`perf_from_samples`."""

@@ -13,6 +13,7 @@ from repro.codegen.lowering import _pgo_block_order, bb_label
 from repro.elf import SectionKind, SymbolBinding, TerminatorKind, bbaddrmap
 from repro.isa import OPCODE_SIZES, Opcode, decode_range
 from repro.synth import PRESETS, generate_workload
+from tests.conftest import section_named
 
 
 def _func(name="f", lp=False):
@@ -37,7 +38,7 @@ def _module(*funcs):
 
 def _rows(obj, section, table):
     """The rows of ``obj``'s ``table`` that section ``section`` owns."""
-    return getattr(obj, table)[getattr(obj.section(section), table)]
+    return getattr(obj, table)[getattr(section_named(obj, section), table)]
 
 class TestFunctionSections:
     def test_one_text_section_per_function(self):
@@ -50,7 +51,7 @@ class TestFunctionSections:
         sym = next(s for s in compiled.obj.symbols if s.name == "a")
         assert sym.binding == SymbolBinding.GLOBAL
         assert sym.offset == 0
-        assert sym.size == compiled.obj.section(".text.a").size
+        assert sym.size == section_named(compiled.obj, ".text.a").size
 
     def test_block_labels_are_temporaries(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
@@ -60,7 +61,7 @@ class TestFunctionSections:
 
     def test_block_metadata_covers_section(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
-        section = compiled.obj.section(".text.a")
+        section = section_named(compiled.obj, ".text.a")
         assert [b.bb_id for b in _rows(compiled.obj, ".text.a", "blocks")] == [0, 1, 2, 3]
         end = 0
         for meta in _rows(compiled.obj, ".text.a", "blocks"):
@@ -70,7 +71,7 @@ class TestFunctionSections:
 
     def test_section_bytes_decode(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
-        section = compiled.obj.section(".text.a")
+        section = section_named(compiled.obj, ".text.a")
         instrs = decode_range(bytes(section.data), 0, section.size)
         assert instrs[-1].opcode == Opcode.RET
 
@@ -148,7 +149,7 @@ class TestTerminatorLowering:
             ir.BasicBlock(bb_id=2, term=ir.Ret()),
         ])
         compiled = compile_module(_module(fn), CodeGenOptions())
-        rodata = compiled.obj.find_section(".rodata.a")
+        rodata = section_named(compiled.obj, ".rodata.a")
         assert rodata is not None
         assert rodata.size == 8  # two 4-byte entries
         assert len(_rows(compiled.obj, ".rodata.a", "relocations")) == 2
@@ -161,7 +162,7 @@ class TestTerminatorLowering:
         ])
         fn.hand_written = True
         compiled = compile_module(_module(fn), CodeGenOptions())
-        assert compiled.obj.find_section(".rodata.a") is None
+        assert section_named(compiled.obj, ".rodata.a") is None
         abs_relocs = [r for r in _rows(compiled.obj, ".text.a", "relocations")
                       if r.rtype.value == "abs32"]
         assert len(abs_relocs) == 2  # data in code!
@@ -209,19 +210,19 @@ class TestClusters:
     def test_unlisted_function_lowered_normally(self):
         options = self._cluster_options({"other": [[0]]})
         compiled = compile_module(_module(_func("a")), options)
-        assert compiled.obj.find_section(".text.a.cold") is None
+        assert section_named(compiled.obj, ".text.a.cold") is None
 
     def test_cold_cluster_alignment_is_one(self):
         options = self._cluster_options({"a": [[0, 2]]})
         compiled = compile_module(_module(_func("a")), options)
-        assert compiled.obj.section(".text.a").alignment == 16
-        assert compiled.obj.section(".text.a.cold").alignment == 1
+        assert section_named(compiled.obj, ".text.a").alignment == 16
+        assert section_named(compiled.obj, ".text.a.cold").alignment == 1
 
 
 class TestMetadata:
     def test_bb_addr_map_roundtrip(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions(bb_addr_map=True))
-        section = compiled.obj.find_section(".llvm_bb_addr_map.a")
+        section = section_named(compiled.obj, ".llvm_bb_addr_map.a")
         assert section is not None
         assert section.link_name == ".text.a"
         maps = bbaddrmap.decode_section(bytes(section.data))
@@ -234,7 +235,7 @@ class TestMetadata:
         compiled = compile_module(_module(_func("a", lp=True)),
                                   CodeGenOptions(bb_addr_map=True))
         maps = bbaddrmap.decode_section(
-            bytes(compiled.obj.section(".llvm_bb_addr_map.a").data)
+            bytes(section_named(compiled.obj, ".llvm_bb_addr_map.a").data)
         )
         by_id = {e.bb_id: e for e in maps[0].entries}
         assert by_id[4].is_landing_pad
@@ -242,7 +243,7 @@ class TestMetadata:
 
     def test_no_map_without_option(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
-        assert compiled.obj.find_section(".llvm_bb_addr_map.a") is None
+        assert section_named(compiled.obj, ".llvm_bb_addr_map.a") is None
 
     def test_eh_frame_grows_with_fragments(self):
         base = compile_module(_module(_func("a")), CodeGenOptions())
@@ -250,11 +251,11 @@ class TestMetadata:
             _module(_func("a")),
             CodeGenOptions(bb_sections=BBSectionsMode.LIST, clusters={"a": [[0, 1], [2]]}),
         )
-        assert split.obj.section(".eh_frame").size > base.obj.section(".eh_frame").size
+        assert section_named(split.obj, ".eh_frame").size > section_named(base.obj, ".eh_frame").size
 
     def test_except_table_emitted_for_landing_pads(self):
         compiled = compile_module(_module(_func("a", lp=True)), CodeGenOptions())
-        assert compiled.obj.find_section(".gcc_except_table.a") is not None
+        assert section_named(compiled.obj, ".gcc_except_table.a") is not None
 
     def test_landing_pad_section_starts_with_nop(self):
         # §4.5: a landing pad at offset 0 of its section is ambiguous;
@@ -265,7 +266,7 @@ class TestMetadata:
         cold = _rows(compiled.obj, ".text.a.cold", "blocks")[0]  # the landing pad
         assert cold.is_landing_pad
         assert cold.offset == 1
-        assert compiled.obj.section(".text.a.cold").data[0] == Opcode.NOP
+        assert section_named(compiled.obj, ".text.a.cold").data[0] == Opcode.NOP
 
 
 class TestPGOOrder:
@@ -401,14 +402,14 @@ class TestLoweringOracle:
                 assert data[end:meta.offset + meta.size] == bytes(table)
             if bb_addr_map:
                 (fmap,) = bbaddrmap.decode_section(bytes(
-                    obj.section(".llvm_bb_addr_map" + section.name[len(".text"):]).data))
+                    section_named(obj, ".llvm_bb_addr_map" + section.name[len(".text"):]).data))
                 assert [(e.bb_id, e.offset, e.size) for e in fmap.entries] == [
                     (b.bb_id, b.offset, b.size) for b in blocks]
         for fn in functions:
-            debug = obj.find_section(f".debug_info.{fn}")
+            debug = section_named(obj, f".debug_info.{fn}")
             assert (debug is not None) == debug_info
-            for section, tag in ((debug, -4), (obj.find_section(f".gcc_except_table.{fn}"), -2)):
+            for section, tag in ((debug, -4), (section_named(obj, f".gcc_except_table.{fn}"), -2)):
                 if section is not None:
                     assert bytes(section.data) == _payload(fn, tag, 0, section.size)
-        eh_frame = obj.section(".eh_frame")
+        eh_frame = section_named(obj, ".eh_frame")
         assert bytes(eh_frame.data) == _payload(module.name, -3, 0, eh_frame.size)

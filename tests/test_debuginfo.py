@@ -5,6 +5,7 @@ from repro.codegen import BBSectionsMode, CodeGenOptions, compile_module
 from repro.elf import SectionKind
 from repro.elf.strip import strip_executable
 from repro.linker import LinkOptions, link
+from tests.conftest import section_named
 
 
 def _func(name="f", nblocks=6):
@@ -24,13 +25,13 @@ def _module():
 class TestDebugInfo:
     def test_emitted_when_enabled(self):
         compiled = compile_module(_module(), CodeGenOptions(debug_info=True))
-        section = compiled.obj.find_section(".debug_info.f")
+        section = section_named(compiled.obj, ".debug_info.f")
         assert section is not None
         assert section.kind == SectionKind.DEBUG
 
     def test_absent_by_default(self):
         compiled = compile_module(_module(), CodeGenOptions())
-        assert compiled.obj.find_section(".debug_info.f") is None
+        assert section_named(compiled.obj, ".debug_info.f") is None
 
     def test_overhead_grows_with_fragments(self):
         """§4.3: one DW_AT_ranges descriptor per cluster section."""
@@ -45,9 +46,9 @@ class TestDebugInfo:
         per_block = compile_module(
             _module(), CodeGenOptions(debug_info=True, bb_sections=BBSectionsMode.ALL)
         )
-        s0 = whole.obj.section(".debug_info.f").size
-        s1 = split.obj.section(".debug_info.f").size
-        s2 = per_block.obj.section(".debug_info.f").size
+        s0 = section_named(whole.obj, ".debug_info.f").size
+        s1 = section_named(split.obj, ".debug_info.f").size
+        s2 = section_named(per_block.obj, ".debug_info.f").size
         assert s0 < s1 < s2
 
     def test_counted_as_other_and_strippable(self):

@@ -43,29 +43,29 @@ class TestSection:
 
 class TestObjectFile:
     def test_duplicate_section_rejected(self):
-        obj = ObjectFile(name="a.o", sections=[_text_section()])
-        with pytest.raises(ValueError):
-            obj.add_section(_text_section())
-
-    def test_section_lookup(self):
-        obj = ObjectFile(name="a.o", sections=[_text_section()])
-        assert obj.section(".text.f").name == ".text.f"
-        assert obj.find_section("missing") is None
+        with pytest.raises(ValueError, match=r"duplicate section '\.text\.f' in a\.o"):
+            ObjectFile(name="a.o", sections=[_text_section(), _text_section(),
+                                             _text_section(".text.g")])
+        # Pickling goes through the same check.
+        obj = ObjectFile(name="a.o", sections=[_text_section(), _text_section(".text.g")])
+        state = obj.__getstate__()
+        state["sections"][1].name = ".text.f"
+        with pytest.raises(ValueError, match="duplicate section"):
+            ObjectFile.__new__(ObjectFile).__setstate__(state)
 
     def test_sizes_by_kind(self):
-        obj = ObjectFile(name="a.o")
-        obj.add_section(_text_section(data=b"\x90" * 10))
-        obj.add_section(Section(name=".eh_frame", kind=SectionKind.EH_FRAME, data=bytearray(24)))
+        obj = ObjectFile(name="a.o", sections=[
+            _text_section(data=b"\x90" * 10),
+            Section(name=".eh_frame", kind=SectionKind.EH_FRAME, data=bytearray(24))])
         assert [s.size for s in obj.sections_of_kind(SectionKind.TEXT)] == [10]
         assert [s.size for s in obj.sections_of_kind(SectionKind.EH_FRAME)] == [24]
         assert obj.total_size == 34
 
     def test_digest_stable(self):
         def make():
-            obj = ObjectFile(name="a.o", sections=[_text_section()])
-            obj.add_symbol(Symbol(name="f", section=".text.f", offset=0, size=8,
-                                  binding=SymbolBinding.GLOBAL, stype=SymbolType.FUNC))
-            return obj
+            return ObjectFile(name="a.o", sections=[_text_section()], symbols=[
+                Symbol(name="f", section=".text.f", offset=0, size=8,
+                       binding=SymbolBinding.GLOBAL, stype=SymbolType.FUNC)])
 
         assert make().content_digest() == make().content_digest()
 
@@ -76,18 +76,18 @@ class TestObjectFile:
 
     def test_digest_changes_with_relocation(self):
         a = ObjectFile(name="a.o", sections=[_text_section()])
-        b = ObjectFile(name="a.o")
-        b.add_section(_text_section(),
-                      relocations=[Relocation(offset=1, rtype=RelocType.PC32, symbol="g")])
+        text = _text_section()
+        text.relocations = range(1)
+        b = ObjectFile(name="a.o", sections=[text],
+                       relocations=[Relocation(offset=1, rtype=RelocType.PC32, symbol="g")])
         assert a.content_digest() != b.content_digest()
 
     def test_each_section_owns_the_rows_added_with_it(self):
-        obj = ObjectFile(name="a.o")
-        f = obj.add_section(_text_section(".text.f"),
-                            relocations=[Relocation(1, RelocType.PC32, "g")])
-        obj.relocations.append(Relocation(2, RelocType.PC32, "f"))  # appended before .text.g
-        g = obj.add_section(_text_section(".text.g"),
-                            relocations=[Relocation(3, RelocType.PC32, "f")])
+        f, g = _text_section(".text.f"), _text_section(".text.g")
+        f.relocations, g.relocations = range(0, 1), range(1, 3)
+        obj = ObjectFile(name="a.o", sections=[f, g], relocations=[
+            Relocation(1, RelocType.PC32, "g"), Relocation(2, RelocType.PC32, "f"),
+            Relocation(3, RelocType.PC32, "f")])
         assert (f.relocations, g.relocations, g.blocks) == (range(0, 1), range(1, 3), range(0))
         assert [r.offset for r in obj.relocations[g.relocations]] == [2, 3]
 
@@ -103,8 +103,8 @@ class TestObjectFile:
 
     def test_digest_changes_with_symbol(self):
         a = ObjectFile(name="a.o", sections=[_text_section()])
-        b = ObjectFile(name="a.o", sections=[_text_section()])
-        b.add_symbol(Symbol(name="f", section=".text.f", offset=0))
+        b = ObjectFile(name="a.o", sections=[_text_section()],
+                       symbols=[Symbol(name="f", section=".text.f", offset=0)])
         assert a.content_digest() != b.content_digest()
 
 

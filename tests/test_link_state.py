@@ -24,6 +24,7 @@ from repro.elf import (
 from repro.isa import OPCODE_SIZES, Opcode, short_form
 from repro.linker import LinkError, LinkOptions, link
 from repro.linker.state import LinkState
+from tests.conftest import section_named
 from tests.test_relaxation_oracle import fallthrough_object
 
 
@@ -36,19 +37,19 @@ _FIXUPS = (BranchFixup(offset=5, opcode=Opcode.JCC_LONG, symbol="y"),
 def _object(relocations=_RELOCATIONS, fixups=_FIXUPS, origin="o"):
     """One 21-byte ``.text.f``: bb0 [0,11) ends in a jcc at 5, bb1 [11,21)
     in a jmp at 16."""
-    obj = ObjectFile(name=origin)
-    obj.add_section(
-        Section(name=".text.f", kind=SectionKind.TEXT, data=bytearray(range(21))),
-        relocations=relocations, fixups=fixups,
-        blocks=[
-            BlockMeta(bb_id=0, func="f", offset=0, size=11,
-                      term=TerminatorMeta(kind=TerminatorKind.CONDBR, cond_target="y",
-                                          cond_br_offset=5, cond_br_size=6)),
-            BlockMeta(bb_id=1, func="f", offset=11, size=10,
-                      term=TerminatorMeta(kind=TerminatorKind.JUMP, uncond_target="x",
-                                          uncond_br_offset=16, uncond_br_size=5)),
-        ])
-    return obj
+    blocks = [
+        BlockMeta(bb_id=0, func="f", offset=0, size=11,
+                  term=TerminatorMeta(kind=TerminatorKind.CONDBR, cond_target="y",
+                                      cond_br_offset=5, cond_br_size=6)),
+        BlockMeta(bb_id=1, func="f", offset=11, size=10,
+                  term=TerminatorMeta(kind=TerminatorKind.JUMP, uncond_target="x",
+                                      uncond_br_offset=16, uncond_br_size=5)),
+    ]
+    text = Section(name=".text.f", kind=SectionKind.TEXT, data=bytearray(range(21)),
+                   relocations=range(len(relocations)), blocks=range(len(blocks)),
+                   fixups=range(len(fixups)))
+    return ObjectFile(name=origin, sections=[text], relocations=relocations, blocks=blocks,
+                      fixups=fixups)
 
 
 def _rewrite(state, f, opcode, s=0):
@@ -189,13 +190,14 @@ class TestOffsetsInsideTheirSection:
         symbols = [Symbol(name, f".text.{name}", 0, stype=SymbolType.FUNC) for name in "fg"]
         if symbol is not None:
             symbols.append(Symbol("h", ".text.f", symbol))
-        obj = ObjectFile(name="t.o", symbols=symbols)
-        for name in "fg":
-            obj.add_section(
-                Section(name=f".text.{name}", kind=SectionKind.TEXT, data=bytearray(8)),
-                relocations=[Relocation(offset=relocation, rtype=RelocType.PC32, symbol="g")]
-                if relocation is not None and name == "f" else ())
-        return obj
+        relocations = [] if relocation is None else [
+            Relocation(offset=relocation, rtype=RelocType.PC32, symbol="g")]
+        n = len(relocations)  # all .text.f's
+        sections = [Section(name=".text.f", kind=SectionKind.TEXT, data=bytearray(8),
+                            relocations=range(0, n)),
+                    Section(name=".text.g", kind=SectionKind.TEXT, data=bytearray(8),
+                            relocations=range(n, n))]
+        return ObjectFile(name="t.o", sections=sections, symbols=symbols, relocations=relocations)
 
     @pytest.mark.parametrize("relocation, symbol, message", [
         (6, None, "relocation at offset 6"),    # two bytes into .text.g
@@ -231,7 +233,7 @@ class TestBlocksInsideTheirSection:
 
         obj = pickle.loads(pickle.dumps(
             compile_module(_golden_module(), CodeGenOptions(bb_addr_map=True)).obj))
-        text = obj.section(".text.f")
+        text = section_named(obj, ".text.f")
         column = obj.blocks.col(path)
         if path.startswith("calls."):  # the items of the section's blocks
             offsets = obj.blocks.col("calls")
@@ -290,17 +292,18 @@ class TestPendingRelocations:
 def _rewritten_state(draw):
     """Sections with random fixups, then a random sequence of rewrites:
     shrinks, deletions and grow-backs to the input form."""
-    obj = ObjectFile(name="o")
+    sections, fixups = [], []
     for n in range(draw(st.integers(1, 4))):
-        fixups, cursor = [], 0
+        first, cursor = len(fixups), 0
         for _ in range(draw(st.integers(0, 5))):
             cursor += draw(st.integers(0, 6))
             opcode = draw(st.sampled_from([Opcode.JMP_LONG, Opcode.JCC_LONG]))
             fixups.append(BranchFixup(offset=cursor, opcode=opcode, symbol="x"))
             cursor += OPCODE_SIZES[opcode]
         size = cursor + draw(st.integers(0, 6))
-        obj.add_section(Section(name=f".text.{n}", kind=SectionKind.TEXT, data=bytearray(size)),
-                        fixups=fixups)
+        sections.append(Section(name=f".text.{n}", kind=SectionKind.TEXT, data=bytearray(size),
+                                fixups=range(first, len(fixups))))
+    obj = ObjectFile(name="o", sections=sections, fixups=fixups)
     state = LinkState([obj])
     for s, f in draw(st.lists(st.tuples(st.integers(0, len(obj.sections) - 1), st.integers(0, 5)),
                               max_size=12)):

@@ -9,6 +9,7 @@ from repro.core.wpa import FunctionDCFG, WPAOptions, analyze
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.isa import Opcode, decode_range
 from repro.linker import LinkOptions, link
+from tests.conftest import section_named
 
 
 def _leaf(name="callee"):
@@ -32,14 +33,14 @@ class TestCodegen:
     def test_prefetch_instruction_emitted(self):
         options = CodeGenOptions(prefetches={"caller": [(0, "callee")]})
         compiled = compile_module(_module(), options)
-        section = compiled.obj.section(".text.caller")
+        section = section_named(compiled.obj, ".text.caller")
         assert compiled.obj.blocks[section.blocks][0].prefetches
         instrs = decode_range(bytes(section.data), 0, section.size)
         assert instrs[0].opcode == Opcode.PREFETCH
 
     def test_no_directives_no_prefetch(self):
         compiled = compile_module(_module(), CodeGenOptions())
-        section = compiled.obj.section(".text.caller")
+        section = section_named(compiled.obj, ".text.caller")
         assert not compiled.obj.blocks[section.blocks][0].prefetches
         instrs = decode_range(bytes(section.data), 0, section.size)
         assert all(i.opcode != Opcode.PREFETCH for i in instrs)

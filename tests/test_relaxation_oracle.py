@@ -38,7 +38,7 @@ from repro.elf import (
 )
 from repro.isa import Opcode, decode_instruction
 from repro.linker import LinkError, LinkOptions, link
-from tests.conftest import encode_bb_addr_maps
+from tests.conftest import encode_bb_addr_maps, section_named
 from tests.test_isa import encode_instruction
 from tests.test_properties import _random_module
 
@@ -186,42 +186,45 @@ def fallthrough_object():
     jcc = encode_instruction(Opcode.JCC_LONG, displacement=0, payload=b"\x04")
     jmp = encode_instruction(Opcode.JMP_LONG, displacement=0)
     ret = encode_instruction(Opcode.RET)
-    obj = ObjectFile(name="hand.o", symbols=[
-        Symbol("f", ".text.f", 0, 24, SymbolBinding.GLOBAL, SymbolType.FUNC),
-        Symbol(".Lf.bb2", ".text.f", 16)])
-    f = obj.add_section(Section(
-        name=".text.f", kind=SectionKind.TEXT, alignment=16,
-        data=bytearray(alu8 + jcc + alu8 + jcc + alu16 + jmp)),
-        relocations=[Relocation(4, RelocType.PC32, "far"),
-                     Relocation(12, RelocType.PC32, "g"),
-                     Relocation(20, RelocType.PC32, "g")],
-        fixups=[BranchFixup(2, Opcode.JCC_LONG, "far"),
-                BranchFixup(10, Opcode.JCC_LONG, "g"),
-                BranchFixup(19, Opcode.JMP_LONG, "g", deletable=True)],
-        blocks=[
-            block(0, "f", 0, 8, kind=TerminatorKind.CONDBR, cond_target="far",
-                  cond_prob=0.1, cond_br_offset=2, cond_br_size=6),
-            block(1, "f", 8, 8, kind=TerminatorKind.CONDBR, cond_target="g",
-                  cond_prob=0.5, cond_br_offset=10, cond_br_size=6),
-            block(2, "f", 16, 8, kind=TerminatorKind.JUMP, uncond_target="g",
-                  uncond_br_offset=19, uncond_br_size=5),
-        ],
-    )
+    symbols = [Symbol("f", ".text.f", 0, 24, SymbolBinding.GLOBAL, SymbolType.FUNC),
+               Symbol(".Lf.bb2", ".text.f", 16)]
+    relocations = [Relocation(4, RelocType.PC32, "far"), Relocation(12, RelocType.PC32, "g"),
+                   Relocation(20, RelocType.PC32, "g")]
+    fixups = [BranchFixup(2, Opcode.JCC_LONG, "far"), BranchFixup(10, Opcode.JCC_LONG, "g"),
+              BranchFixup(19, Opcode.JMP_LONG, "g", deletable=True)]
+    blocks = [
+        block(0, "f", 0, 8, kind=TerminatorKind.CONDBR, cond_target="far",
+              cond_prob=0.1, cond_br_offset=2, cond_br_size=6),
+        block(1, "f", 8, 8, kind=TerminatorKind.CONDBR, cond_target="g",
+              cond_prob=0.5, cond_br_offset=10, cond_br_size=6),
+        block(2, "f", 16, 8, kind=TerminatorKind.JUMP, uncond_target="g",
+              uncond_br_offset=19, uncond_br_size=5),
+    ]
     fmap = bbaddrmap.FunctionMap("f", tuple(
-        bbaddrmap.BBEntry(b.bb_id, b.offset, b.size) for b in obj.blocks[f.blocks]))
-    obj.add_section(Section(name=".llvm_bb_addr_map.f", kind=SectionKind.BB_ADDR_MAP,
-                            link_name=".text.f", data=bytearray(encode_bb_addr_maps([fmap]))))
+        bbaddrmap.BBEntry(b.bb_id, b.offset, b.size) for b in blocks))
+    # .text.f owns every relocation and fixup and the first three blocks;
+    # each section after it owns the block listed with it, or none.
+    sections = [
+        Section(name=".text.f", kind=SectionKind.TEXT, alignment=16,
+                data=bytearray(alu8 + jcc + alu8 + jcc + alu16 + jmp),
+                relocations=range(0, 3), blocks=range(0, 3), fixups=range(0, 3)),
+        Section(name=".llvm_bb_addr_map.f", kind=SectionKind.BB_ADDR_MAP, link_name=".text.f",
+                data=bytearray(encode_bb_addr_maps([fmap])),
+                relocations=range(3, 3), blocks=range(3, 3), fixups=range(3, 3)),
+    ]
     for name, body, term in (
         ("g", ret, dict(kind=TerminatorKind.RET, end_instr_offset=0, end_instr_size=1)),
         ("pad", encode_instruction(Opcode.NOP) * 300, {}),
         ("far", ret, dict(kind=TerminatorKind.RET, end_instr_offset=0, end_instr_size=1)),
     ):
-        obj.add_section(Section(name=f".text.{name}", kind=SectionKind.TEXT,
-                                data=bytearray(body)),
-                        blocks=[block(0, name, 0, len(body), **term)])
-        obj.add_symbol(Symbol(name, f".text.{name}", 0, len(body),
+        sections.append(Section(name=f".text.{name}", kind=SectionKind.TEXT, data=bytearray(body),
+                                relocations=range(3, 3), fixups=range(3, 3),
+                                blocks=range(len(blocks), len(blocks) + 1)))
+        blocks.append(block(0, name, 0, len(body), **term))
+        symbols.append(Symbol(name, f".text.{name}", 0, len(body),
                               SymbolBinding.GLOBAL, SymbolType.FUNC))
-    return obj
+    return ObjectFile(name="hand.o", sections=sections, symbols=symbols,
+                      relocations=relocations, blocks=blocks, fixups=fixups)
 
 
 class TestFallthroughDeletion:
@@ -242,7 +245,7 @@ class TestFallthroughDeletion:
 
     def test_aligned_follower_keeps_the_jump(self):
         obj = fallthrough_object()
-        obj.section(".text.g").alignment = 4
+        section_named(obj, ".text.g").alignment = 4
         result = link([obj], LinkOptions(entry_symbol="f"))
         assert result.stats.deleted_jumps == 0
         assert_relaxation_consistent(result.executable)
@@ -274,35 +277,35 @@ def grow_back_object():
         return BlockMeta(bb_id=bb_id, func=func, offset=offset, size=size,
                          term=TerminatorMeta(**term))
 
-    obj = ObjectFile(name="grow.o", symbols=[
-        Symbol("pad", ".text.pad", 0, 60, SymbolBinding.GLOBAL, SymbolType.FUNC),
-        Symbol("f", ".text.f", 0, 132, SymbolBinding.GLOBAL, SymbolType.FUNC),
-        Symbol(".Lf.h", ".text.f", 130),
-        Symbol("g", ".text.g", 0, 1, SymbolBinding.GLOBAL, SymbolType.FUNC)])
-    obj.add_section(Section(name=".text.pad", kind=SectionKind.TEXT, data=bytearray(nop * 60)),
-                    blocks=[block(0, "pad", 0, 60)])
-    obj.add_section(Section(
-        name=".text.f", kind=SectionKind.TEXT, alignment=4,
-        data=bytearray(jmp + jcc + nop * 119 + nop + ret)),
-        relocations=[Relocation(1, RelocType.PC32, ".Lf.h"),
-                     Relocation(7, RelocType.PC32, "g")],
-        fixups=[BranchFixup(0, Opcode.JMP_LONG, ".Lf.h"),
-                BranchFixup(5, Opcode.JCC_LONG, "g")],
-        blocks=[
-            block(0, "f", 0, 5, kind=TerminatorKind.JUMP, uncond_target=".Lf.h",
-                  uncond_br_offset=0, uncond_br_size=5),
-            block(1, "f", 5, 6, kind=TerminatorKind.CONDBR, cond_target="g",
-                  cond_prob=0.5, cond_br_offset=5, cond_br_size=6),
-            block(2, "f", 11, 119),
-            block(3, "f", 130, 2, kind=TerminatorKind.RET, end_instr_offset=131,
-                  end_instr_size=1),
-        ],
-    )
-    obj.add_section(Section(name=".text.g", kind=SectionKind.TEXT, alignment=64,
-                            data=bytearray(ret)),
-                    blocks=[block(0, "g", 0, 1, kind=TerminatorKind.RET,
-                                  end_instr_offset=0, end_instr_size=1)])
-    return obj
+    symbols = [Symbol("pad", ".text.pad", 0, 60, SymbolBinding.GLOBAL, SymbolType.FUNC),
+               Symbol("f", ".text.f", 0, 132, SymbolBinding.GLOBAL, SymbolType.FUNC),
+               Symbol(".Lf.h", ".text.f", 130),
+               Symbol("g", ".text.g", 0, 1, SymbolBinding.GLOBAL, SymbolType.FUNC)]
+    blocks = [
+        block(0, "pad", 0, 60),
+        block(0, "f", 0, 5, kind=TerminatorKind.JUMP, uncond_target=".Lf.h",
+              uncond_br_offset=0, uncond_br_size=5),
+        block(1, "f", 5, 6, kind=TerminatorKind.CONDBR, cond_target="g",
+              cond_prob=0.5, cond_br_offset=5, cond_br_size=6),
+        block(2, "f", 11, 119),
+        block(3, "f", 130, 2, kind=TerminatorKind.RET, end_instr_offset=131,
+              end_instr_size=1),
+        block(0, "g", 0, 1, kind=TerminatorKind.RET, end_instr_offset=0, end_instr_size=1),
+    ]
+    sections = [
+        Section(name=".text.pad", kind=SectionKind.TEXT, data=bytearray(nop * 60),
+                blocks=range(0, 1)),
+        Section(name=".text.f", kind=SectionKind.TEXT, alignment=4,
+                data=bytearray(jmp + jcc + nop * 119 + nop + ret),
+                relocations=range(0, 2), blocks=range(1, 5), fixups=range(0, 2)),
+        Section(name=".text.g", kind=SectionKind.TEXT, alignment=64, data=bytearray(ret),
+                relocations=range(2, 2), blocks=range(5, 6), fixups=range(2, 2)),
+    ]
+    return ObjectFile(name="grow.o", sections=sections, symbols=symbols, blocks=blocks,
+                      relocations=[Relocation(1, RelocType.PC32, ".Lf.h"),
+                                   Relocation(7, RelocType.PC32, "g")],
+                      fixups=[BranchFixup(0, Opcode.JMP_LONG, ".Lf.h"),
+                              BranchFixup(5, Opcode.JCC_LONG, "g")])
 
 
 class TestGrowBack:

@@ -1,10 +1,12 @@
-"""The generic record table (``repro.elf.table``): for each of the ten
-record types it is a list of those records that happens to be stored in
-columns -- round trip, pickle, edits and slices all agree with a plain
-list -- plus the properties only a table has (named overflow, layout
-stamp, bulk columns)."""
+"""The generic record table (``repro.elf.table``): for each of the
+thirteen record types it is a list of those records that happens to be
+stored in columns -- round trip, pickle and slices agree with a plain
+list, and records store the columns ``from_columns`` stores -- plus the
+properties only a table has (named overflow, layout stamp, bulk
+columns)."""
 
 import dataclasses
+import itertools
 import pickle
 from array import array
 
@@ -33,7 +35,7 @@ from repro.elf import (
     TerminatorMeta,
 )
 from repro.elf.executable import ResolvedCall, ResolvedTerminator
-from repro.elf.table import Strings, Table, layout_of, merged
+from repro.elf.table import NONE, Strings, Table, layout_of, merged
 from repro.isa import Opcode
 
 # ----------------------------------------------------------------------
@@ -139,8 +141,6 @@ def column_dicts(draw, record):
 
 # ----------------------------------------------------------------------
 # A table is a list of records.
-# ----------------------------------------------------------------------
-# A table is a list of records.
 
 
 @pytest.mark.parametrize("record", list(RECORDS), ids=lambda r: r.__name__)
@@ -162,10 +162,6 @@ def test_every_record_type_round_trips(record):
 def test_edits_and_slices_agree_with_a_list(drawn, data):
     record, records = drawn
     table, model = Table(record, records), list(records)
-    extra = data.draw(st.lists(RECORDS[record], max_size=3))
-    for item in extra:
-        table.append(item)
-        model.append(item)
     if model:
         at = data.draw(st.integers(-len(model), len(model) - 1))
         assert table[at] == model[at]
@@ -180,27 +176,47 @@ def test_edits_and_slices_agree_with_a_list(drawn, data):
         table[0] = model[0] if model else None
 
 
-@settings(max_examples=40, deadline=None)
-@given(tables())
-def test_rows_and_records_store_the_same_columns(drawn):
-    record, records = drawn
-    by_row, by_record = Table(record), Table(record)
-    layout = layout_of(record)
-    for item in records:
-        by_record.append(item)
-        by_row.append_row(_row_of(item))
-    assert by_row == by_record == records
-    for path in layout.index:
-        if by_row.strings.names == by_record.strings.names:
-            assert by_row.col(path) == by_record.col(path)
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda r: r.__name__)
+def test_records_and_from_columns_store_the_same_columns(record):
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(RECORDS[record], max_size=6))
+    def check(records):
+        by_records = Table(record, records)
+        strings = by_records.strings
+        by_columns = Table.from_columns(record, strings, _columns_of(record, records, strings))
+        assert by_columns == by_records == records
+        for path in layout_of(record).index:
+            assert by_columns.col(path) == by_records.col(path)
+
+    check()
 
 
-def _row_of(item):
-    """A record as the nested tuple ``append_row`` takes."""
-    if dataclasses.is_dataclass(item):
-        return tuple(_row_of(getattr(item, f.name)) for f in dataclasses.fields(item))
-    if isinstance(item, (list, tuple)):
-        return [_row_of(x) if dataclasses.is_dataclass(x) else x for x in item]
+def _columns_of(record, records, strings):
+    """The ``{path: column}`` of ``records``, a column at a time, by each
+    column's dotted path (names as their ids in ``strings``): the oracle
+    for the one walk a table makes over its records."""
+    ids, levels, columns = strings.ids(), {0: (list(records), "")}, {}
+    for leaf in layout_of(record).leaves:
+        items, prefix = levels[leaf.level]
+        values = [_field(item, leaf.path[len(prefix):]) for item in items]
+        if leaf.delimits:
+            columns[leaf.path] = [0, *itertools.accumulate(map(len, values))]
+            levels[leaf.delimits] = ([x for value in values for x in value], leaf.path)
+        else:
+            columns[leaf.path] = [
+                NONE[leaf.code] if value is None else leaf.members.index(value)
+                if leaf.members else ids[value] if leaf.kind == "str" else value
+                for value in values]
+    return columns
+
+
+def _field(item, path):
+    """The field of ``item`` at dotted ``path`` (a scalar is its own ``.0``)."""
+    for part in filter(None, path.split(".")):
+        if part.isdigit():
+            item = item[int(part)] if isinstance(item, tuple) else item
+        else:
+            item = getattr(item, part)
     return item
 
 
@@ -260,16 +276,13 @@ class TestColumns:
         (BranchFixup(0, Opcode.JMP_LONG, "f"), {"opcode": "jmp"}, "BranchFixup.opcode"),
         (BranchFixup(0, Opcode.JMP_LONG, "f"), {"offset": None}, "BranchFixup.offset"),
     ])
-    def test_a_value_that_does_not_fit_names_its_field_and_stores_nothing(
-            self, good, change, field):
-        table = Table(type(good), [good])
-        before = [column.tobytes() for column in table.data]
-        with pytest.raises(ValueError, match=field.replace(".", r"\.")):
-            table.append(dataclasses.replace(good, **change))
-        # No column kept a part of the row.
-        assert [column.tobytes() for column in table.data] == before
-        table.append(good)
-        assert list(table) == [good, good]
+    def test_a_value_that_does_not_fit_names_its_field(self, good, change, field):
+        """Building a table from records checks each value: one ``ValueError``
+        that names the field, whether the walk over the record or the
+        column's range check finds it."""
+        with pytest.raises(ValueError, match=field.replace(".", r"\.") + ":"):
+            Table(type(good), [good, dataclasses.replace(good, **change)])
+        assert list(Table(type(good), [good, good])) == [good, good]
 
     def test_from_columns_checks_ranges_and_lengths(self):
         np = pytest.importorskip("numpy")
@@ -376,7 +389,7 @@ class TestContainers:
             assert all(type(field) is Table for field in self._fields(container))
         assert [b.addr for b in exe.exec_blocks] == [0, 16]  # kept in address order
         copy = pickle.loads(pickle.dumps(obj))
-        assert copy.section(".text.f") == section
+        assert copy.sections == [section]
         assert copy.relocations.strings is copy.symbols.strings  # one pool, pickled once
 
     def test_a_table_is_kept_not_copied(self):
@@ -390,6 +403,7 @@ class TestContainers:
             ObjectFile("a.o", [section], relocations=table)
 
     def test_derived_indexes_are_not_pickled(self):
-        obj = ObjectFile("a.o", [Section(".text.f", SectionKind.TEXT)])
-        assert b"_by_name" not in pickle.dumps(obj)
-        assert pickle.loads(pickle.dumps(obj)).find_section(".text.f") is not None
+        exe = Executable("a.out", 0, symbols=[SymbolInfo("f", 16, 1)])
+        assert exe.symbol("f").addr == 16  # builds the name index
+        assert b"_symbol_rows" not in pickle.dumps(exe)
+        assert pickle.loads(pickle.dumps(exe)).symbol("f") == exe.symbol("f")
