@@ -69,7 +69,7 @@ class Strings:
         return self._ids
 
     def intern(self, name: str) -> int:
-        ids = self.ids()
+        ids = self._ids if self._ids is not None else self.ids()
         i = ids.get(name)
         if i is None:
             i = ids[name] = len(self.names)
@@ -120,7 +120,7 @@ class _Layout:
         #: An enum column's positions, keyed by value: hashing a member runs Python code.
         self.positions = [{m._value_: i for i, m in enumerate(leaf.members)}
                           for leaf in self.leaves]
-        #: What :meth:`Table.col` reads of an empty table: shared, never written.
+        #: The columns of every table with no rows: shared, never written.
         self.empties = [array(leaf.code, [0] if leaf.delimits else []) for leaf in self.leaves]
 
     # -- the walk over the record's type hints --------------------------
@@ -265,6 +265,11 @@ class _Layout:
         a list) as ``leaf``'s column, range-checked."""
         if isinstance(values, array) and values.typecode == leaf.code:
             return values
+        if isinstance(values, (list, tuple)):  # Python numbers: ``array`` checks their range
+            try:
+                return array(leaf.code, values)
+            except (OverflowError, TypeError):
+                pass  # to the checks below, which name the field
         import numpy as np
 
         name = f"{self.record.__name__}.{leaf.path}"
@@ -377,8 +382,9 @@ class Table(collections.abc.Sequence):
 
     ``strings`` is the pool its ``str`` fields are interned in; tables
     given the same pool (all of one object file's) share ids.  ``data``
-    is ``None`` for a table built empty, else one ``array`` per column.
-    ``records`` are walked into columns that :meth:`from_columns` stores.
+    is one ``array`` per column (a table with no rows shares its
+    layout's, never written).  ``records`` are walked into columns that
+    :meth:`from_columns` stores.
     """
 
     __slots__ = ("record", "strings", "data", "_get")
@@ -387,7 +393,7 @@ class Table(collections.abc.Sequence):
                  strings: Optional[Strings] = None, data: Optional[list] = None):
         self.record = record
         self.strings = strings if strings is not None else Strings()
-        self.data = data
+        self.data = data if data is not None else layout_of(record).empties
         self._get = None
         columns = None if data is not None else layout_of(record).gather(records, self.strings)
         if columns is not None:
@@ -427,9 +433,8 @@ class Table(collections.abc.Sequence):
         """The rows of ``tables``, in order, in one table over ``strings``,
         where ``remaps[i]`` holds the ids of ``tables[i]``'s pool there
         (see :func:`merged`)."""
-        layout = layout_of(record)
-        return cls(record, strings=strings, data=layout.concat(
-            [layout.empties if t.data is None else t.data for t in tables], remaps))
+        return cls(record, strings=strings,
+                   data=layout_of(record).concat([t.data for t in tables], remaps))
 
     # -- columns and rows ----------------------------------------------
 
@@ -437,8 +442,7 @@ class Table(collections.abc.Sequence):
         """The column stored for ``path`` (``"offset"``, ``"term.kind"``,
         ``"calls"`` for that field's offsets, ``"calls.size"`` ...): enums
         as their position in definition order, strings as pool ids."""
-        layout = layout_of(self.record)
-        return (layout.empties if self.data is None else self.data)[layout.index[path]]
+        return self.data[layout_of(self.record).index[path]]
 
     def ints(self, path: str):
         """Column ``path`` as an int64 ndarray (a copy)."""
@@ -461,9 +465,8 @@ class Table(collections.abc.Sequence):
     def take(self, rows) -> "Table":
         """Rows ``rows`` (an index array) of this table, in that order, over
         the same pool."""
-        layout = layout_of(self.record)
-        return Table(self.record, strings=self.strings, data=layout.take(
-            layout.empties if self.data is None else self.data, rows))
+        return Table(self.record, strings=self.strings,
+                     data=layout_of(self.record).take(self.data, rows))
 
     def _reader(self):
         """``get(i)``: row ``i`` as a record, bound to this table's columns."""
@@ -473,13 +476,11 @@ class Table(collections.abc.Sequence):
     # -- the sequence protocol -----------------------------------------
 
     def __len__(self) -> int:
-        if self.data is None:
-            return 0
         layout = layout_of(self.record)
         return len(self.data[layout.tail]) - layout.tail_extra
 
     def __iter__(self):
-        return map(self._get or self._reader(), range(len(self))) if self.data else iter(())
+        return map(self._get or self._reader(), range(len(self)))
 
     def __getitem__(self, index):
         if isinstance(index, range):  # a section's rows
@@ -515,7 +516,7 @@ def _restore(record: type, strings: Strings, stamp: int, packed) -> Table:
     layout = layout_of(record)
     if stamp != layout.stamp:
         raise ValueError(f"{record.__name__} table written under another column layout")
-    data = None
+    data = None  # no rows
     if packed:
         if len(packed) != len(layout.leaves):
             raise ValueError(f"{record.__name__}: {len(packed)} columns, "

@@ -354,7 +354,9 @@ class TestColumns:
     def test_reading_does_not_touch_an_empty_table(self):
         table = Table(BlockMeta)
         assert table.col("term.kind") == array("b") and table.values("func") == []
-        assert list(table) == [] and table.data is None
+        # No table with no rows owns a column: each shares its layout's.
+        assert list(table) == [] and table.data is layout_of(BlockMeta).empties
+        assert pickle.loads(pickle.dumps(table)).data is table.data
 
     def test_tables_of_one_object_share_their_strings(self):
         from repro import ir
