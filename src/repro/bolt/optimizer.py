@@ -244,10 +244,10 @@ def _rewrite(
     eh_bytes = sum(
         32 + (56 if cold_layouts.get(name) else 0) for name in hot_layouts
     )
-    added = [section for section in (
+    added = [(name, kind, vaddr, size, fill) for name, kind, vaddr, size, fill in (
         (".text.bolt", SectionKind.TEXT, new_base, hot_end - new_base, b"\x90"),
         (".text.bolt.cold", SectionKind.TEXT, cold_base, cold_end - cold_base, b"\x90"),
-        (".eh_frame.bolt", SectionKind.EH_FRAME, cold_end + 4096, eh_bytes, b"\x00")) if section[3]]
+        (".eh_frame.bolt", SectionKind.EH_FRAME, cold_end + 4096, eh_bytes, b"\x00")) if size]
     # The new sections' rows over a pool of their own, stacked after the
     # input's in one new pool (the input's ids first, so the input's
     # tables keep theirs).

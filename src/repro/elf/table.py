@@ -179,6 +179,7 @@ class _Layout:
         return dict(zip(self.index, columns)) if n else None
 
     def _put(self, node, value, columns: list, intern) -> None:
+        """Append ``value``, the part of a record at ``node``, to its columns."""
         try:
             if node[0] == "leaf":
                 k = node[1]
