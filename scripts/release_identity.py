@@ -7,7 +7,12 @@ clock keeps every line.  Per case it records each executable's
 ``content_digest()``, every object's ``content_digest()`` per codegen
 batch (the metadata build's and Phase 4's), ``PipelineResult.digest()``,
 ``phase_seconds`` (keys, values and order) and the report's ``builds``
-and ``phases``.
+and ``phases``.  Per preset, one more case records the BOLT baseline
+built from that release (``build_bolt_input`` -> ``run_bolt``): the
+rewritten binary's ``content_digest()``, its ``BoltStats``, perf2bolt's
+profile (each function's block counts and edges and the call edges,
+as items in dict order) and the digest of the AutoFDO profile
+converted from the metadata binary.
 
     PYTHONPATH=src python scripts/release_identity.py > before.json
     (switch checkouts)
@@ -16,14 +21,16 @@ and ``phases``.
 
 The cases are the benchmark's programs at its sizes (shape seed 1),
 each at profile seeds 1 and 7; ``mysql`` also runs with profile-guided
-inlining and loose stale matching.  About a minute on one core.
+inlining and loose stale matching.  About two minutes on one core.
 """
 
 import json
 import sys
 
+from repro.bolt import run_bolt
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.obs.report import plain
+from repro.profiles.autofdo import convert_to_ir_profile
 from repro.synth import PRESETS, generate_workload
 
 #: (preset, scale, lbr_branches, pgo_steps, extra config fields)
@@ -56,10 +63,35 @@ def release(preset, scale, lbr_branches, pgo_steps, extra, seed):
     }
 
 
+def bolt(preset, scale, lbr_branches, pgo_steps, seed=1):
+    program = generate_workload(PRESETS[preset], scale=scale, seed=1)
+    config = PipelineConfig(seed=seed, lbr_branches=lbr_branches, pgo_steps=pgo_steps)
+    pipe = PropellerPipeline(program, config)
+    result = pipe.run()
+    out = run_bolt(pipe.build_bolt_input(result.ir_profile).executable, result.perf)
+    profile = out.profile
+    return {
+        "case": f"bolt {preset}@{scale} seed={seed}",
+        "executable": out.executable.content_digest(),
+        "stats": plain(out.stats),
+        "profile": {
+            "functions": {name: [list(fd.block_counts.items()), list(fd.edges.items())]
+                          for name, fd in profile.functions.items()},
+            "call_edges": list(profile.call_edges.items()),
+            "records_dropped": profile.records_dropped,
+        },
+        "autofdo": convert_to_ir_profile(result.metadata.executable, result.perf).digest(),
+    }
+
+
 def main() -> int:
     for case in CASES:
         for seed in SEEDS:
             print(json.dumps(release(*case, seed), sort_keys=True))
+            sys.stdout.flush()
+    for *case, extra in CASES:
+        if not extra:  # one case per preset
+            print(json.dumps(bolt(*case), sort_keys=True))
             sys.stdout.flush()
     return 0
 

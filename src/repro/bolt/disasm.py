@@ -18,20 +18,12 @@ size (Fig. 4/5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis import MemoryMeter
 from repro.elf import Executable, RelocType
-from repro.isa import (
-    DecodeError,
-    DecodedInstruction,
-    Opcode,
-    decode_instruction,
-    is_branch,
-    is_call,
-    is_conditional,
-    is_terminator,
-)
+from repro.isa import (DecodeError, DecodedInstruction, decode_instruction, is_branch, is_call,
+                       is_terminator)
 
 #: Modelled in-memory footprint of one lifted instruction (MCInst plus
 #: operands and annotations in real BOLT).
@@ -48,10 +40,6 @@ class BoltBlock:
     addr: int
     size: int
     num_instrs: int
-    #: Taken-branch successor address (direct branches only).
-    taken_target: Optional[int] = None
-    #: Whether execution can fall through past the end.
-    falls_through: bool = True
     is_entry: bool = False
 
     @property
@@ -82,9 +70,6 @@ class DisassemblyResult:
     total_instrs: int
     modelled_bytes: int
     num_simple: int
-
-    def by_name(self) -> Dict[str, BoltFunction]:
-        return {f.name: f for f in self.functions}
 
 
 def disassemble(
@@ -184,8 +169,8 @@ def _build_blocks(instrs: List[DecodedInstruction], base: int) -> List[BoltBlock
     only ever *entered* by fall-through merge with their predecessor,
     which is harmless for layout: they move as a unit.)
 
-    Instruction offsets are image offsets; emitted block addresses and
-    branch targets are absolute (``base`` added).
+    Instruction offsets are image offsets; emitted block addresses are
+    absolute (``base`` added).
     """
     leaders: Set[int] = set()
     if instrs:
@@ -208,25 +193,8 @@ def _build_blocks(instrs: List[DecodedInstruction], base: int) -> List[BoltBlock
         nonlocal current_start, current_count, last_instr
         if current_start is None:
             return
-        taken = None
-        falls = True
-        if last_instr is not None:
-            op = last_instr.opcode
-            if is_branch(op) and not is_call(op):
-                taken = last_instr.target(base)
-                falls = is_conditional(op)
-            elif is_terminator(op):
-                falls = False
-        blocks.append(
-            BoltBlock(
-                addr=current_start + base,
-                size=next_offset - current_start,
-                num_instrs=current_count,
-                taken_target=taken,
-                falls_through=falls,
-                is_entry=not blocks,
-            )
-        )
+        blocks.append(BoltBlock(addr=current_start + base, size=next_offset - current_start,
+                                num_instrs=current_count, is_entry=not blocks))
         current_start = None
         current_count = 0
         last_instr = None

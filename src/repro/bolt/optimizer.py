@@ -133,10 +133,11 @@ def _plan_layout(
     hot_layouts: Dict[str, List[BoltBlock]] = {}
     cold_layouts: Dict[str, List[BoltBlock]] = {}
     func_weights: Dict[str, Tuple[int, float]] = {}
-    counts = profile.block_counts
     for func in disassembly.functions:
         if not func.simple or not func.blocks:
             continue
+        fd = profile.functions.get(func.name)
+        counts = fd.block_counts if fd is not None else {}
         weight = sum(counts.get(b.addr, 0.0) for b in func.blocks)
         if options.lite and weight <= 0:
             continue
@@ -147,11 +148,7 @@ def _plan_layout(
             hot_ids.insert(0, entry)
         if weight > 0:
             nodes = {a: (by_addr[a].size, counts.get(a, 0.0)) for a in hot_ids}
-            edges = [
-                (s, d, w)
-                for (s, d), w in profile.edges.items()
-                if s in nodes and d in nodes
-            ]
+            edges = [(s, d, w) for (s, d), w in fd.edges.items() if s in nodes and d in nodes]
             order = ext_tsp_order(nodes, edges, entry=entry)
         else:
             order = [entry]

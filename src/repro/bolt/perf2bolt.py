@@ -1,38 +1,42 @@
 """perf2bolt: profile conversion through disassembly (§5.1's comparison).
 
-Where Propeller's Phase 3 maps samples through the 16-bytes-per-block
+Where Propeller's Phase 3 finds basic blocks in the 16-bytes-per-block
 BB address map, perf2bolt must *disassemble the binary* to know where
-basic blocks are, then aggregate LBR records against the reconstructed
-CFGs.  Its peak memory therefore scales with total text size -- the
-contrast Figure 4 draws.
+they are.  The LBR records are then aggregated onto those blocks
+exactly as Phase 3 aggregates them: the disassembly becomes a
+:class:`~repro.core.wpa.BlockIndex` keyed by block address, and
+:func:`~repro.core.wpa.build_dcfg` counts the records.  Only how the
+blocks are found differs, so peak memory scales with total text size
+-- the contrast Figure 4 draws.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis import MemoryMeter
 from repro.bolt.disasm import DisassemblyResult, disassemble
+from repro.core.wpa import BlockIndex, FunctionDCFG, WPAStats, build_dcfg
 from repro.elf import Executable
 from repro.profiles import PerfData
 
 
 @dataclass
 class BoltProfile:
-    """Aggregated profile keyed by block start address."""
+    """Aggregated profile: per function, block counts and same-function
+    edges keyed by block start address, plus call edges by name."""
 
-    block_counts: Dict[int, float] = field(default_factory=dict)
-    #: (src block addr, dst block addr) -> weight, same-function only.
-    edges: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    functions: Dict[str, FunctionDCFG] = field(default_factory=dict)
     #: (caller, callee) function names -> weight.
     call_edges: Dict[Tuple[str, str], float] = field(default_factory=dict)
     records_dropped: int = 0
 
     @property
     def modelled_bytes(self) -> int:
-        return len(self.block_counts) * 24 + len(self.edges) * 40 + len(self.call_edges) * 48
+        blocks = sum(len(fd.block_counts) for fd in self.functions.values())
+        edges = sum(len(fd.edges) for fd in self.functions.values())
+        return blocks * 24 + edges * 40 + len(self.call_edges) * 48
 
 
 @dataclass
@@ -43,31 +47,6 @@ class Perf2BoltResult:
     cost_units: int
 
 
-class _BlockIndex:
-    """Address -> (function, block) over disassembled functions."""
-
-    def __init__(self, disassembly: DisassemblyResult):
-        self.func_starts: List[int] = []
-        self.funcs = []
-        for func in sorted(disassembly.functions, key=lambda f: f.addr):
-            if not func.blocks:
-                continue
-            self.func_starts.append(func.addr)
-            self.funcs.append((func, [b.addr for b in func.blocks]))
-
-    def lookup(self, addr: int):
-        i = bisect.bisect_right(self.func_starts, addr) - 1
-        if i < 0:
-            return None
-        func, starts = self.funcs[i]
-        if addr >= func.end:
-            return None
-        j = bisect.bisect_right(starts, addr) - 1
-        if j < 0:
-            return None
-        return func, j
-
-
 def perf2bolt(
     exe: Executable, perf: PerfData, meter: Optional[MemoryMeter] = None
 ) -> Perf2BoltResult:
@@ -75,38 +54,15 @@ def perf2bolt(
     own = meter if meter is not None else MemoryMeter()
     own.allocate(perf.size_bytes, "bolt-profile-raw")
     disassembly = disassemble(exe, meter=own)
-    index = _BlockIndex(disassembly)
-
-    profile = BoltProfile()
-    counts = profile.block_counts
-    edges = profile.edges
-    for srcs, dsts in perf.windows():
-        prev_dst: Optional[int] = None
-        for src, dst in zip(srcs.tolist(), dsts.tolist()):
-            s = index.lookup(src)
-            d = index.lookup(dst)
-            if s is None or d is None:
-                profile.records_dropped += 1
-                prev_dst = None
-                continue
-            s_func, s_idx = s
-            d_func, d_idx = d
-            if prev_dst is not None:
-                p = index.lookup(prev_dst)
-                if p is not None and p[0] is s_func and p[1] <= s_idx:
-                    for block in s_func.blocks[p[1] : s_idx + 1]:
-                        counts[block.addr] = counts.get(block.addr, 0.0) + 1.0
-                    run = s_func.blocks[p[1] : s_idx + 1]
-                    for a, b in zip(run, run[1:]):
-                        key = (a.addr, b.addr)
-                        edges[key] = edges.get(key, 0.0) + 1.0
-            if s_func is d_func:
-                key = (s_func.blocks[s_idx].addr, d_func.blocks[d_idx].addr)
-                edges[key] = edges.get(key, 0.0) + 1.0
-            elif d_idx == 0 and dst == d_func.addr:
-                ckey = (s_func.name, d_func.name)
-                profile.call_edges[ckey] = profile.call_edges.get(ckey, 0.0) + 1.0
-            prev_dst = dst
+    funcs, addrs, rows = disassembly.functions, [], []
+    for func in funcs:
+        rows.append(range(len(addrs), len(addrs) + len(func.blocks)))
+        addrs += [block.addr for block in func.blocks]
+    index = BlockIndex([func.name for func in funcs], [func.addr for func in funcs],
+                       [func.end for func in funcs], rows, addrs, addrs)
+    stats = WPAStats()
+    dcfg, call_edges, _block_calls, _distinct = build_dcfg(index, perf, stats)
+    profile = BoltProfile(dcfg, call_edges, stats.records_dropped)
     own.allocate(profile.modelled_bytes, "bolt-profile-agg")
     peak = own.peak_bytes
     own.free_category("bolt-profile-raw")

@@ -423,10 +423,7 @@ class CompiledObject:
 
     obj: ObjectFile
     module_name: str
-    num_functions: int = 0
-    num_blocks: int = 0
     num_instrs: int = 0
-    text_bytes: int = 0
 
 
 def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject:
@@ -503,8 +500,7 @@ def compile_module(module: ir.Module, options: CodeGenOptions) -> CompiledObject
     if eh_frame_bytes > _CIE_BYTES:
         plan.section(".eh_frame", SectionKind.EH_FRAME, _filler(module.name, -3, eh_frame_bytes))
     return CompiledObject(ObjectFile(f"{module.name}.o", plan.sections, **tables), module.name,
-                          len(module.functions), sum(f.num_blocks for f in module.functions),
-                          plan.instrs, plan.base)
+                          plan.instrs)
 
 
 def compile_action(

@@ -4,12 +4,15 @@ Consumes the metadata binary (built with BB address maps) and the
 sampled LBR profile, and produces the layout directives for Phase 4 --
 **without disassembling anything**:
 
-1. The BB address map joined with the symbol table maps every sampled
-   virtual address to a (function, basic block) pair.
+1. The BB address map, decoded into columns and joined with the symbol
+   table, becomes a :class:`BlockIndex`: every sampled virtual address
+   resolves to a (function, basic block) pair.
 2. Branch records become dynamic CFG edges; the address gap between one
    record's destination and the next record's source is walked through
-   the address map to recover fall-through execution counts (the
-   standard LBR inference, as in AutoFDO/BOLT).
+   the index to recover fall-through execution counts (the standard LBR
+   inference, as in AutoFDO/BOLT).  :func:`build_dcfg` is the one
+   aggregation: AutoFDO's conversion calls it on the same index, and
+   perf2bolt on an index built from its disassembly.
 3. Each profiled function's hot blocks are reordered with Ext-TSP and
    become the primary cluster; unprofiled blocks are left unlisted so
    the backend splits them into the ``.cold`` section (§4.6).
@@ -23,10 +26,9 @@ the profile buffer plus the in-memory DCFG, plus a cheap
 
 from __future__ import annotations
 
-import bisect
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from repro.core import bbsections
 from repro.core.exttsp import ext_tsp_order, ext_tsp_order_many
 from repro.core.funcorder import hfsort_order
 from repro.elf import Executable, SectionKind, bbaddrmap
+from repro.elf.table import rows_of
 from repro.obs import NULL_TRACER
 from repro.profiles import PerfData
 from repro.profiles.trace import CHUNK
@@ -79,10 +82,6 @@ class FunctionDCFG:
     def total_count(self) -> float:
         return sum(self.block_counts.values())
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
 
 @dataclass
 class WPAStats:
@@ -120,72 +119,91 @@ class WPAResult:
         return bbsections.format_ld_prof(self.symbol_order)
 
 
-class _BlockRef:
-    """A resolved (function, block) sample address."""
+class BlockIndex:
+    """Sampled address -> basic block, over columns.
 
-    __slots__ = ("func", "pos", "bb_id", "is_entry")
-
-    def __init__(self, func: str, pos: int, bb_id: int, is_entry: bool):
-        self.func = func
-        self.pos = pos  # position within the function's layout
-        self.bb_id = bb_id
-        self.is_entry = is_entry
-
-
-class _AddressMapIndex:
-    """(virtual address -> basic block) index.
-
-    Built from the executable's BB address map sections and symbol
-    table -- the only binary inputs the real tool reads.
+    Function ``i`` is ``names[i]``: it spans ``[starts[i], ends[i])``
+    and owns block rows ``bounds[i]:bounds[i + 1]``.  Block ``j`` starts
+    at ``block_starts[j]``, belongs to function ``owner[j]`` and is known
+    by ``keys[j]``: its ``bb_id`` when WPA builds the index from the BB
+    address map (:meth:`from_bb_addr_map`), its address when perf2bolt
+    builds it from a disassembly.  Functions are in start order, each
+    one's blocks in address order; one with no blocks is not indexed.
+    Function ``i`` of the arguments owns rows ``rows[i]`` of the block
+    columns given.
     """
 
-    def __init__(self, exe: Executable):
+    def __init__(self, names: Sequence[str], starts, ends, rows: Sequence[range],
+                 block_starts, keys):
+        starts = np.asarray(starts, dtype=np.uint64)
+        kept = np.flatnonzero([len(r) > 0 for r in rows])
+        order = kept[np.argsort(starts[kept], kind="stable")].tolist()
+        taken = rows_of([rows[i] for i in order])
+        counts = [len(rows[i]) for i in order]
+        self.names: List[str] = [names[i] for i in order]
+        self.starts = starts[order]
+        self.ends = np.asarray(ends, dtype=np.uint64)[order]
+        self.bounds = np.cumsum([0, *counts])
+        self.block_starts = np.asarray(block_starts, dtype=np.uint64)[taken]
+        self.keys = np.asarray(keys, dtype=np.int64)[taken]
+        self.owner = np.repeat(np.arange(len(counts)), counts)
+        # Blocks are searched by (function row, offset), one sorted int64
+        # per block, so functions' ranges may overlap.
+        offsets = (self.block_starts - self.starts[self.owner]).astype(np.int64)
+        self._span = int(max((self.ends - self.starts).max(initial=0), offsets.max(initial=0))) + 1
+        self._at = self.owner * self._span + offsets
+        self._rows = {name: i for i, name in enumerate(self.names)}
+
+    @classmethod
+    def from_bb_addr_map(cls, exe: Executable) -> "BlockIndex":
+        """WPA's index: the BB address map joined with the symbol table --
+        the only binary inputs the real tool reads."""
         raw = exe.section_bytes(SectionKind.BB_ADDR_MAP)
         if not raw:
             raise ValueError(
                 f"{exe.name}: no BB address map; build the metadata binary first (§3.2)"
             )
-        maps = bbaddrmap.decode_section(raw)
-        indexed: List[Tuple[int, int, bbaddrmap.FunctionMap]] = []
-        self.num_entries = 0
-        for fmap in maps:
-            sym = exe.symbol(fmap.func)
-            if sym is None or not fmap.entries:
-                continue
-            last = fmap.entries[-1]
-            indexed.append((sym.addr, sym.addr + last.offset + last.size, fmap))
-            self.num_entries += len(fmap.entries)
-        indexed.sort(key=lambda item: item[0])
-        self.func_starts = [item[0] for item in indexed]
-        self.func_ends = [item[1] for item in indexed]
-        self.func_maps = [item[2] for item in indexed]
-        self.entry_offsets = [[e.offset for e in fmap.entries] for _, _, fmap in indexed]
-        self._name_index = {fmap.func: i for i, fmap in enumerate(self.func_maps)}
+        amap = bbaddrmap.decode_section(raw)
+        syms = [exe.symbol(name) for name in amap.funcs]
+        bounds = amap.bounds.tolist()
+        base = np.array([0 if sym is None else sym.addr for sym in syms], dtype=np.uint64)
+        block_starts = np.repeat(base, np.diff(amap.bounds)) + amap.offset.astype(np.uint64)
+        ends = np.append(block_starts + amap.size.astype(np.uint64), 0)[amap.bounds[1:] - 1]
+        rows = [range(lo, hi) if sym else range(0)
+                for sym, lo, hi in zip(syms, bounds, bounds[1:])]
+        return cls(amap.funcs, base, ends, rows, block_starts, amap.bb_id)
 
-    def lookup(self, addr: int) -> Optional[_BlockRef]:
-        i = bisect.bisect_right(self.func_starts, addr) - 1
-        if i < 0 or addr >= self.func_ends[i]:
-            return None
-        offset = addr - self.func_starts[i]
-        j = bisect.bisect_right(self.entry_offsets[i], offset) - 1
-        if j < 0:
-            return None
-        fmap = self.func_maps[i]
-        return _BlockRef(fmap.func, j, fmap.entries[j].bb_id, j == 0 and offset == 0)
+    def blocks(self, name: str) -> Tuple[List[int], List[int]]:
+        """The keys and sizes of ``name``'s blocks, in address order: a
+        block runs to the next one's start, the last to the function's end."""
+        i = self._rows[name]
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        sizes = np.diff(self.block_starts[lo:hi], append=self.ends[i])
+        return self.keys[lo:hi].tolist(), sizes.tolist()
 
-    def blocks_between(self, func: str, lo_pos: int, hi_pos: int) -> List[int]:
-        """bb ids of layout positions [lo_pos, hi_pos] of ``func``."""
-        return [e.bb_id for e in self.function_map(func).entries[lo_pos : hi_pos + 1]]
-
-    def function_map(self, func: str) -> bbaddrmap.FunctionMap:
-        return self.func_maps[self._name_index[func]]
+    def resolve(self, addrs) -> np.ndarray:
+        """The block row of each of ``addrs``, or -1: the last block
+        starting at or before it in the last function starting at or
+        before it, if that function's range holds it."""
+        addrs = np.asarray(addrs, dtype=np.uint64)
+        out = np.full(len(addrs), -1, dtype=np.int64)
+        func = np.searchsorted(self.starts, addrs, "right") - 1
+        inside = np.flatnonzero(func >= 0)
+        inside = inside[addrs[inside] < self.ends[func[inside]]]
+        func = func[inside]
+        at = func * self._span + (addrs[inside] - self.starts[func]).astype(np.int64)
+        block = np.searchsorted(self._at, at, "right") - 1
+        ok = block >= self.bounds[func]
+        out[inside[ok]] = block[ok]
+        return out
 
 
 def _count_events(
-    index: _AddressMapIndex, perf: PerfData, stats: WPAStats
-) -> Tuple[Dict[int, Optional[_BlockRef]], Dict[Tuple[int, int, bool], int]]:
-    """Pass 1 of :func:`_build_dcfg`: each distinct address resolved once,
-    each distinct event counted in order of first appearance.
+    index: BlockIndex, perf: PerfData, stats: WPAStats
+) -> Tuple[Dict[int, int], Dict[Tuple[int, int, bool], int]]:
+    """Pass 1 of :func:`build_dcfg`: each distinct address resolved once
+    (to its block row, -1 if unmapped), each distinct event counted in
+    order of first appearance.
 
     Events are keyed (from address, to address, is fall-through).  A
     record whose ends both resolve is a taken branch, preceded by the
@@ -193,7 +211,7 @@ def _count_events(
     is in the same sample and resolved too.  Per ``CHUNK`` of records
     (plus the one before), addresses become small ids, an event one
     int64, and ``np.unique`` counts them and finds each first use."""
-    refs: Dict[int, Optional[_BlockRef]] = {}
+    refs: Dict[int, int] = {}
     events: Dict[Tuple[int, int, bool], int] = {}
     offsets = perf.offsets
     for lo in range(0, perf.num_records, CHUNK):
@@ -202,10 +220,9 @@ def _count_events(
         addrs, ids = np.unique(np.concatenate((perf.src[at:hi], perf.dst[at:hi])),
                                return_inverse=True)
         addrs = addrs.tolist()
-        for addr in addrs:
-            if addr not in refs:
-                refs[addr] = index.lookup(addr)
-        resolved = np.array([refs[addr] is not None for addr in addrs], dtype=bool)[ids]
+        new = [addr for addr in addrs if addr not in refs]
+        refs.update(zip(new, index.resolve(new).tolist()))
+        resolved = np.array([refs[addr] >= 0 for addr in addrs], dtype=bool)[ids]
         src_ids, dst_ids = ids[:n], ids[n:]
         ok = resolved[:n] & resolved[n:]
         follows = ok & np.roll(ok, 1)  # a resolved record, in the same sample:
@@ -228,15 +245,16 @@ def _count_events(
     return refs, events
 
 
-def _build_dcfg(
-    index: _AddressMapIndex, perf: PerfData, stats: WPAStats
+def build_dcfg(
+    index: BlockIndex, perf: PerfData, stats: WPAStats
 ) -> Tuple[
     Dict[str, FunctionDCFG],
     Dict[Tuple[str, str], float],
     Dict[Tuple[str, int, str, int], float],
     Dict[str, int],
 ]:
-    """Turn the LBR records into block counts, CFG edges and call edges.
+    """Turn the LBR records into block counts, CFG edges and call edges,
+    every block named by its key in ``index``.
 
     Aggregate, then resolve: a profile of hundreds of thousands of
     records holds a few thousand distinct addresses and transfers, so
@@ -261,29 +279,31 @@ def _build_dcfg(
             dcfg[name] = out
         return out
 
+    names, owner, keys = index.names, index.owner, index.keys
     fallthroughs = 0
     for (from_addr, to_addr, is_fallthrough), count in events.items():
         weight = float(count)
         a, b = refs[from_addr], refs[to_addr]
+        func_a, func_b = int(owner[a]), int(owner[b])
         if is_fallthrough:
             fallthroughs += 1
-            if a.func == b.func and a.pos <= b.pos:
-                func_d = fd(a.func)
-                ids = index.blocks_between(a.func, a.pos, b.pos)
+            if func_a == func_b and a <= b:
+                func_d = fd(names[func_a])
+                ids = keys[a : b + 1].tolist()
                 counts = func_d.block_counts
-                for bb_id in ids:
-                    counts[bb_id] = counts.get(bb_id, 0.0) + weight
+                for key in ids:
+                    counts[key] = counts.get(key, 0.0) + weight
                 edges = func_d.edges
                 for edge in zip(ids, ids[1:]):
                     edges[edge] = edges.get(edge, 0.0) + weight
-        elif a.func == b.func:
-            func_d = fd(a.func)
-            key = (a.bb_id, b.bb_id)
+        elif func_a == func_b:
+            func_d = fd(names[func_a])
+            key = (int(keys[a]), int(keys[b]))
             func_d.edges[key] = func_d.edges.get(key, 0.0) + weight
-        elif b.is_entry:
-            call_key = (a.func, b.func)
+        elif to_addr == int(index.starts[func_b]):  # a call: it lands on the callee's entry
+            call_key = (names[func_a], names[func_b])
             call_edges[call_key] = call_edges.get(call_key, 0.0) + weight
-            bkey = (a.func, a.bb_id, b.func, b.bb_id)
+            bkey = (names[func_a], int(keys[a]), names[func_b], int(keys[b]))
             block_call_edges[bkey] = block_call_edges.get(bkey, 0.0) + weight
         # Returns / other cross-function transfers: no layout edge.
     distinct = {
@@ -376,8 +396,20 @@ def _layout_prior_edges(hot_ids, sampled_edges):
     return [(a, b, eps) for a, b in zip(hot_ids, hot_ids[1:])]
 
 
+def _hot_blocks(
+    index: BlockIndex, name: str, counts: Dict[int, float]
+) -> Tuple[List[int], Dict[int, int], List[int]]:
+    """``name``'s block ids in address order, their sizes, and its hot
+    blocks: the sampled ones, the entry block always among them."""
+    ids, sizes = index.blocks(name)
+    hot_ids = [bb for bb in ids if counts.get(bb, 0.0) > 0]
+    if ids[0] not in hot_ids:
+        hot_ids.insert(0, ids[0])
+    return ids, dict(zip(ids, sizes)), hot_ids
+
+
 def _intra_layout(
-    index: _AddressMapIndex,
+    index: BlockIndex,
     dcfg: Dict[str, FunctionDCFG],
     call_edges: Dict[Tuple[str, str], float],
     options: WPAOptions,
@@ -393,18 +425,13 @@ def _intra_layout(
 
     # Pass 1 (cheap): project every hot function's DCFG onto a
     # superblock layout problem, in deterministic dcfg order.
-    pending: List[Tuple[str, List[int], Dict[int, int], Dict[int, List[int]]]] = []
+    pending: List[Tuple[str, List[int], List[int], Dict[int, int], Dict[int, List[int]]]] = []
     problems = []
     for name, fd in dcfg.items():
         if fd.total_count <= min_count:
             continue
-        fmap = index.function_map(name)
-        entry_id = fmap.entries[0].bb_id
-        sizes = {e.bb_id: e.size for e in fmap.entries}
-        counts = fd.block_counts
-        hot_ids = [e.bb_id for e in fmap.entries if counts.get(e.bb_id, 0.0) > 0]
-        if entry_id not in hot_ids:
-            hot_ids.insert(0, entry_id)
+        ids, sizes, hot_ids = _hot_blocks(index, name, fd.block_counts)
+        entry_id, counts = ids[0], fd.block_counts
         hot_set = set(hot_ids)
         edges = {
             (s, d): w for (s, d), w in fd.edges.items() if s in hot_set and d in hot_set
@@ -412,7 +439,7 @@ def _intra_layout(
         nodes, projected, entry_leader, by_leader = _superblock_problem(
             hot_ids, sizes, counts, edges, entry_id
         )
-        pending.append((name, hot_ids, sizes, by_leader))
+        pending.append((name, ids, hot_ids, sizes, by_leader))
         problems.append((nodes, projected, entry_leader))
 
     # Pass 2 (the Ext-TSP solves): one problem per hot function,
@@ -423,21 +450,20 @@ def _intra_layout(
 
     # Pass 3: flatten and account, in the same order: the modelled
     # memory sequence is allocate/solve/free per function.
-    for (name, hot_ids, sizes, by_leader), leader_order in zip(pending, orders):
+    for (name, ids, hot_ids, sizes, by_leader), leader_order in zip(pending, orders):
         fd = dcfg[name]
-        fmap = index.function_map(name)
         meter.allocate(len(hot_ids) * _LAYOUT_NODE_BYTES, "wpa-layout")
         order = [bb for leader in leader_order for bb in by_leader[leader]]
         meter.free_category("wpa-layout")
         if not options.split_cold:
             # Keep the whole function in one section: append cold blocks.
             placed = set(order)
-            order = order + [e.bb_id for e in fmap.entries if e.bb_id not in placed]
+            order = order + [bb for bb in ids if bb not in placed]
         clusters[name] = [order]
         hot_funcs.append(name)
         hot_size = sum(sizes[bb] for bb in order)
         func_heat[name] = (hot_size, fd.total_count)
-        has_cold[name] = options.split_cold and len(order) < len(fmap.entries)
+        has_cold[name] = options.split_cold and len(order) < len(ids)
 
     flat_calls = [(a, b, w) for (a, b), w in call_edges.items()]
     global_order = hfsort_order(func_heat, flat_calls)
@@ -447,7 +473,7 @@ def _intra_layout(
 
 
 def _interproc_layout(
-    index: _AddressMapIndex,
+    index: BlockIndex,
     dcfg: Dict[str, FunctionDCFG],
     block_call_edges: Dict[Tuple[str, int, str, int], float],
     options: WPAOptions,
@@ -463,14 +489,8 @@ def _interproc_layout(
     for name, fd in dcfg.items():
         if fd.total_count <= min_count:
             continue
-        fmap = index.function_map(name)
-        entry_id = fmap.entries[0].bb_id
-        entry_ids[name] = entry_id
-        counts = fd.block_counts
-        hot_ids = [e.bb_id for e in fmap.entries if counts.get(e.bb_id, 0.0) > 0]
-        if entry_id not in hot_ids:
-            hot_ids.insert(0, entry_id)
-        sizes = {e.bb_id: e.size for e in fmap.entries}
+        ids, sizes, hot_ids = _hot_blocks(index, name, fd.block_counts)
+        entry_ids[name], counts = ids[0], fd.block_counts
         for bb in hot_ids:
             nodes[(name, bb)] = (sizes[bb], counts.get(bb, 0.0))
         edges.extend(
@@ -534,7 +554,7 @@ def _interproc_layout(
         else:
             final_symbols.append(symbol)
     has_cold = {
-        func: len([bb for c in fclusters for bb in c]) < len(index.function_map(func).entries)
+        func: len([bb for c in fclusters for bb in c]) < len(index.blocks(func)[0])
         for func, fclusters in clusters.items()
     }
     final_symbols.extend(f"{fn}.cold" for fn in clusters if has_cold.get(fn))
@@ -568,17 +588,17 @@ def analyze(
     stats = WPAStats(num_samples=perf.num_samples, profile_bytes=perf.size_bytes)
 
     with trace.span("wpa:index", category="wpa") as sp:
-        index = _AddressMapIndex(exe)
-        sp.note(entries=index.num_entries)
-    stats.bbmap_entries = index.num_entries
-    own.allocate(index.num_entries * _BBMAP_INDEX_ENTRY_BYTES, "wpa-bbmap")
+        index = BlockIndex.from_bb_addr_map(exe)
+        stats.bbmap_entries = len(index.keys)
+        sp.note(entries=stats.bbmap_entries)
+    own.allocate(stats.bbmap_entries * _BBMAP_INDEX_ENTRY_BYTES, "wpa-bbmap")
     own.allocate(perf.size_bytes, "wpa-profile")
 
     with trace.span("wpa:dcfg", category="wpa") as sp:
-        dcfg, call_edges, block_call_edges, distinct = _build_dcfg(index, perf, stats)
+        dcfg, call_edges, block_call_edges, distinct = build_dcfg(index, perf, stats)
         sp.note(records=stats.num_records, dropped=stats.records_dropped, **distinct)
     stats.dcfg_nodes = sum(len(fd.block_counts) for fd in dcfg.values())
-    stats.dcfg_edges = sum(fd.num_edges for fd in dcfg.values())
+    stats.dcfg_edges = sum(len(fd.edges) for fd in dcfg.values())
     own.allocate(
         stats.dcfg_nodes * _DCFG_NODE_BYTES + stats.dcfg_edges * _DCFG_EDGE_BYTES, "wpa-dcfg"
     )

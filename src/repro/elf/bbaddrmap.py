@@ -11,8 +11,7 @@ disassembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +24,8 @@ FLAG_LANDING_PAD = 0x01
 FLAG_HAS_RETURN = 0x02
 #: Flag bit: the block ends in an indirect jump.
 FLAG_HAS_INDIRECT_JUMP = 0x04
+#: The longest ULEB128 a map holds: 63 bits, so every column is an int64.
+ULEB128_MAX_BYTES = 9
 
 
 #: The terminator's share of the flags byte, by ``TerminatorKind`` column code.
@@ -68,7 +69,10 @@ def encode_uleb128(value: int) -> bytes:
 
 
 def decode_uleb128(data: bytes, offset: int) -> Tuple[int, int]:
-    """Decode one ULEB128 value; returns (value, next_offset)."""
+    """Decode one ULEB128 value; returns (value, next_offset).
+
+    A value has at most :data:`ULEB128_MAX_BYTES` bytes, 63 bits: every
+    map column is an int64."""
     result = 0
     shift = 0
     while True:
@@ -80,34 +84,21 @@ def decode_uleb128(data: bytes, offset: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, offset
         shift += 7
-        if shift > 63:
+        if shift >= 7 * ULEB128_MAX_BYTES:
             raise ValueError("uleb128 too long")
 
 
-@dataclass(frozen=True)
-class BBEntry:
-    """One basic block entry in a function's address map."""
+class AddressMap(NamedTuple):
+    """A decoded section, as columns: function ``i`` is ``funcs[i]`` and
+    owns entries ``bounds[i]:bounds[i + 1]``, each an int64 ``bb_id``,
+    ``offset`` (from the function start), ``size`` and ``flags``."""
 
-    bb_id: int
-    offset: int
-    size: int
-    flags: int = 0
-
-    @property
-    def is_landing_pad(self) -> bool:
-        return bool(self.flags & FLAG_LANDING_PAD)
-
-
-@dataclass(frozen=True)
-class FunctionMap:
-    """The address map of one function."""
-
-    func: str
-    entries: Tuple[BBEntry, ...]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.entries)
+    funcs: List[str]
+    bounds: np.ndarray
+    bb_id: np.ndarray
+    offset: np.ndarray
+    size: np.ndarray
+    flags: np.ndarray
 
 
 def encode_maps(funcs: Sequence[str], counts: Sequence[int], bb_ids, offsets, sizes,
@@ -157,31 +148,55 @@ def _uleb128s(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         np.cumsum(nbytes)
 
 
-def decode_function_map(data: bytes, offset: int = 0) -> Tuple[FunctionMap, int]:
-    """Decode one function's map; returns (map, next_offset)."""
-    name_len, offset = decode_uleb128(data, offset)
-    if offset + name_len > len(data):
-        raise ValueError("truncated function name in bb address map")
-    name = data[offset : offset + name_len].decode()
-    offset += name_len
-    count, offset = decode_uleb128(data, offset)
-    entries: List[BBEntry] = []
-    if count:
-        cursor, offset = decode_uleb128(data, offset)
-        for _ in range(count):
-            bb_id, offset = decode_uleb128(data, offset)
-            size, offset = decode_uleb128(data, offset)
-            flags, offset = decode_uleb128(data, offset)
-            entries.append(BBEntry(bb_id=bb_id, offset=cursor, size=size, flags=flags))
-            cursor += size
-    return FunctionMap(func=name, entries=tuple(entries)), offset
+def decode_section(data: bytes) -> AddressMap:
+    """Parse a whole ``.llvm_bb_addr_map`` section into columns.
 
-
-def decode_section(data: bytes) -> List[FunctionMap]:
-    """Parse a whole ``.llvm_bb_addr_map`` section."""
-    maps: List[FunctionMap] = []
-    offset = 0
-    while offset < len(data):
-        fmap, offset = decode_function_map(data, offset)
-        maps.append(fmap)
-    return maps
+    Only the function headers are walked one varint at a time.  A
+    function's entries are the next ``3 * count`` varints after its
+    header, so they end at the ``3 * count``-th terminator byte (``b &
+    0x80 == 0``) from there; the entry varints of the whole section are
+    then decoded in one pass, the inverse of :func:`_uleb128s`.  A
+    truncated varint or name, and a varint too long for its int64
+    column, are a ``ValueError``, raised where a byte-at-a-time decode
+    would meet it first.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw < 0x80)  # the last byte of every varint (and some name bytes)
+    # The last of ULEB128_MAX_BYTES continuation bytes in a row: in a
+    # function's entries, that varint is too long for its column.
+    run = ULEB128_MAX_BYTES
+    more = np.concatenate(([0], np.cumsum(raw >= 0x80)))
+    too_long = np.flatnonzero(more[run:] - more[:-run] == run) + run - 1
+    funcs, counts, firsts, spans = [], [], [], []  # spans: each function's entry bytes
+    at = 0
+    while at < len(data):
+        name_len, at = decode_uleb128(data, at)
+        if at + name_len > len(data):
+            raise ValueError("truncated function name in bb address map")
+        funcs.append(data[at : at + name_len].decode())
+        count, at = decode_uleb128(data, at + name_len)
+        first = 0
+        if count:
+            first, at = decode_uleb128(data, at)
+            last = int(np.searchsorted(ends, at)) + 3 * count - 1
+            stop = int(ends[last]) + 1 if last < len(ends) else len(data)
+            if len(too_long) and np.searchsorted(too_long, at) < np.searchsorted(too_long, stop):
+                raise ValueError("uleb128 too long")
+            if last >= len(ends):
+                raise ValueError("truncated uleb128")
+            spans.append((at, stop))
+            at = stop
+        counts.append(count)
+        firsts.append(first)
+    lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    body = raw[np.repeat(lo, hi - lo) + run_index(hi - lo)]
+    nbytes = np.diff(np.flatnonzero(body < 0x80), prepend=-1)
+    values = (body & 0x7F).astype(np.int64) << 7 * run_index(nbytes)
+    if len(values):
+        values = np.bitwise_or.reduceat(values, np.cumsum(nbytes) - nbytes)
+    bb_id, size, flags = values.reshape(-1, 3).T
+    bounds = np.cumsum([0, *counts])
+    before = np.concatenate(([0], np.cumsum(size)))  # sizes of all earlier entries
+    offset = np.repeat(np.array(firsts, dtype=np.int64) - before[bounds[:-1]], counts) \
+        + before[:-1]
+    return AddressMap(funcs, bounds, bb_id, offset, size, flags)

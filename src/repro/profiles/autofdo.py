@@ -29,10 +29,10 @@ def convert_to_ir_profile(metadata_exe, perf) -> IRProfile:
     """
     # Reuse Phase 3's sample-to-block machinery: the DCFG *is* the
     # IR-level profile in this toolchain (block ids are preserved).
-    from repro.core.wpa import WPAStats, _AddressMapIndex, _build_dcfg
+    from repro.core.wpa import BlockIndex, WPAStats, build_dcfg
 
-    index = _AddressMapIndex(metadata_exe)
-    dcfg, call_edges, _block_calls, _distinct = _build_dcfg(index, perf, WPAStats())
+    index = BlockIndex.from_bb_addr_map(metadata_exe)
+    dcfg, call_edges, _block_calls, _distinct = build_dcfg(index, perf, WPAStats())
 
     profile = IRProfile()
     for name, fd in dcfg.items():

@@ -96,16 +96,15 @@ def pipeline_result(small_program, pipeline_config):
 
 
 def encode_bb_addr_maps(maps) -> bytes:
-    """The ``.llvm_bb_addr_map`` section bytes of ``maps`` (a sequence
-    of :class:`repro.elf.bbaddrmap.FunctionMap`), in order, built with
-    the product's one encoder, ``encode_maps``."""
+    """The ``.llvm_bb_addr_map`` section bytes of ``maps``, a sequence of
+    ``(func, entries)`` with each entry a ``(bb_id, offset, size, flags)``
+    tuple, in order, built with the product's one encoder, ``encode_maps``."""
     from repro.elf.bbaddrmap import encode_maps
 
-    entries = [e for fmap in maps for e in fmap.entries]
+    entries = [entry for _, function_entries in maps for entry in function_entries]
     return b"".join(encode_maps(
-        [fmap.func for fmap in maps], [len(fmap.entries) for fmap in maps],
-        *([getattr(e, name) for e in entries]
-          for name in ("bb_id", "offset", "size", "flags"))))
+        [func for func, _ in maps], [len(function_entries) for _, function_entries in maps],
+        *(np.array([entry[k] for entry in entries], dtype=np.int64) for k in range(4))))
 
 
 def section_named(obj, name):

@@ -77,12 +77,10 @@ class TestFunctionSections:
 
     def test_stats(self):
         compiled = compile_module(_module(_func("a"), _func("b")), CodeGenOptions())
-        assert compiled.num_functions == 2
-        assert compiled.num_blocks == 8
+        obj = compiled.obj
+        assert [s.name for s in obj.sections_of_kind(SectionKind.TEXT)] == [".text.a", ".text.b"]
+        assert len(obj.blocks) == 8
         assert compiled.num_instrs > 8
-        assert compiled.text_bytes == sum(
-            s.size for s in compiled.obj.sections_of_kind(SectionKind.TEXT)
-        )
 
 
 class TestTerminatorLowering:
@@ -225,21 +223,21 @@ class TestMetadata:
         section = section_named(compiled.obj, ".llvm_bb_addr_map.a")
         assert section is not None
         assert section.link_name == ".text.a"
-        maps = bbaddrmap.decode_section(bytes(section.data))
-        assert maps[0].func == "a"
+        amap = bbaddrmap.decode_section(bytes(section.data))
+        assert amap.funcs == ["a"]
         blocks = _rows(compiled.obj, ".text.a", "blocks")
-        assert [e.bb_id for e in maps[0].entries] == [b.bb_id for b in blocks]
-        assert [e.offset for e in maps[0].entries] == [b.offset for b in blocks]
+        assert amap.bb_id.tolist() == [b.bb_id for b in blocks]
+        assert amap.offset.tolist() == [b.offset for b in blocks]
 
     def test_bb_addr_map_flags(self):
         compiled = compile_module(_module(_func("a", lp=True)),
                                   CodeGenOptions(bb_addr_map=True))
-        maps = bbaddrmap.decode_section(
+        amap = bbaddrmap.decode_section(
             bytes(section_named(compiled.obj, ".llvm_bb_addr_map.a").data)
         )
-        by_id = {e.bb_id: e for e in maps[0].entries}
-        assert by_id[4].is_landing_pad
-        assert by_id[3].flags & bbaddrmap.FLAG_HAS_RETURN
+        flags = dict(zip(amap.bb_id.tolist(), amap.flags.tolist()))
+        assert flags[4] & bbaddrmap.FLAG_LANDING_PAD
+        assert flags[3] & bbaddrmap.FLAG_HAS_RETURN
 
     def test_no_map_without_option(self):
         compiled = compile_module(_module(_func("a")), CodeGenOptions())
@@ -401,10 +399,12 @@ class TestLoweringOracle:
                 assert [(i.opcode, data[i.offset + 1:i.end]) for i in decoded] == expected
                 assert data[end:meta.offset + meta.size] == bytes(table)
             if bb_addr_map:
-                (fmap,) = bbaddrmap.decode_section(bytes(
+                amap = bbaddrmap.decode_section(bytes(
                     section_named(obj, ".llvm_bb_addr_map" + section.name[len(".text"):]).data))
-                assert [(e.bb_id, e.offset, e.size) for e in fmap.entries] == [
-                    (b.bb_id, b.offset, b.size) for b in blocks]
+                assert len(amap.funcs) == 1
+                assert list(zip(amap.bb_id.tolist(), amap.offset.tolist(),
+                                amap.size.tolist())) == [(b.bb_id, b.offset, b.size)
+                                                         for b in blocks]
         for fn in functions:
             debug = section_named(obj, f".debug_info.{fn}")
             assert (debug is not None) == debug_info

@@ -93,11 +93,15 @@ def assert_relaxation_consistent(exe):
 
     placed = {(b.addr, b.bb_id, b.size) for b in exe.exec_blocks}
     for section in exe.sections_of_kind(SectionKind.BB_ADDR_MAP):
-        for fmap in bbaddrmap.decode_section(data[section.name]):
-            base = exe.symbol(fmap.func).addr
-            assert len({e.bb_id for e in fmap.entries}) == len(fmap.entries)
-            for entry in fmap.entries:
-                assert (base + entry.offset, entry.bb_id, entry.size) in placed, (fmap.func, entry)
+        amap = bbaddrmap.decode_section(data[section.name])
+        bounds = amap.bounds.tolist()
+        for func, lo, hi in zip(amap.funcs, bounds, bounds[1:]):
+            base = exe.symbol(func).addr
+            entries = list(zip(amap.bb_id[lo:hi].tolist(), amap.offset[lo:hi].tolist(),
+                               amap.size[lo:hi].tolist()))
+            assert len({bb_id for bb_id, _, _ in entries}) == len(entries)
+            for bb_id, offset, size in entries:
+                assert (base + offset, bb_id, size) in placed, (func, bb_id)
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +204,7 @@ def fallthrough_object():
         block(2, "f", 16, 8, kind=TerminatorKind.JUMP, uncond_target="g",
               uncond_br_offset=19, uncond_br_size=5),
     ]
-    fmap = bbaddrmap.FunctionMap("f", tuple(
-        bbaddrmap.BBEntry(b.bb_id, b.offset, b.size) for b in blocks))
+    fmap = ("f", [(b.bb_id, b.offset, b.size, 0) for b in blocks])
     # .text.f owns every relocation and fixup and the first three blocks;
     # each section after it owns the block listed with it, or none.
     sections = [

@@ -537,7 +537,7 @@ class TestRecordTablesInTheStore:
             for nblocks in (4, 80):
                 compiled, linked = (objects_created_by_loading(e) for e in entries(nblocks, mode))
                 obj, exe = compiled[1].value.obj, linked[1].value.executable
-                assert len(exe.exec_blocks) == compiled[1].value.num_blocks == 8 * nblocks
+                assert len(exe.exec_blocks) == len(obj.blocks) == 8 * nblocks
                 kinds = held(obj)
                 assert (kinds["Table"], kinds["Strings"]) == (4, 1)
                 beyond.add((compiled[0] - len(obj.sections), linked[0]))

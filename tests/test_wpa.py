@@ -1,8 +1,11 @@
 """Tests for Phase 3: whole-program analysis."""
 
+import bisect
+import gc
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,16 +14,15 @@ from repro.codegen import CodeGenOptions, compile_program
 from repro.core import bbsections, wpa
 from repro.core.exttsp import ExtTSP
 from repro.core.wpa import (
+    BlockIndex,
     FunctionDCFG,
     WPAOptions,
     WPAStats,
-    _AddressMapIndex,
-    _build_dcfg,
     _count_events,
     _merge_superblocks,
     analyze,
+    build_dcfg,
 )
-from repro.elf import bbaddrmap
 from repro.linker import LinkOptions, link
 from repro.obs import Tracer
 from repro.profiles import collect_lbr_profile
@@ -185,20 +187,23 @@ class TestSuperblocks:
 
 
 class _MapOnlyExe:
-    """Just what ``_AddressMapIndex`` reads: symbols and the map section."""
+    """Just what ``BlockIndex.from_bb_addr_map`` reads: symbols and the
+    map section.  ``functions`` are ``(name, addr, first offset, [(bb_id,
+    size), ...])``; an ``addr`` of ``None`` is a map entry with no symbol."""
 
     name = "hand-built"
 
     def __init__(self, functions):
         maps = []
         self.symbols = {}
-        for func, addr, block_sizes in functions:
-            entries, offset = [], 0
+        for func, addr, offset, block_sizes in functions:
+            entries = []
             for bb_id, size in block_sizes:
-                entries.append(bbaddrmap.BBEntry(bb_id=bb_id, offset=offset, size=size))
+                entries.append((bb_id, offset, size, 0))
                 offset += size
-            maps.append(bbaddrmap.FunctionMap(func=func, entries=tuple(entries)))
-            self.symbols[func] = SimpleNamespace(addr=addr)
+            maps.append((func, entries))
+            if addr is not None:
+                self.symbols[func] = SimpleNamespace(addr=addr)
         self._raw = encode_bb_addr_maps(maps)
 
     def section_bytes(self, kind):
@@ -209,20 +214,41 @@ class _MapOnlyExe:
 
 
 #: ``f``: blocks 10, 11, 12, 13 at 0x1000, 0x1010, 0x1020, 0x1030;
-#: ``g``: blocks 0, 1 at 0x2000, 0x2008; ``h``: block 5 at 0x3000.
-#: Everything else (0x1040-0x1fff, 0x2010-0x2fff, below 0x1000, from
-#: 0x3004 up) is unmapped.
-_F, _G, _H = 0x1000, 0x2000, 0x3000
+#: ``g``: blocks 0, 1 at 0x2000, 0x2008; ``h``: block 5 at 0x3000;
+#: ``lp``: blocks 0, 1 at 0x4001, 0x4005 (a landing-pad nop at 0x4000).
+#: ``ghost`` (no symbol) and ``empty`` (no blocks) are not indexed.
+#: Everything else (0x1040-0x1fff, 0x2010-0x2fff, 0x3004-0x4000, below
+#: 0x1000, from 0x4009 up) is unmapped.
+_F, _G, _H, _LP = 0x1000, 0x2000, 0x3000, 0x4000
 _UNMAPPED = 0x1800
 
 
 @pytest.fixture(scope="module")
 def index():
-    return _AddressMapIndex(_MapOnlyExe([
-        ("f", _F, [(10, 16), (11, 16), (12, 16), (13, 16)]),
-        ("g", _G, [(0, 8), (1, 8)]),
-        ("h", _H, [(5, 4)]),
+    return BlockIndex.from_bb_addr_map(_MapOnlyExe([
+        ("lp", _LP, 1, [(0, 4), (1, 4)]),
+        ("f", _F, 0, [(10, 16), (11, 16), (12, 16), (13, 16)]),
+        ("ghost", None, 0, [(0, 8)]),
+        ("g", _G, 0, [(0, 8), (1, 8)]),
+        ("empty", 0x5000, 0, []),
+        ("h", _H, 0, [(5, 4)]),
     ]))
+
+
+def _lookup(index, addr):
+    """The scalar lookup ``BlockIndex.resolve`` replaced, over the
+    index's columns: ``addr``'s block (``func``, row ``pos``, ``bb_id``,
+    ``is_entry``), or ``None``."""
+    starts = index.starts.tolist()
+    i = bisect.bisect_right(starts, addr) - 1
+    if i < 0 or addr >= int(index.ends[i]):
+        return None
+    lo, hi = int(index.bounds[i]), int(index.bounds[i + 1])
+    j = bisect.bisect_right(index.block_starts[lo:hi].tolist(), addr) - 1
+    if j < 0:
+        return None
+    return SimpleNamespace(func=index.names[i], pos=lo + j, bb_id=int(index.keys[lo + j]),
+                           is_entry=j == 0 and addr == starts[i])
 
 
 def _perf(*samples):
@@ -231,12 +257,12 @@ def _perf(*samples):
 
 def _build(index, perf):
     stats = WPAStats()
-    dcfg, call_edges, block_call_edges, distinct = _build_dcfg(index, perf, stats)
+    dcfg, call_edges, block_call_edges, distinct = build_dcfg(index, perf, stats)
     return dcfg, call_edges, block_call_edges, stats, distinct
 
 
 def _reference_build_dcfg(index, perf, stats):
-    """The record-by-record builder ``_build_dcfg`` replaced, kept as
+    """The record-by-record builder ``build_dcfg`` replaced, kept as
     the reference: every record resolved and expanded on its own."""
     dcfg, call_edges, block_call_edges = {}, {}, {}
 
@@ -249,14 +275,14 @@ def _reference_build_dcfg(index, perf, stats):
         prev = None
         for src, dst in records:
             stats.num_records += 1
-            sref, dref = index.lookup(src), index.lookup(dst)
+            sref, dref = _lookup(index, src), _lookup(index, dst)
             if sref is None or dref is None:
                 stats.records_dropped += 1
                 prev = None
                 continue
             if prev is not None and prev.func == sref.func and prev.pos <= sref.pos:
                 func_d = fd(sref.func)
-                ids = index.blocks_between(sref.func, prev.pos, sref.pos)
+                ids = index.keys[prev.pos : sref.pos + 1].tolist()
                 for bb_id in ids:
                     func_d.block_counts[bb_id] = func_d.block_counts.get(bb_id, 0.0) + 1.0
                 for a, b in zip(ids, ids[1:]):
@@ -283,7 +309,7 @@ def _reference_count_events(index, perf, stats):
         for src, dst in records:
             for addr in (src, dst):
                 if addr not in refs:
-                    refs[addr] = index.lookup(addr)
+                    refs[addr] = _lookup(index, addr)
             if refs[src] is None or refs[dst] is None:
                 stats.records_dropped += 1
                 prev_dst = None
@@ -303,6 +329,68 @@ def _as_items(dcfg, call_edges, block_call_edges):
         list(call_edges.items()),
         list(block_call_edges.items()),
     )
+
+
+@st.composite
+def _hand_built_index(draw):
+    """A ``BlockIndex`` over functions at any start, overlapping or not,
+    some with no blocks, each block at any offset inside its range."""
+    names, starts, ends, rows, block_starts = [], [], [], [], []
+    for i in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, 0x400))
+        extent = draw(st.integers(1, 0x100))
+        offsets = sorted(draw(st.lists(st.integers(0, extent - 1), max_size=4)))
+        names.append(f"f{i}")
+        starts.append(start)
+        ends.append(start + extent)
+        rows.append(range(len(block_starts), len(block_starts) + len(offsets)))
+        block_starts += [start + offset for offset in offsets]
+    return BlockIndex(names, starts, ends, rows, block_starts,
+                      range(100, 100 + len(block_starts)))
+
+
+class TestBlockIndex:
+    def test_columns(self, index):
+        assert index.names == ["f", "g", "h", "lp"]
+        assert index.starts.tolist() == [_F, _G, _H, _LP]
+        assert index.ends.tolist() == [_F + 0x40, _G + 0x10, _H + 0x04, _LP + 0x09]
+        assert index.bounds.tolist() == [0, 4, 6, 7, 9]
+        assert index.keys.tolist() == [10, 11, 12, 13, 0, 1, 5, 0, 1]
+        assert index.block_starts.tolist() == [
+            _F, _F + 0x10, _F + 0x20, _F + 0x30, _G, _G + 0x08, _H, _LP + 0x01, _LP + 0x05]
+        assert index.owner.tolist() == [0, 0, 0, 0, 1, 1, 2, 3, 3]
+        assert index.blocks("g") == ([0, 1], [8, 8])
+        assert index.blocks("lp") == ([0, 1], [4, 4])
+        assert index.blocks("f") == ([10, 11, 12, 13], [16, 16, 16, 16])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hand_built_index(), st.lists(st.integers(0, 0x520), max_size=40))
+    def test_resolve_equals_the_scalar_lookup(self, index, addrs):
+        expected = [-1 if ref is None else ref.pos
+                    for ref in (_lookup(index, addr) for addr in addrs)]
+        assert index.resolve(np.array(addrs, dtype=np.uint64)).tolist() == expected
+
+    def test_the_map_index_holds_a_few_objects(self, metadata_exe):
+        """Columns, not a record per block: what the index keeps alive is
+        a handful of tracked objects, whatever the binary's size."""
+        counts = []
+        for _ in range(3):
+            before = _tracked_objects()
+            index = BlockIndex.from_bb_addr_map(metadata_exe)
+            counts.append(_tracked_objects() - before)
+            del index
+        assert counts[0] == counts[1] == counts[2] < 10
+
+
+def _tracked_objects():
+    """The collector's tracked objects once it has settled: it untracks a
+    tuple of untracked items only after those, one nesting level per
+    collection."""
+    last, count = None, -1
+    while count != last:
+        gc.collect()
+        last, count = count, len(gc.get_objects())
+    return count
 
 
 class TestBuildDCFG:
@@ -367,6 +455,7 @@ class TestBuildDCFG:
     _ADDRESSES = st.sampled_from(
         [_F, _F + 0x04, _F + 0x10, _F + 0x1c, _F + 0x20, _F + 0x30, _F + 0x3f,
          _F + 0x40, _G, _G + 0x07, _G + 0x08, _G + 0x10, _H, _H + 0x03, _H + 0x04,
+         _LP, _LP + 0x01, _LP + 0x05, _LP + 0x08, _LP + 0x09, 0x5000,
          _F - 1, _UNMAPPED, 2**63, 2**64 - 1])
 
     @settings(max_examples=200, deadline=None)
@@ -396,11 +485,7 @@ class TestBuildDCFG:
             distinct = _build(index, perf)[-1]
         assert list(events.items()) == list(ref_events.items())
 
-        def resolved(ref):
-            return None if ref is None else (ref.func, ref.pos, ref.bb_id, ref.is_entry)
-
-        assert {a: resolved(r) for a, r in refs.items()} == {
-            a: resolved(r) for a, r in ref_refs.items()}
+        assert refs == {a: -1 if r is None else r.pos for a, r in ref_refs.items()}
         assert (stats.num_records, stats.records_dropped) == (
             ref_stats.num_records, ref_stats.records_dropped)
         falls = sum(fall for _, _, fall in ref_events)
@@ -412,16 +497,16 @@ class TestBuildDCFG:
 class TestDistinctWork:
     """WPA's work follows the profile's distinct content, exactly."""
 
-    def test_one_lookup_per_distinct_address(self, metadata_exe, perf, monkeypatch):
-        looked_up = []
-        lookup = _AddressMapIndex.lookup
+    def test_one_resolve_per_distinct_address(self, metadata_exe, perf, monkeypatch):
+        resolved = []
+        resolve = BlockIndex.resolve
         monkeypatch.setattr(
-            _AddressMapIndex, "lookup",
-            lambda self, addr: looked_up.append(addr) or lookup(self, addr))
+            BlockIndex, "resolve",
+            lambda self, addrs: resolved.extend(addrs) or resolve(self, addrs))
         analyze(metadata_exe, perf)
         distinct = {addr for s in sample_records(perf) for record in s for addr in record}
-        assert len(looked_up) == len(distinct) < perf.num_records
-        assert set(looked_up) == distinct
+        assert len(resolved) == len(distinct) < perf.num_records
+        assert set(resolved) == distinct
 
     def test_dcfg_span_notes_the_distinct_work(self, metadata_exe, perf):
         tracer = Tracer()
