@@ -40,7 +40,6 @@ _FACADE = {
     "Counters": ("repro.obs", "Counters"),
     "PipelineReport": ("repro.obs", "PipelineReport"),
     "IRProfile": ("repro.profiles", "IRProfile"),
-    "ProfileStore": ("repro.profiles", "ProfileStore"),
     "match_profile": ("repro.profiles", "match_profile"),
     "FaultPlan": ("repro.faults", "FaultPlan"),
     "reoptimize": ("repro.incr", "reoptimize"),

@@ -23,26 +23,7 @@ kilobytes of text, not an in-memory binary image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
-
-
-@dataclass
-class ClusterSpec:
-    """Cluster assignment for one function."""
-
-    func: str
-    clusters: List[List[int]] = field(default_factory=list)
-
-    @property
-    def primary(self) -> List[int]:
-        return self.clusters[0]
-
-    def section_symbols(self) -> List[str]:
-        """Leader symbols of the sections this spec produces, in order."""
-        symbols = [self.func]
-        symbols.extend(f"{self.func}.{i}" for i in range(1, len(self.clusters)))
-        return symbols
 
 
 def format_cc_prof(specs: Mapping[str, Sequence[Sequence[int]]]) -> str:

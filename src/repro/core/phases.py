@@ -168,7 +168,10 @@ def metadata_build(pipe: Any, ir_profile: IRProfile
 
 def lbr_profile(pipe: Any, metadata: BuildOutcome
                 ) -> Tuple[PerfData, str, float]:
-    """Phase 3 profiled run: deterministic in (binary, run length, seed).
+    """Phase 3 profiled run: deterministic in (program, binary, run
+    length, period, seed).  The program is keyed beside the binary: the
+    walk reads branch probabilities from the binary's execution model,
+    which is derived from the IR and not covered by its digest.
 
     Returns ``(perf, perf_key, seconds)``: the producing action's key
     doubles as the perf data's content identity for downstream action
@@ -185,8 +188,8 @@ def lbr_profile(pipe: Any, metadata: BuildOutcome
 
     action = run_cached_action(
         pipe, "lbr-sample", "profile-lbr",
-        [metadata_exe.content_digest(), str(config.lbr_branches),
-         str(config.lbr_period), str(config.seed + 1)],
+        [metadata_exe.content_digest(), pipe._program_digest(),
+         str(config.lbr_branches), str(config.lbr_period), str(config.seed + 1)],
         compute)
     perf: PerfData = action.value
     pipe.counters.gauge("lbr.samples", perf.num_samples)

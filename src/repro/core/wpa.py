@@ -164,13 +164,14 @@ class BlockIndex:
                 f"{exe.name}: no BB address map; build the metadata binary first (§3.2)"
             )
         amap = bbaddrmap.decode_section(raw)
-        syms = [exe.symbol(name) for name in amap.funcs]
+        symbols = dict(zip(exe.symbols.values("name"), exe.symbols.values("addr")))  # last wins
+        addrs = [symbols.get(name) for name in amap.funcs]
         bounds = amap.bounds.tolist()
-        base = np.array([0 if sym is None else sym.addr for sym in syms], dtype=np.uint64)
+        base = np.array([addr or 0 for addr in addrs], dtype=np.uint64)
         block_starts = np.repeat(base, np.diff(amap.bounds)) + amap.offset.astype(np.uint64)
         ends = np.append(block_starts + amap.size.astype(np.uint64), 0)[amap.bounds[1:] - 1]
-        rows = [range(lo, hi) if sym else range(0)
-                for sym, lo, hi in zip(syms, bounds, bounds[1:])]
+        rows = [range(0) if addr is None else range(lo, hi)
+                for addr, lo, hi in zip(addrs, bounds, bounds[1:])]
         return cls(amap.funcs, base, ends, rows, block_starts, amap.bb_id)
 
     def blocks(self, name: str) -> Tuple[List[int], List[int]]:

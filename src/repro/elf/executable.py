@@ -207,11 +207,12 @@ class Executable(Restorable):
         """SHA-256 over the binary's observable content.
 
         Covers placed section bytes and addresses plus the symbol
-        table -- everything downstream consumers (tracer, hardware
-        model, strippers) read; the execution model is derived from
-        these, so it does not hash separately.  Equal digests mean
-        interchangeable binaries, which is how the pipeline's
-        warm-cache-equals-cold invariant is asserted.
+        table.  ``exec_blocks`` is not hashed: its layout follows from
+        these, but its branch probabilities come from the IR, so an
+        action that walks the execution model (LBR sampling) keys the
+        program beside this digest.  Equal digests mean the same image,
+        which is how the pipeline's warm-cache-equals-cold invariant is
+        asserted.
         """
         h = hashlib.sha256()
         h.update(f"{self.name}:{self.entry}:{int(self.hugepages)}".encode())

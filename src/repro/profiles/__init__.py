@@ -13,9 +13,7 @@ toolchain (§2.2, §3.3):
 * **Staleness & recovery** -- :meth:`IRProfile.apply_drift` models
   release skew (§2.4); :func:`match_profile` recovers stale counts via
   tiered content-hash matching (:mod:`repro.profiles.hashing`) plus
-  flow-conservation inference (:mod:`repro.profiles.matching`); and
-  :class:`ProfileStore` blends profiles across synthetic releases with
-  per-epoch decay.
+  flow-conservation inference (:mod:`repro.profiles.matching`).
 """
 
 from repro.profiles.trace import (
@@ -34,9 +32,8 @@ from repro.profiles.trace import (
 from repro.profiles.lbr import PerfData, collect_lbr_profile, sample_lbr
 from repro.profiles.pgo import IRProfile, collect_ir_profile
 from repro.profiles.autofdo import convert_to_ir_profile
-from repro.profiles.hashing import BlockAnchor, function_anchors, program_anchors
+from repro.profiles.hashing import BlockAnchor, function_anchors
 from repro.profiles.matching import MATCH_MODES, MatchStats, match_profile
-from repro.profiles.store import ProfileStore, merge_profiles
 
 __all__ = [
     "BRANCH_KIND_CALL",
@@ -58,10 +55,7 @@ __all__ = [
     "convert_to_ir_profile",
     "BlockAnchor",
     "function_anchors",
-    "program_anchors",
     "MATCH_MODES",
     "MatchStats",
     "match_profile",
-    "ProfileStore",
-    "merge_profiles",
 ]

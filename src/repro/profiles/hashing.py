@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.ir import cfg as ir_cfg
-from repro.ir.nodes import BasicBlock, Call, Function, Program
+from repro.ir.nodes import BasicBlock, Call, Function
 
-__all__ = ["BlockAnchor", "function_anchors", "program_anchors"]
+__all__ = ["BlockAnchor", "function_anchors"]
 
 
 def _digest(parts: Iterable[str]) -> str:
@@ -105,13 +105,3 @@ def function_anchors(function: Function) -> Dict[int, BlockAnchor]:
         for pos, block in enumerate(function.blocks)
     }
 
-
-def program_anchors(
-    program: Program, functions: Optional[Iterable[str]] = None
-) -> Dict[str, Dict[int, BlockAnchor]]:
-    """Anchors for ``functions`` (default: every function) of ``program``."""
-    if functions is None:
-        names = [f.name for f in program.all_functions()]
-    else:
-        names = [name for name in functions if program.has_function(name)]
-    return {name: function_anchors(program.function(name)) for name in names}

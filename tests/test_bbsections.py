@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.bbsections import (
-    ClusterSpec,
     format_cc_prof,
     format_ld_prof,
     parse_cc_prof,
@@ -80,9 +79,3 @@ class TestLdProf:
     def test_comments_skipped(self):
         assert parse_ld_prof("# cold parts\nf\n\ng\n") == ["f", "g"]
 
-
-class TestClusterSpec:
-    def test_section_symbols(self):
-        spec = ClusterSpec(func="foo", clusters=[[0, 1], [2], [3]])
-        assert spec.section_symbols() == ["foo", "foo.1", "foo.2"]
-        assert spec.primary == [0, 1]

@@ -1,0 +1,273 @@
+"""The repository's design rules, each stated once and run in tier 1.
+
+Every row of :data:`RULES` is one rule: a regex that must match no line
+in its paths, searched line by line as ``grep -rnE`` would (a directory
+means every file under it), less the hits its ``exclude`` regex allows.
+Checks that are not a line search (a deleted file, a type hint, the
+shape of one method) put a function of the paths in the regex's place.
+A broken rule prints each offending ``path:line: text``, the row's
+message and why the rule exists.
+
+grep's basic and fixed-string patterns are written as the equivalent
+Python regex: a literal ``(`` or ``.`` is escaped.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import typing
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, List, NamedTuple, Tuple, Union
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = "src/repro"
+
+ONE_PATH = "No second execution path"
+CALLER = "Nothing without a caller"
+PROFILES = "Profiles stay columnar"
+EXTTSP = "Ext-TSP scores lazily"
+COLUMNAR = "Codegen and link stay columnar"
+
+#: Why each rule exists (printed when it breaks).
+WHY = {
+    ONE_PATH: (
+        "One way to run a release: the process pool, the stage-graph engine "
+        "(run() calls the phases in order), the permutable stage order, the "
+        "stage context, its import-time validator and the second (baseline) "
+        "compile of every module are deleted, not bypassed.  One way to score "
+        "one: a bench row is a flattened PipelineReport, with no hand-built "
+        "scenario body beside it."),
+    CALLER: (
+        "The console aliases, the stage graph's DOT render, the unprinted "
+        "report tables, the never-set option fields, the test-only accessors "
+        "and encoders, the Table edits, partial execution (a stopped run "
+        "resumes through the action store), the bench classifier (the "
+        "scorecard is a golden checked with ==), the build service's "
+        "wrappers and tally copies (BuildSystem owns its cache, every count "
+        "lives on Counters, FaultPlan.charge is the fault ledger, a plan's "
+        "one text form is its spec), the pre-run dirty plan (a release is "
+        "diffed once, after its run, by incr.state.diff_functions), an "
+        "object file's name index and section-at-a-time growth, and the "
+        "multi-epoch profile store, whole-program anchors and cluster spec "
+        "stay deleted."),
+    PROFILES: (
+        "An LBR profile is columns: no scalar draw per walker decision, no "
+        "Python object per sample outside the view in profiles/lbr.py and no "
+        "whole-run array of a projected stream.  The PGO run steps over "
+        "interned ids and counts in ints.  One way from a sampled address to "
+        "a block: the map decodes to columns, and WPA, AutoFDO and perf2bolt "
+        "share core/wpa.py's public BlockIndex and build_dcfg."),
+    EXTTSP: (
+        "Ext-TSP scores a merge only when it can win: a candidate is pushed "
+        "with a bound on its gain and scored when that bound tops the heap.  "
+        "Eager scoring is back if the push calls a scorer, or if anything "
+        "but the pop of a bound calls one."),
+    COLUMNAR: (
+        "A cold build costs its columns: codegen builds a module's bytes in "
+        "one pass instead of encoding an instruction at a time, the linker "
+        "keeps one link state of section and fixup columns and remaps "
+        "offsets a column at a time (only the relaxation sweep asks one "
+        "offset at a time), base.out is derived from metadata.out, not "
+        "relinked, and a table is built once, from columns."),
+}
+
+
+@lru_cache(maxsize=None)
+def _lines(path: str) -> Tuple[str, ...]:
+    return tuple((ROOT / path).read_text(encoding="utf-8", errors="replace").splitlines())
+
+
+@lru_cache(maxsize=None)
+def _files(path: str) -> Tuple[str, ...]:
+    full = ROOT / path
+    if not full.is_dir():
+        return (path,)
+    return tuple(sorted(p.relative_to(ROOT).as_posix() for p in full.rglob("*")
+                        if p.is_file() and "__pycache__" not in p.parts))
+
+
+def _grep(regex: str, paths) -> List[str]:
+    pattern = re.compile(regex)
+    return [f"{file}:{n}: {line.strip()}"
+            for path in paths for file in _files(path)
+            for n, line in enumerate(_lines(file), start=1) if pattern.search(line)]
+
+
+def _exists(paths) -> List[str]:
+    """``test ! -e``: each path that exists is a hit."""
+    return [f"{path}: exists" for path in paths if (ROOT / path).exists()]
+
+
+def _section_holds_no_table(paths) -> List[str]:
+    from repro.elf import Section, Table
+
+    return [f"repro.elf.Section.{name}: {hint}"
+            for name, hint in typing.get_type_hints(Section).items() if hint is Table]
+
+
+def _executable_families_are_tables(paths) -> List[str]:
+    from repro.elf import Executable, Table
+
+    hints = typing.get_type_hints(Executable)
+    return [f"repro.elf.Executable.{name}: {hints[name]}"
+            for name in ("sections", "symbols", "retained_relocations")
+            if hints[name] is not Table]
+
+
+def _scored_on_push(paths) -> List[str]:
+    """The lines of ``ExtTSP._push_candidate`` that name a scorer."""
+    (path,) = paths
+    lines = _lines(path)
+    (push,) = [node for cls in ast.parse("\n".join(lines)).body
+               if isinstance(cls, ast.ClassDef) and cls.name == "ExtTSP"
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_push_candidate"]
+    scorer = re.compile(r"_best_merge|_totals")
+    return [f"{path}:{n}: {lines[n - 1].strip()}"
+            for n in range(push.lineno, push.end_lineno + 1) if scorer.search(lines[n - 1])]
+
+
+def _scored_once(paths) -> List[str]:
+    """Each scorer is called from exactly one line (the pop of a bound)."""
+    hits = []
+    for call in (r"self\._best_merge\(", r"self\._totals\("):
+        lines = _grep(call, paths)
+        if len(lines) != 1:
+            hits.append(f"{len(lines)} lines match {call}: {lines}")
+    return hits
+
+
+class Rule(NamedTuple):
+    rule: str
+    #: The regex no line may match, or a check of ``paths`` returning hits.
+    regex: Union[str, Callable[[Tuple[str, ...]], List[str]]]
+    paths: Tuple[str, ...]
+    message: str
+    #: Hits (``path:line: text``) matching this regex are allowed.
+    exclude: str = ""
+
+    def violations(self) -> List[str]:
+        if callable(self.regex):
+            return self.regex(self.paths)
+        return [hit for hit in _grep(self.regex, self.paths)
+                if not (self.exclude and re.search(self.exclude, hit))]
+
+
+RULES = [
+    Rule(ONE_PATH,
+         r'ParallelExecutor|shared_executor|executor=|_topo_sort|_validate_order|PLAN_DIRTY'
+         r'|StageExecution|class Fallback|seeds=|degrades=|incremental_state|_load_bench'
+         r'|class SuiteSpec|config\.incremental|"--incremental"|class StageContext'
+         r'|run_standalone|def validate\(|duplicate-producer|baseline_options|BASELINE_BUILD'
+         r'|tag="pgo"|_pipeline_scenario|_drift_sweep_scenario|_faults_scenario'
+         r'|_incr_scenario|_explain_scenario|class BenchContext|TRACE_BLOCKS',
+         (SRC,), "a deleted execution alternative is back"),
+    Rule(ONE_PATH,
+         r'class StageGraph|class Stage\b|class Artifact\b|ArtifactSet|StageRecord'
+         r'|StageGraphError|STAGE_GRAPH_SCHEMA_VERSION|def describe\(',
+         (SRC,), "the stage-graph engine is back; run() calls the phases in order"),
+    Rule(ONE_PATH, _exists, ("src/repro/runtime/executor.py", "src/repro/core/stages.py"),
+         "the process pool or the stage-graph module is back"),
+    Rule(CALLER,
+         r'def to_dot|def bench_main|def explain_main|def stages_main|metrics_table'
+         r'|counters_table|frontend_table|text_base|page_size|align_function'
+         r'|callee_saved_regs|layout_params|hot_function_min_fraction|taken_branch_count'
+         r'|pct_hot_objects|MutableSequence',
+         (SRC,), "a surface with no caller is back"),
+    Rule(CALLER,
+         r'ArtifactSet\.load|def load\(cls, directory|MANIFEST_FILENAME|stop_after'
+         r'|resume_from|artifacts_out|read_envelope|encode_section|encode_function_map'
+         r'|def encode_instruction',
+         (SRC,), "partial execution or a test-only encoder is back"),
+    Rule(CALLER, r'repro-(bench|explain|stages)', ("pyproject.toml",),
+         "a console alias is back; the one spelling is python -m repro.tools"),
+    Rule(CALLER, _exists, ("src/repro/obs/baseline.py",),
+         "the bench classifier's module is back"),
+    Rule(CALLER,
+         r'REPRO_REGEN_BASELINE|PERTURBATIONS|comparison_table|deterministic_fingerprint'
+         r'|"--(compare|perturb)"',
+         (SRC,), "a second bench gate is back; bench_smoke.json is a golden "
+                 "(REPRO_REGEN_GOLDEN=1)"),
+    Rule(CALLER, r'class (ActionCache|CacheStats|FaultClock)\b|def _bump\b|faulted_actions'
+                 r'|def evict_all\b',
+         (SRC,), "a build-service wrapper or a second copy of a tally is back; "
+                 "count on Counters"),
+    Rule(CALLER, r'def (to_json|from_json|to_spec)\b', ("src/repro/faults",),
+         "a second fault-plan format is back; the spec string is the one form"),
+    Rule(CALLER, _exists, ("src/repro/faults/clock.py",), "the fault clock's module is back"),
+    Rule(CALLER, r'def plan_dirty\b|class DirtyPlan\b', (SRC,),
+         "the pre-run dirty plan is back; diff once, after the run"),
+    Rule(CALLER, _exists, ("src/repro/incr/planner.py",), "the dirty planner's module is back"),
+    Rule(CALLER, r'collect_pgo_profile', ("src/repro/core/phases.py",),
+         "a phase collects the PGO profile outside run()"),
+    Rule(CALLER, r'_by_name|def (section|find_section|add_section|add_symbol)\b',
+         ("src/repro/elf",),
+         "an object file keeps a name index or grows a section at a time again"),
+    Rule(CALLER, r'ProfileStore|merge_profiles|program_anchors|ClusterSpec', (SRC,),
+         "the profile store, whole-program anchors or the cluster spec is back; "
+         "none had a caller"),
+    Rule(CALLER, _exists, ("src/repro/profiles/store.py",), "the profile store's module is back"),
+    Rule(PROFILES, r'_mix_to_unit\(', (SRC,),
+         "the walker draws one scalar hash per decision again"),
+    # ("lbr.samples" is a gauge name, not an attribute.)
+    Rule(PROFILES, r'\.samples\b|LBRSample', (SRC,), "a per-sample object is back",
+         exclude=r'"lbr\.samples"'),
+    # A projected stream is read a slice or a window at a time.
+    Rule(PROFILES, r'np\.asarray\(trace\.branch_', (SRC,),
+         "a whole-run copy of a projected branch stream"),
+    Rule(PROFILES, r'compiled\.get\(\(|\.get\([a-z_]+, 0\.0\) \+ 1', ("src/repro/profiles/pgo.py",),
+         "the PGO run looks up a tuple key or adds to a float count per step"),
+    # The scalar loops both interpreters replaced are test oracles only.
+    Rule(PROFILES, r'def (walk|collect_ir_profile)_reference', (SRC,),
+         "an interpreter's reference loop is in src/"),
+    Rule(PROFILES, r'class (BBEntry|FunctionMap|_BlockRef|_BlockIndex|_AddressMapIndex)\b'
+                   r'|def decode_function_map',
+         (SRC,), "a per-block map record or a second address index is back"),
+    Rule(PROFILES, r'from repro\.core\.wpa import .*\b_', (SRC,),
+         "a private name of core/wpa.py is imported outside core/",
+         exclude=r'^src/repro/core/'),
+    Rule(EXTTSP, _scored_on_push, ("src/repro/core/exttsp.py",),
+         "a merge candidate is scored when it is pushed"),
+    Rule(EXTTSP, _scored_once, ("src/repro/core/exttsp.py",),
+         "a merge candidate is scored outside the pop of its bound"),
+    Rule(COLUMNAR, r'encode_instruction', (SRC,),
+         "an instruction is encoded one at a time again"),
+    Rule(COLUMNAR, r'class WorkSection|id\(ws\)|meter=', ("src/repro/linker",),
+         "a per-section link object, an id() map or a link meter is back"),
+    Rule(COLUMNAR, r'\.remap\(', (SRC,),
+         "a one-offset remap outside linker/state.py and linker/relax.py",
+         exclude=r'^src/repro/linker/(state|relax)\.py:'),
+    Rule(COLUMNAR, r'strip_map=', ("src/repro/core",),
+         "base.out is relinked instead of derived from metadata.out"),
+    # A section is its bytes plus row ranges: the tables are its object's.
+    Rule(COLUMNAR, _section_holds_no_table, (), "a Section field is a Table again"),
+    # An executable is tables too, and the link hands over its columns.
+    Rule(COLUMNAR, _executable_families_are_tables, (),
+         "an Executable record family is not a Table"),
+    Rule(COLUMNAR, r'(PlacedSection|SymbolInfo)\(', (SRC,),
+         "a placed section or resolved symbol is built as an object again"),
+    # A table is built once, from columns: nothing appends rows to one.
+    Rule(COLUMNAR, r'append_row|put_row|put_record|_writers|\.release\(\)', (SRC,),
+         "a table is grown a row at a time again"),
+]
+
+
+def _ids(rules) -> List[str]:
+    seen = {}
+    out = []
+    for rule in rules:
+        slug = re.sub(r"[^a-z]+", "-", rule.rule.lower()).strip("-")
+        seen[slug] = seen.get(slug, 0) + 1
+        out.append(f"{slug}-{seen[slug]}")
+    return out
+
+
+@pytest.mark.parametrize("rule", RULES, ids=_ids(RULES))
+def test_design_rule(rule):
+    hits = rule.violations()
+    assert not hits, "\n".join([*hits, rule.message, f"{rule.rule}: {WHY[rule.rule]}"])
+

@@ -1,10 +1,12 @@
 """Tests for the four-phase Propeller pipeline."""
 
+import copy
 import dataclasses
 import math
 
 import pytest
 
+from repro import ir
 from repro.buildsys import BuildSystem, ResourceLimitExceeded
 from repro.core import phases
 from repro.core.phases import INSTRUMENTED_BUILD_FACTOR
@@ -126,6 +128,80 @@ class TestLinkActionKey:
                 base, **{f.name: perturb(getattr(base, f.name))})
             assert (_link_options_signature(changed)
                     != _link_options_signature(base)), f.name
+
+
+def _edit_block(program, pick, edit):
+    """A copy of ``program`` with ``edit`` applied to its first block
+    that ``pick`` accepts."""
+    program = copy.deepcopy(program)
+    block = next(b for f in program.all_functions() for b in f.blocks if pick(b))
+    edit(block)
+    return program
+
+
+def _raise_cond_prob(block):
+    block.term = dataclasses.replace(block.term, prob=block.term.prob + 0.05)
+
+
+def _shift_switch_probs(block):
+    probs = list(block.term.probs)
+    probs[0], probs[-1] = probs[0] + 0.01, probs[-1] - 0.01
+    block.term = dataclasses.replace(block.term, probs=tuple(probs))
+
+
+def _shift_icall_probs(block):
+    i, call = next((i, c) for i, c in enumerate(block.instrs)
+                   if isinstance(c, ir.Call) and c.is_indirect)
+    targets = [list(t) for t in call.indirect_targets]
+    targets[0][1] += 0.01
+    targets[-1][1] -= 0.01
+    block.instrs[i] = dataclasses.replace(
+        call, indirect_targets=tuple(map(tuple, targets)))
+
+
+def _is_icall_block(block):
+    return any(isinstance(c, ir.Call) and c.is_indirect for c in block.instrs)
+
+
+class TestLbrActionKey:
+    """``profile-lbr`` replays perf data from a shared store, so its key
+    must cover every input the LBR walk reads -- including the branch
+    probabilities ``exec_blocks`` carries from the IR, which the
+    metadata binary's ``content_digest()`` does not hash."""
+
+    def test_probability_edit_replays_nothing_stale(self, tmp_path):
+        program = generate_workload(PRESETS["mysql"], scale=0.003, seed=1)
+        edited = copy.deepcopy(program)
+        _raise_cond_prob(edited.function("m0_f1").blocks[2])  # 0.0766 -> 0.1266
+        config = PipelineConfig(seed=1, pgo_steps=20_000, lbr_branches=20_000)
+        warm_config = dataclasses.replace(config, cache_dir=str(tmp_path))
+        PropellerPipeline(program, warm_config).run()
+        warm = PropellerPipeline(edited, warm_config).run()
+        cold = PropellerPipeline(edited, config).run()
+        assert (warm.metadata.executable.content_digest()
+                == cold.metadata.executable.content_digest())
+        assert warm.digest() == cold.digest()
+        assert (warm.optimized.executable.content_digest()
+                == cold.optimized.executable.content_digest())
+
+    def test_key_covers_every_walk_input(self, tiny_program):
+        profile = PropellerPipeline(tiny_program, _cheap_config()).collect_pgo_profile()
+
+        def key(program, **overrides):
+            pipe = PropellerPipeline(program, _cheap_config(**overrides))
+            return phases.lbr_profile(pipe, pipe.build_metadata(profile))[1]
+
+        base = key(tiny_program)
+        edits = {
+            "cond-prob": (lambda b: isinstance(b.term, ir.CondBr), _raise_cond_prob),
+            "switch-prob": (lambda b: isinstance(b.term, ir.Switch), _shift_switch_probs),
+            "icall-prob": (_is_icall_block, _shift_icall_probs),
+        }
+        for name, (pick, edit) in edits.items():
+            assert key(_edit_block(tiny_program, pick, edit)) != base, name
+        for field in ("lbr_branches", "lbr_period", "seed"):
+            value = getattr(_cheap_config(), field)
+            assert key(tiny_program, **{field: value + 1}) != base, field
 
 
 class TestBaselineIsMetadataWithoutMap:

@@ -1,5 +1,5 @@
-"""Tests for repro.profiles: hashing, matching, inference, the store,
-the retirement of the ``repro.profiling`` alias and the pipeline
+"""Tests for repro.profiles: hashing, matching, inference, the
+retirement of the ``repro.profiling`` alias and the pipeline
 wiring."""
 
 import dataclasses
@@ -15,12 +15,10 @@ from repro.profiles import (
     MATCH_MODES,
     IRProfile,
     MatchStats,
-    ProfileStore,
     collect_ir_profile,
     match_profile,
-    merge_profiles,
 )
-from repro.profiles.hashing import block_anchor, function_anchors, program_anchors
+from repro.profiles.hashing import block_anchor, function_anchors
 from repro.synth import PRESETS, generate_workload
 
 
@@ -69,8 +67,7 @@ class TestProfilingAliasRetired:
 
     def test_facade_exports(self):
         import repro
-        from repro.profiles import ProfileStore as PS, match_profile as mp
-        assert repro.ProfileStore is PS
+        from repro.profiles import match_profile as mp
         assert repro.match_profile is mp
         assert repro.IRProfile is IRProfile
 
@@ -115,11 +112,6 @@ class TestHashTiers:
         assert set(anchors) == {b.bb_id for b in fn.blocks}
         assert all(a.pos == i for i, (_, a) in enumerate(sorted(
             anchors.items(), key=lambda kv: kv[1].pos)))
-
-    def test_program_anchors_subset(self, program):
-        name = program.entry_function
-        anchors = program_anchors(program, [name, "no-such-function"])
-        assert set(anchors) == {name}
 
 
 # ----------------------------------------------------------------------
@@ -307,90 +299,6 @@ class TestApplyDrift:
     def test_drifted_profile_keeps_anchors(self, program, profile):
         out = profile.apply_drift(0.3, seed=4)
         assert out.anchors == profile.anchors
-
-
-# ----------------------------------------------------------------------
-# ProfileStore
-
-
-def _tiny_profile(scale):
-    return IRProfile(blocks={"f": {0: 10.0 * scale, 1: 2.0 * scale}},
-                     edges={"f": {(0, 1): 2.0 * scale}},
-                     call_counts={"f": 1.0 * scale})
-
-
-class TestProfileStore:
-    def test_add_assigns_sequential_epochs(self):
-        store = ProfileStore()
-        assert store.add(_tiny_profile(1)) == 0
-        assert store.add(_tiny_profile(2)) == 1
-        assert store.add(_tiny_profile(3), epoch=5) == 5
-        assert store.epochs == [0, 1, 5]
-        assert len(store) == 3
-
-    def test_epochs_must_not_go_backwards(self):
-        store = ProfileStore()
-        store.add(_tiny_profile(1), epoch=3)
-        with pytest.raises(ValueError, match="older than"):
-            store.add(_tiny_profile(2), epoch=2)
-
-    def test_latest_and_empty_errors(self):
-        store = ProfileStore()
-        with pytest.raises(ValueError):
-            store.latest()
-        with pytest.raises(ValueError):
-            store.merge()
-        p = _tiny_profile(1)
-        store.add(p)
-        assert store.latest() is p
-
-    def test_merge_decay_weights(self):
-        store = ProfileStore(decay=0.5)
-        store.add(_tiny_profile(1))  # weight 0.25
-        store.add(_tiny_profile(1))  # weight 0.5
-        store.add(_tiny_profile(1))  # weight 1
-        merged = store.merge()
-        assert merged.blocks["f"][0] == pytest.approx(10.0 * 1.75)
-        assert merged.call_counts["f"] == pytest.approx(1.75)
-
-    def test_merge_honors_epoch_gaps(self):
-        store = ProfileStore(decay=0.5)
-        store.add(_tiny_profile(1), epoch=0)
-        store.add(_tiny_profile(1), epoch=3)  # gap of 3 -> 0.5**3
-        merged = store.merge()
-        assert merged.blocks["f"][0] == pytest.approx(10.0 * 1.125)
-
-    def test_merge_explicit_list(self):
-        merged = merge_profiles([_tiny_profile(1), _tiny_profile(2)], decay=0.5)
-        assert merged.blocks["f"][0] == pytest.approx(10.0 * 0.5 + 20.0)
-
-    def test_decay_validation(self):
-        with pytest.raises(ValueError, match="decay"):
-            ProfileStore(decay=0.0)
-        with pytest.raises(ValueError, match="decay"):
-            merge_profiles([_tiny_profile(1)], decay=1.5)
-        with pytest.raises(ValueError):
-            merge_profiles([])
-
-    def test_merge_keeps_newest_anchors(self, program):
-        old = collect_ir_profile(program, max_steps=2_000, seed=1)
-        new = collect_ir_profile(program, max_steps=2_000, seed=2)
-        merged = merge_profiles([old, new])
-        assert merged.anchors == new.anchors
-
-    def test_merged_provenance_rederived(self):
-        """An entry is dropped only if every epoch lost it."""
-        a = _tiny_profile(1)
-        a.blocks["f"][1] = 0.0
-        b = _tiny_profile(1)
-        b.blocks["f"][0] = 0.0
-        merged = merge_profiles([a, b])
-        assert merged.dropped_entries == 0
-        a.blocks["f"][1] = 0.0
-        b.blocks["f"][1] = 0.0
-        merged = merge_profiles([a, b])
-        assert merged.dropped_entries == 1
-        assert merged.match_rate < 1.0
 
 
 # ----------------------------------------------------------------------

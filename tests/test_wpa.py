@@ -187,15 +187,16 @@ class TestSuperblocks:
 
 
 class _MapOnlyExe:
-    """Just what ``BlockIndex.from_bb_addr_map`` reads: symbols and the
-    map section.  ``functions`` are ``(name, addr, first offset, [(bb_id,
-    size), ...])``; an ``addr`` of ``None`` is a map entry with no symbol."""
+    """Just what ``BlockIndex.from_bb_addr_map`` reads: the symbol
+    table's ``name`` and ``addr`` columns and the map section.
+    ``functions`` are ``(name, addr, first offset, [(bb_id, size),
+    ...])``; an ``addr`` of ``None`` is a map entry with no symbol."""
 
     name = "hand-built"
 
     def __init__(self, functions):
         maps = []
-        self.symbols = {}
+        columns = {"name": [], "addr": []}
         for func, addr, offset, block_sizes in functions:
             entries = []
             for bb_id, size in block_sizes:
@@ -203,14 +204,13 @@ class _MapOnlyExe:
                 offset += size
             maps.append((func, entries))
             if addr is not None:
-                self.symbols[func] = SimpleNamespace(addr=addr)
+                columns["name"].append(func)
+                columns["addr"].append(addr)
+        self.symbols = SimpleNamespace(values=columns.__getitem__)
         self._raw = encode_bb_addr_maps(maps)
 
     def section_bytes(self, kind):
         return self._raw
-
-    def symbol(self, name):
-        return self.symbols.get(name)
 
 
 #: ``f``: blocks 10, 11, 12, 13 at 0x1000, 0x1010, 0x1020, 0x1030;
