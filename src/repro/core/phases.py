@@ -365,16 +365,15 @@ def incremental_summary(pipeline: Any, state: Any,
     """The incremental accounting of one ``reoptimize()``, after its run.
 
     Diffs the prior release's ``state`` against the finished run's own
-    evidence (its post-inlining program, its profile and its WPA hot
-    set) with :func:`repro.incr.state.diff_functions`, the diff
-    ``explain`` reads too, and folds that diff and the solve-cache
-    tallies into the ``incr.*`` counters and an
-    :class:`IncrementalSummary`.
+    evidence (``result.functions``: its post-inlining program, its
+    profile and its WPA hot set) with
+    :func:`repro.incr.state.diff_functions`, the diff ``explain`` reads
+    too, and folds that diff and the solve-cache tallies into the
+    ``incr.*`` counters and an :class:`IncrementalSummary`.
     """
-    from repro.incr.state import diff_functions, function_states
+    from repro.incr.state import diff_functions
 
-    current = function_states(result.program, result.ir_profile,
-                              result.wpa_result.hot_functions)
+    current = result.functions
     diff = diff_functions(state.functions, current)
     counters = pipeline.counters
     counters.incr("incr.dirty_functions", len(diff.dirty))

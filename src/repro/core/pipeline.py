@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import ir
 from repro.buildsys import BuildSystem, PhaseReport, digest_parts
@@ -25,12 +26,15 @@ from repro.core.wpa import WPAOptions, WPAResult
 from repro.elf import Executable, ObjectFile
 from repro.elf.strip import strip_bb_addr_map
 from repro.faults import FaultPlan, RetriesExhausted
-from repro.ir.digest import module_digest
+from repro.ir.digest import module_digests
 from repro.linker import LinkOptions, LinkResult, LinkStats, link, without_bb_addr_map
 from repro.linker.linker import PAGE_SIZE, TEXT_BASE
 from repro.obs import NULL_TRACER, Counters, PipelineReport, Tracer
 from repro.profiles import MATCH_MODES, IRProfile, MatchStats, PerfData
 from repro.runtime import FunctionSolveCache, resolve_cache_dir
+
+if TYPE_CHECKING:
+    from repro.incr.state import FunctionState
 
 
 #: Every action kind :meth:`PropellerPipeline.run` and
@@ -232,6 +236,9 @@ class PipelineResult:
     ir_profile: IRProfile
     perf: PerfData
     wpa_result: WPAResult
+    #: Function -> its CFG digest in ``program``, from the pass
+    #: (:func:`repro.ir.digest.module_digests`) that keyed the compiles.
+    cfg_digests: Dict[str, str]
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Stale-profile matching accounting (``None`` when
     #: ``config.stale_matching == "off"``).
@@ -258,6 +265,19 @@ class PipelineResult:
     #: hit/miss tallies.  Accounting, never content -- excluded from
     #: :meth:`digest` like every other non-artifact field.
     incremental: Optional[IncrementalSummary] = None
+
+    @cached_property
+    def functions(self) -> Dict[str, "FunctionState"]:
+        """The run's per-function evidence, built on first read: each
+        function's :class:`~repro.incr.FunctionState` (CFG digest,
+        profile-slice digest, WPA hot-set membership).  What
+        ``--state-dir`` persists, ``reoptimize()`` diffs and ``explain``
+        reads."""
+        from repro.incr.state import FunctionState
+
+        hot = set(self.wpa_result.hot_functions)
+        return {name: FunctionState(cfg, self.ir_profile.function_digest(name), name in hot)
+                for name, cfg in self.cfg_digests.items()}
 
     def digest(self) -> str:
         """SHA-256 over every artifact the four phases produced.
@@ -404,7 +424,7 @@ class PropellerPipeline:
         if config.state_dir:
             self.solve_cache = FunctionSolveCache(
                 Path(config.state_dir) / "solves", counters=self.counters)
-        self._digests: Dict[str, Tuple[ir.Module, str]] = {}
+        self._digests: Dict[str, Tuple[ir.Module, str, Dict[str, str]]] = {}
         # id -> (options, signature); the options reference keeps the
         # object alive so a recycled id can never alias a stale entry.
         self._option_sigs: Dict[int, Tuple[CodeGenOptions, str]] = {}
@@ -412,19 +432,20 @@ class PropellerPipeline:
     # ------------------------------------------------------------------
     # Build helpers
 
-    def _digest(self, module: ir.Module) -> str:
-        # Identity-checked, so replacing ``self.program`` (inlining) can
-        # never serve a stale digest.
+    def _digest(self, module: ir.Module) -> Tuple[str, Dict[str, str]]:
+        """The module's digest and its functions' digests, from one pass.
+        Identity-checked, so replacing ``self.program`` (inlining) can
+        never serve a stale digest."""
         cached = self._digests.get(module.name)
         if cached is None or cached[0] is not module:
-            cached = self._digests[module.name] = (module, module_digest(module))
-        return cached[1]
+            cached = self._digests[module.name] = (module, *module_digests(module))
+        return cached[1:]
 
     def _program_digest(self) -> str:
         """Digest of the whole program (module digests in order)."""
         h = hashlib.sha256()
         for module in self.program.modules:
-            h.update(self._digest(module).encode())
+            h.update(self._digest(module)[0].encode())
         return h.hexdigest()
 
     def _options_signature(self, options: CodeGenOptions) -> str:
@@ -454,7 +475,7 @@ class PropellerPipeline:
                 options = per_module_options[module.name]
                 hot_names.add(module.name)
             items.append((
-                [self._digest(module), self._options_signature(options)],
+                [self._digest(module)[0], self._options_signature(options)],
                 compile_action,
                 (module, options, phases.CODEGEN_FIXED_SECONDS,
                  phases.CODEGEN_SECONDS_PER_INSTR),
@@ -694,6 +715,8 @@ class PropellerPipeline:
             ir_profile=ir_profile,
             perf=perf,
             wpa_result=wpa_result,
+            cfg_digests={name: cfg for module in self.program.modules
+                         for name, cfg in self._digest(module)[1].items()},
             phase_seconds=phase_seconds,
             match_stats=match_stats,
             recovered_profile=recovered,

@@ -24,7 +24,7 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Annotated, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Annotated, Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class Executable(Restorable):
         if len(self.data) != sum(self.sections.col("size")):
             raise ValueError(f"{self.name}: {len(self.data)} bytes of data for sections "
                              f"of {sum(self.sections.col('size'))}")
-        self._symbol_rows: Optional[Dict[str, int]] = None
 
     @property
     def strings(self) -> Strings:
@@ -192,16 +191,6 @@ class Executable(Restorable):
         if i < 0:
             raise KeyError(addr)
         return self.exec_blocks[i]
-
-    def has_block_at(self, addr: int) -> bool:
-        return self._block_index(addr) >= 0
-
-    def symbol(self, name: str) -> Optional[SymbolInfo]:
-        """The symbol called ``name``, or ``None``."""
-        if self._symbol_rows is None:  # built on first use: a binary only stored never needs it
-            self._symbol_rows = dict(zip(self.symbols.values("name"), range(len(self.symbols))))
-        i = self._symbol_rows.get(name)
-        return None if i is None else self.symbols[i]
 
     def content_digest(self) -> str:
         """SHA-256 over the binary's observable content.
@@ -254,18 +243,6 @@ class Executable(Restorable):
     def section_bytes(self, kind: SectionKind) -> bytes:
         """Concatenated contents of all sections of ``kind``, in placement order."""
         return self.sections_at(self._rows_of_kind(kind))[1]
-
-    def text_ranges(self) -> List[Tuple[int, int]]:
-        """(start, end) address ranges of text, merged per contiguous run."""
-        texts = self.sections_of_kind(SectionKind.TEXT)
-        start, end = texts.ints("vaddr"), texts.ints("vaddr") + texts.ints("size")
-        ranges: List[Tuple[int, int]] = []
-        for lo, hi in sorted(zip(start.tolist(), end.tolist()), key=lambda r: r[0]):
-            if ranges and lo <= ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], max(ranges[-1][1], hi))
-            else:
-                ranges.append((lo, hi))
-        return ranges
 
     def text_image(self) -> Tuple[int, bytes]:
         """(base address, bytes) of the text segment as one flat image.

@@ -67,10 +67,6 @@ class Relocation:
     symbol: str
     addend: int = 0
 
-    @property
-    def field_size(self) -> int:
-        return 1 if self.rtype == RelocType.PC8 else 4
-
 
 class SymbolBinding(enum.Enum):
     LOCAL = "local"

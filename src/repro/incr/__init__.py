@@ -9,7 +9,9 @@ re-run wastes almost all of its compute.  This package closes that loop:
   and profile digests, hot-set membership, config signature) one run
   leaves for the next, persisted under ``--state-dir``.
 * :func:`diff_functions` -- the semantic diff of two releases'
-  :func:`function_states`: which functions changed, and why.
+  evidence (``PipelineResult.functions``, one :class:`FunctionState`
+  per function, built once per release from the digests that keyed its
+  compiles): which functions changed, and why.
 * :func:`reoptimize` -- re-run the pipeline for an edited program,
   replaying per-function Ext-TSP solves from the
   :class:`~repro.runtime.FunctionSolveCache` and every unchanged build
@@ -29,7 +31,7 @@ from repro.core.pipeline import (
     IncrementalSummary, PipelineConfig, PipelineResult, PropellerPipeline)
 from repro.incr.state import (
     INCR_STATE_VERSION, FunctionState, IncrState, IncrStateError,
-    config_signature, diff_functions, function_states, state_path)
+    config_signature, diff_functions, state_path)
 
 __all__ = [
     "FunctionState",
@@ -39,7 +41,6 @@ __all__ = [
     "IncrementalSummary",
     "config_signature",
     "diff_functions",
-    "function_states",
     "reoptimize",
     "state_path",
 ]

@@ -8,9 +8,10 @@ booleans, no IR, no profiles -- because the heavy reuse lives in the
 content-keyed stores beside it (:class:`~repro.runtime.PersistentActionStore`,
 :class:`~repro.runtime.FunctionSolveCache`).  The state answers "*what
 changed?*"; the stores answer "*what can be replayed?*" -- and only the
-stores are trusted for correctness.  :func:`function_states` builds one
-release's evidence and :func:`diff_functions` is the one diff of two
-releases, read by ``reoptimize()``'s accounting and by ``explain``.
+stores are trusted for correctness.  A release's evidence is its
+result's ``functions`` (built once, from the digests that keyed its
+compiles) and :func:`diff_functions` is the one diff of two releases,
+read by ``reoptimize()``'s accounting and by ``explain``.
 
 Digest-keyed, not timestamp-keyed, on purpose: a timestamp says a file
 was *touched*, a content digest says a function *changed*, so the dirty
@@ -22,9 +23,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
-from repro.ir.digest import function_digest
 from repro.obs.report import plain, record
 
 #: Schema version of the serialized state.  A loaded snapshot with a
@@ -72,7 +72,7 @@ class FunctionState:
     """One function's fingerprint at snapshot time."""
 
     #: Content digest of the function's IR (CFG shape, instructions,
-    #: terminators) -- :func:`repro.ir.digest.function_digest`.
+    #: terminators) -- from :func:`repro.ir.digest.module_digests`.
     cfg_digest: str
     #: Digest of the function's slice of the instrumented profile --
     #: :meth:`repro.profiles.IRProfile.function_digest`.
@@ -81,19 +81,9 @@ class FunctionState:
     hot: bool
 
 
-def function_states(program, profile,
-                    hot: Iterable[str]) -> Dict[str, FunctionState]:
-    """Every function's evidence in one release: its CFG digest in
-    ``program``, its slice digest in ``profile`` and whether the WPA
-    hot set ``hot`` holds it."""
-    hot = set(hot)
-    return {f.name: FunctionState(function_digest(f),
-                                  profile.function_digest(f.name), f.name in hot)
-            for f in program.all_functions()}
-
-
 class FunctionDiff(NamedTuple):
-    """What changed between two releases' :func:`function_states`."""
+    """What changed between two releases' evidence
+    (:attr:`PipelineResult.functions <repro.core.pipeline.PipelineResult.functions>`)."""
 
     #: Sorted: functions in both releases whose digests changed, and
     #: functions only the current / only the prior release has.
@@ -151,8 +141,7 @@ class IncrState:
             program=result.program.name,
             config_signature=config_signature(result.config),
             result_digest=result.digest(),
-            functions=function_states(result.program, result.ir_profile,
-                                      result.wpa_result.hot_functions),
+            functions=result.functions,
         )
 
     def check(self, program_name: str, config) -> None:

@@ -98,10 +98,6 @@ class BasicBlock:
     term: Terminator = field(default_factory=Ret)
     is_landing_pad: bool = False
 
-    @property
-    def num_calls(self) -> int:
-        return sum(1 for i in self.instrs if isinstance(i, Call))
-
 
 @dataclass
 class Function:
@@ -123,13 +119,6 @@ class Function:
 
     def has_block(self, bb_id: int) -> bool:
         return bb_id in self._index
-
-    def add_block(self, block: BasicBlock) -> BasicBlock:
-        if block.bb_id in self._index:
-            raise ValueError(f"duplicate block id {block.bb_id} in {self.name}")
-        self.blocks.append(block)
-        self._index[block.bb_id] = block
-        return block
 
     @property
     def entry(self) -> BasicBlock:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.report import plain, record
+from repro.obs.report import plain
 from repro.obs.tracer import Span
 
 __all__ = ["CriticalPath", "PathStep", "critical_path", "spans_from_chrome"]
@@ -62,10 +62,6 @@ class CriticalPath:
 
     def as_dict(self) -> Dict[str, Any]:
         return plain(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CriticalPath":
-        return record(cls, data)
 
 
 def critical_path(spans: Sequence[Span]) -> CriticalPath:

@@ -321,18 +321,15 @@ class RunSnapshot:
         """From an in-process :class:`~repro.core.pipeline.PipelineResult`.
 
         The richest mode: per-function counters are simulated on the
-        spot, change evidence is built exactly as ``--state-dir``
-        would persist it, and the Ext-TSP cluster plans are
+        spot, change evidence is ``result.functions`` (what
+        ``--state-dir`` persists), and the Ext-TSP cluster plans are
         fingerprinted so pure layout changes are nameable.
         """
-        from repro.incr import function_states
-
         report = result.report()
         snap = cls.from_report(report, label=label,
                                spans=list(tracer.spans) if tracer is not None
                                and getattr(tracer, "spans", None) else None)
-        snap.functions = function_states(result.program, result.ir_profile,
-                                         result.wpa_result.hot_functions)
+        snap.functions = result.functions
         snap.per_function = result.frontend_counters_by_function(
             max_blocks=max_blocks, seed=seed)["optimized"]
         snap.clusters = {

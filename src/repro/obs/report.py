@@ -180,13 +180,6 @@ class PipelineReport:
                 "was the report built with include_frontend=True?"
             ) from None
 
-    @property
-    def frontend_improvement(self) -> float:
-        """Fractional cycle improvement of ``optimized`` over ``baseline``."""
-        base = self.frontend_counter("baseline", "cycles")
-        opt = self.frontend_counter("optimized", "cycles")
-        return base / opt - 1.0 if opt else 0.0
-
     def summary(self) -> str:
         """The human-readable run summary (what ``optimize`` prints)."""
         base, meta, opt = (self.build("baseline"), self.build("metadata"),

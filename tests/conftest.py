@@ -113,6 +113,14 @@ def section_named(obj, name):
     return next((section for section in obj.sections if section.name == name), None)
 
 
+def symbol(exe, name):
+    """The row of ``exe``'s symbol table called ``name`` (the last, should
+    names repeat), found through the ``name`` column, or ``None``: an
+    executable keeps no index of its symbols by name."""
+    rows = dict(zip(exe.symbols.values("name"), range(len(exe.symbols))))
+    return exe.symbols[rows[name]] if name in rows else None
+
+
 def sample_records(perf):
     """Each sample of ``perf`` as a tuple of ``(src, dst)`` records,
     oldest first: the inverse of :func:`perf_from_samples`."""

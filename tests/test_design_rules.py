@@ -51,9 +51,12 @@ WHY = {
         "lives on Counters, FaultPlan.charge is the fault ledger, a plan's "
         "one text form is its spec), the pre-run dirty plan (a release is "
         "diffed once, after its run, by incr.state.diff_functions), an "
-        "object file's name index and section-at-a-time growth, and the "
-        "multi-epoch profile store, whole-program anchors and cluster spec "
-        "stay deleted."),
+        "object file's name index and section-at-a-time growth, the "
+        "multi-epoch profile store, whole-program anchors and cluster spec, "
+        "an executable's symbol name index, and the piecewise IR hasher and "
+        "second builds of a release's function evidence (each function is "
+        "encoded once, and PipelineResult.functions is built from the "
+        "digests that keyed its compiles) stay deleted."),
     PROFILES: (
         "An LBR profile is columns: no scalar draw per walker decision, no "
         "Python object per sample outside the view in profiles/lbr.py and no "
@@ -211,6 +214,14 @@ RULES = [
          "the profile store, whole-program anchors or the cluster spec is back; "
          "none had a caller"),
     Rule(CALLER, _exists, ("src/repro/profiles/store.py",), "the profile store's module is back"),
+    Rule(CALLER, r'def (function_states|_update_function|_term_repr)\(', (SRC,),
+         "a second encoding of a function or a second build of a release's "
+         "evidence is back; read PipelineResult.functions"),
+    Rule(CALLER, r'def symbol\(|_symbol_rows', ("src/repro/elf/executable.py",),
+         "an executable's symbol name index is back; read the name column"),
+    Rule(CALLER, r'def (has_block_at|text_ranges|frontend_improvement|from_dict|add_block'
+                 r'|num_calls|field_size)\b',
+         (SRC,), "a test-only accessor is back"),
     Rule(PROFILES, r'_mix_to_unit\(', (SRC,),
          "the walker draws one scalar hash per decision again"),
     # ("lbr.samples" is a gauge name, not an attribute.)

@@ -16,6 +16,7 @@ from repro.elf import (
     SymbolType,
     Table,
 )
+from tests.conftest import symbol
 
 
 def _text_section(name=".text.f", data=b"\x90" * 8, align=16):
@@ -34,11 +35,6 @@ class TestSection:
     def test_non_power_of_two_alignment_rejected(self):
         with pytest.raises(ValueError):
             Section(name="x", kind=SectionKind.TEXT, alignment=3)
-
-    def test_reloc_field_size(self):
-        assert Relocation(0, RelocType.PC8, "a").field_size == 1
-        assert Relocation(0, RelocType.PC32, "a").field_size == 4
-        assert Relocation(0, RelocType.ABS32, "a").field_size == 4
 
 
 class TestObjectFile:
@@ -133,11 +129,6 @@ class TestExecutable:
         assert len(image) == 0x50
         assert image[0x20:0x40] == b"\xcc" * 32  # alignment gap
 
-    def test_text_ranges_merges_contiguous(self):
-        exe = _exe_with_sections()
-        ranges = exe.text_ranges()
-        assert ranges == [(0x400000, 0x400020), (0x400040, 0x400050)]
-
     def test_section_sizes_breakdown(self):
         exe = _exe_with_sections()
         sizes = exe.section_sizes()
@@ -166,9 +157,9 @@ class TestExecutable:
 
     def test_symbol_lookup_by_name(self):
         exe = _exe_with_sections()
-        assert exe.symbol("datum") == SymbolInfo(name="datum", addr=0x500000, size=8,
-                                                 stype=SymbolType.OBJECT)
-        assert exe.symbol("missing") is None
+        assert symbol(exe, "datum") == SymbolInfo(name="datum", addr=0x500000, size=8,
+                                                  stype=SymbolType.OBJECT)
+        assert symbol(exe, "missing") is None
 
     def test_section_bytes_are_one_buffer_in_row_order(self):
         exe = _exe_with_sections()

@@ -306,10 +306,10 @@ class TestCriticalPath:
 
     def test_as_dict_roundtrip(self):
         from repro.obs import CriticalPath
+        from repro.obs.report import record
 
         cp = critical_path(self._trace().spans)
-        assert CriticalPath.from_dict(
-            json.loads(json.dumps(cp.as_dict()))) == cp
+        assert record(CriticalPath, json.loads(json.dumps(cp.as_dict()))) == cp
 
 
 class TestTracerFindIndex:

@@ -18,21 +18,26 @@ from repro.core import phases
 from repro.core.exttsp import ext_tsp_order, solve_signature
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.incr import (
+    FunctionState,
     IncrState,
     IncrStateError,
     config_signature,
     diff_functions,
-    function_states,
     reoptimize,
     state_path,
 )
-from repro.ir import Call, Instr, Program
-from repro.ir.digest import function_digest
+from repro.ir import Call, Instr
+from repro.ir.digest import module_digests
 from repro.obs import Counters
 from repro.obs.report import plain
-from repro.profiles import IRProfile
 from repro.runtime import FunctionSolveCache
 from repro.synth import EditScript, PRESETS, generate_workload
+
+
+def _cfg_digests(program):
+    """Function -> its CFG digest in ``program``."""
+    return {name: cfg for module in program.modules
+            for name, cfg in module_digests(module)[1].items()}
 
 
 def _config(**overrides) -> PipelineConfig:
@@ -91,9 +96,7 @@ class TestFunctionSolveCache:
         replay) reused everything: ``incr.solve_reuse`` is 1.0."""
         pipeline = SimpleNamespace(counters=Counters())
         state = SimpleNamespace(functions={}, result_digest="d")
-        result = SimpleNamespace(program=Program(name="empty"),
-                                 ir_profile=IRProfile(),
-                                 wpa_result=SimpleNamespace(hot_functions=()))
+        result = SimpleNamespace(functions={})
         summary = phases.incremental_summary(pipeline, state, result)
         assert (summary.solve_hits, summary.solve_misses, summary.solve_reuse) == (0, 0, 1.0)
         assert pipeline.counters.gauge_value("incr.solve_reuse") == 1.0
@@ -156,10 +159,10 @@ class TestEditScript:
     def test_apply_never_mutates_input(self, program):
         script = EditScript.generate(program, seed=9, kinds=("body",))
         name = script.edits[0].function
-        before = function_digest(program.function(name))
+        before = _cfg_digests(program)[name]
         edited = script.apply(program)
-        assert function_digest(program.function(name)) == before
-        assert function_digest(edited.function(name)) != before
+        assert _cfg_digests(program)[name] == before
+        assert _cfg_digests(edited)[name] != before
 
     def test_body_edit_preserves_cfg_and_calls(self, program):
         script = EditScript.generate(program, seed=9, kinds=("body",))
@@ -275,12 +278,15 @@ class TestIncrState:
 
 
 def _states(result, program=None, profile=None):
-    """One release's evidence: ``result``'s, with ``program`` and
-    ``profile`` swapped in when given."""
-    return function_states(
-        result.program if program is None else program,
-        result.ir_profile if profile is None else profile,
-        result.wpa_result.hot_functions)
+    """One release's evidence: ``result.functions``, with ``program``
+    and ``profile`` swapped in when given."""
+    if program is None and profile is None:
+        return result.functions
+    program = result.program if program is None else program
+    profile = result.ir_profile if profile is None else profile
+    hot = set(result.wpa_result.hot_functions)
+    return {name: FunctionState(cfg, profile.function_digest(name), name in hot)
+            for name, cfg in _cfg_digests(program).items()}
 
 
 class TestPlanDirty:

@@ -22,7 +22,7 @@ from repro.ir import (
     verify_function,
     verify_program,
 )
-from repro.ir.digest import module_digest
+from repro.ir.digest import module_digests
 
 
 def _simple_function(name="f"):
@@ -44,11 +44,6 @@ class TestNodes:
         assert fn.block(1).term == Jump(2)
         assert fn.has_block(2)
         assert not fn.has_block(9)
-
-    def test_duplicate_block_rejected(self):
-        fn = _simple_function()
-        with pytest.raises(ValueError):
-            fn.add_block(BasicBlock(bb_id=0))
 
     def test_module_function_registry(self):
         mod = Module(name="m", functions=[_simple_function()])
@@ -74,10 +69,6 @@ class TestNodes:
     def test_call_is_indirect(self):
         assert Call(callee=None).is_indirect
         assert not Call(callee="g").is_indirect
-
-    def test_num_calls(self):
-        block = BasicBlock(bb_id=0, instrs=[Instr(OpKind.NOP), Call(callee="g")], term=Ret())
-        assert block.num_calls == 1
 
 
 class TestCFG:
@@ -177,28 +168,25 @@ class TestDigest:
     def test_digest_deterministic(self):
         m1 = Module(name="m", functions=[_simple_function()])
         m2 = Module(name="m", functions=[_simple_function()])
-        assert module_digest(m1) == module_digest(m2)
+        assert module_digests(m1)[0] == module_digests(m2)[0]
 
     def test_digest_sensitive_to_probability(self):
         fa = _simple_function()
         fb = _simple_function()
         fb.blocks[0].term = CondBr(taken=2, fallthrough=1, prob=0.11)
-        assert module_digest(Module(name="m", functions=[fa])) != module_digest(
-            Module(name="m", functions=[fb])
-        )
+        assert module_digests(Module(name="m", functions=[fa]))[0] != module_digests(
+            Module(name="m", functions=[fb]))[0]
 
     def test_digest_sensitive_to_instr_kind(self):
         fa = _simple_function()
         fb = _simple_function()
         fb.blocks[0].instrs[0] = Instr(OpKind.ALU32)
-        assert module_digest(Module(name="m", functions=[fa])) != module_digest(
-            Module(name="m", functions=[fb])
-        )
+        assert module_digests(Module(name="m", functions=[fa]))[0] != module_digests(
+            Module(name="m", functions=[fb]))[0]
 
     def test_digest_sensitive_to_hand_written_flag(self):
         fa = _simple_function()
         fb = _simple_function()
         fb.hand_written = True
-        assert module_digest(Module(name="m", functions=[fa])) != module_digest(
-            Module(name="m", functions=[fb])
-        )
+        assert module_digests(Module(name="m", functions=[fa]))[0] != module_digests(
+            Module(name="m", functions=[fb]))[0]

@@ -24,7 +24,7 @@ from repro.elf import (
 from repro.isa import OPCODE_SIZES, Opcode, short_form
 from repro.linker import LinkError, LinkOptions, link
 from repro.linker.state import LinkState
-from tests.conftest import section_named
+from tests.conftest import section_named, symbol
 from tests.test_relaxation_oracle import fallthrough_object
 
 
@@ -216,7 +216,7 @@ class TestOffsetsInsideTheirSection:
     def test_a_symbol_may_sit_at_the_end(self):
         exe = link([self._object(relocation=4, symbol=8)],
                    LinkOptions(entry_symbol="f")).executable
-        assert exe.symbol("h").addr == exe.symbol("f").addr + 8
+        assert symbol(exe, "h").addr == symbol(exe, "f").addr + 8
 
 
 class TestBlocksInsideTheirSection:
@@ -271,7 +271,7 @@ class TestTerminators:
         exe = link([fallthrough_object()], LinkOptions(entry_symbol="f")).executable
         bb1, bb2 = [b for b in exe.exec_blocks if b.func == "f"][1:]
         assert (bb1.term.kind, bb1.term.cond_br_size) == ("condbr", 2)
-        assert bb1.term.cond_target == exe.symbol("g").addr
+        assert bb1.term.cond_target == symbol(exe, "g").addr
         term = bb2.term
         assert term.kind == "fallthrough"
         assert (term.uncond_target, term.uncond_br_addr, term.uncond_br_size) == (None, -1, 0)

@@ -14,6 +14,7 @@ from repro.elf.strip import strip_bb_addr_map
 from repro.isa import DecodedInstruction, Opcode, decode_instruction
 from repro.linker import LinkError, LinkOptions, link, without_bb_addr_map
 from repro.synth import PRESETS, generate_workload
+from tests.conftest import symbol
 
 
 def _chain_module(name="mod", fname="f", nblocks=4):
@@ -47,7 +48,7 @@ class TestResolution:
 
     def test_entry_resolution(self):
         exe = link([_compile(_chain_module())], LinkOptions(entry_symbol="f")).executable
-        assert exe.entry == exe.symbol("f").addr
+        assert exe.entry == symbol(exe, "f").addr
 
     def test_temporary_labels_not_exported(self):
         exe = link([_compile(_chain_module())], LinkOptions(entry_symbol="f")).executable
@@ -60,7 +61,7 @@ class TestResolution:
         objs = [_compile(caller), _compile(_chain_module())]
         exe = link(objs, LinkOptions(entry_symbol="main")).executable
         main_block = next(b for b in exe.exec_blocks if b.func == "main")
-        assert main_block.calls[0].target == exe.symbol("f").addr
+        assert main_block.calls[0].target == symbol(exe, "f").addr
 
 
 class TestSymbolOrdering:
@@ -70,20 +71,20 @@ class TestSymbolOrdering:
     def test_order_honored(self):
         objs = self._two_function_objs()
         exe = link(objs, LinkOptions(entry_symbol="f", symbol_order=["g", "f"])).executable
-        assert exe.symbol("g").addr < exe.symbol("f").addr
+        assert symbol(exe, "g").addr < symbol(exe, "f").addr
         exe2 = link(objs, LinkOptions(entry_symbol="f", symbol_order=["f", "g"])).executable
-        assert exe2.symbol("f").addr < exe2.symbol("g").addr
+        assert symbol(exe2, "f").addr < symbol(exe2, "g").addr
 
     def test_stale_entries_ignored(self):
         objs = self._two_function_objs()
         exe = link(objs, LinkOptions(entry_symbol="f",
                                      symbol_order=["nothere", "g"])).executable
-        assert exe.symbol("g").addr < exe.symbol("f").addr
+        assert symbol(exe, "g").addr < symbol(exe, "f").addr
 
     def test_unlisted_sections_follow_in_input_order(self):
         objs = self._two_function_objs()
         exe = link(objs, LinkOptions(entry_symbol="f", symbol_order=["g"])).executable
-        assert exe.symbol("g").addr < exe.symbol("f").addr
+        assert symbol(exe, "g").addr < symbol(exe, "f").addr
 
 
 class TestRelaxation:
@@ -111,7 +112,7 @@ class TestRelaxation:
         assert result.stats.deleted_jumps == 0
         # Branches still resolve: follow the exec model chain.
         exe = result.executable
-        b0 = exe.block_at(exe.symbol("f").addr)
+        b0 = exe.block_at(symbol(exe, "f").addr)
         assert b0.term.kind == "jump"
 
     def test_relaxed_bytes_decode_consistently(self):

@@ -9,7 +9,7 @@ from repro.core.wpa import FunctionDCFG, WPAOptions, analyze
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.isa import Opcode, decode_range
 from repro.linker import LinkOptions, link
-from tests.conftest import section_named
+from tests.conftest import section_named, symbol
 
 
 def _leaf(name="callee"):
@@ -49,8 +49,8 @@ class TestCodegen:
         options = CodeGenOptions(prefetches={"caller": [(0, "callee")]})
         compiled = compile_module(_module(), options)
         exe = link([compiled.obj], LinkOptions(entry_symbol="caller")).executable
-        block0 = exe.block_at(exe.symbol("caller").addr)
-        assert block0.prefetch_targets == (exe.symbol("callee").addr,)
+        block0 = exe.block_at(symbol(exe, "caller").addr)
+        assert block0.prefetch_targets == (symbol(exe, "callee").addr,)
 
     def test_trace_unaffected_by_prefetch(self):
         from repro.profiles import generate_trace

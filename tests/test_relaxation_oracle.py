@@ -38,7 +38,7 @@ from repro.elf import (
 )
 from repro.isa import Opcode, decode_instruction
 from repro.linker import LinkError, LinkOptions, link
-from tests.conftest import encode_bb_addr_maps, section_named
+from tests.conftest import encode_bb_addr_maps, section_named, symbol
 from tests.test_isa import encode_instruction
 from tests.test_properties import _random_module
 
@@ -96,7 +96,7 @@ def assert_relaxation_consistent(exe):
         amap = bbaddrmap.decode_section(data[section.name])
         bounds = amap.bounds.tolist()
         for func, lo, hi in zip(amap.funcs, bounds, bounds[1:]):
-            base = exe.symbol(func).addr
+            base = symbol(exe, func).addr
             entries = list(zip(amap.bb_id[lo:hi].tolist(), amap.offset[lo:hi].tolist(),
                                amap.size[lo:hi].tolist()))
             assert len({bb_id for bb_id, _, _ in entries}) == len(entries)
@@ -243,8 +243,8 @@ class TestFallthroughDeletion:
         assert (bb1.size, bb1.term.cond_br_size) == (4, 2)
         # The deleted jump leaves a block that falls through into g.
         assert bb2.size == 3 and bb2.term.kind == "fallthrough"
-        assert bb2.end == exe.symbol("g").addr
-        assert exe.symbol("f").size == 15
+        assert bb2.end == symbol(exe, "g").addr
+        assert symbol(exe, "f").size == 15
 
     def test_aligned_follower_keeps_the_jump(self):
         obj = fallthrough_object()
@@ -257,7 +257,7 @@ class TestFallthroughDeletion:
         result = link([fallthrough_object()], LinkOptions(entry_symbol="f", relax=False))
         assert result.stats.relax_passes == 0
         assert_relaxation_consistent(result.executable)
-        assert result.executable.symbol("f").size == 24
+        assert symbol(result.executable, "f").size == 24
 
 
 def grow_back_object():
@@ -319,7 +319,7 @@ class TestGrowBack:
         bb0, bb1 = [b for b in exe.exec_blocks if b.func == "f"][:2]
         assert bb0.term.uncond_br_size == 2  # the jmp stays short
         assert bb1.term.cond_br_size == 6    # the jcc grew back and stays long
-        assert exe.symbol("g").addr - exe.symbol("f").addr == 132
+        assert symbol(exe, "g").addr - symbol(exe, "f").addr == 132
         # Both went short once; the grow-back takes the jcc's shrink back.
         assert result.stats.shrunk_branches == 1
         # The jcc is patched through its input PC32 relocation again.
