@@ -19,7 +19,7 @@ characteristics:
 from repro.bolt.disasm import BoltBlock, BoltFunction, DisassemblyResult, disassemble
 from repro.bolt.perf2bolt import BoltProfile, Perf2BoltResult, perf2bolt
 from repro.bolt.failures import BoltError, BoltStartupCrash, check_startup
-from repro.bolt.optimizer import BoltOptions, BoltResult, BoltStats, run_bolt
+from repro.bolt.optimizer import BoltResult, BoltStats, run_bolt
 
 __all__ = [
     "BoltBlock",
@@ -32,7 +32,6 @@ __all__ = [
     "BoltError",
     "BoltStartupCrash",
     "check_startup",
-    "BoltOptions",
     "BoltResult",
     "BoltStats",
     "run_bolt",

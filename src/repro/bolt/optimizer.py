@@ -1,5 +1,9 @@
 """llvm-bolt equivalent: monolithic optimize-and-rewrite.
 
+Runs the one configuration the paper evaluates (§5, Methodology):
+``-lite=0`` (every simple function is processed), with block
+splitting and hfsort function reordering always on.
+
 Pipeline: precheck -> (already-disassembled CFGs + aggregated profile)
 -> per-function Ext-TSP block reorder and hot/cold split -> hfsort
 function reorder -> rewrite into a fresh text segment, keeping the
@@ -40,20 +44,10 @@ _JMP_SIZE = instruction_size(Opcode.JMP_LONG)
 DISASM_SECONDS_PER_INSTR = 1.4e-5
 OPT_SECONDS_PER_INSTR = 8e-6
 EMIT_SECONDS_PER_BYTE = 2.5e-7
-
-
-@dataclass(frozen=True)
-class BoltOptions:
-    """llvm-bolt flags used in the paper's evaluation (§5, Methodology)."""
-
-    #: False models ``-lite=0`` (process everything); True processes
-    #: only profiled functions (Lightning BOLT's selective mode).
-    lite: bool = False
-    split_functions: bool = True
-    reorder_functions: bool = True
-    #: Lightning BOLT's parallel optimization threads.
-    threads: int = 72
-    new_segment_align: int = 2 << 20
+#: Lightning BOLT's parallel optimization threads.
+THREADS = 72
+#: Alignment of the new text segment.
+NEW_SEGMENT_ALIGN = 2 << 20
 
 
 @dataclass
@@ -87,7 +81,6 @@ class _Placement:
 def run_bolt(
     exe: Executable,
     perf: PerfData,
-    options: BoltOptions = BoltOptions(),
     precomputed: Optional[Perf2BoltResult] = None,
 ) -> BoltResult:
     """Optimize and rewrite ``exe`` using the LBR profile ``perf``."""
@@ -106,13 +99,11 @@ def run_bolt(
     stats.funcs_total = len(disassembly.functions)
     stats.funcs_simple = disassembly.num_simple
 
-    hot_layouts, cold_layouts, func_weights = _plan_layout(
-        disassembly, profile, options
-    )
+    hot_layouts, cold_layouts, func_weights = _plan_layout(disassembly, profile)
     stats.funcs_rewritten = len(hot_layouts)
 
     executable, moved_bytes = _rewrite(
-        exe, hot_layouts, cold_layouts, func_weights, profile, options, meter
+        exe, hot_layouts, cold_layouts, func_weights, profile, meter
     )
     stats.moved_text_bytes = moved_bytes
     stats.output_size = executable.total_size
@@ -120,14 +111,14 @@ def run_bolt(
     processed_instrs = sum(f.num_instrs for f in disassembly.functions if f.name in hot_layouts)
     stats.runtime_seconds = (
         disassembly.total_instrs * DISASM_SECONDS_PER_INSTR
-        + processed_instrs * OPT_SECONDS_PER_INSTR / max(1, options.threads)
+        + processed_instrs * OPT_SECONDS_PER_INSTR / THREADS
         + stats.output_size * EMIT_SECONDS_PER_BYTE
     )
     return BoltResult(executable=executable, stats=stats, profile=profile)
 
 
 def _plan_layout(
-    disassembly: DisassemblyResult, profile: BoltProfile, options: BoltOptions
+    disassembly: DisassemblyResult, profile: BoltProfile
 ) -> Tuple[Dict[str, List[BoltBlock]], Dict[str, List[BoltBlock]], Dict[str, Tuple[int, float]]]:
     """Choose per-function block orders and which functions to rewrite."""
     hot_layouts: Dict[str, List[BoltBlock]] = {}
@@ -139,8 +130,6 @@ def _plan_layout(
         fd = profile.functions.get(func.name)
         counts = fd.block_counts if fd is not None else {}
         weight = sum(counts.get(b.addr, 0.0) for b in func.blocks)
-        if options.lite and weight <= 0:
-            continue
         by_addr = {b.addr: b for b in func.blocks}
         hot_ids = [b.addr for b in func.blocks if counts.get(b.addr, 0.0) > 0]
         entry = func.blocks[0].addr
@@ -154,9 +143,6 @@ def _plan_layout(
             order = [entry]
         hot_set = set(order)
         cold = [b for b in func.blocks if b.addr not in hot_set]
-        if not options.split_functions:
-            order = order + [b.addr for b in cold]
-            cold = []
         hot_layouts[func.name] = [by_addr[a] for a in order]
         cold_layouts[func.name] = cold
         hot_size = sum(b.size for b in hot_layouts[func.name])
@@ -170,15 +156,11 @@ def _rewrite(
     cold_layouts: Dict[str, List[BoltBlock]],
     func_weights: Dict[str, Tuple[int, float]],
     profile: BoltProfile,
-    options: BoltOptions,
     meter: MemoryMeter,
 ) -> Tuple[Executable, int]:
-    if options.reorder_functions:
-        func_order = hfsort_order(func_weights, [
-            (a, b, w) for (a, b), w in profile.call_edges.items()
-        ])
-    else:
-        func_order = list(hot_layouts)
+    func_order = hfsort_order(func_weights, [
+        (a, b, w) for (a, b), w in profile.call_edges.items()
+    ])
 
     # Group each block with the exec blocks it contains (in address order).
     exec_sorted, exec_addrs = list(exe.exec_blocks), exe.exec_blocks.col("addr")
@@ -189,7 +171,7 @@ def _rewrite(
         return exec_sorted[lo:hi]
 
     # ----- place blocks -------------------------------------------------
-    align = options.new_segment_align
+    align = NEW_SEGMENT_ALIGN
     ends = exe.sections.ints("vaddr") + exe.sections.ints("size")
     old_end = int(ends.max()) if len(ends) else exe.entry
     new_base = (old_end + align - 1) & ~(align - 1)

@@ -120,7 +120,8 @@ class BuildSystem:
     truncated or poisoned entry is quarantined and degrades to a miss,
     so cache poisoning can cost a recompute but never changes an
     artifact.  Every lookup is counted once, on :attr:`counters`
-    (``cache.hits`` / ``cache.misses`` / ``cache.disk_hits``).
+    (``cache.hits`` / ``cache.misses`` / ``cache.disk_hits``), and so is
+    the action store's traffic (``store.loads`` / ``store.stores``).
 
     :param workers: size of the remote worker pool the makespan model
         divides work across.  72 models the paper's workstation
@@ -138,9 +139,9 @@ class BuildSystem:
         and the scheduler; a fresh :class:`~repro.obs.Counters` by
         default.
     :param fault_plan: when given, executed actions are subject to the
-        plan's deterministic failure/timeout/corruption/slowdown
-        schedule (see :mod:`repro.faults`): faulted attempts are
-        retried with exponential backoff up to the plan's budget, the
+        plan's deterministic failure/timeout schedule (see
+        :mod:`repro.faults`): faulted attempts are retried with
+        exponential backoff up to the fixed retry budget, the
         wasted simulated time lands on the action's ``cost_seconds``,
         and an action whose whole budget faults raises
         :class:`~repro.faults.RetriesExhausted`.  Artifacts and cache
@@ -225,6 +226,8 @@ class BuildSystem:
             entry = self._entries.get(key)
             if entry is None and self.store is not None:
                 disk = self.store.load(key)
+                if disk is not None:
+                    self.counters.incr("store.loads")
                 if isinstance(disk, _CacheEntry):
                     self._entries[key] = disk
                     self.counters.incr("cache.disk_hits")
@@ -269,6 +272,7 @@ class BuildSystem:
             self._entries[keys[i]] = entries[i]
             if self.store is not None:
                 self.store.store(keys[i], entries[i])
+                self.counters.incr("store.stores")
         return [
             ActionResult(
                 value=entry.value,

@@ -42,6 +42,9 @@ if TYPE_CHECKING:
 #: system: what a ``fault_plan``'s ``only=`` may name.
 ACTION_KINDS = ("codegen", "link", "profile-pgo", "profile-lbr", "wpa")
 
+#: Blocks the frontend scorecard walks unless told otherwise.
+SCORECARD_BLOCKS = 200_000
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -106,12 +109,6 @@ class PipelineConfig:
     #: product build that exhausts raises
     #: :class:`repro.faults.RetriesExhausted`.
     fault_plan: Optional[str] = None
-    #: Record phase/batch/action spans (see :mod:`repro.obs`).  Off by
-    #: default: the pipeline then runs against the shared no-op tracer
-    #: and the instrumented paths cost nothing.  Tracing never changes
-    #: any artifact (``PipelineResult.digest()`` is identical either
-    #: way); counters are always collected.
-    trace: bool = False
     wpa: WPAOptions = WPAOptions()
     hugepages: bool = False
 
@@ -301,10 +298,7 @@ class PipelineResult:
         return h.hexdigest()
 
     def frontend_counters(
-        self,
-        max_blocks: int = 200_000,
-        seed: int = 77,
-        params=None,
+        self, max_blocks: int = SCORECARD_BLOCKS,
     ) -> Dict[str, Dict[str, float]]:
         """Hardware-counter scorecards for the baseline and optimized binaries.
 
@@ -312,18 +306,14 @@ class PipelineResult:
         each binary, through the scaled frontend model; returns
         ``{"baseline": {...}, "optimized": {...}}`` of Table 4 counters
         plus cycles/instructions/ipc (see :meth:`FrontendCounters.as_dict`).  Fully deterministic in
-        (binaries, ``max_blocks``, ``seed``, ``params``) -- which is
-        what lets regression gates compare the values exactly.
+        (binaries, ``max_blocks``) -- which is what lets regression
+        gates compare the values exactly.
         """
-        scorecard, _ = self._simulate_frontend(max_blocks, seed, params,
-                                               by_function=False)
+        scorecard, _ = self._simulate_frontend(max_blocks, by_function=False)
         return scorecard
 
     def frontend_counters_by_function(
-        self,
-        max_blocks: int = 200_000,
-        seed: int = 77,
-        params=None,
+        self, max_blocks: int = SCORECARD_BLOCKS,
     ) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per-function frontend attribution for both binaries.
 
@@ -336,19 +326,20 @@ class PipelineResult:
         accumulated globally inside the model, so enabling attribution
         never changes the gated scorecard values.
         """
-        _, by_function = self._simulate_frontend(max_blocks, seed, params,
-                                                 by_function=True)
+        _, by_function = self._simulate_frontend(max_blocks, by_function=True)
         return by_function
 
-    def _simulate_frontend(self, max_blocks, seed, params, by_function):
-        """One walk replayed through both binaries; scorecard + optional attribution."""
+    def _simulate_frontend(self, max_blocks=SCORECARD_BLOCKS, by_function=False):
+        """One walk replayed through both binaries; scorecard + optional
+        attribution.  The walk seed (77) and the model
+        (:data:`~repro.hwmodel.frontend.SCALED_PARAMS`) are fixed:
+        :func:`~repro.hwmodel.frontend_scorecard`'s defaults."""
         from repro.hwmodel import frontend_scorecard
-        from repro.hwmodel.frontend import SCALED_PARAMS
 
         counters = frontend_scorecard(
             {"baseline": self.baseline.executable,
              "optimized": self.optimized.executable},
-            max_blocks, seed, SCALED_PARAMS if params is None else params, by_function)
+            max_blocks, by_function=by_function)
         scorecard = {name: c.as_dict() for name, c in counters.items()}
         attribution = {
             name: {
@@ -383,12 +374,14 @@ from repro.core import phases  # noqa: E402
 class PropellerPipeline:
     """Drives Phases 1-4 for one program.
 
-    :param tracer: span sink for this run (see :mod:`repro.obs`).
-        ``None`` derives it from ``config.trace``: a fresh recording
-        :class:`~repro.obs.Tracer` when tracing is on, the shared no-op
-        tracer otherwise.  Counters are always collected; they live on
-        the build system (``self.counters``) so externally supplied
-        build systems keep their own accounting.
+    :param tracer: span sink for this run (see :mod:`repro.obs`): pass
+        a :class:`~repro.obs.Tracer` to record phase/batch/action spans.
+        ``None`` is the shared no-op tracer, and the instrumented paths
+        then cost nothing.  Tracing never changes any artifact
+        (``PipelineResult.digest()`` is identical either way).
+        Counters are always collected; they live on the build system
+        (``self.counters``) so externally supplied build systems keep
+        their own accounting.
     """
 
     def __init__(
@@ -400,9 +393,7 @@ class PropellerPipeline:
     ):
         self.program = program
         self.config = config
-        if tracer is None:
-            tracer = Tracer() if config.trace else NULL_TRACER
-        self.tracer = tracer
+        self.tracer = NULL_TRACER if tracer is None else tracer
         cache_dir = resolve_cache_dir(config.cache_dir)
         if cache_dir is None and config.state_dir:
             # A state directory is a promise of cross-release reuse, so

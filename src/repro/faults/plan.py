@@ -6,7 +6,9 @@ workers, hang until killed, or return corrupted outputs from a flaky
 transfer, and the system is engineered so that none of that changes
 *what* gets built -- only how long it takes.  A :class:`FaultPlan` is
 the simulator's model of that environment's misbehaviour: a seeded
-schedule of per-action failure/timeout/corruption/slowdown events.
+schedule of per-action failures and timeouts.  (A corrupted fetch is
+modelled for real, by the action store's envelope check and
+quarantine in :mod:`repro.runtime.cache`.)
 
 The property that makes plans usable under the repo's determinism
 contract is that every decision is a pure function of
@@ -26,8 +28,12 @@ contract is that every decision is a pure function of
 :meth:`FaultPlan.charge` turns the schedule into one action's time
 ledger: how many attempts were burned, what each one hit, and the
 simulated seconds the action really took (wasted attempts + exponential
-backoff + the final successful run).  Time and value are split on
-purpose:
+backoff + the final successful run).  The retry policy is fixed, in
+simulated seconds: :data:`MAX_ATTEMPTS` tries per action (the first
+included), retry ``k`` waiting ``BACKOFF_BASE * 2**(k-1)`` jittered by
+``±BACKOFF_JITTER`` (relative, deterministic per attempt), and a hung
+attempt burning :data:`TIMEOUT_SECONDS` before it is killed.  Time and
+value are split on purpose:
 
 * the **value** of an action is computed exactly once, by the build
   system, on the final (successful) attempt -- injected faults can
@@ -60,7 +66,14 @@ __all__ = [
 
 #: Injectable event kinds, in classification-band order: an attempt's
 #: uniform draw is compared against the cumulative rates in this order.
-FAULT_KINDS = ("fail", "timeout", "corrupt", "slow")
+FAULT_KINDS = ("fail", "timeout")
+
+#: The retry policy (see the module docstring).
+MAX_ATTEMPTS = 4
+BACKOFF_BASE = 0.25
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.25
+TIMEOUT_SECONDS = 8.0
 
 
 class RetriesExhausted(Exception):
@@ -90,18 +103,8 @@ _SPEC_KEYS: Dict[str, str] = {
     "seed": "seed",
     "fail": "fail_rate",
     "timeout": "timeout_rate",
-    "corrupt": "corrupt_rate",
-    "slow": "slow_rate",
-    "slow_factor": "slow_factor",
-    "attempts": "max_attempts",
-    "backoff": "backoff_base",
-    "backoff_mult": "backoff_multiplier",
-    "jitter": "backoff_jitter",
-    "timeout_s": "timeout_seconds",
     "only": "only_kinds",
 }
-_INT_FIELDS = {"seed", "max_attempts"}
-_FLOAT_FIELDS = tuple(f for f in _SPEC_KEYS.values() if f not in _INT_FIELDS | {"only_kinds"})
 
 
 @dataclass(frozen=True)
@@ -133,67 +136,37 @@ class FaultPlan:
     """A seeded, replayable schedule of injected action faults.
 
     Rates are per *attempt*: with independent draws per attempt and
-    ``max_attempts=4``, a 2% failure rate exhausts an action with
-    probability ``0.02**4`` -- effectively never, which is exactly the
-    warehouse experience the retry policy is modelled on.
+    :data:`MAX_ATTEMPTS` (4) tries, a 2% failure rate exhausts an action
+    with probability ``0.02**4`` -- effectively never, which is exactly
+    the warehouse experience the retry policy is modelled on.
     """
 
     seed: int = 0
     #: P(attempt fails partway through) -- worker preemption, OOM kill.
     fail_rate: float = 0.0
-    #: P(attempt hangs and is killed at :attr:`timeout_seconds`).
+    #: P(attempt hangs and is killed at :data:`TIMEOUT_SECONDS`).
     timeout_rate: float = 0.0
-    #: P(attempt completes but its output fails digest verification on
-    #: fetch and must be recomputed) -- the transfer-corruption model.
-    corrupt_rate: float = 0.0
-    #: P(attempt lands on a degraded worker and runs
-    #: :attr:`slow_factor` times slower, but succeeds).
-    slow_rate: float = 0.0
-    slow_factor: float = 4.0
-    #: Bounded retry budget per action (first try included).
-    max_attempts: int = 4
-    #: Exponential-backoff schedule, in *simulated* seconds:
-    #: ``backoff_base * backoff_multiplier**(attempt-1)``, jittered by
-    #: ``±backoff_jitter`` (relative, deterministic per attempt).
-    backoff_base: float = 0.25
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.25
-    #: Per-action timeout: how long a hung attempt burns before the
-    #: build system kills it (simulated seconds).
-    timeout_seconds: float = 8.0
     #: When non-empty, faults apply only to these action kinds (e.g.
     #: ``("profile-lbr",)`` to starve profile collection and exercise
     #: the degradation path while builds stay clean).
     only_kinds: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in _FLOAT_FIELDS:
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("fail_rate", "timeout_rate", "corrupt_rate", "slow_rate"):
+        for name in ("fail_rate", "timeout_rate"):
             rate = getattr(self, name)
+            if not _finite(rate):
+                raise ValueError(f"{name} must be finite, got {rate!r}")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.total_rate > 1.0:
             raise ValueError(
                 f"fault rates must sum to <= 1, got {self.total_rate}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.slow_factor < 1.0:
-            raise ValueError(f"slow_factor must be >= 1, got {self.slow_factor}")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1), got {self.backoff_jitter}")
-        if min(self.backoff_base, self.backoff_multiplier,
-               self.timeout_seconds) < 0:
-            raise ValueError("backoff and timeout parameters must be >= 0")
 
     # -- deterministic draws ------------------------------------------
 
     @property
     def total_rate(self) -> float:
-        return (self.fail_rate + self.timeout_rate
-                + self.corrupt_rate + self.slow_rate)
+        return self.fail_rate + self.timeout_rate
 
     @property
     def active(self) -> bool:
@@ -227,8 +200,7 @@ class FaultPlan:
             return None
         u = self._uniform(key, attempt, "event")
         cumulative = 0.0
-        for fault, rate in zip(FAULT_KINDS, (self.fail_rate, self.timeout_rate,
-                                             self.corrupt_rate, self.slow_rate)):
+        for fault, rate in zip(FAULT_KINDS, (self.fail_rate, self.timeout_rate)):
             cumulative += rate
             if u < cumulative:
                 return fault
@@ -240,20 +212,17 @@ class FaultPlan:
 
     def backoff_seconds(self, key: str, attempt: int) -> float:
         """Simulated delay before retry number ``attempt + 1``."""
-        base = self.backoff_base * self.backoff_multiplier ** (attempt - 1)
-        if not self.backoff_jitter:
-            return base
+        base = BACKOFF_BASE * BACKOFF_MULTIPLIER ** (attempt - 1)
         u = self._uniform(key, attempt, "backoff")
-        return base * (1.0 + self.backoff_jitter * (2.0 * u - 1.0))
+        return base * (1.0 + BACKOFF_JITTER * (2.0 * u - 1.0))
 
     def charge(self, kind: str, key: str, clean_seconds: float,
                counters: Any) -> AttemptLedger:
         """The time ledger of one executed action, counted on ``counters``.
 
-        Walks attempts ``1..max_attempts``: a clean draw (or a slowdown)
-        ends the walk as a success; fail/timeout/corrupt events waste
-        that attempt's simulated time, add the deterministic backoff,
-        and retry.  Never raises -- exhaustion is reported through
+        Walks attempts ``1..MAX_ATTEMPTS``: a clean draw ends the walk
+        as a success; a fail or timeout wastes that attempt's simulated
+        time, adds the deterministic backoff, and retries.  Never raises -- exhaustion is reported through
         ``ledger.ok`` so the caller decides whether it is fatal.  The
         ``faults.*`` / ``retry.*`` counters are a pure function of
         (plan, action key), like the ledger.
@@ -264,7 +233,7 @@ class FaultPlan:
         events = []
         attempts = 0
         ok = False
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             attempts = attempt
             event = self.draw(kind, key, attempt)
             if event is None:
@@ -272,25 +241,15 @@ class FaultPlan:
                 ok = True
                 break
             counters.incr("faults.injected")
-            counters.incr(f"faults.{event}s" if event != "timeout"
-                          else "faults.timeouts")
+            counters.incr(f"faults.{event}s")
             events.append(f"{event}@{attempt}")
-            if event == "slow":
-                # A degraded worker: slower, but it finishes.
-                total += clean_seconds * self.slow_factor
-                ok = True
-                break
             if event == "fail":
                 # Preempted partway through the run.
                 total += clean_seconds * self.fail_fraction(key, attempt)
-            elif event == "timeout":
+            else:
                 # Hung until the per-action timeout killed it.
-                total += self.timeout_seconds
-            else:  # corrupt
-                # Ran fully; the fetched output failed digest
-                # verification and must be recomputed.
-                total += clean_seconds
-            if attempt < self.max_attempts:
+                total += TIMEOUT_SECONDS
+            if attempt < MAX_ATTEMPTS:
                 backoff = self.backoff_seconds(key, attempt)
                 total += backoff
                 counters.incr("retry.attempts")
@@ -331,7 +290,7 @@ class FaultPlan:
             if field == "only_kinds":
                 values[field] = tuple(k for k in raw.split("|") if k)
             else:
-                values[field] = (int if field in _INT_FIELDS else float)(raw)
+                values[field] = (int if field == "seed" else float)(raw)
         return cls(**values)
 
     @classmethod

@@ -254,7 +254,6 @@ def simulate_frontend(
     exe: Executable,
     trace: Trace,
     params: SkylakeParams = DEFAULT_PARAMS,
-    simulate_dsb: bool = True,
     by_function: bool = False,
 ) -> FrontendCounters:
     """Replay ``trace`` (generated from ``exe``) through the frontend.
@@ -313,7 +312,7 @@ def simulate_frontend(
     pages[1, num_blocks:] = (start[num_blocks:] + params.line_bytes) >> page_shift
     num_pages = 1 + (pages[1] != pages[0])
     first_window = start >> 5
-    num_windows = ((last >> 5) - first_window + 1) * simulate_dsb
+    num_windows = (last >> 5) - first_window + 1
     num_windows[num_blocks:] = 0
     instrs = np.maximum(1.0, size[:num_blocks] / params.avg_instr_bytes)
 

@@ -317,7 +317,7 @@ class RunSnapshot:
 
     @classmethod
     def from_result(cls, result, label: str, tracer=None,
-                    max_blocks: int = 200_000, seed: int = 77) -> "RunSnapshot":
+                    max_blocks: int = 200_000) -> "RunSnapshot":
         """From an in-process :class:`~repro.core.pipeline.PipelineResult`.
 
         The richest mode: per-function counters are simulated on the
@@ -331,7 +331,7 @@ class RunSnapshot:
                                and getattr(tracer, "spans", None) else None)
         snap.functions = result.functions
         snap.per_function = result.frontend_counters_by_function(
-            max_blocks=max_blocks, seed=seed)["optimized"]
+            max_blocks=max_blocks)["optimized"]
         snap.clusters = {
             fn: _cluster_signature(clusters)
             for fn, clusters in result.wpa_result.clusters.items()
@@ -424,13 +424,13 @@ def explain(base: RunSnapshot, new: RunSnapshot,
 def explain_results(base_result, new_result, base_tracer=None,
                     new_tracer=None, top_k: int = 10,
                     labels: Tuple[str, str] = ("base", "new"),
-                    max_blocks: int = 200_000, seed: int = 77) -> ExplainReport:
+                    max_blocks: int = 200_000) -> ExplainReport:
     """In-process convenience: explain two pipeline results directly."""
     return explain(
         RunSnapshot.from_result(base_result, labels[0], tracer=base_tracer,
-                                max_blocks=max_blocks, seed=seed),
+                                max_blocks=max_blocks),
         RunSnapshot.from_result(new_result, labels[1], tracer=new_tracer,
-                                max_blocks=max_blocks, seed=seed),
+                                max_blocks=max_blocks),
         top_k=top_k,
     )
 

@@ -170,16 +170,6 @@ class PipelineReport:
     def pct_hot_modules(self) -> float:
         return self.build("optimized").hot_modules / max(1, self.modules)
 
-    def frontend_counter(self, binary: str, label: str) -> float:
-        """One scorecard value, e.g. ``frontend_counter("optimized", "I1")``."""
-        try:
-            return self.frontend[binary][label]
-        except KeyError:
-            raise KeyError(
-                f"no frontend counter {label!r} for binary {binary!r}; "
-                "was the report built with include_frontend=True?"
-            ) from None
-
     def summary(self) -> str:
         """The human-readable run summary (what ``optimize`` prints)."""
         base, meta, opt = (self.build("baseline"), self.build("metadata"),
@@ -285,7 +275,7 @@ class PipelineReport:
         scorecard, by_function = {}, {}
         if include_frontend or include_attribution:
             scorecard, by_function = result._simulate_frontend(
-                200_000, 77, None, by_function=include_attribution)
+                by_function=include_attribution)
         return cls(
             program=result.program.name,
             modules=len(result.program.modules),

@@ -27,8 +27,9 @@ simply recomputes and overwrites it.  A poisoned cache can cost time;
 it can never change what gets built.
 
 Every tally -- loads, stores, quarantines, solve hits and misses -- is
-kept once, on the ``Counters`` each store is given (duck-typed, so this
-module imports nothing from the rest of ``repro``).
+kept once, on the ``Counters`` a store shares with its owner
+(duck-typed, so this module imports nothing from the rest of
+``repro``).
 """
 
 from __future__ import annotations
@@ -172,8 +173,10 @@ class PersistentActionStore:
     """Content-addressed pickle store under one root directory.
 
     ``counters`` (the :class:`repro.obs.Counters` contract, duck-typed)
-    counts ``store.loads``, ``store.stores``, ``store.quarantined`` and
-    ``store.load_errors``.
+    counts the store's integrity events, ``store.quarantined`` and
+    ``store.load_errors``; its traffic is counted by its owner (the
+    build system's ``store.loads`` / ``store.stores``, the solve
+    cache's ``incr.solve_*``).
     """
 
     def __init__(self, root: "str | os.PathLike", counters: Any):
@@ -222,9 +225,7 @@ class PersistentActionStore:
             if reason == "unpicklable":
                 self.counters.incr("store.load_errors")
             return None
-        self.counters.incr("store.loads")
         return entry
 
     def store(self, key: str, entry: Any) -> None:
         write_envelope(self._path(key), entry)
-        self.counters.incr("store.stores")

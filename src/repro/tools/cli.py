@@ -165,12 +165,13 @@ def _pipeline(args) -> PropellerPipeline:
     inside the guard: a value :class:`PipelineConfig` refuses, or a
     fault plan that does not resolve, is a usage error before any work
     starts."""
+    from repro.obs import Tracer
+
     program = _read(load_program, args.program, "program")
     try:
         return PropellerPipeline(program, PipelineConfig(
-            trace=bool(getattr(args, "trace_out", None)),
             **{field: getattr(args, dest) for dest, field in PIPELINE_FLAG_FIELDS.items()},
-        ))
+        ), tracer=Tracer() if getattr(args, "trace_out", None) else None)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

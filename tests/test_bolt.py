@@ -12,7 +12,6 @@ from repro.bolt import (
     BoltBlock,
     BoltError,
     BoltFunction,
-    BoltOptions,
     BoltProfile,
     BoltStartupCrash,
     DisassemblyResult,
@@ -276,13 +275,6 @@ class TestOptimizer:
             if sym.addr != before[sym.name] and not sym.name.startswith(".")
         ]
         assert moved
-
-    @pytest.mark.slow
-    def test_lite_processes_fewer_functions(self, setup):
-        _pipe, res, bm = setup
-        full = run_bolt(bm.executable, res.perf, BoltOptions(lite=False))
-        lite = run_bolt(bm.executable, res.perf, BoltOptions(lite=True))
-        assert lite.stats.funcs_rewritten <= full.stats.funcs_rewritten
 
     def test_no_overlapping_blocks(self, setup):
         _pipe, res, bm = setup

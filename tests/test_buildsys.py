@@ -5,6 +5,7 @@ import pytest
 from repro.buildsys import BuildSystem, ResourceLimitExceeded
 from repro.buildsys.build import CACHE_HIT_SECONDS, action_key
 from repro.faults import FaultPlan, RetriesExhausted
+from repro.obs import Counters
 
 
 def _compute(value=1, cost=2.0, peak=100):
@@ -81,8 +82,10 @@ class TestOneMissPath:
         "local": dict(remote=False, peak=5000, ram_limit=1000),
         "unenforced": dict(peak=5000, ram_limit=1000, enforce_ram=False),
         "ram-rejected": dict(peak=5000, ram_limit=1000, raises=ResourceLimitExceeded),
-        "faulted": dict(fault_plan=FaultPlan(seed=3, fail_rate=0.6, max_attempts=12)),
-        "slowed": dict(fault_plan=FaultPlan(seed=5, slow_rate=1.0)),
+        # Seed 3 fails three attempts and succeeds on the fourth.
+        "faulted": dict(fault_plan=FaultPlan(seed=3, fail_rate=0.6)),
+        # Seed 0 times out twice and succeeds on the third attempt.
+        "slowed": dict(fault_plan=FaultPlan(seed=0, timeout_rate=0.5)),
         "exhausted": dict(fault_plan=FaultPlan(fail_rate=1.0), raises=RetriesExhausted),
     }
 
@@ -115,6 +118,11 @@ class TestOneMissPath:
             assert bs.counters.count("executor.batches") == 2  # counted, then raised
         else:
             assert [r.cache_hit for r in batch] == [False, True]
+            plan = spec.get("fault_plan")
+            if plan is not None:  # the faulted miss pays exactly its ledger
+                ledger = plan.charge("codegen", batch[0].key, 2.0, Counters())
+                assert ledger.ok and ledger.events
+                assert batch[0].cost_seconds == ledger.seconds
 
 
 class TestResourceLimits:

@@ -121,9 +121,8 @@ class TestMakespanMonotonicity:
         attempts into failures, so per-action time can only grow --
         provided neither plan exhausts (an exhausted walk has no final
         clean run to pay for)."""
-        low_plan = FaultPlan(seed=seed, fail_rate=low, max_attempts=10)
-        high_plan = FaultPlan(seed=seed, fail_rate=min(low + delta, 0.9),
-                              max_attempts=10)
+        low_plan = FaultPlan(seed=seed, fail_rate=low)
+        high_plan = FaultPlan(seed=seed, fail_rate=min(low + delta, 0.9))
         keys = [f"{seed:04x}{i:04x}" * 8 for i in range(n_keys)]
         for key in keys:
             a = low_plan.charge("t", key, clean, Counters())

@@ -56,7 +56,11 @@ WHY = {
         "an executable's symbol name index, and the piecewise IR hasher and "
         "second builds of a release's function evidence (each function is "
         "encoded once, and PipelineResult.functions is built from the "
-        "digests that keyed its compiles) stay deleted."),
+        "digests that keyed its compiles), and the options only tests set "
+        "(a fault plan's retry policy and its corrupt/slow kinds, BOLT's "
+        "options, the DSB switch, the tracing config flag beside "
+        "PropellerPipeline(tracer=), the report's one-counter accessor) stay "
+        "deleted."),
     PROFILES: (
         "An LBR profile is columns: no scalar draw per walker decision, no "
         "Python object per sample outside the view in profiles/lbr.py and no "
@@ -119,6 +123,21 @@ def _executable_families_are_tables(paths) -> List[str]:
     return [f"repro.elf.Executable.{name}: {hints[name]}"
             for name in ("sections", "symbols", "retained_relocations")
             if hints[name] is not Table]
+
+
+def _fault_kinds_are_fail_and_timeout(paths) -> List[str]:
+    from repro.faults import FAULT_KINDS
+
+    return [] if FAULT_KINDS == ("fail", "timeout") else [f"FAULT_KINDS == {FAULT_KINDS}"]
+
+
+def _pipeline_config_has_no_trace(paths) -> List[str]:
+    import dataclasses
+
+    from repro.core.pipeline import PipelineConfig
+
+    return [f"repro.core.pipeline.PipelineConfig.{f.name}"
+            for f in dataclasses.fields(PipelineConfig) if f.name == "trace"]
 
 
 def _scored_on_push(paths) -> List[str]:
@@ -264,6 +283,22 @@ RULES = [
     # A table is built once, from columns: nothing appends rows to one.
     Rule(COLUMNAR, r'append_row|put_row|put_record|_writers|\.release\(\)', (SRC,),
          "a table is grown a row at a time again"),
+    # Appended after every other row, so that no existing id moves.
+    Rule(CALLER, r'corrupt_rate|slow_rate|slow_factor|max_attempts|backoff_base'
+                 r'|backoff_multiplier|backoff_jitter|timeout_seconds'
+                 r'|"(corrupt|slow|slow_factor|attempts|backoff|backoff_mult|jitter|timeout_s)":',
+         ("src/repro/faults",),
+         "a fault-plan field or spec key only tests set is back; the retry "
+         "policy is constants"),
+    Rule(CALLER, _fault_kinds_are_fail_and_timeout, (),
+         "an injected corrupt or slow kind is back; a fault is a fail or a timeout"),
+    Rule(CALLER, r'class BoltOptions\b', (SRC,),
+         "BOLT's options are back; it runs the paper's one configuration"),
+    Rule(CALLER, r'simulate_dsb', (SRC,), "the frontend model's DSB switch is back"),
+    Rule(CALLER, _pipeline_config_has_no_trace, (),
+         "PipelineConfig.trace is back; pass PropellerPipeline(tracer=Tracer())"),
+    Rule(CALLER, r'def frontend_counter\(', (SRC,),
+         "the report's one-counter accessor is back; read report.frontend"),
 ]
 
 

@@ -44,18 +44,18 @@ BLOCKS = 60_000
 @pytest.fixture(scope="module")
 def explain_config():
     return PipelineConfig(lbr_branches=40_000, pgo_steps=20_000,
-                          workers=72, enforce_ram=False, trace=True)
+                          workers=72, enforce_ram=False)
 
 
 @pytest.fixture(scope="module")
 def base_run(tiny_program, explain_config):
-    pipe = PropellerPipeline(tiny_program, explain_config)
+    pipe = PropellerPipeline(tiny_program, explain_config, tracer=Tracer())
     return pipe, pipe.run()
 
 
 @pytest.fixture(scope="module")
 def rerun(tiny_program, explain_config):
-    pipe = PropellerPipeline(tiny_program, explain_config)
+    pipe = PropellerPipeline(tiny_program, explain_config, tracer=Tracer())
     return pipe, pipe.run()
 
 
@@ -68,7 +68,8 @@ def edited_run(tiny_program, explain_config, base_run):
                  key=lambda f: (per.get(f, {}).get("cycles", 0.0), f))
     script = EditScript(edits=(
         Edit("body", target, tiny_program.module_of(target).name, 123),))
-    pipe = PropellerPipeline(script.apply(tiny_program), explain_config)
+    pipe = PropellerPipeline(script.apply(tiny_program), explain_config,
+                             tracer=Tracer())
     return target, pipe, pipe.run()
 
 

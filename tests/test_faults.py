@@ -18,12 +18,20 @@ from hypothesis import given, settings, strategies as st
 from repro.buildsys import BuildSystem
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.faults import FAULT_KINDS, AttemptLedger, FaultPlan, RetriesExhausted
-from repro.faults.plan import _SPEC_KEYS
-from repro.obs import Counters, PipelineReport
+from repro.faults.plan import (BACKOFF_JITTER, MAX_ATTEMPTS, TIMEOUT_SECONDS,
+                               _SPEC_KEYS)
+from repro.obs import Counters, PipelineReport, Tracer
 from repro.synth import PRESETS, generate_workload
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
+#: The spec keys and plan fields a plan no longer has: the retry policy
+#: is constants, and corruption and slowdowns are not injected kinds.
+REMOVED_KEYS = ("corrupt", "slow", "slow_factor", "attempts", "backoff",
+                "backoff_mult", "jitter", "timeout_s")
+REMOVED_FIELDS = ("corrupt_rate", "slow_rate", "slow_factor", "max_attempts",
+                  "backoff_base", "backoff_multiplier", "backoff_jitter",
+                  "timeout_seconds")
 
 
 # ----------------------------------------------------------------------
@@ -31,17 +39,11 @@ OTHER = "cd" * 32
 
 class TestPlanSpecs:
     def test_parse_builds_the_plan(self):
-        plan = FaultPlan.parse("fail=0.02,timeout=0.01,seed=7,attempts=6")
-        assert plan == FaultPlan(fail_rate=0.02, timeout_rate=0.01, seed=7,
-                                 max_attempts=6)
-        assert FaultPlan.parse(
-            "seed=3,fail=0.1,timeout=0.2,corrupt=0.05,slow=0.25,slow_factor=2,"
-            "attempts=5,backoff=0.5,backoff_mult=3,jitter=0.1,timeout_s=4,"
-            "only=codegen") == FaultPlan(
-                seed=3, fail_rate=0.1, timeout_rate=0.2, corrupt_rate=0.05,
-                slow_rate=0.25, slow_factor=2.0, max_attempts=5, backoff_base=0.5,
-                backoff_multiplier=3.0, backoff_jitter=0.1, timeout_seconds=4.0,
-                only_kinds=("codegen",))
+        plan = FaultPlan.parse("fail=0.02,timeout=0.01,seed=7")
+        assert plan == FaultPlan(fail_rate=0.02, timeout_rate=0.01, seed=7)
+        assert FaultPlan.parse("seed=3,fail=0.1,timeout=0.2,only=codegen") == FaultPlan(
+            seed=3, fail_rate=0.1, timeout_rate=0.2, only_kinds=("codegen",))
+        assert sorted(_SPEC_KEYS) == ["fail", "only", "seed", "timeout"]
 
     def test_only_kinds_spec(self):
         plan = FaultPlan.parse("fail=1,only=profile-lbr|wpa")
@@ -60,6 +62,12 @@ class TestPlanSpecs:
             FaultPlan.parse("failure=0.1")
         with pytest.raises(ValueError, match="not key=value"):
             FaultPlan.parse("fail")
+        for key in REMOVED_KEYS:
+            with pytest.raises(ValueError, match="unknown fault-plan key"):
+                FaultPlan.parse(f"fail=0.1,{key}=1")
+        for name in REMOVED_FIELDS:
+            with pytest.raises(TypeError):
+                FaultPlan(**{name: 1})
 
     def test_resolve_forms(self, tmp_path):
         assert FaultPlan.resolve(None) is None
@@ -87,14 +95,9 @@ _SPEC_ITEM = st.one_of(
 
 
 def _in_range(plan: FaultPlan) -> bool:
-    rates = (plan.fail_rate, plan.timeout_rate, plan.corrupt_rate, plan.slow_rate)
-    numbers = rates + (plan.slow_factor, plan.backoff_base, plan.backoff_multiplier,
-                       plan.backoff_jitter, plan.timeout_seconds)
-    return (all(math.isfinite(x) for x in numbers)
-            and all(0.0 <= r <= 1.0 for r in rates) and sum(rates) <= 1.0
-            and plan.max_attempts >= 1 and plan.slow_factor >= 1.0
-            and 0.0 <= plan.backoff_jitter < 1.0
-            and min(plan.backoff_base, plan.backoff_multiplier, plan.timeout_seconds) >= 0)
+    rates = (plan.fail_rate, plan.timeout_rate)
+    return (all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in rates)
+            and sum(rates) <= 1.0)
 
 
 class TestResolveFuzz:
@@ -108,8 +111,8 @@ class TestResolveFuzz:
         assert _in_range(plan), plan
 
     @pytest.mark.parametrize("spec", [
-        "slow=0.5,slow_factor=nan", "fail=0.5,backoff=nan", "backoff_mult=nan",
-        "timeout=0.5,timeout_s=nan", "slow_factor=inf", "backoff=1e400"])
+        "timeout=nan", "fail=0.5,timeout=nan", "fail=nan",
+        "timeout=0.5,fail=-inf", "timeout=inf", "fail=1e400"])
     def test_non_finite_values_are_rejected(self, spec):
         with pytest.raises(ValueError, match="finite"):
             FaultPlan.resolve(spec)
@@ -119,18 +122,18 @@ class TestResolveFuzz:
         as floats, and a spec rejects them like any NaN or inf."""
         for value in ("NaN", "Infinity", "1" + "0" * 400):
             with pytest.raises(ValueError, match="finite"):
-                FaultPlan.resolve(f"backoff_mult={value}")
+                FaultPlan.resolve(f"fail={value}")
 
 
 class TestPlanValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(fail_rate=-0.1),
         dict(timeout_rate=1.5),
-        dict(fail_rate=0.6, corrupt_rate=0.6),  # sum > 1
-        dict(max_attempts=0),
-        dict(slow_factor=0.5),
-        dict(backoff_jitter=1.0),
-        dict(backoff_base=-1.0),
+        dict(fail_rate=0.6, timeout_rate=0.6),  # sum > 1
+        dict(timeout_rate=-0.1),
+        dict(fail_rate=1.5),
+        dict(fail_rate=0.5, timeout_rate=0.5000001),  # sum just over 1
+        dict(timeout_rate=math.nan),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -140,7 +143,7 @@ class TestPlanValidation:
         # An int too large for a float is not finite either.
         for value in (math.nan, math.inf, 10 ** 400):
             with pytest.raises(ValueError, match="finite"):
-                FaultPlan(backoff_multiplier=value)
+                FaultPlan(fail_rate=value)
 
 
 # ----------------------------------------------------------------------
@@ -176,10 +179,9 @@ class TestDraws:
 
     def test_classification_band_order(self):
         # With the whole unit mass on one kind, every draw is that kind.
+        assert FAULT_KINDS == ("fail", "timeout")
         for kind in FAULT_KINDS:
-            rates = {f"{k}_rate": 0.0 for k in ("fail", "timeout", "corrupt", "slow")}
-            rates[f"{kind}_rate"] = 1.0
-            plan = FaultPlan(seed=7, **rates)
+            plan = FaultPlan(seed=7, **{f"{kind}_rate": 1.0})
             assert plan.draw("t", KEY, 1) == kind
 
     def test_fail_fraction_in_unit_interval(self):
@@ -188,17 +190,19 @@ class TestDraws:
             assert 0.0 <= plan.fail_fraction(KEY, attempt) < 1.0
 
     def test_backoff_exponential_without_jitter(self):
-        plan = FaultPlan(backoff_base=0.5, backoff_multiplier=3.0,
-                         backoff_jitter=0.0)
-        assert plan.backoff_seconds(KEY, 1) == 0.5
-        assert plan.backoff_seconds(KEY, 2) == 1.5
-        assert plan.backoff_seconds(KEY, 3) == 4.5
+        """With its jitter factor divided out, retry ``k`` waits
+        0.25 s * 2**(k-1)."""
+        plan = FaultPlan(seed=7)
+        for attempt, base in ((1, 0.25), (2, 0.5), (3, 1.0)):
+            u = plan._uniform(KEY, attempt, "backoff")
+            jitter = 1.0 + BACKOFF_JITTER * (2.0 * u - 1.0)
+            assert plan.backoff_seconds(KEY, attempt) / jitter == pytest.approx(base)
 
     def test_backoff_jitter_bounded_and_deterministic(self):
-        plan = FaultPlan(backoff_base=1.0, backoff_multiplier=2.0,
-                         backoff_jitter=0.25)
+        plan = FaultPlan(seed=7)
+        assert BACKOFF_JITTER == 0.25
         for attempt in range(1, 6):
-            base = 2.0 ** (attempt - 1)
+            base = 0.25 * 2.0 ** (attempt - 1)
             value = plan.backoff_seconds(KEY, attempt)
             assert base * 0.75 <= value <= base * 1.25
             assert value == plan.backoff_seconds(KEY, attempt)
@@ -229,43 +233,36 @@ class TestFaultClock:
         assert ledger.ok and ledger.seconds == 2.0 and not ledger.events
 
     def test_ledgers_identical_across_clock_instances(self):
-        plan = FaultPlan(seed=7, fail_rate=0.3, timeout_rate=0.1,
-                         corrupt_rate=0.1, slow_rate=0.1)
+        plan = FaultPlan(seed=7, fail_rate=0.3, timeout_rate=0.1)
         keys = [f"{i:02x}" * 32 for i in range(32)]
         first = [_charge(plan, "t", k, 1.5) for k in keys]
-        second = [_charge(FaultPlan.parse("seed=7,fail=0.3,timeout=0.1,corrupt=0.1,slow=0.1"),
+        second = [_charge(FaultPlan.parse("seed=7,fail=0.3,timeout=0.1"),
                           "t", k, 1.5) for k in keys]
         assert [(l, c.snapshot()) for l, c in first] == \
             [(l, c.snapshot()) for l, c in second]
 
-    def test_slow_event_succeeds_at_inflated_cost(self):
-        plan = FaultPlan(seed=7, slow_rate=1.0, slow_factor=4.0)
-        ledger, _ = _charge(plan, "t", KEY, 2.0)
-        assert ledger.ok and ledger.attempts == 1
-        assert ledger.seconds == pytest.approx(8.0)
-        assert ledger.events == ("slow@1",)
-
     def test_exhaustion_reported_not_raised(self):
-        plan = FaultPlan(seed=7, fail_rate=1.0, max_attempts=3)
+        plan = FaultPlan(seed=7, fail_rate=1.0)
         ledger, counters = _charge(plan, "t", KEY, 2.0)
         assert not ledger.ok
-        assert ledger.attempts == 3
-        assert ledger.events == ("fail@1", "fail@2", "fail@3")
+        assert ledger.attempts == MAX_ATTEMPTS == 4
+        assert ledger.events == ("fail@1", "fail@2", "fail@3", "fail@4")
         assert counters.count("retry.exhausted") == 1
-        assert counters.count("faults.fails") == 3
-        # Two backoffs happened (between the three attempts).
-        assert counters.count("retry.attempts") == 2
+        assert counters.count("faults.fails") == 4
+        # Three backoffs happened (between the four attempts).
+        assert counters.count("retry.attempts") == 3
 
     def test_timeout_burns_the_timeout_budget(self):
-        plan = FaultPlan(seed=7, timeout_rate=1.0, timeout_seconds=5.0,
-                         max_attempts=2, backoff_jitter=0.0)
+        plan = FaultPlan(seed=7, timeout_rate=1.0)
         ledger, _ = _charge(plan, "t", KEY, 1.0)
         assert not ledger.ok
-        # Two timed-out attempts plus one backoff between them.
-        assert ledger.seconds == pytest.approx(5.0 + 0.25 + 5.0)
+        # Four timed-out attempts plus the three backoffs between them.
+        assert TIMEOUT_SECONDS == 8.0
+        assert ledger.seconds == pytest.approx(
+            4 * 8.0 + sum(plan.backoff_seconds(KEY, k) for k in (1, 2, 3)))
 
     def test_wasted_seconds_accumulate(self):
-        plan = FaultPlan(seed=7, corrupt_rate=0.5)
+        plan = FaultPlan(seed=7, fail_rate=0.5)
         counters = Counters()
         keys = [f"{i:02x}" * 32 for i in range(64)]
         ledgers = [plan.charge("t", k, 1.0, counters) for k in keys]
@@ -296,21 +293,27 @@ class TestBuildSystemFaults:
         assert result.value == "artifact" and result.cost_seconds == 2.0
 
     def test_faults_inflate_cost_never_value(self):
+        """At seed 2 the action's first attempt fails partway through
+        and its second succeeds."""
         clean = self._bs(None)
-        faulty = self._bs("slow=1,seed=7")
+        faulty = self._bs("fail=0.5,seed=2")
         a = clean.run_action("t", ["k"], lambda: _compute(2.0))
         b = faulty.run_action("t", ["k"], lambda: _compute(2.0))
         assert a.value == b.value == "artifact"
-        assert b.cost_seconds == pytest.approx(4 * a.cost_seconds)
+        plan = faulty.fault_plan
+        assert b.cost_seconds == (2.0 * plan.fail_fraction(b.key, 1)
+                                  + plan.backoff_seconds(b.key, 1) + 2.0)
         assert faulty.counters.count("faults.injected") == 1
 
     def test_cache_stores_clean_cost(self):
         """A warm replay of a previously faulted action costs a plain hit:
         retries are an execution phenomenon, not a property of the
-        artifact."""
-        faulty = self._bs("slow=1,seed=7")
+        artifact.  At seed 2 the first attempt times out and the
+        second succeeds."""
+        faulty = self._bs("timeout=0.5,seed=2")
         result = faulty.run_action("t", ["k"], lambda: _compute(2.0))
-        assert result.cost_seconds == pytest.approx(8.0)
+        assert result.cost_seconds == (
+            8.0 + faulty.fault_plan.backoff_seconds(result.key, 1) + 2.0)
         entry = faulty._entries[result.key]
         assert entry.cost_seconds == pytest.approx(2.0)
 
@@ -325,18 +328,21 @@ class TestBuildSystemFaults:
         assert faulty.counters.count("faults.injected") == 0
 
     def test_exhaustion_raises_retries_exhausted(self):
-        faulty = self._bs("fail=1,seed=7,attempts=3")
+        faulty = self._bs("fail=1,seed=7")
         with pytest.raises(RetriesExhausted) as excinfo:
             faulty.run_action("t", ["k"], lambda: _compute(2.0))
         assert excinfo.value.kind == "t"
-        assert excinfo.value.attempts == 3
+        assert excinfo.value.attempts == 4
         assert faulty.counters.count("retry.exhausted") == 1
 
     def test_run_batch_charges_misses_only(self):
-        faulty = self._bs("slow=1,seed=7")
+        """At seed 271 each of the four actions times out once, then
+        succeeds."""
+        faulty = self._bs("timeout=0.5,seed=271")
         items = [([f"k{i}"], _compute, (1.0,)) for i in range(4)]
         first = faulty.run_batch("t", items)
-        assert all(r.cost_seconds == pytest.approx(4.0) for r in first)
+        assert [r.cost_seconds for r in first] == [
+            8.0 + faulty.fault_plan.backoff_seconds(r.key, 1) + 1.0 for r in first]
         again = faulty.run_batch("t", items)
         assert all(r.cache_hit for r in again)
         assert faulty.counters.count("faults.injected") == 4  # not 8
@@ -380,7 +386,7 @@ def lbr_exhausted(nano_program):
     """A traced run whose hardware profile exhausts its retry budget."""
     pipe = PropellerPipeline(
         nano_program,
-        _config(fault_plan="fail=1,only=profile-lbr,seed=7", trace=True))
+        _config(fault_plan="fail=1,only=profile-lbr,seed=7"), tracer=Tracer())
     return pipe, pipe.run()
 
 
@@ -417,7 +423,7 @@ class TestPipelineDegradation:
         """The product build has no fallback: its exhaustion propagates,
         and the phase span it ran in is still closed and recorded."""
         pipe = PropellerPipeline(
-            nano_program, _config(fault_plan="fail=1,only=codegen", trace=True))
+            nano_program, _config(fault_plan="fail=1,only=codegen"), tracer=Tracer())
         with pytest.raises(RetriesExhausted):
             pipe.run()
         parents = _parents(pipe.tracer)
@@ -430,7 +436,7 @@ class TestPipelineDegradation:
         the Phase-4 link executes -- and exhausts."""
         PropellerPipeline(nano_program, _config(cache_dir=str(tmp_path))).collect_perf()
         pipe = PropellerPipeline(nano_program, _config(
-            cache_dir=str(tmp_path), fault_plan="fail=1,only=link", trace=True))
+            cache_dir=str(tmp_path), fault_plan="fail=1,only=link"), tracer=Tracer())
         result = pipe.run()
         assert result.degraded_reasons == ("relink",)
         assert result.counters.count("faults.degraded") == 1

@@ -148,12 +148,6 @@ class TestFrontend:
         assert small.l1i_miss >= big.l1i_miss
         assert small.cycles > big.cycles
 
-    def test_dsb_can_be_disabled(self, pipeline_result):
-        exe = pipeline_result.baseline.executable
-        trace = generate_trace(exe, max_blocks=5_000, seed=1)
-        counters = simulate_frontend(exe, trace, simulate_dsb=False)
-        assert counters.dsb_miss == 0
-
     def test_prefetch_reduces_misses(self, pipeline_result):
         from dataclasses import replace
 
@@ -176,7 +170,7 @@ class TestFrontend:
         assert huge.itlb_miss < normal.itlb_miss
 
 
-def reference_replay(exe, trace, params, simulate_dsb):
+def reference_replay(exe, trace, params):
     """The per-access replay, one block and one structure touch at a
     time: ``(instructions, {func: {counter: value}})``."""
     line_shift = params.line_bytes.bit_length() - 1
@@ -216,7 +210,7 @@ def reference_replay(exe, trace, params, simulate_dsb):
                 l1i.access(line)
                 l2.access(line)
                 itlb.access((line << line_shift) >> page_shift)
-        for window in range(addr >> 5, (last >> 5) + 1) if simulate_dsb else ():
+        for window in range(addr >> 5, (last >> 5) + 1):
             if not dsb.access(window):
                 charged["dsb_miss"] += 1
     starts = sorted(blocks)
@@ -250,9 +244,9 @@ class TestReplayAgainstReference:
     all cross chunk boundaries."""
 
     @settings(max_examples=40, deadline=None)
-    @given(_PARAMS, st.booleans(), st.booleans(), st.booleans(), st.integers(0, 1000))
+    @given(_PARAMS, st.booleans(), st.booleans(), st.integers(0, 1000))
     def test_counters_match_per_function(self, pipeline_result, params, hugepages,
-                                         simulate_dsb, prefetching, seed):
+                                         prefetching, seed):
         exe = pipeline_result.optimized.executable
         entries = [s.addr for s in exe.function_symbols()]
         exe = replace(exe, hugepages=hugepages, exec_blocks=[
@@ -260,11 +254,11 @@ class TestReplayAgainstReference:
             if prefetching and i % 7 == 0 else b
             for i, b in enumerate(exe.exec_blocks)])
         trace = generate_trace(exe, max_blocks=1500, seed=seed)
-        instructions, per = reference_replay(exe, trace, params, simulate_dsb)
-        counters = simulate_frontend(exe, trace, params, simulate_dsb, by_function=True)
+        instructions, per = reference_replay(exe, trace, params)
+        counters = simulate_frontend(exe, trace, params, by_function=True)
         view = project_arrays(walk(exe, max_blocks=1500, seed=seed), exe)
         with mock.patch.object(frontend, "REPLAY_CHUNK", 7):
-            chunked = simulate_frontend(exe, view, params, simulate_dsb, by_function=True)
+            chunked = simulate_frontend(exe, view, params, by_function=True)
         assert chunked == counters and list(chunked.per_function) == list(counters.per_function)
         assert counters.instructions == instructions
         assert set(counters.per_function) == set(per)

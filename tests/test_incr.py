@@ -28,7 +28,7 @@ from repro.incr import (
 )
 from repro.ir import Call, Instr
 from repro.ir.digest import module_digests
-from repro.obs import Counters
+from repro.obs import Counters, Tracer
 from repro.obs.report import plain
 from repro.runtime import FunctionSolveCache
 from repro.synth import EditScript, PRESETS, generate_workload
@@ -243,7 +243,7 @@ class TestIncrState:
         state = IncrState.capture(prior)
         changed = dataclasses.replace(
             prior.config, workers=9999, state_dir="/elsewhere",
-            cache_dir="/also/elsewhere", trace=True)
+            cache_dir="/also/elsewhere")
         state.check(prior.program.name, changed)  # does not raise
         assert config_signature(changed) == config_signature(prior.config)
 
@@ -393,8 +393,7 @@ class TestReoptimize:
         edited = script.apply(program)
         plan = "fail=1,only=profile-pgo,seed=3"
         pipeline = PropellerPipeline(edited, _config(
-            state_dir=str(state_dir), fault_plan=plan,
-            trace=True))
+            state_dir=str(state_dir), fault_plan=plan), tracer=Tracer())
         result = pipeline.reoptimize(state_path(state_dir))
         assert result.degraded_reasons == ("pgo-profile",)
         assert result.counters.count("faults.degraded") == 1
@@ -455,6 +454,19 @@ class TestReoptimize:
                             config=_config(state_dir=str(state_dir)))
         assert result.incremental is not None
         assert result.digest() == prior.digest()
+
+    def test_store_counts_the_action_store_only(self, prior, program, state_dir):
+        """``store.loads`` counts the action store's loads, which are the
+        build system's disk hits; the solve cache's loads from its own
+        store under the same state directory count as ``incr.solve_*``.
+        (The edit is one no other test makes, so WPA is not replayed
+        whole and its solves are looked up.)"""
+        edited = EditScript.generate(program, seed=11, kinds=("body",)).apply(program)
+        result = PropellerPipeline(edited, _config(
+            state_dir=str(state_dir))).reoptimize(state_path(state_dir))
+        counters = result.counters
+        assert counters.count("incr.solve_hits") > 0
+        assert counters.count("store.loads") == counters.count("cache.disk_hits") > 0
 
     def test_state_mismatch_raises(self, prior, program, state_dir):
         config = _config(state_dir=str(state_dir), seed=99)

@@ -66,7 +66,7 @@ def _config(**overrides) -> PipelineConfig:
 @pytest.fixture(scope="module")
 def traced_run(tiny_program):
     """One fully traced run: (pipeline, result)."""
-    pipe = PropellerPipeline(tiny_program, _config(trace=True))
+    pipe = PropellerPipeline(tiny_program, _config(), tracer=Tracer())
     return pipe, pipe.run()
 
 
@@ -402,7 +402,7 @@ class TestPipelineObservability:
 
     def test_digest_identical_with_tracing_off(self, tiny_program, traced_run):
         _, traced_result = traced_run
-        untraced = PropellerPipeline(tiny_program, _config(trace=False)).run()
+        untraced = PropellerPipeline(tiny_program, _config()).run()
         assert untraced.digest() == traced_result.digest()
 
     def test_default_tracer_is_shared_null(self, tiny_program):

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
-from repro.obs import PipelineReport, chrome_trace, write_metrics
+from repro.obs import PipelineReport, Tracer, chrome_trace, write_metrics
 from repro.obs.export import REAL_PID, SIM_PID
 
 
@@ -22,7 +22,7 @@ from repro.obs.export import REAL_PID, SIM_PID
 def traced(tiny_program):
     pipe = PropellerPipeline(tiny_program, PipelineConfig(
         lbr_branches=40_000, pgo_steps=20_000, workers=72,
-        enforce_ram=False, trace=True))
+        enforce_ram=False), tracer=Tracer())
     return pipe, pipe.run()
 
 
@@ -90,9 +90,9 @@ class TestChromeTraceSchema:
 class TestReportRoundTrip:
     def test_frontend_section_is_populated(self, frontend_report):
         assert set(frontend_report.frontend) == {"baseline", "optimized"}
-        assert frontend_report.frontend_counter("optimized", "I1") >= 0
-        assert (frontend_report.frontend_counter("optimized", "cycles")
-                < frontend_report.frontend_counter("baseline", "cycles"))
+        frontend = frontend_report.frontend
+        assert frontend["optimized"]["I1"] >= 0
+        assert frontend["optimized"]["cycles"] < frontend["baseline"]["cycles"]
 
     def test_roundtrip_equality_with_frontend(self, frontend_report):
         payload = json.loads(json.dumps(frontend_report.to_json()))
@@ -107,9 +107,11 @@ class TestReportRoundTrip:
         assert PipelineReport.from_json(payload) == report
 
     def test_frontend_counter_keyerror_is_helpful(self, traced):
+        """A report built without ``include_frontend`` has no scorecard:
+        reading one names the missing binary."""
         _, result = traced
-        with pytest.raises(KeyError, match="include_frontend"):
-            result.report().frontend_counter("optimized", "I1")
+        with pytest.raises(KeyError, match="optimized"):
+            result.report().frontend["optimized"]["I1"]
 
     def test_write_metrics_carries_frontend(self, frontend_report, tmp_path):
         path = tmp_path / "metrics.json"

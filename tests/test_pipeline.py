@@ -19,6 +19,7 @@ from repro.core.pipeline import (
 )
 from repro.elf import SectionKind
 from repro.linker import LinkOptions
+from repro.obs import Tracer
 from repro.synth import PRESETS, generate_workload
 
 
@@ -347,7 +348,7 @@ class TestConfigValidation:
         for bad in (0, 2, -1):
             with pytest.raises(ValueError, match="jobs"):
                 dataclasses.replace(PipelineConfig(), jobs=bad)
-        assert len(dataclasses.fields(PipelineConfig)) == 17
+        assert len(dataclasses.fields(PipelineConfig)) == 16
 
 
 def _cheap_config(**overrides) -> PipelineConfig:
@@ -395,7 +396,7 @@ class TestRunPhases:
         monkeypatch.setattr(phases, "match_stale",
                             probed("stale-match", phases.match_stale))
         pipe = PropellerPipeline(tiny_program, _cheap_config(
-            trace=True, inline_hot=True, stale_matching="loose"))
+            inline_hot=True, stale_matching="loose"), tracer=Tracer())
         pipe.run()
         spans = pipe.tracer.spans
         by_id = {s.span_id: s for s in spans}
@@ -432,8 +433,7 @@ class TestResumeFromStore:
         config = _cheap_config(cache_dir=str(tmp_path))
         PropellerPipeline(tiny_program, config).collect_perf()
 
-        pipe = PropellerPipeline(tiny_program,
-                                 dataclasses.replace(config, trace=True))
+        pipe = PropellerPipeline(tiny_program, config, tracer=Tracer())
         result = pipe.run()
         assert result.digest() == full_digest
         assert list(result.phase_seconds) == [

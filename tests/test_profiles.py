@@ -399,7 +399,7 @@ class TestLooseBeatsOff:
                     cache_dir=store)).run().report(include_frontend=True)
                 rate = (report.profile_recovery["recovered_match_rate"]
                         if mode == "loose" else report.gauges["pgo.match_rate"])
-                base, opt = (report.frontend_counter(binary, "cycles")
+                base, opt = (report.frontend[binary]["cycles"]
                              for binary in ("baseline", "optimized"))
                 out[drift, mode] = rate, base / opt - 1.0
         return out

@@ -426,8 +426,8 @@ class TestBadProgramFile:
 
 class TestBadFaultPlan:
     """A ``--fault-plan`` that does not resolve -- an out-of-range or
-    non-numeric value, an unknown key, an ``only=`` kind no action has,
-    or the path of a file (whatever it holds: a plan has one format, the
+    non-numeric value, an unknown or removed key, an ``only=`` kind no
+    action has, or the path of a file (whatever it holds: a plan has one format, the
     spec string, and a path is not ``key=value``) -- is one stderr line
     and exit status 2, before any work starts."""
 
@@ -445,8 +445,10 @@ class TestBadFaultPlan:
         (None, '{"fail_rate": "x"}'),
         (None, "[1, 2]"),
         (None, "{not json"),
+        ("fail=0.1,attempts=3", None),
     ], ids=["rate-out-of-range", "unknown-key", "not-a-number",
-            "unknown-only-kind", "mistyped-field", "not-an-object", "not-json"])
+            "unknown-only-kind", "mistyped-field", "not-an-object", "not-json",
+            "removed-key"])
     def test_exits_2_without_a_traceback(self, prog, tmp_path, spec,
                                          file_content):
         if file_content is not None:
