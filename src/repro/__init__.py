@@ -15,7 +15,7 @@ Quickstart::
     import repro
 
     program = repro.generate_workload(repro.PRESETS["clang"], scale=0.01, seed=1)
-    result = repro.optimize(program, seed=1)
+    result = repro.optimize(program, repro.PipelineConfig(seed=1))
     print(result.summary())
 
 The names below form the stable public facade; everything else should be

@@ -72,15 +72,12 @@ class DisassemblyResult:
     num_simple: int
 
 
-def disassemble(
-    exe: Executable, meter: Optional[MemoryMeter] = None, lite_names: Optional[Set[str]] = None
-) -> DisassemblyResult:
+def disassemble(exe: Executable, meter: Optional[MemoryMeter] = None) -> DisassemblyResult:
     """Discover and disassemble functions.
 
-    ``lite_names``, when given, restricts full CFG reconstruction to the
-    named functions (Lightning BOLT's selective processing); other
-    functions are still *scanned* (discovery requires decoding) but
-    their instruction objects are released immediately.
+    Every simple function gets its CFG rebuilt; a non-simple one is
+    still *scanned* (discovery requires decoding) but its instruction
+    objects are released immediately.
     """
     relocs = exe.retained_relocations
     if not relocs:
@@ -109,9 +106,8 @@ def disassemble(
         if _has_embedded_data(abs_reloc_addrs, start, end):
             func.simple = False
             func.reason = func.reason or "embedded jump table (abs relocation in text)"
-        retain = lite_names is None or sym.name in lite_names
         cost = len(instrs) * INSTR_OBJECT_BYTES + FUNCTION_OBJECT_BYTES
-        if func.simple and retain:
+        if func.simple:
             func.blocks = _build_blocks(instrs, base)
             cost += len(func.blocks) * BLOCK_OBJECT_BYTES
             if meter is not None:

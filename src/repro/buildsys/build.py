@@ -135,9 +135,6 @@ class BuildSystem:
         persistent on-disk store rooted there, so a later process with
         identical action inputs replays this run's outputs.  ``None``
         (the default) keeps the cache in-memory only.
-    :param counters: metrics sink shared with the store, the fault plan
-        and the scheduler; a fresh :class:`~repro.obs.Counters` by
-        default.
     :param fault_plan: when given, executed actions are subject to the
         plan's deterministic failure/timeout schedule (see
         :mod:`repro.faults`): faulted attempts are retried with
@@ -155,7 +152,6 @@ class BuildSystem:
         ram_limit: int = 12 << 30,
         enforce_ram: bool = True,
         cache_dir: "Optional[str | os.PathLike]" = None,
-        counters: Optional[Counters] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
         if workers < 1:
@@ -163,7 +159,7 @@ class BuildSystem:
         self.workers = workers
         self.ram_limit = ram_limit
         self.enforce_ram = enforce_ram
-        self.counters = counters if counters is not None else Counters()
+        self.counters = Counters()
         self.fault_plan = fault_plan
         self._entries: Dict[str, _CacheEntry] = {}
         self.store = (
@@ -194,14 +190,14 @@ class BuildSystem:
         self,
         kind: str,
         items: "Sequence[Tuple[Sequence[str], Callable[..., Tuple[Any, float, int]], tuple]]",
-        remote: bool = True,
     ) -> List[ActionResult]:
         """Execute a batch of independent same-kind actions through the
         cache.
 
         Each item is ``(key_parts, fn, args)`` where ``fn(*args)``
         returns the usual ``(value, cost_seconds, peak_memory)`` triple
-        and must be pure.  Every key is looked up before any miss is
+        and must be pure.  A batch runs remotely, under the per-action
+        RAM budget.  Every key is looked up before any miss is
         computed, and results are returned in item order: a batch of
         distinct keys equals the same items through :meth:`run_action`
         one by one (values, costs, keys, cache state), plus the
@@ -215,7 +211,7 @@ class BuildSystem:
         self.counters.incr("executor.batch_tasks", len(items))
         self.counters.incr("executor.batch_misses", misses)
         self.counters.max_gauge("executor.max_queue_depth", misses)
-        return self._run(kind, items, keys, entries, remote)
+        return self._run(kind, items, keys, entries, remote=True)
 
     def _lookup(self, kind: str, items) -> "Tuple[List[str], List[Optional[_CacheEntry]]]":
         """Keys and cached entries (``None`` = miss) of ``items``, looked

@@ -396,14 +396,14 @@ def ext_tsp_order_many(
     problems: Sequence[
         Tuple[Dict[NodeId, Tuple[int, float]], Iterable[Tuple[NodeId, NodeId, float]], Optional[NodeId]]
     ],
-    params: LayoutParams = DEFAULT_PARAMS,
     cache: Optional[object] = None,
     work: Optional[Counter] = None,
 ) -> List[List[NodeId]]:
     """Solve many independent layout problems, orders in input order.
 
     Each problem is ``(nodes, edges, entry)`` -- WPA's per-function
-    layout makes every hot function its own problem.
+    layout makes every hot function its own problem -- solved with
+    :data:`DEFAULT_PARAMS`.
 
     ``cache`` (the :class:`repro.runtime.FunctionSolveCache` contract:
     ``get(key) -> order | None`` / ``put(key, order)``) memoizes solves
@@ -413,7 +413,7 @@ def ext_tsp_order_many(
     so hit/miss accounting is deterministic.  ``work`` counts the solves'
     work (see :func:`ext_tsp_order`).
     """
-    tasks = [(nodes, list(edges), entry, params) for nodes, edges, entry in problems]
+    tasks = [(nodes, list(edges), entry, DEFAULT_PARAMS) for nodes, edges, entry in problems]
     # One path: without a cache every problem is a miss and nothing is
     # stored.
     keys: List[str] = []

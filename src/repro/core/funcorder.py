@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-#: Default cluster size cap: one 2MB hugepage would be far too lax for
+#: Cluster size cap: one 2MB hugepage would be far too lax for
 #: i-cache locality; C3 traditionally uses the 4KB page.
 DEFAULT_MAX_CLUSTER_BYTES = 4096
 
@@ -33,7 +33,6 @@ class _Cluster:
 def hfsort_order(
     funcs: Dict[str, Tuple[int, float]],
     call_edges: Iterable[Tuple[str, str, float]],
-    max_cluster_bytes: int = DEFAULT_MAX_CLUSTER_BYTES,
 ) -> List[str]:
     """Order ``funcs`` (name -> (size, heat)) by call-chain clustering.
 
@@ -67,7 +66,7 @@ def hfsort_order(
         # after its caller would not make the call edge short.
         if src.funcs[0] != name:
             continue
-        if dst.size + src.size > max_cluster_bytes:
+        if dst.size + src.size > DEFAULT_MAX_CLUSTER_BYTES:
             continue
         dst.funcs.extend(src.funcs)
         dst.size += src.size

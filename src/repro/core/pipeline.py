@@ -309,29 +309,26 @@ class PipelineResult:
         (binaries, ``max_blocks``) -- which is what lets regression
         gates compare the values exactly.
         """
-        scorecard, _ = self._simulate_frontend(max_blocks, by_function=False)
-        return scorecard
+        return self._simulate_frontend(max_blocks)[0]
 
     def frontend_counters_by_function(
         self, max_blocks: int = SCORECARD_BLOCKS,
     ) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per-function frontend attribution for both binaries.
 
-        Same simulation as :meth:`frontend_counters`, but with the
-        model's per-function accounting enabled: returns ``{"baseline":
-        {fn: {...}}, "optimized": {fn: {...}}}`` where each function's
-        dict carries the subset of counters the explain engine ranks on
-        (``cycles``, ``instructions``, ``l1i_miss``, ``itlb_miss``,
-        ``taken_branches``, ``baclears``, ``dsb_miss``).  Totals are
-        accumulated globally inside the model, so enabling attribution
-        never changes the gated scorecard values.
+        Same simulation as :meth:`frontend_counters`, read per function:
+        returns ``{"baseline": {fn: {...}}, "optimized": {fn: {...}}}``
+        where each function's dict carries the subset of counters the
+        explain engine ranks on (``cycles``, ``instructions``,
+        ``l1i_miss``, ``itlb_miss``, ``taken_branches``, ``baclears``,
+        ``dsb_miss``).  The scorecard's totals are the row sums of the
+        same charges.
         """
-        _, by_function = self._simulate_frontend(max_blocks, by_function=True)
-        return by_function
+        return self._simulate_frontend(max_blocks)[1]
 
-    def _simulate_frontend(self, max_blocks=SCORECARD_BLOCKS, by_function=False):
-        """One walk replayed through both binaries; scorecard + optional
-        attribution.  The walk seed (77) and the model
+    def _simulate_frontend(self, max_blocks=SCORECARD_BLOCKS):
+        """One walk replayed through both binaries; scorecard and
+        per-function attribution.  The walk seed (77) and the model
         (:data:`~repro.hwmodel.frontend.SCALED_PARAMS`) are fixed:
         :func:`~repro.hwmodel.frontend_scorecard`'s defaults."""
         from repro.hwmodel import frontend_scorecard
@@ -339,7 +336,7 @@ class PipelineResult:
         counters = frontend_scorecard(
             {"baseline": self.baseline.executable,
              "optimized": self.optimized.executable},
-            max_blocks, by_function=by_function)
+            max_blocks)
         scorecard = {name: c.as_dict() for name, c in counters.items()}
         attribution = {
             name: {
@@ -349,7 +346,7 @@ class PipelineResult:
                 for func, fc in c.per_function.items()
             }
             for name, c in counters.items()
-        } if by_function else {}
+        }
         return scorecard, attribution
 
     def report(self, include_frontend: bool = False,
@@ -567,16 +564,14 @@ class PropellerPipeline:
         the ``metadata-build`` phase (its baseline is not returned)."""
         return phases.metadata_build(self, profile)[0]
 
-    def collect_perf(self, profile: Optional[IRProfile] = None) -> PerfData:
+    def collect_perf(self) -> PerfData:
         """Phase 3 sampling: train, build the metadata binary, profile it.
 
         One public call covering what ``repro.tools profile`` does:
         returns the LBR :class:`PerfData` for this pipeline's program
-        and configuration (``lbr_branches``, ``lbr_period``, seed).  A
-        pre-collected ``profile`` skips the instrumented training run.
+        and configuration (``lbr_branches``, ``lbr_period``, seed).
         """
-        if profile is None:
-            profile = self.collect_pgo_profile()
+        profile = self.collect_pgo_profile()
         return phases.lbr_profile(self, self.build_metadata(profile))[0]
 
     def analyze(
@@ -745,9 +740,6 @@ class PropellerPipeline:
 def optimize(
     program: ir.Program,
     config: PipelineConfig = PipelineConfig(),
-    seed: Optional[int] = None,
 ) -> PipelineResult:
     """One-call Propeller: run all four phases on ``program``."""
-    if seed is not None:
-        config = replace(config, seed=seed)
     return PropellerPipeline(program, config).run()

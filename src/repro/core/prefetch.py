@@ -21,24 +21,26 @@ from repro.core.wpa import FunctionDCFG
 
 #: Calls below this fraction of the hottest call edge are not worth a slot.
 _RELATIVE_THRESHOLD = 0.05
+#: Directives per function: prefetch slots compete with real fetch
+#: bandwidth, and flooding them hurts.
+MAX_PER_FUNCTION = 4
+#: Sampled count below which a call edge never gets a directive.
+MIN_COUNT = 16.0
 
 
 def plan_prefetches(
     dcfg: Dict[str, FunctionDCFG],
     block_call_edges: Dict[Tuple[str, int, str, int], float],
-    max_per_function: int = 4,
-    min_count: float = 16.0,
 ) -> Dict[str, List[Tuple[int, str]]]:
     """Choose prefetch directives from the sampled call graph.
 
     Returns ``{function: [(bb_id, callee_symbol), ...]}``, deduplicated
-    and capped at ``max_per_function`` (prefetch slots compete with real
-    fetch bandwidth; flooding them hurts).
+    and capped at :data:`MAX_PER_FUNCTION`.
     """
     if not block_call_edges:
         return {}
     hottest = max(block_call_edges.values())
-    threshold = max(min_count, hottest * _RELATIVE_THRESHOLD)
+    threshold = max(MIN_COUNT, hottest * _RELATIVE_THRESHOLD)
 
     # Hot call edges, heaviest first.
     candidates = sorted(
@@ -50,7 +52,7 @@ def plan_prefetches(
     seen: set = set()
     for _w, caller, bb, callee in candidates:
         directives = plan.setdefault(caller, [])
-        if len(directives) >= max_per_function:
+        if len(directives) >= MAX_PER_FUNCTION:
             continue
         site = _hoist_block(dcfg.get(caller), bb)
         key = (caller, site, callee)

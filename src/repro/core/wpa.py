@@ -566,7 +566,6 @@ def analyze(
     exe: Executable,
     perf: PerfData,
     options: WPAOptions = WPAOptions(),
-    meter: Optional[MemoryMeter] = None,
     tracer: Optional[object] = None,
     solve_cache: Optional[object] = None,
 ) -> WPAResult:
@@ -584,7 +583,7 @@ def analyze(
     three internal stages -- address-map indexing, DCFG construction,
     layout -- as nested spans; the default records nothing.
     """
-    own = meter if meter is not None else MemoryMeter()
+    meter = MemoryMeter()
     trace = tracer if tracer is not None else NULL_TRACER
     stats = WPAStats(num_samples=perf.num_samples, profile_bytes=perf.size_bytes)
 
@@ -592,18 +591,18 @@ def analyze(
         index = BlockIndex.from_bb_addr_map(exe)
         stats.bbmap_entries = len(index.keys)
         sp.note(entries=stats.bbmap_entries)
-    own.allocate(stats.bbmap_entries * _BBMAP_INDEX_ENTRY_BYTES, "wpa-bbmap")
-    own.allocate(perf.size_bytes, "wpa-profile")
+    meter.allocate(stats.bbmap_entries * _BBMAP_INDEX_ENTRY_BYTES, "wpa-bbmap")
+    meter.allocate(perf.size_bytes, "wpa-profile")
 
     with trace.span("wpa:dcfg", category="wpa") as sp:
         dcfg, call_edges, block_call_edges, distinct = build_dcfg(index, perf, stats)
         sp.note(records=stats.num_records, dropped=stats.records_dropped, **distinct)
     stats.dcfg_nodes = sum(len(fd.block_counts) for fd in dcfg.values())
     stats.dcfg_edges = sum(len(fd.edges) for fd in dcfg.values())
-    own.allocate(
+    meter.allocate(
         stats.dcfg_nodes * _DCFG_NODE_BYTES + stats.dcfg_edges * _DCFG_EDGE_BYTES, "wpa-dcfg"
     )
-    own.free_category("wpa-profile")
+    meter.free_category("wpa-profile")
 
     total_mass = sum(fd.total_count for fd in dcfg.values())
     min_count = HOT_FUNCTION_MIN_FRACTION * total_mass
@@ -612,11 +611,11 @@ def analyze(
         work: Counter = Counter()
         if options.interproc:
             clusters, symbol_order, hot_funcs = _interproc_layout(
-                index, dcfg, block_call_edges, options, own, min_count=min_count, work=work
+                index, dcfg, block_call_edges, options, meter, min_count=min_count, work=work
             )
         else:
             clusters, symbol_order, hot_funcs = _intra_layout(
-                index, dcfg, call_edges, options, own, min_count=min_count,
+                index, dcfg, call_edges, options, meter, min_count=min_count,
                 solve_cache=solve_cache, work=work,
             )
         # The solves' exact work (none when every solve was replayed).
@@ -630,10 +629,10 @@ def analyze(
             if fn in clusters
         }
     stats.hot_functions = len(hot_funcs)
-    stats.peak_memory_bytes = own.peak_bytes
+    stats.peak_memory_bytes = meter.peak_bytes
     stats.cost_units = stats.num_records + stats.dcfg_nodes * 20
-    own.free_category("wpa-dcfg")
-    own.free_category("wpa-bbmap")
+    meter.free_category("wpa-dcfg")
+    meter.free_category("wpa-bbmap")
     return WPAResult(
         clusters=clusters,
         symbol_order=symbol_order,

@@ -140,13 +140,11 @@ class FrontendCounters:
     taken_branches: int = 0     # B2
     dsb_miss: int = 0
     cycles: float = 0.0
-    #: Per-function attribution of the same run, filled only when
-    #: :func:`simulate_frontend` was called with ``by_function=True``
-    #: (the hook behind ``repro.obs.explain``'s cycle attribution).
-    #: Each value's counters cover the events charged while that
-    #: function's blocks were fetching; the totals above are counted
-    #: the same way whether attribution runs or not, so they are
-    #: bit-identical either way.
+    #: Per-function attribution of the same run, filled by
+    #: :func:`simulate_frontend` (the hook behind ``repro.obs.explain``'s
+    #: cycle attribution).  Each value's counters cover the events
+    #: charged while that function's blocks were fetching; the totals
+    #: above are the row sums of the same charge matrix.
     per_function: Dict[str, "FrontendCounters"] = field(default_factory=dict)
 
     def counter(self, label: str) -> float:
@@ -254,7 +252,6 @@ def simulate_frontend(
     exe: Executable,
     trace: Trace,
     params: SkylakeParams = DEFAULT_PARAMS,
-    by_function: bool = False,
 ) -> FrontendCounters:
     """Replay ``trace`` (generated from ``exe``) through the frontend.
 
@@ -267,11 +264,10 @@ def simulate_frontend(
     ``trace[lo:hi]`` slices are read, so a
     :class:`repro.profiles.trace.Projected` stream is never materialised.
 
-    ``by_function=True`` additionally fills
-    :attr:`FrontendCounters.per_function` from those same charges, so
-    the totals are bit-identical with attribution on or off (asserted in
-    tests/test_hwmodel.py).  Float sums (``instructions``) accumulate
-    left to right in trace order.
+    :attr:`FrontendCounters.per_function` is filled from those same
+    charges: the totals are the row sums of the one charge matrix.
+    Float sums (``instructions``) accumulate left to right in trace
+    order.
     """
     line_shift = params.line_bytes.bit_length() - 1
     page_shift = params.page_shift_2m if exe.hugepages else params.page_shift_4k
@@ -342,11 +338,10 @@ def simulate_frontend(
             raise KeyError(f"trace visits addresses {exe.name} has no block at")
         weights = instrs[seq]
         instructions = float(np.cumsum(np.append(instructions, weights))[-1])
-        if by_function:
-            fetching = func_of[seq]
-            np.add.at(func_instrs, fetching, weights)
-            func_blocks += np.bincount(fetching, minlength=len(funcs))
-            np.minimum.at(first_fetch, fetching, np.arange(lo, lo + len(seq)))
+        fetching = func_of[seq]
+        np.add.at(func_instrs, fetching, weights)
+        func_blocks += np.bincount(fetching, minlength=len(funcs))
+        np.minimum.at(first_fetch, fetching, np.arange(lo, lo + len(seq)))
         if len(fills):
             at = np.flatnonzero(num_fills[seq])
             ids, owner = _expand(num_blocks + np.cumsum(num_fills) - num_fills,
@@ -397,18 +392,16 @@ def simulate_frontend(
         sources, branches = _drop_repeats(branch_src, np.arange(len(branch_src)))
         charge(5, src_funcs)
         charge(6, src_funcs[branches[btb.access_many(sources.tolist())]])
-        if by_function:
-            np.minimum.at(first_branch, src_funcs, np.arange(lo, lo + len(src_funcs)))
+        np.minimum.at(first_branch, src_funcs, np.arange(lo, lo + len(src_funcs)))
 
     counters = _counters(params, instructions, trace.num_blocks_executed,
                          *charged.sum(axis=1).tolist())
-    if by_function:
-        columns = [func_instrs.tolist(), func_blocks.tolist(), *charged.tolist()]
-        # Functions in order of first fetch, then of first branch.
-        for fid in np.lexsort((first_branch, first_fetch)).tolist():
-            if columns[1][fid] or columns[7][fid]:
-                counters.per_function[funcs[fid]] = _counters(
-                    params, *[col[fid] for col in columns])
+    columns = [func_instrs.tolist(), func_blocks.tolist(), *charged.tolist()]
+    # Functions in order of first fetch, then of first branch.
+    for fid in np.lexsort((first_branch, first_fetch)).tolist():
+        if columns[1][fid] or columns[7][fid]:
+            counters.per_function[funcs[fid]] = _counters(
+                params, *[col[fid] for col in columns])
     return counters
 
 
@@ -417,7 +410,6 @@ def frontend_scorecard(
     max_blocks: int,
     seed: int = 77,
     params: SkylakeParams = SCALED_PARAMS,
-    by_function: bool = False,
 ) -> Dict[str, FrontendCounters]:
     """Counters of several builds of one program executing the same work.
 
@@ -429,7 +421,6 @@ def frontend_scorecard(
     first = next(iter(binaries.values()))
     shared = walk(first, seed=seed, max_blocks=max_blocks)
     return {
-        name: simulate_frontend(exe, project_arrays(shared, exe), params,
-                                by_function=by_function)
+        name: simulate_frontend(exe, project_arrays(shared, exe), params)
         for name, exe in binaries.items()
     }

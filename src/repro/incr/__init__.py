@@ -24,9 +24,6 @@ The invariant everything here is built around: an incremental result is
 content -- never by the diff, timestamps, or anything advisory.
 """
 
-from dataclasses import replace
-from typing import Optional
-
 from repro.core.pipeline import (
     IncrementalSummary, PipelineConfig, PipelineResult, PropellerPipeline)
 from repro.incr.state import (
@@ -50,7 +47,6 @@ def reoptimize(
     program,
     state,
     config: PipelineConfig = PipelineConfig(),
-    seed: Optional[int] = None,
 ) -> PipelineResult:
     """One-call incremental Propeller: re-optimize ``program`` against
     a prior release's ``state`` (an :class:`IncrState` or a path to
@@ -59,6 +55,4 @@ def reoptimize(
     replay only when ``config.state_dir`` names the prior release's
     state directory.
     """
-    if seed is not None:
-        config = replace(config, seed=seed)
     return PropellerPipeline(program, config).reoptimize(state)

@@ -46,12 +46,12 @@ def state_path(state_dir: "str | os.PathLike") -> Path:
 
 
 #: :class:`~repro.core.pipeline.PipelineConfig` fields that determine
-#: artifact *content*.  Execution knobs (``workers``,
-#: ``cache_dir``, ``state_dir``, ``trace``, ``fault_plan``, the
-#: cost-model rates) are deliberately excluded: they change how fast a
-#: result is produced, never what is produced (the contract
-#: ``PipelineResult.digest()`` documents), so state captured in one
-#: execution environment stays valid in any other.
+#: artifact *content* (``wpa`` is hashed beside them).  The execution
+#: knobs (``workers``, ``enforce_ram``, ``ram_limit``, ``jobs``,
+#: ``cache_dir``, ``state_dir``, ``fault_plan``) are deliberately
+#: excluded: they change how fast a result is produced, never what is
+#: produced (the contract ``PipelineResult.digest()`` documents), so
+#: state captured in one execution environment stays valid in any other.
 _CONTENT_FIELDS = ("seed", "pgo_steps", "pgo_drift", "inline_hot",
                    "stale_matching", "lbr_branches", "lbr_period", "hugepages")
 

@@ -143,18 +143,21 @@ def _inline_one(caller: Function, block_index: int, call_index: int,
     return len(new_blocks) + 1
 
 
-def inline_hot_calls(
-    program: Program,
-    profile,
-    max_callee_blocks: int = 8,
-    min_call_count: float = 10.0,
-    max_growth_blocks: int = 200,
-) -> InlineReport:
+#: Largest callee (in blocks) :func:`inline_hot_calls` inlines.
+MAX_CALLEE_BLOCKS = 8
+#: Profile call count a callee must reach to be inlined.
+MIN_CALL_COUNT = 10.0
+#: Blocks a caller may grow by before inlining into it stops.
+MAX_GROWTH_BLOCKS = 200
+
+
+def inline_hot_calls(program: Program, profile) -> InlineReport:
     """Profile-guided inlining over a (cloned) program.
 
-    Direct calls to small callees whose profile count clears
-    ``min_call_count`` are inlined, hottest callees first, until the
-    caller has grown by ``max_growth_blocks``.  ``profile`` is an
+    Direct calls to callees of at most :data:`MAX_CALLEE_BLOCKS` blocks
+    whose profile count clears :data:`MIN_CALL_COUNT` are inlined,
+    hottest callees first, until the caller has grown by
+    :data:`MAX_GROWTH_BLOCKS`.  ``profile`` is an
     :class:`repro.profiles.IRProfile` (duck-typed:
     ``function_count(name)`` is all that is used).
     """
@@ -163,7 +166,7 @@ def inline_hot_calls(
         for caller in module.functions:
             grown = 0
             changed = True
-            while changed and grown < max_growth_blocks:
+            while changed and grown < MAX_GROWTH_BLOCKS:
                 changed = False
                 for bi, block in enumerate(caller.blocks):
                     for ci, instr in enumerate(block.instrs):
@@ -175,11 +178,11 @@ def inline_hot_calls(
                         callee = program.function(instr.callee)
                         if callee.name == caller.name:
                             continue
-                        if callee.num_blocks > max_callee_blocks:
+                        if callee.num_blocks > MAX_CALLEE_BLOCKS:
                             continue
                         if callee.hand_written or callee.has_landing_pads():
                             continue
-                        if profile.function_count(callee.name) < min_call_count:
+                        if profile.function_count(callee.name) < MIN_CALL_COUNT:
                             continue
                         added = _inline_one(caller, bi, ci, callee)
                         report.sites_inlined += 1

@@ -40,8 +40,8 @@ class Counters:
             raise ValueError(f"counter {name!r}: negative increment {amount}")
         self._counts[name] = self._counts.get(name, 0) + amount
 
-    def count(self, name: str, default: Number = 0) -> Number:
-        return self._counts.get(name, default)
+    def count(self, name: str) -> Number:
+        return self._counts.get(name, 0)
 
     # -- gauges -------------------------------------------------------
 
@@ -55,8 +55,8 @@ class Counters:
         if current is None or value > current:
             self._gauges[name] = value
 
-    def gauge_value(self, name: str, default: Number = 0) -> Number:
-        return self._gauges.get(name, default)
+    def gauge_value(self, name: str) -> Number:
+        return self._gauges.get(name, 0)
 
     # -- export -------------------------------------------------------
 

@@ -423,13 +423,13 @@ def explain(base: RunSnapshot, new: RunSnapshot,
 
 def explain_results(base_result, new_result, base_tracer=None,
                     new_tracer=None, top_k: int = 10,
-                    labels: Tuple[str, str] = ("base", "new"),
                     max_blocks: int = 200_000) -> ExplainReport:
-    """In-process convenience: explain two pipeline results directly."""
+    """In-process convenience: explain two pipeline results directly,
+    labelled ``base`` and ``new``."""
     return explain(
-        RunSnapshot.from_result(base_result, labels[0], tracer=base_tracer,
+        RunSnapshot.from_result(base_result, "base", tracer=base_tracer,
                                 max_blocks=max_blocks),
-        RunSnapshot.from_result(new_result, labels[1], tracer=new_tracer,
+        RunSnapshot.from_result(new_result, "new", tracer=new_tracer,
                                 max_blocks=max_blocks),
         top_k=top_k,
     )

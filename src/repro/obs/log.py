@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import IO, Optional
+from typing import Optional
 
 __all__ = ["LOGGER_NAME", "configure_logging", "get_logger"]
 
@@ -42,18 +42,15 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     return logging.getLogger(f"{LOGGER_NAME}.{name}")
 
 
-def configure_logging(
-    verbosity: int = 0, stream: Optional[IO[str]] = None
-) -> logging.Logger:
+def configure_logging(verbosity: int = 0) -> logging.Logger:
     """Install/retune the single stderr handler for CLI-style runs.
 
     ``verbosity``: negative = quiet (warnings and errors only), 0 =
     progress (info), positive = debug.  Returns the root ``repro``
-    logger.  Safe to call repeatedly (e.g. once per CLI invocation, or
-    from tests with a capture stream): every call re-binds the handler
-    to ``stream``, or to whatever ``sys.stderr`` is *now* -- never to
-    the stream of the first call, which a ``redirect_stderr`` or a test
-    harness has since replaced.
+    logger.  Safe to call repeatedly (once per CLI invocation): every
+    call re-binds the handler to whatever ``sys.stderr`` is *now* --
+    never to the stream of the first call, which a ``redirect_stderr``
+    or a test harness has since replaced.
     """
     if verbosity < 0:
         level = logging.WARNING
@@ -65,10 +62,8 @@ def configure_logging(
     logger.setLevel(level)
     handler = next(
         (h for h in logger.handlers if getattr(h, _HANDLER_FLAG, False)), None)
-    if stream is None:
-        stream = sys.stderr
     if handler is None:
-        handler = logging.StreamHandler(stream)
+        handler = logging.StreamHandler(sys.stderr)
         setattr(handler, _HANDLER_FLAG, True)
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
@@ -77,6 +72,6 @@ def configure_logging(
     else:
         # Not setStream(): it flushes the old stream first, which may be
         # a capture buffer closed since (every emit already flushed it).
-        handler.stream = stream
+        handler.stream = sys.stderr
     handler.setLevel(level)
     return logger

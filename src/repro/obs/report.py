@@ -272,10 +272,9 @@ class PipelineReport:
             "metadata_build": metadata.peak_memory_bytes,
         }
         snapshot = result.counters.snapshot()
-        scorecard, by_function = {}, {}
+        scorecard, attribution = {}, {}
         if include_frontend or include_attribution:
-            scorecard, by_function = result._simulate_frontend(
-                by_function=include_attribution)
+            scorecard, attribution = result._simulate_frontend()
         return cls(
             program=result.program.name,
             modules=len(result.program.modules),
@@ -289,7 +288,7 @@ class PipelineReport:
             counters=snapshot["counters"],
             gauges=snapshot["gauges"],
             frontend=scorecard if include_frontend else {},
-            frontend_by_function=by_function,
+            frontend_by_function=attribution if include_attribution else {},
             profile_recovery=(result.match_stats.as_dict()
                               if result.match_stats else {}),
             degraded=result.degraded,

@@ -61,7 +61,6 @@ class SpanHandle:
     __slots__ = (
         "_tracer", "name", "category", "args",
         "_span_id", "_parent_id", "_depth", "_sim_start", "_real_start",
-        "_sim_duration",
     )
 
     def __init__(self, tracer: "Tracer", name: str, category: str, args: Dict[str, Any]):
@@ -69,7 +68,6 @@ class SpanHandle:
         self.name = name
         self.category = category
         self.args = args
-        self._sim_duration: Optional[float] = None
 
     def __enter__(self) -> "SpanHandle":
         t = self._tracer
@@ -86,17 +84,6 @@ class SpanHandle:
         """Advance the tracer's simulated clock by ``sim_seconds``."""
         self._tracer.advance(sim_seconds)
 
-    def set_sim_duration(self, sim_seconds: float) -> None:
-        """Pin this span's simulated duration explicitly.
-
-        Used when a span's simulated cost is known only as an aggregate
-        (e.g. a scheduled phase's makespan) rather than accumulated by
-        child spans.  The tracer's cursor still only moves forward.
-        """
-        if sim_seconds < 0:
-            raise ValueError(f"negative simulated duration: {sim_seconds}")
-        self._sim_duration = sim_seconds
-
     def note(self, **args: Any) -> None:
         """Attach key/value arguments (shown in trace viewers)."""
         self.args.update(args)
@@ -104,11 +91,6 @@ class SpanHandle:
     def __exit__(self, exc_type, exc, tb) -> bool:
         t = self._tracer
         t._stack.pop()
-        sim_end = t._sim_now
-        if self._sim_duration is not None:
-            sim_end = self._sim_start + self._sim_duration
-            if sim_end > t._sim_now:
-                t._sim_now = sim_end
         t.spans.append(Span(
             span_id=self._span_id,
             parent_id=self._parent_id,
@@ -116,7 +98,7 @@ class SpanHandle:
             name=self.name,
             category=self.category,
             sim_start=self._sim_start,
-            sim_end=sim_end,
+            sim_end=t._sim_now,
             real_start=self._real_start,
             real_end=t._clock() - t._origin,
             args=dict(self.args),
@@ -127,8 +109,6 @@ class SpanHandle:
 class Tracer:
     """Collects nested spans; see the module docstring for the clocks."""
 
-    enabled = True
-
     def __init__(self, real_clock=None):
         self._clock = real_clock if real_clock is not None else time.perf_counter
         self._origin = self._clock()
@@ -137,22 +117,6 @@ class Tracer:
         self._stack: List[SpanHandle] = []
         #: Completed spans, in *close* order.
         self.spans: List[Span] = []
-        # Lazy name -> spans index for find(): built incrementally on
-        # demand so repeated lookups (the explain engine's critical-path
-        # pass queries every phase and build name) stay O(new spans)
-        # instead of re-scanning the whole list each call.
-        self._find_index: Dict[str, List[Span]] = {}
-        self._indexed_upto = 0
-
-    @property
-    def sim_now(self) -> float:
-        """Current simulated-clock reading (seconds)."""
-        return self._sim_now
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open spans."""
-        return len(self._stack)
 
     def advance(self, sim_seconds: float) -> None:
         """Move the simulated clock forward by ``sim_seconds``."""
@@ -163,22 +127,6 @@ class Tracer:
     def span(self, name: str, category: str = "task", **args: Any) -> SpanHandle:
         """Open a span; use as ``with tracer.span("phase:wpa"): ...``."""
         return SpanHandle(self, name, category, args)
-
-    def find(self, name: str) -> List[Span]:
-        """All completed spans with the given name (close order).
-
-        Backed by an incrementally-maintained name index: spans closed
-        since the last call are folded in, then the lookup is a dict
-        hit.  The returned list is a copy; mutating it does not corrupt
-        the index.
-        """
-        spans = self.spans
-        if self._indexed_upto < len(spans):
-            index = self._find_index
-            for span in spans[self._indexed_upto:]:
-                index.setdefault(span.name, []).append(span)
-            self._indexed_upto = len(spans)
-        return list(self._find_index.get(name, ()))
 
 
 class _NullSpan:
@@ -193,9 +141,6 @@ class _NullSpan:
         return False
 
     def advance(self, sim_seconds: float) -> None:
-        pass
-
-    def set_sim_duration(self, sim_seconds: float) -> None:
         pass
 
     def note(self, **args: Any) -> None:
@@ -213,19 +158,13 @@ class NullTracer:
     so the disabled hot path pays essentially nothing.
     """
 
-    enabled = False
     spans: tuple = ()
-    sim_now = 0.0
-    depth = 0
 
     def advance(self, sim_seconds: float) -> None:
         pass
 
     def span(self, name: str, category: str = "task", **args: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def find(self, name: str) -> list:
-        return []
 
 
 #: Process-wide shared no-op tracer (stateless, safe to share).

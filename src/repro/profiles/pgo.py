@@ -5,10 +5,11 @@ binary runs a load test and edge counters feed the second build.  Here
 the instrumented run is a seeded random walk over the IR CFG with the
 same call/return semantics as the machine-level tracer.
 
-``drift`` models the staleness the paper attributes to instrumented
-profiles (§2.4: "post link profiles fix inaccuracies accrued by
-instrumented profiles as optimizations transform the source"): counts
-are multiplicatively perturbed before being handed to the compiler.
+:meth:`IRProfile.apply_drift` models the staleness the paper attributes
+to instrumented profiles (§2.4: "post link profiles fix inaccuracies
+accrued by instrumented profiles as optimizations transform the
+source"): counts are multiplicatively perturbed before being handed to
+the compiler.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import ir
 from repro.ir import cfg as ir_cfg
@@ -62,12 +63,6 @@ class IRProfile:
         if not self.source_entries:
             return 1.0
         return 1.0 - self.dropped_entries / self.source_entries
-
-    def hot_functions(self, threshold: float = 0.0) -> List[str]:
-        return sorted(
-            (f for f, c in self.call_counts.items() if c > threshold),
-            key=lambda f: -self.call_counts[f],
-        )
 
     def digest(self) -> str:
         """SHA-256 over the full profile content, bit-exact on counts.
@@ -131,18 +126,16 @@ class IRProfile:
             anchors={fn: dict(v) for fn, v in self.anchors.items()},
         )
 
-    def apply_drift(
-        self, drift: float, seed: int = 0, dropout: Optional[float] = None
-    ) -> "IRProfile":
+    def apply_drift(self, drift: float, seed: int = 0) -> "IRProfile":
         """Return a perturbed *copy* modelling profile staleness (§2.4).
 
         Two effects are modelled.  Multiplicative log-normal noise of
         width ``drift`` distorts relative counts (training inputs never
-        match production exactly).  ``dropout`` -- defaulting to
-        ``drift`` -- zeroes each edge/block count with that
-        probability, modelling counts orphaned by the transformations
-        (inlining, CFG restructuring) between instrumentation and final
-        code generation; a dropped hot block is laid out as if cold,
+        match production exactly).  The same ``drift`` is also the
+        probability that each edge/block count is zeroed, modelling
+        counts orphaned by the transformations (inlining, CFG
+        restructuring) between instrumentation and final code
+        generation; a dropped hot block is laid out as if cold,
         which is precisely the inaccuracy post-link profiles repair.
 
         Like the rest of the dataclass-style profile API this never
@@ -154,8 +147,6 @@ class IRProfile:
         """
         if drift <= 0:
             return self.copy()
-        if dropout is None:
-            dropout = drift
         rng = random.Random(seed)
         out = IRProfile(
             call_counts=dict(self.call_counts),
@@ -173,7 +164,7 @@ class IRProfile:
             for key, count in counts.items():
                 if count > 0:
                     source += 1
-                if rng.random() < dropout:
+                if rng.random() < drift:
                     if count > 0:
                         dropped += 1
                     result[key] = 0.0
@@ -202,7 +193,7 @@ def _cumulative(choices):
 
 
 def collect_ir_profile(
-    program: ir.Program, max_steps: int = 200_000, seed: int = 0, drift: float = 0.0
+    program: ir.Program, max_steps: int = 200_000, seed: int = 0
 ) -> IRProfile:
     """Run the instrumented IR interpreter and gather edge counts.
 

@@ -62,6 +62,9 @@ _MAX_BLOCK_FREQ = 64.0
 #: (site frequency x callee work); bounds per-request cost over the DAG.
 _MAX_CALL_CONTRIBUTION = 400.0
 
+#: Fewest functions a generated program has, however small ``scale``.
+MIN_FUNCS = 16
+
 
 @dataclass
 class _FunctionPlan:
@@ -331,13 +334,13 @@ def _zipf_weights(count: int, exponent: float = 1.2) -> List[float]:
 
 def generate_workload(
     preset: "WorkloadPreset | str", scale: float = 0.01, seed: int = 0,
-    min_funcs: int = 16,
 ) -> Program:
     """Generate a whole program matching ``preset``'s shape at ``scale``.
 
     ``preset`` is a :class:`WorkloadPreset` or the name of one in
     :data:`~repro.synth.PRESETS`.  The result is deterministic in
-    ``(preset, scale, seed)``.
+    ``(preset, scale, seed)`` and has at least :data:`MIN_FUNCS`
+    functions.
     """
     if isinstance(preset, str):
         if preset not in PRESETS:
@@ -347,7 +350,7 @@ def generate_workload(
     if scale <= 0:
         raise ValueError("scale must be positive")
     rng = random.Random(f"{preset.name}:{seed}:{scale}")
-    nfuncs = max(min_funcs, int(round(preset.funcs * scale)))
+    nfuncs = max(MIN_FUNCS, int(round(preset.funcs * scale)))
     nmodules = max(2, int(round(nfuncs / preset.funcs_per_module)))
 
     # Distribute functions over modules (roughly evenly).

@@ -63,15 +63,6 @@ class TestDisassembly:
         assert result.total_instrs > 0
         assert meter.peak_bytes >= result.total_instrs * 100
 
-    def test_lite_mode_reduces_retained_memory(self, setup):
-        _pipe, _res, bm = setup
-        full = MemoryMeter()
-        disassemble(bm.executable, meter=full)
-        lite = MemoryMeter()
-        some = {f.name for f in disassemble(bm.executable).functions[:3]}
-        disassemble(bm.executable, meter=lite, lite_names=some)
-        assert lite.peak_bytes < full.peak_bytes
-
     @pytest.mark.slow
     def test_embedded_jump_tables_marked_non_simple(self, pipeline_config):
         program = generate_workload(PRESETS["spanner"], scale=0.0008, seed=2)

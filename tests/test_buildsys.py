@@ -75,7 +75,8 @@ def _counters_without_batch_tally(bs):
 
 class TestOneMissPath:
     """``run_action`` is the one-item ``run_batch``: same results, same
-    accounting, same failures -- the miss path exists once."""
+    accounting, same failures -- the miss path exists once.  A batch is
+    remote, so a local action equals a batch under no RAM budget."""
 
     CASES = {
         "plain": dict(),
@@ -96,8 +97,8 @@ class TestOneMissPath:
         remote = spec.pop("remote", True)
         peak = spec.pop("peak", 100)
 
-        def drive(submit):
-            bs = BuildSystem(**spec)
+        def drive(submit, **budget):
+            bs = BuildSystem(**spec, **budget)
             outcomes = []
             for _ in range(2):  # second round replays (or re-fails)
                 try:
@@ -109,7 +110,8 @@ class TestOneMissPath:
         single, single_counts, _ = drive(lambda bs: bs.run_action(
             "codegen", ["d", "t"], lambda: _triple("obj", 2.0, peak), remote=remote))
         batch, batch_counts, bs = drive(lambda bs: bs.run_batch(
-            "codegen", [(["d", "t"], _triple, ("obj", 2.0, peak))], remote=remote)[0])
+            "codegen", [(["d", "t"], _triple, ("obj", 2.0, peak))])[0],
+            **({} if remote else {"enforce_ram": False}))
 
         assert single == batch
         assert single_counts == batch_counts

@@ -40,7 +40,8 @@ WHY = {
         "stage context, its import-time validator and the second (baseline) "
         "compile of every module are deleted, not bypassed.  One way to score "
         "one: a bench row is a flattened PipelineReport, with no hand-built "
-        "scenario body beside it."),
+        "scenario body beside it, and one scorecard replay always charges each "
+        "function."),
     CALLER: (
         "The console aliases, the stage graph's DOT render, the unprinted "
         "report tables, the never-set option fields, the test-only accessors "
@@ -59,8 +60,10 @@ WHY = {
         "digests that keyed its compiles), and the options only tests set "
         "(a fault plan's retry policy and its corrupt/slow kinds, BOLT's "
         "options, the DSB switch, the tracing config flag beside "
-        "PropellerPipeline(tracer=), the report's one-counter accessor) stay "
-        "deleted."),
+        "PropellerPipeline(tracer=), the report's one-counter accessor, the "
+        "tracer's name lookup and clock readers) stay deleted.  Every "
+        "parameter with a default is set by some call outside tests, or is "
+        "allowlisted with its reason."),
     PROFILES: (
         "An LBR profile is columns: no scalar draw per walker decision, no "
         "Python object per sample outside the view in profiles/lbr.py and no "
@@ -161,6 +164,116 @@ def _scored_once(paths) -> List[str]:
         if len(lines) != 1:
             hits.append(f"{len(lines)} lines match {call}: {lines}")
     return hits
+
+
+#: Where a call sets a parameter: every tree but ``tests/``.
+CALLERS = ("src", "bench", "scripts", "examples")
+
+#: Parameters with a default that only tests set, each kept for a
+#: reason: ``(path, qualname, parameter) -> why``.
+TEST_ONLY_PARAMETERS = {
+    ("src/repro/obs/tracer.py", "Tracer.__init__", "real_clock"):
+        "tests substitute a fake clock",
+    ("src/repro/tools/cli.py", "main", "argv"): "tests drive the CLI in-process",
+    ("src/repro/core/exttsp.py", "ext_tsp_score", "params"):
+        "the reference objective tests score layouts with",
+    ("src/repro/obs/explain.py", "explain_results", "base_tracer"):
+        "README's in-process explain API; the CLI sets it through --base-trace",
+    ("src/repro/obs/explain.py", "explain_results", "new_tracer"):
+        "README's in-process explain API; the CLI sets it through --new-trace",
+    ("src/repro/obs/explain.py", "explain_results", "top_k"):
+        "README's in-process explain API; the CLI sets it through --top-k",
+    ("src/repro/obs/explain.py", "explain_results", "max_blocks"):
+        "README's in-process explain API; the bench sets it through "
+        "frontend_counters(max_blocks=)",
+    ("src/repro/incr/__init__.py", "reoptimize", "config"):
+        "README calls it with a config, and README is not scanned",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defs(tree: ast.AST):
+    """``(def, qualname, called as)`` for every function, method and
+    nested function, and each ``__init__`` of a class that is not a
+    dataclass (called as the class).  Other dunders are skipped."""
+    out = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                if child.name == "__init__":
+                    if cls is not None and not _is_dataclass(cls):
+                        out.append((child, qualname, cls.name))
+                elif not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((child, qualname, child.name))
+                visit(child, qualname + ".", None)
+            else:
+                visit(child, prefix, cls)
+
+    visit(tree, "", None)
+    return out
+
+
+def _sets(call: ast.Call, positional: List[str], param: str) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, at its position,
+    or through ``*``/``**``."""
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return param in positional[i:]
+        if positional[i:i + 1] == [param]:
+            return True
+    return False
+
+
+def defaulted_parameters() -> Tuple[Tuple[str, int, str, str, bool], ...]:
+    """``(path, line, qualname, parameter, set outside tests)`` for every
+    parameter with a default of every ``def`` under ``src/repro``.  A
+    call names the function (or, for ``__init__``, the class) as a bare
+    name or an attribute; calls are read from :data:`CALLERS`."""
+    calls = {}
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    calls.setdefault(name, []).append(node)
+    rows = []
+    for path in sorted((ROOT / SRC).rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        for fn, qualname, called_as in _defs(ast.parse(path.read_text(encoding="utf-8"))):
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for param in defaulted:
+                used = any(_sets(call, positional, param) for call in calls.get(called_as, ()))
+                rows.append((rel, fn.lineno, qualname, param, used))
+    return tuple(rows)
+
+
+def _parameters_only_tests_set(paths) -> List[str]:
+    """Each defaulted parameter no call outside ``tests/`` sets, less the
+    allowlist; and each allowlist row that no longer names one."""
+    unset = {(path, qualname, param): f"{path}:{line} {qualname}({param})"
+             for path, line, qualname, param, used in defaulted_parameters() if not used}
+    return ([hit for key, hit in unset.items() if key not in TEST_ONLY_PARAMETERS]
+            + [f"stale allowlist row {key}" for key in TEST_ONLY_PARAMETERS
+               if key not in unset])
 
 
 class Rule(NamedTuple):
@@ -299,6 +412,16 @@ RULES = [
          "PipelineConfig.trace is back; pass PropellerPipeline(tracer=Tracer())"),
     Rule(CALLER, r'def frontend_counter\(', (SRC,),
          "the report's one-counter accessor is back; read report.frontend"),
+    Rule(CALLER, _parameters_only_tests_set, (),
+         "a parameter only tests set (or none) is back; make it a constant, or "
+         "allowlist it in TEST_ONLY_PARAMETERS with its reason"),
+    # The AST row cannot see a switch that production calls set both ways.
+    Rule(ONE_PATH, r'\bby_function\b', ("src/repro/hwmodel", "src/repro/core/pipeline.py"),
+         "the scorecard's attribution switch is back; per_function is always filled"),
+    Rule(CALLER, r'set_sim_duration|def find\b|_find_index|\bsim_now\b|def depth\b'
+                 r'|\bdepth = 0|\benabled = ',
+         ("src/repro/obs/tracer.py",),
+         "a test-only tracer accessor is back; read tracer.spans"),
 ]
 
 

@@ -10,9 +10,8 @@ not pairs of runs):
 
 Plus the satellites that ride with the engine: critical-path analysis
 (live spans and Chrome-trace reconstruction), the file-shaped loaders
-behind ``python -m repro.tools explain``, report round-trip/schema
-rejection, and the ``Tracer.find`` index the critical-path pass depends
-on.
+behind ``python -m repro.tools explain``, and report round-trip/schema
+rejection.
 """
 
 from __future__ import annotations
@@ -312,40 +311,3 @@ class TestCriticalPath:
         cp = critical_path(self._trace().spans)
         assert record(CriticalPath, json.loads(json.dumps(cp.as_dict()))) == cp
 
-
-class TestTracerFindIndex:
-    def test_find_matches_linear_scan_across_appends(self):
-        tracer = Tracer()
-        with tracer.span("a") as span:
-            span.advance(1.0)
-        assert [s.name for s in tracer.find("a")] == ["a"]
-        # The index must fold in spans closed *after* the first lookup.
-        with tracer.span("b"):
-            pass
-        with tracer.span("a") as span:
-            span.advance(2.0)
-        found = tracer.find("a")
-        assert found == [s for s in tracer.spans if s.name == "a"]
-        assert len(found) == 2
-        assert tracer.find("missing") == []
-
-    def test_returned_list_is_a_copy(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        tracer.find("a").clear()
-        assert len(tracer.find("a")) == 1
-
-    def test_index_is_incremental(self):
-        tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("x"):
-                pass
-        tracer.find("x")
-        assert tracer._indexed_upto == 3
-        with tracer.span("x"):
-            pass
-        # No re-scan happened yet; the next find folds in exactly one.
-        assert tracer._indexed_upto == 3
-        assert len(tracer.find("x")) == 4
-        assert tracer._indexed_upto == 4

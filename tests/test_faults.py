@@ -407,7 +407,7 @@ class TestPipelineDegradation:
         pipe, result = lbr_exhausted
         assert result.counters.count("faults.degraded") == 1
         assert _parents(pipe.tracer)["degraded:lbr-profile"] == ["phase:profile"]
-        (span,) = pipe.tracer.find("degraded:lbr-profile")
+        (span,) = [s for s in pipe.tracer.spans if s.name == "degraded:lbr-profile"]
         assert span.category == "fault"
         assert span.args["attempts"] >= 1 and span.args["events"]
 

@@ -1,6 +1,6 @@
 """Tests for call-chain clustering (hfsort/C3)."""
 
-from repro.core.funcorder import hfsort_order
+from repro.core.funcorder import DEFAULT_MAX_CLUSTER_BYTES, hfsort_order
 
 
 class TestHfsort:
@@ -15,10 +15,14 @@ class TestHfsort:
         assert order.index("c") == order.index("a") + 1
 
     def test_size_cap_prevents_merge(self):
-        funcs = {"a": (3000, 50.0), "b": (3000, 40.0)}
-        order = hfsort_order(funcs, [("a", "b", 100.0)], max_cluster_bytes=4096)
-        # 6000 > 4096: no merge; order by density only.
-        assert set(order) == {"a", "b"}
+        # A cold caller of a hot callee: merged, the pair outranks "x";
+        # one byte over the cap, each is placed by its own density.
+        half = DEFAULT_MAX_CLUSTER_BYTES // 2
+        edges = [("a", "b", 100.0)]
+        fits = {"a": (half, 10.0), "b": (half, 5000.0), "x": (100, 50.0)}
+        assert hfsort_order(fits, edges) == ["a", "b", "x"]
+        over = {"a": (half + 1, 10.0), "b": (half, 5000.0), "x": (100, 50.0)}
+        assert hfsort_order(over, edges) == ["b", "x", "a"]
 
     def test_chain_of_merges(self):
         funcs = {"a": (10, 100.0), "b": (10, 90.0), "c": (10, 80.0)}

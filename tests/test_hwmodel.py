@@ -255,10 +255,10 @@ class TestReplayAgainstReference:
             for i, b in enumerate(exe.exec_blocks)])
         trace = generate_trace(exe, max_blocks=1500, seed=seed)
         instructions, per = reference_replay(exe, trace, params)
-        counters = simulate_frontend(exe, trace, params, by_function=True)
+        counters = simulate_frontend(exe, trace, params)
         view = project_arrays(walk(exe, max_blocks=1500, seed=seed), exe)
         with mock.patch.object(frontend, "REPLAY_CHUNK", 7):
-            chunked = simulate_frontend(exe, view, params, by_function=True)
+            chunked = simulate_frontend(exe, view, params)
         assert chunked == counters and list(chunked.per_function) == list(counters.per_function)
         assert counters.instructions == instructions
         assert set(counters.per_function) == set(per)
@@ -271,22 +271,10 @@ class TestReplayAgainstReference:
 
 
 class TestPerFunctionAttribution:
-    def test_totals_bit_identical_with_attribution_on(self, pipeline_result):
-        exe = pipeline_result.optimized.executable
-        trace = generate_trace(exe, max_blocks=30_000, seed=1)
-        plain = simulate_frontend(exe, trace)
-        attributed = simulate_frontend(exe, trace, by_function=True)
-        # The gated scorecard must not move when attribution is on:
-        # per-function accounting reads the same event stream, it never
-        # re-simulates it.
-        assert attributed.as_dict() == plain.as_dict()
-        assert plain.per_function == {}
-        assert attributed.per_function
-
     def test_shares_sum_to_totals(self, pipeline_result):
         exe = pipeline_result.optimized.executable
         trace = generate_trace(exe, max_blocks=30_000, seed=1)
-        c = simulate_frontend(exe, trace, by_function=True)
+        c = simulate_frontend(exe, trace)
         per = c.per_function.values()
         # Instructions are fractional (size/avg-bytes), so summation
         # order costs a few ulps; every integer counter is exact.
@@ -305,7 +293,7 @@ class TestPerFunctionAttribution:
     def test_functions_cover_the_trace(self, pipeline_result):
         exe = pipeline_result.optimized.executable
         trace = generate_trace(exe, max_blocks=10_000, seed=1)
-        c = simulate_frontend(exe, trace, by_function=True)
+        c = simulate_frontend(exe, trace)
         visited = {exe.block_at(addr).func for addr in trace.block_addrs}
         assert set(c.per_function) == visited
 

@@ -83,8 +83,7 @@ class TestImportIsolation:
             "result = repro.optimize(\n"
             "    program,\n"
             "    repro.PipelineConfig(lbr_branches=20_000, pgo_steps=10_000,\n"
-            "                         enforce_ram=False),\n"
-            "    seed=3)\n"
+            "                         enforce_ram=False, seed=3))\n"
             "assert result.summary()\n"
         )
 

@@ -6,6 +6,7 @@ from repro import ir
 from repro.ir import verify_function, verify_program
 from repro.ir.digest import module_digests
 from repro.ir.passes import (
+    MAX_GROWTH_BLOCKS,
     InlineReport,
     clone_function,
     clone_program,
@@ -161,17 +162,21 @@ class TestInlining:
         )
 
     def test_growth_bounded(self):
-        # A caller with many call sites to the same hot callee.
+        # A caller with more call sites to the same hot callee than the
+        # growth cap can absorb: each inline adds the callee's 2 blocks
+        # plus a continuation.
+        sites = MAX_GROWTH_BLOCKS // 3 + 30
         blocks = [
             ir.BasicBlock(bb_id=i, instrs=[ir.Call(callee="leaf")], term=ir.Jump(i + 1))
-            for i in range(30)
+            for i in range(sites)
         ]
-        blocks.append(ir.BasicBlock(bb_id=30, term=ir.Ret()))
+        blocks.append(ir.BasicBlock(bb_id=sites, term=ir.Ret()))
         caller = ir.Function(name="top", blocks=blocks)
         program = _program(caller, _callee())
-        inline_hot_calls(program, _profile({"leaf": 100.0}), max_growth_blocks=9)
+        report = inline_hot_calls(program, _profile({"leaf": 100.0}))
         top = program.function("top")
-        assert top.num_blocks <= 31 + 9 + 3
+        assert report.sites_inlined < sites
+        assert top.num_blocks <= sites + 1 + MAX_GROWTH_BLOCKS + 3
         verify_program(program)
 
     def test_semantics_preserved_in_trace(self):

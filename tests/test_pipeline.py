@@ -298,8 +298,7 @@ class TestOptimizeAPI:
     def test_one_call(self, tiny_program):
         result = optimize(
             tiny_program,
-            PipelineConfig(lbr_branches=30_000, pgo_steps=20_000, enforce_ram=False),
-            seed=5,
+            PipelineConfig(lbr_branches=30_000, pgo_steps=20_000, enforce_ram=False, seed=5),
         )
         assert result.config.seed == 5
         assert result.optimized.executable.name == "propeller.out"

@@ -4,7 +4,7 @@ import pytest
 
 from repro import ir
 from repro.codegen import CodeGenOptions, compile_module
-from repro.core.prefetch import plan_prefetches
+from repro.core.prefetch import MAX_PER_FUNCTION, plan_prefetches
 from repro.core.wpa import FunctionDCFG, WPAOptions, analyze
 from repro.core.pipeline import PipelineConfig, PropellerPipeline
 from repro.isa import Opcode, decode_range
@@ -87,12 +87,12 @@ class TestPlanner:
 
     def test_cold_call_skipped(self):
         edges = {("caller", 1, "callee", 0): 2.0}
-        assert plan_prefetches(self._dcfg(), edges, min_count=16.0) == {}
+        assert plan_prefetches(self._dcfg(), edges) == {}
 
     def test_cap_per_function(self):
         edges = {("caller", 1, f"c{i}", 0): 100.0 - i for i in range(10)}
-        plan = plan_prefetches(self._dcfg(), edges, max_per_function=3)
-        assert len(plan["caller"]) == 3
+        plan = plan_prefetches(self._dcfg(), edges)
+        assert len(plan["caller"]) == MAX_PER_FUNCTION
 
     def test_empty(self):
         assert plan_prefetches({}, {}) == {}

@@ -122,11 +122,19 @@ class TestAnalyze:
         assert stats.peak_memory_bytes > perf.size_bytes
         assert stats.cost_units > 0
 
-    def test_meter_balances(self, metadata_exe, perf):
-        meter = MemoryMeter()
-        analyze(metadata_exe, perf, meter=meter)
+    def test_meter_balances(self, metadata_exe, perf, monkeypatch):
+        meters = []
+
+        class Recorded(MemoryMeter):
+            def __init__(self):
+                super().__init__()
+                meters.append(self)
+
+        monkeypatch.setattr(wpa, "MemoryMeter", Recorded)
+        result = analyze(metadata_exe, perf)
+        (meter,) = meters
         assert meter.live_bytes == 0
-        assert meter.peak_bytes > 0
+        assert result.stats.peak_memory_bytes == meter.peak_bytes > 0
 
     def test_split_cold_off_keeps_all_blocks(self, metadata_exe, perf, program):
         result = analyze(metadata_exe, perf, WPAOptions(split_cold=False))
@@ -511,7 +519,7 @@ class TestDistinctWork:
     def test_dcfg_span_notes_the_distinct_work(self, metadata_exe, perf):
         tracer = Tracer()
         analyze(metadata_exe, perf, tracer=tracer)
-        (span,) = tracer.find("wpa:dcfg")
+        (span,) = [s for s in tracer.spans if s.name == "wpa:dcfg"]
         records = [record for s in sample_records(perf) for record in s]
         assert span.args["records"] == len(records)
         assert span.args["distinct_addresses"] == len({a for r in records for a in r})
@@ -545,7 +553,7 @@ class TestDistinctWork:
         assert scored and len(scored) == len(set(scored))
         # The layout span counts the solver's work exactly; a candidate
         # is scored only once its bound tops the heap, so some never are.
-        (span,) = tracer.find("wpa:layout")
+        (span,) = [s for s in tracer.spans if s.name == "wpa:layout"]
         assert span.args["candidates_scored"] == len(scored)
         assert span.args["placements_scored"] == sum(placements)
         assert len(scored) < span.args["candidates_pushed"]
